@@ -25,10 +25,13 @@ and termination to ``pos == cnt`` (Algorithm 6).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, field
+from functools import partial
 
 from repro.core.mbtree import Entry, entry_digest
 from repro.core.nodestore import ChameleonStore
+from repro.core.query.vo import DEFAULT_VALUE_BYTES, TableRef, varint_size
 from repro.crypto import vc
 from repro.crypto.prf import node_randomness
 from repro.errors import ReproError, VerificationError
@@ -124,24 +127,245 @@ class MembershipProof:
     its parent and the last link's parent is the root.  Ancestor nodes
     contribute only their link (their slot-1 payloads are irrelevant),
     matching the paper's example proof shape.
+
+    ``tree`` is SP-side context that never travels: the ``(c_0, q)`` of
+    the tree the proof was assembled from.  VO compression groups a
+    query's entries on it (the CVC twin of the root digest a Merkle path
+    folds to); a proof decoded from the wire has none and stays in its
+    per-entry form.  The verifier never reads it.
     """
 
     position: int
     entry_commitment: int  # c_pos of the proven node
     slot1_proof: int  # pi_pos
     links: tuple[ChameleonLink, ...]
+    tree: tuple[int, int] | None = field(
+        default=None, compare=False, repr=False
+    )
 
-    def byte_size(self, value_bytes: int = 128) -> int:
+    def byte_size(self, value_bytes: int = DEFAULT_VALUE_BYTES) -> int:
         """Serialised size: commitments and proofs are group elements."""
         base = 9 + 2 * value_bytes  # position + c_pos + pi + link count
         return base + sum(link.byte_size(value_bytes) for link in self.links)
 
-    def derived_position(self, arity: int) -> int:
-        """Recompute the position from the child-index chain (top-down)."""
+    def nodes(self, arity: int) -> dict[int, "ChameleonNode"]:
+        """The proof as ``position -> node`` rows.
+
+        The same shape a :class:`ChameleonMultiproof` holds for a whole
+        query, so both go through :func:`verify_position`.  Positions
+        come from the child-index chain, so the claimed ``position`` is
+        checked here rather than trusted.
+        """
+        if not self.links:
+            raise VerificationError("membership proof has no links to the root")
+        if self.links[0].child_commitment != self.entry_commitment:
+            raise VerificationError("proof's first link does not carry the node")
+        nodes: dict[int, ChameleonNode] = {}
         pos = 0
         for link in reversed(self.links):
             pos = child_position(pos, link.child_index, arity)
-        return pos
+            nodes[pos] = ChameleonNode(pos, link.child_commitment, link.proof)
+        if pos != self.position:
+            raise VerificationError(
+                f"claimed position {self.position} does not match the "
+                f"link-derived position {pos}"
+            )
+        return nodes
+
+
+@dataclass(frozen=True)
+class ChameleonNode:
+    """One row of a node table: a node and the opening that hangs it."""
+
+    position: int
+    commitment: int  # c_pos
+    link_proof: int  # the parent's slot j+1 opens to c_pos
+
+    def byte_size(self, value_bytes: int) -> int:
+        """Serialised size in bytes."""
+        return varint_size(self.position) + 2 * value_bytes
+
+
+@dataclass(frozen=True)
+class ChameleonMultiproof:
+    """One keyword tree's shared ancestors for a whole query.
+
+    Every node any proven entry of the tree needs — the entry's own node
+    and each ancestor below the root — appears exactly once, in
+    ascending position order, and the table is closed under
+    :func:`parent_position`.  Which slot of which parent a row's
+    ``link_proof`` opens is BFS arithmetic on its position, so neither a
+    child index nor a parent pointer travels: a row cannot be re-hung
+    elsewhere in the tree without changing the position every entry
+    below it is checked at.  ``arity`` makes the table self-describing
+    (the decoder checks closure without a proof system); the verifier
+    compares it with the scheme's own.
+    """
+
+    arity: int
+    nodes: tuple[ChameleonNode, ...]
+
+    #: The codec frame that can carry this table.
+    frame_version = 4
+
+    def index(self) -> dict[int, ChameleonNode]:
+        """``position -> node``, built (and the table validated) once.
+
+        Every reader goes through here, so a table that is unsorted,
+        repeats a position or lacks an ancestor fails closed on first
+        touch — in the decoder and in the verifier alike.
+        """
+        index = self.__dict__.get("_index")
+        if index is not None:
+            return index
+        if not 1 <= self.arity <= 0xFF:
+            raise VerificationError(f"node table arity {self.arity} out of range")
+        index = {}
+        previous = 0
+        for node in self.nodes:
+            if node.position <= previous:
+                raise VerificationError(
+                    "node table positions are not strictly ascending"
+                )
+            parent = (node.position - 1) // self.arity
+            if parent and parent not in index:
+                raise VerificationError(
+                    f"node table lacks the parent of position {node.position}"
+                )
+            index[node.position] = node
+            previous = node.position
+        object.__setattr__(self, "_index", index)
+        return index
+
+    def node(self, position: int) -> ChameleonNode:
+        """The row at ``position``; raises when the table has none."""
+        node = self.index().get(position)
+        if node is None:
+            raise VerificationError(f"node table has no position {position}")
+        return node
+
+    def byte_size(self, value_bytes: int = DEFAULT_VALUE_BYTES) -> int:
+        """Serialised size in bytes (matches the v4 codec encoding)."""
+        return (
+            1
+            + varint_size(len(self.nodes))
+            + sum(node.byte_size(value_bytes) for node in self.nodes)
+        )
+
+
+@dataclass(frozen=True)
+class NodeRef(TableRef):
+    """A proof slot pointing into the VO's node tables.
+
+    What is left of a membership proof once its chain lives in a
+    :class:`ChameleonMultiproof`: which table, which row, and the one
+    opening no other entry shares — slot 1 of the entry's own node.
+    """
+
+    table_index: int
+    position: int
+    slot1_proof: int  # pi_pos
+
+    #: The codec frame that can carry this proof.
+    frame_version = 4
+
+    def byte_size(self, value_bytes: int = DEFAULT_VALUE_BYTES) -> int:
+        """Serialised size in bytes (presence/tag bytes are the entry's)."""
+        return (
+            varint_size(self.table_index)
+            + varint_size(self.position)
+            + value_bytes
+        )
+
+
+def build_node_table(
+    arity: int, proofs: list[MembershipProof]
+) -> ChameleonMultiproof:
+    """Merge one tree's membership proofs into its node table.
+
+    Raises :class:`~repro.errors.ReproError` when two proofs disagree
+    about a position or a chain does not end at the root — an honest SP
+    never constructs such inputs.
+    """
+    nodes: dict[int, ChameleonNode] = {}
+    for proof in proofs:
+        pos = proof.position
+        for link in proof.links:
+            known = nodes.get(pos)
+            if known is not None:
+                if (known.commitment, known.link_proof) != (
+                    link.child_commitment,
+                    link.proof,
+                ):
+                    raise ReproError(f"two nodes claim tree position {pos}")
+                break  # its ancestors were registered along with it
+            nodes[pos] = ChameleonNode(pos, link.child_commitment, link.proof)
+            pos = parent_position(pos, arity)[0]
+        else:
+            if pos != 0:
+                raise ReproError("membership proof does not reach the root")
+    return ChameleonMultiproof(
+        arity=arity, nodes=tuple(nodes[pos] for pos in sorted(nodes))
+    )
+
+
+#: ``(commitment, slot, message, proof) -> bool`` — one CVC ``Ver``.
+OpeningCheck = Callable[[int, int, "int | bytes", int], bool]
+
+
+def verify_position(
+    check: OpeningCheck,
+    root_commitment: int,
+    count: int,
+    arity: int,
+    node_at: Callable[[int], ChameleonNode],
+    position: int,
+    object_id: int,
+    object_hash: bytes,
+    slot1_proof: int,
+    authenticated: set[int],
+) -> None:
+    """The one CVC membership check: ``<id, h(o)>`` sits at ``position``.
+
+    ``node_at(pos)`` yields the claimed node at a position (raising when
+    there is none); ``check`` performs — or recalls — one opening
+    verification.  The position must lie in ``[1, count]``; slot 1 of
+    its node must open to ``h(id || h(o))``; and every link from the
+    node up to the on-chain ``c_0`` must open, the slot of each being
+    BFS arithmetic on the child's position, so the position itself is
+    authenticated, not trusted.  ``authenticated`` holds the positions
+    whose chain already reached ``root_commitment`` in this verification
+    context and is extended on success only, so a shared ancestor is
+    walked once.
+    """
+    if not 1 <= position <= count:
+        raise VerificationError(
+            f"position {position} outside the committed count {count}"
+        )
+    node = node_at(position)
+    if not check(
+        node.commitment, 1, entry_digest(object_id, object_hash), slot1_proof
+    ):
+        raise VerificationError("slot-1 opening of the node commitment failed")
+    chain: list[int] = []
+    while node.position not in authenticated:
+        parent, child_index = parent_position(node.position, arity)
+        above = node_at(parent) if parent else None
+        if not check(
+            above.commitment if above else root_commitment,
+            child_index + 1,
+            node.commitment,
+            node.link_proof,
+        ):
+            raise VerificationError(
+                f"parent link of position {node.position} failed "
+                "commitment verification"
+            )
+        chain.append(node.position)
+        if above is None:
+            break
+        node = above
+    authenticated.update(chain)
 
 
 def verify_membership(
@@ -158,40 +382,18 @@ def verify_membership(
     Raises :class:`VerificationError` with the failed check's name; the
     position encoded in the link chain is authenticated, not trusted.
     """
-    if not proof.links:
-        raise VerificationError("membership proof has no links to the root")
-    if proof.links[0].child_commitment != proof.entry_commitment:
-        raise VerificationError("proof's first link does not carry the node")
-    derived = proof.derived_position(arity)
-    if derived != proof.position:
-        raise VerificationError(
-            f"claimed position {proof.position} does not match the "
-            f"link-derived position {derived}"
-        )
-    if not 1 <= proof.position <= count:
-        raise VerificationError(
-            f"position {proof.position} outside the committed count {count}"
-        )
-    expected_entry = entry_digest(object_id, object_hash)
-    if not vc.verify(
-        pp, proof.entry_commitment, 1, expected_entry, proof.slot1_proof
-    ):
-        raise VerificationError("slot-1 opening of the node commitment failed")
-    for depth, link in enumerate(proof.links):
-        if depth + 1 < len(proof.links):
-            parent_commitment = proof.links[depth + 1].child_commitment
-        else:
-            parent_commitment = root_commitment
-        if not vc.verify(
-            pp,
-            parent_commitment,
-            link.child_index + 1,
-            link.child_commitment,
-            link.proof,
-        ):
-            raise VerificationError(
-                f"parent link at depth {depth} failed commitment verification"
-            )
+    verify_position(
+        partial(vc.verify, pp),
+        root_commitment,
+        count,
+        arity,
+        proof.nodes(arity).__getitem__,
+        proof.position,
+        object_id,
+        object_hash,
+        proof.slot1_proof,
+        set(),
+    )
 
 
 class ChameleonTreeDO:
@@ -317,10 +519,6 @@ class ChameleonBoundarySearch:
         return self.lower is not None and self.lower.key == self.target
 
 
-#: Group-element width for the default 1024-bit CVC modulus.
-DEFAULT_VALUE_BYTES = 128
-
-
 class ChameleonTreeSP:
     """The SP's complete copy of one keyword's Chameleon tree.
 
@@ -425,25 +623,43 @@ class ChameleonTreeSP:
 
     def prove_membership(self, pos: int) -> MembershipProof:
         """Assemble ``Pi`` for the node at ``pos`` from stored material."""
+        return self._prove(pos, {}, (self.root_commitment, self.arity))
+
+    def _prove(
+        self,
+        pos: int,
+        chains: dict[int, tuple[ChameleonLink, ...]],
+        tree: tuple[int, int],
+    ) -> MembershipProof:
+        """``Pi`` for ``pos``; ``chains`` shares link chains between calls.
+
+        A node's chain is its own link followed by its parent's chain,
+        so proofs assembled against one ``chains`` map read each node's
+        group elements out of the store once and share the link objects.
+        """
         if not 1 <= pos <= self.count:
             raise ReproError(f"no node at position {pos}")
         store = self.store
-        links: list[ChameleonLink] = []
+        arity = tree[1]
+        missing: list[int] = []
         current = pos
-        while current != 0:
-            links.append(
-                ChameleonLink(
-                    child_index=store.child_index(current),
-                    child_commitment=store.commitment(current),
-                    proof=store.parent_link_proof(current),
-                )
+        while current != 0 and current not in chains:
+            missing.append(current)
+            current = (current - 1) // arity
+        for current in reversed(missing):
+            link = ChameleonLink(
+                child_index=store.child_index(current),
+                child_commitment=store.commitment(current),
+                proof=store.parent_link_proof(current),
             )
-            current, _ = parent_position(current, self.arity)
+            chains[current] = (link,) + chains.get((current - 1) // arity, ())
+        links = chains[pos]
         return MembershipProof(
             position=pos,
-            entry_commitment=store.commitment(pos),
+            entry_commitment=links[0].child_commitment,
             slot1_proof=store.slot1_proof(pos),
-            links=tuple(links),
+            links=links,
+            tree=tree,
         )
 
     def first(self) -> tuple[Entry, MembershipProof] | None:
@@ -458,8 +674,21 @@ class ChameleonTreeSP:
             return None
         return self.entry_at(self.count), self.prove_membership(self.count)
 
-    def boundaries(self, target: int) -> ChameleonBoundarySearch:
-        """Boundary entries around ``target`` with membership proofs."""
+    def boundaries(
+        self,
+        target: int,
+        chains: dict[int, tuple[ChameleonLink, ...]] | None = None,
+    ) -> ChameleonBoundarySearch:
+        """Boundary entries around ``target`` with membership proofs.
+
+        A caller that probes one tree many times (a join walk) passes
+        the same ``chains`` map to every call, see :meth:`_prove`; node
+        material never changes once appended, so the map cannot go
+        stale.
+        """
+        if chains is None:
+            chains = {}
+        tree = (self.root_commitment, self.arity)
         idx = self.store.rank_of(target)  # count of ids <= target
         lower = None
         lower_proof = None
@@ -467,10 +696,10 @@ class ChameleonTreeSP:
         upper_proof = None
         if idx > 0:
             lower = self.entry_at(idx)
-            lower_proof = self.prove_membership(idx)
+            lower_proof = self._prove(idx, chains, tree)
         if idx < self.count:
             upper = self.entry_at(idx + 1)
-            upper_proof = self.prove_membership(idx + 1)
+            upper_proof = self._prove(idx + 1, chains, tree)
         return ChameleonBoundarySearch(
             target=target,
             lower=lower,
@@ -481,7 +710,9 @@ class ChameleonTreeSP:
 
     def all_entries(self) -> list[tuple[Entry, MembershipProof]]:
         """Every entry with proof, position order (single-keyword scans)."""
+        chains: dict[int, tuple[ChameleonLink, ...]] = {}
+        tree = (self.root_commitment, self.arity)
         return [
-            (self.entry_at(pos), self.prove_membership(pos))
+            (self.entry_at(pos), self._prove(pos, chains, tree))
             for pos in range(1, self.count + 1)
         ]

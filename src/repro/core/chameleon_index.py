@@ -15,10 +15,12 @@ from dataclasses import dataclass, field
 from repro import obs
 from repro.core.chameleon import (
     DEFAULT_ARITY,
+    ChameleonMultiproof,
     ChameleonTreeDO,
     ChameleonTreeSP,
     MembershipProof,
-    verify_membership,
+    NodeRef,
+    verify_position,
 )
 from repro.core.objects import ObjectMetadata
 from repro.core.proofcache import VerificationCache
@@ -252,11 +254,18 @@ class ChameleonView:
     ``bloom`` is populated only by the starred variant; when set, the
     join engine can skip probes for IDs the on-chain filters prove
     absent.
+
+    A view serves one conjunct of one query, and a join walk probes it
+    once per round: the link chains it has read out of the tree's store
+    are kept for the next probe, so each node is read once per walk.
     """
 
     keyword: str
     tree: ChameleonTreeSP
     bloom: BloomFilterChain | None = None
+    _chains: dict = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __len__(self) -> int:
         return self.tree.count
@@ -275,7 +284,7 @@ class ChameleonView:
         self, target: int
     ) -> tuple[ProvenEntry | None, ProvenEntry | None]:
         """Boundary entries with proofs around a target."""
-        search = self.tree.boundaries(target)
+        search = self.tree.boundaries(target, self._chains)
         lower = None
         upper = None
         if search.lower is not None:
@@ -359,11 +368,22 @@ class ChameleonProofSystem:
     ``blooms`` (starred variant only) carries the on-chain Bloom filter
     snapshots used to validate skip rounds.
 
-    ``cache``, when set, memoises *successful* entry verifications keyed
-    on the complete proven tuple — the on-chain digest, the claimed
-    entry, and the full proof — so repeated entries across conjuncts and
-    queries pay the CVC exponentiations once.  Any tampered component
-    changes the key, misses, and re-verifies (and fails) from scratch.
+    An entry arrives as a :class:`~repro.core.chameleon.NodeRef` into
+    one of the query's node tables (bound by
+    :meth:`attach_multiproofs`) or as a legacy per-entry
+    :class:`~repro.core.chameleon.MembershipProof`; either way it is a
+    position over ``position -> node`` rows and goes through
+    :func:`~repro.core.chameleon.verify_position`.  Within a query, a
+    table node whose chain reached ``c_0`` is not walked again.
+
+    ``cache``, when set, memoises *successful* openings keyed on the
+    complete tuple ``(modulus, commitment, slot, message, proof)`` — the
+    whole input of one ``vc.verify`` — so an opening shared between
+    entries, conjuncts or queries costs its exponentiation once.  That
+    an opening holds says nothing about where its commitment hangs: the
+    chain from ``c_0`` is re-walked over (cached) openings every query,
+    and any tampered component changes a key, misses, and re-verifies
+    (and fails) from scratch.
     """
 
     pp: vc.CVCPublicParams
@@ -372,66 +392,121 @@ class ChameleonProofSystem:
     blooms: dict[str, BloomFilterChain] | None = None
     value_bytes: int = 128
     cache: VerificationCache | None = None
+    #: The current query's tables (see :meth:`attach_multiproofs`).
+    multiproofs: tuple = field(
+        default=(), init=False, repr=False, compare=False
+    )
+    #: Per attached table in use: the table, the ``c_0`` it was first
+    #: verified under, and the positions whose chain reached it.
+    _walked: dict[int, tuple[ChameleonMultiproof, int, set[int]]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def _digest(self, keyword: str) -> tuple[int | None, int]:
         return self.digests.get(keyword, (None, 0))
 
+    def attach_multiproofs(self, multiproofs: tuple) -> None:
+        """Bind the current query's node tables (per-query state)."""
+        self.multiproofs = tuple(multiproofs)
+        self._walked = {}
+
+    def _opens(
+        self, commitment: int, slot: int, message: int | bytes, proof: int
+    ) -> bool:
+        """One CVC ``Ver``, or the memory of one that succeeded."""
+        if self.cache is None:
+            return vc.verify(self.pp, commitment, slot, message, proof)
+        key = self.cache.key(self.pp.modulus, commitment, slot, message, proof)
+        if self.cache.seen(key):
+            return True
+        if not vc.verify(self.pp, commitment, slot, message, proof):
+            return False
+        self.cache.add(key)
+        return True
+
+    def _table(
+        self, ref: NodeRef, commitment: int
+    ) -> tuple[ChameleonMultiproof, set[int]]:
+        """The table a ref points into, and its walked positions.
+
+        The first ref into a table binds it to the ``c_0`` it is checked
+        under: chains walked to one root say nothing under another.
+        """
+        state = self._walked.get(ref.table_index)
+        if state is None:
+            if not 0 <= ref.table_index < len(self.multiproofs):
+                raise VerificationError(
+                    f"node table index {ref.table_index} out of range "
+                    f"({len(self.multiproofs)} attached)"
+                )
+            table = self.multiproofs[ref.table_index]
+            if not isinstance(table, ChameleonMultiproof):
+                raise VerificationError(
+                    "entry references a table of another kind"
+                )
+            if table.arity != self.arity:
+                raise VerificationError(
+                    f"node table arity {table.arity} is not the scheme's "
+                    f"{self.arity}"
+                )
+            state = self._walked[ref.table_index] = (table, commitment, set())
+        table, bound, walked = state
+        if bound != commitment:
+            raise VerificationError(
+                f"node table {ref.table_index} is bound to a different tree"
+            )
+        return table, walked
+
     def verify_entry(self, keyword: str, entry: ProvenEntry) -> None:
         """Authenticate one proven entry; raises on failure."""
         proof = entry.proof
-        if not isinstance(proof, MembershipProof):
-            raise VerificationError("expected a CVC membership proof")
         commitment, count = self._digest(keyword)
         if commitment is None:
             raise VerificationError(
                 f"keyword {keyword!r} has no on-chain commitment"
             )
-        key = None
-        if self.cache is not None:
-            key = self.cache.key(
-                self.pp.modulus,
-                commitment,
-                count,
-                self.arity,
-                entry.object_id,
-                entry.object_hash,
-                proof,
-            )
-            if self.cache.seen(key):
-                return
-        verify_membership(
-            self.pp,
+        if isinstance(proof, NodeRef):
+            table, walked = self._table(proof, commitment)
+            node_at = table.node
+        elif isinstance(proof, MembershipProof):
+            node_at, walked = proof.nodes(self.arity).__getitem__, set()
+        else:
+            raise VerificationError("expected a CVC membership proof")
+        verify_position(
+            self._opens,
             commitment,
             count,
             self.arity,
+            node_at,
+            proof.position,
             entry.object_id,
             entry.object_hash,
-            proof,
+            proof.slot1_proof,
+            walked,
         )
-        if self.cache is not None:
-            self.cache.add(key)
+
+    @staticmethod
+    def _position(entry: ProvenEntry) -> int | None:
+        proof = entry.proof
+        if isinstance(proof, (NodeRef, MembershipProof)):
+            return proof.position
+        return None
 
     def is_first(self, keyword: str, entry: ProvenEntry) -> bool:
         """Whether the entry is provably the tree's first."""
-        proof = entry.proof
-        return isinstance(proof, MembershipProof) and proof.position == 1
+        return self._position(entry) == 1
 
     def is_last(self, keyword: str, entry: ProvenEntry) -> bool:
         """Whether the entry is provably the tree's last."""
-        proof = entry.proof
         _, count = self._digest(keyword)
-        return isinstance(proof, MembershipProof) and proof.position == count
+        return self._position(entry) == count
 
     def adjacent(
         self, keyword: str, lower: ProvenEntry, upper: ProvenEntry
     ) -> bool:
         """Whether two verified entries are consecutive."""
-        lp, up = lower.proof, upper.proof
-        if not isinstance(lp, MembershipProof) or not isinstance(
-            up, MembershipProof
-        ):
-            return False
-        return up.position == lp.position + 1
+        below, above = self._position(lower), self._position(upper)
+        return below is not None and above is not None and above == below + 1
 
     def keyword_empty(self, keyword: str) -> bool:
         """Whether VO_chain shows the keyword's tree empty."""

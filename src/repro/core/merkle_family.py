@@ -170,7 +170,10 @@ class MerkleProofSystem:
                 f"multiproof index {proof_index} out of range "
                 f"({len(self.multiproofs)} attached)"
             )
-        return self.multiproofs[proof_index]
+        multiproof = self.multiproofs[proof_index]
+        if not isinstance(multiproof, TreeMultiproof):
+            raise VerificationError("entry references a table of another kind")
+        return multiproof
 
     def _verify_leafref(
         self, keyword: str, entry: ProvenEntry, ref: LeafRef

@@ -1,4 +1,4 @@
-"""Merkle multiproofs: one deduplicated proof per tree per query.
+"""Multiproofs: one deduplicated proof per tree per query.
 
 A DNF answer that references ``k`` entries of one MB-tree ships ``k``
 independent :class:`~repro.core.mbtree.MerklePath` objects whose sibling
@@ -38,16 +38,32 @@ malformed proofs — codes out of place, leftover or missing helpers,
 descend below the leaf level — raise
 :class:`~repro.errors.VerificationError` before any root comparison.
 
-Construction (:func:`build_multiproofs` / :func:`compress_query_vo`)
+Construction (:func:`build_multiproof` / :func:`compress_query_vo`)
 runs on the SP after the per-conjunct VOs are gathered in call order, so
 the compressed VO is deterministic for any shard count or pool mode.
+
+Chameleon family
+----------------
+CVC membership proofs overlap the same way — every entry repeats the
+openings of all its ancestors — and :func:`compress_query_vo` gives them
+the same treatment: one
+:class:`~repro.core.chameleon.ChameleonMultiproof` node table per tree,
+entries rewritten to :class:`~repro.core.chameleon.NodeRef`.  The table
+and its verification live in :mod:`repro.core.chameleon`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.mbtree import MerklePath, entry_digest, leaf_digest, node_digest
+from repro.core.chameleon import MembershipProof, NodeRef, build_node_table
+from repro.core.mbtree import (
+    Entry,
+    MerklePath,
+    entry_digest,
+    leaf_digest,
+    node_digest,
+)
 from repro.core.query.vo import (
     ConjunctiveVO,
     FullScanVO,
@@ -57,6 +73,9 @@ from repro.core.query.vo import (
     QueryVO,
     SemiJoinProbe,
     SemiJoinStage,
+    TableRef,
+    iter_proven_entries,
+    varint_size,
 )
 from repro.crypto.hashing import tagged_hash
 from repro.errors import ReproError, VerificationError
@@ -133,7 +152,7 @@ def compute_multiproof_indices(
 
 
 @dataclass(frozen=True, eq=True)
-class LeafRef:
+class LeafRef(TableRef):
     """A proof slot pointing into the VO's multiproof table.
 
     ``proof_index`` selects the :class:`TreeMultiproof` in
@@ -144,6 +163,9 @@ class LeafRef:
     proof_index: int
     ordinal: int
 
+    #: The codec frame that can carry this proof.
+    frame_version = 3
+
     def byte_size(self) -> int:
         """Serialised size in bytes: the two varints.
 
@@ -151,15 +173,7 @@ class LeafRef:
         (:meth:`~repro.core.query.vo.ProvenEntry.byte_size` counts
         them), matching the convention of the other proof types.
         """
-        return _varint_size(self.proof_index) + _varint_size(self.ordinal)
-
-
-def _varint_size(value: int) -> int:
-    size = 1
-    while value >= 0x80:
-        value >>= 7
-        size += 1
-    return size
+        return varint_size(self.proof_index) + varint_size(self.ordinal)
 
 
 class _Frame:
@@ -191,6 +205,9 @@ class TreeMultiproof:
     nodes: tuple[tuple[int, ...], ...]
     helpers: tuple[bytes, ...]
     leaves: tuple[tuple[int, bytes], ...]
+
+    #: The codec frame that can carry this table.
+    frame_version = 3
 
     def __hash__(self) -> int:
         cached = self.__dict__.get("_hash")
@@ -232,11 +249,11 @@ class TreeMultiproof:
 
     def byte_size(self) -> int:
         """Serialised size in bytes (matches the v3 codec encoding)."""
-        total = 1 + _varint_size(len(self.nodes))
+        total = 1 + varint_size(len(self.nodes))
         for codes in self.nodes:
-            total += _varint_size(len(codes)) + (len(codes) + 3) // 4
-        total += _varint_size(len(self.helpers)) + 32 * len(self.helpers)
-        total += _varint_size(len(self.leaves)) + 40 * len(self.leaves)
+            total += varint_size(len(codes)) + (len(codes) + 3) // 4
+        total += varint_size(len(self.helpers)) + 32 * len(self.helpers)
+        total += varint_size(len(self.leaves)) + 40 * len(self.leaves)
         return total
 
     # -- verification ----------------------------------------------------------
@@ -566,54 +583,51 @@ def _map_vo_entries(vo: QueryVO, fn) -> QueryVO:
 
 
 def compress_query_vo(vo: QueryVO) -> QueryVO:
-    """Deduplicate a VO's Merkle paths into one multiproof per tree.
+    """Deduplicate a VO's per-entry proofs into one table per tree.
 
-    Entries are grouped by the root digest their path folds to (one
-    group per ``(tree, commitment)``), each group becomes one
-    :class:`TreeMultiproof`, and every grouped entry's proof is replaced
-    by a :class:`LeafRef`.  Proof-less and CVC entries pass through
-    untouched, so the Chameleon family's VOs are returned unchanged.
-    Runs after call-order gathering, so the output is identical for any
-    shard count, pool mode or executor.
+    Merkle family: entries are grouped by the root digest their path
+    folds to (one group per ``(tree, commitment)``), each group becomes
+    one :class:`TreeMultiproof`, and every grouped entry's proof is
+    replaced by a :class:`LeafRef`.  Chameleon family: entries are
+    grouped by the tree their membership proof was assembled from, each
+    group becomes one :class:`~repro.core.chameleon.ChameleonMultiproof`
+    holding every node once, and each proof shrinks to a
+    :class:`~repro.core.chameleon.NodeRef`.  Proof-less entries (and CVC
+    proofs that do not say which tree they came from) pass through
+    untouched.  Runs after call-order gathering, so the output is
+    identical for any shard count, pool mode or executor.
 
-    Compression is size-gated per group: a tree whose multiproof table
-    would cost more wire bytes than the per-entry paths it replaces
-    (singleton boundary proofs of near-empty keywords, typically) keeps
-    its paths, so the v3 frame is never materially larger than v2 at
-    low selectivity.  The gate depends only on the group itself, so
-    determinism across executors is preserved.
+    Merkle compression is size-gated per group: a tree whose multiproof
+    table would cost more wire bytes than the per-entry paths it
+    replaces (singleton boundary proofs of near-empty keywords,
+    typically) keeps its paths, so the v3 frame is never materially
+    larger than v2 at low selectivity.  The gate depends only on the
+    group itself, so determinism across executors is preserved.  A node
+    table needs no gate: the per-entry form ships every node at least
+    once, and the entry's own commitment twice.
     """
     groups: dict[bytes, list[tuple[ProvenEntry, MerklePath]]] = {}
-    order: list[bytes] = []
-
-    def collect(entry: ProvenEntry) -> ProvenEntry:
+    trees: dict[tuple[int, int], list[MembershipProof]] = {}
+    for entry in iter_proven_entries(vo):
         proof = entry.proof
         if isinstance(proof, MerklePath):
-            from repro.core.mbtree import Entry
-
             root = proof.compute_root(
                 Entry(key=entry.object_id, value_hash=entry.object_hash)
             )
-            if root not in groups:
-                groups[root] = []
-                order.append(root)
-            groups[root].append((entry, proof))
-        return entry
-
-    _map_vo_entries(vo, collect)
-    if not groups:
-        return vo
-    multiproofs: list[TreeMultiproof] = list(vo.multiproofs)
+            groups.setdefault(root, []).append((entry, proof))
+        elif isinstance(proof, MembershipProof) and proof.tree is not None:
+            trees.setdefault(proof.tree, []).append(proof)
+    multiproofs: list = list(vo.multiproofs)
     refs: dict[ProvenEntry, LeafRef] = {}
-    for root in order:
+    for group in groups.values():
         proof_index = len(multiproofs)
-        multiproof, ordinals = build_multiproof(groups[root])
+        multiproof, ordinals = build_multiproof(group)
         group_refs: dict[ProvenEntry, LeafRef] = {}
         # Wire delta per occurrence: a LeafRef entry drops the 40-byte
         # id+hash (reconstructed from the leaf table) and swaps the
         # path body for two varints; the multiproof table is the cost.
         saved = -multiproof.byte_size()
-        for entry, path in groups[root]:
+        for entry, path in group:
             gpath = tuple(step.index for step in reversed(path.steps))
             ref = LeafRef(proof_index=proof_index, ordinal=ordinals[gpath])
             group_refs[entry] = ref
@@ -622,17 +636,31 @@ def compress_query_vo(vo: QueryVO) -> QueryVO:
             continue
         multiproofs.append(multiproof)
         refs.update(group_refs)
-    if not refs:
+    table_of: dict[tuple[int, int], int] = {}
+    for tree, proofs in trees.items():
+        table_of[tree] = len(multiproofs)
+        multiproofs.append(build_node_table(tree[1], proofs))
+    if not refs and not table_of:
         return vo
 
     def rewrite(entry: ProvenEntry) -> ProvenEntry:
-        ref = refs.get(entry)
-        if ref is None:
-            return entry
+        proof = entry.proof
+        if isinstance(proof, MembershipProof):
+            if proof.tree is None:
+                return entry
+            proof = NodeRef(
+                table_index=table_of[proof.tree],
+                position=proof.position,
+                slot1_proof=proof.slot1_proof,
+            )
+        else:
+            proof = refs.get(entry)
+            if proof is None:
+                return entry
         return ProvenEntry(
             object_id=entry.object_id,
             object_hash=entry.object_hash,
-            proof=ref,
+            proof=proof,
         )
 
     rewritten = _map_vo_entries(vo, rewrite)

@@ -17,19 +17,43 @@ conjunct count.  A *v3* frame starts with the marker byte ``0xF3``
 followed by the deduplicated multiproof table, then the conjuncts with
 :class:`~repro.core.multiproof.LeafRef` proofs referencing the table
 (their ``id``/``hash`` fields are omitted on the wire and reconstructed
-from the table's leaf entries).  The reader sniffs the first byte — any
-value ``>= 0xF0`` announces a versioned frame (DNF queries never carry
-240+ conjuncts, so the ranges cannot collide) — and therefore decodes
-both formats; unknown version markers raise
-:class:`~repro.errors.ReproError`, which the SP protocol maps to
+from the table's leaf entries).  A *v4* frame (marker ``0xF4``) is the
+Chameleon family's compressed form: each table is preceded by a kind
+byte — a Merkle multiproof as in v3, or a
+:class:`~repro.core.chameleon.ChameleonMultiproof` node table (arity,
+then one ``position, commitment, parent-link proof`` row per node,
+ascending) — and entries carry
+:class:`~repro.core.chameleon.NodeRef` proofs (``id``, ``hash``, table
+index, position, slot-1 opening).  Child indices and parent pointers
+are not on the wire: they are BFS arithmetic on the position.
+
+The encoder emits the oldest frame that can carry the VO, so Merkle
+answers stay v3 (and uncompressed ones v2) byte for byte.  The reader
+sniffs the first byte — any value ``>= 0xF0`` announces a versioned
+frame (DNF queries never carry 240+ conjuncts, so the ranges cannot
+collide) — and therefore decodes all three; unknown version markers
+raise :class:`~repro.errors.ReproError`, which the SP protocol maps to
 ``ERR_BAD_REQUEST``.
+
+The decoder fails closed: whatever the bytes, the only exception that
+leaves :meth:`VOCodec.decode` is a :class:`~repro.errors.ReproError`,
+and one-byte flags and tags accept exactly the values the encoder
+writes.  A node table that is unsorted, repeats a position or lacks an
+ancestor, and a ref to a table or node that is not there, are rejected
+here, before any verification runs.
 """
 
 from __future__ import annotations
 
 import io
 
-from repro.core.chameleon import ChameleonLink, MembershipProof
+from repro.core.chameleon import (
+    ChameleonLink,
+    ChameleonMultiproof,
+    ChameleonNode,
+    MembershipProof,
+    NodeRef,
+)
 from repro.core.mbtree import MerklePath, PathStep
 from repro.core.multiproof import LeafRef, TreeMultiproof
 from repro.core.query.vo import (
@@ -41,7 +65,6 @@ from repro.core.query.vo import (
     QueryVO,
     SemiJoinProbe,
     SemiJoinStage,
-    iter_proven_entries,
 )
 from repro.errors import ReproError
 
@@ -49,25 +72,30 @@ _PROOF_NONE = 0
 _PROOF_MERKLE = 1
 _PROOF_CVC = 2
 _PROOF_LEAFREF = 3
+_PROOF_NODEREF = 4
+
+_TABLE_MERKLE = 0
+_TABLE_CHAMELEON = 1
 
 _BASE_NONE = 0
 _BASE_MULTIWAY = 1
 _BASE_FULLSCAN = 2
 
-#: First byte of a versioned frame; ``0xF0 | version``.  v3 is the only
-#: versioned frame so far (v2 is the unmarked legacy layout).
+#: First byte of a versioned frame; ``0xF0 | version`` (v2 is the
+#: unmarked legacy layout).
 _VERSION_BASE = 0xF0
-_V3_MARKER = 0xF3
+_VERSIONS = (2, 3, 4)
 
 
 class VOCodec:
     """Encoder/decoder bound to one scheme's group-element width.
 
     ``version`` selects the frame the *encoder* emits: ``None`` (the
-    default) auto-selects — the byte-identical legacy v2 layout when the
-    VO carries no multiproofs, v3 otherwise; ``2`` forces legacy output
-    (and refuses VOs with multiproofs); ``3`` always emits a v3 frame.
-    The decoder is version-agnostic and reads both.
+    default) auto-selects the oldest frame that can carry the VO — the
+    byte-identical legacy v2 layout without tables, v3 with Merkle
+    multiproofs, v4 with Chameleon node tables; a pinned version always
+    emits that frame and refuses a VO that needs a newer one.  The
+    decoder is version-agnostic and reads all three.
     """
 
     def __init__(
@@ -75,7 +103,7 @@ class VOCodec:
     ) -> None:
         if value_bytes <= 0:
             raise ReproError("value_bytes must be positive")
-        if version not in (None, 2, 3):
+        if version is not None and version not in _VERSIONS:
             raise ReproError(f"unsupported VO codec version {version}")
         self.value_bytes = value_bytes
         self.version = version
@@ -113,7 +141,10 @@ class VOCodec:
         raw = data.read(length)
         if len(raw) != length:
             raise ReproError("truncated VO payload")
-        return raw.decode("utf-8")
+        try:
+            return raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ReproError("keyword in VO payload is not UTF-8") from exc
 
     @staticmethod
     def _read_bytes(data: io.BytesIO, length: int) -> bytes:
@@ -180,6 +211,8 @@ class VOCodec:
             if width > 0xFFFF:
                 raise ReproError("oversized multiproof node width")
             packed = self._read_bytes(data, (width + 3) // 4)
+            if width % 4 and packed[-1] >> (width % 4 * 2):
+                raise ReproError("non-zero padding in multiproof slot codes")
             codes = tuple(
                 (packed[slot // 4] >> ((slot % 4) * 2)) & 0x3
                 for slot in range(width)
@@ -200,6 +233,37 @@ class VOCodec:
             helpers=helpers,
             leaves=leaves,
         )
+
+    def _write_node_table(
+        self, out: io.BytesIO, table: ChameleonMultiproof
+    ) -> None:
+        table.index()  # a malformed table is refused, not shipped
+        self._write_uint(out, table.arity, 1)
+        self._write_varint(out, len(table.nodes))
+        for node in table.nodes:
+            self._write_varint(out, node.position)
+            self._write_element(out, node.commitment)
+            self._write_element(out, node.link_proof)
+
+    def _read_node_table(self, data: io.BytesIO) -> ChameleonMultiproof:
+        arity = self._read_uint(data, 1)
+        count = self._read_varint(data)
+        remaining = len(data.getbuffer()) - data.tell()
+        if count * (1 + 2 * self.value_bytes) > remaining:
+            raise ReproError("node table longer than the VO payload")
+        table = ChameleonMultiproof(
+            arity=arity,
+            nodes=tuple(
+                ChameleonNode(
+                    position=self._read_varint(data),
+                    commitment=self._read_element(data),
+                    link_proof=self._read_element(data),
+                )
+                for _ in range(count)
+            ),
+        )
+        table.index()  # sorted, duplicate-free, parent-closed — or raises
+        return table
 
     # -- proofs ------------------------------------------------------------------
 
@@ -277,7 +341,7 @@ class VOCodec:
         self._write_uint(out, 1, 1)
         proof = entry.proof
         if isinstance(proof, LeafRef):
-            # v3 only: the id/hash live in the multiproof leaf table, so
+            # v3 on: the id/hash live in the multiproof leaf table, so
             # the entry shrinks to a tag plus two varints.
             if mps is None:
                 raise ReproError(
@@ -288,42 +352,53 @@ class VOCodec:
             self._write_varint(out, proof.proof_index)
             self._write_varint(out, proof.ordinal)
             return
-        if mps is not None:
-            # v3 frames tag before the id/hash so LeafRef entries can
-            # omit them; mirror that layout for the other proof kinds.
-            tag_first = True
-        else:
-            tag_first = False
-        if not tag_first:
-            self._write_uint(out, entry.object_id, 8)
-            out.write(entry.object_hash)
         if proof is None:
-            self._write_uint(out, _PROOF_NONE, 1)
+            tag = _PROOF_NONE
         elif isinstance(proof, MerklePath):
-            self._write_uint(out, _PROOF_MERKLE, 1)
+            tag = _PROOF_MERKLE
         elif isinstance(proof, MembershipProof):
-            self._write_uint(out, _PROOF_CVC, 1)
+            tag = _PROOF_CVC
+        elif isinstance(proof, NodeRef):
+            tag = _PROOF_NODEREF
         else:
             raise ReproError(f"cannot encode proof type {type(proof)!r}")
-        if tag_first:
-            self._write_uint(out, entry.object_id, 8)
-            out.write(entry.object_hash)
-        if isinstance(proof, MerklePath):
+        # Versioned frames tag before the id/hash so LeafRef entries can
+        # omit them; the legacy layout tags after.
+        if mps is not None:
+            self._write_uint(out, tag, 1)
+        self._write_uint(out, entry.object_id, 8)
+        out.write(entry.object_hash)
+        if mps is None:
+            self._write_uint(out, tag, 1)
+        if tag == _PROOF_MERKLE:
             self._write_merkle_path(out, proof)
-        elif isinstance(proof, MembershipProof):
+        elif tag == _PROOF_CVC:
             self._write_membership(out, proof)
+        elif tag == _PROOF_NODEREF:
+            self._write_varint(out, proof.table_index)
+            self._write_varint(out, proof.position)
+            self._write_element(out, proof.slot1_proof)
+
+    def _read_present(self, data: io.BytesIO) -> bool:
+        """A one-byte flag; the encoder writes 0 or 1 and nothing else."""
+        flag = self._read_uint(data, 1)
+        if flag > 1:
+            raise ReproError(f"invalid flag byte {flag} in VO payload")
+        return flag == 1
 
     def _read_entry(
         self, data: io.BytesIO, mps: tuple | None = None
     ) -> ProvenEntry | None:
-        if self._read_uint(data, 1) == 0:
+        if not self._read_present(data):
             return None
         if mps is not None:
             tag = self._read_uint(data, 1)
             if tag == _PROOF_LEAFREF:
                 proof_index = self._read_varint(data)
                 ordinal = self._read_varint(data)
-                if proof_index >= len(mps):
+                if proof_index >= len(mps) or not isinstance(
+                    mps[proof_index], TreeMultiproof
+                ):
                     raise ReproError(
                         f"LeafRef proof index {proof_index} out of range"
                     )
@@ -350,6 +425,21 @@ class VOCodec:
             proof = self._read_merkle_path(data)
         elif tag == _PROOF_CVC:
             proof = self._read_membership(data)
+        elif tag == _PROOF_NODEREF:
+            proof = NodeRef(
+                table_index=self._read_varint(data),
+                position=self._read_varint(data),
+                slot1_proof=self._read_element(data),
+            )
+            if (
+                mps is None
+                or proof.table_index >= len(mps)
+                or not isinstance(mps[proof.table_index], ChameleonMultiproof)
+            ):
+                raise ReproError(
+                    f"NodeRef table index {proof.table_index} out of range"
+                )
+            mps[proof.table_index].node(proof.position)  # raises if absent
         else:
             raise ReproError(f"unknown proof tag {tag}")
         return ProvenEntry(
@@ -370,7 +460,7 @@ class VOCodec:
     def _read_round(
         self, data: io.BytesIO, mps: tuple | None = None
     ) -> JoinRound:
-        kind = "probe" if self._read_uint(data, 1) == 0 else "skip"
+        kind = "skip" if self._read_present(data) else "probe"
         probe_tree = self._read_uint(data, 1)
         lower = self._read_entry(data, mps)
         upper = self._read_entry(data, mps)
@@ -429,7 +519,7 @@ class VOCodec:
             self._read_string(data) for _ in range(self._read_uint(data, 1))
         )
         empty_keyword = None
-        if self._read_uint(data, 1) == 1:
+        if self._read_present(data):
             empty_keyword = self._read_string(data)
         base_tag = self._read_uint(data, 1)
         base: MultiWayJoinVO | FullScanVO | None
@@ -441,7 +531,8 @@ class VOCodec:
                 for _ in range(self._read_uint(data, 1))
             )
             first_target = self._read_entry(data, mps)
-            assert first_target is not None
+            if first_target is None:
+                raise ReproError("join VO lacks its first target")
             rounds = tuple(
                 self._read_round(data, mps)
                 for _ in range(self._read_uint(data, 2))
@@ -454,7 +545,8 @@ class VOCodec:
             entries = []
             for _ in range(self._read_uint(data, 2)):
                 entry = self._read_entry(data, mps)
-                assert entry is not None
+                if entry is None:
+                    raise ReproError("full-scan VO lists an absent entry")
                 entries.append(entry)
             base = FullScanVO(keyword=keyword, entries=tuple(entries))
         else:
@@ -465,7 +557,7 @@ class VOCodec:
             probes = []
             for _ in range(self._read_uint(data, 2)):
                 candidate_id = self._read_uint(data, 8)
-                bloom_absent = self._read_uint(data, 1) == 1
+                bloom_absent = self._read_present(data)
                 lower = self._read_entry(data, mps)
                 upper = self._read_entry(data, mps)
                 probes.append(
@@ -489,48 +581,57 @@ class VOCodec:
     def encode(self, vo: QueryVO) -> bytes:
         """Serialise a full ``VO_sp`` to its wire form.
 
-        Emits the byte-identical legacy v2 layout unless the VO carries
-        multiproofs or compressed :class:`LeafRef` proofs (or the codec
-        was pinned to ``version=3``).  A LeafRef without its multiproof
-        — e.g. a per-conjunct slice of a compressed VO — still gets the
-        v3 frame; such a frame round-trips deterministically but only
-        verifies once rejoined with its multiproofs.
+        Emits the oldest frame that can carry the VO (see
+        :meth:`~repro.core.query.vo.QueryVO.frame_version`) unless the
+        codec was pinned; a pin older than the VO needs is refused.  A
+        table ref without its table — e.g. a per-conjunct slice of a
+        compressed VO — still gets the versioned frame: such bytes
+        compare deterministically, but only the rejoined VO decodes.
         """
-        use_v3 = self.version == 3 or (
-            self.version is None
-            and (
-                bool(vo.multiproofs)
-                or any(
-                    isinstance(entry.proof, LeafRef)
-                    for entry in iter_proven_entries(vo)
-                )
+        needed = vo.frame_version()
+        version = needed if self.version is None else self.version
+        if version < needed:
+            raise ReproError(
+                f"VOCodec(version={version}) cannot encode a VO that "
+                f"needs the v{needed} frame"
             )
-        )
         out = io.BytesIO()
-        if not use_v3:
-            if vo.multiproofs:
-                raise ReproError(
-                    "VOCodec(version=2) cannot encode a VO with multiproofs"
-                )
-            self._write_uint(out, len(vo.conjuncts), 1)
-            for conjunct in vo.conjuncts:
-                self._write_conjunct(out, conjunct)
-            return out.getvalue()
-        out.write(bytes([_V3_MARKER]))
-        mps = tuple(vo.multiproofs)
-        self._write_varint(out, len(mps))
-        for mp in mps:
-            self._write_multiproof(out, mp)
+        mps: tuple | None = None
+        if version >= 3:
+            out.write(bytes([_VERSION_BASE | version]))
+            mps = tuple(vo.multiproofs)
+            self._write_varint(out, len(mps))
+            for table in mps:
+                chameleon = isinstance(table, ChameleonMultiproof)
+                if version >= 4:
+                    self._write_uint(
+                        out, _TABLE_CHAMELEON if chameleon else _TABLE_MERKLE, 1
+                    )
+                if chameleon:
+                    self._write_node_table(out, table)
+                else:
+                    self._write_multiproof(out, table)
         self._write_uint(out, len(vo.conjuncts), 1)
         for conjunct in vo.conjuncts:
             self._write_conjunct(out, conjunct, mps)
         return out.getvalue()
 
+    def _read_table(
+        self, data: io.BytesIO, version: int
+    ) -> TreeMultiproof | ChameleonMultiproof:
+        kind = self._read_uint(data, 1) if version >= 4 else _TABLE_MERKLE
+        if kind == _TABLE_MERKLE:
+            return self._read_multiproof(data)
+        if kind == _TABLE_CHAMELEON:
+            return self._read_node_table(data)
+        raise ReproError(f"unknown table kind {kind}")
+
     def decode(self, payload: bytes) -> QueryVO:
         """Parse a wire-form ``VO_sp``; raises on malformed input.
 
-        Reads both frame versions regardless of the codec's ``version``
-        pin (the pin only selects the encoder's output).
+        Reads every frame version regardless of the codec's ``version``
+        pin (the pin only selects the encoder's output).  Only
+        :class:`~repro.errors.ReproError` escapes, whatever the bytes.
         """
         data = io.BytesIO(payload)
         if not payload:
@@ -538,13 +639,12 @@ class VOCodec:
         first = payload[0]
         mps: tuple | None = None
         if first >= _VERSION_BASE:
-            if first != _V3_MARKER:
-                raise ReproError(
-                    f"unsupported VO frame version {first - _VERSION_BASE}"
-                )
+            version = first - _VERSION_BASE
+            if version not in _VERSIONS[1:]:
+                raise ReproError(f"unsupported VO frame version {version}")
             data.read(1)
             mps = tuple(
-                self._read_multiproof(data)
+                self._read_table(data, version)
                 for _ in range(self._read_varint(data))
             )
         conjuncts = tuple(

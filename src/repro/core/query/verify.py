@@ -25,7 +25,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Protocol
 
-from repro.core.multiproof import LeafRef
 from repro.core.objects import DataObject
 from repro.core.query.parser import KeywordQuery
 from repro.core.query.vo import (
@@ -35,6 +34,7 @@ from repro.core.query.vo import (
     ProvenEntry,
     QueryAnswer,
     SemiJoinProbe,
+    TableRef,
 )
 from repro.crypto.hashing import digests_equal
 from repro.errors import VerificationError
@@ -109,11 +109,12 @@ def verify_full_scan(
     )
     entries = vo.entries
     _check(len(entries) > 0, "full scan of a non-empty keyword returned nothing")
-    # Compressed entries share one multiproof whose single fold is
-    # memoised on the proof system; fanning them out to a pool would
-    # ship one proof-system copy per entry and re-fold the whole proof
-    # in every worker — O(n^2) digests for an O(n) check.
-    compressed = any(isinstance(e.proof, LeafRef) for e in entries)
+    # Compressed entries share one table (a Merkle multiproof, a CVC
+    # node table) whose single verification is memoised on the proof
+    # system; fanning them out to a pool would ship one proof-system
+    # copy per entry and re-verify the whole table in every worker —
+    # O(n^2) digests or openings for an O(n) check.
+    compressed = any(isinstance(e.proof, TableRef) for e in entries)
     if (
         executor is not None
         and executor.kind != "serial"

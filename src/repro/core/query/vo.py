@@ -5,7 +5,9 @@ combines it with the authenticated digests ``VO_chain`` read from the
 blockchain.  These dataclasses are scheme-agnostic: the per-entry
 ``proof`` slot carries a :class:`~repro.core.mbtree.MerklePath` for the
 Merkle-inverted family and a
-:class:`~repro.core.chameleon.MembershipProof` for the Chameleon family.
+:class:`~repro.core.chameleon.MembershipProof` for the Chameleon family
+— or, once a query's proofs are deduplicated, a :class:`TableRef` into
+the VO's shared tables.
 
 Every structure reports its serialised byte size — the paper's "VO size"
 metric (Figs. 11–13) — via ``byte_size``; sizes follow the natural wire
@@ -36,13 +38,26 @@ def _proof_size(proof: object, value_bytes: int) -> int:
         return byte_size()
 
 
-def _varint_size(value: int) -> int:
+def varint_size(value: int) -> int:
     """Bytes of the codec's LEB128 varint encoding."""
     size = 1
     while value >= 0x80:
         value >>= 7
         size += 1
     return size
+
+
+class TableRef:
+    """A proof slot that points into :attr:`QueryVO.multiproofs`.
+
+    The per-entry half of a deduplicated proof: the shared part lives in
+    the VO's table, whose single verification is memoised on the proof
+    system, so such entries are checked in the verifying thread rather
+    than fanned out.  Subclasses name the codec ``frame_version`` that
+    can carry them.
+    """
+
+    frame_version: int
 
 
 def _slot_size(entry: "ProvenEntry | None", value_bytes: int) -> int:
@@ -253,12 +268,14 @@ def iter_proven_entries(vo: "QueryVO"):
 class QueryVO:
     """``VO_sp``: the full verification object for a DNF query.
 
-    ``multiproofs`` is the deduplicated proof table of the v3 encoding:
-    one :class:`~repro.core.multiproof.TreeMultiproof` per
-    ``(tree, commitment)`` referenced by the entries, with each entry's
-    per-path proof replaced by a
-    :class:`~repro.core.multiproof.LeafRef` into the table.  Empty for
-    legacy (v2) VOs and for the Chameleon family.
+    ``multiproofs`` holds the deduplicated proof tables, one per
+    ``(tree, commitment)`` referenced by the entries: a
+    :class:`~repro.core.multiproof.TreeMultiproof` with
+    :class:`~repro.core.multiproof.LeafRef` entries for the Merkle
+    family (v3 frames), a
+    :class:`~repro.core.chameleon.ChameleonMultiproof` with
+    :class:`~repro.core.chameleon.NodeRef` entries for the Chameleon
+    family (v4 frames).  Empty for legacy (v2) VOs.
     """
 
     conjuncts: tuple[ConjunctiveVO, ...]
@@ -267,19 +284,36 @@ class QueryVO:
     def byte_size(self, value_bytes: int = DEFAULT_VALUE_BYTES) -> int:
         """Exact wire size under the codec's auto-selected frame version.
 
-        Mirrors :meth:`~repro.core.query.codec.VOCodec.encode`: the v3
-        frame (version marker + multiproof table) is chosen exactly when
-        the VO carries multiproofs or any LeafRef-proofed entry;
+        Mirrors :meth:`~repro.core.query.codec.VOCodec.encode`: a
+        versioned frame (marker + table section, from v4 on one kind tag
+        per table) exactly when :meth:`frame_version` asks for one;
         otherwise the legacy v2 frame (a bare conjunct count).
         """
         total = 1 + sum(c.byte_size(value_bytes) for c in self.conjuncts)
-        if self.multiproofs or any(
-            entry.proof is not None and hasattr(entry.proof, "proof_index")
-            for entry in iter_proven_entries(self)
-        ):
-            total += 1 + _varint_size(len(self.multiproofs))
-            total += sum(mp.byte_size() for mp in self.multiproofs)
+        version = self.frame_version()
+        if version >= 3:
+            total += 1 + varint_size(len(self.multiproofs))
+            total += sum(_proof_size(mp, value_bytes) for mp in self.multiproofs)
+        if version >= 4:
+            total += len(self.multiproofs)  # one kind tag per table
         return total
+
+    def frame_version(self) -> int:
+        """The oldest codec frame that can carry this VO.
+
+        2 (the unmarked legacy layout) unless a table or a
+        :class:`TableRef` entry asks for more.
+        """
+        if self.multiproofs:
+            return max(table.frame_version for table in self.multiproofs)
+        return max(
+            (
+                entry.proof.frame_version
+                for entry in iter_proven_entries(self)
+                if isinstance(entry.proof, TableRef)
+            ),
+            default=2,
+        )
 
     def proof_byte_size(self, value_bytes: int = DEFAULT_VALUE_BYTES) -> int:
         """Proof-only bytes: per-entry proofs plus the multiproof table.
@@ -297,7 +331,8 @@ class QueryVO:
             for entry in iter_proven_entries(self)
         )
         total += sum(
-            mp.byte_size() - 40 * len(mp.leaves) for mp in self.multiproofs
+            _proof_size(mp, value_bytes) - 40 * len(getattr(mp, "leaves", ()))
+            for mp in self.multiproofs
         )
         return total
 

@@ -1,19 +1,36 @@
-"""Adversarial tests for the Chameleon family (Section VI, Theorem 2)."""
+"""Adversarial tests for the Chameleon family (Section VI, Theorem 2).
+
+The attacks on the answer's *shape* (rounds, boundaries, counts) run
+against the default compressed VO; the attacks on the fields of a
+per-entry :class:`MembershipProof` run against a ``vo_version=2`` system,
+which still ships that form, and the ones on the node table that
+replaced it follow in :class:`TestNodeTableAttacks`.
+"""
 
 import dataclasses
 
 import pytest
 
 from repro import DataObject, HybridStorageSystem, KeywordQuery
-from repro.core.chameleon import MembershipProof
+from repro.core.chameleon import MembershipProof, NodeRef
+from repro.core.query.codec import VOCodec
 from repro.core.query.verify import verify_query
 from repro.core.query.vo import JoinRound, QueryVO
-from repro.errors import VerificationError
+from repro.errors import ReproError, VerificationError
 
 
 @pytest.fixture(scope="module")
 def ci_system():
     sys_ = HybridStorageSystem(scheme="ci", cvc_modulus_bits=512, seed=5)
+    _fill(sys_)
+    return sys_
+
+
+@pytest.fixture(scope="module")
+def legacy_system():
+    sys_ = HybridStorageSystem(
+        scheme="ci", cvc_modulus_bits=512, seed=5, vo_version=2
+    )
     _fill(sys_)
     return sys_
 
@@ -57,7 +74,9 @@ def replace_round(answer, index, new_round):
     rounds = base.rounds[:index] + (new_round,) + base.rounds[index + 1 :]
     forged_base = dataclasses.replace(base, rounds=rounds)
     forged_conj = dataclasses.replace(answer.vo.conjuncts[0], base=forged_base)
-    answer.vo = QueryVO(conjuncts=(forged_conj,))
+    answer.vo = QueryVO(
+        conjuncts=(forged_conj,), multiproofs=answer.vo.multiproofs
+    )
 
 
 class TestChameleonSoundness:
@@ -75,8 +94,10 @@ class TestChameleonSoundness:
         with pytest.raises(VerificationError):
             verify_query(query, answer, ps)
 
-    def test_forged_position_claim(self, ci_system):
-        query, answer, ps = honest_answer(ci_system, "covid-19 AND symptom")
+    def test_forged_position_claim(self, legacy_system):
+        query, answer, ps = honest_answer(
+            legacy_system, "covid-19 AND symptom"
+        )
         base = answer.vo.conjuncts[0].base
         rnd = base.rounds[0]
         proof = rnd.lower.proof
@@ -90,8 +111,10 @@ class TestChameleonSoundness:
         with pytest.raises(VerificationError):
             verify_query(query, answer, ps)
 
-    def test_commitment_substitution(self, ci_system):
-        query, answer, ps = honest_answer(ci_system, "covid-19 AND symptom")
+    def test_commitment_substitution(self, legacy_system):
+        query, answer, ps = honest_answer(
+            legacy_system, "covid-19 AND symptom"
+        )
         base = answer.vo.conjuncts[0].base
         rnd = base.rounds[0]
         proof = rnd.lower.proof
@@ -102,6 +125,89 @@ class TestChameleonSoundness:
             rnd, lower=dataclasses.replace(rnd.lower, proof=forged_proof)
         )
         replace_round(answer, 0, forged)
+        with pytest.raises(VerificationError):
+            verify_query(query, answer, ps)
+
+
+class TestNodeTableAttacks:
+    """A malicious SP rewrites the shared table instead of one proof."""
+
+    QUERY = "covid-19 AND symptom"
+
+    def forge_table(self, answer, index, nodes):
+        table = dataclasses.replace(
+            answer.vo.multiproofs[index], nodes=tuple(nodes)
+        )
+        tables = list(answer.vo.multiproofs)
+        tables[index] = table
+        answer.vo = dataclasses.replace(answer.vo, multiproofs=tuple(tables))
+
+    def test_honest_answer_is_compressed(self, ci_system):
+        query, answer, ps = honest_answer(ci_system, self.QUERY)
+        assert len(answer.vo.multiproofs) == 2
+        assert isinstance(
+            answer.vo.conjuncts[0].base.first_target.proof, NodeRef
+        )
+        assert verify_query(query, answer, ps).ids == {4}
+
+    def test_commitment_substitution_in_the_table(self, ci_system):
+        """One forged row poisons every entry below it — and is caught
+        at the first of them."""
+        query, answer, ps = honest_answer(ci_system, self.QUERY)
+        nodes = answer.vo.multiproofs[0].nodes
+        forged = dataclasses.replace(nodes[0], commitment=nodes[0].commitment + 1)
+        self.forge_table(answer, 0, (forged,) + nodes[1:])
+        with pytest.raises(VerificationError):
+            verify_query(query, answer, ps)
+
+    def test_swapped_sibling_rows(self, ci_system):
+        """Positions are the addresses: two honest rows under each
+        other's position open the wrong slots of their parent."""
+        query, answer, ps = honest_answer(ci_system, self.QUERY)
+        for index, table in enumerate(answer.vo.multiproofs):
+            by_pos = table.index()
+            if 1 in by_pos and 2 in by_pos:
+                break
+        else:
+            pytest.skip("no sibling pair in this answer")
+        one, two = by_pos[1], by_pos[2]
+        swapped = [
+            dataclasses.replace(two, position=1),
+            dataclasses.replace(one, position=2),
+        ] + [node for node in table.nodes if node.position > 2]
+        self.forge_table(answer, index, swapped)
+        with pytest.raises(VerificationError):
+            verify_query(query, answer, ps)
+
+    def test_table_served_for_the_other_keyword(self, ci_system):
+        """Swapping the two trees' tables re-hangs every entry under the
+        other keyword's root commitment."""
+        query, answer, ps = honest_answer(ci_system, self.QUERY)
+        first, second = answer.vo.multiproofs
+        answer.vo = dataclasses.replace(
+            answer.vo, multiproofs=(second, first)
+        )
+        with pytest.raises(VerificationError):
+            verify_query(query, answer, ps)
+
+    def test_one_table_cannot_serve_two_keywords(self, ci_system):
+        """Chains walked to one c_0 are not evidence under another."""
+        query, answer, ps = honest_answer(ci_system, self.QUERY)
+        ps.attach_multiproofs(answer.vo.multiproofs)
+        base = answer.vo.conjuncts[0].base
+        ps.verify_entry(base.trees[0], base.first_target)
+        with pytest.raises(VerificationError, match="different tree"):
+            ps.verify_entry(base.trees[1], base.first_target)
+
+    def test_forged_table_does_not_survive_the_wire_either(self, ci_system):
+        query, answer, ps = honest_answer(ci_system, self.QUERY)
+        nodes = answer.vo.multiproofs[0].nodes
+        self.forge_table(answer, 0, nodes[1:])  # drop a root child
+        codec = VOCodec(value_bytes=ci_system.value_bytes)
+        try:
+            answer.vo = codec.decode(codec.encode(answer.vo))
+        except ReproError:
+            return  # rejected as malformed before verification
         with pytest.raises(VerificationError):
             verify_query(query, answer, ps)
 

@@ -1,0 +1,93 @@
+"""Mechanical adversary on the VO wire: every byte flipped, every prefix.
+
+One frame per family — CI (v4 node tables), CI* (v4 with Bloom skip
+rounds) and SMI (v3 multiproofs) — is mutated at every offset and pushed
+through the client's path: decode, then verify against the honest chain
+state.  Two things must hold for every mutant: the only exception that
+escapes is a :class:`~repro.errors.ReproError` subclass, and nothing
+verifies.  Run under ``python -O`` the same holds (no check is an
+``assert``).
+"""
+
+import pytest
+
+from repro import DataObject, HybridStorageSystem, KeywordQuery
+from repro.core.query.codec import VOCodec
+from repro.core.query.verify import verify_query
+from repro.errors import ReproError
+
+DOCS = (
+    DataObject(1, ("covid-19", "sars-cov-2"), b"a"),
+    DataObject(2, ("covid-19",), b"b"),
+    DataObject(4, ("covid-19", "symptom", "vaccine"), b"c"),
+    DataObject(5, ("covid-19", "vaccine"), b"d"),
+    DataObject(6, ("symptom",), b"e"),
+    DataObject(7, ("sars-cov-2", "vaccine"), b"f"),
+    DataObject(8, ("covid-19", "vaccine"), b"g"),
+)
+
+#: A join (boundary proofs, for CI* also skip rounds) OR-ed with a scan.
+QUERY = "(covid-19 AND vaccine) OR symptom"
+
+CASES = {
+    "ci": ({"scheme": "ci", "cvc_modulus_bits": 512}, 0xF4),
+    "ci*": (
+        {"scheme": "ci*", "cvc_modulus_bits": 512, "bloom_capacity": 2},
+        0xF4,
+    ),
+    "smi": ({"scheme": "smi"}, 0xF3),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(CASES))
+def honest(request):
+    kwargs, marker = CASES[request.param]
+    system = HybridStorageSystem(seed=8, **kwargs)
+    system.add_objects(DOCS)
+    query = KeywordQuery.parse(QUERY)
+    answer = system.process_query(query)
+    codec = VOCodec(value_bytes=system.value_bytes)
+    payload = codec.encode(answer.vo)
+    assert payload[0] == marker
+    ps = system.chain_proof_system(query.all_keywords())
+    assert verify_query(query, answer, ps).ids == {4, 5, 6, 8}
+    return codec, payload, query, answer, ps
+
+
+def client_accepts(honest, payload: bytes) -> bool:
+    """Decode + verify as the client would; ``False`` on a typed reject.
+
+    Anything but a ``ReproError`` propagates and fails the test.
+    """
+    codec, _, query, answer, ps = honest
+    try:
+        answer.vo = codec.decode(payload)
+        verify_query(query, answer, ps)
+    except ReproError:
+        return False
+    return True
+
+
+def test_every_flipped_byte_is_rejected_with_a_typed_error(honest):
+    payload = honest[1]
+    assert client_accepts(honest, payload)
+    accepted = []
+    for offset in range(len(payload)):
+        for mask in (0x01, 0x80, 0xFF):
+            mutant = bytearray(payload)
+            mutant[offset] ^= mask
+            if client_accepts(honest, bytes(mutant)):
+                accepted.append((offset, mask))
+    assert not accepted, f"mutants verified: {accepted[:10]}"
+
+
+def test_every_truncation_is_rejected_with_a_typed_error(honest):
+    payload = honest[1]
+    accepted = [
+        cut for cut in range(len(payload)) if client_accepts(honest, payload[:cut])
+    ]
+    assert not accepted, f"prefixes verified: {accepted[:10]}"
+
+
+def test_appended_bytes_are_rejected(honest):
+    assert not client_accepts(honest, honest[1] + b"\x00")

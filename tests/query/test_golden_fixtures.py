@@ -5,7 +5,8 @@ verifiers send and receive it, so its byte layout is frozen.  These
 tests decode byte-exact fixtures committed under ``tests/fixtures/``,
 verify them against a deterministically rebuilt system, and re-encode
 them byte-identically — any codec change that silently reshapes the v2
-wire fails here first.
+wire fails here first.  One v4 fixture pins the Chameleon node-table
+frame the same way, and that the SP still produces exactly those bytes.
 
 Regenerate (only after an intentional, versioned format change)::
 
@@ -46,9 +47,13 @@ CASES = {
 }
 
 
-def fixture_system(scheme):
+#: The compressed Chameleon frame: two node tables, a join and a scan.
+V4_CASE = ("vo_v4_ci_dnf", "ci", "(covid-19 AND vaccine) OR sars-cov-2", {1, 4, 5, 7})
+
+
+def fixture_system(scheme, vo_version=2):
     system = HybridStorageSystem(
-        scheme=scheme, cvc_modulus_bits=512, seed=8, vo_version=2
+        scheme=scheme, cvc_modulus_bits=512, seed=8, vo_version=vo_version
     )
     system.add_objects(FIXTURE_DOCS)
     return system
@@ -68,6 +73,22 @@ def test_golden_v2_fixture_decodes_verifies_and_reencodes(name):
     ps = system.chain_proof_system(query.all_keywords())
     assert verify_query(query, answer, ps).ids == expected
     assert codec.encode(vo) == payload
+
+
+def test_golden_v4_fixture_is_what_the_sp_emits_and_verifies():
+    name, scheme, text, expected = V4_CASE
+    payload = (FIXTURE_DIR / f"{name}.bin").read_bytes()
+    assert payload[0] == 0xF4
+    system = fixture_system(scheme, vo_version=3)
+    codec = VOCodec(value_bytes=system.value_bytes)
+
+    query = KeywordQuery.parse(text)
+    answer = system.process_query(query)
+    assert codec.encode(answer.vo) == payload
+    answer.vo = codec.decode(payload)
+    ps = system.chain_proof_system(query.all_keywords())
+    assert verify_query(query, answer, ps).ids == expected
+    assert codec.encode(answer.vo) == payload
 
 
 def test_fixtures_are_plain_v2_frames():
@@ -93,6 +114,13 @@ def _regenerate():
         payload = codec.encode(answer.vo)
         (FIXTURE_DIR / f"{name}.bin").write_bytes(payload)
         print(f"wrote {name}.bin ({len(payload)} bytes)")
+    name, scheme, text, _ = V4_CASE
+    system = fixture_system(scheme, vo_version=3)
+    payload = VOCodec(value_bytes=system.value_bytes).encode(
+        system.process_query(KeywordQuery.parse(text)).vo
+    )
+    (FIXTURE_DIR / f"{name}.bin").write_bytes(payload)
+    print(f"wrote {name}.bin ({len(payload)} bytes)")
 
 
 if __name__ == "__main__":

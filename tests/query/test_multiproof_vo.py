@@ -271,7 +271,7 @@ class TestFrameRobustness:
         payload = codec.encode(answer_for(v3_system).vo)
         assert payload[0] == 0xF3
         with pytest.raises(ReproError, match="unsupported VO frame"):
-            codec.decode(bytes([0xF4]) + payload[1:])
+            codec.decode(bytes([0xF5]) + payload[1:])
 
     def test_v2_pin_refuses_compressed_vo(self, v3_system):
         codec = VOCodec(value_bytes=v3_system.value_bytes, version=2)

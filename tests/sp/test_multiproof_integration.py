@@ -1,6 +1,6 @@
 """Multiproof compression through the warmer and the affine pool.
 
-Two integration seams of the v3 VO path:
+Two integration seams of the compressed (v3/v4) VO path:
 
 * the :class:`~repro.sp.warmer.CacheWarmer` pre-verifies a keyword's
   full cover and seeds the multiproof cache key, so a later compressed
@@ -8,7 +8,8 @@ Two integration seams of the v3 VO path:
 * shard-affine scatter-gather (including the Chameleon batched-ingest
   path, whose witness computations coalesce through the
   :class:`~repro.sp.scheduler.WitnessScheduler`) stays byte-identical
-  at any shard count with compression on.
+  at any shard count with compression on — Merkle multiproofs and
+  Chameleon node tables alike.
 """
 
 import pytest
@@ -77,11 +78,17 @@ class TestAffineMultiproofParity:
             affine.close()
 
     def test_ci_scheduler_batched_ingest_identical_across_shards(self):
+        self.check_node_table_parity("ci")
+
+    def test_cistar_node_tables_identical_across_shards(self):
+        self.check_node_table_parity("ci*")
+
+    def check_node_table_parity(self, scheme):
         serial = HybridStorageSystem(
-            scheme="ci", seed=13, shards=1, cvc_modulus_bits=512
+            scheme=scheme, seed=13, shards=1, cvc_modulus_bits=512
         )
         affine = HybridStorageSystem(
-            scheme="ci", seed=13, shards=8, cvc_modulus_bits=512, pool="affine"
+            scheme=scheme, seed=13, shards=8, cvc_modulus_bits=512, pool="affine"
         )
         try:
             docs = make_docs(10)
@@ -89,16 +96,20 @@ class TestAffineMultiproofParity:
             # coalescing WitnessScheduler on both sides.
             serial.add_objects_batched(docs)
             affine.add_objects_batched(docs)
-            for text in QUERIES[:4]:
+            saw_node_table = False
+            for text in QUERIES:
                 query = KeywordQuery.parse(text)
                 answer_serial = serial.process_query(query)
                 answer_affine = affine.process_query(query)
                 assert answer_serial.result_ids == answer_affine.result_ids
-                assert serial._codec.encode(
-                    answer_serial.vo
-                ) == affine._codec.encode(answer_affine.vo)
+                # Worker-side joins return pickled proofs; the tables the
+                # parent builds from them are the single-shard bytes.
+                frame = serial._codec.encode(answer_serial.vo)
+                assert frame == affine._codec.encode(answer_affine.vo)
+                saw_node_table |= frame[0] == 0xF4
                 assert serial.query(text).verified
                 assert affine.query(text).verified
+            assert saw_node_table, "no query exercised the v4 path"
         finally:
             serial.close()
             affine.close()

@@ -6,6 +6,7 @@ import pytest
 
 from repro import obs
 from repro.core.objects import DataObject
+from repro.core.query.parser import KeywordQuery
 from repro.core.system import HybridStorageSystem
 from repro.errors import ReproError, VerificationError
 from repro.sp.warmer import ACCESS_METRIC_PREFIX, CacheWarmer
@@ -59,6 +60,46 @@ class TestWarming:
         system = HybridStorageSystem(scheme="smi", seed=13)
         with pytest.raises(ReproError):
             system.warm_pending()
+
+
+class TestChameleonWarming:
+    """The warmer verifies per-entry proofs; a compressed query asks the
+    cache about openings.  Both spell an opening the same way."""
+
+    def make_ci_system(self):
+        system = HybridStorageSystem(
+            scheme="ci",
+            seed=13,
+            cvc_modulus_bits=512,
+            witness_warmer=True,
+            warm_hot_threshold=0,
+        )
+        for i in range(1, 10):
+            kws = ("alpha", "beta") if i % 2 else ("alpha",)
+            system.add_object(DataObject(i, kws, b"x%d" % i))
+        return system
+
+    def test_warm_then_compressed_query_hits_every_opening(self, monkeypatch):
+        from repro.crypto import vc
+
+        system = self.make_ci_system()
+        assert system.warm_pending() == 9 + 5
+        # Two openings per posting, each verified once while warming.
+        assert system.verify_cache.misses == 2 * (9 + 5)
+        assert len(system.verify_cache) == 2 * (9 + 5)
+        calls = []
+        real = vc.verify
+        monkeypatch.setattr(
+            vc, "verify", lambda *args: calls.append(args) or real(*args)
+        )
+        misses = system.verify_cache.misses
+        answer = system.process_query(KeywordQuery.parse('"alpha"'))
+        assert answer.vo.multiproofs  # node tables, not per-entry proofs
+        for text in ('"alpha"', '"alpha" AND "beta"', '"beta"'):
+            assert system.query(text).verified
+        assert calls == []
+        assert system.verify_cache.misses == misses
+        assert system.verify_cache.hits > 0
 
 
 class TestFailClosed:
