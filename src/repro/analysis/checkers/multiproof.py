@@ -14,6 +14,14 @@ The legacy v2 decode route legitimately reconstructs paths; those two
 sites in the codec carry explicit
 ``# reprolint: disable-next-line=multiproof-batched-path`` markers so
 any new site needs the same conscious opt-out.
+
+The Merkle views (``core/merkle_family.py``) are in scope too, and there
+the rule also flags the ``MBTree`` methods that mint one path per call
+(``prove``, ``boundaries``, ``first_entry``, ``last_entry``): the views
+only *locate*, and each tree is proven once per query by the finishing
+step in ``core/multiproof.py``.  A per-entry proof call creeping back
+into a view costs a descent and a leaf re-hash per boundary entry — the
+3x of SP time this split removed — and nothing would fail.
 """
 
 from __future__ import annotations
@@ -33,6 +41,11 @@ from repro.analysis.framework import (
 #: Constructors that re-introduce per-entry proofs when called on the
 #: batched query path.
 _PER_ENTRY_PROOF_TYPES = frozenset({"MerklePath", "PathStep"})
+
+#: ``MBTree`` methods that return a freshly minted path per call.
+_PER_ENTRY_PROOF_METHODS = frozenset(
+    {"prove", "boundaries", "first_entry", "last_entry", "_prove_by_key"}
+)
 
 
 def _called_name(node: ast.Call) -> str | None:
@@ -56,6 +69,7 @@ class MultiproofBatchedPathChecker(Checker):
     paths = (
         "core/query/",
         "core/sp_frontend.py",
+        "core/merkle_family.py",
     )
 
     def check(self, src: ModuleSource) -> Iterator[Finding]:
@@ -63,6 +77,20 @@ class MultiproofBatchedPathChecker(Checker):
             if not isinstance(node, ast.Call):
                 continue
             name = _called_name(node)
+            if (
+                name in _PER_ENTRY_PROOF_METHODS
+                and isinstance(node.func, ast.Attribute)
+                and src.module == "core/merkle_family.py"
+            ):
+                yield self.finding(
+                    src,
+                    node,
+                    f".{name}(...) in the Merkle views mints a path per "
+                    "entry; locate with MBTree.locate and let "
+                    "core/multiproof.py prove each tree once",
+                    symbol=enclosing_symbol(ancestors),
+                )
+                continue
             if name not in _PER_ENTRY_PROOF_TYPES:
                 continue
             yield self.finding(

@@ -43,12 +43,16 @@ the identical logic the tests validate against the real tree.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Callable, Iterator, Protocol
+from typing import TYPE_CHECKING, Callable, Iterator, Protocol
 
 from repro.core.nodestore import NIL, MBTreeStore
 from repro.crypto.hashing import EMPTY_DIGEST, sha3, tagged_hash
 from repro.errors import IntegrityError, ReproError
+
+if TYPE_CHECKING:
+    from repro.core.multiproof import TreeMultiproof
 
 #: Default fan-out, per Section VII-A: the largest F with
 #: ``(F-1)*l_d + F*l_p + l_p < 32`` bytes.
@@ -336,7 +340,9 @@ class BoundarySearch:
 
     ``lower`` is the largest entry with ``key <= target`` (the matching
     object when keys are equal); ``upper`` is the smallest entry with
-    ``key > target``.  Either may be ``None`` at the tree edges.
+    ``key > target``.  Either may be ``None`` at the tree edges; a path
+    is ``None`` when its entry is, or when the caller did not ask
+    :meth:`MBTree.boundaries` for that side.
     """
 
     target: int
@@ -601,64 +607,86 @@ class MBTree:
         return entry, MerklePath(steps=tuple(steps))
 
     def prove(self, key: int) -> tuple[Entry, MerklePath]:
-        """Membership proof for an existing key."""
-        search = self.boundaries(key)
-        if not search.matched:
-            raise ReproError(f"key {key} not present in MB-tree")
-        assert search.lower is not None and search.lower_path is not None
-        return search.lower, search.lower_path
+        """Membership proof for an existing key (one descent)."""
+        return self._prove_by_key(key)
 
-    def boundaries(self, target: int) -> BoundarySearch:
-        """Locate the boundary entries around ``target`` with paths.
+    def locate(self, target: int) -> tuple[Entry | None, Entry | None]:
+        """The entries bracketing ``target``, found without hashing.
 
-        ``lower`` = largest entry with key <= target (the match, if any);
-        ``upper`` = smallest entry with key > target.  One O(log n)
-        descent finds both boundary keys (the cached per-record minimum
-        keys replace the old global sorted-key registry); each proof is
-        a fresh O(log n) descent.
+        Returns ``(lower, upper)``: the largest entry with key <=
+        ``target`` (the match, if any) and the smallest with key >
+        ``target``; either is ``None`` at the tree edges.  One O(log n)
+        descent over the cached per-record minimum keys, plus a walk
+        down the successor subtree's left edge when the reached leaf
+        tops out.  No digest is read or computed: proofs for located
+        entries come from :meth:`multiproof` or :meth:`prove`.
         """
-        lower_key, upper_key = self._boundary_keys(target)
-        lower = self._prove_by_key(lower_key) if lower_key is not None else None
-        upper = self._prove_by_key(upper_key) if upper_key is not None else None
-        return BoundarySearch(
-            target=target,
-            lower=lower[0] if lower else None,
-            lower_path=lower[1] if lower else None,
-            upper=upper[0] if upper else None,
-            upper_path=upper[1] if upper else None,
-        )
-
-    def _boundary_keys(self, target: int) -> tuple[int | None, int | None]:
-        """The keys bracketing ``target``: (largest <=, smallest >)."""
         if self._count == 0:
             return None, None
         view = self.store
         node = self._root_idx
         successor_subtree: int | None = None
         while not view.is_leaf(node):
-            width = view.count(node)
-            slot = width - 1
-            for i in range(1, width):
-                if target < view.min_key(view.child(node, i)):
+            children = view.children(node)
+            slot = len(children) - 1
+            for i in range(1, len(children)):
+                if target < view.min_key(children[i]):
                     slot = i - 1
+                    # Deepest right sibling on the path: its subtree
+                    # minimum is the successor when the reached leaf
+                    # tops out.
+                    successor_subtree = children[i]
                     break
-            if slot + 1 < width:
-                # Deepest right sibling on the path: its subtree minimum
-                # is the successor when the reached leaf tops out.
-                successor_subtree = view.child(node, slot + 1)
-            node = view.child(node, slot)
+            node = children[slot]
         position, found = view.leaf_find(node, target)
         rank = position + 1 if found else position  # leaf keys <= target
-        lower_key = view.leaf_key(node, rank - 1) if rank > 0 else None
+        lower = self._entry_at(node, rank - 1) if rank > 0 else None
         if rank < view.count(node):
-            upper_key: int | None = view.leaf_key(node, rank)
-        elif successor_subtree is not None:
-            upper_key = view.min_key(successor_subtree)
-        else:
-            upper_key = None
-        return lower_key, upper_key
+            return lower, self._entry_at(node, rank)
+        if successor_subtree is None:
+            return lower, None
+        node = successor_subtree
+        while not view.is_leaf(node):
+            node = view.child(node, 0)
+        return lower, self._entry_at(node, 0)
+
+    def _entry_at(self, leaf: int, slot: int) -> Entry:
+        return Entry(
+            key=self.store.leaf_key(leaf, slot),
+            value_hash=self.store.leaf_value_hash(leaf, slot),
+        )
+
+    def boundaries(
+        self, target: int, *, lower: bool = True, upper: bool = True
+    ) -> BoundarySearch:
+        """Locate the boundary entries around ``target`` with paths.
+
+        ``lower`` = largest entry with key <= target (the match, if any);
+        ``upper`` = smallest entry with key > target.  :meth:`locate`
+        finds both entries; each *requested* side then costs one proof
+        descent.  A side switched off keeps its entry but reports no
+        path.
+        """
+        low, high = self.locate(target)
+        return BoundarySearch(
+            target=target,
+            lower=low,
+            lower_path=(
+                self._prove_by_key(low.key)[1]
+                if lower and low is not None
+                else None
+            ),
+            upper=high,
+            upper_path=(
+                self._prove_by_key(high.key)[1]
+                if upper and high is not None
+                else None
+            ),
+        )
 
     def _prove_by_key(self, key: int) -> tuple[Entry, MerklePath]:
+        if self._count == 0:
+            raise ReproError(f"key {key} not present in MB-tree")
         view = self.store
         node = self._root_idx
         steps: list[PathStep] = []
@@ -673,7 +701,7 @@ class MBTree:
             node = view.child(node, slot)
         position, found = view.leaf_find(node, key)
         if not found:
-            raise ReproError(f"key {key} vanished during proof construction")
+            raise ReproError(f"key {key} not present in MB-tree")
         steps.append(self._leaf_step(node, position))
         steps.reverse()
         entry = Entry(
@@ -695,6 +723,103 @@ class MBTree:
             index=slot,
             before=tuple(digests[:slot]),
             after=tuple(digests[slot + 1 :]),
+        )
+
+    def multiproof(
+        self, keys: Sequence[int]
+    ) -> tuple[TreeMultiproof, list[int]]:
+        """One deduplicated proof for ``keys``, built in one pass.
+
+        ``keys`` must be strictly ascending and all present.  A single
+        DFS over the cover — the nodes on some key's root-to-leaf path —
+        partitions the key list by the children's cached minimum keys,
+        reads each helper digest from the store once and emits the
+        :class:`~repro.core.multiproof.TreeMultiproof` in the order its
+        fold consumes it.  ``keys[i]`` is the proof's leaf ordinal ``i``
+        (DFS order is key order); the second result lists, per key, the
+        ``byte_size()`` of the :class:`MerklePath` that :meth:`prove`
+        would return, which is what the VO size gate weighs the table
+        against.
+        """
+        from repro.core.multiproof import (
+            SLOT_DESCEND,
+            SLOT_HELPER,
+            SLOT_LEAF,
+            TreeMultiproof,
+        )
+
+        if not keys:
+            raise ReproError("a multiproof needs at least one key")
+        if any(a >= b for a, b in zip(keys, keys[1:])):
+            raise ReproError("multiproof keys must be strictly ascending")
+        if self._count == 0:
+            raise ReproError(f"key {keys[0]} not present in MB-tree")
+        view = self.store
+        nodes: list[tuple[int, ...]] = []
+        helpers: list[bytes] = []
+        leaves: list[tuple[int, bytes]] = []
+        sizes: list[int] = []
+
+        def cover(node: int, lo: int, hi: int, above: int) -> int:
+            """Emit the cover under ``node`` for ``keys[lo:hi]``.
+
+            ``above`` is the path bytes spent on the levels over this
+            one; returns the subtree's height.
+            """
+            width = view.count(node)
+            here = above + 4 + 32 * (width - 1)
+            if view.is_leaf(node):
+                codes = []
+                for slot in range(width):
+                    key = view.leaf_key(node, slot)
+                    value_hash = view.leaf_value_hash(node, slot)
+                    if lo < hi and keys[lo] == key:
+                        codes.append(SLOT_LEAF)
+                        leaves.append((key, value_hash))
+                        sizes.append(here)
+                        lo += 1
+                    else:
+                        codes.append(SLOT_HELPER)
+                        helpers.append(entry_digest(key, value_hash))
+                if lo < hi:
+                    raise ReproError(f"key {keys[lo]} not present in MB-tree")
+                nodes.append(tuple(codes))
+                return 1
+            children = view.children(node)
+            # Child i owns the keys below child i+1's minimum (the same
+            # routing every descent uses), so one forward sweep splits
+            # the sorted key range.
+            bounds = [lo]
+            for child in children[1:]:
+                floor = view.min_key(child)
+                cut = bounds[-1]
+                while cut < hi and keys[cut] < floor:
+                    cut += 1
+                bounds.append(cut)
+            bounds.append(hi)
+            nodes.append(
+                tuple(
+                    SLOT_DESCEND if bounds[i] < bounds[i + 1] else SLOT_HELPER
+                    for i in range(width)
+                )
+            )
+            below = 0
+            for i, child in enumerate(children):
+                if bounds[i] < bounds[i + 1]:
+                    below = cover(child, bounds[i], bounds[i + 1], here)
+                else:
+                    helpers.append(view.digest(child))
+            return below + 1
+
+        height = cover(self._root_idx, 0, len(keys), 1)
+        return (
+            TreeMultiproof(
+                height=height,
+                nodes=tuple(nodes),
+                helpers=tuple(helpers),
+                leaves=tuple(leaves),
+            ),
+            sizes,
         )
 
     # -- suppressed maintenance (Algorithms 1 & 2) --------------------------------

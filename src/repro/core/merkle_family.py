@@ -23,73 +23,108 @@ from repro.core.mbtree import (
     MerklePath,
     paths_adjacent,
 )
-from repro.core.multiproof import LeafRef, TreeMultiproof, build_multiproof
+from repro.core.multiproof import (
+    DeferredProof,
+    LeafRef,
+    TreeMultiproof,
+    expand_entries,
+)
 from repro.core.objects import ObjectMetadata
 from repro.core.proofcache import VerificationCache
 from repro.core.query.vo import ProvenEntry
 from repro.crypto.hashing import EMPTY_DIGEST, digests_equal
-from repro.errors import ReproError, VerificationError
+from repro.errors import (
+    StaleProofError,
+    UnresolvedProofError,
+    VerificationError,
+)
 
 
 @dataclass
 class MBTreeView:
-    """Adapts one keyword's MB-tree to the join engine's IndexView."""
+    """Adapts one keyword's MB-tree to the join engine's IndexView.
+
+    The view only *locates*: every entry it returns was found by a
+    hash-free descent and carries a
+    :class:`~repro.core.multiproof.DeferredProof` naming this tree at
+    its current root.  The SP's finishing step
+    (:func:`~repro.core.multiproof.compress_query_vo`) proves each tree
+    once for everything a query located in it.
+    """
 
     keyword: str
     tree: MBTree
+    _slot: DeferredProof | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __len__(self) -> int:
         return len(self.tree)
 
+    def _current_slot(self) -> DeferredProof:
+        """The marker for this tree at the root it has right now."""
+        root = self.tree.root_hash
+        slot = self._slot
+        if slot is None or not digests_equal(slot.root, root):
+            slot = self._slot = DeferredProof(
+                keyword=self.keyword, root=root, tree=self.tree
+            )
+        return slot
+
     def first_proven(self) -> ProvenEntry | None:
-        """The smallest entry with proof, or None when empty."""
-        pair = self.tree.first_entry()
-        if pair is None:
+        """The smallest entry, or None when empty."""
+        first = next(self.tree.iter_entries(), None)
+        if first is None:
             return None
-        entry, path = pair
-        return ProvenEntry(
-            object_id=entry.key, object_hash=entry.value_hash, proof=path
-        )
+        return ProvenEntry(first.key, first.value_hash, self._current_slot())
 
     def boundaries_proven(
         self, target: int
     ) -> tuple[ProvenEntry | None, ProvenEntry | None]:
-        """Boundary entries with proofs around a target."""
-        search = self.tree.boundaries(target)
-        lower = None
-        upper = None
-        if search.lower is not None:
-            lower = ProvenEntry(
-                object_id=search.lower.key,
-                object_hash=search.lower.value_hash,
-                proof=search.lower_path,
-            )
-        if search.upper is not None:
-            upper = ProvenEntry(
-                object_id=search.upper.key,
-                object_hash=search.upper.value_hash,
-                proof=search.upper_path,
-            )
-        return lower, upper
+        """Boundary entries around a target."""
+        lower, upper = self.tree.locate(target)
+        slot = self._current_slot()
+
+        def located(entry: Entry | None) -> ProvenEntry | None:
+            if entry is None:
+                return None
+            return ProvenEntry(entry.key, entry.value_hash, slot)
+
+        return located(lower), located(upper)
 
     def all_proven(self) -> list[ProvenEntry]:
-        """Every entry with proof, in key order."""
-        out: list[ProvenEntry] = []
-        for entry in self.tree.iter_entries():
-            _, path = self.tree.prove(entry.key)
-            out.append(
-                ProvenEntry(
-                    object_id=entry.key,
-                    object_hash=entry.value_hash,
-                    proof=path,
-                )
-            )
-        return out
+        """Every entry, in key order."""
+        slot = self._current_slot()
+        return [
+            ProvenEntry(entry.key, entry.value_hash, slot)
+            for entry in self.tree.iter_entries()
+        ]
 
     def definitely_absent(self, object_id: int) -> bool:
         # No on-chain filters in the Merkle family.
         """Whether on-chain filters prove the ID absent."""
         return False
+
+
+class ScanProofs(list):
+    """A keyword's finished posting list, as the cache warmer wants it.
+
+    The list holds one path-proven entry per posting; ``cover`` is the
+    multiproof a compressed full scan of the same tree presents.
+    """
+
+    cover: TreeMultiproof | None = None
+
+
+def prove_scan(view: MBTreeView) -> ScanProofs:
+    """Locate and prove a whole posting list (the warmer's prove hook)."""
+    located = view.all_proven()
+    proofs = ScanProofs(expand_entries(located))
+    if located:
+        proofs.cover, _ = view.tree.multiproof(
+            [entry.object_id for entry in located]
+        )
+    return proofs
 
 
 @dataclass
@@ -246,35 +281,36 @@ class MerkleProofSystem:
 
         Verifies each per-entry path independently (a tampered entry is
         skipped and left uncached, the rest still warm — fail closed per
-        entry) and returns the number that verified.  When *every* entry
-        verified, additionally seeds the shared cache with the
-        full-cover multiproof those entries deduplicate into — the same
-        construction the SP's query-time compression emits for a full
-        scan, so its ``(root, gindex-set digest)`` key hits when the
-        query arrives.  A partially tampered list seeds nothing batched:
-        a multiproof over a subset would not match the query-time cover.
+        entry) and returns the number that verified.  Entries still
+        holding a live located slot are proven first.  When *every*
+        entry verified and the list came with its full-scan ``cover``
+        (:class:`ScanProofs`), additionally folds the cover and seeds
+        the shared cache with it — the proof the SP's query-time
+        compression emits for a full scan, so its ``(root, gindex-set
+        digest)`` key hits when the query arrives.  A partially tampered
+        list seeds nothing batched.
         """
-        paths: list[tuple[ProvenEntry, MerklePath]] = []
+        cover = getattr(entries, "cover", None)
+        try:
+            finished = expand_entries(entries)
+        except (StaleProofError, UnresolvedProofError):
+            return 0
         warmed = 0
-        for entry in entries:
+        for entry in finished:
             try:
                 self.verify_entry(keyword, entry)
             except VerificationError:
                 continue
             warmed += 1
-            if isinstance(entry.proof, MerklePath):
-                paths.append((entry, entry.proof))
-        if warmed < len(entries) or not paths or self.cache is None:
-            return warmed
-        try:
-            multiproof, _ = build_multiproof(paths)
-        except ReproError:
-            # Mutually inconsistent paths cannot form the query-time
-            # cover; the per-entry verifications above still stand.
+        if warmed < len(entries) or cover is None or self.cache is None:
             return warmed
         root = self._root(keyword)
-        if digests_equal(multiproof.fold_root(), root):
-            self.cache.add(self.cache.key(root, multiproof.cache_token()))
+        try:
+            folded = cover.fold_root()
+        except VerificationError:
+            return warmed
+        if digests_equal(folded, root):
+            self.cache.add(self.cache.key(root, cover.cache_token()))
         return warmed
 
     def is_first(self, keyword: str, entry: ProvenEntry) -> bool:

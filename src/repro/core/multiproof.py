@@ -38,9 +38,16 @@ malformed proofs — codes out of place, leftover or missing helpers,
 descend below the leaf level — raise
 :class:`~repro.errors.VerificationError` before any root comparison.
 
-Construction (:func:`build_multiproof` / :func:`compress_query_vo`)
-runs on the SP after the per-conjunct VOs are gathered in call order, so
-the compressed VO is deterministic for any shard count or pool mode.
+Construction is *locate, then prove once*: the join's Merkle views hand
+out entries whose proof slot is a :class:`DeferredProof`, and
+:func:`compress_query_vo` — run on the SP after the per-conjunct VOs are
+gathered in call order, so the compressed VO is deterministic for any
+shard count or pool mode — asks each touched tree once, through
+:func:`prove_keys`, for :meth:`~repro.core.mbtree.MBTree.multiproof`
+over everything the query located in it.  :func:`prove_keys` runs
+wherever the tree lives (in-process, or inside the affine shard worker),
+so per-entry paths are minted only for gate-refused groups and for the
+legacy ``vo_version=2`` form (:func:`expand_query_vo`).
 
 Chameleon family
 ----------------
@@ -54,16 +61,11 @@ and its verification live in :mod:`repro.core.chameleon`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, field
 
 from repro.core.chameleon import MembershipProof, NodeRef, build_node_table
-from repro.core.mbtree import (
-    Entry,
-    MerklePath,
-    entry_digest,
-    leaf_digest,
-    node_digest,
-)
+from repro.core.mbtree import MBTree, entry_digest, leaf_digest, node_digest
 from repro.core.query.vo import (
     ConjunctiveVO,
     FullScanVO,
@@ -77,8 +79,13 @@ from repro.core.query.vo import (
     iter_proven_entries,
     varint_size,
 )
-from repro.crypto.hashing import tagged_hash
-from repro.errors import ReproError, VerificationError
+from repro.crypto.hashing import digests_equal, tagged_hash
+from repro.errors import (
+    ReproError,
+    StaleProofError,
+    UnresolvedProofError,
+    VerificationError,
+)
 
 #: Slot codes of one cover node, in child order.
 SLOT_HELPER = 0  #: sibling digest supplied in the helper list
@@ -104,51 +111,6 @@ def leaf_gindex(gpath: tuple[int, ...], widths: tuple[int, ...]) -> int:
             raise ReproError(f"gpath digit {index} out of range for width {width}")
         g = g * width + index
     return g
-
-
-def compute_multiproof_indices(
-    leaf_gpaths: list[tuple[int, ...]],
-    leaf_widths: list[tuple[int, ...]],
-) -> dict[tuple[int, ...], int]:
-    """Partition the cover nodes' slots into helper/descend/leaf codes.
-
-    Given the proven leaves' gpaths and per-level widths, returns a map
-    from each cover-node *slot* (addressed by its gpath prefix, the
-    root's slots being length-1 prefixes) to its slot code.  The cover
-    is minimal: a slot is ``SLOT_DESCEND`` when some proven leaf passes
-    through it above the leaf level, ``SLOT_LEAF`` when it *is* a proven
-    leaf, and ``SLOT_HELPER`` otherwise.
-    """
-    if len(leaf_gpaths) != len(leaf_widths):
-        raise ReproError("one widths tuple is required per leaf gpath")
-    if not leaf_gpaths:
-        raise ReproError("a multiproof needs at least one proven leaf")
-    height = len(leaf_gpaths[0])
-    on_path: set[tuple[int, ...]] = set()
-    node_width: dict[tuple[int, ...], int] = {}
-    for gpath, widths in zip(leaf_gpaths, leaf_widths):
-        if len(gpath) != height or len(widths) != height:
-            raise ReproError("all leaves of one tree must share the path depth")
-        for level in range(height):
-            node = gpath[:level]
-            width = widths[level]
-            known = node_width.setdefault(node, width)
-            if known != width:
-                raise ReproError(
-                    f"conflicting widths {known} vs {width} for node {node}"
-                )
-            on_path.add(gpath[: level + 1])
-    codes: dict[tuple[int, ...], int] = {}
-    for node, width in node_width.items():
-        for slot in range(width):
-            child = node + (slot,)
-            if child not in on_path:
-                codes[child] = SLOT_HELPER
-            elif len(child) == height:
-                codes[child] = SLOT_LEAF
-            else:
-                codes[child] = SLOT_DESCEND
-    return codes
 
 
 @dataclass(frozen=True, eq=True)
@@ -416,107 +378,192 @@ class TreeMultiproof:
 
 
 # ---------------------------------------------------------------------------
-# Construction (SP side)
+# Construction (SP side): locate, then prove once
 # ---------------------------------------------------------------------------
 
 
-def _path_levels(
-    entry: ProvenEntry, path: MerklePath
-) -> tuple[tuple[int, ...], tuple[int, ...], list[tuple[bytes, ...]]]:
-    """Root-to-leaf ``(gpath, widths, per-level sibling digest rows)``."""
-    gpath: list[int] = []
-    widths: list[int] = []
-    rows: list[tuple[bytes, ...]] = []
-    for step in reversed(path.steps):
-        gpath.append(step.index)
-        widths.append(len(step.before) + 1 + len(step.after))
-        rows.append(step.before + (b"",) + step.after)
-    return tuple(gpath), tuple(widths), rows
+@dataclass(frozen=True)
+class DeferredProof:
+    """The proof slot of an entry that was located but not yet proven.
 
-
-def build_multiproof(
-    proven: list[tuple[ProvenEntry, MerklePath]],
-) -> tuple[TreeMultiproof, dict[tuple[int, ...], int]]:
-    """Merge one tree's ``(entry, path)`` pairs into a multiproof.
-
-    Returns the proof plus the gpath -> DFS-ordinal map the caller uses
-    to rewrite each entry's proof into a :class:`LeafRef`.  Raises
-    :class:`~repro.errors.ReproError` when the paths are mutually
-    inconsistent (different depths, conflicting widths or sibling
-    digests, one gpath claiming two different entries) — an honest SP
-    never constructs such inputs.
+    The Merkle-family views answer the join with entries found by a
+    hash-free descent; this marker names the tree they came from —
+    ``keyword`` and the ``root`` digest read at locate time — so the
+    prove step can later ask each tree once for everything the query
+    touched.  ``tree`` is the live tree when the slot was minted in this
+    process; it is never serialised (a pickled slot carries none) and
+    never compared.  A VO holding one is unfinished: sizing, encoding or
+    verifying it fails closed.
     """
-    if not proven:
-        raise ReproError("a multiproof needs at least one proven entry")
-    height = len(proven[0][1].steps)
-    if height < 1:
-        raise ReproError("cannot build a multiproof from an empty path")
-    gpaths: list[tuple[int, ...]] = []
-    widths_list: list[tuple[int, ...]] = []
-    slot_digest: dict[tuple[int, ...], bytes] = {}
-    entry_at: dict[tuple[int, ...], tuple[int, bytes]] = {}
-    for entry, path in proven:
-        if len(path.steps) != height:
-            raise ReproError("paths of one tree must share the depth")
-        gpath, widths, rows = _path_levels(entry, path)
-        leaf = (entry.object_id, entry.object_hash)
-        known = entry_at.setdefault(gpath, leaf)
-        if known != leaf:
-            raise ReproError(f"two entries claim the tree position {gpath}")
-        gpaths.append(gpath)
-        widths_list.append(widths)
-        for level, row in enumerate(rows):
-            node = gpath[:level]
-            for slot, digest in enumerate(row):
-                if slot == gpath[level]:
-                    continue
-                key = node + (slot,)
-                seen = slot_digest.setdefault(key, digest)
-                if seen != digest:
-                    raise ReproError(
-                        f"conflicting sibling digests at slot {key}"
-                    )
-    codes = compute_multiproof_indices(gpaths, widths_list)
-    nodes: list[tuple[int, ...]] = []
-    helpers: list[bytes] = []
-    leaves: list[tuple[int, bytes]] = []
-    ordinals: dict[tuple[int, ...], int] = {}
-    node_width: dict[tuple[int, ...], int] = {}
-    for gpath, widths in zip(gpaths, widths_list):
-        for level in range(height):
-            node_width[gpath[:level]] = widths[level]
 
-    # Emit in the exact order the fold consumes: slots in order, a
-    # descend slot recursing into its whole subtree *before* any later
-    # slot of the same node (helpers and leaves interleave with child
-    # subtrees; a node-at-a-time emission would misorder them whenever
-    # a helper slot follows a descend slot).  Recursion depth is the
-    # tree height — logarithmic in the corpus.
-    def emit(node: tuple[int, ...]) -> None:
-        width = node_width[node]
-        node_codes = tuple(codes[node + (slot,)] for slot in range(width))
-        nodes.append(node_codes)
-        for slot in range(width):
-            child = node + (slot,)
-            code = node_codes[slot]
-            if code == SLOT_HELPER:
-                helpers.append(slot_digest[child])
-            elif code == SLOT_LEAF:
-                ordinals[child] = len(leaves)
-                leaves.append(entry_at[child])
-            else:
-                emit(child)
+    keyword: str
+    root: bytes
+    tree: MBTree | None = field(default=None, compare=False, repr=False)
 
-    emit(())
-    return (
-        TreeMultiproof(
-            height=height,
-            nodes=tuple(nodes),
-            helpers=tuple(helpers),
-            leaves=tuple(leaves),
-        ),
-        ordinals,
-    )
+    def __reduce__(self):
+        return (DeferredProof, (self.keyword, self.root))
+
+    def byte_size(self, value_bytes: int = 0) -> int:
+        """Refuse: an unfinished slot has no wire form."""
+        raise UnresolvedProofError(
+            f"entry of keyword {self.keyword!r} was located but never "
+            "proven; run compress_query_vo / expand_query_vo first"
+        )
+
+
+@dataclass(frozen=True)
+class ProveRequest:
+    """One tree's share of a query's prove step (plain data).
+
+    ``keys`` are the located keys, ascending and unique; ``paths`` asks
+    for one :class:`~repro.core.mbtree.MerklePath` per key instead of
+    the multiproof.
+    """
+
+    keyword: str
+    root: bytes
+    keys: tuple[int, ...]
+    paths: bool
+
+
+def prove_keys(tree: MBTree | None, request: ProveRequest):
+    """Run one :class:`ProveRequest` against the tree that owns it.
+
+    The single prove routine: called in-process on a slot's live tree,
+    by the front-end's resolver, and inside the affine shard worker that
+    holds the blob.  Returns ``MBTree.multiproof``'s
+    ``(TreeMultiproof, path_sizes)`` or, for ``request.paths``, the list
+    of per-key paths.  Raises :class:`~repro.errors.StaleProofError`
+    when the tree moved since the keys were located.
+    """
+    if tree is None or not digests_equal(tree.root_hash, request.root):
+        raise StaleProofError(
+            f"tree of keyword {request.keyword!r} changed between locate "
+            "and prove"
+        )
+    try:
+        if request.paths:
+            return [tree.prove(key)[1] for key in request.keys]
+        return tree.multiproof(request.keys)
+    except ReproError as exc:
+        raise StaleProofError(
+            f"keyword {request.keyword!r}: {exc}"
+        ) from exc
+
+
+#: Resolver for slots that lost their tree to pickling: answers a batch
+#: of requests in order (the affine front-end turns it into one
+#: ``prove`` call per owning shard).
+Prover = Callable[[list[ProveRequest]], list]
+
+
+class _Group:
+    """The deferred entries of one tree (one root) within one VO."""
+
+    __slots__ = ("keyword", "root", "tree", "occurrences", "keys")
+
+    def __init__(self, slot: DeferredProof) -> None:
+        self.keyword = slot.keyword
+        self.root = slot.root
+        self.tree = slot.tree
+        self.occurrences: dict[int, int] = {}
+        self.keys: tuple[int, ...] = ()  # ascending, set once grouped
+
+    def request(self, paths: bool) -> ProveRequest:
+        return ProveRequest(
+            keyword=self.keyword, root=self.root, keys=self.keys, paths=paths
+        )
+
+
+def _deferred_groups(entries) -> list[_Group]:
+    """Group deferred entries by root, in first-seen order.
+
+    Twin trees (equal roots, hence equal content) share one group, as
+    they shared one table when grouping folded every path to its root.
+    """
+    groups: dict[bytes, _Group] = {}
+    for entry in entries:
+        slot = entry.proof
+        if not isinstance(slot, DeferredProof):
+            continue
+        group = groups.get(slot.root)
+        if group is None:
+            group = groups[slot.root] = _Group(slot)
+        elif group.tree is None:
+            group.tree = slot.tree
+        group.occurrences[entry.object_id] = (
+            group.occurrences.get(entry.object_id, 0) + 1
+        )
+    for group in groups.values():
+        group.keys = tuple(sorted(group.occurrences))
+    return list(groups.values())
+
+
+def _prove_groups(
+    groups: list[_Group], paths: bool, prove: Prover | None
+) -> list:
+    """One prove call per group: live trees here, the rest via ``prove``."""
+    answers: list = [None] * len(groups)
+    remote: list[int] = []
+    for index, group in enumerate(groups):
+        if group.tree is not None:
+            answers[index] = prove_keys(group.tree, group.request(paths))
+        else:
+            remote.append(index)
+    if remote:
+        if prove is None:
+            raise UnresolvedProofError(
+                "deferred entries lost their tree to pickling and no "
+                "resolver was given"
+            )
+        replies = prove([groups[index].request(paths) for index in remote])
+        for index, reply in zip(remote, replies):
+            answers[index] = reply
+    return answers
+
+
+def _finish_deferred(
+    entries, prove: Prover | None, table_base: int | None
+) -> tuple[dict[tuple[bytes, int], object], list[TreeMultiproof]]:
+    """Prove every deferred entry: ``(root, key) -> proof`` plus tables.
+
+    ``table_base`` is the index the first new table will get; ``None``
+    means no tables at all (the legacy per-entry form).  A group whose
+    table would cost more wire bytes than the paths it replaces keeps
+    its paths — the per-group size gate.
+    """
+    groups = _deferred_groups(entries)
+    proofs: dict[tuple[bytes, int], object] = {}
+    tables: list[TreeMultiproof] = []
+    as_paths = groups
+    if table_base is not None:
+        as_paths = []
+        answers = _prove_groups(groups, False, prove)
+        for group, (multiproof, sizes) in zip(groups, answers):
+            proof_index = table_base + len(tables)
+            keys = group.keys
+            refs = [
+                LeafRef(proof_index=proof_index, ordinal=ordinal)
+                for ordinal in range(len(keys))
+            ]
+            # Wire delta per occurrence: a LeafRef entry drops the
+            # 40-byte id+hash (reconstructed from the leaf table) and
+            # swaps the path body for two varints; the table is the cost.
+            saved = -multiproof.byte_size()
+            for key, ref, size in zip(keys, refs, sizes):
+                saved += group.occurrences[key] * (
+                    40 + size - ref.byte_size()
+                )
+            if saved <= 0:
+                as_paths.append(group)
+                continue
+            tables.append(multiproof)
+            for key, ref in zip(keys, refs):
+                proofs[(group.root, key)] = ref
+    for group, paths in zip(as_paths, _prove_groups(as_paths, True, prove)):
+        for key, path in zip(group.keys, paths):
+            proofs[(group.root, key)] = path
+    return proofs, tables
 
 
 def _map_entry(entry, fn):
@@ -582,88 +629,99 @@ def _map_vo_entries(vo: QueryVO, fn) -> QueryVO:
     return QueryVO(conjuncts=tuple(conjuncts), multiproofs=vo.multiproofs)
 
 
-def compress_query_vo(vo: QueryVO) -> QueryVO:
-    """Deduplicate a VO's per-entry proofs into one table per tree.
+def compress_query_vo(vo: QueryVO, prove: Prover | None = None) -> QueryVO:
+    """Finish a VO: one deduplicated proof table per tree.
 
-    Merkle family: entries are grouped by the root digest their path
-    folds to (one group per ``(tree, commitment)``), each group becomes
-    one :class:`TreeMultiproof`, and every grouped entry's proof is
-    replaced by a :class:`LeafRef`.  Chameleon family: entries are
-    grouped by the tree their membership proof was assembled from, each
-    group becomes one :class:`~repro.core.chameleon.ChameleonMultiproof`
-    holding every node once, and each proof shrinks to a
-    :class:`~repro.core.chameleon.NodeRef`.  Proof-less entries (and CVC
-    proofs that do not say which tree they came from) pass through
-    untouched.  Runs after call-order gathering, so the output is
-    identical for any shard count, pool mode or executor.
+    Merkle family: the join left every entry's proof deferred; entries
+    are grouped by the root recorded at locate time (one group per
+    ``(tree, commitment)``), each tree is asked once for the multiproof
+    over the group's keys (:func:`prove_keys` — on the slot's live tree,
+    or through ``prove`` for slots that lost it to pickling), and every
+    grouped entry's proof becomes a :class:`LeafRef`.  Chameleon family:
+    entries are grouped by the tree their membership proof was assembled
+    from, each group becomes one
+    :class:`~repro.core.chameleon.ChameleonMultiproof` holding every
+    node once, and each proof shrinks to a
+    :class:`~repro.core.chameleon.NodeRef`.  Entries that already carry
+    a finished proof (and CVC proofs that do not say which tree they
+    came from) pass through untouched.  Runs after call-order gathering,
+    so the output is identical for any shard count, pool mode or
+    executor.
 
     Merkle compression is size-gated per group: a tree whose multiproof
     table would cost more wire bytes than the per-entry paths it
     replaces (singleton boundary proofs of near-empty keywords,
-    typically) keeps its paths, so the v3 frame is never materially
-    larger than v2 at low selectivity.  The gate depends only on the
-    group itself, so determinism across executors is preserved.  A node
-    table needs no gate: the per-entry form ships every node at least
-    once, and the entry's own commitment twice.
+    typically) gets its paths instead, so the v3 frame is never
+    materially larger than v2 at low selectivity.  The gate depends only
+    on the group itself, so determinism across executors is preserved.
+    A node table needs no gate: the per-entry form ships every node at
+    least once, and the entry's own commitment twice.
     """
-    groups: dict[bytes, list[tuple[ProvenEntry, MerklePath]]] = {}
+    entries = list(iter_proven_entries(vo))
     trees: dict[tuple[int, int], list[MembershipProof]] = {}
-    for entry in iter_proven_entries(vo):
+    for entry in entries:
         proof = entry.proof
-        if isinstance(proof, MerklePath):
-            root = proof.compute_root(
-                Entry(key=entry.object_id, value_hash=entry.object_hash)
-            )
-            groups.setdefault(root, []).append((entry, proof))
-        elif isinstance(proof, MembershipProof) and proof.tree is not None:
+        if isinstance(proof, MembershipProof) and proof.tree is not None:
             trees.setdefault(proof.tree, []).append(proof)
     multiproofs: list = list(vo.multiproofs)
-    refs: dict[ProvenEntry, LeafRef] = {}
-    for group in groups.values():
-        proof_index = len(multiproofs)
-        multiproof, ordinals = build_multiproof(group)
-        group_refs: dict[ProvenEntry, LeafRef] = {}
-        # Wire delta per occurrence: a LeafRef entry drops the 40-byte
-        # id+hash (reconstructed from the leaf table) and swaps the
-        # path body for two varints; the multiproof table is the cost.
-        saved = -multiproof.byte_size()
-        for entry, path in group:
-            gpath = tuple(step.index for step in reversed(path.steps))
-            ref = LeafRef(proof_index=proof_index, ordinal=ordinals[gpath])
-            group_refs[entry] = ref
-            saved += 40 + path.byte_size() - ref.byte_size()
-        if saved <= 0:
-            continue
-        multiproofs.append(multiproof)
-        refs.update(group_refs)
+    finished, tables = _finish_deferred(entries, prove, len(multiproofs))
+    multiproofs.extend(tables)
     table_of: dict[tuple[int, int], int] = {}
     for tree, proofs in trees.items():
         table_of[tree] = len(multiproofs)
         multiproofs.append(build_node_table(tree[1], proofs))
-    if not refs and not table_of:
+    if not finished and not table_of:
         return vo
 
     def rewrite(entry: ProvenEntry) -> ProvenEntry:
         proof = entry.proof
-        if isinstance(proof, MembershipProof):
-            if proof.tree is None:
-                return entry
-            proof = NodeRef(
-                table_index=table_of[proof.tree],
-                position=proof.position,
-                slot1_proof=proof.slot1_proof,
-            )
-        else:
-            proof = refs.get(entry)
-            if proof is None:
-                return entry
+        if not isinstance(proof, MembershipProof) or proof.tree is None:
+            return _with_finished(entry, finished)
         return ProvenEntry(
             object_id=entry.object_id,
             object_hash=entry.object_hash,
-            proof=proof,
+            proof=NodeRef(
+                table_index=table_of[proof.tree],
+                position=proof.position,
+                slot1_proof=proof.slot1_proof,
+            ),
         )
 
     rewritten = _map_vo_entries(vo, rewrite)
     return QueryVO(
         conjuncts=rewritten.conjuncts, multiproofs=tuple(multiproofs)
     )
+
+
+def _with_finished(
+    entry: ProvenEntry, finished: dict[tuple[bytes, int], object]
+) -> ProvenEntry:
+    """``entry`` with its deferred slot swapped for the finished proof."""
+    slot = entry.proof
+    if not isinstance(slot, DeferredProof):
+        return entry
+    return ProvenEntry(
+        object_id=entry.object_id,
+        object_hash=entry.object_hash,
+        proof=finished[(slot.root, entry.object_id)],
+    )
+
+
+def expand_entries(
+    entries: list[ProvenEntry], prove: Prover | None = None
+) -> list[ProvenEntry]:
+    """Finish located entries the legacy way: one path per entry.
+
+    Each tree mints one :class:`~repro.core.mbtree.MerklePath` per
+    distinct key; entries that are already finished pass through.
+    """
+    finished, _ = _finish_deferred(entries, prove, None)
+    return [_with_finished(entry, finished) for entry in entries]
+
+
+def expand_query_vo(vo: QueryVO, prove: Prover | None = None) -> QueryVO:
+    """Finish a VO in the uncompressed (``vo_version=2``) form."""
+    finished, _ = _finish_deferred(iter_proven_entries(vo), prove, None)
+    if not finished:
+        return vo
+    return _map_vo_entries(vo, lambda entry: _with_finished(entry, finished))

@@ -55,7 +55,7 @@ from repro.core.chameleon import (
     NodeRef,
 )
 from repro.core.mbtree import MerklePath, PathStep
-from repro.core.multiproof import LeafRef, TreeMultiproof
+from repro.core.multiproof import DeferredProof, LeafRef, TreeMultiproof
 from repro.core.query.vo import (
     ConjunctiveVO,
     FullScanVO,
@@ -66,7 +66,7 @@ from repro.core.query.vo import (
     SemiJoinProbe,
     SemiJoinStage,
 )
-from repro.errors import ReproError
+from repro.errors import ReproError, UnresolvedProofError
 
 _PROOF_NONE = 0
 _PROOF_MERKLE = 1
@@ -360,6 +360,11 @@ class VOCodec:
             tag = _PROOF_CVC
         elif isinstance(proof, NodeRef):
             tag = _PROOF_NODEREF
+        elif isinstance(proof, DeferredProof):
+            raise UnresolvedProofError(
+                f"entry {entry.object_id} of keyword {proof.keyword!r} was "
+                "located but never proven; finish the VO before encoding"
+            )
         else:
             raise ReproError(f"cannot encode proof type {type(proof)!r}")
         # Versioned frames tag before the id/hash so LeafRef entries can

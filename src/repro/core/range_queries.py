@@ -81,8 +81,8 @@ def range_query(tree: MBTree, lo: int, hi: int) -> tuple[list[Entry], RangeVO]:
         elif entry.key > hi:
             break
     # Largest entry strictly below lo; smallest strictly above hi.
-    left = tree.boundaries(lo - 1)
-    right = tree.boundaries(hi)
+    left = tree.boundaries(lo - 1, upper=False)
+    right = tree.boundaries(hi, lower=False)
     left_boundary = None
     if left.lower is not None:
         left_boundary = RangeEntry(entry=left.lower, path=left.lower_path)

@@ -30,7 +30,13 @@ from typing import Callable, Iterator
 
 from repro import obs
 from repro.core.mbtree import MBTree
-from repro.core.multiproof import compress_query_vo
+from repro.core import suppressed
+from repro.core.multiproof import (
+    ProveRequest,
+    compress_query_vo,
+    expand_query_vo,
+    prove_keys,
+)
 from repro.core.objects import DataObject, ObjectMetadata
 from repro.core.query.join import conjunctive_join
 from repro.core.query.parser import KeywordQuery
@@ -124,14 +130,24 @@ class RoutedTrees:
         """The keyword's tree, or ``None`` if never inserted."""
         return self._frontend.tree(keyword)
 
-    def __contains__(self, keyword: str) -> bool:
-        return self.get(keyword) is not None
+    def spines(self, object_id: int, keywords: tuple[str, ...]) -> list:
+        """Pre-insertion ``UpdVO`` spines, one per keyword, in order.
 
-    def __getitem__(self, keyword: str):
-        tree = self.get(keyword)
-        if tree is None:
-            raise KeyError(keyword)
-        return tree
+        With an affine pool the spines are extracted inside the workers
+        holding the trees — one ``spines`` call per involved shard, a
+        few digests per keyword back — instead of pulling every tree
+        through the pipe.
+        """
+        frontend = self._frontend
+        if frontend.pool is None:
+            return suppressed.gen_spines(self, object_id, keywords)
+        frontend.flush_mutations()
+        return frontend._scatter_by_owner(
+            "spines",
+            [(keyword, keyword) for keyword in keywords],
+            lambda owned: (object_id, owned),
+            ingest=True,
+        )
 
 
 class ShardedStorageProvider:
@@ -571,20 +587,70 @@ class ShardedStorageProvider:
         )
 
     def _finish_vo(self, conjunct_vos: list[ConjunctiveVO]) -> QueryVO:
-        """Assemble ``VO_sp``, compressing per-entry paths when enabled.
+        """Assemble ``VO_sp`` and run the prove step over it.
 
         The common tail of every query path (stateless, parallel and
-        affine): compression runs *after* call-order gathering, over the
-        fully assembled VO, so its output — one deduplicated multiproof
-        per ``(tree, commitment)`` — is byte-identical for any shard
-        count, pool mode or executor.  ``vo_version=2`` preserves the
-        legacy per-entry-path VO exactly; Chameleon-family VOs carry no
-        Merkle paths and pass through unchanged either way.
+        affine).  The joins only located their Merkle entries; here each
+        touched tree is proven once for the whole query —
+        ``vo_version>=3`` as one deduplicated multiproof per ``(tree,
+        commitment)``, ``vo_version=2`` as the legacy per-entry paths.
+        It runs *after* call-order gathering, over the fully assembled
+        VO, so its output is byte-identical for any shard count, pool
+        mode or executor.  Chameleon-family VOs carry finished proofs
+        and are only deduplicated (v3) or passed through (v2).
         """
         vo = QueryVO(conjuncts=tuple(conjunct_vos))
-        if self.vo_version >= 3:
-            vo = compress_query_vo(vo)
-        return vo
+        with obs.span("query.sp.prove"):
+            if self.vo_version >= 3:
+                return compress_query_vo(vo, self._prove)
+            return expand_query_vo(vo, self._prove)
+
+    def _prove(self, requests: list[ProveRequest]) -> list:
+        """Prove step for slots whose join ran in another process.
+
+        In-process engines prove on the tree they hold; with an affine
+        pool the requests go to the workers holding the blobs, one
+        ``prove`` call per owning shard, so only finished proofs cross
+        the pipe.  Replies come back in request order.
+        """
+        if self.pool is None:
+            return [
+                prove_keys(self.tree(request.keyword), request)
+                for request in requests
+            ]
+        return self._scatter_by_owner(
+            "prove", [(request.keyword, request) for request in requests]
+        )
+
+    def _scatter_by_owner(
+        self,
+        op: str,
+        keyed: list[tuple[str, object]],
+        payload: Callable[[list], object] = list,
+        ingest: bool = False,
+    ) -> list:
+        """Send each ``(keyword, item)`` to the keyword's affine worker.
+
+        One ``op`` call per owning shard, carrying ``payload(items)``;
+        the op answers one reply per item, and the replies come back in
+        the order of ``keyed``.
+        """
+        by_shard: dict[int, list[int]] = {}
+        for index, (keyword, _) in enumerate(keyed):
+            by_shard.setdefault(self.router.route(keyword), []).append(index)
+        shard_ids = sorted(by_shard)
+        replies = self.pool.dispatch(
+            [
+                (shard, op, payload([keyed[i][1] for i in by_shard[shard]]))
+                for shard in shard_ids
+            ],
+            ingest=ingest,
+        )
+        answers: list = [None] * len(keyed)
+        for shard, reply in zip(shard_ids, replies):
+            for index, answer in zip(by_shard[shard], reply):
+                answers[index] = answer
+        return answers
 
     def compact(self) -> dict:
         """Checkpoint + truncate every durable shard journal.

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from repro import obs
 from repro.core.mbtree import (
     DEFAULT_FANOUT,
-    MBTree,
     UpdateSpine,
     compute_updated_root,
     entry_payload,
@@ -46,26 +45,46 @@ class KeywordUpdate:
         return len(self.keyword.encode("utf-8")) + 1 + len(self.spine_bytes)
 
 
-def build_updates(
-    trees: dict[str, MBTree], object_id: int, keywords: tuple[str, ...]
-) -> list[KeywordUpdate]:
-    """SP side: run Algorithm 1 for every keyword of the new object.
+def gen_spines(
+    trees, object_id: int, keywords: tuple[str, ...] | list[str]
+) -> list[UpdateSpine]:
+    """Algorithm 1 for every keyword, against the trees held here.
 
-    Must be called *before* the SP applies the insertion to its mirror
-    trees (the spine describes the pre-insertion state).
+    ``trees`` maps keyword -> tree through ``get`` (absent keywords get
+    the empty spine).  Runs wherever the trees live: in-process, or
+    inside an affine shard worker.
     """
-    updates = []
+    spines = []
     for keyword in keywords:
         tree = trees.get(keyword)
-        spine = (
+        spines.append(
             tree.gen_update_proof(object_id)
             if tree is not None
             else UpdateSpine(internal_levels=(), leaf_entries=())
         )
-        updates.append(
-            KeywordUpdate(keyword=keyword, spine_bytes=spine.serialise())
-        )
-    return updates
+    return spines
+
+
+def build_updates(
+    trees, object_id: int, keywords: tuple[str, ...]
+) -> list[KeywordUpdate]:
+    """SP side: run Algorithm 1 for every keyword of the new object.
+
+    Must be called *before* the SP applies the insertion to its mirror
+    trees (the spine describes the pre-insertion state).  ``trees`` is a
+    keyword -> tree mapping, or the SP front-end's routed mapping, whose
+    ``spines`` extracts them next to the trees.
+    """
+    batched = getattr(trees, "spines", None)
+    spines = (
+        batched(object_id, keywords)
+        if batched is not None
+        else gen_spines(trees, object_id, keywords)
+    )
+    return [
+        KeywordUpdate(keyword=keyword, spine_bytes=spine.serialise())
+        for keyword, spine in zip(keywords, spines)
+    ]
 
 
 class SuppressedMerkleContract(SmartContract):

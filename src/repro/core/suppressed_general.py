@@ -149,13 +149,13 @@ def generate_general_update(tree: MBTree, key: int) -> GeneralUpdateProof:
     predecessor = None
     successor = None
     if insert_index == 0:
-        search = tree.boundaries(key)
+        search = tree.boundaries(key, upper=False)
         if search.lower is not None:
             predecessor = NeighbourProof(
                 entry=search.lower, path=search.lower_path
             )
     if insert_index == len(entries):
-        search = tree.boundaries(key)
+        search = tree.boundaries(key, lower=False)
         if search.upper is not None:
             successor = NeighbourProof(
                 entry=search.upper, path=search.upper_path

@@ -46,7 +46,12 @@ from repro.core.chameleon_index import (
 )
 from repro.core.chameleon_star import ChameleonStarContract
 from repro.core.mbtree import DEFAULT_FANOUT
-from repro.core.merkle_family import MerkleInvertedSP, MerkleProofSystem
+from repro.core.merkle_family import (
+    MBTreeView,
+    MerkleInvertedSP,
+    MerkleProofSystem,
+    prove_scan,
+)
 from repro.core.objects import DataObject, ObjectMetadata
 from repro.core.owner import ADS_CONTRACT, DataOwnerPipeline
 from repro.core.proofcache import DEFAULT_CACHE_SIZE, VerificationCache
@@ -338,9 +343,16 @@ class HybridStorageSystem:
         self._sp.engines[0].blooms = value
 
     def _locked_prove(self, keyword: str):
-        """Warmer hook: a keyword's proven entries, under the read lock."""
+        """Warmer hook: a keyword's proven entries, under the read lock.
+
+        Merkle views only locate; their prove step runs here too, while
+        the lock still pins the tree.
+        """
         with self._rwlock.read():
-            return self._sp_view(keyword).all_proven()
+            view = self._sp_view(keyword)
+            if isinstance(view, MBTreeView):
+                return prove_scan(view)
+            return view.all_proven()
 
     def _locked_proof_system(self, keywords: frozenset[str]):
         """Warmer hook: the proof system, built under the read lock."""

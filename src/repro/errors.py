@@ -37,6 +37,24 @@ class VerificationError(ReproError):
     """
 
 
+class UnresolvedProofError(ReproError):
+    """A located-but-unproven entry reached a consumer of finished VOs.
+
+    The Merkle-family join only *locates* entries; their proof slot stays
+    a deferred marker until the prove step runs.  Encoding, sizing or
+    verifying a VO that still holds one, or finishing a slot that lost
+    its tree to pickling without a resolver, raises this.
+    """
+
+
+class StaleProofError(ReproError):
+    """The prove step found a different tree than the locate step saw.
+
+    Raised when a tree's current root differs from the root recorded at
+    locate time (or the tree is gone), or a located key is absent.
+    """
+
+
 class IntegrityError(ReproError):
     """On-chain integrity check failed (e.g. a bad ``UpdVO``)."""
 

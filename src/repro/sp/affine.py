@@ -15,9 +15,13 @@ long-lived worker process, spawned once and keyed by shard id:
   wire format *is* the recovery format, so a delta batch applies through
   the same code path as a crash replay and journals as one append;
 * **queries** route each conjunct's join to the worker already holding
-  the shard's views; only view/VO material crosses the channel, and
-  replies are gathered in request order so VOs stay byte-identical to
-  the serial build at any shard count;
+  the shard's views.  A Merkle-family join only *locates* its entries,
+  so its reply is small; the ``prove`` op then builds each tree's
+  multiproof inside the worker holding the blob, and only finished
+  proofs cross the channel.  Replies are gathered in request order so
+  VOs stay byte-identical to the serial build at any shard count;
+* **SMI update proofs** are extracted the same way: the ``spines`` op
+  runs Algorithm 1 next to the trees and returns the ``UpdVO`` spines;
 * **telemetry** recorded inside a worker travels back as an
   :mod:`repro.obs.xproc` snapshot on the same reply and is adopted under
   the dispatching span, so ``repro obs critpath`` still sees one
@@ -200,6 +204,18 @@ def _handle(engine: IndexShardEngine, op: str, payload: Any) -> object:
                     conjunctive_join(views, order=order, plan=plan)
                 )
         return outcomes
+    if op == "prove":
+        from repro.core.multiproof import prove_keys
+
+        return [
+            prove_keys(engine.tree(request.keyword), request)
+            for request in payload
+        ]
+    if op == "spines":
+        from repro.core.suppressed import gen_spines
+
+        object_id, keywords = payload
+        return gen_spines(engine.index.trees, object_id, keywords)
     if op == "adopt":
         from repro.sp.engine import tree_from_blob
 

@@ -444,6 +444,24 @@ class TestMultiproofBatchedPath:
         findings = lint_source(src, module="core/sp_frontend.py")
         assert rules(findings) == ["multiproof-batched-path"]
 
+    def test_flags_per_entry_proving_in_the_merkle_views(self):
+        src = (
+            "def all_proven(self):\n"
+            "    return [self.tree.prove(e.key) for e in self.tree.iter_entries()]\n"
+            "def boundaries_proven(self, target):\n"
+            "    return self.tree.boundaries(target)\n"
+            "def located(self, target):\n"
+            "    return self.tree.locate(target)\n"
+        )
+        findings = lint_source(src, module="core/merkle_family.py")
+        assert rules(findings) == ["multiproof-batched-path"] * 2
+        assert lines(findings) == [2, 4]
+        # Elsewhere those method names mean other things.
+        assert lint_source(src, module="core/sp_frontend.py") == []
+        assert rules(
+            lint_source(MULTIPROOF_BAD, module="core/merkle_family.py")
+        ) == ["multiproof-batched-path"] * 2
+
     def test_multiproof_module_is_out_of_scope(self):
         assert lint_source(MULTIPROOF_BAD, module="core/multiproof.py") == []
 

@@ -8,6 +8,8 @@ from repro.core.query.vo import ProvenEntry
 from repro.crypto.hashing import EMPTY_DIGEST, sha3
 from repro.errors import VerificationError
 
+from tests.finishing import finish
+
 
 @pytest.fixture()
 def sp():
@@ -32,7 +34,7 @@ class TestMerkleInvertedSP:
 
 class TestMBTreeView:
     def test_first_proven(self, sp):
-        first = sp.view("a").first_proven()
+        first = finish(sp.view("a").first_proven())
         assert first.object_id == 1
         assert first.proof.is_leftmost()
 
@@ -60,12 +62,12 @@ class TestMerkleProofSystem:
 
     def test_verify_entry_roundtrip(self, sp):
         ps = self.make_ps(sp)
-        entry = sp.view("a").first_proven()
+        entry = finish(sp.view("a").first_proven())
         ps.verify_entry("a", entry)
 
     def test_verify_entry_wrong_keyword(self, sp):
         ps = self.make_ps(sp)
-        entry = sp.view("a").first_proven()
+        entry = finish(sp.view("a").first_proven())
         with pytest.raises(VerificationError):
             ps.verify_entry("b", entry)
 
@@ -77,7 +79,7 @@ class TestMerkleProofSystem:
 
     def test_first_last_adjacent(self, sp):
         ps = self.make_ps(sp)
-        entries = sp.view("a").all_proven()
+        entries = finish(sp.view("a").all_proven())
         assert ps.is_first("a", entries[0])
         assert ps.is_last("a", entries[-1])
         assert ps.adjacent("a", entries[0], entries[1])

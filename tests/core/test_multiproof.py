@@ -11,12 +11,15 @@ from repro.core.multiproof import (
     SLOT_HELPER,
     SLOT_LEAF,
     TreeMultiproof,
-    build_multiproof,
-    compute_multiproof_indices,
     leaf_gindex,
 )
 from repro.core.query.vo import ProvenEntry
 from repro.errors import ReproError, VerificationError
+
+from tests.reference_multiproof import (
+    build_multiproof,
+    compute_multiproof_indices,
+)
 
 
 def vhash(key: int) -> bytes:

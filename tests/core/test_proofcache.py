@@ -18,6 +18,8 @@ from repro import DataObject, HybridStorageSystem, obs
 from repro.core.proofcache import VerificationCache
 from repro.errors import VerificationError
 
+from tests.finishing import finish
+
 
 class TestVerificationCacheUnit:
     def test_miss_then_hit(self):
@@ -99,7 +101,7 @@ class TestProofSystemCaching:
     def test_repeat_verification_hits_cache(self, warm_deployment):
         system = warm_deployment
         ps = system.chain_proof_system(frozenset({"covid-19"}))
-        entry = system._sp_view("covid-19").first_proven()
+        entry = finish(system._sp_view("covid-19").first_proven())
         assert entry is not None
         system.verify_cache.clear()
         ps.verify_entry("covid-19", entry)
@@ -111,7 +113,7 @@ class TestProofSystemCaching:
 
     def test_cache_shared_across_proof_systems(self, warm_deployment):
         system = warm_deployment
-        entry = system._sp_view("vaccine").first_proven()
+        entry = finish(system._sp_view("vaccine").first_proven())
         system.verify_cache.clear()
         system.chain_proof_system(frozenset({"vaccine"})).verify_entry(
             "vaccine", entry
@@ -126,7 +128,7 @@ class TestProofSystemCaching:
     def test_tampered_entry_misses_warm_cache_and_fails(self, warm_deployment):
         system = warm_deployment
         ps = system.chain_proof_system(frozenset({"covid-19"}))
-        entry = system._sp_view("covid-19").first_proven()
+        entry = finish(system._sp_view("covid-19").first_proven())
         ps.verify_entry("covid-19", entry)  # warm the cache
         evil = dataclasses.replace(entry, object_hash=b"\x13" * 32)
         hits_before = system.verify_cache.hits
@@ -140,7 +142,7 @@ class TestProofSystemCaching:
         is rejected by real verification."""
         system = warm_deployment
         ps = system.chain_proof_system(frozenset({"covid-19"}))
-        entry = system._sp_view("covid-19").first_proven()
+        entry = finish(system._sp_view("covid-19").first_proven())
         system.verify_cache.add(("bogus-poison-key",))
         forged = dataclasses.replace(entry, object_id=entry.object_id + 1000)
         with pytest.raises(VerificationError):
@@ -149,7 +151,7 @@ class TestProofSystemCaching:
     def test_failed_verifications_are_never_cached(self, warm_deployment):
         system = warm_deployment
         ps = system.chain_proof_system(frozenset({"covid-19"}))
-        entry = system._sp_view("covid-19").first_proven()
+        entry = finish(system._sp_view("covid-19").first_proven())
         evil = dataclasses.replace(entry, object_hash=b"\x77" * 32)
         system.verify_cache.clear()
         for _ in range(2):

@@ -69,6 +69,8 @@ def test_golden_v2_fixture_decodes_verifies_and_reencodes(name):
     vo = codec.decode(payload)
     query = KeywordQuery.parse(text)
     answer = system.process_query(query)
+    # vo_version=2 still emits exactly the frozen frame.
+    assert codec.encode(answer.vo) == payload
     answer.vo = vo  # the fixture VO, not the freshly produced one
     ps = system.chain_proof_system(query.all_keywords())
     assert verify_query(query, answer, ps).ids == expected

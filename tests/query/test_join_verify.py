@@ -17,6 +17,8 @@ from repro.core.query.verify import verify_conjunct, verify_query
 from repro.core.query.vo import QueryAnswer, QueryVO
 from repro.errors import QueryError, VerificationError
 
+from tests.finishing import finish
+
 
 def build_sp(doc_keywords: dict[int, tuple[str, ...]]) -> MerkleInvertedSP:
     sp = MerkleInvertedSP()
@@ -134,7 +136,7 @@ class TestVerification:
         answer = QueryAnswer(
             result_ids=sorted(all_ids),
             objects=objects,
-            vo=QueryVO(conjuncts=tuple(conjunct_vos)),
+            vo=finish(QueryVO(conjuncts=tuple(conjunct_vos))),
         )
         ps = proof_system_for(sp, query.all_keywords())
         return query, answer, ps
@@ -209,5 +211,5 @@ class TestRandomisedAgainstModel:
                     trial, sorted(conj)
                 )
                 ps = proof_system_for(sp, conj)
-                verified = verify_conjunct(conj, vo, ps)
+                verified = verify_conjunct(conj, finish(vo), ps)
                 assert verified.ids == set(ids)

@@ -15,6 +15,8 @@ from repro.core.query.join import conjunctive_join, multiway_join
 from repro.core.query.verify import verify_conjunct
 from repro.errors import QueryError
 
+from tests.finishing import finish
+
 
 def build_sp(doc_keywords):
     sp = MerkleInvertedSP()
@@ -64,7 +66,9 @@ class TestCyclicWalk:
         # and the walk terminates with an open-ended probe.
         assert vo.rounds[-1].upper is None or vo.rounds[-1].next_target is None
         ps = proof_system_for(sp, {"a", "b", "c"})
-        verified = verify_conjunct(frozenset({"a", "b", "c"}), _wrap(vo), ps)
+        verified = verify_conjunct(
+            frozenset({"a", "b", "c"}), _wrap(finish(vo)), ps
+        )
         assert verified.ids == {1, 3, 5}
 
     def test_rounds_grow_with_keyword_count(self):
@@ -103,7 +107,7 @@ class TestPlansAgainstModel:
                 ids, vo = conjunctive_join(views, plan=plan)
                 assert set(ids) == brute_force(corpus, set(conj))
                 ps = proof_system_for(sp, conj)
-                verified = verify_conjunct(conj, vo, ps)
+                verified = verify_conjunct(conj, finish(vo), ps)
                 assert verified.ids == set(ids)
 
     def test_plans_agree(self):

@@ -14,6 +14,8 @@ from repro.core.query.vo import (
 )
 from repro.crypto.hashing import sha3
 
+from tests.finishing import finish
+
 
 def build_sp(n, keywords=("a", "b")):
     sp = MerkleInvertedSP()
@@ -26,7 +28,7 @@ def build_sp(n, keywords=("a", "b")):
 class TestProvenEntry:
     def test_byte_size_includes_proof(self):
         sp = build_sp(20)
-        entry = sp.view("a").first_proven()
+        entry = finish(sp.view("a").first_proven())
         assert entry.byte_size() > 40  # id + hash + path
 
     def test_rejects_proof_without_byte_size(self):
@@ -43,14 +45,14 @@ class TestProvenEntry:
 class TestJoinRoundSizes:
     def test_probe_round(self):
         sp = build_sp(20)
-        lower, upper = sp.view("a").boundaries_proven(5)
+        lower, upper = finish(sp.view("a").boundaries_proven(5))
         rnd = JoinRound(kind="probe", lower=lower, upper=upper)
         # kind + probe index + both boundaries + absent next_target slot
         assert rnd.byte_size() == 3 + lower.byte_size() + upper.byte_size()
 
     def test_skip_round_smaller_than_probe(self):
         sp = build_sp(20)
-        lower, upper = sp.view("a").boundaries_proven(5)
+        lower, upper = finish(sp.view("a").boundaries_proven(5))
         probe = JoinRound(kind="probe", lower=lower, upper=upper)
         skip = JoinRound(kind="skip", next_target=upper)
         assert skip.byte_size() < probe.byte_size()
@@ -62,8 +64,8 @@ class TestAggregateSizes:
         large_sp = build_sp(200)
         _, small_vo = conjunctive_join([small_sp.view("a"), small_sp.view("b")])
         _, large_vo = conjunctive_join([large_sp.view("a"), large_sp.view("b")])
-        small = QueryVO(conjuncts=(small_vo,)).byte_size()
-        large = QueryVO(conjuncts=(large_vo,)).byte_size()
+        small = finish(QueryVO(conjuncts=(small_vo,))).byte_size()
+        large = finish(QueryVO(conjuncts=(large_vo,))).byte_size()
         assert large > small
 
     def test_empty_keyword_vo_is_tiny(self):

@@ -266,6 +266,54 @@ class TestPoolMechanics:
             pool.close()
 
 
+class TestPipePayloads:
+    """Proofs and update spines are built next to the trees.
+
+    The workers hold the blobs, so neither per-entry paths (queries) nor
+    whole trees (SMI ingest) may ride the reply pipe; the budgets below
+    sit between what the worker-side ops ship and what pulling views or
+    trees through the pipe used to (577 B per scanned posting, 54 KB per
+    object).
+    """
+
+    OBJECTS = 600
+
+    @staticmethod
+    def reply_bytes(collector) -> int:
+        return int(collector.metrics.snapshot().get("sp.affine.reply.bytes", 0))
+
+    def test_scan_and_spine_replies_stay_small(self):
+        import random
+
+        rng = random.Random(5)
+        vocabulary = [f"w{i}" for i in range(24)]
+        system = HybridStorageSystem(
+            scheme="smi", seed=13, shards=2, pool="affine"
+        )
+        try:
+            with obs.collect() as collector:
+                for oid in range(self.OBJECTS):
+                    kws = tuple(rng.sample(vocabulary, 5))
+                    system.add_object(DataObject(oid, kws, b"x"))
+            assert self.reply_bytes(collector) <= 6_000 * self.OBJECTS
+
+            sp = system._sp
+            scanned = 0
+            with obs.collect() as collector:
+                for keyword in vocabulary[:6]:
+                    query = KeywordQuery.parse(keyword)
+                    outcomes = sp._affine_conjuncts(query)
+                    vo = sp._finish_vo([vo for _, vo in outcomes])
+                    assert vo.multiproofs
+                    scanned += sum(len(ids) for ids, _ in outcomes)
+                rpcs = collector.metrics.snapshot()["sp.affine.rpcs"]
+            assert scanned > 500
+            assert rpcs == 2 * 6  # join, then prove
+            assert self.reply_bytes(collector) <= 200 * scanned
+        finally:
+            system.close()
+
+
 class TestDiskRecovery:
     """Crash/restart: workers replay their shard journals on boot."""
 

@@ -113,3 +113,49 @@ class TestAffineMultiproofParity:
         finally:
             serial.close()
             affine.close()
+
+
+class TestTwinRoots:
+    """Two keywords on exactly the same objects have equal roots.
+
+    Their entries share one multiproof table (grouping is by the root
+    recorded at locate time), wherever the twins' trees live.
+    """
+
+    TEXTS = ("twin-a AND twin-b", "twin-a OR twin-b", "(twin-a AND hot) OR twin-b")
+
+    @staticmethod
+    def build(**kwargs):
+        system = HybridStorageSystem(scheme="smi", seed=13, **kwargs)
+        for i in range(40):
+            kws = ("hot", "twin-a", "twin-b") if i % 3 == 0 else ("hot",)
+            system.add_object(DataObject(i, kws, b"x%d" % i))
+        return system
+
+    def frames(self, system):
+        out = []
+        for text in self.TEXTS:
+            answer = system.process_query(KeywordQuery.parse(text))
+            out.append(system._codec.encode(answer.vo))
+            assert system.query(text).verified
+        return out
+
+    def test_twins_share_one_table_at_any_shard_count_and_pool(self):
+        base = self.build()
+        try:
+            assert base._sp.tree("twin-a").root_hash == base._sp.tree(
+                "twin-b"
+            ).root_hash
+            for text, tables in zip(self.TEXTS, (1, 1, 2)):
+                answer = base.process_query(KeywordQuery.parse(text))
+                assert len(answer.vo.multiproofs) == tables
+            reference = self.frames(base)
+        finally:
+            base.close()
+        for shards in (1, 2, 8):
+            for pool in ("stateless", "affine"):
+                system = self.build(shards=shards, pool=pool)
+                try:
+                    assert self.frames(system) == reference, (shards, pool)
+                finally:
+                    system.close()
