@@ -1,16 +1,16 @@
 """Batch witness engine benchmark and its acceptance gates.
 
 Runs the witness experiment (per-scheme naive / fast-path / warmed cold
-verification, the ``open_all`` divide-and-conquer micro-bench and the
-cross-query coalescing bench), writes the rows to ``BENCH_witness.json``
-at the repo root, and asserts the acceptance criteria:
+verification and the ``open_all`` divide-and-conquer micro-bench), writes
+the rows to ``BENCH_witness.json`` at the repo root, and asserts the
+acceptance criteria:
 
 * warming delivers >= 5x over the fast-path cold pass on the Chameleon
   scheme (the headline number; the committed JSON shows ~200x at full
   corpus — 5x is the conservative CI floor);
 * ``open_all`` beats per-slot opening by >= 2x, cold, bit-identically;
-* every mode (batched ingest, coalesced openings, warmed cache) yields
-  byte-identical VOs and passing client verification.
+* client verification passes after batched ingest from an empty cache
+  and on the warmed system.
 """
 
 import json
@@ -34,7 +34,6 @@ def test_witness_engine(benchmark, size_small):
         "rows": {
             "schemes": [row.to_json() for row in rows["schemes"]],
             "open_all": rows["open_all"].to_json(),
-            "coalesce": rows["coalesce"].to_json(),
         },
     }
     BENCH_JSON.write_text(json.dumps(payload, indent=2) + "\n")
@@ -42,7 +41,6 @@ def test_witness_engine(benchmark, size_small):
     by_scheme = {row.scheme: row for row in rows["schemes"]}
     for row in rows["schemes"]:
         # Correctness gates hold for every scheme and every mode.
-        assert row.vo_identical, row
         assert row.batch_verified, row
         assert row.warmed_verified, row
 
@@ -54,8 +52,3 @@ def test_witness_engine(benchmark, size_small):
     benchmark.extra_info["open_all_speedup"] = round(open_all.speedup, 2)
     assert open_all.identical, open_all
     assert open_all.speedup >= 2.0, open_all
-
-    coalesce = rows["coalesce"]
-    benchmark.extra_info["coalesce_dedup"] = coalesce.deduped
-    assert coalesce.identical, coalesce
-    assert coalesce.deduped > 0, coalesce

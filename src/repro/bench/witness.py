@@ -1,32 +1,27 @@
-"""Batch witness engine benchmark: D&C openings, coalescing, warming.
+"""Batch witness engine benchmark: D&C openings and cache warming.
 
-Quantifies the three layers of the batch witness engine on top of the
+Quantifies the two layers of the batch witness engine on top of the
 PR-2 fast path:
 
 * **divide-and-conquer openings** — :func:`repro.crypto.vc.open_all`
   computes every slot opening of one commitment in ``O(k log k)``
   multiplications versus ``O(k^2)`` for per-slot openings with cold
   tables (the ``open_all`` micro row, gated >= 2x in CI);
-* **proof coalescing** — the :class:`repro.sp.scheduler.WitnessScheduler`
-  dedupes concurrent opening requests and batches them per commitment
-  (the ``coalesce`` micro row reports dedup counts and latency);
 * **cache warming** — the :class:`repro.sp.warmer.CacheWarmer`
   pre-verifies hot keywords' proofs into the shared verification cache,
   collapsing the post-insert cold query to warm-cache latency (the
   per-scheme ``warmed_cold_ms`` column; CI gates the CI scheme at
   >= 5x over the PR-2 fast-path cold pass).
 
-Every mode must stay *bit-compatible*: the per-scheme rows assert that
-the VO produced after batched ingest is byte-identical to the
-sequential one and that client verification passes in batched and
-warmed modes.  ``repro-bench --exp witness --json BENCH_witness.json``
-records the rows.
+The per-scheme rows also time batched ingest (``ingest_ms`` — for CI/CI*
+the data owner's trapdoor openings) and check that client verification
+passes from an empty cache and on the warmed system.
+``repro-bench --exp witness --json BENCH_witness.json`` records the rows.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import threading
 import time
 from dataclasses import dataclass
 
@@ -39,7 +34,6 @@ from repro.core.system import HybridStorageSystem
 from repro.crypto import vc
 from repro.crypto.numbers import clear_fixed_base_tables
 from repro.datasets.synthetic import dblp_like
-from repro.obs import collect
 
 #: Objects per batched DO transaction — sized so a chunk's on-chain
 #: work fits one block's gas budget across schemes.
@@ -59,9 +53,7 @@ class WitnessRow:
     fastpath_cold_ms: float  # fast path on, cold cache (PR-2 baseline)
     fastpath_cached_ms: float  # fast path on, warm cache
     warmed_cold_ms: float  # first query after background warming
-    ingest_sequential_ms: float  # batched tx path, per-insert witnesses
-    ingest_batched_ms: float  # batched tx path, scheduled witnesses
-    vo_identical: bool  # batched-ingest VO == sequential-ingest VO
+    ingest_ms: float  # batched transactions of INGEST_CHUNK objects
     batch_verified: bool  # client verification after batched ingest
     warmed_verified: bool  # client verification on the warmed system
 
@@ -102,34 +94,6 @@ class OpenAllRow:
         return data
 
 
-@dataclass
-class CoalesceRow:
-    """Scheduler micro: overlapping requests from concurrent threads."""
-
-    threads: int
-    keywords: int
-    slots_per_keyword: int
-    requests: int  # total registrations across threads
-    deduped: int  # registrations absorbed by in-flight futures
-    openings: int  # distinct openings actually computed
-    coalesced_ms: float  # register from N threads + one flush
-    uncoalesced_ms: float  # every registration computed independently
-    identical: bool  # coalesced proofs == independent proofs
-
-    @property
-    def speedup(self) -> float:
-        return (
-            self.uncoalesced_ms / self.coalesced_ms
-            if self.coalesced_ms
-            else 0.0
-        )
-
-    def to_json(self) -> dict:
-        data = dataclasses.asdict(self)
-        data["speedup"] = self.speedup
-        return data
-
-
 def _timed_pass(system: HybridStorageSystem, query, answer) -> float:
     """One verification pass against the system's *current* cache."""
     ps = system.chain_proof_system(query.all_keywords())
@@ -143,51 +107,28 @@ def measure_witness(
 ) -> WitnessRow:
     """Engine-mode comparison for one scheme.
 
-    Builds two systems over the same corpus — sequential witnesses
-    versus the batching scheduler — checks their VOs byte-for-byte, and
-    measures the cold query after warming against the PR-2 fast-path
-    numbers from :func:`repro.bench.fastpath.measure_fastpath`.
+    Ingests the corpus in batched transactions and measures the cold
+    query after warming against the PR-2 fast-path numbers from
+    :func:`repro.bench.fastpath.measure_fastpath`.
     """
     fast: FastpathRow = measure_fastpath(scheme, size, repeats, seed)
     objects = list(dblp_like(size, seed=seed).objects())
-    # One block's gas bounds the batch; both systems ingest in the same
-    # chunks so only the witness path differs.
-    chunks = [
-        objects[start:start + INGEST_CHUNK]
-        for start in range(0, len(objects), INGEST_CHUNK)
-    ]
-
-    sequential = HybridStorageSystem(
-        scheme=scheme,
-        seed=seed,
-        cvc_modulus_bits=BENCH_CVC_BITS,
-        witness_batching=False,
-    )
-    t0 = time.perf_counter()
-    for chunk in chunks:
-        sequential.add_objects_batched(chunk)
-    ingest_sequential = time.perf_counter() - t0
-
     batched = HybridStorageSystem(
         scheme=scheme,
         seed=seed,
         cvc_modulus_bits=BENCH_CVC_BITS,
-        witness_batching=True,
         witness_warmer=True,
         warm_hot_threshold=0,
     )
-    t1 = time.perf_counter()
-    for chunk in chunks:
-        batched.add_objects_batched(chunk)
-    ingest_batched = time.perf_counter() - t1
+    t0 = time.perf_counter()
+    # One block's gas bounds the batch.
+    for start in range(0, len(objects), INGEST_CHUNK):
+        batched.add_objects_batched(objects[start:start + INGEST_CHUNK])
+    ingest = time.perf_counter() - t0
 
     text = _hot_query(objects)
     query = KeywordQuery.parse(text)
-    answer_seq = sequential.process_query(query)
     answer_batch = batched.process_query(query)
-    vo_identical = sequential._codec.encode(
-        answer_seq.vo
-    ) == batched._codec.encode(answer_batch.vo)
 
     # Batch-mode client verification from scratch: empty cache, so a
     # wrong batched witness cannot hide behind a prior verification.
@@ -212,21 +153,18 @@ def measure_witness(
     )
     warmed_verified = batched.query(text).verified
 
-    sequential.close()
     batched.close()
     return WitnessRow(
         scheme=scheme,
         corpus_size=size,
         repeats=repeats,
         query=text,
-        results=len(answer_seq.result_ids),
+        results=len(answer_batch.result_ids),
         naive_cold_ms=fast.naive_ms,
         fastpath_cold_ms=fast.fast_first_ms,
         fastpath_cached_ms=fast.fast_cached_ms,
         warmed_cold_ms=1e3 * warmed,
-        ingest_sequential_ms=1e3 * ingest_sequential,
-        ingest_batched_ms=1e3 * ingest_batched,
-        vo_identical=vo_identical,
+        ingest_ms=1e3 * ingest,
         batch_verified=batch_verified,
         warmed_verified=warmed_verified,
     )
@@ -270,82 +208,6 @@ def measure_open_all(
     )
 
 
-def measure_coalescing(
-    size: int = 60,
-    threads: int = 8,
-    keywords: int = 3,
-    seed: int = 7,
-) -> CoalesceRow:
-    """Concurrent overlapping requests through one scheduler.
-
-    ``threads`` workers all request the same ``keywords x slots``
-    openings; the scheduler computes each exactly once.  The
-    uncoalesced baseline computes every registration independently —
-    what per-request serving would have done.
-    """
-    from repro.sp.scheduler import WitnessScheduler, tree_aux_source
-
-    system = HybridStorageSystem(
-        scheme="ci", seed=seed, cvc_modulus_bits=BENCH_CVC_BITS
-    )
-    for obj in dblp_like(size, seed=seed).objects():
-        system.add_object(obj)
-    owner = system._do
-    chosen = sorted(owner.trees)[:keywords]
-    pp = system._cvc.pp
-    slots = list(range(1, pp.arity + 1))
-    requests = [(kw, 0, slot) for kw in chosen for slot in slots]
-
-    with collect() as col:
-        scheduler = WitnessScheduler(tree_aux_source(owner), pp)
-        futures: list = []
-        futures_lock = threading.Lock()
-
-        def register() -> None:
-            got = scheduler.request_many(requests)
-            with futures_lock:
-                futures.extend(got)
-
-        t0 = time.perf_counter()
-        workers = [
-            threading.Thread(target=register) for _ in range(threads)
-        ]
-        for worker in workers:
-            worker.start()
-        for worker in workers:
-            worker.join()
-        scheduler.flush()
-        coalesced = {
-            key: future.result()
-            for key, future in zip(requests * threads, futures)
-        }
-        coalesced_s = time.perf_counter() - t0
-        snap = col.metrics.snapshot()
-
-    t1 = time.perf_counter()
-    independent: dict = {}
-    for key in requests * threads:
-        keyword, position, slot = key
-        aux = owner.trees[keyword].aux_at(position)
-        independent[key] = vc.open_many(
-            pp, [slot], aux, strategy="per-slot"
-        )[slot]
-    uncoalesced_s = time.perf_counter() - t1
-    system.close()
-
-    return CoalesceRow(
-        threads=threads,
-        keywords=len(chosen),
-        slots_per_keyword=len(slots),
-        requests=int(snap.get("sp.batch.requests", 0)),
-        deduped=int(snap.get("sp.batch.deduped", 0)),
-        openings=int(snap.get("sp.batch.openings", 0)),
-        coalesced_ms=1e3 * coalesced_s,
-        uncoalesced_ms=1e3 * uncoalesced_s,
-        identical=coalesced == independent,
-    )
-
-
 def experiment_witness(
     size: int = 150,
     repeats: int = 4,
@@ -357,7 +219,6 @@ def experiment_witness(
         measure_witness(scheme, size, repeats, seed) for scheme in schemes
     ]
     open_all_row = measure_open_all(seed=seed)
-    coalesce_row = measure_coalescing(seed=seed)
 
     print(
         f"\nBatch witness engine — repeated-entry DNF query "
@@ -365,14 +226,14 @@ def experiment_witness(
     )
     print(
         f"{'scheme':<8}{'naive (ms)':>12}{'fast cold':>11}"
-        f"{'cached':>9}{'warmed':>9}{'warm x':>8}{'VO==':>7}{'ok':>7}"
+        f"{'cached':>9}{'warmed':>9}{'warm x':>8}{'ingest':>9}{'ok':>7}"
     )
     for row in rows:
         print(
             f"{SCHEME_LABELS[row.scheme]:<8}{row.naive_cold_ms:>12.2f}"
             f"{row.fastpath_cold_ms:>11.2f}{row.fastpath_cached_ms:>9.2f}"
             f"{row.warmed_cold_ms:>9.2f}{row.speedup_cold:>8.1f}"
-            f"{str(row.vo_identical):>7}"
+            f"{row.ingest_ms:>9.1f}"
             f"{str(row.batch_verified and row.warmed_verified):>7}"
         )
     print(
@@ -382,16 +243,7 @@ def experiment_witness(
         f"D&C {open_all_row.batch_cold_ms:.1f} ms "
         f"({open_all_row.speedup:.1f}x, identical={open_all_row.identical})"
     )
-    print(
-        f"coalescing micro ({coalesce_row.threads} threads, "
-        f"{coalesce_row.requests} requests): {coalesce_row.deduped} deduped, "
-        f"{coalesce_row.openings} computed; "
-        f"coalesced {coalesce_row.coalesced_ms:.1f} ms vs independent "
-        f"{coalesce_row.uncoalesced_ms:.1f} ms "
-        f"({coalesce_row.speedup:.1f}x, identical={coalesce_row.identical})"
-    )
     return {
         "schemes": rows,
         "open_all": open_all_row,
-        "coalesce": coalesce_row,
     }

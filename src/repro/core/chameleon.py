@@ -55,40 +55,6 @@ def child_position(parent: int, j: int, arity: int) -> int:
 
 
 @dataclass(frozen=True)
-class StagedInsertion:
-    """An insertion whose collisions are applied but openings deferred.
-
-    Chameleon openings are unique group elements (each slot exponent is
-    coprime to the group order, so ``x -> x^e`` is a bijection): the
-    opening of a slot depends only on the commitment and the slot's
-    content, never on *when* it is computed.  A batch can therefore
-    apply every collision first and compute all openings afterwards —
-    per commitment, through one divide-and-conquer pass — and still
-    produce byte-identical witnesses to the one-at-a-time path.
-    """
-
-    position: int
-    object_id: int
-    object_hash: bytes
-    commitment: int  # c_pos
-    parent_position: int
-    child_index: int  # j, 1-based
-
-    def to_proof(self, slot1_proof: int, parent_link_proof: int) -> "InsertionProof":
-        """Finish the insertion proof once the openings arrive."""
-        return InsertionProof(
-            position=self.position,
-            object_id=self.object_id,
-            object_hash=self.object_hash,
-            commitment=self.commitment,
-            slot1_proof=slot1_proof,
-            parent_link_proof=parent_link_proof,
-            parent_position=self.parent_position,
-            child_index=self.child_index,
-        )
-
-
-@dataclass(frozen=True)
 class InsertionProof:
     """What the DO hands the SP for one inserted object (Algorithm 4).
 
@@ -436,22 +402,6 @@ class ChameleonTreeDO:
         randomiser = node_randomness(self.prf_key, position, self.keyword)
         return self.cvc.commit_empty(randomiser)
 
-    def snapshot(self) -> tuple[int, dict[int, vc.CVCAux], dict[int, int]]:
-        """Capture the mutable tree state for transactional rollback.
-
-        Shallow copies suffice: ``insert`` replaces aux objects rather
-        than mutating them in place.
-        """
-        return self.count, dict(self._aux), dict(self._commitments)
-
-    def restore(
-        self, state: tuple[int, dict[int, vc.CVCAux], dict[int, int]]
-    ) -> None:
-        """Roll the tree back to a previously captured snapshot."""
-        self.count, aux, commitments = state
-        self._aux = dict(aux)
-        self._commitments = dict(commitments)
-
     def aux_at(self, position: int) -> vc.CVCAux:
         """The auxiliary information for one node (witness computation)."""
         aux = self._aux.get(position)
@@ -459,48 +409,49 @@ class ChameleonTreeDO:
             raise ReproError(f"no node at position {position}")
         return aux
 
-    def stage_insert(self, object_id: int, object_hash: bytes) -> StagedInsertion:
-        """Algorithm 4's collision half: splice the object in, defer opens.
+    def insert(self, object_id: int, object_hash: bytes) -> InsertionProof:
+        """Algorithm 4: add an object, returning its insertion proof.
 
-        Applies both trapdoor collisions (the new node's slot 1 and its
-        parent's child slot) and updates the tree state; the two
-        openings — state-independent, see :class:`StagedInsertion` —
-        are left for the caller to compute, typically batched per
-        commitment across a whole ingest batch.
+        Two trapdoor collisions splice the object into the fixed
+        commitments (the new node's slot 1, its parent's child slot) and
+        two trapdoor openings prove them.  The tree changes only once
+        both proofs exist.
         """
-        self.count += 1
-        pos = self.count
+        pos = self.count + 1
         c_pos, aux_pos = self._fresh_node(pos)
         entry = entry_digest(object_id, object_hash)
         aux_pos = self.cvc.collide(c_pos, 1, None, entry, aux_pos, check=False)
         par, j = parent_position(pos, self.arity)
-        c_par = self._commitments[par]
         aux_par = self.cvc.collide(
-            c_par, j + 1, None, c_pos, self._aux[par], check=False
+            self._commitments[par], j + 1, None, c_pos, self._aux[par], check=False
         )
-        self._aux[pos] = aux_pos
-        self._aux[par] = aux_par
-        self._commitments[pos] = c_pos
-        return StagedInsertion(
+        proof = InsertionProof(
             position=pos,
             object_id=object_id,
             object_hash=object_hash,
             commitment=c_pos,
+            slot1_proof=self.cvc.open_held(1, aux_pos),
+            parent_link_proof=self.cvc.open_held(j + 1, aux_par),
             parent_position=par,
             child_index=j,
         )
+        self._aux[pos] = aux_pos
+        self._aux[par] = aux_par
+        self._commitments[pos] = c_pos
+        self.count = pos
+        return proof
 
-    def insert(self, object_id: int, object_hash: bytes) -> InsertionProof:
-        """Algorithm 4: add an object, returning its insertion proof."""
-        staged = self.stage_insert(object_id, object_hash)
-        entry = entry_digest(object_id, object_hash)
-        pi_pos = self.cvc.open(1, entry, self._aux[staged.position])
-        rho = self.cvc.open(
-            staged.child_index + 1,
-            staged.commitment,
-            self._aux[staged.parent_position],
-        )
-        return staged.to_proof(pi_pos, rho)
+    def retract(self, position: int, parent_aux: vc.CVCAux) -> None:
+        """Undo the insertion at ``position``, the tree's latest.
+
+        ``parent_aux`` is what the parent held before it (``insert``
+        replaces aux objects, never mutates them).  Safe to call whether
+        or not the insertion got as far as changing the tree.
+        """
+        self._aux.pop(position, None)
+        self._commitments.pop(position, None)
+        self._aux[parent_position(position, self.arity)[0]] = parent_aux
+        self.count = position - 1
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,7 @@ from repro.core.chameleon import (
     ChameleonTreeSP,
     MembershipProof,
     NodeRef,
+    parent_position,
     verify_position,
 )
 from repro.core.objects import ObjectMetadata
@@ -154,11 +155,14 @@ class ChameleonDataOwner:
             )
         return self.trees[keyword], created
 
-    def insert(self, metadata: ObjectMetadata):
+    def insert(self, metadata: ObjectMetadata, undo: list | None = None):
         """Run Algorithm 4 for every keyword of a new object.
 
         Returns ``(insertion_proofs, count_updates, new_keywords)`` where
         ``new_keywords`` maps first-seen keywords to their ``c_0``.
+        ``undo``, when given, receives one record per insertion — the
+        keyword, the new position and the aux its parent held before —
+        which is all :meth:`rollback` needs should the receipt fail.
         """
         proofs = {}
         counts = []
@@ -167,84 +171,33 @@ class ChameleonDataOwner:
             tree, created = self.tree_for(keyword)
             if created:
                 new_keywords[keyword] = tree.root_commitment
+            if undo is not None:
+                position = tree.count + 1
+                parent, _ = parent_position(position, self.arity)
+                undo.append((keyword, position, tree.aux_at(parent)))
             proofs[keyword] = tree.insert(
                 metadata.object_id, metadata.object_hash
             )
             counts.append(CountUpdate(keyword=keyword, count=tree.count))
         return proofs, counts, new_keywords
 
-    def insert_many(self, metadatas: list[ObjectMetadata], scheduler=None):
-        """Batched Algorithm 4: stage all collisions, batch the openings.
+    def insert_many(self, metadatas: list[ObjectMetadata], undo: list):
+        """:meth:`insert` for each object of a transaction, under one span."""
+        with obs.span("do.open", objects=len(metadatas)):
+            return [self.insert(metadata, undo) for metadata in metadatas]
 
-        Per metadata, returns the same ``(proofs, counts, new_keywords)``
-        triple as :meth:`insert` — with byte-identical witnesses, since
-        chameleon openings do not depend on the aux state they are
-        computed from.  The win is in *how* they are computed: all
-        collisions are applied first, then every opening request is
-        routed through a :class:`~repro.sp.scheduler.WitnessScheduler`
-        (one is created if not supplied), which groups the requests per
-        commitment — a node inserted in this batch that also gained
-        children needs several slots of one commitment — and computes
-        each group with a single divide-and-conquer pass.
+    def rollback(self, undo: list) -> None:
+        """Take back every insertion recorded in ``undo`` (failed receipt).
+
+        Costs one step per record, whatever the trees' sizes.  A tree
+        whose first position is taken back was created by the failed
+        batch — the chain never saw its ``c_0`` — and is forgotten.
         """
-        if scheduler is None:
-            # Imported lazily: repro.sp imports this module at load time.
-            from repro.sp.scheduler import WitnessScheduler, tree_aux_source
-
-            scheduler = WitnessScheduler(tree_aux_source(self), self.cvc.pp)
-        staged_batch = []
-        with obs.span("do.insert_many", objects=len(metadatas)):
-            for metadata in metadatas:
-                staged = {}
-                counts = []
-                new_keywords = {}
-                for keyword in metadata.keywords:
-                    tree, created = self.tree_for(keyword)
-                    if created:
-                        new_keywords[keyword] = tree.root_commitment
-                    record = tree.stage_insert(
-                        metadata.object_id, metadata.object_hash
-                    )
-                    pi_future = scheduler.request(keyword, record.position, 1)
-                    rho_future = scheduler.request(
-                        keyword, record.parent_position, record.child_index + 1
-                    )
-                    staged[keyword] = (record, pi_future, rho_future)
-                    counts.append(
-                        CountUpdate(keyword=keyword, count=tree.count)
-                    )
-                staged_batch.append((staged, counts, new_keywords))
-            scheduler.flush()
-            results = []
-            for staged, counts, new_keywords in staged_batch:
-                proofs = {
-                    keyword: record.to_proof(
-                        pi_future.result(), rho_future.result()
-                    )
-                    for keyword, (record, pi_future, rho_future) in staged.items()
-                }
-                results.append((proofs, counts, new_keywords))
-        return results
-
-    def snapshot(self, keywords) -> dict:
-        """Capture the state of every tree touched by ``keywords``.
-
-        ``None`` marks a keyword whose tree does not exist yet, so
-        :meth:`restore` can delete trees created after the snapshot.
-        """
-        snap: dict[str, tuple | None] = {}
-        for keyword in keywords:
-            tree = self.trees.get(keyword)
-            snap[keyword] = None if tree is None else tree.snapshot()
-        return snap
-
-    def restore(self, snap: dict) -> None:
-        """Roll the owner back to a :meth:`snapshot` (failed receipt)."""
-        for keyword, state in snap.items():
-            if state is None:
-                self.trees.pop(keyword, None)
-            elif keyword in self.trees:
-                self.trees[keyword].restore(state)
+        while undo:
+            keyword, position, parent_aux = undo.pop()
+            self.trees[keyword].retract(position, parent_aux)
+            if position == 1:
+                del self.trees[keyword]
 
 
 @dataclass

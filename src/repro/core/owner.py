@@ -2,8 +2,8 @@
 
 The DO side of Fig. 1, extracted from the old ``core/system.py``
 monolith: for each new object it builds the scheme's on-chain
-transaction(s), snapshots and rolls back its own off-chain state when a
-receipt fails, and — only after confirmation — streams the resulting
+transaction(s), rolls back its own off-chain state when a receipt
+fails, and — only after confirmation — streams the resulting
 mirror updates (tree postings, root commitments, insertion proofs,
 Bloom additions) into the storage provider it was wired to.
 
@@ -11,10 +11,10 @@ The pipeline never touches the raw object payloads: homing those on the
 SP (and the surrounding gas accounting, mining cadence and telemetry)
 stays with the :class:`~repro.core.system.HybridStorageSystem` facade.
 
-For the Chameleon family, a single persistent
-:class:`~repro.sp.scheduler.WitnessScheduler` lives here rather than in
-the shard engines: CVC openings need the trapdoor-side aux state, which
-never leaves the data owner, so shards always receive finished proofs.
+For the Chameleon family every opening is computed here, not in the
+shard engines: it needs the trapdoor and the per-node aux state, neither
+of which ever leaves the data owner, so shards always receive finished
+proofs.
 """
 
 from __future__ import annotations
@@ -46,26 +46,12 @@ class DataOwnerPipeline:
         sp,
         value_bytes: int,
         do: ChameleonDataOwner | None = None,
-        witness_batching: bool = True,
     ) -> None:
         self.scheme = scheme
         self.chain = chain
         self.sp = sp
         self.value_bytes = value_bytes
         self.do = do
-        self.witness_batching = witness_batching
-        self._scheduler = None
-
-    def _witness_scheduler(self):
-        """The persistent cross-batch witness scheduler (Chameleon)."""
-        if self._scheduler is None:
-            # Imported lazily: repro.sp imports core modules at load time.
-            from repro.sp.scheduler import WitnessScheduler, tree_aux_source
-
-            self._scheduler = WitnessScheduler(
-                tree_aux_source(self.do), self.do.cvc.pp
-            )
-        return self._scheduler
 
     # -- single-object pipeline --------------------------------------------------
 
@@ -109,11 +95,14 @@ class DataOwnerPipeline:
             return [register, update_tx]
 
         # Chameleon family.  The DO's off-chain state mutates while
-        # building the transaction, so snapshot it and roll back when
-        # the receipt fails — otherwise the DO and the chain diverge.
-        do_snapshot = self.do.snapshot(metadata.keywords)
+        # building the transaction, so record how to undo it and roll
+        # back when the receipt fails — otherwise the DO and the chain
+        # diverge.
+        undo: list = []
         try:
-            proofs, counts, new_keywords = self.do.insert(metadata)
+            ((proofs, counts, new_keywords),) = self.do.insert_many(
+                [metadata], undo
+            )
             new_kw_list = sorted(new_keywords.items())
             payload = metadata.payload_bytes()
             payload += b"".join(
@@ -134,10 +123,10 @@ class DataOwnerPipeline:
                 payload=payload,
             )
         except BaseException:
-            self.do.restore(do_snapshot)
+            self.do.rollback(undo)
             raise
         if not receipt.status:
-            self.do.restore(do_snapshot)
+            self.do.rollback(undo)
         else:
             self._mirror_chameleon(metadata, proofs, new_kw_list)
         return [receipt]
@@ -170,19 +159,13 @@ class DataOwnerPipeline:
         Returns the receipt and the set of touched keywords.
         """
         touched = {kw for m in metadatas for kw in m.keywords}
-        do_snapshot = self.do.snapshot(touched)
+        undo: list = []
         batch = []
         payload = b""
         sp_work = []
         try:
-            if self.witness_batching:
-                do_results = self.do.insert_many(
-                    metadatas, scheduler=self._witness_scheduler()
-                )
-            else:
-                do_results = [self.do.insert(m) for m in metadatas]
             for metadata, (proofs, counts, new_keywords) in zip(
-                metadatas, do_results
+                metadatas, self.do.insert_many(metadatas, undo)
             ):
                 new_kw_list = sorted(new_keywords.items())
                 batch.append(
@@ -207,15 +190,10 @@ class DataOwnerPipeline:
                 "do", ADS_CONTRACT, "insert_objects", batch, payload=payload
             )
         except BaseException:
-            self.do.restore(do_snapshot)
-            # A mid-staging failure can strand unflushed opening
-            # requests whose positions the rollback just removed;
-            # start the next batch with a clean scheduler.
-            self._scheduler = None
+            self.do.rollback(undo)
             raise
         if not receipt.status:
-            self.do.restore(do_snapshot)
-            self._scheduler = None
+            self.do.rollback(undo)
             raise ChainError(f"batched insertion failed: {receipt.error}")
         for metadata, proofs, new_kw_list in sp_work:
             self._mirror_chameleon(metadata, proofs, new_kw_list)

@@ -56,7 +56,6 @@ _CONFIG_FIELDS = (
     "join_plan",
     "track_state",
     "verify_cache_size",
-    "witness_batching",
     "witness_warmer",
     "warm_hot_threshold",
     "shards",
@@ -170,6 +169,9 @@ def load_system(
         raise ReproError(f"no manifest at {manifest_path}")
     manifest = json.loads(manifest_path.read_text())
     kwargs = _kwargs_from_manifest(manifest)
+    # Written by older builds; it chose between two ingest opening paths
+    # that produced the same bytes, and there is one path now.
+    kwargs.pop("witness_batching", None)
     declared_engine = kwargs.get("engine")
     if declared_engine == "disk":
         if engine_dir is None:

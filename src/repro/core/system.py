@@ -150,10 +150,7 @@ class HybridStorageSystem:
     per tree (the compressed frame), 2 preserves the legacy per-path VO
     byte-for-byte (the Chameleon family is identical under both).
 
-    Batch-witness knobs: ``witness_batching`` routes batched ingestion
-    through the DO's staged insert + per-commitment divide-and-conquer
-    openings (byte-identical witnesses, fewer multiplications);
-    ``witness_warmer`` attaches per-shard
+    Witness knobs: ``witness_warmer`` attaches per-shard
     :class:`~repro.sp.warmer.CacheWarmer` instances that pre-verify hot
     keywords' proofs into the verification cache on insert and on a
     trailing access signal (``warm_hot_threshold`` accesses; 0 warms
@@ -178,7 +175,6 @@ class HybridStorageSystem:
         executor: str | Executor = "serial",
         executor_workers: int | None = None,
         verify_cache_size: int = DEFAULT_CACHE_SIZE,
-        witness_batching: bool = True,
         witness_warmer: bool = False,
         warm_hot_threshold: int = 0,
         shards: int = 1,
@@ -198,7 +194,6 @@ class HybridStorageSystem:
         self.gas_limit = gas_limit
         self.track_state = track_state
         self.verify_cache_size = verify_cache_size
-        self.witness_batching = witness_batching
         self.witness_warmer = witness_warmer
         self.warm_hot_threshold = warm_hot_threshold
         self.shards = shards
@@ -288,7 +283,6 @@ class HybridStorageSystem:
             sp=self._sp,
             value_bytes=self.value_bytes,
             do=do,
-            witness_batching=witness_batching,
         )
         self._object_count = self._sp.object_count()  # disk-engine replay
         self.warmer = None
@@ -647,14 +641,16 @@ class HybridStorageSystem:
     def prewarm_crypto(self) -> int:
         """Scheme-aware table setup: build the CVC fixed-base tables early.
 
-        The Chameleon schemes exponentiate the same public bases on
-        every commit/verify, so building their windowed tables ahead of
-        the first query moves that one-off cost out of the cold path.
-        Merkle-only schemes hash — they have no tables to build and
-        skip the setup entirely.  Returns the number of tables touched.
+        The Chameleon schemes exponentiate the same bases on every
+        commit/verify (the public slot bases) and on every opening (the
+        group base, through the data owner's trapdoor kernel), so
+        building those tables ahead of the first insert and query moves
+        the one-off cost out of the cold path.  Merkle-only schemes hash
+        — they have no tables to build and skip the setup entirely.
+        Returns the number of tables touched.
         """
         if self.uses_cvc:
-            return vc.prewarm_tables(self._cvc.pp, pairs=True)
+            return self._cvc.prewarm()
         return 0
 
     def compact(self) -> dict:

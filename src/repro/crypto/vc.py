@@ -22,6 +22,13 @@ with a trapdoor extension:
   Computing ``(P/e_0)^{-1} mod phi(N)`` requires the factorisation of
   ``N`` — that factorisation is the trapdoor ``td``.  Without it, forging
   an opening requires extracting ``e_i``-th roots (strong-RSA hard).
+* The trapdoor holder — the data owner, the only party that ever opens a
+  commitment on ingest — need not walk the public pair bases: knowing
+  ``phi(N)`` it folds the whole opening into *one* exponent,
+  ``L_i = a^{sum_{j != i} w_j * P/(e_i e_j) mod phi}``, and raises ``a`` to
+  it over the two half-width prime fields (:class:`TrapdoorKernel`).
+  ``x -> x^{e_i}`` is a bijection (``e_i`` is coprime to ``phi``), so the
+  opening is a unique group element and both routes return the same one.
 
 The security game of Definition 1/2 is unchanged: position binding under
 strong RSA replaces position binding under CDH.  The performance property
@@ -35,13 +42,15 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from contextlib import contextmanager
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
+from typing import NoReturn
 
 from repro import obs
 from repro.crypto.hashing import DIGEST_SIZE, sha3
 from repro.crypto.numbers import (
     FIXED_BASE_CACHE_SIZE,
+    CRTFixedBase,
     FixedBaseTable,
     RandomSource,
     batch_openings,
@@ -196,10 +205,14 @@ class CVCPublicParams:
 
 @dataclass(frozen=True)
 class CVCTrapdoor:
-    """The secret trapdoor ``td``: the factorisation of the modulus."""
+    """The secret trapdoor ``td``: the factorisation of the modulus.
 
-    p: int
-    q: int
+    The factors stay out of ``repr`` so a logged or asserted-on object
+    never prints them.
+    """
+
+    p: int = field(repr=False)
+    q: int = field(repr=False)
 
     @property
     def phi(self) -> int:
@@ -333,29 +346,7 @@ def open_slot(pp: CVCPublicParams, slot: int, message: Message, aux: CVCAux) -> 
         raise CommitmentError(
             f"aux holds a different message at slot {slot}; cannot open"
         )
-    if _FASTPATH_ENABLED and aux.randomiser >= 0:
-        pairs = [(pp.pair_base(0, slot), aux.randomiser)]
-        tables: list[FixedBaseTable | None] = [_pair_table(pp, 0, slot)]
-        for other in range(1, pp.arity + 1):
-            if other == slot:
-                continue
-            z_other = aux.messages[other - 1]
-            if z_other:
-                pairs.append((pp.pair_base(other, slot), z_other))
-                tables.append(_pair_table(pp, other, slot))
-        return multi_exp(pairs, pp.modulus, tables=tables)
-    proof = pow(pp.pair_base(0, slot), aux.randomiser, pp.modulus)
-    for other in range(1, pp.arity + 1):
-        if other == slot:
-            continue
-        z_other = aux.messages[other - 1]
-        if z_other:
-            proof = (
-                proof
-                * pow(pp.pair_base(other, slot), z_other, pp.modulus)
-                % pp.modulus
-            )
-    return proof
+    return _open_encoded(pp, slot, aux)
 
 
 def _pair_tables_warm(pp: CVCPublicParams, slots: list[int]) -> bool:
@@ -526,6 +517,107 @@ def verify(
     return lhs == commitment
 
 
+class TrapdoorKernel:
+    """``Open`` and ``CCol`` as the holder of ``td`` computes them.
+
+    Knowing ``phi(N)``, every exponent over the group base ``a`` reduces
+    to one residue, so an opening is a single exponentiation and a
+    collision is one multiplication: ``P/(e_i e_j) mod phi`` and
+    ``(P/e_i)(P/e_0)^{-1} mod phi`` are fixed per ``(pp, td)`` and
+    computed here once.  The two-prime table for ``a`` is built on the
+    first opening (a collision alone never needs it).
+
+    Outputs are the group elements :func:`open_slot` and the definition
+    of ``CCol`` give — the public functions stay the reference the tests
+    compare against.  The kernel *is* the trapdoor: it refuses to be
+    pickled or copied, so it cannot ride a worker pipe or a manifest.
+    """
+
+    def __init__(self, pp: CVCPublicParams, td: CVCTrapdoor) -> None:
+        phi = td.phi
+        product = math.prod(pp.exponents)
+        self._pp = pp
+        self._td = td
+        self._phi = phi
+        #: ``P/(e_i e_j) mod phi``; the diagonal is never read.
+        self._pair = [
+            [
+                0 if e_i == e_j else product // (e_i * e_j) % phi
+                for e_j in pp.exponents
+            ]
+            for e_i in pp.exponents
+        ]
+        inverse = mod_inverse(product // pp.randomiser_exponent % phi, phi)
+        #: How far one unit less of slot ``i``'s message moves the
+        #: randomiser: ``(P/e_i) (P/e_0)^{-1} mod phi``.
+        self._shift = [product // e % phi * inverse % phi for e in pp.exponents]
+        # Legacy parameters did not retain ``a``; the trapdoor recovers it
+        # from ``S_0 = a^{P/e_0}``.
+        self._base = pp.base or pow(pp.slot_bases[0], inverse, pp.modulus)
+
+    def __reduce_ex__(self, protocol: object) -> NoReturn:
+        raise TrapdoorRequiredError(
+            "the trapdoor kernel stays with the data owner: it cannot be "
+            "pickled or copied"
+        )
+
+    @cached_property
+    def _power(self) -> CRTFixedBase:
+        return CRTFixedBase(self._base, self._td.p, self._td.q)
+
+    def prewarm(self) -> int:
+        """Build the two-prime table now; returns the tables it holds."""
+        _ = self._power
+        return 2
+
+    def open(self, slot: int, aux: CVCAux) -> int:
+        """The opening of ``slot`` to the message ``aux`` holds there."""
+        self._pp._check_slot(slot)
+        row = self._pair[slot]
+        exponent = aux.randomiser * row[0]
+        for other, z in enumerate(aux.messages, start=1):
+            if z and other != slot:
+                exponent += z * row[other]
+        obs.inc("vc.batch.openings")
+        return self._power.pow(exponent)
+
+    def collide(
+        self,
+        commitment: int,
+        slot: int,
+        old_message: Message,
+        new_message: Message,
+        aux: CVCAux,
+        check: bool = True,
+    ) -> CVCAux:
+        """``CCol``: see :func:`find_collision`."""
+        pp = self._pp
+        pp._check_slot(slot)
+        z_old = encode_message(old_message)
+        z_new = encode_message(new_message)
+        if aux.message_at(slot) != z_old:
+            raise CommitmentError(
+                f"aux does not hold the claimed old message at slot {slot}"
+            )
+        # Solve (P/e_0)(r' - r) == (P/e_i)(z_old - z_new)  (mod phi).
+        new_messages = list(aux.messages)
+        new_messages[slot - 1] = z_new
+        new_aux = CVCAux(
+            messages=new_messages,
+            randomiser=(aux.randomiser + self._shift[slot] * (z_old - z_new))
+            % self._phi,
+        )
+        if check:
+            # Defensive self-check: the commitment must be preserved.
+            recomputed, _ = _recommit(pp, new_aux)
+            if recomputed != commitment:
+                raise CommitmentError(
+                    "collision finding failed to preserve the commitment; "
+                    "the supplied aux/commitment pair is inconsistent"
+                )
+        return new_aux
+
+
 def find_collision(
     pp: CVCPublicParams,
     td: CVCTrapdoor | None,
@@ -542,35 +634,14 @@ def find_collision(
     ``aux`` now opens slot ``i`` to ``new_message``.  Requires ``td``.
     ``check=False`` skips the defensive recommit self-check for callers
     whose inputs are consistent by construction (the DO's hot path).
+    A caller with many collisions to find keeps a
+    :class:`ChameleonVectorCommitment`, whose kernel is built once.
     """
     if td is None:
         raise TrapdoorRequiredError("collision finding requires the trapdoor")
-    pp._check_slot(slot)
-    z_old = encode_message(old_message)
-    z_new = encode_message(new_message)
-    if aux.message_at(slot) != z_old:
-        raise CommitmentError(
-            f"aux does not hold the claimed old message at slot {slot}"
-        )
-    phi = td.phi
-    product = math.prod(pp.exponents)
-    # Solve (P/e_0)(r' - r) == (P/e_i)(z_old - z_new)  (mod phi).
-    coeff = product // pp.slot_exponent(slot) % phi
-    inv_rand = mod_inverse(product // pp.randomiser_exponent % phi, phi)
-    delta = coeff * ((z_old - z_new) % phi) % phi
-    new_randomiser = (aux.randomiser + delta * inv_rand) % phi
-    new_messages = list(aux.messages)
-    new_messages[slot - 1] = z_new
-    new_aux = CVCAux(messages=new_messages, randomiser=new_randomiser)
-    if check:
-        # Defensive self-check: the commitment must be preserved.
-        recomputed, _ = _recommit(pp, new_aux)
-        if recomputed != commitment:
-            raise CommitmentError(
-                "collision finding failed to preserve the commitment; "
-                "the supplied aux/commitment pair is inconsistent"
-            )
-    return new_aux
+    return TrapdoorKernel(pp, td).collide(
+        commitment, slot, old_message, new_message, aux, check=check
+    )
 
 
 def _recommit(pp: CVCPublicParams, aux: CVCAux) -> tuple[int, CVCAux]:
@@ -643,6 +714,9 @@ class ChameleonVectorCommitment:
             self.td = _td
         else:
             self.pp, self.td = keygen(arity, modulus_bits=modulus_bits, seed=seed)
+        self._kernel = (
+            TrapdoorKernel(self.pp, self.td) if self.td is not None else None
+        )
 
     @property
     def arity(self) -> int:
@@ -654,8 +728,13 @@ class ChameleonVectorCommitment:
         """True when this instance can find collisions."""
         return self.td is not None
 
+    def _trapdoor_kernel(self) -> TrapdoorKernel:
+        if self._kernel is None:
+            raise TrapdoorRequiredError("this operation requires the trapdoor")
+        return self._kernel
+
     def public_view(self) -> "ChameleonVectorCommitment":
-        """A copy safe to hand to untrusted parties (no trapdoor)."""
+        """A copy safe to hand to untrusted parties (no trapdoor, no kernel)."""
         return ChameleonVectorCommitment(self.pp.arity, _pp=self.pp, _td=None)
 
     def commit(self, messages: list[Message], randomiser: int) -> tuple[int, CVCAux]:
@@ -669,6 +748,14 @@ class ChameleonVectorCommitment:
     def open(self, slot: int, message: Message, aux: CVCAux) -> int:
         """Open the commitment at a slot (produce a proof)."""
         return open_slot(self.pp, slot, message, aux)
+
+    def open_held(self, slot: int, aux: CVCAux) -> int:
+        """Open a slot to the message ``aux`` holds, with the trapdoor.
+
+        The same group element as :meth:`open`, as one half-width
+        exponentiation (:class:`TrapdoorKernel`); the data owner's path.
+        """
+        return self._trapdoor_kernel().open(slot, aux)
 
     def open_many(
         self, slots: list[int], aux: CVCAux, strategy: str = "auto"
@@ -684,6 +771,17 @@ class ChameleonVectorCommitment:
         """Check a proof; returns whether it is valid."""
         return verify(self.pp, commitment, slot, message, proof)
 
+    def prewarm(self) -> int:
+        """Build every table this party will use; returns how many.
+
+        The slot tables serve ``Com`` and ``Ver`` for everyone; the
+        trapdoor holder adds its kernel's two-prime table for ``Open``.
+        """
+        touched = prewarm_tables(self.pp)
+        if self._kernel is not None:
+            touched += self._kernel.prewarm()
+        return touched
+
     def collide(
         self,
         commitment: int,
@@ -693,16 +791,9 @@ class ChameleonVectorCommitment:
         aux: CVCAux,
         check: bool = True,
     ) -> CVCAux:
-        """Find a trapdoor collision for one slot."""
-        return find_collision(
-            self.pp,
-            self.td,
-            commitment,
-            slot,
-            old_message,
-            new_message,
-            aux,
-            check=check,
+        """Find a trapdoor collision for one slot (see :func:`find_collision`)."""
+        return self._trapdoor_kernel().collide(
+            commitment, slot, old_message, new_message, aux, check=check
         )
 
     def value_byte_size(self) -> int:

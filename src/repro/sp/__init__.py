@@ -39,7 +39,6 @@ from repro.sp.protocol import (
     RemoteQueryResult,
     StorageProviderServer,
 )
-from repro.sp.scheduler import WitnessScheduler, tree_aux_source
 from repro.sp.warmer import CacheWarmer, ShardedCacheWarmer
 
 __all__ = [
@@ -65,7 +64,5 @@ __all__ = [
     "RemoteClient",
     "RemoteQueryResult",
     "StorageProviderServer",
-    "WitnessScheduler",
     "make_engine",
-    "tree_aux_source",
 ]

@@ -6,9 +6,9 @@ verified against a *single* keyword's on-chain digest, so two keywords
 never share cryptographic state.  An :class:`IndexShardEngine` owns one
 such partition: the ADS instances of its keywords, the objects homed on
 it, and (when attached by the system facade) the cache warmer serving
-its keywords.  The witness scheduler stays with the data owner — CVC
-openings need the trapdoor-side aux state, which never leaves the DO —
-so shards receive ready-made insertion proofs like any SP does.
+its keywords.  Opening commitments stays with the data owner — it needs
+the trapdoor and the aux state, which never leave the DO — so shards
+receive ready-made insertion proofs like any SP does.
 
 Two implementations:
 

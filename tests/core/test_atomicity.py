@@ -95,6 +95,87 @@ class TestBatchedInsertAtomicity:
         assert result.result_ids == []
 
 
+class TestRollbackIsExact:
+    """A failed receipt costs an undo record per insertion, not tree copies,
+    and leaves no trace a later batch could see."""
+
+    @staticmethod
+    def do_state(system):
+        return {
+            keyword: (
+                tree.count,
+                tree.root_commitment,
+                dict(tree._aux),
+                dict(tree._commitments),
+            )
+            for keyword, tree in system._do.trees.items()
+        }
+
+    @staticmethod
+    def recorded_proofs(system, monkeypatch):
+        """Every insertion proof the SP is handed from here on."""
+        proofs = []
+        apply = system._sp.apply_insertion
+
+        def recording(keyword, proof):
+            proofs.append((keyword, proof))
+            apply(keyword, proof)
+
+        monkeypatch.setattr(system._sp, "apply_insertion", recording)
+        return proofs
+
+    def make_system(self):
+        return HybridStorageSystem(
+            scheme="ci*", cvc_modulus_bits=512, seed=3, gas_limit=1_000_000
+        )
+
+    def test_overrun_chunk_leaves_the_do_bit_identical(self, monkeypatch):
+        failed = self.make_system()
+        clean = self.make_system()
+        for system in (failed, clean):
+            system.add_objects(docs_stream(3))
+        before = self.do_state(failed)
+        # Old keywords, keywords first seen in the chunk, and several
+        # insertions into one tree — all taken back.
+        with pytest.raises(ChainError):
+            failed.add_objects_batched(docs_stream(15, start=4))
+        assert self.do_state(failed) == before
+        assert self.do_state(failed) == self.do_state(clean)
+
+        proofs_failed = self.recorded_proofs(failed, monkeypatch)
+        proofs_clean = self.recorded_proofs(clean, monkeypatch)
+        for system in (failed, clean):
+            system.add_objects_batched(docs_stream(2, start=4))
+        assert proofs_failed and proofs_failed == proofs_clean
+        assert self.do_state(failed) == self.do_state(clean)
+        for text in ("kw04 AND kw05", "kw05"):
+            assert failed.query(text).result_ids == clean.query(text).result_ids
+            assert failed.query(text).verified
+
+    def test_rollback_touches_only_the_batch(self):
+        """No per-tree copy: untouched nodes are the very same objects."""
+        system = self.make_system()
+        system.add_objects(docs_stream(3))
+        aux_ids = {
+            (keyword, position): id(aux)
+            for keyword, tree in system._do.trees.items()
+            for position, aux in tree._aux.items()
+        }
+        dict_ids = {
+            keyword: id(tree._aux) for keyword, tree in system._do.trees.items()
+        }
+        with pytest.raises(ChainError):
+            system.add_objects_batched(docs_stream(15, start=4))
+        assert {
+            (keyword, position): id(aux)
+            for keyword, tree in system._do.trees.items()
+            for position, aux in tree._aux.items()
+        } == aux_ids
+        assert {
+            keyword: id(tree._aux) for keyword, tree in system._do.trees.items()
+        } == dict_ids
+
+
 class TestSingleInsertAtomicity:
     def test_failed_single_insert_rolls_back(self):
         system = HybridStorageSystem(

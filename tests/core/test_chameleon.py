@@ -64,6 +64,36 @@ class TestDataOwner:
         assert proof.child_index == 1
         assert proof.object_id == 10
 
+    def test_insertion_proofs_equal_the_public_openings(self, trees, cvc):
+        """What the DO opens with the trapdoor, ``open_slot`` opens without."""
+        from repro.core.mbtree import entry_digest
+        from repro.crypto import vc
+
+        do, _ = trees
+        for object_id in range(1, 12):
+            proof = do.insert(object_id, value_of(object_id))
+            entry = entry_digest(object_id, value_of(object_id))
+            assert proof.slot1_proof == vc.open_slot(
+                cvc.pp, 1, entry, do.aux_at(proof.position)
+            )
+            assert proof.parent_link_proof == vc.open_slot(
+                cvc.pp,
+                proof.child_index + 1,
+                proof.commitment,
+                do.aux_at(proof.parent_position),
+            )
+
+    def test_retract_restores_the_tree(self, trees):
+        do, _ = trees
+        for object_id in (1, 2, 3):
+            do.insert(object_id, value_of(object_id))
+        before = (do.count, dict(do._aux), dict(do._commitments))
+        parent_aux = do.aux_at(chameleon.parent_position(4, 2)[0])
+        kept = do.insert(4, value_of(4))
+        do.retract(4, parent_aux)
+        assert (do.count, do._aux, do._commitments) == before
+        assert do.insert(4, value_of(4)) == kept
+
     def test_deterministic_commitments(self, cvc, prf_key):
         do1 = chameleon.ChameleonTreeDO(cvc, prf_key, "same", arity=2)
         do2 = chameleon.ChameleonTreeDO(cvc, prf_key, "same", arity=2)

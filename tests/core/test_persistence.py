@@ -66,7 +66,6 @@ class TestFullConfigGrid:
         cvc_modulus_bits=768,
         gas_limit=9_000_000,
         verify_cache_size=64,
-        witness_batching=False,
         warm_hot_threshold=5,
     )
 
@@ -139,6 +138,31 @@ class TestLegacyManifests:
                 restored.query(text).result_ids
                 == system.query(text).result_ids
             )
+        system.close()
+        restored.close()
+
+    @pytest.mark.parametrize("version", [2, 3])
+    def test_witness_batching_key_is_ignored(self, version, tmp_path):
+        """Older builds wrote ``witness_batching``; it selects nothing now."""
+        system = HybridStorageSystem(
+            scheme="ci", cvc_modulus_bits=512, seed=11
+        )
+        system.add_objects(make_docs())
+        path = save_system(system, tmp_path / "snap", seed=11)
+        manifest = json.loads((path / "manifest.json").read_text())
+        assert "witness_batching" not in manifest["config"]
+        manifest["version"] = version
+        manifest["config"]["witness_batching"] = False
+        if version == 2:
+            del manifest["node_store"]
+        (path / "manifest.json").write_text(json.dumps(manifest))
+        restored = load_system(path)
+        assert not hasattr(restored, "witness_batching")
+        for text in ("a AND b", "c"):
+            result = restored.query(text)
+            assert result.verified
+            assert result.result_ids == system.query(text).result_ids
+            assert result.vo_sp_bytes == system.query(text).vo_sp_bytes
         system.close()
         restored.close()
 

@@ -176,6 +176,44 @@ class TestRequestGuard:
             pool.close()
 
 
+class TestTrapdoorStaysHome:
+    """Workers get the public parameters; the trapdoor never leaves the DO."""
+
+    def test_index_spec_shipped_to_workers_carries_pp_only(self, monkeypatch):
+        import repro.core.sp_frontend as frontend
+        from repro.crypto import vc
+        from repro.errors import TrapdoorRequiredError
+
+        shipped = []
+
+        def recording_pool(specs):
+            shipped.extend(specs)
+            return AffineWorkerPool(specs)
+
+        monkeypatch.setattr(frontend, "AffineWorkerPool", recording_pool)
+        system = HybridStorageSystem(
+            scheme="ci", seed=13, shards=2, cvc_modulus_bits=512, pool="affine"
+        )
+        try:
+            td = system._cvc.td
+            assert len(shipped) == 2
+            for spec in shipped:
+                kind, params = spec.index_spec
+                assert kind == "chameleon"
+                assert set(params) == {"pp", "arity"}
+                assert type(params["pp"]) is vc.CVCPublicParams
+                wire = pickle.dumps(spec)
+                for secret in (td.p, td.q, td.phi):
+                    width = (secret.bit_length() + 7) // 8
+                    assert secret.to_bytes(width, "little") not in wire
+                    assert secret.to_bytes(width, "big") not in wire
+            # What does hold the trapdoor cannot ride a pipe at all.
+            with pytest.raises(TrapdoorRequiredError):
+                guarded_dumps(("apply", [system._cvc], False))
+        finally:
+            system.close()
+
+
 class TestPoolMechanics:
     def test_worker_errors_carry_remote_traceback(self):
         pool = make_pool()

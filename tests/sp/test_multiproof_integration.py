@@ -6,10 +6,10 @@ Two integration seams of the compressed (v3/v4) VO path:
   full cover and seeds the multiproof cache key, so a later compressed
   query's fold is a cache hit;
 * shard-affine scatter-gather (including the Chameleon batched-ingest
-  path, whose witness computations coalesce through the
-  :class:`~repro.sp.scheduler.WitnessScheduler`) stays byte-identical
-  at any shard count with compression on — Merkle multiproofs and
-  Chameleon node tables alike.
+  path, whose insertion proofs the data owner opens with the trapdoor
+  before any shard sees them) stays byte-identical at any shard count
+  with compression on — Merkle multiproofs and Chameleon node tables
+  alike.
 """
 
 import pytest
@@ -92,8 +92,8 @@ class TestAffineMultiproofParity:
         )
         try:
             docs = make_docs(10)
-            # Batched ingest routes every witness computation through the
-            # coalescing WitnessScheduler on both sides.
+            # Batched ingest: one DO transaction, finished insertion proofs
+            # scattered to the owning shards.
             serial.add_objects_batched(docs)
             affine.add_objects_batched(docs)
             saw_node_table = False
