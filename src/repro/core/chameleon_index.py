@@ -10,7 +10,10 @@ transaction per object updates the counts of all its keywords.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import partial
 
 from repro import obs
 from repro.core.chameleon import (
@@ -24,7 +27,7 @@ from repro.core.chameleon import (
     verify_position,
 )
 from repro.core.objects import ObjectMetadata
-from repro.core.proofcache import VerificationCache
+from repro.core.proofcache import CacheKey, VerificationCache
 from repro.core.query.vo import ProvenEntry
 from repro.crypto import vc
 from repro.crypto.bloom import BloomFilterChain
@@ -329,14 +332,23 @@ class ChameleonProofSystem:
     :func:`~repro.core.chameleon.verify_position`.  Within a query, a
     table node whose chain reached ``c_0`` is not walked again.
 
+    No opening is checked when an entry is: inside :meth:`settling` —
+    the only place entries can be verified — each opening an entry needs
+    is looked up, range-checked and *recorded*, and the scope's exit
+    checks everything recorded as one :func:`repro.crypto.vc.verify_batch`
+    (DESIGN.md §6.1).  Nothing an entry "passed" counts until that exit
+    returns: ``verify_query`` and the warmer compare, cache and count
+    only afterwards.
+
     ``cache``, when set, memoises *successful* openings keyed on the
     complete tuple ``(modulus, commitment, slot, message, proof)`` — the
     whole input of one ``vc.verify`` — so an opening shared between
-    entries, conjuncts or queries costs its exponentiation once.  That
-    an opening holds says nothing about where its commitment hangs: the
-    chain from ``c_0`` is re-walked over (cached) openings every query,
-    and any tampered component changes a key, misses, and re-verifies
-    (and fails) from scratch.
+    entries, conjuncts or queries costs its share of a batch once.  Only
+    the openings of a batch that passed are stored.  That an opening
+    holds says nothing about where its commitment hangs: the chain from
+    ``c_0`` is re-walked over (cached) openings every query, and any
+    tampered component changes a key, misses, and is checked (and fails)
+    from scratch.
     """
 
     pp: vc.CVCPublicParams
@@ -354,6 +366,12 @@ class ChameleonProofSystem:
     _walked: dict[int, tuple[ChameleonMultiproof, int, set[int]]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
+    #: The openings recorded in the open :meth:`settling` scope, by cache
+    #: key, each with the ``(keyword, object_id)`` of the entry that first
+    #: needed it; ``None`` outside a scope.
+    _pending: dict[CacheKey, tuple[vc.Opening, tuple[str, int]]] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def _digest(self, keyword: str) -> tuple[int | None, int]:
         return self.digests.get(keyword, (None, 0))
@@ -363,19 +381,86 @@ class ChameleonProofSystem:
         self.multiproofs = tuple(multiproofs)
         self._walked = {}
 
+    @contextmanager
+    def settling(self) -> Iterator[None]:
+        """The scope in which entries are verified; leaving it settles.
+
+        Leaving normally checks every opening recorded inside as one
+        batch and raises :class:`VerificationError` if one fails; leaving
+        on an error checks nothing.  Either way nothing recorded
+        survives the scope, so no later one can inherit a check that was
+        never made.
+        """
+        if self._pending is not None:
+            raise ReproError("settling() scopes do not nest")
+        self._pending = {}
+        try:
+            yield
+            self._settle(self._pending)
+        finally:
+            self._pending = None
+
     def _opens(
-        self, commitment: int, slot: int, message: int | bytes, proof: int
+        self,
+        owner: tuple[str, int],
+        commitment: int,
+        slot: int,
+        message: int | bytes,
+        proof: int,
     ) -> bool:
-        """One CVC ``Ver``, or the memory of one that succeeded."""
-        if self.cache is None:
-            return vc.verify(self.pp, commitment, slot, message, proof)
-        key = self.cache.key(self.pp.modulus, commitment, slot, message, proof)
-        if self.cache.seen(key):
+        """Recall one CVC ``Ver`` that succeeded, or record it as owed.
+
+        ``owner`` is the ``(keyword, object_id)`` of the entry being
+        verified: should the opening fail at settle time, the error says
+        whose it was.
+        """
+        pending = self._pending
+        if pending is None:
+            raise ReproError(
+                "CVC entries are verified inside ChameleonProofSystem."
+                "settling(), whose exit checks their openings"
+            )
+        key = CacheKey((self.pp.modulus, commitment, slot, message, proof))
+        if key in pending:
+            # Owed already: like a cached opening, it costs nothing more.
+            if self.cache is not None:
+                self.cache.count_hit()
             return True
-        if not vc.verify(self.pp, commitment, slot, message, proof):
+        if self.cache is not None and self.cache.seen(key):
+            return True
+        if not vc.opening_in_range(self.pp, commitment, slot, proof):
             return False
-        self.cache.add(key)
+        pending[key] = ((commitment, slot, message, proof), owner)
         return True
+
+    def _settle(
+        self, pending: dict[CacheKey, tuple[vc.Opening, tuple[str, int]]]
+    ) -> None:
+        """Check the recorded openings together; cache them if all hold."""
+        if not pending:
+            return
+        if not vc.verify_batch(
+            self.pp, [opening for opening, _ in pending.values()]
+        ):
+            # The batch only says that something is wrong; one by one
+            # names it.  Should every opening pass on its own after all,
+            # that is the stronger verdict and stands.
+            obs.inc("vc.verify.batch_fallbacks")
+            for opening, (keyword, object_id) in pending.values():
+                if not vc.verify(self.pp, *opening):
+                    slot = opening[1]
+                    raise VerificationError(
+                        (
+                            "slot-1 opening of the node commitment failed"
+                            if slot == 1
+                            else f"parent link in child slot {slot - 1} "
+                            "failed commitment verification"
+                        )
+                        + f" (entry {object_id} of keyword {keyword!r})"
+                    )
+        if self.cache is not None:
+            for key in pending:
+                self.cache.add(key)
 
     def _table(
         self, ref: NodeRef, commitment: int
@@ -426,7 +511,7 @@ class ChameleonProofSystem:
         else:
             raise VerificationError("expected a CVC membership proof")
         verify_position(
-            self._opens,
+            partial(self._opens, (keyword, entry.object_id)),
             commitment,
             count,
             self.arity,
@@ -437,6 +522,27 @@ class ChameleonProofSystem:
             proof.slot1_proof,
             walked,
         )
+
+    def _settles(self, keyword: str, entries: list[ProvenEntry]) -> bool:
+        """Whether ``entries`` verify, settled together as one batch."""
+        try:
+            with self.settling():
+                for entry in entries:
+                    self.verify_entry(keyword, entry)
+        except VerificationError:
+            return False
+        return True
+
+    def warm_entries(self, keyword: str, entries: list[ProvenEntry]) -> int:
+        """Pre-verify a keyword's posting list for the warmer.
+
+        The whole list settles as one batch.  When that fails, each
+        entry settles alone, so a tampered entry is skipped and left
+        uncached while the rest still warm.  Returns how many verified.
+        """
+        if self._settles(keyword, entries):
+            return len(entries)
+        return sum(self._settles(keyword, [entry]) for entry in entries)
 
     @staticmethod
     def _position(entry: ProvenEntry) -> int | None:

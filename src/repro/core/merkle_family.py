@@ -13,6 +13,7 @@ same Merkle-path proof system.  This module holds that common ground:
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 from repro import obs
@@ -198,6 +199,10 @@ class MerkleProofSystem:
         """
         self.multiproofs = tuple(multiproofs)
         self._mp_verified = {}
+
+    def settling(self) -> nullcontext:
+        """The scope entries are verified in; a hash is checked on the spot."""
+        return nullcontext()
 
     def _multiproof(self, proof_index: int) -> TreeMultiproof:
         if not 0 <= proof_index < len(self.multiproofs):

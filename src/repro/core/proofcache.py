@@ -1,17 +1,19 @@
 """Bounded LRU cache for successful proof verifications.
 
-CVC verification costs two multi-hundred-bit modular exponentiations
-(one on the fast path) per link — orders of magnitude more than a hash —
-and a DNF query re-proves the same ``(digest, entry, proof)`` tuples
-across conjuncts, while hot keywords repeat them across queries.  A
-:class:`VerificationCache` lets a proof system skip re-verifying a tuple
-it has already accepted.
+A CVC opening costs a multi-hundred-bit modular exponentiation — orders
+of magnitude more than a hash — and a DNF query presents the same
+openings across conjuncts, while hot keywords repeat them across
+queries.  A :class:`VerificationCache` lets a proof system skip
+re-verifying a tuple it has already accepted.
 
 Soundness: only *successful* verifications are cached, and the key must
-include **every** input that determines the verdict (the on-chain digest,
-the claimed entry, and the full proof object).  A tampered tuple differs
-in at least one key component, misses the cache, and is re-verified from
-scratch — a cache hit can therefore never mask a failing proof.
+include **every** input that determines the verdict.  The Chameleon
+family keys on one *opening* — ``(modulus, commitment, slot, message,
+proof)``, the whole input of one ``vc.verify`` — and stores it only once
+the batch it was checked in has passed; the Merkle family keys on
+``(root, entry, path)``.  A tampered tuple differs in at least one key
+component, misses the cache, and is re-verified from scratch — a cache
+hit can therefore never mask a failing proof.
 
 Deduplicated multiproofs (v3 VOs) follow the same rule with a structural
 token instead of the raw object: their key is ``(root,
@@ -117,6 +119,17 @@ class VerificationCache:
                 self.misses += 1
         obs.inc(self._hit_metric if present else self._miss_metric)
         return present
+
+    def count_hit(self) -> None:
+        """Count a lookup its caller answered without asking the cache.
+
+        A proof system that defers checks meets the same tuple again
+        before the first meeting has been settled: it is not stored yet,
+        and it will not be verified twice.
+        """
+        with self._lock:
+            self.hits += 1
+        obs.inc(self._hit_metric)
 
     def add(self, key: Hashable) -> None:
         """Record a tuple that verified successfully."""

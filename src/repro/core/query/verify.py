@@ -22,6 +22,7 @@ filters for the starred variant.  Every check failure raises
 from __future__ import annotations
 
 from collections.abc import Sequence
+from contextlib import AbstractContextManager
 from dataclasses import dataclass, field
 from typing import Protocol
 
@@ -34,11 +35,9 @@ from repro.core.query.vo import (
     ProvenEntry,
     QueryAnswer,
     SemiJoinProbe,
-    TableRef,
 )
 from repro.crypto.hashing import digests_equal
 from repro.errors import VerificationError
-from repro.parallel import Executor, SerialExecutor
 
 
 class ProofSystem(Protocol):
@@ -46,8 +45,21 @@ class ProofSystem(Protocol):
 
     value_bytes: int
 
+    def settling(self) -> AbstractContextManager[None]:
+        """The scope in which entries are verified.
+
+        A proof system may answer :meth:`verify_entry` from structure
+        alone and owe the expensive part of the check; leaving the scope
+        normally pays what is owed and raises if it does not hold.
+        Nothing verified inside counts before that.
+        """
+        ...
+
     def verify_entry(self, keyword: str, entry: ProvenEntry) -> None:
-        """Authenticate one proven entry; raise on failure."""
+        """Authenticate one proven entry; raise on failure.
+
+        Only inside :meth:`settling`.
+        """
         ...
 
     def is_first(self, keyword: str, entry: ProvenEntry) -> bool:
@@ -86,47 +98,18 @@ def _check(condition: bool, reason: str) -> None:
         raise VerificationError(reason)
 
 
-def _verify_entry_task(args: tuple[ProofSystem, str, ProvenEntry]) -> None:
-    """Executor task: authenticate one entry (module-level, picklable)."""
-    ps, keyword, entry = args
-    ps.verify_entry(keyword, entry)
-
-
 def verify_full_scan(
-    conj: frozenset[str],
-    vo: FullScanVO,
-    ps: ProofSystem,
-    executor: Executor | None = None,
+    conj: frozenset[str], vo: FullScanVO, ps: ProofSystem
 ) -> VerifiedResults:
-    """Single-keyword component: the entire posting list is the result.
-
-    Entry authentication is independent per entry, so a parallel
-    ``executor`` fans it out; the structural checks stay sequential.
-    """
+    """Single-keyword component: the entire posting list is the result."""
     _check(
         conj == {vo.keyword},
         f"full-scan VO keyword {vo.keyword!r} does not match the query",
     )
     entries = vo.entries
     _check(len(entries) > 0, "full scan of a non-empty keyword returned nothing")
-    # Compressed entries share one table (a Merkle multiproof, a CVC
-    # node table) whose single verification is memoised on the proof
-    # system; fanning them out to a pool would ship one proof-system
-    # copy per entry and re-verify the whole table in every worker —
-    # O(n^2) digests or openings for an O(n) check.
-    compressed = any(isinstance(e.proof, TableRef) for e in entries)
-    if (
-        executor is not None
-        and executor.kind != "serial"
-        and len(entries) > 1
-        and not compressed
-    ):
-        executor.map(
-            _verify_entry_task, [(ps, vo.keyword, e) for e in entries]
-        )
-    else:
-        for entry in entries:
-            ps.verify_entry(vo.keyword, entry)
+    for entry in entries:
+        ps.verify_entry(vo.keyword, entry)
     _check(
         ps.is_first(vo.keyword, entries[0]),
         "full scan does not start at the tree's first entry",
@@ -342,12 +325,13 @@ def verify_semi_join_stage(
 
 
 def verify_conjunct(
-    conj: frozenset[str],
-    vo: ConjunctiveVO,
-    ps: ProofSystem,
-    executor: Executor | None = None,
+    conj: frozenset[str], vo: ConjunctiveVO, ps: ProofSystem
 ) -> VerifiedResults:
-    """Verify one conjunctive component's VO; returns its result IDs."""
+    """Verify one conjunctive component's VO; returns its result IDs.
+
+    Inside ``ps.settling()``: the IDs are final once that scope has been
+    left (:func:`verify_query` does both).
+    """
     _check(
         set(vo.keywords) == conj,
         "VO keywords do not match the query conjunction",
@@ -365,7 +349,7 @@ def verify_conjunct(
     _check(vo.base is not None, "VO carries neither a base join nor emptiness")
     if isinstance(vo.base, FullScanVO):
         _check(not vo.stages, "full scan must not carry semi-join stages")
-        return verify_full_scan(conj, vo.base, ps, executor=executor)
+        return verify_full_scan(conj, vo.base, ps)
     assert isinstance(vo.base, MultiWayJoinVO)
     base = vo.base
     base_trees = set(base.trees)
@@ -410,31 +394,17 @@ def verify_conjunct(
     return results
 
 
-def _verify_conjunct_task(
-    args: tuple[frozenset[str], ConjunctiveVO, ProofSystem]
-) -> VerifiedResults:
-    """Executor task: verify one conjunct (module-level, picklable)."""
-    conj, conj_vo, ps = args
-    return verify_conjunct(conj, conj_vo, ps)
-
-
 def verify_query(
-    query: KeywordQuery,
-    answer: QueryAnswer,
-    ps: ProofSystem,
-    executor: Executor | None = None,
+    query: KeywordQuery, answer: QueryAnswer, ps: ProofSystem
 ) -> VerifiedResults:
     """Verify a full DNF query answer end to end.
 
-    Checks every conjunctive component, unions the verified IDs, matches
-    them against the SP's claimed results, and authenticates every
-    returned object against its proven digest and the query condition.
-
-    With a parallel ``executor``, independent conjuncts verify
-    concurrently; a single conjunct instead fans out its per-entry
-    authentication (the pools are never nested).  Failures propagate as
-    :class:`~repro.errors.VerificationError` exactly as on the serial
-    path.
+    Checks every conjunctive component inside one ``ps.settling()``
+    scope — so whatever the proof system deferred is settled, for the
+    whole query at once, before anything is concluded — then unions the
+    verified IDs, matches them against the SP's claimed results, and
+    authenticates every returned object against its proven digest and
+    the query condition.
     """
     _check(
         len(answer.vo.conjuncts) == len(query.conjunctions),
@@ -448,23 +418,12 @@ def verify_query(
             not answer.vo.multiproofs,
             "VO carries multiproofs but the proof system cannot verify them",
         )
-    if executor is None:
-        executor = SerialExecutor()
     union = VerifiedResults(ids=set())
-    pairs = list(zip(query.conjunctions, answer.vo.conjuncts))
-    if executor.kind != "serial" and len(pairs) > 1:
-        partials = executor.map(
-            _verify_conjunct_task,
-            [(conj, conj_vo, ps) for conj, conj_vo in pairs],
-        )
-    else:
-        partials = [
-            verify_conjunct(conj, conj_vo, ps, executor=executor)
-            for conj, conj_vo in pairs
-        ]
-    for partial in partials:
-        union.ids |= partial.ids
-        union.hashes.update(partial.hashes)
+    with ps.settling():
+        for conj, conj_vo in zip(query.conjunctions, answer.vo.conjuncts):
+            partial = verify_conjunct(conj, conj_vo, ps)
+            union.ids |= partial.ids
+            union.hashes.update(partial.hashes)
     _check(
         set(answer.result_ids) == union.ids,
         "SP's claimed result set differs from the verified result set",

@@ -139,9 +139,10 @@ class HybridStorageSystem:
     answers, VO bytes or gas — only capacity and throughput.
 
     Fast-path knobs: ``executor`` picks the execution policy for
-    per-conjunct SP evaluation, bulk shard mirroring and client-side
-    verification (``serial`` default; ``thread``/``process`` opt in, see
-    :mod:`repro.parallel`); ``verify_cache_size`` bounds the shared LRU
+    per-conjunct SP evaluation and bulk shard mirroring (``serial``
+    default; ``thread``/``process`` opt in, see :mod:`repro.parallel`;
+    client-side verification always runs in the caller);
+    ``verify_cache_size`` bounds the shared LRU
     of successfully verified proof tuples reused across conjuncts and
     queries (0 disables it).
 
@@ -578,10 +579,8 @@ class HybridStorageSystem:
                 obs.observe("query.chain_seconds", time.perf_counter() - tc,
                             buckets=obs.TIME_BUCKETS_S)
             t1 = time.perf_counter()
-            with obs.span("query.verify", executor=self.executor.kind):
-                verified = verify_query(
-                    query, answer, proof_system, executor=self.executor
-                )
+            with obs.span("query.verify"):
+                verified = verify_query(query, answer, proof_system)
             verify_seconds = time.perf_counter() - t1
             with obs.span("query.vo_encode"):
                 vo_sp_bytes = len(self._codec.encode(answer.vo))

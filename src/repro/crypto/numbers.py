@@ -153,9 +153,6 @@ def generate_distinct_primes(count: int, bits: int, rng: RandomSource) -> list[i
 # Fast-path exponentiation: simultaneous multi-exp and fixed-base tables
 # ---------------------------------------------------------------------------
 
-#: Window width (bits) for the interleaved simultaneous exponentiation.
-MULTI_EXP_WINDOW = 5
-
 #: Window width (bits) for fixed-base precomputation tables.  Six bits
 #: keeps a 264-bit exponent to 44 table rows of 63 entries each — cheap
 #: enough to build once and far faster than a square-and-multiply chain.
@@ -318,14 +315,23 @@ def multi_exp(
     pairs: list[tuple[int, int]],
     modulus: int,
     tables: list[FixedBaseTable | None] | None = None,
-    window: int = MULTI_EXP_WINDOW,
 ) -> int:
     """Simultaneous multi-exponentiation: ``prod base_i^exp_i mod n``.
 
-    Uses Shamir's trick generalised to interleaved fixed-window
-    exponentiation: one shared squaring chain serves every base, so k
-    exponentiations cost roughly one exponentiation plus k window
-    multiplications per window — instead of k independent ``pow`` calls.
+    One squaring chain serves every base, so k exponentiations cost
+    roughly one chain plus a few dozen multiplications per base instead
+    of k independent ``pow`` calls.  Two schedules share that chain and
+    the routine picks the cheaper from what it is handed — the number of
+    bases and the widest exponent — by counting multiplications:
+
+    * *Straus, sliding window*: each base keeps its odd powers up to
+      ``2^w - 1`` and contributes one multiplication per window of its
+      exponent.  Wins for the two bases of :func:`batch_openings` and
+      for the tens of proofs one posting list gives a CVC slot.
+    * *Pippenger buckets*: no per-base table; per ``c``-bit window every
+      base is multiplied into the bucket of its digit and the buckets
+      are folded by a running product.  Wins once the bases outnumber
+      the ``2^c`` bucket folds by enough (from about a hundred bases).
 
     ``tables[i]``, when provided, is a :class:`FixedBaseTable` for
     ``pairs[i]``'s base: that factor is then computed by table lookups
@@ -338,7 +344,7 @@ def multi_exp(
     if tables is not None and len(tables) != len(pairs):
         raise ParameterError("tables must align one-to-one with pairs")
     result = 1 % modulus
-    interleaved: list[tuple[int, int]] = []
+    shared: list[tuple[int, int]] = []
     for index, (base, exponent) in enumerate(pairs):
         if exponent < 0:
             raise ParameterError("multi_exp exponents must be non-negative")
@@ -348,32 +354,95 @@ def multi_exp(
         if table is not None:
             result = result * table.pow(exponent) % modulus
         else:
-            interleaved.append((base % modulus, exponent))
-    if not interleaved:
+            shared.append((base % modulus, exponent))
+    if not shared:
         return result
-    if len(interleaved) == 1:
-        base, exponent = interleaved[0]
+    if len(shared) == 1:
+        base, exponent = shared[0]
         return result * pow(base, exponent, modulus) % modulus
-    digit_tables: list[list[int]] = []
-    for base, _ in interleaved:
-        row = [1] * (1 << window)
-        row[1] = base
-        for d in range(2, 1 << window):
-            row[d] = row[d - 1] * base % modulus
-        digit_tables.append(row)
-    max_bits = max(exponent.bit_length() for _, exponent in interleaved)
-    mask = (1 << window) - 1
+    bits = max(exponent.bit_length() for _, exponent in shared)
+    straus_cost, window = min(
+        (len(shared) * ((1 << (w - 1)) + bits / (w + 1)), w)
+        for w in range(1, 9)
+    )
+    bucket_cost, chunk = min(
+        (-(-bits // c) * (len(shared) + (1 << c)), c) for c in range(1, 17)
+    )
+    if straus_cost <= bucket_cost:
+        acc = _straus(shared, modulus, bits, window)
+    else:
+        acc = _pippenger(shared, modulus, bits, chunk)
+    return result * acc % modulus
+
+
+def _straus(
+    pairs: list[tuple[int, int]], modulus: int, bits: int, window: int
+) -> int:
+    """``prod base^exp`` by sliding windows over one squaring chain.
+
+    Every exponent is cut, from its top bit down, into windows of at
+    most ``window`` bits that start and end on a set bit; a window is an
+    odd digit, so a base's table holds odd powers only.  ``schedule``
+    maps the bit position at which a window ends to the table entries
+    due there.
+    """
+    schedule: dict[int, list[int]] = {}
+    for base, exponent in pairs:
+        square = base * base % modulus
+        odd = [base]
+        for _ in range((1 << (window - 1)) - 1):
+            odd.append(odd[-1] * square % modulus)
+        top = exponent.bit_length() - 1
+        while top >= 0:
+            if not (exponent >> top) & 1:
+                top -= 1
+                continue
+            low = max(top - window + 1, 0)
+            digit = (exponent >> low) & ((1 << (top - low + 1)) - 1)
+            trailing = (digit & -digit).bit_length() - 1
+            low += trailing
+            schedule.setdefault(low, []).append(odd[digit >> (trailing + 1)])
+            top = low - 1
     acc = 1
-    for position in range(((max_bits + window - 1) // window) - 1, -1, -1):
+    for position in range(bits - 1, -1, -1):
         if acc != 1:
-            for _ in range(window):
+            acc = acc * acc % modulus
+        for value in schedule.get(position, ()):
+            acc = acc * value % modulus
+    return acc
+
+
+def _pippenger(
+    pairs: list[tuple[int, int]], modulus: int, bits: int, chunk: int
+) -> int:
+    """``prod base^exp`` by bucketing the bases per ``chunk``-bit digit.
+
+    Per window, bucket ``d`` collects the product of the bases whose
+    digit is ``d``; ``prod_d bucket_d^d`` then falls out of a running
+    product taken from the top bucket down (each bucket ends up
+    multiplied in ``d`` times).
+    """
+    acc = 1
+    mask = (1 << chunk) - 1
+    for position in range((bits + chunk - 1) // chunk - 1, -1, -1):
+        if acc != 1:
+            for _ in range(chunk):
                 acc = acc * acc % modulus
-        shift = position * window
-        for (_, exponent), row in zip(interleaved, digit_tables):
+        shift = position * chunk
+        buckets: list[int | None] = [None] * (mask + 1)
+        for base, exponent in pairs:
             digit = (exponent >> shift) & mask
             if digit:
-                acc = acc * row[digit] % modulus
-    return result * acc % modulus
+                held = buckets[digit]
+                buckets[digit] = base if held is None else held * base % modulus
+        running = None
+        for digit in range(mask, 0, -1):
+            held = buckets[digit]
+            if held is not None:
+                running = held if running is None else running * held % modulus
+            if running is not None:
+                acc = acc * running % modulus
+    return acc
 
 
 def batch_openings(

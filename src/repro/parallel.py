@@ -1,11 +1,11 @@
 """Pluggable execution policy for CPU-heavy pipeline stages.
 
-The SP evaluates each DNF conjunct independently, and the client
-verifies each conjunct (and each full-scan entry) independently — both
-are embarrassingly parallel over pure functions.  This module provides
-the executor abstraction threaded through
-:class:`~repro.core.system.HybridStorageSystem`, the SP server and
-:func:`~repro.core.query.verify.verify_query`:
+The SP evaluates each DNF conjunct independently — embarrassingly
+parallel over pure functions.  This module provides the executor
+abstraction threaded through
+:class:`~repro.core.system.HybridStorageSystem` and the SP front-end
+(client verification runs in the caller: it settles a query's openings
+as one batch, which copies of the proof system in workers could not):
 
 * ``serial`` (default) — plain in-process iteration, zero overhead;
 * ``thread`` — a :class:`~concurrent.futures.ThreadPoolExecutor`; under

@@ -15,13 +15,14 @@ closes that gap by doing the first verification *ahead of the query*:
 * :meth:`run_pending` (deterministic, inline) or the background thread
   (:meth:`start`/:meth:`stop`) then warms the hot dirty keywords: it
   assembles each entry's membership proof from the SP's stored material
-  and pushes it through the scheme's *real* ``verify_entry`` — the same
-  code path a client runs — so only proofs that actually verify land in
-  the cache.
+  and pushes the list through the scheme's ``warm_entries`` hook, which
+  runs the *real* ``verify_entry`` — the same code path a client runs —
+  and settles what that defers, so only proofs that actually verify
+  land in the cache.
 
 Soundness is inherited, not re-argued: the cache stores successful
 verifications keyed on the complete proven tuple, and the warmer adds
-entries only through ``verify_entry`` itself.  A tampered proof raises
+entries only through ``verify_entry`` itself.  A tampered proof fails
 at warm time and caches nothing, so a later query re-verifies (and
 fails) from scratch — warming can never turn an invalid proof into an
 accepted one.
@@ -39,7 +40,6 @@ from collections.abc import Callable, Iterable, Sequence
 from typing import TYPE_CHECKING, Any
 
 from repro import obs
-from repro.errors import VerificationError
 
 if TYPE_CHECKING:
     from repro.sp.engine import ShardRouter
@@ -152,25 +152,12 @@ class CacheWarmer:
                 self._dirty.pop(keyword, None)
             return 0
         ps = self._proof_system(frozenset((keyword,)))
-        warmed = 0
-        failures = 0
         with obs.span("sp.warm.keyword", keyword=keyword, entries=len(entries)):
-            warm_entries = getattr(ps, "warm_entries", None)
-            if warm_entries is not None:
-                # Scheme-provided batch hook: verifies each per-entry
-                # proof (skipping failures, fail closed per entry) and —
-                # when the whole list verified — seeds the cache with
-                # the deduplicated multiproof a compressed (v3) query
-                # will present, so the warmed key hits at query time.
-                warmed = warm_entries(keyword, entries)
-                failures = len(entries) - warmed
-            else:
-                for entry in entries:
-                    try:
-                        ps.verify_entry(keyword, entry)
-                        warmed += 1
-                    except VerificationError:
-                        failures += 1
+            # The scheme's own hook: it verifies each entry (a failure
+            # is skipped and left uncached, fail closed per entry), and
+            # settles whatever its verification defers before it counts.
+            warmed = ps.warm_entries(keyword, entries)
+        failures = len(entries) - warmed
         obs.inc("sp.warm.entries", warmed)
         if failures:
             obs.inc("sp.warm.failures", failures)

@@ -2,8 +2,9 @@
 
 The contract of :mod:`repro.parallel` is that swapping ``serial`` for a
 pool changes wall-clock time only: ordering, results and raised
-exceptions are identical.  Process pools are exercised sparingly (one
-smoke test) because of their per-worker start-up cost.
+exceptions are identical.  Pools serve the SP side; client verification
+always runs in the caller.  Process pools are exercised sparingly
+because of their per-worker start-up cost.
 """
 
 from __future__ import annotations
@@ -197,7 +198,7 @@ class TestParallelQueryEquivalence:
             query = KeywordQuery.parse("covid-19 OR symptom")
             ps = system.chain_proof_system(query.all_keywords())
             with pytest.raises(VerificationError):
-                verify_query(query, answer, ps, executor=system.executor)
+                verify_query(query, answer, ps)
         finally:
             system.close()
 
@@ -218,6 +219,48 @@ class TestProcessExecutorSmoke:
             result = system.query("(covid-19 AND vaccine) OR symptom")
             assert result.verified
             assert result.result_ids == [4, 5, 6]
+        finally:
+            system.close()
+
+    def test_tampered_opening_is_rejected_behind_a_process_pool(self):
+        """Verification runs in the caller whatever pool serves the SP
+        side: a deferred opening check recorded in a worker's copy of the
+        proof system would never be settled, so none is made there."""
+        import dataclasses
+
+        from repro.core.multiproof import _map_vo_entries
+        from repro.core.query.vo import iter_proven_entries
+
+        system = HybridStorageSystem(
+            scheme="ci",
+            cvc_modulus_bits=512,
+            seed=21,
+            executor="process",
+            executor_workers=2,
+        )
+        try:
+            system.add_objects(DOCS[:5])
+            honest = system._sp.process_query
+
+            def flipping(query):
+                answer = honest(query)
+                victim = next(iter(iter_proven_entries(answer.vo)))
+                forged = dataclasses.replace(
+                    victim.proof, slot1_proof=victim.proof.slot1_proof ^ 1
+                )
+                answer.vo = _map_vo_entries(
+                    answer.vo,
+                    lambda e: dataclasses.replace(e, proof=forged)
+                    if e is victim
+                    else e,
+                )
+                return answer
+
+            system._sp.process_query = flipping
+            with pytest.raises(VerificationError, match="slot-1 opening"):
+                system.query("(covid-19 AND vaccine) OR symptom")
+            system._sp.process_query = honest
+            assert system.query("(covid-19 AND vaccine) OR symptom").verified
         finally:
             system.close()
 

@@ -97,6 +97,12 @@ def first_entry_lookups(system) -> int:
     return 2 if system.uses_cvc else 1
 
 
+def verify_one(ps, keyword, entry):
+    """One entry, settled — what ``verify_query`` does for a whole answer."""
+    with ps.settling():
+        ps.verify_entry(keyword, entry)
+
+
 class TestProofSystemCaching:
     def test_repeat_verification_hits_cache(self, warm_deployment):
         system = warm_deployment
@@ -104,10 +110,10 @@ class TestProofSystemCaching:
         entry = finish(system._sp_view("covid-19").first_proven())
         assert entry is not None
         system.verify_cache.clear()
-        ps.verify_entry("covid-19", entry)
+        verify_one(ps, "covid-19", entry)
         assert system.verify_cache.hits == 0
         assert system.verify_cache.misses == first_entry_lookups(system)
-        ps.verify_entry("covid-19", entry)
+        verify_one(ps, "covid-19", entry)
         assert system.verify_cache.hits == first_entry_lookups(system)
         assert system.verify_cache.misses == first_entry_lookups(system)
 
@@ -115,13 +121,13 @@ class TestProofSystemCaching:
         system = warm_deployment
         entry = finish(system._sp_view("vaccine").first_proven())
         system.verify_cache.clear()
-        system.chain_proof_system(frozenset({"vaccine"})).verify_entry(
-            "vaccine", entry
+        verify_one(
+            system.chain_proof_system(frozenset({"vaccine"})), "vaccine", entry
         )
         # A later query builds a fresh proof system over the same chain
         # state; the expensive work must not repeat.
-        system.chain_proof_system(frozenset({"vaccine"})).verify_entry(
-            "vaccine", entry
+        verify_one(
+            system.chain_proof_system(frozenset({"vaccine"})), "vaccine", entry
         )
         assert system.verify_cache.hits == first_entry_lookups(system)
 
@@ -129,12 +135,16 @@ class TestProofSystemCaching:
         system = warm_deployment
         ps = system.chain_proof_system(frozenset({"covid-19"}))
         entry = finish(system._sp_view("covid-19").first_proven())
-        ps.verify_entry("covid-19", entry)  # warm the cache
+        verify_one(ps, "covid-19", entry)  # warm the cache
         evil = dataclasses.replace(entry, object_hash=b"\x13" * 32)
         hits_before = system.verify_cache.hits
         with pytest.raises(VerificationError):
-            ps.verify_entry("covid-19", evil)
-        assert system.verify_cache.hits == hits_before
+            verify_one(ps, "covid-19", evil)
+        # The forged slot-1 opening missed; the honest link that hangs
+        # the node under the root is still remembered.
+        assert system.verify_cache.hits - hits_before == (
+            first_entry_lookups(system) - 1
+        )
 
     def test_poisoned_cache_does_not_mask_other_proofs(self, warm_deployment):
         """Even a key injected behind the API's back only short-circuits
@@ -146,7 +156,7 @@ class TestProofSystemCaching:
         system.verify_cache.add(("bogus-poison-key",))
         forged = dataclasses.replace(entry, object_id=entry.object_id + 1000)
         with pytest.raises(VerificationError):
-            ps.verify_entry("covid-19", forged)
+            verify_one(ps, "covid-19", forged)
 
     def test_failed_verifications_are_never_cached(self, warm_deployment):
         system = warm_deployment
@@ -156,10 +166,12 @@ class TestProofSystemCaching:
         system.verify_cache.clear()
         for _ in range(2):
             with pytest.raises(VerificationError):
-                ps.verify_entry("covid-19", evil)
-        # Both attempts were misses: the failure never entered the cache.
+                verify_one(ps, "covid-19", evil)
+        # Both attempts were misses: the failure never entered the cache,
+        # and neither did the honest opening settled in the same batch.
         assert system.verify_cache.hits == 0
-        assert system.verify_cache.misses == 2
+        assert system.verify_cache.misses == 2 * first_entry_lookups(system)
+        assert len(system.verify_cache) == 0
 
     def test_disabled_cache_end_to_end(self):
         docs = [DataObject(1, ("alpha",), b"a"), DataObject(2, ("alpha",), b"b")]

@@ -45,6 +45,40 @@ class TestMultiExp:
                 pairs,
             )
 
+    @pytest.mark.parametrize("count", [0, 1, 3, 50, 300])
+    @pytest.mark.parametrize("bits", [128, 264])
+    def test_many_bases_short_exponents(self, count, bits, monkeypatch):
+        """The batch verifier's shape: tens of bases walk sliding
+        windows, hundreds fall into buckets; zero exponents, a zero base
+        and a base above the modulus change nothing."""
+        from repro.crypto import numbers
+
+        used = []
+        for name in ("_straus", "_pippenger"):
+            real = getattr(numbers, name)
+            monkeypatch.setattr(
+                numbers,
+                name,
+                lambda *args, _real=real, _name=name: used.append(_name)
+                or _real(*args),
+            )
+        rng = random.Random(count * bits)
+        pairs = [
+            (rng.randrange(1, MODULUS), rng.getrandbits(bits) | 1)
+            for _ in range(count)
+        ]
+        expected = {0: [], 1: [], 3: ["_straus"], 50: ["_straus"]}.get(
+            count, ["_pippenger"]
+        )
+        assert multi_exp(pairs, MODULUS) == naive_multi_exp(pairs, MODULUS)
+        assert used == expected
+        if count >= 3:
+            pairs[1] = (pairs[1][0], 0)
+            pairs[2] = (pairs[2][0] + MODULUS, pairs[2][1])
+            assert multi_exp(pairs, MODULUS) == naive_multi_exp(pairs, MODULUS)
+            pairs[0] = (0, 5)
+            assert multi_exp(pairs, MODULUS) == 0
+
     def test_zero_exponents_and_empty_input(self):
         assert multi_exp([], MODULUS) == 1
         assert multi_exp([(5, 0), (7, 0)], MODULUS) == 1

@@ -3,16 +3,17 @@
 The SP ships one :class:`ChameleonMultiproof` per keyword tree — every
 node any proven entry needs, once — and rewrites each entry's proof into
 a :class:`NodeRef`; the client walks each chain once inside
-``verify_query`` and pays one ``vc.verify`` per distinct opening.  These
-tests pin the compression win, the round trip, the opening count, and —
-most importantly — that every tamper vector fails closed.
+``verify_query`` and settles every distinct opening it does not remember
+in one ``vc.verify_batch``.  These tests pin the compression win, the
+round trip, the opening count, and — most importantly — that every
+tamper vector fails closed.
 """
 
 import dataclasses
 
 import pytest
 
-from repro import DataObject, HybridStorageSystem, KeywordQuery
+from repro import DataObject, HybridStorageSystem, KeywordQuery, obs
 from repro.core.chameleon import ChameleonMultiproof, MembershipProof, NodeRef
 from repro.core.multiproof import _map_vo_entries, compress_query_vo
 from repro.core.query.codec import VOCodec
@@ -215,35 +216,75 @@ class TestRoundTrip:
         assert ref.byte_size(vb) == 1 + 1 + 8 + 32 + ref.proof.byte_size(vb)
 
 
+class Spy:
+    """What one verification cost, as calls into ``repro.crypto.vc``."""
+
+    def __init__(self):
+        self.verify = []  # openings checked one by one
+        self.batches = []  # openings of each ``verify_batch`` call
+        self.full_width = 0  # exponentiations by a slot prime
+
+    def clear(self):
+        self.__init__()
+
+    @property
+    def batched(self):
+        return [opening for batch in self.batches for opening in batch]
+
+
 class TestOpeningCount:
-    """The property the table exists for, as a count of ``vc.verify``."""
+    """The properties the table and the batch exist for, as counts: no
+    opening is checked one by one, and none is checked twice."""
 
     @pytest.fixture()
     def spy(self, monkeypatch):
-        calls = []
-        real = vc.verify
+        spy = Spy()
+        real_verify, real_batch, real_exp = (
+            vc.verify,
+            vc.verify_batch,
+            vc.multi_exp,
+        )
 
-        def counting(pp, commitment, slot, message, proof):
-            calls.append((commitment, slot, message, proof))
-            return real(pp, commitment, slot, message, proof)
+        def verify(pp, *opening):
+            spy.verify.append(opening)
+            return real_verify(pp, *opening)
 
-        monkeypatch.setattr(vc, "verify", counting)
-        return calls
+        def verify_batch(pp, openings):
+            spy.batches.append(list(openings))
+            return real_batch(pp, openings)
+
+        def multi_exp(pairs, modulus, tables=None):
+            for index, (_, exponent) in enumerate(pairs):
+                if (tables is None or tables[index] is None) and (
+                    exponent.bit_length() > 2 * vc.BATCH_COEFFICIENT_BITS
+                ):
+                    spy.full_width += 1
+            return real_exp(pairs, modulus, tables=tables)
+
+        monkeypatch.setattr(vc, "verify", verify)
+        monkeypatch.setattr(vc, "verify_batch", verify_batch)
+        monkeypatch.setattr(vc, "multi_exp", multi_exp)
+        return spy
 
     def test_cold_scan_costs_two_openings_per_entry(self, v3_system, spy):
+        """... all in one batch: no ``vc.verify`` call, and one
+        full-width exponentiation per slot whatever the list's length."""
         v3_system.verify_cache.clear()
         result = v3_system.query(SCAN)
         n = len(result.result_ids)
         assert n == 20
-        assert len(spy) == 2 * n
-        assert len(set(spy)) == 2 * n  # and no opening twice
+        assert spy.verify == []
+        assert [len(batch) for batch in spy.batches] == [2 * n]
+        assert len(set(spy.batched)) == 2 * n  # and no opening twice
+        assert spy.full_width <= v3_system.arity + 1
         assert v3_system.verify_cache.misses == 2 * n
         assert v3_system.verify_cache.hits == 0
+        assert len(v3_system.verify_cache) == 2 * n
 
     def test_second_query_over_the_tree_costs_none(self, v3_system, spy):
         v3_system.verify_cache.clear()
         v3_system.query(SCAN)
-        del spy[:]
+        spy.clear()
         assert v3_system.query(SCAN).verified
         assert v3_system.query("warm AND cool").verified
         # The join touches "cool" for the first time; nothing of "warm".
@@ -252,11 +293,14 @@ class TestOpeningCount:
             node.commitment
             for node in answer_for(v3_system, SCAN).vo.multiproofs[0].nodes
         } | {warm_root}
-        assert not [opening for opening in spy if opening[0] in warm]
+        assert spy.verify == []
+        assert len(spy.batches) == 1  # the warm scan had nothing to settle
+        assert not [opening for opening in spy.batched if opening[0] in warm]
 
     def test_join_shares_ancestors_within_one_query(self, v3_system, spy):
-        """Entries of one tree verify each shared ancestor link once,
-        with or without the LRU."""
+        """Entries of one tree owe each shared ancestor link once and an
+        entry met in two conjuncts owes its slot 1 once, with or without
+        the LRU; the whole DNF query settles as one batch."""
         answer = answer_for(v3_system, DNF)
         query = KeywordQuery.parse(DNF)
         ps = v3_system.chain_proof_system(query.all_keywords())
@@ -268,10 +312,10 @@ class TestOpeningCount:
             for e in iter_proven_entries(answer.vo)
         }
         occurrences = sum(1 for _ in iter_proven_entries(answer.vo))
-        # Every link once; slot 1 once per entry *occurrence* without the
-        # LRU (the per-query memo covers chains, not the entry opening).
-        assert len(spy) == links + occurrences
-        assert len(set(spy)) == links + len(slot1)
+        assert occurrences > len(slot1)
+        assert spy.verify == []
+        assert [len(batch) for batch in spy.batches] == [links + len(slot1)]
+        assert len(set(spy.batched)) == links + len(slot1)
 
     def test_legacy_entries_share_the_same_opening_keys(
         self, v3_system, v2_system, spy
@@ -284,10 +328,14 @@ class TestOpeningCount:
         ps = v3_system.chain_proof_system(query.all_keywords())
         v3_system.verify_cache.clear()
         verify_query(query, v2_answer, ps)
-        assert len(spy) == 2 * len(v2_answer.result_ids)
-        del spy[:]
+        # Every per-entry chain repeats its ancestors' links; each is
+        # owed once all the same.
+        assert [len(batch) for batch in spy.batches] == [
+            2 * len(v2_answer.result_ids)
+        ]
+        spy.clear()
         assert v3_system.query(SCAN).verified
-        assert spy == []
+        assert spy.batches == [] and spy.verify == []
 
     def test_tampered_link_next_to_a_cached_one_misses_and_fails(
         self, v3_system, spy
@@ -302,48 +350,50 @@ class TestOpeningCount:
             0,
             [forged if node is victim else node for node in table.nodes],
         )
-        del spy[:]
+        spy.clear()
         hits = v3_system.verify_cache.hits
+        size = len(v3_system.verify_cache)
         with pytest.raises(VerificationError):
             reverify(v3_system, answer, SCAN)
         # The forged opening differs from its cached twin in one bit of
-        # one component: it went to vc.verify, failed, and was not stored.
-        assert [opening[3] for opening in spy] == [forged.link_proof]
+        # one component: it alone was owed, failed, and was not stored.
+        assert [opening[3] for opening in spy.batched] == [forged.link_proof]
+        assert {opening[3] for opening in spy.verify} == {forged.link_proof}
         with pytest.raises(VerificationError):
             reverify(v3_system, answer, SCAN)
-        assert len(spy) == 2
+        assert [len(batch) for batch in spy.batches] == [1, 1]
         assert v3_system.verify_cache.hits > hits  # the rest still hit
+        assert len(v3_system.verify_cache) == size
 
-
-class TestFanOutGuard:
-    """``verify_full_scan`` fans per-entry proofs out to a pool, but never
-    table refs: every worker would re-verify the whole table."""
-
-    class Pool:
-        kind = "thread"
-
-        def __init__(self):
-            self.batches = []
-
-        def map(self, fn, tasks, labels=None):
-            self.batches.append(len(tasks))
-            return [fn(task) for task in tasks]
-
-    @pytest.mark.parametrize(
-        "fixture,fanned_out", [("v3_system", []), ("v2_system", [20])]
-    )
-    def test_only_per_entry_proofs_reach_the_pool(
-        self, request, fixture, fanned_out
+    def test_two_tampered_links_go_to_the_batch_alone_and_fail(
+        self, v3_system, spy
     ):
-        system = request.getfixturevalue(fixture)
-        query = KeywordQuery.parse(SCAN)
-        ps = system.chain_proof_system(query.all_keywords())
-        pool = self.Pool()
-        verified = verify_query(
-            query, answer_for(system, SCAN), ps, executor=pool
+        """Only what the cache does not hold is sent to the batch; the
+        batch fails, and the one-by-one pass names a culprit."""
+        assert v3_system.query(SCAN).verified
+        answer = answer_for(v3_system, SCAN)
+        table = answer.vo.multiproofs[0]
+        victims = {table.nodes[3], table.nodes[11]}
+        answer.vo = with_nodes(
+            answer.vo,
+            0,
+            [
+                dataclasses.replace(node, link_proof=node.link_proof ^ 1)
+                if node in victims
+                else node
+                for node in table.nodes
+            ],
         )
-        assert len(verified.ids) == 20
-        assert pool.batches == fanned_out
+        spy.clear()
+        with obs.collect() as collector:
+            with pytest.raises(VerificationError, match="parent link"):
+                reverify(v3_system, answer, SCAN)
+        assert [len(batch) for batch in spy.batches] == [2]
+        assert len(spy.verify) == 1  # stops at the first that fails
+        counters = collector.metrics.snapshot()
+        assert counters["vc.verify.batches"] == 1
+        assert counters["vc.verify.batched_openings"] == 2
+        assert counters["vc.verify.batch_fallbacks"] == 1
 
 
 class TestFailClosed:

@@ -83,15 +83,27 @@ class TestChameleonWarming:
         from repro.crypto import vc
 
         system = self.make_ci_system()
-        assert system.warm_pending() == 9 + 5
-        # Two openings per posting, each verified once while warming.
+        with obs.collect() as collector:
+            assert system.warm_pending() == 9 + 5
+        # Two openings per posting, each owed once while warming (every
+        # per-entry chain repeats its ancestors' links) and each keyword
+        # settled as one batch.
         assert system.verify_cache.misses == 2 * (9 + 5)
         assert len(system.verify_cache) == 2 * (9 + 5)
+        counters = collector.metrics.snapshot()
+        assert counters["vc.verify.batches"] == 2
+        assert counters["vc.verify.batched_openings"] == 2 * (9 + 5)
+        assert "vc.verify.batch_fallbacks" not in counters
+        # A warmed scan costs no exponentiation of any kind at query time.
         calls = []
-        real = vc.verify
-        monkeypatch.setattr(
-            vc, "verify", lambda *args: calls.append(args) or real(*args)
-        )
+        for name in ("verify", "verify_batch", "multi_exp"):
+            real = getattr(vc, name)
+            monkeypatch.setattr(
+                vc,
+                name,
+                lambda *args, _real=real, **kw: calls.append(args)
+                or _real(*args, **kw),
+            )
         misses = system.verify_cache.misses
         answer = system.process_query(KeywordQuery.parse('"alpha"'))
         assert answer.vo.multiproofs  # node tables, not per-entry proofs
@@ -100,6 +112,47 @@ class TestChameleonWarming:
         assert calls == []
         assert system.verify_cache.misses == misses
         assert system.verify_cache.hits > 0
+
+
+    def test_tampered_entry_is_neither_counted_nor_cached(self):
+        """The keyword's batch fails, every entry then settles alone:
+        the bad one is skipped, the rest warm, and a later query that
+        presents the bad opening still has to check it — and fails."""
+        system = self.make_ci_system()
+        genuine = system._sp_view("beta").all_proven()
+        assert len(genuine) == 5
+        bad_proof = genuine[3].proof.slot1_proof ^ 1
+        entries = list(genuine)
+        entries[3] = dataclasses.replace(
+            genuine[3],
+            proof=dataclasses.replace(genuine[3].proof, slot1_proof=bad_proof),
+        )
+        warmer = CacheWarmer(
+            prove=lambda kw: entries,
+            proof_system=system.chain_proof_system,
+            hot_threshold=0,
+        )
+        warmer.note_insert(["beta"])
+        with obs.collect() as collector:
+            assert warmer.warm("beta") == 4
+        counters = collector.metrics.snapshot()
+        assert counters["sp.warm.entries"] == 4
+        assert counters["sp.warm.failures"] == 1
+        assert counters["vc.verify.batch_fallbacks"] >= 1
+        assert "beta" in warmer.pending()
+        cached = {key.parts[-1] for key in system.verify_cache._entries}
+        assert bad_proof not in cached
+        assert genuine[3].proof.slot1_proof not in cached  # never presented
+        # Slot 1 of the four good entries, and every link (the bad
+        # entry's own link was settled with its descendants' chains or
+        # not at all — either way only by a batch that passed).
+        assert {e.proof.slot1_proof for e in genuine} - cached == {
+            genuine[3].proof.slot1_proof
+        }
+        ps = system.chain_proof_system(frozenset(("beta",)))
+        with pytest.raises(VerificationError):
+            with ps.settling():
+                ps.verify_entry("beta", entries[3])
 
 
 class TestFailClosed:
@@ -126,7 +179,8 @@ class TestFailClosed:
         # Nothing was cached: verifying a tampered entry still raises.
         ps = system.chain_proof_system(frozenset(("alpha",)))
         with pytest.raises(VerificationError):
-            ps.verify_entry("alpha", tampered[0])
+            with ps.settling():
+                ps.verify_entry("alpha", tampered[0])
 
     def test_partial_tampering_caches_only_good_entries(self):
         system = make_system()
