@@ -41,11 +41,21 @@ and one-byte flags and tags accept exactly the values the encoder
 writes.  A node table that is unsorted, repeats a position or lacks an
 ancestor, and a ref to a table or node that is not there, are rejected
 here, before any verification runs.
+
+There is one reader, :class:`~repro.core.wire.Reader` (shared with
+:mod:`repro.sp.protocol`): the received ``bytes`` plus an offset, so a
+frame is parsed in one forward pass without copying it into a stream.
+Runs of fixed-width fields — a multiproof's helper digests and its
+``(id, hash)`` leaf rows, a node row's two group elements — are
+bounds-checked and sliced as one; a node's 2-bit slot codes are looked
+up four at a time.  Truncation, flag bytes outside ``{0, 1}``, non-zero
+padding bits, oversized varints and trailing bytes are all the reader's
+or this module's explicit checks, none of them an ``assert``.
 """
 
 from __future__ import annotations
 
-import io
+import struct
 
 from repro.core.chameleon import (
     ChameleonLink,
@@ -66,6 +76,7 @@ from repro.core.query.vo import (
     SemiJoinProbe,
     SemiJoinStage,
 )
+from repro.core.wire import U8, Reader, put_varint, read_varint
 from repro.errors import ReproError, UnresolvedProofError
 
 _PROOF_NONE = 0
@@ -85,6 +96,30 @@ _BASE_FULLSCAN = 2
 #: unmarked legacy layout).
 _VERSION_BASE = 0xF0
 _VERSIONS = (2, 3, 4)
+
+#: One multiproof leaf row: ``id(8) || hash(32)``.
+_LEAF_ROW = struct.Struct(">Q32s")
+
+#: The four 2-bit slot codes a packed byte holds, low bits first.
+_SLOT_CODES = tuple(
+    tuple((byte >> shift) & 0x3 for shift in (0, 2, 4, 6))
+    for byte in range(256)
+)
+
+_WHAT = "VO payload"
+_TRUNCATED = f"truncated {_WHAT}"
+
+
+def _put_uint(out: bytearray, value: int, width: int) -> None:
+    out += value.to_bytes(width, "big")
+
+
+def _put_string(out: bytearray, text: str) -> None:
+    encoded = text.encode("utf-8")
+    if len(encoded) > 0xFF:
+        raise ReproError("keyword too long for wire format")
+    out.append(len(encoded))
+    out += encoded
 
 
 class VOCodec:
@@ -108,125 +143,57 @@ class VOCodec:
         self.value_bytes = value_bytes
         self.version = version
 
-    # -- primitives --------------------------------------------------------------
-
-    @staticmethod
-    def _write_uint(out: io.BytesIO, value: int, width: int) -> None:
-        out.write(value.to_bytes(width, "big"))
-
-    @staticmethod
-    def _read_uint(data: io.BytesIO, width: int) -> int:
-        raw = data.read(width)
-        if len(raw) != width:
-            raise ReproError("truncated VO payload")
-        return int.from_bytes(raw, "big")
-
-    def _write_element(self, out: io.BytesIO, value: int) -> None:
-        self._write_uint(out, value, self.value_bytes)
-
-    def _read_element(self, data: io.BytesIO) -> int:
-        return self._read_uint(data, self.value_bytes)
-
-    @staticmethod
-    def _write_string(out: io.BytesIO, text: str) -> None:
-        encoded = text.encode("utf-8")
-        if len(encoded) > 0xFF:
-            raise ReproError("keyword too long for wire format")
-        out.write(len(encoded).to_bytes(1, "big"))
-        out.write(encoded)
-
-    @staticmethod
-    def _read_string(data: io.BytesIO) -> str:
-        length = VOCodec._read_uint(data, 1)
-        raw = data.read(length)
-        if len(raw) != length:
-            raise ReproError("truncated VO payload")
-        try:
-            return raw.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ReproError("keyword in VO payload is not UTF-8") from exc
-
-    @staticmethod
-    def _read_bytes(data: io.BytesIO, length: int) -> bytes:
-        raw = data.read(length)
-        if len(raw) != length:
-            raise ReproError("truncated VO payload")
-        return raw
-
-    @staticmethod
-    def _write_varint(out: io.BytesIO, value: int) -> None:
-        if value < 0:
-            raise ReproError("varint values must be non-negative")
-        while value >= 0x80:
-            out.write(bytes([(value & 0x7F) | 0x80]))
-            value >>= 7
-        out.write(bytes([value]))
-
-    @staticmethod
-    def _read_varint(data: io.BytesIO) -> int:
-        value = 0
-        shift = 0
-        while True:
-            raw = data.read(1)
-            if not raw:
-                raise ReproError("truncated VO payload")
-            byte = raw[0]
-            value |= (byte & 0x7F) << shift
-            if not byte & 0x80:
-                return value
-            shift += 7
-            if shift > 63:
-                raise ReproError("oversized varint in VO payload")
-
     # -- multiproofs --------------------------------------------------------------
 
-    def _write_multiproof(self, out: io.BytesIO, mp: TreeMultiproof) -> None:
-        self._write_uint(out, mp.height, 1)
-        self._write_varint(out, len(mp.nodes))
+    @staticmethod
+    def _write_multiproof(out: bytearray, mp: TreeMultiproof) -> None:
+        out.append(mp.height)
+        put_varint(out, len(mp.nodes))
         for codes in mp.nodes:
-            self._write_varint(out, len(codes))
+            put_varint(out, len(codes))
             packed = bytearray((len(codes) + 3) // 4)
             for slot, code in enumerate(codes):
                 if not 0 <= code <= 3:
                     raise ReproError(f"cannot encode slot code {code}")
                 packed[slot // 4] |= code << ((slot % 4) * 2)
-            out.write(bytes(packed))
-        self._write_varint(out, len(mp.helpers))
+            out += packed
+        put_varint(out, len(mp.helpers))
         for digest in mp.helpers:
             if len(digest) != 32:
                 raise ReproError("multiproof helper is not a 32-byte digest")
-            out.write(digest)
-        self._write_varint(out, len(mp.leaves))
+        out += b"".join(mp.helpers)
+        put_varint(out, len(mp.leaves))
         for object_id, object_hash in mp.leaves:
-            self._write_uint(out, object_id, 8)
             if len(object_hash) != 32:
                 raise ReproError("multiproof leaf hash is not 32 bytes")
-            out.write(object_hash)
+            out += _LEAF_ROW.pack(object_id, object_hash)
 
-    def _read_multiproof(self, data: io.BytesIO) -> TreeMultiproof:
-        height = self._read_uint(data, 1)
+    @staticmethod
+    def _read_multiproof(r: Reader) -> TreeMultiproof:
+        height = r.u8()
+        count = r.varint()
+        buf = r.buf
+        pos = r.pos
         nodes = []
-        for _ in range(self._read_varint(data)):
-            width = self._read_varint(data)
+        for _ in range(count):
+            width, pos = read_varint(buf, pos)
             if width > 0xFFFF:
                 raise ReproError("oversized multiproof node width")
-            packed = self._read_bytes(data, (width + 3) // 4)
-            if width % 4 and packed[-1] >> (width % 4 * 2):
+            end = pos + (width + 3) // 4
+            if end > len(buf):
+                raise ReproError(_TRUNCATED)
+            if width % 4 and buf[end - 1] >> (width % 4 * 2):
                 raise ReproError("non-zero padding in multiproof slot codes")
-            codes = tuple(
-                (packed[slot // 4] >> ((slot % 4) * 2)) & 0x3
-                for slot in range(width)
-            )
-            if any(code > 2 for code in codes):
+            codes = [
+                code for byte in buf[pos:end] for code in _SLOT_CODES[byte]
+            ]
+            if 3 in codes:
                 raise ReproError("invalid multiproof slot code")
-            nodes.append(codes)
-        helpers = tuple(
-            self._read_bytes(data, 32) for _ in range(self._read_varint(data))
-        )
-        leaves = tuple(
-            (self._read_uint(data, 8), self._read_bytes(data, 32))
-            for _ in range(self._read_varint(data))
-        )
+            nodes.append(tuple(codes[:width]))
+            pos = end
+        r.pos = pos
+        helpers = r.chunks(r.varint(), 32)
+        leaves = tuple(r.rows(_LEAF_ROW, r.varint()))
         return TreeMultiproof(
             height=height,
             nodes=tuple(nodes),
@@ -235,110 +202,116 @@ class VOCodec:
         )
 
     def _write_node_table(
-        self, out: io.BytesIO, table: ChameleonMultiproof
+        self, out: bytearray, table: ChameleonMultiproof
     ) -> None:
         table.index()  # a malformed table is refused, not shipped
-        self._write_uint(out, table.arity, 1)
-        self._write_varint(out, len(table.nodes))
+        width = self.value_bytes
+        out.append(table.arity)
+        put_varint(out, len(table.nodes))
         for node in table.nodes:
-            self._write_varint(out, node.position)
-            self._write_element(out, node.commitment)
-            self._write_element(out, node.link_proof)
+            put_varint(out, node.position)
+            out += node.commitment.to_bytes(width, "big")
+            out += node.link_proof.to_bytes(width, "big")
 
-    def _read_node_table(self, data: io.BytesIO) -> ChameleonMultiproof:
-        arity = self._read_uint(data, 1)
-        count = self._read_varint(data)
-        remaining = len(data.getbuffer()) - data.tell()
-        if count * (1 + 2 * self.value_bytes) > remaining:
+    def _read_node_table(self, r: Reader) -> ChameleonMultiproof:
+        arity = r.u8()
+        count = r.varint()
+        width = self.value_bytes
+        buf = r.buf
+        pos = r.pos
+        if count * (1 + 2 * width) > len(buf) - pos:
             raise ReproError("node table longer than the VO payload")
-        table = ChameleonMultiproof(
-            arity=arity,
-            nodes=tuple(
+        nodes = []
+        for _ in range(count):
+            position = buf[pos]
+            pos += 1
+            if position > 0x7F:
+                position, pos = read_varint(buf, pos - 1)
+            middle = pos + width
+            end = middle + width
+            if end > len(buf):
+                raise ReproError(_TRUNCATED)
+            nodes.append(
                 ChameleonNode(
-                    position=self._read_varint(data),
-                    commitment=self._read_element(data),
-                    link_proof=self._read_element(data),
+                    position,
+                    int.from_bytes(buf[pos:middle], "big"),
+                    int.from_bytes(buf[middle:end], "big"),
                 )
-                for _ in range(count)
-            ),
-        )
+            )
+            pos = end
+        r.pos = pos
+        table = ChameleonMultiproof(arity=arity, nodes=tuple(nodes))
         table.index()  # sorted, duplicate-free, parent-closed — or raises
         return table
 
     # -- proofs ------------------------------------------------------------------
 
-    def _write_merkle_path(self, out: io.BytesIO, path: MerklePath) -> None:
-        self._write_uint(out, len(path.steps), 1)
+    @staticmethod
+    def _write_merkle_path(out: bytearray, path: MerklePath) -> None:
+        out.append(len(path.steps))
         for step in path.steps:
-            self._write_uint(out, step.index, 2)
-            self._write_uint(out, len(step.before), 1)
-            for digest in step.before:
-                out.write(digest)
-            self._write_uint(out, len(step.after), 1)
-            for digest in step.after:
-                out.write(digest)
+            _put_uint(out, step.index, 2)
+            out.append(len(step.before))
+            out += b"".join(step.before)
+            out.append(len(step.after))
+            out += b"".join(step.after)
 
-    def _read_merkle_path(self, data: io.BytesIO) -> MerklePath:
+    @staticmethod
+    def _read_merkle_path(r: Reader) -> MerklePath:
         # Decoding a legacy frame rebuilds the per-entry paths the wire
         # carried; only *construction* on the batched query path is
         # forbidden by the lint rule.
-        depth = self._read_uint(data, 1)
         steps = []
-        for _ in range(depth):
-            index = self._read_uint(data, 2)
-            before = tuple(
-                self._read_bytes(data, 32)
-                for _ in range(self._read_uint(data, 1))
-            )
-            after = tuple(
-                self._read_bytes(data, 32)
-                for _ in range(self._read_uint(data, 1))
-            )
+        for _ in range(r.u8()):
+            index = r.uint(2)
+            before = r.chunks(r.u8(), 32)
+            after = r.chunks(r.u8(), 32)
             # reprolint: disable-next-line=multiproof-batched-path
             steps.append(PathStep(index=index, before=before, after=after))
         # reprolint: disable-next-line=multiproof-batched-path
         return MerklePath(steps=tuple(steps))
 
-    def _write_membership(self, out: io.BytesIO, proof: MembershipProof) -> None:
-        self._write_uint(out, proof.position, 8)
-        self._write_element(out, proof.entry_commitment)
-        self._write_element(out, proof.slot1_proof)
-        self._write_uint(out, len(proof.links), 1)
+    def _write_membership(self, out: bytearray, proof: MembershipProof) -> None:
+        width = self.value_bytes
+        _put_uint(out, proof.position, 8)
+        _put_uint(out, proof.entry_commitment, width)
+        _put_uint(out, proof.slot1_proof, width)
+        out.append(len(proof.links))
         for link in proof.links:
-            self._write_uint(out, link.child_index, 1)
-            self._write_element(out, link.child_commitment)
-            self._write_element(out, link.proof)
+            out.append(link.child_index)
+            _put_uint(out, link.child_commitment, width)
+            _put_uint(out, link.proof, width)
 
-    def _read_membership(self, data: io.BytesIO) -> MembershipProof:
-        position = self._read_uint(data, 8)
-        entry_commitment = self._read_element(data)
-        slot1_proof = self._read_element(data)
-        links = []
-        for _ in range(self._read_uint(data, 1)):
-            links.append(
-                ChameleonLink(
-                    child_index=self._read_uint(data, 1),
-                    child_commitment=self._read_element(data),
-                    proof=self._read_element(data),
-                )
+    def _read_membership(self, r: Reader) -> MembershipProof:
+        width = self.value_bytes
+        position = r.uint(8)
+        entry_commitment = r.uint(width)
+        slot1_proof = r.uint(width)
+        links = tuple(
+            ChameleonLink(
+                child_index=r.u8(),
+                child_commitment=r.uint(width),
+                proof=r.uint(width),
             )
+            for _ in range(r.u8())
+        )
         return MembershipProof(
             position=position,
             entry_commitment=entry_commitment,
             slot1_proof=slot1_proof,
-            links=tuple(links),
+            links=links,
         )
 
     def _write_entry(
         self,
-        out: io.BytesIO,
+        out: bytearray,
         entry: ProvenEntry | None,
         mps: tuple | None = None,
     ) -> None:
         if entry is None:
-            self._write_uint(out, 0, 1)
+            out.append(0)
             return
-        self._write_uint(out, 1, 1)
+        out.append(1)
         proof = entry.proof
         if isinstance(proof, LeafRef):
             # v3 on: the id/hash live in the multiproof leaf table, so
@@ -348,9 +321,9 @@ class VOCodec:
                     "LeafRef proofs require the v3 frame "
                     "(VOCodec(version=2) cannot encode compressed VOs)"
                 )
-            self._write_uint(out, _PROOF_LEAFREF, 1)
-            self._write_varint(out, proof.proof_index)
-            self._write_varint(out, proof.ordinal)
+            out.append(_PROOF_LEAFREF)
+            put_varint(out, proof.proof_index)
+            put_varint(out, proof.ordinal)
             return
         if proof is None:
             tag = _PROOF_NONE
@@ -370,37 +343,52 @@ class VOCodec:
         # Versioned frames tag before the id/hash so LeafRef entries can
         # omit them; the legacy layout tags after.
         if mps is not None:
-            self._write_uint(out, tag, 1)
-        self._write_uint(out, entry.object_id, 8)
-        out.write(entry.object_hash)
+            out.append(tag)
+        _put_uint(out, entry.object_id, 8)
+        out += entry.object_hash
         if mps is None:
-            self._write_uint(out, tag, 1)
+            out.append(tag)
         if tag == _PROOF_MERKLE:
             self._write_merkle_path(out, proof)
         elif tag == _PROOF_CVC:
             self._write_membership(out, proof)
         elif tag == _PROOF_NODEREF:
-            self._write_varint(out, proof.table_index)
-            self._write_varint(out, proof.position)
-            self._write_element(out, proof.slot1_proof)
-
-    def _read_present(self, data: io.BytesIO) -> bool:
-        """A one-byte flag; the encoder writes 0 or 1 and nothing else."""
-        flag = self._read_uint(data, 1)
-        if flag > 1:
-            raise ReproError(f"invalid flag byte {flag} in VO payload")
-        return flag == 1
+            put_varint(out, proof.table_index)
+            put_varint(out, proof.position)
+            _put_uint(out, proof.slot1_proof, self.value_bytes)
 
     def _read_entry(
-        self, data: io.BytesIO, mps: tuple | None = None
+        self, r: Reader, mps: tuple | None = None
     ) -> ProvenEntry | None:
-        if not self._read_present(data):
+        # The codec's inner loop: the buffer is indexed here, not
+        # through the reader's methods, and a varint's usual single
+        # byte is read in place (the call is for the long ones).
+        # Off-the-end reads raise IndexError / struct.error, which
+        # decode() reports as truncation; slices are checked against
+        # the length first.
+        proof: NodeRef | MerklePath | MembershipProof | None
+        buf = r.buf
+        pos = r.pos
+        present = buf[pos]
+        pos += 1
+        if present != 1:
+            if present:
+                raise ReproError(f"invalid flag byte {present} in {_WHAT}")
+            r.pos = pos
             return None
         if mps is not None:
-            tag = self._read_uint(data, 1)
+            tag = buf[pos]
+            pos += 1
             if tag == _PROOF_LEAFREF:
-                proof_index = self._read_varint(data)
-                ordinal = self._read_varint(data)
+                proof_index = buf[pos]
+                pos += 1
+                if proof_index > 0x7F:
+                    proof_index, pos = read_varint(buf, pos - 1)
+                ordinal = buf[pos]
+                pos += 1
+                if ordinal > 0x7F:
+                    ordinal, pos = read_varint(buf, pos - 1)
+                r.pos = pos
                 if proof_index >= len(mps) or not isinstance(
                     mps[proof_index], TreeMultiproof
                 ):
@@ -414,142 +402,144 @@ class VOCodec:
                     )
                 object_id, object_hash = leaves[ordinal]
                 return ProvenEntry(
-                    object_id=object_id,
-                    object_hash=object_hash,
-                    proof=LeafRef(proof_index=proof_index, ordinal=ordinal),
+                    object_id, object_hash, LeafRef(proof_index, ordinal)
                 )
+            object_id, object_hash = _LEAF_ROW.unpack_from(buf, pos)
+            pos += _LEAF_ROW.size
         else:
-            tag = None
-        object_id = self._read_uint(data, 8)
-        object_hash = self._read_bytes(data, 32)
-        if tag is None:
-            tag = self._read_uint(data, 1)
+            object_id, object_hash = _LEAF_ROW.unpack_from(buf, pos)
+            pos += _LEAF_ROW.size
+            tag = buf[pos]
+            pos += 1
+        if tag == _PROOF_NODEREF:
+            table_index = buf[pos]
+            pos += 1
+            if table_index > 0x7F:
+                table_index, pos = read_varint(buf, pos - 1)
+            position = buf[pos]
+            pos += 1
+            if position > 0x7F:
+                position, pos = read_varint(buf, pos - 1)
+            end = pos + self.value_bytes
+            if end > len(buf):
+                raise ReproError(_TRUNCATED)
+            proof = NodeRef(
+                table_index, position, int.from_bytes(buf[pos:end], "big")
+            )
+            r.pos = end
+            if (
+                mps is None
+                or table_index >= len(mps)
+                or not isinstance(mps[table_index], ChameleonMultiproof)
+            ):
+                raise ReproError(
+                    f"NodeRef table index {table_index} out of range"
+                )
+            mps[table_index].node(position)  # raises if absent
+            return ProvenEntry(object_id, object_hash, proof)
+        r.pos = pos
         if tag == _PROOF_NONE:
             proof = None
         elif tag == _PROOF_MERKLE:
-            proof = self._read_merkle_path(data)
+            proof = self._read_merkle_path(r)
         elif tag == _PROOF_CVC:
-            proof = self._read_membership(data)
-        elif tag == _PROOF_NODEREF:
-            proof = NodeRef(
-                table_index=self._read_varint(data),
-                position=self._read_varint(data),
-                slot1_proof=self._read_element(data),
-            )
-            if (
-                mps is None
-                or proof.table_index >= len(mps)
-                or not isinstance(mps[proof.table_index], ChameleonMultiproof)
-            ):
-                raise ReproError(
-                    f"NodeRef table index {proof.table_index} out of range"
-                )
-            mps[proof.table_index].node(proof.position)  # raises if absent
+            proof = self._read_membership(r)
         else:
             raise ReproError(f"unknown proof tag {tag}")
-        return ProvenEntry(
-            object_id=object_id, object_hash=object_hash, proof=proof
-        )
+        return ProvenEntry(object_id, object_hash, proof)
 
     # -- VO structures ------------------------------------------------------------
 
     def _write_round(
-        self, out: io.BytesIO, rnd: JoinRound, mps: tuple | None = None
+        self, out: bytearray, rnd: JoinRound, mps: tuple | None = None
     ) -> None:
-        self._write_uint(out, 0 if rnd.kind == "probe" else 1, 1)
-        self._write_uint(out, rnd.probe_tree, 1)
+        out.append(0 if rnd.kind == "probe" else 1)
+        out.append(rnd.probe_tree)
         self._write_entry(out, rnd.lower, mps)
         self._write_entry(out, rnd.upper, mps)
         self._write_entry(out, rnd.next_target, mps)
 
-    def _read_round(
-        self, data: io.BytesIO, mps: tuple | None = None
-    ) -> JoinRound:
-        kind = "skip" if self._read_present(data) else "probe"
-        probe_tree = self._read_uint(data, 1)
-        lower = self._read_entry(data, mps)
-        upper = self._read_entry(data, mps)
-        next_target = self._read_entry(data, mps)
+    def _read_round(self, r: Reader, mps: tuple | None = None) -> JoinRound:
+        buf = r.buf
+        pos = r.pos
+        kind = buf[pos]
+        if kind > 1:
+            raise ReproError(f"invalid flag byte {kind} in {_WHAT}")
+        probe_tree = buf[pos + 1]
+        r.pos = pos + 2
         return JoinRound(
-            kind=kind,
-            probe_tree=probe_tree,
-            lower=lower,
-            upper=upper,
-            next_target=next_target,
+            "skip" if kind else "probe",
+            probe_tree,
+            self._read_entry(r, mps),
+            self._read_entry(r, mps),
+            self._read_entry(r, mps),
         )
 
     def _write_conjunct(
-        self, out: io.BytesIO, vo: ConjunctiveVO, mps: tuple | None = None
+        self, out: bytearray, vo: ConjunctiveVO, mps: tuple | None = None
     ) -> None:
-        self._write_uint(out, len(vo.keywords), 1)
+        out.append(len(vo.keywords))
         for keyword in vo.keywords:
-            self._write_string(out, keyword)
+            _put_string(out, keyword)
         if vo.empty_keyword is not None:
-            self._write_uint(out, 1, 1)
-            self._write_string(out, vo.empty_keyword)
+            out.append(1)
+            _put_string(out, vo.empty_keyword)
         else:
-            self._write_uint(out, 0, 1)
+            out.append(0)
         if vo.base is None:
-            self._write_uint(out, _BASE_NONE, 1)
+            out.append(_BASE_NONE)
         elif isinstance(vo.base, MultiWayJoinVO):
-            self._write_uint(out, _BASE_MULTIWAY, 1)
-            self._write_uint(out, len(vo.base.trees), 1)
+            out.append(_BASE_MULTIWAY)
+            out.append(len(vo.base.trees))
             for tree in vo.base.trees:
-                self._write_string(out, tree)
+                _put_string(out, tree)
             self._write_entry(out, vo.base.first_target, mps)
-            self._write_uint(out, len(vo.base.rounds), 2)
+            _put_uint(out, len(vo.base.rounds), 2)
             for rnd in vo.base.rounds:
                 self._write_round(out, rnd, mps)
-        else:
-            assert isinstance(vo.base, FullScanVO)
-            self._write_uint(out, _BASE_FULLSCAN, 1)
-            self._write_string(out, vo.base.keyword)
-            self._write_uint(out, len(vo.base.entries), 2)
+        elif isinstance(vo.base, FullScanVO):
+            out.append(_BASE_FULLSCAN)
+            _put_string(out, vo.base.keyword)
+            _put_uint(out, len(vo.base.entries), 2)
             for entry in vo.base.entries:
                 self._write_entry(out, entry, mps)
-        self._write_uint(out, len(vo.stages), 1)
+        else:
+            raise ReproError(f"cannot encode base {type(vo.base)!r}")
+        out.append(len(vo.stages))
         for stage in vo.stages:
-            self._write_string(out, stage.keyword)
-            self._write_uint(out, len(stage.probes), 2)
+            _put_string(out, stage.keyword)
+            _put_uint(out, len(stage.probes), 2)
             for probe in stage.probes:
-                self._write_uint(out, probe.candidate_id, 8)
-                self._write_uint(out, 1 if probe.bloom_absent else 0, 1)
+                _put_uint(out, probe.candidate_id, 8)
+                out.append(1 if probe.bloom_absent else 0)
                 self._write_entry(out, probe.lower, mps)
                 self._write_entry(out, probe.upper, mps)
 
     def _read_conjunct(
-        self, data: io.BytesIO, mps: tuple | None = None
+        self, r: Reader, mps: tuple | None = None
     ) -> ConjunctiveVO:
-        keywords = tuple(
-            self._read_string(data) for _ in range(self._read_uint(data, 1))
-        )
-        empty_keyword = None
-        if self._read_present(data):
-            empty_keyword = self._read_string(data)
-        base_tag = self._read_uint(data, 1)
+        keywords = tuple(r.text(U8) for _ in range(r.u8()))
+        empty_keyword = r.text(U8) if r.flag() else None
+        base_tag = r.u8()
         base: MultiWayJoinVO | FullScanVO | None
         if base_tag == _BASE_NONE:
             base = None
         elif base_tag == _BASE_MULTIWAY:
-            trees = tuple(
-                self._read_string(data)
-                for _ in range(self._read_uint(data, 1))
-            )
-            first_target = self._read_entry(data, mps)
+            trees = tuple(r.text(U8) for _ in range(r.u8()))
+            first_target = self._read_entry(r, mps)
             if first_target is None:
                 raise ReproError("join VO lacks its first target")
             rounds = tuple(
-                self._read_round(data, mps)
-                for _ in range(self._read_uint(data, 2))
+                [self._read_round(r, mps) for _ in range(r.uint(2))]
             )
             base = MultiWayJoinVO(
                 trees=trees, first_target=first_target, rounds=rounds
             )
         elif base_tag == _BASE_FULLSCAN:
-            keyword = self._read_string(data)
+            keyword = r.text(U8)
             entries = []
-            for _ in range(self._read_uint(data, 2)):
-                entry = self._read_entry(data, mps)
+            for _ in range(r.uint(2)):
+                entry = self._read_entry(r, mps)
                 if entry is None:
                     raise ReproError("full-scan VO lists an absent entry")
                 entries.append(entry)
@@ -557,23 +547,18 @@ class VOCodec:
         else:
             raise ReproError(f"unknown base tag {base_tag}")
         stages = []
-        for _ in range(self._read_uint(data, 1)):
-            keyword = self._read_string(data)
-            probes = []
-            for _ in range(self._read_uint(data, 2)):
-                candidate_id = self._read_uint(data, 8)
-                bloom_absent = self._read_present(data)
-                lower = self._read_entry(data, mps)
-                upper = self._read_entry(data, mps)
-                probes.append(
-                    SemiJoinProbe(
-                        candidate_id=candidate_id,
-                        bloom_absent=bloom_absent,
-                        lower=lower,
-                        upper=upper,
-                    )
+        for _ in range(r.u8()):
+            keyword = r.text(U8)
+            probes = tuple(
+                SemiJoinProbe(
+                    candidate_id=r.uint(8),
+                    bloom_absent=r.flag(),
+                    lower=self._read_entry(r, mps),
+                    upper=self._read_entry(r, mps),
                 )
-            stages.append(SemiJoinStage(keyword=keyword, probes=tuple(probes)))
+                for _ in range(r.uint(2))
+            )
+            stages.append(SemiJoinStage(keyword=keyword, probes=probes))
         return ConjunctiveVO(
             keywords=keywords,
             base=base,
@@ -600,35 +585,33 @@ class VOCodec:
                 f"VOCodec(version={version}) cannot encode a VO that "
                 f"needs the v{needed} frame"
             )
-        out = io.BytesIO()
+        out = bytearray()
         mps: tuple | None = None
         if version >= 3:
-            out.write(bytes([_VERSION_BASE | version]))
+            out.append(_VERSION_BASE | version)
             mps = tuple(vo.multiproofs)
-            self._write_varint(out, len(mps))
+            put_varint(out, len(mps))
             for table in mps:
                 chameleon = isinstance(table, ChameleonMultiproof)
                 if version >= 4:
-                    self._write_uint(
-                        out, _TABLE_CHAMELEON if chameleon else _TABLE_MERKLE, 1
-                    )
+                    out.append(_TABLE_CHAMELEON if chameleon else _TABLE_MERKLE)
                 if chameleon:
                     self._write_node_table(out, table)
                 else:
                     self._write_multiproof(out, table)
-        self._write_uint(out, len(vo.conjuncts), 1)
+        out.append(len(vo.conjuncts))
         for conjunct in vo.conjuncts:
             self._write_conjunct(out, conjunct, mps)
-        return out.getvalue()
+        return bytes(out)
 
     def _read_table(
-        self, data: io.BytesIO, version: int
+        self, r: Reader, version: int
     ) -> TreeMultiproof | ChameleonMultiproof:
-        kind = self._read_uint(data, 1) if version >= 4 else _TABLE_MERKLE
+        kind = r.u8() if version >= 4 else _TABLE_MERKLE
         if kind == _TABLE_MERKLE:
-            return self._read_multiproof(data)
+            return self._read_multiproof(r)
         if kind == _TABLE_CHAMELEON:
-            return self._read_node_table(data)
+            return self._read_node_table(r)
         raise ReproError(f"unknown table kind {kind}")
 
     def decode(self, payload: bytes) -> QueryVO:
@@ -638,26 +621,27 @@ class VOCodec:
         pin (the pin only selects the encoder's output).  Only
         :class:`~repro.errors.ReproError` escapes, whatever the bytes.
         """
-        data = io.BytesIO(payload)
-        if not payload:
-            raise ReproError("truncated VO payload")
-        first = payload[0]
+        r = Reader(payload, _WHAT)
         mps: tuple | None = None
-        if first >= _VERSION_BASE:
-            version = first - _VERSION_BASE
-            if version not in _VERSIONS[1:]:
-                raise ReproError(f"unsupported VO frame version {version}")
-            data.read(1)
-            mps = tuple(
-                self._read_table(data, version)
-                for _ in range(self._read_varint(data))
+        try:
+            if payload[:1] >= bytes((_VERSION_BASE,)):
+                version = r.u8() - _VERSION_BASE
+                if version not in _VERSIONS[1:]:
+                    raise ReproError(
+                        f"unsupported VO frame version {version}"
+                    )
+                mps = tuple(
+                    [self._read_table(r, version) for _ in range(r.varint())]
+                )
+            conjuncts = tuple(
+                [self._read_conjunct(r, mps) for _ in range(r.u8())]
             )
-        conjuncts = tuple(
-            self._read_conjunct(data, mps)
-            for _ in range(self._read_uint(data, 1))
-        )
-        if data.read(1):
-            raise ReproError("trailing bytes in VO payload")
+        except (IndexError, struct.error):
+            # The inner loops index the buffer and unpack at an offset
+            # without asking first: running off the end is their
+            # truncation check.
+            raise ReproError(_TRUNCATED) from None
+        r.finish()
         return QueryVO(
             conjuncts=conjuncts, multiproofs=mps if mps is not None else ()
         )

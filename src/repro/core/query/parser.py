@@ -25,6 +25,11 @@ _AND_TOKENS = {"and", "&&", "&", "∧"}
 _OR_TOKENS = {"or", "||", "|", "∨"}
 _NOT_TOKENS = {"not", "!", "¬"}
 
+#: Deepest parenthesis nesting accepted.  The parser recurses once per
+#: level, so without a bound a request of a few kilobytes of ``(`` ends
+#: in the interpreter's RecursionError instead of a QueryError.
+MAX_NESTING = 64
+
 
 @dataclass(frozen=True)
 class _Token:
@@ -83,6 +88,7 @@ class _Parser:
     def __init__(self, tokens: list[_Token]) -> None:
         self._tokens = tokens
         self._pos = 0
+        self._depth = 0
 
     def parse(self) -> list[frozenset[str]]:
         """Parse from the external representation."""
@@ -129,7 +135,13 @@ class _Parser:
         if token.kind == "kw":
             return [frozenset({normalise_keyword(token.value)})]
         if token.kind == "lparen":
+            self._depth += 1
+            if self._depth > MAX_NESTING:
+                raise QueryError(
+                    f"query nests deeper than {MAX_NESTING} parentheses"
+                )
             inner = self._or_expr()
+            self._depth -= 1
             closing = self._advance()
             if closing.kind != "rparen":
                 raise QueryError("missing closing parenthesis")

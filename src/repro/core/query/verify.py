@@ -428,20 +428,27 @@ def verify_query(
         set(answer.result_ids) == union.ids,
         "SP's claimed result set differs from the verified result set",
     )
+    # Each returned object is hashed over the bytes it arrived as (an
+    # object built by ``DataObject.from_wire`` keeps them as its
+    # encoding), and its keywords were read from those same bytes
+    # without re-normalising them.  The order below is what makes that
+    # sound: ``h(o)`` is injective in the encoding, so bytes that hash to
+    # the proven digest are the data owner's canonical encoding — whose
+    # keywords are normalised and distinct — before the keywords are
+    # consulted.  The messages are built only on failure: this loop runs
+    # once per result.
     for object_id in union.ids:
         obj = answer.objects.get(object_id)
-        _check(obj is not None, f"result object {object_id} not returned")
-        assert isinstance(obj, DataObject)
-        _check(
-            obj.object_id == object_id,
-            "returned object carries a different ID",
-        )
-        _check(
-            digests_equal(obj.digest(), union.hashes[object_id]),
-            f"object {object_id} does not hash to its proven digest",
-        )
-        _check(
-            query.matches(obj.keyword_set()),
-            f"object {object_id} does not satisfy the query condition",
-        )
+        if not isinstance(obj, DataObject):
+            raise VerificationError(f"result object {object_id} not returned")
+        if obj.object_id != object_id:
+            raise VerificationError("returned object carries a different ID")
+        if not digests_equal(obj.digest(), union.hashes[object_id]):
+            raise VerificationError(
+                f"object {object_id} does not hash to its proven digest"
+            )
+        if not query.matches(obj.keyword_set()):
+            raise VerificationError(
+                f"object {object_id} does not satisfy the query condition"
+            )
     return union

@@ -299,11 +299,12 @@ class ShardedStorageProvider:
                 (shard, "get_objects", ids)
                 for shard, ids in sorted(by_shard.items())
             ]
-            fetched = self.pool.dispatch(calls)
+            # The workers answer with canonical encodings; they are
+            # wrapped unparsed, which is all the response encoder needs.
             return {
-                obj.object_id: obj
-                for objects in fetched
-                for obj in objects
+                object_id: DataObject.deferred(wire)
+                for (_, _, ids), wires in zip(calls, self.pool.dispatch(calls))
+                for object_id, wire in zip(ids, wires)
             }
         return {
             object_id: self.engines[shard].get_object(object_id)

@@ -38,6 +38,17 @@ def hash_concat(*parts: bytes) -> bytes:
     return hasher.digest()
 
 
+def tagged_hasher(tag: str) -> "hashlib._Hash":
+    """A SHA3-256 state that has absorbed ``tag``'s domain prefix.
+
+    ``copy()`` it per message: a caller that hashes many messages under
+    one tag (every object of an answer) seeds the state once instead of
+    re-hashing the tag each time.
+    """
+    tag_digest = sha3(tag.encode("utf-8"))
+    return hashlib.sha3_256(tag_digest + tag_digest)
+
+
 def tagged_hash(tag: str, *parts: bytes) -> bytes:
     """Domain-separated hash: ``h(tag-digest || tag-digest || parts...)``.
 
@@ -46,10 +57,7 @@ def tagged_hash(tag: str, *parts: bytes) -> bytes:
     cross-structure confusion attacks (e.g. presenting a leaf node where an
     internal node is expected).
     """
-    tag_digest = sha3(tag.encode("utf-8"))
-    hasher = hashlib.sha3_256()
-    hasher.update(tag_digest)
-    hasher.update(tag_digest)
+    hasher = tagged_hasher(tag)
     for part in parts:
         hasher.update(part)
     return hasher.digest()

@@ -51,17 +51,15 @@ from collections import deque
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 from multiprocessing.connection import Connection
-from typing import TYPE_CHECKING, Any, NoReturn
+from typing import Any, NoReturn
 
 from repro import obs
+from repro.core.objects import DataObject
 from repro.errors import ParameterError, ReproError
 from repro.obs import trace as obs_trace
 from repro.obs import xproc
 from repro.parallel import RemoteTraceback
 from repro.sp.engine import IndexShardEngine, make_engine
-
-if TYPE_CHECKING:
-    from repro.core.objects import DataObject
 
 #: Pool modes accepted by the SP front-end / system facade.
 POOL_KINDS = ("stateless", "affine")
@@ -229,7 +227,9 @@ def _handle(engine: IndexShardEngine, op: str, payload: Any) -> object:
     if op == "tree":
         return engine.tree(payload)
     if op == "get_objects":
-        return [engine.get_object(object_id) for object_id in payload]
+        # Canonical encodings, built once per stored object: the parent
+        # forwards them into the response without parsing.
+        return [engine.get_object(object_id).encoded() for object_id in payload]
     if op == "object_ids":
         return engine.all_object_ids()
     if op == "ping":
@@ -682,7 +682,9 @@ class AffineEngineProxy:
 
     def get_object(self, object_id: int) -> DataObject:
         self.flush()
-        return self.pool.request(self.shard_id, "get_objects", [object_id])[0]
+        return DataObject.deferred(
+            self.pool.request(self.shard_id, "get_objects", [object_id])[0]
+        )
 
     def has_object(self, object_id: int) -> bool:
         self.flush()

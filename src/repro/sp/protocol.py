@@ -8,22 +8,39 @@ and a :class:`RemoteClient` drives any ``bytes -> bytes`` callable (an
 in-process handle, an HTTP POST, a socket) and verifies the results
 *locally* against the chain — the SP stays untrusted end to end.
 
-Wire formats reuse the VO codec; objects travel as
-``id(8) || n_keywords(2) || keywords || content_len(4) || content``.
+Protocol v2, big-endian::
+
+    request   version(1) || len(2) || query text
+    response  version(1) || 0 || n(4) || id(8)*n
+                         || m(4) || (len(4) || object)*m || len(4) || VO
+              version(1) || 1 || error code(1) || len(2) || error text
+
+An object travels as its canonical encoding
+(:meth:`~repro.core.objects.DataObject.encoded`), which the SP built
+once when it stored the object: a response is a ``join`` of length
+prefixes and those byte strings, and the client hashes and parses the
+slices it received.  The VO is the codec's frame, untouched.
+
+Both decoders go through :class:`~repro.core.wire.Reader` and fail
+closed: a status byte other than 0 or 1, text that is not UTF-8, a
+length that overruns the message, bytes left over after the message or
+inside an object's field all raise :class:`~repro.errors.ReproError` —
+which the server answers with ``ERR_BAD_REQUEST``.
 """
 
 from __future__ import annotations
 
-import io
+import struct
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
 from repro import obs
-from repro.core.objects import MAX_KEYWORD_BYTES, DataObject
+from repro.core.objects import DataObject
 from repro.core.query.codec import VOCodec
 from repro.core.query.parser import KeywordQuery
 from repro.core.query.verify import verify_query
 from repro.core.query.vo import QueryAnswer
+from repro.core.wire import U16, U32, Reader
 
 if TYPE_CHECKING:
     from repro.core.system import HybridStorageSystem
@@ -55,52 +72,21 @@ ERROR_CODE_NAMES = {
 }
 
 
-def _write_bytes(out: io.BytesIO, blob: bytes, width: int = 4) -> None:
-    out.write(len(blob).to_bytes(width, "big"))
-    out.write(blob)
+def _message(payload: bytes) -> Reader:
+    """A reader positioned after a checked version byte."""
+    reader = Reader(payload, "protocol message")
+    version = reader.u8()
+    if version != PROTOCOL_VERSION:
+        raise ReproError(f"unsupported protocol version {version}")
+    return reader
 
 
-def _read_exact(data: io.BytesIO, length: int) -> bytes:
-    raw = data.read(length)
-    if len(raw) != length:
-        raise ReproError("truncated protocol message")
-    return raw
-
-
-def _read_bytes(data: io.BytesIO, width: int = 4) -> bytes:
-    length = int.from_bytes(_read_exact(data, width), "big")
-    return _read_exact(data, length)
-
-
-def encode_object(obj: DataObject) -> bytes:
-    """Serialise a data object for the wire."""
-    out = io.BytesIO()
-    out.write(obj.object_id.to_bytes(8, "big"))
-    out.write(len(obj.keywords).to_bytes(2, "big"))
-    for keyword in obj.keywords:
-        blob = keyword.encode("utf-8")
-        if len(blob) > MAX_KEYWORD_BYTES:
-            # Ingestion already enforces this; the codec re-checks so a
-            # rogue object raises a library error, not an OverflowError
-            # from the one-byte length prefix.
-            raise ReproError(
-                f"keyword is {len(blob)} UTF-8 bytes; the wire format "
-                f"caps keywords at {MAX_KEYWORD_BYTES} bytes"
-            )
-        _write_bytes(out, blob, width=1)
-    _write_bytes(out, obj.content)
-    return out.getvalue()
-
-
-def decode_object(data: io.BytesIO) -> DataObject:
-    """Parse a data object from the wire."""
-    object_id = int.from_bytes(_read_exact(data, 8), "big")
-    n_keywords = int.from_bytes(_read_exact(data, 2), "big")
-    keywords = tuple(
-        _read_bytes(data, width=1).decode("utf-8") for _ in range(n_keywords)
-    )
-    content = _read_bytes(data)
-    return DataObject(object_id=object_id, keywords=keywords, content=content)
+def _short_text(text: str) -> bytes:
+    """``len(2) || UTF-8`` (query and error texts)."""
+    blob = text.encode("utf-8")
+    if len(blob) > 0xFFFF:
+        raise ReproError("text too long for the protocol's 2-byte length")
+    return U16.pack(len(blob)) + blob
 
 
 @dataclass(frozen=True)
@@ -111,19 +97,14 @@ class QueryRequest:
 
     def encode(self) -> bytes:
         """Serialise to the canonical wire form."""
-        out = io.BytesIO()
-        out.write(bytes([PROTOCOL_VERSION]))
-        _write_bytes(out, self.query_text.encode("utf-8"), width=2)
-        return out.getvalue()
+        return bytes((PROTOCOL_VERSION,)) + _short_text(self.query_text)
 
     @classmethod
     def decode(cls, payload: bytes) -> "QueryRequest":
         """Parse from the canonical wire form."""
-        data = io.BytesIO(payload)
-        version = _read_exact(data, 1)[0]
-        if version != PROTOCOL_VERSION:
-            raise ReproError(f"unsupported protocol version {version}")
-        text = _read_bytes(data, width=2).decode("utf-8")
+        reader = _message(payload)
+        text = reader.text(U16)
+        reader.finish()
         return cls(query_text=text)
 
 
@@ -139,51 +120,47 @@ class QueryResponse:
 
     def encode(self) -> bytes:
         """Serialise to the canonical wire form."""
-        out = io.BytesIO()
-        out.write(bytes([PROTOCOL_VERSION]))
         if self.error is not None:
-            out.write(bytes([_STATUS_ERROR]))
             code = self.error_code if self.error_code else ERR_INTERNAL
-            out.write(bytes([code]))
-            _write_bytes(out, self.error.encode("utf-8"), width=2)
-            return out.getvalue()
-        out.write(bytes([_STATUS_OK]))
-        out.write(len(self.result_ids).to_bytes(4, "big"))
-        for object_id in self.result_ids:
-            out.write(object_id.to_bytes(8, "big"))
-        out.write(len(self.objects).to_bytes(4, "big"))
+            return bytes((PROTOCOL_VERSION, _STATUS_ERROR, code)) + _short_text(
+                self.error
+            )
+        ids = self.result_ids
+        parts = [
+            bytes((PROTOCOL_VERSION, _STATUS_OK)),
+            struct.pack(f">I{len(ids)}QI", len(ids), *ids, len(self.objects)),
+        ]
         for obj in self.objects:
-            _write_bytes(out, encode_object(obj))
-        _write_bytes(out, self.vo_bytes)
-        return out.getvalue()
+            wire = obj.encoded()
+            parts.append(U32.pack(len(wire)))
+            parts.append(wire)
+        parts.append(U32.pack(len(self.vo_bytes)))
+        parts.append(self.vo_bytes)
+        return b"".join(parts)
 
     @classmethod
     def decode(cls, payload: bytes) -> "QueryResponse":
         """Parse from the canonical wire form."""
-        data = io.BytesIO(payload)
-        version = _read_exact(data, 1)[0]
-        if version != PROTOCOL_VERSION:
-            raise ReproError(f"unsupported protocol version {version}")
-        status = _read_exact(data, 1)[0]
-        if status == _STATUS_ERROR:
-            code = _read_exact(data, 1)[0]
+        reader = _message(payload)
+        if reader.flag():
+            code = reader.u8()
+            error = reader.text(U16)
+            reader.finish()
             return cls(
                 result_ids=[],
                 objects=[],
                 vo_bytes=b"",
-                error=_read_bytes(data, width=2).decode("utf-8"),
+                error=error,
                 error_code=code,
             )
-        n_ids = int.from_bytes(_read_exact(data, 4), "big")
-        result_ids = [
-            int.from_bytes(_read_exact(data, 8), "big") for _ in range(n_ids)
-        ]
-        n_objects = int.from_bytes(_read_exact(data, 4), "big")
+        n_ids = reader.uint(4)
+        result_ids = list(struct.unpack(f">{n_ids}Q", reader.take(8 * n_ids)))
         objects = [
-            decode_object(io.BytesIO(_read_bytes(data)))
-            for _ in range(n_objects)
+            DataObject.from_wire(reader.blob(U32))
+            for _ in range(reader.uint(4))
         ]
-        vo_bytes = _read_bytes(data)
+        vo_bytes = reader.blob(U32)
+        reader.finish()
         return cls(result_ids=result_ids, objects=objects, vo_bytes=vo_bytes)
 
 

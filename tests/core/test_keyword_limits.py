@@ -3,14 +3,12 @@
 The SP wire format stores each keyword behind a one-byte length prefix,
 so 255 UTF-8 bytes is a protocol constant.  Before the fix, a >255-byte
 keyword was accepted at ingestion and only blew up later as an
-``OverflowError`` inside ``encode_object``; now it is rejected at the
-door, the codec double-checks defensively, and the SP server answers
-over-long query keywords with ``ERR_BAD_REQUEST``.
+``OverflowError`` inside the object encoder; now it is rejected at the
+door, ``DataObject.encoded`` double-checks defensively, and the SP
+server answers over-long query keywords with ``ERR_BAD_REQUEST``.
 """
 
 from __future__ import annotations
-
-import io
 
 import pytest
 
@@ -23,8 +21,6 @@ from repro.sp.protocol import (
     QueryRequest,
     QueryResponse,
     StorageProviderServer,
-    decode_object,
-    encode_object,
 )
 
 KW_255 = "k" * 255
@@ -60,14 +56,14 @@ class TestIngestionBoundary:
 class TestCodecBoundary:
     def test_roundtrip_at_the_limit(self):
         obj = DataObject(7, (KW_255, "small"), b"payload")
-        assert decode_object(io.BytesIO(encode_object(obj))) == obj
+        assert DataObject.from_wire(obj.encoded()) == obj
 
     def test_codec_rejects_oversized_keyword_with_library_error(self):
         # Bypass DataObject validation to hit the codec's own guard.
         rogue = DataObject(7, ("ok",), b"payload")
         object.__setattr__(rogue, "keywords", (KW_256,))
         with pytest.raises(ReproError):
-            encode_object(rogue)
+            rogue.encoded()
 
 
 class TestServerBoundary:

@@ -12,8 +12,6 @@ from repro.sp.protocol import (
     QueryResponse,
     RemoteClient,
     StorageProviderServer,
-    decode_object,
-    encode_object,
 )
 from repro.errors import QueryError, ReproError, VerificationError
 
@@ -38,11 +36,11 @@ def deployment(request):
 
 class TestObjectEncoding:
     def test_roundtrip(self):
-        import io
-
         obj = DataObject(42, ("alpha", "beta"), b"\x00\x01payload")
-        decoded = decode_object(io.BytesIO(encode_object(obj)))
+        decoded = DataObject.from_wire(obj.encoded())
         assert decoded == obj
+        assert decoded.encoded() is obj.encoded()  # kept, not rebuilt
+        assert decoded.digest() == obj.digest()
 
 
 class TestRequestResponseEncoding:

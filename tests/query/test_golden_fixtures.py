@@ -5,8 +5,11 @@ verifiers send and receive it, so its byte layout is frozen.  These
 tests decode byte-exact fixtures committed under ``tests/fixtures/``,
 verify them against a deterministically rebuilt system, and re-encode
 them byte-identically — any codec change that silently reshapes the v2
-wire fails here first.  One v4 fixture pins the Chameleon node-table
-frame the same way, and that the SP still produces exactly those bytes.
+wire fails here first.  One v3 and one v4 fixture pin the Merkle
+multiproof frame and the Chameleon node-table frame the same way, and
+that the SP still produces exactly those bytes; one protocol-v2 response
+pins the message around the VO (result IDs, canonical object encodings,
+length prefixes).
 
 Regenerate (only after an intentional, versioned format change)::
 
@@ -21,6 +24,12 @@ from repro import DataObject, HybridStorageSystem, KeywordQuery
 from repro.core.query.codec import VOCodec
 from repro.core.query.verify import verify_query
 from repro.errors import ReproError
+from repro.sp.protocol import (
+    QueryRequest,
+    QueryResponse,
+    RemoteClient,
+    StorageProviderServer,
+)
 
 FIXTURE_DIR = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -47,8 +56,20 @@ CASES = {
 }
 
 
-#: The compressed Chameleon frame: two node tables, a join and a scan.
-V4_CASE = ("vo_v4_ci_dnf", "ci", "(covid-19 AND vaccine) OR sars-cov-2", {1, 4, 5, 7})
+#: The compressed frames (default ``vo_version=3``): name -> (scheme,
+#: frame marker, query text, expected verified ids).  v3 carries two
+#: Merkle multiproofs, v4 two Chameleon node tables; a join and a scan each.
+COMPRESSED_CASES = {
+    "vo_v3_smi_dnf": (
+        "smi", 0xF3, "(covid-19 AND symptom) OR sars-cov-2", {1, 4, 7},
+    ),
+    "vo_v4_ci_dnf": (
+        "ci", 0xF4, "(covid-19 AND vaccine) OR sars-cov-2", {1, 4, 5, 7},
+    ),
+}
+
+#: A whole protocol-v2 response: (name, scheme, query text, expected ids).
+RESPONSE_CASE = ("response_v2_smi_scan", "smi", "symptom", [4, 6])
 
 
 def fixture_system(scheme, vo_version=2):
@@ -77,10 +98,18 @@ def test_golden_v2_fixture_decodes_verifies_and_reencodes(name):
     assert codec.encode(vo) == payload
 
 
+def test_golden_v3_fixture_is_what_the_sp_emits_and_verifies():
+    check_compressed_fixture("vo_v3_smi_dnf")
+
+
 def test_golden_v4_fixture_is_what_the_sp_emits_and_verifies():
-    name, scheme, text, expected = V4_CASE
+    check_compressed_fixture("vo_v4_ci_dnf")
+
+
+def check_compressed_fixture(name):
+    scheme, marker, text, expected = COMPRESSED_CASES[name]
     payload = (FIXTURE_DIR / f"{name}.bin").read_bytes()
-    assert payload[0] == 0xF4
+    assert payload[0] == marker
     system = fixture_system(scheme, vo_version=3)
     codec = VOCodec(value_bytes=system.value_bytes)
 
@@ -91,6 +120,21 @@ def test_golden_v4_fixture_is_what_the_sp_emits_and_verifies():
     ps = system.chain_proof_system(query.all_keywords())
     assert verify_query(query, answer, ps).ids == expected
     assert codec.encode(answer.vo) == payload
+
+
+def test_golden_response_is_what_the_server_sends_and_the_client_accepts():
+    name, scheme, text, expected = RESPONSE_CASE
+    payload = (FIXTURE_DIR / f"{name}.bin").read_bytes()
+    system = fixture_system(scheme, vo_version=3)
+    server = StorageProviderServer(system)
+    assert server.handle(QueryRequest(query_text=text).encode()) == payload
+    result = RemoteClient(lambda _request: payload, system).query(text)
+    assert result.result_ids == expected
+    assert [result.objects[oid] for oid in expected] == [
+        doc for doc in FIXTURE_DOCS if doc.object_id in expected
+    ]
+    # Decoded objects keep the bytes they came in: re-encoding is a join.
+    assert QueryResponse.decode(payload).encode() == payload
 
 
 def test_fixtures_are_plain_v2_frames():
@@ -116,11 +160,16 @@ def _regenerate():
         payload = codec.encode(answer.vo)
         (FIXTURE_DIR / f"{name}.bin").write_bytes(payload)
         print(f"wrote {name}.bin ({len(payload)} bytes)")
-    name, scheme, text, _ = V4_CASE
-    system = fixture_system(scheme, vo_version=3)
-    payload = VOCodec(value_bytes=system.value_bytes).encode(
-        system.process_query(KeywordQuery.parse(text)).vo
-    )
+    for name, (scheme, _, text, _) in COMPRESSED_CASES.items():
+        system = fixture_system(scheme, vo_version=3)
+        payload = VOCodec(value_bytes=system.value_bytes).encode(
+            system.process_query(KeywordQuery.parse(text)).vo
+        )
+        (FIXTURE_DIR / f"{name}.bin").write_bytes(payload)
+        print(f"wrote {name}.bin ({len(payload)} bytes)")
+    name, scheme, text, _ = RESPONSE_CASE
+    server = StorageProviderServer(fixture_system(scheme, vo_version=3))
+    payload = server.handle(QueryRequest(query_text=text).encode())
     (FIXTURE_DIR / f"{name}.bin").write_bytes(payload)
     print(f"wrote {name}.bin ({len(payload)} bytes)")
 

@@ -101,6 +101,14 @@ class TestErrors:
         with pytest.raises(QueryError):
             KeywordQuery.conjunctive([])
 
+    def test_nesting_is_bounded_not_a_recursion_error(self):
+        deep = "(" * 64 + "a" + ")" * 64
+        assert KeywordQuery.parse(deep).conjunctions == (frozenset({"a"}),)
+        with pytest.raises(QueryError, match="nests deeper"):
+            KeywordQuery.parse("(" + deep + ")")
+        with pytest.raises(QueryError):
+            KeywordQuery.parse("(" * 30000)
+
 
 class TestEvaluation:
     def test_matches(self):
