@@ -1,6 +1,6 @@
 """multiproof-batched-path: batched query paths must not mint MerklePaths.
 
-The v3 VO compression (PR 9) replaces per-entry :class:`MerklePath`
+The Merkle VO (``vo_version>=3``) replaces per-entry :class:`MerklePath`
 proofs with one deduplicated :class:`TreeMultiproof` per (tree,
 commitment) pair.  The invariant that keeps the batched query path
 compressed is structural: only ``core/multiproof.py`` may take paths
@@ -17,7 +17,9 @@ any new site needs the same conscious opt-out.
 
 The Merkle views (``core/merkle_family.py``) are in scope too, and there
 the rule also flags the ``MBTree`` methods that mint one path per call
-(``prove``, ``boundaries``, ``first_entry``, ``last_entry``): the views
+(``prove``, ``boundaries``, ``first_entry``, ``last_entry``) when they
+are called on a tree (``tree.prove(...)``, ``self.tree.boundaries(...)``;
+the views' own key-level ``boundaries`` is something else): the views
 only *locate*, and each tree is proven once per query by the finishing
 step in ``core/multiproof.py``.  A per-entry proof call creeping back
 into a view costs a descent and a leaf re-hash per boundary entry — the
@@ -46,6 +48,14 @@ _PER_ENTRY_PROOF_TYPES = frozenset({"MerklePath", "PathStep"})
 _PER_ENTRY_PROOF_METHODS = frozenset(
     {"prove", "boundaries", "first_entry", "last_entry", "_prove_by_key"}
 )
+
+
+def _on_a_tree(func: ast.Attribute) -> bool:
+    """Whether a method's receiver is named ``tree`` (``x.tree`` or ``tree``)."""
+    receiver = func.value
+    if isinstance(receiver, ast.Attribute):
+        return receiver.attr == "tree"
+    return isinstance(receiver, ast.Name) and receiver.id == "tree"
 
 
 def _called_name(node: ast.Call) -> str | None:
@@ -80,6 +90,7 @@ class MultiproofBatchedPathChecker(Checker):
             if (
                 name in _PER_ENTRY_PROOF_METHODS
                 and isinstance(node.func, ast.Attribute)
+                and _on_a_tree(node.func)
                 and src.module == "core/merkle_family.py"
             ):
                 yield self.finding(

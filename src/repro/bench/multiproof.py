@@ -1,13 +1,15 @@
-"""``--exp multiproof``: VO compression benchmark, v2 vs v3 frames.
+"""``--exp multiproof``: VO compression benchmark, ``vo_version`` 2 vs 3.
 
-Measures what PR 9's multiproof compression buys on the paper's
-high-selectivity regime (Fig. 11/12): for each Merkle-family scheme and
-each target keyword selectivity, the same DNF workload runs against two
-identically built systems — one pinned to the legacy v2 VO frame
-(per-entry :class:`~repro.core.mbtree.MerklePath` proofs) and one
-emitting the v3 frame (one deduplicated
-:class:`~repro.core.multiproof.TreeMultiproof` per tree) — and the row
-records both wire and proof-only bytes plus client verify time.
+Measures what the multiproof tables buy on the paper's high-selectivity
+regime (Fig. 11/12): for each Merkle-family scheme and each target
+keyword selectivity, the same DNF workload runs against two identically
+built systems — one pinned to the legacy v2 VO frame (the walk's rounds,
+per-entry :class:`~repro.core.mbtree.MerklePath` proofs) and one at the
+default ``vo_version=3`` (one deduplicated
+:class:`~repro.core.multiproof.TreeMultiproof` per tree and nothing
+else: the v5 frame, whose join the client replays) — and the row records
+both wire and proof-only bytes plus client verify time.  The ``*_v3``
+columns are the ``vo_version=3`` side, whatever frame it emits.
 
 Alongside the size/timing metrics each row carries the correctness
 invariants the CI gate pins:

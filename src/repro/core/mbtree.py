@@ -43,6 +43,7 @@ the identical logic the tests validate against the real tree.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterator, Protocol
@@ -429,6 +430,13 @@ class MBTree:
         return self._max_key
 
     @property
+    def min_key(self) -> int | None:
+        """Smallest key in the tree, or None."""
+        if self._count == 0:
+            return None
+        return self.store.min_key(self._root_idx)
+
+    @property
     def height(self) -> int:
         """Number of levels (0 for an empty tree)."""
         if self._count == 0:
@@ -576,6 +584,26 @@ class MBTree:
 
         if self._count:
             yield from walk(self._root_idx)
+
+    def keys(self) -> list[int]:
+        """All keys in order (no hash is read)."""
+        view = self.store
+        out: list[int] = []
+        stack = [self._root_idx] if self._count else []
+        while stack:
+            node = stack.pop()
+            if view.is_leaf(node):
+                out += [
+                    view.leaf_key(node, slot)
+                    for slot in range(view.count(node))
+                ]
+            else:
+                stack += reversed(view.children(node))
+        return out
+
+    def cursor(self) -> "LeafCursor":
+        """A finger for boundary lookups whose targets ascend."""
+        return LeafCursor(self)
 
     def first_entry(self) -> tuple[Entry, MerklePath] | None:
         """The smallest entry with its path, or None for an empty tree."""
@@ -725,9 +753,7 @@ class MBTree:
             after=tuple(digests[slot + 1 :]),
         )
 
-    def multiproof(
-        self, keys: Sequence[int]
-    ) -> tuple[TreeMultiproof, list[int]]:
+    def multiproof(self, keys: Sequence[int]) -> TreeMultiproof:
         """One deduplicated proof for ``keys``, built in one pass.
 
         ``keys`` must be strictly ascending and all present.  A single
@@ -736,10 +762,7 @@ class MBTree:
         reads each helper digest from the store once and emits the
         :class:`~repro.core.multiproof.TreeMultiproof` in the order its
         fold consumes it.  ``keys[i]`` is the proof's leaf ordinal ``i``
-        (DFS order is key order); the second result lists, per key, the
-        ``byte_size()`` of the :class:`MerklePath` that :meth:`prove`
-        would return, which is what the VO size gate weighs the table
-        against.
+        (DFS order is key order).
         """
         from repro.core.multiproof import (
             SLOT_DESCEND,
@@ -758,16 +781,13 @@ class MBTree:
         nodes: list[tuple[int, ...]] = []
         helpers: list[bytes] = []
         leaves: list[tuple[int, bytes]] = []
-        sizes: list[int] = []
 
-        def cover(node: int, lo: int, hi: int, above: int) -> int:
+        def cover(node: int, lo: int, hi: int) -> int:
             """Emit the cover under ``node`` for ``keys[lo:hi]``.
 
-            ``above`` is the path bytes spent on the levels over this
-            one; returns the subtree's height.
+            Returns the subtree's height.
             """
             width = view.count(node)
-            here = above + 4 + 32 * (width - 1)
             if view.is_leaf(node):
                 codes = []
                 for slot in range(width):
@@ -776,7 +796,6 @@ class MBTree:
                     if lo < hi and keys[lo] == key:
                         codes.append(SLOT_LEAF)
                         leaves.append((key, value_hash))
-                        sizes.append(here)
                         lo += 1
                     else:
                         codes.append(SLOT_HELPER)
@@ -806,20 +825,17 @@ class MBTree:
             below = 0
             for i, child in enumerate(children):
                 if bounds[i] < bounds[i + 1]:
-                    below = cover(child, bounds[i], bounds[i + 1], here)
+                    below = cover(child, bounds[i], bounds[i + 1])
                 else:
                     helpers.append(view.digest(child))
             return below + 1
 
-        height = cover(self._root_idx, 0, len(keys), 1)
-        return (
-            TreeMultiproof(
-                height=height,
-                nodes=tuple(nodes),
-                helpers=tuple(helpers),
-                leaves=tuple(leaves),
-            ),
-            sizes,
+        height = cover(self._root_idx, 0, len(keys))
+        return TreeMultiproof(
+            height=height,
+            nodes=tuple(nodes),
+            helpers=tuple(helpers),
+            leaves=tuple(leaves),
         )
 
     # -- suppressed maintenance (Algorithms 1 & 2) --------------------------------
@@ -848,6 +864,91 @@ class MBTree:
         return UpdateSpine(
             internal_levels=tuple(internal_levels), leaf_entries=leaf_entries
         )
+
+
+class LeafCursor:
+    """A finger on one tree for boundary lookups whose targets ascend.
+
+    A join walk probes a tree with targets that only grow, so most
+    probes land in the leaf the previous one reached, or in one nearby.
+    The finger keeps the path to the current leaf — per internal node
+    its children, their cached minimum keys and the slot taken — plus
+    the leaf's keys and its upper bound (the minimum key of the deepest
+    right sibling on the path, i.e. the tree's next key).  :meth:`seek`
+    answers from the leaf while the target stays below that bound;
+    otherwise it climbs only while the target is at or beyond the
+    subtree's upper bound and re-descends from there.  A smaller target
+    than the last one, or a tree that has changed size, starts over from
+    the root.  No digest is read.
+
+    :meth:`MBTree.locate` is the oracle: for every target both name the
+    same two keys.
+    """
+
+    __slots__ = ("_tree", "_count", "_last", "_frames", "_keys", "_bound")
+
+    def __init__(self, tree: MBTree) -> None:
+        self._tree = tree
+        self._count = -1  # nothing cached: the first seek descends
+        self._last = 0
+        #: Root-to-leaf internal nodes: [children, minimum keys, slot
+        #: taken, upper bound of the node's own key range].
+        self._frames: list[list] = []
+        self._keys: list[int] = []
+        self._bound: int | None = None
+
+    def seek(self, target: int) -> tuple[int | None, int | None]:
+        """The keys bracketing ``target``: ``(largest <=, smallest >)``."""
+        tree = self._tree
+        if tree._count != self._count or target < self._last:
+            self._count = tree._count
+            self._frames = []
+            self._keys = []
+            if self._count == 0:
+                self._bound = None
+                return None, None
+            self._descend(tree._root_idx, None, target)
+        elif self._bound is not None and target >= self._bound:
+            frames = self._frames
+            # The root's range is unbounded, so the climb stops there
+            # at the latest.
+            while frames[-1][3] is not None and target >= frames[-1][3]:
+                frames.pop()
+            self._descend(*self._route(frames[-1], target), target)
+        self._last = target
+        keys = self._keys
+        rank = bisect_right(keys, target)
+        return (
+            keys[rank - 1] if rank else None,
+            keys[rank] if rank < len(keys) else self._bound,
+        )
+
+    @staticmethod
+    def _route(frame: list, target: int) -> tuple[int, int | None]:
+        """Move a frame's slot forward to ``target``'s child.
+
+        Returns the child and the upper bound of its key range: the next
+        sibling's minimum, or the node's own bound for the last child.
+        """
+        children, minima, slot, outer = frame
+        last = len(children) - 1
+        while slot < last and target >= minima[slot + 1]:
+            slot += 1
+        frame[2] = slot
+        return children[slot], minima[slot + 1] if slot < last else outer
+
+    def _descend(self, node: int, bound: int | None, target: int) -> None:
+        """Route ``target`` from ``node`` (key range below ``bound``)."""
+        view = self._tree.store
+        while not view.is_leaf(node):
+            children = view.children(node)
+            frame = [children, [view.min_key(c) for c in children], 0, bound]
+            self._frames.append(frame)
+            node, bound = self._route(frame, target)
+        self._keys = [
+            view.leaf_key(node, slot) for slot in range(view.count(node))
+        ]
+        self._bound = bound
 
 
 @dataclass(frozen=True)

@@ -1,105 +1,115 @@
-"""Shared SP-side machinery for the Merkle inverted index family.
+"""Shared machinery for the Merkle inverted index family.
 
 The baseline Merkle^inv (MI) and the Suppressed Merkle^inv (SMI) differ
 only in how the *on-chain* side is maintained; the SP keeps identical
 complete MB-trees for query processing, and clients verify both with the
-same Merkle-path proof system.  This module holds that common ground:
+same proof system.  This module holds that common ground:
 
 * :class:`MerkleInvertedSP` — the SP's keyword -> MB-tree map;
-* :class:`MBTreeView` — the join engine's :class:`IndexView` adapter;
+* :class:`MBTreeView` — the join engine's view of one tree on the SP:
+  it reads keys through a forward cursor and remembers them;
+* :class:`ProvenRun` — the join engine's view of one tree on the
+  client: the leaves of a folded multiproof, adjacency checked per read;
 * :class:`MerkleProofSystem` — the client's verifier bound to the root
   hashes read from the blockchain (``VO_chain``).
 """
 
 from __future__ import annotations
 
-from contextlib import nullcontext
+from bisect import bisect_left, bisect_right
+from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from operator import lt
 
 from repro import obs
 from repro.core.mbtree import (
     DEFAULT_FANOUT,
     Entry,
+    LeafCursor,
     MBTree,
     MerklePath,
     paths_adjacent,
 )
 from repro.core.multiproof import (
-    DeferredProof,
-    LeafRef,
+    LocatedRun,
+    ProveRequest,
     TreeMultiproof,
-    expand_entries,
+    prove_keys,
 )
 from repro.core.objects import ObjectMetadata
 from repro.core.proofcache import VerificationCache
-from repro.core.query.vo import ProvenEntry
+from repro.core.query.vo import LeafRef, ProvenEntry
 from repro.crypto.hashing import EMPTY_DIGEST, digests_equal
-from repro.errors import (
-    StaleProofError,
-    UnresolvedProofError,
-    VerificationError,
-)
+from repro.errors import VerificationError
 
 
 @dataclass
 class MBTreeView:
-    """Adapts one keyword's MB-tree to the join engine's IndexView.
+    """One keyword's MB-tree as the SP's join walk reads it.
 
-    The view only *locates*: every entry it returns was found by a
-    hash-free descent and carries a
-    :class:`~repro.core.multiproof.DeferredProof` naming this tree at
-    its current root.  The SP's finishing step
-    (:func:`~repro.core.multiproof.compress_query_vo`) proves each tree
-    once for everything a query located in it.
+    A :class:`~repro.core.query.join.KeyView`: the walk gets keys, found
+    without hashing through a :class:`~repro.core.mbtree.LeafCursor`
+    (its targets ascend, so most probes stay in or next to the leaf of
+    the previous one).  The view remembers, ascending, every key it
+    handed out; :meth:`run` packs them with the tree's current root for
+    the prove step (:func:`~repro.core.multiproof.compress_query_vo`),
+    which asks each tree once for everything a query read from it.
     """
 
     keyword: str
     tree: MBTree
-    _slot: DeferredProof | None = field(
+    keys: list[int] = field(default_factory=list, init=False, compare=False)
+    _cursor: LeafCursor | None = field(
         default=None, init=False, repr=False, compare=False
     )
+
+    replayed = True
 
     def __len__(self) -> int:
         return len(self.tree)
 
-    def _current_slot(self) -> DeferredProof:
-        """The marker for this tree at the root it has right now."""
-        root = self.tree.root_hash
-        slot = self._slot
-        if slot is None or not digests_equal(slot.root, root):
-            slot = self._slot = DeferredProof(
-                keyword=self.keyword, root=root, tree=self.tree
-            )
-        return slot
+    def _remember(self, key: int) -> None:
+        keys = self.keys
+        if not keys or keys[-1] < key:
+            keys.append(key)
+        elif keys[-1] != key:
+            # A probe that went backwards: keep the list sorted anyway.
+            at = bisect_left(keys, key)
+            if keys[at] != key:
+                keys.insert(at, key)
 
-    def first_proven(self) -> ProvenEntry | None:
-        """The smallest entry, or None when empty."""
-        first = next(self.tree.iter_entries(), None)
-        if first is None:
-            return None
-        return ProvenEntry(first.key, first.value_hash, self._current_slot())
+    def first(self) -> int:
+        """The smallest key."""
+        key = self.tree.min_key
+        self._remember(key)
+        return key
 
-    def boundaries_proven(
-        self, target: int
-    ) -> tuple[ProvenEntry | None, ProvenEntry | None]:
-        """Boundary entries around a target."""
-        lower, upper = self.tree.locate(target)
-        slot = self._current_slot()
+    def boundaries(self, target: int) -> tuple[int | None, int | None]:
+        """The keys around a target."""
+        cursor = self._cursor
+        if cursor is None:
+            cursor = self._cursor = self.tree.cursor()
+        lower, upper = cursor.seek(target)
+        if lower is not None:
+            self._remember(lower)
+        if upper is not None:
+            self._remember(upper)
+        return lower, upper
 
-        def located(entry: Entry | None) -> ProvenEntry | None:
-            if entry is None:
-                return None
-            return ProvenEntry(entry.key, entry.value_hash, slot)
+    def scan(self) -> list[int]:
+        """Every key, in order."""
+        self.keys = self.tree.keys()
+        return self.keys
 
-        return located(lower), located(upper)
-
-    def all_proven(self) -> list[ProvenEntry]:
-        """Every entry, in key order."""
-        slot = self._current_slot()
-        return [
-            ProvenEntry(entry.key, entry.value_hash, slot)
-            for entry in self.tree.iter_entries()
-        ]
+    def run(self) -> LocatedRun:
+        """What has been read so far, at the root it was read under."""
+        return LocatedRun(
+            keyword=self.keyword,
+            root=self.tree.root_hash,
+            keys=tuple(self.keys),
+            tree=self.tree,
+        )
 
     def definitely_absent(self, object_id: int) -> bool:
         # No on-chain filters in the Merkle family.
@@ -111,21 +121,130 @@ class ScanProofs(list):
     """A keyword's finished posting list, as the cache warmer wants it.
 
     The list holds one path-proven entry per posting; ``cover`` is the
-    multiproof a compressed full scan of the same tree presents.
+    multiproof a full scan of the same tree presents.
     """
 
     cover: TreeMultiproof | None = None
 
 
 def prove_scan(view: MBTreeView) -> ScanProofs:
-    """Locate and prove a whole posting list (the warmer's prove hook)."""
-    located = view.all_proven()
-    proofs = ScanProofs(expand_entries(located))
-    if located:
-        proofs.cover, _ = view.tree.multiproof(
-            [entry.object_id for entry in located]
-        )
+    """Prove a whole posting list both ways (the warmer's prove hook)."""
+    tree = view.tree
+    keys = tuple(tree.keys())
+    if not keys:
+        return ScanProofs()
+    request = ProveRequest(view.keyword, tree.root_hash, keys, paths=True)
+    proofs = ScanProofs(
+        ProvenEntry(entry.key, entry.value_hash, path)
+        for entry, path in prove_keys(tree, request)
+    )
+    proofs.cover = tree.multiproof(keys)
     return proofs
+
+
+class ProvenRun:
+    """One keyword's tree as the client's join walk reads it.
+
+    A :class:`~repro.core.query.join.KeyView` over the leaves of a
+    :class:`~repro.core.multiproof.TreeMultiproof` that
+    :class:`MerkleProofSystem` has folded to the keyword's on-chain
+    root.  The walk's probe is a ``bisect`` over the proven keys; the
+    pair it lands between must be adjacent in the tree — or, at either
+    end of the run, the tree's first or last entry — else the table
+    does not show what lies around the target and the read raises
+    :class:`~repro.errors.VerificationError`.  Both are one comparison
+    of the per-leaf helper counts (see ``TreeMultiproof``), padded with
+    ``0`` in front and ``len(helpers)`` behind so the edges need no
+    branch.
+
+    Every read marks the leaves it returned in ``read`` (shared by all
+    runs over one table); the proof system rejects a table with a leaf
+    left unmarked.  ``table`` is ``None`` for a tree the SP says the
+    walk never read: any read of it raises.
+    """
+
+    replayed = True
+
+    __slots__ = ("keyword", "table", "index", "keys", "_edges", "_gaps", "_read")
+
+    def __init__(
+        self,
+        keyword: str,
+        index: int | None,
+        table: TreeMultiproof | None,
+        read: bytearray,
+    ) -> None:
+        self.keyword = keyword
+        self.index = index
+        self.table = table
+        self._read = read
+        if table is None:
+            self.keys: list[int] = []
+            self._gaps: tuple[int, ...] = (0, 1)
+        else:
+            self.keys = keys = [key for key, _ in table.leaves]
+            if not all(map(lt, keys, keys[1:])):
+                raise VerificationError(
+                    f"proven leaves of keyword {keyword!r} do not ascend"
+                )
+            self._gaps = (0, *table.helpers_before(), len(table.helpers))
+        self._edges = (None, *self.keys, None)
+
+    def __len__(self) -> int:
+        # Never zero: a keyword with a table has entries, and one
+        # without was checked against the chain when the run was opened.
+        return len(self.keys) or 1
+
+    def first(self) -> int:
+        """The tree's first key, if the table shows it."""
+        if self._gaps[1]:
+            raise VerificationError(
+                f"VO lacks the first entry of {self.keyword!r}"
+            )
+        self._read[1] = 1
+        return self.keys[0]
+
+    def boundaries(self, target: int) -> tuple[int | None, int | None]:
+        """The tree's keys around a target, if the table shows them."""
+        rank = bisect_right(self.keys, target)
+        gaps = self._gaps
+        if gaps[rank] != gaps[rank + 1]:
+            raise VerificationError(
+                f"VO lacks the boundary of {target} in {self.keyword!r}"
+            )
+        read = self._read
+        read[rank] = read[rank + 1] = 1
+        edges = self._edges
+        return edges[rank], edges[rank + 1]
+
+    def scan(self) -> list[int]:
+        """Every key of the tree, if the table holds them all."""
+        if self.table is None or self.table.helpers:
+            raise VerificationError(
+                f"VO lacks entries of {self.keyword!r} (full scan)"
+            )
+        self._read[:] = b"\x01" * len(self._read)
+        return self.keys
+
+    def object_hashes(self, object_ids: list[int]) -> dict[int, bytes]:
+        """The proven ``h(o)`` of keys the walk has read."""
+        if not object_ids:
+            return {}
+        proven = dict(self.table.leaves) if self.table is not None else {}
+        try:
+            return {object_id: proven[object_id] for object_id in object_ids}
+        except KeyError as exc:
+            raise VerificationError(
+                f"object {exc} is not a proven leaf of {self.keyword!r}"
+            ) from None
+
+    def run(self) -> int | None:
+        """The table this run reads from."""
+        return self.index
+
+    def definitely_absent(self, object_id: int) -> bool:
+        """Whether on-chain filters prove the ID absent."""
+        return False
 
 
 @dataclass
@@ -150,7 +269,7 @@ class MerkleInvertedSP:
                 )
 
     def view(self, keyword: str) -> MBTreeView:
-        """The join engine's IndexView for one keyword."""
+        """The join engine's view of one keyword's tree."""
         return MBTreeView(keyword=keyword, tree=self.tree_for(keyword))
 
     def root_hash(self, keyword: str) -> bytes:
@@ -161,22 +280,29 @@ class MerkleInvertedSP:
 
 @dataclass
 class MerkleProofSystem:
-    """Client verifier for Merkle-path VOs, bound to on-chain roots.
+    """Client verifier for Merkle VOs, bound to on-chain roots.
 
     ``roots`` maps each queried keyword to the root hash fetched from
     the smart contract; keywords absent from the chain map to the empty
     digest, which is itself the completeness evidence for non-existing
     keywords (footnote 4 of the paper).
 
-    ``cache``, when set, memoises successful path verifications keyed on
-    the full proven tuple (root, entry, path) — see
-    :mod:`repro.core.proofcache` for the soundness argument.  Compressed
-    (v3) VOs attach their deduplicated multiproof table via
-    :meth:`attach_multiproofs`; each
+    A query's tables arrive through :meth:`attach_multiproofs`.  Each
     :class:`~repro.core.multiproof.TreeMultiproof` folds once per query
-    — and caches on ``(root, gindex-set digest)`` so a warmed proof is
-    free — with every :class:`~repro.core.multiproof.LeafRef` entry
-    resolved against it.
+    against the root of the keyword that names it — and caches on
+    ``(root, content digest)`` so a warmed proof is free.  A v5
+    conjunct opens its tables as :class:`ProvenRun` views
+    (:meth:`proven_run`) and replays the join over them; the
+    :class:`~repro.core.query.vo.LeafRef` entries of a v3 frame and the
+    per-entry paths of a v2 one are resolved one by one
+    (:meth:`verify_entry`).  ``cache``, when set, memoises successful
+    verifications keyed on the full proven tuple — see
+    :mod:`repro.core.proofcache` for the soundness argument.
+
+    Leaving :meth:`settling` checks what only the whole query can show:
+    every attached table was used, and every leaf of a replayed table
+    was read by some probe — a valid answer proves exactly what the
+    walk reads, so there is one valid VO per query, plan and state.
     """
 
     roots: dict[str, bytes]
@@ -184,6 +310,9 @@ class MerkleProofSystem:
     cache: VerificationCache | None = None
     multiproofs: tuple = ()
     _mp_verified: dict = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    _read: dict = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
@@ -199,10 +328,26 @@ class MerkleProofSystem:
         """
         self.multiproofs = tuple(multiproofs)
         self._mp_verified = {}
+        self._read = {}
 
-    def settling(self) -> nullcontext:
-        """The scope entries are verified in; a hash is checked on the spot."""
-        return nullcontext()
+    @contextmanager
+    def settling(self) -> Iterator[None]:
+        """The scope a query is verified in; a hash is checked on the spot.
+
+        What is owed at the exit is the account of the tables: none
+        unused, no replayed leaf unread.
+        """
+        yield
+        for index in range(len(self.multiproofs)):
+            if index not in self._mp_verified:
+                raise VerificationError(
+                    f"multiproof {index} is used by no conjunct"
+                )
+        for index, read in self._read.items():
+            if 0 in read[1:-1]:
+                raise VerificationError(
+                    f"multiproof {index} proves leaves that no probe reads"
+                )
 
     def _multiproof(self, proof_index: int) -> TreeMultiproof:
         if not 0 <= proof_index < len(self.multiproofs):
@@ -214,6 +359,58 @@ class MerkleProofSystem:
         if not isinstance(multiproof, TreeMultiproof):
             raise VerificationError("entry references a table of another kind")
         return multiproof
+
+    def _bind(self, keyword: str, proof_index: int) -> TreeMultiproof:
+        """The table, folded (once per query) to the keyword's root."""
+        mp = self._multiproof(proof_index)
+        root = self._root(keyword)
+        bound = self._mp_verified.get(proof_index)
+        if bound is not None:
+            # One fold has one result: a proof that verified against a
+            # different keyword's root can never match this one.
+            if not digests_equal(bound, root):
+                raise VerificationError(
+                    f"multiproof {proof_index} is bound to a different "
+                    f"tree than keyword {keyword!r}"
+                )
+            return mp
+        key = None
+        if self.cache is not None:
+            key = self.cache.key(root, mp.cache_token())
+            if self.cache.seen(key):
+                self._mp_verified[proof_index] = root
+                return mp
+        computed = mp.fold_root()
+        if not digests_equal(computed, root):
+            raise VerificationError(
+                f"multiproof {proof_index} does not match the on-chain "
+                f"root of keyword {keyword!r}"
+            )
+        if self.cache is not None:
+            self.cache.add(key)
+        self._mp_verified[proof_index] = root
+        return mp
+
+    def proven_run(self, keyword: str, table: int | None) -> ProvenRun:
+        """Open one tree of a replayed conjunct as the walk's view.
+
+        ``table`` indexes the attached multiproofs; ``None`` says the
+        walk reads nothing from this tree, which is only believed of a
+        keyword the chain shows non-empty (an empty one makes the whole
+        component an empty-keyword claim).
+        """
+        if table is None:
+            if self.keyword_empty(keyword):
+                raise VerificationError(
+                    f"join lists keyword {keyword!r}, which VO_chain "
+                    "shows empty"
+                )
+            return ProvenRun(keyword, None, None, bytearray(2))
+        mp = self._bind(keyword, table)
+        read = self._read.get(table)
+        if read is None:
+            read = self._read[table] = bytearray(len(mp.leaves) + 2)
+        return ProvenRun(keyword, table, mp, read)
 
     def _verify_leafref(
         self, keyword: str, entry: ProvenEntry, ref: LeafRef
@@ -227,32 +424,7 @@ class MerkleProofSystem:
                 f"entry {entry.object_id} does not match the multiproof "
                 f"leaf it references"
             )
-        root = self._root(keyword)
-        bound = self._mp_verified.get(ref.proof_index)
-        if bound is not None:
-            # One fold has one result: a proof that verified against a
-            # different keyword's root can never match this one.
-            if not digests_equal(bound, root):
-                raise VerificationError(
-                    f"multiproof {ref.proof_index} is bound to a different "
-                    f"tree than keyword {keyword!r}"
-                )
-            return
-        key = None
-        if self.cache is not None:
-            key = self.cache.key(root, mp.cache_token())
-            if self.cache.seen(key):
-                self._mp_verified[ref.proof_index] = root
-                return
-        computed = mp.fold_root()
-        if not digests_equal(computed, root):
-            raise VerificationError(
-                f"multiproof {ref.proof_index} does not match the on-chain "
-                f"root of keyword {keyword!r}"
-            )
-        if self.cache is not None:
-            self.cache.add(key)
-        self._mp_verified[ref.proof_index] = root
+        self._bind(keyword, ref.proof_index)
 
     def verify_entry(self, keyword: str, entry: ProvenEntry) -> None:
         """Authenticate one proven entry; raises on failure."""
@@ -286,22 +458,17 @@ class MerkleProofSystem:
 
         Verifies each per-entry path independently (a tampered entry is
         skipped and left uncached, the rest still warm — fail closed per
-        entry) and returns the number that verified.  Entries still
-        holding a live located slot are proven first.  When *every*
+        entry) and returns the number that verified.  When *every*
         entry verified and the list came with its full-scan ``cover``
         (:class:`ScanProofs`), additionally folds the cover and seeds
-        the shared cache with it — the proof the SP's query-time
-        compression emits for a full scan, so its ``(root, gindex-set
-        digest)`` key hits when the query arrives.  A partially tampered
-        list seeds nothing batched.
+        the shared cache with it — the table the SP's prove step emits
+        for a full scan, so its ``(root, content digest)`` key hits
+        when the query arrives.  A partially tampered list seeds nothing
+        batched.
         """
         cover = getattr(entries, "cover", None)
-        try:
-            finished = expand_entries(entries)
-        except (StaleProofError, UnresolvedProofError):
-            return 0
         warmed = 0
-        for entry in finished:
+        for entry in entries:
             try:
                 self.verify_entry(keyword, entry)
             except VerificationError:

@@ -15,10 +15,10 @@ the batch it was checked in has passed; the Merkle family keys on
 component, misses the cache, and is re-verified from scratch — a cache
 hit can therefore never mask a failing proof.
 
-Deduplicated multiproofs (v3 VOs) follow the same rule with a structural
+Deduplicated multiproofs (v3 and v5 frames) follow the same rule with a structural
 token instead of the raw object: their key is ``(root,
 TreeMultiproof.cache_token())``, where the token hashes the complete
-proof content — heights, per-node slot codes (the gindex partition),
+proof content — heights, per-node slot codes,
 helper digests and the leaf table.  Any tamper changes the token, so a
 warmed fold can only ever be replayed for the byte-identical proof
 against the same root.

@@ -2,6 +2,7 @@
 
 from repro.core.query.join import (
     IndexView,
+    KeyView,
     conjunctive_join,
     join_two,
     multiway_join,
@@ -22,6 +23,7 @@ from repro.core.query.vo import (
     ProvenEntry,
     QueryAnswer,
     QueryVO,
+    ReplayVO,
     SemiJoinProbe,
     SemiJoinStage,
 )
@@ -31,12 +33,14 @@ __all__ = [
     "FullScanVO",
     "IndexView",
     "JoinRound",
+    "KeyView",
     "KeywordQuery",
     "MultiWayJoinVO",
     "ProofSystem",
     "ProvenEntry",
     "QueryAnswer",
     "QueryVO",
+    "ReplayVO",
     "SemiJoinProbe",
     "SemiJoinStage",
     "VerifiedResults",

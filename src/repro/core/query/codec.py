@@ -15,7 +15,7 @@ Frame versions
 A *v2* frame (the legacy format) starts directly with the one-byte
 conjunct count.  A *v3* frame starts with the marker byte ``0xF3``
 followed by the deduplicated multiproof table, then the conjuncts with
-:class:`~repro.core.multiproof.LeafRef` proofs referencing the table
+:class:`~repro.core.query.vo.LeafRef` proofs referencing the table
 (their ``id``/``hash`` fields are omitted on the wire and reconstructed
 from the table's leaf entries).  A *v4* frame (marker ``0xF4``) is the
 Chameleon family's compressed form: each table is preceded by a kind
@@ -27,20 +27,39 @@ ascending) — and entries carry
 index, position, slot-1 opening).  Child indices and parent pointers
 are not on the wire: they are BFS arithmetic on the position.
 
-The encoder emits the oldest frame that can carry the VO, so Merkle
-answers stay v3 (and uncompressed ones v2) byte for byte.  The reader
-sniffs the first byte — any value ``>= 0xF0`` announces a versioned
-frame (DNF queries never carry 240+ conjuncts, so the ranges cannot
-collide) — and therefore decodes all three; unknown version markers
-raise :class:`~repro.errors.ReproError`, which the SP protocol maps to
-``ERR_BAD_REQUEST``.
+A *v5* frame (marker ``0xF5``) is the Merkle family's: the tables, in
+the v3 encoding, and conjuncts that carry no entry and no round at all
+(:class:`~repro.core.query.vo.ReplayVO`)::
+
+    0xF5 || varint n || table * n || u8 m || conjunct * m
+    conjunct   u8 k || keyword * k || kind
+               kind 0 (a keyword is empty)   || keyword
+               kind 1 (cyclic), 2 (semijoin) || (u8 keyword index || varint slot) * k
+
+The ``k`` pairs list the component's keywords in the order the SP
+walked them (a permutation of ``0..k-1``); ``slot`` is ``0`` when the
+walk read nothing from that tree, else the table's index plus one.  A
+one-keyword component is a scan (kind 1, one pair).  The client re-runs
+the join over the tables, so nothing the SP could say about its walk is
+on the wire.
+
+The encoder emits the oldest frame that can carry the VO: v2 when there
+is no table, v4 for Chameleon node tables, v5 for replayed Merkle
+conjuncts.  v3 is read-only — what an SP of that vintage sent still
+decodes and verifies, but ``LeafRef`` entries are no longer written.
+The reader sniffs the first byte — any value ``>= 0xF0`` announces a
+versioned frame (DNF queries never carry 240+ conjuncts, so the ranges
+cannot collide) — and therefore decodes all four; unknown version
+markers raise :class:`~repro.errors.ReproError`, which the SP protocol
+maps to ``ERR_BAD_REQUEST``.
 
 The decoder fails closed: whatever the bytes, the only exception that
 leaves :meth:`VOCodec.decode` is a :class:`~repro.errors.ReproError`,
 and one-byte flags and tags accept exactly the values the encoder
 writes.  A node table that is unsorted, repeats a position or lacks an
 ancestor, and a ref to a table or node that is not there, are rejected
-here, before any verification runs.
+here, before any verification runs; so are, in a v5 conjunct, a keyword
+list that is not a permutation and a slot beyond the tables.
 
 There is one reader, :class:`~repro.core.wire.Reader` (shared with
 :mod:`repro.sp.protocol`): the received ``bytes`` plus an offset, so a
@@ -65,19 +84,21 @@ from repro.core.chameleon import (
     NodeRef,
 )
 from repro.core.mbtree import MerklePath, PathStep
-from repro.core.multiproof import DeferredProof, LeafRef, TreeMultiproof
+from repro.core.multiproof import TreeMultiproof
 from repro.core.query.vo import (
     ConjunctiveVO,
     FullScanVO,
     JoinRound,
+    LeafRef,
     MultiWayJoinVO,
     ProvenEntry,
     QueryVO,
+    ReplayVO,
     SemiJoinProbe,
     SemiJoinStage,
 )
 from repro.core.wire import U8, Reader, put_varint, read_varint
-from repro.errors import ReproError, UnresolvedProofError
+from repro.errors import ReproError
 
 _PROOF_NONE = 0
 _PROOF_MERKLE = 1
@@ -92,10 +113,15 @@ _BASE_NONE = 0
 _BASE_MULTIWAY = 1
 _BASE_FULLSCAN = 2
 
+#: Kind byte of a v5 conjunct: an empty keyword, or the plan to replay.
+_KIND_EMPTY = 0
+_KIND_OF_PLAN = {"cyclic": 1, "semijoin": 2}
+_PLAN_OF_KIND = {kind: plan for plan, kind in _KIND_OF_PLAN.items()}
+
 #: First byte of a versioned frame; ``0xF0 | version`` (v2 is the
 #: unmarked legacy layout).
 _VERSION_BASE = 0xF0
-_VERSIONS = (2, 3, 4)
+_VERSIONS = (2, 3, 4, 5)
 
 #: One multiproof leaf row: ``id(8) || hash(32)``.
 _LEAF_ROW = struct.Struct(">Q32s")
@@ -127,10 +153,10 @@ class VOCodec:
 
     ``version`` selects the frame the *encoder* emits: ``None`` (the
     default) auto-selects the oldest frame that can carry the VO — the
-    byte-identical legacy v2 layout without tables, v3 with Merkle
-    multiproofs, v4 with Chameleon node tables; a pinned version always
-    emits that frame and refuses a VO that needs a newer one.  The
-    decoder is version-agnostic and reads all three.
+    byte-identical legacy v2 layout without tables, v4 with Chameleon
+    node tables, v5 for replayed Merkle conjuncts; a pinned version
+    always emits that frame and refuses a VO it cannot carry.  The
+    decoder is version-agnostic and reads v2 to v5.
     """
 
     def __init__(
@@ -313,18 +339,6 @@ class VOCodec:
             return
         out.append(1)
         proof = entry.proof
-        if isinstance(proof, LeafRef):
-            # v3 on: the id/hash live in the multiproof leaf table, so
-            # the entry shrinks to a tag plus two varints.
-            if mps is None:
-                raise ReproError(
-                    "LeafRef proofs require the v3 frame "
-                    "(VOCodec(version=2) cannot encode compressed VOs)"
-                )
-            out.append(_PROOF_LEAFREF)
-            put_varint(out, proof.proof_index)
-            put_varint(out, proof.ordinal)
-            return
         if proof is None:
             tag = _PROOF_NONE
         elif isinstance(proof, MerklePath):
@@ -333,15 +347,15 @@ class VOCodec:
             tag = _PROOF_CVC
         elif isinstance(proof, NodeRef):
             tag = _PROOF_NODEREF
-        elif isinstance(proof, DeferredProof):
-            raise UnresolvedProofError(
-                f"entry {entry.object_id} of keyword {proof.keyword!r} was "
-                "located but never proven; finish the VO before encoding"
+        elif isinstance(proof, LeafRef):
+            raise ReproError(
+                "LeafRef entries are read-only: a v3 frame decodes and "
+                "verifies, a Merkle VO is written as a v5 frame"
             )
         else:
             raise ReproError(f"cannot encode proof type {type(proof)!r}")
-        # Versioned frames tag before the id/hash so LeafRef entries can
-        # omit them; the legacy layout tags after.
+        # Versioned frames tag before the id/hash (v3's LeafRef entries
+        # omit them); the legacy layout tags after.
         if mps is not None:
             out.append(tag)
         _put_uint(out, entry.object_id, 8)
@@ -566,6 +580,63 @@ class VOCodec:
             empty_keyword=empty_keyword,
         )
 
+    @staticmethod
+    def _write_replayed(out: bytearray, vo: ConjunctiveVO) -> None:
+        keywords = vo.keywords
+        out.append(len(keywords))
+        for keyword in keywords:
+            _put_string(out, keyword)
+        base = vo.base
+        if vo.empty_keyword is not None and base is None:
+            out.append(_KIND_EMPTY)
+            _put_string(out, vo.empty_keyword)
+            return
+        if (
+            not isinstance(base, ReplayVO)
+            or vo.empty_keyword is not None
+            or vo.stages
+            or base.plan not in _KIND_OF_PLAN
+            or sorted(base.trees) != sorted(keywords)
+            or len(base.runs) != len(keywords)
+        ):
+            raise ReproError(
+                "a v5 frame carries empty-keyword and replayed conjuncts "
+                "only, each over exactly its keywords"
+            )
+        list(base.tables())  # a run still waiting for its proof is refused
+        out.append(_KIND_OF_PLAN[base.plan])
+        for tree, run in zip(base.trees, base.runs):
+            out.append(keywords.index(tree))
+            put_varint(out, 0 if run is None else run + 1)
+
+    @staticmethod
+    def _read_replayed(r: Reader, mps: tuple) -> ConjunctiveVO:
+        keywords = tuple(r.text(U8) for _ in range(r.u8()))
+        kind = r.u8()
+        if kind == _KIND_EMPTY:
+            return ConjunctiveVO(keywords=keywords, empty_keyword=r.text(U8))
+        plan = _PLAN_OF_KIND.get(kind)
+        if plan is None:
+            raise ReproError(f"unknown conjunct kind {kind}")
+        order = []
+        runs: list[int | None] = []
+        for _ in keywords:
+            order.append(r.u8())
+            slot = r.varint()
+            if slot > len(mps):
+                raise ReproError(f"conjunct names table {slot - 1} of {len(mps)}")
+            runs.append(slot - 1 if slot else None)
+        if sorted(order) != list(range(len(keywords))):
+            raise ReproError("conjunct's tree order is not a permutation")
+        return ConjunctiveVO(
+            keywords=keywords,
+            base=ReplayVO(
+                plan=plan,
+                trees=tuple(keywords[index] for index in order),
+                runs=tuple(runs),
+            ),
+        )
+
     # -- public API ----------------------------------------------------------------
 
     def encode(self, vo: QueryVO) -> bytes:
@@ -593,21 +664,28 @@ class VOCodec:
             put_varint(out, len(mps))
             for table in mps:
                 chameleon = isinstance(table, ChameleonMultiproof)
-                if version >= 4:
+                if version == 4:
                     out.append(_TABLE_CHAMELEON if chameleon else _TABLE_MERKLE)
+                elif chameleon:
+                    raise ReproError(
+                        f"a v{version} frame cannot carry a node table"
+                    )
                 if chameleon:
                     self._write_node_table(out, table)
                 else:
                     self._write_multiproof(out, table)
         out.append(len(vo.conjuncts))
         for conjunct in vo.conjuncts:
-            self._write_conjunct(out, conjunct, mps)
+            if version >= 5:
+                self._write_replayed(out, conjunct)
+            else:
+                self._write_conjunct(out, conjunct, mps)
         return bytes(out)
 
     def _read_table(
         self, r: Reader, version: int
     ) -> TreeMultiproof | ChameleonMultiproof:
-        kind = r.u8() if version >= 4 else _TABLE_MERKLE
+        kind = r.u8() if version == 4 else _TABLE_MERKLE
         if kind == _TABLE_MERKLE:
             return self._read_multiproof(r)
         if kind == _TABLE_CHAMELEON:
@@ -623,6 +701,7 @@ class VOCodec:
         """
         r = Reader(payload, _WHAT)
         mps: tuple | None = None
+        version = 2
         try:
             if payload[:1] >= bytes((_VERSION_BASE,)):
                 version = r.u8() - _VERSION_BASE
@@ -633,9 +712,8 @@ class VOCodec:
                 mps = tuple(
                     [self._read_table(r, version) for _ in range(r.varint())]
                 )
-            conjuncts = tuple(
-                [self._read_conjunct(r, mps) for _ in range(r.u8())]
-            )
+            read = self._read_replayed if version >= 5 else self._read_conjunct
+            conjuncts = tuple([read(r, mps) for _ in range(r.u8())])
         except (IndexError, struct.error):
             # The inner loops index the buffer and unpack at an offset
             # without asking first: running off the end is their

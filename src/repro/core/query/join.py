@@ -1,11 +1,31 @@
 """Authenticated join processing (Sections III-B and V-C, Algorithm 5).
 
-The SP evaluates each conjunctive component as an authenticated join
-over the component keywords' index trees.  The engine is generic over
-an :class:`IndexView` adapter so the same round logic serves the
-Merkle-inverted family (MB-tree proofs) and the Chameleon family
-(membership proofs), with the Chameleon* Bloom-filter optimisation
-surfacing as ``skip`` rounds.
+Each conjunctive component is evaluated as a join over the component
+keywords' index trees.  There is one walk, written over *keys*: it asks a
+view for its first key and for the pair of keys around a target, and
+nothing else.  What differs between the families is who needs an account
+of the walk:
+
+* **Chameleon family** — every entry carries its own opening, so the
+  walk's rounds *are* the VO.  These views implement :class:`IndexView`
+  (``*_proven`` methods returning
+  :class:`~repro.core.query.vo.ProvenEntry`); the engine puts a
+  :class:`_Transcript` in front of each, which hands the walk the keys
+  and keeps the proven entries for the round record, with the
+  Chameleon* Bloom-filter optimisation surfacing as ``skip`` rounds.
+* **Merkle family** — the client *replays* the join (Algorithm 6): it
+  holds, per tree, a proven run of leaves whose adjacency it can check,
+  so it can answer every probe of the walk itself.  These views
+  implement :class:`KeyView`; the walk leaves no rounds behind, each
+  view remembers which keys were read from it
+  (:meth:`KeyView.run`), and the conjunct's VO is a
+  :class:`~repro.core.query.vo.ReplayVO` naming those runs.  The SP
+  calls :func:`conjunctive_join` over its trees
+  (:class:`~repro.core.merkle_family.MBTreeView`), the client calls it
+  with ``order="given"`` over the authenticated tables
+  (:class:`~repro.core.merkle_family.ProvenRun`): same routine, same
+  probes, and a probe the tables cannot answer is a
+  :class:`~repro.errors.VerificationError` raised by the view.
 
 Two multiway plans are provided:
 
@@ -49,6 +69,7 @@ from repro.core.query.vo import (
     JoinRound,
     MultiWayJoinVO,
     ProvenEntry,
+    ReplayVO,
     SemiJoinProbe,
     SemiJoinStage,
 )
@@ -57,7 +78,7 @@ from repro.errors import QueryError
 
 @runtime_checkable
 class IndexView(Protocol):
-    """The SP-side face of one keyword's index tree."""
+    """One keyword's index tree, every entry handed out with its proof."""
 
     keyword: str
 
@@ -86,104 +107,197 @@ class IndexView(Protocol):
         ...
 
 
-def multiway_join(
-    views: list[IndexView],
-) -> tuple[list[int], MultiWayJoinVO]:
-    """The k-way cyclic join walk; trees must all be non-empty.
+class KeyView(Protocol):
+    """One keyword's index tree as the walk reads it: keys only.
 
-    Returns the matched IDs and the VO encoding the whole walk.
+    ``replayed`` marks the flavour for :func:`conjunctive_join`.  A view
+    that cannot answer a read raises instead of guessing.
+    """
+
+    keyword: str
+    replayed: bool
+
+    def __len__(self) -> int:
+        """Zero iff the keyword has no entry; otherwise only a sort key."""
+        ...
+
+    def first(self) -> int:
+        """The smallest key (the view is not empty)."""
+        ...
+
+    def boundaries(self, target: int) -> tuple[int | None, int | None]:
+        """The largest key ``<= target`` and the smallest ``> target``."""
+        ...
+
+    def scan(self) -> list[int]:
+        """Every key, ascending (full scans)."""
+        ...
+
+    def definitely_absent(self, object_id: int) -> bool:
+        """As :meth:`IndexView.definitely_absent`."""
+        ...
+
+    def run(self) -> object:
+        """Where the leaves read so far are (to be) proven.
+
+        The slot this tree gets in :attr:`ReplayVO.runs`.
+        """
+        ...
+
+
+class _Transcript:
+    """The key-level face of an :class:`IndexView`, for the one walk.
+
+    Answers the walk with keys and keeps the proven entries of the last
+    read, which the walk copies into the round it records.
+    """
+
+    __slots__ = ("view", "lower", "upper")
+
+    def __init__(self, view: IndexView) -> None:
+        self.view = view
+        self.lower: ProvenEntry | None = None
+        self.upper: ProvenEntry | None = None
+
+    def boundaries(self, target: int) -> tuple[int | None, int | None]:
+        lower, upper = self.view.boundaries_proven(target)
+        self.lower = lower
+        self.upper = upper
+        return (
+            None if lower is None else lower.object_id,
+            None if upper is None else upper.object_id,
+        )
+
+    def definitely_absent(self, object_id: int) -> bool:
+        return self.view.definitely_absent(object_id)
+
+
+def _replayed(view) -> bool:
+    """Whether a join over this view (and its like) is a :class:`KeyView` one."""
+    return bool(getattr(view, "replayed", False))
+
+
+def _cyclic_walk(
+    views: list, target: int, rounds: list[JoinRound] | None
+) -> list[int]:
+    """The k-way cyclic walk from ``views[0]``'s first key ``target``.
+
+    ``views`` answer with keys (:class:`KeyView`s or
+    :class:`_Transcript`s); returns the matches.  ``rounds``, when
+    given, receives one :class:`JoinRound` per probe, read off the
+    transcripts.
     """
     k = len(views)
-    if k < 2:
-        raise QueryError("multiway_join requires at least two trees")
-    for view in views:
-        if len(view) == 0:
-            raise QueryError("multiway_join requires non-empty trees")
-    first = views[0].first_proven()
-    assert first is not None
     matches: list[int] = []
-    rounds: list[JoinRound] = []
-    target = first
     home = 0
     confirm = 0
     offset = 1
     while True:
         probe_idx = (home + offset) % k
         view = views[probe_idx]
-        if view.definitely_absent(target.object_id):
-            _, next_target = views[home].boundaries_proven(target.object_id)
-            rounds.append(
-                JoinRound(
-                    kind="skip", probe_tree=probe_idx, next_target=next_target
+        if view.definitely_absent(target):
+            _, upper = views[home].boundaries(target)
+            if rounds is not None:
+                rounds.append(
+                    JoinRound(
+                        kind="skip",
+                        probe_tree=probe_idx,
+                        next_target=views[home].upper,
+                    )
                 )
-            )
-            if next_target is None:
-                break
-            target = next_target
+            if upper is None:
+                return matches
+            target = upper
             confirm = 0
             offset = 1
             continue
-        lower, upper = view.boundaries_proven(target.object_id)
-        rounds.append(
-            JoinRound(kind="probe", probe_tree=probe_idx, lower=lower, upper=upper)
-        )
-        matched = lower is not None and lower.object_id == target.object_id
-        if matched:
+        lower, upper = view.boundaries(target)
+        if rounds is not None:
+            rounds.append(
+                JoinRound("probe", probe_idx, view.lower, view.upper)
+            )
+        if lower == target:
             confirm += 1
-            if confirm == k - 1:
-                matches.append(target.object_id)
-                if upper is None:
-                    break
-                target = upper
-                home = probe_idx
-                confirm = 0
-                offset = 1
-            else:
+            if confirm < k - 1:
                 offset += 1
-            continue
+                continue
+            matches.append(target)
         if upper is None:
-            break
+            return matches
         target = upper
         home = probe_idx
         confirm = 0
         offset = 1
-    vo = MultiWayJoinVO(
-        trees=tuple(v.keyword for v in views),
-        first_target=first,
-        rounds=tuple(rounds),
+
+
+def multiway_join(
+    views: list,
+) -> tuple[list[int], MultiWayJoinVO | ReplayVO]:
+    """The k-way cyclic join walk; trees must all be non-empty.
+
+    Returns the matched IDs and the walk's VO: its rounds for
+    :class:`IndexView`s, the runs read for :class:`KeyView`s.
+    """
+    if len(views) < 2:
+        raise QueryError("multiway_join requires at least two trees")
+    for view in views:
+        if len(view) == 0:
+            raise QueryError("multiway_join requires non-empty trees")
+    trees = tuple(v.keyword for v in views)
+    if _replayed(views[0]):
+        matches = _cyclic_walk(views, views[0].first(), None)
+        return matches, ReplayVO(
+            plan="cyclic", trees=trees, runs=tuple(v.run() for v in views)
+        )
+    first = views[0].first_proven()
+    rounds: list[JoinRound] = []
+    matches = _cyclic_walk(
+        [_Transcript(view) for view in views], first.object_id, rounds
     )
-    return matches, vo
+    return matches, MultiWayJoinVO(
+        trees=trees, first_target=first, rounds=tuple(rounds)
+    )
 
 
-def join_two(
-    left: IndexView, right: IndexView
-) -> tuple[list[int], MultiWayJoinVO]:
+def join_two(left, right) -> tuple[list[int], MultiWayJoinVO | ReplayVO]:
     """Authenticated join of two trees (the paper's Fig. 4 walk)."""
     return multiway_join([left, right])
 
 
 def semi_join(
-    candidates: list[int], view: IndexView
-) -> tuple[list[int], SemiJoinStage]:
-    """Filter ``candidates`` through one more tree with per-ID probes."""
+    candidates: list[int], view
+) -> tuple[list[int], SemiJoinStage | None]:
+    """Filter ``candidates`` through one more tree with per-ID probes.
+
+    Returns the survivors and, for an :class:`IndexView`, the stage's
+    probes; a :class:`KeyView` remembers what was read instead.
+    """
+    replayed = _replayed(view)
+    face = view if replayed else _Transcript(view)
     survivors: list[int] = []
     probes: list[SemiJoinProbe] = []
     for candidate in sorted(candidates):
-        if view.definitely_absent(candidate):
+        if face.definitely_absent(candidate):
             probes.append(
                 SemiJoinProbe(candidate_id=candidate, bloom_absent=True)
             )
             continue
-        lower, upper = view.boundaries_proven(candidate)
-        probe = SemiJoinProbe(candidate_id=candidate, lower=lower, upper=upper)
-        probes.append(probe)
-        if probe.matched:
+        lower, _ = face.boundaries(candidate)
+        if not replayed:
+            probes.append(
+                SemiJoinProbe(
+                    candidate_id=candidate, lower=face.lower, upper=face.upper
+                )
+            )
+        if lower == candidate:
             survivors.append(candidate)
+    if replayed:
+        return survivors, None
     return survivors, SemiJoinStage(keyword=view.keyword, probes=tuple(probes))
 
 
 def conjunctive_join(
-    views: list[IndexView],
+    views: list,
     order: str = "size",
     plan: str = "cyclic",
 ) -> tuple[list[int], ConjunctiveVO]:
@@ -207,23 +321,38 @@ def conjunctive_join(
                 keywords=keywords, empty_keyword=view.keyword
             )
     ordered = sorted(views, key=len) if order == "size" else list(views)
+    replayed = _replayed(ordered[0])
     if len(ordered) == 1:
-        entries = ordered[0].all_proven()
-        vo = FullScanVO(keyword=ordered[0].keyword, entries=tuple(entries))
-        return [e.object_id for e in entries], ConjunctiveVO(
-            keywords=keywords, base=vo
-        )
+        if replayed:
+            matches = ordered[0].scan()
+            base_vo = ReplayVO("cyclic", keywords, (ordered[0].run(),))
+        else:
+            entries = ordered[0].all_proven()
+            matches = [e.object_id for e in entries]
+            base_vo = FullScanVO(keyword=keywords[0], entries=tuple(entries))
+        return matches, ConjunctiveVO(keywords=keywords, base=base_vo)
     if plan == "cyclic" or len(ordered) == 2:
         matches, base_vo = multiway_join(ordered)
         return matches, ConjunctiveVO(keywords=keywords, base=base_vo)
     matches, base_vo = multiway_join(ordered[:2])
-    stages: list[SemiJoinStage] = []
+    stages = []
     for view in ordered[2:]:
         if not matches:
             # No candidates left: later stages are vacuous; stop here.
             break
         matches, stage = semi_join(matches, view)
         stages.append(stage)
+    if replayed:
+        # One account for the whole component: what each tree was read
+        # for, base pair and stages alike.
+        return matches, ConjunctiveVO(
+            keywords=keywords,
+            base=ReplayVO(
+                plan="semijoin",
+                trees=tuple(v.keyword for v in ordered),
+                runs=tuple(v.run() for v in ordered),
+            ),
+        )
     return matches, ConjunctiveVO(
         keywords=keywords, base=base_vo, stages=tuple(stages)
     )

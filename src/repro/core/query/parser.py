@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.objects import normalise_keyword
-from repro.errors import QueryError
+from repro.errors import QueryError, QueryLimitError
 
 _AND_TOKENS = {"and", "&&", "&", "∧"}
 _OR_TOKENS = {"or", "||", "|", "∨"}
@@ -29,6 +29,15 @@ _NOT_TOKENS = {"not", "!", "¬"}
 #: level, so without a bound a request of a few kilobytes of ``(`` ends
 #: in the interpreter's RecursionError instead of a QueryError.
 MAX_NESTING = 64
+
+#: Most conjunctions a query's DNF may have, at any point of its
+#: normalisation.  AND distributes over OR, so ``(a1 OR b1) AND ... AND
+#: (an OR bn)`` — 15 bytes a clause — has ``2**n`` conjunctions: without
+#: a bound a request of 213 bytes keeps the parser busy for seconds and
+#: one of 250 for hours.  Every conjunction is also one join at the SP
+#: and one byte-sized count in the VO frame (240 and up are its version
+#: markers).
+MAX_CONJUNCTIONS = 64
 
 
 @dataclass(frozen=True)
@@ -119,6 +128,7 @@ class _Parser:
         while (tok := self._peek()) is not None and tok.kind == "or":
             self._advance()
             result = result + self._and_expr()
+            _bounded(len(result))
         return result
 
     def _and_expr(self) -> list[frozenset[str]]:
@@ -137,7 +147,7 @@ class _Parser:
         if token.kind == "lparen":
             self._depth += 1
             if self._depth > MAX_NESTING:
-                raise QueryError(
+                raise QueryLimitError(
                     f"query nests deeper than {MAX_NESTING} parentheses"
                 )
             inner = self._or_expr()
@@ -149,10 +159,23 @@ class _Parser:
         raise QueryError(f"unexpected token {token.value!r}")
 
 
+def _bounded(size: int) -> None:
+    if size > MAX_CONJUNCTIONS:
+        raise QueryLimitError(
+            f"query has more than {MAX_CONJUNCTIONS} conjunctions in "
+            "disjunctive normal form"
+        )
+
+
 def _distribute(
     left: list[frozenset[str]], right: list[frozenset[str]]
 ) -> list[frozenset[str]]:
-    """AND of two DNF expressions: cross-product of conjunctions."""
+    """AND of two DNF expressions: cross-product of conjunctions.
+
+    Refused before it is built when it would exceed
+    :data:`MAX_CONJUNCTIONS`.
+    """
+    _bounded(len(left) * len(right))
     return [l | r for l in left for r in right]
 
 

@@ -6,17 +6,34 @@ from the blockchain, the client re-derives the result set and checks:
 * **soundness** — every claimed entry verifies against the on-chain
   digest of its keyword tree, and every returned object hashes to its
   proven digest (so it originated from the DO, unmodified);
-* **completeness** — the join walk is *replayed*: each round's probed
-  tree must match the walk's deterministic cyclic schedule, targets
-  chain from a proven-first entry through probed upper boundaries,
-  boundary entries are adjacent, and terminal rounds carry last-entry
-  evidence (the termination-vs-``cnt`` check of Algorithm 6).
+* **completeness** — the join walk is *replayed*.
+
+How the walk is replayed depends on what the VO holds.  A Merkle-family
+conjunct (:class:`~repro.core.query.vo.ReplayVO`) holds no account of
+the walk at all, only the proven leaves per tree: the proof system folds
+each table to the on-chain root and opens it as a view, and
+:func:`verify_replayed` calls the very
+:func:`~repro.core.query.join.conjunctive_join` the SP called.  The
+result set is what that call returns.  Each probe is answered by the
+view from authenticated leaves that it checks to be adjacent (or first /
+last in the tree), so the boundaries are the true ones whatever the SP
+intended; which tree is probed when, where the walk goes next and when
+it ends are computed here, not read — a wrong probe tree, reordered,
+dropped or trailing rounds and an early end have no representation.
+
+A conjunct with rounds (the Chameleon family, and the Merkle frames of
+older SPs) is checked round by round by :func:`verify_multiway`: each
+round's probed tree must match the walk's deterministic cyclic schedule,
+targets chain from a proven-first entry through probed upper boundaries,
+boundary entries are adjacent, and terminal rounds carry last-entry
+evidence (the termination-vs-``cnt`` check of Algorithm 6).
 
 The scheme-specific crypto lives behind the :class:`ProofSystem`
-protocol: the Merkle family implements it over Merkle paths, the
-Chameleon family over CVC membership proofs plus the on-chain Bloom
-filters for the starred variant.  Every check failure raises
-:class:`~repro.errors.VerificationError` naming the violated criterion.
+protocol: the Merkle family implements it over multiproof tables and
+Merkle paths, the Chameleon family over CVC membership proofs plus the
+on-chain Bloom filters for the starred variant.  Every check failure
+raises :class:`~repro.errors.VerificationError` naming the violated
+criterion; no check is an ``assert``.
 """
 
 from __future__ import annotations
@@ -27,6 +44,7 @@ from dataclasses import dataclass, field
 from typing import Protocol
 
 from repro.core.objects import DataObject
+from repro.core.query.join import conjunctive_join
 from repro.core.query.parser import KeywordQuery
 from repro.core.query.vo import (
     ConjunctiveVO,
@@ -34,6 +52,7 @@ from repro.core.query.vo import (
     MultiWayJoinVO,
     ProvenEntry,
     QueryAnswer,
+    ReplayVO,
     SemiJoinProbe,
 )
 from repro.crypto.hashing import digests_equal
@@ -187,11 +206,10 @@ def verify_multiway(vo: MultiWayJoinVO, ps: ProofSystem) -> VerifiedResults:
             continue
         # Standard probe round.
         if rnd.lower is None:
-            _check(
-                rnd.upper is not None,
-                "probe round reports an empty tree mid-join",
-            )
-            assert rnd.upper is not None
+            if rnd.upper is None:
+                raise VerificationError(
+                    "probe round reports an empty tree mid-join"
+                )
             ps.verify_entry(probe_kw, rnd.upper)
             _check(
                 ps.is_first(probe_kw, rnd.upper),
@@ -289,11 +307,10 @@ def verify_semi_join_stage(
             continue
         # Absence proof via boundaries.
         if probe.lower is None:
-            _check(
-                probe.upper is not None,
-                "absence probe carries no boundary evidence",
-            )
-            assert probe.upper is not None
+            if probe.upper is None:
+                raise VerificationError(
+                    "absence probe carries no boundary evidence"
+                )
             ps.verify_entry(keyword, probe.upper)
             _check(
                 ps.is_first(keyword, probe.upper)
@@ -324,6 +341,38 @@ def verify_semi_join_stage(
     return survivors
 
 
+def verify_replayed(
+    conj: frozenset[str], vo: ReplayVO, ps: ProofSystem
+) -> VerifiedResults:
+    """Re-run a Merkle-family join or scan over its proven leaf runs.
+
+    ``ps.proven_run`` folds each named table to the keyword's on-chain
+    root and hands back a :class:`~repro.core.query.join.KeyView` of its
+    leaves; the join routine does the rest, and a probe the leaves
+    cannot answer raises from inside it.  Only the order of the trees
+    and the plan are the SP's to choose.
+    """
+    open_run = getattr(ps, "proven_run", None)
+    if open_run is None:
+        raise VerificationError(
+            "VO asks for a replayed join but the proof system has no tables"
+        )
+    _check(
+        len(vo.trees) == len(conj)
+        and set(vo.trees) == conj
+        and len(vo.runs) == len(vo.trees),
+        "replayed join is not over exactly the conjunction's keywords",
+    )
+    _check(
+        vo.plan == "cyclic" or (vo.plan == "semijoin" and len(vo.trees) > 2),
+        "replayed join names a plan that is not the walk's for its size",
+    )
+    list(vo.tables())  # a run the SP never proved is refused, not opened
+    views = [open_run(tree, run) for tree, run in zip(vo.trees, vo.runs)]
+    ids, _ = conjunctive_join(views, order="given", plan=vo.plan)
+    return VerifiedResults(ids=set(ids), hashes=views[0].object_hashes(ids))
+
+
 def verify_conjunct(
     conj: frozenset[str], vo: ConjunctiveVO, ps: ProofSystem
 ) -> VerifiedResults:
@@ -346,12 +395,17 @@ def verify_conjunct(
             "keyword claimed empty but VO_chain shows objects",
         )
         return VerifiedResults(ids=set())
-    _check(vo.base is not None, "VO carries neither a base join nor emptiness")
-    if isinstance(vo.base, FullScanVO):
-        _check(not vo.stages, "full scan must not carry semi-join stages")
-        return verify_full_scan(conj, vo.base, ps)
-    assert isinstance(vo.base, MultiWayJoinVO)
     base = vo.base
+    if isinstance(base, ReplayVO):
+        _check(not vo.stages, "a replayed join carries no semi-join stages")
+        return verify_replayed(conj, base, ps)
+    if isinstance(base, FullScanVO):
+        _check(not vo.stages, "full scan must not carry semi-join stages")
+        return verify_full_scan(conj, base, ps)
+    if not isinstance(base, MultiWayJoinVO):
+        raise VerificationError(
+            "VO carries neither emptiness nor a base this client can check"
+        )
     base_trees = set(base.trees)
     _check(
         base_trees <= conj,

@@ -7,7 +7,9 @@ blockchain.  These dataclasses are scheme-agnostic: the per-entry
 Merkle-inverted family and a
 :class:`~repro.core.chameleon.MembershipProof` for the Chameleon family
 — or, once a query's proofs are deduplicated, a :class:`TableRef` into
-the VO's shared tables.
+the VO's shared tables.  A Merkle-family conjunct has no entries at all:
+its :class:`ReplayVO` names, per tree, the table of proven leaves the
+client re-runs the join over.
 
 Every structure reports its serialised byte size — the paper's "VO size"
 metric (Figs. 11–13) — via ``byte_size``; sizes follow the natural wire
@@ -17,8 +19,11 @@ value width).
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from typing import Literal
+
+from repro.errors import ReproError, UnresolvedProofError
 
 #: Width of a CVC group element in bytes for default accounting; the
 #: schemes override it with their actual modulus size.
@@ -58,6 +63,34 @@ class TableRef:
     """
 
     frame_version: int
+
+
+@dataclass(frozen=True, eq=True)
+class LeafRef(TableRef):
+    """A proof slot pointing into the VO's multiproof table.
+
+    ``proof_index`` selects the
+    :class:`~repro.core.multiproof.TreeMultiproof` in
+    :attr:`QueryVO.multiproofs`; ``ordinal`` is the leaf's rank in that
+    proof's DFS (= ascending key) leaf order.  Written by v3 frames
+    only, which still decode and verify; in a v5 frame the conjunct
+    names the table and no entry is written (:class:`ReplayVO`).
+    """
+
+    proof_index: int
+    ordinal: int
+
+    #: The codec frame that can carry this proof.
+    frame_version = 3
+
+    def byte_size(self) -> int:
+        """Serialised size in bytes: the two varints.
+
+        The presence and proof-tag bytes belong to the entry framing
+        (:meth:`ProvenEntry.byte_size` counts them), matching the
+        convention of the other proof types.
+        """
+        return varint_size(self.proof_index) + varint_size(self.ordinal)
 
 
 def _slot_size(entry: "ProvenEntry | None", value_bytes: int) -> int:
@@ -213,6 +246,52 @@ class SemiJoinStage:
 
 
 @dataclass(frozen=True)
+class ReplayVO:
+    """VO of a join or scan the client re-runs (Merkle family, v5 frames).
+
+    ``trees`` lists the component's keywords in the order the SP walked
+    them and ``plan`` names the walk (``"cyclic"`` also covers the
+    one-tree scan and every two-tree join).  ``runs[i]`` says where the
+    leaves the walk read from ``trees[i]`` are proven: an index into
+    :attr:`QueryVO.multiproofs`, or ``None`` when the walk ended before
+    it read that tree.  The client folds each table against the
+    on-chain root, calls the same
+    :func:`~repro.core.query.join.conjunctive_join` over them and takes
+    the result from it; the SP sends no account of the walk.
+
+    On the SP, between the join and the prove step, a run is still a
+    :class:`~repro.core.multiproof.LocatedRun` (root, keys, live tree).
+    Such a VO is unfinished: sizing, encoding or verifying it fails
+    closed.
+    """
+
+    plan: Literal["cyclic", "semijoin"]
+    trees: tuple[str, ...]
+    runs: tuple[object, ...]
+
+    #: The codec frame that can carry this base.
+    frame_version = 5
+
+    def tables(self) -> Iterator[int]:
+        """The table indices named, in tree order; refuses located runs."""
+        for tree, run in zip(self.trees, self.runs):
+            if run is None:
+                continue
+            if not isinstance(run, int):
+                raise UnresolvedProofError(
+                    f"the leaves read from keyword {tree!r} were located "
+                    "but never proven; run compress_query_vo / "
+                    "expand_query_vo first"
+                )
+            yield run
+
+    def byte_size(self) -> int:
+        """Exact wire size: per tree a keyword index and a table slot."""
+        unread = sum(1 for run in self.runs if run is None)
+        return 2 * unread + sum(1 + varint_size(t + 1) for t in self.tables())
+
+
+@dataclass(frozen=True)
 class ConjunctiveVO:
     """VO for one conjunctive component ``w_1 ^ ... ^ w_l``.
 
@@ -225,43 +304,76 @@ class ConjunctiveVO:
       the default cyclic plan; ``stages`` is empty;
     * ``base`` a two-tree :class:`MultiWayJoinVO` plus one
       :class:`SemiJoinStage` per remaining keyword — the semi-join plan
-      (footnote 3 taken literally), exposed for the plan ablation.
+      (footnote 3 taken literally), exposed for the plan ablation;
+    * ``base`` a :class:`ReplayVO` — the Merkle family: scan or join,
+      either plan, replayed by the client; ``stages`` is empty.
     """
 
     keywords: tuple[str, ...]
-    base: MultiWayJoinVO | FullScanVO | None = None
+    base: MultiWayJoinVO | FullScanVO | ReplayVO | None = None
     stages: tuple[SemiJoinStage, ...] = ()
     empty_keyword: str | None = None
 
-    def byte_size(self, value_bytes: int = DEFAULT_VALUE_BYTES) -> int:
-        """Exact wire size (counts, flags and the base/stage tags)."""
-        # keyword count + empty flag + base tag + stage count
-        total = 4 + sum(len(k) + 1 for k in self.keywords)
+    def byte_size(
+        self, value_bytes: int = DEFAULT_VALUE_BYTES, version: int = 2
+    ) -> int:
+        """Exact wire size in a frame of ``version``."""
+        total = sum(len(k) + 1 for k in self.keywords)
         if self.empty_keyword is not None:
             total += len(self.empty_keyword) + 1
+        if version >= 5:
+            # keyword count + kind tag
+            return total + 2 + (
+                self.base.byte_size() if self.base is not None else 0
+            )
+        # keyword count + empty flag + base tag + stage count
+        total += 4
         if self.base is not None:
             total += self.base.byte_size(value_bytes)
         total += sum(s.byte_size(value_bytes) for s in self.stages)
         return total
 
 
-def iter_proven_entries(vo: "QueryVO"):
-    """Yield every :class:`ProvenEntry` of a VO in the codec's write order."""
+def written_entries(conj: ConjunctiveVO) -> Iterator[ProvenEntry]:
+    """The entries a conjunct writes itself, in the codec's write order."""
+    base = conj.base
+    if isinstance(base, MultiWayJoinVO):
+        yield base.first_target
+        for rnd in base.rounds:
+            for entry in (rnd.lower, rnd.upper, rnd.next_target):
+                if entry is not None:
+                    yield entry
+    elif isinstance(base, FullScanVO):
+        yield from base.entries
+    for stage in conj.stages:
+        for probe in stage.probes:
+            for entry in (probe.lower, probe.upper):
+                if entry is not None:
+                    yield entry
+
+
+def iter_proven_entries(vo: "QueryVO") -> Iterator[ProvenEntry]:
+    """Yield every :class:`ProvenEntry` of a VO, conjunct by conjunct.
+
+    A conjunct with rounds yields the entries it writes, in the codec's
+    write order.  A replayed conjunct writes none: it yields the leaves
+    of each table it names, in tree then key order, as entries whose
+    proof is the :class:`LeafRef` of that leaf (the ``(id, h(o))`` are
+    the table's own rows).  A table two conjuncts name is yielded under
+    both.
+    """
     for conj in vo.conjuncts:
-        base = conj.base
-        if isinstance(base, MultiWayJoinVO):
-            yield base.first_target
-            for rnd in base.rounds:
-                for entry in (rnd.lower, rnd.upper, rnd.next_target):
-                    if entry is not None:
-                        yield entry
-        elif isinstance(base, FullScanVO):
-            yield from base.entries
-        for stage in conj.stages:
-            for probe in stage.probes:
-                for entry in (probe.lower, probe.upper):
-                    if entry is not None:
-                        yield entry
+        if not isinstance(conj.base, ReplayVO):
+            yield from written_entries(conj)
+            continue
+        for table in conj.base.tables():
+            if not 0 <= table < len(vo.multiproofs):
+                raise ReproError(f"conjunct names table {table}, which the VO lacks")
+            leaves = vo.multiproofs[table].leaves
+            for ordinal, (object_id, object_hash) in enumerate(leaves):
+                yield ProvenEntry(
+                    object_id, object_hash, LeafRef(table, ordinal)
+                )
 
 
 @dataclass(frozen=True)
@@ -269,11 +381,11 @@ class QueryVO:
     """``VO_sp``: the full verification object for a DNF query.
 
     ``multiproofs`` holds the deduplicated proof tables, one per
-    ``(tree, commitment)`` referenced by the entries: a
-    :class:`~repro.core.multiproof.TreeMultiproof` with
-    :class:`~repro.core.multiproof.LeafRef` entries for the Merkle
-    family (v3 frames), a
-    :class:`~repro.core.chameleon.ChameleonMultiproof` with
+    ``(tree, commitment)``: a
+    :class:`~repro.core.multiproof.TreeMultiproof` for the Merkle
+    family — named whole by the :class:`ReplayVO` conjuncts of a v5
+    frame, or leaf by leaf by the :class:`LeafRef` entries of a v3 one —
+    and a :class:`~repro.core.chameleon.ChameleonMultiproof` with
     :class:`~repro.core.chameleon.NodeRef` entries for the Chameleon
     family (v4 frames).  Empty for legacy (v2) VOs.
     """
@@ -289,31 +401,37 @@ class QueryVO:
         per table) exactly when :meth:`frame_version` asks for one;
         otherwise the legacy v2 frame (a bare conjunct count).
         """
-        total = 1 + sum(c.byte_size(value_bytes) for c in self.conjuncts)
         version = self.frame_version()
+        total = 1 + sum(
+            c.byte_size(value_bytes, version) for c in self.conjuncts
+        )
         if version >= 3:
             total += 1 + varint_size(len(self.multiproofs))
             total += sum(_proof_size(mp, value_bytes) for mp in self.multiproofs)
-        if version >= 4:
+        if version == 4:
             total += len(self.multiproofs)  # one kind tag per table
         return total
 
     def frame_version(self) -> int:
         """The oldest codec frame that can carry this VO.
 
-        2 (the unmarked legacy layout) unless a table or a
-        :class:`TableRef` entry asks for more.
+        2 (the unmarked legacy layout) unless a replayed conjunct, a
+        table or a :class:`TableRef` entry asks for more.
         """
-        if self.multiproofs:
-            return max(table.frame_version for table in self.multiproofs)
-        return max(
-            (
+        needs = [
+            conj.base.frame_version
+            for conj in self.conjuncts
+            if isinstance(conj.base, ReplayVO)
+        ]
+        needs += [table.frame_version for table in self.multiproofs]
+        if not needs:
+            needs = [
                 entry.proof.frame_version
-                for entry in iter_proven_entries(self)
+                for conj in self.conjuncts
+                for entry in written_entries(conj)
                 if isinstance(entry.proof, TableRef)
-            ),
-            default=2,
-        )
+            ]
+        return max(needs, default=2)
 
     def proof_byte_size(self, value_bytes: int = DEFAULT_VALUE_BYTES) -> int:
         """Proof-only bytes: per-entry proofs plus the multiproof table.
@@ -328,7 +446,8 @@ class QueryVO:
         """
         total = sum(
             _proof_size(entry.proof, value_bytes)
-            for entry in iter_proven_entries(self)
+            for conj in self.conjuncts
+            for entry in written_entries(conj)
         )
         total += sum(
             _proof_size(mp, value_bytes) - 40 * len(getattr(mp, "leaves", ()))

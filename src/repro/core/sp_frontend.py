@@ -591,14 +591,15 @@ class ShardedStorageProvider:
         """Assemble ``VO_sp`` and run the prove step over it.
 
         The common tail of every query path (stateless, parallel and
-        affine).  The joins only located their Merkle entries; here each
-        touched tree is proven once for the whole query —
+        affine).  The Merkle joins only located the keys they read;
+        here each touched tree is proven once for the whole query —
         ``vo_version>=3`` as one deduplicated multiproof per ``(tree,
-        commitment)``, ``vo_version=2`` as the legacy per-entry paths.
-        It runs *after* call-order gathering, over the fully assembled
-        VO, so its output is byte-identical for any shard count, pool
-        mode or executor.  Chameleon-family VOs carry finished proofs
-        and are only deduplicated (v3) or passed through (v2).
+        commitment)``, which is all the VO then holds, ``vo_version=2``
+        as the legacy rounds of per-entry paths.  It runs *after*
+        call-order gathering, over the fully assembled VO, so its output
+        is byte-identical for any shard count, pool mode or executor.
+        Chameleon-family VOs carry finished proofs and are only
+        deduplicated (``>=3``) or passed through (``2``).
         """
         vo = QueryVO(conjuncts=tuple(conjunct_vos))
         with obs.span("query.sp.prove"):
@@ -607,7 +608,7 @@ class ShardedStorageProvider:
             return expand_query_vo(vo, self._prove)
 
     def _prove(self, requests: list[ProveRequest]) -> list:
-        """Prove step for slots whose join ran in another process.
+        """Prove step for runs whose join ran in another process.
 
         In-process engines prove on the tree they hold; with an affine
         pool the requests go to the workers holding the blobs, one

@@ -38,12 +38,13 @@ class VerificationError(ReproError):
 
 
 class UnresolvedProofError(ReproError):
-    """A located-but-unproven entry reached a consumer of finished VOs.
+    """A located-but-unproven run reached a consumer of finished VOs.
 
-    The Merkle-family join only *locates* entries; their proof slot stays
-    a deferred marker until the prove step runs.  Encoding, sizing or
-    verifying a VO that still holds one, or finishing a slot that lost
-    its tree to pickling without a resolver, raises this.
+    The Merkle-family join only *locates*: a conjunct leaves it naming,
+    per tree, the keys it read, and stays that way until the prove step
+    runs.  Encoding, sizing or verifying a VO that still holds such a
+    run, or finishing one that lost its tree to pickling without a
+    resolver, raises this.
     """
 
 
@@ -77,6 +78,16 @@ class ChainError(ReproError):
 
 class QueryError(ReproError):
     """Malformed query expression or unsupported query shape."""
+
+
+class QueryLimitError(QueryError):
+    """A query exceeds a size limit of the parser (nesting, DNF width).
+
+    The expression may be well formed; evaluating it is refused because
+    its normal form — or the recursion needed to reach it — is not
+    bounded by the request's length.  The SP answers with
+    ``ERR_BAD_REQUEST``.
+    """
 
 
 class DatasetError(ReproError):

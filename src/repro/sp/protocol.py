@@ -44,7 +44,7 @@ from repro.core.wire import U16, U32, Reader
 
 if TYPE_CHECKING:
     from repro.core.system import HybridStorageSystem
-from repro.errors import DatasetError, QueryError, ReproError
+from repro.errors import DatasetError, QueryError, QueryLimitError, ReproError
 
 #: Protocol version byte, bumped on breaking format changes.
 #: v2: error responses carry a machine-readable error-code byte.
@@ -57,7 +57,9 @@ _STATUS_ERROR = 1
 
 #: No error (never serialised; the OK status byte covers it).
 ERR_NONE = 0
-#: The request bytes could not be decoded (truncated, bad version...).
+#: The request bytes could not be decoded (truncated, bad version...)
+#: or ask for more than the parser admits (keyword length, nesting,
+#: conjunctions in DNF).
 ERR_BAD_REQUEST = 1
 #: The query expression was malformed or uses an unsupported shape.
 ERR_QUERY = 2
@@ -209,12 +211,13 @@ class StorageProviderServer:
             return error(ERR_BAD_REQUEST, exc)
         try:
             query = KeywordQuery.parse(request.query_text)
+        except (QueryLimitError, DatasetError) as exc:
+            # A keyword beyond the 255-byte wire limit, nesting or a DNF
+            # beyond the parser's bounds: the request is refused for its
+            # size, not for the query's structure.
+            return error(ERR_BAD_REQUEST, exc)
         except QueryError as exc:
             return error(ERR_QUERY, exc)
-        except DatasetError as exc:
-            # e.g. a keyword beyond the 255-byte wire limit: the request
-            # itself is malformed, not the query structure.
-            return error(ERR_BAD_REQUEST, exc)
         try:
             answer = self._system.process_query(query)
             return QueryResponse(

@@ -1,7 +1,8 @@
 """Mechanical adversary on the wire: every byte flipped, every prefix.
 
 One frame per family — CI (v4 node tables), CI* (v4 with Bloom skip
-rounds) and SMI (v3 multiproofs) — is mutated at every offset and pushed
+rounds) and SMI (v5: multiproof tables, no rounds) — is mutated at every
+offset and pushed
 through the client's path: decode, then verify against the honest chain
 state.  Two things must hold for every mutant: the only exception that
 escapes is a :class:`~repro.errors.ReproError` subclass, and nothing
@@ -45,7 +46,7 @@ CASES = {
         {"scheme": "ci*", "cvc_modulus_bits": 512, "bloom_capacity": 2},
         0xF4,
     ),
-    "smi": ({"scheme": "smi"}, 0xF3),
+    "smi": ({"scheme": "smi"}, 0xF5),
 }
 
 
@@ -131,7 +132,7 @@ def test_every_mutated_response_is_rejected_by_the_remote_client(honest):
     # the same decode + verify: there the per-byte sweep stops where the
     # VO starts, and only cuts and a suffix reach into it.
     vo_start = len(response) - len(QueryResponse.decode(response).vo_bytes)
-    swept = len(response) if honest[1][0] == 0xF3 else vo_start
+    swept = len(response) if honest[1][0] == 0xF5 else vo_start
     accepted = 0
     for mutant in mutants(response[:swept]):
         client = RemoteClient(lambda _, m=mutant + response[swept:]: m, system)

@@ -1,11 +1,14 @@
 """Locate, then prove once: the Merkle-family SP query path.
 
-``MBTree.locate`` finds boundary entries without hashing, the views hand
-them out behind a :class:`DeferredProof`, and the finishing step asks
-each tree once for ``MBTree.multiproof``.  These tests pin (a) that the
-one-pass construction equals the merge-from-paths oracle field for
-field, gate included, and (b) that an unfinished or stale slot fails
-closed everywhere — also under ``python -O``.
+``MBTree.locate`` finds boundary entries without hashing — the views
+read the same keys through a forward cursor and leave the join as one
+:class:`LocatedRun` per tree — and the finishing step asks each tree
+once for ``MBTree.multiproof``.  These tests pin (a) that the one-pass
+construction equals the merge-from-paths oracle field for field, and
+that on the shapes the old per-group size gate weighed the tables-only
+frame is never the larger one, and (b) that an unfinished or stale run
+fails closed everywhere — also under ``python -O``.  (The cursor against
+``locate``: ``test_leaf_cursor.py``.)
 """
 
 import dataclasses
@@ -19,8 +22,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core.mbtree import MBTree, MerklePath
 from repro.core.merkle_family import MerkleInvertedSP, MerkleProofSystem
 from repro.core.multiproof import (
-    DeferredProof,
-    LeafRef,
+    LocatedRun,
     ProveRequest,
     compress_query_vo,
     expand_query_vo,
@@ -37,6 +39,7 @@ from repro.core.query.vo import (
     ProvenEntry,
     QueryAnswer,
     QueryVO,
+    ReplayVO,
 )
 from repro.crypto.hashing import sha3
 from repro.errors import (
@@ -45,7 +48,8 @@ from repro.errors import (
     UnresolvedProofError,
 )
 
-from tests.reference_multiproof import build_multiproof
+from tests.reference_codec import ReferenceVOCodec
+from tests.reference_multiproof import build_multiproof, compress_v3
 
 
 def value_of(key: int) -> bytes:
@@ -82,40 +86,42 @@ def test_multiproof_and_gate_equal_the_oracle(keys, fanout, data):
     ]
     reference, ordinals = build_multiproof(proven)
 
-    multiproof, sizes = tree.multiproof(unique)
+    multiproof = tree.multiproof(unique)
     assert dataclasses.astuple(multiproof) == dataclasses.astuple(reference)
     assert multiproof.fold_root() == tree.root_hash
-    assert sizes == [paths[key].byte_size() for key in unique]
     for ordinal, key in enumerate(unique):
         gpath = tuple(step.index for step in reversed(paths[key].steps))
         assert ordinals[gpath] == ordinal
 
-    # The gate, as the merge-from-paths compression applied it.
-    saved = -reference.byte_size()
-    for entry, path in proven:
-        ref = LeafRef(0, unique.index(entry.object_id))
-        saved += 40 + path.byte_size() - ref.byte_size()
-    slot = DeferredProof(keyword="kw", root=tree.root_hash, tree=tree)
-    located = tuple(ProvenEntry(k, value_of(k), slot) for k in picks)
+    # The gate weighed a table against paths *plus* the inline entries
+    # of the rounds; with no entry left to ship there is nothing to
+    # weigh.  On the very shape it was applied to — these picks, as the
+    # entries of one conjunct — the tables-only frame is never larger
+    # than the v3 frame the gate chose, whichever way it chose.
+    walked = QueryVO(
+        conjuncts=(
+            ConjunctiveVO(
+                keywords=("kw",),
+                base=FullScanVO(
+                    keyword="kw", entries=tuple(entry for entry, _ in proven)
+                ),
+            ),
+        )
+    )
+    v3_frame = ReferenceVOCodec(version=3).encode(compress_v3(walked))
+    run = LocatedRun("kw", tree.root_hash, tuple(unique), tree)
     finished = compress_query_vo(
         QueryVO(
             conjuncts=(
                 ConjunctiveVO(
-                    keywords=("kw",),
-                    base=FullScanVO(keyword="kw", entries=located),
+                    keywords=("kw",), base=ReplayVO("cyclic", ("kw",), (run,))
                 ),
             )
         )
     )
-    entries = finished.conjuncts[0].base.entries
-    if saved > 0:
-        assert finished.multiproofs == (reference,)
-        assert [e.proof for e in entries] == [
-            LeafRef(0, unique.index(key)) for key in picks
-        ]
-    else:
-        assert finished.multiproofs == ()
-        assert [e.proof for e in entries] == [paths[key] for key in picks]
+    assert finished.multiproofs == (reference,)
+    assert finished.conjuncts[0].base.runs == (0,)
+    assert len(VOCodec().encode(finished)) <= len(v3_frame)
 
 
 @settings(max_examples=60, deadline=None)
@@ -163,7 +169,7 @@ class TestMultiproofInputs:
             MBTree().prove(1)
 
 
-# -- fail closed around the deferred slot ---------------------------------------
+# -- fail closed around the located run -----------------------------------------
 
 
 def build_sp(n=30) -> MerkleInvertedSP:
@@ -210,21 +216,23 @@ class TestUnfinishedVOFailsClosed:
 
     def test_pickled_slot_carries_no_tree(self):
         sp = build_sp()
-        entry = sp.view("a").first_proven()
-        assert entry.proof.tree is sp.trees["a"]
-        clone = pickle.loads(pickle.dumps(entry))
-        assert clone == entry
-        assert clone.proof.tree is None
-        assert len(pickle.dumps(entry)) < 300  # no blob rode along
+        view = sp.view("a")
+        view.scan()
+        run = view.run()
+        assert run.keys == tuple(range(1, 31))
+        assert run.tree is sp.trees["a"]
+        clone = pickle.loads(pickle.dumps(run))
+        assert clone == run
+        assert clone.tree is None
+        assert len(pickle.dumps(run)) < 300  # no blob rode along
         vo = QueryVO(
             conjuncts=(
                 ConjunctiveVO(
-                    keywords=("a",),
-                    base=FullScanVO(keyword="a", entries=(clone,)),
+                    keywords=("a",), base=ReplayVO("cyclic", ("a",), (clone,))
                 ),
             )
         )
-        # Without a resolver the slot cannot be finished ...
+        # Without a resolver the run cannot be finished ...
         with pytest.raises(UnresolvedProofError):
             compress_query_vo(vo)
         # ... with one, it is proven by whoever holds the tree.

@@ -8,7 +8,7 @@ from repro.core.query.vo import ProvenEntry
 from repro.crypto.hashing import EMPTY_DIGEST, sha3
 from repro.errors import VerificationError
 
-from tests.finishing import finish
+from tests.finishing import all_proven, boundaries_proven, first_proven
 
 
 @pytest.fixture()
@@ -34,20 +34,26 @@ class TestMerkleInvertedSP:
 
 class TestMBTreeView:
     def test_first_proven(self, sp):
-        first = finish(sp.view("a").first_proven())
+        first = first_proven(sp.view("a"))
         assert first.object_id == 1
         assert first.proof.is_leftmost()
 
     def test_first_proven_empty(self, sp):
-        assert sp.view("ghost").first_proven() is None
+        assert first_proven(sp.view("ghost")) is None
 
     def test_boundaries_proven(self, sp):
-        lower, upper = sp.view("b").boundaries_proven(4)
+        view = sp.view("b")
+        assert view.boundaries(4) == (3, 5)
+        assert view.boundaries(0) == (None, 1)
+        assert view.boundaries(9) == (5, None)
+        assert view.keys == [1, 3, 5]  # what run() hands to the prove step
+        lower, upper = boundaries_proven(sp.view("b"), 4)
         assert lower.object_id == 3
         assert upper.object_id == 5
 
     def test_all_proven_ordered(self, sp):
-        entries = sp.view("a").all_proven()
+        assert sp.view("a").scan() == [1, 2, 3]
+        entries = all_proven(sp.view("a"))
         assert [e.object_id for e in entries] == [1, 2, 3]
 
     def test_never_claims_bloom_absence(self, sp):
@@ -62,12 +68,12 @@ class TestMerkleProofSystem:
 
     def test_verify_entry_roundtrip(self, sp):
         ps = self.make_ps(sp)
-        entry = finish(sp.view("a").first_proven())
+        entry = first_proven(sp.view("a"))
         ps.verify_entry("a", entry)
 
     def test_verify_entry_wrong_keyword(self, sp):
         ps = self.make_ps(sp)
-        entry = finish(sp.view("a").first_proven())
+        entry = first_proven(sp.view("a"))
         with pytest.raises(VerificationError):
             ps.verify_entry("b", entry)
 
@@ -79,7 +85,7 @@ class TestMerkleProofSystem:
 
     def test_first_last_adjacent(self, sp):
         ps = self.make_ps(sp)
-        entries = finish(sp.view("a").all_proven())
+        entries = all_proven(sp.view("a"))
         assert ps.is_first("a", entries[0])
         assert ps.is_last("a", entries[-1])
         assert ps.adjacent("a", entries[0], entries[1])

@@ -4,6 +4,8 @@ import dataclasses
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.mbtree import Entry, MBTree, MerklePath, paths_adjacent
 from repro.core.multiproof import (
@@ -11,7 +13,6 @@ from repro.core.multiproof import (
     SLOT_HELPER,
     SLOT_LEAF,
     TreeMultiproof,
-    leaf_gindex,
 )
 from repro.core.query.vo import ProvenEntry
 from repro.errors import ReproError, VerificationError
@@ -19,6 +20,10 @@ from repro.errors import ReproError, VerificationError
 from tests.reference_multiproof import (
     build_multiproof,
     compute_multiproof_indices,
+    gpath_adjacent,
+    gpath_is_leftmost,
+    gpath_is_rightmost,
+    leaf_gindex,
 )
 
 
@@ -188,6 +193,38 @@ class TestBoundaryPredicates:
             for right in (left + 1, min(left + 5, size - 1)):
                 expected = paths_adjacent(paths[left], paths[right])
                 assert multiproof.adjacent(left, right) == expected
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        keys=st.lists(st.integers(0, 5_000), unique=True, min_size=1, max_size=120),
+        fanout=st.integers(3, 8),
+        data=st.data(),
+    )
+    def test_helper_counts_equal_the_gpath_form(self, keys, fanout, data):
+        """One integer per leaf decides what the root-to-leaf positions
+        decided: random trees (insert order is the list order), random
+        proven subsets, every pair of ordinals."""
+        tree = MBTree(fanout=fanout)
+        for key in keys:
+            tree.insert(key, vhash(key))
+        picks = sorted(
+            set(data.draw(st.lists(st.sampled_from(keys), min_size=1, max_size=40)))
+        )
+        mp = tree.multiproof(picks)
+        count = len(picks)
+        assert len(mp.helpers_before()) == count
+        for left in range(count):
+            assert mp.is_leftmost(left) == gpath_is_leftmost(mp, left)
+            assert mp.is_rightmost(left) == gpath_is_rightmost(mp, left)
+            for right in range(count):
+                assert mp.adjacent(left, right) == gpath_adjacent(mp, left, right)
+        # And both agree with the tree itself.
+        ordered = sorted(keys)
+        for left, right in zip(picks, picks[1:]):
+            neighbours = ordered.index(right) == ordered.index(left) + 1
+            assert mp.adjacent(picks.index(left), picks.index(right)) == neighbours
+        assert mp.is_leftmost(0) == (picks[0] == ordered[0])
+        assert mp.is_rightmost(count - 1) == (picks[-1] == ordered[-1])
 
     def test_adjacent_rejects_out_of_range_ordinals(self):
         tree = make_tree(9)

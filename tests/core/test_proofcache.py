@@ -18,7 +18,7 @@ from repro import DataObject, HybridStorageSystem, obs
 from repro.core.proofcache import VerificationCache
 from repro.errors import VerificationError
 
-from tests.finishing import finish
+from tests.finishing import first_proven
 
 
 class TestVerificationCacheUnit:
@@ -107,7 +107,7 @@ class TestProofSystemCaching:
     def test_repeat_verification_hits_cache(self, warm_deployment):
         system = warm_deployment
         ps = system.chain_proof_system(frozenset({"covid-19"}))
-        entry = finish(system._sp_view("covid-19").first_proven())
+        entry = first_proven(system._sp_view("covid-19"))
         assert entry is not None
         system.verify_cache.clear()
         verify_one(ps, "covid-19", entry)
@@ -119,7 +119,7 @@ class TestProofSystemCaching:
 
     def test_cache_shared_across_proof_systems(self, warm_deployment):
         system = warm_deployment
-        entry = finish(system._sp_view("vaccine").first_proven())
+        entry = first_proven(system._sp_view("vaccine"))
         system.verify_cache.clear()
         verify_one(
             system.chain_proof_system(frozenset({"vaccine"})), "vaccine", entry
@@ -134,7 +134,7 @@ class TestProofSystemCaching:
     def test_tampered_entry_misses_warm_cache_and_fails(self, warm_deployment):
         system = warm_deployment
         ps = system.chain_proof_system(frozenset({"covid-19"}))
-        entry = finish(system._sp_view("covid-19").first_proven())
+        entry = first_proven(system._sp_view("covid-19"))
         verify_one(ps, "covid-19", entry)  # warm the cache
         evil = dataclasses.replace(entry, object_hash=b"\x13" * 32)
         hits_before = system.verify_cache.hits
@@ -152,7 +152,7 @@ class TestProofSystemCaching:
         is rejected by real verification."""
         system = warm_deployment
         ps = system.chain_proof_system(frozenset({"covid-19"}))
-        entry = finish(system._sp_view("covid-19").first_proven())
+        entry = first_proven(system._sp_view("covid-19"))
         system.verify_cache.add(("bogus-poison-key",))
         forged = dataclasses.replace(entry, object_id=entry.object_id + 1000)
         with pytest.raises(VerificationError):
@@ -161,7 +161,7 @@ class TestProofSystemCaching:
     def test_failed_verifications_are_never_cached(self, warm_deployment):
         system = warm_deployment
         ps = system.chain_proof_system(frozenset({"covid-19"}))
-        entry = finish(system._sp_view("covid-19").first_proven())
+        entry = first_proven(system._sp_view("covid-19"))
         evil = dataclasses.replace(entry, object_hash=b"\x77" * 32)
         system.verify_cache.clear()
         for _ in range(2):

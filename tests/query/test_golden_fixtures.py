@@ -5,11 +5,13 @@ verifiers send and receive it, so its byte layout is frozen.  These
 tests decode byte-exact fixtures committed under ``tests/fixtures/``,
 verify them against a deterministically rebuilt system, and re-encode
 them byte-identically — any codec change that silently reshapes the v2
-wire fails here first.  One v3 and one v4 fixture pin the Merkle
-multiproof frame and the Chameleon node-table frame the same way, and
-that the SP still produces exactly those bytes; one protocol-v2 response
-pins the message around the VO (result IDs, canonical object encodings,
-length prefixes).
+wire fails here first.  One v5 and one v4 fixture pin the Merkle
+tables-only frame and the Chameleon node-table frame the same way, and
+that the SP still produces exactly those bytes; the v3 fixture is what
+an SP sent while Merkle frames still shipped the walk (``LeafRef``
+entries under rounds) — nothing writes it any more, it must keep
+decoding and verifying; one protocol-v2 response pins the message around
+the VO (result IDs, canonical object encodings, length prefixes).
 
 Regenerate (only after an intentional, versioned format change)::
 
@@ -57,16 +59,19 @@ CASES = {
 
 
 #: The compressed frames (default ``vo_version=3``): name -> (scheme,
-#: frame marker, query text, expected verified ids).  v3 carries two
+#: frame marker, query text, expected verified ids).  v5 carries three
 #: Merkle multiproofs, v4 two Chameleon node tables; a join and a scan each.
 COMPRESSED_CASES = {
-    "vo_v3_smi_dnf": (
-        "smi", 0xF3, "(covid-19 AND symptom) OR sars-cov-2", {1, 4, 7},
+    "vo_v5_smi_dnf": (
+        "smi", 0xF5, "(covid-19 AND symptom) OR sars-cov-2", {1, 4, 7},
     ),
     "vo_v4_ci_dnf": (
         "ci", 0xF4, "(covid-19 AND vaccine) OR sars-cov-2", {1, 4, 5, 7},
     ),
 }
+
+#: Read-only: the v3 frame of the v5 case's query, as PR 17's SP sent it.
+V3_CASE = ("vo_v3_smi_dnf", "(covid-19 AND symptom) OR sars-cov-2", {1, 4, 7})
 
 #: A whole protocol-v2 response: (name, scheme, query text, expected ids).
 RESPONSE_CASE = ("response_v2_smi_scan", "smi", "symptom", [4, 6])
@@ -98,8 +103,29 @@ def test_golden_v2_fixture_decodes_verifies_and_reencodes(name):
     assert codec.encode(vo) == payload
 
 
-def test_golden_v3_fixture_is_what_the_sp_emits_and_verifies():
-    check_compressed_fixture("vo_v3_smi_dnf")
+def test_golden_v3_fixture_still_decodes_and_verifies():
+    from tests.reference_codec import ReferenceVOCodec
+    from tests.reference_multiproof import compress_v3
+
+    name, text, expected = V3_CASE
+    payload = (FIXTURE_DIR / f"{name}.bin").read_bytes()
+    assert payload[0] == 0xF3
+    system = fixture_system("smi")
+    codec = VOCodec(value_bytes=system.value_bytes)
+    query = KeywordQuery.parse(text)
+    answer = system.process_query(query)
+    # The reference compressor and codec are that SP's: from today's
+    # legacy answer they rebuild the committed frame byte for byte.
+    assert ReferenceVOCodec(value_bytes=32).encode(compress_v3(answer.vo)) == payload
+    answer.vo = codec.decode(payload)
+    ps = system.chain_proof_system(query.all_keywords())
+    assert verify_query(query, answer, ps).ids == expected
+    with pytest.raises(ReproError, match="read-only"):
+        codec.encode(answer.vo)
+
+
+def test_golden_v5_fixture_is_what_the_sp_emits_and_verifies():
+    check_compressed_fixture("vo_v5_smi_dnf")
 
 
 def test_golden_v4_fixture_is_what_the_sp_emits_and_verifies():
@@ -149,7 +175,7 @@ def test_unknown_version_marker_on_fixture_rejected():
     payload = (FIXTURE_DIR / "vo_v2_smi_scan.bin").read_bytes()
     codec = VOCodec(value_bytes=32)
     with pytest.raises(ReproError, match="unsupported VO frame"):
-        codec.decode(bytes([0xF5]) + payload[1:])
+        codec.decode(bytes([0xF6]) + payload[1:])
 
 
 def _regenerate():

@@ -63,7 +63,12 @@ class TestJoinTwo:
         sp = build_sp(corpus)
         matches, vo = join_two(sp.view("symptom"), sp.view("covid-19"))
         assert matches == [4]
-        assert vo.rounds[-1].upper is None  # terminal round
+        # The SP's walk leaves no rounds, only what it read per tree.
+        assert [run.keys for run in vo.runs] == [
+            (4, 6, 9, 11),
+            (4, 5, 7, 8, 10, 12),
+        ]
+        assert finish(vo).rounds[-1].upper is None  # terminal round
 
     def test_empty_tree_rejected(self, corpus):
         sp = build_sp(corpus)
@@ -79,15 +84,18 @@ class TestJoinTwo:
 class TestSemiJoin:
     def test_filters_candidates(self, corpus):
         sp = build_sp(corpus)
-        survivors, stage = semi_join([4, 5, 8], sp.view("symptom"))
+        view = sp.view("symptom")
+        survivors, stage = semi_join([4, 5, 8], view)
         assert survivors == [4]
-        assert len(stage.probes) == 3
+        assert stage is None  # a replayed view keeps what was read instead
+        assert view.keys == [4, 6, 9]
 
     def test_empty_candidates(self, corpus):
         sp = build_sp(corpus)
-        survivors, stage = semi_join([], sp.view("symptom"))
+        view = sp.view("symptom")
+        survivors, _ = semi_join([], view)
         assert survivors == []
-        assert stage.probes == ()
+        assert view.keys == []
 
 
 class TestConjunctiveJoin:
@@ -116,8 +124,10 @@ class TestConjunctiveJoin:
         views = [sp.view(k) for k in ("covid-19", "symptom", "vaccine")]
         ids, vo = conjunctive_join(views, plan="semijoin")
         assert ids == [4]
-        assert len(vo.stages) == 1
-        assert len(vo.base.trees) == 2
+        assert vo.base.plan == "semijoin" and len(vo.base.trees) == 3
+        walked = finish(vo)
+        assert len(walked.stages) == 1
+        assert len(walked.base.trees) == 2
 
 
 class TestVerification:

@@ -1,10 +1,13 @@
-"""End-to-end tests for multiproof VO compression (v3 frames).
+"""End-to-end tests for multiproof VOs (v5 frames, and v3 as read).
 
 The SP ships one deduplicated :class:`TreeMultiproof` per
-``(tree, commitment)`` and rewrites each covered entry's proof into a
-:class:`LeafRef`; the client folds every multiproof once inside
-``verify_query``.  These tests pin the compression win, the round trip,
-and — most importantly — that every tamper vector fails closed.
+``(tree, commitment)`` and nothing else: the client folds every table
+once inside ``verify_query`` and replays the join over them.  A v3
+frame — the same tables under the walk's rounds, each entry a
+:class:`LeafRef` — is what an older SP sent; it is built here with the
+reference compressor and codec, and must still decode and verify.
+These tests pin the compression win, the round trips, and — most
+importantly — that every tamper vector fails closed.
 """
 
 import dataclasses
@@ -12,11 +15,13 @@ import dataclasses
 import pytest
 
 from repro import DataObject, HybridStorageSystem, KeywordQuery
-from repro.core.multiproof import LeafRef
 from repro.core.query.codec import VOCodec
 from repro.core.query.verify import verify_query
-from repro.core.query.vo import iter_proven_entries
+from repro.core.query.vo import LeafRef, ReplayVO, iter_proven_entries
 from repro.errors import ReproError, VerificationError
+
+from tests.reference_codec import ReferenceVOCodec
+from tests.reference_multiproof import compress_v3
 
 #: High-selectivity DNF: "hot" matches every object, "warm" every 2nd,
 #: "cool" every 3rd — three trees, three multiproofs, heavy path overlap.
@@ -63,6 +68,17 @@ def answer_for(system, text=DNF):
     return system.process_query(KeywordQuery.parse(text))
 
 
+def v3_answer_for(v2_system, text=DNF):
+    """The answer as an SP of the v3 vintage assembled it."""
+    answer = answer_for(v2_system, text)
+    answer.vo = compress_v3(answer.vo)
+    return answer
+
+
+def v3_frame(system, vo) -> bytes:
+    return ReferenceVOCodec(value_bytes=system.value_bytes).encode(vo)
+
+
 def reverify(system, answer, text=DNF):
     query = KeywordQuery.parse(text)
     ps = system.chain_proof_system(query.all_keywords())
@@ -93,26 +109,77 @@ class TestCompression:
                 i for i in range(40) if i % 2 == 0 or i % 3 == 0
             }
 
-    def test_low_yield_groups_keep_paths(self, v3_system):
-        """The size gate: a group whose multiproof would not pay for
-        itself ships the original MerklePaths (empty-keyword conjunct
-        VOs carry no proofs at all)."""
-        answer = answer_for(v3_system, "hot AND ghost")
-        assert not answer.vo.multiproofs
-        assert reverify(v3_system, answer, "hot AND ghost").ids == set()
+    def test_low_yield_cases_are_not_larger_than_v3(self, v2_system):
+        """What the v3 frame's per-group size gate was written for:
+        near-empty keywords and singleton boundary proofs, where a table
+        cost more than the paths *plus* inline entries it replaced.
+        With no entry left to ship the table always wins — on each such
+        case the v5 frame is not larger than the v3 one."""
+        docs = corpus(12) + [
+            DataObject(100, ("solo",), b"only"),
+            DataObject(101, ("solo", "pair", "hot"), b"both"),
+            DataObject(102, ("pair",), b"two"),
+        ]
+        v5 = HybridStorageSystem(scheme="smi", seed=5)
+        v2 = HybridStorageSystem(scheme="smi", seed=5, vo_version=2)
+        for system in (v5, v2):
+            system.add_objects(docs)
+        codec = VOCodec(value_bytes=v5.value_bytes)
+        gate_refused = 0
+        for text in (
+            "hot AND ghost",  # empty keyword: no proof at all
+            "solo",  # scans of 1-3 leaf trees
+            "pair",
+            "rare",
+            "solo AND pair",  # joins between such trees
+            "solo AND hot",  # one boundary pair in a larger tree
+            "rare AND pair",
+            "pair AND hot AND solo",
+            "(solo AND hot) OR pair OR (rare AND cool)",
+        ):
+            a5 = answer_for(v5, text)
+            a3 = v3_answer_for(v2, text)
+            assert a5.result_ids == a3.result_ids
+            gate_refused += any(
+                not isinstance(entry.proof, LeafRef)
+                for entry in iter_proven_entries(a3.vo)
+            )
+            assert len(codec.encode(a5.vo)) <= len(v3_frame(v2, a3.vo)), text
+            assert reverify(v5, a5, text).ids == set(a5.result_ids)
+        assert gate_refused >= 3  # the cases do include what the gate refused
+        assert not answer_for(v5, "hot AND ghost").vo.multiproofs
 
 
 class TestRoundTrip:
-    def test_v3_decode_encode_identity(self, v3_system):
+    def test_v5_decode_encode_identity(self, v3_system):
         codec = VOCodec(value_bytes=v3_system.value_bytes)
         vo = answer_for(v3_system).vo
-        assert codec.decode(codec.encode(vo)) == vo
-
-    def test_decoded_v3_vo_still_verifies(self, v3_system):
-        codec = VOCodec(value_bytes=v3_system.value_bytes)
+        assert all(isinstance(c.base, ReplayVO) for c in vo.conjuncts)
+        payload = codec.encode(vo)
+        assert payload[0] == 0xF5
+        assert codec.decode(payload) == vo
         answer = answer_for(v3_system)
-        answer.vo = codec.decode(codec.encode(answer.vo))
+        answer.vo = codec.decode(payload)
         assert reverify(v3_system, answer).ids
+
+    def test_v3_decode_encode_identity(self, v2_system):
+        """A v3 frame decodes to what its SP assembled; it is read-only,
+        so re-encoding it is refused rather than silently re-framed."""
+        codec = VOCodec(value_bytes=v2_system.value_bytes)
+        vo = v3_answer_for(v2_system).vo
+        payload = v3_frame(v2_system, vo)
+        assert payload[0] == 0xF3
+        assert codec.decode(payload) == vo
+        with pytest.raises(ReproError, match="read-only"):
+            codec.encode(vo)
+
+    def test_decoded_v3_vo_still_verifies(self, v2_system):
+        codec = VOCodec(value_bytes=v2_system.value_bytes)
+        answer = v3_answer_for(v2_system)
+        answer.vo = codec.decode(v3_frame(v2_system, answer.vo))
+        assert reverify(v2_system, answer).ids == {
+            i for i in range(40) if i % 2 == 0 or i % 3 == 0
+        }
 
 
 class TestFailClosed:
@@ -186,10 +253,34 @@ class TestFailClosed:
         with pytest.raises(VerificationError):
             reverify(v3_system, answer, SPARSE)
 
-    def test_gindex_substitution_between_trees(self, v3_system):
-        """Re-pointing a LeafRef at a different tree's multiproof must
-        fail: one fold has one root, and it is not this keyword's."""
+    def test_table_substitution_between_trees(self, v3_system):
+        """Naming another tree's table under a keyword must fail: one
+        fold has one root, and it is not this keyword's."""
         answer = answer_for(v3_system, SPARSE)
+        conj = answer.vo.conjuncts[0]
+        assert conj.base.runs == (0, 1)
+        swapped = dataclasses.replace(conj.base, runs=(1, 0))
+        answer.vo = dataclasses.replace(
+            answer.vo, conjuncts=(dataclasses.replace(conj, base=swapped),)
+        )
+        with pytest.raises(VerificationError):
+            reverify(v3_system, answer, SPARSE)
+        for runs in ((0, 0), (0, 7), (0, None)):
+            answer.vo = dataclasses.replace(
+                answer.vo,
+                conjuncts=(
+                    dataclasses.replace(
+                        conj, base=dataclasses.replace(conj.base, runs=runs)
+                    ),
+                ),
+            )
+            with pytest.raises(VerificationError):
+                reverify(v3_system, answer, SPARSE)
+
+    def test_gindex_substitution_between_trees(self, v2_system):
+        """(v3) Re-pointing a LeafRef at a different tree's multiproof
+        must fail: one fold has one root, and it is not this keyword's."""
+        answer = v3_answer_for(v2_system, SPARSE)
         vo = answer.vo
         entries = [
             e
@@ -210,10 +301,10 @@ class TestFailClosed:
 
         answer.vo = _map_entries(vo, rewrite)
         with pytest.raises(VerificationError):
-            reverify(v3_system, answer, SPARSE)
+            reverify(v2_system, answer, SPARSE)
 
-    def test_leafref_out_of_range(self, v3_system):
-        answer = answer_for(v3_system, SPARSE)
+    def test_leafref_out_of_range(self, v2_system):
+        answer = v3_answer_for(v2_system, SPARSE)
         vo = answer.vo
         victim = next(
             e
@@ -228,7 +319,7 @@ class TestFailClosed:
             else e,
         )
         with pytest.raises(VerificationError):
-            reverify(v3_system, answer, SPARSE)
+            reverify(v2_system, answer, SPARSE)
 
     def test_tampered_leaf_binding(self, v3_system):
         """Corrupting a leaf-table hash breaks the fold against the
@@ -259,19 +350,22 @@ class TestFailClosed:
 
 
 class TestFrameRobustness:
-    def test_truncated_v3_frame(self, v3_system):
+    def test_truncated_v3_frame(self, v3_system, v2_system):
         codec = VOCodec(value_bytes=v3_system.value_bytes)
-        payload = codec.encode(answer_for(v3_system).vo)
-        for cut in (1, 7, len(payload) // 2, len(payload) - 1):
-            with pytest.raises(ReproError):
-                codec.decode(payload[:cut])
+        for payload in (
+            codec.encode(answer_for(v3_system).vo),
+            v3_frame(v2_system, v3_answer_for(v2_system).vo),
+        ):
+            for cut in (1, 7, len(payload) // 2, len(payload) - 1):
+                with pytest.raises(ReproError):
+                    codec.decode(payload[:cut])
 
     def test_unknown_frame_version_rejected(self, v3_system):
         codec = VOCodec(value_bytes=v3_system.value_bytes)
         payload = codec.encode(answer_for(v3_system).vo)
-        assert payload[0] == 0xF3
+        assert payload[0] == 0xF5
         with pytest.raises(ReproError, match="unsupported VO frame"):
-            codec.decode(bytes([0xF5]) + payload[1:])
+            codec.decode(bytes([0xF6]) + payload[1:])
 
     def test_v2_pin_refuses_compressed_vo(self, v3_system):
         codec = VOCodec(value_bytes=v3_system.value_bytes, version=2)

@@ -64,10 +64,11 @@ class TestCyclicWalk:
         assert matches == [1, 3, 5]
         # Every round's probe index differs from the implied home tree
         # and the walk terminates with an open-ended probe.
-        assert vo.rounds[-1].upper is None or vo.rounds[-1].next_target is None
+        walked = finish(vo)
+        assert walked.rounds[-1].upper is None
         ps = proof_system_for(sp, {"a", "b", "c"})
         verified = verify_conjunct(
-            frozenset({"a", "b", "c"}), _wrap(finish(vo)), ps
+            frozenset({"a", "b", "c"}), _wrap(walked), ps
         )
         assert verified.ids == {1, 3, 5}
 
@@ -83,7 +84,7 @@ class TestCyclicWalk:
         for k in (2, 4, 6):
             views = [sp.view(f"w{i}") for i in range(k)]
             _, vo = multiway_join(views)
-            round_counts[k] = len(vo.rounds)
+            round_counts[k] = len(finish(vo).rounds)
         assert round_counts[2] < round_counts[4] < round_counts[6]
 
 

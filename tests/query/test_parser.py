@@ -128,3 +128,71 @@ class TestEvaluation:
     def test_conjunctive_constructor(self):
         q = KeywordQuery.conjunctive(["X", "y"])
         assert conj_sets(q) == {frozenset({"x", "y"})}
+
+
+class TestDNFWidthIsBounded:
+    """AND distributes over OR: the normal form of a 15-byte-per-clause
+    query doubles with every clause (16 384 conjunctions and 9.5 s for
+    the 213-byte request below, before the bound)."""
+
+    @staticmethod
+    def clauses(count):
+        return " AND ".join(f"(a{i} OR b{i})" for i in range(count))
+
+    def test_the_213_byte_request_is_refused_at_once(self):
+        import time
+
+        from repro.errors import QueryLimitError
+
+        text = self.clauses(14)
+        assert len(text) == 213
+        begun = time.perf_counter()
+        with pytest.raises(QueryLimitError, match="conjunctions"):
+            KeywordQuery.parse(text)
+        assert time.perf_counter() - begun < 0.1
+        # Longer ones are refused at the same clause, not later.
+        begun = time.perf_counter()
+        with pytest.raises(QueryError):
+            KeywordQuery.parse(self.clauses(4000))
+        assert time.perf_counter() - begun < 1.0
+
+    def test_the_largest_admitted_queries_still_parse(self):
+        from repro.core.query.parser import MAX_CONJUNCTIONS
+
+        assert MAX_CONJUNCTIONS == 64 < 0xF0  # the VO frame's version markers
+        wide = KeywordQuery.parse(self.clauses(6))
+        assert len(wide.conjunctions) == 64
+        assert all(len(conj) == 6 for conj in wide.conjunctions)
+        with pytest.raises(QueryError):
+            KeywordQuery.parse(self.clauses(7))
+        flat = " OR ".join(f"w{i}" for i in range(64))
+        assert len(KeywordQuery.parse(flat).conjunctions) == 64
+        with pytest.raises(QueryError):
+            KeywordQuery.parse(flat + " OR w64")
+        # The bound is on the width, not on the length of the query.
+        long_and = " AND ".join(f"w{i}" for i in range(500))
+        assert len(KeywordQuery.parse(long_and).conjunctions) == 1
+
+    def test_the_server_answers_bad_request_before_touching_the_index(self):
+        from repro import HybridStorageSystem
+        from repro.sp.protocol import (
+            ERR_BAD_REQUEST,
+            QueryRequest,
+            QueryResponse,
+            RemoteClient,
+            StorageProviderServer,
+        )
+
+        system = HybridStorageSystem(scheme="smi", seed=3)
+        server = StorageProviderServer(system)
+        for text in (self.clauses(14), "(" * 65 + "a" + ")" * 65):
+            response = QueryResponse.decode(
+                server.handle(QueryRequest(query_text=text).encode())
+            )
+            assert response.error_code == ERR_BAD_REQUEST
+            # The client refuses it before it sends anything.
+            sent = []
+            client = RemoteClient(lambda raw: sent.append(raw) or b"", system)
+            with pytest.raises(QueryError):
+                client.query(text)
+            assert not sent

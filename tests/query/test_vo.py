@@ -14,7 +14,7 @@ from repro.core.query.vo import (
 )
 from repro.crypto.hashing import sha3
 
-from tests.finishing import finish
+from tests.finishing import boundaries_proven, finish, first_proven
 
 
 def build_sp(n, keywords=("a", "b")):
@@ -28,7 +28,7 @@ def build_sp(n, keywords=("a", "b")):
 class TestProvenEntry:
     def test_byte_size_includes_proof(self):
         sp = build_sp(20)
-        entry = finish(sp.view("a").first_proven())
+        entry = first_proven(sp.view("a"))
         assert entry.byte_size() > 40  # id + hash + path
 
     def test_rejects_proof_without_byte_size(self):
@@ -45,14 +45,14 @@ class TestProvenEntry:
 class TestJoinRoundSizes:
     def test_probe_round(self):
         sp = build_sp(20)
-        lower, upper = finish(sp.view("a").boundaries_proven(5))
+        lower, upper = boundaries_proven(sp.view("a"), 5)
         rnd = JoinRound(kind="probe", lower=lower, upper=upper)
         # kind + probe index + both boundaries + absent next_target slot
         assert rnd.byte_size() == 3 + lower.byte_size() + upper.byte_size()
 
     def test_skip_round_smaller_than_probe(self):
         sp = build_sp(20)
-        lower, upper = finish(sp.view("a").boundaries_proven(5))
+        lower, upper = boundaries_proven(sp.view("a"), 5)
         probe = JoinRound(kind="probe", lower=lower, upper=upper)
         skip = JoinRound(kind="skip", next_target=upper)
         assert skip.byte_size() < probe.byte_size()

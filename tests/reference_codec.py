@@ -10,7 +10,10 @@ string both decoders must return equal values or both raise
 ``ReproError``.
 
 :class:`ReferenceVOCodec` is the old ``VOCodec`` verbatim (v2, v3 and v4
-frames).  The protocol half is the old reader *plus* the fail-closed
+frames, the v3 writer of ``LeafRef`` entries included — the golden v3
+frame and the v3 attack tests are built with it), plus the v5 frame
+written in the same per-field style from its layout in the codec's
+docstring.  The protocol half is the old reader *plus* the fail-closed
 rules the protocol gained with the new one — status byte in ``{0, 1}``,
 UTF-8 text, no trailing bytes after the message or inside an object's
 field — written in the old per-field style; without them the two sides
@@ -32,18 +35,20 @@ from repro.core.chameleon import (
     NodeRef,
 )
 from repro.core.mbtree import MerklePath, PathStep
-from repro.core.multiproof import DeferredProof, LeafRef, TreeMultiproof
+from repro.core.multiproof import TreeMultiproof
 from repro.core.query.vo import (
     ConjunctiveVO,
     FullScanVO,
     JoinRound,
+    LeafRef,
     MultiWayJoinVO,
     ProvenEntry,
     QueryVO,
+    ReplayVO,
     SemiJoinProbe,
     SemiJoinStage,
 )
-from repro.errors import ReproError, UnresolvedProofError
+from repro.errors import ReproError
 
 _PROOF_NONE = 0
 _PROOF_MERKLE = 1
@@ -61,7 +66,9 @@ _BASE_FULLSCAN = 2
 #: First byte of a versioned frame; ``0xF0 | version`` (v2 is the
 #: unmarked legacy layout).
 _VERSION_BASE = 0xF0
-_VERSIONS = (2, 3, 4)
+_VERSIONS = (2, 3, 4, 5)
+
+_KINDS = {"cyclic": 1, "semijoin": 2}
 
 
 class ReferenceVOCodec:
@@ -337,11 +344,6 @@ class ReferenceVOCodec:
             tag = _PROOF_CVC
         elif isinstance(proof, NodeRef):
             tag = _PROOF_NODEREF
-        elif isinstance(proof, DeferredProof):
-            raise UnresolvedProofError(
-                f"entry {entry.object_id} of keyword {proof.keyword!r} was "
-                "located but never proven; finish the VO before encoding"
-            )
         else:
             raise ReproError(f"cannot encode proof type {type(proof)!r}")
         # Versioned frames tag before the id/hash so LeafRef entries can
@@ -585,7 +587,7 @@ class ReferenceVOCodec:
             self._write_varint(out, len(mps))
             for table in mps:
                 chameleon = isinstance(table, ChameleonMultiproof)
-                if version >= 4:
+                if version == 4:
                     self._write_uint(
                         out, _TABLE_CHAMELEON if chameleon else _TABLE_MERKLE, 1
                     )
@@ -595,13 +597,59 @@ class ReferenceVOCodec:
                     self._write_multiproof(out, table)
         self._write_uint(out, len(vo.conjuncts), 1)
         for conjunct in vo.conjuncts:
-            self._write_conjunct(out, conjunct, mps)
+            if version >= 5:
+                self._write_replayed(out, conjunct)
+            else:
+                self._write_conjunct(out, conjunct, mps)
         return out.getvalue()
+
+    def _write_replayed(self, out: io.BytesIO, vo: ConjunctiveVO) -> None:
+        self._write_uint(out, len(vo.keywords), 1)
+        for keyword in vo.keywords:
+            self._write_string(out, keyword)
+        if vo.empty_keyword is not None:
+            self._write_uint(out, 0, 1)
+            self._write_string(out, vo.empty_keyword)
+            return
+        self._write_uint(out, _KINDS[vo.base.plan], 1)
+        for tree, run in zip(vo.base.trees, vo.base.runs):
+            self._write_uint(out, vo.keywords.index(tree), 1)
+            self._write_varint(out, 0 if run is None else run + 1)
+
+    def _read_replayed(self, data: io.BytesIO, mps: tuple) -> ConjunctiveVO:
+        keywords = tuple(
+            self._read_string(data) for _ in range(self._read_uint(data, 1))
+        )
+        kind = self._read_uint(data, 1)
+        if kind == 0:
+            return ConjunctiveVO(
+                keywords=keywords, empty_keyword=self._read_string(data)
+            )
+        plans = {tag: plan for plan, tag in _KINDS.items()}
+        if kind not in plans:
+            raise ReproError(f"unknown conjunct kind {kind}")
+        trees = []
+        runs = []
+        seen = set()
+        for _ in keywords:
+            index = self._read_uint(data, 1)
+            slot = self._read_varint(data)
+            if slot > len(mps):
+                raise ReproError("table slot out of range")
+            if index >= len(keywords) or index in seen:
+                raise ReproError("tree order is not a permutation")
+            seen.add(index)
+            trees.append(keywords[index])
+            runs.append(slot - 1 if slot else None)
+        return ConjunctiveVO(
+            keywords=keywords,
+            base=ReplayVO(plan=plans[kind], trees=tuple(trees), runs=tuple(runs)),
+        )
 
     def _read_table(
         self, data: io.BytesIO, version: int
     ) -> TreeMultiproof | ChameleonMultiproof:
-        kind = self._read_uint(data, 1) if version >= 4 else _TABLE_MERKLE
+        kind = self._read_uint(data, 1) if version == 4 else _TABLE_MERKLE
         if kind == _TABLE_MERKLE:
             return self._read_multiproof(data)
         if kind == _TABLE_CHAMELEON:
@@ -620,6 +668,7 @@ class ReferenceVOCodec:
             raise ReproError("truncated VO payload")
         first = payload[0]
         mps: tuple | None = None
+        version = 2
         if first >= _VERSION_BASE:
             version = first - _VERSION_BASE
             if version not in _VERSIONS[1:]:
@@ -629,9 +678,9 @@ class ReferenceVOCodec:
                 self._read_table(data, version)
                 for _ in range(self._read_varint(data))
             )
+        read = self._read_replayed if version >= 5 else self._read_conjunct
         conjuncts = tuple(
-            self._read_conjunct(data, mps)
-            for _ in range(self._read_uint(data, 1))
+            read(data, mps) for _ in range(self._read_uint(data, 1))
         )
         if data.read(1):
             raise ReproError("trailing bytes in VO payload")

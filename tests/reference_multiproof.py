@@ -1,23 +1,129 @@
-"""Reference oracle: merge one tree's per-entry paths into a multiproof.
+"""Reference oracles for the Merkle multiproof.
 
-This is the construction the SP used before `MBTree.multiproof` built the
-proof straight from the tree: it knows nothing about the tree, only the
-``(entry, path)`` pairs, and rejects mutually inconsistent inputs.  Kept
-under ``tests/`` as the independent implementation the property tests
-compare the one-pass construction against, field for field.
+* **Construction** (:func:`build_multiproof`): merge one tree's
+  per-entry paths into a multiproof.  This is what the SP did before
+  ``MBTree.multiproof`` built the proof straight from the tree: it knows
+  nothing about the tree, only the ``(entry, path)`` pairs, and rejects
+  mutually inconsistent inputs.  The property tests compare the
+  one-pass construction against it, field for field.
+* **Positions** (:func:`leaf_positions` and the three predicates on
+  them): the root-to-leaf ``(gpath, widths)`` form of first / last /
+  adjacent that ``TreeMultiproof`` used before it kept one integer per
+  leaf, and the mixed-radix generalized index (:func:`leaf_gindex`) it
+  was named after.
+* **The v3 frame's compression** (:func:`compress_v3`): what the SP's
+  prove step did while the VO still shipped the walk — group a rounds
+  VO's path-proven entries per root, merge each group into a table
+  unless the per-group size gate refused, point the entries at it with
+  ``LeafRef``.  The v3 decode-and-verify tests and the "a v5 frame is
+  never larger than the v3 one" check build their v3 side with it.
 """
 
 from __future__ import annotations
 
-from repro.core.mbtree import MerklePath
+from repro.core.mbtree import Entry, MerklePath
 from repro.core.multiproof import (
     SLOT_DESCEND,
     SLOT_HELPER,
     SLOT_LEAF,
     TreeMultiproof,
+    _map_vo_entries,
 )
-from repro.core.query.vo import ProvenEntry
-from repro.errors import ReproError
+from repro.core.query.vo import (
+    LeafRef,
+    ProvenEntry,
+    QueryVO,
+    iter_proven_entries,
+)
+from repro.errors import ReproError, VerificationError
+
+
+def leaf_gindex(gpath: tuple[int, ...], widths: tuple[int, ...]) -> int:
+    """Mixed-radix generalized index of a leaf (root-to-leaf addressing).
+
+    The ethereum/consensus-specs multiproof format addresses binary-tree
+    nodes by ``gindex = 2**depth + index``; with per-node child counts
+    that becomes ``g = g * width + index`` folded over the levels, which
+    equals the binary form when every width is 2.  Distinct
+    ``(gpath, widths)`` pairs of one tree map to distinct integers
+    because each level's digit is bounded by its width.
+    """
+    if len(gpath) != len(widths):
+        raise ReproError("gpath and widths must have equal length")
+    g = 1
+    for index, width in zip(gpath, widths):
+        if not 0 <= index < width:
+            raise ReproError(f"gpath digit {index} out of range for width {width}")
+        g = g * width + index
+    return g
+
+
+def leaf_positions(
+    mp: TreeMultiproof,
+) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The ``(gpath, widths)`` of every proven leaf, in DFS order.
+
+    A structure-only walk of the cover (no hashing); raises
+    :class:`VerificationError` where the fold would.
+    """
+    mp.fold_root()  # structural validation
+    nodes = iter(mp.nodes)
+    table = []
+
+    def visit(codes, gpath, widths):
+        widths = widths + (len(codes),)
+        for slot, code in enumerate(codes):
+            if code == SLOT_LEAF:
+                table.append((gpath + (slot,), widths))
+            elif code == SLOT_DESCEND:
+                visit(next(nodes), gpath + (slot,), widths)
+
+    visit(next(nodes), (), ())
+    return table
+
+
+def gpath_is_leftmost(mp: TreeMultiproof, ordinal: int) -> bool:
+    gpath, _ = _position(mp, ordinal)
+    return all(index == 0 for index in gpath)
+
+
+def gpath_is_rightmost(mp: TreeMultiproof, ordinal: int) -> bool:
+    gpath, widths = _position(mp, ordinal)
+    return all(index == width - 1 for index, width in zip(gpath, widths))
+
+
+def gpath_adjacent(mp: TreeMultiproof, left: int, right: int) -> bool:
+    """The gindex re-expression of ``paths_adjacent``.
+
+    The gpaths agree until one divergence level where the right leaf's
+    digit is the left's plus one; below it the left leaf hugs its
+    subtree's right edge and the right leaf its subtree's left edge.
+    """
+    gpath_l, widths_l = _position(mp, left)
+    gpath_r, widths_r = _position(mp, right)
+    diverged = False
+    for level in range(mp.height):
+        if not diverged:
+            if gpath_l[level] == gpath_r[level]:
+                continue
+            if gpath_r[level] != gpath_l[level] + 1:
+                return False
+            if widths_l[level] != widths_r[level]:
+                return False
+            diverged = True
+        else:
+            if gpath_l[level] != widths_l[level] - 1:
+                return False
+            if gpath_r[level] != 0:
+                return False
+    return diverged
+
+
+def _position(mp: TreeMultiproof, ordinal: int):
+    table = leaf_positions(mp)
+    if not 0 <= ordinal < len(table):
+        raise VerificationError(f"multiproof leaf ordinal {ordinal} out of range")
+    return table[ordinal]
 
 
 def compute_multiproof_indices(
@@ -162,3 +268,47 @@ def build_multiproof(
         ),
         ordinals,
     )
+
+
+def compress_v3(vo: QueryVO) -> QueryVO:
+    """A path-proven rounds VO (``vo_version=2``) as the v3 frame held it.
+
+    Entries are grouped by the root their path folds to, in the codec's
+    write order; a group whose table would cost more wire bytes than the
+    paths it replaces keeps its paths (the size gate).
+    """
+    groups: dict[bytes, list[ProvenEntry]] = {}
+    for entry in iter_proven_entries(vo):
+        if isinstance(entry.proof, MerklePath):
+            root = entry.proof.compute_root(
+                Entry(key=entry.object_id, value_hash=entry.object_hash)
+            )
+            groups.setdefault(root, []).append(entry)
+    tables: list[TreeMultiproof] = []
+    refs: dict[tuple[bytes, int], LeafRef] = {}
+    for root, entries in groups.items():
+        table, ordinals = build_multiproof([(e, e.proof) for e in entries])
+        saved = -table.byte_size()
+        group_refs = {}
+        for entry in entries:
+            gpath = tuple(step.index for step in reversed(entry.proof.steps))
+            ref = LeafRef(len(tables), ordinals[gpath])
+            group_refs[(root, entry.object_id)] = ref
+            saved += 40 + entry.proof.byte_size() - ref.byte_size()
+        if saved > 0:
+            tables.append(table)
+            refs.update(group_refs)
+
+    def rewrite(entry: ProvenEntry) -> ProvenEntry:
+        if not isinstance(entry.proof, MerklePath):
+            return entry
+        root = entry.proof.compute_root(
+            Entry(key=entry.object_id, value_hash=entry.object_hash)
+        )
+        ref = refs.get((root, entry.object_id))
+        if ref is None:
+            return entry
+        return ProvenEntry(entry.object_id, entry.object_hash, ref)
+
+    rewritten = _map_vo_entries(vo, rewrite)
+    return QueryVO(conjuncts=rewritten.conjuncts, multiproofs=tuple(tables))

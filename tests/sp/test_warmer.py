@@ -5,6 +5,7 @@ import dataclasses
 import pytest
 
 from repro import obs
+from repro.core.merkle_family import prove_scan
 from repro.core.objects import DataObject
 from repro.core.query.parser import KeywordQuery
 from repro.core.system import HybridStorageSystem
@@ -158,7 +159,7 @@ class TestChameleonWarming:
 class TestFailClosed:
     def test_tampered_entries_never_reach_the_cache(self):
         system = make_system()
-        genuine = system._sp_view("alpha").all_proven()
+        genuine = prove_scan(system._sp_view("alpha"))
         tampered = [
             dataclasses.replace(entry, object_hash=bytes(32))
             for entry in genuine
@@ -184,7 +185,7 @@ class TestFailClosed:
 
     def test_partial_tampering_caches_only_good_entries(self):
         system = make_system()
-        genuine = system._sp_view("alpha").all_proven()
+        genuine = prove_scan(system._sp_view("alpha"))
         assert len(genuine) >= 2
         mixed = [genuine[0]] + [
             dataclasses.replace(entry, object_hash=bytes(32))
