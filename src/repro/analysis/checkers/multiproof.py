@@ -1,29 +1,23 @@
-"""multiproof-batched-path: batched query paths must not mint MerklePaths.
+"""multiproof-batched-path: the query path must not mint MerklePaths.
 
-The Merkle VO (``vo_version>=3``) replaces per-entry :class:`MerklePath`
-proofs with one deduplicated :class:`TreeMultiproof` per (tree,
-commitment) pair.  The invariant that keeps the batched query path
-compressed is structural: only ``core/multiproof.py`` may take paths
-apart or put them together on that route.  A ``MerklePath(...)`` or
-``PathStep(...)`` constructor call creeping back into the query
-pipeline (codec, verify, VO assembly, SP front-end) silently reverts
-the batched path to per-entry proofs — the VO still verifies, so
-nothing fails, but the ≥2× wire reduction quietly disappears.
+A VO is one deduplicated :class:`TreeMultiproof` per (tree, commitment)
+pair and nothing else: no frame carries a per-entry :class:`MerklePath`
+any more, and no step of the query path — views, join, VO assembly,
+codec, verification, SP front-end — has a reason to build one.  A
+``MerklePath(...)`` or ``PathStep(...)`` constructor call creeping back
+into that pipeline means some entry is being proven on its own again —
+the VO would still verify, so nothing fails, but the ≥2× wire reduction
+and the locate-then-prove-once split quietly disappear.  (``MBTree``
+itself still mints paths, for range proofs and the SMI update spines;
+``core/mbtree.py`` and ``core/multiproof.py`` are out of scope.)
 
-The legacy v2 decode route legitimately reconstructs paths; those two
-sites in the codec carry explicit
-``# reprolint: disable-next-line=multiproof-batched-path`` markers so
-any new site needs the same conscious opt-out.
-
-The Merkle views (``core/merkle_family.py``) are in scope too, and there
-the rule also flags the ``MBTree`` methods that mint one path per call
-(``prove``, ``boundaries``, ``first_entry``, ``last_entry``) when they
-are called on a tree (``tree.prove(...)``, ``self.tree.boundaries(...)``;
-the views' own key-level ``boundaries`` is something else): the views
-only *locate*, and each tree is proven once per query by the finishing
-step in ``core/multiproof.py``.  A per-entry proof call creeping back
-into a view costs a descent and a leaf re-hash per boundary entry — the
-3x of SP time this split removed — and nothing would fail.
+In the Merkle views (``core/merkle_family.py``) the rule also flags the
+``MBTree`` methods that mint one path per call (``prove``,
+``boundaries``, ``first_entry``, ``last_entry``): the views only
+*locate*, and each tree is proven once per query by the finishing step
+in ``core/multiproof.py``.  A per-entry proof call creeping back into a
+view costs a descent and a leaf re-hash per boundary entry — the 3x of
+SP time this split removed — and nothing would fail.
 """
 
 from __future__ import annotations
@@ -50,14 +44,6 @@ _PER_ENTRY_PROOF_METHODS = frozenset(
 )
 
 
-def _on_a_tree(func: ast.Attribute) -> bool:
-    """Whether a method's receiver is named ``tree`` (``x.tree`` or ``tree``)."""
-    receiver = func.value
-    if isinstance(receiver, ast.Attribute):
-        return receiver.attr == "tree"
-    return isinstance(receiver, ast.Name) and receiver.id == "tree"
-
-
 def _called_name(node: ast.Call) -> str | None:
     func = node.func
     if isinstance(func, ast.Name):
@@ -73,8 +59,8 @@ class MultiproofBatchedPathChecker(Checker):
 
     rule = "multiproof-batched-path"
     description = (
-        "the batched query path must keep proofs in multiproof form; "
-        "construct MerklePath/PathStep only inside core/multiproof.py"
+        "the query path keeps proofs in multiproof form; it constructs "
+        "no MerklePath/PathStep and proves no entry on its own"
     )
     paths = (
         "core/query/",
@@ -90,7 +76,6 @@ class MultiproofBatchedPathChecker(Checker):
             if (
                 name in _PER_ENTRY_PROOF_METHODS
                 and isinstance(node.func, ast.Attribute)
-                and _on_a_tree(node.func)
                 and src.module == "core/merkle_family.py"
             ):
                 yield self.finding(
@@ -107,8 +92,8 @@ class MultiproofBatchedPathChecker(Checker):
             yield self.finding(
                 src,
                 node,
-                f"{name}(...) on the batched query path reverts VO "
-                "compression to per-entry proofs; build or reference a "
-                "TreeMultiproof via core/multiproof.py instead",
+                f"{name}(...) on the query path reverts the VO to "
+                "per-entry proofs; build or reference a TreeMultiproof "
+                "via core/multiproof.py instead",
                 symbol=enclosing_symbol(ancestors),
             )

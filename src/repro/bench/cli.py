@@ -123,7 +123,6 @@ def main(argv: list[str] | None = None) -> int:
                 "fig12",
                 "fig13",
                 "query",
-                "multiproof",
             ):
                 kwargs["num_queries"] = args.queries
             result = fn(**kwargs)

@@ -237,8 +237,8 @@ class QueryRow:
     #: Average total VO bytes (``VO_sp`` + ``VO_chain``) — the exact
     #: figure ``vo_kb`` rounds, kept in bytes for compare gates.
     vo_bytes: float = 0.0
-    #: Average proof-only share of the VO (per-entry proofs plus the
-    #: deduplicated multiproof table) — what v3 compression shrinks.
+    #: Average proof-only share of the VO: the proof tables without
+    #: their ``id + hash`` rows.
     vo_proof_bytes: float = 0.0
 
 
@@ -569,13 +569,6 @@ def experiment_shard(**kwargs):
     return _shard(**kwargs)
 
 
-def experiment_multiproof(**kwargs):
-    """Multiproof VO compression bench (lazy import avoids a cycle)."""
-    from repro.bench.multiproof import experiment_multiproof as _multiproof
-
-    return _multiproof(**kwargs)
-
-
 def experiment_flatbuf(**kwargs):
     """Flat-buffer node storage bench (lazy import avoids a cycle)."""
     from repro.bench.flatbuf import experiment_flatbuf as _flatbuf
@@ -593,8 +586,9 @@ def experiment_query(
     """Query bench with VO byte attribution (wire vs proof-only).
 
     Same protocol as Fig. 11 but the table splits every row's VO size
-    into total wire bytes and the proof-only share the v3 multiproof
-    frame compresses, so bandwidth wins are attributable per scheme.
+    into total wire bytes and the proof-only share (the tables without
+    their ``id + hash`` rows), so bandwidth wins are attributable per
+    scheme.
     """
     dataset = _dataset(dataset_name, size, seed=seed)
     systems = {
@@ -640,7 +634,6 @@ EXPERIMENTS = {
     "witness": experiment_witness,
     "shard": experiment_shard,
     "query": experiment_query,
-    "multiproof": experiment_multiproof,
     "flatbuf": experiment_flatbuf,
 }
 

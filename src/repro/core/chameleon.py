@@ -21,17 +21,27 @@ Positions double as an order index: object IDs arrive monotonically and
 node positions are assigned in insertion order, so position order equals
 ID order.  Adjacency (completeness) checks reduce to ``pos_u == pos_l + 1``
 and termination to ``pos == cnt`` (Algorithm 6).
+
+What a query shows of a tree is its *node table*
+(:class:`ChameleonMultiproof`): one row per node, entry rows carrying
+``<id, h(o)>`` and the slot-1 opening, every row the opening that hangs
+it under its parent.  The SP slices the rows out of the tree's flat
+buffer (:meth:`ChameleonTreeSP.multiproof`); the client authenticates
+them all under the on-chain ``<c_0, cnt>``
+(:meth:`ChameleonMultiproof.authenticate`) and then answers the join's
+probes from the authenticated ``(position, id)`` pairs itself.
 """
 
 from __future__ import annotations
 
+import struct
 from collections.abc import Callable
-from dataclasses import dataclass, field
-from functools import partial
+from dataclasses import dataclass
 
 from repro.core.mbtree import Entry, entry_digest
 from repro.core.nodestore import ChameleonStore
-from repro.core.query.vo import DEFAULT_VALUE_BYTES, TableRef, varint_size
+from repro.core.query.vo import varint_size
+from repro.core.wire import put_varint, read_varint
 from repro.crypto import vc
 from repro.crypto.prf import node_randomness
 from repro.errors import ReproError, VerificationError
@@ -72,294 +82,216 @@ class InsertionProof:
     child_index: int  # j, 1-based
 
 
-@dataclass(frozen=True)
-class ChameleonLink:
-    """One parent-child edge in a membership proof."""
+#: ``(position, commitment, slot, message, proof) -> bool`` — one CVC
+#: ``Ver``, told which row of the table it serves.
+OpeningCheck = Callable[[int, int, int, "int | bytes", int], bool]
 
-    child_index: int  # j in 1..q
-    child_commitment: int
-    proof: int  # parent's slot j+1 opens to child_commitment
-
-    def byte_size(self, value_bytes: int) -> int:
-        """Serialised size in bytes."""
-        return 1 + 2 * value_bytes
+_U64 = struct.Struct(">Q")
 
 
-@dataclass(frozen=True)
-class MembershipProof:
-    """``Pi``: proves ``<id, h(o)>`` sits at ``position`` under ``c_0``.
+def scan_rows(
+    buf: bytes, pos: int, count: int, arity: int, value_bytes: int
+) -> tuple[list[tuple[int, int, int]], int]:
+    """Walk ``count`` node-table rows from ``buf[pos:]`` without parsing them.
 
-    ``links`` runs bottom-up; ``links[0]`` connects the proven node to
-    its parent and the last link's parent is the root.  Ancestor nodes
-    contribute only their link (their slot-1 payloads are irrelevant),
-    matching the paper's example proof shape.
-
-    ``tree`` is SP-side context that never travels: the ``(c_0, q)`` of
-    the tree the proof was assembled from.  VO compression groups a
-    query's entries on it (the CVC twin of the root digest a Merkle path
-    folds to); a proof decoded from the wire has none and stays in its
-    per-entry form.  The verifier never reads it.
+    Returns one ``(position, offset, flag)`` per row — ``offset`` is
+    where the row's fields start, after the flag byte, counted from
+    ``pos`` — and the offset in ``buf`` behind the last row.  This is
+    the table's whole structural check, shared by the wire decoder and
+    the verifier, and it fails closed:
+    positions strictly ascending from 1, flags 0 or 1, every row's
+    parent (BFS arithmetic) present unless it is the root, every row
+    inside the buffer, and every node row (flag 0) the parent of some
+    row — a node the table shows for nothing is refused like an unread
+    entry.  No group element is touched.
     """
-
-    position: int
-    entry_commitment: int  # c_pos of the proven node
-    slot1_proof: int  # pi_pos
-    links: tuple[ChameleonLink, ...]
-    tree: tuple[int, int] | None = field(
-        default=None, compare=False, repr=False
-    )
-
-    def byte_size(self, value_bytes: int = DEFAULT_VALUE_BYTES) -> int:
-        """Serialised size: commitments and proofs are group elements."""
-        base = 9 + 2 * value_bytes  # position + c_pos + pi + link count
-        return base + sum(link.byte_size(value_bytes) for link in self.links)
-
-    def nodes(self, arity: int) -> dict[int, "ChameleonNode"]:
-        """The proof as ``position -> node`` rows.
-
-        The same shape a :class:`ChameleonMultiproof` holds for a whole
-        query, so both go through :func:`verify_position`.  Positions
-        come from the child-index chain, so the claimed ``position`` is
-        checked here rather than trusted.
-        """
-        if not self.links:
-            raise VerificationError("membership proof has no links to the root")
-        if self.links[0].child_commitment != self.entry_commitment:
-            raise VerificationError("proof's first link does not carry the node")
-        nodes: dict[int, ChameleonNode] = {}
-        pos = 0
-        for link in reversed(self.links):
-            pos = child_position(pos, link.child_index, arity)
-            nodes[pos] = ChameleonNode(pos, link.child_commitment, link.proof)
-        if pos != self.position:
-            raise VerificationError(
-                f"claimed position {self.position} does not match the "
-                f"link-derived position {pos}"
-            )
-        return nodes
-
-
-@dataclass(frozen=True)
-class ChameleonNode:
-    """One row of a node table: a node and the opening that hangs it."""
-
-    position: int
-    commitment: int  # c_pos
-    link_proof: int  # the parent's slot j+1 opens to c_pos
-
-    def byte_size(self, value_bytes: int) -> int:
-        """Serialised size in bytes."""
-        return varint_size(self.position) + 2 * value_bytes
-
-
-@dataclass(frozen=True)
-class ChameleonMultiproof:
-    """One keyword tree's shared ancestors for a whole query.
-
-    Every node any proven entry of the tree needs — the entry's own node
-    and each ancestor below the root — appears exactly once, in
-    ascending position order, and the table is closed under
-    :func:`parent_position`.  Which slot of which parent a row's
-    ``link_proof`` opens is BFS arithmetic on its position, so neither a
-    child index nor a parent pointer travels: a row cannot be re-hung
-    elsewhere in the tree without changing the position every entry
-    below it is checked at.  ``arity`` makes the table self-describing
-    (the decoder checks closure without a proof system); the verifier
-    compares it with the scheme's own.
-    """
-
-    arity: int
-    nodes: tuple[ChameleonNode, ...]
-
-    #: The codec frame that can carry this table.
-    frame_version = 4
-
-    def index(self) -> dict[int, ChameleonNode]:
-        """``position -> node``, built (and the table validated) once.
-
-        Every reader goes through here, so a table that is unsorted,
-        repeats a position or lacks an ancestor fails closed on first
-        touch — in the decoder and in the verifier alike.
-        """
-        index = self.__dict__.get("_index")
-        if index is not None:
-            return index
-        if not 1 <= self.arity <= 0xFF:
-            raise VerificationError(f"node table arity {self.arity} out of range")
-        index = {}
-        previous = 0
-        for node in self.nodes:
-            if node.position <= previous:
+    if not 1 <= arity <= 0xFF:
+        raise VerificationError(f"node table arity {arity} out of range")
+    node_width = 2 * value_bytes
+    entry_width = 40 + 3 * value_bytes
+    size = len(buf)
+    if count * (2 + node_width) > size - pos:
+        raise VerificationError("node table longer than its payload")
+    rows: list[tuple[int, int, int]] = []
+    seen: set[int] = set()
+    hanging: set[int] = set()
+    previous = 0
+    start = pos
+    try:
+        for _ in range(count):
+            position = buf[pos]
+            pos += 1
+            if position > 0x7F:
+                position, pos = read_varint(buf, pos - 1)
+            flag = buf[pos]
+            pos += 1
+            if flag > 1:
+                raise VerificationError(f"invalid row flag {flag} in node table")
+            if position <= previous:
                 raise VerificationError(
                     "node table positions are not strictly ascending"
                 )
-            parent = (node.position - 1) // self.arity
-            if parent and parent not in index:
-                raise VerificationError(
-                    f"node table lacks the parent of position {node.position}"
-                )
-            index[node.position] = node
-            previous = node.position
-        object.__setattr__(self, "_index", index)
-        return index
-
-    def node(self, position: int) -> ChameleonNode:
-        """The row at ``position``; raises when the table has none."""
-        node = self.index().get(position)
-        if node is None:
-            raise VerificationError(f"node table has no position {position}")
-        return node
-
-    def byte_size(self, value_bytes: int = DEFAULT_VALUE_BYTES) -> int:
-        """Serialised size in bytes (matches the v4 codec encoding)."""
-        return (
-            1
-            + varint_size(len(self.nodes))
-            + sum(node.byte_size(value_bytes) for node in self.nodes)
-        )
-
-
-@dataclass(frozen=True)
-class NodeRef(TableRef):
-    """A proof slot pointing into the VO's node tables.
-
-    What is left of a membership proof once its chain lives in a
-    :class:`ChameleonMultiproof`: which table, which row, and the one
-    opening no other entry shares — slot 1 of the entry's own node.
-    """
-
-    table_index: int
-    position: int
-    slot1_proof: int  # pi_pos
-
-    #: The codec frame that can carry this proof.
-    frame_version = 4
-
-    def byte_size(self, value_bytes: int = DEFAULT_VALUE_BYTES) -> int:
-        """Serialised size in bytes (presence/tag bytes are the entry's)."""
-        return (
-            varint_size(self.table_index)
-            + varint_size(self.position)
-            + value_bytes
-        )
-
-
-def build_node_table(
-    arity: int, proofs: list[MembershipProof]
-) -> ChameleonMultiproof:
-    """Merge one tree's membership proofs into its node table.
-
-    Raises :class:`~repro.errors.ReproError` when two proofs disagree
-    about a position or a chain does not end at the root — an honest SP
-    never constructs such inputs.
-    """
-    nodes: dict[int, ChameleonNode] = {}
-    for proof in proofs:
-        pos = proof.position
-        for link in proof.links:
-            known = nodes.get(pos)
-            if known is not None:
-                if (known.commitment, known.link_proof) != (
-                    link.child_commitment,
-                    link.proof,
-                ):
-                    raise ReproError(f"two nodes claim tree position {pos}")
-                break  # its ancestors were registered along with it
-            nodes[pos] = ChameleonNode(pos, link.child_commitment, link.proof)
-            pos = parent_position(pos, arity)[0]
-        else:
-            if pos != 0:
-                raise ReproError("membership proof does not reach the root")
-    return ChameleonMultiproof(
-        arity=arity, nodes=tuple(nodes[pos] for pos in sorted(nodes))
-    )
-
-
-#: ``(commitment, slot, message, proof) -> bool`` — one CVC ``Ver``.
-OpeningCheck = Callable[[int, int, "int | bytes", int], bool]
-
-
-def verify_position(
-    check: OpeningCheck,
-    root_commitment: int,
-    count: int,
-    arity: int,
-    node_at: Callable[[int], ChameleonNode],
-    position: int,
-    object_id: int,
-    object_hash: bytes,
-    slot1_proof: int,
-    authenticated: set[int],
-) -> None:
-    """The one CVC membership check: ``<id, h(o)>`` sits at ``position``.
-
-    ``node_at(pos)`` yields the claimed node at a position (raising when
-    there is none); ``check`` performs — or recalls — one opening
-    verification.  The position must lie in ``[1, count]``; slot 1 of
-    its node must open to ``h(id || h(o))``; and every link from the
-    node up to the on-chain ``c_0`` must open, the slot of each being
-    BFS arithmetic on the child's position, so the position itself is
-    authenticated, not trusted.  ``authenticated`` holds the positions
-    whose chain already reached ``root_commitment`` in this verification
-    context and is extended on success only, so a shared ancestor is
-    walked once.
-    """
-    if not 1 <= position <= count:
+            parent = (position - 1) // arity
+            if parent:
+                if parent not in seen:
+                    raise VerificationError(
+                        f"node table lacks the parent of position {position}"
+                    )
+                hanging.discard(parent)
+            rows.append((position, pos - start, flag))
+            pos += entry_width if flag else node_width
+            seen.add(position)
+            if not flag:
+                hanging.add(position)
+            previous = position
+    except IndexError:
+        raise VerificationError("truncated node table") from None
+    if pos > size:
+        raise VerificationError("truncated node table")
+    if hanging:
         raise VerificationError(
-            f"position {position} outside the committed count {count}"
+            f"node table row {min(hanging)} hangs no entry (childless node row)"
         )
-    node = node_at(position)
-    if not check(
-        node.commitment, 1, entry_digest(object_id, object_hash), slot1_proof
-    ):
-        raise VerificationError("slot-1 opening of the node commitment failed")
-    chain: list[int] = []
-    while node.position not in authenticated:
-        parent, child_index = parent_position(node.position, arity)
-        above = node_at(parent) if parent else None
-        if not check(
-            above.commitment if above else root_commitment,
-            child_index + 1,
-            node.commitment,
-            node.link_proof,
-        ):
-            raise VerificationError(
-                f"parent link of position {node.position} failed "
-                "commitment verification"
-            )
-        chain.append(node.position)
-        if above is None:
-            break
-        node = above
-    authenticated.update(chain)
+    return rows, pos
 
 
-def verify_membership(
-    pp: vc.CVCPublicParams,
-    root_commitment: int,
-    count: int,
-    arity: int,
-    object_id: int,
-    object_hash: bytes,
-    proof: MembershipProof,
-) -> None:
-    """Verify a membership proof against the on-chain ``<c_0, cnt>``.
+@dataclass(frozen=True, eq=True)
+class ChameleonMultiproof:
+    """One keyword tree's share of a query: its node table.
 
-    Raises :class:`VerificationError` with the failed check's name; the
-    position encoded in the link chain is authenticated, not trusted.
+    Every node the query needs of the tree appears exactly once, in
+    ascending position order, and the table is closed under
+    :func:`parent_position`: an *entry row* per ``<id, h(o)>`` some
+    probe read, a *node row* per ancestor (below the root) that is not
+    itself read.  A row is::
+
+        varint position || u8 flag || [id(8) || h(o)(32)] || c_pos
+                        || [slot-1 opening] || link opening
+
+    with the bracketed fields present iff ``flag`` is 1; group elements
+    take ``value_bytes`` each.  Which slot of which parent the link
+    opening opens is BFS arithmetic on the position, so neither a child
+    index nor a parent pointer travels: a row cannot be re-hung
+    elsewhere in the tree without changing the position it — and every
+    row below it — is checked at.  The openings come last in a row, so
+    replacing a node's two by one subvector opening changes a row's
+    tail, not its layout.
+
+    ``body`` is the rows' wire bytes, ``count`` how many there are.  The
+    SP slices them out of the tree's flat buffer
+    (:meth:`ChameleonTreeSP.multiproof`) and the codec frames them by
+    reference; nobody turns a group element into an integer until the
+    client authenticates the table (:meth:`authenticate`).
     """
-    verify_position(
-        partial(vc.verify, pp),
-        root_commitment,
-        count,
-        arity,
-        proof.nodes(arity).__getitem__,
-        proof.position,
-        object_id,
-        object_hash,
-        proof.slot1_proof,
-        set(),
-    )
+
+    arity: int
+    value_bytes: int
+    count: int
+    body: bytes
+
+    @classmethod
+    def from_wire(
+        cls, buf: bytes, pos: int, count: int, arity: int, value_bytes: int
+    ) -> tuple["ChameleonMultiproof", int]:
+        """The table whose ``count`` rows start at ``buf[pos]``, and their end.
+
+        The rows are validated and kept as the bytes they arrived as.
+        """
+        rows, end = scan_rows(buf, pos, count, arity, value_bytes)
+        table = cls(arity, value_bytes, count, buf[pos:end])
+        object.__setattr__(table, "_rows", rows)
+        return table, end
+
+    def rows(self) -> list[tuple[int, int, int]]:
+        """``(position, offset, flag)`` per row; the table validated once.
+
+        Every reader goes through :func:`scan_rows`, so a malformed
+        table fails closed on first touch.
+        """
+        rows = self.__dict__.get("_rows")
+        if rows is None:
+            rows, end = scan_rows(
+                self.body, 0, self.count, self.arity, self.value_bytes
+            )
+            if end != len(self.body):
+                raise VerificationError("node table body outruns its rows")
+            object.__setattr__(self, "_rows", rows)
+        return rows
+
+    @property
+    def leaves(self) -> list[tuple[int, bytes]]:
+        """The ``(id, h(o))`` of the entry rows, ascending (as on the wire)."""
+        body = self.body
+        return [
+            (_U64.unpack_from(body, offset)[0], body[offset + 8 : offset + 40])
+            for _, offset, flag in self.rows()
+            if flag
+        ]
+
+    def byte_size(self) -> int:
+        """Serialised size in bytes: arity, row count, rows."""
+        return 1 + varint_size(self.count) + len(self.body)
+
+    def authenticate(
+        self, check: OpeningCheck, root_commitment: int, count: int
+    ) -> tuple[list[int], list[tuple[int, bytes]]]:
+        """The one CVC membership check, for every row of the table.
+
+        Under the on-chain ``<c_0, cnt>``: each position lies in
+        ``[1, cnt]``; each row's link opens the child slot of its
+        parent's commitment — ``c_0`` for a child of the root — to the
+        row's own, the slot being BFS arithmetic on the position, so
+        positions are authenticated, not trusted; and each entry row's
+        slot 1 opens to ``h(id || h(o))``.  ``check`` performs, recalls
+        or records one opening verification.  Returns the entry rows'
+        positions and their ``(id, h(o))``, ascending by position.
+        """
+        body = self.body
+        width = self.value_bytes
+        arity = self.arity
+        commitments = {0: root_commitment}
+        positions: list[int] = []
+        leaves: list[tuple[int, bytes]] = []
+        for position, offset, flag in self.rows():
+            if position > count:
+                raise VerificationError(
+                    f"position {position} outside the committed count {count}"
+                )
+            if flag:
+                object_id = _U64.unpack_from(body, offset)[0]
+                object_hash = body[offset + 8 : offset + 40]
+                offset += 40
+            commitment = int.from_bytes(body[offset : offset + width], "big")
+            offset += width
+            if flag:
+                if not check(
+                    position,
+                    commitment,
+                    1,
+                    entry_digest(object_id, object_hash),
+                    int.from_bytes(body[offset : offset + width], "big"),
+                ):
+                    raise VerificationError(
+                        "slot-1 opening of the node commitment failed "
+                        f"(position {position})"
+                    )
+                offset += width
+                positions.append(position)
+                leaves.append((object_id, object_hash))
+            parent, child_index = parent_position(position, arity)
+            if not check(
+                position,
+                commitments[parent],
+                child_index + 1,
+                commitment,
+                int.from_bytes(body[offset : offset + width], "big"),
+            ):
+                raise VerificationError(
+                    f"parent link of position {position} failed "
+                    "commitment verification"
+                )
+            commitments[position] = commitment
+        return positions, leaves
 
 
 class ChameleonTreeDO:
@@ -454,27 +386,11 @@ class ChameleonTreeDO:
         self.count = position - 1
 
 
-@dataclass(frozen=True)
-class ChameleonBoundarySearch:
-    """Boundary lookup result mirroring the MB-tree's, in proof form."""
-
-    target: int
-    lower: Entry | None
-    lower_proof: MembershipProof | None
-    upper: Entry | None
-    upper_proof: MembershipProof | None
-
-    @property
-    def matched(self) -> bool:
-        """True when the lower boundary equals the target key."""
-        return self.lower is not None and self.lower.key == self.target
-
-
 class ChameleonTreeSP:
     """The SP's complete copy of one keyword's Chameleon tree.
 
-    Stores the insertion proofs streamed by the DO and assembles
-    membership proofs for query processing.  All node material lives in
+    Stores the insertion proofs streamed by the DO and cuts node tables
+    out of them for query processing.  All node material lives in
     a flat :class:`~repro.core.nodestore.ChameleonStore` buffer —
     positions are BFS-contiguous, so the position-to-record map and the
     ID order are both pure index arithmetic over the records, and the
@@ -486,7 +402,7 @@ class ChameleonTreeSP:
         self,
         root_commitment: int,
         arity: int = DEFAULT_ARITY,
-        value_bytes: int = DEFAULT_VALUE_BYTES,
+        value_bytes: int = 128,
     ) -> None:
         self.store = ChameleonStore.create(arity=arity, value_bytes=value_bytes)
         self.store.root_commitment = root_commitment
@@ -572,98 +488,43 @@ class ChameleonTreeSP:
             value_hash=self.store.object_hash(pos),
         )
 
-    def prove_membership(self, pos: int) -> MembershipProof:
-        """Assemble ``Pi`` for the node at ``pos`` from stored material."""
-        return self._prove(pos, {}, (self.root_commitment, self.arity))
+    @property
+    def run_root(self) -> bytes:
+        """``c_0 || cnt``: the bytes that move whenever the tree does.
 
-    def _prove(
-        self,
-        pos: int,
-        chains: dict[int, tuple[ChameleonLink, ...]],
-        tree: tuple[int, int],
-    ) -> MembershipProof:
-        """``Pi`` for ``pos``; ``chains`` shares link chains between calls.
-
-        A node's chain is its own link followed by its parent's chain,
-        so proofs assembled against one ``chains`` map read each node's
-        group elements out of the store once and share the link objects.
+        What a located run records of this tree (an MB-tree's is its
+        root digest), compared again at prove time.
         """
-        if not 1 <= pos <= self.count:
-            raise ReproError(f"no node at position {pos}")
+        return self.store.root_bytes + _U64.pack(self.count)
+
+    def multiproof(self, positions: tuple[int, ...]) -> ChameleonMultiproof:
+        """The node table over ``positions`` (ascending, unique, non-empty).
+
+        One entry row per position, one node row per further ancestor
+        below the root; the fields are sliced out of the store's
+        records, never parsed.
+        """
+        if not positions:
+            raise ReproError("a node table needs at least one position")
+        if positions[0] < 1 or positions[-1] > self.count:
+            raise ReproError(f"positions outside tree of size {self.count}")
+        if any(a >= b for a, b in zip(positions, positions[1:])):
+            raise ReproError("positions must be strictly ascending")
+        arity = self.arity
+        entries = set(positions)
+        needed = set(entries)
+        for position in positions:
+            position = (position - 1) // arity
+            while position and position not in needed:
+                needed.add(position)
+                position = (position - 1) // arity
         store = self.store
-        arity = tree[1]
-        missing: list[int] = []
-        current = pos
-        while current != 0 and current not in chains:
-            missing.append(current)
-            current = (current - 1) // arity
-        for current in reversed(missing):
-            link = ChameleonLink(
-                child_index=store.child_index(current),
-                child_commitment=store.commitment(current),
-                proof=store.parent_link_proof(current),
-            )
-            chains[current] = (link,) + chains.get((current - 1) // arity, ())
-        links = chains[pos]
-        return MembershipProof(
-            position=pos,
-            entry_commitment=links[0].child_commitment,
-            slot1_proof=store.slot1_proof(pos),
-            links=links,
-            tree=tree,
+        body = bytearray()
+        for position in sorted(needed):
+            entry = position in entries
+            put_varint(body, position)
+            body.append(entry)
+            store.append_fields(body, position, entry)
+        return ChameleonMultiproof(
+            arity, store.value_bytes, len(needed), bytes(body)
         )
-
-    def first(self) -> tuple[Entry, MembershipProof] | None:
-        """The first entry with its membership proof, or None."""
-        if not self.count:
-            return None
-        return self.entry_at(1), self.prove_membership(1)
-
-    def last(self) -> tuple[Entry, MembershipProof] | None:
-        """The last entry with its membership proof, or None."""
-        if not self.count:
-            return None
-        return self.entry_at(self.count), self.prove_membership(self.count)
-
-    def boundaries(
-        self,
-        target: int,
-        chains: dict[int, tuple[ChameleonLink, ...]] | None = None,
-    ) -> ChameleonBoundarySearch:
-        """Boundary entries around ``target`` with membership proofs.
-
-        A caller that probes one tree many times (a join walk) passes
-        the same ``chains`` map to every call, see :meth:`_prove`; node
-        material never changes once appended, so the map cannot go
-        stale.
-        """
-        if chains is None:
-            chains = {}
-        tree = (self.root_commitment, self.arity)
-        idx = self.store.rank_of(target)  # count of ids <= target
-        lower = None
-        lower_proof = None
-        upper = None
-        upper_proof = None
-        if idx > 0:
-            lower = self.entry_at(idx)
-            lower_proof = self._prove(idx, chains, tree)
-        if idx < self.count:
-            upper = self.entry_at(idx + 1)
-            upper_proof = self._prove(idx + 1, chains, tree)
-        return ChameleonBoundarySearch(
-            target=target,
-            lower=lower,
-            lower_proof=lower_proof,
-            upper=upper,
-            upper_proof=upper_proof,
-        )
-
-    def all_entries(self) -> list[tuple[Entry, MembershipProof]]:
-        """Every entry with proof, position order (single-keyword scans)."""
-        chains: dict[int, tuple[ChameleonLink, ...]] = {}
-        tree = (self.root_commitment, self.arity)
-        return [
-            (self.entry_at(pos), self._prove(pos, chains, tree))
-            for pos in range(1, self.count + 1)
-        ]

@@ -21,14 +21,12 @@ from repro.core.chameleon import (
     ChameleonMultiproof,
     ChameleonTreeDO,
     ChameleonTreeSP,
-    MembershipProof,
-    NodeRef,
     parent_position,
-    verify_position,
 )
+from repro.core.multiproof import LocatedRun, ProvenRun, settle_tables
 from repro.core.objects import ObjectMetadata
 from repro.core.proofcache import CacheKey, VerificationCache
-from repro.core.query.vo import ProvenEntry
+from repro.core.query.join import remember_key
 from repro.crypto import vc
 from repro.crypto.bloom import BloomFilterChain
 from repro.crypto.hashing import DIGEST_SIZE
@@ -205,72 +203,65 @@ class ChameleonDataOwner:
 
 @dataclass
 class ChameleonView:
-    """IndexView adapter over one keyword's SP-side Chameleon tree.
+    """One keyword's Chameleon tree as the SP's join walk reads it.
+
+    A :class:`~repro.core.query.join.KeyView`: the walk gets object IDs,
+    found by rank arithmetic over the tree's flat store (IDs ascend with
+    positions), and nothing is proven.  The view remembers, ascending,
+    the *positions* it handed out; :meth:`run` packs them with the
+    tree's ``c_0 || cnt`` for the prove step
+    (:func:`~repro.core.multiproof.compress_query_vo`), which asks each
+    tree once for the node table over everything a query read from it.
 
     ``bloom`` is populated only by the starred variant; when set, the
-    join engine can skip probes for IDs the on-chain filters prove
-    absent.
-
-    A view serves one conjunct of one query, and a join walk probes it
-    once per round: the link chains it has read out of the tree's store
-    are kept for the next probe, so each node is read once per walk.
+    walk skips probes for IDs the on-chain filters prove absent — the
+    client's view holds the same filters and skips the same probes.
     """
 
     keyword: str
     tree: ChameleonTreeSP
     bloom: BloomFilterChain | None = None
-    _chains: dict = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
+    positions: list[int] = field(default_factory=list, init=False, compare=False)
 
     def __len__(self) -> int:
         return self.tree.count
 
-    def first_proven(self) -> ProvenEntry | None:
-        """The smallest entry with proof, or None when empty."""
-        pair = self.tree.first()
-        if pair is None:
-            return None
-        entry, proof = pair
-        return ProvenEntry(
-            object_id=entry.key, object_hash=entry.value_hash, proof=proof
-        )
+    def first(self) -> int:
+        """The smallest ID."""
+        remember_key(self.positions, 1)
+        return self.tree.store.object_id(1)
 
-    def boundaries_proven(
-        self, target: int
-    ) -> tuple[ProvenEntry | None, ProvenEntry | None]:
-        """Boundary entries with proofs around a target."""
-        search = self.tree.boundaries(target, self._chains)
-        lower = None
-        upper = None
-        if search.lower is not None:
-            lower = ProvenEntry(
-                object_id=search.lower.key,
-                object_hash=search.lower.value_hash,
-                proof=search.lower_proof,
-            )
-        if search.upper is not None:
-            upper = ProvenEntry(
-                object_id=search.upper.key,
-                object_hash=search.upper.value_hash,
-                proof=search.upper_proof,
-            )
+    def boundaries(self, target: int) -> tuple[int | None, int | None]:
+        """The IDs around a target."""
+        store = self.tree.store
+        rank = store.rank_of(target)  # IDs <= target; also lower's position
+        lower = upper = None
+        if rank:
+            lower = store.object_id(rank)
+            remember_key(self.positions, rank)
+        if rank < store.count:
+            upper = store.object_id(rank + 1)
+            remember_key(self.positions, rank + 1)
         return lower, upper
 
-    def all_proven(self) -> list[ProvenEntry]:
-        """Every entry with proof, in key order."""
-        return [
-            ProvenEntry(
-                object_id=entry.key, object_hash=entry.value_hash, proof=proof
-            )
-            for entry, proof in self.tree.all_entries()
-        ]
+    def scan(self) -> list[int]:
+        """Every ID, in order."""
+        store = self.tree.store
+        self.positions = list(range(1, store.count + 1))
+        return [store.object_id(position) for position in self.positions]
+
+    def run(self) -> LocatedRun:
+        """What has been read so far, under the ``<c_0, cnt>`` it was read at."""
+        return LocatedRun(
+            keyword=self.keyword,
+            root=self.tree.run_root,
+            keys=tuple(self.positions),
+            tree=self.tree,
+        )
 
     def definitely_absent(self, object_id: int) -> bool:
         """Whether on-chain filters prove the ID absent."""
-        if self.bloom is None:
-            return False
-        return self.bloom.definitely_absent(object_id)
+        return self.bloom is not None and self.bloom.definitely_absent(object_id)
 
 
 @dataclass
@@ -303,7 +294,7 @@ class ChameleonSP:
             self.trees[keyword].apply_insertion(proof)
 
     def view(self, keyword: str) -> ChameleonView:
-        """The join engine's IndexView for one keyword."""
+        """The join engine's view of one keyword's tree."""
         tree = self.trees.get(keyword)
         if tree is None:
             # Unknown keyword: an empty placeholder (len == 0 routes the
@@ -318,37 +309,41 @@ class ChameleonSP:
 
 @dataclass
 class ChameleonProofSystem:
-    """Client verifier for CVC membership VOs (Algorithm 6 checks).
+    """Client verifier for CVC node tables (Algorithm 6 checks).
 
     ``digests`` binds each queried keyword to its on-chain ``<c_0, cnt>``;
     ``blooms`` (starred variant only) carries the on-chain Bloom filter
-    snapshots used to validate skip rounds.
+    snapshots, which the client's join views consult exactly as the
+    SP's do.
 
-    An entry arrives as a :class:`~repro.core.chameleon.NodeRef` into
-    one of the query's node tables (bound by
-    :meth:`attach_multiproofs`) or as a legacy per-entry
-    :class:`~repro.core.chameleon.MembershipProof`; either way it is a
-    position over ``position -> node`` rows and goes through
-    :func:`~repro.core.chameleon.verify_position`.  Within a query, a
-    table node whose chain reached ``c_0`` is not walked again.
+    A query's tables arrive through :meth:`attach_multiproofs`.  A
+    conjunct opens each table it names through :meth:`proven_run`: the
+    first opening authenticates every row under the keyword's
+    ``<c_0, cnt>`` (:meth:`ChameleonMultiproof.authenticate`), and the
+    entry rows become the :class:`~repro.core.multiproof.ProvenRun` the
+    join is replayed over — positions are the DO's insertion order and
+    IDs ascend, so two entries at ``position`` and ``position + 1`` have
+    nothing between them, position 1 is the first entry and position
+    ``cnt`` the last.
 
-    No opening is checked when an entry is: inside :meth:`settling` —
-    the only place entries can be verified — each opening an entry needs
-    is looked up, range-checked and *recorded*, and the scope's exit
-    checks everything recorded as one :func:`repro.crypto.vc.verify_batch`
-    (DESIGN.md §6.1).  Nothing an entry "passed" counts until that exit
+    No opening is checked when a row is: inside :meth:`settling` — the
+    only place tables can be opened — each opening a row needs is looked
+    up, range-checked and *recorded*, and the scope's exit checks
+    everything recorded as one :func:`repro.crypto.vc.verify_batch`
+    (DESIGN.md §6.1).  Nothing the join concluded counts until that exit
     returns: ``verify_query`` and the warmer compare, cache and count
-    only afterwards.
+    only afterwards.  The exit also settles the account of the tables:
+    none unused, no entry row unread.
 
     ``cache``, when set, memoises *successful* openings keyed on the
     complete tuple ``(modulus, commitment, slot, message, proof)`` — the
     whole input of one ``vc.verify`` — so an opening shared between
-    entries, conjuncts or queries costs its share of a batch once.  Only
-    the openings of a batch that passed are stored.  That an opening
-    holds says nothing about where its commitment hangs: the chain from
-    ``c_0`` is re-walked over (cached) openings every query, and any
-    tampered component changes a key, misses, and is checked (and fails)
-    from scratch.
+    queries costs its share of a batch once.  Only the openings of a
+    batch that passed are stored.  That an opening holds says nothing
+    about where its commitment hangs: the chain from ``c_0`` is
+    re-walked over (cached) openings every query, and any tampered
+    component changes a key, misses, and is checked (and fails) from
+    scratch.
     """
 
     pp: vc.CVCPublicParams
@@ -361,13 +356,13 @@ class ChameleonProofSystem:
     multiproofs: tuple = field(
         default=(), init=False, repr=False, compare=False
     )
-    #: Per attached table in use: the table, the ``c_0`` it was first
-    #: verified under, and the positions whose chain reached it.
-    _walked: dict[int, tuple[ChameleonMultiproof, int, set[int]]] = field(
+    #: Per attached table in use: the ``c_0`` it was authenticated
+    #: under, its entry rows, their gap counts and their read marks.
+    _opened: dict[int, tuple[int, list, tuple[int, ...], bytearray]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
     #: The openings recorded in the open :meth:`settling` scope, by cache
-    #: key, each with the ``(keyword, object_id)`` of the entry that first
+    #: key, each with the ``(keyword, position)`` of the row that first
     #: needed it; ``None`` outside a scope.
     _pending: dict[CacheKey, tuple[vc.Opening, tuple[str, int]]] | None = field(
         default=None, init=False, repr=False, compare=False
@@ -379,15 +374,16 @@ class ChameleonProofSystem:
     def attach_multiproofs(self, multiproofs: tuple) -> None:
         """Bind the current query's node tables (per-query state)."""
         self.multiproofs = tuple(multiproofs)
-        self._walked = {}
+        self._opened = {}
 
     @contextmanager
     def settling(self) -> Iterator[None]:
-        """The scope in which entries are verified; leaving it settles.
+        """The scope in which tables are opened; leaving it settles.
 
-        Leaving normally checks every opening recorded inside as one
-        batch and raises :class:`VerificationError` if one fails; leaving
-        on an error checks nothing.  Either way nothing recorded
+        Leaving normally requires every attached table used and every
+        entry row read, then checks every opening recorded inside as one
+        batch, and raises :class:`VerificationError` if any of it fails;
+        leaving on an error checks nothing.  Either way nothing recorded
         survives the scope, so no later one can inherit a check that was
         never made.
         """
@@ -396,13 +392,18 @@ class ChameleonProofSystem:
         self._pending = {}
         try:
             yield
+            settle_tables(
+                len(self.multiproofs),
+                {index: opened[3] for index, opened in self._opened.items()},
+            )
             self._settle(self._pending)
         finally:
             self._pending = None
 
     def _opens(
         self,
-        owner: tuple[str, int],
+        keyword: str,
+        position: int,
         commitment: int,
         slot: int,
         message: int | bytes,
@@ -410,14 +411,14 @@ class ChameleonProofSystem:
     ) -> bool:
         """Recall one CVC ``Ver`` that succeeded, or record it as owed.
 
-        ``owner`` is the ``(keyword, object_id)`` of the entry being
-        verified: should the opening fail at settle time, the error says
-        whose it was.
+        ``(keyword, position)`` names the row being authenticated:
+        should the opening fail at settle time, the error says whose it
+        was.
         """
         pending = self._pending
         if pending is None:
             raise ReproError(
-                "CVC entries are verified inside ChameleonProofSystem."
+                "CVC tables are opened inside ChameleonProofSystem."
                 "settling(), whose exit checks their openings"
             )
         key = CacheKey((self.pp.modulus, commitment, slot, message, proof))
@@ -430,7 +431,7 @@ class ChameleonProofSystem:
             return True
         if not vc.opening_in_range(self.pp, commitment, slot, proof):
             return False
-        pending[key] = ((commitment, slot, message, proof), owner)
+        pending[key] = ((commitment, slot, message, proof), (keyword, position))
         return True
 
     def _settle(
@@ -446,7 +447,7 @@ class ChameleonProofSystem:
             # names it.  Should every opening pass on its own after all,
             # that is the stronger verdict and stands.
             obs.inc("vc.verify.batch_fallbacks")
-            for opening, (keyword, object_id) in pending.values():
+            for opening, (keyword, position) in pending.values():
                 if not vc.verify(self.pp, *opening):
                     slot = opening[1]
                     raise VerificationError(
@@ -456,127 +457,67 @@ class ChameleonProofSystem:
                             else f"parent link in child slot {slot - 1} "
                             "failed commitment verification"
                         )
-                        + f" (entry {object_id} of keyword {keyword!r})"
+                        + f" (position {position} of keyword {keyword!r})"
                     )
         if self.cache is not None:
             for key in pending:
                 self.cache.add(key)
 
-    def _table(
-        self, ref: NodeRef, commitment: int
-    ) -> tuple[ChameleonMultiproof, set[int]]:
-        """The table a ref points into, and its walked positions.
+    def proven_run(self, keyword: str, table: int | None) -> ProvenRun:
+        """Open one tree of a conjunct as the walk's view.
 
-        The first ref into a table binds it to the ``c_0`` it is checked
-        under: chains walked to one root say nothing under another.
+        ``table`` indexes the attached node tables; ``None`` says the
+        walk reads nothing from this tree, which is only believed of a
+        keyword the chain shows non-empty (an empty one makes the whole
+        component an empty-keyword claim).  Only inside :meth:`settling`.
         """
-        state = self._walked.get(ref.table_index)
-        if state is None:
-            if not 0 <= ref.table_index < len(self.multiproofs):
+        commitment, count = self._digest(keyword)
+        bloom = None if self.blooms is None else self.blooms.get(keyword)
+        if commitment is None or count == 0:
+            raise VerificationError(
+                f"join lists keyword {keyword!r}, which VO_chain shows empty"
+            )
+        if table is None:
+            return ProvenRun.unread(keyword, bloom)
+        opened = self._opened.get(table)
+        if opened is None:
+            if not 0 <= table < len(self.multiproofs):
                 raise VerificationError(
-                    f"node table index {ref.table_index} out of range "
+                    f"node table index {table} out of range "
                     f"({len(self.multiproofs)} attached)"
                 )
-            table = self.multiproofs[ref.table_index]
-            if not isinstance(table, ChameleonMultiproof):
+            node_table = self.multiproofs[table]
+            if not isinstance(node_table, ChameleonMultiproof):
+                raise VerificationError("conjunct names a table of another kind")
+            if node_table.arity != self.arity:
                 raise VerificationError(
-                    "entry references a table of another kind"
-                )
-            if table.arity != self.arity:
-                raise VerificationError(
-                    f"node table arity {table.arity} is not the scheme's "
+                    f"node table arity {node_table.arity} is not the scheme's "
                     f"{self.arity}"
                 )
-            state = self._walked[ref.table_index] = (table, commitment, set())
-        table, bound, walked = state
+            positions, leaves = node_table.authenticate(
+                partial(self._opens, keyword), commitment, count
+            )
+            gaps = (
+                0,
+                *[position - at for at, position in enumerate(positions, 1)],
+                count - len(positions),
+            )
+            opened = self._opened[table] = (
+                commitment, leaves, gaps, bytearray(len(leaves) + 2)
+            )
+        bound, leaves, gaps, read = opened
         if bound != commitment:
+            # Rows authenticated under one root say nothing under another.
             raise VerificationError(
-                f"node table {ref.table_index} is bound to a different tree"
+                f"node table {table} is bound to a different tree than "
+                f"keyword {keyword!r}"
             )
-        return table, walked
-
-    def verify_entry(self, keyword: str, entry: ProvenEntry) -> None:
-        """Authenticate one proven entry; raises on failure."""
-        proof = entry.proof
-        commitment, count = self._digest(keyword)
-        if commitment is None:
-            raise VerificationError(
-                f"keyword {keyword!r} has no on-chain commitment"
-            )
-        if isinstance(proof, NodeRef):
-            table, walked = self._table(proof, commitment)
-            node_at = table.node
-        elif isinstance(proof, MembershipProof):
-            node_at, walked = proof.nodes(self.arity).__getitem__, set()
-        else:
-            raise VerificationError("expected a CVC membership proof")
-        verify_position(
-            partial(self._opens, (keyword, entry.object_id)),
-            commitment,
-            count,
-            self.arity,
-            node_at,
-            proof.position,
-            entry.object_id,
-            entry.object_hash,
-            proof.slot1_proof,
-            walked,
-        )
-
-    def _settles(self, keyword: str, entries: list[ProvenEntry]) -> bool:
-        """Whether ``entries`` verify, settled together as one batch."""
-        try:
-            with self.settling():
-                for entry in entries:
-                    self.verify_entry(keyword, entry)
-        except VerificationError:
-            return False
-        return True
-
-    def warm_entries(self, keyword: str, entries: list[ProvenEntry]) -> int:
-        """Pre-verify a keyword's posting list for the warmer.
-
-        The whole list settles as one batch.  When that fails, each
-        entry settles alone, so a tampered entry is skipped and left
-        uncached while the rest still warm.  Returns how many verified.
-        """
-        if self._settles(keyword, entries):
-            return len(entries)
-        return sum(self._settles(keyword, [entry]) for entry in entries)
-
-    @staticmethod
-    def _position(entry: ProvenEntry) -> int | None:
-        proof = entry.proof
-        if isinstance(proof, (NodeRef, MembershipProof)):
-            return proof.position
-        return None
-
-    def is_first(self, keyword: str, entry: ProvenEntry) -> bool:
-        """Whether the entry is provably the tree's first."""
-        return self._position(entry) == 1
-
-    def is_last(self, keyword: str, entry: ProvenEntry) -> bool:
-        """Whether the entry is provably the tree's last."""
-        _, count = self._digest(keyword)
-        return self._position(entry) == count
-
-    def adjacent(
-        self, keyword: str, lower: ProvenEntry, upper: ProvenEntry
-    ) -> bool:
-        """Whether two verified entries are consecutive."""
-        below, above = self._position(lower), self._position(upper)
-        return below is not None and above is not None and above == below + 1
+        return ProvenRun(keyword, table, leaves, gaps, read, bloom)
 
     def keyword_empty(self, keyword: str) -> bool:
         """Whether VO_chain shows the keyword's tree empty."""
         commitment, count = self._digest(keyword)
         return commitment is None or count == 0
-
-    def definitely_absent(self, keyword: str, object_id: int) -> bool:
-        """Whether on-chain filters prove the ID absent."""
-        if self.blooms is None or keyword not in self.blooms:
-            return False
-        return self.blooms[keyword].definitely_absent(object_id)
 
     def chain_digest_bytes(self) -> int:
         """``VO_chain`` size: ``c_0`` + ``cnt`` per keyword, plus filters."""

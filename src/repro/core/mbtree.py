@@ -49,7 +49,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterator, Protocol
 
 from repro.core.nodestore import NIL, MBTreeStore
-from repro.crypto.hashing import EMPTY_DIGEST, sha3, tagged_hash
+from repro.crypto.hashing import EMPTY_DIGEST, sha3
 from repro.errors import IntegrityError, ReproError
 
 if TYPE_CHECKING:
@@ -139,45 +139,6 @@ class MerklePath:
     """Authentication path of one leaf entry, leaf level first."""
 
     steps: tuple[PathStep, ...]
-
-    def __hash__(self) -> int:
-        # Memoised: paths are immutable but appear in many verification
-        # cache keys (once per DNF component referencing the entry), and
-        # the generated hash re-walks every sibling digest each call.
-        cached = self.__dict__.get("_hash")
-        if cached is None:
-            # Dict-key hashing only (never serialised or compared across
-            # processes); content identity uses cache_token() instead.
-            cached = hash(self.steps)  # reprolint: disable=crypto-hygiene
-            object.__setattr__(self, "_hash", cached)
-        return cached
-
-    def cache_token(self) -> bytes:
-        """Collision-resistant digest standing in for the path's content.
-
-        Verification-cache keys must identify the *content* of a proof,
-        but DNF answers carry content-equal path objects once per
-        component that references the entry — keying on the path itself
-        makes every cache hit a deep structural comparison.  The token
-        is a domain-separated SHA-3 digest over an injective encoding of
-        the steps (digests are fixed 32-byte words, so prefixing each
-        level with its shape makes the encoding prefix-free), memoised
-        on the immutable path object.
-        """
-        token = self.__dict__.get("_token")
-        if token is None:
-            buf = bytearray()
-            for step in self.steps:
-                buf += (
-                    f"{step.index},{len(step.before)},{len(step.after)};"
-                ).encode()
-                for digest in step.before:
-                    buf += digest
-                for digest in step.after:
-                    buf += digest
-            token = tagged_hash("repro/merkle-path-token", bytes(buf))
-            object.__setattr__(self, "_token", token)
-        return token
 
     def compute_root(self, entry: Entry) -> bytes:
         """Fold the path upward from ``entry``'s digest to the root."""

@@ -26,52 +26,39 @@ authenticated, because a node's digest hashes the concatenation of *all*
 its children, so the fold fails unless the claimed slot count matches
 the committed one.
 
-Construction is *locate, then prove once*: the join's Merkle views hand
-the walk keys and remember them, a conjunct leaves the join as one
+Construction is *locate, then prove once*: the join's SP views hand the
+walk keys and remember them, a conjunct leaves the join as one
 :class:`LocatedRun` per tree, and :func:`compress_query_vo` — run on the
 SP after the per-conjunct VOs are gathered in call order, so the
 finished VO is deterministic for any shard count or pool mode — merges
-the runs per root and asks each touched tree once, through
-:func:`prove_keys`, for :meth:`~repro.core.mbtree.MBTree.multiproof`
-over everything the query read from it.  :func:`prove_keys` runs
-wherever the tree lives (in-process, or inside the affine shard worker).
-The tables are the whole VO: the client replays the join over them.
-Per-entry paths are minted only for the legacy ``vo_version=2`` form
-(:func:`expand_query_vo`, which replays the join on the SP to write its
-rounds down) and for the cache warmer.
+the runs per tree state and asks each touched tree once, through
+:func:`prove_keys`, for its table over everything the query read from
+it.  :func:`prove_keys` runs wherever the tree lives (in-process, or
+inside the affine shard worker).  The tables are the whole VO: the
+client authenticates each and replays the join over it through a
+:class:`ProvenRun`.  No per-entry proof is minted on the query path.
 
 Chameleon family
 ----------------
 CVC membership proofs overlap the same way — every entry repeats the
-openings of all its ancestors — and :func:`compress_query_vo` gives them
-the same treatment: one
-:class:`~repro.core.chameleon.ChameleonMultiproof` node table per tree,
-entries rewritten to :class:`~repro.core.chameleon.NodeRef`.  The table
-and its verification live in :mod:`repro.core.chameleon`.
+openings of all its ancestors — and take the same route: a Chameleon
+view remembers *positions*, and the tree's table is a
+:class:`~repro.core.chameleon.ChameleonMultiproof` holding every node
+once.  The table and its authentication live in
+:mod:`repro.core.chameleon`.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
+from operator import lt
 
-from repro.core.chameleon import MembershipProof, NodeRef, build_node_table
+from repro.core.chameleon import ChameleonTreeSP
 from repro.core.mbtree import MBTree, entry_digest, leaf_digest, node_digest
-from repro.core.query.join import conjunctive_join
-from repro.core.query.vo import (
-    ConjunctiveVO,
-    FullScanVO,
-    JoinRound,
-    MultiWayJoinVO,
-    ProvenEntry,
-    QueryVO,
-    ReplayVO,
-    SemiJoinProbe,
-    SemiJoinStage,
-    varint_size,
-    written_entries,
-)
+from repro.core.query.vo import ConjunctiveVO, QueryVO, ReplayVO, varint_size
+from repro.crypto.bloom import BloomFilterChain
 from repro.crypto.hashing import digests_equal, tagged_hash
 from repro.errors import (
     ReproError,
@@ -118,17 +105,16 @@ class TreeMultiproof:
       ``len(helpers)`` (:meth:`_walk` rejects unconsumed helpers, so
       the total is exact).
 
-    ``tests/reference_multiproof.py`` keeps the root-to-leaf
-    ``(gpath, widths)`` form of the same three predicates as the oracle.
+    :class:`ProvenRun` evaluates all three as one comparison of the
+    padded counts; ``tests/reference_multiproof.py`` keeps the
+    root-to-leaf ``(gpath, widths)`` form of the predicates as the
+    oracle.
     """
 
     height: int
     nodes: tuple[tuple[int, ...], ...]
     helpers: tuple[bytes, ...]
     leaves: tuple[tuple[int, bytes], ...]
-
-    #: The codec frame that can carry this table.
-    frame_version = 3
 
     def __hash__(self) -> int:
         cached = self.__dict__.get("_hash")
@@ -275,41 +261,6 @@ class TreeMultiproof:
         """Per proven leaf, the helpers the fold consumed before it."""
         return self._walk()[1]
 
-    def leaf_entry(self, ordinal: int) -> tuple[int, bytes]:
-        """The ``(object_id, object_hash)`` of one proven leaf."""
-        if not 0 <= ordinal < len(self.leaves):
-            raise VerificationError(
-                f"multiproof leaf ordinal {ordinal} out of range"
-            )
-        return self.leaves[ordinal]
-
-    # -- position predicates (see "Positions" above) ---------------------------
-
-    def _before(self, ordinal: int) -> int:
-        before = self._walk()[1]
-        if not 0 <= ordinal < len(before):
-            raise VerificationError(
-                f"multiproof leaf ordinal {ordinal} out of range"
-            )
-        return before[ordinal]
-
-    def is_leftmost(self, ordinal: int) -> bool:
-        """Whether the leaf is provably the tree's first entry."""
-        return self._before(ordinal) == 0 and ordinal == 0
-
-    def is_rightmost(self, ordinal: int) -> bool:
-        """Whether the leaf is provably the tree's last entry."""
-        return (
-            self._before(ordinal) == len(self.helpers)
-            and ordinal == len(self.leaves) - 1
-        )
-
-    def adjacent(self, left_ordinal: int, right_ordinal: int) -> bool:
-        """Whether two proven leaves are consecutive in the tree."""
-        left = self._before(left_ordinal)
-        right = self._before(right_ordinal)
-        return right_ordinal == left_ordinal + 1 and left == right
-
 
 # ---------------------------------------------------------------------------
 # Construction (SP side): locate, then prove once
@@ -320,20 +271,23 @@ class TreeMultiproof:
 class LocatedRun:
     """What a join walk read from one tree, before it is proven.
 
-    The Merkle-family views answer the walk with keys found by a
-    hash-free descent; a run names the tree they came from — ``keyword``
-    and the ``root`` digest read at locate time — and lists the ``keys``
-    read, ascending and unique (empty when the walk ended before it
-    reached this tree).  ``tree`` is the live tree when the run was made
-    in this process; it is never serialised (a pickled run carries none)
-    and never compared.  A VO holding one is unfinished: sizing,
-    encoding or verifying it fails closed.
+    The SP's views answer the walk with keys found without proving
+    anything; a run names the tree they came from — ``keyword`` and the
+    ``root`` read at locate time: an MB-tree's root digest, a Chameleon
+    tree's ``c_0 || cnt`` — and lists the ``keys`` read (MB-tree keys,
+    Chameleon positions), ascending and unique (empty when the walk
+    ended before it reached this tree).  ``tree`` is the live tree when
+    the run was made in this process; it is never serialised (a pickled
+    run carries none) and never compared.  A VO holding one is
+    unfinished: sizing, encoding or verifying it fails closed.
     """
 
     keyword: str
     root: bytes
     keys: tuple[int, ...]
-    tree: MBTree | None = field(default=None, compare=False, repr=False)
+    tree: MBTree | ChameleonTreeSP | None = field(
+        default=None, compare=False, repr=False
+    )
 
     def __reduce__(self):
         return (LocatedRun, (self.keyword, self.root, self.keys))
@@ -343,35 +297,34 @@ class LocatedRun:
 class ProveRequest:
     """One tree's share of a query's prove step (plain data).
 
-    ``keys`` are the located keys, ascending and unique; ``paths`` asks
-    for one ``(entry, MerklePath)`` pair per key instead of the
-    multiproof.
+    ``keys`` are the located keys, ascending and unique.
     """
 
     keyword: str
     root: bytes
     keys: tuple[int, ...]
-    paths: bool
 
 
-def prove_keys(tree: MBTree | None, request: ProveRequest):
+def prove_keys(tree: MBTree | ChameleonTreeSP | None, request: ProveRequest):
     """Run one :class:`ProveRequest` against the tree that owns it.
 
     The single prove routine: called in-process on a run's live tree,
     by the front-end's resolver, and inside the affine shard worker that
-    holds the blob.  Returns ``MBTree.multiproof``'s table or, for
-    ``request.paths``, ``MBTree.prove``'s pair per key.  Raises
+    holds the blob.  Returns the tree's table over the keys.  Raises
     :class:`~repro.errors.StaleProofError` when the tree moved since the
     keys were located.
     """
-    if tree is None or not digests_equal(tree.root_hash, request.root):
+    current = None
+    if tree is not None:
+        current = (
+            tree.run_root if isinstance(tree, ChameleonTreeSP) else tree.root_hash
+        )
+    if current is None or not digests_equal(current, request.root):
         raise StaleProofError(
             f"tree of keyword {request.keyword!r} changed between locate "
             "and prove"
         )
     try:
-        if request.paths:
-            return [tree.prove(key) for key in request.keys]
         return tree.multiproof(request.keys)
     except ReproError as exc:
         raise StaleProofError(
@@ -385,10 +338,8 @@ def prove_keys(tree: MBTree | None, request: ProveRequest):
 Prover = Callable[[list[ProveRequest]], list]
 
 
-def _prove_runs(
-    vo: QueryVO, paths: bool, prove: Prover | None
-) -> dict[bytes, object]:
-    """Prove what a VO's located runs read: one answer per root.
+def _prove_runs(vo: QueryVO, prove: Prover | None) -> dict[bytes, object]:
+    """Prove what a VO's located runs read: one table per root.
 
     Runs are grouped by the root recorded at locate time, in first-seen
     (conjunct, then tree) order — twin trees (equal roots, hence equal
@@ -398,7 +349,7 @@ def _prove_runs(
     """
     groups: dict[bytes, list[LocatedRun]] = {}
     for conj in vo.conjuncts:
-        if isinstance(conj.base, ReplayVO):
+        if conj.base is not None:
             for run in conj.base.runs:
                 if isinstance(run, LocatedRun) and run.keys:
                     groups.setdefault(run.root, []).append(run)
@@ -408,7 +359,7 @@ def _prove_runs(
         keys = runs[0].keys
         if len(runs) > 1:
             keys = tuple(sorted(set().union(*(run.keys for run in runs))))
-        request = ProveRequest(runs[0].keyword, root, keys, paths)
+        request = ProveRequest(runs[0].keyword, root, keys)
         tree = next((run.tree for run in runs if run.tree is not None), None)
         if tree is not None:
             answers[root] = prove_keys(tree, request)
@@ -426,217 +377,174 @@ def _prove_runs(
     return answers
 
 
-def _map_entry(entry, fn):
-    if entry is None:
-        return None
-    return fn(entry)
-
-
-def _map_vo_entries(vo: QueryVO, fn) -> QueryVO:
-    """Rebuild a VO with every written :class:`ProvenEntry` passed through ``fn``.
-
-    The traversal order is the codec's write order, which makes the
-    first-seen grouping (and therefore the whole compressed encoding)
-    deterministic.
-    """
-    conjuncts = []
-    for conj in vo.conjuncts:
-        base = conj.base
-        if isinstance(base, MultiWayJoinVO):
-            rounds = tuple(
-                JoinRound(
-                    kind=rnd.kind,
-                    probe_tree=rnd.probe_tree,
-                    lower=_map_entry(rnd.lower, fn),
-                    upper=_map_entry(rnd.upper, fn),
-                    next_target=_map_entry(rnd.next_target, fn),
-                )
-                for rnd in base.rounds
-            )
-            base = MultiWayJoinVO(
-                trees=base.trees,
-                first_target=fn(base.first_target),
-                rounds=rounds,
-            )
-        elif isinstance(base, FullScanVO):
-            base = FullScanVO(
-                keyword=base.keyword,
-                entries=tuple(fn(entry) for entry in base.entries),
-            )
-        stages = tuple(
-            SemiJoinStage(
-                keyword=stage.keyword,
-                probes=tuple(
-                    SemiJoinProbe(
-                        candidate_id=probe.candidate_id,
-                        bloom_absent=probe.bloom_absent,
-                        lower=_map_entry(probe.lower, fn),
-                        upper=_map_entry(probe.upper, fn),
-                    )
-                    for probe in stage.probes
-                ),
-            )
-            for stage in conj.stages
-        )
-        conjuncts.append(
-            ConjunctiveVO(
-                keywords=conj.keywords,
-                base=base,
-                stages=stages,
-                empty_keyword=conj.empty_keyword,
-            )
-        )
-    return QueryVO(conjuncts=tuple(conjuncts), multiproofs=vo.multiproofs)
-
-
 def compress_query_vo(vo: QueryVO, prove: Prover | None = None) -> QueryVO:
-    """Finish a VO: one deduplicated proof table per tree.
+    """Finish a VO: one proof table per tree the query read.
 
-    Merkle family: the join left, per conjunct and tree, the keys it
-    read (:class:`LocatedRun`).  The runs are grouped by root across
-    the conjuncts (one group per ``(tree, commitment)``), each tree is
-    asked once for the multiproof over the group's merged keys
-    (:func:`prove_keys` — on a run's live tree, or through ``prove`` for
-    runs that lost it to pickling), and every run becomes the index of
-    its tree's table.  Nothing else is shipped: the client re-runs the
-    join over the tables.  Chameleon family: entries are grouped by the
-    tree their membership proof was assembled from, each group becomes
-    one :class:`~repro.core.chameleon.ChameleonMultiproof` holding every
-    node once, and each proof shrinks to a
-    :class:`~repro.core.chameleon.NodeRef`.  Entries that already carry
-    a finished proof (and CVC proofs that do not say which tree they
-    came from) pass through untouched.  Runs after call-order gathering,
-    so the output is identical for any shard count, pool mode or
-    executor.
+    The join left, per conjunct and tree, the keys it read
+    (:class:`LocatedRun`).  The runs are grouped by root across the
+    conjuncts (one group per ``(tree, commitment)``), each tree is asked
+    once for its table over the group's merged keys (:func:`prove_keys`
+    — on a run's live tree, or through ``prove`` for runs that lost it
+    to pickling), and every run becomes the index of its tree's table.
+    Nothing else is shipped: the client re-runs the join over the
+    tables.  Runs after call-order gathering, so the output is identical
+    for any shard count, pool mode or executor.  A VO without located
+    runs is returned as it is.
     """
-    multiproofs: list = list(vo.multiproofs)
-    table_of: dict[object, int] = {}
-    for root, table in _prove_runs(vo, False, prove).items():
-        table_of[root] = len(multiproofs)
-        multiproofs.append(table)
-    trees: dict[tuple[int, int], list[MembershipProof]] = {}
-    for conj in vo.conjuncts:
-        for entry in written_entries(conj):
-            proof = entry.proof
-            if isinstance(proof, MembershipProof) and proof.tree is not None:
-                trees.setdefault(proof.tree, []).append(proof)
-    for tree, proofs in trees.items():
-        table_of[tree] = len(multiproofs)
-        multiproofs.append(build_node_table(tree[1], proofs))
-    if not table_of:
+    tables = _prove_runs(vo, prove)
+    if not tables:
         return vo
-
-    def rewrite(entry: ProvenEntry) -> ProvenEntry:
-        proof = entry.proof
-        if not isinstance(proof, MembershipProof) or proof.tree is None:
-            return entry
-        return ProvenEntry(
-            object_id=entry.object_id,
-            object_hash=entry.object_hash,
-            proof=NodeRef(
-                table_index=table_of[proof.tree],
-                position=proof.position,
-                slot1_proof=proof.slot1_proof,
-            ),
-        )
-
-    if trees:
-        vo = _map_vo_entries(vo, rewrite)
-    return QueryVO(
-        conjuncts=tuple(_with_tables(conj, table_of) for conj in vo.conjuncts),
-        multiproofs=tuple(multiproofs),
-    )
-
-
-def _with_tables(conj: ConjunctiveVO, table_of: dict) -> ConjunctiveVO:
-    """``conj`` with each located run swapped for its tree's table index."""
-    base = conj.base
-    if not isinstance(base, ReplayVO):
-        return conj
-    runs = tuple(
-        (table_of[run.root] if run.keys else None)
-        if isinstance(run, LocatedRun)
-        else run
-        for run in base.runs
-    )
-    return ConjunctiveVO(
-        keywords=conj.keywords, base=ReplayVO(base.plan, base.trees, runs)
-    )
-
-
-class PathRun:
-    """A tree's path-proven entries as an :class:`IndexView`.
-
-    The view :func:`expand_query_vo` re-runs a located join over to get
-    its rounds: ``entries`` are the proven keys of one tree, ascending,
-    each with its own :class:`~repro.core.mbtree.MerklePath`.  Two
-    entries around a target that some walk located are adjacent in the
-    tree, so a ``bisect`` finds the pair the tree itself returned.
-    """
-
-    def __init__(self, keyword: str, entries: list[ProvenEntry]) -> None:
-        self.keyword = keyword
-        self.entries = entries
-        self._keys = [entry.object_id for entry in entries]
-
-    def __len__(self) -> int:
-        # Never zero: a run the walk did not reach is not an empty tree.
-        return len(self.entries) or 1
-
-    def first_proven(self) -> ProvenEntry | None:
-        """The smallest entry."""
-        return self.entries[0] if self.entries else None
-
-    def boundaries_proven(
-        self, target: int
-    ) -> tuple[ProvenEntry | None, ProvenEntry | None]:
-        """The entries around a target."""
-        rank = bisect_right(self._keys, target)
-        entries = self.entries
-        return (
-            entries[rank - 1] if rank else None,
-            entries[rank] if rank < len(entries) else None,
-        )
-
-    def all_proven(self) -> list[ProvenEntry]:
-        """Every entry, in key order."""
-        return self.entries
-
-    def definitely_absent(self, object_id: int) -> bool:
-        """Whether on-chain filters prove the ID absent."""
-        return False
-
-
-def expand_query_vo(vo: QueryVO, prove: Prover | None = None) -> QueryVO:
-    """Finish a VO in the uncompressed (``vo_version=2``) form.
-
-    The legacy frame ships the walk: rounds of entries, each with its
-    own path.  Every tree is asked once for the paths of the keys the
-    query read from it, and each located conjunct is then re-run — the
-    same :func:`~repro.core.query.join.conjunctive_join`, same order and
-    plan — over :class:`PathRun` views of those entries, which writes the
-    rounds down.
-    """
-    proven = {
-        root: [
-            ProvenEntry(entry.key, entry.value_hash, path)
-            for entry, path in pairs
-        ]
-        for root, pairs in _prove_runs(vo, True, prove).items()
-    }
-    if not proven:
-        return vo
+    table_of = {root: index for index, root in enumerate(tables)}
     conjuncts = []
     for conj in vo.conjuncts:
         base = conj.base
-        if isinstance(base, ReplayVO):
-            views = [
-                PathRun(tree, proven[run.root] if run.keys else [])
-                for tree, run in zip(base.trees, base.runs)
-            ]
-            _, walked = conjunctive_join(views, order="given", plan=base.plan)
+        if base is not None:
+            runs = tuple(
+                (table_of[run.root] if run.keys else None)
+                if isinstance(run, LocatedRun)
+                else run
+                for run in base.runs
+            )
             conj = ConjunctiveVO(
-                keywords=conj.keywords, base=walked.base, stages=walked.stages
+                keywords=conj.keywords, base=ReplayVO(base.plan, base.trees, runs)
             )
         conjuncts.append(conj)
-    return QueryVO(conjuncts=tuple(conjuncts), multiproofs=vo.multiproofs)
+    return QueryVO(conjuncts=tuple(conjuncts), multiproofs=tuple(tables.values()))
+
+
+# ---------------------------------------------------------------------------
+# Replay (client side): the join's view of an authenticated table
+# ---------------------------------------------------------------------------
+
+
+def settle_tables(attached: int, reads: dict[int, bytearray]) -> None:
+    """The account of a query's tables, owed when its scope is left.
+
+    ``reads`` holds, per table some conjunct opened, the read marks its
+    :class:`ProvenRun` views shared.  Every attached table must have
+    been opened and every entry of it read by some probe: a valid answer
+    proves exactly what the walk reads, so there is one valid VO per
+    query, plan and state.
+    """
+    for index in range(attached):
+        read = reads.get(index)
+        if read is None:
+            raise VerificationError(f"table {index} is used by no conjunct")
+        if 0 in read[1:-1]:
+            raise VerificationError(
+                f"table {index} proves entries that no probe reads"
+            )
+
+
+class ProvenRun:
+    """One keyword's tree as the client's join walk reads it.
+
+    A :class:`~repro.core.query.join.KeyView` over the ``(id, h(o))``
+    rows of a table its proof system has authenticated against the
+    keyword's on-chain digest.  The walk's probe is a ``bisect`` over
+    the proven keys; the pair it lands between must be adjacent in the
+    tree — or, at either end of the run, the tree's first or last entry
+    — else the table does not show what lies around the target and the
+    read raises :class:`~repro.errors.VerificationError`.
+
+    ``gaps`` is what makes that one comparison: ``gaps[i + 1]`` counts
+    what the tree holds before the ``i``-th proven key that the table
+    does not show, so two proven keys are neighbours iff their counts
+    are equal.  It is padded with ``0`` in front and the total behind,
+    which turns "is the first entry", "is the last entry" and "the table
+    holds every entry" into the same comparison without a branch.  A
+    Merkle multiproof counts helper digests, each standing for at least
+    one entry (see ``TreeMultiproof``); a Chameleon node table counts
+    exactly: ``position - ordinal``.
+
+    Every read marks the rows it returned in ``read`` (shared by all
+    runs over one table); the proof system rejects a table with a row
+    left unmarked.  ``index`` is ``None`` for a tree the SP says the
+    walk never read: any read of it raises.  ``bloom`` is the keyword's
+    on-chain filter chain (Chameleon* only).
+    """
+
+    __slots__ = ("keyword", "index", "leaves", "keys", "bloom", "_edges", "_gaps", "_read")
+
+    def __init__(
+        self,
+        keyword: str,
+        index: int | None,
+        leaves: Sequence[tuple[int, bytes]],
+        gaps: tuple[int, ...],
+        read: bytearray,
+        bloom: BloomFilterChain | None = None,
+    ) -> None:
+        self.keyword = keyword
+        self.index = index
+        self.leaves = leaves
+        self.bloom = bloom
+        self.keys = keys = [key for key, _ in leaves]
+        if not all(map(lt, keys, keys[1:])):
+            raise VerificationError(
+                f"proven entries of keyword {keyword!r} do not ascend"
+            )
+        self._gaps = gaps
+        self._read = read
+        self._edges = (None, *keys, None)
+
+    @classmethod
+    def unread(cls, keyword: str, bloom: BloomFilterChain | None = None) -> "ProvenRun":
+        """The run of a tree the SP says the walk never read."""
+        return cls(keyword, None, (), (0, 1), bytearray(2), bloom)
+
+    def __len__(self) -> int:
+        # Never zero: a keyword with a table has entries, and one
+        # without was checked against the chain when the run was opened.
+        return len(self.keys) or 1
+
+    def first(self) -> int:
+        """The tree's first key, if the table shows it."""
+        if self._gaps[1]:
+            raise VerificationError(
+                f"VO lacks the first entry of {self.keyword!r}"
+            )
+        self._read[1] = 1
+        return self.keys[0]
+
+    def boundaries(self, target: int) -> tuple[int | None, int | None]:
+        """The tree's keys around a target, if the table shows them."""
+        rank = bisect_right(self.keys, target)
+        gaps = self._gaps
+        if gaps[rank] != gaps[rank + 1]:
+            raise VerificationError(
+                f"VO lacks the boundary of {target} in {self.keyword!r}"
+            )
+        read = self._read
+        read[rank] = read[rank + 1] = 1
+        edges = self._edges
+        return edges[rank], edges[rank + 1]
+
+    def scan(self) -> list[int]:
+        """Every key of the tree, if the table holds them all."""
+        if self._gaps[-1]:
+            raise VerificationError(
+                f"VO lacks entries of {self.keyword!r} (full scan)"
+            )
+        self._read[:] = b"\x01" * len(self._read)
+        return self.keys
+
+    def object_hashes(self, object_ids: list[int]) -> dict[int, bytes]:
+        """The proven ``h(o)`` of keys the walk has read."""
+        if not object_ids:
+            return {}
+        proven = dict(self.leaves)
+        try:
+            return {object_id: proven[object_id] for object_id in object_ids}
+        except KeyError as exc:
+            raise VerificationError(
+                f"object {exc} is not a proven entry of {self.keyword!r}"
+            ) from None
+
+    def run(self) -> int | None:
+        """The table this run reads from."""
+        return self.index
+
+    def definitely_absent(self, object_id: int) -> bool:
+        """Whether the keyword's on-chain filters prove the ID absent."""
+        return self.bloom is not None and self.bloom.definitely_absent(object_id)

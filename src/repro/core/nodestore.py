@@ -777,6 +777,28 @@ class ChameleonStore(TreeView):
         """Parent-link opening ``rho_{par,j}``."""
         return self._element(pos, 2)
 
+    @property
+    def root_bytes(self) -> bytes:
+        """``c_0`` as stored: ``value_bytes`` big-endian bytes."""
+        return bytes(self.store.blob[HEADER_SIZE : HEADER_SIZE + self.value_bytes])
+
+    def append_fields(self, out: bytearray, pos: int, entry: bool) -> None:
+        """Append node ``pos``'s fields to ``out`` as the record holds them.
+
+        ``id || h(o) || c || pi || rho`` for an entry, ``c || rho``
+        otherwise: slices of the record (which stores them contiguously,
+        but for the child-index byte), so no group element is parsed.
+        """
+        blob = self.store.blob
+        off = self.store.offset(pos - 1)
+        end = off + self.store.record_size
+        if entry:
+            out += blob[off : off + _CH_CHILD]
+            out += blob[off + _CH_HASH : end]
+        else:
+            out += blob[off + _CH_FIXED : off + _CH_FIXED + self.value_bytes]
+            out += blob[end - self.value_bytes : end]
+
     def rank_of(self, target: int) -> int:
         """Number of stored IDs ``<= target`` (IDs are position-sorted)."""
         lo, hi = 1, self.count + 1

@@ -10,18 +10,16 @@ Soundness: only *successful* verifications are cached, and the key must
 include **every** input that determines the verdict.  The Chameleon
 family keys on one *opening* — ``(modulus, commitment, slot, message,
 proof)``, the whole input of one ``vc.verify`` — and stores it only once
-the batch it was checked in has passed; the Merkle family keys on
-``(root, entry, path)``.  A tampered tuple differs in at least one key
-component, misses the cache, and is re-verified from scratch — a cache
-hit can therefore never mask a failing proof.
+the batch it was checked in has passed.  A tampered tuple differs in at
+least one key component, misses the cache, and is re-verified from
+scratch — a cache hit can therefore never mask a failing proof.
 
-Deduplicated multiproofs (v3 and v5 frames) follow the same rule with a structural
+The Merkle family's multiproofs follow the same rule with a structural
 token instead of the raw object: their key is ``(root,
 TreeMultiproof.cache_token())``, where the token hashes the complete
-proof content — heights, per-node slot codes,
-helper digests and the leaf table.  Any tamper changes the token, so a
-warmed fold can only ever be replayed for the byte-identical proof
-against the same root.
+proof content — heights, per-node slot codes, helper digests and the
+leaf table.  Any tamper changes the token, so a warmed fold can only
+ever be replayed for the byte-identical proof against the same root.
 
 Hits and misses are exported through :mod:`repro.obs` under
 ``<prefix>.cache_hit`` / ``<prefix>.cache_miss`` (e.g.

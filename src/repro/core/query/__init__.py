@@ -1,7 +1,6 @@
 """Query processing: DNF parsing, authenticated joins, VOs, verification."""
 
 from repro.core.query.join import (
-    IndexView,
     KeyView,
     conjunctive_join,
     join_two,
@@ -17,32 +16,21 @@ from repro.core.query.verify import (
 )
 from repro.core.query.vo import (
     ConjunctiveVO,
-    FullScanVO,
-    JoinRound,
-    MultiWayJoinVO,
     ProvenEntry,
     QueryAnswer,
     QueryVO,
     ReplayVO,
-    SemiJoinProbe,
-    SemiJoinStage,
 )
 
 __all__ = [
     "ConjunctiveVO",
-    "FullScanVO",
-    "IndexView",
-    "JoinRound",
     "KeyView",
     "KeywordQuery",
-    "MultiWayJoinVO",
     "ProofSystem",
     "ProvenEntry",
     "QueryAnswer",
     "QueryVO",
     "ReplayVO",
-    "SemiJoinProbe",
-    "SemiJoinStage",
     "VerifiedResults",
     "conjunctive_join",
     "join_two",

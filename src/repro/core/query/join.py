@@ -1,41 +1,35 @@
-"""Authenticated join processing (Sections III-B and V-C, Algorithm 5).
+"""Authenticated join processing (Sections III-B and V-C, Algorithms 5–6).
 
 Each conjunctive component is evaluated as a join over the component
-keywords' index trees.  There is one walk, written over *keys*: it asks a
-view for its first key and for the pair of keys around a target, and
-nothing else.  What differs between the families is who needs an account
-of the walk:
+keywords' index trees.  There is one walk, written over *keys*: it asks
+a :class:`KeyView` for its first key and for the pair of keys around a
+target, and nothing else.  Both parties run it:
 
-* **Chameleon family** — every entry carries its own opening, so the
-  walk's rounds *are* the VO.  These views implement :class:`IndexView`
-  (``*_proven`` methods returning
-  :class:`~repro.core.query.vo.ProvenEntry`); the engine puts a
-  :class:`_Transcript` in front of each, which hands the walk the keys
-  and keeps the proven entries for the round record, with the
-  Chameleon* Bloom-filter optimisation surfacing as ``skip`` rounds.
-* **Merkle family** — the client *replays* the join (Algorithm 6): it
-  holds, per tree, a proven run of leaves whose adjacency it can check,
-  so it can answer every probe of the walk itself.  These views
-  implement :class:`KeyView`; the walk leaves no rounds behind, each
-  view remembers which keys were read from it
-  (:meth:`KeyView.run`), and the conjunct's VO is a
-  :class:`~repro.core.query.vo.ReplayVO` naming those runs.  The SP
-  calls :func:`conjunctive_join` over its trees
-  (:class:`~repro.core.merkle_family.MBTreeView`), the client calls it
-  with ``order="given"`` over the authenticated tables
-  (:class:`~repro.core.merkle_family.ProvenRun`): same routine, same
+* the **SP** over its trees
+  (:class:`~repro.core.merkle_family.MBTreeView`,
+  :class:`~repro.core.chameleon_index.ChameleonView`), which answer
+  from the index and remember what was read — the conjunct's VO is a
+  :class:`~repro.core.query.vo.ReplayVO` naming those runs, and the
+  prove step turns each run into one table;
+* the **client** with ``order="given"`` over the authenticated tables
+  (:class:`~repro.core.multiproof.ProvenRun`): same routine, same
   probes, and a probe the tables cannot answer is a
-  :class:`~repro.errors.VerificationError` raised by the view.
+  :class:`~repro.errors.VerificationError` raised by the view
+  (Algorithm 6: the client *replays* the join).
+
+The walk leaves no account of itself: which tree is probed when, where
+the target goes next and when the walk ends are computed on each side,
+never shipped.
 
 Two multiway plans are provided:
 
 * **cyclic** (default) — the k-way generalisation of the paper's
-  two-tree role-switching walk (Fig. 4): the target cycles through the
-  other trees collecting boundary proofs; a target confirmed in all
-  ``k-1`` of them is a result; a failed probe advances the target to
-  the probed tree's upper boundary.  For ``k = 2`` this is *exactly*
-  the paper's walk; its cost grows with the number of query keywords,
-  which is the behaviour the paper's Figs. 11–12 measure.
+  two-tree role-switching walk (Fig. 4): the target visits the other
+  trees collecting boundary proofs; a target confirmed in all ``k-1`` of
+  them is a result; a failed probe advances the target to the probed
+  tree's upper boundary.  For ``k = 2`` this is *exactly* the paper's
+  walk; its cost grows with the number of query keywords, which is the
+  behaviour the paper's Figs. 11–12 measure.
 * **semijoin** — footnote 3 taken literally: join the two smallest
   trees, then probe each surviving candidate in every remaining tree.
   Asymptotically cheaper when intersections are small; compared against
@@ -43,79 +37,40 @@ Two multiway plans are provided:
 
 Protocol invariants (cyclic walk):
 
-1. the first target is the first tree's first entry, proven first;
-2. every round probes the tree at cyclic offset 1..k-1 from the
-   target's *home* tree, in increasing offset order while the target
-   accumulates confirmations;
-3. a probe returns the boundary entries ``lower <= target < upper``
-   (adjacent, or edged with first/last evidence); ``lower == target``
-   is a confirmation, and ``k-1`` confirmations make a result;
+1. the first target is the first tree's first key;
+2. a target is probed in the *other* trees in list order — smallest
+   tree first under ``order="size"``, so a target most trees lack is
+   dismissed by the cheapest probe — while it accumulates
+   confirmations;
+3. a probe returns the keys ``lower <= target < upper`` around the
+   target; ``lower == target`` is a confirmation, and ``k-1``
+   confirmations make a result;
 4. a failed or completed target advances to the probed tree's upper
    boundary (which becomes the new home); a probe with no upper
    terminates the walk — everything beyond the target is provably
    absent from the probed tree;
-5. with Bloom filters, a round whose target is provably absent from
-   the probed tree skips the boundary proofs and advances the target
-   within its home tree instead.
+5. with Bloom filters (Chameleon*), a probe whose target the probed
+   tree's on-chain filters exclude is skipped, and the target advances
+   within its home tree instead.  Both sides evaluate the same
+   filters, so they skip the same probes.
 """
 
 from __future__ import annotations
 
-from typing import Protocol, runtime_checkable
+from bisect import bisect_left
+from typing import Literal, Protocol
 
-from repro.core.query.vo import (
-    ConjunctiveVO,
-    FullScanVO,
-    JoinRound,
-    MultiWayJoinVO,
-    ProvenEntry,
-    ReplayVO,
-    SemiJoinProbe,
-    SemiJoinStage,
-)
+from repro.core.query.vo import ConjunctiveVO, ReplayVO
 from repro.errors import QueryError
-
-
-@runtime_checkable
-class IndexView(Protocol):
-    """One keyword's index tree, every entry handed out with its proof."""
-
-    keyword: str
-
-    def __len__(self) -> int: ...
-
-    def first_proven(self) -> ProvenEntry | None:
-        """The smallest entry with proof, or None when empty."""
-        ...
-
-    def boundaries_proven(
-        self, target: int
-    ) -> tuple[ProvenEntry | None, ProvenEntry | None]:
-        """``(lower, upper)`` boundary entries around ``target``."""
-        ...
-
-    def all_proven(self) -> list[ProvenEntry]:
-        """Every entry with proof, in key order (full scans)."""
-        ...
-
-    def definitely_absent(self, object_id: int) -> bool:
-        """True when an on-chain-replicable filter proves absence.
-
-        Non-Bloom schemes always return False; returning True obliges
-        the *client* to reach the same conclusion from ``VO_chain``.
-        """
-        ...
 
 
 class KeyView(Protocol):
     """One keyword's index tree as the walk reads it: keys only.
 
-    ``replayed`` marks the flavour for :func:`conjunctive_join`.  A view
-    that cannot answer a read raises instead of guessing.
+    A view that cannot answer a read raises instead of guessing.
     """
 
     keyword: str
-    replayed: bool
 
     def __len__(self) -> int:
         """Zero iff the keyword has no entry; otherwise only a sort key."""
@@ -134,92 +89,53 @@ class KeyView(Protocol):
         ...
 
     def definitely_absent(self, object_id: int) -> bool:
-        """As :meth:`IndexView.definitely_absent`."""
+        """True when an on-chain-replicable filter proves absence.
+
+        Non-Bloom schemes always return False.  The SP's view and the
+        client's must agree, which they do by reading the same filters.
+        """
         ...
 
     def run(self) -> object:
-        """Where the leaves read so far are (to be) proven.
+        """Where the entries read so far are (to be) proven.
 
         The slot this tree gets in :attr:`ReplayVO.runs`.
         """
         ...
 
 
-class _Transcript:
-    """The key-level face of an :class:`IndexView`, for the one walk.
-
-    Answers the walk with keys and keeps the proven entries of the last
-    read, which the walk copies into the round it records.
-    """
-
-    __slots__ = ("view", "lower", "upper")
-
-    def __init__(self, view: IndexView) -> None:
-        self.view = view
-        self.lower: ProvenEntry | None = None
-        self.upper: ProvenEntry | None = None
-
-    def boundaries(self, target: int) -> tuple[int | None, int | None]:
-        lower, upper = self.view.boundaries_proven(target)
-        self.lower = lower
-        self.upper = upper
-        return (
-            None if lower is None else lower.object_id,
-            None if upper is None else upper.object_id,
-        )
-
-    def definitely_absent(self, object_id: int) -> bool:
-        return self.view.definitely_absent(object_id)
+def remember_key(keys: list[int], key: int) -> None:
+    """Add ``key`` to the ascending, duplicate-free list an SP view keeps."""
+    if not keys or keys[-1] < key:
+        keys.append(key)
+    elif keys[-1] != key:
+        # A probe that went backwards: keep the list sorted anyway.
+        at = bisect_left(keys, key)
+        if keys[at] != key:
+            keys.insert(at, key)
 
 
-def _replayed(view) -> bool:
-    """Whether a join over this view (and its like) is a :class:`KeyView` one."""
-    return bool(getattr(view, "replayed", False))
-
-
-def _cyclic_walk(
-    views: list, target: int, rounds: list[JoinRound] | None
-) -> list[int]:
-    """The k-way cyclic walk from ``views[0]``'s first key ``target``.
-
-    ``views`` answer with keys (:class:`KeyView`s or
-    :class:`_Transcript`s); returns the matches.  ``rounds``, when
-    given, receives one :class:`JoinRound` per probe, read off the
-    transcripts.
-    """
+def _cyclic_walk(views: list[KeyView], target: int) -> list[int]:
+    """The k-way walk from ``views[0]``'s first key ``target``; the matches."""
     k = len(views)
     matches: list[int] = []
     home = 0
     confirm = 0
-    offset = 1
     while True:
-        probe_idx = (home + offset) % k
+        # The confirm-th of the other trees, in list order.
+        probe_idx = confirm + (confirm >= home)
         view = views[probe_idx]
         if view.definitely_absent(target):
             _, upper = views[home].boundaries(target)
-            if rounds is not None:
-                rounds.append(
-                    JoinRound(
-                        kind="skip",
-                        probe_tree=probe_idx,
-                        next_target=views[home].upper,
-                    )
-                )
             if upper is None:
                 return matches
             target = upper
             confirm = 0
-            offset = 1
             continue
         lower, upper = view.boundaries(target)
-        if rounds is not None:
-            rounds.append(
-                JoinRound("probe", probe_idx, view.lower, view.upper)
-            )
         if lower == target:
             confirm += 1
             if confirm < k - 1:
-                offset += 1
                 continue
             matches.append(target)
         if upper is None:
@@ -227,77 +143,51 @@ def _cyclic_walk(
         target = upper
         home = probe_idx
         confirm = 0
-        offset = 1
 
 
-def multiway_join(
-    views: list,
-) -> tuple[list[int], MultiWayJoinVO | ReplayVO]:
+def multiway_join(views: list[KeyView]) -> tuple[list[int], ReplayVO]:
     """The k-way cyclic join walk; trees must all be non-empty.
 
-    Returns the matched IDs and the walk's VO: its rounds for
-    :class:`IndexView`s, the runs read for :class:`KeyView`s.
+    Returns the matched IDs and the runs the walk read.
     """
     if len(views) < 2:
         raise QueryError("multiway_join requires at least two trees")
     for view in views:
         if len(view) == 0:
             raise QueryError("multiway_join requires non-empty trees")
-    trees = tuple(v.keyword for v in views)
-    if _replayed(views[0]):
-        matches = _cyclic_walk(views, views[0].first(), None)
-        return matches, ReplayVO(
-            plan="cyclic", trees=trees, runs=tuple(v.run() for v in views)
-        )
-    first = views[0].first_proven()
-    rounds: list[JoinRound] = []
-    matches = _cyclic_walk(
-        [_Transcript(view) for view in views], first.object_id, rounds
-    )
-    return matches, MultiWayJoinVO(
-        trees=trees, first_target=first, rounds=tuple(rounds)
-    )
+    matches = _cyclic_walk(views, views[0].first())
+    return matches, _replay_vo("cyclic", views)
 
 
-def join_two(left, right) -> tuple[list[int], MultiWayJoinVO | ReplayVO]:
+def join_two(left: KeyView, right: KeyView) -> tuple[list[int], ReplayVO]:
     """Authenticated join of two trees (the paper's Fig. 4 walk)."""
     return multiway_join([left, right])
 
 
-def semi_join(
-    candidates: list[int], view
-) -> tuple[list[int], SemiJoinStage | None]:
-    """Filter ``candidates`` through one more tree with per-ID probes.
-
-    Returns the survivors and, for an :class:`IndexView`, the stage's
-    probes; a :class:`KeyView` remembers what was read instead.
-    """
-    replayed = _replayed(view)
-    face = view if replayed else _Transcript(view)
+def semi_join(candidates: list[int], view: KeyView) -> list[int]:
+    """Filter ``candidates`` through one more tree with per-ID probes."""
     survivors: list[int] = []
-    probes: list[SemiJoinProbe] = []
     for candidate in sorted(candidates):
-        if face.definitely_absent(candidate):
-            probes.append(
-                SemiJoinProbe(candidate_id=candidate, bloom_absent=True)
-            )
+        if view.definitely_absent(candidate):
             continue
-        lower, _ = face.boundaries(candidate)
-        if not replayed:
-            probes.append(
-                SemiJoinProbe(
-                    candidate_id=candidate, lower=face.lower, upper=face.upper
-                )
-            )
+        lower, _ = view.boundaries(candidate)
         if lower == candidate:
             survivors.append(candidate)
-    if replayed:
-        return survivors, None
-    return survivors, SemiJoinStage(keyword=view.keyword, probes=tuple(probes))
+    return survivors
+
+
+def _replay_vo(
+    plan: Literal["cyclic", "semijoin"], views: list[KeyView]
+) -> ReplayVO:
+    return ReplayVO(
+        plan=plan,
+        trees=tuple(v.keyword for v in views),
+        runs=tuple(v.run() for v in views),
+    )
 
 
 def conjunctive_join(
-    views: list,
+    views: list[KeyView],
     order: str = "size",
     plan: str = "cyclic",
 ) -> tuple[list[int], ConjunctiveVO]:
@@ -321,38 +211,20 @@ def conjunctive_join(
                 keywords=keywords, empty_keyword=view.keyword
             )
     ordered = sorted(views, key=len) if order == "size" else list(views)
-    replayed = _replayed(ordered[0])
     if len(ordered) == 1:
-        if replayed:
-            matches = ordered[0].scan()
-            base_vo = ReplayVO("cyclic", keywords, (ordered[0].run(),))
-        else:
-            entries = ordered[0].all_proven()
-            matches = [e.object_id for e in entries]
-            base_vo = FullScanVO(keyword=keywords[0], entries=tuple(entries))
-        return matches, ConjunctiveVO(keywords=keywords, base=base_vo)
-    if plan == "cyclic" or len(ordered) == 2:
-        matches, base_vo = multiway_join(ordered)
-        return matches, ConjunctiveVO(keywords=keywords, base=base_vo)
-    matches, base_vo = multiway_join(ordered[:2])
-    stages = []
-    for view in ordered[2:]:
-        if not matches:
-            # No candidates left: later stages are vacuous; stop here.
-            break
-        matches, stage = semi_join(matches, view)
-        stages.append(stage)
-    if replayed:
+        matches = ordered[0].scan()
+        base = _replay_vo("cyclic", ordered)
+    elif plan == "cyclic" or len(ordered) == 2:
+        matches = _cyclic_walk(ordered, ordered[0].first())
+        base = _replay_vo("cyclic", ordered)
+    else:
+        matches = _cyclic_walk(ordered[:2], ordered[0].first())
+        for view in ordered[2:]:
+            if not matches:
+                # No candidates left: later stages are vacuous; stop here.
+                break
+            matches = semi_join(matches, view)
         # One account for the whole component: what each tree was read
         # for, base pair and stages alike.
-        return matches, ConjunctiveVO(
-            keywords=keywords,
-            base=ReplayVO(
-                plan="semijoin",
-                trees=tuple(v.keyword for v in ordered),
-                runs=tuple(v.run() for v in ordered),
-            ),
-        )
-    return matches, ConjunctiveVO(
-        keywords=keywords, base=base_vo, stages=tuple(stages)
-    )
+        base = _replay_vo("semijoin", ordered)
+    return matches, ConjunctiveVO(keywords=keywords, base=base)

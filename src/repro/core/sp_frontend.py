@@ -25,18 +25,14 @@ now enforces for this module.
 
 from __future__ import annotations
 
+import dataclasses
 from pathlib import Path
 from typing import Callable, Iterator
 
 from repro import obs
 from repro.core.mbtree import MBTree
 from repro.core import suppressed
-from repro.core.multiproof import (
-    ProveRequest,
-    compress_query_vo,
-    expand_query_vo,
-    prove_keys,
-)
+from repro.core.multiproof import ProveRequest, compress_query_vo, prove_keys
 from repro.core.objects import DataObject, ObjectMetadata
 from repro.core.query.join import conjunctive_join
 from repro.core.query.parser import KeywordQuery
@@ -179,7 +175,6 @@ class ShardedStorageProvider:
         bloom_capacity: int = DEFAULT_CAPACITY,
         pool: str = "stateless",
         index_spec: tuple | None = None,
-        vo_version: int = 3,
     ) -> None:
         self.router = ShardRouter(shards, seed=seed)
         self.engine_kind = engine
@@ -188,11 +183,6 @@ class ShardedStorageProvider:
         self.join_order = join_order
         self.join_plan = join_plan
         self.fanout = fanout
-        if vo_version not in (2, 3):
-            raise ParameterError(
-                f"unsupported vo_version {vo_version}; expected 2 or 3"
-            )
-        self.vo_version = vo_version
         if pool not in POOL_KINDS:
             raise ParameterError(
                 f"unknown pool {pool!r}; expected one of: "
@@ -411,7 +401,7 @@ class ShardedStorageProvider:
     # -- query serving -----------------------------------------------------------
 
     def view(self, keyword: str):
-        """The join engine's IndexView, routed to the owning shard."""
+        """The join engine's view of a tree, routed to the owning shard."""
         return self.engine_for(keyword).view(keyword)
 
     def tree(self, keyword: str):
@@ -504,7 +494,12 @@ class ShardedStorageProvider:
                 else:
                     exported.update(reply)
             for index in cross:
-                views = [exported[keyword] for keyword in conjuncts[index]]
+                # A view remembers what was read from it: each conjunct
+                # walks fresh ones over the exported trees.
+                views = [
+                    dataclasses.replace(exported[keyword])
+                    for keyword in conjuncts[index]
+                ]
                 with obs.span("query.sp.join", keywords=len(views)):
                     outcomes[index] = conjunctive_join(
                         views, order=self.join_order, plan=self.join_plan
@@ -591,21 +586,16 @@ class ShardedStorageProvider:
         """Assemble ``VO_sp`` and run the prove step over it.
 
         The common tail of every query path (stateless, parallel and
-        affine).  The Merkle joins only located the keys they read;
-        here each touched tree is proven once for the whole query —
-        ``vo_version>=3`` as one deduplicated multiproof per ``(tree,
-        commitment)``, which is all the VO then holds, ``vo_version=2``
-        as the legacy rounds of per-entry paths.  It runs *after*
-        call-order gathering, over the fully assembled VO, so its output
-        is byte-identical for any shard count, pool mode or executor.
-        Chameleon-family VOs carry finished proofs and are only
-        deduplicated (``>=3``) or passed through (``2``).
+        affine).  The joins only located what they read; here each
+        touched tree is proven once for the whole query — one table per
+        ``(tree, commitment)``, which is all the VO then holds.  It runs
+        *after* call-order gathering, over the fully assembled VO, so
+        its output is byte-identical for any shard count, pool mode or
+        executor.
         """
         vo = QueryVO(conjuncts=tuple(conjunct_vos))
         with obs.span("query.sp.prove"):
-            if self.vo_version >= 3:
-                return compress_query_vo(vo, self._prove)
-            return expand_query_vo(vo, self._prove)
+            return compress_query_vo(vo, self._prove)
 
     def _prove(self, requests: list[ProveRequest]) -> list:
         """Prove step for runs whose join ran in another process.

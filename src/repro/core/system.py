@@ -46,12 +46,8 @@ from repro.core.chameleon_index import (
 )
 from repro.core.chameleon_star import ChameleonStarContract
 from repro.core.mbtree import DEFAULT_FANOUT
-from repro.core.merkle_family import (
-    MBTreeView,
-    MerkleInvertedSP,
-    MerkleProofSystem,
-    prove_scan,
-)
+from repro.core.merkle_family import MerkleInvertedSP, MerkleProofSystem
+from repro.core.multiproof import ProveRequest, prove_keys
 from repro.core.objects import DataObject, ObjectMetadata
 from repro.core.owner import ADS_CONTRACT, DataOwnerPipeline
 from repro.core.proofcache import DEFAULT_CACHE_SIZE, VerificationCache
@@ -110,8 +106,8 @@ class QueryResult:
     vo_chain_bytes: int
     sp_seconds: float
     verify_seconds: float
-    #: Proof-only share of ``vo_sp_bytes`` (per-entry proofs plus the
-    #: deduplicated multiproof table) — attributes compression wins.
+    #: Proof-only share of ``vo_sp_bytes``: the tables without their
+    #: ``id + hash`` rows.
     vo_proof_bytes: int = 0
 
     @property
@@ -146,11 +142,6 @@ class HybridStorageSystem:
     of successfully verified proof tuples reused across conjuncts and
     queries (0 disables it).
 
-    VO format knob: ``vo_version`` (default 3) selects the wire frame —
-    3 deduplicates the Merkle-family per-entry paths into one multiproof
-    per tree (the compressed frame), 2 preserves the legacy per-path VO
-    byte-for-byte (the Chameleon family is identical under both).
-
     Witness knobs: ``witness_warmer`` attaches per-shard
     :class:`~repro.sp.warmer.CacheWarmer` instances that pre-verify hot
     keywords' proofs into the verification cache on insert and on a
@@ -158,6 +149,10 @@ class HybridStorageSystem:
     every dirty keyword).  Call :meth:`warm_pending` inline or
     ``system.warmer.start()`` for the background thread.
     """
+
+    #: There is one VO shape; ``benchmarks/e2e`` still reads this, and it
+    #: goes when a benchmark-only PR stops doing so.
+    vo_version = 3
 
     def __init__(
         self,
@@ -182,7 +177,6 @@ class HybridStorageSystem:
         engine: str = "memory",
         engine_dir: str | Path | None = None,
         pool: str = "stateless",
-        vo_version: int = 3,
     ) -> None:
         self.scheme = Scheme.parse(scheme)
         self.fanout = fanout
@@ -200,7 +194,6 @@ class HybridStorageSystem:
         self.shards = shards
         self.engine = engine
         self.pool = pool
-        self.vo_version = vo_version
         self.chain = Blockchain(gas_limit=gas_limit, track_state=track_state)
         self.mine_every = max(1, mine_every)
         self._inserts_since_mine = 0
@@ -276,7 +269,6 @@ class HybridStorageSystem:
             bloom_capacity=bloom_capacity,
             pool=pool,
             index_spec=index_spec,
-            vo_version=vo_version,
         )
         self._owner = DataOwnerPipeline(
             scheme=self.scheme,
@@ -338,16 +330,20 @@ class HybridStorageSystem:
         self._sp.engines[0].blooms = value
 
     def _locked_prove(self, keyword: str):
-        """Warmer hook: a keyword's proven entries, under the read lock.
+        """Warmer hook: a keyword's full-scan table, under the read lock.
 
-        Merkle views only locate; their prove step runs here too, while
-        the lock still pins the tree.
+        What a scan of the keyword presents (``None`` when it has no
+        entry): locate and prove both run while the lock pins the tree.
         """
         with self._rwlock.read():
             view = self._sp_view(keyword)
-            if isinstance(view, MBTreeView):
-                return prove_scan(view)
-            return view.all_proven()
+            if not len(view):
+                return None
+            view.scan()
+            run = view.run()
+            return prove_keys(
+                run.tree, ProveRequest(run.keyword, run.root, run.keys)
+            )
 
     def _locked_proof_system(self, keywords: frozenset[str]):
         """Warmer hook: the proof system, built under the read lock."""
@@ -584,7 +580,7 @@ class HybridStorageSystem:
             verify_seconds = time.perf_counter() - t1
             with obs.span("query.vo_encode"):
                 vo_sp_bytes = len(self._codec.encode(answer.vo))
-            vo_proof_bytes = answer.vo.proof_byte_size(self.value_bytes)
+            vo_proof_bytes = answer.vo.proof_byte_size()
             vo_chain_bytes = proof_system.chain_digest_bytes()
             root_span.set(
                 keywords=len(query.all_keywords()),

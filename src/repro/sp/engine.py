@@ -318,7 +318,7 @@ class IndexShardEngine:
     # -- reads ------------------------------------------------------------------
 
     def view(self, keyword: str) -> Any:
-        """The join engine's IndexView for one of this shard's keywords."""
+        """The join engine's view of one of this shard's keyword trees."""
         view = self.index.view(keyword)
         if self.star:
             view.bloom = self.blooms.get(keyword)

@@ -44,7 +44,13 @@ from repro.core.wire import U16, U32, Reader
 
 if TYPE_CHECKING:
     from repro.core.system import HybridStorageSystem
-from repro.errors import DatasetError, QueryError, QueryLimitError, ReproError
+from repro.errors import (
+    DatasetError,
+    QueryError,
+    QueryLimitError,
+    ReproError,
+    VerificationError,
+)
 
 #: Protocol version byte, bumped on breaking format changes.
 #: v2: error responses carry a machine-readable error-code byte.
@@ -274,6 +280,14 @@ class RemoteClient:
                 )
             with obs.span("client.vo_decode", bytes=len(response.vo_bytes)):
                 vo = self._codec.decode(response.vo_bytes)
+            # One object per result ID, in the IDs' order: an object the
+            # SP slipped in beside them would be checked against nothing
+            # below (verification walks the verified IDs, not the list).
+            if [obj.object_id for obj in response.objects] != response.result_ids:
+                raise VerificationError(
+                    "response objects are not exactly one per result ID, "
+                    "in ID order"
+                )
             answer = QueryAnswer(
                 result_ids=response.result_ids,
                 objects={obj.object_id: obj for obj in response.objects},

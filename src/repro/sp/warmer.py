@@ -14,18 +14,18 @@ closes that gap by doing the first verification *ahead of the query*:
   :meth:`sync_from_metrics`;
 * :meth:`run_pending` (deterministic, inline) or the background thread
   (:meth:`start`/:meth:`stop`) then warms the hot dirty keywords: it
-  assembles each entry's membership proof from the SP's stored material
-  and pushes the list through the scheme's ``warm_entries`` hook, which
-  runs the *real* ``verify_entry`` — the same code path a client runs —
-  and settles what that defers, so only proofs that actually verify
-  land in the cache.
+  asks the SP for the keyword's full-scan table and does what a client
+  verifying a scan of that keyword does — attach the table, open it
+  with ``proven_run`` and read every entry, inside ``settling()`` — so
+  it warms exactly the keys a scan presents, and only if the whole
+  table verifies.
 
 Soundness is inherited, not re-argued: the cache stores successful
 verifications keyed on the complete proven tuple, and the warmer adds
-entries only through ``verify_entry`` itself.  A tampered proof fails
-at warm time and caches nothing, so a later query re-verifies (and
-fails) from scratch — warming can never turn an invalid proof into an
-accepted one.
+them only through the client's own verification path.  A tampered
+table fails at warm time and caches nothing, so a later query
+re-verifies (and fails) from scratch — warming can never turn an
+invalid proof into an accepted one.
 
 Telemetry: ``sp.warm.keywords`` / ``sp.warm.entries`` /
 ``sp.warm.failures`` counters and one ``sp.warm.keyword`` span per
@@ -36,10 +36,11 @@ from __future__ import annotations
 
 import threading
 import time
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable
 from typing import TYPE_CHECKING, Any
 
 from repro import obs
+from repro.errors import VerificationError
 
 if TYPE_CHECKING:
     from repro.sp.engine import ShardRouter
@@ -54,13 +55,13 @@ ACCESS_METRIC_PREFIX = "sp.keyword.access."
 class CacheWarmer:
     """Precomputes successful proof verifications for hot keywords.
 
-    ``prove(keyword)`` returns the keyword's proven entries (the SP's
-    view assembles them from stored witnesses); ``proof_system(keywords)``
-    builds the client-side proof system bound to the *current* on-chain
-    digests, sharing the verification cache to be warmed.  Both are
-    supplied by :class:`~repro.core.system.HybridStorageSystem`, but any
-    pair with the same contract works (the warmer is scheme-agnostic:
-    CVC membership proofs and Merkle paths warm identically).
+    ``prove(keyword)`` returns the keyword's full-scan table (``None``
+    when it has no entry); ``proof_system(keywords)`` builds the
+    client-side proof system bound to the *current* on-chain digests,
+    sharing the verification cache to be warmed.  Both are supplied by
+    :class:`~repro.core.system.HybridStorageSystem`, but any pair with
+    the same contract works (the warmer is scheme-agnostic: node tables
+    and Merkle multiproofs warm identically).
 
     A keyword is warmed when it is *dirty* (inserted since the last
     warm) and *hot* (trailing accesses ≥ ``hot_threshold``).  Passing
@@ -70,7 +71,7 @@ class CacheWarmer:
 
     def __init__(
         self,
-        prove: Callable[[str], Sequence[Any]],
+        prove: Callable[[str], Any],
         proof_system: Callable[[frozenset[str]], Any],
         hot_threshold: int = DEFAULT_HOT_THRESHOLD,
     ) -> None:
@@ -140,27 +141,33 @@ class CacheWarmer:
     # -- warming ----------------------------------------------------------------
 
     def warm(self, keyword: str) -> int:
-        """Verify every current proof of one keyword into the cache.
+        """Verify the keyword's full-scan table into the cache.
 
-        Returns the number of entries warmed.  A proof that fails
-        verification is counted, skipped and left uncached (fail
-        closed); the keyword stays dirty so the failure is re-observed.
+        Returns the number of entries warmed: all of them or, when the
+        table does not verify, none — nothing of it is cached (fail
+        closed) and the keyword stays dirty so the failure is
+        re-observed.
         """
-        entries = self._prove(keyword)
-        if not entries:
+        table = self._prove(keyword)
+        if table is None:
             with self._lock:
                 self._dirty.pop(keyword, None)
             return 0
+        entries = len(table.leaves)
         ps = self._proof_system(frozenset((keyword,)))
-        with obs.span("sp.warm.keyword", keyword=keyword, entries=len(entries)):
-            # The scheme's own hook: it verifies each entry (a failure
-            # is skipped and left uncached, fail closed per entry), and
-            # settles whatever its verification defers before it counts.
-            warmed = ps.warm_entries(keyword, entries)
-        failures = len(entries) - warmed
+        with obs.span("sp.warm.keyword", keyword=keyword, entries=entries):
+            # What a client verifying a scan does; the scope's exit
+            # settles whatever the proof system deferred.
+            try:
+                ps.attach_multiproofs((table,))
+                with ps.settling():
+                    ps.proven_run(keyword, 0).scan()
+                warmed = entries
+            except VerificationError:
+                warmed = 0
         obs.inc("sp.warm.entries", warmed)
-        if failures:
-            obs.inc("sp.warm.failures", failures)
+        if warmed < entries:
+            obs.inc("sp.warm.failures", entries - warmed)
         else:
             with self._lock:
                 self._dirty.pop(keyword, None)

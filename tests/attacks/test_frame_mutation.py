@@ -1,12 +1,11 @@
 """Mechanical adversary on the wire: every byte flipped, every prefix.
 
-One frame per family — CI (v4 node tables), CI* (v4 with Bloom skip
-rounds) and SMI (v5: multiproof tables, no rounds) — is mutated at every
-offset and pushed
-through the client's path: decode, then verify against the honest chain
-state.  Two things must hold for every mutant: the only exception that
-escapes is a :class:`~repro.errors.ReproError` subclass, and nothing
-verifies.  The same sweep then runs one layer out, over the protocol's
+One v6 frame per scheme — CI and CI* (node tables; for CI* a walk with
+Bloom skips), MI and SMI (multiproof tables) — is mutated at every
+offset and pushed through the client's path: decode, then verify
+against the honest chain state.  Two things must hold for every mutant:
+the only exception that escapes is a :class:`~repro.errors.ReproError`
+subclass, and nothing verifies.  The same sweep then runs one layer out, over the protocol's
 own bytes: every mutant of a whole response goes through
 ``RemoteClient.query``, every mutant of a request through
 ``StorageProviderServer.handle``, which must answer each with a response
@@ -37,29 +36,26 @@ DOCS = (
     DataObject(8, ("covid-19", "vaccine"), b"g"),
 )
 
-#: A join (boundary proofs, for CI* also skip rounds) OR-ed with a scan.
+#: A join (boundary rows, for CI* also Bloom skips) OR-ed with a scan.
 QUERY = "(covid-19 AND vaccine) OR symptom"
 
 CASES = {
-    "ci": ({"scheme": "ci", "cvc_modulus_bits": 512}, 0xF4),
-    "ci*": (
-        {"scheme": "ci*", "cvc_modulus_bits": 512, "bloom_capacity": 2},
-        0xF4,
-    ),
-    "smi": ({"scheme": "smi"}, 0xF5),
+    "ci": {"scheme": "ci", "cvc_modulus_bits": 512},
+    "ci*": {"scheme": "ci*", "cvc_modulus_bits": 512, "bloom_capacity": 2},
+    "mi": {"scheme": "mi"},
+    "smi": {"scheme": "smi"},
 }
 
 
 @pytest.fixture(scope="module", params=sorted(CASES))
 def honest(request):
-    kwargs, marker = CASES[request.param]
-    system = HybridStorageSystem(seed=8, **kwargs)
+    system = HybridStorageSystem(seed=8, **CASES[request.param])
     system.add_objects(DOCS)
     query = KeywordQuery.parse(QUERY)
     answer = system.process_query(query)
     codec = VOCodec(value_bytes=system.value_bytes)
     payload = codec.encode(answer.vo)
-    assert payload[0] == marker
+    assert payload[0] == 0xF6
     ps = system.chain_proof_system(query.all_keywords())
     assert verify_query(query, answer, ps).ids == {4, 5, 6, 8}
     return codec, payload, query, answer, ps, system
@@ -132,7 +128,7 @@ def test_every_mutated_response_is_rejected_by_the_remote_client(honest):
     # the same decode + verify: there the per-byte sweep stops where the
     # VO starts, and only cuts and a suffix reach into it.
     vo_start = len(response) - len(QueryResponse.decode(response).vo_bytes)
-    swept = len(response) if honest[1][0] == 0xF5 else vo_start
+    swept = vo_start if system.uses_cvc else len(response)
     accepted = 0
     for mutant in mutants(response[:swept]):
         client = RemoteClient(lambda _, m=mutant + response[swept:]: m, system)

@@ -4,12 +4,13 @@ Each test plays a malicious SP: it takes an honestly produced answer,
 mutates it the way an attacker would, and asserts that client-side
 verification rejects it with a :class:`VerificationError`.
 
-The SP of today ships per-tree tables of proven leaves and the client
-replays the join (``TestTableAttacks``): what is left to forge is which
-leaves a table proves.  The walk-shaped attacks of the classes after it
-— a dropped, reordered or mis-scheduled round, a join cut short — have
-no representation in that frame; they are kept against the legacy
-frame with rounds (``vo_version=2``), which the client still verifies.
+The SP ships per-tree tables of proven leaves and the client replays
+the join (``TestTableAttacks``, on SMI): what is left to forge is which
+leaves a table proves, the order of the trees and the plan.  The
+walk-shaped attacks of the classes after it — a dropped, reordered or
+mis-scheduled round, a join cut short — have no representation in a
+frame without rounds; each is played (on MI) as the table-level forgery
+an SP with the same intent is left with.
 """
 
 import dataclasses
@@ -26,7 +27,7 @@ from repro.errors import VerificationError
 
 @pytest.fixture()
 def tables(small_docs):
-    """A system whose SP answers with tables only (v5 frames)."""
+    """The SMI system of ``TestTableAttacks``."""
     sys_ = HybridStorageSystem(scheme="smi", seed=5)
     sys_.add_objects(small_docs)
     return sys_
@@ -34,8 +35,8 @@ def tables(small_docs):
 
 @pytest.fixture()
 def system(small_docs):
-    """A system whose SP still ships the walk (legacy v2 frames)."""
-    sys_ = HybridStorageSystem(scheme="smi", seed=5, vo_version=2)
+    """The MI system of the walk-shaped attacks."""
+    sys_ = HybridStorageSystem(scheme="mi", seed=5)
     sys_.add_objects(small_docs)
     return sys_
 
@@ -278,9 +279,17 @@ class TestTableAttacks:
 
     def test_wrong_plan_for_the_tables(self, tables):
         """The plan is the SP's to choose, but it has to be the plan the
-        tables were read under."""
-        text = "covid-19 AND symptom AND vaccine"
-        query, answer, ps = self.honest(tables, text)
+        tables were read under (where the two read the same leaves,
+        either name is the truth)."""
+        # a = b = {1, 2, 3, 10}, c = {10, ..., 14}: the cyclic walk jumps
+        # from 1 to c's first entry, the semi-join's base pair reads on.
+        docs = [DataObject(i, ("a", "b"), b"ab") for i in (1, 2, 3)]
+        docs.append(DataObject(10, ("a", "b", "c"), b"abc"))
+        docs += [DataObject(i, ("c",), b"c") for i in (11, 12, 13, 14)]
+        other = HybridStorageSystem(scheme="smi", seed=5)
+        other.add_objects(docs)
+        query, answer, ps = self.honest(other, "a AND b AND c")
+        assert verify_query(query, answer, ps).ids == {10}
         conj = answer.vo.conjuncts[0]
         assert conj.base.plan == "cyclic"
         forged = dataclasses.replace(
@@ -312,11 +321,26 @@ class TestTableAttacks:
         expect_rejection(query, answer, ps)
 
 
+def table_index(answer, keyword, conjunct=0):
+    base = answer.vo.conjuncts[conjunct].base
+    return base.runs[base.trees.index(keyword)]
+
+
+def reprove(system, answer, keyword, keys):
+    """Swap the keyword's table for an honest proof of other keys."""
+    tree = system.sp_index.trees[keyword]
+    with_table(answer, table_index(answer, keyword), tree.multiproof(keys))
+
+
+def claim(system, answer, result_ids):
+    answer.result_ids = list(result_ids)
+    answer.objects = {oid: system.store.get(oid) for oid in result_ids}
+
+
 class TestSoundnessAttacks:
     def test_extra_result_injected(self, system):
         query, answer, ps = honest_answer(system, "covid-19 AND symptom")
-        answer.result_ids = sorted(set(answer.result_ids) | {5})
-        answer.objects[5] = system.store.get(5)
+        claim(system, answer, sorted(set(answer.result_ids) | {5}))
         expect_rejection(query, answer, ps)
 
     def test_result_object_substituted(self, system):
@@ -326,51 +350,35 @@ class TestSoundnessAttacks:
 
     def test_entry_hash_tampered(self, system):
         query, answer, ps = honest_answer(system, "covid-19 AND symptom")
-        base = answer.vo.conjuncts[0].base
-        rnd = base.rounds[0]
-        assert rnd.lower is not None
-        forged_round = dataclasses.replace(
-            rnd,
-            lower=dataclasses.replace(rnd.lower, object_hash=sha3(b"evil")),
+        index = table_index(answer, "covid-19")
+        table = answer.vo.multiproofs[index]
+        key, _ = table.leaves[0]
+        with_table(
+            answer,
+            index,
+            dataclasses.replace(
+                table, leaves=((key, sha3(b"evil")),) + table.leaves[1:]
+            ),
         )
-        forged_base = dataclasses.replace(
-            base, rounds=(forged_round,) + base.rounds[1:]
-        )
-        forged_conj = dataclasses.replace(
-            answer.vo.conjuncts[0], base=forged_base
-        )
-        answer.vo = QueryVO(conjuncts=(forged_conj,))
         expect_rejection(query, answer, ps)
 
 
 class TestCompletenessAttacks:
+    """Symptom = {4, 6, 9, 11}, covid-19 = {1, 2, 4, 5, 7, 8, 10, 12}."""
+
     def test_dropped_result_round(self, system):
-        """Omitting the round that matched object 4 must be detected."""
+        """Omitting what the probe that matched object 4 read must be
+        detected: the probed tree's table goes on without 4."""
         query, answer, ps = honest_answer(system, "covid-19 AND symptom")
-        base = answer.vo.conjuncts[0].base
-        match_index = next(
-            i
-            for i, rnd in enumerate(base.rounds)
-            if rnd.lower is not None and rnd.lower.object_id == 4
-        )
-        pruned = base.rounds[:match_index] + base.rounds[match_index + 1 :]
-        forged_base = dataclasses.replace(base, rounds=pruned)
-        forged_conj = dataclasses.replace(
-            answer.vo.conjuncts[0], base=forged_base
-        )
-        answer.vo = QueryVO(conjuncts=(forged_conj,))
-        answer.result_ids = []
-        answer.objects = {}
+        reprove(system, answer, "covid-19", [5, 7, 8, 10, 12])
+        claim(system, answer, [])
         expect_rejection(query, answer, ps)
 
     def test_truncated_join_without_terminal(self, system):
+        """The walk stopped after its first probe: both tables end there."""
         query, answer, ps = honest_answer(system, "covid-19 AND symptom")
-        base = answer.vo.conjuncts[0].base
-        forged_base = dataclasses.replace(base, rounds=base.rounds[:1])
-        forged_conj = dataclasses.replace(
-            answer.vo.conjuncts[0], base=forged_base
-        )
-        answer.vo = QueryVO(conjuncts=(forged_conj,))
+        reprove(system, answer, "symptom", [4, 6])
+        reprove(system, answer, "covid-19", [4, 5])
         expect_rejection(query, answer, ps)
 
     def test_false_empty_keyword_claim(self, system):
@@ -380,50 +388,39 @@ class TestCompletenessAttacks:
             empty_keyword="symptom",
         )
         answer.vo = QueryVO(conjuncts=(forged_conj,))
-        answer.result_ids = []
-        answer.objects = {}
+        claim(system, answer, [])
         expect_rejection(query, answer, ps)
 
     def test_full_scan_with_dropped_entry(self, system):
         query, answer, ps = honest_answer(system, "symptom")
-        scan = answer.vo.conjuncts[0].base
-        pruned = dataclasses.replace(
-            scan, entries=scan.entries[:1] + scan.entries[2:]
-        )
-        forged_conj = dataclasses.replace(answer.vo.conjuncts[0], base=pruned)
-        answer.vo = QueryVO(conjuncts=(forged_conj,))
-        answer.result_ids = [e.object_id for e in pruned.entries]
-        answer.objects = {
-            oid: system.store.get(oid) for oid in answer.result_ids
-        }
+        reprove(system, answer, "symptom", [4, 9, 11])
+        claim(system, answer, [4, 9, 11])
         expect_rejection(query, answer, ps)
 
     def test_full_scan_truncated_tail(self, system):
         query, answer, ps = honest_answer(system, "symptom")
-        scan = answer.vo.conjuncts[0].base
-        pruned = dataclasses.replace(scan, entries=scan.entries[:-1])
-        forged_conj = dataclasses.replace(answer.vo.conjuncts[0], base=pruned)
-        answer.vo = QueryVO(conjuncts=(forged_conj,))
-        answer.result_ids = [e.object_id for e in pruned.entries]
-        answer.objects = {
-            oid: system.store.get(oid) for oid in answer.result_ids
-        }
+        reprove(system, answer, "symptom", [4, 6, 9])
+        claim(system, answer, [4, 6, 9])
         expect_rejection(query, answer, ps)
 
     def test_semi_join_probe_omitted(self, small_docs):
-        system = HybridStorageSystem(
-            scheme="smi", seed=5, join_plan="semijoin", vo_version=2
-        )
+        system = HybridStorageSystem(scheme="mi", seed=5, join_plan="semijoin")
         system.add_objects(small_docs)
         query, answer, ps = honest_answer(
             system, "covid-19 AND symptom AND vaccine"
         )
-        conj = answer.vo.conjuncts[0]
-        assert conj.stages, "expected a 3-way join with a semi-join stage"
-        stage = conj.stages[0]
-        pruned_stage = dataclasses.replace(stage, probes=stage.probes[:-1])
-        forged_conj = dataclasses.replace(conj, stages=(pruned_stage,))
-        answer.vo = QueryVO(conjuncts=(forged_conj,))
+        base = answer.vo.conjuncts[0].base
+        assert base.plan == "semijoin" and base.trees[2] == "covid-19"
+        # The stage probes the base pair's one candidate, 4, in covid-19.
+        index = table_index(answer, "covid-19")
+        assert [k for k, _ in answer.vo.multiproofs[index].leaves] == [4, 5]
+        forged = dataclasses.replace(base, runs=base.runs[:2] + (None,))
+        answer.vo = dataclasses.replace(
+            answer.vo,
+            conjuncts=(dataclasses.replace(answer.vo.conjuncts[0], base=forged),),
+            multiproofs=answer.vo.multiproofs[:index]
+            + answer.vo.multiproofs[index + 1 :],
+        )
         expect_rejection(query, answer, ps)
 
     def test_stale_index_answer_rejected(self, system):
@@ -440,55 +437,46 @@ class TestCompletenessAttacks:
 
 
 class TestWalkScheduleAttacks:
-    """The cyclic walk's deterministic schedule is itself enforced."""
+    """The walk's schedule is computed by the client, not read: tables
+    cut for another schedule do not fit it."""
+
+    def reordered(self, answer, order):
+        conj = answer.vo.conjuncts[0]
+        base = conj.base
+        forged = dataclasses.replace(
+            base,
+            trees=tuple(base.trees[i] for i in order),
+            runs=tuple(base.runs[i] for i in order),
+        )
+        answer.vo = dataclasses.replace(
+            answer.vo, conjuncts=(dataclasses.replace(conj, base=forged),)
+        )
 
     def test_wrong_probe_tree_rejected(self, system):
+        """Each tree keeps its own table, but the trees are listed in
+        another order than they were walked in: the first target is
+        probed in the wrong tree."""
         query, answer, ps = honest_answer(
             system, "covid-19 AND symptom AND vaccine"
         )
-        base = answer.vo.conjuncts[0].base
-        rnd = base.rounds[0]
-        forged_round = dataclasses.replace(
-            rnd, probe_tree=(rnd.probe_tree + 1) % len(base.trees)
-        )
-        forged_base = dataclasses.replace(
-            base, rounds=(forged_round,) + base.rounds[1:]
-        )
-        forged_conj = dataclasses.replace(
-            answer.vo.conjuncts[0], base=forged_base
-        )
-        answer.vo = QueryVO(conjuncts=(forged_conj,))
+        assert verify_query(query, answer, ps).ids == {4}
+        self.reordered(answer, (0, 2, 1))
         expect_rejection(query, answer, ps)
 
     def test_reordered_rounds_rejected(self, system):
         query, answer, ps = honest_answer(system, "covid-19 AND symptom")
-        base = answer.vo.conjuncts[0].base
-        if len(base.rounds) < 3:
-            import pytest as _pytest
-
-            _pytest.skip("walk too short to reorder")
-        swapped = (
-            (base.rounds[1], base.rounds[0]) + base.rounds[2:]
-        )
-        forged_base = dataclasses.replace(base, rounds=swapped)
-        forged_conj = dataclasses.replace(
-            answer.vo.conjuncts[0], base=forged_base
-        )
-        answer.vo = QueryVO(conjuncts=(forged_conj,))
+        self.reordered(answer, (1, 0))
         expect_rejection(query, answer, ps)
 
     def test_duplicate_tree_list_rejected(self, system):
         query, answer, ps = honest_answer(system, "covid-19 AND symptom")
-        base = answer.vo.conjuncts[0].base
-        forged_base = dataclasses.replace(
-            base, trees=(base.trees[0], base.trees[0])
+        conj = answer.vo.conjuncts[0]
+        first = conj.base.trees[0]
+        forged = dataclasses.replace(
+            conj,
+            base=dataclasses.replace(conj.base, trees=(first, first)),
+            keywords=(first,),
         )
-        forged_conj = dataclasses.replace(
-            answer.vo.conjuncts[0],
-            base=forged_base,
-            keywords=(base.trees[0],),
-        )
-        answer.vo = QueryVO(conjuncts=(forged_conj,))
-        other = KeywordQuery.parse(base.trees[0])
+        answer.vo = dataclasses.replace(answer.vo, conjuncts=(forged,))
         with pytest.raises(VerificationError):
-            verify_query(other, answer, ps)
+            verify_query(KeywordQuery.parse(first), answer, ps)

@@ -9,6 +9,11 @@ publish; :class:`~repro.sp.protocol.RemoteClient` accepted it.  ``h(o)``
 is now taken over the length-framed canonical encoding, and every such
 forgery must fail verification — with a typed error, also under
 ``python -O``.
+
+The second half is about *which* objects verification covers: the
+client checks the object of every verified result ID, so a response must
+carry exactly those objects — one per ID, in ID order — or an object the
+SP slipped in beside them would reach the caller unchecked.
 """
 
 import struct
@@ -100,3 +105,84 @@ def test_digest_is_injective_where_the_old_one_was_not():
     assert DataObject(1, ("ab",), b"cd").digest() != DataObject(1, ("abc",), b"d").digest()
     assert DataObject(1, ("a", "b"), b"").digest() != DataObject(1, ("ab",), b"").digest()
     assert DataObject(1, (), b"a").digest() != DataObject(1, ("a",), b"").digest()
+
+
+# -- objects the verification would never look at ---------------------------------
+
+
+def tampering_transport(server, edit):
+    """The honest response with ``edit(response)`` applied before it is sent."""
+
+    def transport(request: bytes) -> bytes:
+        response = QueryResponse.decode(server.handle(request))
+        edit(response)
+        return response.encode()
+
+    return transport
+
+
+def extra_object(response):
+    response.objects.append(DataObject(999999, ("covid",), b"never ingested"))
+
+
+def extra_object_behind_a_repeated_id(response):
+    """What the parent accepted: ``{1, 2, 999999}`` came back "verified"."""
+    response.result_ids.append(response.result_ids[-1])
+    response.objects.append(DataObject(999999, ("covid",), b"never ingested"))
+
+
+def duplicate_object(response):
+    response.objects.append(response.objects[0])
+
+
+def duplicate_result_id(response):
+    response.result_ids.append(response.result_ids[0])
+    response.objects.append(response.objects[0])
+
+
+def unsorted_result_ids(response):
+    response.result_ids.reverse()
+    response.objects.reverse()
+
+
+def missing_object(response):
+    del response.objects[-1]
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        extra_object,
+        extra_object_behind_a_repeated_id,
+        duplicate_object,
+        duplicate_result_id,
+        unsorted_result_ids,
+        missing_object,
+    ],
+    ids=lambda edit: edit.__name__,
+)
+def test_only_verified_objects_reach_the_caller(deployment, edit):
+    system, server = deployment
+    honest = RemoteClient(server.handle, system).query("covid")
+    assert sorted(honest.objects) == honest.result_ids == [1, 2]
+    with pytest.raises(VerificationError):
+        RemoteClient(tampering_transport(server, edit), system).query("covid")
+
+
+def test_system_query_returns_only_verified_objects(deployment):
+    """The in-process facade runs the same check on the SP's answer."""
+    system, _ = deployment
+    honest = system._sp.process_query
+
+    def padding(query):
+        answer = honest(query)
+        answer.objects[999999] = DataObject(999999, ("covid",), b"never ingested")
+        return answer
+
+    system._sp.process_query = padding
+    try:
+        with pytest.raises(VerificationError, match="one object per result"):
+            system.query("covid")
+    finally:
+        system._sp.process_query = honest
+    assert sorted(system.query("covid").objects) == [1, 2]

@@ -82,7 +82,6 @@ class TestExperimentSmoke:
             "witness",
             "shard",
             "query",
-            "multiproof",
             "flatbuf",
         }
         assert set(ABLATIONS) == {

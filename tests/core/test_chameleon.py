@@ -3,8 +3,10 @@
 import pytest
 
 from repro.core import chameleon
+from repro.core.chameleon_index import ChameleonView
 from repro.crypto.hashing import sha3
 from repro.errors import ReproError, VerificationError
+from tests.node_tables import change, forge, plain_check, rows_of
 
 
 def value_of(key: int) -> bytes:
@@ -135,111 +137,109 @@ class TestStorageProvider:
     def test_boundaries(self, trees):
         do, sp = trees
         fill(do, sp, [2, 4, 9, 15])
-        result = sp.boundaries(9)
-        assert result.matched
-        assert result.lower.key == 9
-        assert result.upper.key == 15
-        result = sp.boundaries(1)
-        assert result.lower is None
-        assert result.upper.key == 2
-        result = sp.boundaries(99)
-        assert result.upper is None
-        assert result.lower.key == 15
+        view = ChameleonView("kw", sp)
+        assert view.boundaries(9) == (9, 15)
+        assert view.boundaries(1) == (None, 2)
+        assert view.boundaries(99) == (15, None)
+        # What was read, as positions: 3 and 4, then 1, then 4 again.
+        assert view.positions == [1, 3, 4]
+        run = view.run()
+        assert run.keys == (1, 3, 4) and run.root == sp.run_root
+        assert run.root[-8:] == (4).to_bytes(8, "big")
 
     def test_all_entries_in_order(self, trees):
         do, sp = trees
         fill(do, sp, [1, 3, 5])
-        entries = sp.all_entries()
-        assert [e.key for e, _ in entries] == [1, 3, 5]
+        view = ChameleonView("kw", sp)
+        assert view.scan() == [1, 3, 5]
+        table = sp.multiproof(tuple(view.positions))
+        assert table.leaves == [(key, value_of(key)) for key in (1, 3, 5)]
+        for bad in ((), (0,), (4,), (2, 1), (1, 1)):
+            with pytest.raises(ReproError):
+                sp.multiproof(bad)
 
 
 class TestMembershipVerification:
+    """``ChameleonMultiproof.authenticate`` with every opening checked on
+    the spot (the proof system defers them to one batch instead)."""
+
     def test_all_positions_verify(self, trees, cvc_params):
         pp, _ = cvc_params
         do, sp = trees
         ids = [1, 2, 4, 5, 7, 8, 10]
         fill(do, sp, ids)
         for pos in range(1, len(ids) + 1):
-            entry = sp.entry_at(pos)
-            proof = sp.prove_membership(pos)
-            chameleon.verify_membership(
-                pp, do.root_commitment, sp.count, 2,
-                entry.key, entry.value_hash, proof,
-            )
+            table = sp.multiproof((pos,))
+            assert table.authenticate(
+                plain_check(pp), do.root_commitment, sp.count
+            ) == ([pos], [(ids[pos - 1], value_of(ids[pos - 1]))])
+        whole = sp.multiproof(tuple(range(1, len(ids) + 1)))
+        positions, leaves = whole.authenticate(
+            plain_check(pp), do.root_commitment, sp.count
+        )
+        assert positions == list(range(1, len(ids) + 1))
+        assert [key for key, _ in leaves] == ids
+
+    def refused(self, pp, table, root, count):
+        with pytest.raises(VerificationError):
+            table.authenticate(plain_check(pp), root, count)
 
     def test_wrong_id_rejected(self, trees, cvc_params):
         pp, _ = cvc_params
         do, sp = trees
         fill(do, sp, [1, 2, 3])
-        proof = sp.prove_membership(2)
-        with pytest.raises(VerificationError):
-            chameleon.verify_membership(
-                pp, do.root_commitment, sp.count, 2, 99, value_of(2), proof
-            )
+        forged = forge(sp.multiproof((2,)), {2: change(object_id=99)})
+        self.refused(pp, forged, do.root_commitment, sp.count)
 
     def test_wrong_hash_rejected(self, trees, cvc_params):
         pp, _ = cvc_params
         do, sp = trees
         fill(do, sp, [1, 2, 3])
-        proof = sp.prove_membership(2)
-        with pytest.raises(VerificationError):
-            chameleon.verify_membership(
-                pp, do.root_commitment, sp.count, 2, 2, value_of(99), proof
-            )
+        forged = forge(sp.multiproof((2,)), {2: change(object_hash=value_of(99))})
+        self.refused(pp, forged, do.root_commitment, sp.count)
 
     def test_stale_count_rejects_new_positions(self, trees, cvc_params):
         pp, _ = cvc_params
         do, sp = trees
         fill(do, sp, [1, 2, 3])
-        entry = sp.entry_at(3)
-        proof = sp.prove_membership(3)
-        with pytest.raises(VerificationError):
-            chameleon.verify_membership(
-                pp, do.root_commitment, 2, 2, entry.key, entry.value_hash, proof
-            )
+        self.refused(pp, sp.multiproof((3,)), do.root_commitment, 2)
 
     def test_claimed_position_must_match_links(self, trees, cvc_params):
+        """Position 3 presented as its sibling 4: same parent row, but
+        the link now has to open the parent's other child slot."""
         pp, _ = cvc_params
         do, sp = trees
         fill(do, sp, [1, 2, 3, 4, 5])
-        proof = sp.prove_membership(3)
-        forged = chameleon.MembershipProof(
-            position=4,
-            entry_commitment=proof.entry_commitment,
-            slot1_proof=proof.slot1_proof,
-            links=proof.links,
-        )
-        entry = sp.entry_at(3)
-        with pytest.raises(VerificationError):
-            chameleon.verify_membership(
-                pp, do.root_commitment, sp.count, 2,
-                entry.key, entry.value_hash, forged,
-            )
+        forged = forge(sp.multiproof((3,)), {3: change(position=4)})
+        assert [r.position for r in rows_of(forged)] == [1, 4]
+        self.refused(pp, forged, do.root_commitment, sp.count)
 
     def test_wrong_root_rejected(self, trees, cvc_params, cvc, prf_key):
         pp, _ = cvc_params
         do, sp = trees
         fill(do, sp, [1, 2])
         other = chameleon.ChameleonTreeDO(cvc, prf_key, "other", arity=2)
-        entry = sp.entry_at(1)
-        proof = sp.prove_membership(1)
-        with pytest.raises(VerificationError):
-            chameleon.verify_membership(
-                pp, other.root_commitment, sp.count, 2,
-                entry.key, entry.value_hash, proof,
-            )
+        self.refused(pp, sp.multiproof((1,)), other.root_commitment, sp.count)
 
-    def test_empty_links_rejected(self, cvc_params):
+    def test_empty_links_rejected(self, trees, cvc_params):
+        """A row whose chain does not reach the root: its parent row gone."""
         pp, _ = cvc_params
-        proof = chameleon.MembershipProof(
-            position=1, entry_commitment=1, slot1_proof=1, links=()
-        )
-        with pytest.raises(VerificationError):
-            chameleon.verify_membership(pp, 123, 5, 2, 1, value_of(1), proof)
+        do, sp = trees
+        fill(do, sp, [1, 2, 3])
+        orphan = forge(sp.multiproof((3,)), {1: lambda _: None})
+        with pytest.raises(VerificationError, match="lacks the parent"):
+            orphan.authenticate(plain_check(pp), do.root_commitment, sp.count)
 
     def test_proof_byte_size(self, trees):
         do, sp = trees
         fill(do, sp, list(range(1, 16)))
-        shallow = sp.prove_membership(1)
-        deep = sp.prove_membership(15)
-        assert deep.byte_size(64) > shallow.byte_size(64)
+        shallow = sp.multiproof((1,))
+        deep = sp.multiproof((15,))
+        assert deep.byte_size() > shallow.byte_size()
+        width = shallow.value_bytes
+        # arity + row count, then one entry row: position, flag, id,
+        # hash, three group elements.
+        assert shallow.byte_size() == 2 + 2 + 40 + 3 * width
+        # ... plus a node row (position, flag, two elements) per ancestor
+        # below the root: 7, 3 and 1.
+        assert deep.byte_size() == shallow.byte_size() + 3 * (2 + 2 * width)

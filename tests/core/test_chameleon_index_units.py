@@ -8,10 +8,9 @@ from repro.core.chameleon_index import (
     ChameleonSP,
     CountUpdate,
 )
+from repro.core.multiproof import TreeMultiproof
 from repro.core.objects import DataObject, ObjectMetadata
-from repro.core.query.vo import ProvenEntry
 from repro.crypto.bloom import BloomFilterChain
-from repro.crypto.hashing import sha3
 from repro.errors import ReproError, VerificationError
 
 
@@ -58,7 +57,7 @@ class TestChameleonSPUnits:
     def test_unknown_keyword_view_is_empty(self, sp):
         view = sp.view("nothing")
         assert len(view) == 0
-        assert view.first_proven() is None
+        assert view.run().keys == ()
 
     def test_apply_requires_registration(self, owner, sp):
         metadata = ObjectMetadata.of(DataObject(1, ("kw",), b"c"))
@@ -69,14 +68,16 @@ class TestChameleonSPUnits:
     def test_view_boundaries(self, owner, sp):
         for oid in (2, 5, 9):
             insert(owner, sp, oid, ("kw",))
-        lower, upper = sp.view("kw").boundaries_proven(6)
-        assert lower.object_id == 5
-        assert upper.object_id == 9
+        view = sp.view("kw")
+        assert view.boundaries(6) == (5, 9)
+        assert view.positions == [2, 3]
 
     def test_view_all_proven(self, owner, sp):
         for oid in (1, 2, 3):
             insert(owner, sp, oid, ("kw",))
-        assert [e.object_id for e in sp.view("kw").all_proven()] == [1, 2, 3]
+        view = sp.view("kw")
+        assert view.scan() == [1, 2, 3]
+        assert view.run().keys == (1, 2, 3)
 
 
 class TestChameleonProofSystemUnits:
@@ -93,37 +94,55 @@ class TestChameleonProofSystemUnits:
             value_bytes=64,
         )
 
+    def table(self, sp, keyword, positions):
+        return sp.trees[keyword].multiproof(tuple(positions))
+
     def test_entry_verification(self, owner, sp):
         for oid in (1, 2, 3):
             insert(owner, sp, oid, ("kw",))
         ps = self.make_ps(owner, sp, ("kw",))
-        entry = sp.view("kw").first_proven()
+        ps.attach_multiproofs((self.table(sp, "kw", (1, 2)),))
         with ps.settling():
-            ps.verify_entry("kw", entry)
-        assert ps.is_first("kw", entry)
-        assert not ps.is_last("kw", entry)
+            run = ps.proven_run("kw", 0)
+            assert run.first() == 1  # position 1: the tree's first
+            assert run.boundaries(1) == (1, 2)
+            with pytest.raises(VerificationError):
+                run.boundaries(2)  # 2 is not the last of three
+            with pytest.raises(VerificationError):
+                run.scan()
 
     def test_missing_commitment_rejected(self, owner, sp):
         insert(owner, sp, 1, ("kw",))
         ps = self.make_ps(owner, sp, ("ghost",))
-        entry = sp.view("kw").first_proven()
+        ps.attach_multiproofs((self.table(sp, "kw", (1,)),))
         with pytest.raises(VerificationError):
-            ps.verify_entry("ghost", entry)
+            with ps.settling():
+                ps.proven_run("ghost", 0)
 
     def test_bad_proof_type_rejected(self, owner, sp):
         insert(owner, sp, 1, ("kw",))
         ps = self.make_ps(owner, sp, ("kw",))
-        entry = ProvenEntry(object_id=1, object_hash=sha3(b"x"), proof="junk")
-        with pytest.raises(VerificationError):
-            ps.verify_entry("kw", entry)
+        merkle = TreeMultiproof(height=1, nodes=((2,),), helpers=(), leaves=())
+        ps.attach_multiproofs((merkle, self.table(sp, "kw", (1,))))
+        with pytest.raises(VerificationError, match="another kind"):
+            with ps.settling():
+                ps.proven_run("kw", 0)
+        with pytest.raises(VerificationError, match="out of range"):
+            with ps.settling():
+                ps.proven_run("kw", 2)
 
     def test_adjacency_by_position(self, owner, sp):
         for oid in (1, 4, 9):
             insert(owner, sp, oid, ("kw",))
         ps = self.make_ps(owner, sp, ("kw",))
-        entries = sp.view("kw").all_proven()
-        assert ps.adjacent("kw", entries[0], entries[1])
-        assert not ps.adjacent("kw", entries[0], entries[2])
+        ps.attach_multiproofs((self.table(sp, "kw", (1, 3)),))
+        with pytest.raises(VerificationError, match="no probe reads"):
+            with ps.settling():
+                run = ps.proven_run("kw", 0)
+                # Positions 1 and 3 are not neighbours: 4 may hide between.
+                with pytest.raises(VerificationError, match="lacks the boundary"):
+                    run.boundaries(2)
+                assert run.boundaries(9) == (9, None)  # position 3 = cnt
 
     def test_keyword_empty(self, owner, sp):
         ps = self.make_ps(owner, sp, ("ghost",))
@@ -134,10 +153,17 @@ class TestChameleonProofSystemUnits:
         chain = BloomFilterChain(capacity=4)
         chain.add(5)
         ps = self.make_ps(owner, sp, ("kw",), blooms={"kw": chain})
-        assert not ps.definitely_absent("kw", 5)
-        assert ps.definitely_absent("kw", 1)  # below the first filter min
+        with ps.settling():
+            run = ps.proven_run("kw", None)  # even an unread tree's view
+            assert not run.definitely_absent(5)
+            assert run.definitely_absent(1)  # below the first filter min
         ps_none = self.make_ps(owner, sp, ("kw",))
-        assert not ps_none.definitely_absent("kw", 1)
+        with ps_none.settling():
+            assert not ps_none.proven_run("kw", None).definitely_absent(1)
+        # The SP's view answers from the same chain of filters.
+        view = sp.view("kw")
+        view.bloom = chain
+        assert view.definitely_absent(1) and not view.definitely_absent(5)
 
     def test_chain_digest_bytes_counts_blooms(self, owner, sp):
         insert(owner, sp, 5, ("kw",))

@@ -1,13 +1,13 @@
-"""Locate, then prove once: the Merkle-family SP query path.
+"""Locate, then prove once: the SP query path.
 
 ``MBTree.locate`` finds boundary entries without hashing — the views
 read the same keys through a forward cursor and leave the join as one
 :class:`LocatedRun` per tree — and the finishing step asks each tree
-once for ``MBTree.multiproof``.  These tests pin (a) that the one-pass
-construction equals the merge-from-paths oracle field for field, and
-that on the shapes the old per-group size gate weighed the tables-only
-frame is never the larger one, and (b) that an unfinished or stale run
-fails closed everywhere — also under ``python -O``.  (The cursor against
+once for its table (``MBTree.multiproof``; a Chameleon tree's node
+table takes the same route with positions for keys).  These tests pin
+(a) that the one-pass Merkle construction equals the merge-from-paths
+oracle field for field, and (b) that an unfinished or stale run fails
+closed everywhere — also under ``python -O``.  (The cursor against
 ``locate``: ``test_leaf_cursor.py``.)
 """
 
@@ -19,13 +19,14 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.mbtree import MBTree, MerklePath
+from repro.core.chameleon import ChameleonMultiproof
+from repro.core.mbtree import MBTree
 from repro.core.merkle_family import MerkleInvertedSP, MerkleProofSystem
 from repro.core.multiproof import (
     LocatedRun,
     ProveRequest,
+    TreeMultiproof,
     compress_query_vo,
-    expand_query_vo,
     prove_keys,
 )
 from repro.core.objects import DataObject, ObjectMetadata
@@ -33,14 +34,7 @@ from repro.core.query.codec import VOCodec
 from repro.core.query.join import conjunctive_join
 from repro.core.query.parser import KeywordQuery
 from repro.core.query.verify import verify_query
-from repro.core.query.vo import (
-    ConjunctiveVO,
-    FullScanVO,
-    ProvenEntry,
-    QueryAnswer,
-    QueryVO,
-    ReplayVO,
-)
+from repro.core.query.vo import ConjunctiveVO, QueryAnswer, QueryVO, ReplayVO
 from repro.crypto.hashing import sha3
 from repro.errors import (
     ReproError,
@@ -48,8 +42,8 @@ from repro.errors import (
     UnresolvedProofError,
 )
 
-from tests.reference_codec import ReferenceVOCodec
-from tests.reference_multiproof import build_multiproof, compress_v3
+from tests.legacy_vo import ProvenEntry
+from tests.reference_multiproof import build_multiproof
 
 
 def value_of(key: int) -> bytes:
@@ -93,22 +87,7 @@ def test_multiproof_and_gate_equal_the_oracle(keys, fanout, data):
         gpath = tuple(step.index for step in reversed(paths[key].steps))
         assert ordinals[gpath] == ordinal
 
-    # The gate weighed a table against paths *plus* the inline entries
-    # of the rounds; with no entry left to ship there is nothing to
-    # weigh.  On the very shape it was applied to — these picks, as the
-    # entries of one conjunct — the tables-only frame is never larger
-    # than the v3 frame the gate chose, whichever way it chose.
-    walked = QueryVO(
-        conjuncts=(
-            ConjunctiveVO(
-                keywords=("kw",),
-                base=FullScanVO(
-                    keyword="kw", entries=tuple(entry for entry, _ in proven)
-                ),
-            ),
-        )
-    )
-    v3_frame = ReferenceVOCodec(version=3).encode(compress_v3(walked))
+    # The prove step hands back exactly that table for a located run.
     run = LocatedRun("kw", tree.root_hash, tuple(unique), tree)
     finished = compress_query_vo(
         QueryVO(
@@ -121,7 +100,7 @@ def test_multiproof_and_gate_equal_the_oracle(keys, fanout, data):
     )
     assert finished.multiproofs == (reference,)
     assert finished.conjuncts[0].base.runs == (0,)
-    assert len(VOCodec().encode(finished)) <= len(v3_frame)
+    assert len(VOCodec().encode(finished)) == finished.byte_size()
 
 
 @settings(max_examples=60, deadline=None)
@@ -236,11 +215,11 @@ class TestUnfinishedVOFailsClosed:
         with pytest.raises(UnresolvedProofError):
             compress_query_vo(vo)
         # ... with one, it is proven by whoever holds the tree.
-        finished = expand_query_vo(
+        finished = compress_query_vo(
             vo, lambda requests: [prove_keys(sp.trees[r.keyword], r) for r in requests]
         )
-        path = finished.conjuncts[0].base.entries[0].proof
-        assert isinstance(path, MerklePath)
+        assert finished.conjuncts[0].base.runs == (0,)
+        assert isinstance(finished.multiproofs[0], TreeMultiproof)
 
 
 class TestProveStepFailsClosed:
@@ -250,18 +229,36 @@ class TestProveStepFailsClosed:
         sp.insert(ObjectMetadata.of(DataObject(99, ("a",), b"c")))
         with pytest.raises(StaleProofError):
             compress_query_vo(vo)
-        with pytest.raises(StaleProofError):
-            expand_query_vo(vo)
 
     def test_missing_tree_and_absent_key(self):
         tree = make_tree(range(10))
-        request = ProveRequest("kw", tree.root_hash, (3, 11), paths=False)
+        request = ProveRequest("kw", tree.root_hash, (3, 11))
         with pytest.raises(StaleProofError):
             prove_keys(tree, request)
         with pytest.raises(StaleProofError):
-            prove_keys(tree, dataclasses.replace(request, paths=True))
-        with pytest.raises(StaleProofError):
             prove_keys(None, dataclasses.replace(request, keys=(3,)))
+
+    def test_chameleon_count_moved_between_locate_and_prove(self):
+        """The Chameleon twin: the run records ``c_0 || cnt``, and an
+        insertion in between changes the second half."""
+        from repro.core.chameleon_index import ChameleonView
+        from tests.query.test_vo import store_tree
+
+        tree = store_tree(range(10, 20))
+        view = ChameleonView("kw", tree)
+        around = view.boundaries(14)
+        assert around == (14, 15)
+        run = view.run()
+        assert pickle.loads(pickle.dumps(run)).tree is None
+        request = ProveRequest(run.keyword, run.root, run.keys)
+        table = prove_keys(tree, request)
+        assert isinstance(table, ChameleonMultiproof)
+        assert [key for key, _ in table.leaves] == [14, 15]
+        grown = store_tree(range(10, 21))
+        with pytest.raises(StaleProofError):
+            prove_keys(grown, request)
+        with pytest.raises(StaleProofError):
+            prove_keys(tree, dataclasses.replace(request, keys=(5, 11)))
 
 
 _OPTIMIZED_SCRIPT = """

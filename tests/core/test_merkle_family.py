@@ -2,13 +2,11 @@
 
 import pytest
 
-from repro.core.merkle_family import MBTreeView, MerkleInvertedSP, MerkleProofSystem
+from repro.core.chameleon import ChameleonMultiproof
+from repro.core.merkle_family import MerkleInvertedSP, MerkleProofSystem
 from repro.core.objects import DataObject, ObjectMetadata
-from repro.core.query.vo import ProvenEntry
-from repro.crypto.hashing import EMPTY_DIGEST, sha3
+from repro.crypto.hashing import EMPTY_DIGEST
 from repro.errors import VerificationError
-
-from tests.finishing import all_proven, boundaries_proven, first_proven
 
 
 @pytest.fixture()
@@ -32,14 +30,19 @@ class TestMerkleInvertedSP:
         assert len(sp.view("b")) == 3
 
 
+def table(sp, keyword, keys):
+    return sp.trees[keyword].multiproof(list(keys))
+
+
 class TestMBTreeView:
     def test_first_proven(self, sp):
-        first = first_proven(sp.view("a"))
-        assert first.object_id == 1
-        assert first.proof.is_leftmost()
+        view = sp.view("a")
+        assert view.first() == 1
+        assert view.run().keys == (1,)
 
     def test_first_proven_empty(self, sp):
-        assert first_proven(sp.view("ghost")) is None
+        view = sp.view("ghost")
+        assert len(view) == 0 and view.run().keys == ()
 
     def test_boundaries_proven(self, sp):
         view = sp.view("b")
@@ -47,49 +50,55 @@ class TestMBTreeView:
         assert view.boundaries(0) == (None, 1)
         assert view.boundaries(9) == (5, None)
         assert view.keys == [1, 3, 5]  # what run() hands to the prove step
-        lower, upper = boundaries_proven(sp.view("b"), 4)
-        assert lower.object_id == 3
-        assert upper.object_id == 5
+        run = view.run()
+        assert run.root == sp.root_hash("b") and run.tree is sp.trees["b"]
 
     def test_all_proven_ordered(self, sp):
-        assert sp.view("a").scan() == [1, 2, 3]
-        entries = all_proven(sp.view("a"))
-        assert [e.object_id for e in entries] == [1, 2, 3]
+        view = sp.view("a")
+        assert view.scan() == [1, 2, 3]
+        assert view.run().keys == (1, 2, 3)
 
     def test_never_claims_bloom_absence(self, sp):
         assert sp.view("a").definitely_absent(42) is False
 
 
 class TestMerkleProofSystem:
-    def make_ps(self, sp, keywords=("a", "b")):
-        return MerkleProofSystem(
-            roots={kw: sp.root_hash(kw) for kw in keywords}
-        )
+    def make_ps(self, sp, keywords=("a", "b"), tables=()):
+        ps = MerkleProofSystem(roots={kw: sp.root_hash(kw) for kw in keywords})
+        ps.attach_multiproofs(tuple(tables))
+        return ps
 
     def test_verify_entry_roundtrip(self, sp):
-        ps = self.make_ps(sp)
-        entry = first_proven(sp.view("a"))
-        ps.verify_entry("a", entry)
+        ps = self.make_ps(sp, tables=[table(sp, "a", (1, 2, 3))])
+        with ps.settling():
+            assert ps.proven_run("a", 0).scan() == [1, 2, 3]
 
     def test_verify_entry_wrong_keyword(self, sp):
-        ps = self.make_ps(sp)
-        entry = first_proven(sp.view("a"))
-        with pytest.raises(VerificationError):
-            ps.verify_entry("b", entry)
+        ps = self.make_ps(sp, tables=[table(sp, "a", (1, 2, 3))])
+        with pytest.raises(VerificationError, match="on-chain root"):
+            ps.proven_run("b", 0)
+        # ... and, once folded to one keyword's root, not under another.
+        ps.proven_run("a", 0)
+        with pytest.raises(VerificationError, match="different tree"):
+            ps.proven_run("b", 0)
 
     def test_verify_entry_bad_proof_type(self, sp):
-        ps = self.make_ps(sp)
-        entry = ProvenEntry(object_id=1, object_hash=sha3(b"x"), proof=None)
-        with pytest.raises(VerificationError):
-            ps.verify_entry("a", entry)
+        node_table = ChameleonMultiproof(2, 8, 0, b"")
+        ps = self.make_ps(sp, tables=[node_table])
+        with pytest.raises(VerificationError, match="another kind"):
+            ps.proven_run("a", 0)
+        with pytest.raises(VerificationError, match="out of range"):
+            ps.proven_run("a", 1)
 
     def test_first_last_adjacent(self, sp):
-        ps = self.make_ps(sp)
-        entries = all_proven(sp.view("a"))
-        assert ps.is_first("a", entries[0])
-        assert ps.is_last("a", entries[-1])
-        assert ps.adjacent("a", entries[0], entries[1])
-        assert not ps.adjacent("a", entries[0], entries[2])
+        ps = self.make_ps(sp, tables=[table(sp, "a", (1, 3))])
+        run = ps.proven_run("a", 0)
+        assert run.first() == 1
+        assert run.boundaries(3) == (3, None)  # 3 is the tree's last
+        with pytest.raises(VerificationError, match="lacks the boundary"):
+            run.boundaries(1)  # 1 and 3 are not neighbours: 2 is hidden
+        with pytest.raises(VerificationError, match="full scan"):
+            run.scan()
 
     def test_keyword_empty(self, sp):
         ps = MerkleProofSystem(roots={"ghost": EMPTY_DIGEST})
@@ -97,11 +106,17 @@ class TestMerkleProofSystem:
         assert ps.keyword_empty("never-mentioned")
         ps2 = self.make_ps(sp)
         assert not ps2.keyword_empty("a")
+        # A tree listed unread must at least exist.
+        with pytest.raises(VerificationError, match="shows empty"):
+            ps.proven_run("ghost", None)
+        with pytest.raises(VerificationError):
+            ps2.proven_run("a", None).first()
 
     def test_chain_digest_bytes(self, sp):
         ps = self.make_ps(sp)
         assert ps.chain_digest_bytes() == 64  # two 32-byte roots
 
     def test_definitely_absent_never(self, sp):
-        ps = self.make_ps(sp)
-        assert ps.definitely_absent("a", 999) is False
+        ps = self.make_ps(sp, tables=[table(sp, "a", (1, 2, 3))])
+        assert ps.proven_run("a", 0).definitely_absent(999) is False
+        assert ps.proven_run("b", None).definitely_absent(999) is False

@@ -7,16 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.mbtree import Entry, MBTree, MerklePath, paths_adjacent
+from repro.core.mbtree import MBTree, MerklePath, paths_adjacent
+from repro.core.merkle_family import MerkleProofSystem
 from repro.core.multiproof import (
     SLOT_DESCEND,
     SLOT_HELPER,
     SLOT_LEAF,
     TreeMultiproof,
 )
-from repro.core.query.vo import ProvenEntry
 from repro.errors import ReproError, VerificationError
 
+from tests.legacy_vo import ProvenEntry
 from tests.reference_multiproof import (
     build_multiproof,
     compute_multiproof_indices,
@@ -168,6 +169,30 @@ class TestBuildFoldParity:
             build_multiproof(proven(shallow, [1]) + proven(deep, [1]))
 
 
+def is_leftmost(mp: TreeMultiproof, ordinal: int) -> bool:
+    """The three predicates of ``TreeMultiproof``'s "Positions" note."""
+    return ordinal == 0 and mp.helpers_before()[0] == 0
+
+
+def is_rightmost(mp: TreeMultiproof, ordinal: int) -> bool:
+    return (
+        ordinal == len(mp.leaves) - 1
+        and mp.helpers_before()[ordinal] == len(mp.helpers)
+    )
+
+
+def adjacent(mp: TreeMultiproof, left: int, right: int) -> bool:
+    before = mp.helpers_before()
+    return right == left + 1 and before[left] == before[right]
+
+
+def run_over(tree: MBTree, mp: TreeMultiproof):
+    """The client's view of ``mp`` (folded against the tree's root)."""
+    ps = MerkleProofSystem(roots={"kw": tree.root_hash})
+    ps.attach_multiproofs((mp,))
+    return ps.proven_run("kw", 0)
+
+
 class TestBoundaryPredicates:
     def test_leftmost_rightmost_match_paths(self):
         tree = make_tree(23)
@@ -178,10 +203,17 @@ class TestBoundaryPredicates:
             multiproof.leaves[ordinal][0]: ordinal
             for ordinal in range(len(multiproof.leaves))
         }
-        assert multiproof.is_leftmost(by_key[0])
-        assert not multiproof.is_leftmost(by_key[5])
-        assert multiproof.is_rightmost(by_key[22])
-        assert not multiproof.is_rightmost(by_key[5])
+        assert is_leftmost(multiproof, by_key[0])
+        assert not is_leftmost(multiproof, by_key[5])
+        assert is_rightmost(multiproof, by_key[22])
+        assert not is_rightmost(multiproof, by_key[5])
+        # What the replayed join sees of it: the first key, the open end
+        # behind the last, and nothing in between.
+        run = run_over(tree, multiproof)
+        assert run.first() == 0
+        assert run.boundaries(22) == (22, None)
+        with pytest.raises(VerificationError, match="lacks the boundary"):
+            run.boundaries(5)
 
     @pytest.mark.parametrize("fanout", [3, 4])
     def test_adjacency_matches_paths_adjacent(self, fanout):
@@ -192,7 +224,7 @@ class TestBoundaryPredicates:
         for left in range(size - 1):
             for right in (left + 1, min(left + 5, size - 1)):
                 expected = paths_adjacent(paths[left], paths[right])
-                assert multiproof.adjacent(left, right) == expected
+                assert adjacent(multiproof, left, right) == expected
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -214,23 +246,38 @@ class TestBoundaryPredicates:
         count = len(picks)
         assert len(mp.helpers_before()) == count
         for left in range(count):
-            assert mp.is_leftmost(left) == gpath_is_leftmost(mp, left)
-            assert mp.is_rightmost(left) == gpath_is_rightmost(mp, left)
+            assert is_leftmost(mp, left) == gpath_is_leftmost(mp, left)
+            assert is_rightmost(mp, left) == gpath_is_rightmost(mp, left)
             for right in range(count):
-                assert mp.adjacent(left, right) == gpath_adjacent(mp, left, right)
+                assert adjacent(mp, left, right) == gpath_adjacent(mp, left, right)
         # And both agree with the tree itself.
         ordered = sorted(keys)
         for left, right in zip(picks, picks[1:]):
             neighbours = ordered.index(right) == ordered.index(left) + 1
-            assert mp.adjacent(picks.index(left), picks.index(right)) == neighbours
-        assert mp.is_leftmost(0) == (picks[0] == ordered[0])
-        assert mp.is_rightmost(count - 1) == (picks[-1] == ordered[-1])
+            assert adjacent(mp, picks.index(left), picks.index(right)) == neighbours
+        assert is_leftmost(mp, 0) == (picks[0] == ordered[0])
+        assert is_rightmost(mp, count - 1) == (picks[-1] == ordered[-1])
+        # The replayed join's view draws the same lines.
+        run = run_over(tree, mp)
+        for left, right in zip(picks, picks[1:]):
+            if ordered.index(right) == ordered.index(left) + 1:
+                assert run.boundaries(left) == (left, right)
+            else:
+                with pytest.raises(VerificationError):
+                    run.boundaries(left)
 
     def test_adjacent_rejects_out_of_range_ordinals(self):
+        """Outside what the leaves show there is nothing to be adjacent
+        to: a probe below the first or above the last proven key is
+        refused unless that key is the tree's own first or last."""
         tree = make_tree(9)
         multiproof, _ = build_multiproof(proven(tree, [1, 2]))
-        with pytest.raises(VerificationError):
-            multiproof.adjacent(0, 5)
+        assert len(multiproof.helpers_before()) == 2
+        run = run_over(tree, multiproof)
+        assert run.boundaries(1) == (1, 2)
+        for outside in (0, 2, 5):
+            with pytest.raises(VerificationError):
+                run.boundaries(outside)
 
 
 class TestFailClosed:
@@ -278,9 +325,12 @@ class TestFailClosed:
         assert bad.fold_root() != tree.root_hash
 
     def test_leaf_entry_bounds_checked(self):
-        _, mp = self.build()
-        with pytest.raises(VerificationError):
-            mp.leaf_entry(len(mp.leaves))
+        """A result's hash comes from a proven leaf or from nowhere."""
+        tree, mp = self.build()
+        run = run_over(tree, mp)
+        assert run.object_hashes([9]) == {9: vhash(9)}
+        with pytest.raises(VerificationError, match="not a proven entry"):
+            run.object_hashes([9, 10])
 
     def test_cache_token_binds_structure(self):
         tree, mp = self.build()

@@ -226,10 +226,7 @@ class TestProcessExecutorSmoke:
         """Verification runs in the caller whatever pool serves the SP
         side: a deferred opening check recorded in a worker's copy of the
         proof system would never be settled, so none is made there."""
-        import dataclasses
-
-        from repro.core.multiproof import _map_vo_entries
-        from repro.core.query.vo import iter_proven_entries
+        from tests.node_tables import change, forge, rows_of, with_table
 
         system = HybridStorageSystem(
             scheme="ci",
@@ -244,15 +241,15 @@ class TestProcessExecutorSmoke:
 
             def flipping(query):
                 answer = honest(query)
-                victim = next(iter(iter_proven_entries(answer.vo)))
-                forged = dataclasses.replace(
-                    victim.proof, slot1_proof=victim.proof.slot1_proof ^ 1
-                )
-                answer.vo = _map_vo_entries(
-                    answer.vo,
-                    lambda e: dataclasses.replace(e, proof=forged)
-                    if e is victim
-                    else e,
+                table = answer.vo.multiproofs[0]
+                victim = next(row for row in rows_of(table) if row.is_entry)
+                with_table(
+                    answer,
+                    0,
+                    forge(
+                        table,
+                        {victim.position: change(slot1_proof=victim.slot1_proof ^ 1)},
+                    ),
                 )
                 return answer
 

@@ -18,7 +18,7 @@ from repro import DataObject, HybridStorageSystem, obs
 from repro.core.proofcache import VerificationCache
 from repro.errors import VerificationError
 
-from tests.finishing import first_proven
+from tests.node_tables import change, forge
 
 
 class TestVerificationCacheUnit:
@@ -88,55 +88,72 @@ def warm_deployment(request):
 
 
 def first_entry_lookups(system) -> int:
-    """Cache lookups one first-position entry costs.
+    """Cache lookups the table of one first-position entry costs.
 
-    The Merkle family caches per entry; the Chameleon family per CVC
-    opening, and a node at position 1 has two — its slot 1 and the link
-    that hangs it under the root.
+    The Merkle family caches per table fold; the Chameleon family per
+    CVC opening, and a node at position 1 has two — its slot 1 and the
+    link that hangs it under the root.
     """
     return 2 if system.uses_cvc else 1
 
 
-def verify_one(ps, keyword, entry):
-    """One entry, settled — what ``verify_query`` does for a whole answer."""
+def first_table(system, keyword):
+    """The keyword's table over its first entry alone."""
+    view = system._sp_view(keyword)
+    view.first()
+    run = view.run()
+    return run.tree.multiproof(run.keys)
+
+
+def tampered(system, table, **fields):
+    """``table`` with its one entry's ``object_id`` / ``object_hash`` forged."""
+    if system.uses_cvc:
+        return forge(table, {1: change(**fields)})
+    object_id, object_hash = table.leaves[0]
+    leaf = (fields.get("object_id", object_id), fields.get("object_hash", object_hash))
+    return dataclasses.replace(table, leaves=(leaf,))
+
+
+def verify_one(ps, keyword, table):
+    """One table, opened, read and settled — ``verify_query`` in small."""
+    ps.attach_multiproofs((table,))
     with ps.settling():
-        ps.verify_entry(keyword, entry)
+        ps.proven_run(keyword, 0).first()
 
 
 class TestProofSystemCaching:
     def test_repeat_verification_hits_cache(self, warm_deployment):
         system = warm_deployment
         ps = system.chain_proof_system(frozenset({"covid-19"}))
-        entry = first_proven(system._sp_view("covid-19"))
-        assert entry is not None
+        table = first_table(system, "covid-19")
         system.verify_cache.clear()
-        verify_one(ps, "covid-19", entry)
+        verify_one(ps, "covid-19", table)
         assert system.verify_cache.hits == 0
         assert system.verify_cache.misses == first_entry_lookups(system)
-        verify_one(ps, "covid-19", entry)
+        verify_one(ps, "covid-19", table)
         assert system.verify_cache.hits == first_entry_lookups(system)
         assert system.verify_cache.misses == first_entry_lookups(system)
 
     def test_cache_shared_across_proof_systems(self, warm_deployment):
         system = warm_deployment
-        entry = first_proven(system._sp_view("vaccine"))
+        table = first_table(system, "vaccine")
         system.verify_cache.clear()
         verify_one(
-            system.chain_proof_system(frozenset({"vaccine"})), "vaccine", entry
+            system.chain_proof_system(frozenset({"vaccine"})), "vaccine", table
         )
         # A later query builds a fresh proof system over the same chain
         # state; the expensive work must not repeat.
         verify_one(
-            system.chain_proof_system(frozenset({"vaccine"})), "vaccine", entry
+            system.chain_proof_system(frozenset({"vaccine"})), "vaccine", table
         )
         assert system.verify_cache.hits == first_entry_lookups(system)
 
     def test_tampered_entry_misses_warm_cache_and_fails(self, warm_deployment):
         system = warm_deployment
         ps = system.chain_proof_system(frozenset({"covid-19"}))
-        entry = first_proven(system._sp_view("covid-19"))
-        verify_one(ps, "covid-19", entry)  # warm the cache
-        evil = dataclasses.replace(entry, object_hash=b"\x13" * 32)
+        table = first_table(system, "covid-19")
+        verify_one(ps, "covid-19", table)  # warm the cache
+        evil = tampered(system, table, object_hash=b"\x13" * 32)
         hits_before = system.verify_cache.hits
         with pytest.raises(VerificationError):
             verify_one(ps, "covid-19", evil)
@@ -152,17 +169,18 @@ class TestProofSystemCaching:
         is rejected by real verification."""
         system = warm_deployment
         ps = system.chain_proof_system(frozenset({"covid-19"}))
-        entry = first_proven(system._sp_view("covid-19"))
+        table = first_table(system, "covid-19")
         system.verify_cache.add(("bogus-poison-key",))
-        forged = dataclasses.replace(entry, object_id=entry.object_id + 1000)
+        forged = tampered(system, table, object_id=table.leaves[0][0] + 1000)
         with pytest.raises(VerificationError):
             verify_one(ps, "covid-19", forged)
 
     def test_failed_verifications_are_never_cached(self, warm_deployment):
         system = warm_deployment
         ps = system.chain_proof_system(frozenset({"covid-19"}))
-        entry = first_proven(system._sp_view("covid-19"))
-        evil = dataclasses.replace(entry, object_hash=b"\x77" * 32)
+        evil = tampered(
+            system, first_table(system, "covid-19"), object_hash=b"\x77" * 32
+        )
         system.verify_cache.clear()
         for _ in range(2):
             with pytest.raises(VerificationError):

@@ -1,12 +1,13 @@
-"""End-to-end tests for Chameleon node-table VO compression (v4 frames).
+"""End-to-end tests for Chameleon node-table VOs.
 
 The SP ships one :class:`ChameleonMultiproof` per keyword tree — every
-node any proven entry needs, once — and rewrites each entry's proof into
-a :class:`NodeRef`; the client walks each chain once inside
-``verify_query`` and settles every distinct opening it does not remember
-in one ``vc.verify_batch``.  These tests pin the compression win, the
-round trip, the opening count, and — most importantly — that every
-tamper vector fails closed.
+node the query needs, once: an entry row per ``<id, h(o)>`` a probe
+read, a node row per further ancestor — and nothing else; the client
+authenticates each table's rows once inside ``verify_query``, settles
+every distinct opening it does not remember in one ``vc.verify_batch``,
+and replays the join over the entry rows.  These tests pin the win over
+one membership proof per entry, the round trip, the opening count, and
+— most importantly — that every tamper vector fails closed.
 """
 
 import dataclasses
@@ -14,13 +15,14 @@ import dataclasses
 import pytest
 
 from repro import DataObject, HybridStorageSystem, KeywordQuery, obs
-from repro.core.chameleon import ChameleonMultiproof, MembershipProof, NodeRef
-from repro.core.multiproof import _map_vo_entries, compress_query_vo
+from repro.core.chameleon import ChameleonMultiproof
+from repro.core.multiproof import compress_query_vo
 from repro.core.query.codec import VOCodec
 from repro.core.query.verify import verify_query
 from repro.core.query.vo import iter_proven_entries
 from repro.crypto import vc
 from repro.errors import ReproError, VerificationError
+from tests.node_tables import change, forge, rows_of, table_of
 
 #: Same corpus as the Merkle twin: "hot" on every object, "warm" on
 #: every 2nd, "cool" every 3rd, "rare" every 13th.
@@ -57,11 +59,6 @@ def v3_system():
 
 
 @pytest.fixture(scope="module")
-def v2_system():
-    return build(vo_version=2)
-
-
-@pytest.fixture(scope="module")
 def star_system():
     return build("ci*", bloom_capacity=4)
 
@@ -76,31 +73,34 @@ def reverify(system, answer, text=DNF):
     return verify_query(query, answer, ps)
 
 
-def with_table(vo, index, **changes):
-    table = dataclasses.replace(vo.multiproofs[index], **changes)
+def with_table(vo, index, table):
     tables = vo.multiproofs[:index] + (table,) + vo.multiproofs[index + 1 :]
     return dataclasses.replace(vo, multiproofs=tables)
 
 
-def with_nodes(vo, index, nodes):
-    return with_table(vo, index, nodes=tuple(nodes))
+def forged(vo, index, edits):
+    return with_table(vo, index, forge(vo.multiproofs[index], edits))
 
 
-def deep_ref(vo):
-    """A NodeRef entry that has an ancestor below the root."""
-    for entry in iter_proven_entries(vo):
-        ref = entry.proof
-        if isinstance(ref, NodeRef) and ref.position > 2:
-            return entry
-    pytest.skip("no entry below the first level")
+def per_entry_bytes(vo, value_bytes):
+    """The VO's entry rows as one membership proof each, written inline:
+    presence + id + hash + tag, then position, commitment, slot-1 opening
+    and a link (child index, commitment, opening) per level."""
+    total = 0
+    for table in vo.multiproofs:
+        for row in rows_of(table):
+            if not row.is_entry:
+                continue
+            depth, position = 0, row.position
+            while position:
+                depth += 1
+                position = (position - 1) // table.arity
+            total += 42 + 9 + 2 * value_bytes + depth * (1 + 2 * value_bytes)
+    return total
 
 
-def repoint(vo, victim, **changes):
-    forged = dataclasses.replace(victim.proof, **changes)
-    return _map_vo_entries(
-        vo,
-        lambda e: dataclasses.replace(e, proof=forged) if e is victim else e,
-    )
+def link(edit):
+    return lambda row: change(link_proof=edit(row.link_proof))(row)
 
 
 class TestCompression:
@@ -109,66 +109,74 @@ class TestCompression:
         assert len(vo.multiproofs) == 3  # hot, warm, cool
         for table in vo.multiproofs:
             assert isinstance(table, ChameleonMultiproof)
-            positions = [node.position for node in table.nodes]
+            positions = [row.position for row in rows_of(table)]
             assert positions == sorted(set(positions))
-        assert all(
-            isinstance(entry.proof, NodeRef)
-            for entry in iter_proven_entries(vo)
-        )
+            assert table.count == len(positions)
+        assert all(conj.base.runs for conj in vo.conjuncts)
 
     def test_table_is_parent_closed_and_minimal(self, v3_system):
         vo = answer_for(v3_system, SPARSE).vo
-        for index, table in enumerate(vo.multiproofs):
+        for table in vo.multiproofs:
+            rows = rows_of(table)
             wanted = set()
-            for entry in iter_proven_entries(vo):
-                if entry.proof.table_index != index:
-                    continue
-                pos = entry.proof.position
+            for row in rows:
+                pos = row.position if row.is_entry else 0
                 while pos:
                     wanted.add(pos)
                     pos = (pos - 1) // table.arity
-            assert {node.position for node in table.nodes} == wanted
-
-    def test_identical_results_and_shrink_vs_v2(self, v3_system, v2_system):
-        a3 = answer_for(v3_system)
-        a2 = answer_for(v2_system)
-        assert a3.result_ids == a2.result_ids
-        assert not a2.vo.multiproofs
-        codec = VOCodec(value_bytes=v3_system.value_bytes)
-        assert len(codec.encode(a3.vo)) * 2 <= len(codec.encode(a2.vo))
-        vb = v3_system.value_bytes
-        assert a3.vo.proof_byte_size(vb) * 2 <= a2.vo.proof_byte_size(vb)
-
-    @pytest.mark.parametrize("text", [DNF, SPARSE, SCAN, "rare", "hot AND ghost"])
-    def test_never_larger_than_the_per_entry_form(
-        self, v3_system, v2_system, text
-    ):
-        """No size gate: the table ships each node once, the per-entry
-        form at least once (and the entry's own commitment twice)."""
-        codec = VOCodec(value_bytes=v3_system.value_bytes)
-        assert len(codec.encode(answer_for(v3_system, text).vo)) <= len(
-            codec.encode(answer_for(v2_system, text).vo)
+            assert {row.position for row in rows} == wanted
+        assert any(
+            not row.is_entry for table in vo.multiproofs for row in rows_of(table)
         )
 
-    def test_both_versions_verify(self, v3_system, v2_system):
-        for system in (v3_system, v2_system):
+    def test_identical_results_and_shrink_vs_v2(self, v3_system, star_system):
+        """Against one membership proof per entry (what a VO of rounds
+        shipped, at least once per entry): at least twice smaller."""
+        a3 = answer_for(v3_system)
+        star = answer_for(star_system)
+        assert a3.result_ids == star.result_ids
+        vb = v3_system.value_bytes
+        assert a3.vo.byte_size() * 2 <= per_entry_bytes(a3.vo, vb)
+        assert star.vo.byte_size() * 2 <= per_entry_bytes(star.vo, vb)
+
+    @pytest.mark.parametrize("text", [DNF, SPARSE, SCAN, "rare", "hot AND ghost"])
+    def test_never_larger_than_the_per_entry_form(self, v3_system, text):
+        """No size gate: the table ships each node once, the per-entry
+        form at least once (and the entry's own commitment twice)."""
+        vo = answer_for(v3_system, text).vo
+        framing = vo.byte_size() - sum(t.byte_size() for t in vo.multiproofs)
+        assert vo.byte_size() <= framing + per_entry_bytes(vo, v3_system.value_bytes)
+
+    def test_both_versions_verify(self, v3_system, star_system):
+        for system in (v3_system, star_system):
             assert reverify(system, answer_for(system)).ids == {
                 i for i in range(40) if i % 2 == 0 or i % 3 == 0
             }
 
-    def test_bloom_skip_rounds_compress_and_verify(self, star_system):
+    def test_bloom_skip_rounds_compress_and_verify(self, v3_system, star_system):
+        """Where the filters exclude a target the walk skips the probe —
+        on both sides — and the probed tree's table is the thinner for
+        it."""
         answer = answer_for(star_system, SPARSE)
-        base = answer.vo.conjuncts[0].base
-        assert any(rnd.kind == "skip" for rnd in base.rounds)
+        plain = answer_for(v3_system, SPARSE)
         assert len(answer.vo.multiproofs) == 2
+
+        def entries(vo, keyword):
+            base = vo.conjuncts[0].base
+            table = vo.multiproofs[base.runs[base.trees.index(keyword)]]
+            return len(table.leaves)
+
+        assert entries(answer.vo, "rare") < entries(plain.vo, "rare") or entries(
+            answer.vo, "hot"
+        ) != entries(plain.vo, "hot")
         assert reverify(star_system, answer, SPARSE).ids == {0, 13, 26, 39}
 
-    def test_proofs_without_a_tree_stay_per_entry(self, v2_system):
-        """A proof that does not say which tree it came from (one decoded
-        from a legacy frame) passes through compression untouched."""
-        codec = VOCodec(value_bytes=v2_system.value_bytes)
-        legacy = codec.decode(codec.encode(answer_for(v2_system).vo))
-        assert compress_query_vo(legacy) is legacy
+    def test_proofs_without_a_tree_stay_per_entry(self, v3_system):
+        """A finished VO (say, one decoded from the wire) has no located
+        run left and passes through the prove step untouched."""
+        codec = VOCodec(value_bytes=v3_system.value_bytes)
+        finished = codec.decode(codec.encode(answer_for(v3_system).vo))
+        assert compress_query_vo(finished) is finished
 
 
 class TestRoundTrip:
@@ -177,7 +185,7 @@ class TestRoundTrip:
         codec = VOCodec(value_bytes=v3_system.value_bytes)
         vo = answer_for(v3_system, text).vo
         payload = codec.encode(vo)
-        assert payload[0] == 0xF4
+        assert payload[0] == 0xF6
         assert codec.decode(payload) == vo
         assert codec.encode(codec.decode(payload)) == payload
 
@@ -191,29 +199,33 @@ class TestRoundTrip:
     @pytest.mark.parametrize("text", [DNF, SPARSE, SCAN, "hot AND ghost"])
     def test_byte_size_matches_wire(self, request, scheme_fixture, text):
         system = request.getfixturevalue(scheme_fixture)
-        vb = system.value_bytes
-        codec = VOCodec(value_bytes=vb)
+        codec = VOCodec(value_bytes=system.value_bytes)
         vo = answer_for(system, text).vo
-        assert vo.byte_size(vb) == len(codec.encode(vo))
+        assert vo.byte_size() == len(codec.encode(vo))
 
     def test_table_and_ref_byte_sizes_match_their_wire_delta(self, v3_system):
-        """Dropping one table row, or one ref's table, moves the frame by
-        exactly what ``byte_size`` says."""
+        """Dropping one row, or one table, moves the frame by exactly
+        what ``byte_size`` says."""
         vb = v3_system.value_bytes
         codec = VOCodec(value_bytes=vb)
         vo = answer_for(v3_system, SCAN).vo
         table = vo.multiproofs[0]
-        last = table.nodes[-1]
-        shorter = with_nodes(vo, 0, table.nodes[:-1])
-        assert table.byte_size(vb) - shorter.multiproofs[0].byte_size(vb) == (
-            last.byte_size(vb)
-        )
+        rows = rows_of(table)
+        assert all(row.is_entry for row in rows)  # a scan reads every node
+        shorter = table_of(rows[:-1], table)
+        last = 1 + 1 + 8 + 32 + 3 * vb  # position + flag, id + hash, c, pi, rho
+        assert table.byte_size() - shorter.byte_size() == last
         # One kind tag per table on top of the table body.
         framed = len(codec.encode(vo))
         bare = len(codec.encode(dataclasses.replace(vo, multiproofs=())))
-        assert framed - bare == 1 + table.byte_size(vb)
-        ref = vo.conjuncts[0].base.entries[0]
-        assert ref.byte_size(vb) == 1 + 1 + 8 + 32 + ref.proof.byte_size(vb)
+        assert framed - bare == 1 + table.byte_size()
+        # A node row is a position, a flag and two elements.
+        sparse = answer_for(v3_system, SPARSE).vo.multiproofs
+        nodes = [r for t in sparse for r in rows_of(t) if not r.is_entry]
+        assert nodes
+        thinner = table_of([r for r in rows_of(sparse[1]) if r.is_entry], sparse[1])
+        dropped = sum(1 for r in rows_of(sparse[1]) if not r.is_entry)
+        assert sparse[1].byte_size() - thinner.byte_size() == dropped * (2 + 2 * vb)
 
 
 class Spy:
@@ -290,52 +302,48 @@ class TestOpeningCount:
         # The join touches "cool" for the first time; nothing of "warm".
         warm_root = v3_system.sp_index.trees["warm"].root_commitment
         warm = {
-            node.commitment
-            for node in answer_for(v3_system, SCAN).vo.multiproofs[0].nodes
+            row.commitment
+            for row in rows_of(answer_for(v3_system, SCAN).vo.multiproofs[0])
         } | {warm_root}
         assert spy.verify == []
         assert len(spy.batches) == 1  # the warm scan had nothing to settle
         assert not [opening for opening in spy.batched if opening[0] in warm]
 
     def test_join_shares_ancestors_within_one_query(self, v3_system, spy):
-        """Entries of one tree owe each shared ancestor link once and an
-        entry met in two conjuncts owes its slot 1 once, with or without
-        the LRU; the whole DNF query settles as one batch."""
+        """Every row owes its link once and every entry row its slot 1
+        once — however many probes read it, and although one table is
+        named by two conjuncts — with or without the LRU; the whole DNF
+        query settles as one batch."""
         answer = answer_for(v3_system, DNF)
         query = KeywordQuery.parse(DNF)
         ps = v3_system.chain_proof_system(query.all_keywords())
         ps.cache = None
         verify_query(query, answer, ps)
-        links = sum(len(table.nodes) for table in answer.vo.multiproofs)
-        slot1 = {
-            (e.proof.table_index, e.proof.position)
-            for e in iter_proven_entries(answer.vo)
-        }
+        links = sum(table.count for table in answer.vo.multiproofs)
+        slot1 = sum(len(table.leaves) for table in answer.vo.multiproofs)
         occurrences = sum(1 for _ in iter_proven_entries(answer.vo))
-        assert occurrences > len(slot1)
+        assert occurrences > slot1  # "hot" is read by both conjuncts
         assert spy.verify == []
-        assert [len(batch) for batch in spy.batches] == [links + len(slot1)]
-        assert len(set(spy.batched)) == links + len(slot1)
+        assert [len(batch) for batch in spy.batches] == [links + slot1]
+        assert len(set(spy.batched)) == links + slot1
 
-    def test_legacy_entries_share_the_same_opening_keys(
-        self, v3_system, v2_system, spy
-    ):
-        """A per-entry proof is expanded into the same rows and checked
-        by the same routine: verifying the v2 answer warms exactly the
-        openings the v4 answer needs."""
-        v2_answer = answer_for(v2_system, SCAN)
-        query = KeywordQuery.parse(SCAN)
-        ps = v3_system.chain_proof_system(query.all_keywords())
+    def test_legacy_entries_share_the_same_opening_keys(self, v3_system, spy):
+        """What the cache warmer does — open the keyword's scan table and
+        read it whole — warms exactly the openings a query's rows ask
+        for: one spelling of an opening, whoever presents it."""
+        table = v3_system._locked_prove(SCAN)
+        ps = v3_system.chain_proof_system(frozenset((SCAN,)))
         v3_system.verify_cache.clear()
-        verify_query(query, v2_answer, ps)
-        # Every per-entry chain repeats its ancestors' links; each is
-        # owed once all the same.
-        assert [len(batch) for batch in spy.batches] == [
-            2 * len(v2_answer.result_ids)
-        ]
+        ps.attach_multiproofs((table,))
+        with ps.settling():
+            ps.proven_run(SCAN, 0).scan()
+        assert [len(batch) for batch in spy.batches] == [2 * table.count]
         spy.clear()
         assert v3_system.query(SCAN).verified
-        assert spy.batches == [] and spy.verify == []
+        assert v3_system.query("warm AND cool").verified
+        warm = {row.commitment for row in rows_of(table)}
+        assert not [opening for opening in spy.batched if opening[0] in warm]
+        assert spy.verify == []
 
     def test_tampered_link_next_to_a_cached_one_misses_and_fails(
         self, v3_system, spy
@@ -343,13 +351,9 @@ class TestOpeningCount:
         assert v3_system.query(SCAN).verified  # everything cached
         answer = answer_for(v3_system, SCAN)
         table = answer.vo.multiproofs[0]
-        victim = table.nodes[len(table.nodes) // 2]
-        forged = dataclasses.replace(victim, link_proof=victim.link_proof ^ 1)
-        answer.vo = with_nodes(
-            answer.vo,
-            0,
-            [forged if node is victim else node for node in table.nodes],
-        )
+        victim = rows_of(table)[table.count // 2]
+        bad_link = victim.link_proof ^ 1
+        answer.vo = forged(answer.vo, 0, {victim.position: link(lambda p: p ^ 1)})
         spy.clear()
         hits = v3_system.verify_cache.hits
         size = len(v3_system.verify_cache)
@@ -357,8 +361,8 @@ class TestOpeningCount:
             reverify(v3_system, answer, SCAN)
         # The forged opening differs from its cached twin in one bit of
         # one component: it alone was owed, failed, and was not stored.
-        assert [opening[3] for opening in spy.batched] == [forged.link_proof]
-        assert {opening[3] for opening in spy.verify} == {forged.link_proof}
+        assert [opening[3] for opening in spy.batched] == [bad_link]
+        assert {opening[3] for opening in spy.verify} == {bad_link}
         with pytest.raises(VerificationError):
             reverify(v3_system, answer, SCAN)
         assert [len(batch) for batch in spy.batches] == [1, 1]
@@ -372,18 +376,8 @@ class TestOpeningCount:
         batch fails, and the one-by-one pass names a culprit."""
         assert v3_system.query(SCAN).verified
         answer = answer_for(v3_system, SCAN)
-        table = answer.vo.multiproofs[0]
-        victims = {table.nodes[3], table.nodes[11]}
-        answer.vo = with_nodes(
-            answer.vo,
-            0,
-            [
-                dataclasses.replace(node, link_proof=node.link_proof ^ 1)
-                if node in victims
-                else node
-                for node in table.nodes
-            ],
-        )
+        flip = link(lambda p: p ^ 1)
+        answer.vo = forged(answer.vo, 0, {4: flip, 12: flip})
         spy.clear()
         with obs.collect() as collector:
             with pytest.raises(VerificationError, match="parent link"):
@@ -396,72 +390,95 @@ class TestOpeningCount:
         assert counters["vc.verify.batch_fallbacks"] == 1
 
 
+def deep_entry(table):
+    """An entry row with an ancestor row below the root."""
+    for row in rows_of(table):
+        if row.is_entry and row.position > table.arity:
+            return row
+    pytest.skip("no entry below the first level")
+
+
+def with_runs(vo, runs):
+    conj = vo.conjuncts[0]
+    forged_conj = dataclasses.replace(
+        conj, base=dataclasses.replace(conj.base, runs=runs)
+    )
+    return dataclasses.replace(vo, conjuncts=(forged_conj,))
+
+
 class TestFailClosed:
     """Every tamper vector must raise, never mis-verify."""
 
     def test_dropped_ancestor(self, v3_system):
         answer = answer_for(v3_system, SPARSE)
-        victim = deep_ref(answer.vo)
-        index = victim.proof.table_index
-        table = answer.vo.multiproofs[index]
-        parent = (victim.proof.position - 1) // table.arity
-        answer.vo = with_nodes(
-            answer.vo,
-            index,
-            [node for node in table.nodes if node.position != parent],
-        )
-        with pytest.raises(VerificationError):
+        table = answer.vo.multiproofs[1]
+        victim = deep_entry(table)
+        parent = (victim.position - 1) // table.arity
+        answer.vo = forged(answer.vo, 1, {parent: lambda _: None})
+        with pytest.raises(VerificationError, match="lacks the parent"):
             reverify(v3_system, answer, SPARSE)
 
     def test_duplicated_position_with_conflicting_commitment(self, v3_system):
         answer = answer_for(v3_system, SPARSE)
         table = answer.vo.multiproofs[0]
-        twin = dataclasses.replace(
-            table.nodes[0], commitment=table.nodes[0].commitment + 1
-        )
-        for nodes in (
-            (twin,) + table.nodes,  # the forged row shadows the honest one
-            table.nodes[:1] + (twin,) + table.nodes[1:],
+        rows = rows_of(table)
+        twin = dataclasses.replace(rows[0], commitment=rows[0].commitment + 1)
+        for mutant in (
+            [twin] + rows,  # the forged row shadows the honest one
+            rows[:1] + [twin] + rows[1:],
         ):
-            answer.vo = with_nodes(answer.vo, 0, nodes)
-            with pytest.raises(VerificationError):
+            answer.vo = with_table(answer.vo, 0, table_of(mutant, table))
+            with pytest.raises(VerificationError, match="strictly ascending"):
                 reverify(v3_system, answer, SPARSE)
 
     def test_node_spliced_from_another_keywords_tree(self, v3_system):
         answer = answer_for(v3_system, SPARSE)
         victim_table, donor_table = answer.vo.multiproofs[:2]
-        donor = donor_table.node(victim_table.nodes[0].position)
-        assert donor != victim_table.nodes[0]
-        answer.vo = with_nodes(
-            answer.vo, 0, (donor,) + victim_table.nodes[1:]
+        donor = {row.position: row for row in rows_of(donor_table)}
+        victim = rows_of(victim_table)[0]
+        spliced = dataclasses.replace(
+            victim,
+            commitment=donor[victim.position].commitment,
+            link_proof=donor[victim.position].link_proof,
         )
+        assert spliced != victim
+        answer.vo = forged(answer.vo, 0, {victim.position: lambda _: spliced})
         with pytest.raises(VerificationError):
             reverify(v3_system, answer, SPARSE)
 
     def test_ref_repointed_to_a_sibling_position(self, v3_system):
+        """An entry row presented one position over: under arity 2 its
+        sibling or its cousin — the wrong child slot of a parent, or the
+        wrong parent."""
         answer = answer_for(v3_system, SCAN)
-        vo = answer.vo
-        victim = vo.conjuncts[0].base.entries[4]
-        sibling = victim.proof.position + 1
-        assert sibling in vo.multiproofs[0].index()
-        answer.vo = repoint(vo, victim, position=sibling)
+        table = answer.vo.multiproofs[0]
+        rows = rows_of(table)
+        last = rows[-1]
+        assert (last.position + 1 - 1) // table.arity in {r.position for r in rows}
+        answer.vo = forged(
+            answer.vo, 0, {last.position: change(position=last.position + 1)}
+        )
+        query = KeywordQuery.parse(SCAN)
+        ps = v3_system.chain_proof_system(query.all_keywords())
+        commitment, count = ps.digests[SCAN]
+        ps.digests[SCAN] = (commitment, count + 1)  # not "beyond cnt": misplaced
         with pytest.raises(VerificationError):
-            reverify(v3_system, answer, SCAN)
+            verify_query(query, answer, ps)
 
     def test_ref_repointed_to_another_trees_table(self, v3_system):
         answer = answer_for(v3_system, SPARSE)
-        vo = answer.vo
-        victim = next(iter(iter_proven_entries(vo)))
-        other = (victim.proof.table_index + 1) % len(vo.multiproofs)
-        answer.vo = repoint(vo, victim, table_index=other, position=1)
+        assert answer.vo.conjuncts[0].base.runs == (0, 1)
+        answer.vo = with_runs(answer.vo, (1, 0))
         with pytest.raises(VerificationError):
+            reverify(v3_system, answer, SPARSE)
+        answer.vo = with_runs(answer.vo, (0, 0))
+        with pytest.raises(VerificationError, match="different tree"):
             reverify(v3_system, answer, SPARSE)
 
     def test_ref_out_of_range(self, v3_system):
         answer = answer_for(v3_system, SPARSE)
-        victim = next(iter(iter_proven_entries(answer.vo)))
-        answer.vo = repoint(answer.vo, victim, table_index=99)
-        with pytest.raises(VerificationError):
+        answer.vo = with_runs(answer.vo, (0, 99))
+        with pytest.raises(VerificationError, match="out of range"):
             reverify(v3_system, answer, SPARSE)
 
     def test_position_beyond_the_count(self, v3_system):
@@ -481,30 +498,42 @@ class TestFailClosed:
         system = build()
         stale = answer_for(system, SCAN)
         system.add_object(DataObject(100, ("warm",), b"late"))
-        with pytest.raises(VerificationError):
+        with pytest.raises(VerificationError, match="full scan"):
             reverify(system, stale, SCAN)
 
     def test_reordered_table(self, v3_system):
         answer = answer_for(v3_system, SPARSE)
-        nodes = answer.vo.multiproofs[0].nodes
-        answer.vo = with_nodes(answer.vo, 0, nodes[1:] + nodes[:1])
+        table = answer.vo.multiproofs[0]
+        rows = rows_of(table)
+        answer.vo = with_table(answer.vo, 0, table_of(rows[1:] + rows[:1], table))
         with pytest.raises(VerificationError):
             reverify(v3_system, answer, SPARSE)
         codec = VOCodec(value_bytes=v3_system.value_bytes)
         with pytest.raises(ReproError):
-            codec.encode(answer.vo)
+            codec.decode(codec.encode(answer.vo))
 
     def test_wrong_arity(self, v3_system):
         answer = answer_for(v3_system, SPARSE)
-        answer.vo = with_table(answer.vo, 0, arity=3)
+        answer.vo = with_table(
+            answer.vo, 0, dataclasses.replace(answer.vo.multiproofs[0], arity=3)
+        )
         with pytest.raises(VerificationError):
             reverify(v3_system, answer, SPARSE)
+        # Even where arity 3 happens to leave the rows parent-closed.
+        one = v3_system.sp_index.trees["rare"].multiproof((1,))
+        ps = v3_system.chain_proof_system(frozenset(("rare",)))
+        ps.attach_multiproofs((dataclasses.replace(one, arity=3),))
+        with pytest.raises(VerificationError, match="not the scheme's"):
+            with ps.settling():
+                ps.proven_run("rare", 0)
 
     def test_tampered_slot1_opening(self, v3_system):
         answer = answer_for(v3_system, SPARSE)
-        victim = next(iter(iter_proven_entries(answer.vo)))
-        answer.vo = repoint(
-            answer.vo, victim, slot1_proof=victim.proof.slot1_proof ^ 1
+        victim = next(r for r in rows_of(answer.vo.multiproofs[0]) if r.is_entry)
+        answer.vo = forged(
+            answer.vo,
+            0,
+            {victim.position: change(slot1_proof=victim.slot1_proof ^ 1)},
         )
         with pytest.raises(VerificationError):
             reverify(v3_system, answer, SPARSE)
@@ -516,28 +545,32 @@ class TestFailClosed:
         answer = answer_for(v3_system, SCAN)
         query = KeywordQuery.parse(SCAN)
         ps = smi.chain_proof_system(query.all_keywords())
-        with pytest.raises(VerificationError):
+        with pytest.raises(VerificationError, match="another kind"):
             verify_query(query, answer, ps)
 
 
 class TestFrameRobustness:
     def test_v2_pin_refuses_the_table(self, v3_system):
-        for version in (2, 3):
-            codec = VOCodec(value_bytes=v3_system.value_bytes, version=version)
-            with pytest.raises(ReproError):
-                codec.encode(answer_for(v3_system).vo)
+        """There is one frame, so nothing to pin; what a codec can refuse
+        is a table of another element width than its own."""
+        with pytest.raises(TypeError):
+            VOCodec(value_bytes=v3_system.value_bytes, version=2)
+        with pytest.raises(ReproError, match="-byte elements"):
+            VOCodec(value_bytes=128).encode(answer_for(v3_system).vo)
 
-    def test_v4_pin_carries_a_legacy_vo(self, v2_system):
-        vb = v2_system.value_bytes
-        vo = answer_for(v2_system, SPARSE).vo
-        payload = VOCodec(value_bytes=vb, version=4).encode(vo)
-        assert payload[0] == 0xF4
-        decoded = VOCodec(value_bytes=vb).decode(payload)
-        assert decoded == vo
-        assert all(
-            isinstance(entry.proof, MembershipProof)
-            for entry in iter_proven_entries(decoded)
-        )
+    def test_v4_pin_carries_a_legacy_vo(self, v3_system):
+        """The width is not on the wire: read at another one, the same
+        bytes are a malformed frame or rows that authenticate nothing."""
+        vb = v3_system.value_bytes
+        answer = answer_for(v3_system, SPARSE)
+        payload = VOCodec(value_bytes=vb).encode(answer.vo)
+        for width in (32, 48, 128):
+            try:
+                answer.vo = VOCodec(value_bytes=width).decode(payload)
+            except ReproError:
+                continue
+            with pytest.raises(VerificationError):
+                reverify(v3_system, answer, SPARSE)
 
     def test_truncated_v4_frame(self, v3_system):
         codec = VOCodec(value_bytes=v3_system.value_bytes)
@@ -552,36 +585,40 @@ class TestFrameRobustness:
         codec = VOCodec(value_bytes=vb)
         element = (7).to_bytes(vb, "big")
 
-        def frame(arity, positions, tail=b"\x00"):
-            rows = b"".join(bytes([p]) + element * 2 for p in positions)
+        def row(position, flag=1):
+            entry = (position + 10).to_bytes(8, "big") + bytes(32)
             return (
-                bytes([0xF4, 1, 1, arity, len(positions)]) + rows + tail
+                bytes([position, flag])
+                + (entry if flag else b"")
+                + element * (3 if flag else 2)
             )
 
-        assert codec.decode(frame(2, [1, 3])).multiproofs[0].arity == 2
+        def frame(arity, rows, tail=b"\x00"):
+            return bytes([0xF6, 1, 1, arity, len(rows)]) + b"".join(rows) + tail
+
+        table = codec.decode(frame(2, [row(1, 0), row(3)])).multiproofs[0]
+        assert (table.arity, table.count, table.leaves) == (2, 2, [(13, bytes(32))])
         for bad in (
-            frame(2, [3, 1]),  # unsorted
-            frame(2, [1, 1]),  # duplicate
-            frame(2, [0, 1]),  # the root is never a row
-            frame(2, [1, 5]),  # 5's parent (2) is absent
-            frame(0, [1]),  # no such arity
-            bytes([0xF4, 1, 2, 2, 0, 0]),  # unknown table kind
-            bytes([0xF4, 1, 1, 2, 0xFF, 0xFF, 0x03]) + b"\x00",  # oversize
+            frame(2, [row(3), row(1)]),  # unsorted
+            frame(2, [row(1), row(1)]),  # duplicate
+            frame(2, [row(0), row(1)]),  # the root is never a row
+            frame(2, [row(1), row(5)]),  # 5's parent (2) is absent
+            frame(2, [row(1), row(3, 0)]),  # a node row that hangs nothing
+            frame(2, [row(1, 2)]),  # no such flag
+            frame(0, [row(1)]),  # no such arity
+            frame(2, [row(1), row(3)[:-1]]),  # a row cut short
+            bytes([0xF6, 1, 2, 2, 0, 0]),  # unknown table kind
+            bytes([0xF6, 1, 1, 2, 0xFF, 0xFF, 0x03]) + b"\x00",  # oversize
         ):
             with pytest.raises(ReproError):
                 codec.decode(bad)
 
     def test_ref_to_an_absent_node_is_rejected_by_the_decoder(self, v3_system):
-        vb = v3_system.value_bytes
-        codec = VOCodec(value_bytes=vb)
+        """A conjunct naming a table the frame does not hold."""
+        codec = VOCodec(value_bytes=v3_system.value_bytes)
         vo = answer_for(v3_system, SCAN).vo
-        victim = vo.conjuncts[0].base.entries[-1]
-        table = vo.multiproofs[0]
-        missing = table.nodes[-1].position + 1
-        for changes in (
-            {"position": missing},
-            {"table_index": len(vo.multiproofs)},
-        ):
-            payload = codec.encode(repoint(vo, victim, **changes))
-            with pytest.raises(ReproError):
-                codec.decode(payload)
+        payload = codec.encode(with_runs(vo, (len(vo.multiproofs),)))
+        with pytest.raises(ReproError, match="names table"):
+            codec.decode(payload)
+        with pytest.raises(ReproError, match="lacks"):
+            list(iter_proven_entries(with_runs(vo, (5,))))

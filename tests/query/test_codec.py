@@ -54,6 +54,28 @@ class TestRoundTrip:
         assert codec.decode(codec.encode(answer.vo)) == answer.vo
 
 
+@pytest.fixture(scope="module")
+def wide_systems():
+    """All four schemes at a 1 024-bit modulus (128-byte group elements)."""
+    docs = [
+        DataObject(oid, kws, b"content-%d" % oid)
+        for oid, kws in (
+            (1, ("covid-19", "sars-cov-2")),
+            (2, ("covid-19",)),
+            (4, ("covid-19", "symptom", "vaccine")),
+            (5, ("covid-19", "vaccine")),
+            (6, ("symptom",)),
+            (7, ("sars-cov-2", "vaccine")),
+        )
+    ]
+    systems = {}
+    for scheme in ("mi", "smi", "ci", "ci*"):
+        system = HybridStorageSystem(scheme=scheme, cvc_modulus_bits=1024, seed=5)
+        system.add_objects(docs)
+        systems[scheme] = system
+    return systems
+
+
 class TestByteSizeExactness:
     """``byte_size()`` is the wire truth: it must equal ``len(encode())``."""
 
@@ -63,43 +85,43 @@ class TestByteSizeExactness:
         system = loaded(scheme, small_docs)
         codec = VOCodec(value_bytes=system.value_bytes)
         vo = system.process_query(KeywordQuery.parse(text)).vo
-        assert vo.byte_size(system.value_bytes) == len(codec.encode(vo))
+        assert vo.byte_size() == len(codec.encode(vo))
 
     @pytest.mark.parametrize("text", QUERIES)
-    def test_v2_frame_byte_size_matches_wire(self, text, small_docs):
-        system = loaded("smi", small_docs, vo_version=2)
-        codec = VOCodec(value_bytes=system.value_bytes)
-        vo = system.process_query(KeywordQuery.parse(text)).vo
-        assert vo.byte_size(system.value_bytes) == len(codec.encode(vo))
+    def test_v2_frame_byte_size_matches_wire(self, text, wide_systems):
+        """Named for the second frame there once was; what varies now is
+        the element width: all four schemes at a 1 024-bit modulus (the
+        tables know their own width, no argument carries it)."""
+        for system in wide_systems.values():
+            assert system.value_bytes == (128 if system.uses_cvc else 32)
+            codec = VOCodec(value_bytes=system.value_bytes)
+            answer = system.process_query(KeywordQuery.parse(text))
+            assert answer.vo.byte_size() == len(codec.encode(answer.vo))
+            assert answer.vo_byte_size() == answer.vo.byte_size()
 
     def test_merkle_path_byte_size_matches_wire_delta(self, small_docs):
-        """Swapping one MerklePath for ``None`` shrinks the frame by
-        exactly the path's claimed ``byte_size`` — pins the path size
+        """Dropping one table shrinks the frame by exactly its claimed
+        ``byte_size()`` plus its kind tag — pins each table's size
         formula to the codec, not just the aggregate."""
         import dataclasses
 
-        from repro.core.query.vo import FullScanVO
-
-        system = loaded("smi", small_docs, vo_version=2)
-        codec = VOCodec(value_bytes=system.value_bytes)
-        vo = system.process_query(KeywordQuery.parse("symptom")).vo
-        base = vo.conjuncts[0].base
-        assert isinstance(base, FullScanVO) and base.entries
-        path = base.entries[0].proof
-        stripped_entry = dataclasses.replace(base.entries[0], proof=None)
-        stripped = dataclasses.replace(
-            vo,
-            conjuncts=(
-                dataclasses.replace(
-                    vo.conjuncts[0],
-                    base=dataclasses.replace(
-                        base, entries=(stripped_entry,) + base.entries[1:]
-                    ),
-                ),
-            ),
-        )
-        delta = len(codec.encode(vo)) - len(codec.encode(stripped))
-        assert delta == path.byte_size()
+        text = "(covid-19 AND vaccine) OR (sars-cov-2 AND vaccine)"
+        for scheme in ("mi", "smi", "ci", "ci*"):
+            system = loaded(scheme, small_docs)
+            codec = VOCodec(value_bytes=system.value_bytes)
+            vo = system.process_query(KeywordQuery.parse(text)).vo
+            assert len(vo.multiproofs) == 3
+            whole = len(codec.encode(vo))
+            for index, table in enumerate(vo.multiproofs):
+                rest = vo.multiproofs[:index] + vo.multiproofs[index + 1 :]
+                # (the conjuncts then name a table too many: such bytes
+                # encode, they just do not decode)
+                stripped = dataclasses.replace(vo, multiproofs=rest)
+                assert whole - len(codec.encode(stripped)) == 1 + table.byte_size()
+            assert whole == vo.byte_size()
+            assert vo.proof_byte_size() == sum(
+                t.byte_size() - 40 * len(t.leaves) for t in vo.multiproofs
+            )
 
 
 class TestMalformedPayloads:
@@ -127,22 +149,16 @@ class TestMalformedPayloads:
 
     def test_unknown_proof_tag(self):
         codec = VOCodec(value_bytes=32)
-        # conjuncts=1, keywords=1 "a", no empty kw, base=fullscan,
-        # keyword "a", one entry present with a bogus proof tag.
-        payload = (
-            b"\x01"  # one conjunct
-            b"\x01" + b"\x01a"  # one keyword "a"
-            b"\x00"  # no empty keyword
-            b"\x02"  # base = full scan
-            b"\x01a"  # scan keyword
-            b"\x00\x01"  # one entry
-            b"\x01"  # entry present
-            + (0).to_bytes(8, "big")
-            + b"\x00" * 32
-            + b"\x09"  # invalid proof tag
-        )
-        with pytest.raises(ReproError):
-            codec.decode(payload)
+        # One table of a kind nobody writes.
+        with pytest.raises(ReproError, match="unknown table kind"):
+            codec.decode(b"\xf6\x01\x09")
+        # One conjunct of a kind nobody writes.
+        with pytest.raises(ReproError, match="unknown conjunct kind"):
+            codec.decode(b"\xf6\x00\x01" + b"\x01\x01a" + b"\x09")
+        # A retired frame: the unmarked v2 layout, and the v5 marker.
+        for retired in (b"\x01\x01\x01a\x00\x00\x00", b"\xf5\x00\x00"):
+            with pytest.raises(ReproError, match="unsupported VO frame"):
+                codec.decode(retired)
 
     def test_wire_size_used_by_system(self, small_docs):
         system = loaded("smi", small_docs)

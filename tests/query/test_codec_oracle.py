@@ -1,13 +1,17 @@
 """Differential oracle: the offset reader against the stream codec it replaced.
 
 ``tests/reference_codec.py`` keeps the ``io.BytesIO`` implementation.
-On honest answers of all four schemes — compressed (v3 / v4 frames) and
-legacy (v2) — the new encoders must emit the reference's bytes; on those
-bytes, and on random mutations of them, both decoders must return equal
-values or both raise :class:`~repro.errors.ReproError`.  A decoder that
-got laxer, stricter or different in any field while it got faster fails
-here.
+On honest answers of all four schemes — served by SPs of two and three
+shards, which must not show in the bytes — the encoders must emit the
+reference's bytes; on those bytes, and on random mutations of them, both
+decoders must return equal values or both raise
+:class:`~repro.errors.ReproError`.  A decoder that got laxer, stricter
+or different in any field while it got faster fails here.  The
+reference also reads the retired frames (v2–v5), which the live codec
+refuses: its own fixtures are the committed goldens of those versions.
 """
+
+import pathlib
 
 import pytest
 from hypothesis import given, settings
@@ -52,12 +56,12 @@ def corpus():
     ]
 
 
-@pytest.fixture(scope="module", params=[(s, v) for s in sorted(SCHEMES) for v in (3, 2)])
+@pytest.fixture(scope="module", params=[(s, n) for s in sorted(SCHEMES) for n in (3, 2)])
 def answers(request):
     """Honest ``(vo, vo bytes, response bytes)`` of every query, one system."""
-    scheme, vo_version = request.param
+    scheme, shards = request.param
     system = HybridStorageSystem(
-        scheme=scheme, seed=8, vo_version=vo_version, **SCHEMES[scheme]
+        scheme=scheme, seed=8, shards=shards, **SCHEMES[scheme]
     )
     system.add_objects(corpus())
     codec = VOCodec(value_bytes=system.value_bytes)
@@ -145,6 +149,32 @@ def test_honest_bytes_are_the_reference_bytes(answers):
         assert QueryResponse.decode(response_bytes).encode() == response_bytes
 
 
+FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
+
+#: The retired frames' goldens: (file, element width, version pin).
+RETIRED = (
+    ("vo_v2_smi_join", 32, 2),
+    ("vo_v2_smi_scan", 32, 2),
+    ("vo_v2_smi_dnf", 32, 2),
+    ("vo_v2_ci_join", 64, 2),
+    ("vo_v3_smi_dnf", 32, 3),
+    ("vo_v4_ci_dnf", 64, 4),
+    ("vo_v5_smi_dnf", 32, 5),
+)
+
+
+@pytest.mark.parametrize("name, width, version", RETIRED)
+def test_reference_codec_round_trips_its_own_fixtures(name, width, version):
+    payload = (FIXTURES / f"{name}.bin").read_bytes()
+    oracle = reference.ReferenceVOCodec(value_bytes=width, version=version)
+    assert oracle.encode(oracle.decode_retired(payload)) == payload
+    # Neither side takes a retired frame for a live one.
+    assert outcome(oracle.decode, payload) == ("rejected", None)
+    assert outcome(VOCodec(value_bytes=width).decode, payload) == ("rejected", None)
+    for cut in range(len(payload)):
+        assert outcome(oracle.decode_retired, payload[:cut]) == ("rejected", None)
+
+
 #: A join OR-ed with a scan, and a three-way join: every VO structure.
 SWEPT = ("(covid-19 AND symptom) OR sars-cov-2", "covid-19 AND sars-cov-2 AND symptom")
 
@@ -164,12 +194,12 @@ def single_byte_mutants(payload: bytes):
         yield payload[:cut]
 
 
-@pytest.mark.parametrize("vo_version", [3, 2])
+@pytest.mark.parametrize("shards", [3, 2])
 @pytest.mark.parametrize("scheme", sorted(SCHEMES))
-def test_every_single_byte_mutant_decodes_alike(scheme, vo_version):
+def test_every_single_byte_mutant_decodes_alike(scheme, shards):
     """The exhaustive half: random edits rarely land on a flag or a tag."""
     system = HybridStorageSystem(
-        scheme=scheme, seed=8, vo_version=vo_version, **SCHEMES[scheme]
+        scheme=scheme, seed=8, shards=shards, **SCHEMES[scheme]
     )
     system.add_objects(corpus()[:5])  # frames of 0.4-2 KB: the sweep is quadratic
     codec = VOCodec(value_bytes=system.value_bytes)
@@ -179,7 +209,7 @@ def test_every_single_byte_mutant_decodes_alike(scheme, vo_version):
         vo_bytes = codec.encode(answer.vo)
         for mutant in single_byte_mutants(vo_bytes):
             assert outcome(codec.decode, mutant) == outcome(oracle.decode, mutant)
-    if scheme == "smi" and vo_version == 3:  # the protocol does not vary
+    if scheme == "smi" and shards == 3:  # the protocol does not vary
         response = QueryResponse(
             result_ids=answer.result_ids,
             objects=[answer.objects[oid] for oid in answer.result_ids],

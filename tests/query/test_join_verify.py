@@ -13,11 +13,11 @@ from repro.core.merkle_family import MerkleInvertedSP, MerkleProofSystem
 from repro.core.objects import DataObject, ObjectMetadata
 from repro.core.query.join import conjunctive_join, join_two, semi_join
 from repro.core.query.parser import KeywordQuery
-from repro.core.query.verify import verify_conjunct, verify_query
+from repro.core.query.verify import verify_query
 from repro.core.query.vo import QueryAnswer, QueryVO
 from repro.errors import QueryError, VerificationError
 
-from tests.finishing import finish
+from tests.finishing import finish, verify_finished
 
 
 def build_sp(doc_keywords: dict[int, tuple[str, ...]]) -> MerkleInvertedSP:
@@ -68,7 +68,8 @@ class TestJoinTwo:
             (4, 6, 9, 11),
             (4, 5, 7, 8, 10, 12),
         ]
-        assert finish(vo).rounds[-1].upper is None  # terminal round
+        # The walk ended on an open-ended probe of the larger tree.
+        assert sp.view("covid-19").boundaries(11) == (10, 12)
 
     def test_empty_tree_rejected(self, corpus):
         sp = build_sp(corpus)
@@ -85,15 +86,14 @@ class TestSemiJoin:
     def test_filters_candidates(self, corpus):
         sp = build_sp(corpus)
         view = sp.view("symptom")
-        survivors, stage = semi_join([4, 5, 8], view)
+        survivors = semi_join([4, 5, 8], view)
         assert survivors == [4]
-        assert stage is None  # a replayed view keeps what was read instead
-        assert view.keys == [4, 6, 9]
+        assert view.keys == [4, 6, 9]  # the view keeps what was read
 
     def test_empty_candidates(self, corpus):
         sp = build_sp(corpus)
         view = sp.view("symptom")
-        survivors, _ = semi_join([], view)
+        survivors = semi_join([], view)
         assert survivors == []
         assert view.keys == []
 
@@ -116,8 +116,7 @@ class TestConjunctiveJoin:
         views = [sp.view(k) for k in ("covid-19", "symptom", "vaccine")]
         ids, vo = conjunctive_join(views)
         assert ids == [4]
-        assert vo.stages == ()
-        assert len(vo.base.trees) == 3
+        assert vo.base.plan == "cyclic" and len(vo.base.trees) == 3
 
     def test_three_way_semijoin(self, corpus):
         sp = build_sp(corpus)
@@ -125,9 +124,10 @@ class TestConjunctiveJoin:
         ids, vo = conjunctive_join(views, plan="semijoin")
         assert ids == [4]
         assert vo.base.plan == "semijoin" and len(vo.base.trees) == 3
-        walked = finish(vo)
-        assert len(walked.stages) == 1
-        assert len(walked.base.trees) == 2
+        # Base pair (the two smallest trees), then one stage probing the
+        # lone candidate in the third.
+        assert vo.base.trees == ("vaccine", "symptom", "covid-19")
+        assert vo.base.runs[2].keys == (4, 5)
 
 
 class TestVerification:
@@ -221,5 +221,4 @@ class TestRandomisedAgainstModel:
                     trial, sorted(conj)
                 )
                 ps = proof_system_for(sp, conj)
-                verified = verify_conjunct(conj, finish(vo), ps)
-                assert verified.ids == set(ids)
+                assert verify_finished(conj, vo, ps) == set(ids)

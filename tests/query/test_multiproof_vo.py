@@ -1,13 +1,12 @@
-"""End-to-end tests for multiproof VOs (v5 frames, and v3 as read).
+"""End-to-end tests for multiproof VOs (the Merkle family's tables).
 
 The SP ships one deduplicated :class:`TreeMultiproof` per
 ``(tree, commitment)`` and nothing else: the client folds every table
-once inside ``verify_query`` and replays the join over them.  A v3
-frame — the same tables under the walk's rounds, each entry a
-:class:`LeafRef` — is what an older SP sent; it is built here with the
-reference compressor and codec, and must still decode and verify.
-These tests pin the compression win, the round trips, and — most
-importantly — that every tamper vector fails closed.
+once inside ``verify_query`` and replays the join over them.  MI and SMI
+differ on chain only, so both run through the same checks here.  These
+tests pin the win over per-entry paths (which ``MBTree.prove`` still
+mints, for the range and update proofs — the yardstick), the round
+trips, and — most importantly — that every tamper vector fails closed.
 """
 
 import dataclasses
@@ -17,11 +16,8 @@ import pytest
 from repro import DataObject, HybridStorageSystem, KeywordQuery
 from repro.core.query.codec import VOCodec
 from repro.core.query.verify import verify_query
-from repro.core.query.vo import LeafRef, ReplayVO, iter_proven_entries
+from repro.core.query.vo import ReplayVO, iter_proven_entries
 from repro.errors import ReproError, VerificationError
-
-from tests.reference_codec import ReferenceVOCodec
-from tests.reference_multiproof import compress_v3
 
 #: High-selectivity DNF: "hot" matches every object, "warm" every 2nd,
 #: "cool" every 3rd — three trees, three multiproofs, heavy path overlap.
@@ -61,22 +57,30 @@ def v3_system():
 
 @pytest.fixture(scope="module")
 def v2_system():
-    return build(vo_version=2)
+    """The other Merkle scheme: same SP trees, same client."""
+    return build("mi")
 
 
 def answer_for(system, text=DNF):
     return system.process_query(KeywordQuery.parse(text))
 
 
-def v3_answer_for(v2_system, text=DNF):
-    """The answer as an SP of the v3 vintage assembled it."""
-    answer = answer_for(v2_system, text)
-    answer.vo = compress_v3(answer.vo)
-    return answer
-
-
-def v3_frame(system, vo) -> bytes:
-    return ReferenceVOCodec(value_bytes=system.value_bytes).encode(vo)
+def path_bytes(system, vo):
+    """What the VO's leaves would cost as per-entry paths: per table the
+    proof bytes alone, and as entries written inline (presence byte,
+    ``id + hash``, proof tag, path — once each, however often a walk
+    would have repeated them)."""
+    sizes = []
+    keywords = {}
+    for conj in vo.conjuncts:
+        for tree, run in zip(conj.base.trees, conj.base.runs):
+            if run is not None:
+                keywords[run] = tree
+    for index, table in enumerate(vo.multiproofs):
+        tree = system.sp_index.trees[keywords[index]]
+        paths = sum(tree.prove(key)[1].byte_size() for key, _ in table.leaves)
+        sizes.append((paths, paths + 42 * len(table.leaves)))
+    return sizes
 
 
 def reverify(system, answer, text=DNF):
@@ -91,16 +95,15 @@ class TestCompression:
         assert len(answer.vo.multiproofs) == 3  # hot, warm, cool
 
     def test_identical_results_and_shrink_vs_v2(self, v3_system, v2_system):
+        """The tables against one path per entry (what a VO of rounds
+        shipped): at least twice smaller, proof bytes and all."""
         a3 = answer_for(v3_system)
         a2 = answer_for(v2_system)
         assert a3.result_ids == a2.result_ids
-        assert not a2.vo.multiproofs
-        codec = VOCodec(value_bytes=v3_system.value_bytes)
-        wire3 = len(codec.encode(a3.vo))
-        wire2 = len(codec.encode(a2.vo))
-        assert wire3 * 2 <= wire2
-        vb = v3_system.value_bytes
-        assert a3.vo.proof_byte_size(vb) * 2 <= a2.vo.proof_byte_size(vb)
+        assert a3.vo == a2.vo  # MI and SMI keep identical trees
+        sizes = path_bytes(v3_system, a3.vo)
+        assert a3.vo.proof_byte_size() * 2 <= sum(paths for paths, _ in sizes)
+        assert a3.vo.byte_size() * 2 <= sum(inline for _, inline in sizes)
 
     def test_both_versions_verify(self, v3_system, v2_system):
         for system in (v3_system, v2_system):
@@ -109,25 +112,19 @@ class TestCompression:
                 i for i in range(40) if i % 2 == 0 or i % 3 == 0
             }
 
-    def test_low_yield_cases_are_not_larger_than_v3(self, v2_system):
-        """What the v3 frame's per-group size gate was written for:
-        near-empty keywords and singleton boundary proofs, where a table
-        cost more than the paths *plus* inline entries it replaced.
-        With no entry left to ship the table always wins — on each such
-        case the v5 frame is not larger than the v3 one."""
+    def test_low_yield_cases_are_not_larger_than_v3(self):
+        """What a per-group size gate was once written for: near-empty
+        keywords and singleton boundary proofs, where a table could cost
+        more than the paths *plus* inline entries it replaced.  With no
+        entry left to ship inline the table always wins."""
         docs = corpus(12) + [
             DataObject(100, ("solo",), b"only"),
             DataObject(101, ("solo", "pair", "hot"), b"both"),
             DataObject(102, ("pair",), b"two"),
         ]
-        v5 = HybridStorageSystem(scheme="smi", seed=5)
-        v2 = HybridStorageSystem(scheme="smi", seed=5, vo_version=2)
-        for system in (v5, v2):
-            system.add_objects(docs)
-        codec = VOCodec(value_bytes=v5.value_bytes)
-        gate_refused = 0
+        system = HybridStorageSystem(scheme="smi", seed=5)
+        system.add_objects(docs)
         for text in (
-            "hot AND ghost",  # empty keyword: no proof at all
             "solo",  # scans of 1-3 leaf trees
             "pair",
             "rare",
@@ -137,17 +134,12 @@ class TestCompression:
             "pair AND hot AND solo",
             "(solo AND hot) OR pair OR (rare AND cool)",
         ):
-            a5 = answer_for(v5, text)
-            a3 = v3_answer_for(v2, text)
-            assert a5.result_ids == a3.result_ids
-            gate_refused += any(
-                not isinstance(entry.proof, LeafRef)
-                for entry in iter_proven_entries(a3.vo)
-            )
-            assert len(codec.encode(a5.vo)) <= len(v3_frame(v2, a3.vo)), text
-            assert reverify(v5, a5, text).ids == set(a5.result_ids)
-        assert gate_refused >= 3  # the cases do include what the gate refused
-        assert not answer_for(v5, "hot AND ghost").vo.multiproofs
+            answer = answer_for(system, text)
+            sizes = path_bytes(system, answer.vo)
+            for table, (_, inline) in zip(answer.vo.multiproofs, sizes):
+                assert table.byte_size() <= inline, text
+            assert reverify(system, answer, text).ids == set(answer.result_ids)
+        assert not answer_for(system, "hot AND ghost").vo.multiproofs
 
 
 class TestRoundTrip:
@@ -156,27 +148,25 @@ class TestRoundTrip:
         vo = answer_for(v3_system).vo
         assert all(isinstance(c.base, ReplayVO) for c in vo.conjuncts)
         payload = codec.encode(vo)
-        assert payload[0] == 0xF5
+        assert payload[0] == 0xF6
         assert codec.decode(payload) == vo
         answer = answer_for(v3_system)
         answer.vo = codec.decode(payload)
         assert reverify(v3_system, answer).ids
 
     def test_v3_decode_encode_identity(self, v2_system):
-        """A v3 frame decodes to what its SP assembled; it is read-only,
-        so re-encoding it is refused rather than silently re-framed."""
+        """Tables that carry helper digests round-trip as well."""
         codec = VOCodec(value_bytes=v2_system.value_bytes)
-        vo = v3_answer_for(v2_system).vo
-        payload = v3_frame(v2_system, vo)
-        assert payload[0] == 0xF3
+        vo = answer_for(v2_system, SPARSE).vo
+        assert any(table.helpers for table in vo.multiproofs)
+        payload = codec.encode(vo)
         assert codec.decode(payload) == vo
-        with pytest.raises(ReproError, match="read-only"):
-            codec.encode(vo)
+        assert codec.encode(codec.decode(payload)) == payload
 
     def test_decoded_v3_vo_still_verifies(self, v2_system):
         codec = VOCodec(value_bytes=v2_system.value_bytes)
-        answer = v3_answer_for(v2_system)
-        answer.vo = codec.decode(v3_frame(v2_system, answer.vo))
+        answer = answer_for(v2_system)
+        answer.vo = codec.decode(codec.encode(answer.vo))
         assert reverify(v2_system, answer).ids == {
             i for i in range(40) if i % 2 == 0 or i % 3 == 0
         }
@@ -277,49 +267,42 @@ class TestFailClosed:
             with pytest.raises(VerificationError):
                 reverify(v3_system, answer, SPARSE)
 
-    def test_gindex_substitution_between_trees(self, v2_system):
-        """(v3) Re-pointing a LeafRef at a different tree's multiproof
-        must fail: one fold has one root, and it is not this keyword's."""
-        answer = v3_answer_for(v2_system, SPARSE)
-        vo = answer.vo
-        entries = [
-            e
-            for e in iter_proven_entries(vo)
-            if isinstance(e.proof, LeafRef)
-        ]
-        assert entries
-        victim = entries[0]
-        other = (victim.proof.proof_index + 1) % len(vo.multiproofs)
-        swapped = dataclasses.replace(
-            victim.proof, proof_index=other, ordinal=0
+    def test_gindex_substitution_between_trees(self, v3_system):
+        """One conjunct of a DNF naming the table another conjunct's
+        tree was proven in: one fold has one root, and it is not this
+        keyword's."""
+        answer = answer_for(v3_system)
+        first, second = answer.vo.conjuncts
+        assert first.base.trees != second.base.trees
+        theirs = set(first.base.runs) - set(second.base.runs)
+        mine = set(second.base.runs) - set(first.base.runs)
+        assert len(theirs) == len(mine) == 1
+        runs = tuple(
+            theirs.copy().pop() if run in mine else run
+            for run in second.base.runs
         )
-
-        def rewrite(entry):
-            if entry is victim:
-                return dataclasses.replace(entry, proof=swapped)
-            return entry
-
-        answer.vo = _map_entries(vo, rewrite)
+        forged = dataclasses.replace(
+            second, base=dataclasses.replace(second.base, runs=runs)
+        )
+        answer.vo = dataclasses.replace(answer.vo, conjuncts=(first, forged))
         with pytest.raises(VerificationError):
-            reverify(v2_system, answer, SPARSE)
+            reverify(v3_system, answer)
 
-    def test_leafref_out_of_range(self, v2_system):
-        answer = v3_answer_for(v2_system, SPARSE)
-        vo = answer.vo
-        victim = next(
-            e
-            for e in iter_proven_entries(vo)
-            if isinstance(e.proof, LeafRef)
+    def test_leafref_out_of_range(self, v3_system):
+        """A conjunct naming a table the VO does not hold."""
+        answer = answer_for(v3_system, SPARSE)
+        conj = answer.vo.conjuncts[0]
+        forged = dataclasses.replace(
+            conj, base=dataclasses.replace(conj.base, runs=(0, 99))
         )
-        bad = dataclasses.replace(victim.proof, proof_index=99)
-        answer.vo = _map_entries(
-            vo,
-            lambda e: dataclasses.replace(e, proof=bad)
-            if e is victim
-            else e,
-        )
-        with pytest.raises(VerificationError):
-            reverify(v2_system, answer, SPARSE)
+        answer.vo = dataclasses.replace(answer.vo, conjuncts=(forged,))
+        with pytest.raises(VerificationError, match="out of range"):
+            reverify(v3_system, answer, SPARSE)
+        with pytest.raises(ReproError, match="lacks"):
+            list(iter_proven_entries(answer.vo))
+        codec = VOCodec(value_bytes=v3_system.value_bytes)
+        with pytest.raises(ReproError, match="names table"):
+            codec.decode(codec.encode(answer.vo))
 
     def test_tampered_leaf_binding(self, v3_system):
         """Corrupting a leaf-table hash breaks the fold against the
@@ -336,25 +319,22 @@ class TestFailClosed:
     def test_multiproofs_rejected_without_capable_proof_system(
         self, v3_system
     ):
-        """A proof system lacking ``attach_multiproofs`` (the Chameleon
-        family) must reject a VO that carries a table."""
-
-        class NoMultiproofPS:
-            def chain_digest_bytes(self):
-                return 0
-
+        """The other family's proof system refuses a Merkle table."""
+        ci = HybridStorageSystem(scheme="ci", cvc_modulus_bits=512, seed=5)
+        ci.add_objects(corpus(14))
         answer = answer_for(v3_system, SPARSE)
-        query = KeywordQuery.parse(DNF)
-        with pytest.raises(VerificationError):
-            verify_query(query, answer, NoMultiproofPS())
+        query = KeywordQuery.parse(SPARSE)
+        ps = ci.chain_proof_system(query.all_keywords())
+        with pytest.raises(VerificationError, match="another kind"):
+            verify_query(query, answer, ps)
 
 
 class TestFrameRobustness:
-    def test_truncated_v3_frame(self, v3_system, v2_system):
+    def test_truncated_v3_frame(self, v3_system):
         codec = VOCodec(value_bytes=v3_system.value_bytes)
         for payload in (
             codec.encode(answer_for(v3_system).vo),
-            v3_frame(v2_system, v3_answer_for(v2_system).vo),
+            codec.encode(answer_for(v3_system, SPARSE).vo),
         ):
             for cut in (1, 7, len(payload) // 2, len(payload) - 1):
                 with pytest.raises(ReproError):
@@ -363,56 +343,12 @@ class TestFrameRobustness:
     def test_unknown_frame_version_rejected(self, v3_system):
         codec = VOCodec(value_bytes=v3_system.value_bytes)
         payload = codec.encode(answer_for(v3_system).vo)
-        assert payload[0] == 0xF5
-        with pytest.raises(ReproError, match="unsupported VO frame"):
-            codec.decode(bytes([0xF6]) + payload[1:])
+        assert payload[0] == 0xF6
+        for marker in (0xF5, 0xF7, 0x02):
+            with pytest.raises(ReproError, match="unsupported VO frame"):
+                codec.decode(bytes([marker]) + payload[1:])
 
     def test_v2_pin_refuses_compressed_vo(self, v3_system):
-        codec = VOCodec(value_bytes=v3_system.value_bytes, version=2)
-        with pytest.raises(ReproError):
-            codec.encode(answer_for(v3_system).vo)
-
-
-def _map_entries(vo, fn):
-    """Rebuild a QueryVO with ``fn`` applied to every ProvenEntry."""
-    from repro.core.query.vo import FullScanVO, MultiWayJoinVO
-
-    def entry(e):
-        return None if e is None else fn(e)
-
-    conjuncts = []
-    for conj in vo.conjuncts:
-        base = conj.base
-        if isinstance(base, MultiWayJoinVO):
-            rounds = tuple(
-                dataclasses.replace(
-                    r,
-                    lower=entry(r.lower),
-                    upper=entry(r.upper),
-                    next_target=entry(r.next_target),
-                )
-                for r in base.rounds
-            )
-            base = dataclasses.replace(
-                base, first_target=fn(base.first_target), rounds=rounds
-            )
-        elif isinstance(base, FullScanVO):
-            base = dataclasses.replace(
-                base, entries=tuple(fn(e) for e in base.entries)
-            )
-        stages = tuple(
-            dataclasses.replace(
-                stage,
-                probes=tuple(
-                    dataclasses.replace(
-                        p, lower=entry(p.lower), upper=entry(p.upper)
-                    )
-                    for p in stage.probes
-                ),
-            )
-            for stage in conj.stages
-        )
-        conjuncts.append(
-            dataclasses.replace(conj, base=base, stages=stages)
-        )
-    return dataclasses.replace(vo, conjuncts=tuple(conjuncts))
+        """There is one frame: the codec takes no version to pin."""
+        with pytest.raises(TypeError):
+            VOCodec(value_bytes=v3_system.value_bytes, version=2)

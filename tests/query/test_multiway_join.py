@@ -12,10 +12,9 @@ import pytest
 from repro.core.merkle_family import MerkleInvertedSP, MerkleProofSystem
 from repro.core.objects import DataObject, ObjectMetadata
 from repro.core.query.join import conjunctive_join, multiway_join
-from repro.core.query.verify import verify_conjunct
 from repro.errors import QueryError
 
-from tests.finishing import finish
+from tests.finishing import verify_finished
 
 
 def build_sp(doc_keywords):
@@ -62,36 +61,27 @@ class TestCyclicWalk:
         views = [sp.view(k) for k in ("a", "b", "c")]
         matches, vo = multiway_join(views)
         assert matches == [1, 3, 5]
-        # Every round's probe index differs from the implied home tree
-        # and the walk terminates with an open-ended probe.
-        walked = finish(vo)
-        assert walked.rounds[-1].upper is None
+        # Each target is probed in the *other* trees in list order:
+        # 1 (home a) in b, c; 3 (home c) in a, b; 4 (home b) in a, where
+        # it fails; 5 (home a) in b, c, which both end there.
+        assert [run.keys for run in vo.runs] == [(1, 3, 5), (1, 3, 4, 5), (1, 3, 5)]
         ps = proof_system_for(sp, {"a", "b", "c"})
-        verified = verify_conjunct(
-            frozenset({"a", "b", "c"}), _wrap(walked), ps
-        )
-        assert verified.ids == {1, 3, 5}
+        assert verify_finished({"a", "b", "c"}, vo, ps) == {1, 3, 5}
 
     def test_rounds_grow_with_keyword_count(self):
-        """The walk's VO grows with k (the paper's Fig. 11/12 shape)."""
+        """The walk reads more with k (the paper's Fig. 11/12 shape)."""
         rng = random.Random(7)
         vocabulary = [f"w{i}" for i in range(8)]
         corpus = {
             oid: tuple(rng.sample(vocabulary, 5)) for oid in range(1, 120)
         }
         sp = build_sp(corpus)
-        round_counts = {}
+        read_counts = {}
         for k in (2, 4, 6):
             views = [sp.view(f"w{i}") for i in range(k)]
             _, vo = multiway_join(views)
-            round_counts[k] = len(finish(vo).rounds)
-        assert round_counts[2] < round_counts[4] < round_counts[6]
-
-
-def _wrap(vo):
-    from repro.core.query.vo import ConjunctiveVO
-
-    return ConjunctiveVO(keywords=vo.trees, base=vo)
+            read_counts[k] = sum(len(run.keys) for run in vo.runs)
+        assert read_counts[2] < read_counts[4] < read_counts[6]
 
 
 class TestPlansAgainstModel:
@@ -108,8 +98,7 @@ class TestPlansAgainstModel:
                 ids, vo = conjunctive_join(views, plan=plan)
                 assert set(ids) == brute_force(corpus, set(conj))
                 ps = proof_system_for(sp, conj)
-                verified = verify_conjunct(conj, finish(vo), ps)
-                assert verified.ids == set(ids)
+                assert verify_finished(conj, vo, ps) == set(ids)
 
     def test_plans_agree(self):
         rng = random.Random(3)

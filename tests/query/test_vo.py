@@ -1,20 +1,28 @@
-"""Unit tests for VO structures and size accounting."""
+"""Unit tests for VO structures and size accounting.
+
+There is one VO shape: tables plus, per conjunct, the names of the
+tables the client replays the join over.  What a probe, a Bloom skip or
+a semi-join stage *costs* is therefore read off the tables: the rows the
+walk had to read.
+"""
 
 import pytest
 
+from repro.core.chameleon import ChameleonTreeSP, InsertionProof
+from repro.core.chameleon_index import ChameleonView
 from repro.core.merkle_family import MerkleInvertedSP
 from repro.core.objects import DataObject, ObjectMetadata
-from repro.core.query.join import conjunctive_join
+from repro.core.query.join import conjunctive_join, semi_join
 from repro.core.query.vo import (
     ConjunctiveVO,
-    JoinRound,
     ProvenEntry,
     QueryVO,
-    SemiJoinProbe,
+    iter_proven_entries,
 )
+from repro.crypto.bloom import BloomFilterChain
 from repro.crypto.hashing import sha3
 
-from tests.finishing import boundaries_proven, finish, first_proven
+from tests.finishing import finish
 
 
 def build_sp(n, keywords=("a", "b")):
@@ -25,37 +33,88 @@ def build_sp(n, keywords=("a", "b")):
     return sp
 
 
+def scan_vo(sp, keyword):
+    _, vo = conjunctive_join([sp.view(keyword)])
+    return finish(vo)
+
+
 class TestProvenEntry:
     def test_byte_size_includes_proof(self):
-        sp = build_sp(20)
-        entry = first_proven(sp.view("a"))
-        assert entry.byte_size() > 40  # id + hash + path
+        vo = scan_vo(build_sp(20), "a")
+        entries = list(iter_proven_entries(vo))
+        assert entries and all(isinstance(e, ProvenEntry) for e in entries)
+        # More than the bare ``id + hash`` rows: the table authenticates them.
+        assert vo.byte_size() > 40 * len(entries)
+        assert vo.proof_byte_size() == (
+            vo.multiproofs[0].byte_size() - 40 * len(entries)
+        )
 
     def test_rejects_proof_without_byte_size(self):
-        entry = ProvenEntry(object_id=1, object_hash=sha3(b"x"), proof=object())
-        with pytest.raises(TypeError):
-            entry.byte_size()
+        vo = QueryVO(conjuncts=(), multiproofs=(object(),))
+        with pytest.raises(AttributeError):
+            vo.byte_size()
 
     def test_none_proof_costs_only_framing(self):
-        entry = ProvenEntry(object_id=1, object_hash=sha3(b"x"), proof=None)
-        # presence + id + hash + proof tag
-        assert entry.byte_size() == 1 + 8 + 32 + 1
+        empty = ConjunctiveVO(keywords=("a",), empty_keyword="a")
+        vo = QueryVO(conjuncts=(empty,))
+        # marker + table count + conjunct count, then the conjunct:
+        # keyword count + "a" + kind + "a"
+        assert vo.byte_size() == 3 + (1 + 2 + 1 + 2)
+        assert vo.proof_byte_size() == 0
+        assert ProvenEntry(1, sha3(b"x")).object_id == 1
+
+
+def store_tree(ids):
+    """An SP-side Chameleon tree over ``ids`` with stand-in group elements.
+
+    The SP's view never looks at them: it reads IDs and positions.
+    """
+    tree = ChameleonTreeSP(root_commitment=1, arity=2, value_bytes=8)
+    for position, oid in enumerate(ids, 1):
+        tree.apply_insertion(
+            InsertionProof(
+                position=position,
+                object_id=oid,
+                object_hash=sha3(b"%d" % oid),
+                commitment=position,
+                slot1_proof=position,
+                parent_link_proof=position,
+                parent_position=(position - 1) // 2,
+                child_index=(position - 1) % 2 + 1,
+            )
+        )
+    return tree
 
 
 class TestJoinRoundSizes:
     def test_probe_round(self):
-        sp = build_sp(20)
-        lower, upper = boundaries_proven(sp.view("a"), 5)
-        rnd = JoinRound(kind="probe", lower=lower, upper=upper)
-        # kind + probe index + both boundaries + absent next_target slot
-        assert rnd.byte_size() == 3 + lower.byte_size() + upper.byte_size()
+        """A probe costs the two boundary rows around its target."""
+        view = ChameleonView("a", store_tree(range(10, 30)))
+        assert view.boundaries(15) == (15, 16)
+        assert view.positions == [6, 7]
+        table = view.tree.multiproof(tuple(view.positions))
+        rows = table.rows()
+        assert [flag for _, _, flag in rows].count(1) == 2
+        entry = 2 + 40 + 3 * 8  # position + flag, id + hash, three elements
+        node = 2 + 2 * 8
+        entries = sum(flag for _, _, flag in rows)
+        assert table.byte_size() == 2 + entries * entry + (len(rows) - entries) * node
 
     def test_skip_round_smaller_than_probe(self):
-        sp = build_sp(20)
-        lower, upper = boundaries_proven(sp.view("a"), 5)
-        probe = JoinRound(kind="probe", lower=lower, upper=upper)
-        skip = JoinRound(kind="skip", next_target=upper)
-        assert skip.byte_size() < probe.byte_size()
+        """A Bloom skip reads one row of the home tree, a probe two of the probed."""
+        home = ChameleonView("home", store_tree(range(10, 30)))
+        chain = BloomFilterChain(filter_bits=256, capacity=8)
+        for oid in (50, 60):
+            chain.add(oid)
+        probed = ChameleonView("probed", store_tree((50, 60)), bloom=chain)
+        home.first()
+        before = len(home.positions)
+        ids, _ = conjunctive_join([home, probed], order="given")
+        assert ids == []
+        # Every target was skipped: the probed tree was never read, and
+        # each skip advanced the home tree by exactly one row.
+        assert probed.positions == []
+        assert len(home.positions) - before == 19
 
 
 class TestAggregateSizes:
@@ -73,7 +132,14 @@ class TestAggregateSizes:
         assert vo.byte_size() < 50
 
     def test_semi_join_probe_flags(self):
-        absent = SemiJoinProbe(candidate_id=5, bloom_absent=True)
-        assert not absent.matched
-        # id + flag + two absent boundary slots
-        assert absent.byte_size() == 11
+        """A Bloom-excluded candidate is no survivor and reads no row."""
+        chain = BloomFilterChain(filter_bits=256, capacity=8)
+        for oid in (12, 14):
+            chain.add(oid)
+        view = ChameleonView("a", store_tree((12, 14)), bloom=chain)
+        absent = next(o for o in range(100, 200) if chain.definitely_absent(o))
+        assert semi_join([absent], view) == []
+        assert view.positions == []
+        assert semi_join([12, 13], view) == [12]
+        assert view.positions  # these were probed
+

@@ -9,46 +9,48 @@ answers both encoders must produce the same bytes, and on any byte
 string both decoders must return equal values or both raise
 ``ReproError``.
 
-:class:`ReferenceVOCodec` is the old ``VOCodec`` verbatim (v2, v3 and v4
-frames, the v3 writer of ``LeafRef`` entries included — the golden v3
-frame and the v3 attack tests are built with it), plus the v5 frame
-written in the same per-field style from its layout in the codec's
-docstring.  The protocol half is the old reader *plus* the fail-closed
-rules the protocol gained with the new one — status byte in ``{0, 1}``,
-UTF-8 text, no trailing bytes after the message or inside an object's
-field — written in the old per-field style; without them the two sides
-would disagree on exactly the inputs those rules exist for.  Objects
-come back as plain ``(id, keywords, content)`` triples: the reference
-does not normalise what it reads, and neither does
-``DataObject.from_wire``.
+:class:`ReferenceVOCodec` writes and reads the one live frame (v6:
+tables with a kind tag each, conjuncts that name them) in that per-field
+style, from its layout in the codec's docstring.  It is also the *only*
+reader left of the retired frames — v2 (rounds of per-entry proofs), v3
+(``LeafRef`` entries), v4 (``NodeRef`` entries over node tables without
+entry rows) and v5 (Merkle tables without kind tags) — which it decodes
+into the plain structures of ``tests/legacy_vo.py`` and re-encodes byte
+for byte when pinned to their version: the committed golden frames of
+those versions are its fixtures.  The protocol half is the old reader
+*plus* the fail-closed rules the protocol gained with the new one —
+status byte in ``{0, 1}``, UTF-8 text, no trailing bytes after the
+message or inside an object's field — written in the old per-field
+style; without them the two sides would disagree on exactly the inputs
+those rules exist for.  Objects come back as plain ``(id, keywords,
+content)`` triples: the reference does not normalise what it reads, and
+neither does ``DataObject.from_wire``.
 """
 
 from __future__ import annotations
 
 import io
 
-from repro.core.chameleon import (
-    ChameleonLink,
-    ChameleonMultiproof,
-    ChameleonNode,
-    MembershipProof,
-    NodeRef,
-)
+from repro.core.chameleon import ChameleonMultiproof
 from repro.core.mbtree import MerklePath, PathStep
 from repro.core.multiproof import TreeMultiproof
-from repro.core.query.vo import (
-    ConjunctiveVO,
+from repro.core.query.vo import ConjunctiveVO, QueryVO, ReplayVO
+from repro.errors import ReproError
+from tests.legacy_vo import (
+    ChameleonLink,
+    ChameleonNode,
     FullScanVO,
     JoinRound,
     LeafRef,
+    MembershipProof,
     MultiWayJoinVO,
+    NodeRef,
+    NodeTable,
     ProvenEntry,
-    QueryVO,
-    ReplayVO,
+    RoundsConjunctVO,
     SemiJoinProbe,
     SemiJoinStage,
 )
-from repro.errors import ReproError
 
 _PROOF_NONE = 0
 _PROOF_MERKLE = 1
@@ -66,7 +68,7 @@ _BASE_FULLSCAN = 2
 #: First byte of a versioned frame; ``0xF0 | version`` (v2 is the
 #: unmarked legacy layout).
 _VERSION_BASE = 0xF0
-_VERSIONS = (2, 3, 4, 5)
+_VERSIONS = (2, 3, 4, 5, 6)
 
 _KINDS = {"cyclic": 1, "semijoin": 2}
 
@@ -75,11 +77,9 @@ class ReferenceVOCodec:
     """Encoder/decoder bound to one scheme's group-element width.
 
     ``version`` selects the frame the *encoder* emits: ``None`` (the
-    default) auto-selects the oldest frame that can carry the VO — the
-    byte-identical legacy v2 layout without tables, v3 with Merkle
-    multiproofs, v4 with Chameleon node tables; a pinned version always
-    emits that frame and refuses a VO that needs a newer one.  The
-    decoder is version-agnostic and reads all three.
+    default) is the live v6 frame; a retired frame is written only when
+    pinned, from the legacy structures its decoder returned.  The
+    decoder is version-agnostic and reads v2 to v6.
     """
 
     def __init__(
@@ -218,10 +218,7 @@ class ReferenceVOCodec:
             leaves=leaves,
         )
 
-    def _write_node_table(
-        self, out: io.BytesIO, table: ChameleonMultiproof
-    ) -> None:
-        table.index()  # a malformed table is refused, not shipped
+    def _write_node_table(self, out: io.BytesIO, table: NodeTable) -> None:
         self._write_uint(out, table.arity, 1)
         self._write_varint(out, len(table.nodes))
         for node in table.nodes:
@@ -229,13 +226,15 @@ class ReferenceVOCodec:
             self._write_element(out, node.commitment)
             self._write_element(out, node.link_proof)
 
-    def _read_node_table(self, data: io.BytesIO) -> ChameleonMultiproof:
+    def _read_node_table(self, data: io.BytesIO) -> NodeTable:
         arity = self._read_uint(data, 1)
         count = self._read_varint(data)
         remaining = len(data.getbuffer()) - data.tell()
         if count * (1 + 2 * self.value_bytes) > remaining:
             raise ReproError("node table longer than the VO payload")
-        table = ChameleonMultiproof(
+        if not 1 <= arity <= 0xFF:
+            raise ReproError("node table arity out of range")
+        table = NodeTable(
             arity=arity,
             nodes=tuple(
                 ChameleonNode(
@@ -246,8 +245,55 @@ class ReferenceVOCodec:
                 for _ in range(count)
             ),
         )
-        table.index()  # sorted, duplicate-free, parent-closed — or raises
+        try:
+            table.positions()  # sorted, duplicate-free, parent-closed
+        except ValueError as exc:
+            raise ReproError(str(exc)) from None
         return table
+
+    def _write_entry_table(
+        self, out: io.BytesIO, table: ChameleonMultiproof
+    ) -> None:
+        """v6: the rows travel as the bytes the table holds."""
+        self._write_uint(out, table.arity, 1)
+        self._write_varint(out, table.count)
+        out.write(table.body)
+
+    def _read_entry_table(self, data: io.BytesIO) -> ChameleonMultiproof:
+        """v6: ``position || flag || [id || h(o)] || c || [pi] || rho`` rows."""
+        arity = self._read_uint(data, 1)
+        count = self._read_varint(data)
+        start = data.tell()
+        if count * (2 + 2 * self.value_bytes) > len(data.getbuffer()) - start:
+            raise ReproError("node table longer than the VO payload")
+        if not 1 <= arity <= 0xFF:
+            raise ReproError("node table arity out of range")
+        seen: set[int] = set()
+        childless: set[int] = set()
+        previous = 0
+        for _ in range(count):
+            position = self._read_varint(data)
+            entry = self._read_present(data)
+            if entry:
+                self._read_bytes(data, 8 + 32)  # id || h(o)
+            self._read_element(data)  # c_pos
+            if entry:
+                self._read_element(data)  # slot-1 opening
+            self._read_element(data)  # link opening
+            if position <= previous:
+                raise ReproError("node table positions do not ascend")
+            parent = (position - 1) // arity
+            if parent and parent not in seen:
+                raise ReproError("node table lacks a parent row")
+            childless.discard(parent)
+            if not entry:
+                childless.add(position)
+            seen.add(position)
+            previous = position
+        if childless:
+            raise ReproError("node table row hangs nothing")
+        body = data.getvalue()[start : data.tell()]
+        return ChameleonMultiproof(arity, self.value_bytes, count, body)
 
     # -- proofs ------------------------------------------------------------------
 
@@ -418,12 +464,13 @@ class ReferenceVOCodec:
             if (
                 mps is None
                 or proof.table_index >= len(mps)
-                or not isinstance(mps[proof.table_index], ChameleonMultiproof)
+                or not isinstance(mps[proof.table_index], NodeTable)
             ):
                 raise ReproError(
                     f"NodeRef table index {proof.table_index} out of range"
                 )
-            mps[proof.table_index].node(proof.position)  # raises if absent
+            if proof.position not in mps[proof.table_index].positions():
+                raise ReproError(f"node table has no position {proof.position}")
         else:
             raise ReproError(f"unknown proof tag {tag}")
         return ProvenEntry(
@@ -458,7 +505,7 @@ class ReferenceVOCodec:
         )
 
     def _write_conjunct(
-        self, out: io.BytesIO, vo: ConjunctiveVO, mps: tuple | None = None
+        self, out: io.BytesIO, vo: RoundsConjunctVO, mps: tuple | None = None
     ) -> None:
         self._write_uint(out, len(vo.keywords), 1)
         for keyword in vo.keywords:
@@ -498,7 +545,7 @@ class ReferenceVOCodec:
 
     def _read_conjunct(
         self, data: io.BytesIO, mps: tuple | None = None
-    ) -> ConjunctiveVO:
+    ) -> RoundsConjunctVO:
         keywords = tuple(
             self._read_string(data) for _ in range(self._read_uint(data, 1))
         )
@@ -553,7 +600,7 @@ class ReferenceVOCodec:
                     )
                 )
             stages.append(SemiJoinStage(keyword=keyword, probes=tuple(probes)))
-        return ConjunctiveVO(
+        return RoundsConjunctVO(
             keywords=keywords,
             base=base,
             stages=tuple(stages),
@@ -563,22 +610,8 @@ class ReferenceVOCodec:
     # -- public API ----------------------------------------------------------------
 
     def encode(self, vo: QueryVO) -> bytes:
-        """Serialise a full ``VO_sp`` to its wire form.
-
-        Emits the oldest frame that can carry the VO (see
-        :meth:`~repro.core.query.vo.QueryVO.frame_version`) unless the
-        codec was pinned; a pin older than the VO needs is refused.  A
-        table ref without its table — e.g. a per-conjunct slice of a
-        compressed VO — still gets the versioned frame: such bytes
-        compare deterministically, but only the rejoined VO decodes.
-        """
-        needed = vo.frame_version()
-        version = needed if self.version is None else self.version
-        if version < needed:
-            raise ReproError(
-                f"VOCodec(version={version}) cannot encode a VO that "
-                f"needs the v{needed} frame"
-            )
+        """Serialise a full ``VO_sp``: the v6 frame unless pinned older."""
+        version = 6 if self.version is None else self.version
         out = io.BytesIO()
         mps: tuple | None = None
         if version >= 3:
@@ -586,12 +619,23 @@ class ReferenceVOCodec:
             mps = tuple(vo.multiproofs)
             self._write_varint(out, len(mps))
             for table in mps:
-                chameleon = isinstance(table, ChameleonMultiproof)
-                if version == 4:
+                if version == 6:
+                    entry_rows = isinstance(table, ChameleonMultiproof)
                     self._write_uint(
-                        out, _TABLE_CHAMELEON if chameleon else _TABLE_MERKLE, 1
+                        out, _TABLE_CHAMELEON if entry_rows else _TABLE_MERKLE, 1
                     )
-                if chameleon:
+                    if entry_rows:
+                        self._write_entry_table(out, table)
+                        continue
+                elif version == 4:
+                    self._write_uint(
+                        out,
+                        _TABLE_CHAMELEON
+                        if isinstance(table, NodeTable)
+                        else _TABLE_MERKLE,
+                        1,
+                    )
+                if isinstance(table, NodeTable):
                     self._write_node_table(out, table)
                 else:
                     self._write_multiproof(out, table)
@@ -646,23 +690,29 @@ class ReferenceVOCodec:
             base=ReplayVO(plan=plans[kind], trees=tuple(trees), runs=tuple(runs)),
         )
 
-    def _read_table(
-        self, data: io.BytesIO, version: int
-    ) -> TreeMultiproof | ChameleonMultiproof:
-        kind = self._read_uint(data, 1) if version == 4 else _TABLE_MERKLE
+    def _read_table(self, data: io.BytesIO, version: int):
+        kind = self._read_uint(data, 1) if version in (4, 6) else _TABLE_MERKLE
         if kind == _TABLE_MERKLE:
             return self._read_multiproof(data)
         if kind == _TABLE_CHAMELEON:
+            if version == 6:
+                return self._read_entry_table(data)
             return self._read_node_table(data)
         raise ReproError(f"unknown table kind {kind}")
 
     def decode(self, payload: bytes) -> QueryVO:
-        """Parse a wire-form ``VO_sp``; raises on malformed input.
+        """Parse a wire-form ``VO_sp`` (the live v6 frame only).
 
-        Reads every frame version regardless of the codec's ``version``
-        pin (the pin only selects the encoder's output).  Only
-        :class:`~repro.errors.ReproError` escapes, whatever the bytes.
+        Only :class:`~repro.errors.ReproError` escapes, whatever the
+        bytes.
         """
+        return self._decode(payload, (6,))
+
+    def decode_retired(self, payload: bytes) -> QueryVO:
+        """Parse a frame of a retired version (v2–v5) into legacy structures."""
+        return self._decode(payload, (2, 3, 4, 5))
+
+    def _decode(self, payload: bytes, versions: tuple[int, ...]) -> QueryVO:
         data = io.BytesIO(payload)
         if not payload:
             raise ReproError("truncated VO payload")
@@ -671,8 +721,9 @@ class ReferenceVOCodec:
         version = 2
         if first >= _VERSION_BASE:
             version = first - _VERSION_BASE
-            if version not in _VERSIONS[1:]:
-                raise ReproError(f"unsupported VO frame version {version}")
+        if version not in versions:
+            raise ReproError(f"unsupported VO frame version {version}")
+        if version >= 3:
             data.read(1)
             mps = tuple(
                 self._read_table(data, version)

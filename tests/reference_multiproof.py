@@ -11,31 +11,19 @@
   adjacent that ``TreeMultiproof`` used before it kept one integer per
   leaf, and the mixed-radix generalized index (:func:`leaf_gindex`) it
   was named after.
-* **The v3 frame's compression** (:func:`compress_v3`): what the SP's
-  prove step did while the VO still shipped the walk — group a rounds
-  VO's path-proven entries per root, merge each group into a table
-  unless the per-group size gate refused, point the entries at it with
-  ``LeafRef``.  The v3 decode-and-verify tests and the "a v5 frame is
-  never larger than the v3 one" check build their v3 side with it.
 """
 
 from __future__ import annotations
 
-from repro.core.mbtree import Entry, MerklePath
+from repro.core.mbtree import MerklePath
 from repro.core.multiproof import (
     SLOT_DESCEND,
     SLOT_HELPER,
     SLOT_LEAF,
     TreeMultiproof,
-    _map_vo_entries,
-)
-from repro.core.query.vo import (
-    LeafRef,
-    ProvenEntry,
-    QueryVO,
-    iter_proven_entries,
 )
 from repro.errors import ReproError, VerificationError
+from tests.legacy_vo import ProvenEntry
 
 
 def leaf_gindex(gpath: tuple[int, ...], widths: tuple[int, ...]) -> int:
@@ -268,47 +256,3 @@ def build_multiproof(
         ),
         ordinals,
     )
-
-
-def compress_v3(vo: QueryVO) -> QueryVO:
-    """A path-proven rounds VO (``vo_version=2``) as the v3 frame held it.
-
-    Entries are grouped by the root their path folds to, in the codec's
-    write order; a group whose table would cost more wire bytes than the
-    paths it replaces keeps its paths (the size gate).
-    """
-    groups: dict[bytes, list[ProvenEntry]] = {}
-    for entry in iter_proven_entries(vo):
-        if isinstance(entry.proof, MerklePath):
-            root = entry.proof.compute_root(
-                Entry(key=entry.object_id, value_hash=entry.object_hash)
-            )
-            groups.setdefault(root, []).append(entry)
-    tables: list[TreeMultiproof] = []
-    refs: dict[tuple[bytes, int], LeafRef] = {}
-    for root, entries in groups.items():
-        table, ordinals = build_multiproof([(e, e.proof) for e in entries])
-        saved = -table.byte_size()
-        group_refs = {}
-        for entry in entries:
-            gpath = tuple(step.index for step in reversed(entry.proof.steps))
-            ref = LeafRef(len(tables), ordinals[gpath])
-            group_refs[(root, entry.object_id)] = ref
-            saved += 40 + entry.proof.byte_size() - ref.byte_size()
-        if saved > 0:
-            tables.append(table)
-            refs.update(group_refs)
-
-    def rewrite(entry: ProvenEntry) -> ProvenEntry:
-        if not isinstance(entry.proof, MerklePath):
-            return entry
-        root = entry.proof.compute_root(
-            Entry(key=entry.object_id, value_hash=entry.object_hash)
-        )
-        ref = refs.get((root, entry.object_id))
-        if ref is None:
-            return entry
-        return ProvenEntry(entry.object_id, entry.object_hash, ref)
-
-    rewritten = _map_vo_entries(vo, rewrite)
-    return QueryVO(conjuncts=rewritten.conjuncts, multiproofs=tuple(tables))

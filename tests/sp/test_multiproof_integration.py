@@ -1,19 +1,20 @@
-"""Multiproof compression through the warmer and the affine pool.
+"""Proof tables through the warmer and the affine pool.
 
-Two integration seams of the compressed (v3/v4) VO path:
+Two integration seams of the locate-then-prove VO path:
 
 * the :class:`~repro.sp.warmer.CacheWarmer` pre-verifies a keyword's
-  full cover and seeds the multiproof cache key, so a later compressed
-  query's fold is a cache hit;
+  full-scan table and so seeds the multiproof cache key: a later scan's
+  fold is a cache hit;
 * shard-affine scatter-gather (including the Chameleon batched-ingest
   path, whose insertion proofs the data owner opens with the trapdoor
-  before any shard sees them) stays byte-identical at any shard count
-  with compression on — Merkle multiproofs and Chameleon node tables
-  alike.
+  before any shard sees them) stays byte-identical at any shard count —
+  Merkle multiproofs and Chameleon node tables alike, both built by the
+  ``prove`` op inside the worker that holds the tree.
 """
 
 import pytest
 
+from repro.core.chameleon import ChameleonMultiproof
 from repro.core.objects import DataObject
 from repro.core.query.parser import KeywordQuery
 from repro.core.system import HybridStorageSystem
@@ -36,12 +37,13 @@ class TestWarmerMultiproof:
         assert system.warm_pending() > 0
         hits_before = system.verify_cache.hits
         answer = system.process_query(KeywordQuery.parse('"alpha"'))
-        # The full scan compresses: one multiproof covering the tree —
-        # the very cover the warmer just folded and cached.
-        assert answer.vo.multiproofs
-        result = system.query('"alpha" AND "beta"')
-        assert result.verified
-        assert system.verify_cache.hits > hits_before
+        # The full scan is one multiproof covering the tree — the very
+        # table the warmer just folded and cached.
+        assert len(answer.vo.multiproofs) == 1
+        misses = system.verify_cache.misses
+        assert system.query('"alpha"').verified
+        assert system.verify_cache.hits == hits_before + 1
+        assert system.verify_cache.misses == misses
 
     def test_unwarmed_query_folds_then_caches(self):
         system = self.make_system()
@@ -54,7 +56,7 @@ class TestWarmerMultiproof:
 
 
 class TestAffineMultiproofParity:
-    """1 vs 8 affine shards must be byte-identical, compression on."""
+    """1 vs 8 affine shards must be byte-identical."""
 
     def test_mi_v3_frames_identical_across_shards(self):
         base, _ = build("mi", shards=1)
@@ -72,7 +74,7 @@ class TestAffineMultiproofParity:
                 )
                 assert base.query(text).verified
                 assert affine.query(text).verified
-            assert saw_multiproof, "no query exercised the v3 path"
+            assert saw_multiproof, "no query shipped a multiproof"
         finally:
             base.close()
             affine.close()
@@ -102,14 +104,17 @@ class TestAffineMultiproofParity:
                 answer_serial = serial.process_query(query)
                 answer_affine = affine.process_query(query)
                 assert answer_serial.result_ids == answer_affine.result_ids
-                # Worker-side joins return pickled proofs; the tables the
-                # parent builds from them are the single-shard bytes.
+                # Worker-side joins return located runs; the tables the
+                # workers then cut for them are the single-shard bytes.
                 frame = serial._codec.encode(answer_serial.vo)
                 assert frame == affine._codec.encode(answer_affine.vo)
-                saw_node_table |= frame[0] == 0xF4
+                saw_node_table |= any(
+                    isinstance(table, ChameleonMultiproof)
+                    for table in answer_affine.vo.multiproofs
+                )
                 assert serial.query(text).verified
                 assert affine.query(text).verified
-            assert saw_node_table, "no query exercised the v4 path"
+            assert saw_node_table, "no query shipped a node table"
         finally:
             serial.close()
             affine.close()

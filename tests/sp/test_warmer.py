@@ -5,12 +5,12 @@ import dataclasses
 import pytest
 
 from repro import obs
-from repro.core.merkle_family import prove_scan
 from repro.core.objects import DataObject
 from repro.core.query.parser import KeywordQuery
 from repro.core.system import HybridStorageSystem
 from repro.errors import ReproError, VerificationError
 from repro.sp.warmer import ACCESS_METRIC_PREFIX, CacheWarmer
+from tests.node_tables import change, forge
 
 
 def corpus():
@@ -37,12 +37,15 @@ class TestWarming:
         warmed = system.warm_pending()
         assert warmed > 0
         assert system.warmer.pending() == []
-        # Warming went through real verification: only misses so far.
-        assert system.verify_cache.misses >= warmed
+        # Warming went through real verification — one fold per
+        # keyword's scan table — so only misses so far.
+        assert warmed == 5 and system.verify_cache.misses == 3
         assert system.verify_cache.hits == 0
-        result = system.query('"alpha" AND "beta"')
-        assert result.verified
-        assert system.verify_cache.hits > 0
+        # A scan presents exactly the table that was warmed (a join cuts
+        # its own, which are the warmed ones only where it reads a tree
+        # whole).
+        assert system.query('"alpha"').verified
+        assert (system.verify_cache.hits, system.verify_cache.misses) == (1, 3)
 
     def test_insert_redirties_only_touched_keywords(self):
         system = make_system()
@@ -64,8 +67,9 @@ class TestWarming:
 
 
 class TestChameleonWarming:
-    """The warmer verifies per-entry proofs; a compressed query asks the
-    cache about openings.  Both spell an opening the same way."""
+    """The warmer verifies a keyword's full-scan table; a query asks the
+    cache about the openings of whatever rows it reads.  Both spell an
+    opening the same way."""
 
     def make_ci_system(self):
         system = HybridStorageSystem(
@@ -86,8 +90,8 @@ class TestChameleonWarming:
         system = self.make_ci_system()
         with obs.collect() as collector:
             assert system.warm_pending() == 9 + 5
-        # Two openings per posting, each owed once while warming (every
-        # per-entry chain repeats its ancestors' links) and each keyword
+        # Two openings per posting — a scan table holds entry rows only,
+        # each with its slot-1 and its link opening — and each keyword
         # settled as one batch.
         assert system.verify_cache.misses == 2 * (9 + 5)
         assert len(system.verify_cache) == 2 * (9 + 5)
@@ -107,7 +111,7 @@ class TestChameleonWarming:
             )
         misses = system.verify_cache.misses
         answer = system.process_query(KeywordQuery.parse('"alpha"'))
-        assert answer.vo.multiproofs  # node tables, not per-entry proofs
+        assert answer.vo.multiproofs  # the very table the warmer verified
         for text in ('"alpha"', '"alpha" AND "beta"', '"beta"'):
             assert system.query(text).verified
         assert calls == []
@@ -116,54 +120,49 @@ class TestChameleonWarming:
 
 
     def test_tampered_entry_is_neither_counted_nor_cached(self):
-        """The keyword's batch fails, every entry then settles alone:
-        the bad one is skipped, the rest warm, and a later query that
+        """One bad opening and the keyword's table warms nothing: its
+        batch fails, nothing of it is cached, and a later query that
         presents the bad opening still has to check it — and fails."""
         system = self.make_ci_system()
-        genuine = system._sp_view("beta").all_proven()
-        assert len(genuine) == 5
-        bad_proof = genuine[3].proof.slot1_proof ^ 1
-        entries = list(genuine)
-        entries[3] = dataclasses.replace(
-            genuine[3],
-            proof=dataclasses.replace(genuine[3].proof, slot1_proof=bad_proof),
+        genuine = system._locked_prove("beta")
+        assert genuine.count == 5
+        tampered = forge(
+            genuine, {4: lambda r: change(slot1_proof=r.slot1_proof ^ 1)(r)}
         )
         warmer = CacheWarmer(
-            prove=lambda kw: entries,
+            prove=lambda kw: tampered,
             proof_system=system.chain_proof_system,
             hot_threshold=0,
         )
         warmer.note_insert(["beta"])
         with obs.collect() as collector:
-            assert warmer.warm("beta") == 4
+            assert warmer.warm("beta") == 0
         counters = collector.metrics.snapshot()
-        assert counters["sp.warm.entries"] == 4
-        assert counters["sp.warm.failures"] == 1
-        assert counters["vc.verify.batch_fallbacks"] >= 1
+        assert counters.get("sp.warm.entries", 0) == 0
+        assert counters["sp.warm.failures"] == 5
+        assert counters["vc.verify.batch_fallbacks"] == 1
         assert "beta" in warmer.pending()
-        cached = {key.parts[-1] for key in system.verify_cache._entries}
-        assert bad_proof not in cached
-        assert genuine[3].proof.slot1_proof not in cached  # never presented
-        # Slot 1 of the four good entries, and every link (the bad
-        # entry's own link was settled with its descendants' chains or
-        # not at all — either way only by a batch that passed).
-        assert {e.proof.slot1_proof for e in genuine} - cached == {
-            genuine[3].proof.slot1_proof
-        }
+        assert len(system.verify_cache) == 0
         ps = system.chain_proof_system(frozenset(("beta",)))
+        ps.attach_multiproofs((tampered,))
         with pytest.raises(VerificationError):
             with ps.settling():
-                ps.verify_entry("beta", entries[3])
+                ps.proven_run("beta", 0).scan()
 
 
 class TestFailClosed:
+    def tampered_scan(self, system, keyword, leaves):
+        """The keyword's scan table with the hashes of ``leaves`` zeroed."""
+        genuine = system._locked_prove(keyword)
+        forged = tuple(
+            (key, bytes(32) if index in leaves else value)
+            for index, (key, value) in enumerate(genuine.leaves)
+        )
+        return genuine, dataclasses.replace(genuine, leaves=forged)
+
     def test_tampered_entries_never_reach_the_cache(self):
         system = make_system()
-        genuine = prove_scan(system._sp_view("alpha"))
-        tampered = [
-            dataclasses.replace(entry, object_hash=bytes(32))
-            for entry in genuine
-        ]
+        genuine, tampered = self.tampered_scan(system, "alpha", {0, 1})
         warmer = CacheWarmer(
             prove=lambda kw: tampered,
             proof_system=system.chain_proof_system,
@@ -173,32 +172,37 @@ class TestFailClosed:
         with obs.collect() as col:
             assert warmer.warm("alpha") == 0
             snap = col.metrics.snapshot()
-        assert snap["sp.warm.failures"] == len(tampered)
+        assert snap["sp.warm.failures"] == len(tampered.leaves)
         assert snap.get("sp.warm.entries", 0) == 0
         # The keyword stays dirty so the failure is re-observed.
         assert "alpha" in warmer.pending()
-        # Nothing was cached: verifying a tampered entry still raises.
+        # Nothing was cached: verifying the tampered table still raises.
+        assert len(system.verify_cache) == 0
         ps = system.chain_proof_system(frozenset(("alpha",)))
+        ps.attach_multiproofs((tampered,))
         with pytest.raises(VerificationError):
-            with ps.settling():
-                ps.verify_entry("alpha", tampered[0])
+            ps.proven_run("alpha", 0)
 
     def test_partial_tampering_caches_only_good_entries(self):
+        """A table is warmed whole or not at all: one bad leaf of two
+        caches nothing, and the honest table then warms every entry."""
         system = make_system()
-        genuine = prove_scan(system._sp_view("alpha"))
-        assert len(genuine) >= 2
-        mixed = [genuine[0]] + [
-            dataclasses.replace(entry, object_hash=bytes(32))
-            for entry in genuine[1:]
-        ]
+        genuine, mixed = self.tampered_scan(system, "alpha", {1})
+        assert len(genuine.leaves) >= 2
+        tables = [mixed, genuine]
         warmer = CacheWarmer(
-            prove=lambda kw: mixed,
+            prove=lambda kw: tables[0],
             proof_system=system.chain_proof_system,
             hot_threshold=0,
         )
         warmer.note_insert(["alpha"])
-        assert warmer.warm("alpha") == 1
+        assert warmer.warm("alpha") == 0
         assert "alpha" in warmer.pending()
+        assert len(system.verify_cache) == 0
+        tables.pop(0)
+        assert warmer.warm("alpha") == len(genuine.leaves)
+        assert warmer.pending() == []
+        assert len(system.verify_cache) == 1  # the one fold a scan presents
 
 
 class TestSignals:
