@@ -3,7 +3,7 @@
 The module-local ``lock-discipline`` rule (PR 3) checks that guarded
 state stays under its lock; it cannot see *across* functions or modules,
 which is where the dangerous concurrency bugs live — a lock-order cycle
-between ``sp/affine.py`` and ``sp/warmer.py``, a lock held across
+between ``core/system.py`` and ``sp/affine.py``, a lock held across
 ``AffineWorkerPool``'s fork, a blocking pipe send reachable under a
 mutex.  This package builds one whole-project model
 (:class:`~repro.analysis.concurrency.model.ProjectModel`: per-class

@@ -170,7 +170,7 @@ def _ann_terminal(annotation: ast.AST | None) -> str | None:
     if isinstance(annotation, ast.Constant) and isinstance(
         annotation.value, str
     ):
-        # String annotation: "CacheWarmer".
+        # String annotation: "ShardedStorageProvider".
         return annotation.value.split(".")[-1] or None
     return _terminal_name(annotation)
 
@@ -921,7 +921,7 @@ class _FunctionWalker:
             return elem
         if isinstance(expr, ast.Call):
             # Use the callee's return annotation when it names a class:
-            # self._warmer_for(kw).note_insert(...) resolves through it.
+            # self.counter(name).inc(...) resolves through ``-> Counter``.
             func = expr.func
             returns = None
             owner_module = self.src.module

@@ -74,10 +74,8 @@ def _caller_is_ours(depth: int = 2, limit: int = 10) -> bool:
 
     Only the nearest non-pass-through frame decides.  Scanning deeper
     would claim locks that stdlib machinery creates for itself on a
-    call path that merely started in repro code — e.g.
-    ``ProcessPoolExecutor``'s internal ``_ThreadWakeup`` lock, whose
-    own discipline (``send_bytes`` under that lock, fork while holding
-    it) is deliberate stdlib behaviour, not ours to police.
+    call path that merely started in repro code (a ``queue.Queue``'s
+    mutex, say), whose discipline is the stdlib's, not ours to police.
     """
     frame = sys._getframe(depth)
     for _ in range(limit):

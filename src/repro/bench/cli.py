@@ -4,7 +4,7 @@ Examples::
 
     repro-bench --exp fig6
     repro-bench --exp fig10 --size 2000
-    repro-bench --exp shard --profile --trace-out shard_trace.jsonl
+    repro-bench --exp fig11 --profile --trace-out fig11_trace.jsonl
     repro-bench --exp all
 """
 
@@ -68,8 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=25.0,
         metavar="MS",
-        help="sampling interval in milliseconds (default %(default)s; "
-        "~2%% overhead on the shard bench at the default)",
+        help="sampling interval in milliseconds (default %(default)s)",
     )
     parser.add_argument(
         "--profile-out",

@@ -89,7 +89,7 @@ def flatten(doc: object, prefix: str = "") -> dict[str, object]:
     """Flatten a bench JSON document to ``dotted.path -> value``.
 
     Dicts nest with ``.``; list elements are addressed by row identity
-    (``ingest[executor=process shards=4].ingest_ms``) so row order
+    (``rows[corpus_size=100000 fanout=4].build_ms``) so row order
     never matters, falling back to the list index for identity-less
     rows.  Strings become part of identities, not metrics; booleans
     and numbers are the comparable leaves.

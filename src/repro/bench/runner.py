@@ -555,20 +555,6 @@ def experiment_fastpath(**kwargs):
     return _fastpath(**kwargs)
 
 
-def experiment_witness(**kwargs):
-    """Batch witness engine benchmark (lazy import avoids a module cycle)."""
-    from repro.bench.witness import experiment_witness as _witness
-
-    return _witness(**kwargs)
-
-
-def experiment_shard(**kwargs):
-    """Sharded-SP benchmark (lazy import avoids a module cycle)."""
-    from repro.bench.shard import experiment_shard as _shard
-
-    return _shard(**kwargs)
-
-
 def experiment_flatbuf(**kwargs):
     """Flat-buffer node storage bench (lazy import avoids a cycle)."""
     from repro.bench.flatbuf import experiment_flatbuf as _flatbuf
@@ -631,8 +617,6 @@ EXPERIMENTS = {
     "tab2": experiment_tab2,
     "disj": experiment_disjunctive,
     "fastpath": experiment_fastpath,
-    "witness": experiment_witness,
-    "shard": experiment_shard,
     "query": experiment_query,
     "flatbuf": experiment_flatbuf,
 }

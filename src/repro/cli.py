@@ -14,7 +14,7 @@ Examples::
     repro query ./registry "covid-19 AND vaccine"
     repro obs trace ./registry "covid-19 AND vaccine" --trace-out t.jsonl
     repro obs critpath t.jsonl --workers 4
-    repro bench compare --baseline BENCH_shard.json --current fresh.json
+    repro bench compare --baseline BENCH_fastpath.json --current fresh.json
     repro info ./registry
 """
 
@@ -70,9 +70,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--pool",
         default="stateless",
         choices=["stateless", "affine"],
-        help="shard execution mode: 'affine' keeps each shard's engine "
-        "resident in a long-lived worker process and ships only posting "
-        "deltas per batch (stateless executors remain the fallback)",
+        help="where the shard engines live: 'stateless' in this process; "
+        "'affine' keeps each shard's engine resident in a long-lived "
+        "worker process and ships only posting deltas per batch",
     )
 
     add = sub.add_parser("add", help="notarise one or more objects")

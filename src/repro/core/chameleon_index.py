@@ -331,8 +331,8 @@ class ChameleonProofSystem:
     up, range-checked and *recorded*, and the scope's exit checks
     everything recorded as one :func:`repro.crypto.vc.verify_batch`
     (DESIGN.md §6.1).  Nothing the join concluded counts until that exit
-    returns: ``verify_query`` and the warmer compare, cache and count
-    only afterwards.  The exit also settles the account of the tables:
+    returns: ``verify_query`` compares, caches and counts only
+    afterwards.  The exit also settles the account of the tables:
     none unused, no entry row unread.
 
     ``cache``, when set, memoises *successful* openings keyed on the

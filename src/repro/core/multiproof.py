@@ -130,8 +130,8 @@ class TreeMultiproof:
         """Collision-resistant digest over the proof's full content.
 
         The verification-cache key for a multiproof is ``(root, token)``
-        — the content digest the warmer and the client both derive —
-        so a warmed proof hits at query time iff it is byte-identical.
+        — a content digest — so a proof verified by one query hits in
+        a later one iff it is byte-identical.
         The encoding is injective: every list is length-prefixed and
         digests are fixed 32-byte words.
         """
@@ -388,7 +388,7 @@ def compress_query_vo(vo: QueryVO, prove: Prover | None = None) -> QueryVO:
     to pickling), and every run becomes the index of its tree's table.
     Nothing else is shipped: the client re-runs the join over the
     tables.  Runs after call-order gathering, so the output is identical
-    for any shard count, pool mode or executor.  A VO without located
+    for any shard count and pool mode.  A VO without located
     runs is returned as it is.
     """
     tables = _prove_runs(vo, prove)

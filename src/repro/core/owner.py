@@ -151,14 +151,12 @@ class DataOwnerPipeline:
 
     def insert_chameleon_batched(
         self, metadatas: list[ObjectMetadata]
-    ) -> tuple[Receipt, set[str]]:
+    ) -> Receipt:
         """One batched DO transaction for the whole object list.
 
         Stages every off-chain mutation, sends a single ``insert_objects``
         transaction, and rolls the DO back completely when it fails.
-        Returns the receipt and the set of touched keywords.
         """
-        touched = {kw for m in metadatas for kw in m.keywords}
         undo: list = []
         batch = []
         payload = b""
@@ -202,7 +200,7 @@ class DataOwnerPipeline:
         flush = getattr(self.sp, "flush_mutations", None)
         if flush is not None:
             flush()
-        return receipt, touched
+        return receipt
 
     def _mirror_chameleon(
         self, metadata: ObjectMetadata, proofs: dict, new_kw_list: list

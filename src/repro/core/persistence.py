@@ -12,8 +12,8 @@ never deserialise inconsistent cryptographic state.
 
 Manifest v2 captures the *complete* constructor configuration.  The v1
 schema recorded only a subset (omitting ``cvc_modulus_bits`` from the
-config map plus ``gas_limit``, ``track_state``, ``verify_cache_size``
-and the witness knobs entirely), so a system saved with non-default
+config map plus ``gas_limit``, ``track_state`` and
+``verify_cache_size`` entirely), so a system saved with non-default
 values silently restored with defaults — a non-default modulus even
 changes key derivation, making every restored digest mismatch.  v1
 manifests remain readable; their missing fields load as the defaults
@@ -43,7 +43,7 @@ MANIFEST_VERSION = 3
 
 #: System constructor arguments captured in a v2 manifest — the full
 #: configuration surface (everything except ``seed``, stored top-level,
-#: and runtime-only knobs like ``executor`` or ``engine_dir``).
+#: and the runtime-only ``engine_dir``).
 _CONFIG_FIELDS = (
     "fanout",
     "arity",
@@ -51,13 +51,10 @@ _CONFIG_FIELDS = (
     "filter_bits",
     "cvc_modulus_bits",
     "gas_limit",
-    "mine_every",
     "join_order",
     "join_plan",
     "track_state",
     "verify_cache_size",
-    "witness_warmer",
-    "warm_hot_threshold",
     "shards",
     "engine",
     "pool",
@@ -72,7 +69,19 @@ _V1_CONFIG_FIELDS = (
     "filter_bits",
     "join_order",
     "join_plan",
+)
+
+#: Keys older builds wrote into ``config`` for arguments that no longer
+#: exist.  None of them changed a root, a VO or gas: ``witness_batching``
+#: chose between two ingest opening paths with equal bytes,
+#: ``mine_every`` set how many inserts shared a block (callers only ever
+#: used one), and the two ``warm*`` keys configured a cache warmer that
+#: left the cache a scan query leaves.  They are ignored on load.
+_RETIRED_CONFIG_FIELDS = (
+    "witness_batching",
     "mine_every",
+    "witness_warmer",
+    "warm_hot_threshold",
 )
 
 
@@ -169,9 +178,8 @@ def load_system(
         raise ReproError(f"no manifest at {manifest_path}")
     manifest = json.loads(manifest_path.read_text())
     kwargs = _kwargs_from_manifest(manifest)
-    # Written by older builds; it chose between two ingest opening paths
-    # that produced the same bytes, and there is one path now.
-    kwargs.pop("witness_batching", None)
+    for retired in _RETIRED_CONFIG_FIELDS:
+        kwargs.pop(retired, None)
     declared_engine = kwargs.get("engine")
     if declared_engine == "disk":
         if engine_dir is None:

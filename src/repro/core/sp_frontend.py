@@ -9,18 +9,22 @@ seeded :class:`~repro.sp.engine.ShardRouter`:
 * **ingestion** — confirmed index mutations go to the owning shard of
   their keyword; raw objects are homed on the shard of their first
   keyword and located through an ID -> shard map;
-* **query serving** — each conjunct's views are *scattered* to their
-  owning shards, joined (serially or through the configured
-  :mod:`repro.parallel` executor), and the per-conjunct VOs *gathered*
-  in conjunct order.
+* **query serving** — each conjunct is joined over the views of its
+  owning shards and the per-conjunct VOs are *gathered* in conjunct
+  order.
+
+A shard's work runs in one of two places and nowhere else: in this
+process (``pool="stateless"``: the engines live here and every
+operation is a plain call) or in the resident worker that owns the
+shard (``pool="affine"``, :mod:`repro.sp.affine`).
 
 Sharding is invisible above this layer: a keyword's tree receives
 exactly the insert sequence it would receive in a single-shard system,
 so views — and therefore per-conjunct VOs, verified answers and the
 on-chain digests — are byte-identical for any shard count.  The merge
-order is the query's conjunct order (executors preserve input order),
-never a shard-map iteration order, which repro-lint's determinism rule
-now enforces for this module.
+order is the query's conjunct order (replies are gathered in call
+order), never a shard-map iteration order, which repro-lint's
+determinism rule enforces for this module.
 """
 
 from __future__ import annotations
@@ -30,7 +34,6 @@ from pathlib import Path
 from typing import Callable, Iterator
 
 from repro import obs
-from repro.core.mbtree import MBTree
 from repro.core import suppressed
 from repro.core.multiproof import ProveRequest, compress_query_vo, prove_keys
 from repro.core.objects import DataObject, ObjectMetadata
@@ -39,14 +42,13 @@ from repro.core.query.parser import KeywordQuery
 from repro.core.query.vo import ConjunctiveVO, QueryAnswer, QueryVO
 from repro.crypto.bloom import DEFAULT_CAPACITY, DEFAULT_FILTER_BITS
 from repro.errors import DatasetError, ParameterError
-from repro.parallel import Executor
 from repro.sp.affine import (
     POOL_KINDS,
     AffineEngineProxy,
     AffineWorkerPool,
     EngineSpec,
 )
-from repro.sp.engine import ShardRouter, make_engine
+from repro.sp.engine import ShardRouter
 
 #: Max postings per affine ingest request: bounds any single pipe write
 #: so a huge batch streams as several chunked dispatches per shard.
@@ -76,39 +78,6 @@ def _chunk_groups(
                 chunk, count = [], 0
     if chunk:
         yield chunk
-
-
-def _evaluate_conjunct(args):
-    """Executor task: one conjunct's join (module-level, picklable)."""
-    views, order, plan = args
-    with obs.span("query.sp.join", keywords=len(views)):
-        return conjunctive_join(views, order=order, plan=plan)
-
-
-def _build_shard_trees(args):
-    """Executor task: extend one shard's MB-trees with a batch of postings.
-
-    ``groups`` is ``[(keyword, tree_or_none, [(id, hash), ...]), ...]``
-    in sorted keyword order; trees are plain dataclasses, so they travel
-    to process-pool workers and back with their state intact.  Inserts
-    are applied in stream order per keyword — the same sequence a
-    single-shard system applies — so the returned trees are identical
-    to serially built ones.
-    """
-    fanout, groups = args
-    built = []
-    with obs.span(
-        "sp.shard.build",
-        keywords=len(groups),
-        entries=sum(len(entries) for _, _, entries in groups),
-    ):
-        for keyword, tree, entries in groups:
-            if tree is None:
-                tree = MBTree(fanout=fanout)
-            for object_id, object_hash in entries:
-                tree.insert(object_id, object_hash)
-            built.append((keyword, tree))
-    return built
 
 
 class RoutedTrees:
@@ -149,10 +118,11 @@ class RoutedTrees:
 class ShardedStorageProvider:
     """The SP: N shard engines behind deterministic keyword routing.
 
-    ``index_factory`` builds one empty per-shard index mirror of the
-    active scheme; ``executor`` is shared with the system facade (the
-    scatter-gather paths funnel through it, so a process pool
-    parallelises real per-shard work).  ``shards=1`` degenerates to the
+    ``index_spec`` is the plain-data ``(kind, params)`` description of
+    the active scheme's per-shard index mirror; every engine — here or
+    in a worker — builds its mirror from it.  ``pool`` says where the
+    engines live: ``"stateless"`` in this process, ``"affine"`` in one
+    resident worker process per shard.  ``shards=1`` degenerates to the
     pre-sharding monolith: one engine owns everything and every code
     path reduces to the unsharded one.
     """
@@ -160,8 +130,7 @@ class ShardedStorageProvider:
     def __init__(
         self,
         *,
-        index_factory: Callable[[], object],
-        executor: Executor,
+        index_spec: tuple,
         scheme_value: str,
         join_order: str,
         join_plan: str,
@@ -169,75 +138,51 @@ class ShardedStorageProvider:
         engine: str = "memory",
         engine_dir: str | Path | None = None,
         seed: int | None = None,
-        fanout: int | None = None,
         star: bool = False,
         filter_bits: int = DEFAULT_FILTER_BITS,
         bloom_capacity: int = DEFAULT_CAPACITY,
         pool: str = "stateless",
-        index_spec: tuple | None = None,
     ) -> None:
         self.router = ShardRouter(shards, seed=seed)
-        self.engine_kind = engine
-        self.executor = executor
         self.scheme_value = scheme_value
         self.join_order = join_order
         self.join_plan = join_plan
-        self.fanout = fanout
         if pool not in POOL_KINDS:
             raise ParameterError(
                 f"unknown pool {pool!r}; expected one of: "
                 + ", ".join(POOL_KINDS)
             )
-        self.pool_kind = pool
         self.pool: AffineWorkerPool | None = None
-        self._locations: dict[int, int] = {}
-        if pool == "affine":
-            if index_spec is None:
-                raise ParameterError(
-                    "pool='affine' requires a picklable index_spec"
-                )
-            self.pool = AffineWorkerPool(
-                [
-                    EngineSpec(
-                        shard_id=shard_id,
-                        engine=engine,
-                        index_spec=index_spec,
-                        directory=(
-                            None if engine_dir is None else str(engine_dir)
-                        ),
-                        star=star,
-                        filter_bits=filter_bits,
-                        bloom_capacity=bloom_capacity,
-                    )
-                    for shard_id in range(shards)
-                ]
-            )
-            self.engines = [
-                AffineEngineProxy(self.pool, shard_id)
-                for shard_id in range(shards)
-            ]
-            # The workers replayed any disk journals before their
-            # handshake; their reported IDs rebuild the location map.
-            for shard_id, info in enumerate(self.pool.ready_info):
-                for object_id in info["object_ids"]:
-                    self._locations[object_id] = shard_id
-            return
-        self.engines = [
-            make_engine(
-                engine,
-                shard_id,
-                index_factory,
-                directory=engine_dir,
+        specs = [
+            EngineSpec(
+                shard_id=shard_id,
+                engine=engine,
+                index_spec=index_spec,
+                directory=None if engine_dir is None else str(engine_dir),
                 star=star,
                 filter_bits=filter_bits,
                 bloom_capacity=bloom_capacity,
             )
             for shard_id in range(shards)
         ]
+        if pool == "affine":
+            self.pool = AffineWorkerPool(specs)
+            self.engines = [
+                AffineEngineProxy(self.pool, shard_id)
+                for shard_id in range(shards)
+            ]
+            # The workers replayed any disk journals before their
+            # handshake and reported the IDs they hold.
+            homed = [info["object_ids"] for info in self.pool.ready_info]
+        else:
+            self.engines = [spec.build() for spec in specs]
+            homed = [eng.all_object_ids() for eng in self.engines]
         # Rebuild the object location map after a disk-engine replay.
-        for shard_id, eng in enumerate(self.engines):
-            for object_id in eng.all_object_ids():
-                self._locations[object_id] = shard_id
+        self._locations: dict[int, int] = {
+            object_id: shard_id
+            for shard_id, object_ids in enumerate(homed)
+            for object_id in object_ids
+        }
 
     @property
     def shards(self) -> int:
@@ -331,13 +276,15 @@ class ShardedStorageProvider:
                 )
 
     def mirror_bulk(self, metadatas: list[ObjectMetadata]) -> None:
-        """Mirror a confirmed batch, building each shard's trees in one task.
+        """Mirror a confirmed batch, one posting-group list per shard.
 
         The Merkle-family bulk path: postings are partitioned by owning
-        shard and each shard's trees are extended in a single executor
-        task — with a process pool this is genuine multi-core ingestion.
-        Per keyword the insert sequence equals the per-object path's, so
-        the resulting trees (and every later VO) are byte-identical.
+        shard once and every shard's engine extends its trees through
+        :meth:`~repro.sp.engine.IndexShardEngine.apply_bulk` — called
+        here for in-process engines, run by the worker on its end of
+        the pipe for affine ones.  Per keyword the insert sequence
+        equals the per-object path's, so the resulting trees (and every
+        later VO) are byte-identical.
         """
         pending: dict[int, dict[str, list]] = {}
         for metadata in metadatas:
@@ -346,45 +293,27 @@ class ShardedStorageProvider:
                 pending.setdefault(shard, {}).setdefault(keyword, []).append(
                     (metadata.object_id, metadata.object_hash)
                 )
-        shard_ids = sorted(pending)
-        if self.pool is not None:
-            # Affine path: the trees stay resident in the shard workers;
-            # only the posting deltas travel, chunked so one huge batch
-            # becomes several bounded pipe writes per shard.
-            self.flush_mutations()
-            calls = []
-            for shard in shard_ids:
-                groups = sorted(pending[shard].items())
-                for chunk in _chunk_groups(groups, INGEST_CHUNK_ENTRIES):
-                    calls.append((shard, "bulk", chunk))
-            with obs.span(
-                "sp.shard.scatter", shards=len(shard_ids), executor="affine"
-            ):
-                self.pool.dispatch(calls, ingest=True)
+        groups = [
+            (shard, sorted(pending[shard].items())) for shard in sorted(pending)
+        ]
+        if self.pool is None:
+            for shard, shard_groups in groups:
+                self.engines[shard].apply_bulk(shard_groups)
             return
-        tasks = []
-        for shard in shard_ids:
-            groups = [
-                (keyword, self.engines[shard].tree(keyword), entries)
-                for keyword, entries in sorted(pending[shard].items())
-            ]
-            tasks.append((self.fanout, groups))
+        # The trees stay resident in the shard workers; only the posting
+        # deltas travel, chunked so one huge batch becomes several
+        # bounded pipe writes per shard — and as one dispatch across all
+        # shards, so the workers ingest side by side.
+        self.flush_mutations()
+        calls = [
+            (shard, "bulk", chunk)
+            for shard, shard_groups in groups
+            for chunk in _chunk_groups(shard_groups, INGEST_CHUNK_ENTRIES)
+        ]
         with obs.span(
-            "sp.shard.scatter",
-            shards=len(tasks),
-            executor=self.executor.kind,
+            "sp.shard.scatter", shards=len(groups), executor="affine"
         ):
-            built = self.executor.map(
-                _build_shard_trees,
-                tasks,
-                chunksize=1,
-                labels=[{"shard": shard} for shard in shard_ids],
-            )
-        with obs.span("sp.shard.gather", shards=len(tasks)):
-            for shard, shard_trees in zip(shard_ids, built):
-                engine = self.engines[shard]
-                for keyword, tree in shard_trees:
-                    engine.adopt_tree(keyword, tree, pending[shard][keyword])
+            self.pool.dispatch(calls, ingest=True)
 
     def register_keyword(self, keyword: str, commitment: int) -> None:
         """Register a first-seen keyword on its owning shard."""
@@ -413,22 +342,12 @@ class ShardedStorageProvider:
         """Routed keyword -> tree mapping (SMI spine construction)."""
         return RoutedTrees(self)
 
-    def _scatter(self, query: KeywordQuery) -> list[list]:
-        """Collect each conjunct's views from their owning shards."""
-        if self.shards > 1:
-            with obs.span(
-                "sp.shard.scatter",
-                shards=self.shards,
-                keywords=len(query.all_keywords()),
-            ):
-                return [
-                    [self.view(kw) for kw in sorted(conj)]
-                    for conj in query.conjunctions
-                ]
-        return [
-            [self.view(kw) for kw in sorted(conj)]
-            for conj in query.conjunctions
-        ]
+    def _join(self, views: list) -> tuple[list[int], ConjunctiveVO]:
+        """One conjunct's join over its keyword views."""
+        with obs.span("query.sp.join", keywords=len(views)):
+            return conjunctive_join(
+                views, order=self.join_order, plan=self.join_plan
+            )
 
     def _affine_conjuncts(
         self, query: KeywordQuery
@@ -496,102 +415,53 @@ class ShardedStorageProvider:
             for index in cross:
                 # A view remembers what was read from it: each conjunct
                 # walks fresh ones over the exported trees.
-                views = [
-                    dataclasses.replace(exported[keyword])
-                    for keyword in conjuncts[index]
-                ]
-                with obs.span("query.sp.join", keywords=len(views)):
-                    outcomes[index] = conjunctive_join(
-                        views, order=self.join_order, plan=self.join_plan
-                    )
+                outcomes[index] = self._join(
+                    [
+                        dataclasses.replace(exported[keyword])
+                        for keyword in conjuncts[index]
+                    ]
+                )
         return outcomes
 
     def process_query(self, query: KeywordQuery) -> QueryAnswer:
         """Evaluate the query and build ``VO_sp``.
 
-        Conjuncts are independent joins; with a parallel executor they
-        are evaluated concurrently (the index views are read-only), and
-        with an affine pool each conjunct is joined inside the worker
-        already holding its shard's views.  Per-conjunct VOs are
-        gathered in conjunct order, so the encoded VO never depends on
-        shard layout or executor scheduling.
+        Conjuncts are independent joins: in-process engines are joined
+        here, one after the other; with an affine pool each conjunct is
+        joined inside the worker already holding its shard's views.
+        Per-conjunct VOs are gathered in conjunct order, so the encoded
+        VO never depends on shard layout or pool mode.
         """
         with obs.span(
             "query.sp",
             scheme=self.scheme_value,
             conjunctions=len(query.conjunctions),
         ) as sp_span:
-            conjunct_vos: list[ConjunctiveVO] = []
-            result_ids: set[int] = set()
             if self.pool is not None:
-                for ids, vo in self._affine_conjuncts(query):
-                    conjunct_vos.append(vo)
-                    result_ids |= set(ids)
-                objects = self.get_objects(sorted(result_ids))
-                sp_span.set(results=len(result_ids))
-                return QueryAnswer(
-                    result_ids=sorted(result_ids),
-                    objects=objects,
-                    vo=self._finish_vo(conjunct_vos),
-                )
-            per_conjunct_views = self._scatter(query)
-            if (
-                self.executor.kind != "serial"
-                and len(query.conjunctions) > 1
-            ):
-                tasks = [
-                    (views, self.join_order, self.join_plan)
-                    for views in per_conjunct_views
-                ]
-                with obs.span(
-                    "query.sp.join_parallel",
-                    conjunctions=len(tasks),
-                    executor=self.executor.kind,
-                ):
-                    outcomes = self.executor.map(
-                        _evaluate_conjunct,
-                        tasks,
-                        labels=[
-                            {"conjunct": i} for i in range(len(tasks))
-                        ],
-                    )
-                if self.shards > 1:
-                    with obs.span(
-                        "sp.shard.gather", conjunctions=len(outcomes)
-                    ):
-                        for ids, vo in outcomes:
-                            conjunct_vos.append(vo)
-                            result_ids |= set(ids)
-                else:
-                    for ids, vo in outcomes:
-                        conjunct_vos.append(vo)
-                        result_ids |= set(ids)
+                outcomes = self._affine_conjuncts(query)
             else:
-                for conj, views in zip(query.conjunctions, per_conjunct_views):
-                    with obs.span("query.sp.join", keywords=len(conj)):
-                        ids, vo = conjunctive_join(
-                            views, order=self.join_order, plan=self.join_plan
-                        )
-                    conjunct_vos.append(vo)
-                    result_ids |= set(ids)
-            objects = {oid: self.get_object(oid) for oid in result_ids}
+                outcomes = [
+                    self._join([self.view(kw) for kw in sorted(conj)])
+                    for conj in query.conjunctions
+                ]
+            result_ids = sorted({oid for ids, _ in outcomes for oid in ids})
+            objects = self.get_objects(result_ids)
             sp_span.set(results=len(result_ids))
         return QueryAnswer(
-            result_ids=sorted(result_ids),
+            result_ids=result_ids,
             objects=objects,
-            vo=self._finish_vo(conjunct_vos),
+            vo=self._finish_vo([vo for _, vo in outcomes]),
         )
 
     def _finish_vo(self, conjunct_vos: list[ConjunctiveVO]) -> QueryVO:
         """Assemble ``VO_sp`` and run the prove step over it.
 
-        The common tail of every query path (stateless, parallel and
-        affine).  The joins only located what they read; here each
-        touched tree is proven once for the whole query — one table per
-        ``(tree, commitment)``, which is all the VO then holds.  It runs
-        *after* call-order gathering, over the fully assembled VO, so
-        its output is byte-identical for any shard count, pool mode or
-        executor.
+        The common tail of both pool modes.  The joins only located
+        what they read; here each touched tree is proven once for the
+        whole query — one table per ``(tree, commitment)``, which is all
+        the VO then holds.  It runs *after* call-order gathering, over
+        the fully assembled VO, so its output is byte-identical for any
+        shard count and pool mode.
         """
         vo = QueryVO(conjuncts=tuple(conjunct_vos))
         with obs.span("query.sp.prove"):
@@ -682,17 +552,7 @@ class ShardedStorageProvider:
         return totals
 
     def close(self) -> None:
-        """Release engines, workers and warmers (idempotent).
-
-        Warmers stop *first* — their background threads read through
-        this provider, so they must be joined before the engines (or the
-        affine workers) go away; a wedged warmer thread is bounded by
-        the join timeout and never leaks into the next test case.
-        """
-        for engine in self.engines:
-            warmer = getattr(engine, "warmer", None)
-            if warmer is not None:
-                warmer.stop()
+        """Release the engines or the affine workers (idempotent)."""
         if self.pool is not None:
             self.flush_mutations()
             self.pool.close()

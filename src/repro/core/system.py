@@ -13,9 +13,9 @@ Wires the four parties together for any of the ADS schemes:
 * the **client** queries the SP and verifies results against the
   authenticated digests read from the chain.
 
-The facade owns only the wiring: gas accounting, the mining cadence,
-the readers-writer lock serialising ingestion against query serving,
-and the verification cache / warmer plumbing.  Sharding is configured
+The facade owns only the wiring: gas accounting, block mining, the
+readers-writer lock serialising ingestion against query serving, and
+the client's verification cache.  Sharding is configured
 here (``shards=N``, ``engine="memory"|"disk"``) and is invisible to the
 client and the contract — per-keyword state is byte-identical for any
 shard count.
@@ -42,12 +42,10 @@ from repro.core.chameleon_index import (
     ChameleonContract,
     ChameleonDataOwner,
     ChameleonProofSystem,
-    ChameleonSP,
 )
 from repro.core.chameleon_star import ChameleonStarContract
 from repro.core.mbtree import DEFAULT_FANOUT
-from repro.core.merkle_family import MerkleInvertedSP, MerkleProofSystem
-from repro.core.multiproof import ProveRequest, prove_keys
+from repro.core.merkle_family import MerkleProofSystem
 from repro.core.objects import DataObject, ObjectMetadata
 from repro.core.owner import ADS_CONTRACT, DataOwnerPipeline
 from repro.core.proofcache import DEFAULT_CACHE_SIZE, VerificationCache
@@ -63,7 +61,7 @@ from repro.crypto.prf import generate_key
 from repro.errors import ChainError, DatasetError, ReproError
 from repro.ethereum.chain import Blockchain, Receipt
 from repro.ethereum.gas import BLOCK_GAS_LIMIT, GasMeter
-from repro.parallel import Executor, ReadWriteLock, make_executor
+from repro.parallel import ReadWriteLock
 
 __all__ = [
     "ADS_CONTRACT",
@@ -127,27 +125,16 @@ class HybridStorageSystem:
     Sharding knobs: ``shards`` splits the SP into that many keyword
     partitions behind deterministic seeded routing; ``engine`` picks the
     per-shard storage engine (``memory`` default, or ``disk`` for an
-    append-only JSONL segment log under ``engine_dir``); ``pool`` picks
-    the dispatch mode (``stateless`` default funnels scatter tasks
-    through the shared executor; ``affine`` keeps each shard's engine
-    resident in a long-lived worker process and ships only posting
+    append-only JSONL segment log under ``engine_dir``); ``pool`` says
+    where the engines live (``stateless``, the default: in this process,
+    every SP operation a plain call; ``affine``: each shard's engine
+    resident in a long-lived worker process that is sent only posting
     deltas per batch).  Shard layout and pool mode never change
     answers, VO bytes or gas — only capacity and throughput.
 
-    Fast-path knobs: ``executor`` picks the execution policy for
-    per-conjunct SP evaluation and bulk shard mirroring (``serial``
-    default; ``thread``/``process`` opt in, see :mod:`repro.parallel`;
-    client-side verification always runs in the caller);
-    ``verify_cache_size`` bounds the shared LRU
-    of successfully verified proof tuples reused across conjuncts and
-    queries (0 disables it).
-
-    Witness knobs: ``witness_warmer`` attaches per-shard
-    :class:`~repro.sp.warmer.CacheWarmer` instances that pre-verify hot
-    keywords' proofs into the verification cache on insert and on a
-    trailing access signal (``warm_hot_threshold`` accesses; 0 warms
-    every dirty keyword).  Call :meth:`warm_pending` inline or
-    ``system.warmer.start()`` for the background thread.
+    ``verify_cache_size`` bounds the client's LRU of successfully
+    verified proof tuples reused across conjuncts and queries (0
+    disables it); verification always runs in the caller.
     """
 
     #: There is one VO shape; ``benchmarks/e2e`` still reads this, and it
@@ -164,15 +151,10 @@ class HybridStorageSystem:
         cvc_modulus_bits: int = 1024,
         seed: int | None = 7,
         gas_limit: int = BLOCK_GAS_LIMIT,
-        mine_every: int = 1,
         join_order: str = "size",
         join_plan: str = "cyclic",
         track_state: bool = False,
-        executor: str | Executor = "serial",
-        executor_workers: int | None = None,
         verify_cache_size: int = DEFAULT_CACHE_SIZE,
-        witness_warmer: bool = False,
-        warm_hot_threshold: int = 0,
         shards: int = 1,
         engine: str = "memory",
         engine_dir: str | Path | None = None,
@@ -189,18 +171,13 @@ class HybridStorageSystem:
         self.gas_limit = gas_limit
         self.track_state = track_state
         self.verify_cache_size = verify_cache_size
-        self.witness_warmer = witness_warmer
-        self.warm_hot_threshold = warm_hot_threshold
         self.shards = shards
         self.engine = engine
         self.pool = pool
         self.chain = Blockchain(gas_limit=gas_limit, track_state=track_state)
-        self.mine_every = max(1, mine_every)
-        self._inserts_since_mine = 0
         self._maintenance = GasMeter()
         self._object_count = 0
         self._rwlock = ReadWriteLock()
-        self.executor = make_executor(executor, workers=executor_workers)
         if verify_cache_size > 0:
             prefix = (
                 "vc.verify"
@@ -223,13 +200,7 @@ class HybridStorageSystem:
             do = ChameleonDataOwner(
                 self._cvc, generate_key(seed=seed), arity=arity
             )
-
-            def index_factory() -> ChameleonSP:
-                return ChameleonSP(pp=pp, arity=arity)
-
-            # Plain-data twin of the factory closure for affine workers.
             index_spec = ("chameleon", {"pp": pp, "arity": arity})
-
             if self.scheme is Scheme.CHAMELEON_STAR:
                 contract = ChameleonStarContract(
                     value_bytes=self.value_bytes,
@@ -240,12 +211,7 @@ class HybridStorageSystem:
                 contract = ChameleonContract(value_bytes=self.value_bytes)
         else:
             self.value_bytes = 32
-
-            def index_factory() -> MerkleInvertedSP:
-                return MerkleInvertedSP(fanout=fanout)
-
             index_spec = ("merkle", {"fanout": fanout})
-
             if self.scheme is Scheme.MERKLE_INV:
                 contract = merkle_inv.MerkleInvContract(fanout=fanout)
             else:
@@ -254,8 +220,7 @@ class HybridStorageSystem:
         self.chain.deploy(ADS_CONTRACT, contract)
         self._codec = VOCodec(value_bytes=self.value_bytes)
         self._sp = ShardedStorageProvider(
-            index_factory=index_factory,
-            executor=self.executor,
+            index_spec=index_spec,
             scheme_value=self.scheme.value,
             join_order=join_order,
             join_plan=join_plan,
@@ -263,12 +228,10 @@ class HybridStorageSystem:
             engine=engine,
             engine_dir=engine_dir,
             seed=seed,
-            fanout=fanout,
             star=self.scheme is Scheme.CHAMELEON_STAR,
             filter_bits=filter_bits,
             bloom_capacity=bloom_capacity,
             pool=pool,
-            index_spec=index_spec,
         )
         self._owner = DataOwnerPipeline(
             scheme=self.scheme,
@@ -278,24 +241,6 @@ class HybridStorageSystem:
             do=do,
         )
         self._object_count = self._sp.object_count()  # disk-engine replay
-        self.warmer = None
-        if witness_warmer:
-            # Imported lazily: repro.sp pulls in this module's consumers.
-            from repro.sp.warmer import CacheWarmer, ShardedCacheWarmer
-
-            for shard_engine in self._sp.engines:
-                shard_engine.warmer = CacheWarmer(
-                    prove=self._locked_prove,
-                    proof_system=self._locked_proof_system,
-                    hot_threshold=warm_hot_threshold,
-                )
-            if shards == 1:
-                self.warmer = self._sp.engines[0].warmer
-            else:
-                self.warmer = ShardedCacheWarmer(
-                    [eng.warmer for eng in self._sp.engines],
-                    self._sp.router,
-                )
 
     # -- compatibility surface over the layered internals --------------------------
 
@@ -316,39 +261,6 @@ class HybridStorageSystem:
     def sp_index(self):
         """The first shard's index mirror (the whole index at shards=1)."""
         return self._sp.engines[0].index
-
-    @sp_index.setter
-    def sp_index(self, value) -> None:
-        self._sp.engines[0].index = value
-
-    @property
-    def _sp_blooms(self):
-        return self._sp.engines[0].blooms
-
-    @_sp_blooms.setter
-    def _sp_blooms(self, value) -> None:
-        self._sp.engines[0].blooms = value
-
-    def _locked_prove(self, keyword: str):
-        """Warmer hook: a keyword's full-scan table, under the read lock.
-
-        What a scan of the keyword presents (``None`` when it has no
-        entry): locate and prove both run while the lock pins the tree.
-        """
-        with self._rwlock.read():
-            view = self._sp_view(keyword)
-            if not len(view):
-                return None
-            view.scan()
-            run = view.run()
-            return prove_keys(
-                run.tree, ProveRequest(run.keyword, run.root, run.keys)
-            )
-
-    def _locked_proof_system(self, keywords: frozenset[str]):
-        """Warmer hook: the proof system, built under the read lock."""
-        with self._rwlock.read():
-            return self.chain_proof_system(keywords)
 
     # -- ingestion ------------------------------------------------------------------
 
@@ -394,14 +306,9 @@ class HybridStorageSystem:
             for receipt in receipts:
                 self._maintenance.merge(receipt.gas)
             self._object_count += 1
-            self._inserts_since_mine += 1
-            if self._inserts_since_mine >= self.mine_every:
-                self.chain.mine_block()
-                self._inserts_since_mine = 0
+            self.chain.mine_block()
             gas = sum(r.gas.total for r in receipts)
             ins_span.set(gas=gas, keywords=len(metadata.keywords))
-            if self.warmer is not None:
-                self.warmer.note_insert(metadata.keywords)
         obs.inc("insert.count")
         obs.observe("insert.seconds", time.perf_counter() - t0,
                     buckets=obs.TIME_BUCKETS_S)
@@ -418,8 +325,8 @@ class HybridStorageSystem:
         Amortises the 21,000-gas ``C_tx`` base cost across the batch.
         Supported by the Chameleon family (whose per-object on-chain
         work is a handful of word writes).  MI pays per-object
-        transactions but mirrors the SP trees in one bulk scatter pass
-        (multi-core with a process executor); SMI falls back to
+        transactions but mirrors the SP trees in one bulk pass per shard
+        (side by side in the affine workers); SMI falls back to
         per-object pipelines (its update spines must interleave with the
         insertions) and returns a merged report.
         """
@@ -453,15 +360,13 @@ class HybridStorageSystem:
             # transaction's receipt confirms, so a failed receipt leaves
             # the system able to answer queries (and retry the batch)
             # consistently.
-            receipt, touched = self._owner.insert_chameleon_batched(metadatas)
+            receipt = self._owner.insert_chameleon_batched(metadatas)
             for obj in objects:
                 self._sp.put_object(obj)
             self._sp.flush_mutations()
             self._maintenance.merge(receipt.gas)
             self._object_count += len(objects)
             self.chain.mine_block()
-            if self.warmer is not None:
-                self.warmer.note_insert(touched)
             return InsertReport(
                 object_id=objects[-1].object_id, receipts=[receipt]
             )
@@ -469,7 +374,7 @@ class HybridStorageSystem:
     def _add_merkle_batched(
         self, objects: list[DataObject], metadatas: list[ObjectMetadata]
     ) -> InsertReport:
-        """MI bulk path: per-object transactions, one scatter mirror pass."""
+        """MI bulk path: per-object transactions, one bulk mirror pass."""
         receipts: list[Receipt] = []
         failure: Receipt | None = None
         for metadata in metadatas:
@@ -488,10 +393,6 @@ class HybridStorageSystem:
                 self._maintenance.merge(receipt.gas)
             self._object_count += confirmed
             self.chain.mine_block()
-            if self.warmer is not None:
-                self.warmer.note_insert(
-                    {kw for m in metadatas[:confirmed] for kw in m.keywords}
-                )
         if failure is not None:
             raise ChainError(
                 f"insertion transaction failed: {failure.error}"
@@ -506,11 +407,7 @@ class HybridStorageSystem:
         return self._sp.view(keyword)
 
     def process_query(self, query: KeywordQuery) -> QueryAnswer:
-        """SP side: evaluate the query and build ``VO_sp``.
-
-        Conjuncts are independent joins; with a parallel executor they
-        are evaluated concurrently (the index views are read-only).
-        """
+        """SP side: evaluate the query and build ``VO_sp``."""
         with self._rwlock.read():
             return self._sp.process_query(query)
 
@@ -560,8 +457,6 @@ class HybridStorageSystem:
             # lock; verification and VO encoding operate on the returned
             # snapshot and must not extend the lock scope.
             with self._rwlock.read():
-                if self.warmer is not None:
-                    self.warmer.note_access(query.all_keywords())
                 t0 = time.perf_counter()
                 answer = self._sp.process_query(query)
                 sp_seconds = time.perf_counter() - t0
@@ -610,19 +505,6 @@ class HybridStorageSystem:
             vo_proof_bytes=vo_proof_bytes,
         )
 
-    def warm_pending(self, limit: int | None = None) -> int:
-        """Inline warming pass: absorb the access signal, warm hot keywords.
-
-        Requires ``witness_warmer=True``; returns the number of entries
-        verified into the cache.
-        """
-        if self.warmer is None:
-            raise ReproError(
-                "warming requires HybridStorageSystem(witness_warmer=True)"
-            )
-        self.warmer.sync_from_metrics()
-        return self.warmer.run_pending(limit=limit)
-
     @property
     def uses_cvc(self) -> bool:
         """Whether the scheme authenticates with chameleon commitments.
@@ -660,10 +542,7 @@ class HybridStorageSystem:
             return self._sp.compact()
 
     def close(self) -> None:
-        """Release the executor pool, warmers and shard engines."""
-        if self.warmer is not None:
-            self.warmer.stop()
-        self.executor.close()
+        """Release the shard engines (and their workers, if affine)."""
         self._sp.close()
 
     # -- reporting ------------------------------------------------------------------

@@ -370,7 +370,7 @@ def analyze(
     ``root`` filters the critical path to root spans of that name (the
     longest one wins); by default the longest root anywhere is walked.
     ``workers`` overrides the lane count in the efficiency denominator
-    (pass the executor's worker count to measure against configured,
+    (pass the affine pool's worker count to measure against configured,
     rather than observed, parallelism).
     """
     roots = build_forest(spans)

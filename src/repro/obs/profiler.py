@@ -11,19 +11,18 @@ A stdlib-only statistical profiler: a daemon thread wakes every
   internals skipped so samples land on library code.
 
 Unlike ``cProfile`` (deterministic, ~2x overhead on hot pure-Python
-paths) sampling costs only the sampler thread's wake-ups — measured
-~2% at the default 25 ms interval on the shard bench (wake-up churn
-dominates the ~1 us per-sample work, so overhead scales with the
+paths) sampling costs only the sampler thread's wake-ups (wake-up
+churn dominates the ~1 us per-sample work, so overhead scales with the
 sampling rate) — so it can ride along any benchmark run
 (``repro-bench --profile``).  The span
 attribution is what makes it an *attribution* tool rather than a flat
-profile: "mbtree hashing inside ``sp.shard.build``" and "mbtree
+profile: "mbtree hashing inside ``sp.index.insert``" and "mbtree
 hashing inside ``query.sp.join``" stay separate buckets.
 
 Limitation: ``sys._current_frames`` sees only the sampling process.
-Process-pool workers profile as idle from the parent; run the workload
-with the thread executor (or serially) to profile worker internals —
-span-level attribution for process pools comes from
+Affine shard workers profile as idle from the parent; run the workload
+with in-process engines (``pool="stateless"``) to profile their
+internals — span-level attribution for the workers comes from
 :mod:`repro.obs.xproc` snapshots instead.
 """
 

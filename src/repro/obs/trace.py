@@ -49,7 +49,6 @@ class Span:
         "start_s",
         "end_s",
         "attributes",
-        "forced_parent",
     )
 
     def __init__(self, collector: "Collector", name: str, attributes: dict):
@@ -61,10 +60,6 @@ class Span:
         self.start_s: float = 0.0
         self.end_s: float | None = None
         self.attributes = attributes
-        #: Parent to adopt when entered at the top of a fresh stack —
-        #: set by executor wrappers so a span opened on a pool worker
-        #: thread still hangs under the span that dispatched the task.
-        self.forced_parent: int | None = None
 
     @property
     def duration_s(self) -> float:
@@ -81,8 +76,6 @@ class Span:
         stack = self.collector._stack()
         if stack:
             self.parent_id = stack[-1].span_id
-        elif self.forced_parent is not None:
-            self.parent_id = self.forced_parent
         stack.append(self)
         self.start_s = time.perf_counter()
         return self

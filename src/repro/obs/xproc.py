@@ -1,19 +1,20 @@
 """Cross-process telemetry: capture worker-side traces, merge upstream.
 
 Spans and metric instruments hold locks and collector references, so
-telemetry recorded inside a :class:`~concurrent.futures.ProcessPoolExecutor`
-worker dies with the worker — the scatter-gather hot paths were a
-black hole under the process executor.  This module closes the gap:
+telemetry recorded inside a resident shard worker
+(:mod:`repro.sp.affine`) would stay in the worker — the joins, proofs
+and ingests that run there would be a black hole in the parent's trace.
+This module closes the gap:
 
-* the worker runs its task under a private
+* the worker runs each traced request under a private
   :class:`~repro.obs.trace.Collector` and, when done, calls
   :func:`capture` to turn everything it recorded into one plain-data
   **snapshot** (spans as dicts, metrics via
   :meth:`~repro.obs.metrics.MetricsRegistry.dump_state`, plus a clock
-  anchor) that pickles across the pool boundary;
+  anchor) that rides back on the reply;
 * the parent calls :func:`adopt` on the returned snapshot: span IDs
   are re-issued from the parent collector, worker-side roots are
-  parented under the span that dispatched the task, metric
+  parented under the span that dispatched the request, metric
   accumulations fold in exactly, and **timestamps are rebased** onto
   the parent's ``perf_counter`` timeline.
 
@@ -24,10 +25,10 @@ two timelines through it.  (The wall clock is used purely as a shared
 reference point — never as a duration source; durations always come
 from ``perf_counter`` differences taken within one process.)
 
-The result: a 4-shard ingest under the process executor produces one
-connected trace — ``sp.shard.scatter`` with a ``parallel.task`` child
-per shard, each containing the spans the worker actually recorded —
-which is what :mod:`repro.obs.critpath` attributes time over.
+The result: a sharded ingest or query through the affine pool produces
+one connected trace — ``sp.shard.scatter`` with an ``sp.affine.rpc``
+child per request, each containing the spans the worker actually
+recorded — which is what :mod:`repro.obs.critpath` attributes time over.
 """
 
 from __future__ import annotations

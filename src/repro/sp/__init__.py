@@ -10,8 +10,9 @@ deployment code can depend on a single "SP" namespace:
 
 Sharding (:mod:`repro.sp.engine`) partitions the keyword space across
 pluggable :class:`IndexShardEngine` instances behind a deterministic
-:class:`ShardRouter`; the scatter-gather front-end that drives them is
-:class:`repro.core.sp_frontend.ShardedStorageProvider`.
+:class:`ShardRouter`; the front-end that drives them — in its own
+process or through resident affine workers (:mod:`repro.sp.affine`) —
+is :class:`repro.core.sp_frontend.ShardedStorageProvider`.
 """
 
 from repro.core.chameleon_index import ChameleonSP, ChameleonView
@@ -39,12 +40,10 @@ from repro.sp.protocol import (
     RemoteQueryResult,
     StorageProviderServer,
 )
-from repro.sp.warmer import CacheWarmer, ShardedCacheWarmer
 
 __all__ = [
     "AffineEngineProxy",
     "AffineWorkerPool",
-    "CacheWarmer",
     "EngineSpec",
     "POOL_KINDS",
     "guarded_dumps",
@@ -58,7 +57,6 @@ __all__ = [
     "MerkleInvertedSP",
     "ObjectStore",
     "ShardRouter",
-    "ShardedCacheWarmer",
     "QueryRequest",
     "QueryResponse",
     "RemoteClient",

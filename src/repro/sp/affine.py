@@ -1,14 +1,12 @@
 """Shard-affine persistent workers: resident engines, delta-only wire.
 
-The stateless process-pool scatter path ships every task's *inputs* —
-including each keyword's current MB-tree — to whichever worker the pool
-picks, and ships the extended trees back.  Per-batch IPC therefore grows
-with total index size, and 4-shard ingest lands below single-shard
-(``BENCH_shard.json``): the workers spend their time pickling state they
-could simply have kept.
-
-This module keeps it.  Each shard's engine lives *resident* inside one
-long-lived worker process, spawned once and keyed by shard id:
+A worker that is handed its inputs per task — each keyword's current
+MB-tree out, the extended tree back — pays IPC that grows with total
+index size; such a pool was measured here and lost to plain iteration
+(EXPERIMENTS.md, "Dispatch").  This module is the one way SP work leaves
+the calling process: each shard's engine lives *resident* inside one
+long-lived worker process, spawned once and keyed by shard id, and is
+sent only what changed:
 
 * **ingest** ships only the batch's posting deltas to the owning worker,
   in the exact journal-record format the engines already replay — the
@@ -33,9 +31,9 @@ serialise resident shard state (trees, index mirrors, engines) into a
 silently re-introducing the O(index) payloads this module exists to
 remove.  Replies may carry trees — exporting a view is the point.
 
-The pool is transport only; policy (partitioning, batching, fallback to
-the stateless executors) stays in
-:class:`~repro.core.sp_frontend.ShardedStorageProvider`.
+The pool is transport only; policy (partitioning, batching) stays in
+:class:`~repro.core.sp_frontend.ShardedStorageProvider`, which runs the
+same engines in its own process when no pool is configured.
 """
 
 from __future__ import annotations
@@ -48,7 +46,7 @@ import sys
 import threading
 import traceback
 from collections import deque
-from collections.abc import Callable, Iterable
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from multiprocessing.connection import Connection
 from typing import Any, NoReturn
@@ -72,11 +70,12 @@ DEFAULT_CHUNK_RECORDS = 4096
 
 
 def build_index_factory(index_spec: tuple) -> Callable[[], object]:
-    """Rebuild a per-shard index factory from its picklable spec.
+    """Build a per-shard index factory from its picklable spec.
 
-    The system facade's index factories are closures over live config
-    (unpicklable under ``spawn``); workers instead receive a
-    ``(kind, params)`` spec of plain data and rebuild the closure here.
+    The facade describes the scheme's index mirror as a ``(kind,
+    params)`` spec of plain data — a closure over live config would not
+    cross a process boundary — and every engine, in-process or resident
+    in a worker, gets its factory from here.
     """
     kind, params = index_spec
     if kind == "merkle":
@@ -214,12 +213,6 @@ def _handle(engine: IndexShardEngine, op: str, payload: Any) -> object:
 
         object_id, keywords = payload
         return gen_spines(engine.index.trees, object_id, keywords)
-    if op == "adopt":
-        from repro.sp.engine import tree_from_blob
-
-        keyword, blob, entries = payload
-        engine.adopt_tree(keyword, tree_from_blob(blob), entries)
-        return len(entries)
     if op == "compact":
         return engine.compact()
     if op == "views":
@@ -570,7 +563,6 @@ class AffineEngineProxy:
         self.shard_id = shard_id
         self.kind = "affine"
         self.chunk_records = chunk_records
-        self.warmer = None  # attached by the facade, runs parent-side
         self._pending: list[dict] = []
 
     # -- resident state must not be reachable here --------------------------------
@@ -637,38 +629,6 @@ class AffineEngineProxy:
         from repro.sp.engine import _object_to_record
 
         self._queue({"op": "object", **_object_to_record(obj)})
-
-    def adopt_tree(
-        self, keyword: str, tree: object, entries: Iterable[Any]
-    ) -> None:
-        """Ship a bulk-built tree as one flat buffer, not a pickled graph.
-
-        The parent already paid to build the tree (executor task); its
-        node store is a single contiguous blob, so adoption sends
-        ``bytes`` — the guarded pickler stays satisfied and the worker
-        installs the tree with one buffer read, journaling the postings
-        for replay.  Trees without a flat store fall back to shipping
-        the raw postings.
-        """
-        self.flush()
-        to_blob = getattr(tree, "to_blob", None)
-        if to_blob is None:
-            self.pool.dispatch(
-                [(self.shard_id, "bulk", [(keyword, list(entries))])],
-                ingest=True,
-            )
-            return
-        self.pool.dispatch(
-            [(self.shard_id, "adopt", (keyword, to_blob(), list(entries)))],
-            ingest=True,
-        )
-
-    def apply_bulk(self, groups: list[tuple[str, list]]) -> None:
-        """Ship posting groups; the worker extends its trees in place."""
-        self.flush()
-        self.pool.dispatch(
-            [(self.shard_id, "bulk", groups)], ingest=True
-        )
 
     # -- reads (flush first: read-your-writes) ------------------------------------
 

@@ -4,11 +4,12 @@ The SP's state — per-keyword ADS mirrors, raw object payloads, Bloom
 filter chains — is naturally partitioned by keyword: every proof is
 verified against a *single* keyword's on-chain digest, so two keywords
 never share cryptographic state.  An :class:`IndexShardEngine` owns one
-such partition: the ADS instances of its keywords, the objects homed on
-it, and (when attached by the system facade) the cache warmer serving
-its keywords.  Opening commitments stays with the data owner — it needs
-the trapdoor and the aux state, which never leave the DO — so shards
-receive ready-made insertion proofs like any SP does.
+such partition: the ADS instances of its keywords and the objects homed
+on it.  An engine lives either in the SP front-end's process or in the
+affine worker that owns its shard (:mod:`repro.sp.affine`); the same
+methods run in both places.  Opening commitments stays with the data
+owner — it needs the trapdoor and the aux state, which never leave the
+DO — so shards receive ready-made insertion proofs like any SP does.
 
 Two implementations:
 
@@ -35,7 +36,6 @@ import json
 import mmap
 import os
 import struct
-from collections.abc import Iterable
 from pathlib import Path
 from typing import Any, Callable
 
@@ -124,7 +124,7 @@ def tree_from_blob(blob: bytes | bytearray | memoryview) -> Any:
     """Restore an ADS tree from a node-store buffer, dispatching on kind.
 
     The blob is self-describing (header kind byte), so checkpoint
-    loading and the affine adopt path need no out-of-band type tag.
+    loading needs no out-of-band type tag.
     """
     if len(blob) < 7:
         raise IntegrityError("node-store blob shorter than its header")
@@ -181,7 +181,6 @@ class IndexShardEngine:
         self.star = star
         self.filter_bits = filter_bits
         self.bloom_capacity = bloom_capacity
-        self.warmer = None  # attached by the facade when warming is on
         self._objects_metric = f"sp.shard.{shard_id}.objects"
 
     # -- mutators (confirmed insertions only) -----------------------------------
@@ -238,35 +237,15 @@ class IndexShardEngine:
         self._journal_many(records)
         return len(records)
 
-    def adopt_tree(self, keyword: str, tree: Any, entries: Iterable[Any]) -> None:
-        """Install a bulk-built MB-tree over the keyword's current one.
-
-        ``tree`` must extend this engine's current tree with exactly
-        ``entries`` (stream order) — the bulk-mirror path builds it in
-        an executor task; the journal records the individual postings so
-        a replay rebuilds the identical tree without the bulk task.
-        """
-        self.index.trees[keyword] = tree
-        self._journal_many(
-            [
-                {
-                    "op": "entry",
-                    "kw": keyword,
-                    "id": object_id,
-                    "hash": object_hash.hex(),
-                }
-                for object_id, object_hash in entries
-            ]
-        )
-
     def apply_bulk(self, groups: list[tuple[str, list]]) -> int:
         """Ingest posting groups ``[(keyword, [(id, hash), ...]), ...]``.
 
-        The resident-worker analogue of the stateless bulk-mirror path:
-        the deltas arrive as raw postings and the trees are extended *in
-        place* inside the owning process — no tree ever crosses the
-        channel.  All groups journal as a single append.  Returns the
-        number of postings applied.
+        The bulk-mirror path of both pool modes: the front-end calls it
+        on an in-process engine, an affine worker runs it on its end of
+        the pipe.  The deltas arrive as raw postings and the trees are
+        extended *in place* — no tree ever crosses a channel.  All
+        groups journal as a single append, so a replay rebuilds the
+        identical trees.  Returns the number of postings applied.
         """
         applied = 0
         records = []

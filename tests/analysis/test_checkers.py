@@ -394,7 +394,7 @@ class TestWallClock:
             "def go():\n"
             "    t0 = time()\n"
         )
-        findings = lint_source(src, module="bench/shard.py")
+        findings = lint_source(src, module="bench/fastpath.py")
         assert rules(findings) == ["wallclock"]
         assert findings[0].symbol == "go"
 

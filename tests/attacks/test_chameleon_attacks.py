@@ -32,7 +32,6 @@ from repro.core.query.vo import ConjunctiveVO, QueryVO, ReplayVO
 from repro.crypto import vc
 from repro.errors import ReproError, VerificationError
 from repro.sp.protocol import RemoteClient, StorageProviderServer
-from repro.sp.warmer import CacheWarmer
 from tests.node_tables import change, demote, forge, rows_of, table_of, with_table
 
 
@@ -596,8 +595,8 @@ def flipping_system():
 
 
 class TestEveryPathSettles:
-    """No result, ``verified=True``, cache entry or warmed count comes
-    from a proof system whose openings were only recorded."""
+    """No result, ``verified=True`` or cache entry comes from a proof
+    system whose openings were only recorded."""
 
     def test_verify_query(self, flipping_system):
         query = KeywordQuery.parse(SCAN)
@@ -620,28 +619,6 @@ class TestEveryPathSettles:
         with pytest.raises(VerificationError):
             client.query(SCAN)
         assert len(flipping_system.verify_cache) == 0
-
-    def test_cache_warmer(self, ci_system):
-        """A table with one bad opening warms nothing of itself."""
-        ci_system.verify_cache.clear()
-        genuine = ci_system._locked_prove(SCAN)
-        tampered = forge(genuine, {3: slot1(lambda proof: proof ^ 1)})
-        warmer = CacheWarmer(
-            prove=lambda kw: tampered,
-            proof_system=ci_system.chain_proof_system,
-            hot_threshold=0,
-        )
-        warmer.note_insert([SCAN])
-        assert warmer.warm(SCAN) == 0
-        assert SCAN in warmer.pending()
-        assert len(ci_system.verify_cache) == 0
-        honest = CacheWarmer(
-            prove=lambda kw: genuine,
-            proof_system=ci_system.chain_proof_system,
-            hot_threshold=0,
-        )
-        assert honest.warm(SCAN) == genuine.count
-        assert len(ci_system.verify_cache) == 2 * genuine.count
 
     def test_entries_cannot_be_verified_outside_a_scope(self, ci_system):
         """The guard that makes a forgotten settle loud instead of

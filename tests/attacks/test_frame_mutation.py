@@ -10,7 +10,10 @@ own bytes: every mutant of a whole response goes through
 ``RemoteClient.query``, every mutant of a request through
 ``StorageProviderServer.handle``, which must answer each with a response
 that decodes.  Run under ``python -O`` the same holds (no check is an
-``assert``; CI runs this directory that way).
+``assert``; CI runs this directory that way).  Last, what a refusal
+leaves behind: an answer the client rejects adds no key to its
+verification cache, cold or warm, through ``system.query`` and through
+``RemoteClient.query`` alike.
 """
 
 import pytest
@@ -18,6 +21,7 @@ import pytest
 from repro import DataObject, HybridStorageSystem, KeywordQuery
 from repro.core.query.codec import VOCodec
 from repro.core.query.verify import verify_query
+from repro.core.query.vo import iter_proven_entries
 from repro.errors import ReproError
 from repro.sp.protocol import (
     QueryRequest,
@@ -156,3 +160,70 @@ def test_every_mutated_request_gets_a_decodable_answer(honest):
     # Prefixes and suffixes are malformed; only a flipped keyword letter
     # can still be a query.
     assert answered_ok < len(request) * 3
+
+
+# -- what a refusal leaves behind --------------------------------------------------
+
+
+@pytest.mark.parametrize("primed", [False, True], ids=["cold", "warm"])
+def test_rejected_answer_primes_nothing_unproven(honest, primed):
+    """The only writer of the cache is a verification that succeeded.
+
+    One bit of one proven ``<id, h(o)>`` row is flipped, for every row
+    in turn: the rest of the answer is genuine, and in the warm case
+    already cached, so a cache that kept what it saw before the failure
+    would grow.  A Chameleon query settles as one batch, so a refusal
+    adds no key at all; a Merkle key is one whole table, and the tables
+    that folded to their roots before the forged one was met may stay —
+    they are keys the honest answer adds too.
+    """
+    codec, payload, _, _, _, system = honest
+    cache = system.verify_cache
+
+    def reset() -> set:
+        cache.clear()
+        if primed:
+            assert system.query("covid-19 AND vaccine").verified
+        return set(cache._entries)
+
+    reset()
+    assert system.query(QUERY).verified
+    genuine = set(cache._entries)
+    before = reset()
+    assert before < genuine
+    allowed = before if system.uses_cvc else genuine
+
+    def flipped(frame: bytes, offset: int) -> bytes:
+        mutant = bytearray(frame)
+        mutant[offset] ^= 0x01
+        return bytes(mutant)
+
+    offsets = sorted(
+        {payload.index(e.object_hash) for e in iter_proven_entries(codec.decode(payload))}
+    )
+    assert offsets
+    response = StorageProviderServer(system).handle(
+        QueryRequest(query_text=QUERY).encode()
+    )
+    vo_start = len(response) - len(QueryResponse.decode(response).vo_bytes)
+    honest_sp = system._sp.process_query
+    try:
+        for offset in offsets:
+
+            def tampering(query, offset=offset):
+                answer = honest_sp(query)
+                answer.vo = codec.decode(flipped(codec.encode(answer.vo), offset))
+                return answer
+
+            system._sp.process_query = tampering
+            with pytest.raises(ReproError):
+                system.query(QUERY)
+            assert before <= set(cache._entries) <= allowed
+            forged = flipped(response, vo_start + offset)
+            with pytest.raises(ReproError):
+                RemoteClient(lambda _, m=forged: m, system).query(QUERY)
+            assert before <= set(cache._entries) <= allowed
+    finally:
+        system._sp.process_query = honest_sp
+    assert system.query(QUERY).verified
+    assert set(cache._entries) == genuine

@@ -79,8 +79,6 @@ class TestExperimentSmoke:
             "tab2",
             "disj",
             "fastpath",
-            "witness",
-            "shard",
             "query",
             "flatbuf",
         }

@@ -1,6 +1,7 @@
 """Tests for the ``repro`` operational CLI."""
 
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -46,6 +47,41 @@ class TestAddAndQuery:
         out = capsys.readouterr().out
         assert "verified: True" in out
         assert "results:  [1]" in out
+
+    def test_parent_commit_registry_still_answers(self, tmp_path, capsys):
+        """``tests/fixtures/registry_pr22`` is what ``repro init --shards 2
+        --pool affine --engine disk`` plus two ``add``s left at PR 22: its
+        manifest carries ``mine_every``, ``witness_warmer`` and
+        ``warm_hot_threshold``, which no constructor takes any more."""
+        fixture = Path(__file__).resolve().parents[1] / "fixtures" / "registry_pr22"
+        manifest = json.loads((fixture / "manifest.json").read_text())
+        assert {"mine_every", "witness_warmer", "warm_hot_threshold"} <= set(
+            manifest["config"]
+        )
+        directory = tmp_path / "registry"
+        shutil.copytree(fixture, directory)
+        assert main(["query", str(directory), "covid-19 AND vaccine"]) == 0
+        out = capsys.readouterr().out
+        assert "verified: True" in out
+        assert "results:  [1]" in out
+        # A re-save (every ``add`` does one) drops the retired keys.
+        assert (
+            main(
+                [
+                    "add", str(directory), "--id", "3",
+                    "--keywords", "covid-19,vaccine", "--content", "three",
+                ]
+            )
+            == 0
+        )
+        resaved = json.loads((directory / "manifest.json").read_text())
+        assert not {"mine_every", "witness_warmer", "warm_hot_threshold"} & set(
+            resaved["config"]
+        )
+        assert resaved["config"]["pool"] == "affine"
+        capsys.readouterr()
+        assert main(["query", str(directory), "covid-19 AND vaccine"]) == 0
+        assert "results:  [1, 3]" in capsys.readouterr().out
 
     def test_bulk_add_from_jsonl(self, registry, tmp_path, capsys):
         corpus = tmp_path / "corpus.jsonl"

@@ -55,8 +55,8 @@ class TestSaveLoadRoundTrip:
 class TestFullConfigGrid:
     """The v1 manifest dropped most knobs; v2 must round-trip them all.
 
-    Every scheme is saved with non-default modulus / gas / cache /
-    witness knobs at several shard counts; the restored system must
+    Every scheme is saved with non-default modulus / gas / cache
+    knobs at several shard counts; the restored system must
     carry the exact configuration and produce byte-identical digests
     and VOs (a wrong restored modulus changes key derivation, so the
     query comparison below would fail loudly).
@@ -66,7 +66,6 @@ class TestFullConfigGrid:
         cvc_modulus_bits=768,
         gas_limit=9_000_000,
         verify_cache_size=64,
-        warm_hot_threshold=5,
     )
 
     def test_round_trip_preserves_config_and_vo(
@@ -127,9 +126,9 @@ class TestLegacyManifests:
                 "filter_bits",
                 "join_order",
                 "join_plan",
-                "mine_every",
             )
         }
+        manifest["config"]["mine_every"] = 1  # retired; v1 builds wrote it
         (path / "manifest.json").write_text(json.dumps(manifest))
         restored = load_system(path)
         assert restored.cvc_modulus_bits == 512
@@ -142,22 +141,31 @@ class TestLegacyManifests:
         restored.close()
 
     @pytest.mark.parametrize("version", [2, 3])
-    def test_witness_batching_key_is_ignored(self, version, tmp_path):
-        """Older builds wrote ``witness_batching``; it selects nothing now."""
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            pytest.param("witness_batching", False, id="witness_batching"),
+            pytest.param("mine_every", 4, id="mine_every"),
+            pytest.param("witness_warmer", True, id="witness_warmer"),
+            pytest.param("warm_hot_threshold", 5, id="warm_hot_threshold"),
+        ],
+    )
+    def test_retired_key_is_ignored(self, key, value, version, tmp_path):
+        """Older builds wrote these keys; each selects nothing now."""
         system = HybridStorageSystem(
             scheme="ci", cvc_modulus_bits=512, seed=11
         )
         system.add_objects(make_docs())
         path = save_system(system, tmp_path / "snap", seed=11)
         manifest = json.loads((path / "manifest.json").read_text())
-        assert "witness_batching" not in manifest["config"]
+        assert key not in manifest["config"]
         manifest["version"] = version
-        manifest["config"]["witness_batching"] = False
+        manifest["config"][key] = value
         if version == 2:
             del manifest["node_store"]
         (path / "manifest.json").write_text(json.dumps(manifest))
         restored = load_system(path)
-        assert not hasattr(restored, "witness_batching")
+        assert not hasattr(restored, key)
         for text in ("a AND b", "c"):
             result = restored.query(text)
             assert result.verified

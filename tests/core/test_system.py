@@ -103,10 +103,3 @@ class TestGasOrdering:
             for w, obj in zip(writes, small_docs)
         ]
         assert max(per_kw[-3:]) <= max(per_kw[:3])
-
-
-class TestMineEvery:
-    def test_batched_mining(self, small_docs):
-        system = HybridStorageSystem(scheme="smi", mine_every=4, seed=5)
-        system.add_objects(small_docs)
-        assert system.chain.height == len(small_docs) // 4

@@ -60,9 +60,9 @@ class TestVerifiedFlag:
         )
         fresh.add_objects(truncated)
         # Splice the truncated SP index under the original chain state.
-        system.sp_index = fresh.sp_index
-        if hasattr(fresh, "_sp_blooms"):
-            system._sp_blooms = fresh._sp_blooms
+        engine, truncated_engine = system._sp.engines[0], fresh._sp.engines[0]
+        engine.index = truncated_engine.index
+        engine.blooms = truncated_engine.blooms
         system.store = fresh.store
         with pytest.raises(VerificationError):
             system.query("covid-19 AND symptom")

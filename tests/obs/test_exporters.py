@@ -19,9 +19,9 @@ def _concurrent_trace() -> obs.Collector:
             barrier = threading.Barrier(2)
 
             def task(index: int) -> None:
-                span = collector.span("task", shard=index)
-                span.forced_parent = parent.span_id
-                with span:
+                with collector.span("task", shard=index) as span:
+                    # A thread's span stack starts empty: graft the child.
+                    span.parent_id = parent.span_id
                     barrier.wait(timeout=5)
 
             threads = [

@@ -328,10 +328,10 @@ class TestOpeningCount:
         assert len(set(spy.batched)) == links + slot1
 
     def test_legacy_entries_share_the_same_opening_keys(self, v3_system, spy):
-        """What the cache warmer does — open the keyword's scan table and
-        read it whole — warms exactly the openings a query's rows ask
-        for: one spelling of an opening, whoever presents it."""
-        table = v3_system._locked_prove(SCAN)
+        """Opening a keyword's scan table and reading it whole settles
+        exactly the openings a query's rows ask for: one spelling of an
+        opening, whoever presents it."""
+        (table,) = answer_for(v3_system, SCAN).vo.multiproofs
         ps = v3_system.chain_proof_system(frozenset((SCAN,)))
         v3_system.verify_cache.clear()
         ps.attach_multiproofs((table,))

@@ -6,9 +6,12 @@ shard count, with the structural invariant that resident shard state
 (trees, index mirrors, engines) never crosses the pipe toward a worker.
 """
 
+import itertools
 import pickle
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import obs
 from repro.core.merkle_family import MerkleInvertedSP
@@ -97,6 +100,96 @@ class TestAffineParity:
             assert result_serial.vo_sp_bytes == result_affine.vo_sp_bytes
         serial.close()
         affine.close()
+
+
+#: (shards, pool, engine) layouts the one bulk path must agree across.
+BULK_LAYOUTS = {
+    "1-in-process": (1, "stateless", "memory"),
+    "3-in-process": (3, "stateless", "memory"),
+    "2-affine": (2, "affine", "memory"),
+    "2-affine-disk": (2, "affine", "disk"),
+}
+
+#: One batch: per object, the keywords it carries (IDs are assigned in
+#: stream order by the test, ascending as the trees require).
+posting_batches = st.lists(
+    st.sets(st.sampled_from(["k%d" % i for i in range(7)]), min_size=1, max_size=4),
+    min_size=1,
+    max_size=12,
+)
+
+
+@pytest.mark.parametrize("layout", sorted(BULK_LAYOUTS))
+def test_mirror_bulk_matches_the_per_object_path(layout, tmp_path):
+    """After ``mirror_bulk`` every keyword's root and entry list equal
+    those of the per-object ``insert_entries`` path — in this process
+    and in the workers, which run the same ``apply_bulk`` — and a
+    restarted disk engine replays its journal to the same roots.
+
+    Both providers live across the examples, so later batches extend
+    trees earlier ones built.
+    """
+    from repro.core.objects import ObjectMetadata
+    from repro.core.sp_frontend import ShardedStorageProvider
+
+    shards, pool, engine = BULK_LAYOUTS[layout]
+
+    def provider(**kwargs):
+        return ShardedStorageProvider(
+            index_spec=MERKLE_SPEC,
+            scheme_value="mi",
+            join_order="size",
+            join_plan="cyclic",
+            seed=13,
+            **kwargs,
+        )
+
+    def state(sp):
+        trees = {keyword: sp.tree(keyword) for keyword in sorted(seen)}
+        return {
+            keyword: (
+                tree.root_hash,
+                [(e.key, e.value_hash) for e in tree.iter_entries()],
+            )
+            for keyword, tree in trees.items()
+        }
+
+    layout_kwargs = dict(
+        shards=shards,
+        pool=pool,
+        engine=engine,
+        engine_dir=tmp_path if engine == "disk" else None,
+    )
+    reference = provider()
+    bulk = provider(**layout_kwargs)
+    seen: set[str] = set()
+    ids = itertools.count(1)
+
+    @settings(max_examples=12, deadline=None)
+    @given(posting_batches)
+    def check(batch):
+        metadatas = [
+            ObjectMetadata.of(
+                DataObject(object_id, tuple(sorted(keywords)), b"o%d" % object_id)
+            )
+            for object_id, keywords in zip(ids, batch)
+        ]
+        for metadata in metadatas:
+            reference.insert_entries(metadata)
+            seen.update(metadata.keywords)
+        bulk.mirror_bulk(metadatas)
+        assert state(bulk) == state(reference)
+
+    try:
+        check()
+        assert seen
+        if engine == "disk":
+            bulk.close()
+            bulk = provider(**layout_kwargs)
+            assert state(bulk) == state(reference)
+    finally:
+        reference.close()
+        bulk.close()
 
 
 class TestObjectHoming:
@@ -357,11 +450,9 @@ class TestDiskRecovery:
 
     def build_sp(self, tmp_path, **kwargs):
         from repro.core.sp_frontend import ShardedStorageProvider
-        from repro.parallel import make_executor
 
         return ShardedStorageProvider(
-            index_factory=lambda: MerkleInvertedSP(fanout=4),
-            executor=make_executor("serial"),
+            index_spec=MERKLE_SPEC,
             scheme_value="mi",
             join_order="size",
             join_plan="sorted",
@@ -369,9 +460,7 @@ class TestDiskRecovery:
             engine="disk",
             engine_dir=tmp_path,
             seed=13,
-            fanout=4,
             pool="affine",
-            index_spec=MERKLE_SPEC,
             **kwargs,
         )
 

@@ -219,26 +219,6 @@ class TestBatchedJournal:
         assert reopened.tree("alpha").root_hash == root
         reopened.close()
 
-    def test_adopt_tree_journals_one_append(self, tmp_path):
-        from repro.core.mbtree import MBTree
-
-        entries = self.entries()
-        tree = MBTree(fanout=4)
-        for object_id, object_hash in entries:
-            tree.insert(object_id, object_hash)
-
-        engine = DiskShardEngine(0, merkle_factory, tmp_path)
-        writes = []
-        original = engine._log.write
-        engine._log.write = lambda text: writes.append(text) or original(text)
-        engine.adopt_tree("alpha", tree, entries)
-        assert len(writes) == 1
-        engine.close()
-
-        reopened = DiskShardEngine(0, merkle_factory, tmp_path)
-        assert reopened.tree("alpha").root_hash == tree.root_hash
-        reopened.close()
-
     def test_apply_records_round_trips_through_replay_path(self, tmp_path):
         engine = DiskShardEngine(0, merkle_factory, tmp_path)
         records = [

@@ -1,10 +1,10 @@
-"""Proof tables through the warmer and the affine pool.
+"""Proof tables through the verification cache and the affine pool.
 
 Two integration seams of the locate-then-prove VO path:
 
-* the :class:`~repro.sp.warmer.CacheWarmer` pre-verifies a keyword's
-  full-scan table and so seeds the multiproof cache key: a later scan's
-  fold is a cache hit;
+* a verified scan seeds the client's cache with what the keyword's
+  table presents (one key per opening for CI/CI*, one per table for
+  MI/SMI): a later query over it is cache hits;
 * shard-affine scatter-gather (including the Chameleon batched-ingest
   path, whose insertion proofs the data owner opens with the trapdoor
   before any shard sees them) stays byte-identical at any shard count —
@@ -19,40 +19,52 @@ from repro.core.objects import DataObject
 from repro.core.query.parser import KeywordQuery
 from repro.core.system import HybridStorageSystem
 
-from tests.sp.test_sharding import QUERIES, build, make_docs
+from tests.sp.test_sharding import QUERIES, SCHEMES, build, make_docs
 
 
-class TestWarmerMultiproof:
-    def make_system(self):
-        system = HybridStorageSystem(
-            scheme="smi", seed=13, witness_warmer=True, warm_hot_threshold=0
-        )
+@pytest.mark.parametrize("scheme", SCHEMES)
+class TestScanPrimes:
+    """A verified scan leaves in the client's cache what a later query
+    over the keyword presents — there is no other way to prime it."""
+
+    def make_system(self, scheme):
+        system = HybridStorageSystem(scheme=scheme, seed=13, cvc_modulus_bits=512)
         for i in range(12):
             kws = ("alpha", "beta") if i % 2 else ("alpha",)
             system.add_object(DataObject(i, kws, b"x%d" % i))
         return system
 
-    def test_warm_preverifies_the_query_multiproof(self):
-        system = self.make_system()
-        assert system.warm_pending() > 0
-        hits_before = system.verify_cache.hits
-        answer = system.process_query(KeywordQuery.parse('"alpha"'))
-        # The full scan is one multiproof covering the tree — the very
-        # table the warmer just folded and cached.
-        assert len(answer.vo.multiproofs) == 1
-        misses = system.verify_cache.misses
+    def test_repeated_scan_misses_nothing(self, scheme):
+        system = self.make_system(scheme)
+        cache = system.verify_cache
         assert system.query('"alpha"').verified
-        assert system.verify_cache.hits == hits_before + 1
-        assert system.verify_cache.misses == misses
+        assert len(cache) > 0
+        keys, hits, misses = set(cache._entries), cache.hits, cache.misses
+        assert system.query('"alpha"').verified
+        assert set(cache._entries) == keys
+        assert cache.misses == misses
+        assert cache.hits > hits
 
-    def test_unwarmed_query_folds_then_caches(self):
-        system = self.make_system()
-        first = system.query('"alpha"')
-        assert first.verified
-        hits_after_first = system.verify_cache.hits
-        second = system.query('"alpha"')
-        assert second.verified
-        assert system.verify_cache.hits > hits_after_first
+    def test_join_presents_what_scans_primed(self, scheme):
+        system = self.make_system(scheme)
+        cache = system.verify_cache
+        for keyword in ("alpha", "beta"):
+            assert system.query(f'"{keyword}"').verified
+        keys, misses = set(cache._entries), cache.misses
+        tables = len(
+            system.process_query(KeywordQuery.parse("alpha AND beta")).vo.multiproofs
+        )
+        result = system.query("alpha AND beta")
+        assert result.verified and result.result_ids == [1, 3, 5, 7, 9, 11]
+        if system.uses_cvc:
+            # A key is one opening: the scans settled every row of both
+            # trees, so the join presents nothing the cache lacks.
+            assert set(cache._entries) == keys
+            assert cache.misses == misses
+        else:
+            # A key is one whole table: the join's tables are its own.
+            assert len(set(cache._entries) - keys) <= tables
+            assert cache.misses - misses <= tables
 
 
 class TestAffineMultiproofParity:

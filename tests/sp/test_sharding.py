@@ -164,86 +164,3 @@ class TestConcurrentMixedLoad:
             system.close()
         finally:
             sys.setswitchinterval(previous)
-
-
-class TestShardTelemetry:
-    """Acceptance: process-executor shard work is visible in the trace."""
-
-    def test_four_shard_process_trace_has_spans_from_every_shard(self):
-        from repro import obs
-        from repro.parallel import TASK_SPAN
-
-        system = HybridStorageSystem(
-            scheme="mi",
-            seed=13,
-            shards=4,
-            executor="process",
-            executor_workers=2,
-        )
-        try:
-            # Enough distinct keywords that every shard owns a few.
-            docs = [
-                DataObject(
-                    i,
-                    (f"kw-{i % 16}", f"kw-{(i + 5) % 16}", "common"),
-                    b"payload-%d" % i,
-                )
-                for i in range(24)
-            ]
-            with obs.collect() as col:
-                system.add_objects_batched(docs)
-                result = system.query("common")
-            assert result.verified
-        finally:
-            system.close()
-
-        tasks = [
-            s
-            for s in col.spans
-            if s.name == TASK_SPAN and "shard" in s.attributes
-        ]
-        # Every shard's scatter task is in the trace, labeled.
-        assert sorted(t.attributes["shard"] for t in tasks) == [0, 1, 2, 3]
-        # Spans recorded *inside* the worker processes came back too,
-        # nested under their task span and stamped with the worker pid.
-        builds = [s for s in col.spans if s.name == "sp.shard.build"]
-        assert len(builds) == 4
-        task_ids = {t.span_id for t in tasks}
-        for build_span in builds:
-            assert build_span.parent_id in task_ids
-            assert "pid" in build_span.attributes
-
-    def test_critpath_report_attributes_the_sharded_run(self):
-        from repro import obs
-
-        system = HybridStorageSystem(
-            scheme="mi",
-            seed=13,
-            shards=4,
-            executor="process",
-            executor_workers=2,
-        )
-        try:
-            docs = [
-                DataObject(
-                    i,
-                    (f"kw-{i % 16}", "common"),
-                    b"payload-%d" % i,
-                )
-                for i in range(16)
-            ]
-            with obs.collect() as col:
-                system.add_objects_batched(docs)
-        finally:
-            system.close()
-
-        report = obs.analyze(col.spans)
-        phases = {p.name: p for p in report.phases}
-        assert "sp.shard.build" in phases
-        assert phases["sp.shard.build"].self_s > 0
-        assert report.wall_s > 0
-        assert 0 < report.efficiency <= 1.0
-        assert report.lanes >= 2  # main process plus pool workers
-        text = report.render()
-        assert "sp.shard.build" in text
-        assert "efficiency" in text
