@@ -9,7 +9,7 @@ for skipped CVC verifications at the client (Section V-D).
 import pytest
 
 from repro.core import mbtree
-from repro.core.chameleon import ChameleonTreeDO, ChameleonTreeSP, verify_membership
+from repro.core.chameleon import ChameleonTreeDO, ChameleonTreeSP
 from repro.crypto import vc
 from repro.crypto.hashing import sha3
 from repro.crypto.prf import generate_key
@@ -56,9 +56,11 @@ def test_mbtree_membership_verify(benchmark):
     tree = mbtree.MBTree(fanout=4)
     for key in range(500):
         tree.insert(key, sha3(b"%d" % key))
-    entry, path = tree.prove(250)
-    result = benchmark(path.compute_root, entry)
-    assert result == tree.root_hash
+    table = tree.multiproof([250])
+    # An explicit hash function bypasses the fold's memo, so every
+    # round re-hashes the 1-leaf table.
+    root, _ = benchmark(table.fold, sha3)
+    assert root == tree.root_hash
 
 
 def test_chameleon_membership_verify(benchmark, cvc_pair):
@@ -66,18 +68,13 @@ def test_chameleon_membership_verify(benchmark, cvc_pair):
     sp = ChameleonTreeSP(do.root_commitment, arity=2)
     for oid in range(1, 32):
         sp.apply_insertion(do.insert(oid, sha3(b"%d" % oid)))
-    entry = sp.entry_at(20)
-    proof = sp.prove_membership(20)
-    benchmark(
-        verify_membership,
-        cvc_pair.pp,
-        do.root_commitment,
-        sp.count,
-        2,
-        entry.key,
-        entry.value_hash,
-        proof,
-    )
+    table = sp.multiproof((20,))
+
+    def check(position, commitment, slot, message, proof):
+        return vc.verify(cvc_pair.pp, commitment, slot, message, proof)
+
+    positions, _ = benchmark(table.authenticate, check, do.root_commitment, sp.count)
+    assert positions == [20]
 
 
 def test_hash_vs_cvc_gap(cvc_pair):

@@ -56,10 +56,14 @@ def main() -> None:
         f"re-verified {len(offline_entries)} entries without chain access"
     )
 
-    # A malicious SP drops a record from the middle of the range.
+    # A malicious SP drops a record from the middle of the range: it
+    # proves every other entry honestly, so the table still folds to the
+    # root, but the gap where the record was shows.
     import dataclasses
 
-    forged = dataclasses.replace(vo, results=vo.results[:3] + vo.results[4:])
+    shown = [key for key, _ in vo.table.leaves]
+    dropped = shown[:3] + shown[4:]
+    forged = dataclasses.replace(vo, table=index.tree.multiproof(dropped))
     try:
         verify_range(offline_root, forged)
         print("  !!! dropped record went undetected")

@@ -15,7 +15,6 @@ from repro.analysis.checkers.determinism import DeterminismChecker
 from repro.analysis.checkers.flatbuf import FlatbufNodeStorageChecker
 from repro.analysis.checkers.gas_integrality import GasIntegralityChecker
 from repro.analysis.checkers.locks import LockDisciplineChecker
-from repro.analysis.checkers.multiproof import MultiproofBatchedPathChecker
 from repro.analysis.checkers.timing import TimingSafeCompareChecker
 from repro.analysis.checkers.verification import VerificationDisciplineChecker
 from repro.analysis.checkers.wallclock import WallClockChecker
@@ -28,7 +27,6 @@ __all__ = [
     "GasIntegralityChecker",
     "LockDisciplineChecker",
     "LockOrderChecker",
-    "MultiproofBatchedPathChecker",
     "PipeProtocolChecker",
     "TimingSafeCompareChecker",
     "VerificationDisciplineChecker",

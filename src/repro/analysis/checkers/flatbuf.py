@@ -15,7 +15,7 @@ Two shapes are flagged in ``core/mbtree.py``:
   ``InternalNode``, ``_Node``) anywhere in the module;
 * constructing :class:`Entry` objects inside the insert hot path
   (descend / rehash / split), which must operate on buffer slots
-  directly.  Read-side APIs (``iter_entries``, ``prove``) legitimately
+  directly.  Read-side APIs (``iter_entries``, ``locate``) legitimately
   materialise entries for callers and are not hot-path.
 """
 

@@ -29,7 +29,6 @@ _DIGEST_NAME = re.compile(r"(digest|hash|root)", re.IGNORECASE)
 #: Calls whose result is always a digest.
 _DIGEST_CALLS = frozenset(
     {
-        "compute_root",
         "digest",
         "sha3",
         "tagged_hash",

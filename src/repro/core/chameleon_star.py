@@ -20,7 +20,7 @@ from repro.core.chameleon_index import ChameleonContract, CountUpdate
 from repro.crypto.bloom import (
     DEFAULT_CAPACITY,
     DEFAULT_FILTER_BITS,
-    BloomFilterChain,
+    BloomFilter,
 )
 
 
@@ -36,9 +36,6 @@ class ChameleonStarContract(ChameleonContract):
         super().__init__(value_bytes=value_bytes)
         self.bloom_capacity = bloom_capacity
         self.filter_bits = filter_bits
-        # Decoded mirror of the on-chain filter words; the authoritative
-        # bits live in storage and are what views read back.
-        self._mirrors: dict[str, BloomFilterChain] = {}
 
     def insert_object(
         self,
@@ -51,30 +48,31 @@ class ChameleonStarContract(ChameleonContract):
         super().insert_object(object_id, object_hash, updates, new_keywords)
         with obs.span("maintain.ci*.bloom", keywords=len(updates)):
             for update in updates:
-                self._update_bloom(update.keyword, object_id)
+                self._update_bloom(update, object_id)
 
-    def _update_bloom(self, keyword: str, object_id: int) -> None:
-        mirror = self._mirrors.setdefault(
-            keyword,
-            BloomFilterChain(
-                filter_bits=self.filter_bits, capacity=self.bloom_capacity
-            ),
-        )
-        index, created = mirror.add(object_id)
+    def _update_bloom(self, update: CountUpdate, object_id: int) -> None:
+        # Everything comes from storage and the transaction, so a
+        # reverted batch leaves nothing behind: the ``cnt``-th object
+        # lands in filter ``(cnt - 1) // b``, which is new when it is
+        # the filter's first.
+        keyword = update.keyword
+        index, slot = divmod(update.count - 1, self.bloom_capacity)
         # Deriving the bit positions costs two one-word hashes in memory.
         self.env.meter.hash(1)
         self.env.meter.hash(1)
         self.env.touch_memory(2)
-        if created:
+        word = BloomFilter(filter_bits=self.filter_bits, capacity=self.bloom_capacity)
+        if slot == 0:
             # New filter: record its range minimum once.
             self.storage.store(("bloommin", keyword, index), object_id)
             self.storage.store(("bloomcount", keyword), index + 1)
         else:
             # Read-modify-write of the live filter word.
-            self.storage.load(("bloom", keyword, index))
-        self.storage.store(
-            ("bloom", keyword, index), mirror.filters[index].to_word()
-        )
+            word.bits = int.from_bytes(
+                self.storage.load(("bloom", keyword, index)), "big"
+            )
+        word.add(object_id)
+        self.storage.store(("bloom", keyword, index), word.to_word())
 
     # -- free views --------------------------------------------------------------
 

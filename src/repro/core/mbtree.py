@@ -23,13 +23,14 @@ object-graph representation this replaced.  :meth:`MBTree.to_blob` /
 
 Proof machinery
 ---------------
-:class:`MerklePath` authenticates a single leaf entry and — crucially for
-completeness proofs — encodes the entry's *position* at every level
-(digests of siblings to the left and right).  Two verified paths can
-therefore be checked for adjacency (:func:`paths_adjacent`), for being
-the tree's first entry (:meth:`MerklePath.is_leftmost`) and for being its
-last (:meth:`MerklePath.is_rightmost`), which is exactly what the
-authenticated join of Section III-B needs.
+The tree proves entries one way: :meth:`MBTree.multiproof` over the keys
+asked for, a :class:`~repro.core.multiproof.TreeMultiproof` table that
+one fold checks against the root.  A single entry is the 1-leaf table.
+The fold also counts, per proven entry, the sibling digests passed
+before it, and those counts are all the completeness checks of Section
+III-B need (first entry, last entry, two entries adjacent): see
+:class:`~repro.core.multiproof.ProvenRun`.  :meth:`MBTree.locate` and
+:class:`LeafCursor` find the keys to prove without hashing.
 
 Suppressed maintenance (Section IV)
 -----------------------------------
@@ -102,106 +103,6 @@ class Entry:
 
     key: int
     value_hash: bytes
-
-    def digest(self) -> bytes:
-        """Canonical digest of this value."""
-        return entry_digest(self.key, self.value_hash)
-
-
-# ---------------------------------------------------------------------------
-# Merkle paths
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PathStep:
-    """One level of a Merkle path: our index plus sibling digests.
-
-    ``before``/``after`` hold the digests of siblings to our left and
-    right at this level, so the verifier can both recompute the parent
-    digest and reason about positions.
-    """
-
-    index: int
-    before: tuple[bytes, ...]
-    after: tuple[bytes, ...]
-
-    def fold(self, current: bytes, is_leaf_level: bool) -> bytes:
-        """Combine ``current`` with the siblings into the parent digest."""
-        digests = self.before + (current,) + self.after
-        if is_leaf_level:
-            return leaf_digest(digests)
-        return node_digest(digests)
-
-
-@dataclass(frozen=True, eq=True)
-class MerklePath:
-    """Authentication path of one leaf entry, leaf level first."""
-
-    steps: tuple[PathStep, ...]
-
-    def compute_root(self, entry: Entry) -> bytes:
-        """Fold the path upward from ``entry``'s digest to the root."""
-        current = entry.digest()
-        for level, step in enumerate(self.steps):
-            current = step.fold(current, is_leaf_level=(level == 0))
-        return current
-
-    def is_leftmost(self) -> bool:
-        """True when this is the first entry of the whole tree."""
-        return all(step.index == 0 for step in self.steps)
-
-    def is_rightmost(self) -> bool:
-        """True when this is the last entry of the whole tree."""
-        return all(not step.after for step in self.steps)
-
-    @property
-    def depth(self) -> int:
-        """Number of levels in the path."""
-        return len(self.steps)
-
-    def byte_size(self) -> int:
-        """Serialised size in bytes, matching the VO codec's encoding.
-
-        The codec writes one depth byte, then per step a 2-byte index
-        and the length-prefixed ``before``/``after`` digest runs (one
-        length byte each).  Kept in lock-step by a codec test so VO
-        size accounting cannot drift from the wire again.
-        """
-        digests = sum(len(s.before) + len(s.after) for s in self.steps)
-        return 1 + 32 * digests + 4 * len(self.steps)
-
-
-def paths_adjacent(left: MerklePath, right: MerklePath) -> bool:
-    """Check that ``left`` immediately precedes ``right`` in leaf order.
-
-    Both paths must already have been verified against the same root.
-    Walking top-down, the paths must agree until a single divergence
-    level where ``right``'s branch index is ``left``'s plus one; below
-    the divergence ``left`` must hug the right edge and ``right`` the
-    left edge of their respective subtrees.
-    """
-    if left.depth != right.depth:
-        return False
-    diverged = False
-    # steps are leaf-first; iterate from the root downward.
-    for step_l, step_r in zip(reversed(left.steps), reversed(right.steps)):
-        if not diverged:
-            if step_l.index == step_r.index:
-                continue
-            if step_r.index != step_l.index + 1:
-                return False
-            diverged = True
-            # At the divergence level both steps describe the same node,
-            # so their sibling multisets must be mutually consistent.
-            full_l = step_l.before + (None,) + step_l.after
-            full_r = step_r.before + (None,) + step_r.after
-            if len(full_l) != len(full_r):
-                return False
-        else:
-            if step_l.after or step_r.before or step_r.index != 0:
-                return False
-    return diverged
 
 
 # ---------------------------------------------------------------------------
@@ -294,29 +195,6 @@ class InsertObserver(Protocol):
     def root_replaced(self, new_root: NodeHandle) -> None:
         """Hook: the tree gained a new root node."""
         ...
-
-
-@dataclass(frozen=True)
-class BoundarySearch:
-    """Result of a boundary lookup for a target key.
-
-    ``lower`` is the largest entry with ``key <= target`` (the matching
-    object when keys are equal); ``upper`` is the smallest entry with
-    ``key > target``.  Either may be ``None`` at the tree edges; a path
-    is ``None`` when its entry is, or when the caller did not ask
-    :meth:`MBTree.boundaries` for that side.
-    """
-
-    target: int
-    lower: Entry | None
-    lower_path: MerklePath | None
-    upper: Entry | None
-    upper_path: MerklePath | None
-
-    @property
-    def matched(self) -> bool:
-        """True when the lower boundary equals the target key."""
-        return self.lower is not None and self.lower.key == self.target
 
 
 class MBTree:
@@ -566,39 +444,6 @@ class MBTree:
         """A finger for boundary lookups whose targets ascend."""
         return LeafCursor(self)
 
-    def first_entry(self) -> tuple[Entry, MerklePath] | None:
-        """The smallest entry with its path, or None for an empty tree."""
-        if self._count == 0:
-            return None
-        return self._entry_at_edge(leftmost=True)
-
-    def last_entry(self) -> tuple[Entry, MerklePath] | None:
-        """The largest entry with its path, or None for an empty tree."""
-        if self._count == 0:
-            return None
-        return self._entry_at_edge(leftmost=False)
-
-    def _entry_at_edge(self, leftmost: bool) -> tuple[Entry, MerklePath]:
-        view = self.store
-        node = self._root_idx
-        steps: list[PathStep] = []
-        while not view.is_leaf(node):
-            slot = 0 if leftmost else view.count(node) - 1
-            steps.append(self._node_step(node, slot))
-            node = view.child(node, slot)
-        slot = 0 if leftmost else view.count(node) - 1
-        steps.append(self._leaf_step(node, slot))
-        steps.reverse()
-        entry = Entry(
-            key=view.leaf_key(node, slot),
-            value_hash=view.leaf_value_hash(node, slot),
-        )
-        return entry, MerklePath(steps=tuple(steps))
-
-    def prove(self, key: int) -> tuple[Entry, MerklePath]:
-        """Membership proof for an existing key (one descent)."""
-        return self._prove_by_key(key)
-
     def locate(self, target: int) -> tuple[Entry | None, Entry | None]:
         """The entries bracketing ``target``, found without hashing.
 
@@ -607,8 +452,8 @@ class MBTree:
         ``target``; either is ``None`` at the tree edges.  One O(log n)
         descent over the cached per-record minimum keys, plus a walk
         down the successor subtree's left edge when the reached leaf
-        tops out.  No digest is read or computed: proofs for located
-        entries come from :meth:`multiproof` or :meth:`prove`.
+        tops out.  No digest is read or computed: the proof for located
+        entries comes from :meth:`multiproof`.
         """
         if self._count == 0:
             return None, None
@@ -643,75 +488,6 @@ class MBTree:
         return Entry(
             key=self.store.leaf_key(leaf, slot),
             value_hash=self.store.leaf_value_hash(leaf, slot),
-        )
-
-    def boundaries(
-        self, target: int, *, lower: bool = True, upper: bool = True
-    ) -> BoundarySearch:
-        """Locate the boundary entries around ``target`` with paths.
-
-        ``lower`` = largest entry with key <= target (the match, if any);
-        ``upper`` = smallest entry with key > target.  :meth:`locate`
-        finds both entries; each *requested* side then costs one proof
-        descent.  A side switched off keeps its entry but reports no
-        path.
-        """
-        low, high = self.locate(target)
-        return BoundarySearch(
-            target=target,
-            lower=low,
-            lower_path=(
-                self._prove_by_key(low.key)[1]
-                if lower and low is not None
-                else None
-            ),
-            upper=high,
-            upper_path=(
-                self._prove_by_key(high.key)[1]
-                if upper and high is not None
-                else None
-            ),
-        )
-
-    def _prove_by_key(self, key: int) -> tuple[Entry, MerklePath]:
-        if self._count == 0:
-            raise ReproError(f"key {key} not present in MB-tree")
-        view = self.store
-        node = self._root_idx
-        steps: list[PathStep] = []
-        while not view.is_leaf(node):
-            width = view.count(node)
-            slot = width - 1
-            for i in range(1, width):
-                if key < view.min_key(view.child(node, i)):
-                    slot = i - 1
-                    break
-            steps.append(self._node_step(node, slot))
-            node = view.child(node, slot)
-        position, found = view.leaf_find(node, key)
-        if not found:
-            raise ReproError(f"key {key} not present in MB-tree")
-        steps.append(self._leaf_step(node, position))
-        steps.reverse()
-        entry = Entry(
-            key=key, value_hash=view.leaf_value_hash(node, position)
-        )
-        return entry, MerklePath(steps=tuple(steps))
-
-    def _node_step(self, index: int, slot: int) -> PathStep:
-        digests = self.store.child_digests(index)
-        return PathStep(
-            index=slot,
-            before=tuple(digests[:slot]),
-            after=tuple(digests[slot + 1 :]),
-        )
-
-    def _leaf_step(self, index: int, slot: int) -> PathStep:
-        digests = _leaf_digests(self.store, index)
-        return PathStep(
-            index=slot,
-            before=tuple(digests[:slot]),
-            after=tuple(digests[slot + 1 :]),
         )
 
     def multiproof(self, keys: Sequence[int]) -> TreeMultiproof:

@@ -26,6 +26,7 @@ from repro.core.multiproof import (
     LocatedRun,
     ProvenRun,
     TreeMultiproof,
+    open_table,
     settle_tables,
 )
 from repro.core.objects import ObjectMetadata
@@ -187,51 +188,15 @@ class MerkleProofSystem:
         yield
         settle_tables(len(self.multiproofs), self._read)
 
-    def _bind(self, keyword: str, proof_index: int) -> TreeMultiproof:
-        """The table, folded (once per query) to the keyword's root."""
-        if not 0 <= proof_index < len(self.multiproofs):
-            raise VerificationError(
-                f"multiproof index {proof_index} out of range "
-                f"({len(self.multiproofs)} attached)"
-            )
-        mp = self.multiproofs[proof_index]
-        if not isinstance(mp, TreeMultiproof):
-            raise VerificationError("conjunct names a table of another kind")
-        root = self._root(keyword)
-        bound = self._bound.get(proof_index)
-        if bound is not None:
-            # One fold has one result: a proof that verified against a
-            # different keyword's root can never match this one.
-            if not digests_equal(bound, root):
-                raise VerificationError(
-                    f"multiproof {proof_index} is bound to a different "
-                    f"tree than keyword {keyword!r}"
-                )
-            return mp
-        key = None
-        if self.cache is not None:
-            key = self.cache.key(root, mp.cache_token())
-            if self.cache.seen(key):
-                self._bound[proof_index] = root
-                return mp
-        computed = mp.fold_root()
-        if not digests_equal(computed, root):
-            raise VerificationError(
-                f"multiproof {proof_index} does not match the on-chain "
-                f"root of keyword {keyword!r}"
-            )
-        if self.cache is not None:
-            self.cache.add(key)
-        self._bound[proof_index] = root
-        return mp
-
     def proven_run(self, keyword: str, table: int | None) -> ProvenRun:
         """Open one tree of a conjunct as the walk's view.
 
         ``table`` indexes the attached multiproofs; ``None`` says the
         walk reads nothing from this tree, which is only believed of a
         keyword the chain shows non-empty (an empty one makes the whole
-        component an empty-keyword claim).
+        component an empty-keyword claim).  The table folds once per
+        query (:func:`~repro.core.multiproof.open_table`) to the
+        keyword's root.
         """
         if table is None:
             if self.keyword_empty(keyword):
@@ -240,12 +205,38 @@ class MerkleProofSystem:
                     "shows empty"
                 )
             return ProvenRun.unread(keyword)
-        mp = self._bind(keyword, table)
+        if not 0 <= table < len(self.multiproofs):
+            raise VerificationError(
+                f"multiproof index {table} out of range "
+                f"({len(self.multiproofs)} attached)"
+            )
+        mp = self.multiproofs[table]
+        if not isinstance(mp, TreeMultiproof):
+            raise VerificationError("conjunct names a table of another kind")
+        root = self._root(keyword)
+        bound = self._bound.get(table)
+        key = None
+        if bound is not None:
+            # One fold has one result: a proof that verified against a
+            # different keyword's root can never match this one.
+            if not digests_equal(bound, root):
+                raise VerificationError(
+                    f"multiproof {table} is bound to a different "
+                    f"tree than keyword {keyword!r}"
+                )
+        elif self.cache is not None:
+            key = self.cache.key(root, mp.cache_token())
+            if self.cache.seen(key):
+                key = None
         read = self._read.get(table)
         if read is None:
-            read = self._read[table] = bytearray(len(mp.leaves) + 2)
-        gaps = (0, *mp.helpers_before(), len(mp.helpers))
-        return ProvenRun(keyword, table, mp.leaves, gaps, read)
+            read = bytearray(len(mp.leaves) + 2)
+        run = open_table(mp, root, keyword, index=table, read=read)
+        if key is not None:
+            self.cache.add(key)
+        self._bound[table] = root
+        self._read[table] = read
+        return run
 
     def keyword_empty(self, keyword: str) -> bool:
         """Whether VO_chain shows the keyword's tree empty."""

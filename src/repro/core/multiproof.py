@@ -1,14 +1,16 @@
-"""Multiproofs: one deduplicated proof per tree per query.
+"""Multiproofs: the one shape of a Merkle proof.
 
 A DNF answer that references ``k`` entries of one MB-tree would ship
-``k`` independent :class:`~repro.core.mbtree.MerklePath` objects whose
-sibling digests overlap almost entirely — the dominant VO cost in the
-paper's high-selectivity regime (Figs. 11/12).  This module replaces
-them with a single :class:`TreeMultiproof` per ``(tree, commitment)``:
-the shared siblings are deduplicated, every proven entry is recovered
-from one upward fold, and what the boundary checks need to know about
-the entries' *positions* comes out of the same fold as one integer per
-leaf.
+``k`` root-to-leaf paths whose sibling digests overlap almost entirely —
+the dominant VO cost in the paper's high-selectivity regime (Figs.
+11/12).  A :class:`TreeMultiproof` per ``(tree, commitment)`` holds them
+once: the shared siblings are deduplicated, every proven entry is
+recovered from one upward fold, and what the boundary checks need to
+know about the entries' *positions* comes out of the same fold as one
+integer per leaf.  It is the only Merkle proof there is: a single entry
+is the 1-leaf table, and the light-client storage proofs, the range
+proofs and the general update's neighbour evidence are tables too, all
+opened through :func:`open_table`.
 
 Wire shape
 ----------
@@ -17,7 +19,7 @@ pre-order; each node is a tuple of per-slot codes (``SLOT_HELPER`` — a
 supplied sibling digest, ``SLOT_DESCEND`` — the next DFS node,
 ``SLOT_LEAF`` — a proven ``<id, h(o)>`` entry), with the helper digests
 and the leaf entries carried in DFS order.  Verification is a
-stack-machine fold (:meth:`TreeMultiproof.fold_root`): structurally
+stack-machine fold (:meth:`TreeMultiproof.fold`): structurally
 malformed proofs — codes out of place, leftover or missing helpers,
 descend below the leaf level — raise
 :class:`~repro.errors.VerificationError` before any root comparison.
@@ -50,16 +52,22 @@ once.  The table and its authentication live in
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from operator import lt
 
 from repro.core.chameleon import ChameleonTreeSP
-from repro.core.mbtree import MBTree, entry_digest, leaf_digest, node_digest
+from repro.core.mbtree import (
+    HashFn,
+    MBTree,
+    entry_digest,
+    leaf_digest,
+    node_digest,
+)
 from repro.core.query.vo import ConjunctiveVO, QueryVO, ReplayVO, varint_size
 from repro.crypto.bloom import BloomFilterChain
-from repro.crypto.hashing import digests_equal, tagged_hash
+from repro.crypto.hashing import digests_equal, sha3, tagged_hash
 from repro.errors import (
     ReproError,
     StaleProofError,
@@ -79,9 +87,9 @@ _TOKEN_TAG = "repro/merkle-multiproof-token"
 class TreeMultiproof:
     """One deduplicated membership proof for a set of entries of one tree.
 
-    ``height`` is the number of levels below the root digest (the depth
-    every :class:`~repro.core.mbtree.MerklePath` of the tree shares);
-    ``nodes`` lists each cover node's slot codes in DFS pre-order (the
+    ``height`` is the number of levels below the root digest (the
+    depth of every leaf of the tree); ``nodes`` lists each cover
+    node's slot codes in DFS pre-order (the
     root first); ``helpers`` and ``leaves`` carry the sibling digests
     and the proven ``(object_id, object_hash)`` entries in the order the
     DFS consumes them.
@@ -102,7 +110,7 @@ class TreeMultiproof:
       counts are equal;
     * leaf 0 is the tree's first entry iff its count is 0;
     * the last leaf is the tree's last entry iff its count is
-      ``len(helpers)`` (:meth:`_walk` rejects unconsumed helpers, so
+      ``len(helpers)`` (:meth:`fold` rejects unconsumed helpers, so
       the total is exact).
 
     :class:`ProvenRun` evaluates all three as one comparison of the
@@ -165,7 +173,7 @@ class TreeMultiproof:
 
     # -- verification ----------------------------------------------------------
 
-    def _walk(self) -> tuple[bytes, tuple[int, ...]]:
+    def fold(self, hash_fn: HashFn | None = None) -> tuple[bytes, tuple[int, ...]]:
         """Stack-machine fold: the recomputed root plus the leaf counts.
 
         Returns ``(root_digest, before)`` where ``before[i]`` is the
@@ -174,10 +182,19 @@ class TreeMultiproof:
         leaf level, leaves above it, unconsumed or missing helpers/
         leaves/nodes, an empty node — fails closed with
         :class:`~repro.errors.VerificationError`.
+
+        Without ``hash_fn`` the fold hashes with sha3 once per object
+        and memoises the result.  A contract passes its metered hash:
+        then every digest goes through it and the memo is neither read
+        nor written, so gas never depends on what was folded before.
         """
-        cached = self.__dict__.get("_walked")
-        if cached is not None:
-            return cached
+        if hash_fn is None:
+            cached = self.__dict__.get("_walked")
+            if cached is not None:
+                return cached
+            digest_of = sha3
+        else:
+            digest_of = hash_fn
 
         def fail(reason: str) -> VerificationError:
             return VerificationError(f"malformed multiproof: {reason}")
@@ -205,9 +222,9 @@ class TreeMultiproof:
                     if not codes:
                         raise fail("empty cover node")
                     digest = (
-                        leaf_digest(digests)
+                        leaf_digest(digests, digest_of)
                         if len(stack) == leaf_level
-                        else node_digest(digests)
+                        else node_digest(digests, digest_of)
                     )
                     if not stack:
                         break
@@ -226,7 +243,7 @@ class TreeMultiproof:
                     object_id, object_hash = leaves[len(before)]
                     if len(object_hash) != 32:
                         raise fail("leaf hash is not a 32-byte digest")
-                    digests.append(entry_digest(object_id, object_hash))
+                    digests.append(entry_digest(object_id, object_hash, digest_of))
                     before.append(helper_pos)
                     pos += 1
                 elif code == SLOT_DESCEND:
@@ -250,16 +267,9 @@ class TreeMultiproof:
         if not before:
             raise fail("no proven leaves")
         walked = (digest, tuple(before))
-        object.__setattr__(self, "_walked", walked)
+        if hash_fn is None:
+            object.__setattr__(self, "_walked", walked)
         return walked
-
-    def fold_root(self) -> bytes:
-        """Recompute the tree's root digest from the proof content."""
-        return self._walk()[0]
-
-    def helpers_before(self) -> tuple[int, ...]:
-        """Per proven leaf, the helpers the fold consumed before it."""
-        return self._walk()[1]
 
 
 # ---------------------------------------------------------------------------
@@ -529,6 +539,30 @@ class ProvenRun:
         self._read[:] = b"\x01" * len(self._read)
         return self.keys
 
+    def span(self, lo: int, hi: int) -> list[int]:
+        """Every key of the tree in ``[lo, hi]``, if the table holds them all.
+
+        The keys inside, the one on each side of them (or the tree's
+        edge) and everything between must be neighbours: one comparison
+        of the padded counts, since they never decrease.  With nothing
+        inside this is :meth:`boundaries` of ``lo - 1``.
+        """
+        start = bisect_left(self.keys, lo)
+        stop = bisect_right(self.keys, hi)
+        if self._gaps[start] != self._gaps[stop + 1]:
+            raise VerificationError(
+                f"VO lacks entries of {self.keyword!r} in [{lo}, {hi}]"
+            )
+        self._read[start : stop + 2] = b"\x01" * (stop + 2 - start)
+        return self.keys[start:stop]
+
+    def settle(self) -> None:
+        """Refuse a table that proves a row no read has returned."""
+        if 0 in self._read[1:-1]:
+            raise VerificationError(
+                f"table of {self.keyword!r} proves entries that no probe reads"
+            )
+
     def object_hashes(self, object_ids: list[int]) -> dict[int, bytes]:
         """The proven ``h(o)`` of keys the walk has read."""
         if not object_ids:
@@ -548,3 +582,33 @@ class ProvenRun:
     def definitely_absent(self, object_id: int) -> bool:
         """Whether the keyword's on-chain filters prove the ID absent."""
         return self.bloom is not None and self.bloom.definitely_absent(object_id)
+
+
+def open_table(
+    table: TreeMultiproof,
+    root: bytes,
+    keyword: str,
+    *,
+    index: int | None = 0,
+    read: bytearray | None = None,
+    hash_fn: HashFn | None = None,
+) -> ProvenRun:
+    """Fold a Merkle table to ``root`` and open its leaves as a run.
+
+    The one way a :class:`TreeMultiproof` is read, by the query client
+    (:meth:`~repro.core.merkle_family.MerkleProofSystem.proven_run`), a
+    light client, a range client and the general update's contract.  A
+    contract passes its metered ``hash_fn`` (see
+    :meth:`TreeMultiproof.fold`); ``index`` and ``read`` are the query
+    client's table number and its shared read marks.
+    """
+    digest, before = table.fold(hash_fn)
+    if not digests_equal(digest, root):
+        raise VerificationError(
+            f"table {index} does not match the on-chain root of {keyword!r}"
+        )
+    if read is None:
+        read = bytearray(len(table.leaves) + 2)
+    return ProvenRun(
+        keyword, index, table.leaves, (0, *before, len(table.helpers)), read
+    )

@@ -7,26 +7,24 @@ one-dimensional range queries over object IDs: a single MB-tree indexes
 the whole object stream, the smart contract maintains only its root
 hash via ``UpdVO`` update proofs (Algorithms 1–2 unchanged), and the SP
 answers ``[lo, hi]`` range queries with a verification object proving
-both soundness and completeness:
+both soundness and completeness.  The VO is one multiproof table over
+the entries in the range and the entry just outside it on each side;
+the client folds it to the on-chain root once and asks its
+:class:`~repro.core.multiproof.ProvenRun` for the span ``[lo, hi]``:
 
-* every returned entry carries a Merkle path to the on-chain root;
-* consecutive returned entries are proven *adjacent*, so nothing inside
-  the range was dropped;
-* the boundary entries just outside the range (or first/last-entry
-  evidence at the tree edges) prove the range's ends are tight.
+* the fold binds every shown entry to the root;
+* the gap counts show the shown entries contiguous, so nothing inside
+  the range was dropped, and the outer entries (or the tree's edges)
+  tight against its ends;
+* a table that shows anything else is refused.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.mbtree import (
-    DEFAULT_FANOUT,
-    Entry,
-    MBTree,
-    MerklePath,
-    paths_adjacent,
-)
+from repro.core.mbtree import DEFAULT_FANOUT, Entry, MBTree
+from repro.core.multiproof import TreeMultiproof, open_table
 from repro.core.objects import ObjectMetadata
 from repro.core.suppressed import SuppressedMerkleContract
 from repro.crypto.hashing import EMPTY_DIGEST, digests_equal
@@ -38,65 +36,45 @@ PRIMARY_INDEX_KEY = "__primary__"
 
 
 @dataclass(frozen=True)
-class RangeEntry:
-    """One proven entry of a range result."""
-
-    entry: Entry
-    path: MerklePath
-
-    def byte_size(self) -> int:
-        """Serialised size in bytes."""
-        return 40 + self.path.byte_size()
-
-
-@dataclass(frozen=True)
 class RangeVO:
-    """Verification object for an authenticated range query."""
+    """Verification object for an authenticated range query.
+
+    ``table`` proves the entries in ``[lo, hi]`` plus the largest entry
+    below ``lo`` and the smallest above ``hi`` where they exist; it is
+    ``None`` for an empty index.
+    """
 
     lo: int
     hi: int
-    results: tuple[RangeEntry, ...]
-    left_boundary: RangeEntry | None  # largest entry < lo (None at edge)
-    right_boundary: RangeEntry | None  # smallest entry > hi (None at edge)
+    table: TreeMultiproof | None
 
     def byte_size(self) -> int:
         """Serialised size in bytes."""
-        total = 16
-        total += sum(r.byte_size() for r in self.results)
-        for boundary in (self.left_boundary, self.right_boundary):
-            if boundary is not None:
-                total += boundary.byte_size()
-        return total
+        return 16 + (self.table.byte_size() if self.table is not None else 0)
 
 
 def range_query(tree: MBTree, lo: int, hi: int) -> tuple[list[Entry], RangeVO]:
-    """SP side: entries with ``lo <= key <= hi`` plus the range VO."""
+    """SP side: entries with ``lo <= key <= hi`` plus the range VO.
+
+    The keys come from a forward :class:`~repro.core.mbtree.LeafCursor`
+    (``locate`` step by step, no hashing); the VO is one multiproof
+    over them.
+    """
     if lo > hi:
         raise QueryError("empty range: lo must not exceed hi")
-    results: list[RangeEntry] = []
-    for entry in tree.iter_entries():
-        if lo <= entry.key <= hi:
-            _, path = tree.prove(entry.key)
-            results.append(RangeEntry(entry=entry, path=path))
-        elif entry.key > hi:
-            break
-    # Largest entry strictly below lo; smallest strictly above hi.
-    left = tree.boundaries(lo - 1, upper=False)
-    right = tree.boundaries(hi, lower=False)
-    left_boundary = None
-    if left.lower is not None:
-        left_boundary = RangeEntry(entry=left.lower, path=left.lower_path)
-    right_boundary = None
-    if right.upper is not None:
-        right_boundary = RangeEntry(entry=right.upper, path=right.upper_path)
-    vo = RangeVO(
-        lo=lo,
-        hi=hi,
-        results=tuple(results),
-        left_boundary=left_boundary,
-        right_boundary=right_boundary,
-    )
-    return [r.entry for r in results], vo
+    if not len(tree):
+        return [], RangeVO(lo=lo, hi=hi, table=None)
+    cursor = tree.cursor()
+    below, key = cursor.seek(lo - 1)
+    keys = [] if below is None else [below]
+    while key is not None and key <= hi:
+        keys.append(key)
+        _, key = cursor.seek(key)
+    if key is not None:
+        keys.append(key)
+    table = tree.multiproof(keys)
+    entries = [Entry(k, h) for k, h in table.leaves if lo <= k <= hi]
+    return entries, RangeVO(lo=lo, hi=hi, table=table)
 
 
 def verify_range(root_hash: bytes, vo: RangeVO) -> list[Entry]:
@@ -107,89 +85,14 @@ def verify_range(root_hash: bytes, vo: RangeVO) -> list[Entry]:
     """
     if vo.lo > vo.hi:
         raise VerificationError("malformed VO: inverted range")
-    if digests_equal(root_hash, EMPTY_DIGEST):
-        # Empty tree: the only valid answer is the empty one with no
-        # boundary evidence.
-        if vo.results or vo.left_boundary or vo.right_boundary:
-            raise VerificationError("non-empty VO against an empty index")
+    if vo.table is None:
+        if not digests_equal(root_hash, EMPTY_DIGEST):
+            raise VerificationError("range VO over a non-empty index lacks a table")
         return []
-
-    def check_entry(item: RangeEntry, label: str) -> None:
-        """Verify one proven entry against the root."""
-        if not digests_equal(item.path.compute_root(item.entry), root_hash):
-            raise VerificationError(f"{label} fails Merkle verification")
-
-    for item in vo.results:
-        check_entry(item, f"result {item.entry.key}")
-        if not vo.lo <= item.entry.key <= vo.hi:
-            raise VerificationError("result outside the queried range")
-    for prev, nxt in zip(vo.results, vo.results[1:]):
-        if prev.entry.key >= nxt.entry.key:
-            raise VerificationError("results not strictly increasing")
-        if not paths_adjacent(prev.path, nxt.path):
-            raise VerificationError(
-                "gap between consecutive results (missing entries)"
-            )
-
-    # Left edge: either a boundary entry < lo adjacent to the first
-    # result, or the first result is the tree's first entry; with no
-    # results, the boundaries themselves must be adjacent.
-    first = vo.results[0] if vo.results else None
-    last = vo.results[-1] if vo.results else None
-    if vo.left_boundary is not None:
-        check_entry(vo.left_boundary, "left boundary")
-        if vo.left_boundary.entry.key >= vo.lo:
-            raise VerificationError("left boundary not below the range")
-        left_anchor = vo.left_boundary
-    else:
-        left_anchor = None
-        if first is not None and not first.path.is_leftmost():
-            raise VerificationError(
-                "missing left boundary without first-entry evidence"
-            )
-    if vo.right_boundary is not None:
-        check_entry(vo.right_boundary, "right boundary")
-        if vo.right_boundary.entry.key <= vo.hi:
-            raise VerificationError("right boundary not above the range")
-        right_anchor = vo.right_boundary
-    else:
-        right_anchor = None
-        if last is not None and not last.path.is_rightmost():
-            raise VerificationError(
-                "missing right boundary without last-entry evidence"
-            )
-
-    if first is not None:
-        if left_anchor is not None and not paths_adjacent(
-            left_anchor.path, first.path
-        ):
-            raise VerificationError("left boundary not adjacent to results")
-        if right_anchor is not None and not paths_adjacent(
-            last.path, right_anchor.path
-        ):
-            raise VerificationError("right boundary not adjacent to results")
-    else:
-        # Empty result: prove the range really is empty.
-        if left_anchor is not None and right_anchor is not None:
-            if not paths_adjacent(left_anchor.path, right_anchor.path):
-                raise VerificationError(
-                    "empty range claim with non-adjacent boundaries"
-                )
-        elif left_anchor is not None:
-            if not left_anchor.path.is_rightmost():
-                raise VerificationError(
-                    "empty range claim without last-entry evidence"
-                )
-        elif right_anchor is not None:
-            if not right_anchor.path.is_leftmost():
-                raise VerificationError(
-                    "empty range claim without first-entry evidence"
-                )
-        else:
-            raise VerificationError(
-                "empty range claim over a non-empty index needs boundaries"
-            )
-    return [r.entry for r in vo.results]
+    run = open_table(vo.table, root_hash, PRIMARY_INDEX_KEY)
+    run.span(vo.lo, vo.hi)
+    run.settle()
+    return [Entry(k, h) for k, h in vo.table.leaves if vo.lo <= k <= vo.hi]
 
 
 class AuthenticatedRangeIndex:

@@ -15,13 +15,21 @@ enforces — entirely with cheap memory/hash operations — that:
 
 1. the path folds to the stored root (integrity of the proof);
 2. the insertion lands at the *key-correct* position: within the leaf,
-   neighbours bracket the key; at leaf edges, the proof carries the
-   global predecessor/successor entry with a Merkle path, and the
-   contract checks positional *adjacency* so the SP cannot route the
-   insertion into a wrong leaf and later hide results behind a
-   misordered tree;
+   neighbours bracket the key; at a leaf edge the proof carries one
+   multiproof table over the tree's entry on the other side and the
+   leaf's edge entry, which the contract folds to the stored root with
+   its metered hash and whose gap counts must show the two adjacent, so
+   the SP cannot route the insertion into a wrong leaf and later hide
+   results behind a misordered tree;
 3. the recomputed root (with ``ceil((F+1)/2)`` splits cascading up the
    path) replaces the stored root with a single ``C_supdate``.
+
+Why the table pins the target leaf: it names the edge entry by key, not
+by position.  The contract only ever accepts key-correct insertions of
+new keys into a tree that starts empty, so by induction the committed
+keys are sorted and unique — the entry with that key *is* the leaf's
+edge entry, and its neighbour in the table is the leaf's neighbour in
+the tree.
 """
 
 from __future__ import annotations
@@ -33,28 +41,14 @@ from repro.core.mbtree import (
     Entry,
     HashFn,
     MBTree,
-    MerklePath,
-    PathStep,
     entry_payload,
     leaf_payload,
     node_payload,
-    paths_adjacent,
 )
+from repro.core.multiproof import TreeMultiproof, open_table
 from repro.crypto.hashing import EMPTY_DIGEST, digests_equal, sha3, word_count
-from repro.errors import IntegrityError, ReproError
+from repro.errors import IntegrityError, ReproError, VerificationError
 from repro.ethereum.contract import SmartContract
-
-
-@dataclass(frozen=True)
-class NeighbourProof:
-    """A global predecessor/successor entry with its Merkle path."""
-
-    entry: Entry
-    path: MerklePath
-
-    def byte_size(self) -> int:
-        """Serialised size in bytes."""
-        return 40 + self.path.byte_size()
 
 
 @dataclass(frozen=True)
@@ -65,15 +59,15 @@ class GeneralUpdateProof:
     ``(followed_child_index, all_child_digests)``; ``leaf_entries``
     holds the target leaf's complete entries (keys included, so the
     contract can check ordering); ``insert_index`` is where the new key
-    goes.  ``predecessor``/``successor`` are required exactly when the
-    insertion touches the leaf's edge and the tree extends beyond it.
+    goes.  ``neighbour`` is required exactly when the insertion touches
+    the leaf's edge and the tree extends beyond it: the table over the
+    entry across that edge and the leaf's edge entry.
     """
 
     levels: tuple[tuple[int, tuple[bytes, ...]], ...]
     leaf_entries: tuple[Entry, ...]
     insert_index: int
-    predecessor: NeighbourProof | None = None
-    successor: NeighbourProof | None = None
+    neighbour: TreeMultiproof | None = None
 
     def byte_size(self) -> int:
         """Serialised size in bytes."""
@@ -81,91 +75,45 @@ class GeneralUpdateProof:
         for _, digests in self.levels:
             total += 1 + 32 * len(digests)
         total += 40 * len(self.leaf_entries)
-        for neighbour in (self.predecessor, self.successor):
-            if neighbour is not None:
-                total += neighbour.byte_size()
+        if self.neighbour is not None:
+            total += self.neighbour.byte_size()
         return total
-
-    def leaf_entry_path(self, entry_index: int) -> MerklePath:
-        """The Merkle path of ``leaf_entries[entry_index]`` (pre-insert)."""
-        entry_digests = [e.digest() for e in self.leaf_entries]
-        steps = [
-            PathStep(
-                index=entry_index,
-                before=tuple(entry_digests[:entry_index]),
-                after=tuple(entry_digests[entry_index + 1 :]),
-            )
-        ]
-        for followed, digests in reversed(self.levels):
-            steps.append(
-                PathStep(
-                    index=followed,
-                    before=tuple(digests[:followed]),
-                    after=tuple(digests[followed + 1 :]),
-                )
-            )
-        return MerklePath(steps=tuple(steps))
-
-    def path_is_leftmost(self) -> bool:
-        """True when the path hugs the left tree edge."""
-        return all(followed == 0 for followed, _ in self.levels)
-
-    def path_is_rightmost(self) -> bool:
-        """True when the path hugs the right tree edge."""
-        return all(
-            followed == len(digests) - 1 for followed, digests in self.levels
-        )
 
 
 def generate_general_update(tree: MBTree, key: int) -> GeneralUpdateProof:
     """SP side: build the generalised ``UpdVO`` for inserting ``key``.
 
     Must be called before applying the insertion to the mirror tree.
+    The path is the one :meth:`MBTree.insert` takes.
     """
-    if digests_equal(tree.root_hash, EMPTY_DIGEST):
+    if not len(tree):
         return GeneralUpdateProof(levels=(), leaf_entries=(), insert_index=0)
     view = tree.store
-    node = view.store.root
-    levels: list[tuple[int, tuple[bytes, ...]]] = []
-    while not view.is_leaf(node):
-        width = view.count(node)
-        child_index = width - 1
-        for i in range(1, width):
-            if key < view.min_key(view.child(node, i)):
-                child_index = i - 1
-                break
-        levels.append((child_index, tuple(view.child_digests(node))))
-        node = view.child(node, child_index)
-    entries = tuple(
-        Entry(key=view.leaf_key(node, s), value_hash=view.leaf_value_hash(node, s))
-        for s in range(view.count(node))
+    path = tree._descend(key, None)
+    levels = tuple(
+        (view.children(node).index(child), tuple(view.child_digests(node)))
+        for node, child in zip(path, path[1:])
     )
-    insert_index = 0
-    for i, entry in enumerate(entries):
-        if entry.key == key:
-            raise ReproError(f"duplicate key {key}")
-        if entry.key < key:
-            insert_index = i + 1
-    predecessor = None
-    successor = None
-    if insert_index == 0:
-        search = tree.boundaries(key, upper=False)
-        if search.lower is not None:
-            predecessor = NeighbourProof(
-                entry=search.lower, path=search.lower_path
-            )
-    if insert_index == len(entries):
-        search = tree.boundaries(key, lower=False)
-        if search.upper is not None:
-            successor = NeighbourProof(
-                entry=search.upper, path=search.upper_path
-            )
+    leaf = path[-1]
+    entries = tuple(
+        Entry(key=view.leaf_key(leaf, s), value_hash=view.leaf_value_hash(leaf, s))
+        for s in range(view.count(leaf))
+    )
+    insert_index, found = view.leaf_find(leaf, key)
+    if found:
+        raise ReproError(f"duplicate key {key}")
+    neighbour = None
+    if insert_index in (0, len(entries)):
+        lower, upper = tree.locate(key)
+        if insert_index == 0 and lower is not None:
+            neighbour = tree.multiproof([lower.key, entries[0].key])
+        elif insert_index == len(entries) and upper is not None:
+            neighbour = tree.multiproof([entries[-1].key, upper.key])
     return GeneralUpdateProof(
-        levels=tuple(levels),
+        levels=levels,
         leaf_entries=entries,
         insert_index=insert_index,
-        predecessor=predecessor,
-        successor=successor,
+        neighbour=neighbour,
     )
 
 
@@ -215,41 +163,39 @@ def verify_and_update_root(
         raise IntegrityError("new key does not follow its leaf predecessor")
     if i < len(entries) and entries[i].key <= key:
         raise IntegrityError("new key does not precede its leaf successor")
-    if i == 0:
-        if proof.predecessor is not None:
-            pred = proof.predecessor
-            if pred.entry.key >= key:
-                raise IntegrityError("global predecessor does not precede key")
-            if not digests_equal(pred.path.compute_root(pred.entry), stored_root):
-                raise IntegrityError("predecessor path fails verification")
-            first_path = proof.leaf_entry_path(0)
-            if not paths_adjacent(pred.path, first_path):
-                raise IntegrityError(
-                    "predecessor is not adjacent to the target leaf "
-                    "(insertion routed to the wrong leaf)"
+    if i in (0, len(entries)):
+        edge = entries[0] if i == 0 else entries[-1]
+        if proof.neighbour is not None:
+            try:
+                run = open_table(
+                    proof.neighbour, stored_root, "target leaf", hash_fn=hash_fn
                 )
-        elif not proof.path_is_leftmost():
-            raise IntegrityError(
-                "edge insertion without a predecessor requires the "
-                "globally leftmost path"
-            )
-    if i == len(entries):
-        if proof.successor is not None:
-            succ = proof.successor
-            if succ.entry.key <= key:
-                raise IntegrityError("global successor does not follow key")
-            if not digests_equal(succ.path.compute_root(succ.entry), stored_root):
-                raise IntegrityError("successor path fails verification")
-            last_path = proof.leaf_entry_path(len(entries) - 1)
-            if not paths_adjacent(last_path, succ.path):
+                lower, upper = run.boundaries(key)
+                run.settle()
+            except VerificationError as exc:
                 raise IntegrityError(
-                    "successor is not adjacent to the target leaf "
-                    "(insertion routed to the wrong leaf)"
+                    f"neighbour evidence fails ({exc}): insertion routed "
+                    "to the wrong leaf"
+                ) from None
+            shown = upper if i == 0 else lower
+            if (
+                lower == key
+                or shown != edge.key
+                or not digests_equal(
+                    run.object_hashes([shown])[shown], edge.value_hash
                 )
-        elif not proof.path_is_rightmost():
+            ):
+                raise IntegrityError(
+                    "neighbour evidence does not end at the target leaf's "
+                    "edge entry"
+                )
+        elif not all(
+            followed == (0 if i == 0 else len(digests) - 1)
+            for followed, digests in proof.levels
+        ):
             raise IntegrityError(
-                "edge insertion without a successor requires the "
-                "globally rightmost path"
+                "edge insertion without a neighbour requires the globally "
+                "outermost path"
             )
 
     # -- 3. recompute the new root with cascading splits ------------------------

@@ -14,7 +14,7 @@ from repro.crypto.hashing import (
     tagged_hash,
     word_count,
 )
-from repro.crypto.merkle import MerkleProof, MerkleTree, verify_proof
+from repro.crypto.merkle import MerkleTree
 from repro.crypto.prf import generate_key, node_randomness, prf_int
 from repro.crypto.signatures import PublicKey, SigningKey, generate_keypair
 from repro.crypto.vc import (
@@ -42,7 +42,6 @@ __all__ = [
     "CVCTrapdoor",
     "DIGEST_SIZE",
     "EMPTY_DIGEST",
-    "MerkleProof",
     "MerkleTree",
     "PublicKey",
     "SigningKey",
@@ -62,6 +61,5 @@ __all__ = [
     "sha3",
     "tagged_hash",
     "verify",
-    "verify_proof",
     "word_count",
 ]

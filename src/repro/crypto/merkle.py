@@ -1,17 +1,13 @@
 """Binary Merkle hash tree (Section III-A preliminaries).
 
 The MB-tree in :mod:`repro.core.mbtree` is the multi-way workhorse of the
-paper; this module provides the classic binary MHT for completeness, for
-tests of the proof machinery, and for the block-level transaction root in
-the chain simulator.
+paper; this module provides the classic binary MHT whose root the chain
+simulator seals into each block header as the transaction root.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from repro.crypto.hashing import EMPTY_DIGEST, digests_equal, tagged_hash
-from repro.errors import VerificationError
+from repro.crypto.hashing import EMPTY_DIGEST, tagged_hash
 
 _LEAF_TAG = "mht-leaf"
 _NODE_TAG = "mht-node"
@@ -25,33 +21,6 @@ def leaf_hash(payload: bytes) -> bytes:
 def node_hash(left: bytes, right: bytes) -> bytes:
     """Domain-separated hash of an internal node."""
     return tagged_hash(_NODE_TAG, left, right)
-
-
-@dataclass(frozen=True)
-class MerkleProof:
-    """An authentication path for one leaf.
-
-    ``siblings`` lists the sibling digest at each level from leaf to
-    root; ``directions[i]`` is True when the sibling sits on the *left*.
-    """
-
-    leaf_index: int
-    siblings: tuple[bytes, ...]
-    directions: tuple[bool, ...]
-
-    def byte_size(self) -> int:
-        """Serialised size (for VO accounting): digests + bitmap + index."""
-        return 32 * len(self.siblings) + (len(self.directions) + 7) // 8 + 8
-
-    def compute_root(self, payload: bytes) -> bytes:
-        """Fold the path upward from ``payload`` and return the root."""
-        current = leaf_hash(payload)
-        for sibling, sibling_on_left in zip(self.siblings, self.directions):
-            if sibling_on_left:
-                current = node_hash(sibling, current)
-            else:
-                current = node_hash(current, sibling)
-        return current
 
 
 class MerkleTree:
@@ -86,33 +55,6 @@ class MerkleTree:
         self._rebuild()
         return len(self._payloads) - 1
 
-    def prove(self, index: int) -> MerkleProof:
-        """Produce the authentication path for leaf ``index``."""
-        if not 0 <= index < len(self._payloads):
-            raise IndexError(f"leaf index {index} out of range")
-        siblings: list[bytes] = []
-        directions: list[bool] = []
-        position = index
-        for level in self._levels[:-1]:
-            if position % 2 == 0:
-                sibling_index = min(position + 1, len(level) - 1)
-                directions.append(False)
-            else:
-                sibling_index = position - 1
-                directions.append(True)
-            siblings.append(level[sibling_index])
-            position //= 2
-        return MerkleProof(
-            leaf_index=index,
-            siblings=tuple(siblings),
-            directions=tuple(directions),
-        )
-
-    def verify(self, payload: bytes, proof: MerkleProof) -> None:
-        """Raise :class:`VerificationError` unless the proof checks out."""
-        if not digests_equal(proof.compute_root(payload), self.root):
-            raise VerificationError("Merkle proof does not match tree root")
-
     def _rebuild(self) -> None:
         if not self._payloads:
             self._levels = []
@@ -128,8 +70,3 @@ class MerkleTree:
             level = nxt
             levels.append(level)
         self._levels = levels
-
-
-def verify_proof(root: bytes, payload: bytes, proof: MerkleProof) -> bool:
-    """Stateless proof check against a known root digest."""
-    return digests_equal(proof.compute_root(payload), root)

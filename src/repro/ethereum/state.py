@@ -8,11 +8,14 @@ provides that commitment: an MB-tree over every contract's storage
 words, keyed by the canonical digest of ``(contract, key)``, whose root
 is sealed into each block header.
 
-Reusing the MB-tree gives both proof directions:
+Reusing the MB-tree gives both proof directions, each one multiproof
+table of the state tree read through
+:func:`~repro.core.multiproof.open_table`:
 
-* **presence** — a Merkle path for the slot's leaf;
-* **absence** — adjacent boundary leaves around the slot's key digest
-  (the same machinery the query layer uses for completeness), which is
+* **presence** — the 1-leaf table of the slot's word;
+* **absence** — the table of the slot's one or two neighbours
+  (:meth:`~repro.core.mbtree.MBTree.locate`), whose gap counts show them
+  adjacent — the same check the query layer makes for completeness, and
   what proves a keyword *has no digest on-chain* to a light client.
 
 State tracking is opt-in (``Blockchain(track_state=True)``): rebuilding
@@ -24,7 +27,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.mbtree import Entry, MBTree, MerklePath, paths_adjacent
+from repro.core.mbtree import MBTree
+from repro.core.multiproof import TreeMultiproof, open_table
 from repro.crypto.hashing import EMPTY_DIGEST, digests_equal, sha3
 from repro.errors import ReproError, VerificationError
 
@@ -71,31 +75,29 @@ def storage_slot_id(contract: str, key: tuple) -> int:
     return int.from_bytes(digest[:8], "big") >> (64 - KEY_BITS)
 
 
+def _word_hash(word: bytes) -> bytes:
+    """The state tree's leaf value for a storage word."""
+    return sha3(b"state-word" + word)
+
+
 @dataclass(frozen=True)
 class StorageProof:
     """Light-client proof for one storage slot at one block.
 
-    For a *present* slot, ``word`` is its value and ``path`` its leaf
-    path.  For an *absent* (zero) slot, the boundary leaves around the
-    slot id prove nothing is stored there.
+    For a *present* slot, ``word`` is its value and ``table`` the 1-leaf
+    table of it.  For an *absent* (zero) slot, ``word`` is ``None`` and
+    ``table`` holds the slot's neighbours in the state tree — ``None``
+    when the state is empty.
     """
 
     contract: str
     key: tuple
     word: bytes | None  # None encodes a proven-absent slot
-    path: MerklePath | None = None
-    lower: Entry | None = None
-    lower_path: MerklePath | None = None
-    upper: Entry | None = None
-    upper_path: MerklePath | None = None
+    table: TreeMultiproof | None = None
 
     def byte_size(self) -> int:
         """Serialised size in bytes."""
-        total = 64
-        for path in (self.path, self.lower_path, self.upper_path):
-            if path is not None:
-                total += path.byte_size()
-        return total
+        return 64 + (self.table.byte_size() if self.table is not None else 0)
 
 
 class StateCommitment:
@@ -120,7 +122,7 @@ class StateCommitment:
                 slot = storage_slot_id(name, key)
                 slots.append((slot, storage.peek(key)))
         for slot, word in sorted(slots):
-            commitment._tree.insert(slot, sha3(b"state-word" + word))
+            commitment._tree.insert(slot, _word_hash(word))
             commitment._words[slot] = word
         return commitment
 
@@ -132,24 +134,13 @@ class StateCommitment:
     def prove(self, contract: str, key: tuple) -> StorageProof:
         """Produce a presence or absence proof for one slot."""
         slot = storage_slot_id(contract, key)
-        if slot in self._words:
-            _, path = self._tree.prove(slot)
-            return StorageProof(
-                contract=contract,
-                key=key,
-                word=self._words[slot],
-                path=path,
-            )
-        search = self._tree.boundaries(slot)
-        return StorageProof(
-            contract=contract,
-            key=key,
-            word=None,
-            lower=search.lower,
-            lower_path=search.lower_path,
-            upper=search.upper,
-            upper_path=search.upper_path,
-        )
+        word = self._words.get(slot)
+        if word is not None:
+            keys = [slot]
+        else:
+            keys = [e.key for e in self._tree.locate(slot) if e is not None]
+        table = self._tree.multiproof(keys) if keys else None
+        return StorageProof(contract=contract, key=key, word=word, table=table)
 
 
 def verify_storage_proof(state_root: bytes, proof: StorageProof) -> bytes:
@@ -160,44 +151,21 @@ def verify_storage_proof(state_root: bytes, proof: StorageProof) -> bytes:
     slot to ``state_root``.
     """
     slot = storage_slot_id(proof.contract, proof.key)
-    if proof.word is not None:
-        if proof.path is None:
-            raise VerificationError("presence proof lacks a Merkle path")
-        entry = Entry(key=slot, value_hash=sha3(b"state-word" + proof.word))
-        if not digests_equal(proof.path.compute_root(entry), state_root):
-            raise VerificationError("storage proof fails against state root")
-        return proof.word
-    # Absence: empty state, or boundary leaves bracketing the slot.
-    if digests_equal(state_root, EMPTY_DIGEST):
-        if proof.lower or proof.upper:
-            raise VerificationError("boundary proof against an empty state")
+    if proof.table is None:
+        if proof.word is not None or not digests_equal(state_root, EMPTY_DIGEST):
+            raise VerificationError("storage proof carries no table")
         return b"\x00" * 32
-    if proof.lower is None and proof.upper is None:
-        raise VerificationError("absence proof carries no boundaries")
-    if proof.lower is not None:
-        if proof.lower.key >= slot:
-            raise VerificationError("lower boundary does not precede slot")
-        if proof.lower_path is None or not digests_equal(
-            proof.lower_path.compute_root(proof.lower), state_root
+    run = open_table(proof.table, state_root, "state")
+    if proof.word is not None:
+        if run.keys != [slot] or not digests_equal(
+            proof.table.leaves[0][1], _word_hash(proof.word)
         ):
-            raise VerificationError("lower boundary fails verification")
-    if proof.upper is not None:
-        if proof.upper.key <= slot:
-            raise VerificationError("upper boundary does not follow slot")
-        if proof.upper_path is None or not digests_equal(
-            proof.upper_path.compute_root(proof.upper), state_root
-        ):
-            raise VerificationError("upper boundary fails verification")
-    if proof.lower is not None and proof.upper is not None:
-        if not paths_adjacent(proof.lower_path, proof.upper_path):
-            raise VerificationError("absence boundaries are not adjacent")
-    elif proof.lower is not None:
-        if not proof.lower_path.is_rightmost():
-            raise VerificationError("open absence proof lacks last-leaf evidence")
-    else:
-        assert proof.upper is not None
-        if not proof.upper_path.is_leftmost():
-            raise VerificationError("open absence proof lacks first-leaf evidence")
+            raise VerificationError("presence proof does not bind the word")
+        return proof.word
+    lower, _ = run.boundaries(slot)
+    if lower == slot:
+        raise VerificationError("absence claimed for a stored slot")
+    run.settle()
     return b"\x00" * 32
 
 

@@ -408,77 +408,6 @@ class TestWallClock:
         assert lint_source(src, module="ethereum/chain.py") == []
 
 
-# -- multiproof-batched-path --------------------------------------------------
-
-MULTIPROOF_BAD = """\
-from repro.core.mbtree import MerklePath, PathStep
-
-
-def rebuild(entry, steps):
-    parts = [PathStep(index=i, before=(), after=()) for i in steps]
-    return MerklePath(steps=tuple(parts))
-"""
-
-MULTIPROOF_SUPPRESSED = """\
-from repro.core.mbtree import MerklePath
-
-
-def legacy_decode(steps):
-    # reprolint: disable-next-line=multiproof-batched-path
-    return MerklePath(steps=steps)
-"""
-
-
-class TestMultiproofBatchedPath:
-    def test_flags_path_construction_in_query_pipeline(self):
-        findings = lint_source(MULTIPROOF_BAD, module="core/query/codec.py")
-        assert rules(findings) == [
-            "multiproof-batched-path",
-            "multiproof-batched-path",
-        ]
-        assert lines(findings) == [5, 6]
-        assert findings[0].symbol == "rebuild"
-
-    def test_flags_sp_frontend(self):
-        src = "proof = MerklePath(steps=())\n"
-        findings = lint_source(src, module="core/sp_frontend.py")
-        assert rules(findings) == ["multiproof-batched-path"]
-
-    def test_flags_per_entry_proving_in_the_merkle_views(self):
-        src = (
-            "def all_proven(self):\n"
-            "    return [self.tree.prove(e.key) for e in self.tree.iter_entries()]\n"
-            "def boundaries_proven(self, target):\n"
-            "    return self.tree.boundaries(target)\n"
-            "def located(self, target):\n"
-            "    return self.tree.locate(target)\n"
-        )
-        findings = lint_source(src, module="core/merkle_family.py")
-        assert rules(findings) == ["multiproof-batched-path"] * 2
-        assert lines(findings) == [2, 4]
-        # Elsewhere those method names mean other things.
-        assert lint_source(src, module="core/sp_frontend.py") == []
-        assert rules(
-            lint_source(MULTIPROOF_BAD, module="core/merkle_family.py")
-        ) == ["multiproof-batched-path"] * 2
-
-    def test_multiproof_module_is_out_of_scope(self):
-        assert lint_source(MULTIPROOF_BAD, module="core/multiproof.py") == []
-
-    def test_mbtree_itself_is_out_of_scope(self):
-        assert lint_source(MULTIPROOF_BAD, module="core/mbtree.py") == []
-
-    def test_suppression_comment_is_honoured(self):
-        findings = lint_source(
-            MULTIPROOF_SUPPRESSED, module="core/query/codec.py"
-        )
-        assert findings == []
-
-    def test_unrelated_calls_are_clean(self):
-        src = "vo = QueryVO(conjuncts=())\n"
-        assert lint_source(src, module="core/query/vo.py") == []
-
-
 # -- flatbuf-node-storage -----------------------------------------------------
 
 FLATBUF_BAD = """\

@@ -11,9 +11,12 @@ receipt, keeping the store, the DO and the chain in lockstep.
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
 from repro import DataObject, HybridStorageSystem
+from repro.core.owner import ADS_CONTRACT
 from repro.errors import ChainError
 
 
@@ -151,6 +154,47 @@ class TestRollbackIsExact:
         for text in ("kw04 AND kw05", "kw05"):
             assert failed.query(text).result_ids == clean.query(text).result_ids
             assert failed.query(text).verified
+
+    @staticmethod
+    def bloom_storage(system):
+        storage = system.chain.contract(ADS_CONTRACT).storage
+        return {
+            key: storage.peek(key)
+            for key in storage.keys()
+            if str(key[0]).startswith("bloom")
+        }
+
+    def test_the_chain_keeps_no_trace_of_the_failed_batch(self):
+        """The contract side: after the revert, the next batch pays the
+        same gas and writes the same Bloom words as in a run where the
+        failed batch never happened, and every single- and two-keyword
+        query verifies to the same answer.  (A filter mirror kept beside
+        contract storage once survived the revert: the next batch wrote
+        words with the failed IDs' bits, and honest answers were
+        rejected because the SP's filters no longer matched the chain's.)"""
+        failed = self.make_system()
+        clean = self.make_system()
+        for system in (failed, clean):
+            system.add_objects(docs_stream(3))
+        with pytest.raises(ChainError):
+            failed.add_objects_batched(docs_stream(15, start=4))
+        gas = []
+        for system in (failed, clean):
+            before = system.maintenance_meter().total
+            system.add_objects_batched(docs_stream(2, start=4))
+            gas.append(system.maintenance_meter().total - before)
+        assert gas[0] == gas[1]
+        assert self.bloom_storage(failed) == self.bloom_storage(clean)
+        keywords = sorted(
+            {kw for obj in docs_stream(5) for kw in obj.keywords}
+        )
+        texts = keywords + [
+            f"{a} AND {b}" for a, b in itertools.combinations(keywords, 2)
+        ]
+        for text in texts:
+            answer = failed.query(text)
+            assert answer.verified
+            assert answer.result_ids == clean.query(text).result_ids
 
     def test_rollback_touches_only_the_batch(self):
         """No per-tree copy: untouched nodes are the very same objects."""

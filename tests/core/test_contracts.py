@@ -1,5 +1,8 @@
 """Unit tests for the four ADS smart contracts."""
 
+import hashlib
+import random
+
 import pytest
 
 from repro.core.chameleon_index import (
@@ -18,9 +21,15 @@ from repro.core.suppressed import (
     build_updates,
     updates_payload,
 )
+from repro.core.suppressed_general import (
+    GeneralSuppressedContract,
+    generate_general_update,
+)
 from repro.crypto.bloom import BloomFilterChain
 from repro.crypto.hashing import sha3
 from repro.ethereum.chain import Blockchain
+from repro.ethereum.contract import SmartContract
+from repro.ethereum.vm import ExecutionContext
 
 
 def make_chain(name, contract):
@@ -252,3 +261,81 @@ class TestChameleonStarContract:
             if (i - 1) % 30 != 0
         ]
         assert max(steady) == min(steady)
+
+
+class TestEveryDigestIsMetered:
+    """Inside a call of the SMI or the general contract every digest goes
+    through ``env.keccak``: hashing in plain Python there is work the gas
+    meter never sees."""
+
+    @pytest.fixture()
+    def counts(self, monkeypatch):
+        """Digests computed inside contract calls, and the metered ones."""
+        counts = {"inside": False, "digests": 0, "metered": 0}
+        real_sha3 = hashlib.sha3_256
+
+        def sha3_256(*args, **kwargs):
+            counts["digests"] += counts["inside"]
+            return real_sha3(*args, **kwargs)
+
+        def metered(method):
+            def wrapper(self, *args):
+                counts["metered"] += 1
+                return method(self, *args)
+
+            return wrapper
+
+        bind = SmartContract.bind
+
+        def binding(self, env):
+            counts["inside"] = env is not None
+            bind(self, env)
+
+        monkeypatch.setattr(hashlib, "sha3_256", sha3_256)
+        monkeypatch.setattr(ExecutionContext, "keccak", metered(ExecutionContext.keccak))
+        monkeypatch.setattr(
+            ExecutionContext, "keccak_concat", metered(ExecutionContext.keccak_concat)
+        )
+        monkeypatch.setattr(SmartContract, "bind", binding)
+        return counts
+
+    def test_smi_contract(self, counts):
+        chain = make_chain("smi", SuppressedMerkleContract(fanout=4))
+        trees = {}
+        for oid in range(1, 40):
+            md = metadata_for(oid, ("a", "b") if oid % 3 else ("a",))
+            chain.send_transaction(
+                "do", "smi", "register_object",
+                md.object_id, md.object_hash, md.keywords, payload=b"",
+            )
+            updates = build_updates(trees, oid, md.keywords)
+            receipt = chain.send_transaction(
+                "sp", "smi", "insert", oid, md.object_hash, updates,
+                payload=updates_payload(updates),
+            )
+            assert receipt.status
+            for keyword in md.keywords:
+                trees.setdefault(keyword, MBTree(fanout=4)).insert(oid, md.object_hash)
+        assert counts["metered"] > 0
+        assert counts["digests"] == counts["metered"]
+
+    def test_general_contract_with_neighbour_evidence(self, counts):
+        chain = make_chain("gsmi", GeneralSuppressedContract(fanout=4))
+        tree = MBTree(fanout=4)
+        neighbours = 0
+        for oid, key in enumerate(random.Random(5).sample(range(500), 40), start=1):
+            md = metadata_for(oid, ("kw",))
+            chain.send_transaction(
+                "do", "gsmi", "register_object", oid, md.object_hash, payload=b"",
+            )
+            proof = generate_general_update(tree, key)
+            neighbours += proof.neighbour is not None
+            receipt = chain.send_transaction(
+                "sp", "gsmi", "insert", "idx", key, oid, md.object_hash, proof,
+                payload=b"\x00" * proof.byte_size(),
+            )
+            assert receipt.status, receipt.error
+            tree.insert(key, md.object_hash)
+        assert neighbours > 0
+        assert counts["metered"] > 0
+        assert counts["digests"] == counts["metered"]

@@ -27,6 +27,7 @@ from repro.core.multiproof import (
     ProveRequest,
     TreeMultiproof,
     compress_query_vo,
+    open_table,
     prove_keys,
 )
 from repro.core.objects import DataObject, ObjectMetadata
@@ -43,7 +44,7 @@ from repro.errors import (
 )
 
 from tests.legacy_vo import ProvenEntry
-from tests.reference_multiproof import build_multiproof
+from tests.reference_multiproof import build_multiproof, prove_path
 
 
 def value_of(key: int) -> bytes:
@@ -73,7 +74,7 @@ def test_multiproof_and_gate_equal_the_oracle(keys, fanout, data):
         st.lists(st.sampled_from(keys), min_size=1, max_size=80)
     )
     unique = sorted(set(picks))
-    paths = {key: tree.prove(key)[1] for key in unique}
+    paths = {key: prove_path(tree, key)[1] for key in unique}
     proven = [
         (ProvenEntry(key, value_of(key), paths[key]), paths[key])
         for key in picks
@@ -82,7 +83,7 @@ def test_multiproof_and_gate_equal_the_oracle(keys, fanout, data):
 
     multiproof = tree.multiproof(unique)
     assert dataclasses.astuple(multiproof) == dataclasses.astuple(reference)
-    assert multiproof.fold_root() == tree.root_hash
+    assert multiproof.fold()[0] == tree.root_hash
     for ordinal, key in enumerate(unique):
         gpath = tuple(step.index for step in reversed(paths[key].steps))
         assert ordinals[gpath] == ordinal
@@ -119,15 +120,10 @@ def test_locate_matches_sorted_model_and_boundaries(keys, fanout, target):
     for entry in (lower, upper):
         if entry is not None:
             assert entry.value_hash == value_of(entry.key)
-    # boundaries() proves only the sides it is asked for.
-    both = tree.boundaries(target)
-    assert (both.lower, both.upper) == (lower, upper)
-    only_lower = tree.boundaries(target, upper=False)
-    assert only_lower.upper == upper and only_lower.upper_path is None
-    assert only_lower.lower_path == both.lower_path
-    only_upper = tree.boundaries(target, lower=False)
-    assert only_upper.lower == lower and only_upper.lower_path is None
-    assert only_upper.upper_path == both.upper_path
+    # The table over what locate found shows the same two keys.
+    located = [entry.key for entry in (lower, upper) if entry is not None]
+    run = open_table(tree.multiproof(located), tree.root_hash, "kw")
+    assert run.boundaries(target) == (expected_lower, expected_upper)
 
 
 class TestMultiproofInputs:
@@ -144,8 +140,6 @@ class TestMultiproofInputs:
                 tree.multiproof(bad)
         with pytest.raises(ReproError):
             MBTree().multiproof([1])
-        with pytest.raises(ReproError):
-            MBTree().prove(1)
 
 
 # -- fail closed around the located run -----------------------------------------

@@ -3,8 +3,9 @@
 import pytest
 
 from repro.core import mbtree
+from repro.core.multiproof import open_table
 from repro.crypto.hashing import EMPTY_DIGEST, sha3
-from repro.errors import IntegrityError, ReproError
+from repro.errors import IntegrityError, ReproError, VerificationError
 
 
 def value_of(key: int) -> bytes:
@@ -24,8 +25,8 @@ class TestBasics:
         assert len(tree) == 0
         assert tree.root_hash == EMPTY_DIGEST
         assert tree.height == 0
-        assert tree.first_entry() is None
-        assert tree.last_entry() is None
+        assert tree.min_key is None
+        assert tree.locate(1) == (None, None)
 
     def test_fanout_validation(self):
         with pytest.raises(ReproError):
@@ -49,92 +50,95 @@ class TestBasics:
         assert tree.max_key == 5
 
 
+def run_of(tree, keys):
+    """The table over ``keys``, folded to the root and opened."""
+    return open_table(tree.multiproof(keys), tree.root_hash, "kw")
+
+
 class TestProofs:
     def test_membership_proofs(self):
         tree = build(range(1, 50))
         for key in (1, 17, 33, 49):
-            entry, path = tree.prove(key)
-            assert entry.key == key
-            assert path.compute_root(entry) == tree.root_hash
+            table = tree.multiproof([key])
+            assert table.leaves == ((key, value_of(key)),)
+            assert table.fold()[0] == tree.root_hash
 
     def test_missing_key(self):
         tree = build([1, 2, 3])
         with pytest.raises(ReproError):
-            tree.prove(99)
+            tree.multiproof([99])
 
     def test_first_last_flags(self):
         tree = build(range(1, 30))
-        _, first = tree.first_entry()
-        _, last = tree.last_entry()
-        assert first.is_leftmost() and not first.is_rightmost()
-        assert last.is_rightmost() and not last.is_leftmost()
+        first, last = run_of(tree, [1]), run_of(tree, [29])
+        assert first.first() == 1
+        assert first.boundaries(0) == (None, 1)
+        assert last.boundaries(29) == (29, None)
+        with pytest.raises(VerificationError):
+            first.boundaries(1)  # 1 is not the last entry
+        with pytest.raises(VerificationError):
+            last.first()  # 29 is not the first
 
     def test_path_byte_size_positive(self):
         tree = build(range(1, 30))
-        _, path = tree.prove(10)
-        assert path.byte_size() > 0
+        assert tree.multiproof([10]).byte_size() > 40
 
 
 class TestBoundaries:
     def test_exact_match(self):
         tree = build([2, 4, 6, 8])
-        result = tree.boundaries(4)
-        assert result.matched
-        assert result.lower.key == 4
-        assert result.upper.key == 6
+        lower, upper = tree.locate(4)
+        assert (lower.key, upper.key) == (4, 6)
 
     def test_between_keys(self):
         tree = build([2, 4, 6, 8])
-        result = tree.boundaries(5)
-        assert not result.matched
-        assert result.lower.key == 4
-        assert result.upper.key == 6
+        lower, upper = tree.locate(5)
+        assert (lower.key, upper.key) == (4, 6)
+        assert run_of(tree, [4, 6]).boundaries(5) == (4, 6)
 
     def test_before_first(self):
         tree = build([2, 4])
-        result = tree.boundaries(1)
-        assert result.lower is None
-        assert result.upper.key == 2
-        assert result.upper_path.is_leftmost()
+        lower, upper = tree.locate(1)
+        assert lower is None and upper.key == 2
+        assert run_of(tree, [2]).boundaries(1) == (None, 2)
 
     def test_after_last(self):
         tree = build([2, 4])
-        result = tree.boundaries(9)
-        assert result.upper is None
-        assert result.lower.key == 4
-        assert result.lower_path.is_rightmost()
+        lower, upper = tree.locate(9)
+        assert upper is None and lower.key == 4
+        assert run_of(tree, [4]).boundaries(9) == (4, None)
 
     def test_boundary_proofs_verify(self):
         tree = build(range(0, 100, 3))
-        result = tree.boundaries(50)
-        assert result.lower_path.compute_root(result.lower) == tree.root_hash
-        assert result.upper_path.compute_root(result.upper) == tree.root_hash
+        lower, upper = tree.locate(50)
+        table = tree.multiproof([lower.key, upper.key])
+        assert table.fold()[0] == tree.root_hash
+        assert table.leaves == (
+            (lower.key, lower.value_hash),
+            (upper.key, upper.value_hash),
+        )
 
 
 class TestAdjacency:
     def test_consecutive_entries_adjacent(self):
         tree = build(range(1, 60))
         for key in range(1, 59):
-            _, p1 = tree.prove(key)
-            _, p2 = tree.prove(key + 1)
-            assert mbtree.paths_adjacent(p1, p2)
+            assert run_of(tree, [key, key + 1]).boundaries(key) == (key, key + 1)
 
     def test_non_consecutive_not_adjacent(self):
         tree = build(range(1, 60))
-        _, p1 = tree.prove(10)
-        _, p3 = tree.prove(12)
-        assert not mbtree.paths_adjacent(p1, p3)
+        with pytest.raises(VerificationError, match="lacks the boundary"):
+            run_of(tree, [10, 12]).boundaries(10)
 
     def test_reversed_order_not_adjacent(self):
         tree = build(range(1, 60))
-        _, p1 = tree.prove(10)
-        _, p2 = tree.prove(11)
-        assert not mbtree.paths_adjacent(p2, p1)
+        with pytest.raises(ReproError):
+            tree.multiproof([11, 10])
 
     def test_same_entry_not_adjacent(self):
         tree = build(range(1, 10))
-        _, p = tree.prove(5)
-        assert not mbtree.paths_adjacent(p, p)
+        with pytest.raises(VerificationError):
+            run_of(tree, [5]).boundaries(5)
 
 
 class TestUpdateSpine:

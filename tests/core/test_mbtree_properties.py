@@ -6,10 +6,13 @@ boundaries that match the model, and keep append-mode spine updates in
 lockstep with real insertions.
 """
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import mbtree
+from repro.core.multiproof import open_table
 from repro.crypto.hashing import sha3
+from repro.errors import VerificationError
 
 key_sets = st.sets(st.integers(0, 10_000), min_size=1, max_size=120)
 fanouts = st.integers(3, 8)
@@ -27,10 +30,11 @@ def test_sorted_iteration_and_proofs(keys, fanout):
         tree.insert(key, value_of(key))
     ordered = sorted(keys)
     assert [e.key for e in tree.iter_entries()] == ordered
-    # Every member proves against the root.
+    # Every member proves against the root, as the 1-leaf table.
     for key in ordered[:: max(1, len(ordered) // 7)]:
-        entry, path = tree.prove(key)
-        assert path.compute_root(entry) == tree.root_hash
+        table = tree.multiproof([key])
+        assert table.leaves == ((key, value_of(key)),)
+        assert table.fold()[0] == tree.root_hash
 
 
 @settings(max_examples=40, deadline=None)
@@ -46,15 +50,14 @@ def test_boundaries_match_sorted_model(keys, fanout, target):
     ordered = sorted(keys)
     expected_lower = max((k for k in ordered if k <= target), default=None)
     expected_upper = min((k for k in ordered if k > target), default=None)
-    result = tree.boundaries(target)
-    assert (result.lower.key if result.lower else None) == expected_lower
-    assert (result.upper.key if result.upper else None) == expected_upper
-    if result.lower is not None:
-        assert result.lower_path.compute_root(result.lower) == tree.root_hash
-    if result.upper is not None:
-        assert result.upper_path.compute_root(result.upper) == tree.root_hash
-    if result.lower is not None and result.upper is not None:
-        assert mbtree.paths_adjacent(result.lower_path, result.upper_path)
+    lower, upper = tree.locate(target)
+    assert (lower.key if lower else None) == expected_lower
+    assert (upper.key if upper else None) == expected_upper
+    # The located pair's table folds to the root and shows the pair
+    # adjacent (or at the tree's edge).
+    keys = [entry.key for entry in (lower, upper) if entry is not None]
+    run = open_table(tree.multiproof(keys), tree.root_hash, "kw")
+    assert run.boundaries(target) == (expected_lower, expected_upper)
 
 
 @settings(max_examples=30, deadline=None)
@@ -87,9 +90,13 @@ def test_adjacency_exactly_consecutive(keys):
     for key in keys:
         tree.insert(key, value_of(key))
     ordered = sorted(keys)
-    proofs = {k: tree.prove(k)[1] for k in ordered}
+
+    def run_of(pair):
+        return open_table(tree.multiproof(pair), tree.root_hash, "kw")
+
     for a, b in zip(ordered, ordered[1:]):
-        assert mbtree.paths_adjacent(proofs[a], proofs[b])
+        assert run_of([a, b]).boundaries(a) == (a, b)
     # A non-consecutive pair must never verify as adjacent.
     if len(ordered) >= 3:
-        assert not mbtree.paths_adjacent(proofs[ordered[0]], proofs[ordered[2]])
+        with pytest.raises(VerificationError):
+            run_of([ordered[0], ordered[2]]).boundaries(ordered[0])

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.mbtree import MBTree, MerklePath, paths_adjacent
+from repro.core.mbtree import MBTree
 from repro.core.merkle_family import MerkleProofSystem
 from repro.core.multiproof import (
     SLOT_DESCEND,
@@ -19,12 +19,15 @@ from repro.errors import ReproError, VerificationError
 
 from tests.legacy_vo import ProvenEntry
 from tests.reference_multiproof import (
+    MerklePath,
     build_multiproof,
     compute_multiproof_indices,
     gpath_adjacent,
     gpath_is_leftmost,
     gpath_is_rightmost,
     leaf_gindex,
+    paths_adjacent,
+    prove_path,
 )
 
 
@@ -42,7 +45,7 @@ def make_tree(size: int, fanout: int = 4) -> MBTree:
 def proven(tree: MBTree, keys) -> list[tuple[ProvenEntry, MerklePath]]:
     out = []
     for key in keys:
-        entry, path = tree.prove(key)
+        entry, path = prove_path(tree, key)
         out.append(
             (
                 ProvenEntry(
@@ -113,7 +116,7 @@ class TestBuildFoldParity:
         rng = random.Random(size * fanout)
         keys = rng.sample(range(size), k=max(1, size // 3))
         multiproof, ordinals = build_multiproof(proven(tree, keys))
-        assert multiproof.fold_root() == tree.root_hash
+        assert multiproof.fold()[0] == tree.root_hash
         assert len(multiproof.leaves) == len(set(keys))
         assert len(ordinals) == len(set(keys))
 
@@ -121,14 +124,14 @@ class TestBuildFoldParity:
         tree = make_tree(16)
         multiproof, _ = build_multiproof(proven(tree, range(16)))
         assert multiproof.helpers == ()
-        assert multiproof.fold_root() == tree.root_hash
+        assert multiproof.fold()[0] == tree.root_hash
 
     def test_duplicate_entries_deduplicate(self):
         tree = make_tree(12)
         pairs = proven(tree, [3, 7, 3, 7, 3])
         multiproof, ordinals = build_multiproof(pairs)
         assert len(multiproof.leaves) == 2
-        assert multiproof.fold_root() == tree.root_hash
+        assert multiproof.fold()[0] == tree.root_hash
         assert sorted(ordinals.values()) == [0, 1]
 
     def test_leaf_ordinals_follow_key_order(self):
@@ -171,18 +174,18 @@ class TestBuildFoldParity:
 
 def is_leftmost(mp: TreeMultiproof, ordinal: int) -> bool:
     """The three predicates of ``TreeMultiproof``'s "Positions" note."""
-    return ordinal == 0 and mp.helpers_before()[0] == 0
+    return ordinal == 0 and mp.fold()[1][0] == 0
 
 
 def is_rightmost(mp: TreeMultiproof, ordinal: int) -> bool:
     return (
         ordinal == len(mp.leaves) - 1
-        and mp.helpers_before()[ordinal] == len(mp.helpers)
+        and mp.fold()[1][ordinal] == len(mp.helpers)
     )
 
 
 def adjacent(mp: TreeMultiproof, left: int, right: int) -> bool:
-    before = mp.helpers_before()
+    before = mp.fold()[1]
     return right == left + 1 and before[left] == before[right]
 
 
@@ -220,7 +223,7 @@ class TestBoundaryPredicates:
         size = 29
         tree = make_tree(size, fanout=fanout)
         multiproof, _ = build_multiproof(proven(tree, range(size)))
-        paths = {key: tree.prove(key)[1] for key in range(size)}
+        paths = {key: prove_path(tree, key)[1] for key in range(size)}
         for left in range(size - 1):
             for right in (left + 1, min(left + 5, size - 1)):
                 expected = paths_adjacent(paths[left], paths[right])
@@ -244,7 +247,7 @@ class TestBoundaryPredicates:
         )
         mp = tree.multiproof(picks)
         count = len(picks)
-        assert len(mp.helpers_before()) == count
+        assert len(mp.fold()[1]) == count
         for left in range(count):
             assert is_leftmost(mp, left) == gpath_is_leftmost(mp, left)
             assert is_rightmost(mp, left) == gpath_is_rightmost(mp, left)
@@ -272,7 +275,7 @@ class TestBoundaryPredicates:
         refused unless that key is the tree's own first or last."""
         tree = make_tree(9)
         multiproof, _ = build_multiproof(proven(tree, [1, 2]))
-        assert len(multiproof.helpers_before()) == 2
+        assert len(multiproof.fold()[1]) == 2
         run = run_over(tree, multiproof)
         assert run.boundaries(1) == (1, 2)
         for outside in (0, 2, 5):
@@ -290,13 +293,13 @@ class TestFailClosed:
         tree, mp = self.build()
         bad = dataclasses.replace(mp, helpers=mp.helpers[:-1])
         with pytest.raises(VerificationError):
-            bad.fold_root()
+            bad.fold()[0]
 
     def test_duplicated_helper_changes_root_or_fails(self):
         tree, mp = self.build()
         bad = dataclasses.replace(mp, helpers=mp.helpers + mp.helpers[:1])
         with pytest.raises(VerificationError):
-            bad.fold_root()
+            bad.fold()[0]
 
     def test_reordered_helpers_change_the_root(self):
         tree, mp = self.build()
@@ -306,7 +309,7 @@ class TestFailClosed:
             pytest.skip("helpers coincide")
         bad = dataclasses.replace(mp, helpers=swapped)
         try:
-            root = bad.fold_root()
+            root = bad.fold()[0]
         except VerificationError:
             return
         assert root != tree.root_hash
@@ -315,14 +318,14 @@ class TestFailClosed:
         _, mp = self.build()
         bad = dataclasses.replace(mp, nodes=mp.nodes[:-1])
         with pytest.raises(VerificationError):
-            bad.fold_root()
+            bad.fold()[0]
 
     def test_tampered_leaf_hash_changes_the_root(self):
         tree, mp = self.build()
         key, _ = mp.leaves[0]
         bad_leaves = ((key, bytes(32)),) + mp.leaves[1:]
         bad = dataclasses.replace(mp, leaves=bad_leaves)
-        assert bad.fold_root() != tree.root_hash
+        assert bad.fold()[0] != tree.root_hash
 
     def test_leaf_entry_bounds_checked(self):
         """A result's hash comes from a proven leaf or from nowhere."""
@@ -351,7 +354,7 @@ class TestStackMachineRobustness:
             leaves=((1, vhash(1)),),
         )
         with pytest.raises(VerificationError):
-            mp.fold_root()
+            mp.fold()[0]
 
     def test_unconsumed_leaves_fail(self):
         mp = TreeMultiproof(
@@ -361,7 +364,7 @@ class TestStackMachineRobustness:
             leaves=((1, vhash(1)), (2, vhash(2))),
         )
         with pytest.raises(VerificationError):
-            mp.fold_root()
+            mp.fold()[0]
 
     def test_all_helper_cover_fails(self):
         mp = TreeMultiproof(
@@ -371,4 +374,4 @@ class TestStackMachineRobustness:
             leaves=(),
         )
         with pytest.raises(VerificationError):
-            mp.fold_root()
+            mp.fold()[0]

@@ -106,12 +106,10 @@ class TestMBTreeBlobRoundTrip:
         assert clone.root_hash == tree.root_hash
         assert len(clone) == len(tree)
         assert list(clone.iter_entries()) == list(tree.iter_entries())
-        for key in (1, 150, 300):
-            entry_a, path_a = tree.prove(key)
-            entry_b, path_b = clone.prove(key)
-            assert entry_a == entry_b
-            assert path_a == path_b
-            assert path_b.compute_root(entry_b) == tree.root_hash
+        for keys in ([1], [150], [300], [1, 150, 300]):
+            table = clone.multiproof(keys)
+            assert table == tree.multiproof(keys)
+            assert table.fold()[0] == tree.root_hash
 
     def test_reserialisation_is_byte_identical(self):
         tree = build_tree(57)

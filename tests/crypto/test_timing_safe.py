@@ -12,9 +12,9 @@ import hmac
 import pytest
 
 from repro.core.mbtree import MBTree
+from repro.core.multiproof import open_table
 from repro.core.range_queries import range_query, verify_range
 from repro.crypto.hashing import digests_equal, sha3
-from repro.crypto.merkle import MerkleTree, verify_proof
 from repro.crypto.signatures import generate_keypair
 
 
@@ -37,24 +37,28 @@ def test_digests_equal_wraps_compare_digest(compare_digest_spy):
     assert len(compare_digest_spy) == 2
 
 
-def test_merkle_verify_path_uses_compare_digest(compare_digest_spy):
-    tree = MerkleTree([b"obj-%d" % i for i in range(8)])
-    proof = tree.prove(3)
-    tree.verify(b"obj-3", proof)
-    assert verify_proof(tree.root, b"obj-3", proof)
-    assert len(compare_digest_spy) == 2
-    # Both comparisons ran over the actual root digest.
-    assert all(tree.root in call for call in compare_digest_spy)
-
-
-def test_range_verification_uses_compare_digest(compare_digest_spy):
+def make_tree() -> MBTree:
     tree = MBTree(fanout=4)
     for key in range(0, 30, 3):
         tree.insert(key, sha3(b"v%d" % key))
+    return tree
+
+
+def test_merkle_verify_path_uses_compare_digest(compare_digest_spy):
+    tree = make_tree()
+    open_table(tree.multiproof([3]), tree.root_hash, "kw")
+    # The one fold of the table is compared with the actual root.
+    assert len(compare_digest_spy) == 1
+    assert tree.root_hash in compare_digest_spy[0]
+
+
+def test_range_verification_uses_compare_digest(compare_digest_spy):
+    tree = make_tree()
     _, vo = range_query(tree, 6, 18)
     verify_range(tree.root_hash, vo)
-    # One path check per result plus the two boundary entries.
-    assert len(compare_digest_spy) >= len(vo.results) + 2
+    # One table, one fold, one root comparison.
+    assert len(compare_digest_spy) == 1
+    assert tree.root_hash in compare_digest_spy[0]
 
 
 def test_rsa_fdh_verify_uses_compare_digest(compare_digest_spy):

@@ -3,6 +3,7 @@
 import dataclasses
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import ChainError, VerificationError
 from repro.ethereum.chain import Blockchain
@@ -150,3 +151,69 @@ class TestLightClient:
         proof = chain.prove_storage("kv", ("kv", "x"))
         with pytest.raises(VerificationError):
             client.read_storage(proof, block_number=4)
+
+
+# -- properties: every proof is a table of the state tree ------------------------
+
+
+def commitment_over(stored: dict[str, int]) -> StateCommitment:
+    """A state holding ``stored`` under contract ``kv``."""
+    contract = KV()
+    for name, value in stored.items():
+        contract.storage.poke(("kv", name), value)
+    return StateCommitment.build({"kv": contract})
+
+
+names = st.text(alphabet="abcdefgh", min_size=1, max_size=3)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    stored=st.dictionaries(names, st.integers(1, 2**64), max_size=40),
+    absent=st.lists(names, max_size=10),
+)
+def test_storage_proofs_verify_to_the_model(stored, absent):
+    """Present and absent probes alike verify to the model's word, a
+    presence proof is the 1-leaf table and an absence proof the table
+    of at most two neighbours."""
+    commitment = commitment_over(stored)
+    for name in list(stored) + absent:
+        proof = commitment.prove("kv", ("kv", name))
+        word = verify_storage_proof(commitment.root, proof)
+        assert int.from_bytes(word, "big") == stored.get(name, 0)
+        if name in stored:
+            assert len(proof.table.leaves) == 1
+        elif stored:
+            assert 1 <= len(proof.table.leaves) <= 2
+        else:
+            assert proof.table is None
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    stored=st.dictionaries(names, st.integers(1, 2**64), min_size=1, max_size=40),
+    probes=st.lists(st.tuples(names, names), min_size=1, max_size=10),
+)
+def test_a_slots_proof_never_verifies_for_another(stored, probes):
+    """Slot A's proof, relabelled as slot B's, is refused — except an
+    absence proof whose gap holds B too, which then verifies to B's
+    true (zero) word.  What a proof verifies to is always the model's
+    word of the slot it claims; a presence proof claims one slot."""
+    commitment = commitment_over(stored)
+    for a, b in probes:
+        if a == b:
+            continue
+        proof = commitment.prove("kv", ("kv", a))
+        relabelled = dataclasses.replace(proof, key=("kv", b))
+        if a in stored:
+            with pytest.raises(VerificationError):
+                verify_storage_proof(commitment.root, relabelled)
+            forged = dataclasses.replace(proof, word=(stored[a] + 1).to_bytes(32, "big"))
+            with pytest.raises(VerificationError):
+                verify_storage_proof(commitment.root, forged)
+            continue
+        try:
+            word = verify_storage_proof(commitment.root, relabelled)
+        except VerificationError:
+            continue
+        assert b not in stored and word == b"\x00" * 32

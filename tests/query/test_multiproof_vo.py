@@ -18,6 +18,7 @@ from repro.core.query.codec import VOCodec
 from repro.core.query.verify import verify_query
 from repro.core.query.vo import ReplayVO, iter_proven_entries
 from repro.errors import ReproError, VerificationError
+from tests.reference_multiproof import prove_path
 
 #: High-selectivity DNF: "hot" matches every object, "warm" every 2nd,
 #: "cool" every 3rd — three trees, three multiproofs, heavy path overlap.
@@ -78,7 +79,9 @@ def path_bytes(system, vo):
                 keywords[run] = tree
     for index, table in enumerate(vo.multiproofs):
         tree = system.sp_index.trees[keywords[index]]
-        paths = sum(tree.prove(key)[1].byte_size() for key, _ in table.leaves)
+        paths = sum(
+            prove_path(tree, key)[1].byte_size() for key, _ in table.leaves
+        )
         sizes.append((paths, paths + 42 * len(table.leaves)))
     return sizes
 

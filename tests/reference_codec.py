@@ -32,7 +32,6 @@ from __future__ import annotations
 import io
 
 from repro.core.chameleon import ChameleonMultiproof
-from repro.core.mbtree import MerklePath, PathStep
 from repro.core.multiproof import TreeMultiproof
 from repro.core.query.vo import ConjunctiveVO, QueryVO, ReplayVO
 from repro.errors import ReproError
@@ -51,6 +50,7 @@ from tests.legacy_vo import (
     SemiJoinProbe,
     SemiJoinStage,
 )
+from tests.reference_multiproof import MerklePath, PathStep
 
 _PROOF_NONE = 0
 _PROOF_MERKLE = 1
@@ -309,9 +309,6 @@ class ReferenceVOCodec:
                 out.write(digest)
 
     def _read_merkle_path(self, data: io.BytesIO) -> MerklePath:
-        # Decoding a legacy frame rebuilds the per-entry paths the wire
-        # carried; only *construction* on the batched query path is
-        # forbidden by the lint rule.
         depth = self._read_uint(data, 1)
         steps = []
         for _ in range(depth):
@@ -324,9 +321,7 @@ class ReferenceVOCodec:
                 self._read_bytes(data, 32)
                 for _ in range(self._read_uint(data, 1))
             )
-            # reprolint: disable-next-line=multiproof-batched-path
             steps.append(PathStep(index=index, before=before, after=after))
-        # reprolint: disable-next-line=multiproof-batched-path
         return MerklePath(steps=tuple(steps))
 
     def _write_membership(self, out: io.BytesIO, proof: MembershipProof) -> None:

@@ -1,5 +1,11 @@
 """Reference oracles for the Merkle multiproof.
 
+* **Per-entry paths** (:class:`MerklePath`, :func:`prove_path`,
+  :func:`paths_adjacent`): one root-to-leaf authentication path per
+  entry, with its position at every level — the proof shape the MB-tree
+  minted before every Merkle proof became a table.  The retired v2/v3
+  frames still carry them (``tests/reference_codec.py``), and the
+  oracles below are stated over them.
 * **Construction** (:func:`build_multiproof`): merge one tree's
   per-entry paths into a multiproof.  This is what the SP did before
   ``MBTree.multiproof`` built the proof straight from the tree: it knows
@@ -15,7 +21,9 @@
 
 from __future__ import annotations
 
-from repro.core.mbtree import MerklePath
+from dataclasses import dataclass
+
+from repro.core.mbtree import Entry, MBTree, entry_digest, leaf_digest, node_digest
 from repro.core.multiproof import (
     SLOT_DESCEND,
     SLOT_HELPER,
@@ -24,6 +32,99 @@ from repro.core.multiproof import (
 )
 from repro.errors import ReproError, VerificationError
 from tests.legacy_vo import ProvenEntry
+
+
+@dataclass(frozen=True)
+class PathStep:
+    """One level of a path: the entry's index plus its siblings' digests."""
+
+    index: int
+    before: tuple[bytes, ...]
+    after: tuple[bytes, ...]
+
+
+@dataclass(frozen=True)
+class MerklePath:
+    """Authentication path of one leaf entry, leaf level first."""
+
+    steps: tuple[PathStep, ...]
+
+    def compute_root(self, entry: Entry) -> bytes:
+        """Fold the path upward from ``entry``'s digest to the root."""
+        current = entry_digest(entry.key, entry.value_hash)
+        for level, step in enumerate(self.steps):
+            digests = step.before + (current,) + step.after
+            current = leaf_digest(digests) if level == 0 else node_digest(digests)
+        return current
+
+    def is_leftmost(self) -> bool:
+        """True when this is the first entry of the whole tree."""
+        return all(step.index == 0 for step in self.steps)
+
+    def is_rightmost(self) -> bool:
+        """True when this is the last entry of the whole tree."""
+        return all(not step.after for step in self.steps)
+
+    def byte_size(self) -> int:
+        """Size in the retired frames: a depth byte, then per step a
+        2-byte index and two length-prefixed digest runs."""
+        digests = sum(len(s.before) + len(s.after) for s in self.steps)
+        return 1 + 32 * digests + 4 * len(self.steps)
+
+
+def prove_path(tree: MBTree, key: int) -> tuple[Entry, MerklePath]:
+    """The entry under ``key`` with its path: one descent by minimum keys."""
+    view = tree.store
+    if not len(tree):
+        raise ReproError(f"key {key} not present in MB-tree")
+    node = view.store.root
+    steps: list[PathStep] = []
+    while not view.is_leaf(node):
+        children = view.children(node)
+        slot = len(children) - 1
+        for i in range(1, len(children)):
+            if key < view.min_key(children[i]):
+                slot = i - 1
+                break
+        digests = view.child_digests(node)
+        steps.append(PathStep(slot, tuple(digests[:slot]), tuple(digests[slot + 1 :])))
+        node = children[slot]
+    slot, found = view.leaf_find(node, key)
+    if not found:
+        raise ReproError(f"key {key} not present in MB-tree")
+    digests = [
+        entry_digest(view.leaf_key(node, s), view.leaf_value_hash(node, s))
+        for s in range(view.count(node))
+    ]
+    steps.append(PathStep(slot, tuple(digests[:slot]), tuple(digests[slot + 1 :])))
+    steps.reverse()
+    return Entry(key, view.leaf_value_hash(node, slot)), MerklePath(tuple(steps))
+
+
+def paths_adjacent(left: MerklePath, right: MerklePath) -> bool:
+    """Whether ``left`` immediately precedes ``right`` in leaf order.
+
+    Walking top-down, the paths agree until one divergence level where
+    ``right``'s index is ``left``'s plus one in a node of the same
+    width; below it ``left`` hugs the right edge and ``right`` the left
+    edge of their subtrees.
+    """
+    if len(left.steps) != len(right.steps):
+        return False
+    diverged = False
+    for step_l, step_r in zip(reversed(left.steps), reversed(right.steps)):
+        if not diverged:
+            if step_l.index == step_r.index:
+                continue
+            if step_r.index != step_l.index + 1:
+                return False
+            diverged = True
+            width_l = len(step_l.before) + 1 + len(step_l.after)
+            if width_l != len(step_r.before) + 1 + len(step_r.after):
+                return False
+        elif step_l.after or step_r.before or step_r.index != 0:
+            return False
+    return diverged
 
 
 def leaf_gindex(gpath: tuple[int, ...], widths: tuple[int, ...]) -> int:
@@ -54,7 +155,7 @@ def leaf_positions(
     A structure-only walk of the cover (no hashing); raises
     :class:`VerificationError` where the fold would.
     """
-    mp.fold_root()  # structural validation
+    mp.fold()  # structural validation
     nodes = iter(mp.nodes)
     table = []
 
