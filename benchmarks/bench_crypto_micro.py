@@ -27,8 +27,8 @@ def test_sha3_hash(benchmark):
 
 def test_cvc_verify(benchmark, cvc_pair):
     c, aux = cvc_pair.commit([b"m", None, None], randomiser=5)
-    proof = cvc_pair.open(1, b"m", aux)
-    result = benchmark(cvc_pair.verify, c, 1, b"m", proof)
+    opening = cvc_pair.open_vector(aux)
+    result = benchmark(vc.verify_vector, cvc_pair.pp, c, [b"m", None, None], opening)
     assert result
 
 
@@ -70,8 +70,8 @@ def test_chameleon_membership_verify(benchmark, cvc_pair):
         sp.apply_insertion(do.insert(oid, sha3(b"%d" % oid)))
     table = sp.multiproof((20,))
 
-    def check(position, commitment, slot, message, proof):
-        return vc.verify(cvc_pair.pp, commitment, slot, message, proof)
+    def check(position, node, children):
+        return vc.verify_vector(cvc_pair.pp, *table.statement(node, children))
 
     positions, _ = benchmark(table.authenticate, check, do.root_commitment, sp.count)
     assert positions == [20]
@@ -82,13 +82,13 @@ def test_hash_vs_cvc_gap(cvc_pair):
     import time
 
     c, aux = cvc_pair.commit([b"m", None, None], randomiser=5)
-    proof = cvc_pair.open(1, b"m", aux)
+    opening = cvc_pair.open_vector(aux)
     t0 = time.perf_counter()
     for _ in range(200):
         sha3(b"x" * 64)
     hash_time = time.perf_counter() - t0
     t0 = time.perf_counter()
     for _ in range(200):
-        cvc_pair.verify(c, 1, b"m", proof)
+        vc.verify_vector(cvc_pair.pp, c, [b"m", None, None], opening)
     cvc_time = time.perf_counter() - t0
     assert cvc_time > 20 * hash_time

@@ -548,13 +548,6 @@ def experiment_disjunctive(
     return rows
 
 
-def experiment_fastpath(**kwargs):
-    """Fast-path crypto benchmark (lazy import avoids a module cycle)."""
-    from repro.bench.fastpath import experiment_fastpath as _fastpath
-
-    return _fastpath(**kwargs)
-
-
 def experiment_flatbuf(**kwargs):
     """Flat-buffer node storage bench (lazy import avoids a cycle)."""
     from repro.bench.flatbuf import experiment_flatbuf as _flatbuf
@@ -616,7 +609,6 @@ EXPERIMENTS = {
     "fig13": experiment_fig13,
     "tab2": experiment_tab2,
     "disj": experiment_disjunctive,
-    "fastpath": experiment_fastpath,
     "query": experiment_query,
     "flatbuf": experiment_flatbuf,
 }

@@ -22,14 +22,21 @@ node positions are assigned in insertion order, so position order equals
 ID order.  Adjacency (completeness) checks reduce to ``pos_u == pos_l + 1``
 and termination to ``pos == cnt`` (Algorithm 6).
 
+Every node is opened once, as a whole: ``Lambda_pos = a^{r_pos}`` opens
+slot 1 and every child slot of ``c_pos`` together (DESIGN.md §6.1).  An
+insertion therefore hands the SP two openings — the new node's and its
+parent's, whose child slot the collision just filled — and the SP keeps
+one per node, overwriting the parent's.
+
 What a query shows of a tree is its *node table*
-(:class:`ChameleonMultiproof`): one row per node, entry rows carrying
-``<id, h(o)>`` and the slot-1 opening, every row the opening that hangs
-it under its parent.  The SP slices the rows out of the tree's flat
-buffer (:meth:`ChameleonTreeSP.multiproof`); the client authenticates
-them all under the on-chain ``<c_0, cnt>``
-(:meth:`ChameleonMultiproof.authenticate`) and then answers the join's
-probes from the authenticated ``(position, id)`` pairs itself.
+(:class:`ChameleonMultiproof`): the root's opening, then one row per
+node the query needs, each with its ``<id, h(o)>``, its commitment and
+its opening, plus the commitments of the children no row shows.  The SP
+slices the rows out of the tree's flat buffer
+(:meth:`ChameleonTreeSP.multiproof`); the client authenticates them all
+under the on-chain ``<c_0, cnt>`` (:meth:`ChameleonMultiproof.authenticate`)
+and then answers the join's probes from the authenticated ``(position,
+id)`` pairs of the rows marked read.
 """
 
 from __future__ import annotations
@@ -68,80 +75,112 @@ def child_position(parent: int, j: int, arity: int) -> int:
 class InsertionProof:
     """What the DO hands the SP for one inserted object (Algorithm 4).
 
-    ``<cnt, o, h(o), c_pos, pi_pos, rho_par_j>`` — the object itself
-    travels separately; this records the cryptographic material.
+    ``<cnt, o, h(o), c_pos, Lambda_pos, Lambda_par>`` — the object itself
+    travels separately; this records the cryptographic material: the
+    new node's commitment and whole-vector opening, and its parent's
+    opening after the collision that hung the new node in child slot
+    ``j + 1``.
     """
 
     position: int
     object_id: int
     object_hash: bytes
     commitment: int  # c_pos
-    slot1_proof: int  # pi_pos
-    parent_link_proof: int  # rho_{par, j}
+    opening: int  # Lambda_pos
+    parent_opening: int  # Lambda_par, replacing the parent's previous one
     parent_position: int
     child_index: int  # j, 1-based
 
 
-#: ``(position, commitment, slot, message, proof) -> bool`` — one CVC
-#: ``Ver``, told which row of the table it serves.
-OpeningCheck = Callable[[int, int, int, "int | bytes", int], bool]
+#: Child bits fit one flag byte beside the read bit: arity at most 7.
+MAX_ARITY = 7
+
+#: ``(position, node, children) -> bool`` — records or recalls one
+#: whole-vector opening (see :meth:`ChameleonMultiproof.authenticate`).
+StatementCheck = Callable[[int, bytes, list[bytes]], bool]
+
+#: Row bytes before the shipped children: ``id(8) || h(o)(32)``, then
+#: ``c`` and ``Lambda`` of ``value_bytes`` each.
+_ENTRY = 40
 
 _U64 = struct.Struct(">Q")
+
+#: How many children a flag byte ships (bits 1..7).
+_SHIPPED = tuple(bin(flags >> 1).count("1") for flags in range(256))
 
 
 def scan_rows(
     buf: bytes, pos: int, count: int, arity: int, value_bytes: int
 ) -> tuple[list[tuple[int, int, int]], int]:
-    """Walk ``count`` node-table rows from ``buf[pos:]`` without parsing them.
+    """Walk a node table's root and ``count`` rows from ``buf[pos:]``.
 
-    Returns one ``(position, offset, flag)`` per row — ``offset`` is
-    where the row's fields start, after the flag byte, counted from
-    ``pos`` — and the offset in ``buf`` behind the last row.  This is
-    the table's whole structural check, shared by the wire decoder and
-    the verifier, and it fails closed:
-    positions strictly ascending from 1, flags 0 or 1, every row's
-    parent (BFS arithmetic) present unless it is the root, every row
-    inside the buffer, and every node row (flag 0) the parent of some
-    row — a node the table shows for nothing is refused like an unread
-    entry.  No group element is touched.
+    Returns one ``(position, offset, flags)`` per node — the root first,
+    as position 0 — where ``offset`` is where the node's fields start
+    (after the flag byte; for the root, at ``Lambda_0``), counted from
+    ``pos``, and the offset in ``buf`` behind the last row.  This is the
+    table's structural check, shared by the wire decoder and the
+    verifier; it needs no ``cnt`` and touches no group element, and it
+    fails closed: flag bits only for read (bit 0, never on the root) and
+    the ``arity`` children; positions strictly ascending from 1; every
+    row's parent (BFS arithmetic) present, the root included; no child
+    both shipped by its parent and a row of its own; every row inside
+    the buffer; and every node not read the parent of some row — a node
+    the table shows for nothing is refused like an unread entry.
     """
-    if not 1 <= arity <= 0xFF:
+    if not 1 <= arity <= MAX_ARITY:
         raise VerificationError(f"node table arity {arity} out of range")
-    node_width = 2 * value_bytes
-    entry_width = 40 + 3 * value_bytes
+    fixed = _ENTRY + 2 * value_bytes
+    limit = 2 << arity
     size = len(buf)
-    if count * (2 + node_width) > size - pos:
+    if 1 + value_bytes + count * (2 + fixed) > size - pos:
         raise VerificationError("node table longer than its payload")
-    rows: list[tuple[int, int, int]] = []
-    seen: set[int] = set()
-    hanging: set[int] = set()
-    previous = 0
     start = pos
     try:
+        flags = buf[pos]
+        pos += 1
+        if flags >= limit or flags & 1:
+            raise VerificationError(f"invalid root flags {flags} in node table")
+        rows = [(0, pos - start, flags)]
+        pos += value_bytes * (1 + _SHIPPED[flags])
+        seen = {0}
+        # Only the flags of nodes that ship a child are kept for the check.
+        shipping = {0: flags} if flags else {}
+        hanging = {0}
+        previous = 0
         for _ in range(count):
             position = buf[pos]
             pos += 1
             if position > 0x7F:
                 position, pos = read_varint(buf, pos - 1)
-            flag = buf[pos]
+            flags = buf[pos]
             pos += 1
-            if flag > 1:
-                raise VerificationError(f"invalid row flag {flag} in node table")
             if position <= previous:
                 raise VerificationError(
                     "node table positions are not strictly ascending"
                 )
             parent = (position - 1) // arity
-            if parent:
-                if parent not in seen:
+            if parent not in seen:
+                raise VerificationError(
+                    f"node table lacks the parent of position {position}"
+                )
+            if shipping and parent in shipping and (
+                shipping[parent] >> (position - parent * arity) & 1
+            ):
+                raise VerificationError(
+                    f"node table ships position {position} and shows its row"
+                )
+            hanging.discard(parent)
+            rows.append((position, pos - start, flags))
+            pos += fixed
+            if flags > 1:
+                if flags >= limit:
                     raise VerificationError(
-                        f"node table lacks the parent of position {position}"
+                        f"invalid row flags {flags} in node table"
                     )
-                hanging.discard(parent)
-            rows.append((position, pos - start, flag))
-            pos += entry_width if flag else node_width
+                pos += value_bytes * _SHIPPED[flags]
+                shipping[position] = flags
             seen.add(position)
-            if not flag:
+            if not flags & 1:
                 hanging.add(position)
             previous = position
     except IndexError:
@@ -159,26 +198,28 @@ def scan_rows(
 class ChameleonMultiproof:
     """One keyword tree's share of a query: its node table.
 
-    Every node the query needs of the tree appears exactly once, in
-    ascending position order, and the table is closed under
-    :func:`parent_position`: an *entry row* per ``<id, h(o)>`` some
-    probe read, a *node row* per ancestor (below the root) that is not
-    itself read.  A row is::
+    Every node the query needs of the tree appears exactly once: the
+    root, then one row per node below it in ascending position order,
+    closed under :func:`parent_position` — an entry the join read, or an
+    ancestor of one.  The body is::
 
-        varint position || u8 flag || [id(8) || h(o)(32)] || c_pos
-                        || [slot-1 opening] || link opening
+        u8 flags || Lambda_0 || shipped children
+        ( varint position || u8 flags || id(8) || h(o)(32) || c_pos
+          || Lambda_pos || shipped children ) *
 
-    with the bracketed fields present iff ``flag`` is 1; group elements
-    take ``value_bytes`` each.  Which slot of which parent the link
-    opening opens is BFS arithmetic on the position, so neither a child
-    index nor a parent pointer travels: a row cannot be re-hung
-    elsewhere in the tree without changing the position it — and every
-    row below it — is checked at.  The openings come last in a row, so
-    replacing a node's two by one subvector opening changes a row's
-    tail, not its layout.
+    Flag bit 0 marks a row the join *read* (an entry row; never the
+    root), bit ``j`` says child ``j``'s commitment is *shipped*: written
+    after the node's opening, in child order, because the child is not a
+    row of its own.  Group elements take ``value_bytes`` each.  Each
+    ``Lambda`` opens its node's whole vector — slot 1 ``h(id || h(o))``
+    (empty at the root), slot ``j + 1`` child ``j``'s commitment — so a
+    node's children are covered by its own opening, and which slot of
+    which parent a row hangs in is BFS arithmetic on its position: a
+    row cannot be re-hung elsewhere without changing the statement it —
+    and its parent — are checked by.
 
-    ``body`` is the rows' wire bytes, ``count`` how many there are.  The
-    SP slices them out of the tree's flat buffer
+    ``body`` is those bytes, ``count`` the number of rows below the
+    root.  The SP slices them out of the tree's flat buffer
     (:meth:`ChameleonTreeSP.multiproof`) and the codec frames them by
     reference; nobody turns a group element into an integer until the
     client authenticates the table (:meth:`authenticate`).
@@ -193,7 +234,7 @@ class ChameleonMultiproof:
     def from_wire(
         cls, buf: bytes, pos: int, count: int, arity: int, value_bytes: int
     ) -> tuple["ChameleonMultiproof", int]:
-        """The table whose ``count`` rows start at ``buf[pos]``, and their end.
+        """The table whose root and ``count`` rows start at ``buf[pos]``, and their end.
 
         The rows are validated and kept as the bytes they arrived as.
         """
@@ -203,7 +244,7 @@ class ChameleonMultiproof:
         return table, end
 
     def rows(self) -> list[tuple[int, int, int]]:
-        """``(position, offset, flag)`` per row; the table validated once.
+        """``(position, offset, flags)`` per node, root first; validated once.
 
         Every reader goes through :func:`scan_rows`, so a malformed
         table fails closed on first touch.
@@ -220,77 +261,110 @@ class ChameleonMultiproof:
 
     @property
     def leaves(self) -> list[tuple[int, bytes]]:
-        """The ``(id, h(o))`` of the entry rows, ascending (as on the wire)."""
+        """The ``(id, h(o))`` of the read rows, ascending (as on the wire)."""
         body = self.body
         return [
             (_U64.unpack_from(body, offset)[0], body[offset + 8 : offset + 40])
-            for _, offset, flag in self.rows()
-            if flag
+            for _, offset, flags in self.rows()
+            if flags & 1
         ]
 
     def byte_size(self) -> int:
-        """Serialised size in bytes: arity, row count, rows."""
+        """Serialised size in bytes: arity, row count, root and rows."""
         return 1 + varint_size(self.count) + len(self.body)
 
+    def statement(self, node: bytes, children: list[bytes]) -> vc.Statement:
+        """One node's ``(c, messages, Lambda)`` from the bytes it arrived as.
+
+        ``node`` is ``c_0 || Lambda_0`` for the root, ``id || h(o) || c
+        || Lambda`` for a row; ``children`` the commitments of its filled
+        child slots, in order (the rest are empty).
+        """
+        width = self.value_bytes
+        if len(node) == 2 * width:
+            first = None
+        else:
+            object_id = _U64.unpack_from(node)[0]
+            first = entry_digest(object_id, node[8:_ENTRY])
+        messages = [first]
+        messages += [int.from_bytes(child, "big") for child in children]
+        messages += [None] * (self.arity - len(children))
+        return (
+            int.from_bytes(node[-2 * width : -width], "big"),
+            messages,
+            int.from_bytes(node[-width:], "big"),
+        )
+
     def authenticate(
-        self, check: OpeningCheck, root_commitment: int, count: int
+        self, check: StatementCheck, root_commitment: int, count: int
     ) -> tuple[list[int], list[tuple[int, bytes]]]:
-        """The one CVC membership check, for every row of the table.
+        """The one CVC membership check, for every node of the table.
 
         Under the on-chain ``<c_0, cnt>``: each position lies in
-        ``[1, cnt]``; each row's link opens the child slot of its
-        parent's commitment — ``c_0`` for a child of the root — to the
-        row's own, the slot being BFS arithmetic on the position, so
-        positions are authenticated, not trusted; and each entry row's
-        slot 1 opens to ``h(id || h(o))``.  ``check`` performs, recalls
-        or records one opening verification.  Returns the entry rows'
+        ``[1, cnt]``; each node's child slots are filled exactly up to
+        ``cnt`` — a child at a position ``<= cnt`` is a row or shipped,
+        none beyond ``cnt`` is shipped — and the node's opening must open
+        its commitment (``c_0`` at the root) to slot 1 ``h(id || h(o))``
+        (empty at the root) and those children's commitments.  Positions
+        are therefore authenticated, not trusted.  ``check(position,
+        node, children)`` records, recalls or performs one such
+        statement (see :meth:`statement`).  Returns the read rows'
         positions and their ``(id, h(o))``, ascending by position.
         """
         body = self.body
         width = self.value_bytes
         arity = self.arity
-        commitments = {0: root_commitment}
+        fixed = _ENTRY + 2 * width
+        rows = self.rows()
+        at = {position: offset + _ENTRY for position, offset, _ in rows[1:]}
+        if root_commitment >> (8 * width):
+            raise VerificationError(
+                f"c_0 does not fit the table's {width}-byte elements"
+            )
+        root = root_commitment.to_bytes(width, "big")
         positions: list[int] = []
         leaves: list[tuple[int, bytes]] = []
-        for position, offset, flag in self.rows():
+        for position, offset, flags in rows:
             if position > count:
                 raise VerificationError(
                     f"position {position} outside the committed count {count}"
                 )
-            if flag:
-                object_id = _U64.unpack_from(body, offset)[0]
-                object_hash = body[offset + 8 : offset + 40]
-                offset += 40
-            commitment = int.from_bytes(body[offset : offset + width], "big")
-            offset += width
-            if flag:
-                if not check(
-                    position,
-                    commitment,
-                    1,
-                    entry_digest(object_id, object_hash),
-                    int.from_bytes(body[offset : offset + width], "big"),
-                ):
-                    raise VerificationError(
-                        "slot-1 opening of the node commitment failed "
-                        f"(position {position})"
+            if position:
+                end = offset + fixed
+                node = body[offset:end]
+                if flags & 1:
+                    positions.append(position)
+                    leaves.append(
+                        (_U64.unpack_from(node)[0], node[8:_ENTRY])
                     )
-                offset += width
-                positions.append(position)
-                leaves.append((object_id, object_hash))
-            parent, child_index = parent_position(position, arity)
-            if not check(
-                position,
-                commitments[parent],
-                child_index + 1,
-                commitment,
-                int.from_bytes(body[offset : offset + width], "big"),
-            ):
+            else:
+                end = offset + width
+                node = root + body[offset:end]
+            children = []
+            child = position * arity
+            for j in range(1, arity + 1):
+                child += 1
+                if flags >> j & 1:
+                    if child > count:
+                        raise VerificationError(
+                            f"node {position} ships child {child}, beyond "
+                            f"the committed count {count}"
+                        )
+                    children.append(body[end : end + width])
+                    end += width
+                elif child <= count:
+                    start = at.get(child)
+                    if start is None:
+                        raise VerificationError(
+                            f"child {child} of node {position} is neither a "
+                            "row nor shipped"
+                        )
+                    children.append(body[start : start + width])
+            if not check(position, node, children):
                 raise VerificationError(
-                    f"parent link of position {position} failed "
-                    "commitment verification"
+                    f"opening of node {position}, or a commitment it holds, "
+                    "is out of range"
                 )
-            commitments[position] = commitment
         return positions, leaves
 
 
@@ -310,6 +384,8 @@ class ChameleonTreeDO:
     ) -> None:
         if not cvc.has_trapdoor:
             raise ReproError("the DO's tree requires the CVC trapdoor")
+        if not 1 <= arity <= MAX_ARITY:
+            raise ReproError(f"tree arity must be 1..{MAX_ARITY}, got {arity}")
         if cvc.arity != arity + 1:
             raise ReproError(
                 f"CVC arity must be q+1 = {arity + 1}, got {cvc.arity}"
@@ -346,8 +422,8 @@ class ChameleonTreeDO:
 
         Two trapdoor collisions splice the object into the fixed
         commitments (the new node's slot 1, its parent's child slot) and
-        two trapdoor openings prove them.  The tree changes only once
-        both proofs exist.
+        two trapdoor openings — one per touched node, of its whole
+        vector — prove them.  The tree changes only once both exist.
         """
         pos = self.count + 1
         c_pos, aux_pos = self._fresh_node(pos)
@@ -362,8 +438,8 @@ class ChameleonTreeDO:
             object_id=object_id,
             object_hash=object_hash,
             commitment=c_pos,
-            slot1_proof=self.cvc.open_held(1, aux_pos),
-            parent_link_proof=self.cvc.open_held(j + 1, aux_par),
+            opening=self.cvc.open_vector(aux_pos),
+            parent_opening=self.cvc.open_vector(aux_par),
             parent_position=par,
             child_index=j,
         )
@@ -389,8 +465,9 @@ class ChameleonTreeDO:
 class ChameleonTreeSP:
     """The SP's complete copy of one keyword's Chameleon tree.
 
-    Stores the insertion proofs streamed by the DO and cuts node tables
-    out of them for query processing.  All node material lives in
+    Stores the insertion proofs streamed by the DO — per node its
+    commitment and the latest opening of its whole vector — and cuts
+    node tables out of them for query processing.  All node material lives in
     a flat :class:`~repro.core.nodestore.ChameleonStore` buffer —
     positions are BFS-contiguous, so the position-to-record map and the
     ID order are both pure index arithmetic over the records, and the
@@ -449,7 +526,11 @@ class ChameleonTreeSP:
         return self.store.count
 
     def apply_insertion(self, proof: InsertionProof) -> None:
-        """Ingest one DO insertion proof (in position order)."""
+        """Ingest one DO insertion proof (in position order).
+
+        Appends the new node and replaces its parent's opening, which
+        the collision that filled the parent's child slot made stale.
+        """
         count = self.store.count
         expected = count + 1
         if proof.position != expected:
@@ -463,10 +544,10 @@ class ChameleonTreeSP:
             object_id=proof.object_id,
             object_hash=proof.object_hash,
             commitment=proof.commitment,
-            slot1_proof=proof.slot1_proof,
-            parent_link_proof=proof.parent_link_proof,
-            child_index=proof.child_index,
+            opening=proof.opening,
         )
+        parent, _ = parent_position(proof.position, self.arity)
+        self.store.set_opening(parent, proof.parent_opening)
 
     def id_at_position(self, pos: int) -> int:
         """The object ID stored at a 1-based position."""
@@ -500,17 +581,20 @@ class ChameleonTreeSP:
     def multiproof(self, positions: tuple[int, ...]) -> ChameleonMultiproof:
         """The node table over ``positions`` (ascending, unique, non-empty).
 
-        One entry row per position, one node row per further ancestor
-        below the root; the fields are sliced out of the store's
+        One read row per position, one row per further ancestor below
+        the root, and the commitment of every child that is not a row
+        shipped in its parent's; the fields are sliced out of the store's
         records, never parsed.
         """
         if not positions:
             raise ReproError("a node table needs at least one position")
-        if positions[0] < 1 or positions[-1] > self.count:
-            raise ReproError(f"positions outside tree of size {self.count}")
+        count = self.count
+        if positions[0] < 1 or positions[-1] > count:
+            raise ReproError(f"positions outside tree of size {count}")
         if any(a >= b for a, b in zip(positions, positions[1:])):
             raise ReproError("positions must be strictly ascending")
         arity = self.arity
+        store = self.store
         entries = set(positions)
         needed = set(entries)
         for position in positions:
@@ -518,13 +602,25 @@ class ChameleonTreeSP:
             while position and position not in needed:
                 needed.add(position)
                 position = (position - 1) // arity
-        store = self.store
+        # A table of every node (a scan) has no child to ship, and nor
+        # has a node whose children all lie beyond ``cnt``.
+        complete = len(needed) == count
         body = bytearray()
-        for position in sorted(needed):
-            entry = position in entries
-            put_varint(body, position)
-            body.append(entry)
-            store.append_fields(body, position, entry)
-        return ChameleonMultiproof(
-            arity, store.value_bytes, len(needed), bytes(body)
-        )
+        for position in (0, *sorted(needed)):
+            if position:
+                put_varint(body, position)
+                flags_at = len(body)
+                body.append(position in entries)
+                store.append_fields(body, position)
+            else:
+                flags_at = 0
+                body.append(0)
+                body += store.opening_bytes(0)
+            first = position * arity
+            if complete or first >= count:
+                continue
+            for child in range(first + 1, min(first + arity, count) + 1):
+                if child not in needed:
+                    body[flags_at] |= 1 << (child - first)
+                    body += store.commitment_bytes(child)
+        return ChameleonMultiproof(arity, store.value_bytes, len(needed), bytes(body))

@@ -318,32 +318,34 @@ class ChameleonProofSystem:
 
     A query's tables arrive through :meth:`attach_multiproofs`.  A
     conjunct opens each table it names through :meth:`proven_run`: the
-    first opening authenticates every row under the keyword's
+    first opening of a table authenticates every node under the keyword's
     ``<c_0, cnt>`` (:meth:`ChameleonMultiproof.authenticate`), and the
-    entry rows become the :class:`~repro.core.multiproof.ProvenRun` the
+    read rows become the :class:`~repro.core.multiproof.ProvenRun` the
     join is replayed over — positions are the DO's insertion order and
     IDs ascend, so two entries at ``position`` and ``position + 1`` have
     nothing between them, position 1 is the first entry and position
     ``cnt`` the last.
 
     No opening is checked when a row is: inside :meth:`settling` — the
-    only place tables can be opened — each opening a row needs is looked
-    up, range-checked and *recorded*, and the scope's exit checks
-    everything recorded as one :func:`repro.crypto.vc.verify_batch`
-    (DESIGN.md §6.1).  Nothing the join concluded counts until that exit
-    returns: ``verify_query`` compares, caches and counts only
-    afterwards.  The exit also settles the account of the tables:
-    none unused, no entry row unread.
+    only place tables can be opened — each node's statement (its
+    commitment, its opening and the whole vector it claims: slot 1 and
+    every filled child slot, DESIGN.md §6.1) is looked up, range-checked
+    and *recorded*, and the scope's exit checks everything recorded as
+    one :func:`repro.crypto.vc.verify_batch`.  Nothing the join
+    concluded counts until that exit returns: ``verify_query`` compares,
+    caches and counts only afterwards.  The exit also settles the
+    account of the tables: none unused, no entry row unread.
 
-    ``cache``, when set, memoises *successful* openings keyed on the
-    complete tuple ``(modulus, commitment, slot, message, proof)`` — the
-    whole input of one ``vc.verify`` — so an opening shared between
-    queries costs its share of a batch once.  Only the openings of a
-    batch that passed are stored.  That an opening holds says nothing
-    about where its commitment hangs: the chain from ``c_0`` is
-    re-walked over (cached) openings every query, and any tampered
-    component changes a key, misses, and is checked (and fails) from
-    scratch.
+    ``cache``, when set, memoises *successful* statements, one key per
+    node built from the bytes the table holds — the modulus, ``c``,
+    ``Lambda``, the ``id || h(o)`` slot 1 commits to and the filled
+    child slots' commitments — so a node shared between queries costs
+    its share of a batch once, whichever of its children arrived as
+    rows.  Only the statements of a batch that passed are stored.  That
+    a statement holds says nothing about where its commitment hangs: the
+    chain from ``c_0`` is re-walked over (cached) statements every query,
+    and any tampered component changes a key, misses, and is checked
+    (and fails) from scratch.  Hits and misses therefore count nodes.
     """
 
     pp: vc.CVCPublicParams
@@ -361,10 +363,10 @@ class ChameleonProofSystem:
     _opened: dict[int, tuple[int, list, tuple[int, ...], bytearray]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
-    #: The openings recorded in the open :meth:`settling` scope, by cache
-    #: key, each with the ``(keyword, position)`` of the row that first
-    #: needed it; ``None`` outside a scope.
-    _pending: dict[CacheKey, tuple[vc.Opening, tuple[str, int]]] | None = field(
+    #: The statements recorded in the open :meth:`settling` scope, by
+    #: cache key, each with the ``(keyword, position)`` of the node it
+    #: belongs to; ``None`` outside a scope.
+    _pending: dict[CacheKey, tuple[vc.Statement, tuple[str, int]]] | None = field(
         default=None, init=False, repr=False, compare=False
     )
 
@@ -400,20 +402,18 @@ class ChameleonProofSystem:
         finally:
             self._pending = None
 
-    def _opens(
+    def _holds(
         self,
         keyword: str,
+        table: ChameleonMultiproof,
         position: int,
-        commitment: int,
-        slot: int,
-        message: int | bytes,
-        proof: int,
+        node: bytes,
+        children: list[bytes],
     ) -> bool:
-        """Recall one CVC ``Ver`` that succeeded, or record it as owed.
+        """Recall one node statement that held, or record it as owed.
 
-        ``(keyword, position)`` names the row being authenticated:
-        should the opening fail at settle time, the error says whose it
-        was.
+        ``(keyword, position)`` names the node: should its opening fail
+        at settle time, the error says whose it was.
         """
         pending = self._pending
         if pending is None:
@@ -421,43 +421,46 @@ class ChameleonProofSystem:
                 "CVC tables are opened inside ChameleonProofSystem."
                 "settling(), whose exit checks their openings"
             )
-        key = CacheKey((self.pp.modulus, commitment, slot, message, proof))
+        # One byte says root or row and how many child slots are filled:
+        # the rest of the key is fixed-width fields, so it reads one way.
+        shape = len(children) | (0 if position else 0x80)
+        key = CacheKey(
+            (self.pp.modulus, bytes((shape,)) + node + b"".join(children))
+        )
         if key in pending:
-            # Owed already: like a cached opening, it costs nothing more.
+            # Owed already: like a cached statement, it costs nothing more.
             if self.cache is not None:
                 self.cache.count_hit()
             return True
         if self.cache is not None and self.cache.seen(key):
             return True
-        if not vc.opening_in_range(self.pp, commitment, slot, proof):
+        statement = table.statement(node, children)
+        modulus = self.pp.modulus
+        if not vc.statement_in_range(self.pp, statement) or not all(
+            0 < message < modulus for message in statement[1][1 : 1 + len(children)]
+        ):
             return False
-        pending[key] = ((commitment, slot, message, proof), (keyword, position))
+        pending[key] = (statement, (keyword, position))
         return True
 
     def _settle(
-        self, pending: dict[CacheKey, tuple[vc.Opening, tuple[str, int]]]
+        self, pending: dict[CacheKey, tuple[vc.Statement, tuple[str, int]]]
     ) -> None:
-        """Check the recorded openings together; cache them if all hold."""
+        """Check the recorded statements together; cache them if all hold."""
         if not pending:
             return
         if not vc.verify_batch(
-            self.pp, [opening for opening, _ in pending.values()]
+            self.pp, [statement for statement, _ in pending.values()]
         ):
             # The batch only says that something is wrong; one by one
-            # names it.  Should every opening pass on its own after all,
+            # names it.  Should every statement pass on its own after all,
             # that is the stronger verdict and stands.
             obs.inc("vc.verify.batch_fallbacks")
-            for opening, (keyword, position) in pending.values():
-                if not vc.verify(self.pp, *opening):
-                    slot = opening[1]
+            for statement, (keyword, position) in pending.values():
+                if not vc.verify_vector(self.pp, *statement):
                     raise VerificationError(
-                        (
-                            "slot-1 opening of the node commitment failed"
-                            if slot == 1
-                            else f"parent link in child slot {slot - 1} "
-                            "failed commitment verification"
-                        )
-                        + f" (position {position} of keyword {keyword!r})"
+                        f"opening of node {position} of keyword {keyword!r} "
+                        "failed commitment verification"
                     )
         if self.cache is not None:
             for key in pending:
@@ -495,7 +498,7 @@ class ChameleonProofSystem:
                     f"{self.arity}"
                 )
             positions, leaves = node_table.authenticate(
-                partial(self._opens, keyword), commitment, count
+                partial(self._holds, keyword, node_table), commitment, count
             )
             gaps = (
                 0,

@@ -32,11 +32,11 @@ Layout (nodestore format v1, all integers big-endian)
     48  max_key      u64  largest key (MB-tree; valid iff count > 0)
     56  (reserved)   8 bytes, zero
 
-then ``extra_len`` bytes of tree-level extra data (the chameleon root
-commitment), then ``allocated`` fixed-width records.  A free record has
-type byte 0 and carries the next free index as a u32 at offset 4; freed
-records are zeroed so a store's bytes are a pure function of the
-operations applied to it (golden fixtures pin this).
+then ``extra_len`` bytes of tree-level extra data (the chameleon root's
+commitment and opening), then ``allocated`` fixed-width records.  A free
+record has type byte 0 and carries the next free index as a u32 at
+offset 4; freed records are zeroed so a store's bytes are a pure
+function of the operations applied to it (golden fixtures pin this).
 
 MB-tree record (``record_size = 48 + 72 * (fanout + 1)``)::
 
@@ -57,18 +57,18 @@ old one is freed — this is what exercises the free list): observers that
 deduplicate per *logical* node across a batch key on ``seq``, which
 survives the move, where ``id(node)`` survived mutation before.
 
-Chameleon record (``record_size = 41 + 3 * value_bytes``)::
+Chameleon record (``record_size = 40 + 2 * value_bytes``)::
 
     0   object_id    u64
-    8   child_index  u8   1-based index under the (arithmetic) parent
-    9   object_hash  32s
-    41  commitment   value_bytes
-    ..  slot1_proof  value_bytes
-    ..  parent_link  value_bytes
+    8   object_hash  32s
+    40  commitment   value_bytes
+    ..  opening      value_bytes   of the node's whole vector
 
 Chameleon positions are BFS-contiguous, so record ``pos - 1`` is node
 ``pos`` and parent references are pure index arithmetic
 (:func:`repro.core.chameleon.parent_position`) — no stored links at all.
+A record is one node-table row's fields in wire order; a blob whose
+record size is another is refused, not misread.
 """
 
 from __future__ import annotations
@@ -634,15 +634,12 @@ class MBTreeStore(TreeView):
 # Chameleon layout
 # ---------------------------------------------------------------------------
 
-_CH_ID = 0
-_CH_CHILD = 8
-_CH_HASH = 9
-_CH_FIXED = 41
+_CH_FIELDS = 40  # object_id u64 || object_hash 32s
 
 
 def chameleon_record_size(value_bytes: int) -> int:
-    """v1 chameleon record size for a given group-element width."""
-    return _CH_FIXED + 3 * value_bytes
+    """Chameleon record size for a given group-element width."""
+    return _CH_FIELDS + 2 * value_bytes
 
 
 class ChameleonStore(TreeView):
@@ -650,10 +647,12 @@ class ChameleonStore(TreeView):
 
     Positions are BFS-contiguous and 1-based, so node ``pos`` is record
     ``pos - 1`` and the store needs neither links nor a free list:
-    parents are index arithmetic.  Group elements (commitment and the
-    two openings) are fixed-width big-endian integers of ``value_bytes``
-    bytes — the on-chain word width — and the invariant root commitment
-    ``c_0`` lives in the header's extra region.
+    parents are index arithmetic.  Group elements (a node's commitment
+    and the opening of its whole vector) are fixed-width big-endian
+    integers of ``value_bytes`` bytes — the on-chain word width — and
+    the root's invariant commitment ``c_0`` and its opening ``Lambda_0``
+    live in the header's extra region.  Every insertion appends one
+    record and overwrites one opening: its parent's.
     """
 
     kind = KIND_CHAMELEON
@@ -668,7 +667,7 @@ class ChameleonStore(TreeView):
             chameleon_record_size(value_bytes),
             param=arity,
             param2=value_bytes,
-            extra_len=value_bytes,
+            extra_len=2 * value_bytes,
         )
         return cls(store)
 
@@ -684,7 +683,7 @@ class ChameleonStore(TreeView):
             raise IntegrityError(
                 "chameleon record size disagrees with the stored width"
             )
-        if store.extra_len != store.param2:
+        if store.extra_len != 2 * store.param2:
             raise IntegrityError("chameleon extra region width mismatch")
         return cls(store)
 
@@ -711,41 +710,56 @@ class ChameleonStore(TreeView):
                 f"group element does not fit in {self.value_bytes} bytes"
             ) from exc
 
+    def _element_offset(self, pos: int, which: int) -> int:
+        """Where element ``which`` (0 commitment, 1 opening) of ``pos`` lives."""
+        vb = self.value_bytes
+        if pos == 0:
+            return HEADER_SIZE + which * vb
+        return self.store.offset(pos - 1) + _CH_FIELDS + which * vb
+
+    def _element(self, pos: int, which: int) -> int:
+        off = self._element_offset(pos, which)
+        return int.from_bytes(self.store.blob[off : off + self.value_bytes], "big")
+
     @property
     def root_commitment(self) -> int:
         """The invariant root commitment ``c_0`` (header extra region)."""
-        raw = self.store.blob[HEADER_SIZE : HEADER_SIZE + self.value_bytes]
-        return int.from_bytes(raw, "big")
+        return self._element(0, 0)
 
     @root_commitment.setter
     def root_commitment(self, value: int) -> None:
-        self.store.blob[HEADER_SIZE : HEADER_SIZE + self.value_bytes] = (
-            self._pack_int(value)
-        )
+        off = self._element_offset(0, 0)
+        self.store.blob[off : off + self.value_bytes] = self._pack_int(value)
+
+    @property
+    def root_bytes(self) -> bytes:
+        """``c_0`` as stored: ``value_bytes`` big-endian bytes."""
+        return self.commitment_bytes(0)
 
     def append(
         self,
         object_id: int,
         object_hash: bytes,
         commitment: int,
-        slot1_proof: int,
-        parent_link_proof: int,
-        child_index: int,
+        opening: int,
     ) -> int:
         """Append the next node; returns its 1-based position."""
         index = self.store.alloc()
         blob = self.store.blob
         off = self.store.offset(index)
-        _U64.pack_into(blob, off + _CH_ID, object_id)
-        blob[off + _CH_CHILD] = child_index
-        blob[off + _CH_HASH : off + _CH_HASH + 32] = object_hash
+        _U64.pack_into(blob, off, object_id)
+        blob[off + 8 : off + _CH_FIELDS] = object_hash
         vb = self.value_bytes
-        base = off + _CH_FIXED
+        base = off + _CH_FIELDS
         blob[base : base + vb] = self._pack_int(commitment)
-        blob[base + vb : base + 2 * vb] = self._pack_int(slot1_proof)
-        blob[base + 2 * vb : base + 3 * vb] = self._pack_int(parent_link_proof)
+        blob[base + vb : base + 2 * vb] = self._pack_int(opening)
         self.store.count = self.store.allocated
         return index + 1
+
+    def set_opening(self, pos: int, opening: int) -> None:
+        """Replace node ``pos``'s opening (``0`` is the root's)."""
+        off = self._element_offset(pos, 1)
+        self.store.blob[off : off + self.value_bytes] = self._pack_int(opening)
 
     def object_id(self, pos: int) -> int:
         """Object ID at a 1-based position."""
@@ -753,51 +767,35 @@ class ChameleonStore(TreeView):
 
     def object_hash(self, pos: int) -> bytes:
         """Object hash at a 1-based position."""
-        off = self.store.offset(pos - 1) + _CH_HASH
+        off = self.store.offset(pos - 1) + 8
         return bytes(self.store.blob[off : off + 32])
 
-    def child_index(self, pos: int) -> int:
-        """1-based child index under the arithmetic parent."""
-        return self.store.blob[self.store.offset(pos - 1) + _CH_CHILD]
-
-    def _element(self, pos: int, which: int) -> int:
-        vb = self.value_bytes
-        off = self.store.offset(pos - 1) + _CH_FIXED + which * vb
-        return int.from_bytes(self.store.blob[off : off + vb], "big")
-
     def commitment(self, pos: int) -> int:
-        """Node commitment ``c_pos``."""
+        """Node commitment ``c_pos`` (``0`` is the root's)."""
         return self._element(pos, 0)
 
-    def slot1_proof(self, pos: int) -> int:
-        """Slot-1 opening ``pi_pos``."""
+    def opening(self, pos: int) -> int:
+        """The opening of node ``pos``'s whole vector (``0`` is the root's)."""
         return self._element(pos, 1)
 
-    def parent_link_proof(self, pos: int) -> int:
-        """Parent-link opening ``rho_{par,j}``."""
-        return self._element(pos, 2)
+    def commitment_bytes(self, pos: int) -> bytes:
+        """``c_pos`` as stored (``0`` is the root's)."""
+        off = self._element_offset(pos, 0)
+        return bytes(self.store.blob[off : off + self.value_bytes])
 
-    @property
-    def root_bytes(self) -> bytes:
-        """``c_0`` as stored: ``value_bytes`` big-endian bytes."""
-        return bytes(self.store.blob[HEADER_SIZE : HEADER_SIZE + self.value_bytes])
+    def opening_bytes(self, pos: int) -> bytes:
+        """Node ``pos``'s opening as stored (``0`` is the root's)."""
+        off = self._element_offset(pos, 1)
+        return bytes(self.store.blob[off : off + self.value_bytes])
 
-    def append_fields(self, out: bytearray, pos: int, entry: bool) -> None:
-        """Append node ``pos``'s fields to ``out`` as the record holds them.
+    def append_fields(self, out: bytearray, pos: int) -> None:
+        """Append node ``pos``'s ``id || h(o) || c || Lambda`` to ``out``.
 
-        ``id || h(o) || c || pi || rho`` for an entry, ``c || rho``
-        otherwise: slices of the record (which stores them contiguously,
-        but for the child-index byte), so no group element is parsed.
+        The record holds exactly a row's fields in wire order, so this is
+        one slice; no group element is parsed.
         """
-        blob = self.store.blob
         off = self.store.offset(pos - 1)
-        end = off + self.store.record_size
-        if entry:
-            out += blob[off : off + _CH_CHILD]
-            out += blob[off + _CH_HASH : end]
-        else:
-            out += blob[off + _CH_FIXED : off + _CH_FIXED + self.value_bytes]
-            out += blob[end - self.value_bytes : end]
+        out += self.store.blob[off : off + self.store.record_size]
 
     def rank_of(self, target: int) -> int:
         """Number of stored IDs ``<= target`` (IDs are position-sorted)."""

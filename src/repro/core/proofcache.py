@@ -8,9 +8,11 @@ re-verifying a tuple it has already accepted.
 
 Soundness: only *successful* verifications are cached, and the key must
 include **every** input that determines the verdict.  The Chameleon
-family keys on one *opening* — ``(modulus, commitment, slot, message,
-proof)``, the whole input of one ``vc.verify`` — and stores it only once
-the batch it was checked in has passed.  A tampered tuple differs in at
+family keys on one *node* — the modulus and the bytes of its commitment,
+its whole-vector opening, the ``id || h(o)`` its slot 1 commits to and
+its filled child slots' commitments, the whole input of one
+``vc.verify_vector`` — and stores it only once the batch it was checked
+in has passed.  A tampered tuple differs in at
 least one key component, misses the cache, and is re-verified from
 scratch — a cache hit can therefore never mask a failing proof.
 

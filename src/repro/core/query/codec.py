@@ -19,11 +19,15 @@ component the tables the client replays the join over::
     table kind 0   a TreeMultiproof (Merkle family):
                    u8 height || varint #nodes || (varint width || 2-bit slot codes) *
                    || varint #helpers || digest(32) * || varint #leaves || (id(8) || h(o)(32)) *
-    table kind 1   a ChameleonMultiproof node table:
-                   u8 arity || varint #rows || row *
-                   row  varint position || u8 flag || [id(8) || h(o)(32)]
-                        || c_pos || [slot-1 opening] || link opening
-                   (bracketed fields iff flag = 1: an entry row)
+    table kind 2   a ChameleonMultiproof node table:
+                   u8 arity || varint #rows || u8 flags || Lambda_0
+                   || shipped * || row *
+                   row  varint position || u8 flags || id(8) || h(o)(32)
+                        || c_pos || Lambda_pos || shipped *
+                   (flag bit 0: a row the join read; bit j: child j's
+                   commitment is shipped, in child order, because the
+                   child is not a row.  Lambda opens the node's whole
+                   vector.  Kind 1 is refused.)
 
     conjunct   u8 k || keyword * k || kind
                kind 0 (a keyword is empty)   || keyword
@@ -37,10 +41,9 @@ the join over the tables, so nothing the SP could say about its walk is
 on the wire.  Child indices and parent pointers of a node table are not
 on the wire either: they are BFS arithmetic on the position.
 
-There is one writer and one reader.  Frames of older layouts (v2–v5:
-rounds of per-entry proofs, ``LeafRef`` / ``NodeRef`` entries) are read
-only by ``tests/reference_codec.py``, which keeps those codecs as a test
-oracle; here any other first byte is refused with
+There is one writer and one reader, and nothing reads a frame of an
+older layout (v2–v5: rounds of per-entry proofs, ``LeafRef`` /
+``NodeRef`` entries): any other first byte is refused with
 :class:`~repro.errors.ReproError`, which the SP protocol maps to
 ``ERR_BAD_REQUEST``.
 
@@ -48,8 +51,10 @@ The decoder fails closed: whatever the bytes, the only exception that
 leaves :meth:`VOCodec.decode` is a :class:`~repro.errors.ReproError`,
 and one-byte flags and tags accept exactly the values the encoder
 writes.  A node table that is unsorted, repeats a position, lacks an
-ancestor or shows a node that hangs nothing is rejected here, before any
-verification runs; so are a conjunct whose keyword list is not a
+ancestor, shows a node that hangs nothing, sets a flag bit beyond its
+arity or both ships a child and shows its row is rejected here, before
+any verification runs (which children it must show needs ``cnt``, and is
+the verifier's check); so are a conjunct whose keyword list is not a
 permutation and a slot beyond the tables.
 
 There is one byte reader, :class:`~repro.core.wire.Reader` (shared with
@@ -61,9 +66,9 @@ multiproof node's 2-bit slot codes are looked up four at a time.  A node
 table is *not parsed*: its rows are walked for their offsets and kept
 as the bytes they arrived as (the SP, symmetrically, frames rows it
 sliced out of its flat buffer); group elements become integers when the
-client authenticates the table.  Truncation, flag bytes outside
-``{0, 1}``, non-zero padding bits, oversized varints and trailing bytes
-are all the reader's or this module's explicit checks, none of them an
+client authenticates the table.  Truncation, flag bytes outside their
+bits, non-zero padding bits, oversized varints and trailing bytes are
+all the reader's or this module's explicit checks, none of them an
 ``assert``.
 """
 
@@ -78,7 +83,8 @@ from repro.core.wire import U8, Reader, put_varint, read_varint
 from repro.errors import ReproError
 
 _TABLE_MERKLE = 0
-_TABLE_CHAMELEON = 1
+#: Kind 1 was the node table of per-slot openings; no reader is left.
+_TABLE_CHAMELEON = 2
 
 #: Kind byte of a conjunct: an empty keyword, or the plan to replay.
 _KIND_EMPTY = 0

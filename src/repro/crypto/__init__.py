@@ -26,11 +26,11 @@ from repro.crypto.vc import (
     commit,
     find_collision,
     keygen,
-    open_all,
-    open_many,
     open_slot,
     prewarm_tables,
     verify,
+    verify_batch,
+    verify_vector,
 )
 
 __all__ = [
@@ -53,13 +53,13 @@ __all__ = [
     "hash_concat",
     "keygen",
     "node_randomness",
-    "open_all",
-    "open_many",
     "open_slot",
     "prewarm_tables",
     "prf_int",
     "sha3",
     "tagged_hash",
     "verify",
+    "verify_batch",
+    "verify_vector",
     "word_count",
 ]

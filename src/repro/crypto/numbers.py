@@ -293,24 +293,6 @@ def clear_fixed_base_tables() -> None:
         _fixed_base_tables.clear()
 
 
-def fixed_base_tables_warm(
-    bases: list[int], modulus: int, max_bits: int
-) -> bool:
-    """Whether every listed base already has a usable cached table.
-
-    A cheap peek (no building, one lock acquisition) that lets callers
-    choose between per-slot fixed-base openings — a win only when the
-    tables are already built — and the divide-and-conquer batch path,
-    which needs no per-base state at all.
-    """
-    with _fixed_base_lock:
-        for base in bases:
-            table = _fixed_base_tables.get((modulus, base))
-            if table is None or table.max_bits < max_bits:
-                return False
-    return True
-
-
 def multi_exp(
     pairs: list[tuple[int, int]],
     modulus: int,
@@ -326,8 +308,8 @@ def multi_exp(
 
     * *Straus, sliding window*: each base keeps its odd powers up to
       ``2^w - 1`` and contributes one multiplication per window of its
-      exponent.  Wins for the two bases of :func:`batch_openings` and
-      for the tens of proofs one posting list gives a CVC slot.
+      exponent.  Wins for a handful of bases and for the tens of
+      openings a short posting list gives a batch.
     * *Pippenger buckets*: no per-base table; per ``c``-bit window every
       base is multiplied into the bucket of its digit and the buckets
       are folded by a running product.  Wins once the bases outnumber
@@ -443,96 +425,6 @@ def _pippenger(
             if running is not None:
                 acc = acc * running % modulus
     return acc
-
-
-def batch_openings(
-    base: int,
-    exponents: list[int],
-    weights: list[int],
-    modulus: int,
-    indices: list[int] | None = None,
-) -> dict[int, int]:
-    """All-at-once openings for one RSA vector commitment (RootFactor).
-
-    Given the group element ``base`` (= ``a``), pairwise-distinct prime
-    ``exponents`` ``e_0..e_q`` and matching ``weights`` ``z_0..z_q``
-    (``z_0`` the randomiser, ``z_j`` the encoded slot messages), computes
-
-        L_i = a^{sum_{j != i} z_j * P/(e_i * e_j)}   with  P = prod e_j
-
-    for every requested index ``i`` — exactly the per-slot opening of
-    :func:`repro.crypto.vc.open_slot`, but all of them in one
-    divide-and-conquer pass.
-
-    The recursion carries, for the current index subset ``S``, the pair
-    ``G_S = a^{C_S / P_S}`` and ``D_S = a^{P / P_S}`` where
-    ``P_S = prod_{j in S} e_j`` and ``C_S = sum_{j not in S} z_j * P/e_j``.
-    Splitting ``S = A ∪ B`` updates both halves with two
-    exponentiations each::
-
-        G_A = G_S^{P_B} * D_S^{E_B},   D_A = D_S^{P_B}
-        (E_B = sum_{j in B} z_j * P_B / e_j; symmetrically for B)
-
-    so all ``k`` openings cost ``O(k log k)`` modular multiplications of
-    shared intermediates instead of ``k`` independent ``O(k)`` passes —
-    the standard RootFactor batching trick from the RSA-accumulator
-    literature.  ``indices`` restricts the output; subtrees containing no
-    requested index are pruned, giving ``O(|indices| * log k)``.
-
-    Returns a dict mapping each requested index to its opening.
-    """
-    if modulus <= 0:
-        raise ParameterError("modulus must be positive")
-    count = len(exponents)
-    if len(weights) != count:
-        raise ParameterError("weights must align one-to-one with exponents")
-    if count == 0:
-        return {}
-    for weight in weights:
-        if weight < 0:
-            raise ParameterError("batch_openings weights must be non-negative")
-    if indices is None:
-        wanted = list(range(count))
-    else:
-        wanted = list(indices)
-        for index in wanted:
-            if not 0 <= index < count:
-                raise ParameterError(f"opening index {index} out of range")
-    if not wanted:
-        return {}
-    wantset = frozenset(wanted)
-    results: dict[int, int] = {}
-    # Explicit stack instead of recursion: index subsets are contiguous
-    # ranges of the (fixed) index order, each with its carried (G, D).
-    stack: list[tuple[list[int], int, int]] = [
-        (list(range(count)), 1 % modulus, base % modulus)
-    ]
-    while stack:
-        subset, g, d = stack.pop()
-        if len(subset) == 1:
-            results[subset[0]] = g
-            continue
-        mid = len(subset) // 2
-        left, right = subset[:mid], subset[mid:]
-        product_left = 1
-        for index in left:
-            product_left *= exponents[index]
-        product_right = 1
-        for index in right:
-            product_right *= exponents[index]
-        if any(index in wantset for index in left):
-            lifted = 0
-            for index in right:
-                lifted += weights[index] * (product_right // exponents[index])
-            g_left = multi_exp([(g, product_right), (d, lifted)], modulus)
-            stack.append((left, g_left, pow(d, product_right, modulus)))
-        if any(index in wantset for index in right):
-            lifted = 0
-            for index in left:
-                lifted += weights[index] * (product_left // exponents[index])
-            g_right = multi_exp([(g, product_left), (d, lifted)], modulus)
-            stack.append((right, g_right, pow(d, product_left, modulus)))
-    return {index: results[index] for index in wanted}
 
 
 def mod_inverse(a: int, modulus: int) -> int:

@@ -13,9 +13,12 @@ with a trapdoor extension:
   where ``P = prod e_i``.
 * ``Com(<m_1..m_q>, r) = S_0^r * prod_i S_i^{z(m_i)} mod N`` where ``z``
   hashes each message into ``[0, 2^256)``.
-* ``Open`` at slot ``i`` is ``L_i = T_{0,i}^r * prod_{j != i}
-  T_{j,i}^{z(m_j)}``; ``Ver`` checks ``C == S_i^{z(m)} * L_i^{e_i}``.
-  Both are public operations.
+* The opening of the *whole* vector is ``Lambda = a^r``: with
+  ``E = e_1 ... e_q = P/e_0``, ``S_0^r = Lambda^E``, and ``Ver`` checks
+  ``Lambda^E * prod_i S_i^{z(m_i)} == C`` (:func:`verify_vector`) — the
+  Catalano–Fiore subvector opening with every message slot in the
+  subvector.  Binding it to two vectors yields an ``e_i``-th root of
+  ``a`` (DESIGN.md §6.1 item 0).
 * ``CCol`` — the chameleon property — replaces slot ``i``'s message while
   keeping ``C`` fixed by *re-solving the randomiser*:
   ``r' = r + (P/e_i)(z - z') * (P/e_0)^{-1}  (mod phi(N))``.
@@ -23,26 +26,30 @@ with a trapdoor extension:
   ``N`` — that factorisation is the trapdoor ``td``.  Without it, forging
   an opening requires extracting ``e_i``-th roots (strong-RSA hard).
 * The trapdoor holder — the data owner, the only party that ever opens a
-  commitment on ingest — need not walk the public pair bases: knowing
-  ``phi(N)`` it folds the whole opening into *one* exponent,
-  ``L_i = a^{sum_{j != i} w_j * P/(e_i e_j) mod phi}``, and raises ``a`` to
-  it over the two half-width prime fields (:class:`TrapdoorKernel`).
-  ``x -> x^{e_i}`` is a bijection (``e_i`` is coprime to ``phi``), so the
-  opening is a unique group element and both routes return the same one.
+  commitment — keeps ``r`` current through every collision and raises
+  ``a`` to it over the two half-width prime fields
+  (:class:`TrapdoorKernel`): one exponentiation per opening.
 
 * A verifier with many openings to check — a client with a query's worth
   of them — folds them into one equation with short random coefficients
-  (:func:`verify_batch`); DESIGN.md §6.1 says what a passing batch proves.
+  and the one exponent ``E`` (:func:`verify_batch`); DESIGN.md §6.1 says
+  what a passing batch proves.
+
+The per-slot ``Open`` (``L_i = T_{0,i}^r * prod_{j != i} T_{j,i}^{z(m_j)}``,
+checked as ``C == S_i^{z(m)} * L_i^{e_i}``; :func:`open_slot`,
+:func:`verify`) is no longer on any path of the system: it stays as the
+public reference the tests hold the whole-vector opening to
+(``L_i = Lambda^{E/e_i} * prod_{j != i} T_{j,i}^{z_j}``).
 
 The security game of Definition 1/2 is unchanged: position binding under
 strong RSA replaces position binding under CDH.  The performance property
 the paper exploits in Section V-D — commitment verification costs orders
-of magnitude more than a hash — also carries over: one ``Ver`` is a
-264-bit exponentiation of the proof (0.9 ms at a 1024-bit modulus) and a
-fixed-base table walk for the slot base (0.14 ms) versus one SHA3 call,
-and a batch of n still pays a 128-bit share of a multi-exponentiation per
-opening (about 0.25 ms: its proof, and its commitment where no other
-opening shares it) plus ``q + 1`` full-width exponentiations.
+of magnitude more than a hash — also carries over: one ``Ver`` is an
+exponentiation of the opening by the ``(q * 264)``-bit ``E`` plus a
+fixed-base table walk per non-empty slot versus one SHA3 call, and a
+batch of n pays a 128-bit share of a multi-exponentiation per opening
+and per commitment plus one exponentiation by ``E`` and ``q`` table
+walks.
 """
 
 from __future__ import annotations
@@ -57,13 +64,10 @@ from typing import NoReturn
 from repro import obs
 from repro.crypto.hashing import DIGEST_SIZE, sha3
 from repro.crypto.numbers import (
-    FIXED_BASE_CACHE_SIZE,
     CRTFixedBase,
     FixedBaseTable,
     RandomSource,
-    batch_openings,
     fixed_base_table,
-    fixed_base_tables_warm,
     generate_distinct_primes,
     generate_rsa_modulus,
     make_random,
@@ -85,9 +89,9 @@ MESSAGE_BITS = 8 * DIGEST_SIZE
 
 Message = bytes | int | None
 
-#: One opening as :func:`verify` takes it:
-#: ``(commitment, slot, message, proof)``.
-Opening = tuple[int, int, Message, int]
+#: One whole-vector opening as :func:`verify_vector` takes it:
+#: ``(commitment, messages of slots 1..q, opening)``.
+Statement = tuple[int, Sequence[Message], int]
 
 #: Width of the random coefficient :func:`verify_batch` gives each opening.
 #: A batch holding an opening that is off by a group element of order
@@ -185,16 +189,20 @@ class CVCPublicParams:
     slot_bases: tuple[int, ...]  # S_i = a^{P/e_i}
     pair_bases: tuple[tuple[int, ...], ...]  # T[i][j] = a^{P/(e_i e_j)}
     #: The group element ``a`` the bases are powers of.  Publishing it is
-    #: safe (every published base already is a deterministic power of it)
-    #: and enables the divide-and-conquer batch openings of
-    #: :func:`open_many`.  ``0`` marks legacy parameters generated before
-    #: the base was retained; those fall back to per-slot openings.
+    #: safe (every published base already is a deterministic power of it).
+    #: ``0`` marks legacy parameters generated before the base was
+    #: retained; the trapdoor recovers it (:class:`TrapdoorKernel`).
     base: int = 0
 
     @property
     def randomiser_exponent(self) -> int:
         """The prime ``e_0`` guarding the randomiser slot."""
         return self.exponents[0]
+
+    @property
+    def vector_exponent(self) -> int:
+        """``E = e_1 ... e_q``: what a whole-vector opening is raised to."""
+        return math.prod(self.exponents[1:])
 
     def slot_exponent(self, slot: int) -> int:
         """The prime ``e_slot`` for a 1-based message slot."""
@@ -361,7 +369,9 @@ def open_slot(pp: CVCPublicParams, slot: int, message: Message, aux: CVCAux) -> 
     """``Open_pp(i, m, aux)``: produce a proof that slot ``i`` holds ``m``.
 
     Fails when ``aux`` does not actually hold ``m`` at that slot — an
-    honest opener cannot produce a proof for a wrong value.
+    honest opener cannot produce a proof for a wrong value.  The public
+    per-slot reference (module docstring); nothing in the system opens
+    one slot any more.
     """
     pp._check_slot(slot)
     z = encode_message(message)
@@ -370,90 +380,6 @@ def open_slot(pp: CVCPublicParams, slot: int, message: Message, aux: CVCAux) -> 
             f"aux holds a different message at slot {slot}; cannot open"
         )
     return _open_encoded(pp, slot, aux)
-
-
-def _pair_tables_warm(pp: CVCPublicParams, slots: list[int]) -> bool:
-    """Whether every pair table a per-slot opening of ``slots`` needs is hot."""
-    bases: list[int] = []
-    for slot in slots:
-        for other in range(pp.arity + 1):
-            if other != slot:
-                bases.append(pp.pair_base(other, slot))
-    return fixed_base_tables_warm(bases, pp.modulus, _table_bits(pp))
-
-
-def _open_many_dnc(
-    pp: CVCPublicParams, slots: list[int], aux: CVCAux
-) -> dict[int, int]:
-    """Divide-and-conquer openings via :func:`batch_openings`.
-
-    Index 0 of the weight vector is the randomiser (guarded by ``e_0``);
-    indices 1..q are the encoded slot messages.  The returned values are
-    bit-identical to :func:`open_slot`'s — same group elements, computed
-    through a shared recursion instead of independent passes.
-    """
-    weights = [aux.randomiser] + list(aux.messages)
-    return batch_openings(
-        pp.base, list(pp.exponents), weights, pp.modulus, indices=slots
-    )
-
-
-def open_many(
-    pp: CVCPublicParams,
-    slots: list[int],
-    aux: CVCAux,
-    strategy: str = "auto",
-) -> dict[int, int]:
-    """Open several slots of one commitment in a single batch.
-
-    Returns ``{slot: proof}`` with each proof exactly equal to
-    ``open_slot(pp, slot, aux-held-message, aux)``.  Three strategies:
-
-    * ``"batch"`` — the RootFactor-style divide-and-conquer of
-      :func:`repro.crypto.numbers.batch_openings`: all openings in
-      O(k log k) shared multiplications, no fixed-base tables needed.
-    * ``"per-slot"`` — loop over :func:`open_slot` (fast only when the
-      fixed-base pair tables are already built and fit in the cache).
-    * ``"auto"`` — batch when the fast path is on and the per-slot route
-      would have to (re)build tables: cold caches, or an arity whose
-      pair-base working set exceeds the table cache and thrashes it.
-
-    With the fast path disabled, or for legacy parameters that did not
-    retain the group base, every strategy degrades to the per-slot loop.
-    """
-    if strategy not in ("auto", "batch", "per-slot"):
-        raise ParameterError(f"unknown open_many strategy {strategy!r}")
-    unique_slots: list[int] = []
-    for slot in slots:
-        pp._check_slot(slot)
-        if slot not in unique_slots:
-            unique_slots.append(slot)
-    obs.inc("vc.batch.requests")
-    obs.inc("vc.batch.openings", len(unique_slots))
-    can_batch = (
-        _FASTPATH_ENABLED
-        and pp.base != 0
-        and aux.randomiser >= 0
-        and len(unique_slots) >= 2
-    )
-    if can_batch and strategy == "auto":
-        pair_count = (pp.arity + 1) * pp.arity // 2
-        use_batch = pair_count > FIXED_BASE_CACHE_SIZE or not _pair_tables_warm(
-            pp, unique_slots
-        )
-    else:
-        use_batch = can_batch and strategy == "batch"
-    if use_batch:
-        obs.inc("vc.batch.dnc")
-        with obs.span(
-            "vc.open_many", slots=len(unique_slots), strategy="batch"
-        ):
-            return _open_many_dnc(pp, unique_slots, aux)
-    obs.inc("vc.batch.per_slot")
-    with obs.span(
-        "vc.open_many", slots=len(unique_slots), strategy="per-slot"
-    ):
-        return {slot: _open_encoded(pp, slot, aux) for slot in unique_slots}
 
 
 def _open_encoded(pp: CVCPublicParams, slot: int, aux: CVCAux) -> int:
@@ -483,35 +409,18 @@ def _open_encoded(pp: CVCPublicParams, slot: int, aux: CVCAux) -> int:
     return proof
 
 
-def open_all(
-    pp: CVCPublicParams, aux: CVCAux, strategy: str = "auto"
-) -> dict[int, int]:
-    """Open every slot of one commitment: ``open_many`` over ``1..arity``."""
-    return open_many(pp, list(range(1, pp.arity + 1)), aux, strategy=strategy)
+def prewarm_tables(pp: CVCPublicParams) -> int:
+    """Eagerly build the fixed-base slot tables this ``pp`` will use.
 
-
-def prewarm_tables(pp: CVCPublicParams, pairs: bool = False) -> int:
-    """Eagerly build the fixed-base tables this ``pp`` will use.
-
-    Slot tables serve commitment/verification; ``pairs=True`` adds the
-    pair tables used by per-slot openings (skipped automatically when
-    the arity's pair working set would overflow the table cache).  This
-    is CVC-specific machinery — Merkle-only schemes have no tables to
-    warm, and callers gate on the scheme before invoking it.  Returns
-    the number of tables touched.
+    They serve ``Com`` and ``Ver``.  This is CVC-specific machinery —
+    Merkle-only schemes have no tables to warm, and callers gate on the
+    scheme before invoking it.  Returns the number of tables touched.
     """
     if not _FASTPATH_ENABLED:
         return 0
-    touched = 0
     for slot in range(pp.arity + 1):
         _slot_table(pp, slot)
-        touched += 1
-    if pairs and (pp.arity + 1) * pp.arity // 2 <= FIXED_BASE_CACHE_SIZE:
-        for i in range(pp.arity + 1):
-            for j in range(i + 1, pp.arity + 1):
-                _pair_table(pp, i, j)
-                touched += 1
-    return touched
+    return pp.arity + 1
 
 
 def opening_in_range(
@@ -528,7 +437,10 @@ def opening_in_range(
 def verify(
     pp: CVCPublicParams, commitment: int, slot: int, message: Message, proof: int
 ) -> bool:
-    """``Ver_pp(c, i, m, pi)``: check that ``c`` opens to ``m`` at ``i``."""
+    """``Ver_pp(c, i, m, pi)``: check that ``c`` opens to ``m`` at ``i``.
+
+    The per-slot reference (module docstring).
+    """
     if not opening_in_range(pp, commitment, slot, proof):
         return False
     z = encode_message(message)
@@ -547,74 +459,114 @@ def verify(
     return lhs == commitment
 
 
-def verify_batch(pp: CVCPublicParams, openings: Sequence[Opening]) -> bool:
-    """Whether every opening verifies, checked as one equation.
+def statement_in_range(pp: CVCPublicParams, statement: Statement) -> bool:
+    """Whether a statement has one message per slot and two nonzero residues."""
+    commitment, messages, opening = statement
+    return (
+        len(messages) == pp.arity
+        and 0 < opening < pp.modulus
+        and 0 < commitment < pp.modulus
+    )
 
-    Each opening ``L_k^{e_k} * S_{i_k}^{z_k} = C_k`` is raised to a fresh
-    odd :data:`BATCH_COEFFICIENT_BITS`-bit ``r_k`` and the results are
-    multiplied; grouped by slot on the left and by commitment on the
-    right that is
 
-        prod_i (prod_{k: i_k = i} L_k^{r_k})^{e_i} * S_i^{sum r_k z_k}
+def verify_vector(
+    pp: CVCPublicParams,
+    commitment: int,
+    messages: Sequence[Message],
+    opening: int,
+) -> bool:
+    """Whether ``opening`` opens ``commitment`` to the whole vector ``messages``.
+
+    Checks ``opening^E * prod_i S_i^{z(m_i)} == commitment`` with
+    ``E = e_1 ... e_q`` (:attr:`CVCPublicParams.vector_exponent`).
+    """
+    if not statement_in_range(pp, (commitment, messages, opening)):
+        return False
+    modulus = pp.modulus
+    if not _FASTPATH_ENABLED:
+        lhs = pow(opening, pp.vector_exponent, modulus)
+        for slot, message in enumerate(messages, start=1):
+            z = encode_message(message)
+            if z:
+                lhs = lhs * pow(pp.slot_bases[slot], z, modulus) % modulus
+        return lhs == commitment
+    pairs = [(opening, pp.vector_exponent)]
+    tables: list[FixedBaseTable | None] = [None]
+    for slot, message in enumerate(messages, start=1):
+        z = encode_message(message)
+        if z:
+            pairs.append((pp.slot_bases[slot], z))
+            tables.append(_slot_table(pp, slot))
+    return multi_exp(pairs, modulus, tables=tables) == commitment
+
+
+def verify_batch(pp: CVCPublicParams, statements: Sequence[Statement]) -> bool:
+    """Whether every whole-vector opening verifies, checked as one equation.
+
+    Each statement ``L_k^E * prod_i S_i^{z_{k,i}} = C_k`` is raised to a
+    fresh odd :data:`BATCH_COEFFICIENT_BITS`-bit ``r_k`` and the results
+    are multiplied; every statement shares the exponent ``E``, so that is
+
+        (prod_k L_k^{r_k})^E * prod_i S_i^{sum_k r_k z_{k,i}}
             ==  prod_C C^{sum_{k: C_k = C} r_k}
 
-    — a short-exponent multi-exponentiation over the proofs of each slot
-    and one over the distinct commitments, then one full-width
-    exponentiation and one table walk per slot, whatever the batch size.
-    The coefficients come from the operating system at call time: a
-    prover that could predict them could cancel one bad opening against
-    another.
+    — one short-exponent multi-exponentiation over the openings and one
+    over the distinct commitments, then one exponentiation by ``E`` and
+    one table walk per slot, whatever the batch size.  The coefficients
+    come from the operating system at call time: a prover that could
+    predict them could cancel one bad opening against another.
 
     ``True`` means what DESIGN.md §6.1 argues; it differs from
-    ``all(verify(...))`` in one documented case — an even number of
-    proofs negated modulo ``N`` passes here and fails there.  ``False``
-    says only that some opening is bad: callers that must name it
-    re-check one by one.  A batch of one is :func:`verify`, and so is
-    every batch while the fast path is off (the reference arithmetic).
+    ``all(verify_vector(...))`` in one documented case — an even number
+    of openings negated modulo ``N`` passes here and fails there.
+    ``False`` says only that some statement is bad: callers that must
+    name it re-check one by one.  A batch of one is
+    :func:`verify_vector`, and so is every batch while the fast path is
+    off (the reference arithmetic).
     """
-    if len(openings) < 2 or not _FASTPATH_ENABLED:
-        return all(verify(pp, *opening) for opening in openings)
+    if len(statements) < 2 or not _FASTPATH_ENABLED:
+        return all(verify_vector(pp, *statement) for statement in statements)
     obs.inc("vc.verify.batches")
-    obs.inc("vc.verify.batched_openings", len(openings))
+    obs.inc("vc.verify.batched_openings", len(statements))
     modulus = pp.modulus
     rng = make_random(None)
-    proofs: dict[int, list[tuple[int, int]]] = {}
-    weights: dict[int, int] = {}
+    openings: list[tuple[int, int]] = []
+    weights = [0] * (pp.arity + 1)
     commitments: dict[int, int] = {}
-    for commitment, slot, message, proof in openings:
-        if not opening_in_range(pp, commitment, slot, proof):
+    for statement in statements:
+        if not statement_in_range(pp, statement):
             return False
+        commitment, messages, opening = statement
         r = rng.randbits(BATCH_COEFFICIENT_BITS) | 1
-        proofs.setdefault(slot, []).append((proof, r))
-        weights[slot] = weights.get(slot, 0) + r * encode_message(message)
+        openings.append((opening, r))
+        for slot, message in enumerate(messages, start=1):
+            weights[slot] += r * encode_message(message)
         commitments[commitment] = commitments.get(commitment, 0) + r
-    lhs = 1
-    for slot, pairs in proofs.items():
-        lhs = lhs * multi_exp(
-            [
-                (multi_exp(pairs, modulus), pp.exponents[slot]),
-                (pp.slot_bases[slot], weights[slot]),
-            ],
-            modulus,
-            tables=[None, _slot_table(pp, slot)],
-        ) % modulus
+    pairs = [(multi_exp(openings, modulus), pp.vector_exponent)]
+    tables: list[FixedBaseTable | None] = [None]
+    for slot in range(1, pp.arity + 1):
+        if weights[slot]:
+            pairs.append((pp.slot_bases[slot], weights[slot]))
+            tables.append(_slot_table(pp, slot))
+    lhs = multi_exp(pairs, modulus, tables=tables)
     return lhs == multi_exp(list(commitments.items()), modulus)
 
 
 class TrapdoorKernel:
     """``Open`` and ``CCol`` as the holder of ``td`` computes them.
 
-    Knowing ``phi(N)``, every exponent over the group base ``a`` reduces
-    to one residue, so an opening is a single exponentiation and a
-    collision is one multiplication: ``P/(e_i e_j) mod phi`` and
-    ``(P/e_i)(P/e_0)^{-1} mod phi`` are fixed per ``(pp, td)`` and
-    computed here once.  The two-prime table for ``a`` is built on the
-    first opening (a collision alone never needs it).
+    Knowing ``phi(N)``, a collision is one multiplication:
+    ``(P/e_i)(P/e_0)^{-1} mod phi`` is fixed per ``(pp, td)`` and
+    computed here once.  The opening of a whole vector is ``a^r`` — one
+    exponentiation over the two half-width prime fields, whose table for
+    ``a`` is built on the first opening (a collision alone never needs
+    it).
 
-    Outputs are the group elements :func:`open_slot` and the definition
-    of ``CCol`` give — the public functions stay the reference the tests
-    compare against.  The kernel *is* the trapdoor: it refuses to be
-    pickled or copied, so it cannot ride a worker pipe or a manifest.
+    Outputs are the group elements the definitions of the whole-vector
+    opening and of ``CCol`` give; the tests hold them to the public
+    per-slot reference (:func:`open_slot`, :func:`verify`).  The kernel
+    *is* the trapdoor: it refuses to be pickled or copied, so it cannot
+    ride a worker pipe or a manifest.
     """
 
     def __init__(self, pp: CVCPublicParams, td: CVCTrapdoor) -> None:
@@ -623,14 +575,6 @@ class TrapdoorKernel:
         self._pp = pp
         self._td = td
         self._phi = phi
-        #: ``P/(e_i e_j) mod phi``; the diagonal is never read.
-        self._pair = [
-            [
-                0 if e_i == e_j else product // (e_i * e_j) % phi
-                for e_j in pp.exponents
-            ]
-            for e_i in pp.exponents
-        ]
         inverse = mod_inverse(product // pp.randomiser_exponent % phi, phi)
         #: How far one unit less of slot ``i``'s message moves the
         #: randomiser: ``(P/e_i) (P/e_0)^{-1} mod phi``.
@@ -654,16 +598,10 @@ class TrapdoorKernel:
         _ = self._power
         return 2
 
-    def open(self, slot: int, aux: CVCAux) -> int:
-        """The opening of ``slot`` to the message ``aux`` holds there."""
-        self._pp._check_slot(slot)
-        row = self._pair[slot]
-        exponent = aux.randomiser * row[0]
-        for other, z in enumerate(aux.messages, start=1):
-            if z and other != slot:
-                exponent += z * row[other]
+    def open(self, aux: CVCAux) -> int:
+        """The opening of the whole vector ``aux`` holds: ``a^r``."""
         obs.inc("vc.batch.openings")
-        return self._power.pow(exponent)
+        return self._power.pow(aux.randomiser)
 
     def collide(
         self,
@@ -763,16 +701,6 @@ class VectorCommitment:
         """Open the commitment at a slot (produce a proof)."""
         return open_slot(self.pp, slot, message, aux)
 
-    def open_many(
-        self, slots: list[int], aux: CVCAux, strategy: str = "auto"
-    ) -> dict[int, int]:
-        """Batch-open several slots (see :func:`open_many`)."""
-        return open_many(self.pp, slots, aux, strategy=strategy)
-
-    def open_all(self, aux: CVCAux, strategy: str = "auto") -> dict[int, int]:
-        """Batch-open every slot (see :func:`open_all`)."""
-        return open_all(self.pp, aux, strategy=strategy)
-
     def verify(self, commitment: int, slot: int, message: Message, proof: int) -> bool:
         """Check a proof; returns whether it is valid."""
         return verify(self.pp, commitment, slot, message, proof)
@@ -829,31 +757,13 @@ class ChameleonVectorCommitment:
         """Commit to the all-zero vector — every tree node starts here."""
         return commit(self.pp, [None] * self.pp.arity, randomiser)
 
-    def open(self, slot: int, message: Message, aux: CVCAux) -> int:
-        """Open the commitment at a slot (produce a proof)."""
-        return open_slot(self.pp, slot, message, aux)
+    def open_vector(self, aux: CVCAux) -> int:
+        """Open the whole vector ``aux`` holds, with the trapdoor.
 
-    def open_held(self, slot: int, aux: CVCAux) -> int:
-        """Open a slot to the message ``aux`` holds, with the trapdoor.
-
-        The same group element as :meth:`open`, as one half-width
-        exponentiation (:class:`TrapdoorKernel`); the data owner's path.
+        One half-width exponentiation (:class:`TrapdoorKernel`); the data
+        owner's path, and the only opening the system makes.
         """
-        return self._trapdoor_kernel().open(slot, aux)
-
-    def open_many(
-        self, slots: list[int], aux: CVCAux, strategy: str = "auto"
-    ) -> dict[int, int]:
-        """Batch-open several slots (see :func:`open_many`)."""
-        return open_many(self.pp, slots, aux, strategy=strategy)
-
-    def open_all(self, aux: CVCAux, strategy: str = "auto") -> dict[int, int]:
-        """Batch-open every slot (see :func:`open_all`)."""
-        return open_all(self.pp, aux, strategy=strategy)
-
-    def verify(self, commitment: int, slot: int, message: Message, proof: int) -> bool:
-        """Check a proof; returns whether it is valid."""
-        return verify(self.pp, commitment, slot, message, proof)
+        return self._trapdoor_kernel().open(aux)
 
     def prewarm(self) -> int:
         """Build every table this party will use; returns how many.

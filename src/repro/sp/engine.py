@@ -113,8 +113,8 @@ def _proof_to_record(proof: InsertionProof) -> dict:
         "object_id": proof.object_id,
         "object_hash": proof.object_hash.hex(),
         "commitment": format(proof.commitment, "x"),
-        "slot1_proof": format(proof.slot1_proof, "x"),
-        "parent_link_proof": format(proof.parent_link_proof, "x"),
+        "opening": format(proof.opening, "x"),
+        "parent_opening": format(proof.parent_opening, "x"),
         "parent_position": proof.parent_position,
         "child_index": proof.child_index,
     }
@@ -137,13 +137,19 @@ def tree_from_blob(blob: bytes | bytearray | memoryview) -> Any:
 
 
 def _record_to_proof(record: dict) -> InsertionProof:
+    if "opening" not in record:
+        # Per-slot openings cannot be turned into whole-vector ones
+        # without the trapdoor: the shard must be rebuilt by the DO.
+        raise IntegrityError(
+            "journal record carries per-slot openings from an older build"
+        )
     return InsertionProof(
         position=record["position"],
         object_id=record["object_id"],
         object_hash=bytes.fromhex(record["object_hash"]),
         commitment=int(record["commitment"], 16),
-        slot1_proof=int(record["slot1_proof"], 16),
-        parent_link_proof=int(record["parent_link_proof"], 16),
+        opening=int(record["opening"], 16),
+        parent_opening=int(record["parent_opening"], 16),
         parent_position=record["parent_position"],
         child_index=record["child_index"],
     )

@@ -1,19 +1,22 @@
 """Adversarial tests for the Chameleon family (Section VI, Theorem 2).
 
 A Chameleon answer is its node tables: the client authenticates every
-row under the on-chain ``<c_0, cnt>`` and replays the join over the
-entry rows, so what is left to forge is the rows — a field, a position,
-which rows are there — the order of the trees, the plan and the claimed
-results.  :func:`table_attacks` plays each of those; the classes below
-keep the names the attacks had while the SP still shipped its walk as
-rounds, each now in its table form.
+node under the on-chain ``<c_0, cnt>`` — one opening of its whole vector
+each — and replays the join over the read rows, so what is left to
+forge is the nodes — a field, an opening, a position, which rows are
+there and which children are shipped — the order of the trees, the plan
+and the claimed results.  :func:`table_attacks` plays each of those; the
+classes below keep the names the attacks had while the SP still shipped
+its walk as rounds, and later while an entry carried a slot-1 and a link
+opening, each now in its table form.
 
-Since PR 16 no opening is checked on its own: a query's openings settle as
-one ``vc.verify_batch`` (DESIGN.md §6.1).  :class:`TestBatchedOpenings`
-attacks that step — forgeries built to cancel each other, signs, the
-cache — and :class:`TestEveryPathSettles` shows that no caller can use a
-verdict the batch has not confirmed; :func:`refuse_all` repeats every
-forgery cold, warm, under ``python -O`` and with the fast path off.
+No opening is checked on its own: a query's statements settle as one
+``vc.verify_batch`` (DESIGN.md §6.1).
+:class:`TestBatchedOpenings` attacks that step — forgeries built to
+cancel each other, signs, the cache — and :class:`TestEveryPathSettles`
+shows that no caller can use a verdict the batch has not confirmed;
+:func:`refuse_all` repeats every forgery cold, warm, under ``python -O``
+and with the fast path off.
 """
 
 import dataclasses
@@ -32,7 +35,15 @@ from repro.core.query.vo import ConjunctiveVO, QueryVO, ReplayVO
 from repro.crypto import vc
 from repro.errors import ReproError, VerificationError
 from repro.sp.protocol import RemoteClient, StorageProviderServer
-from tests.node_tables import change, demote, forge, rows_of, table_of, with_table
+from tests.node_tables import (
+    change,
+    demote,
+    forge,
+    root_of,
+    rows_of,
+    table_of,
+    with_table,
+)
 
 
 @pytest.fixture(scope="module")
@@ -116,6 +127,28 @@ def with_base(answer, **fields):
 
 JOIN = "covid-19 AND symptom"
 SCAN = "covid-19"
+#: Reads covid-19 at positions 1 and 2 only: rows 1 and 2 ship their
+#: children (3-6) and the sars-cov-2 table is its one row under a root
+#: whose second child would lie beyond ``cnt``.
+POINT = "covid-19 AND sars-cov-2"
+
+
+def stale_opening(system, keyword, position):
+    """Node ``position``'s opening from before its last child was hung.
+
+    The data owner's trapdoor undoes the collision that filled the
+    node's last filled child slot: what the SP held back then.
+    """
+    tree = system._do.trees[keyword]
+    last = min(position * tree.arity + tree.arity, tree.count)
+    aux = tree.cvc.collide(
+        tree._commitments[position],
+        last - position * tree.arity + 1,
+        tree._commitments[last],
+        None,
+        tree.aux_at(position),
+    )
+    return tree.cvc.open_vector(aux)
 
 
 def table_attacks(system):
@@ -139,11 +172,12 @@ def table_attacks(system):
     ), ps
     query, answer, ps = join()
     yield "tampered opening", query, forge_rows(
-        answer, "symptom", {2: lambda r: change(slot1_proof=r.slot1_proof ^ 1)(r)}
+        answer, "symptom", {2: lam(lambda opening: opening ^ 1)}
     ), ps
+    # The root's opening is what hangs rows 1 and 2 under c_0.
     query, answer, ps = join()
     yield "tampered link", query, forge_rows(
-        answer, "covid-19", {2: lambda r: change(link_proof=r.link_proof ^ 1)(r)}
+        answer, "covid-19", {0: lam(lambda opening: opening ^ 1)}
     ), ps
     query, answer, ps = join()
     covid = {row.position: row for row in rows_of(
@@ -213,6 +247,48 @@ def table_attacks(system):
     full = system.sp_index.trees["symptom"].multiproof((1, 2, 3, 4))
     with_table(answer, index, forge(full, {4: demote}))
     yield "childless node row", query, answer, ps
+    # What the whole-vector openings add: which children a node shows.
+    query, answer, ps = join(POINT)
+    yield "shipped child swapped with its sibling", query, forge_rows(
+        answer,
+        "covid-19",
+        {1: lambda r: change(shipped={1: r.shipped[2], 2: r.shipped[1]})(r)},
+    ), ps
+    query, answer, ps = join(POINT)
+    covid = {row.position: row for row in rows_of(
+        answer.vo.multiproofs[table_index(answer, "covid-19")]
+    )}
+    yield "row child also flagged as shipped", query, forge_rows(
+        answer,
+        "covid-19",
+        {0: change(shipped={1: covid[1].commitment})},
+    ), ps
+    query, answer, ps = join(POINT)
+    yield "child within cnt neither a row nor shipped", query, forge_rows(
+        answer, "covid-19", {1: lambda r: change(shipped={1: r.shipped[1]})(r)}
+    ), ps
+    query, answer, ps = join(POINT)
+    yield "child shipped beyond cnt", query, forge_rows(
+        answer,
+        "sars-cov-2",
+        {0: change(shipped={2: covid[2].commitment})},
+    ), ps
+    query, answer, ps = join()
+    yield "stale opening", query, forge_rows(
+        answer, "covid-19", {3: change(opening=stale_opening(system, "covid-19", 3))}
+    ), ps
+    query, answer, ps = join()
+    covid = {row.position: row for row in rows_of(
+        answer.vo.multiproofs[table_index(answer, "covid-19")]
+    )}
+    yield "sibling's opening", query, forge_rows(
+        answer, "covid-19", {3: change(opening=covid[4].opening)}
+    ), ps
+    query, answer, ps = join()
+    other_root = root_of(answer.vo.multiproofs[table_index(answer, "symptom")])
+    yield "forged root opening", query, forge_rows(
+        answer, "covid-19", {0: change(opening=other_root.opening)}
+    ), ps
     query, answer, ps = join()
     spare = system.sp_index.trees["vaccine"].multiproof((1,))
     answer.vo = dataclasses.replace(
@@ -237,12 +313,9 @@ def table_attacks(system):
     yield "duplicate trees", KeywordQuery.parse(first), answer, ps
 
 
-def link(edit):
-    return lambda row: change(link_proof=edit(row.link_proof))(row)
-
-
-def slot1(edit):
-    return lambda row: change(slot1_proof=edit(row.slot1_proof))(row)
+def lam(edit):
+    """An edit of a node's opening (the root's at position 0)."""
+    return lambda row: change(opening=edit(row.opening))(row)
 
 
 def forgeries(system):
@@ -258,18 +331,19 @@ def forgeries(system):
         return forge_rows(honest_answer(system, SCAN)[1], SCAN, edits)
 
     last = system.sp_index.trees[SCAN].count
-    yield "bit flip in the first slot-1 proof", scan({1: slot1(flip)})
-    yield "bit flip in the last slot-1 proof", scan({last: slot1(flip)})
-    yield "bit flip in a link proof", scan({4: link(flip)})
-    yield "one negated slot-1 proof", scan({3: slot1(negate)})
-    yield "three negated proofs", scan(
-        {2: lambda r: link(negate)(slot1(negate)(r)), 5: link(negate)}
+    yield "bit flip in the first opening", scan({1: lam(flip)})
+    yield "bit flip in the last opening", scan({last: lam(flip)})
+    yield "bit flip in the root's opening", scan({0: lam(flip)})
+    yield "one negated opening", scan({3: lam(negate)})
+    yield "three negated openings", scan(
+        {0: lam(negate), 2: lam(negate), 5: lam(negate)}
     )
-    # Positions 1 and 3 are both first children: same slot, same prime.
-    yield "a cancelling pair in one slot", scan(
+    # Every statement is raised to the one exponent E: any two openings
+    # can be made to cancel in an unweighted product.
+    yield "a cancelling pair", scan(
         {
-            1: link(lambda proof: proof * g % n),
-            3: link(lambda proof: proof * pow(g, -1, n) % n),
+            1: lam(lambda proof: proof * g % n),
+            6: lam(lambda proof: proof * pow(g, -1, n) % n),
         }
     )
     yield "a commitment replaced in the table", scan(
@@ -285,7 +359,7 @@ def forgeries(system):
         row.position: row
         for row in rows_of(honest_answer(system, SCAN)[1].vo.multiproofs[0])
     }
-    yield "a proof presented under its sibling's slot", scan(
+    yield "an opening presented under its sibling's slot", scan(
         {
             1: lambda _: change(position=1)(rows[2]),
             2: lambda _: change(position=2)(rows[1]),
@@ -373,6 +447,28 @@ class TestTableAttacks:
     )
     def test_refused(self, ci_system, name):
         refused(ci_system, name)
+
+    @pytest.mark.parametrize(
+        "name, reason",
+        [
+            ("shipped child swapped with its sibling", "opening of node 1 "),
+            ("row child also flagged as shipped", "ships position 1 and shows"),
+            ("child within cnt neither a row nor shipped", "neither a row nor"),
+            ("child shipped beyond cnt", "beyond the committed count"),
+            ("stale opening", "opening of node 3 "),
+            ("sibling's opening", "opening of node 3 "),
+            ("forged root opening", "opening of node 0 "),
+        ],
+    )
+    def test_whole_vector_forgeries_are_refused_and_named(
+        self, ci_system, name, reason
+    ):
+        """What one opening per node adds to forge: the children a node
+        shows, and the opening itself — each refused for its own reason."""
+        ci_system.verify_cache.clear()
+        attacks = {a[0]: a[1:] for a in table_attacks(ci_system)}
+        with pytest.raises(VerificationError, match=reason):
+            verify_query(*attacks[name])
 
     def test_unread_row_and_unused_table_are_named(self, ci_system):
         attacks = {a[0]: a[1:] for a in table_attacks(ci_system)}
@@ -476,10 +572,10 @@ class TestBatchedOpenings:
         ci_system.verify_cache.clear()
         with vc.fastpath(False):
             refuse_all(ci_system)
-            # ... where two negated proofs are refused as well.
+            # ... where two negated openings are refused as well.
             query, answer, ps = honest_answer(ci_system, SCAN)
             n = ps.pp.modulus
-            negate = slot1(lambda p: n - p)
+            negate = lam(lambda p: n - p)
             forge_rows(answer, SCAN, {1: negate, 4: negate})
             with pytest.raises(VerificationError):
                 verify_query(query, answer, ps)
@@ -487,7 +583,7 @@ class TestBatchedOpenings:
     def test_cancelling_pair_never_slips_through(self, ci_system):
         ci_system.verify_cache.clear()
         query = KeywordQuery.parse(SCAN)
-        answer = dict(forgeries(ci_system))["a cancelling pair in one slot"]
+        answer = dict(forgeries(ci_system))["a cancelling pair"]
         for _ in range(30):  # fresh coefficients each time
             ps = ci_system.chain_proof_system(query.all_keywords())
             with pytest.raises(VerificationError):
@@ -499,24 +595,24 @@ class TestBatchedOpenings:
         query, answer, ps = honest_answer(ci_system, SCAN)
         count = ps.digests[SCAN][1]
         victim = {"first": 1, "middle": count // 2 + 1, "last": count}[place]
-        forge_rows(answer, SCAN, {victim: slot1(lambda proof: proof ^ 1)})
+        forge_rows(answer, SCAN, {victim: lam(lambda proof: proof ^ 1)})
         with pytest.raises(
             VerificationError,
-            match=rf"slot-1 opening .* \(position {victim} of keyword 'covid-19'\)",
+            match=rf"opening of node {victim} of keyword 'covid-19'",
         ):
             verify_query(query, answer, ps)
 
     def test_a_failing_link_names_the_first_entry_that_needed_it(
         self, ci_system
     ):
+        """What hangs rows 1 and 2 under ``c_0`` is the root's opening:
+        forged, it is the root that is named — position 0."""
         ci_system.verify_cache.clear()
         query, answer, ps = honest_answer(ci_system, SCAN)
-        forge_rows(answer, SCAN, {2: link(lambda proof: proof ^ 1)})
-        # Position 2 hangs in the root's second child slot; the row that
-        # needs the link is its own.
+        forge_rows(answer, SCAN, {0: lam(lambda proof: proof ^ 1)})
         with pytest.raises(
             VerificationError,
-            match=r"parent link in child slot 2 .* \(position 2 of",
+            match=r"opening of node 0 of keyword 'covid-19'",
         ):
             verify_query(query, answer, ps)
 
@@ -526,47 +622,45 @@ class TestBatchedOpenings:
         ci_system.verify_cache.clear()
         query, answer, ps = honest_answer(ci_system, SCAN)
         n = ps.digests[SCAN][1]
-        forge_rows(answer, SCAN, {n: slot1(lambda proof: proof ^ 1)})
+        forge_rows(answer, SCAN, {n: lam(lambda proof: proof ^ 1)})
         with pytest.raises(VerificationError):
             verify_query(query, answer, ps)
         assert len(ci_system.verify_cache) == 0
-        assert ci_system.verify_cache.misses == 2 * n
+        # One lookup per node: the root and the n rows.
+        assert ci_system.verify_cache.misses == n + 1
         query, answer, ps = honest_answer(ci_system, SCAN)
         assert len(verify_query(query, answer, ps).ids) == n
-        assert len(ci_system.verify_cache) == 2 * n
+        assert len(ci_system.verify_cache) == n + 1
 
     def test_two_sign_flips_pass_the_batch_and_certify_only_true_statements(
         self, ci_system
     ):
-        """The one documented difference from per-opening verdicts
-        (DESIGN.md §6.1 item 3).  Two negated proofs pass; what the
-        client concluded — the entries, their hashes, their positions —
-        is what the honest answer says, and each negated proof is a
-        valid one again once negated back."""
+        """The one documented difference from per-statement verdicts
+        (DESIGN.md §6.1 item 3: ``E`` is odd).  Two negated openings pass;
+        what the client concluded — the entries, their hashes, their
+        positions — is what the honest answer says, and each negated
+        opening is a valid one again once negated back."""
         ci_system.verify_cache.clear()
         query, honest, ps = honest_answer(ci_system, SCAN)
         want = verify_query(query, honest, ps)
         ci_system.verify_cache.clear()
         n = ps.pp.modulus
         query, answer, ps = honest_answer(ci_system, SCAN)
-        forge_rows(
-            answer, SCAN, {1: slot1(lambda p: n - p), 4: link(lambda p: n - p)}
-        )
+        forge_rows(answer, SCAN, {1: lam(lambda p: n - p), 4: lam(lambda p: n - p)})
         got = verify_query(query, answer, ps)
         assert (got.ids, got.hashes) == (want.ids, want.hashes)
-        row = rows_of(answer.vo.multiproofs[0])[0]
-        statement = (
-            row.commitment,
-            1,
-            entry_digest(row.object_id, row.object_hash),
-        )
-        assert not vc.verify(ps.pp, *statement, row.slot1_proof)
-        assert vc.verify(ps.pp, *statement, n - row.slot1_proof)
+        table = answer.vo.multiproofs[0]
+        row = rows_of(table)[0]
+        messages = [entry_digest(row.object_id, row.object_hash)] + [
+            child.commitment for child in rows_of(table) if child.position in (3, 4)
+        ]
+        assert not vc.verify_vector(ps.pp, row.commitment, messages, row.opening)
+        assert vc.verify_vector(ps.pp, row.commitment, messages, n - row.opening)
         # One of the two alone is refused — unless the cache remembers
         # the pair, and then it certifies the same true statement.
         ci_system.verify_cache.clear()
         query, answer, ps = honest_answer(ci_system, SCAN)
-        forge_rows(answer, SCAN, {1: slot1(lambda p: n - p)})
+        forge_rows(answer, SCAN, {1: lam(lambda p: n - p)})
         with pytest.raises(VerificationError):
             verify_query(query, answer, ps)
 
@@ -585,7 +679,7 @@ def flipping_system():
                 answer,
                 0,
                 forge(
-                    answer.vo.multiproofs[0], {1: link(lambda proof: proof ^ 1)}
+                    answer.vo.multiproofs[0], {1: lam(lambda proof: proof ^ 1)}
                 ),
             )
         return answer

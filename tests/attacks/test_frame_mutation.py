@@ -1,9 +1,10 @@
 """Mechanical adversary on the wire: every byte flipped, every prefix.
 
 One v6 frame per scheme — CI and CI* (node tables; for CI* a walk with
-Bloom skips), MI and SMI (multiproof tables) — is mutated at every
-offset and pushed through the client's path: decode, then verify
-against the honest chain state.  Two things must hold for every mutant:
+Bloom skips, and a second CI* frame whose rows ship the commitments of
+children that are no rows), MI and SMI (multiproof tables) — is mutated
+at every offset and pushed through the client's path: decode, then
+verify against the honest chain state.  Two things must hold for every mutant:
 the only exception that escapes is a :class:`~repro.errors.ReproError`
 subclass, and nothing verifies.  The same sweep then runs one layer out, over the protocol's
 own bytes: every mutant of a whole response goes through
@@ -43,26 +44,45 @@ DOCS = (
 #: A join (boundary rows, for CI* also Bloom skips) OR-ed with a scan.
 QUERY = "(covid-19 AND vaccine) OR symptom"
 
+#: "spread" on objects 1-12, "first" on 1, "last" on 12: the join reads
+#: spread's position 12 alone, under ancestors 2 and 5, so the root and
+#: those rows ship the commitments of 1, 6 and 11.
+SPREAD = tuple(
+    DataObject(
+        i,
+        ("spread",) + {1: ("first",), 12: ("last",)}.get(i, ()),
+        b"s%d" % i,
+    )
+    for i in range(1, 13)
+)
+
+CI_STAR = {"scheme": "ci*", "cvc_modulus_bits": 512, "bloom_capacity": 2}
+
+#: name -> (system arguments, corpus, query, verified IDs, a query that
+#: shares part of the answer, for the warm cache).
 CASES = {
-    "ci": {"scheme": "ci", "cvc_modulus_bits": 512},
-    "ci*": {"scheme": "ci*", "cvc_modulus_bits": 512, "bloom_capacity": 2},
-    "mi": {"scheme": "mi"},
-    "smi": {"scheme": "smi"},
+    "ci": ({"scheme": "ci", "cvc_modulus_bits": 512}, DOCS, QUERY, [4, 5, 6, 8],
+           "covid-19 AND vaccine"),
+    "ci*": (CI_STAR, DOCS, QUERY, [4, 5, 6, 8], "covid-19 AND vaccine"),
+    "ci*-shipped": (CI_STAR, SPREAD, "(spread AND last) OR first", [1, 12], "first"),
+    "mi": ({"scheme": "mi"}, DOCS, QUERY, [4, 5, 6, 8], "covid-19 AND vaccine"),
+    "smi": ({"scheme": "smi"}, DOCS, QUERY, [4, 5, 6, 8], "covid-19 AND vaccine"),
 }
 
 
 @pytest.fixture(scope="module", params=sorted(CASES))
 def honest(request):
-    system = HybridStorageSystem(seed=8, **CASES[request.param])
-    system.add_objects(DOCS)
-    query = KeywordQuery.parse(QUERY)
+    arguments, docs, text, expected, priming = CASES[request.param]
+    system = HybridStorageSystem(seed=8, **arguments)
+    system.add_objects(docs)
+    query = KeywordQuery.parse(text)
     answer = system.process_query(query)
     codec = VOCodec(value_bytes=system.value_bytes)
     payload = codec.encode(answer.vo)
     assert payload[0] == 0xF6
     ps = system.chain_proof_system(query.all_keywords())
-    assert verify_query(query, answer, ps).ids == {4, 5, 6, 8}
-    return codec, payload, query, answer, ps, system
+    assert verify_query(query, answer, ps).ids == set(expected)
+    return codec, payload, query, answer, ps, system, text, expected, priming
 
 
 def client_accepts(honest, payload: bytes) -> bool:
@@ -70,7 +90,7 @@ def client_accepts(honest, payload: bytes) -> bool:
 
     Anything but a ``ReproError`` propagates and fails the test.
     """
-    codec, _, query, answer, ps, _ = honest
+    codec, _, query, answer, ps = honest[:5]
     try:
         answer.vo = codec.decode(payload)
         verify_query(query, answer, ps)
@@ -120,12 +140,10 @@ def mutants(payload: bytes):
 
 
 def test_every_mutated_response_is_rejected_by_the_remote_client(honest):
-    system = honest[5]
+    system, text, expected = honest[5:8]
     server = StorageProviderServer(system)
-    response = server.handle(QueryRequest(query_text=QUERY).encode())
-    assert RemoteClient(lambda _: response, system).query(QUERY).result_ids == [
-        4, 5, 6, 8,
-    ]
+    response = server.handle(QueryRequest(query_text=text).encode())
+    assert RemoteClient(lambda _: response, system).query(text).result_ids == expected
     # Every byte of the message for the Merkle family.  A Chameleon
     # mutant that still decodes costs a batch of group exponentiations to
     # refuse, and the VO section of those frames was swept above through
@@ -137,7 +155,7 @@ def test_every_mutated_response_is_rejected_by_the_remote_client(honest):
     for mutant in mutants(response[:swept]):
         client = RemoteClient(lambda _, m=mutant + response[swept:]: m, system)
         try:
-            client.query(QUERY)
+            client.query(text)
         except ReproError:
             continue
         accepted += 1
@@ -145,12 +163,12 @@ def test_every_mutated_response_is_rejected_by_the_remote_client(honest):
     for mutant in (*(response[:cut] for cut in range(swept, len(response))),
                    response + b"\x00"):
         with pytest.raises(ReproError):
-            RemoteClient(lambda _, m=mutant: m, system).query(QUERY)
+            RemoteClient(lambda _, m=mutant: m, system).query(text)
 
 
 def test_every_mutated_request_gets_a_decodable_answer(honest):
     server = StorageProviderServer(honest[5])
-    request = QueryRequest(query_text=QUERY).encode()
+    request = QueryRequest(query_text=honest[6]).encode()
     assert QueryResponse.decode(server.handle(request)).error is None
     answered_ok = 0
     for mutant in mutants(request):
@@ -177,17 +195,17 @@ def test_rejected_answer_primes_nothing_unproven(honest, primed):
     that folded to their roots before the forged one was met may stay —
     they are keys the honest answer adds too.
     """
-    codec, payload, _, _, _, system = honest
+    codec, payload, _, _, _, system, text, _, priming = honest
     cache = system.verify_cache
 
     def reset() -> set:
         cache.clear()
         if primed:
-            assert system.query("covid-19 AND vaccine").verified
+            assert system.query(priming).verified
         return set(cache._entries)
 
     reset()
-    assert system.query(QUERY).verified
+    assert system.query(text).verified
     genuine = set(cache._entries)
     before = reset()
     assert before < genuine
@@ -203,7 +221,7 @@ def test_rejected_answer_primes_nothing_unproven(honest, primed):
     )
     assert offsets
     response = StorageProviderServer(system).handle(
-        QueryRequest(query_text=QUERY).encode()
+        QueryRequest(query_text=text).encode()
     )
     vo_start = len(response) - len(QueryResponse.decode(response).vo_bytes)
     honest_sp = system._sp.process_query
@@ -217,13 +235,13 @@ def test_rejected_answer_primes_nothing_unproven(honest, primed):
 
             system._sp.process_query = tampering
             with pytest.raises(ReproError):
-                system.query(QUERY)
+                system.query(text)
             assert before <= set(cache._entries) <= allowed
             forged = flipped(response, vo_start + offset)
             with pytest.raises(ReproError):
-                RemoteClient(lambda _, m=forged: m, system).query(QUERY)
+                RemoteClient(lambda _, m=forged: m, system).query(text)
             assert before <= set(cache._entries) <= allowed
     finally:
         system._sp.process_query = honest_sp
-    assert system.query(QUERY).verified
+    assert system.query(text).verified
     assert set(cache._entries) == genuine

@@ -12,9 +12,10 @@ class TestParser:
         assert args.seed == 7
 
     def test_rejects_unknown_experiment(self):
-        # "shard" and "witness" were experiments until their subjects
-        # (the executors, the cache warmer) left the package.
-        for name in ("fig99", "shard", "witness"):
+        # "shard", "witness" and "fastpath" were experiments until their
+        # subjects (the executors, the cache warmer, the per-slot
+        # openers) left the package.
+        for name in ("fig99", "shard", "witness", "fastpath"):
             with pytest.raises(SystemExit):
                 build_parser().parse_args(["--exp", name])
 

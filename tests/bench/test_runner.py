@@ -78,7 +78,6 @@ class TestExperimentSmoke:
             "fig13",
             "tab2",
             "disj",
-            "fastpath",
             "query",
             "flatbuf",
         }

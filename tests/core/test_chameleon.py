@@ -67,23 +67,51 @@ class TestDataOwner:
         assert proof.object_id == 10
 
     def test_insertion_proofs_equal_the_public_openings(self, trees, cvc):
-        """What the DO opens with the trapdoor, ``open_slot`` opens without."""
+        """What the DO opens with the trapdoor is ``a^r`` of the node's
+        current aux, it opens the node's whole vector, and the public
+        per-slot openings ``open_slot`` computes without the trapdoor
+        follow from it: ``L_i = Lambda^{E/e_i} * prod_{j != i} T_{j,i}^{z_j}``."""
+        import math
+
         from repro.core.mbtree import entry_digest
         from repro.crypto import vc
 
+        pp = cvc.pp
         do, _ = trees
+
+        def derived_slot_opening(opening, slot, aux):
+            value = pow(opening, pp.vector_exponent // pp.exponents[slot], pp.modulus)
+            for other, z in enumerate(aux.messages, start=1):
+                if other != slot and z:
+                    value = value * pow(pp.pair_base(other, slot), z, pp.modulus)
+            return value % pp.modulus
+
         for object_id in range(1, 12):
             proof = do.insert(object_id, value_of(object_id))
             entry = entry_digest(object_id, value_of(object_id))
-            assert proof.slot1_proof == vc.open_slot(
-                cvc.pp, 1, entry, do.aux_at(proof.position)
+            for position, opening in (
+                (proof.position, proof.opening),
+                (proof.parent_position, proof.parent_opening),
+            ):
+                aux = do.aux_at(position)
+                assert opening == pow(pp.base, aux.randomiser, pp.modulus)
+                # Object ``k`` sits at position ``k``.
+                own = entry_digest(position, value_of(position)) if position else None
+                messages = [own] + [
+                    do._commitments.get(position * 2 + j) for j in (1, 2)
+                ]
+                commitment = do._commitments[position]
+                assert vc.verify_vector(pp, commitment, messages, opening)
+                assert math.prod(pp.exponents[1:]) == pp.vector_exponent
+            aux = do.aux_at(proof.position)
+            assert derived_slot_opening(proof.opening, 1, aux) == vc.open_slot(
+                pp, 1, entry, aux
             )
-            assert proof.parent_link_proof == vc.open_slot(
-                cvc.pp,
-                proof.child_index + 1,
-                proof.commitment,
-                do.aux_at(proof.parent_position),
-            )
+            parent_aux = do.aux_at(proof.parent_position)
+            slot = proof.child_index + 1
+            assert derived_slot_opening(
+                proof.parent_opening, slot, parent_aux
+            ) == vc.open_slot(pp, slot, proof.commitment, parent_aux)
 
     def test_retract_restores_the_tree(self, trees):
         do, _ = trees
@@ -171,18 +199,18 @@ class TestMembershipVerification:
         for pos in range(1, len(ids) + 1):
             table = sp.multiproof((pos,))
             assert table.authenticate(
-                plain_check(pp), do.root_commitment, sp.count
+                plain_check(pp, table), do.root_commitment, sp.count
             ) == ([pos], [(ids[pos - 1], value_of(ids[pos - 1]))])
         whole = sp.multiproof(tuple(range(1, len(ids) + 1)))
         positions, leaves = whole.authenticate(
-            plain_check(pp), do.root_commitment, sp.count
+            plain_check(pp, whole), do.root_commitment, sp.count
         )
         assert positions == list(range(1, len(ids) + 1))
         assert [key for key, _ in leaves] == ids
 
     def refused(self, pp, table, root, count):
         with pytest.raises(VerificationError):
-            table.authenticate(plain_check(pp), root, count)
+            table.authenticate(plain_check(pp, table), root, count)
 
     def test_wrong_id_rejected(self, trees, cvc_params):
         pp, _ = cvc_params
@@ -205,12 +233,21 @@ class TestMembershipVerification:
         self.refused(pp, sp.multiproof((3,)), do.root_commitment, 2)
 
     def test_claimed_position_must_match_links(self, trees, cvc_params):
-        """Position 3 presented as its sibling 4: same parent row, but
-        the link now has to open the parent's other child slot."""
+        """Position 3 presented as its sibling 4 (with 4's commitment
+        shipped in 3's place): same parent row, but the parent's opening
+        now has to open the two children in each other's slots."""
         pp, _ = cvc_params
         do, sp = trees
         fill(do, sp, [1, 2, 3, 4, 5])
-        forged = forge(sp.multiproof((3,)), {3: change(position=4)})
+        table = sp.multiproof((3,))
+        parent = rows_of(table)[0]
+        forged = forge(
+            table,
+            {
+                1: change(shipped={1: parent.shipped[2]}),
+                3: change(position=4),
+            },
+        )
         assert [r.position for r in rows_of(forged)] == [1, 4]
         self.refused(pp, forged, do.root_commitment, sp.count)
 
@@ -228,7 +265,9 @@ class TestMembershipVerification:
         fill(do, sp, [1, 2, 3])
         orphan = forge(sp.multiproof((3,)), {1: lambda _: None})
         with pytest.raises(VerificationError, match="lacks the parent"):
-            orphan.authenticate(plain_check(pp), do.root_commitment, sp.count)
+            orphan.authenticate(
+                plain_check(pp, orphan), do.root_commitment, sp.count
+            )
 
     def test_proof_byte_size(self, trees):
         do, sp = trees
@@ -237,9 +276,14 @@ class TestMembershipVerification:
         deep = sp.multiproof((15,))
         assert deep.byte_size() > shallow.byte_size()
         width = shallow.value_bytes
-        # arity + row count, then one entry row: position, flag, id,
-        # hash, three group elements.
-        assert shallow.byte_size() == 2 + 2 + 40 + 3 * width
-        # ... plus a node row (position, flag, two elements) per ancestor
-        # below the root: 7, 3 and 1.
-        assert deep.byte_size() == shallow.byte_size() + 3 * (2 + 2 * width)
+        # arity + row count; the root: flags, its opening and the
+        # commitment of its child 2, which is no row; then one row:
+        # position, flags, id, hash, commitment, opening, and the
+        # commitments of its two children 3 and 4.
+        root = 1 + width + width
+        assert shallow.byte_size() == 2 + root + 2 + 40 + 2 * width + 2 * width
+        # A row per ancestor below the root (1, 3 and 7); 1 and 3 ship the
+        # sibling of the next row down, 7's other child (16) is beyond
+        # cnt, and position 15 has no children.
+        row = 2 + 40 + 2 * width
+        assert deep.byte_size() == 2 + root + 4 * row + 2 * width

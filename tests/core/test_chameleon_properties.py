@@ -2,10 +2,13 @@
 
 Model: a sorted list of inserted IDs.  For any insertion sequence, every
 node table must authenticate, boundary lookups must match the model, and
-position adjacency must mirror rank adjacency; and for any arity and any
-subset of positions, the table over it verifies, the client's view of it
-answers exactly the probes the subset can answer, and removing or
-reordering any row is rejected.
+position adjacency must mirror rank adjacency; and for any arity in
+{2, 3, 4}, any ``cnt`` and any set of read positions, the table over
+them round-trips through the codec, authenticates to exactly the read
+entries, the client's view of it answers exactly the probes the set can
+answer, removing or reordering any row is rejected, and the batched
+check of its whole-vector openings agrees with checking them one by one
+— on the honest statements and with any one of them made wrong.
 """
 
 import bisect
@@ -17,6 +20,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.chameleon import ChameleonTreeDO, ChameleonTreeSP
 from repro.core.chameleon_index import ChameleonProofSystem, ChameleonView
+from repro.core.query.codec import VOCodec
+from repro.core.query.vo import QueryVO
 from repro.crypto import vc
 from repro.crypto.hashing import sha3
 from repro.crypto.prf import generate_key
@@ -51,14 +56,16 @@ def build(ids, keyword="prop", arity=2):
 def test_all_memberships_verify(ids):
     pp, do, sp = build(ids)
     everything = tuple(range(1, len(ids) + 1))
-    positions, leaves = sp.multiproof(everything).authenticate(
-        plain_check(pp), do.root_commitment, sp.count
+    whole = sp.multiproof(everything)
+    positions, leaves = whole.authenticate(
+        plain_check(pp, whole), do.root_commitment, sp.count
     )
     assert positions == list(everything)
     assert [key for key, _ in leaves] == ids
     for pos in everything:
-        assert sp.multiproof((pos,)).authenticate(
-            plain_check(pp), do.root_commitment, sp.count
+        table = sp.multiproof((pos,))
+        assert table.authenticate(
+            plain_check(pp, table), do.root_commitment, sp.count
         )[0] == [pos]
 
 
@@ -84,15 +91,47 @@ def brute_boundaries(ids, shown, count, target):
     return (ids[idx - 1] if idx else None, ids[idx] if idx < count else None)
 
 
-#: One 40-entry tree per arity.  Node commitments never change, so its
-#: first ``size`` positions under ``cnt = size`` are the tree as it was
-#: after ``size`` insertions: every prefix is a tree size to test.
+#: One 40-entry tree per arity, and the SP's copy after every insertion:
+#: an opening covers its node's filled child slots, so the tree at
+#: ``cnt = size`` is the SP's state after ``size`` insertions, not a
+#: prefix of the final one.
 _IDS = sorted(random.Random(40).sample(range(1, 500), 40))
+
+ARITIES = (2, 3, 4)
+
+_GROWN = {}
+
+
+def grown(arity):
+    """``(pp, c_0, blobs)``: ``blobs[size]`` is the SP's tree at ``cnt = size``."""
+    if arity not in _GROWN:
+        pp, td = vc.shared_test_params(arity + 1)
+        cvc = vc.ChameleonVectorCommitment(arity + 1, _pp=pp, _td=td)
+        do = ChameleonTreeDO(cvc, _KEY, f"kw{arity}", arity=arity)
+        sp = ChameleonTreeSP(do.root_commitment, arity=arity, value_bytes=64)
+        blobs = [None]
+        for object_id in _IDS:
+            sp.apply_insertion(do.insert(object_id, sha3(b"%d" % object_id)))
+            blobs.append(sp.to_blob())
+        _GROWN[arity] = (pp, do.root_commitment, blobs)
+    return _GROWN[arity]
+
+
+def recorded(table, root, count):
+    """Every node statement of an honest table, as ``authenticate`` builds them."""
+    statements = []
+
+    def record(_position, node, children):
+        statements.append(table.statement(node, children))
+        return True
+
+    table.authenticate(record, root, count)
+    return statements
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(
-    arity=st.sampled_from([2, 3, 16]),
+    arity=st.sampled_from(ARITIES),
     size=st.integers(1, len(_IDS)),
     data=st.data(),
 )
@@ -101,11 +140,19 @@ def test_tables_over_random_position_subsets(arity, size, data):
         data.draw(st.sets(st.integers(1, size), min_size=1, max_size=12))
     )
     ids = _IDS[:size]
-    pp, do, sp = build(_IDS, f"kw{arity}", arity)
+    pp, root, blobs = grown(arity)
+    sp = ChameleonTreeSP.from_blob(blobs[size])
     table = sp.multiproof(tuple(shown))
+    codec = VOCodec(value_bytes=64)
+    payload = codec.encode(QueryVO(conjuncts=(), multiproofs=(table,)))
+    assert codec.decode(payload).multiproofs == (table,)
+    assert table.authenticate(plain_check(pp, table), root, size) == (
+        shown,
+        [(ids[p - 1], sha3(b"%d" % ids[p - 1])) for p in shown],
+    )
     ps = ChameleonProofSystem(
         pp=pp,
-        digests={"kw": (do.root_commitment, size)},
+        digests={"kw": (root, size)},
         arity=arity,
         value_bytes=64,
     )
@@ -148,3 +195,48 @@ def test_tables_over_random_position_subsets(arity, size, data):
                 run = ps.proven_run("kw", 0)
                 for position in shown:
                     run.boundaries(ids[position - 1])
+
+
+def _spoil(statement, how, pp):
+    commitment, messages, opening = statement
+    n = pp.modulus
+    if how == "opening":
+        return commitment, messages, opening ^ 1
+    if how == "negated opening":
+        return commitment, messages, n - opening
+    if how == "commitment":
+        return commitment ^ 1, messages, opening
+    if how == "slot 1":
+        return commitment, [sha3(b"forged")] + list(messages[1:]), opening
+    # "child": a filled child slot emptied, or an empty one filled.
+    messages = list(messages)
+    messages[-1] = None if messages[-1] is not None else commitment
+    return commitment, messages, opening
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    arity=st.sampled_from(ARITIES),
+    size=st.integers(1, len(_IDS)),
+    data=st.data(),
+)
+def test_batch_agrees_with_per_statement_checks(arity, size, data):
+    shown = sorted(
+        data.draw(st.sets(st.integers(1, size), min_size=1, max_size=8))
+    )
+    pp, root, blobs = grown(arity)
+    table = ChameleonTreeSP.from_blob(blobs[size]).multiproof(tuple(shown))
+    statements = recorded(table, root, size)
+    assert all(vc.verify_vector(pp, *statement) for statement in statements)
+    assert vc.verify_batch(pp, statements)
+    victim = data.draw(st.integers(0, len(statements) - 1))
+    how = data.draw(
+        st.sampled_from(
+            ["opening", "negated opening", "commitment", "slot 1", "child"]
+        )
+    )
+    spoiled = list(statements)
+    spoiled[victim] = _spoil(statements[victim], how, pp)
+    verdicts = [vc.verify_vector(pp, *statement) for statement in spoiled]
+    assert verdicts.count(False) == 1 and not verdicts[victim]
+    assert not vc.verify_batch(pp, spoiled)

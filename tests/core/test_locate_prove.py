@@ -35,7 +35,13 @@ from repro.core.query.codec import VOCodec
 from repro.core.query.join import conjunctive_join
 from repro.core.query.parser import KeywordQuery
 from repro.core.query.verify import verify_query
-from repro.core.query.vo import ConjunctiveVO, QueryAnswer, QueryVO, ReplayVO
+from repro.core.query.vo import (
+    ConjunctiveVO,
+    ProvenEntry,
+    QueryAnswer,
+    QueryVO,
+    ReplayVO,
+)
 from repro.crypto.hashing import sha3
 from repro.errors import (
     ReproError,
@@ -43,7 +49,6 @@ from repro.errors import (
     UnresolvedProofError,
 )
 
-from tests.legacy_vo import ProvenEntry
 from tests.reference_multiproof import build_multiproof, prove_path
 
 
@@ -76,7 +81,7 @@ def test_multiproof_and_gate_equal_the_oracle(keys, fanout, data):
     unique = sorted(set(picks))
     paths = {key: prove_path(tree, key)[1] for key in unique}
     proven = [
-        (ProvenEntry(key, value_of(key), paths[key]), paths[key])
+        (ProvenEntry(key, value_of(key)), paths[key])
         for key in picks
     ]
     reference, ordinals = build_multiproof(proven)

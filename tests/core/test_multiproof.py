@@ -15,9 +15,9 @@ from repro.core.multiproof import (
     SLOT_LEAF,
     TreeMultiproof,
 )
+from repro.core.query.vo import ProvenEntry
 from repro.errors import ReproError, VerificationError
 
-from tests.legacy_vo import ProvenEntry
 from tests.reference_multiproof import (
     MerklePath,
     build_multiproof,
@@ -48,11 +48,7 @@ def proven(tree: MBTree, keys) -> list[tuple[ProvenEntry, MerklePath]]:
         entry, path = prove_path(tree, key)
         out.append(
             (
-                ProvenEntry(
-                    object_id=entry.key,
-                    object_hash=entry.value_hash,
-                    proof=path,
-                ),
+                ProvenEntry(object_id=entry.key, object_hash=entry.value_hash),
                 path,
             )
         )

@@ -143,23 +143,30 @@ class TestChameleonBlobRoundTrip:
                 object_id=pos * 10,
                 object_hash=sha3(b"o%d" % pos),
                 commitment=1000 + pos,
-                slot1_proof=2000 + pos,
-                parent_link_proof=3000 + pos,
-                child_index=(pos % 2) + 1,
+                opening=2000 + pos,
             )
+        # Each insertion replaces its parent's opening; the root's lives
+        # in the header next to c_0.
+        store.set_opening(0, 0xC0FFEE)
+        store.set_opening(3, 3000)
         clone = ChameleonStore.from_blob(store.to_blob())
         assert clone.arity == 2
         assert clone.value_bytes == 16
         assert clone.count == 7
         assert clone.root_commitment == 0xDEADBEEF
+        assert clone.opening(0) == 0xC0FFEE
         for pos in range(1, 8):
             assert clone.object_id(pos) == pos * 10
             assert clone.object_hash(pos) == sha3(b"o%d" % pos)
             assert clone.commitment(pos) == 1000 + pos
-            assert clone.slot1_proof(pos) == 2000 + pos
-            assert clone.parent_link_proof(pos) == 3000 + pos
-            assert clone.child_index(pos) == (pos % 2) + 1
+            assert clone.opening(pos) == (3000 if pos == 3 else 2000 + pos)
         assert clone.rank_of(35) == 3
+        # A blob of the per-slot layout (one child-index byte and one
+        # more element per record) is refused, not misread.
+        with pytest.raises(IntegrityError):
+            old = bytearray(store.to_blob())
+            old[8:12] = (41 + 3 * 16).to_bytes(4, "big")
+            ChameleonStore.from_blob(bytes(old))
 
     def test_kind_confusion_rejected(self):
         mb = build_tree(5).to_blob()

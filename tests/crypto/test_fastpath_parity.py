@@ -186,10 +186,12 @@ class TestCVCFastpathParity:
         """Trapdoor collisions (the DO hot path) stay consistent."""
         c, aux = cvc.commit([b"a", b"b", None], randomiser=12345)
         aux2 = cvc.collide(c, 3, None, b"c", aux)
-        proof = cvc.open(3, b"c", aux2)
-        assert cvc.verify(c, 3, b"c", proof)
+        opening = cvc.open_vector(aux2)
+        assert vc.verify_vector(cvc.pp, c, [b"a", b"b", b"c"], opening)
+        assert not vc.verify_vector(cvc.pp, c, [b"a", b"b", None], opening)
         with vc.fastpath(False):
-            assert cvc.verify(c, 3, b"c", proof)
+            assert vc.verify_vector(cvc.pp, c, [b"a", b"b", b"c"], opening)
+            assert not vc.verify_vector(cvc.pp, c, [b"a", b"b", None], opening)
 
     def test_toggle_restores_previous_state(self):
         original = vc.fastpath_enabled()

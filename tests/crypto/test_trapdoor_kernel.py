@@ -1,14 +1,16 @@
 """The trapdoor kernel against the public, no-trapdoor reference.
 
-The data owner opens with the trapdoor: one exponent reduced modulo
-``phi(N)``, one exponentiation over the two prime fields.  An opening is
-a *unique* group element (``x -> x^{e_i}`` is a bijection), so whatever
-route computes it the bits must agree.  These tests hold the kernel to
-the public functions — ``open_slot``, ``open_many(strategy="batch")``,
-``verify`` and the textbook ``CCol`` formula — across arities, modulus
-sizes, edge randomisers, empty slots and chains of collisions, with the
-public fast path on and off.  Every check is an ``if ...: raise`` once
-pytest has rewritten it, so the file holds under ``python -O`` too.
+The data owner opens with the trapdoor: the whole vector's opening is
+``a^r``, one exponentiation over the two prime fields.  An opening is a
+*unique* group element (``x -> x^E`` is a bijection), so whatever route
+computes it the bits must agree.  These tests hold the kernel to the
+public functions — ``verify_vector``, the per-slot reference
+``open_slot`` / ``verify`` (each slot's opening follows from the whole
+one: ``L_i = Lambda^{E/e_i} * prod_{j != i} T_{j,i}^{z_j}``) and the
+textbook ``CCol`` formula — across arities, modulus sizes, edge
+randomisers, empty slots and chains of collisions, with the public fast
+path on and off.  Every check is an ``if ...: raise`` once pytest has
+rewritten it, so the file holds under ``python -O`` too.
 """
 
 import copy
@@ -44,6 +46,15 @@ def textbook_randomiser(pp, td, slot, z_old, z_new, randomiser):
     inverse = mod_inverse(product // pp.exponents[0] % phi, phi)
     delta = coeff * ((z_old - z_new) % phi) % phi
     return (randomiser + delta * inverse) % phi
+
+
+def slot_opening(pp, opening, slot, aux):
+    """Slot ``slot``'s opening, derived publicly from the whole vector's."""
+    value = pow(opening, pp.vector_exponent // pp.exponents[slot], pp.modulus)
+    for other, z in enumerate(aux.messages, start=1):
+        if z and other != slot:
+            value = value * pow(pp.pair_base(other, slot), z, pp.modulus) % pp.modulus
+    return value
 
 
 message = st.one_of(st.none(), st.binary(min_size=1, max_size=12))
@@ -82,16 +93,13 @@ def test_kernel_agrees_with_the_public_reference(arity, bits, fast, data):
         commitment, aux = cvc.commit(messages, randomiser)
         current = list(messages)
         for step in range(len(updates) + 1):
-            batch = vc.open_many(pp, slots, aux, strategy="batch")
+            opening = cvc.open_vector(aux)
+            assert opening == pow(pp.base, aux.randomiser, pp.modulus)
+            assert vc.verify_vector(pp, commitment, current, opening)
             for slot in slots:
-                opening = cvc.open_held(slot, aux)
-                assert opening == vc.open_slot(
-                    pp, slot, current[slot - 1], aux
-                )
-                assert opening == batch[slot]
-                assert vc.verify(
-                    pp, commitment, slot, current[slot - 1], opening
-                )
+                derived = slot_opening(pp, opening, slot, aux)
+                assert derived == vc.open_slot(pp, slot, current[slot - 1], aux)
+                assert vc.verify(pp, commitment, slot, current[slot - 1], derived)
             if step == len(updates):
                 break
             slot, new_message = updates[step]
@@ -128,8 +136,8 @@ class TestKernelSurface:
     def test_counts_one_opening_each(self, cvc):
         _, aux = cvc.commit([b"a", None, b"c"], 5)
         with obs.collect() as collector:
-            cvc.open_held(1, aux)
-            cvc.open_held(3, aux)
+            cvc.open_vector(aux)
+            cvc.open_vector(aux)
             snap = collector.metrics.snapshot()
         assert snap["vc.batch.openings"] == 2
         assert "vc.batch.dnc" not in snap
@@ -139,7 +147,7 @@ class TestKernelSurface:
         public = cvc.public_view()
         _, aux = cvc.commit([b"a", None, None], 5)
         with pytest.raises(TrapdoorRequiredError):
-            public.open_held(1, aux)
+            public.open_vector(aux)
         with pytest.raises(TrapdoorRequiredError):
             public.collide(0, 1, b"a", b"b", aux)
         assert public.prewarm() == cvc.prewarm() - 2
@@ -151,14 +159,16 @@ class TestKernelSurface:
         legacy = vc.ChameleonVectorCommitment(
             pp.arity, _pp=dataclasses.replace(pp, base=0), _td=td
         )
-        _, aux = legacy.commit([b"a", b"b", None], 77)
-        assert legacy.open_held(2, aux) == vc.open_slot(pp, 2, b"b", aux)
+        commitment, aux = legacy.commit([b"a", b"b", None], 77)
+        assert legacy.open_vector(aux) == pow(pp.base, 77, pp.modulus)
+        assert vc.verify_vector(pp, commitment, [b"a", b"b", None], legacy.open_vector(aux))
 
     def test_slot_out_of_range(self, cvc):
+        """The per-slot reference still names only real slots."""
         _, aux = cvc.commit([None, None, None], 5)
         for slot in (0, cvc.arity + 1):
             with pytest.raises(CommitmentError):
-                cvc.open_held(slot, aux)
+                vc.open_slot(cvc.pp, slot, None, aux)
 
 
 class TestTrapdoorHygiene:

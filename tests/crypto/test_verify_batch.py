@@ -1,11 +1,12 @@
 """``vc.verify_batch``: one random linear combination for many openings.
 
-What a passing batch proves is argued in DESIGN.md §6.1; these tests pin
+Each statement is a whole-vector opening ``(C, messages, Lambda)``; what
+a passing batch proves is argued in DESIGN.md §6.1, and these tests pin
 the cases that argument names.  Outside one documented case — an even
-number of proofs negated modulo ``N`` — a batch verdict equals
-``all(vc.verify(...))``; and since the coefficients are drawn afresh from
-the operating system on every call, the rejections are repeated often
-enough that a one-in-many escape would show.
+number of openings negated modulo ``N`` — a batch verdict equals
+``all(vc.verify_vector(...))``; and since the coefficients are drawn
+afresh from the operating system on every call, the rejections are
+repeated often enough that a one-in-many escape would show.
 """
 
 import math
@@ -18,8 +19,8 @@ from repro import obs
 from repro.crypto import vc
 
 
-def honest_openings(pp, seed, commitments=4):
-    """Every slot of ``commitments`` random vectors, opened honestly."""
+def honest_openings(pp, seed, commitments=12):
+    """``commitments`` random vectors, each opened whole: ``a^r``."""
     rng = random.Random(seed)
     openings = []
     for _ in range(commitments):
@@ -27,9 +28,9 @@ def honest_openings(pp, seed, commitments=4):
             None if rng.random() < 0.2 else rng.randbytes(12)
             for _ in range(pp.arity)
         ]
-        c, aux = vc.commit(pp, messages, rng.getrandbits(200))
-        for slot, message in enumerate(messages, start=1):
-            openings.append((c, slot, message, vc.open_slot(pp, slot, message, aux)))
+        randomiser = rng.getrandbits(200)
+        c, _ = vc.commit(pp, messages, randomiser)
+        openings.append((c, messages, pow(pp.base, randomiser, pp.modulus)))
     return openings
 
 
@@ -41,22 +42,26 @@ def unit(pp, rng):
 
 
 def negated(pp, opening):
-    c, slot, message, proof = opening
-    return (c, slot, message, pp.modulus - proof)
+    c, messages, proof = opening
+    return (c, messages, pp.modulus - proof)
+
+
+def rotated(messages):
+    """The same messages, each one slot further on (none of them equal)."""
+    return [messages[-1], *messages[:-1]]
 
 
 #: name -> (opening, another honest opening, pp, rng) -> tampered opening.
-#: Each makes ``vc.verify`` reject the opening it returns.
+#: Each makes ``vc.verify_vector`` reject the opening it returns.
 TAMPERS = {
-    "wrong message": lambda o, other, pp, rng: (o[0], o[1], b"forged", o[3]),
-    "wrong slot": lambda o, other, pp, rng: (o[0], o[1] % pp.arity + 1, o[2], o[3]),
-    "other commitment": lambda o, other, pp, rng: (other[0], o[1], o[2], o[3]),
-    "bit flip": lambda o, other, pp, rng: (o[0], o[1], o[2], o[3] ^ 1),
+    "wrong message": lambda o, other, pp, rng: (o[0], [b"forged", *o[1][1:]], o[2]),
+    "wrong slot": lambda o, other, pp, rng: (o[0], rotated(o[1]), o[2]),
+    "other commitment": lambda o, other, pp, rng: (other[0], o[1], o[2]),
+    "bit flip": lambda o, other, pp, rng: (o[0], o[1], o[2] ^ 1),
     "stray factor": lambda o, other, pp, rng: (
         o[0],
         o[1],
-        o[2],
-        o[3] * unit(pp, rng) % pp.modulus,
+        o[2] * unit(pp, rng) % pp.modulus,
     ),
     "negated": lambda o, other, pp, rng: negated(pp, o),
 }
@@ -69,12 +74,16 @@ def pp():
 
 @pytest.fixture(scope="module")
 def openings(pp):
-    return honest_openings(pp, seed=1)
+    # Every vector distinct in every slot, so "wrong slot" always moves
+    # a message where it is not.
+    batch = honest_openings(pp, seed=1)
+    return [o for o in batch if len({*o[1]}) == pp.arity]
 
 
 class TestHonestBatches:
     def test_honest_batch_passes(self, pp, openings):
-        assert all(vc.verify(pp, *o) for o in openings)
+        assert len(openings) >= 6
+        assert all(vc.verify_vector(pp, *o) for o in openings)
         for _ in range(5):
             assert vc.verify_batch(pp, openings)
 
@@ -86,9 +95,9 @@ class TestHonestBatches:
 
     def test_batch_of_one_is_verify(self, pp, openings, monkeypatch):
         seen = []
-        real = vc.verify
+        real = vc.verify_vector
         monkeypatch.setattr(
-            vc, "verify", lambda pp, *o: seen.append(o) or real(pp, *o)
+            vc, "verify_vector", lambda pp, *o: seen.append(o) or real(pp, *o)
         )
         with obs.collect() as collector:
             assert vc.verify_batch(pp, openings[:1])
@@ -114,25 +123,29 @@ class TestRejections:
         batch[index] = TAMPERS[tamper](
             batch[index], openings[index - 4], pp, random.Random(5)
         )
-        assert not vc.verify(pp, *batch[index])
+        assert not vc.verify_vector(pp, *batch[index])
         for _ in range(10):
             assert not vc.verify_batch(pp, batch)
 
     def test_cancelling_pair_passes_unweighted_and_fails_here(self, pp, openings):
-        """``L_1 * g`` and ``L_2 / g`` in one slot: their errors cancel in
-        a plain product of the equations, never under fresh coefficients."""
-        first, second = [o for o in openings if o[1] == 2][:2]
+        """``L_1 * g`` and ``L_2 / g``: every statement shares the exponent
+        ``E``, so any two errors cancel in a plain product of the
+        equations — never under fresh coefficients."""
+        first, second = openings[:2]
         g = unit(pp, random.Random(9))
         pair = [
-            (first[0], 2, first[2], first[3] * g % pp.modulus),
-            (second[0], 2, second[2], second[3] * pow(g, -1, pp.modulus) % pp.modulus),
+            (first[0], first[1], first[2] * g % pp.modulus),
+            (second[0], second[1], second[2] * pow(g, -1, pp.modulus) % pp.modulus),
         ]
-        assert not vc.verify(pp, *pair[0]) and not vc.verify(pp, *pair[1])
-        n, e = pp.modulus, pp.slot_exponent(2)
+        assert not vc.verify_vector(pp, *pair[0])
+        assert not vc.verify_vector(pp, *pair[1])
+        n, e = pp.modulus, pp.vector_exponent
         lhs = rhs = 1
-        for c, slot, message, proof in pair:
-            z = vc.encode_message(message)
-            lhs = lhs * pow(proof, e, n) * pow(pp.slot_base(slot), z, n) % n
+        for c, messages, proof in pair:
+            lhs = lhs * pow(proof, e, n) % n
+            for slot, message in enumerate(messages, start=1):
+                z = vc.encode_message(message)
+                lhs = lhs * pow(pp.slot_base(slot), z, n) % n
             rhs = rhs * c % n
         assert lhs == rhs  # the unweighted product is fooled
         rest = [o for o in openings if o not in (first, second)]
@@ -142,26 +155,26 @@ class TestRejections:
             assert not vc.verify_batch(pp, rest + pair)
 
     def test_out_of_range_values_fail_before_any_arithmetic(self, pp, openings):
-        c, slot, message, proof = openings[0]
+        c, messages, proof = openings[0]
         rest = openings[1:]
         for bad in (
-            (c, slot, message, 0),
-            (0, slot, message, proof),
-            (0, slot, message, 0),  # 0 = 0 would satisfy any product
-            (c, slot, message, pp.modulus),
-            (c + pp.modulus, slot, message, proof),
-            (c, 0, message, proof),
-            (c, pp.arity + 1, message, proof),
-            (c, slot, message, -proof),
+            (c, messages, 0),
+            (0, messages, proof),
+            (0, messages, 0),  # 0 = 0 would satisfy any product
+            (c, messages, pp.modulus),
+            (c + pp.modulus, messages, proof),
+            (c, messages[:-1], proof),  # one slot short
+            (c, [*messages, None], proof),  # one slot too many
+            (c, messages, -proof),
         ):
-            assert not vc.verify(pp, *bad)
+            assert not vc.verify_vector(pp, *bad)
             assert not vc.verify_batch(pp, rest + [bad])
             assert not vc.verify_batch(pp, [bad, bad])
 
 
 class TestSigns:
-    """DESIGN.md §6.1 item 3: every slot prime and every coefficient is
-    odd, so a batch counts negated proofs modulo two."""
+    """DESIGN.md §6.1 item 3: ``E`` (a product of odd primes) and every
+    coefficient are odd, so a batch counts negated openings modulo two."""
 
     def test_one_sign_flip_is_rejected_every_time(self, pp, openings):
         for index in (0, len(openings) // 2, len(openings) - 1):
@@ -176,18 +189,18 @@ class TestSigns:
             assert not vc.verify_batch(pp, batch)
 
     def test_two_sign_flips_are_the_documented_difference(self, pp, openings):
-        """The batch passes, ``vc.verify`` rejects each — and each
-        statement is true: negating the proof back gives one it accepts."""
+        """The batch passes, ``vc.verify_vector`` rejects each — and each
+        statement is true: negating the opening back gives one it accepts."""
         flipped = [negated(pp, o) for o in openings[:2]]
         batch = flipped + openings[2:]
         assert vc.verify_batch(pp, batch)
         assert vc.verify_batch(pp, flipped)
         for opening in flipped:
-            assert not vc.verify(pp, *opening)
-            assert vc.verify(pp, *negated(pp, opening))
+            assert not vc.verify_vector(pp, *opening)
+            assert vc.verify_vector(pp, *negated(pp, opening))
 
     def test_reference_arithmetic_has_no_such_case(self, pp, openings):
-        """With the fast path off a batch is ``all(vc.verify)``."""
+        """With the fast path off a batch is ``all(vc.verify_vector)``."""
         flipped = [negated(pp, o) for o in openings[:2]]
         with vc.fastpath(False):
             assert vc.verify_batch(pp, openings)
@@ -200,10 +213,14 @@ _GRID = [(arity, bits) for arity in (2, 3) for bits in (512, 1024)]
 @pytest.mark.parametrize("arity,bits", _GRID)
 def test_batch_agrees_with_per_opening_verdicts(arity, bits):
     """Hypothesis, per (arity, modulus): for a random set of tampered
-    positions and kinds, ``verify_batch`` is ``all(vc.verify)`` — except
-    when the set is an even number of negations and nothing else."""
+    positions and kinds, ``verify_batch`` is ``all(vc.verify_vector)`` —
+    except when the set is an even number of negations and nothing else."""
     pp = vc.shared_test_params(arity, modulus_bits=bits)[0]
-    honest = honest_openings(pp, seed=arity * bits, commitments=3)
+    honest = [
+        o
+        for o in honest_openings(pp, seed=arity * bits, commitments=12)
+        if len({*o[1]}) == pp.arity
+    ]
     kinds = sorted(TAMPERS)
 
     @settings(
@@ -224,7 +241,7 @@ def test_batch_agrees_with_per_opening_verdicts(arity, bits):
             batch[index] = TAMPERS[kind](
                 honest[index], honest[index - pp.arity], pp, rng
             )
-        one_by_one = all(vc.verify(pp, *o) for o in batch)
+        one_by_one = all(vc.verify_vector(pp, *o) for o in batch)
         documented = (
             bool(tampers)
             and set(tampers.values()) == {"negated"}

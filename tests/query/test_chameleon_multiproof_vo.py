@@ -1,13 +1,17 @@
 """End-to-end tests for Chameleon node-table VOs.
 
 The SP ships one :class:`ChameleonMultiproof` per keyword tree — every
-node the query needs, once: an entry row per ``<id, h(o)>`` a probe
-read, a node row per further ancestor — and nothing else; the client
-authenticates each table's rows once inside ``verify_query``, settles
-every distinct opening it does not remember in one ``vc.verify_batch``,
-and replays the join over the entry rows.  These tests pin the win over
-one membership proof per entry, the round trip, the opening count, and
-— most importantly — that every tamper vector fails closed.
+node the query needs, once: the root, a read row per ``<id, h(o)>`` a
+probe read, an unread row per further ancestor, each with one opening
+of its node's whole vector and the commitments of its children that
+are no rows — and nothing else; the client authenticates each table's
+nodes once inside ``verify_query``, settles every distinct node
+statement it does not remember in one ``vc.verify_batch``, and replays
+the join over the read rows.  These tests pin the win over one
+membership proof per entry, the round trip, the opening count (one per
+node), and — most importantly — that every tamper vector fails closed.
+Tests keep the names they had when an entry cost a slot-1 and a link
+opening.
 """
 
 import dataclasses
@@ -99,8 +103,8 @@ def per_entry_bytes(vo, value_bytes):
     return total
 
 
-def link(edit):
-    return lambda row: change(link_proof=edit(row.link_proof))(row)
+def opening(edit):
+    return lambda row: change(opening=edit(row.opening))(row)
 
 
 class TestCompression:
@@ -213,28 +217,33 @@ class TestRoundTrip:
         rows = rows_of(table)
         assert all(row.is_entry for row in rows)  # a scan reads every node
         shorter = table_of(rows[:-1], table)
-        last = 1 + 1 + 8 + 32 + 3 * vb  # position + flag, id + hash, c, pi, rho
+        last = 1 + 1 + 8 + 32 + 2 * vb  # position + flags, id + hash, c, Lambda
         assert table.byte_size() - shorter.byte_size() == last
         # One kind tag per table on top of the table body.
         framed = len(codec.encode(vo))
         bare = len(codec.encode(dataclasses.replace(vo, multiproofs=())))
         assert framed - bare == 1 + table.byte_size()
-        # A node row is a position, a flag and two elements.
+        # An unread row is laid out like a read one, plus one element per
+        # child it ships.
         sparse = answer_for(v3_system, SPARSE).vo.multiproofs
         nodes = [r for t in sparse for r in rows_of(t) if not r.is_entry]
         assert nodes
         thinner = table_of([r for r in rows_of(sparse[1]) if r.is_entry], sparse[1])
-        dropped = sum(1 for r in rows_of(sparse[1]) if not r.is_entry)
-        assert sparse[1].byte_size() - thinner.byte_size() == dropped * (2 + 2 * vb)
+        dropped = sum(
+            2 + 40 + (2 + len(r.shipped)) * vb
+            for r in rows_of(sparse[1])
+            if not r.is_entry
+        )
+        assert sparse[1].byte_size() - thinner.byte_size() == dropped
 
 
 class Spy:
     """What one verification cost, as calls into ``repro.crypto.vc``."""
 
     def __init__(self):
-        self.verify = []  # openings checked one by one
-        self.batches = []  # openings of each ``verify_batch`` call
-        self.full_width = 0  # exponentiations by a slot prime
+        self.verify = []  # statements checked one by one
+        self.batches = []  # statements of each ``verify_batch`` call
+        self.full_width = 0  # exponentiations by ``E`` outside a table
 
     def clear(self):
         self.__init__()
@@ -245,21 +254,21 @@ class Spy:
 
 
 class TestOpeningCount:
-    """The properties the table and the batch exist for, as counts: no
-    opening is checked one by one, and none is checked twice."""
+    """The properties the table and the batch exist for, as counts: one
+    statement per node, none checked one by one, none checked twice."""
 
     @pytest.fixture()
     def spy(self, monkeypatch):
         spy = Spy()
         real_verify, real_batch, real_exp = (
-            vc.verify,
+            vc.verify_vector,
             vc.verify_batch,
             vc.multi_exp,
         )
 
-        def verify(pp, *opening):
-            spy.verify.append(opening)
-            return real_verify(pp, *opening)
+        def verify(pp, *statement):
+            spy.verify.append(statement)
+            return real_verify(pp, *statement)
 
         def verify_batch(pp, openings):
             spy.batches.append(list(openings))
@@ -273,25 +282,27 @@ class TestOpeningCount:
                     spy.full_width += 1
             return real_exp(pairs, modulus, tables=tables)
 
-        monkeypatch.setattr(vc, "verify", verify)
+        monkeypatch.setattr(vc, "verify_vector", verify)
         monkeypatch.setattr(vc, "verify_batch", verify_batch)
         monkeypatch.setattr(vc, "multi_exp", multi_exp)
         return spy
 
     def test_cold_scan_costs_two_openings_per_entry(self, v3_system, spy):
-        """... all in one batch: no ``vc.verify`` call, and one
-        full-width exponentiation per slot whatever the list's length."""
+        """... now one per node — the root and every row — all in one
+        batch: no ``vc.verify_vector`` call, and one exponentiation by
+        ``E`` whatever the list's length."""
         v3_system.verify_cache.clear()
         result = v3_system.query(SCAN)
         n = len(result.result_ids)
         assert n == 20
         assert spy.verify == []
-        assert [len(batch) for batch in spy.batches] == [2 * n]
-        assert len(set(spy.batched)) == 2 * n  # and no opening twice
-        assert spy.full_width <= v3_system.arity + 1
-        assert v3_system.verify_cache.misses == 2 * n
+        assert [len(batch) for batch in spy.batches] == [n + 1]
+        # ... and no statement twice.
+        assert len({(c, o) for c, _, o in spy.batched}) == n + 1
+        assert spy.full_width == 1
+        assert v3_system.verify_cache.misses == n + 1
         assert v3_system.verify_cache.hits == 0
-        assert len(v3_system.verify_cache) == 2 * n
+        assert len(v3_system.verify_cache) == n + 1
 
     def test_second_query_over_the_tree_costs_none(self, v3_system, spy):
         v3_system.verify_cache.clear()
@@ -307,25 +318,25 @@ class TestOpeningCount:
         } | {warm_root}
         assert spy.verify == []
         assert len(spy.batches) == 1  # the warm scan had nothing to settle
-        assert not [opening for opening in spy.batched if opening[0] in warm]
+        assert not [statement for statement in spy.batched if statement[0] in warm]
 
     def test_join_shares_ancestors_within_one_query(self, v3_system, spy):
-        """Every row owes its link once and every entry row its slot 1
-        once — however many probes read it, and although one table is
-        named by two conjuncts — with or without the LRU; the whole DNF
-        query settles as one batch."""
+        """Every node of every table owes its statement once — however
+        many probes read it, and although one table is named by two
+        conjuncts — with or without the LRU; the whole DNF query settles
+        as one batch."""
         answer = answer_for(v3_system, DNF)
         query = KeywordQuery.parse(DNF)
         ps = v3_system.chain_proof_system(query.all_keywords())
         ps.cache = None
         verify_query(query, answer, ps)
-        links = sum(table.count for table in answer.vo.multiproofs)
-        slot1 = sum(len(table.leaves) for table in answer.vo.multiproofs)
+        nodes = sum(table.count + 1 for table in answer.vo.multiproofs)
+        read = sum(len(table.leaves) for table in answer.vo.multiproofs)
         occurrences = sum(1 for _ in iter_proven_entries(answer.vo))
-        assert occurrences > slot1  # "hot" is read by both conjuncts
+        assert occurrences > read  # "hot" is read by both conjuncts
         assert spy.verify == []
-        assert [len(batch) for batch in spy.batches] == [links + slot1]
-        assert len(set(spy.batched)) == links + slot1
+        assert [len(batch) for batch in spy.batches] == [nodes]
+        assert len({(c, o) for c, _, o in spy.batched}) == nodes
 
     def test_legacy_entries_share_the_same_opening_keys(self, v3_system, spy):
         """Opening a keyword's scan table and reading it whole settles
@@ -337,12 +348,12 @@ class TestOpeningCount:
         ps.attach_multiproofs((table,))
         with ps.settling():
             ps.proven_run(SCAN, 0).scan()
-        assert [len(batch) for batch in spy.batches] == [2 * table.count]
+        assert [len(batch) for batch in spy.batches] == [table.count + 1]
         spy.clear()
         assert v3_system.query(SCAN).verified
         assert v3_system.query("warm AND cool").verified
         warm = {row.commitment for row in rows_of(table)}
-        assert not [opening for opening in spy.batched if opening[0] in warm]
+        assert not [statement for statement in spy.batched if statement[0] in warm]
         assert spy.verify == []
 
     def test_tampered_link_next_to_a_cached_one_misses_and_fails(
@@ -352,17 +363,19 @@ class TestOpeningCount:
         answer = answer_for(v3_system, SCAN)
         table = answer.vo.multiproofs[0]
         victim = rows_of(table)[table.count // 2]
-        bad_link = victim.link_proof ^ 1
-        answer.vo = forged(answer.vo, 0, {victim.position: link(lambda p: p ^ 1)})
+        bad = victim.opening ^ 1
+        answer.vo = forged(answer.vo, 0, {victim.position: opening(lambda p: p ^ 1)})
         spy.clear()
         hits = v3_system.verify_cache.hits
         size = len(v3_system.verify_cache)
         with pytest.raises(VerificationError):
             reverify(v3_system, answer, SCAN)
         # The forged opening differs from its cached twin in one bit of
-        # one component: it alone was owed, failed, and was not stored.
-        assert [opening[3] for opening in spy.batched] == [bad_link]
-        assert {opening[3] for opening in spy.verify} == {bad_link}
+        # one component: only its node's statement was owed (the parent's
+        # holds the victim's commitment, not its opening), it failed, and
+        # it was not stored.
+        assert [statement[2] for statement in spy.batched] == [bad]
+        assert {statement[2] for statement in spy.verify} == {bad}
         with pytest.raises(VerificationError):
             reverify(v3_system, answer, SCAN)
         assert [len(batch) for batch in spy.batches] == [1, 1]
@@ -376,11 +389,11 @@ class TestOpeningCount:
         batch fails, and the one-by-one pass names a culprit."""
         assert v3_system.query(SCAN).verified
         answer = answer_for(v3_system, SCAN)
-        flip = link(lambda p: p ^ 1)
+        flip = opening(lambda p: p ^ 1)
         answer.vo = forged(answer.vo, 0, {4: flip, 12: flip})
         spy.clear()
         with obs.collect() as collector:
-            with pytest.raises(VerificationError, match="parent link"):
+            with pytest.raises(VerificationError, match="opening of node 4 "):
                 reverify(v3_system, answer, SCAN)
         assert [len(batch) for batch in spy.batches] == [2]
         assert len(spy.verify) == 1  # stops at the first that fails
@@ -439,7 +452,7 @@ class TestFailClosed:
         spliced = dataclasses.replace(
             victim,
             commitment=donor[victim.position].commitment,
-            link_proof=donor[victim.position].link_proof,
+            opening=donor[victim.position].opening,
         )
         assert spliced != victim
         answer.vo = forged(answer.vo, 0, {victim.position: lambda _: spliced})
@@ -498,7 +511,8 @@ class TestFailClosed:
         system = build()
         stale = answer_for(system, SCAN)
         system.add_object(DataObject(100, ("warm",), b"late"))
-        with pytest.raises(VerificationError, match="full scan"):
+        # The new node's parent is in the table and must show it now.
+        with pytest.raises(VerificationError, match="neither a row nor shipped"):
             reverify(system, stale, SCAN)
 
     def test_reordered_table(self, v3_system):
@@ -533,7 +547,7 @@ class TestFailClosed:
         answer.vo = forged(
             answer.vo,
             0,
-            {victim.position: change(slot1_proof=victim.slot1_proof ^ 1)},
+            {victim.position: change(opening=victim.opening ^ 1)},
         )
         with pytest.raises(VerificationError):
             reverify(v3_system, answer, SPARSE)
@@ -585,30 +599,46 @@ class TestFrameRobustness:
         codec = VOCodec(value_bytes=vb)
         element = (7).to_bytes(vb, "big")
 
-        def row(position, flag=1):
+        def root(flags=0):
+            shipped = bin(flags >> 1).count("1")
+            return bytes([flags]) + element * (1 + shipped)
+
+        def row(position, flags=1):
             entry = (position + 10).to_bytes(8, "big") + bytes(32)
+            shipped = bin(flags >> 1).count("1")
+            return bytes([position, flags]) + entry + element * (2 + shipped)
+
+        def frame(arity, rows, head=None, tail=b"\x00", kind=2):
+            head = root(0b100) if head is None else head
             return (
-                bytes([position, flag])
-                + (entry if flag else b"")
-                + element * (3 if flag else 2)
+                bytes([0xF6, 1, kind, arity, len(rows)])
+                + head
+                + b"".join(rows)
+                + tail
             )
 
-        def frame(arity, rows, tail=b"\x00"):
-            return bytes([0xF6, 1, 1, arity, len(rows)]) + b"".join(rows) + tail
-
-        table = codec.decode(frame(2, [row(1, 0), row(3)])).multiproofs[0]
+        # Root ships child 2; row 1 is unread and ships child 4; row 3 is
+        # read.
+        table = codec.decode(frame(2, [row(1, 0b100), row(3)])).multiproofs[0]
         assert (table.arity, table.count, table.leaves) == (2, 2, [(13, bytes(32))])
         for bad in (
             frame(2, [row(3), row(1)]),  # unsorted
             frame(2, [row(1), row(1)]),  # duplicate
             frame(2, [row(0), row(1)]),  # the root is never a row
             frame(2, [row(1), row(5)]),  # 5's parent (2) is absent
-            frame(2, [row(1), row(3, 0)]),  # a node row that hangs nothing
-            frame(2, [row(1, 2)]),  # no such flag
+            frame(2, [row(1), row(3, 0)]),  # an unread row that hangs nothing
+            frame(2, [row(1, 0b1000)]),  # no child 3 under arity 2
+            frame(2, [row(1)], head=root(0b1)),  # the root is never read
+            frame(2, [row(1)], head=root(0b1000)),  # no child 3 of the root
+            frame(2, [row(1)], head=root(0b110)),  # child 1 shipped and a row
+            frame(2, [row(1, 0b10), row(3)]),  # child 3 shipped and a row
+            frame(2, [], head=root(0b110)),  # a root that hangs nothing
             frame(0, [row(1)]),  # no such arity
+            frame(8, [row(1)]),  # more children than flag bits
             frame(2, [row(1), row(3)[:-1]]),  # a row cut short
-            bytes([0xF6, 1, 2, 2, 0, 0]),  # unknown table kind
-            bytes([0xF6, 1, 1, 2, 0xFF, 0xFF, 0x03]) + b"\x00",  # oversize
+            frame(2, [row(1, 0b100), row(3)], kind=1),  # the per-slot kind
+            bytes([0xF6, 1, 3, 2, 0, 0]),  # unknown table kind
+            bytes([0xF6, 1, 2, 2, 0xFF, 0xFF, 0x03]) + b"\x00",  # oversize
         ):
             with pytest.raises(ReproError):
                 codec.decode(bad)

@@ -6,12 +6,8 @@ shards, which must not show in the bytes — the encoders must emit the
 reference's bytes; on those bytes, and on random mutations of them, both
 decoders must return equal values or both raise
 :class:`~repro.errors.ReproError`.  A decoder that got laxer, stricter
-or different in any field while it got faster fails here.  The
-reference also reads the retired frames (v2–v5), which the live codec
-refuses: its own fixtures are the committed goldens of those versions.
+or different in any field while it got faster fails here.
 """
-
-import pathlib
 
 import pytest
 from hypothesis import given, settings
@@ -147,32 +143,6 @@ def test_honest_bytes_are_the_reference_bytes(answers):
         # A response re-encoded from what the client decoded is the same
         # bytes: objects keep their encoding.
         assert QueryResponse.decode(response_bytes).encode() == response_bytes
-
-
-FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
-
-#: The retired frames' goldens: (file, element width, version pin).
-RETIRED = (
-    ("vo_v2_smi_join", 32, 2),
-    ("vo_v2_smi_scan", 32, 2),
-    ("vo_v2_smi_dnf", 32, 2),
-    ("vo_v2_ci_join", 64, 2),
-    ("vo_v3_smi_dnf", 32, 3),
-    ("vo_v4_ci_dnf", 64, 4),
-    ("vo_v5_smi_dnf", 32, 5),
-)
-
-
-@pytest.mark.parametrize("name, width, version", RETIRED)
-def test_reference_codec_round_trips_its_own_fixtures(name, width, version):
-    payload = (FIXTURES / f"{name}.bin").read_bytes()
-    oracle = reference.ReferenceVOCodec(value_bytes=width, version=version)
-    assert oracle.encode(oracle.decode_retired(payload)) == payload
-    # Neither side takes a retired frame for a live one.
-    assert outcome(oracle.decode, payload) == ("rejected", None)
-    assert outcome(VOCodec(value_bytes=width).decode, payload) == ("rejected", None)
-    for cut in range(len(payload)):
-        assert outcome(oracle.decode_retired, payload[:cut]) == ("rejected", None)
 
 
 #: A join OR-ed with a scan, and a three-way join: every VO structure.

@@ -77,8 +77,8 @@ def store_tree(ids):
                 object_id=oid,
                 object_hash=sha3(b"%d" % oid),
                 commitment=position,
-                slot1_proof=position,
-                parent_link_proof=position,
+                opening=position,
+                parent_opening=position,
                 parent_position=(position - 1) // 2,
                 child_index=(position - 1) % 2 + 1,
             )
@@ -93,12 +93,15 @@ class TestJoinRoundSizes:
         assert view.boundaries(15) == (15, 16)
         assert view.positions == [6, 7]
         table = view.tree.multiproof(tuple(view.positions))
-        rows = table.rows()
-        assert [flag for _, _, flag in rows].count(1) == 2
-        entry = 2 + 40 + 3 * 8  # position + flag, id + hash, three elements
-        node = 2 + 2 * 8
-        entries = sum(flag for _, _, flag in rows)
-        assert table.byte_size() == 2 + entries * entry + (len(rows) - entries) * node
+        rows = table.rows()  # the root, then 1, 2, 3, 6 and 7
+        assert [position for position, _, flags in rows if flags & 1] == [6, 7]
+        # Children that are not rows ship their commitments: 4, 5, 8 and
+        # the four of 6 and 7.
+        shipped = sum(bin(flags >> 1).count("1") for _, _, flags in rows)
+        assert shipped == 7
+        root = 1 + 8  # flags, Lambda_0
+        row = 2 + 40 + 2 * 8  # position + flags, id + hash, c and Lambda
+        assert table.byte_size() == 2 + root + 5 * row + shipped * 8
 
     def test_skip_round_smaller_than_probe(self):
         """A Bloom skip reads one row of the home tree, a probe two of the probed."""

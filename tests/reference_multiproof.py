@@ -3,9 +3,8 @@
 * **Per-entry paths** (:class:`MerklePath`, :func:`prove_path`,
   :func:`paths_adjacent`): one root-to-leaf authentication path per
   entry, with its position at every level — the proof shape the MB-tree
-  minted before every Merkle proof became a table.  The retired v2/v3
-  frames still carry them (``tests/reference_codec.py``), and the
-  oracles below are stated over them.
+  minted before every Merkle proof became a table.  The oracles below
+  are stated over them.
 * **Construction** (:func:`build_multiproof`): merge one tree's
   per-entry paths into a multiproof.  This is what the SP did before
   ``MBTree.multiproof`` built the proof straight from the tree: it knows
@@ -30,8 +29,8 @@ from repro.core.multiproof import (
     SLOT_LEAF,
     TreeMultiproof,
 )
+from repro.core.query.vo import ProvenEntry
 from repro.errors import ReproError, VerificationError
-from tests.legacy_vo import ProvenEntry
 
 
 @dataclass(frozen=True)
@@ -279,8 +278,8 @@ def build_multiproof(
 ) -> tuple[TreeMultiproof, dict[tuple[int, ...], int]]:
     """Merge one tree's ``(entry, path)`` pairs into a multiproof.
 
-    Returns the proof plus the gpath -> DFS-ordinal map the caller uses
-    to rewrite each entry's proof into a :class:`LeafRef`.  Raises
+    Returns the proof plus the gpath -> DFS-ordinal map (each entry's
+    leaf row in the proof).  Raises
     :class:`~repro.errors.ReproError` when the paths are mutually
     inconsistent (different depths, conflicting widths or sibling
     digests, one gpath claiming two different entries) — an honest SP
