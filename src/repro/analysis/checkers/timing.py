@@ -33,8 +33,6 @@ _DIGEST_CALLS = frozenset(
         "sha3",
         "tagged_hash",
         "hash_concat",
-        "leaf_hash",
-        "node_hash",
         "hash_int",
         "_full_domain_hash",
     }
@@ -68,7 +66,6 @@ class TimingSafeCompareChecker(Checker):
         "digests_equal (hmac.compare_digest), not == / !="
     )
     paths = (
-        "crypto/merkle.py",
         "crypto/signatures.py",
         "crypto/hashing.py",
         "core/query/verify.py",

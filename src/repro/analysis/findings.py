@@ -23,9 +23,9 @@ class Finding:
     col: int
     rule: str
     message: str
-    #: Dotted name of the enclosing class/function, e.g. ``MerkleTree.verify``.
+    #: Dotted name of the enclosing class/function, e.g. ``MBTree.multiproof``.
     symbol: str = ""
-    #: Module key relative to the ``repro`` package (``crypto/merkle.py``).
+    #: Module key relative to the ``repro`` package (``crypto/hashing.py``).
     module: str = field(default="", compare=False)
 
     @property

@@ -3,7 +3,7 @@
 A :class:`Checker` receives one parsed :class:`ModuleSource` and yields
 :class:`~repro.analysis.findings.Finding` objects.  Checkers are scoped
 by *module key* — the path of the file relative to the ``repro`` package
-(``crypto/merkle.py``, ``core/query/verify.py``) — so each rule runs only
+(``crypto/hashing.py``, ``core/query/verify.py``) — so each rule runs only
 over the subsystems whose invariants it encodes.
 
 Suppression comments are handled here as well: a finding whose line (or

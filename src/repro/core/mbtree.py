@@ -29,17 +29,22 @@ one fold checks against the root.  A single entry is the 1-leaf table.
 The fold also counts, per proven entry, the sibling digests passed
 before it, and those counts are all the completeness checks of Section
 III-B need (first entry, last entry, two entries adjacent): see
-:class:`~repro.core.multiproof.ProvenRun`.  :meth:`MBTree.locate` and
-:class:`LeafCursor` find the keys to prove without hashing.
+:class:`~repro.core.multiproof.ProvenRun`.  :class:`LeafCursor` finds
+the keys to prove without hashing.
 
-Suppressed maintenance (Section IV)
------------------------------------
-:meth:`MBTree.gen_update_proof` implements Algorithm 1 — the SP extracts
-the right-most branch as an :class:`UpdateSpine` — and
-:func:`reconstruct_root` / :func:`compute_updated_root` implement the
-smart contract's side of Algorithm 2 as pure functions over injectable
-hash callables, so the on-chain code can meter every hash while reusing
-the identical logic the tests validate against the real tree.
+Suppressed maintenance (Sections IV and IX)
+-------------------------------------------
+One path and one fold serve both suppressed updates.
+:meth:`MBTree.update_path` reads the route an insertion takes — per
+internal level the siblings left and right of the followed child, then
+the target leaf's entries and the insert index.  The general update of
+Section IX ships it whole; Algorithm 1's right-most branch
+(:class:`UpdateSpine`) is its append view, with no right siblings.
+:func:`fold_update` is the contracts' side of Algorithm 2 for both: it
+folds the path to the old root, inserts the new entry digest and
+re-folds with the split cascade, as a pure function over an injectable
+hash callable, so the on-chain code meters every hash while running the
+logic the tests check against the real tree.
 """
 
 from __future__ import annotations
@@ -118,8 +123,7 @@ def _leaf_digests(view: MBTreeStore, index: int) -> list[bytes]:
     rederive and never persisted.
     """
     return [
-        entry_digest(view.leaf_key(index, slot), view.leaf_value_hash(index, slot))
-        for slot in range(view.count(index))
+        entry_digest(key, value_hash) for key, value_hash in view.leaf_entries(index)
     ]
 
 
@@ -309,11 +313,10 @@ class MBTree:
     ) -> None:
         """Insert ``<key, value_hash>``; duplicate keys are rejected."""
         view = self.store
-        digest = entry_digest(key, value_hash)
         if self._count == 0:
             leaf = view.new_leaf()
             view.leaf_insert(leaf, 0, key, value_hash)
-            view.set_digest(leaf, leaf_digest([digest]))
+            view.set_digest(leaf, leaf_digest([entry_digest(key, value_hash)]))
             self._set_root(leaf)
             self._set_count(1)
             self._set_max_key(key)
@@ -347,13 +350,21 @@ class MBTree:
             path.append(node)
             if view.is_leaf(node):
                 return path
-            width = view.count(node)
-            slot = width - 1
-            for i in range(1, width):
-                if key < view.min_key(view.child(node, i)):
-                    slot = i - 1
-                    break
-            node = view.child(node, slot)
+            children = view.children(node)
+            node = children[self._slot(children, key)]
+
+    def _slot(self, children: list[int], key: int) -> int:
+        """The slot among an internal node's ``children`` ``key`` routes to.
+
+        The last child whose minimum key is at most ``key``, or the first
+        child for a smaller key.  Scanning from the right finds an
+        append's child, the last, with one comparison.
+        """
+        min_key = self.store.min_key
+        slot = len(children) - 1
+        while slot and key < min_key(children[slot]):
+            slot -= 1
+        return slot
 
     def _rehash(self, index: int) -> None:
         view = self.store
@@ -372,7 +383,7 @@ class MBTree:
     ) -> None:
         """Walk the insert path bottom-up, splitting overflowing nodes."""
         view = self.store
-        half = (self.fanout + 2) // 2  # ceil((F + 1) / 2), paper's policy
+        half = split_point(self.fanout)
         carry: tuple[int, tuple[int, int]] | None = None
         for depth in range(len(path) - 1, -1, -1):
             node = path[depth]
@@ -443,52 +454,6 @@ class MBTree:
     def cursor(self) -> "LeafCursor":
         """A finger for boundary lookups whose targets ascend."""
         return LeafCursor(self)
-
-    def locate(self, target: int) -> tuple[Entry | None, Entry | None]:
-        """The entries bracketing ``target``, found without hashing.
-
-        Returns ``(lower, upper)``: the largest entry with key <=
-        ``target`` (the match, if any) and the smallest with key >
-        ``target``; either is ``None`` at the tree edges.  One O(log n)
-        descent over the cached per-record minimum keys, plus a walk
-        down the successor subtree's left edge when the reached leaf
-        tops out.  No digest is read or computed: the proof for located
-        entries comes from :meth:`multiproof`.
-        """
-        if self._count == 0:
-            return None, None
-        view = self.store
-        node = self._root_idx
-        successor_subtree: int | None = None
-        while not view.is_leaf(node):
-            children = view.children(node)
-            slot = len(children) - 1
-            for i in range(1, len(children)):
-                if target < view.min_key(children[i]):
-                    slot = i - 1
-                    # Deepest right sibling on the path: its subtree
-                    # minimum is the successor when the reached leaf
-                    # tops out.
-                    successor_subtree = children[i]
-                    break
-            node = children[slot]
-        position, found = view.leaf_find(node, target)
-        rank = position + 1 if found else position  # leaf keys <= target
-        lower = self._entry_at(node, rank - 1) if rank > 0 else None
-        if rank < view.count(node):
-            return lower, self._entry_at(node, rank)
-        if successor_subtree is None:
-            return lower, None
-        node = successor_subtree
-        while not view.is_leaf(node):
-            node = view.child(node, 0)
-        return lower, self._entry_at(node, 0)
-
-    def _entry_at(self, leaf: int, slot: int) -> Entry:
-        return Entry(
-            key=self.store.leaf_key(leaf, slot),
-            value_hash=self.store.leaf_value_hash(leaf, slot),
-        )
 
     def multiproof(self, keys: Sequence[int]) -> TreeMultiproof:
         """One deduplicated proof for ``keys``, built in one pass.
@@ -575,31 +540,34 @@ class MBTree:
             leaves=tuple(leaves),
         )
 
-    # -- suppressed maintenance (Algorithms 1 & 2) --------------------------------
+    # -- suppressed maintenance (Algorithms 1 & 2, Section IX) -----------------
 
-    def gen_update_proof(self, new_key: int) -> "UpdateSpine":
-        """Algorithm 1: extract the right-most branch as the ``UpdVO``.
+    def update_path(self, key: int) -> "UpdatePath":
+        """The route an insertion of ``key`` takes, read before it happens.
 
-        Must be called *before* inserting ``new_key``; appends only
-        (``new_key`` greater than every existing key) are supported,
-        matching the monotonic-ID assumption of Section IV-C.
+        Descends by the route :meth:`insert` takes (the same
+        :meth:`_slot` per level, no hashing): per internal node the
+        followed child's slot and every child digest, then the target
+        leaf's entries and the new key's index among them.  Both update
+        proofs are built from it — the general ``UpdVO`` carries it
+        whole, Algorithm 1's right-most branch is its append view
+        (:meth:`UpdatePath.spine`).
         """
-        if self._max_key is not None and new_key <= self._max_key:
-            raise ReproError(
-                "UpdVO generation requires monotonically increasing keys"
-            )
         if self._count == 0:
-            return UpdateSpine(internal_levels=(), leaf_entries=())
+            return UpdatePath(levels=(), leaf=(), index=0)
         view = self.store
-        internal_levels: list[tuple[bytes, ...]] = []
-        node = self._root_idx
-        while not view.is_leaf(node):
-            digests = view.child_digests(node)
-            internal_levels.append(tuple(digests[:-1]))
-            node = view.child(node, view.count(node) - 1)
-        leaf_entries = tuple(_leaf_digests(view, node))
-        return UpdateSpine(
-            internal_levels=tuple(internal_levels), leaf_entries=leaf_entries
+        levels = []
+        leaf = self._root_idx
+        while not view.is_leaf(leaf):
+            children = view.children(leaf)
+            slot = self._slot(children, key)
+            levels.append((slot, tuple(map(view.digest, children))))
+            leaf = children[slot]
+        index, found = view.leaf_find(leaf, key)
+        if found:
+            raise ReproError(f"duplicate key {key} in MB-tree")
+        return UpdatePath(
+            levels=tuple(levels), leaf=tuple(view.leaf_entries(leaf)), index=index
         )
 
 
@@ -616,10 +584,9 @@ class LeafCursor:
     otherwise it climbs only while the target is at or beyond the
     subtree's upper bound and re-descends from there.  A smaller target
     than the last one, or a tree that has changed size, starts over from
-    the root.  No digest is read.
-
-    :meth:`MBTree.locate` is the oracle: for every target both name the
-    same two keys.
+    the root.  No digest is read.  It is the tree's one boundary lookup:
+    the join views, range queries, storage absence proofs and the
+    general update's neighbour all read it.
     """
 
     __slots__ = ("_tree", "_count", "_last", "_frames", "_keys", "_bound")
@@ -689,24 +656,55 @@ class LeafCursor:
 
 
 @dataclass(frozen=True)
+class UpdatePath:
+    """An insertion's route through the tree (:meth:`MBTree.update_path`).
+
+    ``levels`` lists, top-down, each internal node on the route as
+    ``(slot, child_digests)``: the followed child's siblings are
+    ``child_digests[:slot]`` on its left and ``child_digests[slot + 1:]``
+    on its right.  ``leaf`` holds the target leaf's entries as
+    ``(key, value_hash)`` pairs and ``index`` is where the new key goes
+    among them.
+    """
+
+    levels: tuple[tuple[int, tuple[bytes, ...]], ...]
+    leaf: tuple[tuple[int, bytes], ...]
+    index: int
+
+    def spine(self) -> "UpdateSpine":
+        """Algorithm 1's ``UpdVO``: this path's append view.
+
+        An append follows the last child at every level and lands after
+        the leaf's last entry, so the path has no right siblings and the
+        spine carries the left ones and the leaf's entry digests.
+        """
+        if self.index != len(self.leaf) or any(
+            slot != len(digests) - 1 for slot, digests in self.levels
+        ):
+            raise ReproError(
+                "UpdVO generation requires monotonically increasing keys"
+            )
+        return UpdateSpine(
+            internal_levels=tuple(digests[:-1] for _, digests in self.levels),
+            leaf_entries=tuple(
+                entry_digest(key, value_hash) for key, value_hash in self.leaf
+            ),
+        )
+
+
+@dataclass(frozen=True)
 class UpdateSpine:
     """The ``UpdVO`` of Algorithm 1: the tree's right-most branch.
 
     ``internal_levels`` lists, top-down, the digests of each right-most
     internal node's children *except the last* (the branch continues
     there); ``leaf_entries`` holds every entry digest of the right-most
-    leaf.
+    leaf.  The contract folds it with :func:`fold_update`, inserting at
+    the leaf's end with no right siblings.
     """
 
     internal_levels: tuple[tuple[bytes, ...], ...]
     leaf_entries: tuple[bytes, ...]
-
-    def byte_size(self) -> int:
-        """Serialised size in bytes (charged as ``C_txdata``)."""
-        digests = sum(len(level) for level in self.internal_levels)
-        digests += len(self.leaf_entries)
-        # One length byte per level plus the digests themselves.
-        return 32 * digests + len(self.internal_levels) + 2
 
     def serialise(self) -> bytes:
         """Canonical wire encoding (what actually rides in the tx)."""
@@ -745,51 +743,49 @@ class UpdateSpine:
         return cls(internal_levels=tuple(levels), leaf_entries=entries)
 
 
-def reconstruct_root(spine: UpdateSpine, hash_fn: HashFn = sha3) -> bytes:
-    """Recompute the pre-insertion root hash from an ``UpdVO``.
+def split_point(fanout: int) -> int:
+    """Entries or children an overflowing node keeps on its left.
 
-    The smart contract compares this against its stored root to verify
-    the SP's update proof (Algorithm 2, line 1).  Returns
-    ``EMPTY_DIGEST`` for the empty-tree spine.
+    ``ceil((F + 1) / 2)``, the paper's split policy: the real tree and
+    the contracts' update fold both split here.
     """
-    if not spine.leaf_entries and not spine.internal_levels:
-        return EMPTY_DIGEST
-    current = leaf_digest(spine.leaf_entries, hash_fn)
-    for level in reversed(spine.internal_levels):
-        current = node_digest(level + (current,), hash_fn)
-    return current
+    return (fanout + 2) // 2
 
 
-def compute_updated_root(
-    spine: UpdateSpine,
+def fold_update(
+    leaf: Sequence[bytes],
+    sides: Sequence[tuple[Sequence[bytes], Sequence[bytes]]],
+    index: int,
     new_entry: bytes,
     fanout: int,
     hash_fn: HashFn = sha3,
-) -> bytes:
-    """Algorithm 2's root recomputation: append ``new_entry`` and re-fold.
+) -> tuple[bytes, bytes]:
+    """Algorithm 2 over any update path: ``(old_root, new_root)``.
 
-    Handles cascading node splits with the same ``ceil((F+1)/2)`` policy
-    as :class:`MBTree`, so the returned digest equals the real tree's
-    root after the corresponding insertion — verified by tests.
+    ``leaf`` holds the target leaf's entry digests and ``sides`` lists,
+    top-down, the sibling digests left and right of the path at each
+    internal level.  The path folds to the pre-insertion root; then
+    ``new_entry`` goes in at ``index`` and the path re-folds, splitting
+    every node that overflows at :func:`split_point`, so the new root
+    is the real tree's after the same insertion.  The empty path (an
+    empty tree) folds to ``EMPTY_DIGEST``.  A pure function over an
+    injectable hash, so a contract meters every digest it computes.
     """
-    half = (fanout + 2) // 2
-    entries = spine.leaf_entries + (new_entry,)
-    if len(entries) > fanout:
-        carry = [
-            leaf_digest(entries[:half], hash_fn),
-            leaf_digest(entries[half:], hash_fn),
-        ]
-    else:
-        carry = [leaf_digest(entries, hash_fn)]
-    for level in reversed(spine.internal_levels):
-        children = list(level) + carry
-        if len(children) > fanout:
-            carry = [
-                node_digest(children[:half], hash_fn),
-                node_digest(children[half:], hash_fn),
-            ]
-        else:
-            carry = [node_digest(children, hash_fn)]
-    if len(carry) == 2:
-        return node_digest(carry, hash_fn)
-    return carry[0]
+    if not leaf and not sides:
+        return EMPTY_DIGEST, hash_fn(leaf_payload((new_entry,)))
+    old_root = hash_fn(leaf_payload(leaf))
+    for left, right in reversed(sides):
+        old_root = hash_fn(node_payload((*left, old_root, *right)))
+    half = split_point(fanout)
+
+    def settle(digests: list[bytes], payload: Callable) -> list[bytes]:
+        """One node's digest, or two when it overflows and splits."""
+        if len(digests) > fanout:
+            return [hash_fn(payload(digests[:half])), hash_fn(payload(digests[half:]))]
+        return [hash_fn(payload(digests))]
+
+    carry = settle([*leaf[:index], new_entry, *leaf[index:]], leaf_payload)
+    for left, right in reversed(sides):
+        carry = settle([*left, *carry, *right], node_payload)
+    new_root = carry[0] if len(carry) == 1 else hash_fn(node_payload(carry))
+    return old_root, new_root

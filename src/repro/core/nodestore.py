@@ -75,6 +75,7 @@ from __future__ import annotations
 
 import struct
 from array import array
+from functools import lru_cache
 
 from repro.errors import IntegrityError, ReproError
 
@@ -353,6 +354,13 @@ MB_INTERNAL = 2
 _LEAF_ENTRY = struct.Struct(">Q32s")
 
 
+@lru_cache(maxsize=256)
+def _child_run(count: int) -> struct.Struct:
+    """``count`` consecutive u32 child slots (a one-byte count), read in
+    one unpack."""
+    return struct.Struct(f">{count}I")
+
+
 def mb_record_size(fanout: int) -> int:
     """v1 MB-tree record size for a given fan-out."""
     return _MB_SLOTS + _MB_LEAF_SLOT * (fanout + 1)
@@ -521,6 +529,15 @@ class MBTreeStore(TreeView):
         if position == 0:
             self.set_min_key(index, key)
 
+    def leaf_entries(self, index: int) -> list[tuple[int, bytes]]:
+        """Every ``(key, value_hash)`` of a leaf, slot order."""
+        blob = self.store.blob
+        base = self.store.offset(index) + _MB_SLOTS
+        return [
+            _LEAF_ENTRY.unpack_from(blob, base + _MB_LEAF_SLOT * slot)
+            for slot in range(self.count(index))
+        ]
+
     def leaf_find(self, index: int, key: int) -> tuple[int, bool]:
         """Binary-search a leaf: (insertion position, exact match?)."""
         lo, hi = 0, self.count(index)
@@ -544,12 +561,11 @@ class MBTreeStore(TreeView):
 
     def children(self, index: int) -> list[int]:
         """All child record indices, slot order."""
-        blob = self.store.blob
-        base = self.store.offset(index) + _MB_SLOTS
-        return [
-            _U32.unpack_from(blob, base + _MB_CHILD_SLOT * s)[0]
-            for s in range(self.count(index))
-        ]
+        return list(
+            _child_run(self.count(index)).unpack_from(
+                self.store.blob, self.store.offset(index) + _MB_SLOTS
+            )
+        )
 
     def child_digests(self, index: int) -> list[bytes]:
         """Digests of all children of an internal node."""

@@ -57,8 +57,8 @@ def range_query(tree: MBTree, lo: int, hi: int) -> tuple[list[Entry], RangeVO]:
     """SP side: entries with ``lo <= key <= hi`` plus the range VO.
 
     The keys come from a forward :class:`~repro.core.mbtree.LeafCursor`
-    (``locate`` step by step, no hashing); the VO is one multiproof
-    over them.
+    (boundary lookups step by step, no hashing); the VO is one
+    multiproof over them.
     """
     if lo > hi:
         raise QueryError("empty range: lo must not exceed hi")

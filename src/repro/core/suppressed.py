@@ -2,14 +2,17 @@
 
 Only each keyword MB-tree's *root hash* lives on-chain.  When the DO
 appends an object, the SP constructs an update proof (``UpdVO``,
-Algorithm 1) — the tree's right-most branch — and sends it to the smart
-contract, which (Algorithm 2):
+Algorithm 1) — the tree's right-most branch, the append view of
+:meth:`~repro.core.mbtree.MBTree.update_path` — and sends it to the
+smart contract, which (Algorithm 2):
 
-1. reconstructs the pre-insertion root from the ``UpdVO`` and compares
-   it with the stored root (integrity of the SP's proof);
-2. checks the inserted object's hash against the one the DO registered;
-3. recomputes the post-insertion root in memory, handling leaf and
-   internal node splits, and stores it with a single ``C_supdate``.
+1. checks the inserted object's hash against the one the DO registered;
+2. folds the ``UpdVO`` to the pre-insertion root and compares it with
+   the stored root (integrity of the SP's proof);
+3. takes the post-insertion root from the same fold
+   (:func:`~repro.core.mbtree.fold_update`, the one the general update
+   of :mod:`repro.core.suppressed_general` uses), leaf and internal node
+   splits included, and stores it with a single ``C_supdate``.
 
 The logarithmic work is all cheap (``C_txdata``/``C_hash``/``C_mem``);
 the expensive storage operations are constant per keyword — the
@@ -24,9 +27,8 @@ from repro import obs
 from repro.core.mbtree import (
     DEFAULT_FANOUT,
     UpdateSpine,
-    compute_updated_root,
     entry_payload,
-    reconstruct_root,
+    fold_update,
 )
 from repro.crypto.hashing import digests_equal, word_count
 from repro.errors import IntegrityError
@@ -39,10 +41,6 @@ class KeywordUpdate:
 
     keyword: str
     spine_bytes: bytes
-
-    def payload_size(self) -> int:
-        """Wire size of this keyword update in bytes."""
-        return len(self.keyword.encode("utf-8")) + 1 + len(self.spine_bytes)
 
 
 def gen_spines(
@@ -58,7 +56,7 @@ def gen_spines(
     for keyword in keywords:
         tree = trees.get(keyword)
         spines.append(
-            tree.gen_update_proof(object_id)
+            tree.update_path(object_id).spine()
             if tree is not None
             else UpdateSpine(internal_levels=(), leaf_entries=())
         )
@@ -131,9 +129,17 @@ class SuppressedMerkleContract(SmartContract):
                 self.env.read_calldata(update.spine_bytes)
             )
             stored_root = self.storage.load(("root", update.keyword))
-            # An absent keyword reads as the zero word, which equals the
-            # EMPTY_DIGEST an empty spine reconstructs to.
-            old_root = reconstruct_root(spine, hash_fn=self._hash)
+            # An append has no right siblings and lands after the leaf's
+            # last entry.  An absent keyword reads as the zero word, which
+            # equals the EMPTY_DIGEST an empty spine folds to.
+            old_root, new_root = fold_update(
+                spine.leaf_entries,
+                [(level, ()) for level in spine.internal_levels],
+                len(spine.leaf_entries),
+                new_entry,
+                self.fanout,
+                hash_fn=self._hash,
+            )
             if not digests_equal(old_root, stored_root):
                 self.emit(
                     "InvalidUpdVO",
@@ -144,9 +150,6 @@ class SuppressedMerkleContract(SmartContract):
                     f"UpdVO for keyword {update.keyword!r} does not match "
                     "the stored root hash"
                 )
-            new_root = compute_updated_root(
-                spine, new_entry, self.fanout, hash_fn=self._hash
-            )
             self.storage.store(("root", update.keyword), new_root)
         self.emit(
             "SuccessfulUpdate", object_id=object_id, keywords=len(updates)

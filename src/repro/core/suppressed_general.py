@@ -9,20 +9,23 @@ successor slot, the old opening still verifies, so a malicious SP could
 present the pre-update pointer and hide results (see DESIGN.md §5b).
 
 For the *Suppressed Merkle* index, however, the extension is sound and
-is implemented here.  The SP's update proof generalises from the
-right-most spine to the full insertion path, and the smart contract
-enforces — entirely with cheap memory/hash operations — that:
+is implemented here.  The SP's update proof is the full insertion path,
+:meth:`~repro.core.mbtree.MBTree.update_path` — of which Algorithm 1's
+right-most spine is the append case — and the smart contract enforces,
+entirely with cheap memory/hash operations, that:
 
-1. the path folds to the stored root (integrity of the proof);
-2. the insertion lands at the *key-correct* position: within the leaf,
+1. the insertion lands at the *key-correct* position: within the leaf,
    neighbours bracket the key; at a leaf edge the proof carries one
    multiproof table over the tree's entry on the other side and the
    leaf's edge entry, which the contract folds to the stored root with
    its metered hash and whose gap counts must show the two adjacent, so
    the SP cannot route the insertion into a wrong leaf and later hide
    results behind a misordered tree;
-3. the recomputed root (with ``ceil((F+1)/2)`` splits cascading up the
-   path) replaces the stored root with a single ``C_supdate``.
+2. the path folds to the stored root (integrity of the proof), and the
+   same fold (:func:`~repro.core.mbtree.fold_update`, shared with the
+   append-only contract) yields the new root, with ``ceil((F+1)/2)``
+   splits cascading up the path; it replaces the stored root with a
+   single ``C_supdate``.
 
 Why the table pins the target leaf: it names the edge entry by key, not
 by position.  The contract only ever accepts key-correct insertions of
@@ -42,12 +45,11 @@ from repro.core.mbtree import (
     HashFn,
     MBTree,
     entry_payload,
-    leaf_payload,
-    node_payload,
+    fold_update,
 )
 from repro.core.multiproof import TreeMultiproof, open_table
-from repro.crypto.hashing import EMPTY_DIGEST, digests_equal, sha3, word_count
-from repro.errors import IntegrityError, ReproError, VerificationError
+from repro.crypto.hashing import digests_equal, sha3, word_count
+from repro.errors import IntegrityError, VerificationError
 from repro.ethereum.contract import SmartContract
 
 
@@ -55,13 +57,15 @@ from repro.ethereum.contract import SmartContract
 class GeneralUpdateProof:
     """The generalised ``UpdVO``: the full insertion path.
 
-    ``levels`` lists, top-down, each internal node on the path as
-    ``(followed_child_index, all_child_digests)``; ``leaf_entries``
-    holds the target leaf's complete entries (keys included, so the
-    contract can check ordering); ``insert_index`` is where the new key
-    goes.  ``neighbour`` is required exactly when the insertion touches
-    the leaf's edge and the tree extends beyond it: the table over the
-    entry across that edge and the leaf's edge entry.
+    An :class:`~repro.core.mbtree.UpdatePath` on the wire: ``levels``
+    lists, top-down, each internal node on the path as
+    ``(followed_child_index, all_child_digests)`` (the fold recomputes
+    the followed child's own digest); ``leaf_entries`` holds the target
+    leaf's complete entries (keys included, so the contract can check
+    ordering); ``insert_index`` is where the new key goes.
+    ``neighbour`` is required exactly when the insertion touches the
+    leaf's edge and the tree extends beyond it: the table over the entry
+    across that edge and the leaf's edge entry.
     """
 
     levels: tuple[tuple[int, tuple[bytes, ...]], ...]
@@ -84,35 +88,22 @@ def generate_general_update(tree: MBTree, key: int) -> GeneralUpdateProof:
     """SP side: build the generalised ``UpdVO`` for inserting ``key``.
 
     Must be called before applying the insertion to the mirror tree.
-    The path is the one :meth:`MBTree.insert` takes.
+    The path is :meth:`MBTree.update_path`; the entry across a leaf edge
+    comes from the tree's cursor.
     """
-    if not len(tree):
-        return GeneralUpdateProof(levels=(), leaf_entries=(), insert_index=0)
-    view = tree.store
-    path = tree._descend(key, None)
-    levels = tuple(
-        (view.children(node).index(child), tuple(view.child_digests(node)))
-        for node, child in zip(path, path[1:])
-    )
-    leaf = path[-1]
-    entries = tuple(
-        Entry(key=view.leaf_key(leaf, s), value_hash=view.leaf_value_hash(leaf, s))
-        for s in range(view.count(leaf))
-    )
-    insert_index, found = view.leaf_find(leaf, key)
-    if found:
-        raise ReproError(f"duplicate key {key}")
+    path = tree.update_path(key)
+    entries = tuple(Entry(*pair) for pair in path.leaf)
     neighbour = None
-    if insert_index in (0, len(entries)):
-        lower, upper = tree.locate(key)
-        if insert_index == 0 and lower is not None:
-            neighbour = tree.multiproof([lower.key, entries[0].key])
-        elif insert_index == len(entries) and upper is not None:
-            neighbour = tree.multiproof([entries[-1].key, upper.key])
+    if entries and path.index in (0, len(entries)):
+        lower, upper = tree.cursor().seek(key)
+        if path.index == 0 and lower is not None:
+            neighbour = tree.multiproof([lower, entries[0].key])
+        elif path.index == len(entries) and upper is not None:
+            neighbour = tree.multiproof([entries[-1].key, upper])
     return GeneralUpdateProof(
-        levels=levels,
+        levels=path.levels,
         leaf_entries=entries,
-        insert_index=insert_index,
+        insert_index=path.index,
         neighbour=neighbour,
     )
 
@@ -130,30 +121,11 @@ def verify_and_update_root(
     Raises :class:`IntegrityError` on any inconsistency; pure function
     over an injectable hash so the contract can meter every digest.
     """
-    # -- empty tree bootstrap ---------------------------------------------------
-    if not proof.leaf_entries and not proof.levels:
-        if not digests_equal(stored_root, EMPTY_DIGEST):
-            raise IntegrityError("empty-tree proof against a non-empty root")
-        new_entry = hash_fn(entry_payload(key, value_hash))
-        return hash_fn(leaf_payload((new_entry,)))
-
-    # -- 1. the path must fold to the stored root -------------------------------
-    entry_digests = [
-        hash_fn(entry_payload(e.key, e.value_hash)) for e in proof.leaf_entries
-    ]
-    current = hash_fn(leaf_payload(entry_digests))
-    for followed, digests in reversed(proof.levels):
-        if not 0 <= followed < len(digests):
-            raise IntegrityError("path index out of range")
-        if not digests_equal(digests[followed], current):
-            raise IntegrityError("path digest mismatch along the UpdVO")
-        current = hash_fn(node_payload(digests))
-    if not digests_equal(current, stored_root):
-        raise IntegrityError("UpdVO does not match the stored root hash")
-
-    # -- 2. ordering: the insertion must be key-correct -------------------------
     i = proof.insert_index
     entries = proof.leaf_entries
+    # -- 1. the proof's shape, and a key-correct place within the leaf ----------
+    if not all(0 <= followed < len(digests) for followed, digests in proof.levels):
+        raise IntegrityError("path index out of range")
     if not 0 <= i <= len(entries):
         raise IntegrityError("insertion index out of range")
     for prev, nxt in zip(entries, entries[1:]):
@@ -163,7 +135,21 @@ def verify_and_update_root(
         raise IntegrityError("new key does not follow its leaf predecessor")
     if i < len(entries) and entries[i].key <= key:
         raise IntegrityError("new key does not precede its leaf successor")
-    if i in (0, len(entries)):
+
+    # -- 2. the path must fold to the stored root; the fold yields the new one --
+    old_root, new_root = fold_update(
+        [hash_fn(entry_payload(e.key, e.value_hash)) for e in entries],
+        [(digests[:f], digests[f + 1 :]) for f, digests in proof.levels],
+        i,
+        hash_fn(entry_payload(key, value_hash)),
+        fanout,
+        hash_fn=hash_fn,
+    )
+    if not digests_equal(old_root, stored_root):
+        raise IntegrityError("UpdVO does not match the stored root hash")
+
+    # -- 3. at a leaf edge: the right leaf --------------------------------------
+    if entries and i in (0, len(entries)):
         edge = entries[0] if i == 0 else entries[-1]
         if proof.neighbour is not None:
             try:
@@ -197,30 +183,7 @@ def verify_and_update_root(
                 "edge insertion without a neighbour requires the globally "
                 "outermost path"
             )
-
-    # -- 3. recompute the new root with cascading splits ------------------------
-    half = (fanout + 2) // 2
-    new_entry = hash_fn(entry_payload(key, value_hash))
-    new_digests = entry_digests[:i] + [new_entry] + entry_digests[i:]
-    if len(new_digests) > fanout:
-        carry = [
-            hash_fn(leaf_payload(new_digests[:half])),
-            hash_fn(leaf_payload(new_digests[half:])),
-        ]
-    else:
-        carry = [hash_fn(leaf_payload(new_digests))]
-    for followed, digests in reversed(proof.levels):
-        children = list(digests[:followed]) + carry + list(digests[followed + 1 :])
-        if len(children) > fanout:
-            carry = [
-                hash_fn(node_payload(children[:half])),
-                hash_fn(node_payload(children[half:])),
-            ]
-        else:
-            carry = [hash_fn(node_payload(children))]
-    if len(carry) == 2:
-        return hash_fn(node_payload(carry))
-    return carry[0]
+    return new_root
 
 
 class GeneralSuppressedContract(SmartContract):

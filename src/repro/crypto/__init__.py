@@ -1,5 +1,5 @@
-"""Cryptographic substrate: hashing, PRFs, Merkle trees, Bloom filters,
-vector commitments (plain and chameleon) and RSA-FDH signatures.
+"""Cryptographic substrate: hashing, PRFs, Bloom filters, vector
+commitments (plain and chameleon) and RSA-FDH signatures.
 
 Everything in this package is implemented from scratch on the Python
 standard library, per the reproduction's no-external-crypto constraint.
@@ -14,7 +14,6 @@ from repro.crypto.hashing import (
     tagged_hash,
     word_count,
 )
-from repro.crypto.merkle import MerkleTree
 from repro.crypto.prf import generate_key, node_randomness, prf_int
 from repro.crypto.signatures import PublicKey, SigningKey, generate_keypair
 from repro.crypto.vc import (
@@ -42,7 +41,6 @@ __all__ = [
     "CVCTrapdoor",
     "DIGEST_SIZE",
     "EMPTY_DIGEST",
-    "MerkleTree",
     "PublicKey",
     "SigningKey",
     "VectorCommitment",

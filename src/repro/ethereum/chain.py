@@ -3,8 +3,11 @@
 Implements the substrate of Section II-A at the fidelity the paper's
 evaluation needs:
 
-* an append-only chain of blocks, each holding a transaction Merkle root
-  and the previous block's header hash;
+* an append-only chain of blocks, each holding a transaction root and
+  the previous block's header hash.  The transaction root is the root
+  of an MB-tree (:mod:`repro.core.mbtree`, the chain's one Merkle tree
+  type) keyed by each transaction's ordinal in the block, with the
+  transaction digest as value;
 * per-transaction gas metering against the 8,000,000 block ``gasLimit``,
   with the base ``C_tx`` and per-byte ``C_txdata`` charges of Table I;
 * contract deployment and invocation with receipts (gas used, events);
@@ -24,7 +27,6 @@ from dataclasses import dataclass, field
 
 from repro import obs
 from repro.crypto.hashing import EMPTY_DIGEST, digests_equal, sha3
-from repro.crypto.merkle import MerkleTree
 from repro.errors import ChainError, IntegrityError, OutOfGasError
 from repro.ethereum.contract import SmartContract
 from repro.ethereum.gas import BLOCK_GAS_LIMIT, GasMeter
@@ -250,8 +252,14 @@ class Blockchain:
 
     def mine_block(self) -> Block:
         """Seal all pending receipts into a new block."""
+        # Imported here: repro.core's package init reaches back into
+        # this module.
+        from repro.core.mbtree import MBTree
+
         obs.inc("chain.blocks")
-        tx_tree = MerkleTree([r.tx.digest() for r in self.pending])
+        tx_tree = MBTree()
+        for ordinal, receipt in enumerate(self.pending):
+            tx_tree.insert(ordinal, receipt.tx.digest())
         state = None
         state_root = EMPTY_DIGEST
         if self.track_state:
@@ -262,7 +270,7 @@ class Blockchain:
         header = BlockHeader(
             number=len(self.blocks),
             parent_hash=self.blocks[-1].header.hash(),
-            tx_root=tx_tree.root,
+            tx_root=tx_tree.root_hash,
             timestamp=time.time(),
             state_root=state_root,
         )

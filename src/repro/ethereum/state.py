@@ -13,8 +13,8 @@ table of the state tree read through
 :func:`~repro.core.multiproof.open_table`:
 
 * **presence** — the 1-leaf table of the slot's word;
-* **absence** — the table of the slot's one or two neighbours
-  (:meth:`~repro.core.mbtree.MBTree.locate`), whose gap counts show them
+* **absence** — the table of the slot's one or two neighbours (the
+  tree's :class:`~repro.core.mbtree.LeafCursor`), whose gap counts show them
   adjacent — the same check the query layer makes for completeness, and
   what proves a keyword *has no digest on-chain* to a light client.
 
@@ -138,7 +138,7 @@ class StateCommitment:
         if word is not None:
             keys = [slot]
         else:
-            keys = [e.key for e in self._tree.locate(slot) if e is not None]
+            keys = [k for k in self._tree.cursor().seek(slot) if k is not None]
         table = self._tree.multiproof(keys) if keys else None
         return StorageProof(contract=contract, key=key, word=word, table=table)
 

@@ -10,8 +10,8 @@ from repro.analysis.findings import Finding
 
 def make_finding(line=1, rule="timing-safe-compare", symbol="f"):
     return Finding(
-        path="src/repro/crypto/merkle.py",
-        module="crypto/merkle.py",
+        path="src/repro/crypto/hashing.py",
+        module="crypto/hashing.py",
         line=line,
         col=1,
         rule=rule,

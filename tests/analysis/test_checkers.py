@@ -34,7 +34,7 @@ def verify_proof(proof, payload, root):
 
 class TestTimingSafeCompare:
     def test_flags_digest_equality(self):
-        findings = lint_source(TIMING_BAD, module="crypto/merkle.py")
+        findings = lint_source(TIMING_BAD, module="crypto/hashing.py")
         assert rules(findings) == ["timing-safe-compare"]
         assert findings[0].line == 2
         assert findings[0].symbol == "verify_proof"
@@ -50,14 +50,14 @@ class TestTimingSafeCompare:
         assert rules(findings) == ["timing-safe-compare"]
 
     def test_clean_fixture(self):
-        assert lint_source(TIMING_GOOD, module="crypto/merkle.py") == []
+        assert lint_source(TIMING_GOOD, module="crypto/hashing.py") == []
 
     def test_out_of_scope_module_is_ignored(self):
         assert lint_source(TIMING_BAD, module="bench/report.py") == []
 
     def test_non_digest_comparison_is_ignored(self):
         src = "def verify_count(a, b):\n    return a == b\n"
-        assert lint_source(src, module="crypto/merkle.py") == []
+        assert lint_source(src, module="crypto/hashing.py") == []
 
 
 # -- crypto-hygiene -----------------------------------------------------------

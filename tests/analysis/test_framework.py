@@ -24,25 +24,25 @@ class TestSuppressions:
             "ok = stored_root == computed_root"
             "  # reprolint: disable=timing-safe-compare\n"
         )
-        assert lint_source(src, module="crypto/merkle.py") == []
+        assert lint_source(src, module="crypto/hashing.py") == []
 
     def test_disable_next_line(self):
         src = (
             "# reprolint: disable-next-line=timing-safe-compare\n"
             + TIMING_BAD_LINE
         )
-        assert lint_source(src, module="crypto/merkle.py") == []
+        assert lint_source(src, module="crypto/hashing.py") == []
 
     def test_disable_all(self):
         src = "ok = stored_root == computed_root  # reprolint: disable=all\n"
-        assert lint_source(src, module="crypto/merkle.py") == []
+        assert lint_source(src, module="crypto/hashing.py") == []
 
     def test_unrelated_rule_does_not_suppress(self):
         src = (
             "ok = stored_root == computed_root"
             "  # reprolint: disable=determinism\n"
         )
-        findings = lint_source(src, module="crypto/merkle.py")
+        findings = lint_source(src, module="crypto/hashing.py")
         assert [f.rule for f in findings] == ["timing-safe-compare"]
 
     def test_multiple_rules_in_one_comment(self):
@@ -50,12 +50,12 @@ class TestSuppressions:
             "ok = stored_root == computed_root"
             "  # reprolint: disable=determinism,timing-safe-compare\n"
         )
-        assert lint_source(src, module="crypto/merkle.py") == []
+        assert lint_source(src, module="crypto/hashing.py") == []
 
 
 class TestModuleKeys:
     def test_path_inside_repro_package(self):
-        assert module_key_for("src/repro/crypto/merkle.py") == "crypto/merkle.py"
+        assert module_key_for("src/repro/crypto/hashing.py") == "crypto/hashing.py"
         assert (
             module_key_for("/root/repo/src/repro/core/query/verify.py")
             == "core/query/verify.py"
@@ -82,22 +82,22 @@ class TestRegistry:
 class TestFindings:
     def test_baseline_key_is_line_independent(self):
         a = Finding(
-            path="src/repro/crypto/merkle.py",
-            module="crypto/merkle.py",
+            path="src/repro/crypto/hashing.py",
+            module="crypto/hashing.py",
             line=10,
             col=5,
             rule="timing-safe-compare",
             message="m",
-            symbol="MerkleTree.verify",
+            symbol="verify_proof",
         )
         b = Finding(
-            path="src/repro/crypto/merkle.py",
-            module="crypto/merkle.py",
+            path="src/repro/crypto/hashing.py",
+            module="crypto/hashing.py",
             line=99,
             col=1,
             rule="timing-safe-compare",
             message="m",
-            symbol="MerkleTree.verify",
+            symbol="verify_proof",
         )
         assert a.baseline_key == b.baseline_key
 

@@ -1,0 +1,103 @@
+"""Exact gas of the two suppressed MB-tree contracts, and the spine
+bytes the SP sends, pinned.
+
+Both contracts meter every hash they compute, and gas is a sum per hash,
+so any change to the update path that keeps each hashed payload keeps
+these totals to the unit.  The numbers were recorded before the SMI
+append update (Algorithms 1/2) and the general update were folded into
+one path; a change that moves them changes what the contracts charge or
+what the SP's update transaction carries.
+"""
+
+import random
+
+import pytest
+
+from repro.core.mbtree import MBTree
+from repro.core.objects import DataObject, ObjectMetadata
+from repro.core.suppressed import (
+    SuppressedMerkleContract,
+    build_updates,
+    updates_payload,
+)
+from repro.core.suppressed_general import (
+    GeneralSuppressedContract,
+    generate_general_update,
+)
+from repro.crypto.hashing import sha3
+from repro.ethereum.chain import Blockchain
+
+#: Total gas of appends 1..150 through the SMI contract, per fanout.
+SMI_GAS = {3: 16_067_456, 4: 15_699_720, 5: 16_979_623}
+
+#: Total gas of the shuffled insertions through the general contract.
+GENERAL_GAS = 15_791_991
+
+#: sha3 over the serialised spines of appends 1..150, per fanout.
+SPINE_BYTES = {
+    3: "c0760873e3574298f507471590571f48c2aededdd6c2ff4a8d729a61070ccec4",
+    4: "7b076ae219cf09738d9190ab6a1077a5dedbe3fa91baf8d259304d11134a5d4e",
+    5: "9d6d4c35db858fbb2c8ff7d7505b6fa6c5b6d9d5956e1ec3a687c7756323906b",
+}
+
+
+def metadata_for(oid, keywords):
+    return ObjectMetadata.of(DataObject(oid, keywords, b"c%d" % oid))
+
+
+@pytest.mark.parametrize("fanout", sorted(SMI_GAS))
+def test_smi_append_gas(fanout):
+    chain = Blockchain()
+    chain.deploy("smi", SuppressedMerkleContract(fanout=fanout))
+    trees: dict[str, MBTree] = {}
+    for oid in range(1, 151):
+        keywords = ("a", "b") if oid % 3 else ("a",)
+        md = metadata_for(oid, keywords)
+        chain.send_transaction(
+            "do", "smi", "register_object",
+            md.object_id, md.object_hash, md.keywords,
+            payload=md.payload_bytes(),
+        )
+        updates = build_updates(trees, oid, md.keywords)
+        receipt = chain.send_transaction(
+            "sp", "smi", "insert", oid, md.object_hash, updates,
+            payload=updates_payload(updates),
+        )
+        assert receipt.status, receipt.error
+        for keyword in keywords:
+            trees.setdefault(keyword, MBTree(fanout)).insert(oid, md.object_hash)
+    for keyword, tree in trees.items():
+        assert chain.call_view("smi", "view_root", keyword) == tree.root_hash
+    assert chain.total_gas_used() == SMI_GAS[fanout]
+
+
+def test_general_update_gas():
+    chain = Blockchain()
+    chain.deploy("gsmi", GeneralSuppressedContract(fanout=4))
+    tree = MBTree(fanout=4)
+    keys = random.Random(28).sample(range(2_000), 150)
+    for oid, key in enumerate(keys, start=1):
+        md = metadata_for(oid, ("kw",))
+        chain.send_transaction(
+            "do", "gsmi", "register_object", oid, md.object_hash,
+            payload=md.payload_bytes(),
+        )
+        proof = generate_general_update(tree, key)
+        receipt = chain.send_transaction(
+            "sp", "gsmi", "insert", "idx", key, oid, md.object_hash, proof,
+            payload=b"\x00" * proof.byte_size(),
+        )
+        assert receipt.status, receipt.error
+        tree.insert(key, md.object_hash)
+    assert chain.call_view("gsmi", "view_root", "idx") == tree.root_hash
+    assert chain.total_gas_used() == GENERAL_GAS
+
+
+@pytest.mark.parametrize("fanout", sorted(SPINE_BYTES))
+def test_spine_bytes(fanout):
+    tree = MBTree(fanout)
+    spines = []
+    for key in range(1, 151):
+        spines.append(tree.update_path(key).spine().serialise())
+        tree.insert(key, sha3(b"v%d" % key))
+    assert sha3(b"".join(spines)).hex() == SPINE_BYTES[fanout]

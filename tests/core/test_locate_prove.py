@@ -1,20 +1,22 @@
 """Locate, then prove once: the SP query path.
 
-``MBTree.locate`` finds boundary entries without hashing — the views
-read the same keys through a forward cursor and leave the join as one
-:class:`LocatedRun` per tree — and the finishing step asks each tree
-once for its table (``MBTree.multiproof``; a Chameleon tree's node
-table takes the same route with positions for keys).  These tests pin
-(a) that the one-pass Merkle construction equals the merge-from-paths
-oracle field for field, and (b) that an unfinished or stale run fails
-closed everywhere — also under ``python -O``.  (The cursor against
-``locate``: ``test_leaf_cursor.py``.)
+The tree's cursor finds boundary keys without hashing — the views read
+them through it and leave the join as one :class:`LocatedRun` per tree
+— and the finishing step asks each tree once for its table
+(``MBTree.multiproof``; a Chameleon tree's node table takes the same
+route with positions for keys).  These tests pin (a) that the one-pass
+Merkle construction equals the merge-from-paths oracle field for field,
+and that the located keys match ``bisect`` over the inserted keys, and
+(b) that an unfinished or stale run fails closed everywhere — also
+under ``python -O``.  (The cursor's finger moves:
+``test_leaf_cursor.py``.)
 """
 
 import dataclasses
 import pickle
 import subprocess
 import sys
+from bisect import bisect_right
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -117,17 +119,16 @@ def test_multiproof_and_gate_equal_the_oracle(keys, fanout, data):
 )
 def test_locate_matches_sorted_model_and_boundaries(keys, fanout, target):
     tree = make_tree(keys, fanout)
-    lower, upper = tree.locate(target)
-    expected_lower = max((k for k in keys if k <= target), default=None)
-    expected_upper = min((k for k in keys if k > target), default=None)
-    assert (lower and lower.key) == expected_lower
-    assert (upper and upper.key) == expected_upper
-    for entry in (lower, upper):
-        if entry is not None:
-            assert entry.value_hash == value_of(entry.key)
-    # The table over what locate found shows the same two keys.
-    located = [entry.key for entry in (lower, upper) if entry is not None]
-    run = open_table(tree.multiproof(located), tree.root_hash, "kw")
+    ordered = sorted(keys)
+    rank = bisect_right(ordered, target)
+    expected_lower = ordered[rank - 1] if rank else None
+    expected_upper = ordered[rank] if rank < len(ordered) else None
+    assert tree.cursor().seek(target) == (expected_lower, expected_upper)
+    # The table over what the cursor found shows the same two keys.
+    located = [key for key in (expected_lower, expected_upper) if key is not None]
+    table = tree.multiproof(located)
+    assert table.leaves == tuple((key, value_of(key)) for key in located)
+    run = open_table(table, tree.root_hash, "kw")
     assert run.boundaries(target) == (expected_lower, expected_upper)
 
 

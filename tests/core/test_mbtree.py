@@ -1,5 +1,7 @@
 """Unit tests for the Merkle B-tree."""
 
+from bisect import bisect_right
+
 import pytest
 
 from repro.core import mbtree
@@ -26,7 +28,7 @@ class TestBasics:
         assert tree.root_hash == EMPTY_DIGEST
         assert tree.height == 0
         assert tree.min_key is None
-        assert tree.locate(1) == (None, None)
+        assert tree.cursor().seek(1) == (None, None)
 
     def test_fanout_validation(self):
         with pytest.raises(ReproError):
@@ -84,38 +86,54 @@ class TestProofs:
         assert tree.multiproof([10]).byte_size() > 40
 
 
+def bracket(keys, target):
+    """The inserted keys bracketing ``target``, from ``bisect``: an
+    oracle that shares no routing code with the tree."""
+    ordered = sorted(keys)
+    rank = bisect_right(ordered, target)
+    return (
+        ordered[rank - 1] if rank else None,
+        ordered[rank] if rank < len(ordered) else None,
+    )
+
+
 class TestBoundaries:
     def test_exact_match(self):
-        tree = build([2, 4, 6, 8])
-        lower, upper = tree.locate(4)
-        assert (lower.key, upper.key) == (4, 6)
+        keys = [2, 4, 6, 8]
+        assert bracket(keys, 4) == (4, 6)
+        assert build(keys).cursor().seek(4) == (4, 6)
 
     def test_between_keys(self):
-        tree = build([2, 4, 6, 8])
-        lower, upper = tree.locate(5)
-        assert (lower.key, upper.key) == (4, 6)
+        keys = [2, 4, 6, 8]
+        tree = build(keys)
+        assert bracket(keys, 5) == (4, 6)
+        assert tree.cursor().seek(5) == (4, 6)
         assert run_of(tree, [4, 6]).boundaries(5) == (4, 6)
 
     def test_before_first(self):
-        tree = build([2, 4])
-        lower, upper = tree.locate(1)
-        assert lower is None and upper.key == 2
+        keys = [2, 4]
+        tree = build(keys)
+        assert bracket(keys, 1) == (None, 2)
+        assert tree.cursor().seek(1) == (None, 2)
         assert run_of(tree, [2]).boundaries(1) == (None, 2)
 
     def test_after_last(self):
-        tree = build([2, 4])
-        lower, upper = tree.locate(9)
-        assert upper is None and lower.key == 4
+        keys = [2, 4]
+        tree = build(keys)
+        assert bracket(keys, 9) == (4, None)
+        assert tree.cursor().seek(9) == (4, None)
         assert run_of(tree, [4]).boundaries(9) == (4, None)
 
     def test_boundary_proofs_verify(self):
-        tree = build(range(0, 100, 3))
-        lower, upper = tree.locate(50)
-        table = tree.multiproof([lower.key, upper.key])
+        keys = range(0, 100, 3)
+        tree = build(keys)
+        lower, upper = bracket(keys, 50)
+        assert tree.cursor().seek(50) == (lower, upper)
+        table = tree.multiproof([lower, upper])
         assert table.fold()[0] == tree.root_hash
         assert table.leaves == (
-            (lower.key, lower.value_hash),
-            (upper.key, upper.value_hash),
+            (lower, value_of(lower)),
+            (upper, value_of(upper)),
         )
 
 
@@ -142,52 +160,37 @@ class TestAdjacency:
 
 
 class TestUpdateSpine:
-    def test_spine_matches_real_insertions(self):
-        tree = mbtree.MBTree(fanout=4)
-        for key in range(1, 150):
-            spine = tree.gen_update_proof(key)
-            assert mbtree.reconstruct_root(spine) == tree.root_hash
-            new_entry = mbtree.entry_digest(key, value_of(key))
-            predicted = mbtree.compute_updated_root(spine, new_entry, 4)
-            tree.insert(key, value_of(key))
-            assert predicted == tree.root_hash
+    """Algorithm 1's spine as the append view of the update path (that
+    the path folds to the tree's roots: ``test_update_path.py``)."""
 
     def test_spine_rejects_non_monotonic(self):
-        tree = build([5])
-        with pytest.raises(ReproError):
-            tree.gen_update_proof(3)
+        tree = build([5, 9])
+        for key in (3, 7):
+            with pytest.raises(ReproError):
+                tree.update_path(key).spine()
 
     def test_serialise_roundtrip(self):
         tree = build(range(1, 40))
-        spine = tree.gen_update_proof(100)
+        spine = tree.update_path(100).spine()
         rebuilt = mbtree.UpdateSpine.deserialise(spine.serialise())
         assert rebuilt == spine
 
     def test_deserialise_rejects_truncation(self):
         tree = build(range(1, 40))
-        raw = tree.gen_update_proof(100).serialise()
+        raw = tree.update_path(100).spine().serialise()
         with pytest.raises(IntegrityError):
             mbtree.UpdateSpine.deserialise(raw[:-1])
 
     def test_deserialise_rejects_trailing_bytes(self):
         tree = build(range(1, 40))
-        raw = tree.gen_update_proof(100).serialise()
+        raw = tree.update_path(100).spine().serialise()
         with pytest.raises(IntegrityError):
             mbtree.UpdateSpine.deserialise(raw + b"x")
 
-    def test_empty_tree_spine(self):
-        tree = mbtree.MBTree()
-        spine = tree.gen_update_proof(1)
-        assert mbtree.reconstruct_root(spine) == EMPTY_DIGEST
-        new_entry = mbtree.entry_digest(1, value_of(1))
-        predicted = mbtree.compute_updated_root(spine, new_entry, 4)
-        tree.insert(1, value_of(1))
-        assert predicted == tree.root_hash
-
     def test_byte_size_grows_with_depth(self):
-        small = build(range(1, 5)).gen_update_proof(100)
-        large = build(range(1, 200)).gen_update_proof(500)
-        assert large.byte_size() > small.byte_size()
+        small = build(range(1, 5)).update_path(100).spine()
+        large = build(range(1, 200)).update_path(500).spine()
+        assert len(large.serialise()) > len(small.serialise())
 
 
 class RecordingObserver:

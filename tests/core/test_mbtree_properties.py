@@ -1,10 +1,12 @@
 """Property-based tests for the Merkle B-tree.
 
 Model-based checking against a sorted list: for any key set and fan-out,
-the tree must iterate in sorted order, prove every member, compute
-boundaries that match the model, and keep append-mode spine updates in
-lockstep with real insertions.
+the tree must iterate in sorted order, prove every member and find the
+boundaries ``bisect`` finds in the model.  (The update path against real
+insertions: ``test_update_path.py``.)
 """
+
+from bisect import bisect_right
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -48,39 +50,15 @@ def test_boundaries_match_sorted_model(keys, fanout, target):
     for key in keys:
         tree.insert(key, value_of(key))
     ordered = sorted(keys)
-    expected_lower = max((k for k in ordered if k <= target), default=None)
-    expected_upper = min((k for k in ordered if k > target), default=None)
-    lower, upper = tree.locate(target)
-    assert (lower.key if lower else None) == expected_lower
-    assert (upper.key if upper else None) == expected_upper
-    # The located pair's table folds to the root and shows the pair
-    # adjacent (or at the tree's edge).
-    keys = [entry.key for entry in (lower, upper) if entry is not None]
+    rank = bisect_right(ordered, target)
+    expected_lower = ordered[rank - 1] if rank else None
+    expected_upper = ordered[rank] if rank < len(ordered) else None
+    assert tree.cursor().seek(target) == (expected_lower, expected_upper)
+    # The pair's table folds to the root and shows the pair adjacent
+    # (or at the tree's edge).
+    keys = [key for key in (expected_lower, expected_upper) if key is not None]
     run = open_table(tree.multiproof(keys), tree.root_hash, "kw")
     assert run.boundaries(target) == (expected_lower, expected_upper)
-
-
-@settings(max_examples=30, deadline=None)
-@given(
-    num_keys=st.integers(1, 80),
-    fanout=fanouts,
-    gap_seed=st.integers(0, 2**31),
-)
-def test_append_spine_equivalence(num_keys, fanout, gap_seed):
-    """Algorithm 2's root prediction always equals the real insertion."""
-    import random
-
-    rng = random.Random(gap_seed)
-    tree = mbtree.MBTree(fanout=fanout)
-    key = 0
-    for _ in range(num_keys):
-        key += rng.randint(1, 5)
-        spine = tree.gen_update_proof(key)
-        assert mbtree.reconstruct_root(spine) == tree.root_hash
-        new_entry = mbtree.entry_digest(key, value_of(key))
-        predicted = mbtree.compute_updated_root(spine, new_entry, fanout)
-        tree.insert(key, value_of(key))
-        assert predicted == tree.root_hash
 
 
 @settings(max_examples=30, deadline=None)

@@ -1,8 +1,9 @@
 """Tests for the generalised (non-monotonic-key) suppressed updates."""
 
-import random
-
 import dataclasses
+import random
+from bisect import bisect_right
+
 import pytest
 
 from repro.core.mbtree import MBTree
@@ -94,24 +95,27 @@ class TestOrderingEnforcement:
         with pytest.raises(IntegrityError):
             verify_and_update_root(forged, 10, value_of(10), tree.root_hash, 4)
 
-    def _leaf_front_proof(self, tree):
+    def _leaf_front_proof(self, tree, keys):
         """Craft a proof placing a key at the FRONT of a middle leaf — a
         valid alternative to the standard descent's end-of-previous-leaf
         placement, reachable only with neighbour evidence.  Scans for a
-        between-leaves gap whose successor is a leaf's first entry.
+        between-leaves gap whose successor is a leaf's first entry; the
+        gap's bracketing keys come from ``bisect`` over ``keys``.
         """
+        ordered = sorted(keys)
         for between_key in range(1, 99):
-            lower, upper = tree.locate(between_key)
-            if lower is None or upper is None or lower.key == between_key:
+            rank = bisect_right(ordered, between_key)
+            if rank in (0, len(ordered)) or ordered[rank - 1] == between_key:
                 continue
-            probe = generate_general_update(tree, upper.key + 1)
-            if probe.leaf_entries[0].key != upper.key:
+            lower, upper = ordered[rank - 1], ordered[rank]
+            probe = generate_general_update(tree, upper + 1)
+            if probe.leaf_entries[0].key != upper:
                 continue
             return (
                 dataclasses.replace(
                     probe,
                     insert_index=0,
-                    neighbour=tree.multiproof([lower.key, upper.key]),
+                    neighbour=tree.multiproof([lower, upper]),
                 ),
                 between_key,
                 lower,
@@ -120,7 +124,7 @@ class TestOrderingEnforcement:
 
     def test_leaf_front_placement_with_predecessor_accepted(self):
         tree = build_tree(range(0, 100, 5))
-        proof, key, _ = self._leaf_front_proof(tree)
+        proof, key, _ = self._leaf_front_proof(tree, range(0, 100, 5))
         new_root = verify_and_update_root(
             proof, key, value_of(key), tree.root_hash, 4
         )
@@ -129,7 +133,7 @@ class TestOrderingEnforcement:
     def test_missing_predecessor_rejected(self):
         """Edge insertion into a middle leaf needs neighbour evidence."""
         tree = build_tree(range(0, 100, 5))
-        proof, key, _ = self._leaf_front_proof(tree)
+        proof, key, _ = self._leaf_front_proof(tree, range(0, 100, 5))
         forged = dataclasses.replace(proof, neighbour=None)
         with pytest.raises(IntegrityError):
             verify_and_update_root(
@@ -138,9 +142,9 @@ class TestOrderingEnforcement:
 
     def test_non_adjacent_predecessor_rejected(self):
         tree = build_tree(range(0, 100, 5))
-        proof, key, lower = self._leaf_front_proof(tree)
+        proof, key, lower = self._leaf_front_proof(tree, range(0, 100, 5))
         # Swap in an earlier (verified but non-adjacent) predecessor.
-        earlier = [k for k in range(0, 100, 5) if k < lower.key]
+        earlier = [k for k in range(0, 100, 5) if k < lower]
         if not earlier:
             pytest.skip("no earlier entry available")
         first = proof.leaf_entries[0].key
@@ -156,8 +160,8 @@ class TestOrderingEnforcement:
         """Honest, adjacent evidence about the wrong pair of entries:
         the table must end at the target leaf's own edge entry."""
         tree = build_tree(range(0, 100, 5))
-        proof, key, lower = self._leaf_front_proof(tree)
-        elsewhere = tree.multiproof([lower.key - 10, lower.key - 5])
+        proof, key, lower = self._leaf_front_proof(tree, range(0, 100, 5))
+        elsewhere = tree.multiproof([lower - 10, lower - 5])
         forged = dataclasses.replace(proof, neighbour=elsewhere)
         with pytest.raises(IntegrityError):
             verify_and_update_root(

@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.core.mbtree import MBTree
+from repro.crypto.hashing import EMPTY_DIGEST
 from repro.errors import ChainError, IntegrityError
 from repro.ethereum.chain import Blockchain
 from repro.ethereum.contract import SmartContract
@@ -138,3 +140,49 @@ class TestBlocks:
     def test_receipt_lookup_by_digest(self, chain):
         receipt = chain.send_transaction("alice", "counter", "bump")
         assert chain.receipts_by_tx[receipt.tx.digest()] is receipt
+
+
+def mined_tx_root(transactions):
+    """The tx root of one block holding ``(sender, payload)`` calls."""
+    chain = Blockchain()
+    chain.deploy("counter", Counter())
+    for sender, payload in transactions:
+        chain.send_transaction(sender, "counter", "bump", payload=payload)
+    return chain.mine_block().header.tx_root
+
+
+class TestTxRoot:
+    """The transaction root is an MB-tree root over the block's
+    transaction digests, keyed by ordinal."""
+
+    TXS = [
+        ("alice", b"a"), ("bob", b"b"), ("carol", b"c"), ("dave", b"d"), ("erin", b"e"),
+    ]
+
+    def test_empty_block_keeps_the_empty_digest(self, chain):
+        assert chain.mine_block().header.tx_root == EMPTY_DIGEST
+
+    def test_root_of_the_ordinal_keyed_tree(self, chain):
+        receipts = [
+            chain.send_transaction(sender, "counter", "bump", payload=payload)
+            for sender, payload in self.TXS
+        ]
+        tree = MBTree()
+        for ordinal, receipt in enumerate(receipts):
+            tree.insert(ordinal, receipt.tx.digest())
+        assert chain.mine_block().header.tx_root == tree.root_hash
+
+    def test_any_changed_digest_changes_the_root(self):
+        root = mined_tx_root(self.TXS)
+        for i, (sender, payload) in enumerate(self.TXS):
+            changed = list(self.TXS)
+            changed[i] = (sender, payload + b"!")
+            assert mined_tx_root(changed) != root, i
+
+    def test_reordering_changes_the_root(self):
+        root = mined_tx_root(self.TXS)
+        for i in range(len(self.TXS) - 1):
+            swapped = list(self.TXS)
+            swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]
+            assert mined_tx_root(swapped) != root, i
+        assert mined_tx_root(self.TXS[::-1]) != root
