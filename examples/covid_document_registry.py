@@ -10,8 +10,8 @@ The scenario demonstrates:
 
 * streaming ingestion with per-document gas receipts;
 * conjunctive, disjunctive, and non-existing-keyword queries;
-* detection of a *tampering* storage provider: we corrupt the SP's
-  copy of a document and show that verification fails.
+* detection of a *tampering* storage provider: the SP's response
+  carries a corrupted document, and the client refuses it.
 
 Run with::
 
@@ -19,8 +19,8 @@ Run with::
 """
 
 from repro import DataObject, HybridStorageSystem, VerificationError
-from repro.core.query.verify import verify_query
 from repro.ethereum.gas import gas_to_usd
+from repro.sp.protocol import QueryResponse, RemoteClient, StorageProviderServer
 
 CORPUS = [
     (("covid-19", "epidemiology", "wuhan"), b"Early outbreak dynamics"),
@@ -66,19 +66,21 @@ def main() -> None:
 
     # --- A malicious SP serves a tampered document -------------------------
     print("\nTamper detection:")
-    query = registry.query("covid-19 AND vaccine").query
-    answer = registry.process_query(query)
-    genuine = answer.objects[4]
-    answer.objects[4] = DataObject(
-        genuine.object_id, genuine.keywords, b"FABRICATED RESULTS"
-    )
-    proof_system = registry.chain_proof_system(query.all_keywords())
+    server = StorageProviderServer(registry)
+
+    def tampering_sp(request: bytes) -> bytes:
+        response = QueryResponse.decode(server.handle(request))
+        genuine = response.objects[0]
+        response.objects[0] = DataObject(
+            genuine.object_id, genuine.keywords, b"FABRICATED RESULTS"
+        )
+        return response.encode()
+
     try:
-        verify_query(query, answer, proof_system)
+        RemoteClient(tampering_sp, registry).query("covid-19 AND vaccine")
         print("  !!! tampered answer accepted (this must never happen)")
     except VerificationError as exc:
         print(f"  tampered answer rejected: {exc}")
-
 
 if __name__ == "__main__":
     main()

@@ -42,9 +42,10 @@ def main() -> None:
 
     query_text = '("covid-19" AND vaccine) OR ("sars-cov-2" AND vaccine)'
     print(f"\nQuery: {query_text}")
+    # The client checks the SP's answer against the chain; any failed
+    # check raises VerificationError, so a returned result is verified.
     result = system.query(query_text)
 
-    print(f"  verified: {result.verified}")
     print(f"  results:  {result.result_ids}")
     for oid in result.result_ids:
         print(f"    #{oid}: {result.objects[oid].content.decode()}")

@@ -13,8 +13,8 @@ Quick start::
 
     system = HybridStorageSystem(scheme="ci*")
     system.add_object(DataObject(1, ("covid-19", "vaccine"), b"report"))
-    result = system.query("covid-19 AND vaccine")
-    print(result.result_ids, result.verified)
+    result = system.query("covid-19 AND vaccine")  # raises unless verified
+    print(result.result_ids)
 """
 
 import os as _os

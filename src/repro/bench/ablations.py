@@ -128,23 +128,14 @@ def ablation_join_order(
     for order in ("size", "given"):
         system = HybridStorageSystem(scheme="smi", seed=seed, join_order=order)
         _ingest(system, _dataset("twitter", size, seed=seed))
-        workload = ConjunctiveWorkload(
-            dataset=dataset, num_keywords=num_keywords, seed=seed
+        query_row = measure_queries(
+            system, dataset, num_keywords, num_queries, seed=seed
         )
-        vo_sizes = []
-        sp_times = []
-        for query in workload.queries(num_queries):
-            result = system.query(query)
-            vo_sizes.append(result.vo_total_bytes)
-            sp_times.append(result.sp_seconds)
         rows.append(
             AblationRow(
                 parameter="join_order",
                 value=order,
-                metrics={
-                    "vo_kb": statistics.mean(vo_sizes) / 1024,
-                    "sp_ms": 1e3 * statistics.mean(sp_times),
-                },
+                metrics={"vo_kb": query_row.vo_kb, "sp_ms": query_row.sp_ms},
             )
         )
     print(

@@ -220,8 +220,11 @@ class QueryRow:
     """Average query metrics for one (scheme, #keywords) point.
 
     The per-phase columns (``sp_ms`` / ``chain_ms`` / ``verify_ms`` /
-    ``parse_ms``) come from the live ``repro.obs`` phase histograms,
-    so a benchmark row is exactly what the tracing layer saw.
+    ``parse_ms``) come from the live ``repro.obs`` phase histograms the
+    client emits, so a benchmark row is exactly what the tracing layer
+    saw.  ``sp_ms`` is the request's round trip through the in-process
+    SP server (its work plus both wire codecs); ``verify_ms`` is
+    ``verify_query`` alone, without decoding the VO.
     """
 
     scheme: str
@@ -261,11 +264,20 @@ def measure_queries(
     workload = ConjunctiveWorkload(
         dataset=dataset, num_keywords=num_keywords, seed=seed
     )
+    return _query_row(
+        system, dataset.spec.name, num_keywords, list(workload.queries(num_queries))
+    )
+
+
+def _query_row(
+    system: HybridStorageSystem, dataset: str, num_keywords: int, queries: list
+) -> QueryRow:
+    """Run ``queries`` and average what the client's histograms saw."""
     vo_sizes: list[int] = []
     proof_sizes: list[int] = []
     result_counts: list[int] = []
     with obs.collect() as col:
-        for query in workload.queries(num_queries):
+        for query in queries:
             result = system.query(query)
             vo_sizes.append(result.vo_total_bytes)
             proof_sizes.append(result.vo_proof_bytes)
@@ -273,12 +285,12 @@ def measure_queries(
         snap = col.metrics.snapshot()
     return QueryRow(
         scheme=system.scheme.value,
-        dataset=dataset.spec.name,
+        dataset=dataset,
         num_keywords=num_keywords,
         sp_ms=_phase_mean_ms(snap, "query.sp_seconds"),
         vo_kb=statistics.mean(vo_sizes) / 1024,
         verify_ms=_phase_mean_ms(snap, "query.verify_seconds"),
-        num_queries=num_queries,
+        num_queries=len(queries),
         avg_results=statistics.mean(result_counts),
         chain_ms=_phase_mean_ms(snap, "query.chain_seconds"),
         parse_ms=_phase_mean_ms(snap, "query.parse_seconds"),
@@ -498,10 +510,10 @@ def experiment_disjunctive(
     from repro.datasets.workloads import DisjunctiveWorkload
 
     dataset = _dataset("twitter", size, seed=seed)
-    systems = {
-        scheme: build_system(scheme, _dataset("twitter", size, seed=seed))
+    systems = [
+        build_system(scheme, _dataset("twitter", size, seed=seed))
         for scheme in ("mi", "ci*")
-    }
+    ]
     rows: list[QueryRow] = []
     for count in conjunction_counts:
         workload = DisjunctiveWorkload(
@@ -511,26 +523,8 @@ def experiment_disjunctive(
             seed=seed,
         )
         queries = list(workload.queries(num_queries))
-        for scheme, system in systems.items():
-            sp_times, verify_times, vo_sizes, result_counts = [], [], [], []
-            for query in queries:
-                result = system.query(query)
-                sp_times.append(result.sp_seconds)
-                verify_times.append(result.verify_seconds)
-                vo_sizes.append(result.vo_total_bytes)
-                result_counts.append(len(result.result_ids))
-            rows.append(
-                QueryRow(
-                    scheme=scheme,
-                    dataset="twitter",
-                    num_keywords=count,
-                    sp_ms=1e3 * statistics.mean(sp_times),
-                    vo_kb=statistics.mean(vo_sizes) / 1024,
-                    verify_ms=1e3 * statistics.mean(verify_times),
-                    num_queries=num_queries,
-                    avg_results=statistics.mean(result_counts),
-                )
-            )
+        for system in systems:
+            rows.append(_query_row(system, "twitter", count, queries))
     print(
         f"\nDisjunctive queries — metrics vs #conjunctions "
         f"(Twitter, n={size}, {keywords_per_conjunction} keywords each)"

@@ -266,13 +266,15 @@ def cmd_add(args) -> int:
 def cmd_query(args) -> int:
     """Handle ``repro query``."""
     system = load_system(args.directory)
+    # Raises unless the answer verifies; the "verified" line stays in
+    # the output format.
     result = system.query(args.expression)
     if args.json:
         print(
             json.dumps(
                 {
                     "query": str(result.query),
-                    "verified": result.verified,
+                    "verified": True,
                     "result_ids": result.result_ids,
                     "vo_bytes": result.vo_total_bytes,
                     "objects": {
@@ -284,7 +286,7 @@ def cmd_query(args) -> int:
         )
         return 0
     print(f"query:    {result.query}")
-    print(f"verified: {result.verified}")
+    print("verified: True")
     print(f"results:  {result.result_ids}")
     for oid in result.result_ids:
         preview = result.objects[oid].content[:60]
@@ -325,7 +327,7 @@ def cmd_obs_trace(args) -> int:
             json.dumps(
                 {
                     "query": str(result.query),
-                    "verified": result.verified,
+                    "verified": True,
                     "result_ids": result.result_ids,
                     "vo_bytes": result.vo_total_bytes,
                     "spans": [obs.span_to_dict(s) for s in col.spans],
@@ -336,7 +338,7 @@ def cmd_obs_trace(args) -> int:
         )
     else:
         print(f"query:    {result.query}")
-        print(f"verified: {result.verified}")
+        print("verified: True")
         print(f"results:  {result.result_ids}")
         print("\ntrace:")
         print(obs.render_tree(col.spans))

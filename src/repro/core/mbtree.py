@@ -13,9 +13,9 @@ Storage
 Nodes are not Python objects: the whole tree lives in one contiguous
 :class:`~repro.core.nodestore.NodeStore` buffer of fixed-width records
 (flat-buffer storage, nodestore v1).  Build, insert-spine update and
-path extraction are index arithmetic over that buffer; digests are
-stored inline, so a leaf re-hash concatenates stored entry digests
-instead of recomputing them.  The hash *preimages* —
+path extraction are index arithmetic over that buffer.  Node digests
+are stored inline; entry digests are not — a leaf re-hash recomputes
+them from the stored ``<key, value_hash>`` slots.  The hash *preimages* —
 :func:`entry_payload`, :func:`leaf_payload`, :func:`node_payload` — are
 unchanged, so roots, proofs and metered gas are byte-identical to the
 object-graph representation this replaced.  :meth:`MBTree.to_blob` /

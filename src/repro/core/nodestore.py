@@ -38,16 +38,19 @@ record has type byte 0 and carries the next free index as a u32 at
 offset 4; freed records are zeroed so a store's bytes are a pure
 function of the operations applied to it (golden fixtures pin this).
 
-MB-tree record (``record_size = 48 + 72 * (fanout + 1)``)::
+MB-tree record (``record_size = 48 + 40 * (fanout + 1)``)::
 
     0   type       u8   0 free, 1 leaf, 2 internal
     1   count      u8   live entries / children
     4   seq        u32  logical-node id, stable across record moves
     8   min_key    u64  smallest key under this node
     16  digest     32s
-    48  slots:     leaf slot i (72 bytes each):
-                       u64 key | 32s value_hash | 32s entry_digest
+    48  slots:     leaf slot i (40 bytes each):
+                       u64 key | 32s value_hash
                    internal slot i (4 bytes each): u32 child index
+
+A leaf slot stores no entry digest: ``h(key || value_hash)`` is
+recomputed whenever the leaf is re-hashed.
 
 Records hold up to ``fanout + 1`` leaf slots because an insert lands
 *before* the overflow split, exactly like the object-graph tree did —

@@ -8,6 +8,7 @@ owner sends the full object to the SP and only the meta-data
 
 from __future__ import annotations
 
+import base64
 import struct
 from dataclasses import dataclass, field
 
@@ -187,6 +188,25 @@ class DataObject:
     def matches_conjunction(self, required: frozenset[str]) -> bool:
         """True when the object carries every keyword in ``required``."""
         return required <= self.keyword_set()
+
+
+def object_to_record(obj: DataObject) -> dict:
+    """The JSON record of an object, as shard journals and
+    ``objects.jsonl`` store it."""
+    return {
+        "id": obj.object_id,
+        "keywords": list(obj.keywords),
+        "content": base64.b64encode(obj.content).decode("ascii"),
+    }
+
+
+def record_to_object(record: dict) -> DataObject:
+    """Inverse of :func:`object_to_record`."""
+    return DataObject(
+        object_id=record["id"],
+        keywords=tuple(record["keywords"]),
+        content=base64.b64decode(record["content"]),
+    )
 
 
 @dataclass(frozen=True)

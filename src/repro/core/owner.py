@@ -94,42 +94,7 @@ class DataOwnerPipeline:
                 self.sp.insert_entries(metadata)
             return [register, update_tx]
 
-        # Chameleon family.  The DO's off-chain state mutates while
-        # building the transaction, so record how to undo it and roll
-        # back when the receipt fails — otherwise the DO and the chain
-        # diverge.
-        undo: list = []
-        try:
-            ((proofs, counts, new_keywords),) = self.do.insert_many(
-                [metadata], undo
-            )
-            new_kw_list = sorted(new_keywords.items())
-            payload = metadata.payload_bytes()
-            payload += b"".join(
-                kw.encode() + c.to_bytes(self.value_bytes, "big")
-                for kw, c in new_kw_list
-            )
-            payload += b"".join(
-                u.keyword.encode() + u.count.to_bytes(8, "big") for u in counts
-            )
-            receipt = self.chain.send_transaction(
-                "do",
-                ADS_CONTRACT,
-                "insert_object",
-                metadata.object_id,
-                metadata.object_hash,
-                counts,
-                new_kw_list,
-                payload=payload,
-            )
-        except BaseException:
-            self.do.rollback(undo)
-            raise
-        if not receipt.status:
-            self.do.rollback(undo)
-        else:
-            self._mirror_chameleon(metadata, proofs, new_kw_list)
-        return [receipt]
+        return [self._send_chameleon([metadata], batched=False)]
 
     def insert_merkle_tx(self, metadata: ObjectMetadata) -> Receipt:
         """Send the MI register-and-insert transaction, nothing else.
@@ -157,8 +122,29 @@ class DataOwnerPipeline:
         Stages every off-chain mutation, sends a single ``insert_objects``
         transaction, and rolls the DO back completely when it fails.
         """
+        receipt = self._send_chameleon(metadatas, batched=True)
+        if not receipt.status:
+            raise ChainError(f"batched insertion failed: {receipt.error}")
+        # Affine SPs buffer mirror deltas; ship the whole batch before
+        # the receipt is reported confirmed upstream.
+        flush = getattr(self.sp, "flush_mutations", None)
+        if flush is not None:
+            flush()
+        return receipt
+
+    def _send_chameleon(
+        self, metadatas: list[ObjectMetadata], *, batched: bool
+    ) -> Receipt:
+        """Build, send and confirm the Chameleon insertion transaction.
+
+        ``insert_objects`` carries every object (``batched``);
+        ``insert_object`` carries exactly one.  The DO's off-chain state
+        mutates while the transaction is built, so it is rolled back
+        when the receipt fails — otherwise the DO and the chain diverge
+        — and mirrored into the SP once it confirms.
+        """
         undo: list = []
-        batch = []
+        items = []
         payload = b""
         sp_work = []
         try:
@@ -166,14 +152,7 @@ class DataOwnerPipeline:
                 metadatas, self.do.insert_many(metadatas, undo)
             ):
                 new_kw_list = sorted(new_keywords.items())
-                batch.append(
-                    (
-                        metadata.object_id,
-                        metadata.object_hash,
-                        counts,
-                        new_kw_list,
-                    )
-                )
+                items.append((metadata.object_id, metadata.object_hash, counts, new_kw_list))
                 payload += metadata.payload_bytes()
                 payload += b"".join(
                     kw.encode() + c.to_bytes(self.value_bytes, "big")
@@ -184,22 +163,23 @@ class DataOwnerPipeline:
                     for u in counts
                 )
                 sp_work.append((metadata, proofs, new_kw_list))
-            receipt = self.chain.send_transaction(
-                "do", ADS_CONTRACT, "insert_objects", batch, payload=payload
-            )
+            if batched:
+                receipt = self.chain.send_transaction(
+                    "do", ADS_CONTRACT, "insert_objects", items, payload=payload
+                )
+            else:
+                (item,) = items
+                receipt = self.chain.send_transaction(
+                    "do", ADS_CONTRACT, "insert_object", *item, payload=payload
+                )
         except BaseException:
             self.do.rollback(undo)
             raise
         if not receipt.status:
             self.do.rollback(undo)
-            raise ChainError(f"batched insertion failed: {receipt.error}")
+            return receipt
         for metadata, proofs, new_kw_list in sp_work:
             self._mirror_chameleon(metadata, proofs, new_kw_list)
-        # Affine SPs buffer mirror deltas; ship the whole batch before
-        # the receipt is reported confirmed upstream.
-        flush = getattr(self.sp, "flush_mutations", None)
-        if flush is not None:
-            flush()
         return receipt
 
     def _mirror_chameleon(

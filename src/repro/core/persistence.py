@@ -27,12 +27,11 @@ Layout::
 
 from __future__ import annotations
 
-import base64
 import json
 from pathlib import Path
 
 from repro.core.nodestore import NODESTORE_VERSION
-from repro.core.objects import DataObject
+from repro.core.objects import object_to_record, record_to_object
 from repro.core.system import HybridStorageSystem
 from repro.errors import ReproError
 
@@ -85,22 +84,6 @@ _RETIRED_CONFIG_FIELDS = (
 )
 
 
-def _object_to_record(obj: DataObject) -> dict:
-    return {
-        "id": obj.object_id,
-        "keywords": list(obj.keywords),
-        "content": base64.b64encode(obj.content).decode("ascii"),
-    }
-
-
-def _record_to_object(record: dict) -> DataObject:
-    return DataObject(
-        object_id=record["id"],
-        keywords=tuple(record["keywords"]),
-        content=base64.b64decode(record["content"]),
-    )
-
-
 def save_system(
     system: HybridStorageSystem, directory: str | Path, seed: int
 ) -> Path:
@@ -125,7 +108,7 @@ def save_system(
     (path / "manifest.json").write_text(json.dumps(manifest, indent=2))
     with (path / "objects.jsonl").open("w") as log:
         for object_id in system.all_object_ids():
-            record = _object_to_record(system.get_object(object_id))
+            record = object_to_record(system.get_object(object_id))
             log.write(json.dumps(record) + "\n")
     return path
 
@@ -202,7 +185,7 @@ def load_system(
                 line = line.strip()
                 if not line:
                     continue
-                system.add_object(_record_to_object(json.loads(line)))
+                system.add_object(record_to_object(json.loads(line)))
                 count += 1
     expected = manifest.get("object_count", count)
     if count != expected:

@@ -11,11 +11,14 @@ KeywordQuery(conjunctions=[{'covid-19', 'vaccine'}, {'sars-cov-2', 'vaccine'}])
 
 Operators: ``AND``/``&&``/``&``/``∧`` and ``OR``/``||``/``|``/``∨``
 (case-insensitive for the word forms).  Negation is rejected — the ADS
-schemes authenticate monotone queries only.
+schemes authenticate monotone queries only.  A keyword in ``"..."`` or
+``'...'`` is taken literally, a doubled quote standing for one; ``str``
+of a query quotes what needs it, so its text parses back to the query.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from repro.core.objects import normalise_keyword
@@ -38,6 +41,29 @@ MAX_NESTING = 64
 #: and one byte-sized count in the VO frame (240 and up are its version
 #: markers).
 MAX_CONJUNCTIONS = 64
+
+
+#: A quoted keyword runs to the next lone quote of its kind; a doubled
+#: one stands for the character itself.
+_QUOTED = {q: re.compile(f"{q}((?:[^{q}]|{q}{q})*){q}") for q in "\"'"}
+
+#: Characters that end a bare word, beside whitespace.
+_WORD_BREAKS = '()"\''
+
+
+def _keyword_text(keyword: str) -> str:
+    """``keyword`` as query text that tokenises back to it.
+
+    A keyword that reads as a bare word stays bare; any other — one
+    holding whitespace, a parenthesis or a quote, or spelling an
+    operator — goes in double quotes, its own ``"`` doubled.
+    """
+    if (
+        not any(ch.isspace() or ch in _WORD_BREAKS for ch in keyword)
+        and keyword.lower() not in _AND_TOKENS | _OR_TOKENS | _NOT_TOKENS
+    ):
+        return keyword
+    return '"' + keyword.replace('"', '""') + '"'
 
 
 @dataclass(frozen=True)
@@ -63,16 +89,16 @@ def _tokenise(text: str) -> list[_Token]:
             tokens.append(_Token("rparen", ch))
             i += 1
             continue
-        if ch == '"' or ch == "'":
-            end = text.find(ch, i + 1)
-            if end == -1:
+        if ch in _QUOTED:
+            match = _QUOTED[ch].match(text, i)
+            if match is None:
                 raise QueryError(f"unterminated quote starting at offset {i}")
-            tokens.append(_Token("kw", text[i + 1 : end]))
-            i = end + 1
+            tokens.append(_Token("kw", match.group(1).replace(ch * 2, ch)))
+            i = match.end()
             continue
         # Bare word or symbolic operator.
         j = i
-        while j < n and not text[j].isspace() and text[j] not in '()"\'':
+        while j < n and not text[j].isspace() and text[j] not in _WORD_BREAKS:
             j += 1
         word = text[i:j]
         lowered = word.lower()
@@ -229,8 +255,9 @@ class KeywordQuery:
         return any(conj <= keywords for conj in self.conjunctions)
 
     def __str__(self) -> str:
-        parts = [
-            " AND ".join(sorted(conj)) if len(conj) > 1 else next(iter(conj))
-            for conj in self.conjunctions
-        ]
-        return " OR ".join(f"({p})" if " AND " in p else p for p in parts)
+        """Query text that parses back to this query."""
+        parts = []
+        for conj in self.conjunctions:
+            part = " AND ".join(_keyword_text(kw) for kw in sorted(conj))
+            parts.append(f"({part})" if len(conj) > 1 else part)
+        return " OR ".join(parts)

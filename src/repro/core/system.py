@@ -26,13 +26,15 @@ Typical use::
 
     system = HybridStorageSystem(scheme="ci*")
     system.add_object(DataObject(1, ("covid-19", "vaccine"), b"..."))
-    result = system.query('"covid-19" AND vaccine')
-    assert result.verified and result.result_ids == [1]
+    result = system.query('"covid-19" AND vaccine')  # raises unless verified
+    assert result.result_ids == [1]
 """
 
 from __future__ import annotations
 
 import time
+import weakref
+from contextlib import AbstractContextManager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -49,9 +51,7 @@ from repro.core.merkle_family import MerkleProofSystem
 from repro.core.objects import DataObject, ObjectMetadata
 from repro.core.owner import ADS_CONTRACT, DataOwnerPipeline
 from repro.core.proofcache import DEFAULT_CACHE_SIZE, VerificationCache
-from repro.core.query.codec import VOCodec
 from repro.core.query.parser import KeywordQuery
-from repro.core.query.verify import verify_query
 from repro.core.query.vo import QueryAnswer
 from repro.core.scheme import Scheme
 from repro.core.sp_frontend import ShardedStorageProvider
@@ -62,6 +62,7 @@ from repro.errors import ChainError, DatasetError, ReproError
 from repro.ethereum.chain import Blockchain, Receipt
 from repro.ethereum.gas import BLOCK_GAS_LIMIT, GasMeter
 from repro.parallel import ReadWriteLock
+from repro.sp.protocol import QueryResult, RemoteClient, StorageProviderServer
 
 __all__ = [
     "ADS_CONTRACT",
@@ -90,28 +91,6 @@ class InsertReport:
         for receipt in self.receipts:
             merged.merge(receipt.gas)
         return merged
-
-
-@dataclass
-class QueryResult:
-    """Outcome of one verified query."""
-
-    query: KeywordQuery
-    result_ids: list[int]
-    objects: dict[int, DataObject]
-    verified: bool
-    vo_sp_bytes: int
-    vo_chain_bytes: int
-    sp_seconds: float
-    verify_seconds: float
-    #: Proof-only share of ``vo_sp_bytes``: the tables without their
-    #: ``id + hash`` rows.
-    vo_proof_bytes: int = 0
-
-    @property
-    def vo_total_bytes(self) -> int:
-        """Total VO size: ``VO_sp`` plus ``VO_chain`` bytes."""
-        return self.vo_sp_bytes + self.vo_chain_bytes
 
 
 class HybridStorageSystem:
@@ -218,7 +197,6 @@ class HybridStorageSystem:
                 contract = suppressed.SuppressedMerkleContract(fanout=fanout)
         self.contract = contract
         self.chain.deploy(ADS_CONTRACT, contract)
-        self._codec = VOCodec(value_bytes=self.value_bytes)
         self._sp = ShardedStorageProvider(
             index_spec=index_spec,
             scheme_value=self.scheme.value,
@@ -241,6 +219,11 @@ class HybridStorageSystem:
             do=do,
         )
         self._object_count = self._sp.object_count()  # disk-engine replay
+        # Through a weak proxy: a system that held a strong reference to
+        # itself would outlive its last user until the cyclic collector
+        # ran, and a caller that builds systems in turn would hold several.
+        this = weakref.proxy(self)
+        self._client = RemoteClient(StorageProviderServer(this).handle, this)
 
     # -- compatibility surface over the layered internals --------------------------
 
@@ -444,66 +427,21 @@ class HybridStorageSystem:
             cache=self.verify_cache,
         )
 
+    def reading(self) -> AbstractContextManager[None]:
+        """Hold the SP and the chain still: no insertion lands inside.
+
+        The client holds it from sending its request until its chain
+        read returns, so the answer and ``VO_chain`` describe one state.
+        """
+        return self._rwlock.read()
+
     def query(self, query: KeywordQuery | str) -> QueryResult:
-        """Full round trip: SP processing plus client verification."""
-        with obs.span("query", scheme=self.scheme.value) as root_span:
-            if isinstance(query, str):
-                tp = time.perf_counter()
-                with obs.span("query.parse"):
-                    query = KeywordQuery.parse(query)
-                obs.observe("query.parse_seconds", time.perf_counter() - tp,
-                            buckets=obs.TIME_BUCKETS_S)
-            # Only SP evaluation and chain reads need the facade read
-            # lock; verification and VO encoding operate on the returned
-            # snapshot and must not extend the lock scope.
-            with self._rwlock.read():
-                t0 = time.perf_counter()
-                answer = self._sp.process_query(query)
-                sp_seconds = time.perf_counter() - t0
-                tc = time.perf_counter()
-                with obs.span(
-                    "query.chain", keywords=len(query.all_keywords())
-                ):
-                    proof_system = self.chain_proof_system(
-                        query.all_keywords()
-                    )
-                obs.observe("query.chain_seconds", time.perf_counter() - tc,
-                            buckets=obs.TIME_BUCKETS_S)
-            t1 = time.perf_counter()
-            with obs.span("query.verify"):
-                verified = verify_query(query, answer, proof_system)
-            verify_seconds = time.perf_counter() - t1
-            with obs.span("query.vo_encode"):
-                vo_sp_bytes = len(self._codec.encode(answer.vo))
-            vo_proof_bytes = answer.vo.proof_byte_size()
-            vo_chain_bytes = proof_system.chain_digest_bytes()
-            root_span.set(
-                keywords=len(query.all_keywords()),
-                results=len(verified.ids),
-                vo_bytes=vo_sp_bytes + vo_chain_bytes,
-            )
-        obs.inc("query.count")
-        obs.observe("query.sp_seconds", sp_seconds,
-                    buckets=obs.TIME_BUCKETS_S)
-        obs.observe("query.verify_seconds", verify_seconds,
-                    buckets=obs.TIME_BUCKETS_S)
-        obs.observe("vo.bytes", vo_sp_bytes + vo_chain_bytes,
-                    buckets=obs.SIZE_BUCKETS_BYTES)
-        # The flag reflects the actual verification outcome — the claimed
-        # result set must coincide with the independently verified one —
-        # rather than being hard-coded (any failed check above raises
-        # VerificationError out of this method before reaching here).
-        return QueryResult(
-            query=query,
-            result_ids=sorted(verified.ids),
-            objects=answer.objects,
-            verified=set(answer.result_ids) == verified.ids,
-            vo_sp_bytes=vo_sp_bytes,
-            vo_chain_bytes=vo_chain_bytes,
-            sp_seconds=sp_seconds,
-            verify_seconds=verify_seconds,
-            vo_proof_bytes=vo_proof_bytes,
-        )
+        """Full round trip: the client over the in-process SP server.
+
+        A :class:`KeywordQuery` is sent as its text.  Any failed check
+        raises :class:`~repro.errors.VerificationError`.
+        """
+        return self._client.query(str(query))
 
     @property
     def uses_cvc(self) -> bool:

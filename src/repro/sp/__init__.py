@@ -37,7 +37,6 @@ from repro.sp.protocol import (
     QueryRequest,
     QueryResponse,
     RemoteClient,
-    RemoteQueryResult,
     StorageProviderServer,
 )
 
@@ -60,7 +59,6 @@ __all__ = [
     "QueryRequest",
     "QueryResponse",
     "RemoteClient",
-    "RemoteQueryResult",
     "StorageProviderServer",
     "make_engine",
 ]

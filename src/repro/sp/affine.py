@@ -52,7 +52,7 @@ from multiprocessing.connection import Connection
 from typing import Any, NoReturn
 
 from repro import obs
-from repro.core.objects import DataObject
+from repro.core.objects import DataObject, object_to_record
 from repro.errors import ParameterError, ReproError
 from repro.obs import trace as obs_trace
 from repro.obs import xproc
@@ -626,9 +626,7 @@ class AffineEngineProxy:
         self._queue({"op": "bloom", "kw": keyword, "id": object_id})
 
     def put_object(self, obj: DataObject) -> None:
-        from repro.sp.engine import _object_to_record
-
-        self._queue({"op": "object", **_object_to_record(obj)})
+        self._queue({"op": "object", **object_to_record(obj)})
 
     # -- reads (flush first: read-your-writes) ------------------------------------
 

@@ -31,7 +31,6 @@ on the routing cache and one ``sp.shard.<i>.objects`` counter per shard.
 
 from __future__ import annotations
 
-import base64
 import json
 import mmap
 import os
@@ -43,7 +42,7 @@ from repro import obs
 from repro.core.chameleon import ChameleonTreeSP, InsertionProof
 from repro.core.mbtree import MBTree
 from repro.core.nodestore import KIND_CHAMELEON, KIND_MBTREE, NODESTORE_VERSION
-from repro.core.objects import DataObject, ObjectStore
+from repro.core.objects import DataObject, ObjectStore, object_to_record, record_to_object
 from repro.crypto.bloom import (
     DEFAULT_CAPACITY,
     DEFAULT_FILTER_BITS,
@@ -87,22 +86,6 @@ class ShardRouter:
         shard = int.from_bytes(digest[:8], "big") % self.shards
         self._cache[keyword] = shard
         return shard
-
-
-def _object_to_record(obj: DataObject) -> dict:
-    return {
-        "id": obj.object_id,
-        "keywords": list(obj.keywords),
-        "content": base64.b64encode(obj.content).decode("ascii"),
-    }
-
-
-def _record_to_object(record: dict) -> DataObject:
-    return DataObject(
-        object_id=record["id"],
-        keywords=tuple(record["keywords"]),
-        content=base64.b64decode(record["content"]),
-    )
 
 
 def _proof_to_record(proof: InsertionProof) -> dict:
@@ -224,7 +207,7 @@ class IndexShardEngine:
 
     def put_object(self, obj: DataObject) -> None:
         """Store one raw object homed on this shard."""
-        record = {"op": "object", **_object_to_record(obj)}
+        record = {"op": "object", **object_to_record(obj)}
         self._apply(record)
         self._journal(record)
 
@@ -295,7 +278,7 @@ class IndexShardEngine:
                 )
             chain.add(record["id"])
         elif op == "object":
-            self.store.put(_record_to_object(record))
+            self.store.put(record_to_object(record))
             obs.inc(self._objects_metric)
         else:
             raise ReproError(f"unknown journal op {op!r}")
@@ -579,7 +562,7 @@ class DiskShardEngine(IndexShardEngine):
             for keyword, chain in self.blooms.items()
         }
         objects = [
-            _object_to_record(self.store.get(object_id))
+            object_to_record(self.store.get(object_id))
             for object_id in self.store.all_ids()
         ]
         meta = {
@@ -694,7 +677,7 @@ class DiskShardEngine(IndexShardEngine):
                     flt._members.update(rec["members"])
                     chain.filters.append(flt)
                 blooms[keyword] = chain
-            objects = [_record_to_object(rec) for rec in meta["objects"]]
+            objects = [record_to_object(rec) for rec in meta["objects"]]
         finally:
             mapped.close()
         self.index.trees.clear()

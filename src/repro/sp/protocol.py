@@ -31,15 +31,16 @@ which the server answers with ``ERR_BAD_REQUEST``.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
 from repro import obs
 from repro.core.objects import DataObject
 from repro.core.query.codec import VOCodec
 from repro.core.query.parser import KeywordQuery
-from repro.core.query.verify import verify_query
-from repro.core.query.vo import QueryAnswer
+from repro.core.query.verify import ProofSystem, verify_query
+from repro.core.query.vo import QueryAnswer, QueryVO
 from repro.core.wire import U16, U32, Reader
 
 if TYPE_CHECKING:
@@ -238,13 +239,42 @@ class StorageProviderServer:
 
 
 @dataclass
-class RemoteQueryResult:
-    """A verified answer obtained over the wire."""
+class QueryResult:
+    """A verified answer: the results and what obtaining them cost."""
 
+    query: KeywordQuery
     result_ids: list[int]
     objects: dict[int, DataObject]
+    #: Length of the ``VO_sp`` bytes received.
     vo_sp_bytes: int
     vo_chain_bytes: int
+    #: The transport round trip.
+    sp_seconds: float
+    #: ``verify_query`` alone.
+    verify_seconds: float
+    _vo: QueryVO = field(repr=False)
+
+    @property
+    def vo_proof_bytes(self) -> int:
+        """Proof-only share of ``vo_sp_bytes``: the tables without their
+        ``id + hash`` rows (counted on demand; a node table's rows are
+        parsed to count them)."""
+        return self._vo.proof_byte_size()
+
+    @property
+    def vo_total_bytes(self) -> int:
+        """Total VO size: ``VO_sp`` plus ``VO_chain`` bytes."""
+        return self.vo_sp_bytes + self.vo_chain_bytes
+
+
+@dataclass
+class Fetched:
+    """An SP response not yet verified, and the chain read to check it."""
+
+    query: KeywordQuery
+    response: QueryResponse
+    proof_system: ProofSystem
+    sp_seconds: float
 
 
 class RemoteClient:
@@ -253,7 +283,10 @@ class RemoteClient:
     ``transport`` is any ``bytes -> bytes`` callable reaching the SP;
     ``system`` supplies the *chain-side* reads only (``VO_chain`` and
     the proof system) — in a real deployment this is the client's own
-    light-client view of the blockchain.
+    light-client view of the blockchain — and is held still
+    (``system.reading()``) from each request until its chain read.
+    ``system.query`` is this client over the in-process
+    :class:`StorageProviderServer`.
     """
 
     def __init__(
@@ -263,13 +296,40 @@ class RemoteClient:
         self._system = system
         self._codec = VOCodec(value_bytes=system.value_bytes)
 
-    def query(self, text: str) -> RemoteQueryResult:
+    def query(self, text: str) -> QueryResult:
         """Run a query; returns verified results."""
-        with obs.span("client.query") as root_span:
-            with obs.span("client.parse"):
-                query = KeywordQuery.parse(text)
-            with obs.span("client.request"):
+        with obs.span("query", scheme=self._system.scheme.value) as root_span:
+            result = self.verify(self.fetch(text))
+            root_span.set(
+                keywords=len(result.query.all_keywords()),
+                results=len(result.result_ids),
+                vo_bytes=result.vo_total_bytes,
+            )
+        obs.inc("query.count")
+        obs.observe("query.sp_seconds", result.sp_seconds,
+                    buckets=obs.TIME_BUCKETS_S)
+        obs.observe("query.verify_seconds", result.verify_seconds,
+                    buckets=obs.TIME_BUCKETS_S)
+        obs.observe("vo.bytes", result.vo_total_bytes,
+                    buckets=obs.SIZE_BUCKETS_BYTES)
+        return result
+
+    def fetch(self, text: str) -> Fetched:
+        """Parse, ask the SP, and read ``VO_chain`` for its answer.
+
+        The system holds still from the request until the chain read
+        returns, so the answer and the digests describe one state.
+        """
+        tp = time.perf_counter()
+        with obs.span("query.parse"):
+            query = KeywordQuery.parse(text)
+        obs.observe("query.parse_seconds", time.perf_counter() - tp,
+                    buckets=obs.TIME_BUCKETS_S)
+        with self._system.reading():
+            t0 = time.perf_counter()
+            with obs.span("query.request"):
                 raw = self._transport(QueryRequest(query_text=text).encode())
+            sp_seconds = time.perf_counter() - t0
             response = QueryResponse.decode(raw)
             if response.error is not None:
                 code = ERROR_CODE_NAMES.get(
@@ -278,31 +338,44 @@ class RemoteClient:
                 raise QueryError(
                     f"SP returned an error ({code}): {response.error}"
                 )
-            with obs.span("client.vo_decode", bytes=len(response.vo_bytes)):
-                vo = self._codec.decode(response.vo_bytes)
             # One object per result ID, in the IDs' order: an object the
             # SP slipped in beside them would be checked against nothing
-            # below (verification walks the verified IDs, not the list).
+            # (verification walks the verified IDs, not the list).
             if [obj.object_id for obj in response.objects] != response.result_ids:
                 raise VerificationError(
                     "response objects are not exactly one per result ID, "
                     "in ID order"
                 )
-            answer = QueryAnswer(
-                result_ids=response.result_ids,
-                objects={obj.object_id: obj for obj in response.objects},
-                vo=vo,
-            )
-            with obs.span("client.chain"):
+            tc = time.perf_counter()
+            with obs.span("query.chain", keywords=len(query.all_keywords())):
                 proof_system = self._system.chain_proof_system(
                     query.all_keywords()
                 )
-            with obs.span("client.verify"):
-                verified = verify_query(query, answer, proof_system)
-            root_span.set(results=len(verified.ids))
-        return RemoteQueryResult(
+            obs.observe("query.chain_seconds", time.perf_counter() - tc,
+                        buckets=obs.TIME_BUCKETS_S)
+        return Fetched(query, response, proof_system, sp_seconds)
+
+    def verify(self, fetched: Fetched) -> QueryResult:
+        """Decode ``VO_sp`` and check the answer against the chain read."""
+        response = fetched.response
+        with obs.span("query.vo_decode", bytes=len(response.vo_bytes)):
+            vo = self._codec.decode(response.vo_bytes)
+        answer = QueryAnswer(
+            result_ids=response.result_ids,
+            objects={obj.object_id: obj for obj in response.objects},
+            vo=vo,
+        )
+        t0 = time.perf_counter()
+        with obs.span("query.verify"):
+            verified = verify_query(fetched.query, answer, fetched.proof_system)
+        verify_seconds = time.perf_counter() - t0
+        return QueryResult(
+            query=fetched.query,
             result_ids=sorted(verified.ids),
             objects=answer.objects,
             vo_sp_bytes=len(response.vo_bytes),
-            vo_chain_bytes=proof_system.chain_digest_bytes(),
+            vo_chain_bytes=fetched.proof_system.chain_digest_bytes(),
+            sp_seconds=fetched.sp_seconds,
+            verify_seconds=verify_seconds,
+            _vo=vo,
         )

@@ -482,7 +482,7 @@ class TestTableAttacks:
     def test_refused_warm_as_well(self, ci_system):
         """Every opening of the honest answers cached: same verdicts."""
         for text in (JOIN, SCAN, "symptom", "symptom AND vaccine"):
-            assert ci_system.query(text).verified
+            ci_system.query(text)
         refuse_all(ci_system)
 
 
@@ -563,7 +563,7 @@ class TestBatchedOpenings:
         refuse_forgeries(ci_system)
         assert len(ci_system.verify_cache) == 0  # failed batches store nothing
         refuse(table_attacks(ci_system))
-        assert ci_system.query(SCAN).verified
+        ci_system.query(SCAN)
         refuse_all(ci_system)
 
     def test_every_forgery_is_refused_by_the_reference_arithmetic(
@@ -689,8 +689,8 @@ def flipping_system():
 
 
 class TestEveryPathSettles:
-    """No result, ``verified=True`` or cache entry comes from a proof
-    system whose openings were only recorded."""
+    """No result or cache entry comes from a proof system whose
+    openings were only recorded."""
 
     def test_verify_query(self, flipping_system):
         query = KeywordQuery.parse(SCAN)
@@ -760,8 +760,8 @@ refuse_forgeries(system)
 if len(system.verify_cache):
     raise RuntimeError("a failed batch reached the cache")
 refuse(table_attacks(system))
-if not (system.query(SCAN).verified and system.query(JOIN).verified):
-    raise RuntimeError("honest answer refused")
+system.query(SCAN)  # an honest answer refused raises
+system.query(JOIN)
 refuse_all(system)
 with vc.fastpath(False):
     refuse_all(system)

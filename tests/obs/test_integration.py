@@ -47,11 +47,20 @@ class TestPerScheme:
         by_name = {s.name: s for s in col.spans}
         root = by_name["query"]
         assert root.parent_id is None
-        for phase in ("query.parse", "query.sp", "query.chain", "query.verify"):
+        for phase in (
+            "query.parse",
+            "query.request",
+            "query.chain",
+            "query.vo_decode",
+            "query.verify",
+        ):
             span = by_name[phase]
             assert span.parent_id == root.span_id, phase
             assert span.duration_s > 0, phase
-        assert by_name["query.sp.join"].parent_id == by_name["query.sp"].span_id
+        # The SP's work runs behind the wire: request -> server -> SP.
+        wire = ("query.request", "sp.request", "query.sp", "query.sp.join")
+        for parent, child in zip(wire, wire[1:]):
+            assert by_name[child].parent_id == by_name[parent].span_id, child
         assert root.attributes["scheme"] == scheme
         assert root.attributes["results"] == 2
         assert root.attributes["vo_bytes"] == result.vo_total_bytes

@@ -1,9 +1,12 @@
 """Unit tests for the DNF query parser."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.query.parser import KeywordQuery
-from repro.errors import QueryError
+from repro.core.objects import normalise_keyword
+from repro.core.query.parser import KeywordQuery, _absorb
+from repro.errors import DatasetError, QueryError
 
 
 def conj_sets(query):
@@ -125,6 +128,20 @@ class TestEvaluation:
         q = KeywordQuery.parse("(a AND b) OR c")
         assert "AND" in str(q) and "OR" in str(q)
 
+    @pytest.mark.parametrize(
+        "text",
+        ['"covid 19" AND vaccine', '"and" AND x', '"a(b" OR c', "'it''s' OR \"say \"\"hi\"\"\""],
+    )
+    def test_str_quotes_what_needs_it(self, text):
+        q = KeywordQuery.parse(text)
+        assert KeywordQuery.parse(str(q)) == q
+
+    def test_doubled_quote_is_one_quote(self):
+        assert KeywordQuery.parse("'it''s' \"a\"\"b\"").all_keywords() == {
+            "it's",
+            'a"b',
+        }
+
     def test_conjunctive_constructor(self):
         q = KeywordQuery.conjunctive(["X", "y"])
         assert conj_sets(q) == {frozenset({"x", "y"})}
@@ -196,3 +213,37 @@ class TestDNFWidthIsBounded:
             with pytest.raises(QueryError):
                 client.query(text)
             assert not sent
+
+
+def _normalised(raw: str) -> str | None:
+    try:
+        return normalise_keyword(raw)
+    except DatasetError:
+        return None
+
+
+#: Keywords that need quoting: whitespace, parentheses, both quotes and
+#: every operator spelling, beside plain letters and symbols.
+KEYWORDS = st.one_of(
+    st.sampled_from(["and", "OR", "not", "&&", "||", "&", "|", "!", "∧", "∨", "¬"]),
+    st.text(alphabet="ab &|!()\"'\t∧", min_size=1, max_size=8),
+).map(_normalised).filter(lambda kw: kw is not None)
+
+
+class TestRoundTrip:
+    """``str`` of any query parses back to that query.  Raises on its
+    own, so it also holds under ``python -O``."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.frozensets(KEYWORDS, min_size=1, max_size=3),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    def test_parse_of_str_is_identity(self, dnf):
+        query = KeywordQuery(conjunctions=tuple(_absorb(dnf)))
+        text = str(query)
+        if KeywordQuery.parse(text) != query:
+            raise AssertionError(f"{text!r} does not parse back to {query!r}")

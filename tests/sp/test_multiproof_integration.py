@@ -19,7 +19,7 @@ from repro.core.objects import DataObject
 from repro.core.query.parser import KeywordQuery
 from repro.core.system import HybridStorageSystem
 
-from tests.sp.test_sharding import QUERIES, SCHEMES, build, make_docs
+from tests.sp.test_sharding import QUERIES, SCHEMES, build, make_docs, vo_frame
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
@@ -37,10 +37,10 @@ class TestScanPrimes:
     def test_repeated_scan_misses_nothing(self, scheme):
         system = self.make_system(scheme)
         cache = system.verify_cache
-        assert system.query('"alpha"').verified
+        system.query('"alpha"')
         assert len(cache) > 0
         keys, hits, misses = set(cache._entries), cache.hits, cache.misses
-        assert system.query('"alpha"').verified
+        system.query('"alpha"')
         assert set(cache._entries) == keys
         assert cache.misses == misses
         assert cache.hits > hits
@@ -49,13 +49,13 @@ class TestScanPrimes:
         system = self.make_system(scheme)
         cache = system.verify_cache
         for keyword in ("alpha", "beta"):
-            assert system.query(f'"{keyword}"').verified
+            system.query(f'"{keyword}"')
         keys, misses = set(cache._entries), cache.misses
         tables = len(
             system.process_query(KeywordQuery.parse("alpha AND beta")).vo.multiproofs
         )
         result = system.query("alpha AND beta")
-        assert result.verified and result.result_ids == [1, 3, 5, 7, 9, 11]
+        assert result.result_ids == [1, 3, 5, 7, 9, 11]
         if system.uses_cvc:
             # A key is one opening: the scans settled every row of both
             # trees, so the join presents nothing the cache lacks.
@@ -81,11 +81,11 @@ class TestAffineMultiproofParity:
                 answer_affine = affine.process_query(query)
                 assert answer_base.result_ids == answer_affine.result_ids
                 saw_multiproof |= bool(answer_base.vo.multiproofs)
-                assert base._codec.encode(answer_base.vo) == affine._codec.encode(
-                    answer_affine.vo
+                assert vo_frame(base, answer_base.vo) == vo_frame(
+                    affine, answer_affine.vo
                 )
-                assert base.query(text).verified
-                assert affine.query(text).verified
+                base.query(text)
+                affine.query(text)
             assert saw_multiproof, "no query shipped a multiproof"
         finally:
             base.close()
@@ -118,14 +118,14 @@ class TestAffineMultiproofParity:
                 assert answer_serial.result_ids == answer_affine.result_ids
                 # Worker-side joins return located runs; the tables the
                 # workers then cut for them are the single-shard bytes.
-                frame = serial._codec.encode(answer_serial.vo)
-                assert frame == affine._codec.encode(answer_affine.vo)
+                frame = vo_frame(serial, answer_serial.vo)
+                assert frame == vo_frame(affine, answer_affine.vo)
                 saw_node_table |= any(
                     isinstance(table, ChameleonMultiproof)
                     for table in answer_affine.vo.multiproofs
                 )
-                assert serial.query(text).verified
-                assert affine.query(text).verified
+                serial.query(text)
+                affine.query(text)
             assert saw_node_table, "no query shipped a node table"
         finally:
             serial.close()
@@ -153,8 +153,8 @@ class TestTwinRoots:
         out = []
         for text in self.TEXTS:
             answer = system.process_query(KeywordQuery.parse(text))
-            out.append(system._codec.encode(answer.vo))
-            assert system.query(text).verified
+            out.append(vo_frame(system, answer.vo))
+            system.query(text)
         return out
 
     def test_twins_share_one_table_at_any_shard_count_and_pool(self):
