@@ -12,8 +12,7 @@ Two patterns are enforced:
 
 * **Modules** that create a module-level ``*_lock``: any global that is
   mutated under ``with <lock>:`` somewhere is considered lock-guarded,
-  and mutations of it outside a ``with <lock>:`` block are flagged
-  (the ``crypto/numbers.py`` fixed-base table cache pattern).
+  and mutations of it outside a ``with <lock>:`` block are flagged.
 """
 
 from __future__ import annotations

@@ -447,25 +447,15 @@ class HybridStorageSystem:
     def uses_cvc(self) -> bool:
         """Whether the scheme authenticates with chameleon commitments.
 
-        Merkle-only schemes (MI/SMI) hash — they own no fixed-base
-        tables and no CVC openings, so batch/warm-up machinery keyed on
-        this flag skips them entirely.
+        Merkle-only schemes (MI/SMI) hash — they make no CVC openings
+        and never load the exponentiation kernel.
         """
         return self.scheme in (Scheme.CHAMELEON, Scheme.CHAMELEON_STAR)
 
     def prewarm_crypto(self) -> int:
-        """Scheme-aware table setup: build the CVC fixed-base tables early.
-
-        The Chameleon schemes exponentiate the same bases on every
-        commit/verify (the public slot bases) and on every opening (the
-        group base, through the data owner's trapdoor kernel), so
-        building those tables ahead of the first insert and query moves
-        the one-off cost out of the cold path.  Merkle-only schemes hash
-        — they have no tables to build and skip the setup entirely.
-        Returns the number of tables touched.
-        """
-        if self.uses_cvc:
-            return self._cvc.prewarm()
+        """Nothing to warm: every exponentiation is one stateless libcrypto
+        call.  Kept, returning 0, because ``benchmarks/e2e/harness.py``
+        calls it."""
         return 0
 
     def compact(self) -> dict:

@@ -26,7 +26,6 @@ from repro.crypto.vc import (
     find_collision,
     keygen,
     open_slot,
-    prewarm_tables,
     verify,
     verify_batch,
     verify_vector,
@@ -52,7 +51,6 @@ __all__ = [
     "keygen",
     "node_randomness",
     "open_slot",
-    "prewarm_tables",
     "prf_int",
     "sha3",
     "tagged_hash",

@@ -1,9 +1,12 @@
 """Number-theoretic primitives for the RSA-based commitments.
 
 Implements Miller–Rabin primality testing, deterministic (seedable) prime
-generation, modular inverses and safe parameter sizes.  These back the
-vector-commitment scheme in :mod:`repro.crypto.vc` and the RSA-FDH
-signatures in :mod:`repro.crypto.signatures`.
+generation, modular inverses, safe parameter sizes and :func:`modpow`, the
+one modular exponentiation every other module calls (OpenSSL's Montgomery
+kernel, reached through the libcrypto CPython already loads for
+``hashlib``).  These back the vector-commitment scheme in
+:mod:`repro.crypto.vc` and the RSA-FDH signatures in
+:mod:`repro.crypto.signatures`.
 
 Determinism matters here: benchmarks and tests regenerate the same public
 parameters from a seed so that measured numbers are reproducible run to
@@ -15,11 +18,13 @@ from __future__ import annotations
 
 import hashlib
 import secrets
-import threading
-from collections import OrderedDict
+from collections.abc import Callable, Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cache
+from typing import Any
 
-from repro.errors import ParameterError
+from repro.errors import CryptoError, ParameterError
 
 # Small primes used for fast trial division before Miller-Rabin.
 _SMALL_PRIMES: tuple[int, ...] = (
@@ -114,11 +119,11 @@ def is_probable_prime(n: int, rounds: int = MILLER_RABIN_ROUNDS) -> bool:
     rng = DeterministicRandom(n % (1 << 63))
     for _ in range(rounds):
         a = rng.randint(2, n - 2)
-        x = pow(a, d, n)
+        x = modpow(a, d, n)
         if x in (1, n - 1):
             continue
         for _ in range(r - 1):
-            x = pow(x, 2, n)
+            x = x * x % n
             if x == n - 1:
                 break
         else:
@@ -150,287 +155,196 @@ def generate_distinct_primes(count: int, bits: int, rng: RandomSource) -> list[i
 
 
 # ---------------------------------------------------------------------------
-# Fast-path exponentiation: simultaneous multi-exp and fixed-base tables
+# The exponentiation kernel
 # ---------------------------------------------------------------------------
 
-#: Window width (bits) for fixed-base precomputation tables.  Six bits
-#: keeps a 264-bit exponent to 44 table rows of 63 entries each — cheap
-#: enough to build once and far faster than a square-and-multiply chain.
-FIXED_BASE_WINDOW = 6
+#: Whether :func:`modpow` may run in libcrypto.  Off, every exponentiation
+#: is builtin ``pow`` — the reference arithmetic the parity tests hold the
+#: kernel to (:func:`fastpath`).
+_FASTPATH_ENABLED = True
 
-#: Upper bound on cached fixed-base tables; oldest are evicted first.
-FIXED_BASE_CACHE_SIZE = 64
+#: libcrypto's ``BN_FLG_CONSTTIME``: keeps the modulus' Montgomery set-up
+#: and the exponent walk of a secret call in constant time.
+_BN_FLG_CONSTTIME = 0x04
 
-#: Window width (bits) of the trapdoor holder's two-prime tables.  Measured
-#: on one opening at a 1024-bit modulus (512-bit halves), build / open:
-#: w=5 9 ms / 0.26 ms, w=6 14 / 0.23, w=7 23 / 0.20, w=8 40 / 0.18,
-#: w=9 84 / 0.17 — past 7 the table doubles for under a tenth per opening.
-CRT_FIXED_BASE_WINDOW = 7
+#: Below this ``exponent bits * modulus bits`` builtin ``pow`` wins: a
+#: libcrypto call pays ~20 µs to marshal its operands before the first
+#: multiplication (measured on a 2-vCPU x86-64 box: a 1024-bit modulus
+#: breaks even near a 4-bit exponent, a 512-bit one near 8, a 64-bit one
+#: near 64).
+_POW_MAX_WORK = 4096
 
 
-class FixedBaseTable:
-    """Precomputed windowed powers of one fixed base.
+def fastpath_enabled() -> bool:
+    """Whether exponentiations run in the libcrypto kernel."""
+    return _FASTPATH_ENABLED
 
-    Stores ``base^(d * 2^(w*k)) mod n`` for every window position ``k``
-    and digit ``d``, so :meth:`pow` needs only table lookups and modular
-    multiplications — no squarings.  Worth building for any base that is
-    exponentiated repeatedly (the CVC slot and pair bases the data owner
-    touches on every insert, and the slot bases every verification uses).
+
+def set_fastpath(enabled: bool) -> bool:
+    """Enable or disable the kernel; returns the previous setting."""
+    global _FASTPATH_ENABLED
+    previous = _FASTPATH_ENABLED
+    _FASTPATH_ENABLED = bool(enabled)
+    return previous
+
+
+@contextmanager
+def fastpath(enabled: bool) -> Iterator[None]:
+    """Scope a kernel override: ``fastpath(False)`` is the builtin reference."""
+    previous = set_fastpath(enabled)
+    try:
+        yield
+    finally:
+        set_fastpath(previous)
+
+
+def modpow(base: int, exponent: int, modulus: int, *, secret: bool = False) -> int:
+    """``base^exponent mod modulus`` — every exponentiation in the package.
+
+    Runs OpenSSL's Montgomery exponentiation (``BN_mod_exp_mont``) in the
+    libcrypto CPython's own ``_hashlib`` links, so it adds no dependency.
+    ``secret=True`` is for exponents only the trapdoor holder may know
+    (the CRT halves of an opening, an RSA private exponent) and takes
+    ``BN_mod_exp_mont_consttime``.  Builtin ``pow`` covers what Montgomery
+    cannot take — an even modulus, a modulus below 2, a negative exponent
+    (an inverse) — public exponentiations too small to repay a libcrypto
+    call, any call while :func:`fastpath` is off, and every call when
+    libcrypto's symbols do not resolve.  Either way the result is the one
+    ``pow`` returns.
     """
+    if (
+        _FASTPATH_ENABLED
+        and modulus > 1
+        and modulus & 1
+        and exponent >= 0
+        and (secret or exponent.bit_length() * modulus.bit_length() > _POW_MAX_WORK)
+    ):
+        kernel = _libcrypto()
+        if kernel is not None:
+            return kernel(base % modulus, exponent, modulus, secret)
+    return pow(base, exponent, modulus)
 
-    __slots__ = ("base", "modulus", "window", "max_bits", "_rows")
 
-    def __init__(
-        self,
-        base: int,
-        modulus: int,
-        max_bits: int,
-        window: int = FIXED_BASE_WINDOW,
-    ) -> None:
-        if max_bits <= 0:
-            raise ParameterError("max_bits must be positive")
-        if window <= 0:
-            raise ParameterError("window must be positive")
-        self.base = base % modulus
-        self.modulus = modulus
-        self.window = window
-        self.max_bits = max_bits
-        rows: list[list[int]] = []
-        b = self.base
-        for _ in range((max_bits + window - 1) // window):
-            row = [1] * (1 << window)
-            row[1] = b
-            for d in range(2, 1 << window):
-                row[d] = row[d - 1] * b % modulus
-            rows.append(row)
-            b = row[-1] * b % modulus  # b^(2^window)
-        self._rows = rows
+@cache
+def _libcrypto() -> Callable[[int, int, int, bool], int] | None:
+    """The kernel over the libcrypto ``_hashlib`` links, or ``None``.
 
-    def pow(self, exponent: int) -> int:
-        """``base^exponent mod modulus`` via table lookups."""
-        if exponent < 0:
-            raise ParameterError("fixed-base exponent must be non-negative")
-        if exponent.bit_length() > self.max_bits:
-            # Fall back for out-of-range exponents rather than mis-compute.
-            return pow(self.base, exponent, self.modulus)
-        result = 1
-        modulus = self.modulus
-        window = self.window
-        mask = (1 << window) - 1
-        for row in self._rows:
-            digit = exponent & mask
-            if digit:
-                result = result * row[digit] % modulus
-            exponent >>= window
-            if not exponent:
-                break
-        return result
+    ``ctypes.CDLL`` on the extension module's own path resolves symbols
+    through its dependencies without searching the system for a library
+    (``ctypes.util.find_library`` would start ``ldconfig``).  Imported
+    here, on the first exponentiation, so a process that only hashes
+    never loads ``ctypes``.  Each call owns its ``BN_CTX`` and bignums
+    and frees them before it returns: nothing is shared between calls,
+    threads or a fork's two sides.
+    """
+    try:
+        import _hashlib
+        import ctypes
+    except ImportError:
+        return None
+    try:
+        lib = ctypes.CDLL(_hashlib.__file__)
+    except (AttributeError, OSError):
+        return None
+    ptr, c_int, buf = ctypes.c_void_p, ctypes.c_int, ctypes.c_char_p
+
+    def bind(name: str, restype: Any, *argtypes: Any) -> Any:
+        function = getattr(lib, name)
+        function.restype = restype
+        function.argtypes = argtypes
+        return function
+
+    try:
+        ctx_new = bind("BN_CTX_new", ptr)
+        ctx_free = bind("BN_CTX_free", None, ptr)
+        bn_new = bind("BN_new", ptr)
+        bn_free = bind("BN_clear_free", None, ptr)
+        bn_set_flags = bind("BN_set_flags", None, ptr, c_int)
+        load = bind("BN_bin2bn", ptr, buf, c_int, ptr)
+        store = bind("BN_bn2binpad", c_int, ptr, buf, c_int)
+        exp_public, exp_secret = (
+            bind(name, c_int, ptr, ptr, ptr, ptr, ptr, ptr)
+            for name in ("BN_mod_exp_mont", "BN_mod_exp_mont_consttime")
+        )
+    except AttributeError:
+        return None
+
+    def kernel(base: int, exponent: int, modulus: int, secret: bool) -> int:
+        width = (modulus.bit_length() + 7) // 8
+        exponent_bytes = exponent.to_bytes((exponent.bit_length() + 7) // 8, "big")
+        ctx = ctx_new()
+        a = load(base.to_bytes(width, "big"), width, None)
+        p = load(exponent_bytes, len(exponent_bytes), None)
+        m = load(modulus.to_bytes(width, "big"), width, None)
+        r = bn_new()
+        try:
+            if not (ctx and a and p and m and r):
+                raise CryptoError("libcrypto could not allocate a bignum")
+            if secret:
+                bn_set_flags(p, _BN_FLG_CONSTTIME)
+                bn_set_flags(m, _BN_FLG_CONSTTIME)
+            if not (exp_secret if secret else exp_public)(r, a, p, m, ctx, None):
+                raise CryptoError("libcrypto's modular exponentiation failed")
+            out = ctypes.create_string_buffer(width)
+            if store(r, out, width) != width:
+                raise CryptoError("libcrypto returned a result wider than the modulus")
+            return int.from_bytes(out.raw, "big")
+        finally:
+            for bignum in (a, p, m, r):
+                bn_free(bignum)  # a no-op on NULL
+            ctx_free(ctx)
+
+    return kernel
 
 
 class CRTFixedBase:
     """Fixed-base exponentiation modulo ``n = p * q`` for whoever knows ``p, q``.
 
-    One :class:`FixedBaseTable` per prime: the exponent is reduced modulo
-    ``p - 1`` and ``q - 1`` (so it may be of any size and sign), each half
-    is a walk over half-width residues, and Garner's formula recombines
-    them — the same group element ``pow(base, exponent, n)`` returns, at a
-    fraction of the multiplications of a full-width table.  ``base`` must
-    be a unit modulo ``n``.  The tables are the factorisation: an instance
-    belongs to the trapdoor holder and never enters the shared table cache.
+    The exponent is reduced modulo ``p - 1`` and ``q - 1`` (so it may be
+    of any size and sign), each half is one secret :func:`modpow` over a
+    half-width prime, and Garner's formula recombines them — the group
+    element ``pow(base, exponent, n)`` returns.  ``base`` must be a unit
+    modulo ``n``.  An instance holds the factorisation: it belongs to the
+    trapdoor holder.
     """
 
-    __slots__ = ("_p", "_q", "_mod_p", "_mod_q", "_q_inverse")
+    __slots__ = ("_p", "_q", "_base_p", "_base_q", "_q_inverse")
 
     def __init__(self, base: int, p: int, q: int) -> None:
         self._p = p
         self._q = q
-        self._mod_p = FixedBaseTable(
-            base, p, (p - 1).bit_length(), CRT_FIXED_BASE_WINDOW
-        )
-        self._mod_q = FixedBaseTable(
-            base, q, (q - 1).bit_length(), CRT_FIXED_BASE_WINDOW
-        )
+        self._base_p = base % p
+        self._base_q = base % q
         self._q_inverse = mod_inverse(q, p)
 
     def pow(self, exponent: int) -> int:
         """``base^exponent mod p*q``."""
-        x_p = self._mod_p.pow(exponent % (self._p - 1))
-        x_q = self._mod_q.pow(exponent % (self._q - 1))
+        x_p = modpow(self._base_p, exponent % (self._p - 1), self._p, secret=True)
+        x_q = modpow(self._base_q, exponent % (self._q - 1), self._q, secret=True)
         return x_q + (x_p - x_q) * self._q_inverse % self._p * self._q
 
 
-_fixed_base_tables: OrderedDict[tuple[int, int], FixedBaseTable] = OrderedDict()
-_fixed_base_lock = threading.Lock()
-
-
-def fixed_base_table(
-    base: int, modulus: int, max_bits: int
-) -> FixedBaseTable:
-    """A (bounded, LRU) process-wide cache of fixed-base tables.
-
-    Keyed on ``(modulus, base)``; a cached table whose ``max_bits`` is
-    too small for the request is rebuilt at the larger size.
-    """
-    key = (modulus, base)
-    with _fixed_base_lock:
-        table = _fixed_base_tables.get(key)
-        if table is not None and table.max_bits >= max_bits:
-            _fixed_base_tables.move_to_end(key)
-            return table
-    # Build outside the lock: table construction is the expensive part.
-    table = FixedBaseTable(base, modulus, max_bits)
-    with _fixed_base_lock:
-        _fixed_base_tables[key] = table
-        _fixed_base_tables.move_to_end(key)
-        while len(_fixed_base_tables) > FIXED_BASE_CACHE_SIZE:
-            _fixed_base_tables.popitem(last=False)
-    return table
-
-
 def clear_fixed_base_tables() -> None:
-    """Drop every cached fixed-base table (tests and memory pressure)."""
-    with _fixed_base_lock:
-        _fixed_base_tables.clear()
+    """Nothing to clear: kept because ``benchmarks/e2e/harness.py`` calls it."""
 
 
-def multi_exp(
-    pairs: list[tuple[int, int]],
-    modulus: int,
-    tables: list[FixedBaseTable | None] | None = None,
-) -> int:
-    """Simultaneous multi-exponentiation: ``prod base_i^exp_i mod n``.
-
-    One squaring chain serves every base, so k exponentiations cost
-    roughly one chain plus a few dozen multiplications per base instead
-    of k independent ``pow`` calls.  Two schedules share that chain and
-    the routine picks the cheaper from what it is handed — the number of
-    bases and the widest exponent — by counting multiplications:
-
-    * *Straus, sliding window*: each base keeps its odd powers up to
-      ``2^w - 1`` and contributes one multiplication per window of its
-      exponent.  Wins for a handful of bases and for the tens of
-      openings a short posting list gives a batch.
-    * *Pippenger buckets*: no per-base table; per ``c``-bit window every
-      base is multiplied into the bucket of its digit and the buckets
-      are folded by a running product.  Wins once the bases outnumber
-      the ``2^c`` bucket folds by enough (from about a hundred bases).
-
-    ``tables[i]``, when provided, is a :class:`FixedBaseTable` for
-    ``pairs[i]``'s base: that factor is then computed by table lookups
-    and leaves the shared squaring chain entirely.  A single remaining
-    non-table base degenerates to the native ``pow`` (CPython's C loop
-    beats an interpreted window walk for one base).
-    """
+def multi_exp(pairs: list[tuple[int, int]], modulus: int) -> int:
+    """``prod base_i^exp_i mod n``: one :func:`modpow` per non-zero exponent."""
     if modulus <= 0:
         raise ParameterError("modulus must be positive")
-    if tables is not None and len(tables) != len(pairs):
-        raise ParameterError("tables must align one-to-one with pairs")
     result = 1 % modulus
-    shared: list[tuple[int, int]] = []
-    for index, (base, exponent) in enumerate(pairs):
+    for base, exponent in pairs:
         if exponent < 0:
             raise ParameterError("multi_exp exponents must be non-negative")
-        if exponent == 0:
-            continue
-        table = tables[index] if tables is not None else None
-        if table is not None:
-            result = result * table.pow(exponent) % modulus
-        else:
-            shared.append((base % modulus, exponent))
-    if not shared:
-        return result
-    if len(shared) == 1:
-        base, exponent = shared[0]
-        return result * pow(base, exponent, modulus) % modulus
-    bits = max(exponent.bit_length() for _, exponent in shared)
-    straus_cost, window = min(
-        (len(shared) * ((1 << (w - 1)) + bits / (w + 1)), w)
-        for w in range(1, 9)
-    )
-    bucket_cost, chunk = min(
-        (-(-bits // c) * (len(shared) + (1 << c)), c) for c in range(1, 17)
-    )
-    if straus_cost <= bucket_cost:
-        acc = _straus(shared, modulus, bits, window)
-    else:
-        acc = _pippenger(shared, modulus, bits, chunk)
-    return result * acc % modulus
-
-
-def _straus(
-    pairs: list[tuple[int, int]], modulus: int, bits: int, window: int
-) -> int:
-    """``prod base^exp`` by sliding windows over one squaring chain.
-
-    Every exponent is cut, from its top bit down, into windows of at
-    most ``window`` bits that start and end on a set bit; a window is an
-    odd digit, so a base's table holds odd powers only.  ``schedule``
-    maps the bit position at which a window ends to the table entries
-    due there.
-    """
-    schedule: dict[int, list[int]] = {}
-    for base, exponent in pairs:
-        square = base * base % modulus
-        odd = [base]
-        for _ in range((1 << (window - 1)) - 1):
-            odd.append(odd[-1] * square % modulus)
-        top = exponent.bit_length() - 1
-        while top >= 0:
-            if not (exponent >> top) & 1:
-                top -= 1
-                continue
-            low = max(top - window + 1, 0)
-            digit = (exponent >> low) & ((1 << (top - low + 1)) - 1)
-            trailing = (digit & -digit).bit_length() - 1
-            low += trailing
-            schedule.setdefault(low, []).append(odd[digit >> (trailing + 1)])
-            top = low - 1
-    acc = 1
-    for position in range(bits - 1, -1, -1):
-        if acc != 1:
-            acc = acc * acc % modulus
-        for value in schedule.get(position, ()):
-            acc = acc * value % modulus
-    return acc
-
-
-def _pippenger(
-    pairs: list[tuple[int, int]], modulus: int, bits: int, chunk: int
-) -> int:
-    """``prod base^exp`` by bucketing the bases per ``chunk``-bit digit.
-
-    Per window, bucket ``d`` collects the product of the bases whose
-    digit is ``d``; ``prod_d bucket_d^d`` then falls out of a running
-    product taken from the top bucket down (each bucket ends up
-    multiplied in ``d`` times).
-    """
-    acc = 1
-    mask = (1 << chunk) - 1
-    for position in range((bits + chunk - 1) // chunk - 1, -1, -1):
-        if acc != 1:
-            for _ in range(chunk):
-                acc = acc * acc % modulus
-        shift = position * chunk
-        buckets: list[int | None] = [None] * (mask + 1)
-        for base, exponent in pairs:
-            digit = (exponent >> shift) & mask
-            if digit:
-                held = buckets[digit]
-                buckets[digit] = base if held is None else held * base % modulus
-        running = None
-        for digit in range(mask, 0, -1):
-            held = buckets[digit]
-            if held is not None:
-                running = held if running is None else running * held % modulus
-            if running is not None:
-                acc = acc * running % modulus
-    return acc
+        if exponent:
+            result = result * modpow(base, exponent, modulus) % modulus
+    return result
 
 
 def mod_inverse(a: int, modulus: int) -> int:
     """Return ``a^{-1} mod modulus``; raises if it does not exist."""
     try:
-        return pow(a, -1, modulus)
+        return modpow(a, -1, modulus)
     except ValueError as exc:  # pragma: no cover - depends on inputs
         raise ParameterError(f"{a} is not invertible modulo {modulus}") from exc
 
@@ -465,7 +379,7 @@ class RSAModulus:
         operation an adversary without the factorisation cannot perform.
         """
         d = mod_inverse(exponent % self.phi, self.phi)
-        return pow(value, d, self.n)
+        return modpow(value, d, self.n, secret=True)
 
 
 def generate_rsa_modulus(bits: int, rng: RandomSource) -> RSAModulus:

@@ -13,7 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.crypto.hashing import digests_equal, sha3
-from repro.crypto.numbers import generate_rsa_modulus, make_random, mod_inverse
+from repro.crypto.numbers import (
+    generate_rsa_modulus,
+    make_random,
+    mod_inverse,
+    modpow,
+)
 
 #: Standard public exponent.
 PUBLIC_EXPONENT = 65537
@@ -45,7 +50,7 @@ class PublicKey:
         if not 0 < signature < self.n:
             return False
         width = (self.n.bit_length() + 7) // 8
-        recovered = pow(signature, self.e, self.n).to_bytes(width, "big")
+        recovered = modpow(signature, self.e, self.n).to_bytes(width, "big")
         expected = _full_domain_hash(message, self.n).to_bytes(width, "big")
         return digests_equal(recovered, expected)
 
@@ -69,7 +74,7 @@ class SigningKey:
 
     def sign(self, message: bytes) -> int:
         """Produce an FDH signature on ``message``."""
-        return pow(_full_domain_hash(message, self.n), self.d, self.n)
+        return modpow(_full_domain_hash(message, self.n), self.d, self.n, secret=True)
 
 
 def generate_keypair(

@@ -28,7 +28,7 @@ with a trapdoor extension:
 * The trapdoor holder — the data owner, the only party that ever opens a
   commitment — keeps ``r`` current through every collision and raises
   ``a`` to it over the two half-width prime fields
-  (:class:`TrapdoorKernel`): one exponentiation per opening.
+  (:class:`TrapdoorKernel`): two half-width exponentiations per opening.
 
 * A verifier with many openings to check — a client with a query's worth
   of them — folds them into one equation with short random coefficients
@@ -46,32 +46,32 @@ strong RSA replaces position binding under CDH.  The performance property
 the paper exploits in Section V-D — commitment verification costs orders
 of magnitude more than a hash — also carries over: one ``Ver`` is an
 exponentiation of the opening by the ``(q * 264)``-bit ``E`` plus a
-fixed-base table walk per non-empty slot versus one SHA3 call, and a
-batch of n pays a 128-bit share of a multi-exponentiation per opening
-and per commitment plus one exponentiation by ``E`` and ``q`` table
-walks.
+256-bit exponentiation per non-empty slot versus one SHA3 call, and a
+batch of n pays two 128-bit exponentiations per statement (its opening
+and its commitment) plus one exponentiation by ``E`` and one per slot.
+Every exponentiation is :func:`repro.crypto.numbers.modpow`.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator, Sequence
-from contextlib import contextmanager
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import NoReturn
 
 from repro import obs
 from repro.crypto.hashing import DIGEST_SIZE, sha3
-from repro.crypto.numbers import (
+from repro.crypto.numbers import (  # noqa: F401 - fastpath is re-exported
     CRTFixedBase,
-    FixedBaseTable,
     RandomSource,
-    fixed_base_table,
+    fastpath,
+    fastpath_enabled,
     generate_distinct_primes,
     generate_rsa_modulus,
     make_random,
     mod_inverse,
+    modpow,
     multi_exp,
 )
 from repro.errors import CommitmentError, ParameterError, TrapdoorRequiredError
@@ -103,58 +103,6 @@ Statement = tuple[int, Sequence[Message], int]
 #: half of the full-width exponent it replaces.  Not an argument: a
 #: verifier has no reason to ask for a weaker check.
 BATCH_COEFFICIENT_BITS = 128
-
-# ---------------------------------------------------------------------------
-# Fast-path switch
-# ---------------------------------------------------------------------------
-
-#: When True (the default), Com/Open/Ver run on the simultaneous
-#: multi-exponentiation + fixed-base-table fast path; the naive
-#: independent-``pow`` path is kept for parity testing and benchmarking.
-_FASTPATH_ENABLED = True
-
-
-def fastpath_enabled() -> bool:
-    """Whether the multi-exp/fixed-base fast path is active."""
-    return _FASTPATH_ENABLED
-
-
-def set_fastpath(enabled: bool) -> bool:
-    """Enable or disable the fast path; returns the previous setting."""
-    global _FASTPATH_ENABLED
-    previous = _FASTPATH_ENABLED
-    _FASTPATH_ENABLED = bool(enabled)
-    return previous
-
-
-@contextmanager
-def fastpath(enabled: bool) -> Iterator[None]:
-    """Context manager scoping a fast-path override."""
-    previous = set_fastpath(enabled)
-    try:
-        yield
-    finally:
-        set_fastpath(previous)
-
-
-def _table_bits(pp: "CVCPublicParams") -> int:
-    """Exponent width a base table must cover: messages and randomisers.
-
-    Randomisers are reduced modulo ``phi(N)`` by collision finding, so
-    the modulus width bounds them; encoded messages are ``MESSAGE_BITS``.
-    """
-    return max(MESSAGE_BITS, pp.modulus.bit_length())
-
-
-def _slot_table(pp: "CVCPublicParams", slot: int) -> FixedBaseTable:
-    """Cached fixed-base table for ``S_slot`` (0 = randomiser base)."""
-    return fixed_base_table(pp.slot_bases[slot], pp.modulus, _table_bits(pp))
-
-
-def _pair_table(pp: "CVCPublicParams", i: int, j: int) -> FixedBaseTable:
-    """Cached fixed-base table for ``T_{i,j}``."""
-    return fixed_base_table(pp.pair_base(i, j), pp.modulus, _table_bits(pp))
-
 
 def encode_message(message: Message) -> int:
     """Map a message into the exponent space ``[0, 2^256)``.
@@ -285,11 +233,11 @@ def keygen(
     product = math.prod(exponents)
     base = _sample_base(modulus.n, rng)
     slot_bases = tuple(
-        pow(base, product // e, modulus.n) for e in exponents
+        modpow(base, product // e, modulus.n) for e in exponents
     )
     pair_bases = tuple(
         tuple(
-            pow(base, product // (exponents[i] * exponents[j]), modulus.n)
+            modpow(base, product // (exponents[i] * exponents[j]), modulus.n)
             for j in range(i + 1, len(exponents))
         )
         for i in range(len(exponents))
@@ -329,7 +277,7 @@ def _sample_base(n: int, rng: RandomSource) -> int:
     while True:
         candidate = rng.randint(2, n - 2)
         if math.gcd(candidate, n) == 1:
-            return pow(candidate, 2, n)
+            return candidate * candidate % n
 
 
 def commit(
@@ -350,19 +298,8 @@ def commit(
 
 def _commit_value(pp: CVCPublicParams, encoded: list[int], randomiser: int) -> int:
     """The commitment group element for already-encoded messages."""
-    if _FASTPATH_ENABLED and randomiser >= 0:
-        pairs = [(pp.slot_bases[0], randomiser)]
-        tables: list[FixedBaseTable | None] = [_slot_table(pp, 0)]
-        for slot, z in enumerate(encoded, start=1):
-            if z:
-                pairs.append((pp.slot_bases[slot], z))
-                tables.append(_slot_table(pp, slot))
-        return multi_exp(pairs, pp.modulus, tables=tables)
-    c = pow(pp.slot_bases[0], randomiser, pp.modulus)
-    for slot, z in enumerate(encoded, start=1):
-        if z:
-            c = c * pow(pp.slot_bases[slot], z, pp.modulus) % pp.modulus
-    return c
+    messages = multi_exp(list(zip(pp.slot_bases[1:], encoded)), pp.modulus)
+    return modpow(pp.slot_bases[0], randomiser, pp.modulus) * messages % pp.modulus
 
 
 def open_slot(pp: CVCPublicParams, slot: int, message: Message, aux: CVCAux) -> int:
@@ -384,43 +321,16 @@ def open_slot(pp: CVCPublicParams, slot: int, message: Message, aux: CVCAux) -> 
 
 def _open_encoded(pp: CVCPublicParams, slot: int, aux: CVCAux) -> int:
     """Per-slot opening for the message ``aux`` already holds (encoded)."""
-    if _FASTPATH_ENABLED and aux.randomiser >= 0:
-        pairs = [(pp.pair_base(0, slot), aux.randomiser)]
-        tables: list[FixedBaseTable | None] = [_pair_table(pp, 0, slot)]
-        for other in range(1, pp.arity + 1):
-            if other == slot:
-                continue
-            z_other = aux.messages[other - 1]
-            if z_other:
-                pairs.append((pp.pair_base(other, slot), z_other))
-                tables.append(_pair_table(pp, other, slot))
-        return multi_exp(pairs, pp.modulus, tables=tables)
-    proof = pow(pp.pair_base(0, slot), aux.randomiser, pp.modulus)
-    for other in range(1, pp.arity + 1):
-        if other == slot:
-            continue
-        z_other = aux.messages[other - 1]
-        if z_other:
-            proof = (
-                proof
-                * pow(pp.pair_base(other, slot), z_other, pp.modulus)
-                % pp.modulus
-            )
-    return proof
-
-
-def prewarm_tables(pp: CVCPublicParams) -> int:
-    """Eagerly build the fixed-base slot tables this ``pp`` will use.
-
-    They serve ``Com`` and ``Ver``.  This is CVC-specific machinery —
-    Merkle-only schemes have no tables to warm, and callers gate on the
-    scheme before invoking it.  Returns the number of tables touched.
-    """
-    if not _FASTPATH_ENABLED:
-        return 0
-    for slot in range(pp.arity + 1):
-        _slot_table(pp, slot)
-    return pp.arity + 1
+    others = multi_exp(
+        [
+            (pp.pair_base(other, slot), z)
+            for other, z in enumerate(aux.messages, start=1)
+            if other != slot
+        ],
+        pp.modulus,
+    )
+    hiding = modpow(pp.pair_base(0, slot), aux.randomiser, pp.modulus)
+    return hiding * others % pp.modulus
 
 
 def opening_in_range(
@@ -443,20 +353,8 @@ def verify(
     """
     if not opening_in_range(pp, commitment, slot, proof):
         return False
-    z = encode_message(message)
-    if _FASTPATH_ENABLED:
-        # One combined exponentiation: the varying base (the proof) runs
-        # through the shared chain, the fixed slot base through its table.
-        lhs = multi_exp(
-            [(proof, pp.slot_exponent(slot)), (pp.slot_base(slot), z)],
-            pp.modulus,
-            tables=[None, _slot_table(pp, slot)],
-        )
-        return lhs == commitment
-    lhs = pow(proof, pp.slot_exponent(slot), pp.modulus)
-    if z:
-        lhs = lhs * pow(pp.slot_base(slot), z, pp.modulus) % pp.modulus
-    return lhs == commitment
+    pairs = [(proof, pp.slot_exponent(slot)), (pp.slot_base(slot), encode_message(message))]
+    return multi_exp(pairs, pp.modulus) == commitment
 
 
 def statement_in_range(pp: CVCPublicParams, statement: Statement) -> bool:
@@ -482,22 +380,9 @@ def verify_vector(
     """
     if not statement_in_range(pp, (commitment, messages, opening)):
         return False
-    modulus = pp.modulus
-    if not _FASTPATH_ENABLED:
-        lhs = pow(opening, pp.vector_exponent, modulus)
-        for slot, message in enumerate(messages, start=1):
-            z = encode_message(message)
-            if z:
-                lhs = lhs * pow(pp.slot_bases[slot], z, modulus) % modulus
-        return lhs == commitment
     pairs = [(opening, pp.vector_exponent)]
-    tables: list[FixedBaseTable | None] = [None]
-    for slot, message in enumerate(messages, start=1):
-        z = encode_message(message)
-        if z:
-            pairs.append((pp.slot_bases[slot], z))
-            tables.append(_slot_table(pp, slot))
-    return multi_exp(pairs, modulus, tables=tables) == commitment
+    pairs += zip(pp.slot_bases[1:], map(encode_message, messages))
+    return multi_exp(pairs, pp.modulus) == commitment
 
 
 def verify_batch(pp: CVCPublicParams, statements: Sequence[Statement]) -> bool:
@@ -510,11 +395,11 @@ def verify_batch(pp: CVCPublicParams, statements: Sequence[Statement]) -> bool:
         (prod_k L_k^{r_k})^E * prod_i S_i^{sum_k r_k z_{k,i}}
             ==  prod_C C^{sum_{k: C_k = C} r_k}
 
-    — one short-exponent multi-exponentiation over the openings and one
-    over the distinct commitments, then one exponentiation by ``E`` and
-    one table walk per slot, whatever the batch size.  The coefficients
-    come from the operating system at call time: a prover that could
-    predict them could cancel one bad opening against another.
+    — one 128-bit exponentiation per opening and per distinct
+    commitment, then one exponentiation by ``E`` and one per slot,
+    whatever the batch size.  The coefficients come from the operating
+    system at call time: a prover that could predict them could cancel
+    one bad opening against another.
 
     ``True`` means what DESIGN.md §6.1 argues; it differs from
     ``all(verify_vector(...))`` in one documented case — an even number
@@ -524,7 +409,7 @@ def verify_batch(pp: CVCPublicParams, statements: Sequence[Statement]) -> bool:
     :func:`verify_vector`, and so is every batch while the fast path is
     off (the reference arithmetic).
     """
-    if len(statements) < 2 or not _FASTPATH_ENABLED:
+    if len(statements) < 2 or not fastpath_enabled():
         return all(verify_vector(pp, *statement) for statement in statements)
     obs.inc("vc.verify.batches")
     obs.inc("vc.verify.batched_openings", len(statements))
@@ -543,13 +428,8 @@ def verify_batch(pp: CVCPublicParams, statements: Sequence[Statement]) -> bool:
             weights[slot] += r * encode_message(message)
         commitments[commitment] = commitments.get(commitment, 0) + r
     pairs = [(multi_exp(openings, modulus), pp.vector_exponent)]
-    tables: list[FixedBaseTable | None] = [None]
-    for slot in range(1, pp.arity + 1):
-        if weights[slot]:
-            pairs.append((pp.slot_bases[slot], weights[slot]))
-            tables.append(_slot_table(pp, slot))
-    lhs = multi_exp(pairs, modulus, tables=tables)
-    return lhs == multi_exp(list(commitments.items()), modulus)
+    pairs += zip(pp.slot_bases[1:], weights[1:])
+    return multi_exp(pairs, modulus) == multi_exp(list(commitments.items()), modulus)
 
 
 class TrapdoorKernel:
@@ -558,9 +438,8 @@ class TrapdoorKernel:
     Knowing ``phi(N)``, a collision is one multiplication:
     ``(P/e_i)(P/e_0)^{-1} mod phi`` is fixed per ``(pp, td)`` and
     computed here once.  The opening of a whole vector is ``a^r`` — one
-    exponentiation over the two half-width prime fields, whose table for
-    ``a`` is built on the first opening (a collision alone never needs
-    it).
+    secret exponentiation in each of the two half-width prime fields
+    (:class:`~repro.crypto.numbers.CRTFixedBase`).
 
     Outputs are the group elements the definitions of the whole-vector
     opening and of ``CCol`` give; the tests hold them to the public
@@ -573,7 +452,6 @@ class TrapdoorKernel:
         phi = td.phi
         product = math.prod(pp.exponents)
         self._pp = pp
-        self._td = td
         self._phi = phi
         inverse = mod_inverse(product // pp.randomiser_exponent % phi, phi)
         #: How far one unit less of slot ``i``'s message moves the
@@ -581,7 +459,8 @@ class TrapdoorKernel:
         self._shift = [product // e % phi * inverse % phi for e in pp.exponents]
         # Legacy parameters did not retain ``a``; the trapdoor recovers it
         # from ``S_0 = a^{P/e_0}``.
-        self._base = pp.base or pow(pp.slot_bases[0], inverse, pp.modulus)
+        base = pp.base or modpow(pp.slot_bases[0], inverse, pp.modulus, secret=True)
+        self._crt = CRTFixedBase(base, td.p, td.q)
 
     def __reduce_ex__(self, protocol: object) -> NoReturn:
         raise TrapdoorRequiredError(
@@ -589,19 +468,10 @@ class TrapdoorKernel:
             "pickled or copied"
         )
 
-    @cached_property
-    def _power(self) -> CRTFixedBase:
-        return CRTFixedBase(self._base, self._td.p, self._td.q)
-
-    def prewarm(self) -> int:
-        """Build the two-prime table now; returns the tables it holds."""
-        _ = self._power
-        return 2
-
     def open(self, aux: CVCAux) -> int:
         """The opening of the whole vector ``aux`` holds: ``a^r``."""
         obs.inc("vc.batch.openings")
-        return self._power.pow(aux.randomiser)
+        return self._crt.pow(aux.randomiser)
 
     def collide(
         self,
@@ -760,21 +630,10 @@ class ChameleonVectorCommitment:
     def open_vector(self, aux: CVCAux) -> int:
         """Open the whole vector ``aux`` holds, with the trapdoor.
 
-        One half-width exponentiation (:class:`TrapdoorKernel`); the data
-        owner's path, and the only opening the system makes.
+        Two half-width exponentiations (:class:`TrapdoorKernel`); the
+        data owner's path, and the only opening the system makes.
         """
         return self._trapdoor_kernel().open(aux)
-
-    def prewarm(self) -> int:
-        """Build every table this party will use; returns how many.
-
-        The slot tables serve ``Com`` and ``Ver`` for everyone; the
-        trapdoor holder adds its kernel's two-prime table for ``Open``.
-        """
-        touched = prewarm_tables(self.pp)
-        if self._kernel is not None:
-            touched += self._kernel.prewarm()
-        return touched
 
     def collide(
         self,

@@ -85,9 +85,8 @@ def open_batch(pp, td, aux):
 
 
 def open_auto(pp, td, aux):
-    """The data owner's own route: its facade, every table prewarmed."""
+    """The data owner's own route: its facade."""
     owner = vc.ChameleonVectorCommitment(pp.arity, _pp=pp, _td=td)
-    owner.prewarm()
     return derived_openings(pp, owner.open_vector(aux), aux)
 
 

@@ -24,7 +24,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro import obs
 from repro.crypto import vc
-from repro.crypto.numbers import CRTFixedBase, mod_inverse
+from repro.crypto.numbers import CRTFixedBase, mod_inverse, modpow
 from repro.errors import CommitmentError, TrapdoorRequiredError
 
 ARITIES = (2, 3, 16)
@@ -82,7 +82,7 @@ def test_kernel_agrees_with_the_public_reference(arity, bits, fast, data):
         st.lists(st.tuples(st.integers(1, arity), message), max_size=2)
     )
     # Two slots per state keep arity 16 affordable: a public opening there
-    # rebuilds its pair tables every time (the table cache is smaller).
+    # costs one exponentiation per pair base.
     slots = data.draw(
         st.lists(
             st.integers(1, arity), min_size=2, max_size=2, unique=True
@@ -124,12 +124,20 @@ def test_kernel_agrees_with_the_public_reference(arity, bits, fast, data):
 
 class TestCRTFixedBase:
     def test_matches_builtin_pow(self, cvc_params):
+        """Two secret half-width kernel calls and Garner's recombination
+        give the full-width group element, for exponents of any size and
+        sign; with the kernel off each half is builtin ``pow``."""
         pp, td = cvc_params
         power = CRTFixedBase(pp.base, td.p, td.q)
-        for exponent in (
-            0, 1, 2, td.phi - 1, td.phi, td.phi + 1, 3**700, -1, -(5**300)
-        ):
-            assert power.pow(exponent) == pow(pp.base, exponent, pp.modulus)
+        for fast in (True, False):
+            with vc.fastpath(fast):
+                for exponent in (
+                    0, 1, 2, td.phi - 1, td.phi, td.phi + 1, 3**700, -1, -(5**300)
+                ):
+                    expected = pow(pp.base, exponent, pp.modulus)
+                    assert power.pow(exponent) == expected, (fast, exponent)
+                    if exponent >= 0:
+                        assert modpow(pp.base, exponent, pp.modulus) == expected
 
 
 class TestKernelSurface:
@@ -150,7 +158,6 @@ class TestKernelSurface:
             public.open_vector(aux)
         with pytest.raises(TrapdoorRequiredError):
             public.collide(0, 1, b"a", b"b", aux)
-        assert public.prewarm() == cvc.prewarm() - 2
         restored = pickle.loads(pickle.dumps(public))
         assert restored.pp == cvc.pp and not restored.has_trapdoor
 
@@ -179,7 +186,6 @@ class TestTrapdoorHygiene:
     def test_kernel_refuses_pickling_and_copying(self, cvc_params):
         pp, td = cvc_params
         kernel = vc.TrapdoorKernel(pp, td)
-        kernel.prewarm()
         for leak in (
             pickle.dumps,
             copy.copy,

@@ -243,7 +243,7 @@ class Spy:
     def __init__(self):
         self.verify = []  # statements checked one by one
         self.batches = []  # statements of each ``verify_batch`` call
-        self.full_width = 0  # exponentiations by ``E`` outside a table
+        self.full_width = 0  # exponentiations by ``E``
 
     def clear(self):
         self.__init__()
@@ -274,13 +274,15 @@ class TestOpeningCount:
             spy.batches.append(list(openings))
             return real_batch(pp, openings)
 
-        def multi_exp(pairs, modulus, tables=None):
-            for index, (_, exponent) in enumerate(pairs):
-                if (tables is None or tables[index] is None) and (
-                    exponent.bit_length() > 2 * vc.BATCH_COEFFICIENT_BITS
-                ):
+        def multi_exp(pairs, modulus):
+            # ``E``, a product of two or more 264-bit primes, is the only
+            # exponent wider than a 264-bit prime and a message together:
+            # a slot's batch weight (128-bit coefficients times 256-bit
+            # messages, summed) and each 128-bit coefficient are not.
+            for _, exponent in pairs:
+                if exponent.bit_length() > vc.EXPONENT_BITS + vc.MESSAGE_BITS:
                     spy.full_width += 1
-            return real_exp(pairs, modulus, tables=tables)
+            return real_exp(pairs, modulus)
 
         monkeypatch.setattr(vc, "verify_vector", verify)
         monkeypatch.setattr(vc, "verify_batch", verify_batch)
