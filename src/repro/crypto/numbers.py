@@ -164,15 +164,8 @@ def generate_distinct_primes(count: int, bits: int, rng: RandomSource) -> list[i
 _FASTPATH_ENABLED = True
 
 #: libcrypto's ``BN_FLG_CONSTTIME``: keeps the modulus' Montgomery set-up
-#: and the exponent walk of a secret call in constant time.
+#: and the exponent walk of a secret kernel call in constant time.
 _BN_FLG_CONSTTIME = 0x04
-
-#: Below this ``exponent bits * modulus bits`` builtin ``pow`` wins: a
-#: libcrypto call pays ~20 µs to marshal its operands before the first
-#: multiplication (measured on a 2-vCPU x86-64 box: a 1024-bit modulus
-#: breaks even near a 4-bit exponent, a 512-bit one near 8, a 64-bit one
-#: near 64).
-_POW_MAX_WORK = 4096
 
 
 def fastpath_enabled() -> bool:
@@ -205,19 +198,21 @@ def modpow(base: int, exponent: int, modulus: int, *, secret: bool = False) -> i
     libcrypto CPython's own ``_hashlib`` links, so it adds no dependency.
     ``secret=True`` is for exponents only the trapdoor holder may know
     (the CRT halves of an opening, an RSA private exponent) and takes
-    ``BN_mod_exp_mont_consttime``.  Builtin ``pow`` covers what Montgomery
-    cannot take — an even modulus, a modulus below 2, a negative exponent
-    (an inverse) — public exponentiations too small to repay a libcrypto
-    call, any call while :func:`fastpath` is off, and every call when
-    libcrypto's symbols do not resolve.  Either way the result is the one
-    ``pow`` returns.
+    ``BN_mod_exp_mont_consttime``, whose exponent walk is constant-time.
+    Only that walk is: the exponent is marshalled at its minimal byte
+    length, and a caller's own arithmetic around the call (a reduction
+    mod ``p - 1``, Garner's step) runs in Python.  Builtin ``pow`` covers
+    what Montgomery cannot take — an even modulus, a modulus below 2, a
+    negative exponent (an inverse) — any call while :func:`fastpath` is
+    off, and every call when libcrypto's symbols do not resolve; that
+    fallback is variable-time, secret exponents included.  Either way the
+    result is the one ``pow`` returns.
     """
     if (
         _FASTPATH_ENABLED
         and modulus > 1
         and modulus & 1
         and exponent >= 0
-        and (secret or exponent.bit_length() * modulus.bit_length() > _POW_MAX_WORK)
     ):
         kernel = _libcrypto()
         if kernel is not None:

@@ -151,15 +151,15 @@ def test_reference_switch_takes_builtin_pow(monkeypatch):
     assert len(calls) == 1
 
 
-def test_short_public_exponents_stay_builtin(monkeypatch):
-    """A squaring does not repay a libcrypto call; a secret exponent
-    always takes the constant-time kernel, however short."""
+def test_short_exponents_take_the_kernel(monkeypatch):
+    """There is no route by operand size: with an odd modulus above 1 and
+    a non-negative exponent, however short, every call is a kernel call."""
     calls = spy_on_the_kernel(monkeypatch)
     modulus = (1 << 1023) + 1155
     assert modpow(5, 2, modulus) == 25
-    assert calls == []
     assert modpow(5, 2, modulus, secret=True) == 25
-    assert [args[3] for args in calls] == [True]
+    assert modpow(5, 0, 7) == 1
+    assert [args[3] for args in calls] == [False, True, False]
 
 
 class TestFallback:
