@@ -40,6 +40,7 @@ from pathlib import Path
 
 from repro.core.merkle_family import MerkleInvertedSP
 from repro.core.mbtree import Entry, MBTree
+from repro.core.sp_frontend import CHUNK_RECORDS
 from repro.crypto.hashing import sha3
 from repro.sp.engine import DiskShardEngine
 
@@ -170,9 +171,18 @@ def experiment_flatbuf(
         # -- build: ingest the postings through the journaled engine ----
         engine = DiskShardEngine(0, factory, directory)
         started = time.perf_counter()
-        for i in range(size):
-            engine.insert_entry(
-                f"kw{i % keywords}", i + 1, sha3(i.to_bytes(8, "big"))
+        # In the SP front-end's chunks: one journal append per chunk.
+        for start in range(0, size, CHUNK_RECORDS):
+            engine.apply_records(
+                [
+                    {
+                        "op": "entry",
+                        "kw": f"kw{i % keywords}",
+                        "id": i + 1,
+                        "hash": sha3(i.to_bytes(8, "big")).hex(),
+                    }
+                    for i in range(start, min(start + CHUNK_RECORDS, size))
+                ]
             )
         build_s = time.perf_counter() - started
         engine.close()

@@ -40,7 +40,6 @@ from repro.ethereum.gas import (
     GAS_SUPDATE,
     GAS_TX,
     GAS_TXDATA_PER_BYTE,
-    gas_to_usd,
     hash_gas,
 )
 
@@ -105,11 +104,6 @@ class CostPrediction:
     keywords_per_object: float
     per_keyword_gas: float
     per_object_gas: float
-
-    @property
-    def per_object_usd(self) -> float:
-        """Predicted per-object cost in US$."""
-        return gas_to_usd(self.per_object_gas)
 
 
 def predict_insert_cost(

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from repro import obs
 from repro.core.mbtree import DEFAULT_FANOUT, MBTree, NodeHandle
-from repro.core.objects import ObjectMetadata
 from repro.crypto.hashing import word_count
 from repro.ethereum.contract import SmartContract
 from repro.ethereum.gas import GasMeter
@@ -104,13 +103,3 @@ class MerkleInvContract(SmartContract):
     def view_object_hash(self, object_id: int) -> bytes:
         """Free view: the registered hash of one object."""
         return self.storage.peek(("objhash", object_id))
-
-
-def fresh_contract(fanout: int = DEFAULT_FANOUT) -> MerkleInvContract:
-    """Factory used by the system facade and the benches."""
-    return MerkleInvContract(fanout=fanout)
-
-
-def metadata_payload(metadata: ObjectMetadata) -> bytes:
-    """The DO transaction's calldata for one object."""
-    return metadata.payload_bytes()

@@ -167,6 +167,13 @@ class DataObject:
             raise ReproError("object encoding does not end with its content")
         vars(self).update(keywords=tuple(keywords), content=wire[pos:])
 
+    def __reduce__(self):
+        # Pickled as its canonical bytes, unparsed on the other side: a
+        # shard worker's ``get_objects`` reply ships just the encodings.
+        # One bound-method object for every call, so a reply pickles the
+        # constructor once and refers back to it per object.
+        return (_DEFERRED, (self.encoded(),))
+
     def __getattr__(self, name: str):
         # Only reached for a name the instance lacks: the unparsed
         # fields of a :meth:`deferred` object.
@@ -188,6 +195,9 @@ class DataObject:
     def matches_conjunction(self, required: frozenset[str]) -> bool:
         """True when the object carries every keyword in ``required``."""
         return required <= self.keyword_set()
+
+
+_DEFERRED = DataObject.deferred
 
 
 def object_to_record(obj: DataObject) -> dict:

@@ -78,8 +78,9 @@ class DataOwnerPipeline:
                 metadata.keywords,
                 payload=metadata.payload_bytes(),
             )
-            updates = suppressed.build_updates(
-                self.sp.trees, metadata.object_id, metadata.keywords
+            updates = suppressed.keyword_updates(
+                metadata.keywords,
+                self.sp.spines(metadata.object_id, metadata.keywords),
             )
             update_tx = self.chain.send_transaction(
                 "sp",
@@ -99,8 +100,8 @@ class DataOwnerPipeline:
     def insert_merkle_tx(self, metadata: ObjectMetadata) -> Receipt:
         """Send the MI register-and-insert transaction, nothing else.
 
-        The bulk-ingest path confirms a whole batch of these before
-        mirroring the SP trees in one scatter pass.
+        The batched path confirms a whole batch of these before
+        mirroring the SP trees.
         """
         return self.chain.send_transaction(
             "do",
@@ -125,11 +126,6 @@ class DataOwnerPipeline:
         receipt = self._send_chameleon(metadatas, batched=True)
         if not receipt.status:
             raise ChainError(f"batched insertion failed: {receipt.error}")
-        # Affine SPs buffer mirror deltas; ship the whole batch before
-        # the receipt is reported confirmed upstream.
-        flush = getattr(self.sp, "flush_mutations", None)
-        if flush is not None:
-            flush()
         return receipt
 
     def _send_chameleon(

@@ -18,7 +18,7 @@ encoding (tables know their own element width).
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Literal
 
 from repro.errors import ReproError, UnresolvedProofError
@@ -173,16 +173,3 @@ class QueryAnswer:
         """Serialised VO size in bytes."""
         return self.vo.byte_size()
 
-
-@dataclass
-class VOStatistics:
-    """Aggregate accounting for experiments (VO size split by origin)."""
-
-    sp_bytes: int = 0
-    chain_bytes: int = 0
-    extra: dict[str, int] = field(default_factory=dict)
-
-    @property
-    def total_bytes(self) -> int:
-        """Combined byte count."""
-        return self.sp_bytes + self.chain_bytes

@@ -49,8 +49,8 @@ def gen_spines(
     """Algorithm 1 for every keyword, against the trees held here.
 
     ``trees`` maps keyword -> tree through ``get`` (absent keywords get
-    the empty spine).  Runs wherever the trees live: in-process, or
-    inside an affine shard worker.
+    the empty spine).  Runs wherever the trees live: the SP front-end's
+    ``spines`` op runs it on each shard.
     """
     spines = []
     for keyword in keywords:
@@ -70,15 +70,15 @@ def build_updates(
 
     Must be called *before* the SP applies the insertion to its mirror
     trees (the spine describes the pre-insertion state).  ``trees`` is a
-    keyword -> tree mapping, or the SP front-end's routed mapping, whose
-    ``spines`` extracts them next to the trees.
+    keyword -> tree mapping.
     """
-    batched = getattr(trees, "spines", None)
-    spines = (
-        batched(object_id, keywords)
-        if batched is not None
-        else gen_spines(trees, object_id, keywords)
-    )
+    return keyword_updates(keywords, gen_spines(trees, object_id, keywords))
+
+
+def keyword_updates(
+    keywords: tuple[str, ...], spines: list[UpdateSpine]
+) -> list[KeywordUpdate]:
+    """The ``UpdVO`` of each keyword, from its pre-insertion spine."""
     return [
         KeywordUpdate(keyword=keyword, spine_bytes=spine.serialise())
         for keyword, spine in zip(keywords, spines)

@@ -85,13 +85,6 @@ class InsertReport:
         """Total gas across this insertion's transactions."""
         return sum(r.gas.total for r in self.receipts)
 
-    def gas_meter(self) -> GasMeter:
-        """All of this insertion's charges merged into one meter."""
-        merged = GasMeter()
-        for receipt in self.receipts:
-            merged.merge(receipt.gas)
-        return merged
-
 
 class HybridStorageSystem:
     """End-to-end hybrid-storage blockchain with a pluggable ADS scheme.
@@ -105,10 +98,9 @@ class HybridStorageSystem:
     partitions behind deterministic seeded routing; ``engine`` picks the
     per-shard storage engine (``memory`` default, or ``disk`` for an
     append-only JSONL segment log under ``engine_dir``); ``pool`` says
-    where the engines live (``stateless``, the default: in this process,
-    every SP operation a plain call; ``affine``: each shard's engine
-    resident in a long-lived worker process that is sent only posting
-    deltas per batch).  Shard layout and pool mode never change
+    where the engines live (``stateless``, the default: in this process;
+    ``affine``: each shard's engine resident in a long-lived worker
+    process that is sent only delta records per batch).  Shard layout and pool mode never change
     answers, VO bytes or gas — only capacity and throughput.
 
     ``verify_cache_size`` bounds the client's LRU of successfully
@@ -255,8 +247,13 @@ class HybridStorageSystem:
         return self._sp.all_object_ids()
 
     def get_object(self, object_id: int) -> DataObject:
-        """Fetch one stored object from its owning shard."""
-        return self._sp.get_object(object_id)
+        """Fetch one stored object from its owning shard.
+
+        Under the read lock: a read ships the SP's buffered records, so
+        it must not land inside an ingest section.
+        """
+        with self._rwlock.read():
+            return self._sp.get_object(object_id)
 
     def add_object(self, obj: DataObject) -> InsertReport:
         """Run the full DO pipeline for one new object.
@@ -308,10 +305,10 @@ class HybridStorageSystem:
         Amortises the 21,000-gas ``C_tx`` base cost across the batch.
         Supported by the Chameleon family (whose per-object on-chain
         work is a handful of word writes).  MI pays per-object
-        transactions but mirrors the SP trees in one bulk pass per shard
-        (side by side in the affine workers); SMI falls back to
-        per-object pipelines (its update spines must interleave with the
-        insertions) and returns a merged report.
+        transactions but mirrors the confirmed batch into the SP in one
+        pass; SMI falls back to per-object pipelines (its update spines
+        must interleave with the insertions) and returns a merged
+        report.
         """
         objects = list(objects)
         if not objects:
@@ -357,7 +354,7 @@ class HybridStorageSystem:
     def _add_merkle_batched(
         self, objects: list[DataObject], metadatas: list[ObjectMetadata]
     ) -> InsertReport:
-        """MI bulk path: per-object transactions, one bulk mirror pass."""
+        """MI batched path: per-object transactions, then the SP mirror."""
         receipts: list[Receipt] = []
         failure: Receipt | None = None
         for metadata in metadatas:
@@ -368,8 +365,8 @@ class HybridStorageSystem:
             receipts.append(receipt)
         confirmed = len(receipts)
         if confirmed:
-            self._sp.mirror_bulk(metadatas[:confirmed])
-            for obj in objects[:confirmed]:
+            for metadata, obj in zip(metadatas[:confirmed], objects):
+                self._sp.insert_entries(metadata)
                 self._sp.put_object(obj)
             self._sp.flush_mutations()
             for receipt in receipts:
@@ -387,7 +384,8 @@ class HybridStorageSystem:
     # -- query processing --------------------------------------------------------
 
     def _sp_view(self, keyword: str):
-        return self._sp.view(keyword)
+        with self._rwlock.read():
+            return self._sp.view(keyword)
 
     def process_query(self, query: KeywordQuery) -> QueryAnswer:
         """SP side: evaluate the query and build ``VO_sp``."""

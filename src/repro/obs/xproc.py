@@ -26,9 +26,10 @@ reference point — never as a duration source; durations always come
 from ``perf_counter`` differences taken within one process.)
 
 The result: a sharded ingest or query through the affine pool produces
-one connected trace — ``sp.shard.scatter`` with an ``sp.affine.rpc``
-child per request, each containing the spans the worker actually
-recorded — which is what :mod:`repro.obs.critpath` attributes time over.
+one connected trace — the dispatching span (``query.sp``, ``insert``)
+with an ``sp.affine.rpc`` child per request, each containing the spans
+the worker actually recorded — which is what :mod:`repro.obs.critpath`
+attributes time over.
 """
 
 from __future__ import annotations

@@ -11,24 +11,22 @@ deployment code can depend on a single "SP" namespace:
 Sharding (:mod:`repro.sp.engine`) partitions the keyword space across
 pluggable :class:`IndexShardEngine` instances behind a deterministic
 :class:`ShardRouter`; the front-end that drives them — in its own
-process or through resident affine workers (:mod:`repro.sp.affine`) —
-is :class:`repro.core.sp_frontend.ShardedStorageProvider`.
+process (:class:`InProcessShards`) or through resident affine workers
+(:mod:`repro.sp.affine`), with the same calls — is
+:class:`repro.core.sp_frontend.ShardedStorageProvider`.
 """
 
 from repro.core.chameleon_index import ChameleonSP, ChameleonView
 from repro.core.merkle_family import MBTreeView, MerkleInvertedSP
 from repro.core.objects import ObjectStore
-from repro.sp.affine import (
-    POOL_KINDS,
-    AffineEngineProxy,
-    AffineWorkerPool,
-    EngineSpec,
-    guarded_dumps,
-)
+from repro.sp.affine import AffineWorkerPool, guarded_dumps
 from repro.sp.engine import (
     ENGINE_KINDS,
+    POOL_KINDS,
     DiskShardEngine,
+    EngineSpec,
     IndexShardEngine,
+    InProcessShards,
     MemoryShardEngine,
     ShardRouter,
     make_engine,
@@ -41,7 +39,6 @@ from repro.sp.protocol import (
 )
 
 __all__ = [
-    "AffineEngineProxy",
     "AffineWorkerPool",
     "EngineSpec",
     "POOL_KINDS",
@@ -51,6 +48,7 @@ __all__ = [
     "DiskShardEngine",
     "ENGINE_KINDS",
     "IndexShardEngine",
+    "InProcessShards",
     "MBTreeView",
     "MemoryShardEngine",
     "MerkleInvertedSP",

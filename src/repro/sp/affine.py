@@ -3,12 +3,15 @@
 A worker that is handed its inputs per task — each keyword's current
 MB-tree out, the extended tree back — pays IPC that grows with total
 index size; such a pool was measured here and lost to plain iteration
-(EXPERIMENTS.md, "Dispatch").  This module is the one way SP work leaves
-the calling process: each shard's engine lives *resident* inside one
-long-lived worker process, spawned once and keyed by shard id, and is
-sent only what changed:
+(EXPERIMENTS.md, "Dispatch").  This module is the transport that runs
+shard calls in other processes: each shard's engine lives *resident*
+inside one long-lived worker process, spawned once and keyed by shard
+id, which answers ``(op, payload)`` requests through the engine's op
+table (:meth:`~repro.sp.engine.IndexShardEngine.handle`) — the same
+table the in-process transport calls inline — and is sent only what
+changed:
 
-* **ingest** ships only the batch's posting deltas to the owning worker,
+* **ingest** ships only the batch's delta records to the owning worker,
   in the exact journal-record format the engines already replay — the
   wire format *is* the recovery format, so a delta batch applies through
   the same code path as a crash replay and journals as one append;
@@ -31,9 +34,10 @@ serialise resident shard state (trees, index mirrors, engines) into a
 silently re-introducing the O(index) payloads this module exists to
 remove.  Replies may carry trees — exporting a view is the point.
 
-The pool is transport only; policy (partitioning, batching) stays in
-:class:`~repro.core.sp_frontend.ShardedStorageProvider`, which runs the
-same engines in its own process when no pool is configured.
+The pool is transport only; policy (partitioning, buffering, batching)
+stays in :class:`~repro.core.sp_frontend.ShardedStorageProvider`, which
+drives this pool and :class:`~repro.sp.engine.InProcessShards` through
+the same ``dispatch``.
 """
 
 from __future__ import annotations
@@ -46,78 +50,19 @@ import sys
 import threading
 import traceback
 from collections import deque
-from collections.abc import Callable
 from dataclasses import dataclass, field
 from multiprocessing.connection import Connection
 from typing import Any, NoReturn
 
 from repro import obs
-from repro.core.objects import DataObject, object_to_record
 from repro.errors import ParameterError, ReproError
 from repro.obs import trace as obs_trace
 from repro.obs import xproc
 from repro.parallel import RemoteTraceback
-from repro.sp.engine import IndexShardEngine, make_engine
-
-#: Pool modes accepted by the SP front-end / system facade.
-POOL_KINDS = ("stateless", "affine")
+from repro.sp.engine import EngineSpec, IndexShardEngine
 
 #: Span wrapping every request handled inside a resident worker.
 RPC_SPAN = "sp.affine.rpc"
-
-#: Journal-format records buffered per proxy before an automatic flush.
-DEFAULT_CHUNK_RECORDS = 4096
-
-
-def build_index_factory(index_spec: tuple) -> Callable[[], object]:
-    """Build a per-shard index factory from its picklable spec.
-
-    The facade describes the scheme's index mirror as a ``(kind,
-    params)`` spec of plain data — a closure over live config would not
-    cross a process boundary — and every engine, in-process or resident
-    in a worker, gets its factory from here.
-    """
-    kind, params = index_spec
-    if kind == "merkle":
-        from repro.core.merkle_family import MerkleInvertedSP
-
-        fanout = params["fanout"]
-        return lambda: MerkleInvertedSP(fanout=fanout)
-    if kind == "chameleon":
-        from repro.core.chameleon_index import ChameleonSP
-
-        pp, arity = params["pp"], params["arity"]
-        return lambda: ChameleonSP(pp=pp, arity=arity)
-    raise ParameterError(f"unknown index spec kind {kind!r}")
-
-
-@dataclass(frozen=True)
-class EngineSpec:
-    """Everything a worker needs to build its resident shard engine.
-
-    Plain data only (``index_spec`` instead of a factory closure), so a
-    spec crosses the process boundary under any start method.
-    """
-
-    shard_id: int
-    engine: str
-    index_spec: tuple
-    directory: str | None = None
-    star: bool = False
-    filter_bits: int = 0
-    bloom_capacity: int = 0
-
-    def build(self) -> IndexShardEngine:
-        """Construct the engine (replaying its journal if on disk)."""
-        return make_engine(
-            self.engine,
-            self.shard_id,
-            build_index_factory(self.index_spec),
-            directory=self.directory,
-            star=self.star,
-            filter_bits=self.filter_bits,
-            bloom_capacity=self.bloom_capacity,
-        )
 
 
 # -- request guarding ------------------------------------------------------------
@@ -183,55 +128,6 @@ def guarded_dumps(obj: object) -> bytes:
 # -- worker side -----------------------------------------------------------------
 
 
-def _handle(engine: IndexShardEngine, op: str, payload: Any) -> object:
-    """Execute one request against the resident engine."""
-    if op == "apply":
-        return engine.apply_records(payload)
-    if op == "bulk":
-        return engine.apply_bulk(payload)
-    if op == "join":
-        from repro.core.query.join import conjunctive_join
-
-        conjuncts, order, plan = payload
-        outcomes = []
-        for keywords in conjuncts:
-            views = [engine.view(keyword) for keyword in keywords]
-            with obs.span("query.sp.join", keywords=len(views)):
-                outcomes.append(
-                    conjunctive_join(views, order=order, plan=plan)
-                )
-        return outcomes
-    if op == "prove":
-        from repro.core.multiproof import prove_keys
-
-        return [
-            prove_keys(engine.tree(request.keyword), request)
-            for request in payload
-        ]
-    if op == "spines":
-        from repro.core.suppressed import gen_spines
-
-        object_id, keywords = payload
-        return gen_spines(engine.index.trees, object_id, keywords)
-    if op == "compact":
-        return engine.compact()
-    if op == "views":
-        return {keyword: engine.view(keyword) for keyword in payload}
-    if op == "tree":
-        return engine.tree(payload)
-    if op == "get_objects":
-        # Canonical encodings, built once per stored object: the parent
-        # forwards them into the response without parsing.
-        return [engine.get_object(object_id).encoded() for object_id in payload]
-    if op == "object_ids":
-        return engine.all_object_ids()
-    if op == "ping":
-        return payload
-    if op == "close":
-        return True
-    raise ParameterError(f"unknown affine op {op!r}")
-
-
 def _worker_main(conn: Connection, spec: EngineSpec) -> None:
     """Resident worker loop: build the engine once, serve until close.
 
@@ -275,14 +171,14 @@ def _worker_main(conn: Connection, spec: EngineSpec) -> None:
                         shard=spec.shard_id,
                         worker=os.getpid(),
                     ):
-                        result = _handle(engine, op, payload)
+                        result = engine.handle(op, payload)
                     ok = True
                 except BaseException as exc:  # noqa: B036 - re-raised upstream
                     ok, result = False, (exc, traceback.format_exc())
             snapshot = xproc.capture(collector)
         else:
             try:
-                ok, result = True, _handle(engine, op, payload)
+                ok, result = True, engine.handle(op, payload)
             except BaseException as exc:  # noqa: B036 - re-raised upstream
                 ok, result = False, (exc, traceback.format_exc())
         try:
@@ -321,10 +217,8 @@ class AffineWorkerPool:
 
     Workers are spawned once at construction (handshake carries each
     shard's replayed object IDs, so disk recovery happens *in* the
-    worker); every later interaction is :meth:`dispatch`.  Byte counters
-    (``request_bytes`` / ``ingest_bytes`` / ``reply_bytes``) accumulate
-    on the pool itself so benchmarks can read scatter payloads without a
-    telemetry collector installed.
+    worker); every later interaction is :meth:`dispatch`.  Traffic is
+    counted in the ``sp.affine.*`` telemetry counters.
     """
 
     kind = "affine"
@@ -339,10 +233,6 @@ class AffineWorkerPool:
         self._workers: list[_Worker] = []
         self._closed = False
         self._broken = False
-        self._counter_lock = threading.Lock()
-        self.request_bytes = 0
-        self.ingest_bytes = 0
-        self.reply_bytes = 0
         self.ready_info: list[dict] = []
         for spec in specs:
             parent_conn, child_conn = ctx.Pipe()
@@ -372,6 +262,13 @@ class AffineWorkerPool:
         """Number of resident workers (= shards)."""
         return len(self._workers)
 
+    @property
+    def engines(self) -> NoReturn:
+        raise ReproError(
+            "affine mode keeps the shard engines resident in their "
+            "workers; go through the storage provider instead"
+        )
+
     def dispatch(
         self, calls: list[tuple[int, str, object]], ingest: bool = False
     ) -> list:
@@ -387,7 +284,7 @@ class AffineWorkerPool:
         writing to it — but a large request racing a large (>pipe
         buffer) earlier reply on the *same* shard can still wedge, so
         call sites keep one side of any multi-call shard conversation
-        small (bulk replies are counts; view/join requests are keyword
+        small (apply replies are counts; view/join requests are keyword
         lists).
 
         Exactly one reply is consumed per successfully sent request,
@@ -489,11 +386,6 @@ class AffineWorkerPool:
         finally:
             for shard in reversed(held):
                 self._workers[shard].lock.release()
-        with self._counter_lock:
-            self.request_bytes += sent
-            self.reply_bytes += received
-            if ingest:
-                self.ingest_bytes += sent
         obs.inc("sp.affine.rpcs", len(calls))
         obs.inc("sp.affine.request.bytes", sent)
         obs.inc("sp.affine.reply.bytes", received)
@@ -504,13 +396,6 @@ class AffineWorkerPool:
     def request(self, shard: int, op: str, payload: object = None) -> Any:
         """One call to one worker; returns its result."""
         return self.dispatch([(shard, op, payload)])[0]
-
-    def reset_counters(self) -> None:
-        """Zero the byte counters (benchmark phase boundaries)."""
-        with self._counter_lock:
-            self.request_bytes = 0
-            self.ingest_bytes = 0
-            self.reply_bytes = 0
 
     def close(self, timeout_s: float = 5.0) -> None:
         """Shut every worker down (idempotent): close op, join, reap."""
@@ -539,129 +424,3 @@ class AffineWorkerPool:
                 worker.process.terminate()
                 worker.process.join(timeout_s)
             worker.conn.close()
-
-
-class AffineEngineProxy:
-    """The front-end's engine-shaped handle onto one resident worker.
-
-    Mutators buffer journal-format delta records and flush them in
-    chunks (one ``apply`` request per chunk); every read flushes first,
-    so a query issued right after an ingest sees the complete state —
-    the same read-your-writes guarantee the in-process engines give.
-    The system facade's readers-writer lock already serialises ingest
-    against queries, so the buffer needs no locking of its own.
-    """
-
-    def __init__(
-        self,
-        pool: AffineWorkerPool,
-        shard_id: int,
-        *,
-        chunk_records: int = DEFAULT_CHUNK_RECORDS,
-    ) -> None:
-        self.pool = pool
-        self.shard_id = shard_id
-        self.kind = "affine"
-        self.chunk_records = chunk_records
-        self._pending: list[dict] = []
-
-    # -- resident state must not be reachable here --------------------------------
-
-    @property
-    def store(self) -> NoReturn:
-        raise ReproError(
-            "affine mode keeps the object store resident in the shard "
-            "worker; fetch through the storage provider instead"
-        )
-
-    @property
-    def index(self) -> NoReturn:
-        raise ReproError(
-            "affine mode keeps the index mirror resident in the shard "
-            "worker; query through the storage provider instead"
-        )
-
-    # -- buffered mutators ---------------------------------------------------------
-
-    def _queue(self, record: dict) -> None:
-        self._pending.append(record)
-        if len(self._pending) >= self.chunk_records:
-            self.flush()
-
-    def flush(self) -> int:
-        """Ship buffered delta records to the worker; returns count."""
-        if not self._pending:
-            return 0
-        records, self._pending = self._pending, []
-        self.pool.dispatch(
-            [(self.shard_id, "apply", records)], ingest=True
-        )
-        return len(records)
-
-    def insert_entry(
-        self, keyword: str, object_id: int, object_hash: bytes
-    ) -> None:
-        self._queue(
-            {
-                "op": "entry",
-                "kw": keyword,
-                "id": object_id,
-                "hash": object_hash.hex(),
-            }
-        )
-
-    def register_keyword(self, keyword: str, commitment: int) -> None:
-        self._queue(
-            {"op": "register", "kw": keyword, "c": format(commitment, "x")}
-        )
-
-    def apply_insertion(self, keyword: str, proof: object) -> None:
-        from repro.sp.engine import _proof_to_record
-
-        self._queue(
-            {"op": "apply", "kw": keyword, "proof": _proof_to_record(proof)}
-        )
-
-    def bloom_add(self, keyword: str, object_id: int) -> None:
-        self._queue({"op": "bloom", "kw": keyword, "id": object_id})
-
-    def put_object(self, obj: DataObject) -> None:
-        self._queue({"op": "object", **object_to_record(obj)})
-
-    # -- reads (flush first: read-your-writes) ------------------------------------
-
-    def view(self, keyword: str) -> Any:
-        self.flush()
-        return self.pool.request(self.shard_id, "views", [keyword])[keyword]
-
-    def tree(self, keyword: str) -> Any:
-        self.flush()
-        return self.pool.request(self.shard_id, "tree", keyword)
-
-    def get_object(self, object_id: int) -> DataObject:
-        self.flush()
-        return DataObject.deferred(
-            self.pool.request(self.shard_id, "get_objects", [object_id])[0]
-        )
-
-    def has_object(self, object_id: int) -> bool:
-        self.flush()
-        return object_id in self.pool.request(self.shard_id, "object_ids")
-
-    def object_count(self) -> int:
-        self.flush()
-        return len(self.pool.request(self.shard_id, "object_ids"))
-
-    def all_object_ids(self) -> list[int]:
-        self.flush()
-        return self.pool.request(self.shard_id, "object_ids")
-
-    def compact(self) -> dict | None:
-        """Checkpoint + truncate the resident engine's journal."""
-        self.flush()
-        return self.pool.request(self.shard_id, "compact")
-
-    def close(self) -> None:
-        """Flush any tail records; worker shutdown is the pool's job."""
-        if not self.pool._closed:
-            self.flush()

@@ -5,20 +5,24 @@ filter chains — is naturally partitioned by keyword: every proof is
 verified against a *single* keyword's on-chain digest, so two keywords
 never share cryptographic state.  An :class:`IndexShardEngine` owns one
 such partition: the ADS instances of its keywords and the objects homed
-on it.  An engine lives either in the SP front-end's process or in the
-affine worker that owns its shard (:mod:`repro.sp.affine`); the same
-methods run in both places.  Opening commitments stays with the data
-owner — it needs the trapdoor and the aux state, which never leave the
-DO — so shards receive ready-made insertion proofs like any SP does.
+on it.  Every call reaches an engine through one op table,
+:meth:`IndexShardEngine.handle`, and every mutation as a batch of
+journal-format records (:meth:`IndexShardEngine.apply_records`).  Two
+transports run the table: :class:`InProcessShards` calls it inline in
+the SP front-end's process, and :class:`~repro.sp.affine.AffineWorkerPool`
+calls it in the worker that owns the shard.  Opening commitments stays
+with the data owner — it needs the trapdoor and the aux state, which
+never leave the DO — so shards receive ready-made insertion proofs like
+any SP does.
 
 Two implementations:
 
 * :class:`MemoryShardEngine` — plain in-process state (the default);
 * :class:`DiskShardEngine` — the same state fronted by an append-only
-  JSONL segment log (``shard-NNN.jsonl``).  Every confirmed mutation is
-  journaled after it is applied; reopening the engine replays the log
-  through the identical code paths, reusing the event-sourced recovery
-  model of :mod:`repro.core.persistence`.
+  JSONL segment log (``shard-NNN.jsonl``).  Every confirmed batch of
+  records is journaled as one append after it is applied; reopening the
+  engine replays the log through the identical code path, reusing the
+  event-sourced recovery model of :mod:`repro.core.persistence`.
 
 Routing is a pure function: :class:`ShardRouter` hashes each keyword
 with a seeded, domain-separated tag, so the keyword -> shard map is
@@ -35,14 +39,18 @@ import json
 import mmap
 import os
 import struct
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable
 
 from repro import obs
 from repro.core.chameleon import ChameleonTreeSP, InsertionProof
 from repro.core.mbtree import MBTree
+from repro.core.multiproof import prove_keys
 from repro.core.nodestore import KIND_CHAMELEON, KIND_MBTREE, NODESTORE_VERSION
 from repro.core.objects import DataObject, ObjectStore, object_to_record, record_to_object
+from repro.core.query.join import conjunctive_join
+from repro.core.suppressed import gen_spines
 from repro.crypto.bloom import (
     DEFAULT_CAPACITY,
     DEFAULT_FILTER_BITS,
@@ -54,6 +62,11 @@ from repro.errors import IntegrityError, ParameterError, ReproError
 
 #: Engine kinds accepted by :func:`make_engine`.
 ENGINE_KINDS = ("memory", "disk")
+
+#: Where the SP front-end's shard engines live: in its own process
+#: (:class:`InProcessShards`) or in resident workers
+#: (:class:`~repro.sp.affine.AffineWorkerPool`).
+POOL_KINDS = ("stateless", "affine")
 
 
 class ShardRouter:
@@ -88,7 +101,7 @@ class ShardRouter:
         return shard
 
 
-def _proof_to_record(proof: InsertionProof) -> dict:
+def proof_to_record(proof: InsertionProof) -> dict:
     # Group elements are arbitrary-precision ints; hex keeps the journal
     # line compact and round-trips exactly.
     return {
@@ -146,10 +159,10 @@ class IndexShardEngine:
     :class:`~repro.core.chameleon_index.ChameleonSP`); ``star`` attaches
     the partition's Bloom filter chains to its views (CI* only).
 
-    Mutators are only called for *confirmed* insertions — the system
+    Records are only applied for *confirmed* insertions — the system
     applies SP-side state after the on-chain receipt succeeds — so an
     engine never needs rollback, and the disk subclass can journal each
-    mutation unconditionally.
+    batch unconditionally.
     """
 
     kind = "memory"
@@ -174,90 +187,29 @@ class IndexShardEngine:
 
     # -- mutators (confirmed insertions only) -----------------------------------
 
-    def insert_entry(
-        self, keyword: str, object_id: int, object_hash: bytes
-    ) -> None:
-        """Mirror one confirmed posting into the keyword's MB-tree."""
-        record = {
-            "op": "entry",
-            "kw": keyword,
-            "id": object_id,
-            "hash": object_hash.hex(),
-        }
-        self._apply(record)
-        self._journal(record)
-
-    def register_keyword(self, keyword: str, commitment: int) -> None:
-        """Register a first-seen keyword's root commitment (Chameleon)."""
-        record = {"op": "register", "kw": keyword, "c": format(commitment, "x")}
-        self._apply(record)
-        self._journal(record)
-
-    def apply_insertion(self, keyword: str, proof: InsertionProof) -> None:
-        """Ingest one DO insertion proof (Chameleon)."""
-        record = {"op": "apply", "kw": keyword, "proof": _proof_to_record(proof)}
-        self._apply(record)
-        self._journal(record)
-
-    def bloom_add(self, keyword: str, object_id: int) -> None:
-        """Mirror one ID into the keyword's Bloom filter chain (CI*)."""
-        record = {"op": "bloom", "kw": keyword, "id": object_id}
-        self._apply(record)
-        self._journal(record)
-
-    def put_object(self, obj: DataObject) -> None:
-        """Store one raw object homed on this shard."""
-        record = {"op": "object", **object_to_record(obj)}
-        self._apply(record)
-        self._journal(record)
-
     def apply_records(self, records: list[dict]) -> int:
-        """Apply a batch of journal-format delta records, then journal
-        them as one append.
+        """Apply a batch of journal-format records, then journal them as
+        one append; returns the number applied.
 
-        This is the resident-worker ingest entry point: the wire format
-        of a shard delta *is* the journal record format, so a batch
-        shipped over the affine channel replays through the same code
-        path as crash recovery and lands in the segment log with one
-        write call.  Returns the number of records applied.
-        """
-        for record in records:
-            self._apply(record)
-        self._journal_many(records)
-        return len(records)
-
-    def apply_bulk(self, groups: list[tuple[str, list]]) -> int:
-        """Ingest posting groups ``[(keyword, [(id, hash), ...]), ...]``.
-
-        The bulk-mirror path of both pool modes: the front-end calls it
-        on an in-process engine, an affine worker runs it on its end of
-        the pipe.  The deltas arrive as raw postings and the trees are
-        extended *in place* — no tree ever crosses a channel.  All
-        groups journal as a single append, so a replay rebuilds the
-        identical trees.  Returns the number of postings applied.
+        The one way state changes: the SP front-end ships each shard's
+        buffered records here, in this process or over the affine pipe,
+        and crash recovery replays the same records through
+        :meth:`_apply`.  If a record fails, the prefix already applied
+        is still journaled, so the log never falls behind memory.
         """
         applied = 0
-        records = []
-        for keyword, entries in groups:
-            tree = self.index.tree_for(keyword)
-            for object_id, object_hash in entries:
-                tree.insert(object_id, object_hash)
-                records.append(
-                    {
-                        "op": "entry",
-                        "kw": keyword,
-                        "id": object_id,
-                        "hash": object_hash.hex(),
-                    }
-                )
+        try:
+            for record in records:
+                self._apply(record)
                 applied += 1
-        self._journal_many(records)
+        finally:
+            self._journal_many(records[:applied])
         return applied
 
     def _apply(self, record: dict) -> None:
         """Apply one journal-format record to in-memory state (no
-        journaling) — the single dispatch shared by the public mutators,
-        batch ingest and crash replay."""
+        journaling) — the single dispatch shared by batch ingest and
+        crash replay."""
         op = record.get("op")
         if op == "entry":
             self.index.tree_for(record["kw"]).insert(
@@ -300,10 +252,6 @@ class IndexShardEngine:
         """Fetch one raw object homed on this shard."""
         return self.store.get(object_id)
 
-    def has_object(self, object_id: int) -> bool:
-        """Whether the object is homed on this shard."""
-        return object_id in self.store
-
     def object_count(self) -> int:
         """Number of objects homed on this shard."""
         return len(self.store)
@@ -312,10 +260,54 @@ class IndexShardEngine:
         """IDs homed on this shard, ascending."""
         return self.store.all_ids()
 
-    # -- durability hooks --------------------------------------------------------
+    # -- the op table --------------------------------------------------------------
 
-    def _journal(self, record: dict) -> None:
-        """Durability hook; the in-memory engine keeps nothing."""
+    def handle(self, op: str, payload: Any) -> object:
+        """Answer one ``(op, payload)`` shard call.
+
+        Every SP operation reaches a shard through this table, in this
+        process (:class:`InProcessShards`) or in the affine worker that
+        holds the engine (:mod:`repro.sp.affine`).  A Merkle-family
+        ``join`` only locates its entries, and ``prove`` then builds each
+        tree's table here, next to the tree.
+        """
+        if op == "apply":
+            return self.apply_records(payload)
+        if op == "join":
+            conjuncts, order, plan = payload
+            outcomes = []
+            for keywords in conjuncts:
+                views = [self.view(keyword) for keyword in keywords]
+                with obs.span("query.sp.join", keywords=len(views)):
+                    outcomes.append(
+                        conjunctive_join(views, order=order, plan=plan)
+                    )
+            return outcomes
+        if op == "prove":
+            return [
+                prove_keys(self.tree(request.keyword), request)
+                for request in payload
+            ]
+        if op == "spines":
+            object_id, keywords = payload
+            return gen_spines(self.index.trees, object_id, keywords)
+        if op == "compact":
+            return self.compact()
+        if op == "views":
+            return {keyword: self.view(keyword) for keyword in payload}
+        if op == "tree":
+            return self.tree(payload)
+        if op == "get_objects":
+            return [self.get_object(object_id) for object_id in payload]
+        if op == "object_ids":
+            return self.all_object_ids()
+        if op == "ping":
+            return payload
+        if op == "close":
+            return True
+        raise ParameterError(f"unknown shard op {op!r}")
+
+    # -- durability hooks --------------------------------------------------------
 
     def _journal_many(self, records: list[dict]) -> None:
         """Batched durability hook; one append for the whole batch."""
@@ -350,13 +342,12 @@ _CKPT_HEAD = struct.Struct(">4sHII")  # magic, version, epoch, meta_len
 class DiskShardEngine(IndexShardEngine):
     """An engine fronted by an append-only JSONL segment log.
 
-    Every confirmed mutation appends one self-describing record to
-    ``<directory>/shard-NNN.jsonl`` after it is applied in memory.
+    Every confirmed batch appends its self-describing records to
+    ``<directory>/shard-NNN.jsonl`` after they are applied in memory.
     Opening an engine over an existing log replays it through the same
-    public mutators (journaling is disabled during replay because the
-    log handle opens only afterwards), rebuilding byte-identical tree
-    state — the recovery model of :mod:`repro.core.persistence`, scoped
-    to one shard.
+    record dispatch (:meth:`_apply`, which never journals), rebuilding
+    byte-identical tree state — the recovery model of
+    :mod:`repro.core.persistence`, scoped to one shard.
 
     Checkpoints and compaction
     --------------------------
@@ -497,11 +488,6 @@ class DiskShardEngine(IndexShardEngine):
             os.truncate(self.path, good_end)
 
     # -- journaling --------------------------------------------------------------
-
-    def _journal(self, record: dict) -> None:
-        if self._log is not None:
-            self._log.write(json.dumps(record) + "\n")
-            self._log.flush()
 
     def _journal_many(self, records: list[dict]) -> None:
         # One write call + flush for the whole batch, not O(k) syscalls.
@@ -752,3 +738,86 @@ def make_engine(
     raise ParameterError(
         f"unknown engine {kind!r}; expected one of: " + ", ".join(ENGINE_KINDS)
     )
+
+
+def build_index_factory(index_spec: tuple) -> Callable[[], object]:
+    """Build a per-shard index factory from its picklable spec.
+
+    The facade describes the scheme's index mirror as a ``(kind,
+    params)`` spec of plain data — a closure over live config would not
+    cross a process boundary — and every engine, in-process or resident
+    in a worker, gets its factory from here.
+    """
+    kind, params = index_spec
+    if kind == "merkle":
+        from repro.core.merkle_family import MerkleInvertedSP
+
+        fanout = params["fanout"]
+        return lambda: MerkleInvertedSP(fanout=fanout)
+    if kind == "chameleon":
+        from repro.core.chameleon_index import ChameleonSP
+
+        pp, arity = params["pp"], params["arity"]
+        return lambda: ChameleonSP(pp=pp, arity=arity)
+    raise ParameterError(f"unknown index spec kind {kind!r}")
+
+
+@dataclass(frozen=True)
+class EngineSpec:
+    """Everything a transport needs to build one shard engine.
+
+    Plain data only (``index_spec`` instead of a factory closure), so a
+    spec crosses the process boundary under any start method.
+    """
+
+    shard_id: int
+    engine: str
+    index_spec: tuple
+    directory: str | None = None
+    star: bool = False
+    filter_bits: int = 0
+    bloom_capacity: int = 0
+
+    def build(self) -> IndexShardEngine:
+        """Construct the engine (replaying its journal if on disk)."""
+        return make_engine(
+            self.engine,
+            self.shard_id,
+            build_index_factory(self.index_spec),
+            directory=self.directory,
+            star=self.star,
+            filter_bits=self.filter_bits,
+            bloom_capacity=self.bloom_capacity,
+        )
+
+
+class InProcessShards:
+    """The in-process transport: engines here, each call answered inline.
+
+    The same interface as :class:`~repro.sp.affine.AffineWorkerPool` —
+    ``dispatch`` of ``(shard, op, payload)`` calls, ``ready_info`` and
+    ``close`` — without pickling: a call's payload and reply are the
+    objects themselves.
+    """
+
+    kind = "stateless"
+
+    def __init__(self, specs: list[EngineSpec]) -> None:
+        self.engines = [spec.build() for spec in specs]
+        self.ready_info = [
+            {"object_ids": engine.all_object_ids()} for engine in self.engines
+        ]
+
+    def dispatch(
+        self, calls: list[tuple[int, str, object]], ingest: bool = False
+    ) -> list:
+        """Run the calls in order; results in call order."""
+        return [
+            self.engines[shard].handle(op, payload)
+            for shard, op, payload in calls
+        ]
+
+    def close(self) -> None:
+        """Close every engine (idempotent)."""
+        for engine in self.engines:
+            engine.close()

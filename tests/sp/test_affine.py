@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from repro import obs
 from repro.core.merkle_family import MerkleInvertedSP
-from repro.core.objects import DataObject
+from repro.core.objects import DataObject, ObjectMetadata
 from repro.core.query.parser import KeywordQuery
 from repro.core.query.vo import QueryVO
 from repro.core.system import HybridStorageSystem
@@ -23,13 +23,13 @@ from repro.errors import ParameterError, ReproError
 from repro.parallel import RemoteTraceback
 from repro.sp.affine import (
     RPC_SPAN,
-    AffineEngineProxy,
     AffineWorkerPool,
     EngineSpec,
     guarded_dumps,
 )
-from repro.sp.engine import MemoryShardEngine
+from repro.sp.engine import POOL_KINDS, MemoryShardEngine
 
+from tests.sp.test_engine import entry_record
 from tests.sp.test_sharding import QUERIES, SCHEMES, build, make_docs, vo_frame
 
 MERKLE_SPEC = ("merkle", {"fanout": 4})
@@ -100,10 +100,11 @@ class TestAffineParity:
         affine.close()
 
 
-#: (shards, pool, engine) layouts the one bulk path must agree across.
+#: (shards, pool, engine) layouts the batched MI path must agree across.
 BULK_LAYOUTS = {
     "1-in-process": (1, "stateless", "memory"),
     "3-in-process": (3, "stateless", "memory"),
+    "2-in-process-disk": (2, "stateless", "disk"),
     "2-affine": (2, "affine", "memory"),
     "2-affine-disk": (2, "affine", "disk"),
 }
@@ -119,31 +120,18 @@ posting_batches = st.lists(
 
 @pytest.mark.parametrize("layout", sorted(BULK_LAYOUTS))
 def test_mirror_bulk_matches_the_per_object_path(layout, tmp_path):
-    """After ``mirror_bulk`` every keyword's root and entry list equal
-    those of the per-object ``insert_entries`` path — in this process
-    and in the workers, which run the same ``apply_bulk`` — and a
-    restarted disk engine replays its journal to the same roots.
+    """After MI's ``add_objects_batched`` every keyword's root and entry
+    list equal those of the per-object ``add_object`` path — in this
+    process and in the workers, which apply the same buffered records —
+    and a restarted disk engine replays its journal to the same roots.
 
-    Both providers live across the examples, so later batches extend
+    Both systems live across the examples, so later batches extend
     trees earlier ones built.
     """
-    from repro.core.objects import ObjectMetadata
-    from repro.core.sp_frontend import ShardedStorageProvider
-
     shards, pool, engine = BULK_LAYOUTS[layout]
 
-    def provider(**kwargs):
-        return ShardedStorageProvider(
-            index_spec=MERKLE_SPEC,
-            scheme_value="mi",
-            join_order="size",
-            join_plan="cyclic",
-            seed=13,
-            **kwargs,
-        )
-
-    def state(sp):
-        trees = {keyword: sp.tree(keyword) for keyword in sorted(seen)}
+    def state(system):
+        trees = {keyword: system._sp.tree(keyword) for keyword in sorted(seen)}
         return {
             keyword: (
                 tree.root_hash,
@@ -152,30 +140,32 @@ def test_mirror_bulk_matches_the_per_object_path(layout, tmp_path):
             for keyword, tree in trees.items()
         }
 
-    layout_kwargs = dict(
-        shards=shards,
-        pool=pool,
-        engine=engine,
-        engine_dir=tmp_path if engine == "disk" else None,
-    )
-    reference = provider()
-    bulk = provider(**layout_kwargs)
+    def batched():
+        return HybridStorageSystem(
+            scheme="mi",
+            seed=13,
+            shards=shards,
+            pool=pool,
+            engine=engine,
+            engine_dir=tmp_path if engine == "disk" else None,
+        )
+
+    reference = HybridStorageSystem(scheme="mi", seed=13)
+    bulk = batched()
     seen: set[str] = set()
     ids = itertools.count(1)
 
     @settings(max_examples=12, deadline=None)
     @given(posting_batches)
     def check(batch):
-        metadatas = [
-            ObjectMetadata.of(
-                DataObject(object_id, tuple(sorted(keywords)), b"o%d" % object_id)
-            )
+        objects = [
+            DataObject(object_id, tuple(sorted(keywords)), b"o%d" % object_id)
             for object_id, keywords in zip(ids, batch)
         ]
-        for metadata in metadatas:
-            reference.insert_entries(metadata)
-            seen.update(metadata.keywords)
-        bulk.mirror_bulk(metadatas)
+        for obj in objects:
+            reference.add_object(obj)
+            seen.update(obj.keywords)
+        bulk.add_objects_batched(objects)
         assert state(bulk) == state(reference)
 
     try:
@@ -183,7 +173,7 @@ def test_mirror_bulk_matches_the_per_object_path(layout, tmp_path):
         assert seen
         if engine == "disk":
             bulk.close()
-            bulk = provider(**layout_kwargs)
+            bulk = batched()
             assert state(bulk) == state(reference)
     finally:
         reference.close()
@@ -211,7 +201,7 @@ class TestRequestGuard:
 
     def test_trees_and_mirrors_rejected(self):
         engine = MemoryShardEngine(0, lambda: MerkleInvertedSP(fanout=4))
-        engine.insert_entry("alpha", 1, bytes(32))
+        engine.apply_records([entry_record("alpha", 1, bytes(32))])
         for forbidden in (
             engine.tree("alpha"),
             MerkleInvertedSP(fanout=4),
@@ -309,13 +299,13 @@ class TestPoolMechanics:
     def test_worker_errors_carry_remote_traceback(self):
         pool = make_pool()
         try:
-            with pytest.raises(ParameterError, match="unknown affine op"):
+            with pytest.raises(ParameterError, match="unknown shard op"):
                 pool.request(0, "explode")
             try:
                 pool.request(0, "explode")
             except ParameterError as exc:
                 assert isinstance(exc.__cause__, RemoteTraceback)
-                assert "_handle" in str(exc.__cause__)
+                assert "in handle" in str(exc.__cause__)
             # The worker loop survived the failed request.
             assert pool.request(0, "ping", 7) == 7
         finally:
@@ -327,7 +317,7 @@ class TestPoolMechanics:
             # The failing call sits between healthy ones; every reply —
             # including those after the failure — must be drained so the
             # next dispatch pairs with its own replies, not stale ones.
-            with pytest.raises(ParameterError, match="unknown affine op"):
+            with pytest.raises(ParameterError, match="unknown shard op"):
                 pool.dispatch(
                     [
                         (0, "ping", 1),
@@ -362,35 +352,64 @@ class TestPoolMechanics:
         with pytest.raises(ReproError, match="closed"):
             pool.dispatch([(0, "ping", None)])
 
-    def test_proxy_chunks_mutations(self):
-        pool = make_pool()
-        try:
-            proxy = AffineEngineProxy(pool, 0, chunk_records=2)
-            for i in range(5):
-                proxy.insert_entry("alpha", i, bytes([i]) * 32)
-            # Two full chunks auto-flushed; one record still buffered.
-            assert len(proxy._pending) == 1
-            tree = proxy.tree("alpha")  # reads flush first
-            assert proxy._pending == []
-            serial = MerkleInvertedSP(fanout=4)
-            for i in range(5):
-                serial.tree_for("alpha").insert(i, bytes([i]) * 32)
-            assert tree.root_hash == serial.tree_for("alpha").root_hash
-        finally:
-            pool.close()
+    def test_proxy_chunks_mutations(self, monkeypatch):
+        """The front-end buffers records per shard and ships a full
+        chunk on its own, in either pool; a read ships the rest first."""
+        import repro.core.sp_frontend as frontend
+
+        monkeypatch.setattr(frontend, "CHUNK_RECORDS", 2)
+        for pool in POOL_KINDS:
+            sp = frontend.ShardedStorageProvider(
+                index_spec=MERKLE_SPEC,
+                scheme_value="mi",
+                join_order="size",
+                join_plan="cyclic",
+                pool=pool,
+            )
+            try:
+                with obs.collect() as collector:
+                    for i in range(5):
+                        sp.insert_entries(
+                            ObjectMetadata(i, ("alpha",), bytes([i]) * 32)
+                        )
+                    # Two full chunks shipped; one record still buffered.
+                    assert sp._pending == [[entry_record("alpha", 4, bytes([4]) * 32)]]
+                    tree = sp.tree("alpha")  # reads flush first
+                    assert sp._pending == [[]]
+                if pool == "affine":
+                    counters = collector.metrics.snapshot()
+                    assert counters["sp.affine.rpcs"] == 4  # 3 applies, 1 tree
+                serial = MerkleInvertedSP(fanout=4)
+                for i in range(5):
+                    serial.tree_for("alpha").insert(i, bytes([i]) * 32)
+                assert tree.root_hash == serial.tree_for("alpha").root_hash
+            finally:
+                sp.close()
 
     def test_ingest_counter_tracks_delta_bytes_only(self):
         pool = make_pool()
         try:
-            proxy = AffineEngineProxy(pool, 0)
-            proxy.insert_entry("alpha", 1, bytes(32))
-            proxy.flush()
-            after_ingest = pool.ingest_bytes
-            assert after_ingest > 0
-            pool.request(0, "object_ids")  # a read
-            assert pool.ingest_bytes == after_ingest
-            pool.reset_counters()
-            assert (pool.request_bytes, pool.ingest_bytes) == (0, 0)
+            with obs.collect() as collector:
+                pool.dispatch(
+                    [(0, "apply", [entry_record("alpha", 1, bytes(32))])],
+                    ingest=True,
+                )
+                after_ingest = collector.metrics.snapshot()
+                assert after_ingest["sp.affine.scatter.bytes"] > 0
+                assert (
+                    after_ingest["sp.affine.scatter.bytes"]
+                    == after_ingest["sp.affine.request.bytes"]
+                )
+                pool.request(0, "object_ids")  # a read
+                after_read = collector.metrics.snapshot()
+            assert (
+                after_read["sp.affine.scatter.bytes"]
+                == after_ingest["sp.affine.scatter.bytes"]
+            )
+            assert (
+                after_read["sp.affine.request.bytes"]
+                > after_ingest["sp.affine.request.bytes"]
+            )
         finally:
             pool.close()
 
@@ -538,7 +557,7 @@ class TestAffineTelemetry:
 
         rpcs = [s for s in col.spans if s.name == RPC_SPAN]
         assert sorted({s.attributes["shard"] for s in rpcs}) == [0, 1, 2, 3]
-        assert {s.attributes["op"] for s in rpcs} >= {"bulk"}
+        assert {s.attributes["op"] for s in rpcs} >= {"apply"}
         span_ids = {s.span_id for s in col.spans}
         for span in rpcs:
             assert span.parent_id in span_ids

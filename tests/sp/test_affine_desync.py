@@ -15,8 +15,10 @@ import threading
 import pytest
 
 from repro.core.merkle_family import MerkleInvertedSP
+from repro.core.objects import ObjectMetadata
+from repro.core.sp_frontend import ShardedStorageProvider
 from repro.errors import ParameterError, ReproError
-from repro.sp.affine import AffineEngineProxy, AffineWorkerPool, EngineSpec
+from repro.sp.affine import AffineWorkerPool, EngineSpec
 
 MERKLE_SPEC = ("merkle", {"fanout": 4})
 
@@ -146,20 +148,25 @@ class TestDeadPipe:
 
 class TestProxyFlushFailure:
     def test_failed_flush_leaves_no_dangling_records(self):
-        pool = make_pool(shards=1)
+        sp = ShardedStorageProvider(
+            index_spec=MERKLE_SPEC,
+            scheme_value="mi",
+            join_order="size",
+            join_plan="cyclic",
+            pool="affine",
+        )
+        pool = sp.pool
         try:
-            proxy = AffineEngineProxy(pool, 0, chunk_records=100)
-            proxy.insert_entry("alpha", 1, bytes(32))
-            proxy.insert_entry("beta", 2, bytes(32))
+            sp.insert_entries(ObjectMetadata(1, ("alpha", "beta"), bytes(32)))
             pool._workers[0].process.kill()
             pool._workers[0].process.join(timeout=10)
             with pytest.raises((EOFError, OSError, ReproError)):
-                proxy.flush()
+                sp.flush_mutations()
             # The failed chunk is not silently requeued: replaying it
             # against a rebuilt pool could double-apply a prefix the
             # worker had already journalled before dying.
-            assert proxy._pending == []
-            assert proxy.flush() == 0
+            assert sp._pending == [[]]
+            assert sp.flush_mutations() == 0
             assert pool._broken
         finally:
-            pool.close()
+            sp.close()

@@ -16,6 +16,11 @@ def merkle_factory():
     return MerkleInvertedSP(fanout=4)
 
 
+def entry_record(keyword, object_id, object_hash):
+    """The journal record of one posting, as the SP front-end ships it."""
+    return {"op": "entry", "kw": keyword, "id": object_id, "hash": object_hash.hex()}
+
+
 class TestShardRouter:
     def test_rejects_zero_shards(self):
         with pytest.raises(ParameterError):
@@ -82,8 +87,12 @@ class TestDiskEngineReplay:
             ("gamma", 4, b"h4"),
             ("alpha", 5, b"h5"),
         ]
-        for keyword, object_id, payload in entries:
-            engine.insert_entry(keyword, object_id, payload.ljust(32, b"\0"))
+        engine.apply_records(
+            [
+                entry_record(keyword, object_id, payload.ljust(32, b"\0"))
+                for keyword, object_id, payload in entries
+            ]
+        )
 
     def test_round_trip_rebuilds_identical_trees(self, tmp_path):
         engine = DiskShardEngine(3, merkle_factory, tmp_path)
@@ -118,7 +127,7 @@ class TestDiskEngineReplay:
         engine.close()
 
         reopened = DiskShardEngine(0, merkle_factory, tmp_path)
-        reopened.insert_entry("alpha", 9, b"h9".ljust(32, b"\0"))
+        reopened.apply_records([entry_record("alpha", 9, b"h9".ljust(32, b"\0"))])
         root = reopened.tree("alpha").root_hash
         reopened.close()
 
@@ -127,10 +136,11 @@ class TestDiskEngineReplay:
         third.close()
 
     def test_object_round_trip(self, tmp_path):
-        from repro.core.objects import DataObject
+        from repro.core.objects import DataObject, object_to_record
 
         engine = DiskShardEngine(1, merkle_factory, tmp_path)
-        engine.put_object(DataObject(7, ("alpha",), b"payload"))
+        obj = DataObject(7, ("alpha",), b"payload")
+        engine.apply_records([{"op": "object", **object_to_record(obj)}])
         engine.close()
 
         reopened = DiskShardEngine(1, merkle_factory, tmp_path)
@@ -151,10 +161,12 @@ class TestTornTailRecovery:
 
     def fill_and_close(self, tmp_path):
         engine = DiskShardEngine(0, merkle_factory, tmp_path)
-        for object_id in range(4):
-            engine.insert_entry(
-                "alpha", object_id, bytes([object_id]) * 32
-            )
+        engine.apply_records(
+            [
+                entry_record("alpha", object_id, bytes([object_id]) * 32)
+                for object_id in range(4)
+            ]
+        )
         root = engine.tree("alpha").root_hash
         engine.close()
         return tmp_path / "shard-000.jsonl", root
@@ -184,7 +196,7 @@ class TestTornTailRecovery:
         path.write_bytes(path.read_bytes() + b"garbage-tail")
 
         engine = DiskShardEngine(0, merkle_factory, tmp_path)
-        engine.insert_entry("alpha", 9, b"h9".ljust(32, b"\0"))
+        engine.apply_records([entry_record("alpha", 9, b"h9".ljust(32, b"\0"))])
         root = engine.tree("alpha").root_hash
         engine.close()
 
@@ -203,14 +215,18 @@ class TestTornTailRecovery:
 
 class TestBatchedJournal:
     def entries(self, count=6):
-        return [(object_id, bytes([object_id]) * 32) for object_id in range(count)]
+        return [
+            entry_record("alpha", object_id, bytes([object_id]) * 32)
+            for object_id in range(count)
+        ]
 
     def test_apply_bulk_journals_one_append(self, tmp_path):
+        """A batch of records lands in the journal with one write."""
         engine = DiskShardEngine(0, merkle_factory, tmp_path)
         writes = []
         original = engine._log.write
         engine._log.write = lambda text: writes.append(text) or original(text)
-        assert engine.apply_bulk([("alpha", self.entries())]) == 6
+        assert engine.apply_records(self.entries()) == 6
         assert len(writes) == 1
         root = engine.tree("alpha").root_hash
         engine.close()
@@ -235,7 +251,7 @@ class TestBatchedJournal:
 
     def test_close_is_idempotent(self, tmp_path):
         engine = DiskShardEngine(0, merkle_factory, tmp_path)
-        engine.insert_entry("alpha", 1, bytes(32))
+        engine.apply_records([entry_record("alpha", 1, bytes(32))])
         engine.close()
         engine.close()
         assert engine._log is None

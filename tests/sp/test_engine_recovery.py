@@ -15,16 +15,22 @@ from repro.core.merkle_family import MerkleInvertedSP
 from repro.errors import IntegrityError, ReproError
 from repro.sp.engine import DiskShardEngine
 
+from tests.sp.test_engine import entry_record
+
 
 def merkle_factory():
     return MerkleInvertedSP(fanout=4)
 
 
 def fill(engine, count=6, start=0):
-    for object_id in range(start, start + count):
-        engine.insert_entry(
-            f"kw{object_id % 3}", object_id, bytes([object_id % 251]) * 32
-        )
+    engine.apply_records(
+        [
+            entry_record(
+                f"kw{object_id % 3}", object_id, bytes([object_id % 251]) * 32
+            )
+            for object_id in range(start, start + count)
+        ]
+    )
 
 
 def roots_of(engine):
