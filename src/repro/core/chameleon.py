@@ -50,6 +50,7 @@ from repro.core.nodestore import ChameleonStore
 from repro.core.query.vo import varint_size
 from repro.core.wire import put_varint, read_varint
 from repro.crypto import vc
+from repro.crypto.hashing import token_hasher
 from repro.crypto.prf import node_randomness
 from repro.errors import ReproError, VerificationError
 
@@ -104,6 +105,9 @@ StatementCheck = Callable[[int, bytes, list[bytes]], bool]
 _ENTRY = 40
 
 _U64 = struct.Struct(">Q")
+
+#: Hash state seeded with the table-token tag; copied per table.
+_TOKEN_HASHER = token_hasher("repro/chameleon-table-token")
 
 #: How many children a flag byte ships (bits 1..7).
 _SHIPPED = tuple(bin(flags >> 1).count("1") for flags in range(256))
@@ -259,15 +263,43 @@ class ChameleonMultiproof:
             object.__setattr__(self, "_rows", rows)
         return rows
 
+    def entries(self) -> tuple[list[int], list[tuple[int, bytes]]]:
+        """The read rows' positions and ``(id, h(o))``, ascending.
+
+        Read off the validated structure alone: they are authenticated
+        once :meth:`authenticate` (or a recall of it) has said so.
+        """
+        body = self.body
+        unpack = _U64.unpack_from
+        read = [(position, at) for position, at, flags in self.rows() if flags & 1]
+        return [position for position, _ in read], [
+            (unpack(body, at)[0], body[at + 8 : at + _ENTRY]) for _, at in read
+        ]
+
     @property
     def leaves(self) -> list[tuple[int, bytes]]:
         """The ``(id, h(o))`` of the read rows, ascending (as on the wire)."""
-        body = self.body
-        return [
-            (_U64.unpack_from(body, offset)[0], body[offset + 8 : offset + 40])
-            for _, offset, flags in self.rows()
-            if flags & 1
-        ]
+        return self.entries()[1]
+
+    def cache_token(self) -> bytes:
+        """Collision-resistant digest of the whole table.
+
+        Tagged hash (:func:`~repro.crypto.hashing.token_hasher`) over
+        ``arity || value_bytes || count || body`` —
+        fixed-width fields, then the body, so the encoding is injective.
+        With the modulus, ``c_0`` and ``cnt`` it is the verification-
+        cache key of :meth:`authenticate`'s verdict, which reads nothing
+        else (see :mod:`repro.core.proofcache`).
+        """
+        self.rows()  # the structure bounds ``count`` by the body's length
+        hasher = _TOKEN_HASHER.copy()
+        hasher.update(
+            bytes((self.arity,))
+            + self.value_bytes.to_bytes(4, "big")
+            + self.count.to_bytes(8, "big")
+        )
+        hasher.update(self.body)
+        return hasher.digest()
 
     def byte_size(self) -> int:
         """Serialised size in bytes: arity, row count, root and rows."""
@@ -309,7 +341,8 @@ class ChameleonMultiproof:
         are therefore authenticated, not trusted.  ``check(position,
         node, children)`` records, recalls or performs one such
         statement (see :meth:`statement`).  Returns the read rows'
-        positions and their ``(id, h(o))``, ascending by position.
+        positions and their ``(id, h(o))``, ascending by position
+        (:meth:`entries`).
         """
         body = self.body
         width = self.value_bytes
@@ -322,8 +355,6 @@ class ChameleonMultiproof:
                 f"c_0 does not fit the table's {width}-byte elements"
             )
         root = root_commitment.to_bytes(width, "big")
-        positions: list[int] = []
-        leaves: list[tuple[int, bytes]] = []
         for position, offset, flags in rows:
             if position > count:
                 raise VerificationError(
@@ -332,11 +363,6 @@ class ChameleonMultiproof:
             if position:
                 end = offset + fixed
                 node = body[offset:end]
-                if flags & 1:
-                    positions.append(position)
-                    leaves.append(
-                        (_U64.unpack_from(node)[0], node[8:_ENTRY])
-                    )
             else:
                 end = offset + width
                 node = root + body[offset:end]
@@ -365,7 +391,7 @@ class ChameleonMultiproof:
                     f"opening of node {position}, or a commitment it holds, "
                     "is out of range"
                 )
-        return positions, leaves
+        return self.entries()
 
 
 class ChameleonTreeDO:

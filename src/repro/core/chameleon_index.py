@@ -319,8 +319,8 @@ class ChameleonProofSystem:
     A query's tables arrive through :meth:`attach_multiproofs`.  A
     conjunct opens each table it names through :meth:`proven_run`: the
     first opening of a table authenticates every node under the keyword's
-    ``<c_0, cnt>`` (:meth:`ChameleonMultiproof.authenticate`), and the
-    read rows become the :class:`~repro.core.multiproof.ProvenRun` the
+    ``<c_0, cnt>`` (:meth:`ChameleonMultiproof.authenticate`) — or
+    recalls that the byte-identical table did — and the read rows become the :class:`~repro.core.multiproof.ProvenRun` the
     join is replayed over — positions are the DO's insertion order and
     IDs ascend, so two entries at ``position`` and ``position + 1`` have
     nothing between them, position 1 is the first entry and position
@@ -336,16 +336,22 @@ class ChameleonProofSystem:
     caches and counts only afterwards.  The exit also settles the
     account of the tables: none unused, no entry row unread.
 
-    ``cache``, when set, memoises *successful* statements, one key per
-    node built from the bytes the table holds — the modulus, ``c``,
-    ``Lambda``, the ``id || h(o)`` slot 1 commits to and the filled
-    child slots' commitments — so a node shared between queries costs
-    its share of a batch once, whichever of its children arrived as
-    rows.  Only the statements of a batch that passed are stored.  That
-    a statement holds says nothing about where its commitment hangs: the
-    chain from ``c_0`` is re-walked over (cached) statements every query,
-    and any tampered component changes a key, misses, and is checked
-    (and fails) from scratch.  Hits and misses therefore count nodes.
+    ``cache``, when set, memoises *successful* checks at two
+    granularities, both stored only once the batch they were checked in
+    has passed.  A *node* key is built from the bytes the table holds —
+    the modulus, ``c``, ``Lambda``, the ``id || h(o)`` slot 1 commits to
+    and the filled child slots' commitments — so a node shared between
+    queries costs its share of a batch once, whichever of its children
+    arrived as rows.  That a statement holds says nothing about where
+    its commitment hangs: a table is authenticated from ``c_0`` over
+    (cached) statements.  A *table* key is ``(modulus, c_0, cnt,
+    ChameleonMultiproof.cache_token())``: everything
+    :meth:`~ChameleonMultiproof.authenticate` reads, so a table met
+    again under the same ``<c_0, cnt>`` is recalled whole — its read
+    rows are taken from the structure the codec already checked, and no
+    statement is built.  Any tampered byte changes a key, misses, and is
+    checked (and fails) from scratch.  Hits and misses count nodes: a
+    recalled table counts one hit per node it holds, its lookup nothing.
     """
 
     pp: vc.CVCPublicParams
@@ -363,11 +369,12 @@ class ChameleonProofSystem:
     _opened: dict[int, tuple[int, list, tuple[int, ...], bytearray]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
-    #: The statements recorded in the open :meth:`settling` scope, by
-    #: cache key, each with the ``(keyword, position)`` of the node it
-    #: belongs to; ``None`` outside a scope.
-    _pending: dict[CacheKey, tuple[vc.Statement, tuple[str, int]]] | None = field(
-        default=None, init=False, repr=False, compare=False
+    #: What the open :meth:`settling` scope owes, by cache key: each
+    #: recorded statement with the ``(keyword, position)`` of the node
+    #: it belongs to, and ``None`` for each table authenticated over
+    #: them; ``None`` outside a scope.
+    _pending: dict[CacheKey, tuple[vc.Statement, tuple[str, int]] | None] | None = (
+        field(default=None, init=False, repr=False, compare=False)
     )
 
     def _digest(self, keyword: str) -> tuple[int | None, int]:
@@ -416,11 +423,6 @@ class ChameleonProofSystem:
         at settle time, the error says whose it was.
         """
         pending = self._pending
-        if pending is None:
-            raise ReproError(
-                "CVC tables are opened inside ChameleonProofSystem."
-                "settling(), whose exit checks their openings"
-            )
         # One byte says root or row and how many child slots are filled:
         # the rest of the key is fixed-width fields, so it reads one way.
         shape = len(children) | (0 if position else 0x80)
@@ -432,7 +434,7 @@ class ChameleonProofSystem:
             if self.cache is not None:
                 self.cache.count_hit()
             return True
-        if self.cache is not None and self.cache.seen(key):
+        if self.cache is not None and self.cache.recall(key):
             return True
         statement = table.statement(node, children)
         modulus = self.pp.modulus
@@ -444,27 +446,57 @@ class ChameleonProofSystem:
         return True
 
     def _settle(
-        self, pending: dict[CacheKey, tuple[vc.Statement, tuple[str, int]]]
+        self, pending: dict[CacheKey, tuple[vc.Statement, tuple[str, int]] | None]
     ) -> None:
-        """Check the recorded statements together; cache them if all hold."""
-        if not pending:
-            return
-        if not vc.verify_batch(
-            self.pp, [statement for statement, _ in pending.values()]
-        ):
+        """Check the recorded statements together; cache what was owed if all hold."""
+        owed = [node for node in pending.values() if node is not None]
+        if owed and not vc.verify_batch(self.pp, [statement for statement, _ in owed]):
             # The batch only says that something is wrong; one by one
             # names it.  Should every statement pass on its own after all,
             # that is the stronger verdict and stands.
             obs.inc("vc.verify.batch_fallbacks")
-            for statement, (keyword, position) in pending.values():
+            for statement, (keyword, position) in owed:
                 if not vc.verify_vector(self.pp, *statement):
                     raise VerificationError(
                         f"opening of node {position} of keyword {keyword!r} "
                         "failed commitment verification"
                     )
         if self.cache is not None:
-            for key in pending:
-                self.cache.add(key)
+            for key, node in pending.items():
+                self.cache.add(key, summary=node is None)
+
+    def _authenticate(
+        self,
+        keyword: str,
+        table: ChameleonMultiproof,
+        commitment: int,
+        count: int,
+    ) -> tuple[list[int], list[tuple[int, bytes]]]:
+        """A table's read rows under ``<c_0, cnt>``: recalled, or authenticated.
+
+        A table that authenticated under this ``<c_0, cnt>`` before is
+        recalled whole; any other has its nodes recorded as owed, and the
+        table itself is cached beside them once they have settled.
+        """
+        pending = self._pending
+        if pending is None:
+            raise ReproError(
+                "CVC tables are opened inside ChameleonProofSystem."
+                "settling(), whose exit checks their openings"
+            )
+        cache = self.cache
+        key = None
+        if cache is not None:
+            key = CacheKey((self.pp.modulus, commitment, count, table.cache_token()))
+            if cache.recall(key, summary=True):
+                cache.count_hit(len(table.rows()))
+                return table.entries()
+        proven = table.authenticate(
+            partial(self._holds, keyword, table), commitment, count
+        )
+        if key is not None:
+            pending[key] = None
+        return proven
 
     def proven_run(self, keyword: str, table: int | None) -> ProvenRun:
         """Open one tree of a conjunct as the walk's view.
@@ -497,8 +529,8 @@ class ChameleonProofSystem:
                     f"node table arity {node_table.arity} is not the scheme's "
                     f"{self.arity}"
                 )
-            positions, leaves = node_table.authenticate(
-                partial(self._holds, keyword, node_table), commitment, count
+            positions, leaves = self._authenticate(
+                keyword, node_table, commitment, count
             )
             gaps = (
                 0,

@@ -139,11 +139,11 @@ class MerkleProofSystem:
 
     A query's tables arrive through :meth:`attach_multiproofs`.  Each
     :class:`~repro.core.multiproof.TreeMultiproof` folds once per query
-    against the root of the keyword that names it — and caches on
-    ``(root, content digest)`` so a warmed proof is free.  A conjunct
+    against the root of the keyword that names it.  A conjunct
     opens its tables as :class:`~repro.core.multiproof.ProvenRun` views
     (:meth:`proven_run`) and replays the join over them.  ``cache``,
-    when set, memoises successful folds keyed on the full proven tuple —
+    when set, remembers each successful fold's leaf counts under
+    ``(root, content digest)``, so a warmed table is not folded again —
     see :mod:`repro.core.proofcache` for the soundness argument.
 
     Leaving :meth:`settling` checks what only the whole query can show
@@ -196,7 +196,7 @@ class MerkleProofSystem:
         keyword the chain shows non-empty (an empty one makes the whole
         component an empty-keyword claim).  The table folds once per
         query (:func:`~repro.core.multiproof.open_table`) to the
-        keyword's root.
+        keyword's root, unless the cache recalls that it did before.
         """
         if table is None:
             if self.keyword_empty(keyword):
@@ -215,25 +215,24 @@ class MerkleProofSystem:
             raise VerificationError("conjunct names a table of another kind")
         root = self._root(keyword)
         bound = self._bound.get(table)
-        key = None
-        if bound is not None:
-            # One fold has one result: a proof that verified against a
-            # different keyword's root can never match this one.
-            if not digests_equal(bound, root):
-                raise VerificationError(
-                    f"multiproof {table} is bound to a different "
-                    f"tree than keyword {keyword!r}"
-                )
-        elif self.cache is not None:
-            key = self.cache.key(root, mp.cache_token())
-            if self.cache.seen(key):
-                key = None
+        # One fold has one result: a proof that verified against a
+        # different keyword's root can never match this one.
+        if bound is not None and not digests_equal(bound, root):
+            raise VerificationError(
+                f"multiproof {table} is bound to a different "
+                f"tree than keyword {keyword!r}"
+            )
         read = self._read.get(table)
         if read is None:
             read = bytearray(len(mp.leaves) + 2)
-        run = open_table(mp, root, keyword, index=table, read=read)
-        if key is not None:
-            self.cache.add(key)
+        run = open_table(
+            mp,
+            root,
+            keyword,
+            index=table,
+            read=read,
+            cache=self.cache if bound is None else None,
+        )
         self._bound[table] = root
         self._read[table] = read
         return run

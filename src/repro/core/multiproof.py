@@ -65,9 +65,10 @@ from repro.core.mbtree import (
     leaf_digest,
     node_digest,
 )
+from repro.core.proofcache import VerificationCache
 from repro.core.query.vo import ConjunctiveVO, QueryVO, ReplayVO, varint_size
 from repro.crypto.bloom import BloomFilterChain
-from repro.crypto.hashing import digests_equal, sha3, tagged_hash
+from repro.crypto.hashing import digests_equal, sha3, token_hasher
 from repro.errors import (
     ReproError,
     StaleProofError,
@@ -80,7 +81,8 @@ SLOT_HELPER = 0  #: sibling digest supplied in the helper list
 SLOT_DESCEND = 1  #: child is the next cover node in DFS order
 SLOT_LEAF = 2  #: proven entry supplied in the leaf list (leaf level only)
 
-_TOKEN_TAG = "repro/merkle-multiproof-token"
+#: Hash state seeded with the table-token tag; copied per table.
+_TOKEN_HASHER = token_hasher("repro/merkle-multiproof-token")
 
 
 @dataclass(frozen=True, eq=True)
@@ -158,7 +160,9 @@ class TreeMultiproof:
             for object_id, object_hash in self.leaves:
                 buf += object_id.to_bytes(8, "big")
                 buf += object_hash
-            token = tagged_hash(_TOKEN_TAG, bytes(buf))
+            hasher = _TOKEN_HASHER.copy()
+            hasher.update(buf)
+            token = hasher.digest()
             object.__setattr__(self, "_token", token)
         return token
 
@@ -592,6 +596,7 @@ def open_table(
     index: int | None = 0,
     read: bytearray | None = None,
     hash_fn: HashFn | None = None,
+    cache: VerificationCache | None = None,
 ) -> ProvenRun:
     """Fold a Merkle table to ``root`` and open its leaves as a run.
 
@@ -600,13 +605,26 @@ def open_table(
     light client, a range client and the general update's contract.  A
     contract passes its metered ``hash_fn`` (see
     :meth:`TreeMultiproof.fold`); ``index`` and ``read`` are the query
-    client's table number and its shared read marks.
+    client's table number and its shared read marks.  The query client
+    passes its ``cache``: a table that folded to ``root`` before —
+    keyed on ``(root, cache_token())`` — is not folded again, its leaf
+    counts are recalled, and a fold that matches is remembered.
     """
-    digest, before = table.fold(hash_fn)
-    if not digests_equal(digest, root):
-        raise VerificationError(
-            f"table {index} does not match the on-chain root of {keyword!r}"
-        )
+    key = before = None
+    if cache is not None:
+        key = cache.key(root, table.cache_token())
+        before = cache.recall(key)
+    if before is None:
+        digest, before = table.fold(hash_fn)
+        if not digests_equal(digest, root):
+            raise VerificationError(
+                f"table {index} does not match the on-chain root of {keyword!r}"
+            )
+        if key is not None:
+            cache.add(key, before)
+    else:
+        # This table's fold, as far as a later read of it is concerned.
+        object.__setattr__(table, "_walked", (root, before))
     if read is None:
         read = bytearray(len(table.leaves) + 2)
     return ProvenRun(

@@ -118,8 +118,8 @@ class DataObject:
         """An object over bytes this program encoded itself.
 
         For the SP's own plumbing (a shard worker's reply): only the ID
-        is read; keywords and content are parsed — as strictly as
-        :meth:`from_wire` does — the first time one is asked for, which
+        is read; keywords and content are parsed — by the routine
+        :meth:`from_wire` uses — the first time one is asked for, which
         on the serving path is never.
         """
         if len(wire) < _HEAD.size:
@@ -140,32 +140,11 @@ class DataObject:
         ``h(o)`` check against the proven digest, which precedes any
         use of the keywords, refuses it.
         """
-        obj = cls.deferred(wire)
-        obj._parse()
+        obj = object.__new__(cls)
+        fields = vars(obj)
+        fields["object_id"], fields["keywords"], fields["content"] = _fields(wire)
+        fields["_wire"] = wire
         return obj
-
-    def _parse(self) -> None:
-        # Offsets into the bytes, no per-field reader calls: an answer
-        # holds hundreds of objects.  A length that overruns the buffer
-        # either fails an unpack below or breaks the final equality.
-        wire = self._wire
-        try:
-            _, n_keywords = _HEAD.unpack_from(wire)
-            pos = _HEAD.size
-            keywords = []
-            for _ in range(n_keywords):
-                end = pos + 1 + wire[pos]
-                keywords.append(str(wire[pos + 1 : end], "utf-8"))
-                pos = end
-            (length,) = U32.unpack_from(wire, pos)
-        except (IndexError, struct.error):
-            raise ReproError("truncated object encoding") from None
-        except UnicodeDecodeError:
-            raise ReproError("keyword in object encoding is not UTF-8") from None
-        pos += U32.size
-        if pos + length != len(wire):
-            raise ReproError("object encoding does not end with its content")
-        vars(self).update(keywords=tuple(keywords), content=wire[pos:])
 
     def __reduce__(self):
         # Pickled as its canonical bytes, unparsed on the other side: a
@@ -177,9 +156,10 @@ class DataObject:
     def __getattr__(self, name: str):
         # Only reached for a name the instance lacks: the unparsed
         # fields of a :meth:`deferred` object.
-        if name in ("keywords", "content") and "_wire" in vars(self):
-            self._parse()
-            return vars(self)[name]
+        fields = vars(self)
+        if name in ("keywords", "content") and "_wire" in fields:
+            _, fields["keywords"], fields["content"] = _fields(fields["_wire"])
+            return fields[name]
         raise AttributeError(name)
 
     def digest(self) -> bytes:
@@ -198,6 +178,32 @@ class DataObject:
 
 
 _DEFERRED = DataObject.deferred
+
+
+def _fields(wire: bytes) -> tuple[int, tuple[str, ...], bytes]:
+    """``(id, keywords, content)`` of an object encoding, in one pass.
+
+    Offsets into the bytes, no per-field reader calls: an answer holds
+    hundreds of objects.  A length that overruns the buffer either fails
+    an unpack below or breaks the final equality.
+    """
+    try:
+        object_id, n_keywords = _HEAD.unpack_from(wire)
+        pos = _HEAD.size
+        keywords = []
+        for _ in range(n_keywords):
+            end = pos + 1 + wire[pos]
+            keywords.append(wire[pos + 1 : end].decode())
+            pos = end
+        (length,) = U32.unpack_from(wire, pos)
+    except (IndexError, struct.error):
+        raise ReproError("truncated object encoding") from None
+    except UnicodeDecodeError:
+        raise ReproError("keyword in object encoding is not UTF-8") from None
+    pos += U32.size
+    if pos + length != len(wire):
+        raise ReproError("object encoding does not end with its content")
+    return object_id, tuple(keywords), wire[pos:]
 
 
 def object_to_record(obj: DataObject) -> dict:

@@ -4,24 +4,37 @@ A CVC opening costs a multi-hundred-bit modular exponentiation — orders
 of magnitude more than a hash — and a DNF query presents the same
 openings across conjuncts, while hot keywords repeat them across
 queries.  A :class:`VerificationCache` lets a proof system skip
-re-verifying a tuple it has already accepted.
+re-checking what it has already accepted: :meth:`~VerificationCache.recall`
+returns what the check returned, so a hit skips the check itself.
 
 Soundness: only *successful* verifications are cached, and the key must
-include **every** input that determines the verdict.  The Chameleon
-family keys on one *node* — the modulus and the bytes of its commitment,
-its whole-vector opening, the ``id || h(o)`` its slot 1 commits to and
-its filled child slots' commitments, the whole input of one
-``vc.verify_vector`` — and stores it only once the batch it was checked
-in has passed.  A tampered tuple differs in at
-least one key component, misses the cache, and is re-verified from
-scratch — a cache hit can therefore never mask a failing proof.
+include **every** input that determines the verdict.  A tampered input
+differs in at least one key component, misses the cache, and is checked
+from scratch — a cache hit can therefore never mask a failing proof.
+
+The Chameleon family remembers at two granularities, both stored only
+once the batch they were checked in has passed:
+
+* one *node* statement (stores ``True``) — the modulus and the bytes of
+  its commitment, its whole-vector opening, the ``id || h(o)`` its slot
+  1 commits to and its filled child slots' commitments, the whole input
+  of one ``vc.verify_vector``;
+* one *table* — ``(modulus, c_0, cnt, ChameleonMultiproof.cache_token())``,
+  where the token hashes the table's arity, element width, row count
+  and bytes.  Authenticating a table under ``<c_0, cnt>`` reads nothing
+  else, so a table that authenticated once is recalled whole: no node
+  statement is built.  It is a *summary* — its node statements are held
+  beside it — so its lookup counts nothing itself, a hit counts one hit
+  per node it holds, and ``len()`` leaves it out.
 
 The Merkle family's multiproofs follow the same rule with a structural
 token instead of the raw object: their key is ``(root,
 TreeMultiproof.cache_token())``, where the token hashes the complete
 proof content — heights, per-node slot codes, helper digests and the
-leaf table.  Any tamper changes the token, so a warmed fold can only
-ever be replayed for the byte-identical proof against the same root.
+leaf table — and the entry stores the fold's leaf counts, which are a
+function of that content.  Any tamper changes the token, so a warmed
+fold can only ever be replayed for the byte-identical proof against the
+same root.
 
 Hits and misses are exported through :mod:`repro.obs` under
 ``<prefix>.cache_hit`` / ``<prefix>.cache_miss`` (e.g.
@@ -50,7 +63,7 @@ class CacheKey:
     (`in`, ``move_to_end``, insert, eviction) — for cheap schemes like
     the Merkle index that bookkeeping rivals the verification itself and
     erased the cold-path win.  Wrapping the tuple pins the hash at
-    construction so each ``seen``/``add`` round trip hashes the proof
+    construction so each ``recall``/``add`` round trip hashes the proof
     once instead of four-plus times.
 
     Unpickling recomputes the hash: ``str`` hashes are salted per
@@ -76,10 +89,11 @@ class CacheKey:
 
 
 class VerificationCache:
-    """A bounded, thread-safe LRU set of successfully verified tuples.
+    """A bounded, thread-safe LRU of successful verifications and their results.
 
-    ``maxsize <= 0`` disables the cache entirely (every lookup misses
-    and nothing is stored), which keeps call sites branch-free.
+    ``maxsize`` bounds the entries, summaries included; ``maxsize <= 0``
+    disables the cache entirely (every lookup misses and nothing is
+    stored), which keeps call sites branch-free.
     """
 
     def __init__(
@@ -93,58 +107,80 @@ class VerificationCache:
         self._miss_metric = f"{metric_prefix}.cache_miss"
         self.hits = 0
         self.misses = 0
-        self._entries: OrderedDict[Hashable, None] = OrderedDict()
+        #: Per key: what its check returned, and whether it is a summary.
+        self._entries: OrderedDict[Hashable, tuple[object, bool]] = OrderedDict()
+        self._summaries = 0
         self._lock = threading.Lock()
 
     def __len__(self) -> int:
-        return len(self._entries)
+        """The verdicts held; a summary adds none of its own."""
+        return len(self._entries) - self._summaries
 
     def key(self, *parts: Hashable) -> CacheKey:
-        """Build a hash-consed key; pass the same key to seen and add."""
+        """Build a hash-consed key; pass the same key to recall and add."""
         return CacheKey(parts)
 
-    def seen(self, key: Hashable) -> bool:
-        """Whether ``key`` was verified before; records the hit/miss."""
-        if self.maxsize <= 0:
-            with self._lock:
-                self.misses += 1
-            obs.inc(self._miss_metric)
-            return False
-        with self._lock:
-            present = key in self._entries
-            if present:
-                self._entries.move_to_end(key)
-                self.hits += 1
-            else:
-                self.misses += 1
-        obs.inc(self._hit_metric if present else self._miss_metric)
-        return present
+    def recall(self, key: Hashable, *, summary: bool = False) -> object | None:
+        """What the check of ``key`` returned when it passed, else ``None``.
 
-    def count_hit(self) -> None:
-        """Count a lookup its caller answered without asking the cache.
+        Records the hit or miss — except for a ``summary`` lookup, whose
+        caller counts the statements it stands for (:meth:`count_hit`).
+        """
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is not None:
+                self._entries.move_to_end(key)
+            if not summary:
+                if entry is None:
+                    self.misses += 1
+                else:
+                    self.hits += 1
+        if not summary:
+            obs.inc(self._miss_metric if entry is None else self._hit_metric)
+        return None if entry is None else entry[0]
+
+    def seen(self, key: Hashable) -> bool:
+        """:meth:`recall` as a yes or no: was ``key`` verified before?"""
+        return self.recall(key) is not None
+
+    def count_hit(self, count: int = 1) -> None:
+        """Count lookups their caller answered without asking the cache.
 
         A proof system that defers checks meets the same tuple again
         before the first meeting has been settled: it is not stored yet,
-        and it will not be verified twice.
+        and it will not be verified twice.  A recalled summary counts the
+        statements it stands for here.
         """
         with self._lock:
-            self.hits += 1
-        obs.inc(self._hit_metric)
+            self.hits += count
+        obs.inc(self._hit_metric, count)
 
-    def add(self, key: Hashable) -> None:
-        """Record a tuple that verified successfully."""
+    def add(
+        self, key: Hashable, result: object = True, *, summary: bool = False
+    ) -> None:
+        """Record a check that passed and what it returned (never ``None``).
+
+        A ``summary`` stands for statements stored beside it (a whole
+        Chameleon table over its nodes) and is not counted by ``len()``.
+        """
         if self.maxsize <= 0:
             return
+        entries = self._entries
         with self._lock:
-            self._entries[key] = None
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.maxsize:
-                self._entries.popitem(last=False)
+            old = entries.get(key)
+            if old is not None:
+                self._summaries -= old[1]
+            entries[key] = (result, summary)
+            entries.move_to_end(key)
+            self._summaries += summary
+            while len(entries) > self.maxsize:
+                self._summaries -= entries.popitem(last=False)[1][1]
 
     def clear(self) -> None:
         """Drop every cached tuple and reset the counters."""
         with self._lock:
             self._entries.clear()
+            self._summaries = 0
             self.hits = 0
             self.misses = 0
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.core.objects import normalise_keyword
 from repro.errors import QueryError, QueryLimitError
@@ -43,12 +44,23 @@ MAX_NESTING = 64
 MAX_CONJUNCTIONS = 64
 
 
-#: A quoted keyword runs to the next lone quote of its kind; a doubled
-#: one stands for the character itself.
-_QUOTED = {q: re.compile(f"{q}((?:[^{q}]|{q}{q})*){q}") for q in "\"'"}
-
 #: Characters that end a bare word, beside whitespace.
 _WORD_BREAKS = '()"\''
+
+#: One token per match, after any whitespace: a parenthesis, a quoted
+#: keyword with its quotes — it runs to the next lone quote of its kind,
+#: a doubled one standing for the character itself — a bare word or
+#: operator, or, when no quoted form matches, the one quote that is
+#: never closed.  Every other character starts a bare word, so the
+#: matches tile the text up to trailing whitespace.
+_TOKEN = re.compile(r"""\s*([()]|"(?:[^"]|"")*"|'(?:[^']|'')*'|[^\s()"']+|["'])""")
+
+#: What a bare word spelling an operator is, by its lower-case form.
+_OPERATORS = {
+    **dict.fromkeys(_AND_TOKENS, "and"),
+    **dict.fromkeys(_OR_TOKENS, "or"),
+    **dict.fromkeys(_NOT_TOKENS, "not"),
+}
 
 
 def _keyword_text(keyword: str) -> str:
@@ -60,60 +72,42 @@ def _keyword_text(keyword: str) -> str:
     """
     if (
         not any(ch.isspace() or ch in _WORD_BREAKS for ch in keyword)
-        and keyword.lower() not in _AND_TOKENS | _OR_TOKENS | _NOT_TOKENS
+        and keyword.lower() not in _OPERATORS
     ):
         return keyword
     return '"' + keyword.replace('"', '""') + '"'
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # 'kw' | 'and' | 'or' | 'lparen' | 'rparen'
     value: str
 
 
 def _tokenise(text: str) -> list[_Token]:
     tokens: list[_Token] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch == "(":
-            tokens.append(_Token("lparen", ch))
-            i += 1
-            continue
-        if ch == ")":
-            tokens.append(_Token("rparen", ch))
-            i += 1
-            continue
-        if ch in _QUOTED:
-            match = _QUOTED[ch].match(text, i)
-            if match is None:
-                raise QueryError(f"unterminated quote starting at offset {i}")
-            tokens.append(_Token("kw", match.group(1).replace(ch * 2, ch)))
-            i = match.end()
-            continue
-        # Bare word or symbolic operator.
-        j = i
-        while j < n and not text[j].isspace() and text[j] not in _WORD_BREAKS:
-            j += 1
-        word = text[i:j]
-        lowered = word.lower()
-        if lowered in _AND_TOKENS:
-            tokens.append(_Token("and", word))
-        elif lowered in _OR_TOKENS:
-            tokens.append(_Token("or", word))
-        elif lowered in _NOT_TOKENS:
-            raise QueryError(
-                "negation is not supported: the ADS schemes authenticate "
-                "monotone keyword queries only"
-            )
+    for token in _TOKEN.findall(text):
+        head = token[0]
+        if head == "(":
+            tokens.append(_Token("lparen", head))
+        elif head == ")":
+            tokens.append(_Token("rparen", head))
+        elif head == '"' or head == "'":
+            if len(token) == 1:
+                offset = next(
+                    match.start(1)
+                    for match in _TOKEN.finditer(text)
+                    if match[1] == head
+                )
+                raise QueryError(f"unterminated quote starting at offset {offset}")
+            tokens.append(_Token("kw", token[1:-1].replace(head * 2, head)))
         else:
-            tokens.append(_Token("kw", word))
-        i = j
+            kind = _OPERATORS.get(token.lower(), "kw")
+            if kind == "not":
+                raise QueryError(
+                    "negation is not supported: the ADS schemes authenticate "
+                    "monotone keyword queries only"
+                )
+            tokens.append(_Token(kind, token))
     return tokens
 
 

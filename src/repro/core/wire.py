@@ -113,6 +113,23 @@ class Reader:
         (length,) = prefix.unpack(self.take(prefix.size))
         return self.take(length)
 
+    def blobs(self, prefix: struct.Struct, count: int) -> list[bytes]:
+        """``count`` length-prefixed byte strings, framed by offset."""
+        buf = self.buf
+        pos = self.pos
+        size = len(buf)
+        unpack = prefix.unpack_from
+        width = prefix.size
+        out = []
+        for _ in range(count):
+            start = pos + width
+            pos = start + (unpack(buf, pos)[0] if start <= size else 0)
+            if pos > size:
+                raise ReproError(f"truncated {self.what}")
+            out.append(buf[start:pos])
+        self.pos = pos
+        return out
+
     def text(self, prefix: struct.Struct) -> str:
         """UTF-8 text behind a length prefix of ``prefix``'s layout."""
         try:

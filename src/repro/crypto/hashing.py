@@ -7,6 +7,8 @@ an ``x``-word message, Table I).  This module centralises:
 * the digest function used everywhere (:func:`sha3`),
 * domain-separated hashing so that leaves, internal nodes and objects can
   never be confused for one another (:func:`tagged_hash`),
+* the client-local tokens that name a proof table in the verification
+  cache (:func:`token_hasher`),
 * word-size helpers used by the gas meter (:func:`word_count`).
 
 All digests are raw 32-byte :class:`bytes` values.
@@ -47,6 +49,22 @@ def tagged_hasher(tag: str) -> "hashlib._Hash":
     """
     tag_digest = sha3(tag.encode("utf-8"))
     return hashlib.sha3_256(tag_digest + tag_digest)
+
+
+def token_hasher(tag: str) -> "hashlib._Hash":
+    """A SHA-256 state that has absorbed ``tag``'s domain prefix.
+
+    For verification-cache tokens (``cache_token()`` of a proof table):
+    a token names bytes the client already holds, never reaches the
+    chain and is only compared with tokens of its own tag, so it needs
+    collision resistance, not the paper's SHA-3.  A token is taken over
+    every table a query presents, recalled or not, and SHA-256 is the
+    cheaper of the two where the processor implements it (7 against
+    38 µs for 8 KB on an x86 box with SHA extensions).  ``copy()`` it
+    per token.
+    """
+    tag_digest = sha3(tag.encode("utf-8"))
+    return hashlib.sha256(tag_digest + tag_digest)
 
 
 def tagged_hash(tag: str, *parts: bytes) -> bytes:

@@ -164,10 +164,8 @@ class QueryResponse:
             )
         n_ids = reader.uint(4)
         result_ids = list(struct.unpack(f">{n_ids}Q", reader.take(8 * n_ids)))
-        objects = [
-            DataObject.from_wire(reader.blob(U32))
-            for _ in range(reader.uint(4))
-        ]
+        from_wire = DataObject.from_wire
+        objects = [from_wire(wire) for wire in reader.blobs(U32, reader.uint(4))]
         vo_bytes = reader.blob(U32)
         reader.finish()
         return cls(result_ids=result_ids, objects=objects, vo_bytes=vo_bytes)

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.objects import normalise_keyword
-from repro.core.query.parser import KeywordQuery, _absorb
+from repro.core.query.parser import KeywordQuery, _absorb, _tokenise
 from repro.errors import DatasetError, QueryError
 
 
@@ -111,6 +111,46 @@ class TestErrors:
             KeywordQuery.parse("(" + deep + ")")
         with pytest.raises(QueryError):
             KeywordQuery.parse("(" * 30000)
+
+
+class TestTokens:
+    """The tokeniser's output and error texts, pinned on the inputs where
+    quotes, operators and whitespace meet."""
+
+    @pytest.mark.parametrize(
+        "text, tokens",
+        [
+            ('"a""b"', [("kw", 'a"b')]),
+            (
+                "a&&b OR (c|d)",
+                [("kw", "a&&b"), ("or", "OR"), ("lparen", "("), ("kw", "c|d"), ("rparen", ")")],
+            ),
+            ('  ( "" )  ', [("lparen", "("), ("kw", ""), ("rparen", ")")]),
+            ("it''s", [("kw", "it"), ("kw", ""), ("kw", "s")]),
+            ("a ¬b", [("kw", "a"), ("kw", "¬b")]),
+            ("a\xa0AND\u2003b", [("kw", "a"), ("and", "AND"), ("kw", "b")]),
+        ],
+    )
+    def test_tokens(self, text, tokens):
+        assert [tuple(token) for token in _tokenise(text)] == tokens
+
+    @pytest.mark.parametrize(
+        "text, offset",
+        [('a AND "abc', 6), ('"a""', 3), ("x 'y''", 5), ('x"y', 1), ('"""', 2)],
+    )
+    def test_unterminated_quote_names_its_offset(self, text, offset):
+        with pytest.raises(
+            QueryError, match=f"^unterminated quote starting at offset {offset}$"
+        ):
+            _tokenise(text)
+
+    def test_negation_text(self):
+        with pytest.raises(
+            QueryError,
+            match="^negation is not supported: the ADS schemes authenticate "
+            "monotone keyword queries only$",
+        ):
+            _tokenise("NOT a")
 
 
 class TestEvaluation:
