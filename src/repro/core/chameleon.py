@@ -247,6 +247,13 @@ class ChameleonMultiproof:
         object.__setattr__(table, "_rows", rows)
         return table, end
 
+    def __reduce__(self):
+        # The wire fields only: the row scan is redone on the far side.
+        return (
+            ChameleonMultiproof,
+            (self.arity, self.value_bytes, self.count, self.body),
+        )
+
     def rows(self) -> list[tuple[int, int, int]]:
         """``(position, offset, flags)`` per node, root first; validated once.
 

@@ -49,12 +49,15 @@ logic the tests check against the real tree.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+import struct
+from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import TYPE_CHECKING, Callable, Iterator, Protocol
 
 from repro.core.nodestore import NIL, MBTreeStore
+from repro.core.wire import put_varint
 from repro.crypto.hashing import EMPTY_DIGEST, sha3
 from repro.errors import IntegrityError, ReproError
 
@@ -72,19 +75,40 @@ _NODE_TAG = sha3(b"mb-node")
 HashFn = Callable[[bytes], bytes]
 
 
+#: What a leaf entry's hash preimage holds before its 40-byte
+#: ``key(8) || h(o)(32)`` row — the row a leaf slot stores and a
+#: multiproof ships.
+ENTRY_PREFIX = _ENTRY_TAG + _ENTRY_TAG
+#: What a leaf node's and an internal node's preimages hold before the
+#: concatenated digests of their slots.
+LEAF_PREFIX = _LEAF_TAG + _LEAF_TAG
+NODE_PREFIX = _NODE_TAG + _NODE_TAG
+
+
 def entry_payload(key: int, value_hash: bytes) -> bytes:
     """Byte layout hashed into a leaf-entry digest."""
-    return _ENTRY_TAG + _ENTRY_TAG + key.to_bytes(8, "big") + value_hash
+    return ENTRY_PREFIX + key.to_bytes(8, "big") + value_hash
 
 
 def leaf_payload(entry_digests: tuple[bytes, ...] | list[bytes]) -> bytes:
     """Byte layout hashed into a leaf-node digest."""
-    return _LEAF_TAG + _LEAF_TAG + b"".join(entry_digests)
+    return LEAF_PREFIX + b"".join(entry_digests)
 
 
 def node_payload(child_digests: tuple[bytes, ...] | list[bytes]) -> bytes:
     """Byte layout hashed into an internal-node digest."""
-    return _NODE_TAG + _NODE_TAG + b"".join(child_digests)
+    return NODE_PREFIX + b"".join(child_digests)
+
+
+#: A node of 1-4 slots as a multiproof starts it: its width, then one
+#: byte of codes (filled in once its slots are placed).
+_ONE_BYTE_NODE = (b"", *(bytes((width, 0)) for width in range(1, 5)))
+
+
+@lru_cache(maxsize=256)
+def _leaf_keys(width: int) -> struct.Struct:
+    """The keys of ``width`` leaf rows, unpacked in one call."""
+    return struct.Struct(">" + "Q32x" * width)
 
 
 def entry_digest(key: int, value_hash: bytes, hash_fn: HashFn = sha3) -> bytes:
@@ -460,18 +484,16 @@ class MBTree:
 
         ``keys`` must be strictly ascending and all present.  A single
         DFS over the cover — the nodes on some key's root-to-leaf path —
-        partitions the key list by the children's cached minimum keys,
-        reads each helper digest from the store once and emits the
-        :class:`~repro.core.multiproof.TreeMultiproof` in the order its
-        fold consumes it.  ``keys[i]`` is the proof's leaf ordinal ``i``
-        (DFS order is key order).
+        partitions the key list by the children's cached minimum keys
+        and writes the :class:`~repro.core.multiproof.TreeMultiproof`'s
+        wire body in the order its fold consumes it, reading each
+        covered record straight from the flat store: a proven entry's
+        row is a copy of its 40-byte leaf slot, an entry helper the hash
+        of that slot behind :data:`ENTRY_PREFIX`, a subtree helper the
+        child's inline digest.  ``keys[i]`` is the proof's leaf ordinal
+        ``i`` (DFS order is key order).
         """
-        from repro.core.multiproof import (
-            SLOT_DESCEND,
-            SLOT_HELPER,
-            SLOT_LEAF,
-            TreeMultiproof,
-        )
+        from repro.core.multiproof import SLOT_DESCEND, SLOT_LEAF, TreeMultiproof
 
         if not keys:
             raise ReproError("a multiproof needs at least one key")
@@ -480,65 +502,70 @@ class MBTree:
         if self._count == 0:
             raise ReproError(f"key {keys[0]} not present in MB-tree")
         view = self.store
-        nodes: list[tuple[int, ...]] = []
-        helpers: list[bytes] = []
-        leaves: list[tuple[int, bytes]] = []
+        nodes = bytearray()
+        helpers = bytearray()
+        leaves = bytearray()
+        node_count = 0
 
         def cover(node: int, lo: int, hi: int) -> int:
-            """Emit the cover under ``node`` for ``keys[lo:hi]``.
+            """Write the cover under ``node`` for ``keys[lo:hi]``.
 
             Returns the subtree's height.
             """
-            width = view.count(node)
-            if view.is_leaf(node):
-                codes = []
-                for slot in range(width):
-                    key = view.leaf_key(node, slot)
-                    value_hash = view.leaf_value_hash(node, slot)
+            nonlocal node_count, nodes, helpers, leaves
+            node_count += 1
+            rows, children, fields = view.slots(node)
+            width = len(rows) // 40 or len(children)
+            # The node's width and codes come before its subtrees: reserve
+            # the codes, and fill them in once the slots are placed.
+            size = (width + 3) // 4
+            if size == 1:
+                nodes += _ONE_BYTE_NODE[width]
+            else:
+                put_varint(nodes, width)
+                nodes += bytes(size)
+            at = len(nodes) - size
+            packed = 0  # every slot a helper (code 0) until marked
+            below = 0
+            if rows:
+                for slot, key in enumerate(_leaf_keys(width).unpack_from(rows)):
+                    row = rows[40 * slot : 40 * slot + 40]
                     if lo < hi and keys[lo] == key:
-                        codes.append(SLOT_LEAF)
-                        leaves.append((key, value_hash))
+                        packed |= SLOT_LEAF << 2 * slot
+                        leaves += row
                         lo += 1
                     else:
-                        codes.append(SLOT_HELPER)
-                        helpers.append(entry_digest(key, value_hash))
+                        helpers += sha3(ENTRY_PREFIX + row)
                 if lo < hi:
                     raise ReproError(f"key {keys[lo]} not present in MB-tree")
-                nodes.append(tuple(codes))
-                return 1
-            children = view.children(node)
-            # Child i owns the keys below child i+1's minimum (the same
-            # routing every descent uses), so one forward sweep splits
-            # the sorted key range.
-            bounds = [lo]
-            for child in children[1:]:
-                floor = view.min_key(child)
-                cut = bounds[-1]
-                while cut < hi and keys[cut] < floor:
-                    cut += 1
-                bounds.append(cut)
-            bounds.append(hi)
-            nodes.append(
-                tuple(
-                    SLOT_DESCEND if bounds[i] < bounds[i + 1] else SLOT_HELPER
-                    for i in range(width)
-                )
-            )
-            below = 0
-            for i, child in enumerate(children):
-                if bounds[i] < bounds[i + 1]:
-                    below = cover(child, bounds[i], bounds[i + 1])
-                else:
-                    helpers.append(view.digest(child))
+            else:
+                # Child i owns the keys below child i+1's minimum (the
+                # same routing every descent uses), so one forward sweep
+                # splits the sorted key range.
+                for slot, child in enumerate(children):
+                    cut = hi
+                    if lo < hi and slot + 1 < width:
+                        cut = bisect_left(keys, fields[slot + 1][0], lo, hi)
+                    if lo < cut:
+                        packed |= SLOT_DESCEND << 2 * slot
+                        below = cover(child, lo, cut)
+                    else:
+                        helpers += fields[slot][1]
+                    lo = cut
+            if size == 1:
+                nodes[at] = packed
+            else:
+                nodes[at : at + size] = packed.to_bytes(size, "little")
             return below + 1
 
-        height = cover(self._root_idx, 0, len(keys))
-        return TreeMultiproof(
-            height=height,
-            nodes=tuple(nodes),
-            helpers=tuple(helpers),
-            leaves=tuple(leaves),
-        )
+        body = bytearray((cover(self._root_idx, 0, len(keys)),))
+        put_varint(body, node_count)
+        body += nodes
+        put_varint(body, len(helpers) // 32)
+        body += helpers
+        put_varint(body, len(leaves) // 40)
+        body += leaves
+        return TreeMultiproof(bytes(body))
 
     # -- suppressed maintenance (Algorithms 1 & 2, Section IX) -----------------
 

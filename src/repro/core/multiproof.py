@@ -14,15 +14,28 @@ opened through :func:`open_table`.
 
 Wire shape
 ----------
-A :class:`TreeMultiproof` lists the proof's *cover nodes* in DFS
-pre-order; each node is a tuple of per-slot codes (``SLOT_HELPER`` — a
-supplied sibling digest, ``SLOT_DESCEND`` — the next DFS node,
-``SLOT_LEAF`` — a proven ``<id, h(o)>`` entry), with the helper digests
-and the leaf entries carried in DFS order.  Verification is a
-stack-machine fold (:meth:`TreeMultiproof.fold`): structurally
-malformed proofs — codes out of place, leftover or missing helpers,
-descend below the leaf level — raise
-:class:`~repro.errors.VerificationError` before any root comparison.
+A :class:`TreeMultiproof` *is* its wire bytes, the codec's kind-0
+table, kept as one frozen ``body`` the way a Chameleon node table is::
+
+    u8 height || varint #nodes || (varint width || 2-bit slot codes) *
+    || varint #helpers || digest(32) * || varint #leaves || (id(8) || h(o)(32)) *
+
+The cover nodes come in DFS pre-order, each as its per-slot codes
+(``SLOT_HELPER`` — a supplied sibling digest, ``SLOT_DESCEND`` — the
+next DFS node, ``SLOT_LEAF`` — a proven ``<id, h(o)>`` entry) packed
+four to a byte, low bits first; the helper digests and the leaf rows
+follow in the order the DFS consumes them.  :meth:`MBTree.multiproof
+<repro.core.mbtree.MBTree.multiproof>` writes the body in its one DFS
+(a proven entry's row is a copy of its 40-byte slot in the tree's flat
+buffer), the codec copies it and :meth:`TreeMultiproof.from_wire`
+frames it by reference, looking each node's codes up per packed byte.
+Nothing else of the body is unpacked: verification is one DFS fold over
+the bytes (:meth:`TreeMultiproof.fold`).  Framing refuses truncation, a
+count not in its shortest encoding, an oversized node width, non-zero
+padding bits and slot code 3; the fold
+refuses codes out of place, leftover or missing helpers and descend
+below the leaf level — all with
+:class:`~repro.errors.VerificationError`, before any root comparison.
 MB-trees are multi-way with per-node child counts; the widths are
 authenticated, because a node's digest hashes the concatenation of *all*
 its children, so the fold fails unless the claimed slot count matches
@@ -52,6 +65,7 @@ once.  The table and its authentication live in
 
 from __future__ import annotations
 
+import struct
 from bisect import bisect_left, bisect_right
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
@@ -59,14 +73,15 @@ from operator import lt
 
 from repro.core.chameleon import ChameleonTreeSP
 from repro.core.mbtree import (
+    ENTRY_PREFIX,
+    LEAF_PREFIX,
+    NODE_PREFIX,
     HashFn,
     MBTree,
-    entry_digest,
-    leaf_digest,
-    node_digest,
 )
 from repro.core.proofcache import VerificationCache
-from repro.core.query.vo import ConjunctiveVO, QueryVO, ReplayVO, varint_size
+from repro.core.query.vo import ConjunctiveVO, QueryVO, ReplayVO
+from repro.core.wire import read_varint
 from repro.crypto.bloom import BloomFilterChain
 from repro.crypto.hashing import digests_equal, sha3, token_hasher
 from repro.errors import (
@@ -84,17 +99,121 @@ SLOT_LEAF = 2  #: proven entry supplied in the leaf list (leaf level only)
 #: Hash state seeded with the table-token tag; copied per table.
 _TOKEN_HASHER = token_hasher("repro/merkle-multiproof-token")
 
+#: One leaf row of a table: ``id(8) || h(o)(32)``.
+_LEAF_ROW = struct.Struct(">Q32s")
 
-@dataclass(frozen=True, eq=True)
+
+def _malformed(reason: str) -> VerificationError:
+    return VerificationError(f"malformed multiproof: {reason}")
+
+
+def _varint(buf: bytes, pos: int) -> tuple[int, int]:
+    """A count of the table's, in its one (shortest) encoding.
+
+    A longer encoding of the same count would be another body with the
+    same fold: the table's bytes would not be its only wire form.
+    """
+    value, end = read_varint(buf, pos)
+    if end - pos > 1 and not buf[end - 1]:
+        raise _malformed("count not in its shortest encoding")
+    return value, end
+
+
+def _node_codes(packed: bytes, width: int) -> tuple[int, ...]:
+    """The ``width`` slot codes packed four to a byte, low bits first.
+
+    Refuses slot code 3 and non-zero padding bits.
+    """
+    codes = [(byte >> shift) & 0x3 for byte in packed for shift in (0, 2, 4, 6)]
+    if 3 in codes:
+        raise _malformed("invalid slot code 3")
+    if any(codes[width:]):
+        raise _malformed("non-zero padding in slot codes")
+    return tuple(codes[:width])
+
+
+def _valid_codes(packed: bytes, width: int) -> tuple[int, ...] | None:
+    try:
+        return _node_codes(packed, width)
+    except VerificationError:
+        return None
+
+
+#: ``_PACKED[width - 1][byte]``: the codes of a node of 1-4 slots packed
+#: in ``byte``, or ``None`` where :func:`_node_codes` refuses the byte.
+_PACKED = tuple(
+    tuple(_valid_codes(bytes((byte,)), width) for byte in range(256))
+    for width in range(1, 5)
+)
+
+
+def _frame(buf: bytes, pos: int) -> tuple[tuple, int]:
+    """Frame the table whose body starts at ``buf[pos]``.
+
+    Returns ``(height, nodes, helpers_at, helper_count, leaves_at,
+    leaf_count)`` — ``nodes`` the cover nodes' slot codes in DFS order,
+    offsets relative to ``pos`` — and the body's end.  Refuses
+    truncation, a count not in its shortest encoding, a node width
+    above ``0xFFFF``, non-zero padding bits and slot code 3; what the
+    codes *mean* is the fold's to check.
+    """
+    start = pos
+    size = len(buf)
+    packed = _PACKED
+    nodes: list[tuple[int, ...]] = []
+    try:
+        height = buf[pos]
+        count, pos = _varint(buf, pos + 1)
+        for _ in range(count):
+            width = buf[pos]
+            pos += 1
+            if width > 0x7F:
+                width, pos = _varint(buf, pos - 1)
+                if width > 0xFFFF:
+                    raise _malformed("oversized node width")
+            if 0 < width <= 4:
+                codes = packed[width - 1][buf[pos]]
+                if codes is None:  # refused: the long way says why
+                    codes = _node_codes(buf[pos : pos + 1], width)
+                pos += 1
+            else:
+                end = pos + (width + 3) // 4
+                if end > size:
+                    raise _malformed("truncated slot codes")
+                codes = _node_codes(buf[pos:end], width)
+                pos = end
+            nodes.append(codes)
+        helper_count, pos = _varint(buf, pos)
+        helpers_at = pos
+        leaf_count, pos = _varint(buf, pos + 32 * helper_count)
+    except IndexError:
+        raise _malformed("truncated table") from None
+    leaves_at = pos
+    pos += 40 * leaf_count
+    if pos > size:
+        raise _malformed("truncated leaf rows")
+    return (
+        height,
+        nodes,
+        helpers_at - start,
+        helper_count,
+        leaves_at - start,
+        leaf_count,
+    ), pos
+
+
+@dataclass(frozen=True)
 class TreeMultiproof:
     """One deduplicated membership proof for a set of entries of one tree.
 
-    ``height`` is the number of levels below the root digest (the
-    depth of every leaf of the tree); ``nodes`` lists each cover
-    node's slot codes in DFS pre-order (the
-    root first); ``helpers`` and ``leaves`` carry the sibling digests
-    and the proven ``(object_id, object_hash)`` entries in the order the
-    DFS consumes them.
+    ``body`` is the table's wire bytes (see "Wire shape" above):
+    ``height`` — the number of levels below the root digest, the depth
+    of every leaf of the tree — then each cover node's slot codes in DFS
+    pre-order (the root first), the sibling digests and the proven
+    ``(object_id, object_hash)`` rows in the order the DFS consumes
+    them.  Framing it looks each node's codes up per packed byte,
+    :attr:`leaves` reads the rows and :meth:`fold` hashes straight from
+    the body.
 
     Positions
     ---------
@@ -111,86 +230,95 @@ class TreeMultiproof:
     * leaves ``i`` and ``i + 1`` are adjacent in the tree iff their
       counts are equal;
     * leaf 0 is the tree's first entry iff its count is 0;
-    * the last leaf is the tree's last entry iff its count is
-      ``len(helpers)`` (:meth:`fold` rejects unconsumed helpers, so
+    * the last leaf is the tree's last entry iff its count is the
+      number of helpers (:meth:`fold` rejects unconsumed helpers, so
       the total is exact).
 
     :class:`ProvenRun` evaluates all three as one comparison of the
     padded counts; ``tests/reference_multiproof.py`` keeps the
     root-to-leaf ``(gpath, widths)`` form of the predicates as the
     oracle.
+
+    What a table learns about itself — its frame, its rows, its token,
+    its fold — is memoised on the instance and never pickled: a table
+    crosses a process boundary as its ``body`` alone.
     """
 
-    height: int
-    nodes: tuple[tuple[int, ...], ...]
-    helpers: tuple[bytes, ...]
-    leaves: tuple[tuple[int, bytes], ...]
+    body: bytes
 
-    def __hash__(self) -> int:
-        cached = self.__dict__.get("_hash")
-        if cached is None:
-            # Dict-key hashing only; content identity uses cache_token().
-            cached = hash(  # reprolint: disable=crypto-hygiene
-                (self.height, self.nodes, self.helpers, self.leaves)
-            )
-            object.__setattr__(self, "_hash", cached)
-        return cached
+    @classmethod
+    def from_wire(cls, buf: bytes, pos: int) -> tuple["TreeMultiproof", int]:
+        """The table whose body starts at ``buf[pos]``, and its end.
+
+        The body is framed and kept as the bytes it arrived as.
+        """
+        frame, end = _frame(buf, pos)
+        table = cls(buf[pos:end])
+        object.__setattr__(table, "_frame", frame)
+        return table, end
+
+    def __reduce__(self):
+        return (TreeMultiproof, (self.body,))
+
+    def _framed(self) -> tuple:
+        """``(height, nodes, helpers_at, helper_count, leaves_at, leaf_count)``, framed once."""
+        frame = self.__dict__.get("_frame")
+        if frame is None:
+            frame, end = _frame(self.body, 0)
+            if end != len(self.body):
+                raise _malformed("bytes after the leaf rows")
+            object.__setattr__(self, "_frame", frame)
+        return frame
+
+    @property
+    def leaves(self) -> tuple[tuple[int, bytes], ...]:
+        """The proven ``(object_id, object_hash)`` rows, in DFS (key) order."""
+        leaves = self.__dict__.get("_leaves")
+        if leaves is None:
+            _, _, _, _, at, count = self._framed()
+            leaves = tuple(_LEAF_ROW.iter_unpack(self.body[at : at + 40 * count]))
+            object.__setattr__(self, "_leaves", leaves)
+        return leaves
 
     def cache_token(self) -> bytes:
-        """Collision-resistant digest over the proof's full content.
+        """Collision-resistant digest of the table: a tagged hash of ``body``.
 
         The verification-cache key for a multiproof is ``(root, token)``
         — a content digest — so a proof verified by one query hits in
         a later one iff it is byte-identical.
-        The encoding is injective: every list is length-prefixed and
-        digests are fixed 32-byte words.
         """
         token = self.__dict__.get("_token")
         if token is None:
-            buf = bytearray()
-            buf += self.height.to_bytes(4, "big")
-            buf += len(self.nodes).to_bytes(4, "big")
-            for codes in self.nodes:
-                buf += len(codes).to_bytes(4, "big")
-                buf += bytes(codes)
-            buf += len(self.helpers).to_bytes(4, "big")
-            for digest in self.helpers:
-                buf += digest
-            buf += len(self.leaves).to_bytes(4, "big")
-            for object_id, object_hash in self.leaves:
-                buf += object_id.to_bytes(8, "big")
-                buf += object_hash
             hasher = _TOKEN_HASHER.copy()
-            hasher.update(buf)
+            hasher.update(self.body)
             token = hasher.digest()
             object.__setattr__(self, "_token", token)
         return token
 
     def byte_size(self) -> int:
-        """Serialised size in bytes (matches the codec's table encoding)."""
-        total = 1 + varint_size(len(self.nodes))
-        for codes in self.nodes:
-            total += varint_size(len(codes)) + (len(codes) + 3) // 4
-        total += varint_size(len(self.helpers)) + 32 * len(self.helpers)
-        total += varint_size(len(self.leaves)) + 40 * len(self.leaves)
-        return total
+        """Serialised size in bytes (the codec's table encoding)."""
+        return len(self.body)
 
     # -- verification ----------------------------------------------------------
 
     def fold(self, hash_fn: HashFn | None = None) -> tuple[bytes, tuple[int, ...]]:
-        """Stack-machine fold: the recomputed root plus the leaf counts.
+        """The DFS fold: the recomputed root plus the leaf counts.
 
         Returns ``(root_digest, before)`` where ``before[i]`` is the
         number of helpers consumed before the ``i``-th proven leaf.
-        Every structural violation — wrong code values, descend at the
-        leaf level, leaves above it, unconsumed or missing helpers/
-        leaves/nodes, an empty node — fails closed with
-        :class:`~repro.errors.VerificationError`.
+        Every structural violation — a body that does not frame, wrong
+        code values, descend at the leaf level, leaves above it,
+        unconsumed or missing helpers/leaves/nodes, an empty node —
+        fails closed with :class:`~repro.errors.VerificationError`.
 
-        Without ``hash_fn`` the fold hashes with sha3 once per object
-        and memoises the result.  A contract passes its metered hash:
-        then every digest goes through it and the memo is neither read
-        nor written, so gas never depends on what was folded before.
+        The walk reads the body in place: the helper digests are sliced
+        once, the leaf rows hashed in one pass (a row is the tail of its
+        entry's hash preimage) and the nodes' codes taken as framing
+        looked them up.  Without ``hash_fn`` the fold hashes with sha3 once
+        per object and memoises the result.  A contract passes its
+        metered hash: then every digest goes through it — the same
+        preimages, so the same gas — and the memo is neither read nor
+        written, so gas never depends on what was folded before.
         """
         if hash_fn is None:
             cached = self.__dict__.get("_walked")
@@ -199,77 +327,64 @@ class TreeMultiproof:
             digest_of = sha3
         else:
             digest_of = hash_fn
-
-        def fail(reason: str) -> VerificationError:
-            return VerificationError(f"malformed multiproof: {reason}")
-
-        if self.height < 1:
-            raise fail("height must be at least 1")
-        if not self.nodes:
-            raise fail("no cover nodes")
-        nodes = self.nodes
-        helpers = self.helpers
-        leaves = self.leaves
-        leaf_level = self.height - 1
-        next_node = 1
-        helper_pos = 0
+        height, nodes, helpers_at, helper_count, leaves_at, leaf_count = self._framed()
+        if height < 1:
+            raise _malformed("height must be at least 1")
+        leaf_level = height - 1
+        body = self.body
+        # Both lists are taken from the back: what is left says what the
+        # walk has consumed.
+        helpers = [
+            body[at : at + 32]
+            for at in range(helpers_at, helpers_at + 32 * helper_count, 32)
+        ]
+        helpers.reverse()
+        leaves = [
+            digest_of(ENTRY_PREFIX + body[at : at + 40])
+            for at in range(leaves_at, leaves_at + 40 * leaf_count, 40)
+        ]
+        leaves.reverse()
+        take_helper = helpers.pop
+        take_leaf = leaves.pop
+        remaining = iter(nodes)
+        next_node = remaining.__next__
         before: list[int] = []
-        # One frame per open cover node: its codes, the slot the fold is
-        # at, and the digests of the slots already folded.
-        codes = nodes[0]
-        pos = 0
-        digests: list[bytes] = []
-        stack: list[tuple[tuple[int, ...], int, list[bytes]]] = []
-        try:
-            while True:
-                if pos == len(codes):
-                    if not codes:
-                        raise fail("empty cover node")
-                    digest = (
-                        leaf_digest(digests, digest_of)
-                        if len(stack) == leaf_level
-                        else node_digest(digests, digest_of)
-                    )
-                    if not stack:
-                        break
-                    codes, pos, digests = stack.pop()
-                    digests.append(digest)
-                    pos += 1
-                    continue
-                code = codes[pos]
+
+        def fold_node(depth: int) -> bytes:
+            """Fold the next cover node, at ``depth`` below the root."""
+            codes = next_node()
+            if not codes:
+                raise _malformed("empty cover node")
+            digests = []
+            for code in codes:
                 if code == SLOT_HELPER:
-                    digests.append(helpers[helper_pos])
-                    helper_pos += 1
-                    pos += 1
+                    digests.append(take_helper())
                 elif code == SLOT_LEAF:
-                    if len(stack) != leaf_level:
-                        raise fail("proven leaf above the leaf level")
-                    object_id, object_hash = leaves[len(before)]
-                    if len(object_hash) != 32:
-                        raise fail("leaf hash is not a 32-byte digest")
-                    digests.append(entry_digest(object_id, object_hash, digest_of))
-                    before.append(helper_pos)
-                    pos += 1
+                    if depth != leaf_level:
+                        raise _malformed("proven leaf above the leaf level")
+                    before.append(helper_count - len(helpers))
+                    digests.append(take_leaf())
                 elif code == SLOT_DESCEND:
-                    if len(stack) >= leaf_level:
-                        raise fail("descend at the leaf level")
-                    stack.append((codes, pos, digests))
-                    codes = nodes[next_node]
-                    next_node += 1
-                    pos = 0
-                    digests = []
+                    if depth >= leaf_level:
+                        raise _malformed("descend at the leaf level")
+                    digests.append(fold_node(depth + 1))
                 else:
-                    raise fail(f"unknown slot code {code}")
-        except IndexError:
-            raise fail("helpers, leaves or cover nodes exhausted mid-walk") from None
-        if next_node != len(nodes):
-            raise fail("unconsumed cover nodes")
-        if helper_pos != len(helpers):
-            raise fail("unconsumed helper digests")
-        if len(before) != len(leaves):
-            raise fail("unconsumed leaf entries")
+                    raise _malformed(f"unknown slot code {code}")
+            prefix = LEAF_PREFIX if depth == leaf_level else NODE_PREFIX
+            return digest_of(prefix + b"".join(digests))
+
+        try:
+            digest = fold_node(0)
+        except (IndexError, StopIteration):
+            raise _malformed("helpers, leaves or cover nodes exhausted mid-walk") from None
+        if next(remaining, None) is not None:
+            raise _malformed("unconsumed cover nodes")
+        if helpers:
+            raise _malformed("unconsumed helper digests")
+        if leaves:
+            raise _malformed("unconsumed leaf entries")
         if not before:
-            raise fail("no proven leaves")
+            raise _malformed("no proven leaves")
         walked = (digest, tuple(before))
         if hash_fn is None:
             object.__setattr__(self, "_walked", walked)
@@ -625,8 +740,8 @@ def open_table(
     else:
         # This table's fold, as far as a later read of it is concerned.
         object.__setattr__(table, "_walked", (root, before))
+    leaves = table.leaves
     if read is None:
-        read = bytearray(len(table.leaves) + 2)
-    return ProvenRun(
-        keyword, index, table.leaves, (0, *before, len(table.helpers)), read
-    )
+        read = bytearray(len(leaves) + 2)
+    helper_count = table._framed()[3]
+    return ProvenRun(keyword, index, leaves, (0, *before, helper_count), read)

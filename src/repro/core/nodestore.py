@@ -355,6 +355,8 @@ MB_LEAF = 1
 MB_INTERNAL = 2
 
 _LEAF_ENTRY = struct.Struct(">Q32s")
+#: A record's cached minimum key and its digest, which follows it.
+_MB_MIN_DIGEST = struct.Struct(">Q32s")
 
 
 @lru_cache(maxsize=256)
@@ -497,6 +499,27 @@ class MBTreeStore(TreeView):
     def new_internal(self) -> int:
         """Allocate an empty internal node with a fresh sequence number."""
         return self._new_node(MB_INTERNAL)
+
+    def slots(self, index: int) -> tuple[bytes, list[int], list[tuple[int, bytes]]]:
+        """A node's live slots in one read: ``(rows, children, fields)``.
+
+        For a leaf, ``rows`` holds its ``key(8) || value_hash(32)`` slots
+        as one slice and the lists are empty.  For an internal node,
+        ``rows`` is empty, ``children`` lists the child record indices
+        and ``fields`` each child's ``(min_key, digest)``.
+        """
+        store = self.store
+        blob = store.blob
+        off = store.offset(index)
+        count = blob[off + _MB_CNT]
+        base = off + _MB_SLOTS
+        if blob[off + _MB_T] == MB_LEAF:
+            return bytes(blob[base : base + _MB_LEAF_SLOT * count]), [], []
+        children = list(_child_run(count).unpack_from(blob, base))
+        first = store.offset(0) + _MB_MIN
+        size = store.record_size
+        unpack = _MB_MIN_DIGEST.unpack_from
+        return b"", children, [unpack(blob, first + child * size) for child in children]
 
     # -- leaf slots -------------------------------------------------------------
 

@@ -29,9 +29,9 @@ once the batch they were checked in has passed:
 
 The Merkle family's multiproofs follow the same rule with a structural
 token instead of the raw object: their key is ``(root,
-TreeMultiproof.cache_token())``, where the token hashes the complete
-proof content — heights, per-node slot codes, helper digests and the
-leaf table — and the entry stores the fold's leaf counts, which are a
+TreeMultiproof.cache_token())``, where the token hashes the table's
+whole wire body — height, per-node slot codes, helper digests and the
+leaf rows — and the entry stores the fold's leaf counts, which are a
 function of that content.  Any tamper changes the token, so a warmed
 fold can only ever be replayed for the byte-identical proof against the
 same root.

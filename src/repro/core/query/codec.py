@@ -16,7 +16,7 @@ component the tables the client replays the join over::
 
     0xF6 || varint n || (u8 kind || table) * n || u8 m || conjunct * m
 
-    table kind 0   a TreeMultiproof (Merkle family):
+    table kind 0   a TreeMultiproof (Merkle family), its body as it holds it:
                    u8 height || varint #nodes || (varint width || 2-bit slot codes) *
                    || varint #helpers || digest(32) * || varint #leaves || (id(8) || h(o)(32)) *
     table kind 2   a ChameleonMultiproof node table:
@@ -60,16 +60,20 @@ permutation and a slot beyond the tables.
 There is one byte reader, :class:`~repro.core.wire.Reader` (shared with
 :mod:`repro.sp.protocol`): the received ``bytes`` plus an offset, so a
 frame is parsed in one forward pass without copying it into a stream.
-Runs of fixed-width fields — a multiproof's helper digests and its
-``(id, hash)`` leaf rows — are bounds-checked and sliced as one; a
-multiproof node's 2-bit slot codes are looked up four at a time.  A node
-table is *not parsed*: its rows are walked for their offsets and kept
-as the bytes they arrived as (the SP, symmetrically, frames rows it
-sliced out of its flat buffer); group elements become integers when the
-client authenticates the table.  Truncation, flag bytes outside their
-bits, non-zero padding bits, oversized varints and trailing bytes are
-all the reader's or this module's explicit checks, none of them an
-``assert``.
+Neither table is *parsed*: each is framed and kept as the bytes it
+arrived as, and the writer copies the bytes the table holds.  A Merkle
+table is its kind-0 body (:meth:`TreeMultiproof.from_wire
+<repro.core.multiproof.TreeMultiproof.from_wire>` walks its node widths
+and checks its slot codes; the client folds the body in place), a node
+table its rows (:meth:`ChameleonMultiproof.from_wire
+<repro.core.chameleon.ChameleonMultiproof.from_wire>` walks them for
+their offsets; group elements become integers when the client
+authenticates the table).  The SP, symmetrically, writes both straight
+from the trees' flat buffers.  Truncation, flag bytes outside their
+bits, non-zero padding bits, slot code 3, oversized varints, a Merkle
+table count longer than its shortest encoding and trailing bytes are
+all explicit checks of the reader, the tables' framers or this module,
+none of them an ``assert``.
 """
 
 from __future__ import annotations
@@ -79,7 +83,7 @@ import struct
 from repro.core.chameleon import ChameleonMultiproof
 from repro.core.multiproof import TreeMultiproof
 from repro.core.query.vo import ConjunctiveVO, QueryVO, ReplayVO
-from repro.core.wire import U8, Reader, put_varint, read_varint
+from repro.core.wire import U8, Reader, put_varint
 from repro.errors import ReproError
 
 _TABLE_MERKLE = 0
@@ -93,15 +97,6 @@ _PLAN_OF_KIND = {kind: plan for plan, kind in _KIND_OF_PLAN.items()}
 
 #: First byte of the frame.
 _MARKER = 0xF6
-
-#: One multiproof leaf row: ``id(8) || hash(32)``.
-_LEAF_ROW = struct.Struct(">Q32s")
-
-#: The four 2-bit slot codes a packed byte holds, low bits first.
-_SLOT_CODES = tuple(
-    tuple((byte >> shift) & 0x3 for shift in (0, 2, 4, 6))
-    for byte in range(256)
-)
 
 _WHAT = "VO payload"
 _TRUNCATED = f"truncated {_WHAT}"
@@ -124,62 +119,6 @@ class VOCodec:
         self.value_bytes = value_bytes
 
     # -- tables --------------------------------------------------------------------
-
-    @staticmethod
-    def _write_multiproof(out: bytearray, mp: TreeMultiproof) -> None:
-        out.append(mp.height)
-        put_varint(out, len(mp.nodes))
-        for codes in mp.nodes:
-            put_varint(out, len(codes))
-            packed = bytearray((len(codes) + 3) // 4)
-            for slot, code in enumerate(codes):
-                if not 0 <= code <= 3:
-                    raise ReproError(f"cannot encode slot code {code}")
-                packed[slot // 4] |= code << ((slot % 4) * 2)
-            out += packed
-        put_varint(out, len(mp.helpers))
-        for digest in mp.helpers:
-            if len(digest) != 32:
-                raise ReproError("multiproof helper is not a 32-byte digest")
-        out += b"".join(mp.helpers)
-        put_varint(out, len(mp.leaves))
-        for object_id, object_hash in mp.leaves:
-            if len(object_hash) != 32:
-                raise ReproError("multiproof leaf hash is not 32 bytes")
-            out += _LEAF_ROW.pack(object_id, object_hash)
-
-    @staticmethod
-    def _read_multiproof(r: Reader) -> TreeMultiproof:
-        height = r.u8()
-        count = r.varint()
-        buf = r.buf
-        pos = r.pos
-        nodes = []
-        for _ in range(count):
-            width, pos = read_varint(buf, pos)
-            if width > 0xFFFF:
-                raise ReproError("oversized multiproof node width")
-            end = pos + (width + 3) // 4
-            if end > len(buf):
-                raise ReproError(_TRUNCATED)
-            if width % 4 and buf[end - 1] >> (width % 4 * 2):
-                raise ReproError("non-zero padding in multiproof slot codes")
-            codes = [
-                code for byte in buf[pos:end] for code in _SLOT_CODES[byte]
-            ]
-            if 3 in codes:
-                raise ReproError("invalid multiproof slot code")
-            nodes.append(tuple(codes[:width]))
-            pos = end
-        r.pos = pos
-        helpers = r.chunks(r.varint(), 32)
-        leaves = tuple(r.rows(_LEAF_ROW, r.varint()))
-        return TreeMultiproof(
-            height=height,
-            nodes=tuple(nodes),
-            helpers=helpers,
-            leaves=leaves,
-        )
 
     def _write_node_table(
         self, out: bytearray, table: ChameleonMultiproof
@@ -276,7 +215,7 @@ class VOCodec:
                 self._write_node_table(out, table)
             elif isinstance(table, TreeMultiproof):
                 out.append(_TABLE_MERKLE)
-                self._write_multiproof(out, table)
+                out += table.body
             else:
                 raise ReproError(f"cannot encode table {type(table)!r}")
         if len(vo.conjuncts) > 0xFF:
@@ -289,7 +228,8 @@ class VOCodec:
     def _read_table(self, r: Reader) -> TreeMultiproof | ChameleonMultiproof:
         kind = r.u8()
         if kind == _TABLE_MERKLE:
-            return self._read_multiproof(r)
+            table, r.pos = TreeMultiproof.from_wire(r.buf, r.pos)
+            return table
         if kind == _TABLE_CHAMELEON:
             return self._read_node_table(r)
         raise ReproError(f"unknown table kind {kind}")

@@ -281,7 +281,7 @@ class ShardedStorageProvider:
         """The keyword's raw tree from its owning shard (or ``None``)."""
         return self._read([(self.router.route(keyword), "tree", keyword)])[0]
 
-    def _affine_conjuncts(
+    def _join_conjuncts(
         self, query: KeywordQuery
     ) -> list[tuple[list[int], ConjunctiveVO]]:
         """Evaluate every conjunct where its shards are.
@@ -359,7 +359,7 @@ class ShardedStorageProvider:
             scheme=self.scheme_value,
             conjunctions=len(query.conjunctions),
         ) as sp_span:
-            outcomes = self._affine_conjuncts(query)
+            outcomes = self._join_conjuncts(query)
             result_ids = sorted({oid for ids, _ in outcomes for oid in ids})
             objects = self.get_objects(result_ids)
             sp_span.set(results=len(result_ids))

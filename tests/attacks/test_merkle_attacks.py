@@ -23,6 +23,7 @@ from repro.core.query.verify import verify_query
 from repro.core.query.vo import ConjunctiveVO, QueryVO, ReplayVO
 from repro.crypto.hashing import sha3
 from repro.errors import VerificationError
+from tests.reference_codec import forge_merkle, merkle_parts
 
 
 @pytest.fixture()
@@ -161,7 +162,7 @@ class TestTableAttacks:
         index = self.table_of(answer, "symptom")
         table = answer.vo.multiproofs[index]
         key, _ = table.leaves[0]
-        forged = dataclasses.replace(
+        forged = forge_merkle(
             table, leaves=((key, sha3(b"evil")),) + table.leaves[1:]
         )
         with_table(answer, index, forged)
@@ -172,17 +173,18 @@ class TestTableAttacks:
         changes what is proven without changing the root."""
         query, answer, ps = self.honest(tables, "symptom")
         table = answer.vo.multiproofs[0]
-        assert not table.helpers
+        parts = merkle_parts(table)
+        assert not parts.helpers
         from repro.core.mbtree import entry_digest
 
         leaf_node = next(
-            i for i, codes in enumerate(table.nodes) if SLOT_LEAF in codes
+            i for i, codes in enumerate(parts.nodes) if SLOT_LEAF in codes
         )
-        codes = list(table.nodes[leaf_node])
+        codes = list(parts.nodes[leaf_node])
         codes[0] = SLOT_HELPER
-        forged = dataclasses.replace(
+        forged = forge_merkle(
             table,
-            nodes=table.nodes[:leaf_node] + (tuple(codes),) + table.nodes[leaf_node + 1 :],
+            nodes=parts.nodes[:leaf_node] + (tuple(codes),) + parts.nodes[leaf_node + 1 :],
             helpers=(entry_digest(*table.leaves[0]),),
             leaves=table.leaves[1:],
         )
@@ -356,7 +358,7 @@ class TestSoundnessAttacks:
         with_table(
             answer,
             index,
-            dataclasses.replace(
+            forge_merkle(
                 table, leaves=((key, sha3(b"evil")),) + table.leaves[1:]
             ),
         )

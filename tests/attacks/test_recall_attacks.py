@@ -27,6 +27,7 @@ from repro.crypto import vc
 from repro.errors import ReproError, VerificationError
 from tests.attacks.test_chameleon_attacks import _fill, honest_answer
 from tests.node_tables import change, forge, with_table
+from tests.reference_codec import forge_merkle, merkle_parts
 
 SCAN = "covid-19"
 OTHER = "symptom"
@@ -186,15 +187,16 @@ class TestMerkleRecall:
                 flipped[offset] ^= 0x01
                 leaves = list(honest.leaves)
                 leaves[i] = (object_id, bytes(flipped))
-                forgeries.append(dataclasses.replace(honest, leaves=tuple(leaves)))
+                forgeries.append(forge_merkle(honest, leaves=tuple(leaves)))
             leaves = list(honest.leaves)
             leaves[i] = (object_id ^ 1, object_hash)
-            forgeries.append(dataclasses.replace(honest, leaves=tuple(leaves)))
-        for i, helper in enumerate(honest.helpers):
+            forgeries.append(forge_merkle(honest, leaves=tuple(leaves)))
+        honest_helpers = merkle_parts(honest).helpers
+        for i, helper in enumerate(honest_helpers):
             flipped = bytearray(helper)
             flipped[0] ^= 0x01
-            helpers = honest.helpers[:i] + (bytes(flipped),) + honest.helpers[i + 1 :]
-            forgeries.append(dataclasses.replace(honest, helpers=helpers))
+            helpers = honest_helpers[:i] + (bytes(flipped),) + honest_helpers[i + 1 :]
+            forgeries.append(forge_merkle(honest, helpers=helpers))
         require(forgeries, "the scan table has leaves")
         for forged in forgeries:
             query, answer, ps = honest_answer(smi_system, SCAN)

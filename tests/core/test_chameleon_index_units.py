@@ -8,10 +8,10 @@ from repro.core.chameleon_index import (
     ChameleonSP,
     CountUpdate,
 )
-from repro.core.multiproof import TreeMultiproof
 from repro.core.objects import DataObject, ObjectMetadata
 from repro.crypto.bloom import BloomFilterChain
 from repro.errors import ReproError, VerificationError
+from tests.reference_codec import MerkleParts, merkle_table
 
 
 @pytest.fixture()
@@ -122,7 +122,7 @@ class TestChameleonProofSystemUnits:
     def test_bad_proof_type_rejected(self, owner, sp):
         insert(owner, sp, 1, ("kw",))
         ps = self.make_ps(owner, sp, ("kw",))
-        merkle = TreeMultiproof(height=1, nodes=((2,),), helpers=(), leaves=())
+        merkle = merkle_table(MerkleParts(height=1, nodes=((2,),), helpers=(), leaves=()))
         ps.attach_multiproofs((merkle, self.table(sp, "kw", (1,))))
         with pytest.raises(VerificationError, match="another kind"):
             with ps.settling():

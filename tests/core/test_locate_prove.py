@@ -51,6 +51,7 @@ from repro.errors import (
     UnresolvedProofError,
 )
 
+from tests.reference_codec import merkle_parts
 from tests.reference_multiproof import build_multiproof, prove_path
 
 
@@ -89,7 +90,7 @@ def test_multiproof_and_gate_equal_the_oracle(keys, fanout, data):
     reference, ordinals = build_multiproof(proven)
 
     multiproof = tree.multiproof(unique)
-    assert dataclasses.astuple(multiproof) == dataclasses.astuple(reference)
+    assert merkle_parts(multiproof) == merkle_parts(reference)
     assert multiproof.fold()[0] == tree.root_hash
     for ordinal, key in enumerate(unique):
         gpath = tuple(step.index for step in reversed(paths[key].steps))

@@ -18,6 +18,12 @@ from repro.core.multiproof import (
 from repro.core.query.vo import ProvenEntry
 from repro.errors import ReproError, VerificationError
 
+from tests.reference_codec import (
+    MerkleParts,
+    forge_merkle,
+    merkle_parts,
+    merkle_table,
+)
 from tests.reference_multiproof import (
     MerklePath,
     build_multiproof,
@@ -119,7 +125,7 @@ class TestBuildFoldParity:
     def test_full_cover_has_no_helpers(self):
         tree = make_tree(16)
         multiproof, _ = build_multiproof(proven(tree, range(16)))
-        assert multiproof.helpers == ()
+        assert merkle_parts(multiproof).helpers == ()
         assert multiproof.fold()[0] == tree.root_hash
 
     def test_duplicate_entries_deduplicate(self):
@@ -176,7 +182,7 @@ def is_leftmost(mp: TreeMultiproof, ordinal: int) -> bool:
 def is_rightmost(mp: TreeMultiproof, ordinal: int) -> bool:
     return (
         ordinal == len(mp.leaves) - 1
-        and mp.fold()[1][ordinal] == len(mp.helpers)
+        and mp.fold()[1][ordinal] == len(merkle_parts(mp).helpers)
     )
 
 
@@ -287,23 +293,26 @@ class TestFailClosed:
 
     def test_dropped_helper_fails(self):
         tree, mp = self.build()
-        bad = dataclasses.replace(mp, helpers=mp.helpers[:-1])
+        helpers = merkle_parts(mp).helpers
+        bad = forge_merkle(mp, helpers=helpers[:-1])
         with pytest.raises(VerificationError):
             bad.fold()[0]
 
     def test_duplicated_helper_changes_root_or_fails(self):
         tree, mp = self.build()
-        bad = dataclasses.replace(mp, helpers=mp.helpers + mp.helpers[:1])
+        helpers = merkle_parts(mp).helpers
+        bad = forge_merkle(mp, helpers=helpers + helpers[:1])
         with pytest.raises(VerificationError):
             bad.fold()[0]
 
     def test_reordered_helpers_change_the_root(self):
         tree, mp = self.build()
-        assert len(mp.helpers) >= 2
-        swapped = (mp.helpers[1], mp.helpers[0]) + mp.helpers[2:]
-        if swapped == mp.helpers:
+        helpers = merkle_parts(mp).helpers
+        assert len(helpers) >= 2
+        swapped = (helpers[1], helpers[0]) + helpers[2:]
+        if swapped == helpers:
             pytest.skip("helpers coincide")
-        bad = dataclasses.replace(mp, helpers=swapped)
+        bad = forge_merkle(mp, helpers=swapped)
         try:
             root = bad.fold()[0]
         except VerificationError:
@@ -312,7 +321,7 @@ class TestFailClosed:
 
     def test_truncated_nodes_fail(self):
         _, mp = self.build()
-        bad = dataclasses.replace(mp, nodes=mp.nodes[:-1])
+        bad = forge_merkle(mp, nodes=merkle_parts(mp).nodes[:-1])
         with pytest.raises(VerificationError):
             bad.fold()[0]
 
@@ -320,7 +329,7 @@ class TestFailClosed:
         tree, mp = self.build()
         key, _ = mp.leaves[0]
         bad_leaves = ((key, bytes(32)),) + mp.leaves[1:]
-        bad = dataclasses.replace(mp, leaves=bad_leaves)
+        bad = forge_merkle(mp, leaves=bad_leaves)
         assert bad.fold()[0] != tree.root_hash
 
     def test_leaf_entry_bounds_checked(self):
@@ -331,43 +340,61 @@ class TestFailClosed:
         with pytest.raises(VerificationError, match="not a proven entry"):
             run.object_hashes([9, 10])
 
+    def test_longer_count_encoding_refused(self):
+        """A count has one encoding: a padded varint would make a second
+        body with the same fold."""
+        _, mp = self.build()
+        count = mp.body[1]  # the node count, behind the height byte
+        assert count < 0x80
+        padded = mp.body[:1] + bytes((count | 0x80, 0)) + mp.body[2:]
+        with pytest.raises(VerificationError):
+            TreeMultiproof(padded).fold()
+        with pytest.raises(VerificationError):
+            TreeMultiproof.from_wire(padded, 0)
+
     def test_cache_token_binds_structure(self):
         tree, mp = self.build()
         other_tree, other = self.build(size=22, keys=(2, 9, 17))
         assert mp.cache_token() != other.cache_token()
-        bad = dataclasses.replace(
-            mp, helpers=(bytes(32),) + mp.helpers[1:]
+        bad = forge_merkle(
+            mp, helpers=(bytes(32),) + merkle_parts(mp).helpers[1:]
         )
         assert bad.cache_token() != mp.cache_token()
 
 
 class TestStackMachineRobustness:
     def test_descend_at_leaf_level_fails(self):
-        mp = TreeMultiproof(
-            height=1,
-            nodes=((SLOT_DESCEND,),),
-            helpers=(),
-            leaves=((1, vhash(1)),),
+        mp = merkle_table(
+            MerkleParts(
+                height=1,
+                nodes=((SLOT_DESCEND,),),
+                helpers=(),
+                leaves=((1, vhash(1)),),
+            )
         )
         with pytest.raises(VerificationError):
             mp.fold()[0]
 
     def test_unconsumed_leaves_fail(self):
-        mp = TreeMultiproof(
-            height=1,
-            nodes=((SLOT_LEAF,),),
-            helpers=(),
-            leaves=((1, vhash(1)), (2, vhash(2))),
+        mp = merkle_table(
+            MerkleParts(
+                height=1,
+                nodes=((SLOT_LEAF,),),
+                helpers=(),
+                leaves=((1, vhash(1)), (2, vhash(2))),
+            )
         )
         with pytest.raises(VerificationError):
             mp.fold()[0]
 
     def test_all_helper_cover_fails(self):
-        mp = TreeMultiproof(
-            height=1,
-            nodes=((SLOT_HELPER, SLOT_HELPER),),
-            helpers=(bytes(32), bytes(32)),
-            leaves=(),
+        mp = merkle_table(
+            MerkleParts(
+                height=1,
+                nodes=((SLOT_HELPER, SLOT_HELPER),),
+                helpers=(bytes(32), bytes(32)),
+                leaves=(),
+            )
         )
         with pytest.raises(VerificationError):
             mp.fold()[0]

@@ -9,7 +9,6 @@ a failing proof into a passing one.
 
 from __future__ import annotations
 
-import dataclasses
 import pickle
 
 import pytest
@@ -19,6 +18,7 @@ from repro.core.proofcache import VerificationCache
 from repro.errors import VerificationError
 
 from tests.node_tables import change, forge
+from tests.reference_codec import forge_merkle
 
 
 class TestVerificationCacheUnit:
@@ -111,7 +111,7 @@ def tampered(system, table, **fields):
         return forge(table, {1: change(**fields)})
     object_id, object_hash = table.leaves[0]
     leaf = (fields.get("object_id", object_id), fields.get("object_hash", object_hash))
-    return dataclasses.replace(table, leaves=(leaf,))
+    return forge_merkle(table, leaves=(leaf,))
 
 
 def verify_one(ps, keyword, table):

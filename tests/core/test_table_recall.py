@@ -16,9 +16,10 @@ on their own, so they hold under ``python -O`` too.
 
 from __future__ import annotations
 
-import dataclasses
+import pickle
 from unittest import mock
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.chameleon import ChameleonMultiproof, ChameleonTreeSP
@@ -29,7 +30,9 @@ from repro.core.proofcache import VerificationCache
 from repro.core.query.codec import VOCodec
 from repro.core.query.vo import QueryVO
 from repro.crypto.hashing import sha3
+from repro.errors import VerificationError
 from tests.core.test_chameleon_properties import _IDS, grown
+from tests.reference_codec import forge_merkle, merkle_parts
 
 
 def require(condition: bool, what: str) -> None:
@@ -120,17 +123,51 @@ def test_recalled_merkle_table_opens_like_its_fold(fanout, size, data):
     )
     tree = mbtree(fanout, size)
     table = tree.multiproof(tuple(keys))
-    digest, before = dataclasses.replace(table).fold()
+    digest, before = forge_merkle(table).fold()
     require(digest == tree.root_hash, "an honest table folds to its root")
     cache = VerificationCache()
-    cold = open_table(dataclasses.replace(table), tree.root_hash, "kw", cache=cache)
+    cold = open_table(forge_merkle(table), tree.root_hash, "kw", cache=cache)
     with mock.patch.object(TreeMultiproof, "fold", refuse_call("fold")):
-        warm = open_table(
-            dataclasses.replace(table), tree.root_hash, "kw", cache=cache
-        )
+        warm = open_table(forge_merkle(table), tree.root_hash, "kw", cache=cache)
     require(
-        warm._gaps == cold._gaps == (0, *before, len(table.helpers)),
+        warm._gaps == cold._gaps == (0, *before, len(merkle_parts(table).helpers)),
         "a recalled table opened with other leaf counts",
     )
     require(list(warm.leaves) == list(cold.leaves), "a recalled table's leaves moved")
     require((cache.hits, cache.misses) == (1, 1), "one fold, then one recall")
+
+
+def test_a_pickled_table_ships_only_its_wire_fields():
+    """What a table memoises about itself stays in its process.
+
+    A Merkle table whose fold memo claims another tree's root is pickled
+    and unpickled: the copy holds its body alone, folds afresh and is
+    refused under that root.  A node table's row scan stays behind the
+    same way.
+    """
+    honest, other = mbtree(4, 30), mbtree(4, 31)
+    table = honest.multiproof((_IDS[3], _IDS[9]))
+    _, before = table.fold()
+    table.cache_token()
+    require(table.leaves, "the table has rows")
+    object.__setattr__(table, "_walked", (other.root_hash, before))
+    shipped = pickle.loads(pickle.dumps(table, protocol=pickle.HIGHEST_PROTOCOL))
+    require(shipped == table, "pickling changed the table")
+    require(vars(shipped).keys() == {"body"}, "a memo crossed the pickle")
+    with pytest.raises(VerificationError, match="on-chain root"):
+        open_table(shipped, other.root_hash, "kw")
+    require(
+        open_table(shipped, honest.root_hash, "kw")._gaps[1:-1] == before,
+        "the shipped table folds like the honest one",
+    )
+
+    pp, root, blobs = grown(3)
+    node_table = ChameleonTreeSP.from_blob(blobs[5]).multiproof((1, 4))
+    rows = node_table.rows()
+    object.__setattr__(node_table, "_rows", rows[:1])
+    shipped = pickle.loads(pickle.dumps(node_table, protocol=pickle.HIGHEST_PROTOCOL))
+    require(
+        vars(shipped).keys() == {"arity", "value_bytes", "count", "body"},
+        "a memo crossed the pickle",
+    )
+    require(shipped.rows() == rows, "the shipped node table scans its own rows")

@@ -18,6 +18,7 @@ from repro.core.query.codec import VOCodec
 from repro.core.query.verify import verify_query
 from repro.core.query.vo import ReplayVO, iter_proven_entries
 from repro.errors import ReproError, VerificationError
+from tests.reference_codec import forge_merkle, merkle_parts
 from tests.reference_multiproof import prove_path
 
 #: High-selectivity DNF: "hot" matches every object, "warm" every 2nd,
@@ -161,7 +162,7 @@ class TestRoundTrip:
         """Tables that carry helper digests round-trip as well."""
         codec = VOCodec(value_bytes=v2_system.value_bytes)
         vo = answer_for(v2_system, SPARSE).vo
-        assert any(table.helpers for table in vo.multiproofs)
+        assert any(merkle_parts(table).helpers for table in vo.multiproofs)
         payload = codec.encode(vo)
         assert codec.decode(payload) == vo
         assert codec.encode(codec.decode(payload)) == payload
@@ -187,12 +188,12 @@ class TestFailClosed:
     def helpered(vo, minimum=1):
         """Index of the first multiproof with ``minimum``+ helpers."""
         for index, mp in enumerate(vo.multiproofs):
-            if len(mp.helpers) >= minimum:
+            if len(merkle_parts(mp).helpers) >= minimum:
                 return index
         pytest.skip("no multiproof with enough helpers")
 
     def mutate_mp(self, vo, index, **changes):
-        mp = dataclasses.replace(vo.multiproofs[index], **changes)
+        mp = forge_merkle(vo.multiproofs[index], **changes)
         table = (
             vo.multiproofs[:index] + (mp,) + vo.multiproofs[index + 1 :]
         )
@@ -202,7 +203,9 @@ class TestFailClosed:
         answer = answer_for(v3_system, SPARSE)
         index = self.helpered(answer.vo)
         answer.vo = self.mutate_mp(
-            answer.vo, index, helpers=answer.vo.multiproofs[index].helpers[:-1]
+            answer.vo,
+            index,
+            helpers=merkle_parts(answer.vo.multiproofs[index]).helpers[:-1],
         )
         with pytest.raises(VerificationError):
             reverify(v3_system, answer, SPARSE)
@@ -210,7 +213,7 @@ class TestFailClosed:
     def test_duplicated_helper(self, v3_system):
         answer = answer_for(v3_system, SPARSE)
         index = self.helpered(answer.vo)
-        helpers = answer.vo.multiproofs[index].helpers
+        helpers = merkle_parts(answer.vo.multiproofs[index]).helpers
         answer.vo = self.mutate_mp(
             answer.vo, index, helpers=helpers + helpers[:1]
         )
@@ -220,7 +223,7 @@ class TestFailClosed:
     def test_reordered_helpers(self, v3_system):
         answer = answer_for(v3_system, SPARSE)
         index = self.helpered(answer.vo, minimum=2)
-        helpers = answer.vo.multiproofs[index].helpers
+        helpers = merkle_parts(answer.vo.multiproofs[index]).helpers
         if helpers[0] == helpers[1]:
             pytest.skip("helper digests coincide")
         swapped = (helpers[1], helpers[0]) + helpers[2:]
@@ -233,11 +236,13 @@ class TestFailClosed:
         fold to the victim tree's root."""
         answer = answer_for(v3_system, SPARSE)
         index = self.helpered(answer.vo)
-        victim = answer.vo.multiproofs[index].helpers
+        victim = merkle_parts(answer.vo.multiproofs[index]).helpers
         donor_mp = answer.vo.multiproofs[
             (index + 1) % len(answer.vo.multiproofs)
         ]
-        donor = donor_mp.helpers or tuple(h for _, h in donor_mp.leaves)
+        donor = merkle_parts(donor_mp).helpers or tuple(
+            h for _, h in donor_mp.leaves
+        )
         assert donor
         spliced = (donor[0],) + victim[1:]
         if spliced == victim:

@@ -11,9 +11,12 @@ string both decoders must return equal values or both raise
 
 :class:`ReferenceVOCodec` writes and reads the one frame (v6: tables
 with a kind tag each, conjuncts that name them) in that per-field style,
-from its layout in the codec's docstring — a Chameleon node table field
-by field, with the decoder's structural rules restated over the parsed
-rows.  The protocol half is the old reader *plus* the fail-closed rules
+from its layout in the codec's docstring — a Merkle table through its
+:class:`MerkleParts`, a Chameleon node table field by field, with the
+decoder's structural rules restated over the parsed rows.  The parts ↔
+body pair (:func:`merkle_parts`, :func:`merkle_table`,
+:func:`forge_merkle`) is also how tests read and forge Merkle tables,
+which hold nothing but their wire body.  The protocol half is the old reader *plus* the fail-closed rules
 the protocol gained with the new one —
 status byte in ``{0, 1}``, UTF-8 text, no trailing bytes after the
 message or inside an object's field — written in the old per-field
@@ -25,7 +28,9 @@ neither does ``DataObject.from_wire``.
 
 from __future__ import annotations
 
+import dataclasses
 import io
+from dataclasses import dataclass
 
 from repro.core.chameleon import ChameleonMultiproof
 from repro.core.multiproof import TreeMultiproof
@@ -119,58 +124,12 @@ class ReferenceVOCodec:
     # -- multiproofs --------------------------------------------------------------
 
     def _write_multiproof(self, out: io.BytesIO, mp: TreeMultiproof) -> None:
-        self._write_uint(out, mp.height, 1)
-        self._write_varint(out, len(mp.nodes))
-        for codes in mp.nodes:
-            self._write_varint(out, len(codes))
-            packed = bytearray((len(codes) + 3) // 4)
-            for slot, code in enumerate(codes):
-                if not 0 <= code <= 3:
-                    raise ReproError(f"cannot encode slot code {code}")
-                packed[slot // 4] |= code << ((slot % 4) * 2)
-            out.write(bytes(packed))
-        self._write_varint(out, len(mp.helpers))
-        for digest in mp.helpers:
-            if len(digest) != 32:
-                raise ReproError("multiproof helper is not a 32-byte digest")
-            out.write(digest)
-        self._write_varint(out, len(mp.leaves))
-        for object_id, object_hash in mp.leaves:
-            self._write_uint(out, object_id, 8)
-            if len(object_hash) != 32:
-                raise ReproError("multiproof leaf hash is not 32 bytes")
-            out.write(object_hash)
+        write_merkle_parts(out, merkle_parts(mp))
 
     def _read_multiproof(self, data: io.BytesIO) -> TreeMultiproof:
-        height = self._read_uint(data, 1)
-        nodes = []
-        for _ in range(self._read_varint(data)):
-            width = self._read_varint(data)
-            if width > 0xFFFF:
-                raise ReproError("oversized multiproof node width")
-            packed = self._read_bytes(data, (width + 3) // 4)
-            if width % 4 and packed[-1] >> (width % 4 * 2):
-                raise ReproError("non-zero padding in multiproof slot codes")
-            codes = tuple(
-                (packed[slot // 4] >> ((slot % 4) * 2)) & 0x3
-                for slot in range(width)
-            )
-            if any(code > 2 for code in codes):
-                raise ReproError("invalid multiproof slot code")
-            nodes.append(codes)
-        helpers = tuple(
-            self._read_bytes(data, 32) for _ in range(self._read_varint(data))
-        )
-        leaves = tuple(
-            (self._read_uint(data, 8), self._read_bytes(data, 32))
-            for _ in range(self._read_varint(data))
-        )
-        return TreeMultiproof(
-            height=height,
-            nodes=tuple(nodes),
-            helpers=helpers,
-            leaves=leaves,
-        )
+        start = data.tell()
+        read_merkle_parts(data)
+        return TreeMultiproof(data.getvalue()[start : data.tell()])
 
     def _write_entry_table(
         self, out: io.BytesIO, table: ChameleonMultiproof
@@ -314,6 +273,109 @@ class ReferenceVOCodec:
         if data.read(1):
             raise ReproError("trailing bytes in VO payload")
         return QueryVO(conjuncts=conjuncts, multiproofs=mps)
+
+
+# -- Merkle tables as parts --------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class MerkleParts:
+    """A Merkle table's fields, one Python value each.
+
+    The shape ``TreeMultiproof`` had before it became its wire body:
+    ``nodes`` holds each cover node's slot codes in DFS pre-order,
+    ``helpers`` the sibling digests and ``leaves`` the proven
+    ``(object_id, object_hash)`` rows in the order the fold consumes
+    them.  Tests forge a table by editing its parts
+    (:func:`forge_merkle`); the fold sees exactly the bytes the old
+    tuple table would have put on the wire.
+    """
+
+    height: int
+    nodes: tuple[tuple[int, ...], ...]
+    helpers: tuple[bytes, ...]
+    leaves: tuple[tuple[int, bytes], ...]
+
+
+def write_merkle_parts(out: io.BytesIO, parts: MerkleParts) -> None:
+    """The kind-0 table body, field by field."""
+    ReferenceVOCodec._write_uint(out, parts.height, 1)
+    ReferenceVOCodec._write_varint(out, len(parts.nodes))
+    for codes in parts.nodes:
+        ReferenceVOCodec._write_varint(out, len(codes))
+        packed = bytearray((len(codes) + 3) // 4)
+        for slot, code in enumerate(codes):
+            if not 0 <= code <= 3:
+                raise ReproError(f"cannot encode slot code {code}")
+            packed[slot // 4] |= code << ((slot % 4) * 2)
+        out.write(bytes(packed))
+    ReferenceVOCodec._write_varint(out, len(parts.helpers))
+    for digest in parts.helpers:
+        if len(digest) != 32:
+            raise ReproError("multiproof helper is not a 32-byte digest")
+        out.write(digest)
+    ReferenceVOCodec._write_varint(out, len(parts.leaves))
+    for object_id, object_hash in parts.leaves:
+        ReferenceVOCodec._write_uint(out, object_id, 8)
+        if len(object_hash) != 32:
+            raise ReproError("multiproof leaf hash is not 32 bytes")
+        out.write(object_hash)
+
+
+def _read_count(data: io.BytesIO) -> int:
+    """A table count: a varint in its shortest encoding."""
+    start = data.tell()
+    value = ReferenceVOCodec._read_varint(data)
+    if data.tell() - start > 1 and data.getbuffer()[data.tell() - 1] == 0:
+        raise ReproError("multiproof count not in its shortest encoding")
+    return value
+
+
+def read_merkle_parts(data: io.BytesIO) -> MerkleParts:
+    """One kind-0 table body, field by field; raises ``ReproError``."""
+    codec = ReferenceVOCodec
+    height = codec._read_uint(data, 1)
+    nodes = []
+    for _ in range(_read_count(data)):
+        width = _read_count(data)
+        if width > 0xFFFF:
+            raise ReproError("oversized multiproof node width")
+        packed = codec._read_bytes(data, (width + 3) // 4)
+        if width % 4 and packed[-1] >> (width % 4 * 2):
+            raise ReproError("non-zero padding in multiproof slot codes")
+        codes = tuple(
+            (packed[slot // 4] >> ((slot % 4) * 2)) & 0x3 for slot in range(width)
+        )
+        if any(code > 2 for code in codes):
+            raise ReproError("invalid multiproof slot code")
+        nodes.append(codes)
+    helpers = tuple(codec._read_bytes(data, 32) for _ in range(_read_count(data)))
+    leaves = tuple(
+        (codec._read_uint(data, 8), codec._read_bytes(data, 32))
+        for _ in range(_read_count(data))
+    )
+    return MerkleParts(height, tuple(nodes), helpers, leaves)
+
+
+def merkle_parts(table: TreeMultiproof) -> MerkleParts:
+    """A table's body read back into its parts (the whole body, no more)."""
+    data = io.BytesIO(table.body)
+    parts = read_merkle_parts(data)
+    if data.read(1):
+        raise ReproError("bytes after the leaf rows of a Merkle table")
+    return parts
+
+
+def merkle_table(parts: MerkleParts) -> TreeMultiproof:
+    """The table whose body encodes ``parts``."""
+    out = io.BytesIO()
+    write_merkle_parts(out, parts)
+    return TreeMultiproof(out.getvalue())
+
+
+def forge_merkle(table: TreeMultiproof, **changes) -> TreeMultiproof:
+    """``table`` with some of its parts replaced (``dataclasses.replace`` style)."""
+    return merkle_table(dataclasses.replace(merkle_parts(table), **changes))
 
 
 # -- SP protocol v2 ---------------------------------------------------------------

@@ -32,6 +32,8 @@ from repro.core.multiproof import (
 from repro.core.query.vo import ProvenEntry
 from repro.errors import ReproError, VerificationError
 
+from tests.reference_codec import MerkleParts, merkle_parts, merkle_table
+
 
 @dataclass(frozen=True)
 class PathStep:
@@ -155,7 +157,7 @@ def leaf_positions(
     :class:`VerificationError` where the fold would.
     """
     mp.fold()  # structural validation
-    nodes = iter(mp.nodes)
+    nodes = iter(merkle_parts(mp).nodes)
     table = []
 
     def visit(codes, gpath, widths):
@@ -190,7 +192,7 @@ def gpath_adjacent(mp: TreeMultiproof, left: int, right: int) -> bool:
     gpath_l, widths_l = _position(mp, left)
     gpath_r, widths_r = _position(mp, right)
     diverged = False
-    for level in range(mp.height):
+    for level in range(merkle_parts(mp).height):
         if not diverged:
             if gpath_l[level] == gpath_r[level]:
                 continue
@@ -348,11 +350,13 @@ def build_multiproof(
 
     emit(())
     return (
-        TreeMultiproof(
-            height=height,
-            nodes=tuple(nodes),
-            helpers=tuple(helpers),
-            leaves=tuple(leaves),
+        merkle_table(
+            MerkleParts(
+                height=height,
+                nodes=tuple(nodes),
+                helpers=tuple(helpers),
+                leaves=tuple(leaves),
+            )
         ),
         ordinals,
     )

@@ -119,7 +119,7 @@ posting_batches = st.lists(
 
 
 @pytest.mark.parametrize("layout", sorted(BULK_LAYOUTS))
-def test_mirror_bulk_matches_the_per_object_path(layout, tmp_path):
+def test_batched_ingest_keeps_per_object_roots_in_every_layout(layout, tmp_path):
     """After MI's ``add_objects_batched`` every keyword's root and entry
     list equal those of the per-object ``add_object`` path — in this
     process and in the workers, which apply the same buffered records —
@@ -352,7 +352,7 @@ class TestPoolMechanics:
         with pytest.raises(ReproError, match="closed"):
             pool.dispatch([(0, "ping", None)])
 
-    def test_proxy_chunks_mutations(self, monkeypatch):
+    def test_frontend_ships_buffered_records_in_chunks(self, monkeypatch):
         """The front-end buffers records per shard and ships a full
         chunk on its own, in either pool; a read ships the rest first."""
         import repro.core.sp_frontend as frontend
@@ -450,9 +450,15 @@ class TestPipePayloads:
             with obs.collect() as collector:
                 for keyword in vocabulary[:6]:
                     query = KeywordQuery.parse(keyword)
-                    outcomes = sp._affine_conjuncts(query)
+                    outcomes = sp._join_conjuncts(query)
                     vo = sp._finish_vo([vo for _, vo in outcomes])
                     assert vo.multiproofs
+                    # A table crosses the pipe as its wire bytes and a
+                    # class reference: no fold memo, token or row list.
+                    for table in vo.multiproofs:
+                        table.fold()
+                        shipped = pickle.dumps(table, protocol=pickle.HIGHEST_PROTOCOL)
+                        assert len(shipped) <= table.byte_size() + 80
                     scanned += sum(len(ids) for ids, _ in outcomes)
                 rpcs = collector.metrics.snapshot()["sp.affine.rpcs"]
             assert scanned > 500
