@@ -20,7 +20,8 @@ from repro.core.chameleon_index import ChameleonContract, CountUpdate
 from repro.crypto.bloom import (
     DEFAULT_CAPACITY,
     DEFAULT_FILTER_BITS,
-    BloomFilter,
+    id_mask,
+    optimal_hash_count,
 )
 
 
@@ -36,6 +37,7 @@ class ChameleonStarContract(ChameleonContract):
         super().__init__(value_bytes=value_bytes)
         self.bloom_capacity = bloom_capacity
         self.filter_bits = filter_bits
+        self.hash_count = optimal_hash_count(filter_bits, bloom_capacity)
 
     def insert_object(
         self,
@@ -57,22 +59,19 @@ class ChameleonStarContract(ChameleonContract):
         # the filter's first.
         keyword = update.keyword
         index, slot = divmod(update.count - 1, self.bloom_capacity)
-        # Deriving the bit positions costs two one-word hashes in memory.
+        # Deriving the ID's bit mask costs two one-word hashes in memory.
         self.env.meter.hash(1)
         self.env.meter.hash(1)
         self.env.touch_memory(2)
-        word = BloomFilter(filter_bits=self.filter_bits, capacity=self.bloom_capacity)
+        word = id_mask(object_id, self.filter_bits, self.hash_count)
         if slot == 0:
             # New filter: record its range minimum once.
             self.storage.store(("bloommin", keyword, index), object_id)
             self.storage.store(("bloomcount", keyword), index + 1)
         else:
             # Read-modify-write of the live filter word.
-            word.bits = int.from_bytes(
-                self.storage.load(("bloom", keyword, index)), "big"
-            )
-        word.add(object_id)
-        self.storage.store(("bloom", keyword, index), word.to_word())
+            word |= int.from_bytes(self.storage.load(("bloom", keyword, index)), "big")
+        self.storage.store(("bloom", keyword, index), word.to_bytes(self.filter_bits // 8, "big"))
 
     # -- free views --------------------------------------------------------------
 

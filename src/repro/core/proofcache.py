@@ -49,6 +49,7 @@ from collections import OrderedDict
 from typing import Hashable
 
 from repro import obs
+from repro.crypto.bloom import MaskMemo, optimal_hash_count
 
 #: Default number of proven tuples a cache retains.
 DEFAULT_CACHE_SIZE = 4096
@@ -110,6 +111,8 @@ class VerificationCache:
         #: Per key: what its check returned, and whether it is a summary.
         self._entries: OrderedDict[Hashable, tuple[object, bool]] = OrderedDict()
         self._summaries = 0
+        #: The session's Bloom masks, one memo per (filter_bits, hash_count).
+        self._masks: dict[tuple[int, int], MaskMemo] = {}
         self._lock = threading.Lock()
 
     def __len__(self) -> int:
@@ -176,10 +179,24 @@ class VerificationCache:
             while len(entries) > self.maxsize:
                 self._summaries -= entries.popitem(last=False)[1][1]
 
+    def bloom_masks(self, filter_bits: int, capacity: int) -> MaskMemo | None:
+        """The session's Bloom masks for chains of these parameters (one
+        memo per ``(filter_bits, hash_count)``); ``None`` when disabled."""
+        if self.maxsize <= 0:
+            return None
+        hash_count = optimal_hash_count(filter_bits, capacity)
+        with self._lock:
+            return self._masks.setdefault(
+                (filter_bits, hash_count),
+                MaskMemo(filter_bits, hash_count, self.maxsize),
+            )
+
     def clear(self) -> None:
-        """Drop every cached tuple and reset the counters."""
+        """Drop every cached tuple and mask and reset the counters."""
         with self._lock:
             self._entries.clear()
+            for masks in self._masks.values():
+                masks.clear()
             self._summaries = 0
             self.hits = 0
             self.misses = 0

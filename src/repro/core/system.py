@@ -406,6 +406,10 @@ class HybridStorageSystem:
         }
         blooms = None
         if self.scheme is Scheme.CHAMELEON_STAR:
+            # The session's masks: a fresh session derives its own.
+            masks = None
+            if self.verify_cache is not None:
+                masks = self.verify_cache.bloom_masks(self.filter_bits, self.bloom_capacity)
             blooms = {}
             for kw in keywords:
                 snapshot = self.chain.call_view(
@@ -415,6 +419,7 @@ class HybridStorageSystem:
                     snapshot,
                     filter_bits=self.filter_bits,
                     capacity=self.bloom_capacity,
+                    masks=masks,
                 )
         return ChameleonProofSystem(
             pp=self._cvc.pp,

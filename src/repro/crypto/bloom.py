@@ -5,10 +5,24 @@ so that each filter occupies exactly one storage slot on-chain, and caps
 the number of inserted object IDs at ``b`` (default 30).  Each filter also
 records the smallest and largest inserted IDs so the SP and client can
 select the filter responsible for a given ID range (Section V-D).
+
+One derivation
+--------------
+An ID's ``hash_count`` bit positions come from one function,
+:func:`id_mask`, as one integer: inserting ORs it into the filter word,
+and a membership test is ``bits & mask == mask``.  A mask depends only on
+the ID and ``(filter_bits, hash_count)``, so each party derives it once
+into its own :class:`MaskMemo` of those parameters (a chain accepts no
+other): the SP's shard engine holds one shared by all its chains,
+however built; the client's belongs to its session's
+:class:`~repro.core.proofcache.VerificationCache`, which bounds it,
+empties it on ``clear()`` and keeps none when disabled.  There is no
+process-global memo, so a client's skips rest on its own derivations.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 
 from repro.crypto.hashing import sha3
@@ -32,13 +46,47 @@ def optimal_hash_count(filter_bits: int, capacity: int) -> int:
     return max(1, min(8, k))
 
 
-def _bit_positions(item: bytes, filter_bits: int, hash_count: int) -> list[int]:
-    """Derive ``hash_count`` bit positions via double hashing."""
-    digest1 = sha3(b"bloom-1" + item)
-    digest2 = sha3(b"bloom-2" + item)
-    h1 = int.from_bytes(digest1, "big")
-    h2 = int.from_bytes(digest2, "big") | 1  # odd => full-period stepping
-    return [(h1 + i * h2) % filter_bits for i in range(hash_count)]
+def id_mask(object_id: int, filter_bits: int, hash_count: int) -> int:
+    """The ID's filter bits as one integer: ``hash_count`` positions by
+    double hashing its 8-byte big-endian encoding."""
+    item = object_id.to_bytes(8, "big")
+    h1 = int.from_bytes(sha3(b"bloom-1" + item), "big")
+    h2 = int.from_bytes(sha3(b"bloom-2" + item), "big") | 1  # odd => full period
+    mask = 0
+    for i in range(hash_count):
+        mask |= 1 << (h1 + i * h2) % filter_bits
+    return mask
+
+
+class MaskMemo(dict[int, int]):
+    """``object_id -> id_mask(object_id, ...)`` for one ``(filter_bits,
+    hash_count)``, derived on first lookup; at most ``maxsize`` (if set)
+    held, the oldest dropped first, stored under a lock."""
+
+    def __init__(
+        self, filter_bits: int, hash_count: int, maxsize: int | None = None
+    ) -> None:
+        super().__init__()
+        self.filter_bits = filter_bits
+        self.hash_count = hash_count
+        self.maxsize = maxsize
+        self._lock = threading.Lock()
+
+    def __reduce__(self) -> tuple:
+        # A memo stays with the party that derived it: a copy arrives empty.
+        return (MaskMemo, (self.filter_bits, self.hash_count, self.maxsize))
+
+    def __missing__(self, object_id: int) -> int:
+        mask = id_mask(object_id, self.filter_bits, self.hash_count)
+        with self._lock:
+            if self.maxsize is not None and len(self) >= self.maxsize:
+                del self[next(iter(self))]
+            self[object_id] = mask
+        return mask
+
+    def clear(self) -> None:
+        with self._lock:
+            super().clear()
 
 
 @dataclass
@@ -71,12 +119,14 @@ class BloomFilter:
         """True once ``capacity`` IDs have been inserted."""
         return self.count >= self.capacity
 
-    def add(self, object_id: int) -> None:
-        """Insert an object ID; raises when the filter is full."""
+    def add(self, object_id: int, mask: int | None = None) -> None:
+        """Insert an object ID (its :func:`id_mask` when the caller has
+        it); raises when the filter is full."""
         if self.is_full:
             raise ValueError("Bloom filter is full; create a new one")
-        for pos in self._positions(object_id):
-            self.bits |= 1 << pos
+        if mask is None:
+            mask = id_mask(object_id, self.filter_bits, self.hash_count)
+        self.bits |= mask
         self.count += 1
         self._members.add(object_id)
         if self.min_id is None or object_id < self.min_id:
@@ -86,46 +136,16 @@ class BloomFilter:
 
     def might_contain(self, object_id: int) -> bool:
         """Bloom membership test: no false negatives by construction."""
-        return all(self.bits >> pos & 1 for pos in self._positions(object_id))
-
-    def covers(self, object_id: int) -> bool:
-        """True when ``object_id`` falls in this filter's ID range."""
-        if self.min_id is None or self.max_id is None:
-            return False
-        return self.min_id <= object_id <= self.max_id
-
-    def false_positive_rate(self) -> float:
-        """Estimated false-positive probability at the current load."""
-        if self.count == 0:
-            return 0.0
-        fraction_set = 1.0 - (1.0 - 1.0 / self.filter_bits) ** (
-            self.hash_count * self.count
-        )
-        return fraction_set**self.hash_count
+        mask = id_mask(object_id, self.filter_bits, self.hash_count)
+        return self.bits & mask == mask
 
     def to_word(self) -> bytes:
         """Serialise the bit array to ``filter_bits/8`` bytes."""
         return self.bits.to_bytes(self.filter_bits // 8, "big")
 
-    def digest(self) -> bytes:
-        """Commitment-friendly digest of the filter contents and range."""
-        lo = -1 if self.min_id is None else self.min_id
-        hi = -1 if self.max_id is None else self.max_id
-        return sha3(
-            b"bloom-digest"
-            + self.to_word()
-            + lo.to_bytes(8, "big", signed=True)
-            + hi.to_bytes(8, "big", signed=True)
-        )
-
     def exact_members(self) -> frozenset[int]:
         """Exact inserted IDs (SP-side bookkeeping; not sent on-chain)."""
         return frozenset(self._members)
-
-    def _positions(self, object_id: int) -> list[int]:
-        return _bit_positions(
-            object_id.to_bytes(8, "big"), self.filter_bits, self.hash_count
-        )
 
 
 @dataclass
@@ -135,11 +155,27 @@ class BloomFilterChain:
     Filters partition the inserted ID stream into consecutive groups of at
     most ``capacity`` IDs.  Because object IDs arrive in increasing order,
     the filters' ``[min_id, max_id]`` ranges are disjoint and sorted.
+    ``masks`` is the memo of the party holding the chain (see the module
+    docstring); without one every mask is derived afresh.
     """
 
     filter_bits: int = DEFAULT_FILTER_BITS
     capacity: int = DEFAULT_CAPACITY
     filters: list[BloomFilter] = field(default_factory=list)
+    masks: MaskMemo | None = field(default=None, repr=False, compare=False)
+    hash_count: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.hash_count = optimal_hash_count(self.filter_bits, self.capacity)
+        masks, own = self.masks, (self.filter_bits, self.hash_count)
+        if masks is not None and (masks.filter_bits, masks.hash_count) != own:
+            raise ValueError("a mask memo serves only chains of its parameters")
+
+    def mask(self, object_id: int) -> int:
+        """The ID's mask under this chain's parameters."""
+        if self.masks is None:
+            return id_mask(object_id, self.filter_bits, self.hash_count)
+        return self.masks[object_id]
 
     def add(self, object_id: int) -> tuple[int, bool]:
         """Insert an ID; returns ``(filter_index, created_new_filter)``."""
@@ -149,37 +185,8 @@ class BloomFilterChain:
                 BloomFilter(filter_bits=self.filter_bits, capacity=self.capacity)
             )
             created = True
-        self.filters[-1].add(object_id)
+        self.filters[-1].add(object_id, self.mask(object_id))
         return len(self.filters) - 1, created
-
-    def filter_for(self, object_id: int) -> tuple[int, BloomFilter] | None:
-        """Locate the filter whose ID range covers ``object_id``.
-
-        Returns ``None`` when the ID falls outside every range (in which
-        case the standard boundary proof must be used instead).  Binary
-        search over the sorted ranges.
-        """
-        lo, hi = 0, len(self.filters) - 1
-        while lo <= hi:
-            mid = (lo + hi) // 2
-            flt = self.filters[mid]
-            if flt.min_id is None:
-                return None
-            if object_id < flt.min_id:
-                hi = mid - 1
-            elif flt.max_id is not None and object_id > flt.max_id:
-                lo = mid + 1
-            else:
-                return mid, flt
-        return None
-
-    def might_contain(self, object_id: int) -> bool | None:
-        """Tri-state test: False = definitely absent, True = maybe present,
-        None = no covering filter (cannot conclude)."""
-        located = self.filter_for(object_id)
-        if located is None:
-            return None
-        return located[1].might_contain(object_id)
 
     def definitely_absent(self, object_id: int) -> bool:
         """Conclude absence from the filter sequence alone.
@@ -209,16 +216,12 @@ class BloomFilterChain:
                 lo = mid + 1
             else:
                 hi = mid - 1
-        return not self.filters[responsible].might_contain(object_id)
+        mask = self.mask(object_id)
+        return self.filters[responsible].bits & mask != mask
 
     def snapshot(self) -> list[tuple[int, int]]:
         """On-chain representation: ``(min_id, bits)`` per filter."""
-        out: list[tuple[int, int]] = []
-        for flt in self.filters:
-            if flt.min_id is None:
-                continue
-            out.append((flt.min_id, flt.bits))
-        return out
+        return [(flt.min_id, flt.bits) for flt in self.filters if flt.min_id is not None]
 
     @classmethod
     def from_snapshot(
@@ -226,6 +229,7 @@ class BloomFilterChain:
         snapshot: list[tuple[int, int]],
         filter_bits: int = DEFAULT_FILTER_BITS,
         capacity: int = DEFAULT_CAPACITY,
+        masks: MaskMemo | None = None,
     ) -> "BloomFilterChain":
         """Rebuild a chain from on-chain ``(min_id, bits)`` words.
 
@@ -233,7 +237,7 @@ class BloomFilterChain:
         absence tests (bits + range minima); exact member sets and load
         counts are SP-side only and are not recovered.
         """
-        chain = cls(filter_bits=filter_bits, capacity=capacity)
+        chain = cls(filter_bits=filter_bits, capacity=capacity, masks=masks)
         for min_id, bits in snapshot:
             flt = BloomFilter(filter_bits=filter_bits, capacity=capacity)
             flt.bits = bits

@@ -56,6 +56,8 @@ from repro.crypto.bloom import (
     DEFAULT_FILTER_BITS,
     BloomFilter,
     BloomFilterChain,
+    MaskMemo,
+    optimal_hash_count,
 )
 from repro.crypto.hashing import digests_equal, sha3, tagged_hash
 from repro.errors import IntegrityError, ParameterError, ReproError
@@ -157,7 +159,8 @@ class IndexShardEngine:
     ``index_factory`` builds the scheme's empty per-partition index
     mirror (:class:`~repro.core.merkle_family.MerkleInvertedSP` or
     :class:`~repro.core.chameleon_index.ChameleonSP`); ``star`` attaches
-    the partition's Bloom filter chains to its views (CI* only).
+    the partition's Bloom filter chains to its views (CI* only), all
+    sharing the engine's one mask memo (``bloom_masks``).
 
     Records are only applied for *confirmed* insertions — the system
     applies SP-side state after the on-chain receipt succeeds — so an
@@ -183,6 +186,11 @@ class IndexShardEngine:
         self.star = star
         self.filter_bits = filter_bits
         self.bloom_capacity = bloom_capacity
+        self.bloom_masks = (
+            MaskMemo(filter_bits, optimal_hash_count(filter_bits, bloom_capacity))
+            if star
+            else None
+        )
         self._objects_metric = f"sp.shard.{shard_id}.objects"
 
     # -- mutators (confirmed insertions only) -----------------------------------
@@ -226,7 +234,9 @@ class IndexShardEngine:
             chain = self.blooms.get(keyword)
             if chain is None:
                 chain = self.blooms[keyword] = BloomFilterChain(
-                    filter_bits=self.filter_bits, capacity=self.bloom_capacity
+                    filter_bits=self.filter_bits,
+                    capacity=self.bloom_capacity,
+                    masks=self.bloom_masks,
                 )
             chain.add(record["id"])
         elif op == "object":
@@ -337,6 +347,18 @@ CKPT_MAGIC = b"RPCK"
 CKPT_VERSION = 1
 
 _CKPT_HEAD = struct.Struct(">4sHII")  # magic, version, epoch, meta_len
+
+
+def _bloom_record(flt: BloomFilter) -> dict:
+    """One filter as its checkpoint stores it."""
+    return {
+        "bits": format(flt.bits, "x"),
+        "count": flt.count,
+        "min": flt.min_id,
+        "max": flt.max_id,
+        "hash_count": flt.hash_count,
+        "members": sorted(flt.exact_members()),
+    }
 
 
 class DiskShardEngine(IndexShardEngine):
@@ -534,17 +556,7 @@ class DiskShardEngine(IndexShardEngine):
             trees_meta.append([keyword, len(blob)])
             blobs.append(blob)
         blooms = {
-            keyword: [
-                {
-                    "bits": format(flt.bits, "x"),
-                    "count": flt.count,
-                    "min": flt.min_id,
-                    "max": flt.max_id,
-                    "hash_count": flt.hash_count,
-                    "members": sorted(flt.exact_members()),
-                }
-                for flt in chain.filters
-            ]
+            keyword: [_bloom_record(flt) for flt in chain.filters]
             for keyword, chain in self.blooms.items()
         }
         objects = [
@@ -645,24 +657,12 @@ class DiskShardEngine(IndexShardEngine):
                 view.release()
             if offset != len(mapped) - 32:
                 raise IntegrityError("checkpoint has trailing bytes")
-            blooms: dict[str, BloomFilterChain] = {}
-            for keyword, filters in meta["blooms"].items():
-                chain = BloomFilterChain(
-                    filter_bits=self.filter_bits, capacity=self.bloom_capacity
-                )
-                for rec in filters:
-                    flt = BloomFilter(
-                        filter_bits=self.filter_bits,
-                        capacity=self.bloom_capacity,
-                        hash_count=rec["hash_count"],
-                        bits=int(rec["bits"], 16),
-                        count=rec["count"],
-                        min_id=rec["min"],
-                        max_id=rec["max"],
-                    )
-                    flt._members.update(rec["members"])
-                    chain.filters.append(flt)
-                blooms[keyword] = chain
+            if not isinstance(meta.get("blooms"), dict):
+                raise IntegrityError("checkpoint Bloom filters are not a map")
+            blooms = {
+                keyword: self._restore_bloom_chain(keyword, records)
+                for keyword, records in meta["blooms"].items()
+            }
             objects = [record_to_object(rec) for rec in meta["objects"]]
         finally:
             mapped.close()
@@ -674,6 +674,36 @@ class DiskShardEngine(IndexShardEngine):
             self.store.put(obj)
             obs.inc(self._objects_metric)
         return epoch
+
+    def _restore_bloom_chain(self, keyword: str, records: Any) -> BloomFilterChain:
+        """One keyword's filter chain, rebuilt from its checkpoint records'
+        members and adopted only if the records are exactly what this
+        engine builds from them (its hash count and capacity, the same
+        words and ranges, members ascending); else :class:`IntegrityError`,
+        so a checkpoint of other parameters is never adopted."""
+        chain = BloomFilterChain(
+            self.filter_bits, self.bloom_capacity, masks=self.bloom_masks
+        )
+        try:
+            ids = [object_id for rec in records for object_id in rec["members"]]
+        except (TypeError, KeyError):
+            raise IntegrityError(
+                f"checkpoint Bloom chain of {keyword!r} is malformed"
+            ) from None
+        if not all(type(i) is int and 0 <= i < 1 << 64 for i in ids) or any(
+            low >= high for low, high in zip(ids, ids[1:])
+        ):
+            raise IntegrityError(
+                f"checkpoint Bloom members of {keyword!r} do not ascend"
+            )
+        for object_id in ids:
+            chain.add(object_id)
+        if [_bloom_record(flt) for flt in chain.filters] != records:
+            raise IntegrityError(
+                f"checkpoint Bloom filters of {keyword!r} are not what "
+                f"{self.bloom_capacity} IDs per filter build from their members"
+            )
+        return chain
 
     def compact(self) -> dict:
         """Checkpoint + truncate the journal; returns reclaim stats."""

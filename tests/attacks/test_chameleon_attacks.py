@@ -842,6 +842,19 @@ class TestBloomSkipAttacks:
         for the target: the client's walk probes it and finds no table."""
         assert false_bloom_skip(cis_system) is None
 
+    def test_false_absence_claim_rejected_under_warm_masks(self, cis_system):
+        """The session already holds target 4's mask (an honest query
+        derived it): the client still derives nothing from the SP, probes
+        covid-19 for 4 and refuses the forged skip."""
+        cis_system.query(JOIN)
+        masks = cis_system.verify_cache.bloom_masks(
+            cis_system.filter_bits, cis_system.bloom_capacity
+        )
+        if 4 not in masks:
+            raise AssertionError("the honest query did not memoise target 4")
+        if false_bloom_skip(cis_system) is not None:
+            raise AssertionError("a forged skip verified under warm masks")
+
     def test_queries_verify_with_blooms(self, cis_system):
         """Sanity: honest CI* answers whose walks skip probes pass end to
         end, and the client skipped what the SP skipped."""

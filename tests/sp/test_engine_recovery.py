@@ -12,8 +12,9 @@ import json
 import pytest
 
 from repro.core.merkle_family import MerkleInvertedSP
+from repro.crypto.hashing import sha3
 from repro.errors import IntegrityError, ReproError
-from repro.sp.engine import DiskShardEngine
+from repro.sp.engine import _CKPT_HEAD, DiskShardEngine
 
 from tests.sp.test_engine import entry_record
 
@@ -176,3 +177,143 @@ class TestCrashMidCompaction:
 
         with pytest.raises(ReproError):
             DiskShardEngine(0, merkle_factory, tmp_path)
+
+
+def star_engine(tmp_path, capacity):
+    return DiskShardEngine(
+        0, merkle_factory, tmp_path, star=True, bloom_capacity=capacity
+    )
+
+
+def bloom_state(engine):
+    """Every filter as its restorable fields, per keyword."""
+    return {
+        keyword: [
+            (flt.bits, flt.count, flt.min_id, flt.max_id, flt.hash_count,
+             flt.exact_members())
+            for flt in chain.filters
+        ]
+        for keyword, chain in engine.blooms.items()
+    }
+
+
+def rewrite_checkpoint(path, edit):
+    """Re-seal ``shard-000.ckpt`` after ``edit(meta)`` changed its metadata."""
+    blob = path.read_bytes()
+    magic, version, epoch, meta_len = _CKPT_HEAD.unpack_from(blob, 0)
+    meta = json.loads(blob[_CKPT_HEAD.size : _CKPT_HEAD.size + meta_len])
+    edit(meta)
+    meta_bytes = json.dumps(meta).encode()
+    body = (
+        _CKPT_HEAD.pack(magic, version, epoch, len(meta_bytes))
+        + meta_bytes
+        + blob[_CKPT_HEAD.size + meta_len : -32]
+    )
+    path.write_bytes(body + sha3(body))
+
+
+class TestBloomCheckpoint:
+    """A checkpoint's Bloom filters are adopted only as the engine's own
+    parameters would have built them; otherwise recovery takes the
+    journal, or refuses — never two different chains for one history."""
+
+    IDS = range(1, 51)
+
+    def checkpointed(self, tmp_path, capacity=30):
+        engine = star_engine(tmp_path, capacity)
+        engine.apply_records(
+            [{"op": "bloom", "kw": "kw", "id": object_id} for object_id in self.IDS]
+        )
+        stale = (tmp_path / "shard-000.jsonl").read_bytes()
+        expected = bloom_state(engine)
+        engine.compact()
+        engine.close()
+        return stale, expected
+
+    def test_reopened_under_its_own_capacity_adopts_and_shares_the_memo(
+        self, tmp_path
+    ):
+        _, expected = self.checkpointed(tmp_path)
+        engine = star_engine(tmp_path, 30)
+        assert engine.epoch == 1
+        assert bloom_state(engine) == expected
+        assert engine.blooms["kw"].masks is engine.bloom_masks
+        engine.apply_records([{"op": "bloom", "kw": "other", "id": 60}])
+        assert engine.blooms["other"].masks is engine.bloom_masks
+        engine.close()
+
+    def test_foreign_capacity_falls_back_to_full_history(self, tmp_path):
+        # The journal still holds full history (epoch 0): the checkpoint
+        # written at capacity 30 is dropped and the replay builds what a
+        # capacity-10 engine builds from the same records.
+        stale, _ = self.checkpointed(tmp_path)
+        (tmp_path / "shard-000.jsonl").write_bytes(stale)
+        engine = star_engine(tmp_path, 10)
+        assert engine.epoch == 0
+        assert not (tmp_path / "shard-000.ckpt").exists()
+        chain = engine.blooms["kw"]
+        assert [flt.count for flt in chain.filters] == [10] * 5
+        assert {flt.hash_count for flt in chain.filters} == {8}
+        assert chain.masks is engine.bloom_masks
+        engine.close()
+
+        fresh = star_engine(tmp_path / "fresh", 10)
+        fresh.apply_records(
+            [{"op": "bloom", "kw": "kw", "id": object_id} for object_id in self.IDS]
+        )
+        assert bloom_state(fresh) == bloom_state(engine)
+        fresh.close()
+
+    def test_foreign_capacity_with_truncated_journal_raises(self, tmp_path):
+        # Once the journal holds only the checkpoint's epoch, the
+        # checkpoint is all there is: refuse it rather than adopt filters
+        # of another hash count (or more IDs than the capacity).
+        self.checkpointed(tmp_path)
+        with pytest.raises(IntegrityError):
+            star_engine(tmp_path, 10)
+        self.checkpointed(tmp_path / "small", capacity=10)
+        with pytest.raises(IntegrityError):
+            star_engine(tmp_path / "small", 30)
+
+    FORGERIES = {
+        "foreign_hash_count": lambda f: f[0].update(hash_count=5),
+        "count_over_capacity": lambda f: f[1].update(count=31),
+        "inner_filter_not_full": lambda f: f[0].update(count=29),
+        "empty_filter": lambda f: f[1].update(count=0),
+        "word_too_wide": lambda f: f[0].update(bits=format(1 << 256, "x")),
+        "negative_word": lambda f: f[0].update(bits="-1"),
+        "word_not_hex": lambda f: f[0].update(bits="zz"),
+        "min_above_max": lambda f: f[1].update(min=f[1]["max"] + 1),
+        "count_missing": lambda f: f[0].pop("count"),
+        "members_missing": lambda f: f[0].pop("members"),
+        "min_a_string": lambda f: f[0].update(min="1"),
+        "count_a_bool": lambda f: f[0].update(count=True),
+        "members_strings": lambda f: f[0].update(
+            members=[str(m) for m in f[0]["members"]]
+        ),
+        "member_dropped": lambda f: f[0].update(members=f[0]["members"][1:]),
+        "members_empty": lambda f: f[1].update(members=[]),
+        "minima_descend": lambda f: f.reverse(),
+        "ranges_overlap": lambda f: f[1].update(min=f[0]["max"]),
+        "record_not_a_map": lambda f: f.__setitem__(0, None),
+    }
+
+    @pytest.mark.parametrize("name", sorted(FORGERIES))
+    def test_forged_bloom_record_is_refused(self, tmp_path, name):
+        self.checkpointed(tmp_path)
+        edit = self.FORGERIES[name]
+        rewrite_checkpoint(
+            tmp_path / "shard-000.ckpt", lambda meta: edit(meta["blooms"]["kw"])
+        )
+        with pytest.raises(IntegrityError):
+            star_engine(tmp_path, 30)
+
+    def test_malformed_chain_is_refused(self, tmp_path):
+        self.checkpointed(tmp_path)
+
+        def edit(meta):
+            meta["blooms"]["kw"] = {"not": "a list"}
+
+        rewrite_checkpoint(tmp_path / "shard-000.ckpt", edit)
+        with pytest.raises(IntegrityError):
+            star_engine(tmp_path, 30)
