@@ -195,22 +195,27 @@ def ablation_join_plan(
     num_queries: int = 8,
     num_keywords: int = 6,
     seed: int = 7,
+    scheme: str = "smi",
+    dataset: str = "twitter",
 ) -> list[AblationRow]:
     """Cyclic k-way walk vs semi-join plan (VO size, SP time, results).
 
-    The cyclic walk reproduces the paper's cost curves (work grows with
-    the keyword count); the semi-join plan — footnote 3 taken literally
-    — collapses when intermediate intersections are small.  Both are
-    *sound and complete*; this sweep quantifies the efficiency gap.
+    Both plans are *sound and complete*; this sweep measures, for one
+    scheme and dataset, what each ships and costs the SP.  The semi-join
+    plan walks the two smallest trees, then probes only their common IDs
+    in each further tree; under CI* a Bloom filter can dismiss such a
+    probe before any row is read.
     """
-    dataset = _dataset("twitter", size, seed=seed)
+    data = _dataset(dataset, size, seed=seed)
     rows = []
     reference_results: list[list[int]] | None = None
     for plan in ("cyclic", "semijoin"):
-        system = HybridStorageSystem(scheme="smi", seed=seed, join_plan=plan)
-        _ingest(system, _dataset("twitter", size, seed=seed))
+        system = HybridStorageSystem(
+            scheme=scheme, seed=seed, join_plan=plan, cvc_modulus_bits=BENCH_CVC_BITS
+        )
+        _ingest(system, _dataset(dataset, size, seed=seed))
         workload = ConjunctiveWorkload(
-            dataset=dataset, num_keywords=num_keywords, seed=seed
+            dataset=data, num_keywords=num_keywords, seed=seed
         )
         vo_sizes = []
         sp_times = []
@@ -222,8 +227,8 @@ def ablation_join_plan(
             results.append(result.result_ids)
         if reference_results is None:
             reference_results = results
-        else:
-            assert results == reference_results, "plans must agree on results"
+        elif results != reference_results:
+            raise AssertionError("plans must agree on results")
         rows.append(
             AblationRow(
                 parameter="join_plan",
@@ -235,8 +240,8 @@ def ablation_join_plan(
             )
         )
     print(
-        f"\nAblation — multiway join plan (Twitter, n={size}, "
-        f"{num_keywords}-keyword conjunctions)"
+        f"\nAblation — multiway join plan ({scheme.upper()}, {dataset}, "
+        f"n={size}, {num_keywords}-keyword conjunctions)"
     )
     print(f"{'plan':>10}{'VO (KB)':>10}{'SP (ms)':>10}")
     for row in rows:

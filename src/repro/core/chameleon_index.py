@@ -28,7 +28,7 @@ from repro.core.objects import ObjectMetadata
 from repro.core.proofcache import CacheKey, VerificationCache
 from repro.core.query.join import remember_key
 from repro.crypto import vc
-from repro.crypto.bloom import BloomFilterChain
+from repro.crypto.bloom import BloomFilterChain, MaskMemo, optimal_hash_count
 from repro.crypto.hashing import DIGEST_SIZE
 from repro.errors import ReproError, VerificationError
 from repro.ethereum.contract import SmartContract
@@ -266,11 +266,25 @@ class ChameleonView:
 
 @dataclass
 class ChameleonSP:
-    """The SP's complete Chameleon^inv index."""
+    """The SP's complete Chameleon^inv index.
+
+    ``bloom`` is ``(filter_bits, capacity)`` under CI*.  A keyword's
+    Bloom filter chain is then a function of the IDs applied to its
+    tree, so the index derives it, never stores it: each ID the tree
+    accepts is added, :meth:`adopt` rebuilds every chain from its tree,
+    and all chains share the index's one mask memo.
+    """
 
     pp: vc.CVCPublicParams
     arity: int = DEFAULT_ARITY
+    bloom: tuple[int, int] | None = None
     trees: dict[str, ChameleonTreeSP] = field(default_factory=dict)
+    blooms: dict[str, BloomFilterChain] = field(default_factory=dict, init=False)
+    masks: MaskMemo | None = field(default=None, init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        if self.bloom is not None:
+            self.masks = MaskMemo(self.bloom[0], optimal_hash_count(*self.bloom))
 
     @property
     def _value_bytes(self) -> int:
@@ -292,6 +306,26 @@ class ChameleonSP:
             raise ReproError(f"keyword {keyword!r} was never set up")
         with obs.span("sp.index.apply"):
             self.trees[keyword].apply_insertion(proof)
+            self._add_to_chain(keyword, proof.object_id)
+
+    def _add_to_chain(self, keyword: str, object_id: int) -> None:
+        if self.masks is not None:
+            chain = self.blooms.get(keyword)
+            if chain is None:
+                chain = self.blooms[keyword] = BloomFilterChain(
+                    *self.bloom, masks=self.masks
+                )
+            chain.add(object_id)
+
+    def adopt(self, trees: dict[str, ChameleonTreeSP]) -> None:
+        """Install checkpoint-restored trees; rebuild each chain from its
+        tree's IDs in position order, the order they were applied in."""
+        self.trees = dict(trees)
+        self.blooms = {}
+        if self.masks is not None:
+            for keyword, tree in trees.items():
+                for position in range(1, tree.count + 1):
+                    self._add_to_chain(keyword, tree.store.object_id(position))
 
     def view(self, keyword: str) -> ChameleonView:
         """The join engine's view of one keyword's tree."""
@@ -304,7 +338,9 @@ class ChameleonSP:
                 arity=self.arity,
                 value_bytes=self._value_bytes,
             )
-        return ChameleonView(keyword=keyword, tree=tree)
+        return ChameleonView(
+            keyword=keyword, tree=tree, bloom=self.blooms.get(keyword)
+        )
 
 
 @dataclass

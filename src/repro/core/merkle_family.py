@@ -118,6 +118,10 @@ class MerkleInvertedSP:
                     metadata.object_id, metadata.object_hash
                 )
 
+    def adopt(self, trees: dict[str, MBTree]) -> None:
+        """Install checkpoint-restored trees."""
+        self.trees = dict(trees)
+
     def view(self, keyword: str) -> MBTreeView:
         """The join engine's view of one keyword's tree."""
         return MBTreeView(keyword=keyword, tree=self.tree_for(keyword))

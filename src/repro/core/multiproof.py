@@ -107,18 +107,6 @@ def _malformed(reason: str) -> VerificationError:
     return VerificationError(f"malformed multiproof: {reason}")
 
 
-def _varint(buf: bytes, pos: int) -> tuple[int, int]:
-    """A count of the table's, in its one (shortest) encoding.
-
-    A longer encoding of the same count would be another body with the
-    same fold: the table's bytes would not be its only wire form.
-    """
-    value, end = read_varint(buf, pos)
-    if end - pos > 1 and not buf[end - 1]:
-        raise _malformed("count not in its shortest encoding")
-    return value, end
-
-
 def _node_codes(packed: bytes, width: int) -> tuple[int, ...]:
     """The ``width`` slot codes packed four to a byte, low bits first.
 
@@ -163,12 +151,12 @@ def _frame(buf: bytes, pos: int) -> tuple[tuple, int]:
     nodes: list[tuple[int, ...]] = []
     try:
         height = buf[pos]
-        count, pos = _varint(buf, pos + 1)
+        count, pos = read_varint(buf, pos + 1)
         for _ in range(count):
             width = buf[pos]
             pos += 1
             if width > 0x7F:
-                width, pos = _varint(buf, pos - 1)
+                width, pos = read_varint(buf, pos - 1)
                 if width > 0xFFFF:
                     raise _malformed("oversized node width")
             if 0 < width <= 4:
@@ -183,9 +171,9 @@ def _frame(buf: bytes, pos: int) -> tuple[tuple, int]:
                 codes = _node_codes(buf[pos:end], width)
                 pos = end
             nodes.append(codes)
-        helper_count, pos = _varint(buf, pos)
+        helper_count, pos = read_varint(buf, pos)
         helpers_at = pos
-        leaf_count, pos = _varint(buf, pos + 32 * helper_count)
+        leaf_count, pos = read_varint(buf, pos + 32 * helper_count)
     except IndexError:
         raise _malformed("truncated table") from None
     leaves_at = pos

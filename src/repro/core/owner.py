@@ -158,7 +158,7 @@ class DataOwnerPipeline:
                     u.keyword.encode() + u.count.to_bytes(8, "big")
                     for u in counts
                 )
-                sp_work.append((metadata, proofs, new_kw_list))
+                sp_work.append((proofs, new_kw_list))
             if batched:
                 receipt = self.chain.send_transaction(
                     "do", ADS_CONTRACT, "insert_objects", items, payload=payload
@@ -174,18 +174,13 @@ class DataOwnerPipeline:
         if not receipt.status:
             self.do.rollback(undo)
             return receipt
-        for metadata, proofs, new_kw_list in sp_work:
-            self._mirror_chameleon(metadata, proofs, new_kw_list)
+        for proofs, new_kw_list in sp_work:
+            self._mirror_chameleon(proofs, new_kw_list)
         return receipt
 
-    def _mirror_chameleon(
-        self, metadata: ObjectMetadata, proofs: dict, new_kw_list: list
-    ) -> None:
+    def _mirror_chameleon(self, proofs: dict, new_kw_list: list) -> None:
         """Stream one confirmed object's updates into the SP."""
         for keyword, commitment in new_kw_list:
             self.sp.register_keyword(keyword, commitment)
         for keyword, proof in proofs.items():
             self.sp.apply_insertion(keyword, proof)
-        if self.scheme is Scheme.CHAMELEON_STAR:
-            for keyword in metadata.keywords:
-                self.sp.bloom_add(keyword, metadata.object_id)

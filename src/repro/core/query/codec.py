@@ -70,8 +70,8 @@ table its rows (:meth:`ChameleonMultiproof.from_wire
 their offsets; group elements become integers when the client
 authenticates the table).  The SP, symmetrically, writes both straight
 from the trees' flat buffers.  Truncation, flag bytes outside their
-bits, non-zero padding bits, slot code 3, oversized varints, a Merkle
-table count longer than its shortest encoding and trailing bytes are
+bits, non-zero padding bits, slot code 3, a varint oversized or longer
+than its shortest encoding (wherever it stands) and trailing bytes are
 all explicit checks of the reader, the tables' framers or this module,
 none of them an ``assert``.
 """

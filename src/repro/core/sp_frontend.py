@@ -46,7 +46,6 @@ from repro.core.objects import DataObject, ObjectMetadata, object_to_record
 from repro.core.query.join import conjunctive_join
 from repro.core.query.parser import KeywordQuery
 from repro.core.query.vo import ConjunctiveVO, QueryAnswer, QueryVO
-from repro.crypto.bloom import DEFAULT_CAPACITY, DEFAULT_FILTER_BITS
 from repro.errors import DatasetError, ParameterError
 from repro.sp.affine import AffineWorkerPool
 from repro.sp.engine import (
@@ -85,9 +84,6 @@ class ShardedStorageProvider:
         engine: str = "memory",
         engine_dir: str | Path | None = None,
         seed: int | None = None,
-        star: bool = False,
-        filter_bits: int = DEFAULT_FILTER_BITS,
-        bloom_capacity: int = DEFAULT_CAPACITY,
         pool: str = "stateless",
     ) -> None:
         self.router = ShardRouter(shards, seed=seed)
@@ -105,9 +101,6 @@ class ShardedStorageProvider:
                 engine=engine,
                 index_spec=index_spec,
                 directory=None if engine_dir is None else str(engine_dir),
-                star=star,
-                filter_bits=filter_bits,
-                bloom_capacity=bloom_capacity,
             )
             for shard_id in range(shards)
         ]
@@ -213,13 +206,6 @@ class ShardedStorageProvider:
         self._queue(
             self.router.route(keyword),
             {"op": "apply", "kw": keyword, "proof": proof_to_record(proof)},
-        )
-
-    def bloom_add(self, keyword: str, object_id: int) -> None:
-        """Mirror one ID into the owning shard's Bloom chain (CI*)."""
-        self._queue(
-            self.router.route(keyword),
-            {"op": "bloom", "kw": keyword, "id": object_id},
         )
 
     def spines(self, object_id: int, keywords: tuple[str, ...]) -> list:

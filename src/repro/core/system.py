@@ -171,8 +171,9 @@ class HybridStorageSystem:
             do = ChameleonDataOwner(
                 self._cvc, generate_key(seed=seed), arity=arity
             )
-            index_spec = ("chameleon", {"pp": pp, "arity": arity})
+            index_params = {"pp": pp, "arity": arity}
             if self.scheme is Scheme.CHAMELEON_STAR:
+                index_params["bloom"] = (filter_bits, bloom_capacity)
                 contract = ChameleonStarContract(
                     value_bytes=self.value_bytes,
                     bloom_capacity=bloom_capacity,
@@ -180,6 +181,7 @@ class HybridStorageSystem:
                 )
             else:
                 contract = ChameleonContract(value_bytes=self.value_bytes)
+            index_spec = ("chameleon", index_params)
         else:
             self.value_bytes = 32
             index_spec = ("merkle", {"fanout": fanout})
@@ -198,9 +200,6 @@ class HybridStorageSystem:
             engine=engine,
             engine_dir=engine_dir,
             seed=seed,
-            star=self.scheme is Scheme.CHAMELEON_STAR,
-            filter_bits=filter_bits,
-            bloom_capacity=bloom_capacity,
             pool=pool,
         )
         self._owner = DataOwnerPipeline(

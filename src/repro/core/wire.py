@@ -8,10 +8,11 @@ layouts.  Nothing is copied until a field is sliced out, and a run of
 fixed-width fields is bounds-checked and sliced as one.
 
 Strictness lives here so every format gets it: a read past the end, a
-flag byte other than 0 or 1, a varint beyond 64 bits, text that is not
-UTF-8 and bytes left over after the message all raise
-:class:`~repro.errors.ReproError` — never an ``assert``, never an
-``IndexError`` or ``UnicodeDecodeError`` of the interpreter's own.
+flag byte other than 0 or 1, text that is not UTF-8 and bytes left over
+after the message all raise :class:`~repro.errors.ReproError` — never
+an ``assert``, never an ``IndexError`` or ``UnicodeDecodeError`` of the
+interpreter's own.  A varint, always a count or position of a VO, has
+one encoding: :func:`read_varint` refuses any other.
 
 A decoder's inner loop may keep ``buf`` and ``pos`` in locals and index
 the buffer itself (a method call per byte costs more than the byte).
@@ -25,7 +26,7 @@ from __future__ import annotations
 import struct
 from collections.abc import Iterator
 
-from repro.errors import ReproError
+from repro.errors import ReproError, VerificationError
 
 U8 = struct.Struct("B")
 U16 = struct.Struct(">H")
@@ -43,10 +44,11 @@ def put_varint(out: bytearray, value: int) -> None:
 
 
 def read_varint(buf: bytes, pos: int) -> tuple[int, int]:
-    """The LEB128 varint at ``pos`` (at most ten bytes) and the next offset.
+    """The LEB128 varint at ``pos`` and the next offset.
 
-    Runs off the end with an ``IndexError``, which the caller maps to
-    its truncation error.
+    :class:`~repro.errors.VerificationError` for more than ten bytes or
+    more than the shortest encoding.  Runs off the end with an
+    ``IndexError``, which the caller maps to its truncation error.
     """
     byte = buf[pos]
     pos += 1
@@ -58,8 +60,10 @@ def read_varint(buf: bytes, pos: int) -> tuple[int, int]:
         pos += 1
         value |= (byte & 0x7F) << shift
         if byte < 0x80:
+            if not byte:
+                raise VerificationError("varint not in its shortest encoding")
             return value, pos
-    raise ReproError("oversized varint")
+    raise VerificationError("oversized varint")
 
 
 class Reader:

@@ -1,11 +1,13 @@
 """Pluggable index-shard engines: one keyword partition of the SP.
 
-The SP's state — per-keyword ADS mirrors, raw object payloads, Bloom
-filter chains — is naturally partitioned by keyword: every proof is
-verified against a *single* keyword's on-chain digest, so two keywords
-never share cryptographic state.  An :class:`IndexShardEngine` owns one
-such partition: the ADS instances of its keywords and the objects homed
-on it.  Every call reaches an engine through one op table,
+The SP's state — per-keyword ADS mirrors and raw object payloads — is
+naturally partitioned by keyword: every proof is verified against a
+*single* keyword's on-chain digest, so two keywords never share
+cryptographic state.  An :class:`IndexShardEngine` owns one such
+partition: the index holding its keywords' trees and the objects homed
+on it.  A CI* keyword's Bloom filter chain is not separate state: the
+index derives it from the IDs applied to the keyword's tree.  Every
+call reaches an engine through one op table,
 :meth:`IndexShardEngine.handle`, and every mutation as a batch of
 journal-format records (:meth:`IndexShardEngine.apply_records`).  Two
 transports run the table: :class:`InProcessShards` calls it inline in
@@ -22,7 +24,11 @@ Two implementations:
   JSONL segment log (``shard-NNN.jsonl``).  Every confirmed batch of
   records is journaled as one append after it is applied; reopening the
   engine replays the log through the identical code path, reusing the
-  event-sourced recovery model of :mod:`repro.core.persistence`.
+  event-sourced recovery model of :mod:`repro.core.persistence`.  A
+  checkpoint (``shard-NNN.ckpt``, version 2) holds a header, one JSON
+  block (shard, epoch, node-store version, tree lengths, object
+  records), the tree blobs and a SHA-3 digest; restoring it hands the
+  trees to the index, which rebuilds whatever it derives from them.
 
 Routing is a pure function: :class:`ShardRouter` hashes each keyword
 with a seeded, domain-separated tag, so the keyword -> shard map is
@@ -51,14 +57,6 @@ from repro.core.nodestore import KIND_CHAMELEON, KIND_MBTREE, NODESTORE_VERSION
 from repro.core.objects import DataObject, ObjectStore, object_to_record, record_to_object
 from repro.core.query.join import conjunctive_join
 from repro.core.suppressed import gen_spines
-from repro.crypto.bloom import (
-    DEFAULT_CAPACITY,
-    DEFAULT_FILTER_BITS,
-    BloomFilter,
-    BloomFilterChain,
-    MaskMemo,
-    optimal_hash_count,
-)
 from repro.crypto.hashing import digests_equal, sha3, tagged_hash
 from repro.errors import IntegrityError, ParameterError, ReproError
 
@@ -158,9 +156,10 @@ class IndexShardEngine:
 
     ``index_factory`` builds the scheme's empty per-partition index
     mirror (:class:`~repro.core.merkle_family.MerkleInvertedSP` or
-    :class:`~repro.core.chameleon_index.ChameleonSP`); ``star`` attaches
-    the partition's Bloom filter chains to its views (CI* only), all
-    sharing the engine's one mask memo (``bloom_masks``).
+    :class:`~repro.core.chameleon_index.ChameleonSP`).  The index is the
+    partition's whole ADS state: under CI* it derives each keyword's
+    Bloom filter chain from the IDs applied to its tree, so the engine
+    holds, journals and checkpoints no chain of its own.
 
     Records are only applied for *confirmed* insertions — the system
     applies SP-side state after the on-chain receipt succeeds — so an
@@ -171,26 +170,11 @@ class IndexShardEngine:
     kind = "memory"
 
     def __init__(
-        self,
-        shard_id: int,
-        index_factory: Callable[[], object],
-        *,
-        star: bool = False,
-        filter_bits: int = DEFAULT_FILTER_BITS,
-        bloom_capacity: int = DEFAULT_CAPACITY,
+        self, shard_id: int, index_factory: Callable[[], object]
     ) -> None:
         self.shard_id = shard_id
         self.index = index_factory()
         self.store = ObjectStore()
-        self.blooms: dict[str, BloomFilterChain] = {}
-        self.star = star
-        self.filter_bits = filter_bits
-        self.bloom_capacity = bloom_capacity
-        self.bloom_masks = (
-            MaskMemo(filter_bits, optimal_hash_count(filter_bits, bloom_capacity))
-            if star
-            else None
-        )
         self._objects_metric = f"sp.shard.{shard_id}.objects"
 
     # -- mutators (confirmed insertions only) -----------------------------------
@@ -229,30 +213,19 @@ class IndexShardEngine:
             self.index.apply_insertion(
                 record["kw"], _record_to_proof(record["proof"])
             )
-        elif op == "bloom":
-            keyword = record["kw"]
-            chain = self.blooms.get(keyword)
-            if chain is None:
-                chain = self.blooms[keyword] = BloomFilterChain(
-                    filter_bits=self.filter_bits,
-                    capacity=self.bloom_capacity,
-                    masks=self.bloom_masks,
-                )
-            chain.add(record["id"])
         elif op == "object":
             self.store.put(record_to_object(record))
             obs.inc(self._objects_metric)
         else:
-            raise ReproError(f"unknown journal op {op!r}")
+            # Never skipped: a record this build cannot apply (an older
+            # build's ``bloom``, say) leaves the shard unrecoverable here.
+            raise IntegrityError(f"unknown journal op {op!r}")
 
     # -- reads ------------------------------------------------------------------
 
     def view(self, keyword: str) -> Any:
         """The join engine's view of one of this shard's keyword trees."""
-        view = self.index.view(keyword)
-        if self.star:
-            view.bloom = self.blooms.get(keyword)
-        return view
+        return self.index.view(keyword)
 
     def tree(self, keyword: str) -> Any:
         """The keyword's raw index tree, or ``None`` if never inserted."""
@@ -343,22 +316,12 @@ class MemoryShardEngine(IndexShardEngine):
 #: Checkpoint file magic (``shard-NNN.ckpt``).
 CKPT_MAGIC = b"RPCK"
 
-#: Checkpoint container version.
-CKPT_VERSION = 1
+#: Checkpoint container version.  Version 1 also stored each keyword's
+#: Bloom filters; version 2 stores trees and objects only, and a
+#: version-1 checkpoint is refused like any other foreign one.
+CKPT_VERSION = 2
 
 _CKPT_HEAD = struct.Struct(">4sHII")  # magic, version, epoch, meta_len
-
-
-def _bloom_record(flt: BloomFilter) -> dict:
-    """One filter as its checkpoint stores it."""
-    return {
-        "bits": format(flt.bits, "x"),
-        "count": flt.count,
-        "min": flt.min_id,
-        "max": flt.max_id,
-        "hash_count": flt.hash_count,
-        "members": sorted(flt.exact_members()),
-    }
 
 
 class DiskShardEngine(IndexShardEngine):
@@ -402,9 +365,8 @@ class DiskShardEngine(IndexShardEngine):
         shard_id: int,
         index_factory: Callable[[], object],
         directory: str | Path,
-        **kwargs,
     ) -> None:
-        super().__init__(shard_id, index_factory, **kwargs)
+        super().__init__(shard_id, index_factory)
         self.directory = Path(directory)
         self.path = self.directory / f"shard-{shard_id:03d}.jsonl"
         self.checkpoint_path = self.directory / f"shard-{shard_id:03d}.ckpt"
@@ -555,10 +517,6 @@ class DiskShardEngine(IndexShardEngine):
             blob = self.index.trees[keyword].to_blob()
             trees_meta.append([keyword, len(blob)])
             blobs.append(blob)
-        blooms = {
-            keyword: [_bloom_record(flt) for flt in chain.filters]
-            for keyword, chain in self.blooms.items()
-        }
         objects = [
             object_to_record(self.store.get(object_id))
             for object_id in self.store.all_ids()
@@ -568,7 +526,6 @@ class DiskShardEngine(IndexShardEngine):
             "epoch": epoch,
             "node_store": NODESTORE_VERSION,
             "trees": trees_meta,
-            "blooms": blooms,
             "objects": objects,
         }
         meta_bytes = json.dumps(meta, separators=(",", ":")).encode("utf-8")
@@ -657,53 +614,15 @@ class DiskShardEngine(IndexShardEngine):
                 view.release()
             if offset != len(mapped) - 32:
                 raise IntegrityError("checkpoint has trailing bytes")
-            if not isinstance(meta.get("blooms"), dict):
-                raise IntegrityError("checkpoint Bloom filters are not a map")
-            blooms = {
-                keyword: self._restore_bloom_chain(keyword, records)
-                for keyword, records in meta["blooms"].items()
-            }
             objects = [record_to_object(rec) for rec in meta["objects"]]
         finally:
             mapped.close()
-        self.index.trees.clear()
-        self.index.trees.update(trees)
-        self.blooms = blooms
+        self.index.adopt(trees)
         self.store = ObjectStore()
         for obj in objects:
             self.store.put(obj)
             obs.inc(self._objects_metric)
         return epoch
-
-    def _restore_bloom_chain(self, keyword: str, records: Any) -> BloomFilterChain:
-        """One keyword's filter chain, rebuilt from its checkpoint records'
-        members and adopted only if the records are exactly what this
-        engine builds from them (its hash count and capacity, the same
-        words and ranges, members ascending); else :class:`IntegrityError`,
-        so a checkpoint of other parameters is never adopted."""
-        chain = BloomFilterChain(
-            self.filter_bits, self.bloom_capacity, masks=self.bloom_masks
-        )
-        try:
-            ids = [object_id for rec in records for object_id in rec["members"]]
-        except (TypeError, KeyError):
-            raise IntegrityError(
-                f"checkpoint Bloom chain of {keyword!r} is malformed"
-            ) from None
-        if not all(type(i) is int and 0 <= i < 1 << 64 for i in ids) or any(
-            low >= high for low, high in zip(ids, ids[1:])
-        ):
-            raise IntegrityError(
-                f"checkpoint Bloom members of {keyword!r} do not ascend"
-            )
-        for object_id in ids:
-            chain.add(object_id)
-        if [_bloom_record(flt) for flt in chain.filters] != records:
-            raise IntegrityError(
-                f"checkpoint Bloom filters of {keyword!r} are not what "
-                f"{self.bloom_capacity} IDs per filter build from their members"
-            )
-        return chain
 
     def compact(self) -> dict:
         """Checkpoint + truncate the journal; returns reclaim stats."""
@@ -739,32 +658,16 @@ def make_engine(
     index_factory: Callable[[], object],
     *,
     directory: str | Path | None = None,
-    star: bool = False,
-    filter_bits: int = DEFAULT_FILTER_BITS,
-    bloom_capacity: int = DEFAULT_CAPACITY,
 ) -> IndexShardEngine:
     """Build one shard engine of the given kind."""
     if kind == "memory":
-        return MemoryShardEngine(
-            shard_id,
-            index_factory,
-            star=star,
-            filter_bits=filter_bits,
-            bloom_capacity=bloom_capacity,
-        )
+        return MemoryShardEngine(shard_id, index_factory)
     if kind == "disk":
         if directory is None:
             raise ParameterError(
                 "engine='disk' requires an engine directory"
             )
-        return DiskShardEngine(
-            shard_id,
-            index_factory,
-            directory,
-            star=star,
-            filter_bits=filter_bits,
-            bloom_capacity=bloom_capacity,
-        )
+        return DiskShardEngine(shard_id, index_factory, directory)
     raise ParameterError(
         f"unknown engine {kind!r}; expected one of: " + ", ".join(ENGINE_KINDS)
     )
@@ -782,13 +685,11 @@ def build_index_factory(index_spec: tuple) -> Callable[[], object]:
     if kind == "merkle":
         from repro.core.merkle_family import MerkleInvertedSP
 
-        fanout = params["fanout"]
-        return lambda: MerkleInvertedSP(fanout=fanout)
+        return lambda: MerkleInvertedSP(**params)
     if kind == "chameleon":
         from repro.core.chameleon_index import ChameleonSP
 
-        pp, arity = params["pp"], params["arity"]
-        return lambda: ChameleonSP(pp=pp, arity=arity)
+        return lambda: ChameleonSP(**params)
     raise ParameterError(f"unknown index spec kind {kind!r}")
 
 
@@ -804,9 +705,6 @@ class EngineSpec:
     engine: str
     index_spec: tuple
     directory: str | None = None
-    star: bool = False
-    filter_bits: int = 0
-    bloom_capacity: int = 0
 
     def build(self) -> IndexShardEngine:
         """Construct the engine (replaying its journal if on disk)."""
@@ -815,9 +713,6 @@ class EngineSpec:
             self.shard_id,
             build_index_factory(self.index_spec),
             directory=self.directory,
-            star=self.star,
-            filter_bits=self.filter_bits,
-            bloom_capacity=self.bloom_capacity,
         )
 
 

@@ -61,7 +61,6 @@ class TestVerifiedFlag:
         # Splice the truncated SP index under the original chain state.
         engine, truncated_engine = system._sp.engines[0], fresh._sp.engines[0]
         engine.index = truncated_engine.index
-        engine.blooms = truncated_engine.blooms
         system.store = fresh.store
         with pytest.raises(VerificationError):
             system.query("covid-19 AND symptom")

@@ -11,10 +11,15 @@ import json
 
 import pytest
 
+from repro.core.chameleon_index import ChameleonSP
 from repro.core.merkle_family import MerkleInvertedSP
+from repro.core.objects import DataObject
+from repro.core.query.codec import VOCodec
+from repro.core.query.parser import KeywordQuery
+from repro.core.system import HybridStorageSystem
 from repro.crypto.hashing import sha3
 from repro.errors import IntegrityError, ReproError
-from repro.sp.engine import _CKPT_HEAD, DiskShardEngine
+from repro.sp.engine import _CKPT_HEAD, DiskShardEngine, make_engine
 
 from tests.sp.test_engine import entry_record
 
@@ -179,141 +184,214 @@ class TestCrashMidCompaction:
             DiskShardEngine(0, merkle_factory, tmp_path)
 
 
-def star_engine(tmp_path, capacity):
-    return DiskShardEngine(
-        0, merkle_factory, tmp_path, star=True, bloom_capacity=capacity
-    )
-
-
-def bloom_state(engine):
-    """Every filter as its restorable fields, per keyword."""
-    return {
-        keyword: [
-            (flt.bits, flt.count, flt.min_id, flt.max_id, flt.hash_count,
-             flt.exact_members())
-            for flt in chain.filters
-        ]
-        for keyword, chain in engine.blooms.items()
-    }
-
-
-def rewrite_checkpoint(path, edit):
-    """Re-seal ``shard-000.ckpt`` after ``edit(meta)`` changed its metadata."""
+def rewrite_checkpoint(path, edit, version=None):
+    """Re-seal ``shard-000.ckpt`` after ``edit(meta)`` changed its metadata
+    (and, if given, its header's container version)."""
     blob = path.read_bytes()
-    magic, version, epoch, meta_len = _CKPT_HEAD.unpack_from(blob, 0)
+    magic, old_version, epoch, meta_len = _CKPT_HEAD.unpack_from(blob, 0)
     meta = json.loads(blob[_CKPT_HEAD.size : _CKPT_HEAD.size + meta_len])
     edit(meta)
     meta_bytes = json.dumps(meta).encode()
     body = (
-        _CKPT_HEAD.pack(magic, version, epoch, len(meta_bytes))
+        _CKPT_HEAD.pack(
+            magic, old_version if version is None else version, epoch,
+            len(meta_bytes),
+        )
         + meta_bytes
         + blob[_CKPT_HEAD.size + meta_len : -32]
     )
     path.write_bytes(body + sha3(body))
 
 
-class TestBloomCheckpoint:
-    """A checkpoint's Bloom filters are adopted only as the engine's own
-    parameters would have built them; otherwise recovery takes the
-    journal, or refuses — never two different chains for one history."""
+class TestOldFormatsFailClosed:
+    """Stores written by builds that kept Bloom filters as separate shard
+    state are refused, never half-read: a version-1 checkpoint is a
+    foreign one, and a ``bloom`` journal record is an unknown op."""
 
-    IDS = range(1, 51)
-
-    def checkpointed(self, tmp_path, capacity=30):
-        engine = star_engine(tmp_path, capacity)
-        engine.apply_records(
-            [{"op": "bloom", "kw": "kw", "id": object_id} for object_id in self.IDS]
-        )
-        stale = (tmp_path / "shard-000.jsonl").read_bytes()
-        expected = bloom_state(engine)
-        engine.compact()
-        engine.close()
-        return stale, expected
-
-    def test_reopened_under_its_own_capacity_adopts_and_shares_the_memo(
-        self, tmp_path
-    ):
-        _, expected = self.checkpointed(tmp_path)
-        engine = star_engine(tmp_path, 30)
-        assert engine.epoch == 1
-        assert bloom_state(engine) == expected
-        assert engine.blooms["kw"].masks is engine.bloom_masks
-        engine.apply_records([{"op": "bloom", "kw": "other", "id": 60}])
-        assert engine.blooms["other"].masks is engine.bloom_masks
-        engine.close()
-
-    def test_foreign_capacity_falls_back_to_full_history(self, tmp_path):
-        # The journal still holds full history (epoch 0): the checkpoint
-        # written at capacity 30 is dropped and the replay builds what a
-        # capacity-10 engine builds from the same records.
-        stale, _ = self.checkpointed(tmp_path)
-        (tmp_path / "shard-000.jsonl").write_bytes(stale)
-        engine = star_engine(tmp_path, 10)
-        assert engine.epoch == 0
-        assert not (tmp_path / "shard-000.ckpt").exists()
-        chain = engine.blooms["kw"]
-        assert [flt.count for flt in chain.filters] == [10] * 5
-        assert {flt.hash_count for flt in chain.filters} == {8}
-        assert chain.masks is engine.bloom_masks
-        engine.close()
-
-        fresh = star_engine(tmp_path / "fresh", 10)
-        fresh.apply_records(
-            [{"op": "bloom", "kw": "kw", "id": object_id} for object_id in self.IDS]
-        )
-        assert bloom_state(fresh) == bloom_state(engine)
-        fresh.close()
-
-    def test_foreign_capacity_with_truncated_journal_raises(self, tmp_path):
-        # Once the journal holds only the checkpoint's epoch, the
-        # checkpoint is all there is: refuse it rather than adopt filters
-        # of another hash count (or more IDs than the capacity).
-        self.checkpointed(tmp_path)
-        with pytest.raises(IntegrityError):
-            star_engine(tmp_path, 10)
-        self.checkpointed(tmp_path / "small", capacity=10)
-        with pytest.raises(IntegrityError):
-            star_engine(tmp_path / "small", 30)
-
-    FORGERIES = {
-        "foreign_hash_count": lambda f: f[0].update(hash_count=5),
-        "count_over_capacity": lambda f: f[1].update(count=31),
-        "inner_filter_not_full": lambda f: f[0].update(count=29),
-        "empty_filter": lambda f: f[1].update(count=0),
-        "word_too_wide": lambda f: f[0].update(bits=format(1 << 256, "x")),
-        "negative_word": lambda f: f[0].update(bits="-1"),
-        "word_not_hex": lambda f: f[0].update(bits="zz"),
-        "min_above_max": lambda f: f[1].update(min=f[1]["max"] + 1),
-        "count_missing": lambda f: f[0].pop("count"),
-        "members_missing": lambda f: f[0].pop("members"),
-        "min_a_string": lambda f: f[0].update(min="1"),
-        "count_a_bool": lambda f: f[0].update(count=True),
-        "members_strings": lambda f: f[0].update(
-            members=[str(m) for m in f[0]["members"]]
-        ),
-        "member_dropped": lambda f: f[0].update(members=f[0]["members"][1:]),
-        "members_empty": lambda f: f[1].update(members=[]),
-        "minima_descend": lambda f: f.reverse(),
-        "ranges_overlap": lambda f: f[1].update(min=f[0]["max"]),
-        "record_not_a_map": lambda f: f.__setitem__(0, None),
+    PARENT_BLOOMS = {
+        "kw0": [
+            {
+                "bits": "1f",
+                "count": 2,
+                "min": 0,
+                "max": 3,
+                "hash_count": 6,
+                "members": [0, 3],
+            }
+        ]
     }
 
-    @pytest.mark.parametrize("name", sorted(FORGERIES))
-    def test_forged_bloom_record_is_refused(self, tmp_path, name):
-        self.checkpointed(tmp_path)
-        edit = self.FORGERIES[name]
+    def version_1(self, tmp_path):
+        """A compacted engine whose checkpoint has the version-1 layout;
+        returns its full-history journal and its roots."""
+        engine = DiskShardEngine(0, merkle_factory, tmp_path)
+        fill(engine)
+        stale = (tmp_path / "shard-000.jsonl").read_bytes()
+        expected = roots_of(engine)
+        engine.compact()
+        engine.close()
         rewrite_checkpoint(
-            tmp_path / "shard-000.ckpt", lambda meta: edit(meta["blooms"]["kw"])
+            tmp_path / "shard-000.ckpt",
+            lambda meta: meta.update(blooms=self.PARENT_BLOOMS),
+            version=1,
         )
-        with pytest.raises(IntegrityError):
-            star_engine(tmp_path, 30)
+        return stale, expected
 
-    def test_malformed_chain_is_refused(self, tmp_path):
-        self.checkpointed(tmp_path)
+    def test_version_1_checkpoint_falls_back_to_full_history(self, tmp_path):
+        stale, expected = self.version_1(tmp_path)
+        (tmp_path / "shard-000.jsonl").write_bytes(stale)
 
-        def edit(meta):
-            meta["blooms"]["kw"] = {"not": "a list"}
+        engine = DiskShardEngine(0, merkle_factory, tmp_path)
+        assert engine.epoch == 0
+        assert roots_of(engine) == expected
+        engine.close()
+        assert not (tmp_path / "shard-000.ckpt").exists()
 
-        rewrite_checkpoint(tmp_path / "shard-000.ckpt", edit)
-        with pytest.raises(IntegrityError):
-            star_engine(tmp_path, 30)
+    def test_version_1_checkpoint_with_truncated_journal_raises(self, tmp_path):
+        self.version_1(tmp_path)
+        with pytest.raises(IntegrityError, match="checkpoint version 1"):
+            DiskShardEngine(0, merkle_factory, tmp_path)
+
+    @pytest.mark.parametrize("final", [False, True], ids=["interior", "final"])
+    def test_bloom_journal_record_is_refused(self, tmp_path, final):
+        engine = DiskShardEngine(0, merkle_factory, tmp_path)
+        fill(engine)
+        engine.close()
+        journal = tmp_path / "shard-000.jsonl"
+        lines = journal.read_text().splitlines()
+        bloom = json.dumps({"op": "bloom", "kw": "kw0", "id": 3})
+        lines.insert(len(lines) if final else 1, bloom)
+        journal.write_text("\n".join(lines) + "\n")
+
+        with pytest.raises(IntegrityError, match="unknown journal op 'bloom'"):
+            DiskShardEngine(0, merkle_factory, tmp_path)
+        # Refused, not skipped as a torn tail: the record is still there.
+        assert journal.read_text().splitlines() == lines
+
+
+STAR_KEYWORDS = [
+    ("alpha", "beta"),
+    ("alpha", "gamma"),
+    ("alpha", "beta", "delta"),
+    ("beta", "gamma"),
+    ("alpha",),
+]
+STAR_DOCS = [
+    DataObject(i, STAR_KEYWORDS[i % len(STAR_KEYWORDS)], b"doc-%d" % i)
+    for i in range(1, 41)
+]
+STAR_QUERIES = [
+    "alpha AND beta",
+    "gamma AND delta",
+    "beta AND delta",
+    "(alpha AND delta) OR gamma",
+    "alpha AND missing",
+]
+
+
+def star_system(capacity, **kwargs):
+    return HybridStorageSystem(
+        scheme="ci*", seed=13, cvc_modulus_bits=512, bloom_capacity=capacity,
+        **kwargs,
+    )
+
+
+def chain_state(index):
+    """Every keyword's filters as comparable tuples."""
+    return {
+        keyword: [
+            (flt.bits, flt.count, flt.min_id, flt.max_id, flt.hash_count,
+             flt.exact_members())
+            for flt in chain.filters
+        ]
+        for keyword, chain in index.blooms.items()
+    }
+
+
+def vo_frames(system):
+    codec = VOCodec(value_bytes=system.value_bytes)
+    return [
+        codec.encode(system.process_query(KeywordQuery.parse(text)).vo)
+        for text in STAR_QUERIES
+    ]
+
+
+class TestChameleonStarRecovery:
+    """A CI* shard's Bloom chains are derived from its trees, so however
+    a disk shard is reopened — journal alone, checkpoint plus suffix, or
+    a checkpoint written under another capacity — it holds the chains a
+    fresh in-memory build holds at the reopening capacity, and serves
+    the same VO bytes."""
+
+    @pytest.fixture(scope="class")
+    def fresh(self):
+        """Per capacity: a fresh memory build's chains and VO frames."""
+        built = {}
+        for capacity in (10, 30):
+            system = star_system(capacity)
+            system.add_objects(STAR_DOCS)
+            built[capacity] = (chain_state(system.sp_index), vo_frames(system))
+            system.close()
+        return built
+
+    def reopen(self, host, directory, capacity):
+        """The disk shard in ``directory``, reopened under ``capacity`` and
+        put in place of ``host``'s one shard (whose chain holds the same
+        history at that capacity)."""
+        pp = host.sp_index.pp
+        engine = make_engine(
+            "disk",
+            0,
+            lambda: ChameleonSP(pp=pp, arity=2, bloom=(256, capacity)),
+            directory=directory,
+        )
+        host._sp.pool.engines[0] = engine
+        return engine
+
+    def check(self, host, engine, expected):
+        chains, frames = expected
+        index = engine.index
+        assert chain_state(index) == chains
+        assert index.blooms and all(
+            chain.masks is index.masks for chain in index.blooms.values()
+        )
+        assert vo_frames(host) == frames
+        for text in STAR_QUERIES:
+            host.query(text)  # the client accepts what the shard serves
+        engine.close()
+
+    def test_capacities_differ(self, fresh):
+        # What makes the other-capacity case a test at all.
+        assert fresh[10][0] != fresh[30][0]
+
+    def test_journal_replay(self, fresh, tmp_path):
+        host = star_system(30, engine="disk", engine_dir=tmp_path)
+        host.add_objects(STAR_DOCS)
+        host.close()
+        engine = self.reopen(host, tmp_path, 30)
+        assert engine.epoch == 0
+        self.check(host, engine, fresh[30])
+
+    def test_checkpoint_plus_suffix(self, fresh, tmp_path):
+        host = star_system(30, engine="disk", engine_dir=tmp_path)
+        host.add_objects(STAR_DOCS[:25])
+        host.compact()
+        host.add_objects(STAR_DOCS[25:])
+        host.close()
+        engine = self.reopen(host, tmp_path, 30)
+        assert engine.epoch == 1
+        assert len((tmp_path / "shard-000.jsonl").read_text().splitlines()) > 1
+        self.check(host, engine, fresh[30])
+
+    def test_checkpoint_of_another_capacity(self, fresh, tmp_path):
+        writer = star_system(10, engine="disk", engine_dir=tmp_path)
+        writer.add_objects(STAR_DOCS)
+        writer.compact()
+        writer.close()
+        assert chain_state(writer.sp_index) == fresh[10][0]
+        host = star_system(30)
+        host.add_objects(STAR_DOCS)
+        host.close()
+        engine = self.reopen(host, tmp_path, 30)
+        assert engine.epoch == 1  # the checkpoint is adopted, not dropped
+        self.check(host, engine, fresh[30])
