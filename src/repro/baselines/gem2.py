@@ -19,66 +19,19 @@ reproduces:
 
 The query side is identical to the Merkle^inv family (the SP holds the
 complete trees), so only maintenance gas is modelled — which is all
-Fig. 6 measures.
+Fig. 6 measures.  A failed call restores the buffers and trees it
+touched, as the chain restores storage.
 """
 
 from __future__ import annotations
 
-from repro.core.mbtree import DEFAULT_FANOUT, MBTree, NodeHandle
+from repro.core.mbtree import DEFAULT_FANOUT, MBTree
+from repro.core.merkle_inv import charge_rehash, restore_trees
 from repro.crypto.hashing import word_count
 from repro.ethereum.contract import SmartContract
-from repro.ethereum.gas import GasMeter
 
 #: Suppressed-buffer capacity before a merge into the materialised tree.
 DEFAULT_MERGE_THRESHOLD = 16
-
-
-class _BulkMergeObserver:
-    """Charges a batched merge: per-node costs are paid once per merge."""
-
-    def __init__(self, meter: GasMeter, fanout: int) -> None:
-        self._meter = meter
-        self._fanout = fanout
-        self._visited: set[int] = set()
-        self._rehash_nodes: dict[int, NodeHandle] = {}
-
-    def node_visited(self, node: NodeHandle) -> None:
-        """Charge for fetching a node's content word."""
-        # Keyed by logical node (sequence number): a node freed and
-        # re-allocated by a split keeps its identity for dedup, exactly
-        # as Python object identity did in the object-graph days.
-        if node.seq not in self._visited:
-            self._visited.add(node.seq)
-            self._meter.sload(1)
-
-    def entry_inserted(self, leaf: NodeHandle) -> None:
-        """Charge for storing the new entry."""
-        self._meter.sstore(1)
-
-    def node_rehashed(self, node: NodeHandle) -> None:
-        # Deferred: each distinct node is re-hashed once, at merge end.
-        """Charge for recomputing and storing a node hash."""
-        self._rehash_nodes[node.seq] = node
-
-    def node_split(self, original: NodeHandle, new_sibling: NodeHandle) -> None:
-        """Charge for creating and wiring a split node."""
-        self._meter.sstore(2)
-        self._meter.supdate(1)
-
-    def root_replaced(self, new_root: NodeHandle) -> None:
-        """Charge for materialising a new root node."""
-        self._meter.sstore(2)
-        self._meter.supdate(1)
-
-    def finish(self) -> None:
-        """Pay the deferred per-node re-hash costs."""
-        # Handles resolve through the store at read time, so each node's
-        # *final* width/payload is charged — the deferred-read semantics
-        # the object references used to provide.
-        for node in self._rehash_nodes.values():
-            self._meter.sload(node.width)
-            self._meter.hash(word_count(node.payload()))
-            self._meter.supdate(1)
 
 
 class Gem2Contract(SmartContract):
@@ -99,15 +52,31 @@ class Gem2Contract(SmartContract):
         self, object_id: int, object_hash: bytes, keywords: tuple[str, ...]
     ) -> None:
         """DO entry point: buffer the object, merging on overflow."""
-        self.env.read_calldata(object_hash)
-        self.storage.store(("objhash", object_id), object_hash)
-        for keyword in keywords:
-            buffer = self._buffers.setdefault(keyword, [])
-            buffer.append((object_id, object_hash))
-            self._update_suppressed_root(keyword, buffer)
-            if len(buffer) >= self.merge_threshold:
-                self._merge(keyword, buffer)
-                self._buffers[keyword] = []
+        buffers: dict[str, list[tuple[int, bytes]] | None] = {}
+        trees: dict[str, bytes | None] = {}
+        try:
+            self.env.read_calldata(object_hash)
+            self.storage.store(("objhash", object_id), object_hash)
+            for keyword in keywords:
+                buffer = self._buffers.get(keyword)
+                buffers.setdefault(keyword, buffer)
+                buffer = [*(buffer or ()), (object_id, object_hash)]
+                self._buffers[keyword] = buffer
+                self._update_suppressed_root(keyword, buffer)
+                if len(buffer) >= self.merge_threshold:
+                    tree = self._materialised.get(keyword)
+                    if keyword not in trees:
+                        trees[keyword] = None if tree is None else tree.to_blob()
+                    self._merge(keyword, buffer)
+                    self._buffers[keyword] = []
+        except BaseException:
+            for keyword, buffer in buffers.items():
+                if buffer is None:
+                    self._buffers.pop(keyword, None)
+                else:
+                    self._buffers[keyword] = buffer
+            restore_trees(self._materialised, trees)
+            raise
         self.emit("ObjectInserted", object_id=object_id)
 
     def _update_suppressed_root(
@@ -128,12 +97,30 @@ class Gem2Contract(SmartContract):
         self.storage.store(("suppressed-root", keyword), root)
 
     def _merge(self, keyword: str, buffer: list[tuple[int, bytes]]) -> None:
-        """Bulk-merge the suppressed buffer into the materialised tree."""
+        """Bulk-merge the suppressed buffer into the materialised tree.
+
+        Batching pays each node's read and re-hash once per merge: a
+        record visited again costs nothing more, and every re-hashed
+        record is charged once, at its width when the merge ends.
+        """
         tree = self._materialised.setdefault(keyword, MBTree(self.fanout))
-        observer = _BulkMergeObserver(self.env.meter, self.fanout)
+        meter = self.env.meter
+        visited: set[int] = set()
+        rehashed: dict[int, None] = {}
         for object_id, object_hash in buffer:
-            tree.insert(object_id, object_hash, observer=observer)
-        observer.finish()
+            report = tree.insert(object_id, object_hash)
+            for index in report.visited:
+                if index not in visited:
+                    visited.add(index)
+                    meter.sload(1)
+            if report.visited:
+                meter.sstore(1)
+            for _ in range(report.splits + report.new_root):
+                meter.sstore(2)
+                meter.supdate(1)
+            rehashed.update(dict.fromkeys(report.rehashed))
+        for index in rehashed:
+            charge_rehash(meter, tree.store.count(index))
         self.storage.store(("root", keyword), tree.root_hash)
         self.emit("Merged", keyword=keyword, entries=len(buffer))
 

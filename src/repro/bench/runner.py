@@ -542,13 +542,6 @@ def experiment_disjunctive(
     return rows
 
 
-def experiment_flatbuf(**kwargs):
-    """Flat-buffer node storage bench (lazy import avoids a cycle)."""
-    from repro.bench.flatbuf import experiment_flatbuf as _flatbuf
-
-    return _flatbuf(**kwargs)
-
-
 def experiment_query(
     size: int = 400,
     keyword_counts: tuple[int, ...] = (2, 4, 6),
@@ -604,7 +597,6 @@ EXPERIMENTS = {
     "tab2": experiment_tab2,
     "disj": experiment_disjunctive,
     "query": experiment_query,
-    "flatbuf": experiment_flatbuf,
 }
 
 

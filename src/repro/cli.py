@@ -14,7 +14,7 @@ Examples::
     repro query ./registry "covid-19 AND vaccine"
     repro obs trace ./registry "covid-19 AND vaccine" --trace-out t.jsonl
     repro obs critpath t.jsonl --workers 4
-    repro bench compare --baseline BENCH_flatbuf.json --current fresh.json
+    repro bench compare --baseline old.json --current fresh.json
     repro info ./registry
 """
 

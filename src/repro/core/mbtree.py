@@ -54,7 +54,7 @@ from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import TYPE_CHECKING, Callable, Iterator, Protocol
+from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple
 
 from repro.core.nodestore import NIL, MBTreeStore
 from repro.core.wire import put_varint
@@ -134,11 +134,6 @@ class Entry:
     value_hash: bytes
 
 
-# ---------------------------------------------------------------------------
-# Node handles and the observer protocol
-# ---------------------------------------------------------------------------
-
-
 def _leaf_digests(view: MBTreeStore, index: int) -> list[bytes]:
     """Entry digests of a leaf, recomputed from its stored entries.
 
@@ -151,78 +146,22 @@ def _leaf_digests(view: MBTreeStore, index: int) -> list[bytes]:
     ]
 
 
-class NodeHandle:
-    """A stable reference to one logical tree node in the flat store.
+class TreeInsertReport(NamedTuple):
+    """What one :meth:`MBTree.insert` read and re-hashed, by record index.
 
-    Handed to :class:`InsertObserver` hooks in place of the node objects
-    the tree no longer has.  The handle pins the node's *sequence
-    number*, which survives the free-then-reallocate record moves a
-    split performs, so observers that defer work per logical node (the
-    GEM^2 bulk-merge meter) read the node's final state at settlement —
-    the same semantics object identity used to give them.
+    ``visited`` is the root-to-leaf descent, empty for a tree's first
+    entry (which creates the root leaf).  ``rehashed`` lists, bottom-up,
+    every record whose digest was recomputed: a split level's left then
+    right half, one record per level above, and a new root last.  Splits
+    cascade up from the leaf, so the first ``splits`` levels are the ones
+    that split; ``new_root`` says the tree gained a root.  The on-chain
+    baselines charge gas from it.
     """
 
-    __slots__ = ("_view", "seq")
-
-    def __init__(self, view: MBTreeStore, seq: int) -> None:
-        self._view = view
-        self.seq = seq
-
-    @property
-    def index(self) -> int:
-        """The node's current record index."""
-        return self._view.index_of_seq(self.seq)
-
-    @property
-    def is_leaf(self) -> bool:
-        """Whether the node is a leaf."""
-        return self._view.is_leaf(self.index)
-
-    @property
-    def width(self) -> int:
-        """Number of entries (leaf) or children (internal)."""
-        return self._view.count(self.index)
-
-    @property
-    def digest(self) -> bytes:
-        """The node's current digest."""
-        return self._view.digest(self.index)
-
-    def payload(self) -> bytes:
-        """The byte payload this node's digest is computed over."""
-        index = self.index
-        if self._view.is_leaf(index):
-            return leaf_payload(_leaf_digests(self._view, index))
-        return node_payload(self._view.child_digests(index))
-
-
-class InsertObserver(Protocol):
-    """Hook interface letting callers meter structural operations.
-
-    The Merkle inverted index's on-chain contract implements this to
-    charge gas exactly where the paper's cost analysis places it; the
-    SP-side trees pass no observer and pay nothing.
-    """
-
-    def node_visited(self, node: NodeHandle) -> None:
-        """Hook: a node's content word was fetched."""
-        ...
-
-    def entry_inserted(self, leaf: NodeHandle) -> None:
-        """Hook: a new entry was stored into ``leaf``."""
-        ...
-
-    def node_rehashed(self, node: NodeHandle) -> None:
-        """Hook: a node's digest was recomputed and stored."""
-        ...
-
-    def node_split(self, original: NodeHandle, new_sibling: NodeHandle) -> None:
-        """Hook: an overflowing node was split."""
-        ...
-
-    def root_replaced(self, new_root: NodeHandle) -> None:
-        """Hook: the tree gained a new root node."""
-        ...
+    visited: list[int]
+    rehashed: list[int]
+    splits: int
+    new_root: bool
 
 
 class MBTree:
@@ -315,9 +254,6 @@ class MBTree:
             node = self.store.child(node, 0)
         return levels
 
-    def _handle(self, index: int) -> NodeHandle:
-        return NodeHandle(self.store, self.store.seq(index))
-
     def _set_root(self, index: int) -> None:
         self._root_idx = index
         self.store.store.root = index
@@ -332,9 +268,7 @@ class MBTree:
 
     # -- insertion --------------------------------------------------------------
 
-    def insert(
-        self, key: int, value_hash: bytes, observer: InsertObserver | None = None
-    ) -> None:
+    def insert(self, key: int, value_hash: bytes) -> TreeInsertReport:
         """Insert ``<key, value_hash>``; duplicate keys are rejected."""
         view = self.store
         if self._count == 0:
@@ -344,33 +278,24 @@ class MBTree:
             self._set_root(leaf)
             self._set_count(1)
             self._set_max_key(key)
-            if observer is not None:
-                observer.root_replaced(self._handle(leaf))
-                observer.node_rehashed(self._handle(leaf))
-            return
-        path = self._descend(key, observer)
+            return TreeInsertReport([], [leaf], 0, True)
+        path = self._descend(key)
         leaf = path[-1]
         position, found = view.leaf_find(leaf, key)
         if found:
             raise ReproError(f"duplicate key {key} in MB-tree")
         view.leaf_insert(leaf, position, key, value_hash)
-        if observer is not None:
-            observer.entry_inserted(self._handle(leaf))
         self._set_count(self._count + 1)
         if self._max_key is None or key > self._max_key:
             self._set_max_key(key)
-        self._split_and_rehash(path, observer)
+        return TreeInsertReport(path, *self._split_and_rehash(path))
 
-    def _descend(
-        self, key: int, observer: InsertObserver | None
-    ) -> list[int]:
+    def _descend(self, key: int) -> list[int]:
         """Root-to-leaf record path guiding an insertion of ``key``."""
         view = self.store
         path: list[int] = []
         node = self._root_idx
         while True:
-            if observer is not None:
-                observer.node_visited(self._handle(node))
             path.append(node)
             if view.is_leaf(node):
                 return path
@@ -402,12 +327,16 @@ class MBTree:
         else:
             view.set_digest(index, node_digest(view.child_digests(index)))
 
-    def _split_and_rehash(
-        self, path: list[int], observer: InsertObserver | None
-    ) -> None:
-        """Walk the insert path bottom-up, splitting overflowing nodes."""
+    def _split_and_rehash(self, path: list[int]) -> tuple[list[int], int, bool]:
+        """Walk the insert path bottom-up, splitting overflowing nodes.
+
+        Returns the re-hashed records, the split count and whether a new
+        root was added (:class:`TreeInsertReport`'s last three fields).
+        """
         view = self.store
         half = split_point(self.fanout)
+        rehashed: list[int] = []
+        splits = 0
         carry: tuple[int, tuple[int, int]] | None = None
         for depth in range(len(path) - 1, -1, -1):
             node = path[depth]
@@ -418,25 +347,22 @@ class MBTree:
                 left, right = view.split(node, half)
                 self._rehash(left)
                 self._rehash(right)
-                if observer is not None:
-                    observer.node_split(self._handle(left), self._handle(right))
-                    observer.node_rehashed(self._handle(left))
-                    observer.node_rehashed(self._handle(right))
+                rehashed += (left, right)
+                splits += 1
                 carry = (node, (left, right))
             else:
                 if not view.is_leaf(node):
                     view.set_min_key(node, view.min_key(view.child(node, 0)))
                 self._rehash(node)
-                if observer is not None:
-                    observer.node_rehashed(self._handle(node))
-        if carry is not None:
-            root = view.new_internal()
-            view.set_children(root, list(carry[1]))
-            self._rehash(root)
-            self._set_root(root)
-            if observer is not None:
-                observer.root_replaced(self._handle(root))
-                observer.node_rehashed(self._handle(root))
+                rehashed.append(node)
+        if carry is None:
+            return rehashed, splits, False
+        root = view.new_internal()
+        view.set_children(root, list(carry[1]))
+        self._rehash(root)
+        self._set_root(root)
+        rehashed.append(root)
+        return rehashed, splits, True
 
     # -- lookups -----------------------------------------------------------------
 

@@ -1,15 +1,13 @@
 """Flat-buffer node storage: every tree node of one ADS in one buffer.
 
-The MB-tree and chameleon tree were pointer-chasing Python object
-graphs; at million-object corpora, per-node allocation and GC dominate
-build and ingest, and the disk engine had to re-serialise node-by-node.
-This module rebuilds node storage the way Chia's ``merkle_blob`` does:
-all nodes of one tree live as fixed-width records inside a single
-``bytearray``, child references are record *indices*, digests are stored
-inline, and deleted/rebuilt records go on an intrusive free list.  A
-whole tree then snapshots as one buffer write and loads as one buffer
-read (mmap-friendly), and crossing a process boundary is a single
-``bytes`` copy instead of a pickled graph.
+All nodes of one tree live as fixed-width records inside a single
+``bytearray``, the shape of Chia's ``merkle_blob``: child references are
+record *indices* and digests are stored inline.  A record's index is the
+node: the index never deletes a posting (objects are immutable), so a
+record, once appended, is never freed or moved — a split keeps its left
+half in place and appends the right half.  A whole tree then snapshots
+as one buffer write and loads as one buffer read (mmap-friendly), and
+crossing a process boundary is a single ``bytes`` copy.
 
 Layout (nodestore format v1, all integers big-endian)
 -----------------------------------------------------
@@ -25,24 +23,23 @@ Layout (nodestore format v1, all integers big-endian)
     16  param2       u32  slot capacity (MB-tree) / value_bytes (chameleon)
     20  extra_len    u32  bytes of tree-level extra data after the header
     24  allocated    u32  record slots present in the buffer
-    28  free_head    u32  first free record index, NIL if none
+    28  free_head    u32  always NIL (no record is ever freed)
     32  root         u32  root record index (MB-tree), NIL if empty
-    36  seq          u32  next logical-node sequence number (MB-tree)
+    36  seq          u32  ``allocated`` (MB-tree), 0 (chameleon)
     40  count        u64  entry count
     48  max_key      u64  largest key (MB-tree; valid iff count > 0)
     56  (reserved)   8 bytes, zero
 
 then ``extra_len`` bytes of tree-level extra data (the chameleon root's
-commitment and opening), then ``allocated`` fixed-width records.  A free
-record has type byte 0 and carries the next free index as a u32 at
-offset 4; freed records are zeroed so a store's bytes are a pure
-function of the operations applied to it (golden fixtures pin this).
+commitment and opening), then ``allocated`` fixed-width records.  Unused
+slots are zero, so a store's bytes are a pure function of the operations
+applied to it (golden fixtures pin this).
 
 MB-tree record (``record_size = 48 + 40 * (fanout + 1)``)::
 
-    0   type       u8   0 free, 1 leaf, 2 internal
+    0   type       u8   1 leaf, 2 internal
     1   count      u8   live entries / children
-    4   seq        u32  logical-node id, stable across record moves
+    4   seq        u32  the record's own index
     8   min_key    u64  smallest key under this node
     16  digest     32s
     48  slots:     leaf slot i (40 bytes each):
@@ -50,15 +47,11 @@ MB-tree record (``record_size = 48 + 40 * (fanout + 1)``)::
                    internal slot i (4 bytes each): u32 child index
 
 A leaf slot stores no entry digest: ``h(key || value_hash)`` is
-recomputed whenever the leaf is re-hashed.
-
-Records hold up to ``fanout + 1`` leaf slots because an insert lands
-*before* the overflow split, exactly like the object-graph tree did —
-keeping the structural event order (and hence metered gas) identical.
-``seq`` exists because a split rebuilds a node into fresh records (the
-old one is freed — this is what exercises the free list): observers that
-deduplicate per *logical* node across a batch key on ``seq``, which
-survives the move, where ``id(node)`` survived mutation before.
+recomputed whenever the leaf is re-hashed.  Records hold up to
+``fanout + 1`` leaf slots because an insert lands *before* the overflow
+split.  The ``free_head`` and ``seq`` fields are kept so v1 blobs stay
+byte-identical; a blob with a free head, a free record (type 0) or a
+``seq`` other than its record's index is refused.
 
 Chameleon record (``record_size = 40 + 2 * value_bytes``)::
 
@@ -77,7 +70,6 @@ record size is another is refused, not misread.
 from __future__ import annotations
 
 import struct
-from array import array
 from functools import lru_cache
 
 from repro.errors import IntegrityError, ReproError
@@ -87,7 +79,7 @@ MAGIC = b"RNS1"
 #: Format version recorded in every blob header and in manifest v3.
 NODESTORE_VERSION = 1
 
-#: Null record index (free-list terminator / empty root).
+#: Null record index (the empty root; the v1 header's free head).
 NIL = 0xFFFF_FFFF
 
 KIND_MBTREE = 1
@@ -98,7 +90,6 @@ _HEADER = struct.Struct(">4sHBB8I2Q8x")
 assert _HEADER.size == HEADER_SIZE
 
 _OFF_ALLOCATED = 24
-_OFF_FREE_HEAD = 28
 _OFF_ROOT = 32
 _OFF_SEQ = 36
 _OFF_COUNT = 40
@@ -110,11 +101,10 @@ _U64 = struct.Struct(">Q")
 
 
 class NodeStore:
-    """A growable buffer of fixed-width records with a free list.
+    """A growable buffer of fixed-width records, appended and never freed.
 
     The store knows nothing about tree semantics: it hands out record
-    indices (:meth:`alloc` / :meth:`free`), converts indices to buffer
-    offsets, and keeps the header fields coherent so ``bytes(blob)`` is
+    indices (:meth:`alloc`), converts indices to buffer offsets, and keeps the header fields coherent so ``bytes(blob)`` is
     always a complete, loadable snapshot.  The typed field layout lives
     in the :class:`TreeView` subclasses.
     """
@@ -127,7 +117,6 @@ class NodeStore:
         "param2",
         "extra_len",
         "allocated",
-        "free_head",
     )
 
     def __init__(
@@ -147,7 +136,6 @@ class NodeStore:
         self.param2 = param2
         self.extra_len = extra_len
         self.allocated = 0
-        self.free_head = NIL
         _HEADER.pack_into(
             self.blob,
             0,
@@ -169,7 +157,11 @@ class NodeStore:
 
     @classmethod
     def from_blob(cls, blob: bytes | bytearray | memoryview) -> "NodeStore":
-        """Adopt a serialised store, validating the v1 header."""
+        """Adopt a serialised store, validating the v1 header.
+
+        A free head other than ``NIL`` is refused: no record is ever
+        freed, so a blob that names one was not written by this store.
+        """
         if len(blob) < HEADER_SIZE:
             raise IntegrityError("node-store blob shorter than its header")
         (
@@ -200,6 +192,8 @@ class NodeStore:
                 f"node-store blob is {len(blob)} bytes, header implies "
                 f"{expected}"
             )
+        if free_head != NIL:
+            raise IntegrityError("node-store blob names a free record")
         store = cls.__new__(cls)
         store.blob = bytearray(blob)
         store.kind = kind
@@ -208,7 +202,6 @@ class NodeStore:
         store.param2 = param2
         store.extra_len = extra_len
         store.allocated = allocated
-        store.free_head = free_head
         return store
 
     # -- header fields ----------------------------------------------------------
@@ -230,7 +223,7 @@ class NodeStore:
 
     @property
     def seq(self) -> int:
-        """Next logical-node sequence number."""
+        """The header's ``seq`` word (``allocated`` in an MB-tree store)."""
         return self._get_u32(_OFF_SEQ)
 
     @seq.setter
@@ -262,39 +255,12 @@ class NodeStore:
         return HEADER_SIZE + self.extra_len + index * self.record_size
 
     def alloc(self) -> int:
-        """Hand out a zeroed record: pop the free list, else grow."""
-        head = self.free_head
-        if head != NIL:
-            off = self.offset(head)
-            nxt = _U32.unpack_from(self.blob, off + 4)[0]
-            self.free_head = nxt
-            self._set_u32(_OFF_FREE_HEAD, nxt)
-            self.blob[off + 4 : off + 8] = b"\x00\x00\x00\x00"
-            return head
+        """Append a zeroed record and return its index."""
         index = self.allocated
         self.allocated = index + 1
         self._set_u32(_OFF_ALLOCATED, self.allocated)
         self.blob.extend(bytes(self.record_size))
         return index
-
-    def free(self, index: int) -> None:
-        """Zero a record and push it on the free list."""
-        off = self.offset(index)
-        self.blob[off : off + self.record_size] = bytes(self.record_size)
-        _U32.pack_into(self.blob, off + 4, self.free_head)
-        self.free_head = index
-        self._set_u32(_OFF_FREE_HEAD, index)
-
-    def free_count(self) -> int:
-        """Length of the free list (diagnostics/tests; walks the list)."""
-        count = 0
-        index = self.free_head
-        while index != NIL:
-            if count > self.allocated:
-                raise IntegrityError("node-store free list is cyclic")
-            count += 1
-            index = _U32.unpack_from(self.blob, self.offset(index) + 4)[0]
-        return count
 
     @property
     def byte_size(self) -> int:
@@ -355,6 +321,8 @@ MB_LEAF = 1
 MB_INTERNAL = 2
 
 _LEAF_ENTRY = struct.Struct(">Q32s")
+#: A record's type byte and its ``seq``.
+_MB_TYPE_SEQ = struct.Struct(">B3xI")
 #: A record's cached minimum key and its digest, which follows it.
 _MB_MIN_DIGEST = struct.Struct(">Q32s")
 
@@ -377,20 +345,13 @@ class MBTreeStore(TreeView):
     All structural mutation (allocation, entry shifting, splitting,
     child splicing) happens here as buffer arithmetic; digests are
     written by the owning tree through :meth:`set_digest` so this module
-    stays hash-agnostic.  ``seq_map[seq]`` tracks the current record
-    index of each logical node, letting gas observers hold stable
-    handles across the free-then-reallocate moves a split performs.
+    stays hash-agnostic.  A record's index is its node for the tree's
+    whole life.
     """
 
     kind = KIND_MBTREE
 
-    __slots__ = ("seq_map",)
-
-    def __init__(self, store: NodeStore) -> None:
-        super().__init__(store)
-        self.seq_map: array = array("I", bytes(4 * store.seq))
-        if store.seq:
-            self._rebuild_seq_map()
+    __slots__ = ()
 
     @classmethod
     def create(cls, fanout: int) -> "MBTreeStore":
@@ -405,7 +366,11 @@ class MBTreeStore(TreeView):
 
     @classmethod
     def from_blob(cls, blob: bytes | bytearray | memoryview) -> "MBTreeStore":
-        """Load a serialised MB-tree store, validating the layout."""
+        """Load a serialised MB-tree store, validating the layout.
+
+        Every record must be a node (no free record) whose ``seq`` is its
+        own index, and the header's ``seq`` must be ``allocated``.
+        """
         store = NodeStore.from_blob(blob)
         if store.kind != KIND_MBTREE:
             raise IntegrityError("blob does not hold an MB-tree store")
@@ -413,19 +378,17 @@ class MBTreeStore(TreeView):
             raise IntegrityError(
                 "MB-tree record size disagrees with the stored fan-out"
             )
+        if store.seq != store.allocated:
+            raise IntegrityError("MB-tree header seq disagrees with its records")
+        for index in range(store.allocated):
+            node_type, seq = _MB_TYPE_SEQ.unpack_from(store.blob, store.offset(index))
+            if node_type == MB_FREE:
+                raise IntegrityError(f"MB-tree record {index} is free")
+            if seq != index:
+                raise IntegrityError(
+                    f"MB-tree record {index} carries seq {seq}"
+                )
         return cls(store)
-
-    def _rebuild_seq_map(self) -> None:
-        blob = self.store.blob
-        for index in range(self.store.allocated):
-            off = self.store.offset(index)
-            if blob[off + _MB_T] != MB_FREE:
-                seq = _U32.unpack_from(blob, off + _MB_SEQ)[0]
-                if seq >= len(self.seq_map):
-                    raise IntegrityError(
-                        f"record {index} carries out-of-range seq {seq}"
-                    )
-                self.seq_map[seq] = index
 
     @property
     def fanout(self) -> int:
@@ -435,7 +398,7 @@ class MBTreeStore(TreeView):
     # -- per-record fields ------------------------------------------------------
 
     def node_type(self, index: int) -> int:
-        """Record type byte: free / leaf / internal."""
+        """Record type byte: leaf / internal."""
         return self.store.blob[self.store.offset(index) + _MB_T]
 
     def is_leaf(self, index: int) -> bool:
@@ -448,16 +411,6 @@ class MBTreeStore(TreeView):
 
     def _set_count(self, index: int, value: int) -> None:
         self.store.blob[self.store.offset(index) + _MB_CNT] = value
-
-    def seq(self, index: int) -> int:
-        """The record's stable logical-node sequence number."""
-        return _U32.unpack_from(
-            self.store.blob, self.store.offset(index) + _MB_SEQ
-        )[0]
-
-    def index_of_seq(self, seq: int) -> int:
-        """Current record index of a logical node."""
-        return self.seq_map[seq]
 
     def min_key(self, index: int) -> int:
         """Smallest key stored under this node (cached in the record)."""
@@ -483,21 +436,19 @@ class MBTreeStore(TreeView):
 
     def _new_node(self, node_type: int) -> int:
         index = self.store.alloc()
-        seq = self.store.seq
-        self.store.seq = seq + 1
+        self.store.seq = self.store.allocated
         blob = self.store.blob
         off = self.store.offset(index)
         blob[off + _MB_T] = node_type
-        _U32.pack_into(blob, off + _MB_SEQ, seq)
-        self.seq_map.append(index)
+        _U32.pack_into(blob, off + _MB_SEQ, index)
         return index
 
     def new_leaf(self) -> int:
-        """Allocate an empty leaf with a fresh sequence number."""
+        """Append an empty leaf record."""
         return self._new_node(MB_LEAF)
 
     def new_internal(self) -> int:
-        """Allocate an empty internal node with a fresh sequence number."""
+        """Append an empty internal record."""
         return self._new_node(MB_INTERNAL)
 
     def slots(self, index: int) -> tuple[bytes, list[int], list[tuple[int, bytes]]]:
@@ -629,36 +580,19 @@ class MBTreeStore(TreeView):
     # -- splitting --------------------------------------------------------------
 
     def split(self, index: int, half: int) -> tuple[int, int]:
-        """Split an overflowing node into two fresh records.
+        """Split an overflowing node: ``(index, new right sibling)``.
 
-        The first ``half`` slots move to a record that inherits the
-        original's ``seq`` (it *is* the same logical node, like the
-        mutated-in-place object used to be); the rest move to a new
-        sibling with a fresh ``seq``.  The original record is freed —
-        the next allocation reuses it, which is the free list's steady
-        diet during builds.  Digests are the caller's job.
+        The first ``half`` slots stay in place and the slots after them
+        are zeroed; the rest move to a record appended as the right
+        sibling.  Digests are the caller's job.
         """
         node_type = self.node_type(index)
         count = self.count(index)
-        seq = self.seq(index)
         slot = _MB_LEAF_SLOT if node_type == MB_LEAF else _MB_CHILD_SLOT
         base = self.store.offset(index) + _MB_SLOTS
-        head = bytes(self.store.blob[base : base + slot * half])
-        tail = bytes(
-            self.store.blob[base + slot * half : base + slot * count]
-        )
-        left_min = self.min_key(index)
-        self.store.free(index)
-
-        left = self.store.alloc()
-        blob = self.store.blob
-        off = self.store.offset(left)
-        blob[off + _MB_T] = node_type
-        _U32.pack_into(blob, off + _MB_SEQ, seq)
-        blob[off + _MB_CNT] = half
-        blob[off + _MB_SLOTS : off + _MB_SLOTS + len(head)] = head
-        self.seq_map[seq] = left
-        self.set_min_key(left, left_min)
+        tail = bytes(self.store.blob[base + slot * half : base + slot * count])
+        self.store.blob[base + slot * half : base + slot * count] = bytes(len(tail))
+        self._set_count(index, half)
 
         right = self._new_node(node_type)
         blob = self.store.blob
@@ -669,7 +603,7 @@ class MBTreeStore(TreeView):
             self.set_min_key(right, self.leaf_key(right, 0))
         else:
             self.set_min_key(right, self.min_key(self.child(right, 0)))
-        return left, right
+        return index, right
 
 
 # ---------------------------------------------------------------------------
@@ -688,7 +622,7 @@ class ChameleonStore(TreeView):
     """The chameleon tree's record layout over a :class:`NodeStore`.
 
     Positions are BFS-contiguous and 1-based, so node ``pos`` is record
-    ``pos - 1`` and the store needs neither links nor a free list:
+    ``pos - 1`` and the store needs no links:
     parents are index arithmetic.  Group elements (a node's commitment
     and the opening of its whole vector) are fixed-width big-endian
     integers of ``value_bytes`` bytes — the on-chain word width — and

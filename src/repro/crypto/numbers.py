@@ -18,8 +18,7 @@ from __future__ import annotations
 
 import hashlib
 import secrets
-from collections.abc import Callable, Iterator
-from contextlib import contextmanager
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cache
 from typing import Any
@@ -158,37 +157,9 @@ def generate_distinct_primes(count: int, bits: int, rng: RandomSource) -> list[i
 # The exponentiation kernel
 # ---------------------------------------------------------------------------
 
-#: Whether :func:`modpow` may run in libcrypto.  Off, every exponentiation
-#: is builtin ``pow`` — the reference arithmetic the parity tests hold the
-#: kernel to (:func:`fastpath`).
-_FASTPATH_ENABLED = True
-
 #: libcrypto's ``BN_FLG_CONSTTIME``: keeps the modulus' Montgomery set-up
 #: and the exponent walk of a secret kernel call in constant time.
 _BN_FLG_CONSTTIME = 0x04
-
-
-def fastpath_enabled() -> bool:
-    """Whether exponentiations run in the libcrypto kernel."""
-    return _FASTPATH_ENABLED
-
-
-def set_fastpath(enabled: bool) -> bool:
-    """Enable or disable the kernel; returns the previous setting."""
-    global _FASTPATH_ENABLED
-    previous = _FASTPATH_ENABLED
-    _FASTPATH_ENABLED = bool(enabled)
-    return previous
-
-
-@contextmanager
-def fastpath(enabled: bool) -> Iterator[None]:
-    """Scope a kernel override: ``fastpath(False)`` is the builtin reference."""
-    previous = set_fastpath(enabled)
-    try:
-        yield
-    finally:
-        set_fastpath(previous)
 
 
 def modpow(base: int, exponent: int, modulus: int, *, secret: bool = False) -> int:
@@ -203,17 +174,12 @@ def modpow(base: int, exponent: int, modulus: int, *, secret: bool = False) -> i
     length, and a caller's own arithmetic around the call (a reduction
     mod ``p - 1``, Garner's step) runs in Python.  Builtin ``pow`` covers
     what Montgomery cannot take — an even modulus, a modulus below 2, a
-    negative exponent (an inverse) — any call while :func:`fastpath` is
-    off, and every call when libcrypto's symbols do not resolve; that
-    fallback is variable-time, secret exponents included.  Either way the
+    negative exponent (an inverse) — and every call when libcrypto's
+    symbols do not resolve; that fallback is variable-time, secret
+    exponents included.  Either way the
     result is the one ``pow`` returns.
     """
-    if (
-        _FASTPATH_ENABLED
-        and modulus > 1
-        and modulus & 1
-        and exponent >= 0
-    ):
+    if modulus > 1 and modulus & 1 and exponent >= 0:
         kernel = _libcrypto()
         if kernel is not None:
             return kernel(base % modulus, exponent, modulus, secret)

@@ -62,11 +62,9 @@ from typing import NoReturn
 
 from repro import obs
 from repro.crypto.hashing import DIGEST_SIZE, sha3
-from repro.crypto.numbers import (  # noqa: F401 - fastpath is re-exported
+from repro.crypto.numbers import (
     CRTFixedBase,
     RandomSource,
-    fastpath,
-    fastpath_enabled,
     generate_distinct_primes,
     generate_rsa_modulus,
     make_random,
@@ -406,10 +404,9 @@ def verify_batch(pp: CVCPublicParams, statements: Sequence[Statement]) -> bool:
     of openings negated modulo ``N`` passes here and fails there.
     ``False`` says only that some statement is bad: callers that must
     name it re-check one by one.  A batch of one is
-    :func:`verify_vector`, and so is every batch while the fast path is
-    off (the reference arithmetic).
+    :func:`verify_vector`.
     """
-    if len(statements) < 2 or not fastpath_enabled():
+    if len(statements) < 2:
         return all(verify_vector(pp, *statement) for statement in statements)
     obs.inc("vc.verify.batches")
     obs.inc("vc.verify.batched_openings", len(statements))

@@ -183,10 +183,12 @@ class Blockchain:
 
         Charges ``C_tx`` plus ``C_txdata`` per payload byte before the
         method runs, enforces the block gas limit throughout, and records
-        a receipt.  A failed execution (including out-of-gas) produces a
-        ``status=False`` receipt with the gas consumed so far, and every
-        storage write the method made is *reverted* — EVM semantics: a
-        failed transaction burns gas but leaves no state behind.  Without
+        a receipt.  A failed execution (``IntegrityError`` or out-of-gas)
+        produces a ``status=False`` receipt with the gas consumed so far,
+        and every storage write the method made is *reverted* — EVM
+        semantics: a failed transaction burns gas but leaves no state
+        behind.  Any other error propagates to the caller with the
+        storage writes reverted and the sender's nonce unspent.  Without
         the revert, a batched insertion aborting mid-way (e.g. at the
         block gas limit) would leave partial count updates on chain that
         no honest SP could ever prove against.
@@ -222,6 +224,12 @@ class Blockchain:
             except (IntegrityError, OutOfGasError) as exc:
                 receipt.error = f"{type(exc).__name__}: {exc}"
                 contract.storage.restore(state_snapshot)
+            except BaseException:
+                # Any other error leaves the call: no receipt, so no
+                # storage write and no nonce either.
+                contract.storage.restore(state_snapshot)
+                self._nonces[sender] = nonce
+                raise
             finally:
                 contract.bind(None)
             tx_span.set(gas=meter.total, status=receipt.status)

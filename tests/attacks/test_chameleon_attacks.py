@@ -44,6 +44,7 @@ from tests.node_tables import (
     table_of,
     with_table,
 )
+from tests.reference_arithmetic import builtin_pow, per_opening_batches
 
 
 @pytest.fixture(scope="module")
@@ -570,7 +571,7 @@ class TestBatchedOpenings:
         self, ci_system
     ):
         ci_system.verify_cache.clear()
-        with vc.fastpath(False):
+        with builtin_pow(), per_opening_batches():
             refuse_all(ci_system)
             # ... where two negated openings are refused as well.
             query, answer, ps = honest_answer(ci_system, SCAN)
@@ -749,11 +750,11 @@ import sys
 assert False, "asserts must be stripped in this run"
 sys.path.insert(0, {tests_root!r})
 from repro import HybridStorageSystem
-from repro.crypto import vc
 from tests.attacks.test_chameleon_attacks import (
     JOIN, SCAN, _fill, false_bloom_skip, refuse, refuse_all, refuse_forgeries,
     table_attacks,
 )
+from tests.reference_arithmetic import builtin_pow, per_opening_batches
 system = HybridStorageSystem(scheme="ci", cvc_modulus_bits=512, seed=5)
 _fill(system)
 refuse_forgeries(system)
@@ -763,7 +764,7 @@ refuse(table_attacks(system))
 system.query(SCAN)  # an honest answer refused raises
 system.query(JOIN)
 refuse_all(system)
-with vc.fastpath(False):
+with builtin_pow(), per_opening_batches():
     refuse_all(system)
 starred = HybridStorageSystem(
     scheme="ci*", cvc_modulus_bits=512, seed=5, bloom_capacity=4

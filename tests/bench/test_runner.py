@@ -79,7 +79,6 @@ class TestExperimentSmoke:
             "tab2",
             "disj",
             "query",
-            "flatbuf",
         }
         assert set(ABLATIONS) == {
             "abl-fanout",

@@ -15,7 +15,9 @@ import random
 
 import pytest
 
+from repro.baselines.gem2 import Gem2Contract
 from repro.core.mbtree import MBTree
+from repro.core.merkle_inv import MerkleInvContract
 from repro.core.objects import DataObject, ObjectMetadata
 from repro.core.suppressed import (
     SuppressedMerkleContract,
@@ -138,3 +140,98 @@ def test_chameleon_insert_gas(scheme):
         "single": single.maintenance_meter().total,
         "batched": batched.maintenance_meter().total,
     } == CHAMELEON_GAS[scheme]
+
+
+#: Total maintenance gas of ``maintenance_objects()`` through the
+#: baseline Merkle^inv contract and the GEM^2 contract, per insertion
+#: order.  Both runs split the root, and GEM^2 merges every keyword's
+#: buffer several times.
+MI_GAS = {"ascending": 23_930_088, "shuffled": 23_978_638}
+GEM2_GAS = {"ascending": 23_112_120, "shuffled": 23_718_624}
+
+#: Per gas limit in ``FAILING_LIMITS``, the first receipt that runs out
+#: of gas: its object's ID and the gas it burned.  Where a limit cuts a
+#: transaction depends on the order the contract charges in, so these
+#: pin that order too.  The rest of each run is not pinned.
+FAILING_LIMITS = range(150_000, 800_001, 50_000)
+FAILED_GAS = {
+    "mi": [(6, 145_713), (10, 181_831), (28, 244_145), (42, 286_861), (84, 321_751)],
+    "gem2": [
+        (30, 144_126), (32, 197_993), (32, 217_993), (32, 262_993),
+        (32, 348_393), (32, 368_393), (32, 433_593), (32, 473_593),
+        (32, 538_793), (32, 578_793), (32, 623_793), (32, 668_793),
+        (32, 734_393), (32, 799_467),
+    ],
+}
+
+
+def maintenance_objects(order):
+    ids = list(range(1, 151))
+    if order == "shuffled":
+        random.Random(37).shuffle(ids)
+    return [
+        metadata_for(
+            oid, tuple(kw for i, kw in enumerate("abcde") if oid % (i + 2) == 0)
+            or ("z",)
+        )
+        for oid in ids
+    ]
+
+
+def maintenance_chain(contract, gas_limit=None):
+    chain = Blockchain() if gas_limit is None else Blockchain(gas_limit=gas_limit)
+    chain.deploy("ads", contract)
+    return chain
+
+
+def register_and_insert(chain, md):
+    return chain.send_transaction(
+        "do", "ads", "register_and_insert",
+        md.object_id, md.object_hash, md.keywords,
+        payload=md.payload_bytes(),
+    )
+
+
+@pytest.mark.parametrize("order", sorted(MI_GAS))
+def test_mi_insert_gas(order):
+    chain = maintenance_chain(MerkleInvContract(fanout=4))
+    trees: dict[str, MBTree] = {}
+    for md in maintenance_objects(order):
+        receipt = register_and_insert(chain, md)
+        assert receipt.status, receipt.error
+        for keyword in md.keywords:
+            trees.setdefault(keyword, MBTree(4)).insert(md.object_id, md.object_hash)
+    for keyword, tree in trees.items():
+        assert tree.height >= 3
+        assert chain.call_view("ads", "view_root", keyword) == tree.root_hash
+    assert chain.total_gas_used() == MI_GAS[order]
+
+
+@pytest.mark.parametrize("order", sorted(GEM2_GAS))
+def test_gem2_insert_gas(order):
+    chain = maintenance_chain(Gem2Contract(fanout=4, merge_threshold=16))
+    merges = 0
+    for md in maintenance_objects(order):
+        receipt = register_and_insert(chain, md)
+        assert receipt.status, receipt.error
+        merges += sum(event.name == "Merged" for event in receipt.events)
+    assert merges == 13
+    assert chain.total_gas_used() == GEM2_GAS[order]
+
+
+@pytest.mark.parametrize("scheme", sorted(FAILED_GAS))
+def test_first_failed_receipt_gas(scheme):
+    failed = []
+    for limit in FAILING_LIMITS:
+        contract = (
+            MerkleInvContract(fanout=4) if scheme == "mi"
+            else Gem2Contract(fanout=4, merge_threshold=16)
+        )
+        chain = maintenance_chain(contract, gas_limit=limit)
+        for md in maintenance_objects("ascending"):
+            receipt = register_and_insert(chain, md)
+            if not receipt.status:
+                assert receipt.error.startswith("OutOfGasError")
+                failed.append((md.object_id, receipt.gas.total))
+                break
+    assert failed == FAILED_GAS[scheme]

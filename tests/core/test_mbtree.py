@@ -193,44 +193,35 @@ class TestUpdateSpine:
         assert len(large.serialise()) > len(small.serialise())
 
 
-class RecordingObserver:
-    """Counts structural events for cost-model assertions."""
-
-    def __init__(self):
-        self.visited = 0
-        self.inserted = 0
-        self.rehashed = 0
-        self.splits = 0
-        self.roots = 0
-
-    def node_visited(self, node):
-        self.visited += 1
-
-    def entry_inserted(self, leaf):
-        self.inserted += 1
-
-    def node_rehashed(self, node):
-        self.rehashed += 1
-
-    def node_split(self, original, sibling):
-        self.splits += 1
-
-    def root_replaced(self, root):
-        self.roots += 1
-
-
-class TestObserver:
-    def test_events_fire(self):
-        tree = mbtree.MBTree(fanout=4)
-        observer = RecordingObserver()
-        for key in range(1, 30):
-            tree.insert(key, value_of(key), observer=observer)
-        assert observer.inserted == 28  # first insert creates the root leaf
-        assert observer.visited > 0
-        assert observer.splits > 0
-        assert observer.roots >= 2  # initial leaf + at least one root split
-
-    def test_observer_optional(self):
+class TestInsertReport:
+    def test_first_insert_creates_the_root_leaf(self):
         tree = mbtree.MBTree()
-        tree.insert(1, value_of(1))
+        report = tree.insert(1, value_of(1))
+        assert report == mbtree.TreeInsertReport([], [0], 0, True)
         assert len(tree) == 1
+
+    def test_reports_the_descent_rehashes_and_splits(self):
+        tree = mbtree.MBTree(fanout=4)
+        tree.insert(1, value_of(1))
+        splits = roots = 0
+        for key in [*range(40, 1, -3), *range(41, 80)]:
+            height, root = tree.height, tree.store.store.root
+            report = tree.insert(key, value_of(key))
+            assert len(report.visited) == height
+            assert report.visited[0] == root
+            assert tree.store.is_leaf(report.visited[-1])
+            assert len(report.rehashed) == height + report.splits + report.new_root
+            assert report.new_root == (tree.height == height + 1)
+            if report.new_root:
+                assert report.splits == height
+                assert report.rehashed[-1] == tree.store.store.root
+            # A split's left half keeps its record; its sibling is new.
+            for level in range(report.splits):
+                left, right = report.rehashed[2 * level : 2 * level + 2]
+                assert left == report.visited[height - 1 - level]
+                assert right not in report.visited
+            assert report.rehashed[-1] == tree.store.store.root
+            splits += report.splits
+            roots += report.new_root
+        assert splits > 10
+        assert roots >= 2

@@ -1,12 +1,14 @@
 """Tests for the flat-buffer node store underneath the ADS trees.
 
 Covers the storage invariants the trees rely on but never observe
-directly: free-list reuse during split-heavy builds, blob round-trips
-that preserve roots and proofs byte for byte, and a golden fixture
-pinning the v1 record layout so a layout change cannot slip through as
-a silent format break.
+directly: a record's index is its node (appended, never freed or
+moved), blob round-trips preserve roots and proofs byte for byte, a
+blob breaking that invariant is refused, and a golden fixture pins the
+v1 record layout so a layout change cannot slip through as a silent
+format break.
 """
 
+import random
 from pathlib import Path
 
 import pytest
@@ -39,33 +41,38 @@ def build_tree(n: int, fanout: int = 4) -> MBTree:
     return tree
 
 
-class TestNodeStoreAllocation:
-    def test_alloc_grows_then_free_list_reuses_lifo(self):
-        store = NodeStore(KIND_MBTREE, mb_record_size(4), param=4)
-        a, b, c = store.alloc(), store.alloc(), store.alloc()
-        assert (a, b, c) == (0, 1, 2)
-        store.free(b)
-        store.free(a)
-        assert store.free_count() == 2
-        assert store.alloc() == a  # last freed, first reused
-        assert store.alloc() == b
-        assert store.free_count() == 0
-        assert store.allocated == 3
+def record_fields(tree: MBTree, index: int) -> tuple[int, int]:
+    """A record's type byte and its ``seq`` word."""
+    off = tree.store.store.offset(index)
+    blob = tree.store.store.blob
+    return blob[off], int.from_bytes(blob[off + 4 : off + 8], "big")
 
-    def test_free_zeroes_the_record(self):
+
+class TestNodeStoreAllocation:
+    def test_alloc_appends(self):
         store = NodeStore(KIND_MBTREE, mb_record_size(4), param=4)
-        index = store.alloc()
-        off = store.offset(index)
-        store.blob[off + 10 : off + 20] = b"\xaa" * 10
-        store.free(index)
-        # Everything except the free-list next pointer must be zero.
-        record = bytes(store.blob[off : off + store.record_size])
-        assert record[8:] == bytes(store.record_size - 8)
+        assert [store.alloc() for _ in range(3)] == [0, 1, 2]
+        assert store.allocated == 3
+        assert store.byte_size == HEADER_SIZE + 3 * mb_record_size(4)
+        assert bytes(store.blob[HEADER_SIZE:]) == bytes(3 * mb_record_size(4))
+
+    def test_split_keeps_the_left_half_in_place(self):
+        # Five keys overflow a fan-out-4 leaf: its first three stay in
+        # record 0, whose two tail slots are zeroed, and the last two move
+        # to an appended sibling under an appended root.
+        tree = build_tree(5)
+        view = tree.store
+        assert tree.store.store.allocated == 3
+        assert view.leaf_entries(0) == [(k, sha3(b"obj-%d" % k)) for k in (1, 2, 3)]
+        assert view.leaf_entries(1) == [(k, sha3(b"obj-%d" % k)) for k in (4, 5)]
+        assert view.children(2) == [0, 1]
+        off = view.store.offset(0) + 48 + 40 * 3
+        assert bytes(view.store.blob[off : off + 80]) == bytes(80)
 
     def test_split_heavy_build_leaves_no_dead_records(self):
         # Sequential inserts split the right spine over and over; each
-        # split frees the original record and the next allocation must
-        # reuse it, or the blob would grow with every rebuild.
+        # split keeps its left half in place, so every record stays a
+        # live node whose seq is its index.
         tree = build_tree(2000)
         store = tree.store.store
         view = tree.store
@@ -75,8 +82,10 @@ class TestNodeStoreAllocation:
                 return 1
             return 1 + sum(live(child) for child in view.children(index))
 
-        assert store.free_count() == 0
         assert store.allocated == live(store.root)
+        assert store.seq == store.allocated
+        for index in range(store.allocated):
+            assert record_fields(tree, index)[1] == index
 
     def test_header_round_trip(self):
         store = NodeStore(KIND_MBTREE, mb_record_size(4), param=4, param2=5)
@@ -132,6 +141,51 @@ class TestMBTreeBlobRoundTrip:
             resumed.insert(key, sha3(b"obj-%d" % key))
         assert resumed.root_hash == grown.root_hash
         assert resumed.to_blob() == grown.to_blob()
+
+
+class TestRefusedBlobs:
+    """Blobs this store never writes are refused, not adopted."""
+
+    def forged(self, offset: int, value: int) -> bytes:
+        blob = bytearray(build_tree(30).to_blob())
+        blob[offset : offset + 4] = value.to_bytes(4, "big")
+        return bytes(blob)
+
+    def test_a_free_head_is_refused(self):
+        with pytest.raises(IntegrityError, match="free record"):
+            MBTree.from_blob(self.forged(28, 0))
+
+    def test_a_free_record_is_refused(self):
+        blob = bytearray(build_tree(30).to_blob())
+        blob[HEADER_SIZE + 2 * mb_record_size(4)] = 0
+        with pytest.raises(IntegrityError, match="record 2 is free"):
+            MBTree.from_blob(bytes(blob))
+
+    @pytest.mark.parametrize("seq", [0, 4, NIL])
+    def test_a_seq_other_than_the_index_is_refused(self, seq):
+        offset = HEADER_SIZE + 3 * mb_record_size(4) + 4
+        with pytest.raises(IntegrityError, match="record 3 carries seq"):
+            MBTree.from_blob(self.forged(offset, seq))
+
+    def test_a_header_seq_other_than_allocated_is_refused(self):
+        allocated = NodeStore.from_blob(build_tree(30).to_blob()).allocated
+        with pytest.raises(IntegrityError, match="header seq"):
+            MBTree.from_blob(self.forged(36, allocated + 1))
+
+    def test_random_builds_load_and_hold_the_invariant(self):
+        rng = random.Random(37)
+        for trial in range(40):
+            fanout = rng.randint(3, 16)
+            n = rng.randint(1, 300)
+            keys = rng.sample(range(10 * n), n) if trial % 2 else range(1, n + 1)
+            tree = MBTree(fanout)
+            for key in keys:
+                tree.insert(key, sha3(b"%d" % key))
+            clone = MBTree.from_blob(tree.to_blob())
+            assert clone.to_blob() == tree.to_blob()
+            store = clone.store.store
+            assert int.from_bytes(store.blob[28:32], "big") == NIL
+            assert store.seq == store.allocated
 
 
 class TestChameleonBlobRoundTrip:

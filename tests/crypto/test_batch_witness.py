@@ -7,8 +7,8 @@ whole vector's, ``Lambda = a^r`` — and each slot's opening follows from
 it publicly (``L_i = Lambda^{E/e_i} * prod_{j != i} T_{j,i}^{z_j}``), so
 however a slot's opening is reached — on its own through the per-slot
 reference ``open_slot``, or from one whole-vector opening, before or
-after trapdoor collisions, with the fast path on or off — the bits must
-be identical.  These tests pin that invariant across arities and
+after trapdoor collisions, in the libcrypto kernel or in builtin
+``pow`` — the bits must be identical.  These tests pin that invariant across arities and
 randomisers; the class keeps the name it had while the data owner still
 opened slot by slot.
 """
@@ -21,6 +21,7 @@ from repro import obs
 from repro.crypto import vc
 from repro.crypto.numbers import multi_exp
 from repro.errors import CommitmentError
+from tests.reference_arithmetic import arithmetic
 
 
 def messages_for(arity: int) -> list[bytes]:
@@ -53,8 +54,8 @@ def slot_openings(pp, aux, raw=None):
 def derived_openings(pp, opening, aux, slots=None):
     """Slot openings derived publicly from one whole-vector opening.
 
-    Follows the fast-path switch: one multi-exponentiation per slot when
-    it is on, independent ``pow`` calls when it is off.
+    One multi-exponentiation per slot, in whichever arithmetic the
+    caller's scope selects.
     """
     if slots is None:
         slots = range(1, pp.arity + 1)
@@ -64,13 +65,7 @@ def derived_openings(pp, opening, aux, slots=None):
         for other, z in enumerate(aux.messages, start=1):
             if z and other != slot:
                 pairs.append((pp.pair_base(other, slot), z))
-        if vc.fastpath_enabled():
-            derived[slot] = multi_exp(pairs, pp.modulus)
-        else:
-            value = 1
-            for base, exponent in pairs:
-                value = value * pow(base, exponent, pp.modulus) % pp.modulus
-            derived[slot] = value
+        derived[slot] = multi_exp(pairs, pp.modulus)
     return derived
 
 
@@ -101,7 +96,7 @@ class TestOpenManyParity:
     def test_all_strategies_match_open_slot(self, committed, strategy, fast):
         pp, td, _c, aux = committed
         reference = slot_openings(pp, aux)
-        with vc.fastpath(fast):
+        with arithmetic(fast):
             openings = ROUTES[strategy](pp, td, aux)
         assert openings == reference
 

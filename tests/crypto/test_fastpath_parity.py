@@ -3,9 +3,9 @@
 The libcrypto kernel behind ``multi_exp`` is a pure performance layer:
 every result must equal what independent builtin ``pow`` calls produce,
 for randomized bases, exponents and message vectors, and the CVC
-commit/open/verify round trip must be unchanged under either path
-(``vc.fastpath(False)`` runs every exponentiation through builtin
-``pow``).  ``tests/crypto/test_modpow.py`` holds the kernel itself to
+commit/open/verify round trip must be unchanged when every
+exponentiation runs through builtin ``pow`` instead
+(``tests/reference_arithmetic.py``).  ``tests/crypto/test_modpow.py`` holds the kernel itself to
 ``pow`` edge case by edge case.
 """
 
@@ -18,6 +18,7 @@ import pytest
 from repro.crypto import vc
 from repro.crypto.numbers import multi_exp
 from repro.errors import ParameterError
+from tests.reference_arithmetic import arithmetic, builtin_pow
 
 MODULUS = 0xC7F4E3F1_9B3D5A77 * 0xE5C0A98F_0D3B1F63  # two 64-bit odd factors
 
@@ -89,23 +90,22 @@ class TestCVCFastpathParity:
                 for _ in range(pp.arity)
             ]
             randomiser = rng.getrandbits(256)
-            with vc.fastpath(False):
+            with builtin_pow():
                 c_naive, aux_naive = vc.commit(pp, messages, randomiser)
                 proofs_naive = [
                     vc.open_slot(pp, slot, messages[slot - 1], aux_naive)
                     for slot in range(1, pp.arity + 1)
                 ]
-            with vc.fastpath(True):
-                c_fast, aux_fast = vc.commit(pp, messages, randomiser)
-                proofs_fast = [
-                    vc.open_slot(pp, slot, messages[slot - 1], aux_fast)
-                    for slot in range(1, pp.arity + 1)
-                ]
+            c_fast, aux_fast = vc.commit(pp, messages, randomiser)
+            proofs_fast = [
+                vc.open_slot(pp, slot, messages[slot - 1], aux_fast)
+                for slot in range(1, pp.arity + 1)
+            ]
             assert c_fast == c_naive, trial
             assert proofs_fast == proofs_naive, trial
             for slot in range(1, pp.arity + 1):
-                for enabled in (False, True):
-                    with vc.fastpath(enabled):
+                for kernel in (False, True):
+                    with arithmetic(kernel):
                         assert vc.verify(
                             pp, c_fast, slot, messages[slot - 1], proofs_fast[slot - 1]
                         )
@@ -121,15 +121,6 @@ class TestCVCFastpathParity:
         opening = cvc.open_vector(aux2)
         assert vc.verify_vector(cvc.pp, c, [b"a", b"b", b"c"], opening)
         assert not vc.verify_vector(cvc.pp, c, [b"a", b"b", None], opening)
-        with vc.fastpath(False):
+        with builtin_pow():
             assert vc.verify_vector(cvc.pp, c, [b"a", b"b", b"c"], opening)
             assert not vc.verify_vector(cvc.pp, c, [b"a", b"b", None], opening)
-
-    def test_toggle_restores_previous_state(self):
-        original = vc.fastpath_enabled()
-        with vc.fastpath(not original):
-            assert vc.fastpath_enabled() is (not original)
-            with vc.fastpath(original):
-                assert vc.fastpath_enabled() is original
-            assert vc.fastpath_enabled() is (not original)
-        assert vc.fastpath_enabled() is original

@@ -32,9 +32,10 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.crypto import numbers, vc
+from repro.crypto import numbers
 from repro.crypto.numbers import modpow
 from repro.errors import CryptoError
+from tests.reference_arithmetic import builtin_pow
 
 SRC = str(Path(__file__).resolve().parents[2] / "src")
 
@@ -138,12 +139,12 @@ def unbound_kernel(monkeypatch):
 
 
 def test_reference_switch_takes_builtin_pow(monkeypatch):
-    """``vc.fastpath(False)`` is the builtin reference: the kernel is not
-    called, and the result is the same."""
+    """The parity tests' reference scope (``builtin_pow``) is builtin
+    ``pow``: the kernel is not called, and the result is the same."""
     calls = spy_on_the_kernel(monkeypatch)
     modulus = (1 << 1023) + 1155
     expected = pow(7, 1 << 300, modulus)
-    with vc.fastpath(False):
+    with builtin_pow():
         assert modpow(7, 1 << 300, modulus) == expected
         assert modpow(7, 1 << 300, modulus, secret=True) == expected
     assert calls == []

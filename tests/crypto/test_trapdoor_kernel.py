@@ -8,8 +8,8 @@ public functions — ``verify_vector``, the per-slot reference
 ``open_slot`` / ``verify`` (each slot's opening follows from the whole
 one: ``L_i = Lambda^{E/e_i} * prod_{j != i} T_{j,i}^{z_j}``) and the
 textbook ``CCol`` formula — across arities, modulus sizes, edge
-randomisers, empty slots and chains of collisions, with the public fast
-path on and off.  Every check is an ``if ...: raise`` once pytest has
+randomisers, empty slots and chains of collisions, with the public
+functions in the libcrypto kernel and in builtin ``pow``.  Every check is an ``if ...: raise`` once pytest has
 rewritten it, so the file holds under ``python -O`` too.
 """
 
@@ -26,6 +26,7 @@ from repro import obs
 from repro.crypto import vc
 from repro.crypto.numbers import CRTFixedBase, mod_inverse, modpow
 from repro.errors import CommitmentError, TrapdoorRequiredError
+from tests.reference_arithmetic import arithmetic
 
 ARITIES = (2, 3, 16)
 MODULUS_BITS = (512, 1024)
@@ -89,7 +90,7 @@ def test_kernel_agrees_with_the_public_reference(arity, bits, fast, data):
         )
     )
 
-    with vc.fastpath(fast):
+    with arithmetic(fast):
         commitment, aux = cvc.commit(messages, randomiser)
         current = list(messages)
         for step in range(len(updates) + 1):
@@ -126,11 +127,11 @@ class TestCRTFixedBase:
     def test_matches_builtin_pow(self, cvc_params):
         """Two secret half-width kernel calls and Garner's recombination
         give the full-width group element, for exponents of any size and
-        sign; with the kernel off each half is builtin ``pow``."""
+        sign; in builtin ``pow`` as well as in the kernel."""
         pp, td = cvc_params
         power = CRTFixedBase(pp.base, td.p, td.q)
         for fast in (True, False):
-            with vc.fastpath(fast):
+            with arithmetic(fast):
                 for exponent in (
                     0, 1, 2, td.phi - 1, td.phi, td.phi + 1, 3**700, -1, -(5**300)
                 ):

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.mbtree import MBTree
 from repro.crypto.hashing import EMPTY_DIGEST
-from repro.errors import ChainError, IntegrityError
+from repro.errors import ChainError, IntegrityError, ReproError
 from repro.ethereum.chain import Blockchain
 from repro.ethereum.contract import SmartContract
 from repro.ethereum.gas import GAS_TX, GAS_TXDATA_PER_BYTE
@@ -21,6 +21,10 @@ class Counter(SmartContract):
 
     def explode(self) -> None:
         raise IntegrityError("boom")
+
+    def bump_then_crash(self) -> None:
+        self.bump(5)
+        raise ReproError("crashed after a write")
 
     def view_count(self) -> int:
         return self.storage.peek_int(("count",))
@@ -70,6 +74,16 @@ class TestTransactions:
         receipt = chain.send_transaction("alice", "counter", "explode")
         assert not receipt.status
         assert "boom" in receipt.error
+
+    def test_any_other_error_reverts_storage_and_propagates(self, chain):
+        chain.send_transaction("alice", "counter", "bump", 2)
+        with pytest.raises(ReproError, match="crashed after a write"):
+            chain.send_transaction("alice", "counter", "bump_then_crash")
+        assert chain.call_view("counter", "view_count") == 2
+        # No receipt was recorded and the nonce was not spent.
+        assert len(chain.pending) == 1
+        assert chain.send_transaction("alice", "counter", "bump").tx.nonce == 1
+        assert chain.call_view("counter", "view_count") == 3
 
     def test_unknown_method(self, chain):
         with pytest.raises(ChainError):
