@@ -164,11 +164,7 @@ def ablation_batch_size(
         )
         objects = list(_dataset("twitter", size, seed=seed).objects())
         for start in range(0, len(objects), batch_size):
-            chunk = objects[start : start + batch_size]
-            if batch_size == 1:
-                system.add_object(chunk[0])
-            else:
-                system.add_objects_batched(chunk)
+            system.add_objects_batched(objects[start : start + batch_size])
         avg_gas = system.average_gas_per_object()
         rows.append(
             AblationRow(

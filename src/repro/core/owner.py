@@ -1,11 +1,22 @@
-"""Data-owner pipeline: scheme-specific maintenance transactions.
+"""Data-owner pipeline: the scheme's maintenance transactions for a batch.
 
-The DO side of Fig. 1, extracted from the old ``core/system.py``
-monolith: for each new object it builds the scheme's on-chain
-transaction(s), rolls back its own off-chain state when a receipt
-fails, and — only after confirmation — streams the resulting
+The DO side of Fig. 1.  :meth:`DataOwnerPipeline.confirm` is the one
+way in: it takes a batch of object meta-data, sends the scheme's
+on-chain transactions, rolls back its own off-chain state when a
+receipt fails, and — only after confirmation — queues the resulting
 mirror updates (tree postings, root commitments, insertion proofs,
-Bloom additions) into the storage provider it was wired to.
+Bloom additions) into the storage provider it was wired to.  A single
+object is a batch of one.
+
+The failure rule follows the scheme family:
+
+* **Chameleon family** — the whole batch is one ``insert_objects``
+  transaction, so it is all or nothing: a failed receipt rolls the DO
+  back and confirms no object;
+* **Merkle family** — each object's transactions go in order (MI:
+  ``register_and_insert``; SMI: ``register_object``, then the SP's
+  ``UpdVO`` spines, then ``insert``), and the first failed receipt or
+  raised error stops the batch: the confirmed prefix stays mirrored.
 
 The pipeline never touches the raw object payloads: homing those on the
 SP (and the surrounding gas accounting, mining cadence and telemetry)
@@ -18,6 +29,8 @@ proofs.
 """
 
 from __future__ import annotations
+
+from collections.abc import Iterator
 
 from repro.core import suppressed
 from repro.core.chameleon_index import ChameleonDataOwner
@@ -53,91 +66,76 @@ class DataOwnerPipeline:
         self.value_bytes = value_bytes
         self.do = do
 
-    # -- single-object pipeline --------------------------------------------------
+    def confirm(
+        self, metadatas: list[ObjectMetadata]
+    ) -> Iterator[tuple[list[Receipt], int]]:
+        """Send the batch's transactions in order.
 
-    def insert(self, metadata: ObjectMetadata) -> list[Receipt]:
-        """Run the scheme's transaction pipeline for one object.
-
-        Confirmed insertions are mirrored into the SP before returning;
-        a failed receipt leaves the DO and the SP untouched (the caller
-        inspects receipt statuses and raises).
+        Yields, per confirmed step, its receipts and how many objects
+        they confirmed (the leading objects of ``metadatas`` not yet
+        counted), with their mirror updates already queued on the SP.
+        Raises :class:`~repro.errors.ChainError` at the first failed
+        receipt; the steps yielded before it stay confirmed.
         """
-        if self.scheme is Scheme.MERKLE_INV:
-            receipt = self.insert_merkle_tx(metadata)
-            if receipt.status:
-                self.sp.insert_entries(metadata)
-            return [receipt]
+        if self.do is not None:
+            yield self._send_chameleon(metadatas), len(metadatas)
+        else:
+            for metadata in metadatas:
+                yield self._send_merkle(metadata), 1
 
-        if self.scheme is Scheme.SUPPRESSED:
-            register = self.chain.send_transaction(
+    def _send(self, sender: str, method: str, *args, payload: bytes) -> Receipt:
+        """One transaction to the ADS contract; a failed receipt raises."""
+        receipt = self.chain.send_transaction(
+            sender, ADS_CONTRACT, method, *args, payload=payload
+        )
+        if not receipt.status:
+            raise ChainError(f"insertion transaction failed: {receipt.error}")
+        return receipt
+
+    def _send_merkle(self, metadata: ObjectMetadata) -> list[Receipt]:
+        """One object's MI or SMI transactions, then its SP postings."""
+        register = (
+            "register_and_insert"
+            if self.scheme is Scheme.MERKLE_INV
+            else "register_object"
+        )
+        receipts = [
+            self._send(
                 "do",
-                ADS_CONTRACT,
-                "register_object",
+                register,
                 metadata.object_id,
                 metadata.object_hash,
                 metadata.keywords,
                 payload=metadata.payload_bytes(),
             )
+        ]
+        if self.scheme is Scheme.SUPPRESSED:
+            # The spines read the SP, which ships the postings queued for
+            # the objects confirmed before this one.
             updates = suppressed.keyword_updates(
                 metadata.keywords,
                 self.sp.spines(metadata.object_id, metadata.keywords),
             )
-            update_tx = self.chain.send_transaction(
-                "sp",
-                ADS_CONTRACT,
-                "insert",
-                metadata.object_id,
-                metadata.object_hash,
-                updates,
-                payload=suppressed.updates_payload(updates),
+            receipts.append(
+                self._send(
+                    "sp",
+                    "insert",
+                    metadata.object_id,
+                    metadata.object_hash,
+                    updates,
+                    payload=suppressed.updates_payload(updates),
+                )
             )
-            if update_tx.status:
-                self.sp.insert_entries(metadata)
-            return [register, update_tx]
+        self.sp.insert_entries(metadata)
+        return receipts
 
-        return [self._send_chameleon([metadata], batched=False)]
+    def _send_chameleon(self, metadatas: list[ObjectMetadata]) -> list[Receipt]:
+        """Build, send and confirm one ``insert_objects`` transaction.
 
-    def insert_merkle_tx(self, metadata: ObjectMetadata) -> Receipt:
-        """Send the MI register-and-insert transaction, nothing else.
-
-        The batched path confirms a whole batch of these before
-        mirroring the SP trees.
-        """
-        return self.chain.send_transaction(
-            "do",
-            ADS_CONTRACT,
-            "register_and_insert",
-            metadata.object_id,
-            metadata.object_hash,
-            metadata.keywords,
-            payload=metadata.payload_bytes(),
-        )
-
-    # -- batched pipeline --------------------------------------------------------
-
-    def insert_chameleon_batched(
-        self, metadatas: list[ObjectMetadata]
-    ) -> Receipt:
-        """One batched DO transaction for the whole object list.
-
-        Stages every off-chain mutation, sends a single ``insert_objects``
-        transaction, and rolls the DO back completely when it fails.
-        """
-        receipt = self._send_chameleon(metadatas, batched=True)
-        if not receipt.status:
-            raise ChainError(f"batched insertion failed: {receipt.error}")
-        return receipt
-
-    def _send_chameleon(
-        self, metadatas: list[ObjectMetadata], *, batched: bool
-    ) -> Receipt:
-        """Build, send and confirm the Chameleon insertion transaction.
-
-        ``insert_objects`` carries every object (``batched``);
-        ``insert_object`` carries exactly one.  The DO's off-chain state
-        mutates while the transaction is built, so it is rolled back
-        when the receipt fails — otherwise the DO and the chain diverge
-        — and mirrored into the SP once it confirms.
+        The DO's off-chain state mutates while the transaction is built,
+        so it is rolled back when the receipt fails or anything raises —
+        otherwise the DO and the chain diverge — and mirrored into the
+        SP once it confirms.
         """
         undo: list = []
         items = []
@@ -159,27 +157,16 @@ class DataOwnerPipeline:
                     for u in counts
                 )
                 sp_work.append((proofs, new_kw_list))
-            if batched:
-                receipt = self.chain.send_transaction(
-                    "do", ADS_CONTRACT, "insert_objects", items, payload=payload
-                )
-            else:
-                (item,) = items
-                receipt = self.chain.send_transaction(
-                    "do", ADS_CONTRACT, "insert_object", *item, payload=payload
-                )
+            receipt = self._send("do", "insert_objects", items, payload=payload)
         except BaseException:
             self.do.rollback(undo)
             raise
-        if not receipt.status:
-            self.do.rollback(undo)
-            return receipt
         for proofs, new_kw_list in sp_work:
             self._mirror_chameleon(proofs, new_kw_list)
-        return receipt
+        return [receipt]
 
     def _mirror_chameleon(self, proofs: dict, new_kw_list: list) -> None:
-        """Stream one confirmed object's updates into the SP."""
+        """Queue one confirmed object's updates for the SP."""
         for keyword, commitment in new_kw_list:
             self.sp.register_keyword(keyword, commitment)
         for keyword, proof in proofs.items():

@@ -150,10 +150,10 @@ def load_system(
     """Rebuild a persisted system by replaying its object stream.
 
     The object log is the durable ground truth; a system saved with
-    ``engine="disk"`` restores with in-memory engines unless a fresh
-    ``engine_dir`` is supplied for the rebuilt shard journals (pointing
-    it at journals from another run would double-apply their records
-    during replay).
+    ``engine="disk"`` restores with in-memory engines unless an empty
+    ``engine_dir`` is supplied for the rebuilt shard journals (one that
+    already holds shard state is refused with
+    :class:`~repro.errors.IntegrityError`).
     """
     path = Path(directory)
     manifest_path = path / "manifest.json"

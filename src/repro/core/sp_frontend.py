@@ -248,10 +248,6 @@ class ShardedStorageProvider:
             for object_id, obj in zip(ids, objects)
         }
 
-    def object_count(self) -> int:
-        """Total objects across every shard."""
-        return len(self._locations)
-
     def all_object_ids(self) -> list[int]:
         """Every stored object ID across shards, ascending."""
         return sorted(self._locations)

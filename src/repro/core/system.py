@@ -4,7 +4,12 @@ Wires the four parties together for any of the ADS schemes:
 
 * the **data owner** (:class:`~repro.core.owner.DataOwnerPipeline`)
   streams objects: raw data to the SP, meta-data and ADS updates to the
-  blockchain;
+  blockchain.  There is one ingest path,
+  :meth:`HybridStorageSystem.add_objects_batched`; ``add_object`` is a
+  batch of one.  A batch is checked (non-empty, no ID stored or
+  repeated) before its first transaction.  The Chameleon family
+  confirms it whole or not at all; the Merkle family keeps the prefix
+  confirmed before a failure, stored and queryable;
 * the **blockchain** runs the scheme's smart contract under the gas
   model of Table I;
 * the **SP** (:class:`~repro.core.sp_frontend.ShardedStorageProvider`)
@@ -58,10 +63,11 @@ from repro.core.sp_frontend import ShardedStorageProvider
 from repro.crypto import vc
 from repro.crypto.bloom import DEFAULT_CAPACITY, DEFAULT_FILTER_BITS, BloomFilterChain
 from repro.crypto.prf import generate_key
-from repro.errors import ChainError, DatasetError, ReproError
+from repro.errors import DatasetError, IntegrityError
 from repro.ethereum.chain import Blockchain, Receipt
 from repro.ethereum.gas import BLOCK_GAS_LIMIT, GasMeter
 from repro.parallel import ReadWriteLock
+from repro.sp.engine import holds_shard_state
 from repro.sp.protocol import QueryResult, RemoteClient, StorageProviderServer
 
 __all__ = [
@@ -97,7 +103,12 @@ class HybridStorageSystem:
     Sharding knobs: ``shards`` splits the SP into that many keyword
     partitions behind deterministic seeded routing; ``engine`` picks the
     per-shard storage engine (``memory`` default, or ``disk`` for an
-    append-only JSONL segment log under ``engine_dir``); ``pool`` says
+    append-only JSONL segment log under ``engine_dir``, which must hold
+    no shard state yet: the chain and the DO start empty, so a directory
+    from an earlier run is refused with
+    :class:`~repro.errors.IntegrityError` — a system is restored by
+    replaying its object log, :func:`~repro.core.persistence.load_system`);
+    ``pool`` says
     where the engines live (``stateless``, the default: in this process;
     ``affine``: each shard's engine resident in a long-lived worker
     process that is sent only delta records per batch).  Shard layout and pool mode never change
@@ -132,6 +143,13 @@ class HybridStorageSystem:
         pool: str = "stateless",
     ) -> None:
         self.scheme = Scheme.parse(scheme)
+        if engine == "disk" and engine_dir is not None and holds_shard_state(engine_dir):
+            # The SP would replay it over an empty chain and an empty DO,
+            # and no query or insertion would verify again.
+            raise IntegrityError(
+                f"{engine_dir} already holds shard state; a new system "
+                "starts from an empty chain and cannot adopt it"
+            )
         self.fanout = fanout
         self.join_order = join_order
         self.join_plan = join_plan
@@ -209,7 +227,6 @@ class HybridStorageSystem:
             value_bytes=self.value_bytes,
             do=do,
         )
-        self._object_count = self._sp.object_count()  # disk-engine replay
         # Through a weak proxy: a system that held a strong reference to
         # itself would outlive its last user until the cyclic collector
         # ran, and a caller that builds systems in turn would hold several.
@@ -226,10 +243,6 @@ class HybridStorageSystem:
     def store(self):
         """The first shard's object store (the whole store at shards=1)."""
         return self._sp.engines[0].store
-
-    @store.setter
-    def store(self, value) -> None:
-        self._sp.engines[0].store = value
 
     @property
     def sp_index(self):
@@ -255,16 +268,62 @@ class HybridStorageSystem:
             return self._sp.get_object(object_id)
 
     def add_object(self, obj: DataObject) -> InsertReport:
-        """Run the full DO pipeline for one new object.
+        """Insert one new object: a batch of one."""
+        return self.add_objects_batched([obj])
 
-        The raw object reaches the SP's store only once every receipt
-        confirmed, so a failed transaction leaves the store, the DO
-        state and the SP index exactly as they were.
+    def add_objects(self, objects) -> list[InsertReport]:
+        """Insert many objects, one batch of one each."""
+        return [self.add_object(obj) for obj in objects]
+
+    def add_objects_batched(self, objects) -> InsertReport:
+        """Run the DO pipeline for a batch of new objects.
+
+        An empty batch, an ID already stored and an ID repeated within
+        the batch are refused with :class:`~repro.errors.DatasetError`
+        before any transaction is sent.  The Chameleon family confirms
+        the batch in one transaction, paying the 21,000-gas ``C_tx``
+        once, or confirms nothing; the Merkle family sends each object's
+        transactions in turn and keeps the prefix confirmed before a
+        failure.  Confirmed objects reach the SP's store, their gas the
+        maintenance meter and their receipts one mined block before any
+        error propagates, so a failure leaves the system queryable.
         """
+        objects = list(objects)
         t0 = time.perf_counter()
         with self._rwlock.write(), obs.span(
-            "insert", scheme=self.scheme.value, object_id=obj.object_id
+            "insert", scheme=self.scheme.value, count=len(objects)
         ) as ins_span:
+            self._check_batch(objects)
+            metadatas = [ObjectMetadata.of(obj) for obj in objects]
+            receipts: list[Receipt] = []
+            stored = 0
+            try:
+                for step, confirmed in self._owner.confirm(metadatas):
+                    receipts += step
+                    for obj in objects[stored : stored + confirmed]:
+                        self._sp.put_object(obj)
+                    stored += confirmed
+            finally:
+                if stored:
+                    self._sp.flush_mutations()
+                    for receipt in receipts:
+                        self._maintenance.merge(receipt.gas)
+                    self._object_count += stored
+                    self.chain.mine_block()
+                gas = sum(r.gas.total for r in receipts)
+                ins_span.set(gas=gas)
+                obs.inc("insert.count", stored)
+                obs.observe("insert.seconds", time.perf_counter() - t0,
+                            buckets=obs.TIME_BUCKETS_S)
+                obs.observe("insert.gas", gas, buckets=obs.GAS_BUCKETS)
+        return InsertReport(object_id=objects[-1].object_id, receipts=receipts)
+
+    def _check_batch(self, objects: list[DataObject]) -> None:
+        """Refuse a batch no transaction may be sent for."""
+        if not objects:
+            raise DatasetError("empty batch")
+        seen: set[int] = set()
+        for obj in objects:
             # The SP's location map is authoritative across all shards
             # (and the only option in affine mode, where the stores live
             # in the resident workers).
@@ -273,112 +332,11 @@ class HybridStorageSystem:
                     f"object {obj.object_id} already stored; "
                     "objects are immutable"
                 )
-            metadata = ObjectMetadata.of(obj)
-            receipts = self._owner.insert(metadata)
-            for receipt in receipts:
-                if not receipt.status:
-                    raise ChainError(
-                        f"insertion transaction failed: {receipt.error}"
-                    )
-            self._sp.put_object(obj)
-            self._sp.flush_mutations()
-            for receipt in receipts:
-                self._maintenance.merge(receipt.gas)
-            self._object_count += 1
-            self.chain.mine_block()
-            gas = sum(r.gas.total for r in receipts)
-            ins_span.set(gas=gas, keywords=len(metadata.keywords))
-        obs.inc("insert.count")
-        obs.observe("insert.seconds", time.perf_counter() - t0,
-                    buckets=obs.TIME_BUCKETS_S)
-        obs.observe("insert.gas", gas, buckets=obs.GAS_BUCKETS)
-        return InsertReport(object_id=obj.object_id, receipts=receipts)
-
-    def add_objects(self, objects) -> list[InsertReport]:
-        """Insert many objects, one transaction pipeline each."""
-        return [self.add_object(obj) for obj in objects]
-
-    def add_objects_batched(self, objects) -> InsertReport:
-        """Insert many objects with a single DO transaction.
-
-        Amortises the 21,000-gas ``C_tx`` base cost across the batch.
-        Supported by the Chameleon family (whose per-object on-chain
-        work is a handful of word writes).  MI pays per-object
-        transactions but mirrors the confirmed batch into the SP in one
-        pass; SMI falls back to per-object pipelines (its update spines
-        must interleave with the insertions) and returns a merged
-        report.
-        """
-        objects = list(objects)
-        if not objects:
-            raise ReproError("empty batch")
-        with obs.span(
-            "insert.batch", scheme=self.scheme.value, count=len(objects)
-        ):
-            return self._add_objects_batched(objects)
-
-    def _add_objects_batched(self, objects: list[DataObject]) -> InsertReport:
-        if self.scheme is Scheme.SUPPRESSED:
-            reports = self.add_objects(objects)
-            return InsertReport(
-                object_id=objects[-1].object_id,
-                receipts=[r for report in reports for r in report.receipts],
-            )
-        metadatas = [ObjectMetadata.of(obj) for obj in objects]
-        with self._rwlock.write():
-            for metadata in metadatas:
-                if self._sp.has_object(metadata.object_id):
-                    raise DatasetError(
-                        f"object {metadata.object_id} already stored; "
-                        "objects are immutable"
-                    )
-            if self.scheme is Scheme.MERKLE_INV:
-                return self._add_merkle_batched(objects, metadatas)
-            # Chameleon family: stage every mutation — the store is
-            # untouched and the DO's state snapshotted until the batched
-            # transaction's receipt confirms, so a failed receipt leaves
-            # the system able to answer queries (and retry the batch)
-            # consistently.
-            receipt = self._owner.insert_chameleon_batched(metadatas)
-            for obj in objects:
-                self._sp.put_object(obj)
-            self._sp.flush_mutations()
-            self._maintenance.merge(receipt.gas)
-            self._object_count += len(objects)
-            self.chain.mine_block()
-            return InsertReport(
-                object_id=objects[-1].object_id, receipts=[receipt]
-            )
-
-    def _add_merkle_batched(
-        self, objects: list[DataObject], metadatas: list[ObjectMetadata]
-    ) -> InsertReport:
-        """MI batched path: per-object transactions, then the SP mirror."""
-        receipts: list[Receipt] = []
-        failure: Receipt | None = None
-        for metadata in metadatas:
-            receipt = self._owner.insert_merkle_tx(metadata)
-            if not receipt.status:
-                failure = receipt
-                break
-            receipts.append(receipt)
-        confirmed = len(receipts)
-        if confirmed:
-            for metadata, obj in zip(metadatas[:confirmed], objects):
-                self._sp.insert_entries(metadata)
-                self._sp.put_object(obj)
-            self._sp.flush_mutations()
-            for receipt in receipts:
-                self._maintenance.merge(receipt.gas)
-            self._object_count += confirmed
-            self.chain.mine_block()
-        if failure is not None:
-            raise ChainError(
-                f"insertion transaction failed: {failure.error}"
-            )
-        return InsertReport(
-            object_id=objects[-1].object_id, receipts=receipts
-        )
+            if obj.object_id in seen:
+                raise DatasetError(
+                    f"object {obj.object_id} appears twice in one batch"
+                )
+            seen.add(obj.object_id)
 
     # -- query processing --------------------------------------------------------
 

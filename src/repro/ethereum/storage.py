@@ -105,30 +105,6 @@ class ContractStorage:
         else:
             self._words[key] = word
 
-    def store_bytes(self, key_prefix: StorageKey, data: bytes) -> int:
-        """Store arbitrary-length ``data`` across consecutive word slots.
-
-        Writes a length word followed by ceil(len/32) content words under
-        ``key_prefix``.  Returns the number of words written (including
-        the length word).  Used by contracts that keep multi-word records
-        (e.g. full MB-tree nodes in the baseline index).
-        """
-        words_written = 1
-        self.store(key_prefix + ("len",), len(data))
-        for i in range(0, len(data), DIGEST_SIZE):
-            chunk = data[i : i + DIGEST_SIZE].ljust(DIGEST_SIZE, b"\x00")
-            self.store(key_prefix + ("w", i // DIGEST_SIZE), chunk)
-            words_written += 1
-        return words_written
-
-    def load_bytes(self, key_prefix: StorageKey) -> bytes:
-        """Metered read of a multi-word record written by store_bytes."""
-        length = self.load_int(key_prefix + ("len",))
-        data = b""
-        for i in range((length + DIGEST_SIZE - 1) // DIGEST_SIZE):
-            data += self.load(key_prefix + ("w", i))
-        return data[:length]
-
     # -- transaction revert support -------------------------------------------
 
     def snapshot(self) -> dict[StorageKey, bytes]:

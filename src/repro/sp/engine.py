@@ -673,6 +673,11 @@ def make_engine(
     )
 
 
+def holds_shard_state(directory: str | Path) -> bool:
+    """Whether any shard journal or checkpoint under ``directory`` holds bytes."""
+    return any(path.stat().st_size for path in Path(directory).glob("shard-*"))
+
+
 def build_index_factory(index_spec: tuple) -> Callable[[], object]:
     """Build a per-shard index factory from its picklable spec.
 

@@ -66,10 +66,13 @@ class TestBatchedInsertion:
         system.query("alpha AND beta")
 
     def test_merkle_family_falls_back(self):
+        """SMI still sends each object's own transactions, but the batch
+        is mined as one block."""
         docs = make_docs(5)
         system = HybridStorageSystem(scheme="smi", seed=6)
         report = system.add_objects_batched(docs)
         assert len(report.receipts) == 10  # register + insert per object
+        assert system.chain.height == 1
         system.query("alpha")
 
     def test_empty_batch_rejected(self):

@@ -61,6 +61,6 @@ class TestVerifiedFlag:
         # Splice the truncated SP index under the original chain state.
         engine, truncated_engine = system._sp.engines[0], fresh._sp.engines[0]
         engine.index = truncated_engine.index
-        system.store = fresh.store
+        engine.store = truncated_engine.store
         with pytest.raises(VerificationError):
             system.query("covid-19 AND symptom")

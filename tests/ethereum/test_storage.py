@@ -73,18 +73,6 @@ class TestMeteredAccess:
             s.store(("k",), 1)
 
 
-class TestMultiWordRecords:
-    def test_store_load_bytes_roundtrip(self, storage):
-        data = b"hello world, this spans multiple storage words!" * 2
-        words = storage.store_bytes(("blob",), data)
-        assert words == 1 + (len(data) + 31) // 32
-        assert storage.load_bytes(("blob",)) == data
-
-    def test_empty_record(self, storage):
-        storage.store_bytes(("blob",), b"")
-        assert storage.load_bytes(("blob",)) == b""
-
-
 class TestUnmeteredAccess:
     def test_peek_poke_do_not_charge(self, storage):
         before = storage._meter.total

@@ -116,6 +116,21 @@ class TestPerScheme:
             2 if scheme == "smi" else 1
         )
 
+    def test_batched_insert_metrics(self, scheme):
+        """A batch is one ``insert`` span and one observation, and counts
+        every object it stored."""
+        with obs.collect() as col:
+            system = _build(scheme)
+            report = system.add_objects_batched(DOCS)
+            snap = col.metrics.snapshot()
+        assert snap["insert.count"] == len(DOCS)
+        assert snap["insert.seconds"]["count"] == 1
+        assert snap["insert.gas"]["count"] == 1
+        assert snap["insert.gas"]["sum"] == report.gas == snap["gas.total"]
+        (span,) = [s for s in col.spans if s.name == "insert"]
+        assert span.attributes["scheme"] == scheme
+        assert span.attributes["count"] == len(DOCS)
+
 
 class TestNullSinkPath:
     def test_system_runs_unobserved(self):

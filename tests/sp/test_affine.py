@@ -18,6 +18,7 @@ from repro.core.merkle_family import MerkleInvertedSP
 from repro.core.objects import DataObject, ObjectMetadata
 from repro.core.query.parser import KeywordQuery
 from repro.core.query.vo import QueryVO
+from repro.core.sp_frontend import ShardedStorageProvider
 from repro.core.system import HybridStorageSystem
 from repro.errors import ParameterError, ReproError
 from repro.parallel import RemoteTraceback
@@ -123,15 +124,16 @@ def test_batched_ingest_keeps_per_object_roots_in_every_layout(layout, tmp_path)
     """After MI's ``add_objects_batched`` every keyword's root and entry
     list equal those of the per-object ``add_object`` path — in this
     process and in the workers, which apply the same buffered records —
-    and a restarted disk engine replays its journal to the same roots.
+    and a restarted disk SP replays its journals to the same roots (a
+    system refuses such a directory, so the SP is reopened on its own).
 
     Both systems live across the examples, so later batches extend
     trees earlier ones built.
     """
     shards, pool, engine = BULK_LAYOUTS[layout]
 
-    def state(system):
-        trees = {keyword: system._sp.tree(keyword) for keyword in sorted(seen)}
+    def state(sp):
+        trees = {keyword: sp.tree(keyword) for keyword in sorted(seen)}
         return {
             keyword: (
                 tree.root_hash,
@@ -166,15 +168,25 @@ def test_batched_ingest_keeps_per_object_roots_in_every_layout(layout, tmp_path)
             reference.add_object(obj)
             seen.update(obj.keywords)
         bulk.add_objects_batched(objects)
-        assert state(bulk) == state(reference)
+        assert state(bulk._sp) == state(reference._sp)
 
     try:
         check()
         assert seen
         if engine == "disk":
             bulk.close()
-            bulk = batched()
-            assert state(bulk) == state(reference)
+            bulk = ShardedStorageProvider(
+                index_spec=MERKLE_SPEC,
+                scheme_value="mi",
+                join_order="size",
+                join_plan="cyclic",
+                shards=shards,
+                engine=engine,
+                engine_dir=tmp_path,
+                seed=13,
+                pool=pool,
+            )
+            assert state(bulk) == state(reference._sp)
     finally:
         reference.close()
         bulk.close()
