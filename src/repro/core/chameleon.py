@@ -42,6 +42,7 @@ id)`` pairs of the rows marked read.
 from __future__ import annotations
 
 import struct
+from bisect import bisect_right
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -502,10 +503,14 @@ class ChameleonTreeSP:
     commitment and the latest opening of its whole vector — and cuts
     node tables out of them for query processing.  All node material lives in
     a flat :class:`~repro.core.nodestore.ChameleonStore` buffer —
-    positions are BFS-contiguous, so the position-to-record map and the
-    ID order are both pure index arithmetic over the records, and the
-    whole tree snapshots/ships as one buffer.  ``value_bytes`` is the
-    group-element width (``ceil(modulus_bits / 8)``).
+    positions are BFS-contiguous, so the position-to-record map is pure
+    index arithmetic over the records, and the whole tree snapshots/ships
+    as one buffer.  IDs ascend with positions, so the tree also keeps
+    them as one list, ``ids`` (position ``p``'s ID is ``ids[p - 1]``):
+    each insertion appends to it, a restore rebuilds it from the
+    records, and a probe is one ``bisect_right`` over it.  It is never
+    persisted or pickled.  ``value_bytes`` is the group-element width
+    (``ceil(modulus_bits / 8)``).
     """
 
     def __init__(
@@ -516,6 +521,7 @@ class ChameleonTreeSP:
     ) -> None:
         self.store = ChameleonStore.create(arity=arity, value_bytes=value_bytes)
         self.store.root_commitment = root_commitment
+        self.ids: list[int] = []
 
     # -- flat-buffer snapshots ----------------------------------------------------
 
@@ -527,14 +533,15 @@ class ChameleonTreeSP:
     def from_blob(cls, blob: bytes | bytearray | memoryview) -> "ChameleonTreeSP":
         """Restore a tree from :meth:`to_blob` output (one buffer read)."""
         tree = cls.__new__(cls)
-        tree.store = ChameleonStore.from_blob(blob)
+        tree.store = store = ChameleonStore.from_blob(blob)
+        tree.ids = [store.object_id(pos) for pos in range(1, store.count + 1)]
         return tree
 
     def __getstate__(self) -> dict:
         return {"blob": self.to_blob()}
 
     def __setstate__(self, state: dict) -> None:
-        self.store = ChameleonStore.from_blob(state["blob"])
+        self.__dict__.update(vars(ChameleonTreeSP.from_blob(state["blob"])))
 
     @property
     def root_commitment(self) -> int:
@@ -571,7 +578,7 @@ class ChameleonTreeSP:
                 f"insertion proofs must arrive in order; expected position "
                 f"{expected}, got {proof.position}"
             )
-        if count and proof.object_id <= self.store.object_id(count):
+        if count and proof.object_id <= self.ids[-1]:
             raise ReproError("object IDs must be strictly increasing")
         self.store.append(
             object_id=proof.object_id,
@@ -581,17 +588,22 @@ class ChameleonTreeSP:
         )
         parent, _ = parent_position(proof.position, self.arity)
         self.store.set_opening(parent, proof.parent_opening)
+        self.ids.append(proof.object_id)
 
     def id_at_position(self, pos: int) -> int:
         """The object ID stored at a 1-based position."""
         if not 1 <= pos <= self.count:
             raise ReproError(f"position {pos} outside tree of size {self.count}")
-        return self.store.object_id(pos)
+        return self.ids[pos - 1]
+
+    def rank_of(self, target: int) -> int:
+        """Number of stored IDs ``<= target``; also the largest one's position."""
+        return bisect_right(self.ids, target)
 
     def position_of(self, object_id: int) -> int | None:
         """``getPos``: position of an exact ID, or None."""
-        rank = self.store.rank_of(object_id)  # IDs are position-sorted
-        if rank > 0 and self.store.object_id(rank) == object_id:
+        rank = self.rank_of(object_id)
+        if rank and self.ids[rank - 1] == object_id:
             return rank
         return None
 

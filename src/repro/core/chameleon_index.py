@@ -206,12 +206,13 @@ class ChameleonView:
     """One keyword's Chameleon tree as the SP's join walk reads it.
 
     A :class:`~repro.core.query.join.KeyView`: the walk gets object IDs,
-    found by rank arithmetic over the tree's flat store (IDs ascend with
-    positions), and nothing is proven.  The view remembers, ascending,
-    the *positions* it handed out; :meth:`run` packs them with the
-    tree's ``c_0 || cnt`` for the prove step
-    (:func:`~repro.core.multiproof.compress_query_vo`), which asks each
-    tree once for the node table over everything a query read from it.
+    each probe one bisect of the tree's ID list (IDs ascend with
+    positions, so an ID's rank is its position), and nothing is proven.
+    The view remembers, ascending, the *positions* it handed out;
+    :meth:`run` packs them with the tree's ``c_0 || cnt`` for the prove
+    step (:func:`~repro.core.multiproof.compress_query_vo`), which asks
+    each tree once for the node table over everything a query read from
+    it.
 
     ``bloom`` is populated only by the starred variant; when set, the
     walk skips probes for IDs the on-chain filters prove absent — the
@@ -229,26 +230,26 @@ class ChameleonView:
     def first(self) -> int:
         """The smallest ID."""
         remember_key(self.positions, 1)
-        return self.tree.store.object_id(1)
+        return self.tree.ids[0]
 
     def boundaries(self, target: int) -> tuple[int | None, int | None]:
         """The IDs around a target."""
-        store = self.tree.store
-        rank = store.rank_of(target)  # IDs <= target; also lower's position
+        ids = self.tree.ids
+        rank = self.tree.rank_of(target)  # also lower's position
         lower = upper = None
         if rank:
-            lower = store.object_id(rank)
+            lower = ids[rank - 1]
             remember_key(self.positions, rank)
-        if rank < store.count:
-            upper = store.object_id(rank + 1)
+        if rank < len(ids):
+            upper = ids[rank]
             remember_key(self.positions, rank + 1)
         return lower, upper
 
     def scan(self) -> list[int]:
         """Every ID, in order."""
-        store = self.tree.store
-        self.positions = list(range(1, store.count + 1))
-        return [store.object_id(position) for position in self.positions]
+        ids = self.tree.ids
+        self.positions = list(range(1, len(ids) + 1))
+        return list(ids)
 
     def run(self) -> LocatedRun:
         """What has been read so far, under the ``<c_0, cnt>`` it was read at."""
@@ -324,8 +325,8 @@ class ChameleonSP:
         self.blooms = {}
         if self.masks is not None:
             for keyword, tree in trees.items():
-                for position in range(1, tree.count + 1):
-                    self._add_to_chain(keyword, tree.store.object_id(position))
+                for object_id in tree.ids:
+                    self._add_to_chain(keyword, object_id)
 
     def view(self, keyword: str) -> ChameleonView:
         """The join engine's view of one keyword's tree."""

@@ -29,8 +29,9 @@ one fold checks against the root.  A single entry is the 1-leaf table.
 The fold also counts, per proven entry, the sibling digests passed
 before it, and those counts are all the completeness checks of Section
 III-B need (first entry, last entry, two entries adjacent): see
-:class:`~repro.core.multiproof.ProvenRun`.  :class:`LeafCursor` finds
-the keys to prove without hashing.
+:class:`~repro.core.multiproof.ProvenRun`.  The keys to prove come from
+the tree's key column without hashing: :meth:`MBTree.boundaries` is one
+``bisect_right`` over it.
 
 Suppressed maintenance (Sections IV and IX)
 -------------------------------------------
@@ -50,7 +51,7 @@ logic the tests check against the real tree.
 from __future__ import annotations
 
 import struct
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left, bisect_right, insort
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
@@ -146,6 +147,19 @@ def _leaf_digests(view: MBTreeStore, index: int) -> list[bytes]:
     ]
 
 
+def _leaf_walk(view: MBTreeStore, root: int) -> list[int]:
+    """Every key under ``root``, in order, read from the leaf records."""
+    out: list[int] = []
+    stack = [root]
+    while stack:
+        rows, children, _ = view.slots(stack.pop())
+        if rows:
+            out += _leaf_keys(len(rows) // 40).unpack(rows)
+        else:
+            stack += reversed(children)
+    return out
+
+
 class TreeInsertReport(NamedTuple):
     """What one :meth:`MBTree.insert` read and re-hashed, by record index.
 
@@ -170,9 +184,12 @@ class MBTree:
     Supports arbitrary-order insertion (splits propagate upward), though
     the paper's workload only ever appends monotonically increasing IDs.
     All node state lives in ``self.store`` (an
-    :class:`~repro.core.nodestore.MBTreeStore`); the tree keeps only
-    scalar mirrors of the header fields for hot-path reads and writes
-    them through, so the store's buffer is always a complete snapshot.
+    :class:`~repro.core.nodestore.MBTreeStore`), so the store's buffer is
+    always a complete snapshot.  Beside it the tree keeps its *key
+    column*: every key, ascending, in one list that each insertion
+    extends and a restore rebuilds from the leaves.  It is what the
+    SP's probes read (:meth:`boundaries` is one ``bisect_right``); it is
+    never persisted or pickled.
     """
 
     def __init__(self, fanout: int = DEFAULT_FANOUT) -> None:
@@ -181,8 +198,7 @@ class MBTree:
         self.fanout = fanout
         self.store = MBTreeStore.create(fanout)
         self._root_idx = NIL
-        self._count = 0
-        self._max_key: int | None = None
+        self._keys: list[int] = []
 
     # -- flat-buffer snapshots ----------------------------------------------------
 
@@ -192,60 +208,63 @@ class MBTree:
 
     @classmethod
     def from_blob(cls, blob: bytes | bytearray | memoryview) -> "MBTree":
-        """Restore a tree from :meth:`to_blob` output (one buffer read)."""
+        """Restore a tree from :meth:`to_blob` output (one buffer read).
+
+        The key column is rebuilt by one walk of the leaves, which must
+        find as many keys as the header counts.
+        """
         view = MBTreeStore.from_blob(blob)
         tree = cls.__new__(cls)
         tree.fanout = view.fanout
         tree.store = view
         top = view.store.root
         tree._root_idx = top
-        tree._count = view.store.count
-        tree._max_key = view.store.max_key if tree._count else None
-        if tree._count and top == NIL:
+        count = view.store.count
+        if count and top == NIL:
             raise IntegrityError("non-empty MB-tree blob lacks a root")
+        tree._keys = _leaf_walk(view, top) if count else []
+        if len(tree._keys) != count:
+            raise IntegrityError(
+                f"MB-tree blob counts {count} keys, its leaves hold "
+                f"{len(tree._keys)}"
+            )
         return tree
 
     def __getstate__(self) -> dict:
         # Pickling ships the buffer, not an object graph: no recursion,
-        # one memcpy, and the receiver revalidates the header.
+        # one memcpy, and the receiver revalidates the header and
+        # rebuilds the key column.
         return {"blob": self.to_blob()}
 
     def __setstate__(self, state: dict) -> None:
-        restored = MBTree.from_blob(state["blob"])
-        self.fanout = restored.fanout
-        self.store = restored.store
-        self._root_idx = restored._root_idx
-        self._count = restored._count
-        self._max_key = restored._max_key
+        self.__dict__.update(vars(MBTree.from_blob(state["blob"])))
 
     # -- basic properties -----------------------------------------------------
 
     def __len__(self) -> int:
-        return self._count
+        return len(self._keys)
 
     @property
     def root_hash(self) -> bytes:
         """The tree's authenticated digest (EMPTY_DIGEST when empty)."""
-        if self._count == 0:
+        if not self._keys:
             return EMPTY_DIGEST
         return self.store.digest(self._root_idx)
 
     @property
     def max_key(self) -> int | None:
         """Largest key inserted so far, or None."""
-        return self._max_key
+        return self._keys[-1] if self._keys else None
 
     @property
     def min_key(self) -> int | None:
         """Smallest key in the tree, or None."""
-        if self._count == 0:
-            return None
-        return self.store.min_key(self._root_idx)
+        return self._keys[0] if self._keys else None
 
     @property
     def height(self) -> int:
         """Number of levels (0 for an empty tree)."""
-        if self._count == 0:
+        if not self._keys:
             return 0
         levels = 1
         node = self._root_idx
@@ -258,26 +277,18 @@ class MBTree:
         self._root_idx = index
         self.store.store.root = index
 
-    def _set_count(self, value: int) -> None:
-        self._count = value
-        self.store.store.count = value
-
-    def _set_max_key(self, key: int) -> None:
-        self._max_key = key
-        self.store.store.max_key = key
-
     # -- insertion --------------------------------------------------------------
 
     def insert(self, key: int, value_hash: bytes) -> TreeInsertReport:
         """Insert ``<key, value_hash>``; duplicate keys are rejected."""
         view = self.store
-        if self._count == 0:
+        keys = self._keys
+        if not keys:
             leaf = view.new_leaf()
             view.leaf_insert(leaf, 0, key, value_hash)
             view.set_digest(leaf, leaf_digest([entry_digest(key, value_hash)]))
             self._set_root(leaf)
-            self._set_count(1)
-            self._set_max_key(key)
+            self._add_key(key)
             return TreeInsertReport([], [leaf], 0, True)
         path = self._descend(key)
         leaf = path[-1]
@@ -285,10 +296,19 @@ class MBTree:
         if found:
             raise ReproError(f"duplicate key {key} in MB-tree")
         view.leaf_insert(leaf, position, key, value_hash)
-        self._set_count(self._count + 1)
-        if self._max_key is None or key > self._max_key:
-            self._set_max_key(key)
+        self._add_key(key)
         return TreeInsertReport(path, *self._split_and_rehash(path))
+
+    def _add_key(self, key: int) -> None:
+        """Put ``key`` in the column and write the header through."""
+        keys = self._keys
+        header = self.store.store
+        if not keys or key > keys[-1]:
+            keys.append(key)  # the paper's workload: an append
+            header.max_key = key
+        else:
+            insort(keys, key)
+        header.count = len(keys)
 
     def _descend(self, key: int) -> list[int]:
         """Root-to-leaf record path guiding an insertion of ``key``."""
@@ -382,28 +402,27 @@ class MBTree:
                 for child in view.children(index):
                     yield from walk(child)
 
-        if self._count:
+        if self._keys:
             yield from walk(self._root_idx)
 
     def keys(self) -> list[int]:
-        """All keys in order (no hash is read)."""
-        view = self.store
-        out: list[int] = []
-        stack = [self._root_idx] if self._count else []
-        while stack:
-            node = stack.pop()
-            if view.is_leaf(node):
-                out += [
-                    view.leaf_key(node, slot)
-                    for slot in range(view.count(node))
-                ]
-            else:
-                stack += reversed(view.children(node))
-        return out
+        """All keys in order: a copy of the key column."""
+        return list(self._keys)
 
-    def cursor(self) -> "LeafCursor":
-        """A finger for boundary lookups whose targets ascend."""
-        return LeafCursor(self)
+    def boundaries(self, target: int) -> tuple[int | None, int | None]:
+        """The keys bracketing ``target``: ``(largest <=, smallest >)``.
+
+        One ``bisect_right`` over the key column, no record or digest
+        read.  It is the tree's one boundary lookup: the join views,
+        range queries, storage absence proofs and the general update's
+        neighbour all read it.
+        """
+        keys = self._keys
+        rank = bisect_right(keys, target)
+        return (
+            keys[rank - 1] if rank else None,
+            keys[rank] if rank < len(keys) else None,
+        )
 
     def multiproof(self, keys: Sequence[int]) -> TreeMultiproof:
         """One deduplicated proof for ``keys``, built in one pass.
@@ -425,7 +444,7 @@ class MBTree:
             raise ReproError("a multiproof needs at least one key")
         if any(a >= b for a, b in zip(keys, keys[1:])):
             raise ReproError("multiproof keys must be strictly ascending")
-        if self._count == 0:
+        if not self._keys:
             raise ReproError(f"key {keys[0]} not present in MB-tree")
         view = self.store
         nodes = bytearray()
@@ -506,7 +525,7 @@ class MBTree:
         whole, Algorithm 1's right-most branch is its append view
         (:meth:`UpdatePath.spine`).
         """
-        if self._count == 0:
+        if not self._keys:
             return UpdatePath(levels=(), leaf=(), index=0)
         view = self.store
         levels = []
@@ -522,90 +541,6 @@ class MBTree:
         return UpdatePath(
             levels=tuple(levels), leaf=tuple(view.leaf_entries(leaf)), index=index
         )
-
-
-class LeafCursor:
-    """A finger on one tree for boundary lookups whose targets ascend.
-
-    A join walk probes a tree with targets that only grow, so most
-    probes land in the leaf the previous one reached, or in one nearby.
-    The finger keeps the path to the current leaf — per internal node
-    its children, their cached minimum keys and the slot taken — plus
-    the leaf's keys and its upper bound (the minimum key of the deepest
-    right sibling on the path, i.e. the tree's next key).  :meth:`seek`
-    answers from the leaf while the target stays below that bound;
-    otherwise it climbs only while the target is at or beyond the
-    subtree's upper bound and re-descends from there.  A smaller target
-    than the last one, or a tree that has changed size, starts over from
-    the root.  No digest is read.  It is the tree's one boundary lookup:
-    the join views, range queries, storage absence proofs and the
-    general update's neighbour all read it.
-    """
-
-    __slots__ = ("_tree", "_count", "_last", "_frames", "_keys", "_bound")
-
-    def __init__(self, tree: MBTree) -> None:
-        self._tree = tree
-        self._count = -1  # nothing cached: the first seek descends
-        self._last = 0
-        #: Root-to-leaf internal nodes: [children, minimum keys, slot
-        #: taken, upper bound of the node's own key range].
-        self._frames: list[list] = []
-        self._keys: list[int] = []
-        self._bound: int | None = None
-
-    def seek(self, target: int) -> tuple[int | None, int | None]:
-        """The keys bracketing ``target``: ``(largest <=, smallest >)``."""
-        tree = self._tree
-        if tree._count != self._count or target < self._last:
-            self._count = tree._count
-            self._frames = []
-            self._keys = []
-            if self._count == 0:
-                self._bound = None
-                return None, None
-            self._descend(tree._root_idx, None, target)
-        elif self._bound is not None and target >= self._bound:
-            frames = self._frames
-            # The root's range is unbounded, so the climb stops there
-            # at the latest.
-            while frames[-1][3] is not None and target >= frames[-1][3]:
-                frames.pop()
-            self._descend(*self._route(frames[-1], target), target)
-        self._last = target
-        keys = self._keys
-        rank = bisect_right(keys, target)
-        return (
-            keys[rank - 1] if rank else None,
-            keys[rank] if rank < len(keys) else self._bound,
-        )
-
-    @staticmethod
-    def _route(frame: list, target: int) -> tuple[int, int | None]:
-        """Move a frame's slot forward to ``target``'s child.
-
-        Returns the child and the upper bound of its key range: the next
-        sibling's minimum, or the node's own bound for the last child.
-        """
-        children, minima, slot, outer = frame
-        last = len(children) - 1
-        while slot < last and target >= minima[slot + 1]:
-            slot += 1
-        frame[2] = slot
-        return children[slot], minima[slot + 1] if slot < last else outer
-
-    def _descend(self, node: int, bound: int | None, target: int) -> None:
-        """Route ``target`` from ``node`` (key range below ``bound``)."""
-        view = self._tree.store
-        while not view.is_leaf(node):
-            children = view.children(node)
-            frame = [children, [view.min_key(c) for c in children], 0, bound]
-            self._frames.append(frame)
-            node, bound = self._route(frame, target)
-        self._keys = [
-            view.leaf_key(node, slot) for slot in range(view.count(node))
-        ]
-        self._bound = bound
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,7 @@ same proof system.  This module holds that common ground:
 
 * :class:`MerkleInvertedSP` — the SP's keyword -> MB-tree map;
 * :class:`MBTreeView` — the join engine's view of one tree on the SP:
-  it reads keys through a forward cursor and remembers them;
+  it reads keys from the tree's key column and remembers them;
 * :class:`MerkleProofSystem` — the client's verifier bound to the root
   hashes read from the blockchain (``VO_chain``): it folds each
   multiproof to its keyword's root and opens its leaves as the
@@ -21,7 +21,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from repro import obs
-from repro.core.mbtree import DEFAULT_FANOUT, LeafCursor, MBTree
+from repro.core.mbtree import DEFAULT_FANOUT, MBTree
 from repro.core.multiproof import (
     LocatedRun,
     ProvenRun,
@@ -40,21 +40,18 @@ from repro.errors import VerificationError
 class MBTreeView:
     """One keyword's MB-tree as the SP's join walk reads it.
 
-    A :class:`~repro.core.query.join.KeyView`: the walk gets keys, found
-    without hashing through a :class:`~repro.core.mbtree.LeafCursor`
-    (its targets ascend, so most probes stay in or next to the leaf of
-    the previous one).  The view remembers, ascending, every key it
-    handed out; :meth:`run` packs them with the tree's current root for
-    the prove step (:func:`~repro.core.multiproof.compress_query_vo`),
-    which asks each tree once for everything a query read from it.
+    A :class:`~repro.core.query.join.KeyView`: the walk gets keys, each
+    probe one bisect of the tree's key column
+    (:meth:`~repro.core.mbtree.MBTree.boundaries`), no digest read.  The
+    view remembers, ascending, every key it handed out; :meth:`run` packs
+    them with the tree's current root for the prove step
+    (:func:`~repro.core.multiproof.compress_query_vo`), which asks each
+    tree once for everything a query read from it.
     """
 
     keyword: str
     tree: MBTree
     keys: list[int] = field(default_factory=list, init=False, compare=False)
-    _cursor: LeafCursor | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
     def __len__(self) -> int:
         return len(self.tree)
@@ -67,10 +64,7 @@ class MBTreeView:
 
     def boundaries(self, target: int) -> tuple[int | None, int | None]:
         """The keys around a target."""
-        cursor = self._cursor
-        if cursor is None:
-            cursor = self._cursor = self.tree.cursor()
-        lower, upper = cursor.seek(target)
+        lower, upper = self.tree.boundaries(target)
         if lower is not None:
             remember_key(self.keys, lower)
         if upper is not None:

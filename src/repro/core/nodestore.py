@@ -772,14 +772,3 @@ class ChameleonStore(TreeView):
         """
         off = self.store.offset(pos - 1)
         out += self.store.blob[off : off + self.store.record_size]
-
-    def rank_of(self, target: int) -> int:
-        """Number of stored IDs ``<= target`` (IDs are position-sorted)."""
-        lo, hi = 1, self.count + 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self.object_id(mid) <= target:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo - 1

@@ -93,12 +93,22 @@ class DataOwnerPipeline:
         return receipt
 
     def _send_merkle(self, metadata: ObjectMetadata) -> list[Receipt]:
-        """One object's MI or SMI transactions, then its SP postings."""
-        register = (
-            "register_and_insert"
-            if self.scheme is Scheme.MERKLE_INV
-            else "register_object"
-        )
+        """One object's MI or SMI transactions, then its SP postings.
+
+        SMI reads the spines before it registers the object: the SP
+        refuses an ID below a keyword's last key there, and so nothing
+        reaches the chain for an object that cannot be inserted.
+        """
+        updates = None
+        register = "register_and_insert"
+        if self.scheme is Scheme.SUPPRESSED:
+            register = "register_object"
+            # The spines read the SP, which ships the postings queued for
+            # the objects confirmed before this one.
+            updates = suppressed.keyword_updates(
+                metadata.keywords,
+                self.sp.spines(metadata.object_id, metadata.keywords),
+            )
         receipts = [
             self._send(
                 "do",
@@ -109,13 +119,7 @@ class DataOwnerPipeline:
                 payload=metadata.payload_bytes(),
             )
         ]
-        if self.scheme is Scheme.SUPPRESSED:
-            # The spines read the SP, which ships the postings queued for
-            # the objects confirmed before this one.
-            updates = suppressed.keyword_updates(
-                metadata.keywords,
-                self.sp.spines(metadata.object_id, metadata.keywords),
-            )
+        if updates is not None:
             receipts.append(
                 self._send(
                     "sp",

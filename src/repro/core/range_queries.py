@@ -56,20 +56,19 @@ class RangeVO:
 def range_query(tree: MBTree, lo: int, hi: int) -> tuple[list[Entry], RangeVO]:
     """SP side: entries with ``lo <= key <= hi`` plus the range VO.
 
-    The keys come from a forward :class:`~repro.core.mbtree.LeafCursor`
-    (boundary lookups step by step, no hashing); the VO is one
-    multiproof over them.
+    The keys come from :meth:`~repro.core.mbtree.MBTree.boundaries`
+    (one bisect of the tree's key column per key, no hashing); the VO is
+    one multiproof over them.
     """
     if lo > hi:
         raise QueryError("empty range: lo must not exceed hi")
     if not len(tree):
         return [], RangeVO(lo=lo, hi=hi, table=None)
-    cursor = tree.cursor()
-    below, key = cursor.seek(lo - 1)
+    below, key = tree.boundaries(lo - 1)
     keys = [] if below is None else [below]
     while key is not None and key <= hi:
         keys.append(key)
-        _, key = cursor.seek(key)
+        _, key = tree.boundaries(key)
     if key is not None:
         keys.append(key)
     table = tree.multiproof(keys)

@@ -89,13 +89,13 @@ def generate_general_update(tree: MBTree, key: int) -> GeneralUpdateProof:
 
     Must be called before applying the insertion to the mirror tree.
     The path is :meth:`MBTree.update_path`; the entry across a leaf edge
-    comes from the tree's cursor.
+    comes from :meth:`MBTree.boundaries`.
     """
     path = tree.update_path(key)
     entries = tuple(Entry(*pair) for pair in path.leaf)
     neighbour = None
     if entries and path.index in (0, len(entries)):
-        lower, upper = tree.cursor().seek(key)
+        lower, upper = tree.boundaries(key)
         if path.index == 0 and lower is not None:
             neighbour = tree.multiproof([lower, entries[0].key])
         elif path.index == len(entries) and upper is not None:

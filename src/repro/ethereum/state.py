@@ -14,9 +14,10 @@ table of the state tree read through
 
 * **presence** — the 1-leaf table of the slot's word;
 * **absence** — the table of the slot's one or two neighbours (the
-  tree's :class:`~repro.core.mbtree.LeafCursor`), whose gap counts show them
-  adjacent — the same check the query layer makes for completeness, and
-  what proves a keyword *has no digest on-chain* to a light client.
+  tree's :meth:`~repro.core.mbtree.MBTree.boundaries`), whose gap counts
+  show them adjacent — the same check the query layer makes for
+  completeness, and what proves a keyword *has no digest on-chain* to a
+  light client.
 
 State tracking is opt-in (``Blockchain(track_state=True)``): rebuilding
 the commitment every block is O(slots) and the gas experiments don't
@@ -138,7 +139,7 @@ class StateCommitment:
         if word is not None:
             keys = [slot]
         else:
-            keys = [k for k in self._tree.cursor().seek(slot) if k is not None]
+            keys = [k for k in self._tree.boundaries(slot) if k is not None]
         table = self._tree.multiproof(keys) if keys else None
         return StorageProof(contract=contract, key=key, word=word, table=table)
 

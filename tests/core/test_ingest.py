@@ -135,20 +135,36 @@ def test_mi_repeat_no_longer_wedges_the_system():
 def test_smi_keeps_the_prefix_before_a_raised_error():
     """Object 3 arrives after 6 on the same keyword; SMI appends only,
     so its update raises.  Objects 5 and 6 stay stored, mined (in one
-    block) and verifiable, and the error reaches the caller."""
+    block) and verifiable, and the error reaches the caller.  Object 3
+    is refused before its ``register_object``: no receipt, no registered
+    hash, and the meter holds exactly the transactions of 5 and 6."""
     system = HybridStorageSystem(scheme="smi", seed=3)
+    # The same history without object 3: what 5 and 6 alone cost.
+    reference = HybridStorageSystem(scheme="smi", seed=3)
     for oid in (1, 2, 4):
         system.add_object(DataObject(oid, ("a",), b"o%d" % oid))
+        reference.add_object(DataObject(oid, ("a",), b"o%d" % oid))
     height = system.chain.height
     gas = system.maintenance_meter().total
     with pytest.raises(ReproError, match="monotonically"):
         system.add_objects_batched(
             [DataObject(oid, ("a",), b"o%d" % oid) for oid in (5, 6, 3)]
         )
+    reference.add_objects_batched(
+        [DataObject(oid, ("a",), b"o%d" % oid) for oid in (5, 6)]
+    )
     assert len(system) == 5
     assert system.all_object_ids() == [1, 2, 4, 5, 6]
     assert system.chain.height == height + 1
     assert system.maintenance_meter().total > gas
+    assert system.maintenance_meter() == reference.maintenance_meter()
+    assert len(system.chain.receipts_by_tx) == len(reference.chain.receipts_by_tx)
+    assert not any(
+        event.fields.get("object_id") == 3
+        for receipt in system.chain.receipts_by_tx.values()
+        for event in receipt.events
+    )
+    assert system.chain.call_view(ADS_CONTRACT, "view_object_hash", 3) == bytes(32)
     assert system.query("a").result_ids == [1, 2, 4, 5, 6]
     system.add_object(DataObject(7, ("a",), b"o7"))
     assert system.query("a").result_ids == [1, 2, 4, 5, 6, 7]

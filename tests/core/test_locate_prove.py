@@ -1,15 +1,15 @@
 """Locate, then prove once: the SP query path.
 
-The tree's cursor finds boundary keys without hashing — the views read
-them through it and leave the join as one :class:`LocatedRun` per tree
+The tree's key column finds boundary keys without hashing — the views
+read them through it and leave the join as one :class:`LocatedRun` per tree
 — and the finishing step asks each tree once for its table
 (``MBTree.multiproof``; a Chameleon tree's node table takes the same
 route with positions for keys).  These tests pin (a) that the one-pass
 Merkle construction equals the merge-from-paths oracle field for field,
 and that the located keys match ``bisect`` over the inserted keys, and
 (b) that an unfinished or stale run fails closed everywhere — also
-under ``python -O``.  (The cursor's finger moves:
-``test_leaf_cursor.py``.)
+under ``python -O``.  (The key column against the leaves and a
+restore: ``test_key_column.py``.)
 """
 
 import dataclasses
@@ -124,8 +124,8 @@ def test_locate_matches_sorted_model_and_boundaries(keys, fanout, target):
     rank = bisect_right(ordered, target)
     expected_lower = ordered[rank - 1] if rank else None
     expected_upper = ordered[rank] if rank < len(ordered) else None
-    assert tree.cursor().seek(target) == (expected_lower, expected_upper)
-    # The table over what the cursor found shows the same two keys.
+    assert tree.boundaries(target) == (expected_lower, expected_upper)
+    # The table over what the column found shows the same two keys.
     located = [key for key in (expected_lower, expected_upper) if key is not None]
     table = tree.multiproof(located)
     assert table.leaves == tuple((key, value_of(key)) for key in located)

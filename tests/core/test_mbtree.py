@@ -28,7 +28,7 @@ class TestBasics:
         assert tree.root_hash == EMPTY_DIGEST
         assert tree.height == 0
         assert tree.min_key is None
-        assert tree.cursor().seek(1) == (None, None)
+        assert tree.boundaries(1) == (None, None)
 
     def test_fanout_validation(self):
         with pytest.raises(ReproError):
@@ -101,34 +101,34 @@ class TestBoundaries:
     def test_exact_match(self):
         keys = [2, 4, 6, 8]
         assert bracket(keys, 4) == (4, 6)
-        assert build(keys).cursor().seek(4) == (4, 6)
+        assert build(keys).boundaries(4) == (4, 6)
 
     def test_between_keys(self):
         keys = [2, 4, 6, 8]
         tree = build(keys)
         assert bracket(keys, 5) == (4, 6)
-        assert tree.cursor().seek(5) == (4, 6)
+        assert tree.boundaries(5) == (4, 6)
         assert run_of(tree, [4, 6]).boundaries(5) == (4, 6)
 
     def test_before_first(self):
         keys = [2, 4]
         tree = build(keys)
         assert bracket(keys, 1) == (None, 2)
-        assert tree.cursor().seek(1) == (None, 2)
+        assert tree.boundaries(1) == (None, 2)
         assert run_of(tree, [2]).boundaries(1) == (None, 2)
 
     def test_after_last(self):
         keys = [2, 4]
         tree = build(keys)
         assert bracket(keys, 9) == (4, None)
-        assert tree.cursor().seek(9) == (4, None)
+        assert tree.boundaries(9) == (4, None)
         assert run_of(tree, [4]).boundaries(9) == (4, None)
 
     def test_boundary_proofs_verify(self):
         keys = range(0, 100, 3)
         tree = build(keys)
         lower, upper = bracket(keys, 50)
-        assert tree.cursor().seek(50) == (lower, upper)
+        assert tree.boundaries(50) == (lower, upper)
         table = tree.multiproof([lower, upper])
         assert table.fold()[0] == tree.root_hash
         assert table.leaves == (

@@ -53,7 +53,7 @@ def test_boundaries_match_sorted_model(keys, fanout, target):
     rank = bisect_right(ordered, target)
     expected_lower = ordered[rank - 1] if rank else None
     expected_upper = ordered[rank] if rank < len(ordered) else None
-    assert tree.cursor().seek(target) == (expected_lower, expected_upper)
+    assert tree.boundaries(target) == (expected_lower, expected_upper)
     # The pair's table folds to the root and shows the pair adjacent
     # (or at the tree's edge).
     keys = [key for key in (expected_lower, expected_upper) if key is not None]

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.core.chameleon import ChameleonTreeSP
 from repro.core.mbtree import MBTree
 from repro.core.nodestore import (
     HEADER_SIZE,
@@ -214,7 +215,10 @@ class TestChameleonBlobRoundTrip:
             assert clone.object_hash(pos) == sha3(b"o%d" % pos)
             assert clone.commitment(pos) == 1000 + pos
             assert clone.opening(pos) == (3000 if pos == 3 else 2000 + pos)
-        assert clone.rank_of(35) == 3
+        # The SP tree over the same blob rebuilds its ID list from it.
+        tree = ChameleonTreeSP.from_blob(store.to_blob())
+        assert tree.ids == [pos * 10 for pos in range(1, 8)]
+        assert tree.rank_of(35) == 3
         # A blob of the per-slot layout (one child-index byte and one
         # more element per record) is refused, not misread.
         with pytest.raises(IntegrityError):
