@@ -6,11 +6,7 @@ that side effect.
 """
 
 from repro.analysis.checkers.crypto_hygiene import CryptoHygieneChecker
-from repro.analysis.concurrency import (
-    ForkSafetyChecker,
-    LockOrderChecker,
-    PipeProtocolChecker,
-)
+from repro.analysis.concurrency import ForkSafetyChecker, LockOrderChecker
 from repro.analysis.checkers.determinism import DeterminismChecker
 from repro.analysis.checkers.flatbuf import FlatbufNodeStorageChecker
 from repro.analysis.checkers.gas_integrality import GasIntegralityChecker
@@ -27,7 +23,6 @@ __all__ = [
     "GasIntegralityChecker",
     "LockDisciplineChecker",
     "LockOrderChecker",
-    "PipeProtocolChecker",
     "TimingSafeCompareChecker",
     "VerificationDisciplineChecker",
     "WallClockChecker",

@@ -35,7 +35,7 @@ from repro.core.system import HybridStorageSystem
 from repro.datasets.synthetic import SyntheticDataset, dblp_like, twitter_like
 from repro.datasets.workloads import ConjunctiveWorkload
 from repro.ethereum.chain import Blockchain
-from repro.ethereum.gas import GasCategory, GasMeter, gas_to_usd
+from repro.ethereum.gas import GasMeter, gas_to_usd
 
 #: Scheme display names used across all printed tables.
 SCHEME_LABELS = {
@@ -113,20 +113,11 @@ def _meter_from_counters(snap: dict, base: dict | None) -> GasMeter:
     """Rebuild a :class:`GasMeter` from live ``gas.*`` counter deltas.
 
     This is the registry-driven replacement for walking receipts: the
-    categories come straight from the ``gas.write`` / ``gas.read`` /
-    ``gas.others`` counters and the per-op split from ``gas.op.*``.
+    total comes from ``gas.total`` and the per-op split from
+    ``gas.op.*``, which Table III's categories sum.
     """
     meter = GasMeter()
     meter.total = _counter_delta(snap, base, "gas.total")
-    meter.by_category[GasCategory.WRITE] = _counter_delta(
-        snap, base, "gas.write"
-    )
-    meter.by_category[GasCategory.READ] = _counter_delta(
-        snap, base, "gas.read"
-    )
-    meter.by_category[GasCategory.OTHER] = _counter_delta(
-        snap, base, "gas.others"
-    )
     for name in snap:
         if name.startswith("gas.op."):
             delta = _counter_delta(snap, base, name)

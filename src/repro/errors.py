@@ -92,3 +92,7 @@ class QueryLimitError(QueryError):
 
 class DatasetError(ReproError):
     """Workload generator was configured inconsistently."""
+
+
+class WorkerBootError(ReproError):
+    """A shard worker exited before it reported its engine ready."""

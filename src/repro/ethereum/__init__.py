@@ -15,7 +15,6 @@ from repro.ethereum.gas import (
     GAS_SUPDATE,
     GAS_TX,
     GAS_TXDATA_PER_BYTE,
-    GasCategory,
     GasMeter,
     gas_to_usd,
     hash_gas,
@@ -44,7 +43,6 @@ __all__ = [
     "GAS_SUPDATE",
     "GAS_TX",
     "GAS_TXDATA_PER_BYTE",
-    "GasCategory",
     "GasMeter",
     "LightClient",
     "LogEvent",

@@ -17,16 +17,16 @@ operation      gas        explanation
 US$ conversion follows the paper's footnote: an average gas price of
 15 Gwei and an Ether price of US$229 (June 15, 2020).
 
-The meter buckets every charge into the three categories of Table III —
-*write* (``sstore``/``supdate``), *read* (``sload``) and *others*
-(``txdata``/``hash``/``mem``/``tx``) — so the breakdown table can be
-reproduced directly from a run.
+The meter tallies every charge by operation; Table III's three
+categories — *write* (``sstore``/``supdate``), *read* (``sload``) and
+*others* (``txdata``/``hash``/``mem``/``tx``) — are sums over those
+operations, so the breakdown table can be reproduced directly from a
+run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import Enum
 
 from repro import obs
 from repro.errors import OutOfGasError
@@ -65,40 +65,27 @@ def hash_gas(input_words: int) -> int:
     return GAS_HASH_BASE + GAS_HASH_PER_WORD * input_words
 
 
-class GasCategory(Enum):
-    """Table III's cost-breakdown buckets."""
-
-    WRITE = "write"  # C_sstore, C_supdate
-    READ = "read"  # C_sload
-    OTHER = "other"  # C_txdata, C_hash, C_mem, C_tx
-
-
-#: Live-counter names per category (Table III columns).  The paper's
-#: tables say "others", so the counter does too.
-_OBS_CATEGORY = {
-    GasCategory.WRITE: "gas.write",
-    GasCategory.READ: "gas.read",
-    GasCategory.OTHER: "gas.others",
-}
+#: Table III's columns, by operation: ``sstore`` and ``supdate`` are
+#: *write*, ``sload`` is *read*, and every other operation is *others*
+#: (the paper's tables say "others", so the live counter does too).
+_OBS_CATEGORY = {"sstore": "gas.write", "supdate": "gas.write", "sload": "gas.read"}
 
 
 @dataclass
 class GasMeter:
-    """Accumulates gas charges with a per-category and per-op breakdown.
+    """Accumulates gas charges with a per-operation breakdown.
 
     A meter is attached to each transaction execution; the chain enforces
     the block ``gasLimit`` by raising :class:`OutOfGasError` when a charge
-    would exceed ``limit``.
+    would exceed ``limit``.  Table III's categories are sums of
+    operations (:attr:`write_gas`, :attr:`read_gas`, :attr:`other_gas`).
     """
 
     limit: int | None = None
     total: int = 0
-    by_category: dict[GasCategory, int] = field(
-        default_factory=lambda: {c: 0 for c in GasCategory}
-    )
     by_operation: dict[str, int] = field(default_factory=dict)
 
-    def charge(self, amount: int, category: GasCategory, operation: str) -> None:
+    def charge(self, amount: int, operation: str) -> None:
         """Record ``amount`` gas; raises OutOfGasError past the limit."""
         if amount < 0:
             raise ValueError("gas amounts are non-negative")
@@ -108,56 +95,58 @@ class GasMeter:
                 f"{self.limit} (already used {self.total})"
             )
         self.total += amount
-        self.by_category[category] += amount
         self.by_operation[operation] = self.by_operation.get(operation, 0) + amount
-        obs.record_gas(amount, _OBS_CATEGORY[category], operation)
+        obs.record_gas(
+            amount, _OBS_CATEGORY.get(operation, "gas.others"), operation
+        )
 
     # -- convenience wrappers, one per Table I row ---------------------------
 
     def sload(self, words: int = 1) -> None:
         """Charge ``C_sload`` per word."""
-        self.charge(GAS_SLOAD * words, GasCategory.READ, "sload")
+        self.charge(GAS_SLOAD * words, "sload")
 
     def sstore(self, words: int = 1) -> None:
         """Charge ``C_sstore`` per word."""
-        self.charge(GAS_SSTORE * words, GasCategory.WRITE, "sstore")
+        self.charge(GAS_SSTORE * words, "sstore")
 
     def supdate(self, words: int = 1) -> None:
         """Charge ``C_supdate`` per word."""
-        self.charge(GAS_SUPDATE * words, GasCategory.WRITE, "supdate")
+        self.charge(GAS_SUPDATE * words, "supdate")
 
     def mem(self, words: int = 1) -> None:
         """Charge ``C_mem`` per word."""
-        self.charge(GAS_MEM * words, GasCategory.OTHER, "mem")
+        self.charge(GAS_MEM * words, "mem")
 
     def hash(self, input_words: int) -> None:
         """The header's digest (chains blocks together)."""
-        self.charge(hash_gas(input_words), GasCategory.OTHER, "hash")
+        self.charge(hash_gas(input_words), "hash")
 
     def tx_base(self) -> None:
         """Charge the transaction base cost ``C_tx``."""
-        self.charge(GAS_TX, GasCategory.OTHER, "tx")
+        self.charge(GAS_TX, "tx")
 
     def txdata(self, num_bytes: int) -> None:
         """Charge ``C_txdata`` per byte."""
-        self.charge(GAS_TXDATA_PER_BYTE * num_bytes, GasCategory.OTHER, "txdata")
+        self.charge(GAS_TXDATA_PER_BYTE * num_bytes, "txdata")
 
     # -- reporting ------------------------------------------------------------
 
     @property
     def write_gas(self) -> int:
         """Gas spent on storage writes (sstore/supdate)."""
-        return self.by_category[GasCategory.WRITE]
+        operations = self.by_operation
+        return operations.get("sstore", 0) + operations.get("supdate", 0)
 
     @property
     def read_gas(self) -> int:
         """Gas spent on storage reads (sload)."""
-        return self.by_category[GasCategory.READ]
+        return self.by_operation.get("sload", 0)
 
     @property
     def other_gas(self) -> int:
         """Gas spent on txdata/hash/memory/transaction base."""
-        return self.by_category[GasCategory.OTHER]
+        return sum(self.by_operation.values()) - self.write_gas - self.read_gas
 
     def usd(self) -> float:
         """Total cost in US$."""
@@ -175,8 +164,6 @@ class GasMeter:
     def merge(self, other: "GasMeter") -> None:
         """Fold another meter's charges into this one (for aggregation)."""
         self.total += other.total
-        for category, amount in other.by_category.items():
-            self.by_category[category] += amount
         for op, amount in other.by_operation.items():
             self.by_operation[op] = self.by_operation.get(op, 0) + amount
 

@@ -6,8 +6,9 @@ telemetry recorded inside a resident shard worker
 and ingests that run there would be a black hole in the parent's trace.
 This module closes the gap:
 
-* the worker runs each traced request under a private
-  :class:`~repro.obs.trace.Collector` and, when done, calls
+* the worker runs each traced message (one dispatch's calls to that
+  shard) under a private :class:`~repro.obs.trace.Collector` and,
+  when done, calls
   :func:`capture` to turn everything it recorded into one plain-data
   **snapshot** (spans as dicts, metrics via
   :meth:`~repro.obs.metrics.MetricsRegistry.dump_state`, plus a clock
@@ -27,7 +28,7 @@ from ``perf_counter`` differences taken within one process.)
 
 The result: a sharded ingest or query through the affine pool produces
 one connected trace — the dispatching span (``query.sp``, ``insert``)
-with an ``sp.affine.rpc`` child per request, each containing the spans
+with an ``sp.affine.rpc`` child per call, each containing the spans
 the worker actually recorded — which is what :mod:`repro.obs.critpath`
 attributes time over.
 """

@@ -49,19 +49,18 @@ import pickle
 import sys
 import threading
 import traceback
-from collections import deque
 from dataclasses import dataclass, field
 from multiprocessing.connection import Connection
 from typing import Any, NoReturn
 
 from repro import obs
-from repro.errors import ParameterError, ReproError
+from repro.errors import ParameterError, ReproError, WorkerBootError
 from repro.obs import trace as obs_trace
 from repro.obs import xproc
 from repro.parallel import RemoteTraceback
 from repro.sp.engine import EngineSpec, IndexShardEngine
 
-#: Span wrapping every request handled inside a resident worker.
+#: Span wrapping every call handled inside a resident worker.
 RPC_SPAN = "sp.affine.rpc"
 
 
@@ -133,59 +132,45 @@ def _worker_main(conn: Connection, spec: EngineSpec) -> None:
 
     Runs in the child process.  The fork start method copies the
     parent's installed telemetry collector, which must not absorb the
-    worker's spans — uninstall first; traced requests run under a fresh
-    local collector whose snapshot rides back on the reply.
+    worker's spans — uninstall first; a traced message runs under a
+    fresh local collector whose snapshot rides back on the reply.
     """
     obs_trace.uninstall()
     try:
         engine = spec.build()
     except BaseException as exc:  # noqa: B036 - reported to the parent
-        conn.send_bytes(
-            pickle.dumps((False, (exc, traceback.format_exc()), None))
-        )
+        conn.send_bytes(pickle.dumps((False, (exc, traceback.format_exc()))))
         conn.close()
         return
+    pid = os.getpid()
     conn.send_bytes(
-        pickle.dumps(
-            (
-                True,
-                {"pid": os.getpid(), "object_ids": engine.all_object_ids()},
-                None,
-            )
-        )
+        pickle.dumps((True, {"pid": pid, "object_ids": engine.all_object_ids()}))
     )
     while True:
         try:
             raw = conn.recv_bytes()
         except (EOFError, OSError):
             break  # parent died or closed: release the journal and exit
-        op, payload, traced = pickle.loads(raw)
-        snapshot = None
-        if traced:
-            collector = obs_trace.Collector()
-            with obs_trace.collect(collector):
-                try:
-                    with collector.span(
-                        RPC_SPAN,
-                        op=op,
-                        shard=spec.shard_id,
-                        worker=os.getpid(),
-                    ):
-                        result = engine.handle(op, payload)
-                    ok = True
-                except BaseException as exc:  # noqa: B036 - re-raised upstream
-                    ok, result = False, (exc, traceback.format_exc())
-            snapshot = xproc.capture(collector)
-        else:
+        calls, traced = pickle.loads(raw)
+        collector = obs_trace.install() if traced else None
+        outcomes = []
+        for op, payload in calls:
             try:
-                ok, result = True, engine.handle(op, payload)
+                with obs_trace.span(
+                    RPC_SPAN, op=op, shard=spec.shard_id, worker=pid
+                ):
+                    outcomes.append((True, engine.handle(op, payload)))
             except BaseException as exc:  # noqa: B036 - re-raised upstream
-                ok, result = False, (exc, traceback.format_exc())
+                outcomes.append((False, (exc, traceback.format_exc())))
+        snapshot = None
+        if collector is not None:
+            obs_trace.uninstall()
+            snapshot = xproc.capture(collector)
         try:
-            conn.send_bytes(pickle.dumps((ok, result, snapshot)))
+            conn.send_bytes(pickle.dumps((outcomes, snapshot)))
         except (BrokenPipeError, OSError):
             break
-        if op == "close" and ok:
+        if any(op == "close" for op, _ in calls):
             break
     engine.close()
     conn.close()
@@ -213,7 +198,7 @@ class _Worker:
 
 
 class AffineWorkerPool:
-    """One long-lived process per shard, request/reply over pipes.
+    """One long-lived process per shard, one message and one reply each.
 
     Workers are spawned once at construction (handshake carries each
     shard's replayed object IDs, so disk recovery happens *in* the
@@ -248,14 +233,23 @@ class AffineWorkerPool:
             _mark_pipe_lock(worker.lock)
             self._workers.append(worker)
         # Collect handshakes after every spawn so workers boot (and
-        # replay their journals) concurrently.
-        for spec, worker in zip(specs, self._workers):
-            ok, info, _ = pickle.loads(worker.conn.recv_bytes())
-            if not ok:
-                exc, formatted = info
-                self.close()
-                raise exc from RemoteTraceback(formatted)
-            self.ready_info.append(info)
+        # replay their journals) concurrently.  Any failure closes the
+        # whole pool: no worker outlives a pool that never started.
+        try:
+            for worker in self._workers:
+                try:
+                    ok, info = pickle.loads(worker.conn.recv_bytes())
+                except (EOFError, OSError) as exc:
+                    raise WorkerBootError(
+                        f"{worker.process.name} exited before its handshake"
+                    ) from exc
+                if not ok:
+                    exc, formatted = info
+                    raise exc from RemoteTraceback(formatted)
+                self.ready_info.append(info)
+        except BaseException:
+            self.close()
+            raise
 
     @property
     def shards(self) -> int:
@@ -274,124 +268,87 @@ class AffineWorkerPool:
     ) -> list:
         """Run ``(shard, op, payload)`` calls; results in call order.
 
-        Per-worker locks are taken in ascending shard order (two
-        concurrent dispatches can never deadlock).  Requests are sent
-        eagerly, draining any already-ready replies between sends; each
-        pipe is FIFO, so the j-th reply from a shard pairs with the j-th
-        call to that shard and results land in call order regardless of
-        read interleaving.  The drain-before-send also means a worker
-        mid-way through a large reply is normally read before we block
-        writing to it — but a large request racing a large (>pipe
-        buffer) earlier reply on the *same* shard can still wedge, so
-        call sites keep one side of any multi-call shard conversation
-        small (apply replies are counts; view/join requests are keyword
-        lists).
+        Each shard is sent one message — its ``(op, payload)`` calls, in
+        call order — and answers with one reply holding one outcome per
+        call.  Every message is pickled through :func:`guarded_dumps`
+        before any byte is sent, so a rejected payload reaches no pipe.
+        Under the per-worker locks, taken in ascending shard order (two
+        concurrent dispatches can never deadlock), every worker is sent
+        its message and then every reply is read.  A worker reads its
+        whole request before it writes its reply, and no reply is left
+        unread when the locks are released, so a dispatch cannot wedge
+        and the next one reads only its own replies.
 
-        Exactly one reply is consumed per successfully sent request,
-        even when a send fails partway or a worker reports an error —
-        an unread reply would desynchronize that shard's pipe and feed
-        a stale result to the *next* dispatch.  The first error (a
-        worker-side exception, with the worker's traceback chained, or
-        the send-phase failure) is re-raised only after the drain;
-        telemetry snapshots are adopted first, so failing spans still
-        reach the trace.  If a pipe itself dies mid-protocol the pool
-        is marked broken and every later dispatch fails fast.
+        A worker runs every call of its message even after one fails.
+        The first failure in call order (a worker-side exception, with
+        the worker's traceback chained) is raised once every reply is
+        read and its telemetry snapshot adopted, so failing spans still
+        reach the trace.  If a pipe itself dies mid-exchange the pool is
+        marked broken and every later dispatch fails fast.
         """
-        if self._closed:
-            raise ReproError("affine pool is closed")
-        if self._broken:
-            raise ReproError(
-                "affine pool is broken after a prior pipe failure; "
-                "build a new pool"
-            )
-        if not calls:
-            return []
+        by_shard: dict[int, list[int]] = {}
+        for index, (shard, _, _) in enumerate(calls):
+            by_shard.setdefault(shard, []).append(index)
+        shard_order = sorted(by_shard)
         collector = obs_trace.current()
-        traced = collector is not None
         parent_id = None
-        if traced:
+        if collector is not None:
             stack = collector._stack()
             parent_id = stack[-1].span_id if stack else None
-        shard_order = sorted({shard for shard, _, _ in calls})
+        requests = [
+            guarded_dumps(
+                ([calls[i][1:] for i in by_shard[shard]], collector is not None)
+            )
+            for shard in shard_order
+        ]
+        workers = [self._workers[shard] for shard in shard_order]
         held = []
-        results: list = [None] * len(calls)
-        # Per-shard FIFO of result slots awaiting a reply.
-        pending: dict[int, deque] = {shard: deque() for shard in shard_order}
-        failure = None  # first worker-side (exc, formatted_traceback)
-        sent = 0
-        received = 0
-
-        def read_reply(shard: int) -> None:
-            nonlocal received, failure
+        try:
+            for worker in workers:
+                worker.lock.acquire()
+                held.append(worker)
+            if self._closed:
+                raise ReproError("affine pool is closed")
+            if self._broken:
+                raise ReproError(
+                    "affine pool is broken after a prior pipe failure; "
+                    "build a new pool"
+                )
             try:
-                raw = self._workers[shard].conn.recv_bytes()
+                for worker, request in zip(workers, requests):
+                    worker.conn.send_bytes(request)
+                replies = [worker.conn.recv_bytes() for worker in workers]
             except BaseException:
+                # A half-written request or an unread reply leaves the
+                # stream unrecoverable.
                 self._broken = True
                 raise
-            received += len(raw)
-            index = pending[shard].popleft()
-            ok, result, snapshot = pickle.loads(raw)
-            if snapshot is not None and traced:
+        finally:
+            for worker in reversed(held):
+                worker.lock.release()
+        outcomes: list = [None] * len(calls)
+        for shard, raw in zip(shard_order, replies):
+            shard_outcomes, snapshot = pickle.loads(raw)
+            if snapshot is not None and collector is not None:
                 xproc.adopt(
                     collector,
                     snapshot,
                     parent_id=parent_id,
                     extra_attributes={"shard": shard},
                 )
-            if ok:
-                results[index] = result
-            elif failure is None:
-                failure = result
-
-        try:
-            for shard in shard_order:
-                self._workers[shard].lock.acquire()
-                held.append(shard)
-            send_failure = None
-            try:
-                for index, (shard, op, payload) in enumerate(calls):
-                    for ready in shard_order:
-                        while pending[ready] and self._workers[
-                            ready
-                        ].conn.poll(0):
-                            read_reply(ready)
-                    # guarded_dumps may reject the payload: nothing has
-                    # hit this call's pipe yet, so the pool stays usable
-                    # once already-sent replies are drained below.
-                    buffer = guarded_dumps((op, payload, traced))
-                    try:
-                        self._workers[shard].conn.send_bytes(buffer)
-                    except BaseException:
-                        # A failed send may have written a partial
-                        # frame: this shard's stream is unrecoverable.
-                        self._broken = True
-                        raise
-                    sent += len(buffer)
-                    pending[shard].append(index)
-            except BaseException as exc:  # noqa: B036 - re-raised after drain
-                send_failure = exc
-            try:
-                for shard in shard_order:
-                    while pending[shard]:
-                        read_reply(shard)
-            except BaseException as exc:  # noqa: B036 - undrainable pipe
-                self._broken = True
-                if send_failure is None and failure is None:
-                    raise
-            if failure is not None:
-                exc, formatted = failure
-                raise exc from RemoteTraceback(formatted)
-            if send_failure is not None:
-                raise send_failure
-        finally:
-            for shard in reversed(held):
-                self._workers[shard].lock.release()
+            for index, outcome in zip(by_shard[shard], shard_outcomes):
+                outcomes[index] = outcome
+        sent = sum(map(len, requests))
         obs.inc("sp.affine.rpcs", len(calls))
         obs.inc("sp.affine.request.bytes", sent)
-        obs.inc("sp.affine.reply.bytes", received)
+        obs.inc("sp.affine.reply.bytes", sum(map(len, replies)))
         if ingest:
             obs.inc("sp.affine.scatter.bytes", sent)
-        return results
+        for ok, result in outcomes:
+            if not ok:
+                exc, formatted = result
+                raise exc from RemoteTraceback(formatted)
+        return [result for _, result in outcomes]
 
     def request(self, shard: int, op: str, payload: object = None) -> Any:
         """One call to one worker; returns its result."""
@@ -409,7 +366,7 @@ class AffineWorkerPool:
                         continue
                     try:
                         worker.conn.send_bytes(
-                            guarded_dumps(("close", None, False))
+                            guarded_dumps(([("close", None)], False))
                         )
                         # Bounded wait for the close ack: a worker wedged
                         # in a long _handle call must not hang close() —

@@ -1,10 +1,9 @@
 """Tests for the cross-module concurrency rules.
 
-Each sub-rule of ``lock-order``, ``fork-safety`` and ``pipe-protocol``
-gets a triggering fixture and a clean counterpart.  The fixtures mirror
-the architectural shapes of the real tree (facade rwlock, per-worker
-pipe locks, the affine pool's pending/drain protocol) so the rules keep
-guarding the idioms they were written for.
+Each sub-rule of ``lock-order`` and ``fork-safety`` gets a triggering
+fixture and a clean counterpart.  The fixtures mirror the architectural
+shapes of the real tree (facade rwlock, per-worker pipe locks) so the
+rules keep guarding the idioms they were written for.
 """
 
 import os
@@ -25,10 +24,6 @@ def order_checkers():
 
 def fork_checkers():
     return default_checkers(["fork-safety"])
-
-
-def pipe_checkers():
-    return default_checkers(["pipe-protocol"])
 
 
 # -- lock-order ---------------------------------------------------------------
@@ -268,132 +263,6 @@ class TestForkSafety:
         assert lint_source(PIPE_LOCK_EXEMPT, "fix_ok.py", fork_checkers()) == []
 
 
-# -- pipe-protocol ------------------------------------------------------------
-
-UNACCOUNTED_SEND = """\
-class Pool:
-    def blast(self, payload):
-        for worker in self.workers:
-            worker.conn.send_bytes(payload)
-"""
-
-SEND_WITHOUT_APPEND = """\
-from collections import deque
-
-
-class Pool:
-    def blast(self, payload):
-        pending = deque()
-        for worker in self.workers:
-            worker.conn.send_bytes(payload)
-        while pending:
-            pending.popleft()
-"""
-
-NO_DRAIN = """\
-from collections import deque
-
-
-class Pool:
-    def blast(self, payload):
-        pending = deque()
-        for index, worker in enumerate(self.workers):
-            worker.conn.send_bytes(payload)
-            pending.append(index)
-"""
-
-DRAIN_IN_TRY = """\
-from collections import deque
-
-
-class Pool:
-    def blast(self, payload):
-        pending = deque()
-        try:
-            for index, worker in enumerate(self.workers):
-                worker.conn.send_bytes(payload)
-                pending.append(index)
-            while pending:
-                self.read_reply(pending)
-        except ValueError:
-            pass
-"""
-
-POP_MISMATCH = """\
-class Pool:
-    def read_two(self, pending, shard):
-        raw = self.workers[shard].conn.recv_bytes()
-        more = self.workers[shard].conn.recv_bytes()
-        pending.popleft()
-        return raw, more
-"""
-
-PROTOCOL_CLEAN = """\
-from collections import deque
-
-
-class Pool:
-    def read_reply(self, pending, shard):
-        raw = self.workers[shard].conn.recv_bytes()
-        index = pending.popleft()
-        return index, raw
-
-    def blast(self, payload):
-        pending = deque()
-        try:
-            for index, worker in enumerate(self.workers):
-                worker.conn.send_bytes(payload)
-                pending.append(index)
-        except ValueError:
-            pass
-        while pending:
-            self.read_reply(pending, 0)
-
-    def handshake(self):
-        self.conn.send_bytes(b"hello")
-        if self.conn.poll(5.0):
-            self.conn.recv_bytes()
-"""
-
-
-class TestPipeProtocol:
-    def test_send_with_no_accounting(self):
-        findings = lint_source(UNACCOUNTED_SEND, "sp/fix_a.py", pipe_checkers())
-        assert rules(findings) == ["pipe-protocol"]
-        assert "no reply accounting" in findings[0].message
-
-    def test_send_not_followed_by_append(self):
-        findings = lint_source(
-            SEND_WITHOUT_APPEND, "sp/fix_b.py", pipe_checkers()
-        )
-        assert rules(findings) == ["pipe-protocol"]
-        assert "not followed by a pending append" in findings[0].message
-
-    def test_accounted_sends_without_drain(self):
-        findings = lint_source(NO_DRAIN, "sp/fix_c.py", pipe_checkers())
-        assert rules(findings) == ["pipe-protocol"]
-        assert "drain loop" in findings[0].message
-
-    def test_drain_inside_guarding_try(self):
-        findings = lint_source(DRAIN_IN_TRY, "sp/fix_d.py", pipe_checkers())
-        assert rules(findings) == ["pipe-protocol"]
-        assert "inside the same try" in findings[0].message
-
-    def test_recv_pop_mismatch(self):
-        findings = lint_source(POP_MISMATCH, "sp/fix_e.py", pipe_checkers())
-        assert rules(findings) == ["pipe-protocol"]
-        assert "2 pipe recv(s) but 1 pending pop(s)" in findings[0].message
-
-    def test_drain_after_try_is_clean(self):
-        assert lint_source(PROTOCOL_CLEAN, "sp/fix_f.py", pipe_checkers()) == []
-
-    def test_rule_is_scoped_to_sp(self):
-        assert (
-            lint_source(UNACCOUNTED_SEND, "core/fix_a.py", pipe_checkers())
-            == []
-        )
-
-
 # -- the real tree ------------------------------------------------------------
 
 
@@ -401,9 +270,7 @@ class TestRealTree:
     def test_src_repro_is_clean(self):
         here = os.path.dirname(__file__)
         src = os.path.abspath(os.path.join(here, "..", "..", "src", "repro"))
-        checkers = default_checkers(
-            ["lock-order", "fork-safety", "pipe-protocol"]
-        )
+        checkers = default_checkers(["lock-order", "fork-safety"])
         result = run_lint([src], checkers)
         assert result.errors == []
         assert result.findings == []

@@ -69,14 +69,14 @@ class TestGasMeter:
 
     def test_limit_enforced(self):
         meter = gas.GasMeter(limit=100)
-        meter.charge(90, gas.GasCategory.OTHER, "x")
+        meter.charge(90, "x")
         with pytest.raises(OutOfGasError):
-            meter.charge(20, gas.GasCategory.OTHER, "x")
+            meter.charge(20, "x")
         assert meter.total == 90  # failed charge not applied
 
     def test_rejects_negative_charge(self):
         with pytest.raises(ValueError):
-            gas.GasMeter().charge(-1, gas.GasCategory.OTHER, "x")
+            gas.GasMeter().charge(-1, "x")
 
     def test_merge_and_snapshot(self):
         a = gas.GasMeter()

@@ -251,17 +251,18 @@ class TestRequestGuard:
         with pytest.raises(ParameterError, match="resident shard state"):
             guarded_dumps(LateMirror(fanout=4))
 
-    def test_guard_failure_mid_dispatch_drains_sent_replies(self):
+    def test_guard_failure_mid_dispatch_leaves_pipes_idle(self):
         pool = make_pool(shards=2)
         try:
             tree_holder = MerkleInvertedSP(fanout=4)
-            # Two requests go out before the third call's payload is
-            # rejected; their replies must be consumed, or the next
-            # dispatch would read them as its own.
+            # The third call's payload is rejected while the messages
+            # are pickled, before any of them is sent: no worker has a
+            # request to answer, so no reply waits to be misread.
             with pytest.raises(ParameterError, match="resident shard state"):
                 pool.dispatch(
                     [(0, "ping", 10), (1, "ping", 11), (0, "ping", tree_holder)]
                 )
+            assert not any(worker.conn.poll(0.2) for worker in pool._workers)
             assert pool.dispatch(
                 [(0, "ping", "x"), (1, "ping", "y")]
             ) == ["x", "y"]
@@ -326,9 +327,9 @@ class TestPoolMechanics:
     def test_error_in_multi_call_dispatch_does_not_desync(self):
         pool = make_pool(shards=2)
         try:
-            # The failing call sits between healthy ones; every reply —
-            # including those after the failure — must be drained so the
-            # next dispatch pairs with its own replies, not stale ones.
+            # The failing call sits between healthy ones; the outcomes
+            # after the failure come back in the same reply, so the next
+            # dispatch pairs with its own replies, not stale ones.
             with pytest.raises(ParameterError, match="unknown shard op"):
                 pool.dispatch(
                     [
@@ -600,6 +601,22 @@ class TestAffineTelemetry:
         assert RPC_SPAN in phases
         assert report.wall_s > 0
         assert RPC_SPAN in report.render()
+
+    def test_one_rpc_span_per_call_in_a_message(self):
+        pool = make_pool()
+        try:
+            with obs.collect() as col:
+                with obs.span("dispatching"):
+                    calls = [(0, "ping", i) for i in range(3)]
+                    assert pool.dispatch(calls) == [0, 1, 2]
+        finally:
+            pool.close()
+        outer = next(s for s in col.spans if s.name == "dispatching")
+        rpcs = [s for s in col.spans if s.name == RPC_SPAN]
+        assert len(rpcs) == 3
+        assert {s.parent_id for s in rpcs} == {outer.span_id}
+        assert {s.attributes["shard"] for s in rpcs} == {0}
+        assert col.metrics.snapshot()["sp.affine.rpcs"] == 3
 
     def test_untraced_dispatch_skips_snapshots(self):
         pool = make_pool()
