@@ -218,7 +218,8 @@ def ablation_join_plan(
         results = []
         for query in workload.queries(num_queries):
             result = system.query(query)
-            vo_sizes.append(result.vo_total_bytes)
+            # The paper's VO: every table in full, as a new client gets it.
+            vo_sizes.append(result.vo_cold_bytes + result.vo_chain_bytes)
             sp_times.append(result.sp_seconds)
             results.append(result.result_ids)
         if reference_results is None:

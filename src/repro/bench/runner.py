@@ -270,7 +270,8 @@ def _query_row(
     with obs.collect() as col:
         for query in queries:
             result = system.query(query)
-            vo_sizes.append(result.vo_total_bytes)
+            # The paper's VO: every table in full, as a new client gets it.
+            vo_sizes.append(result.vo_cold_bytes + result.vo_chain_bytes)
             proof_sizes.append(result.vo_proof_bytes)
             result_counts.append(len(result.result_ids))
         snap = col.metrics.snapshot()

@@ -297,17 +297,25 @@ class ChameleonMultiproof:
         fixed-width fields, then the body, so the encoding is injective.
         With the modulus, ``c_0`` and ``cnt`` it is the verification-
         cache key of :meth:`authenticate`'s verdict, which reads nothing
-        else (see :mod:`repro.core.proofcache`).
+        else (see :mod:`repro.core.proofcache`).  Computed once per
+        table, without a row scan: the SP hashes the tables a client may
+        hold, and equal tokens are equal bytes, whose rows the client
+        checked when it first read them.
         """
-        self.rows()  # the structure bounds ``count`` by the body's length
-        hasher = _TOKEN_HASHER.copy()
-        hasher.update(
-            bytes((self.arity,))
-            + self.value_bytes.to_bytes(4, "big")
-            + self.count.to_bytes(8, "big")
-        )
-        hasher.update(self.body)
-        return hasher.digest()
+        token = self.__dict__.get("_token")
+        if token is None:
+            if not 0 <= self.count < len(self.body):
+                raise VerificationError("node table has more rows than bytes")
+            hasher = _TOKEN_HASHER.copy()
+            hasher.update(
+                bytes((self.arity,))
+                + self.value_bytes.to_bytes(4, "big")
+                + self.count.to_bytes(8, "big")
+            )
+            hasher.update(self.body)
+            token = hasher.digest()
+            object.__setattr__(self, "_token", token)
+        return token
 
     def byte_size(self) -> int:
         """Serialised size in bytes: arity, row count, root and rows."""

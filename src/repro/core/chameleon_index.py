@@ -33,6 +33,13 @@ from repro.crypto.hashing import DIGEST_SIZE
 from repro.errors import ReproError, VerificationError
 from repro.ethereum.contract import SmartContract
 
+#: One debt of a settling scope: a node statement and the ``(keyword,
+#: position)`` it belongs to, or ``None`` and the ``(keyword, table)``
+#: authenticated over such statements.
+_Owed = tuple[
+    vc.Statement | None, tuple[str, int] | tuple[str, ChameleonMultiproof]
+]
+
 
 def commitment_to_words(value: int, value_bytes: int) -> list[bytes]:
     """Split a group element into 32-byte storage words."""
@@ -408,10 +415,11 @@ class ChameleonProofSystem:
     )
     #: What the open :meth:`settling` scope owes, by cache key: each
     #: recorded statement with the ``(keyword, position)`` of the node
-    #: it belongs to, and ``None`` for each table authenticated over
-    #: them; ``None`` outside a scope.
-    _pending: dict[CacheKey, tuple[vc.Statement, tuple[str, int]] | None] | None = (
-        field(default=None, init=False, repr=False, compare=False)
+    #: it belongs to, and each table authenticated over them as ``None``
+    #: with the ``(keyword, table)`` the cache will hold; ``None``
+    #: outside a scope.
+    _pending: dict[CacheKey, _Owed] | None = field(
+        default=None, init=False, repr=False, compare=False
     )
 
     def _digest(self, keyword: str) -> tuple[int | None, int]:
@@ -482,11 +490,9 @@ class ChameleonProofSystem:
         pending[key] = (statement, (keyword, position))
         return True
 
-    def _settle(
-        self, pending: dict[CacheKey, tuple[vc.Statement, tuple[str, int]] | None]
-    ) -> None:
+    def _settle(self, pending: dict[CacheKey, _Owed]) -> None:
         """Check the recorded statements together; cache what was owed if all hold."""
-        owed = [node for node in pending.values() if node is not None]
+        owed = [node for node in pending.values() if node[0] is not None]
         if owed and not vc.verify_batch(self.pp, [statement for statement, _ in owed]):
             # The batch only says that something is wrong; one by one
             # names it.  Should every statement pass on its own after all,
@@ -499,8 +505,11 @@ class ChameleonProofSystem:
                         "failed commitment verification"
                     )
         if self.cache is not None:
-            for key, node in pending.items():
-                self.cache.add(key, summary=node is None)
+            for key, (statement, owner) in pending.items():
+                if statement is None:
+                    self.cache.add(key, summary=True, hold=owner)
+                else:
+                    self.cache.add(key)
 
     def _authenticate(
         self,
@@ -525,14 +534,14 @@ class ChameleonProofSystem:
         key = None
         if cache is not None:
             key = CacheKey((self.pp.modulus, commitment, count, table.cache_token()))
-            if cache.recall(key, summary=True):
+            if cache.recall(key, summary=True, hold=(keyword, table)):
                 cache.count_hit(len(table.rows()))
                 return table.entries()
         proven = table.authenticate(
             partial(self._holds, keyword, table), commitment, count
         )
         if key is not None:
-            pending[key] = None
+            pending[key] = (None, (keyword, table))
         return proven
 
     def proven_run(self, keyword: str, table: int | None) -> ProvenRun:

@@ -711,12 +711,14 @@ def open_table(
     client's table number and its shared read marks.  The query client
     passes its ``cache``: a table that folded to ``root`` before —
     keyed on ``(root, cache_token())`` — is not folded again, its leaf
-    counts are recalled, and a fold that matches is remembered.
+    counts are recalled, and a fold that matches is remembered; either
+    way the cache holds the table under ``keyword`` for the SP to
+    reference.
     """
     key = before = None
     if cache is not None:
         key = cache.key(root, table.cache_token())
-        before = cache.recall(key)
+        before = cache.recall(key, hold=(keyword, table))
     if before is None:
         digest, before = table.fold(hash_fn)
         if not digests_equal(digest, root):
@@ -724,7 +726,7 @@ def open_table(
                 f"table {index} does not match the on-chain root of {keyword!r}"
             )
         if key is not None:
-            cache.add(key, before)
+            cache.add(key, before, hold=(keyword, table))
     else:
         # This table's fold, as far as a later read of it is concerned.
         object.__setattr__(table, "_walked", (root, before))

@@ -36,6 +36,16 @@ function of that content.  Any tamper changes the token, so a warmed
 fold can only ever be replayed for the byte-identical proof against the
 same root.
 
+Each table verdict also *holds* the table it was given for — the
+object, filed under the keyword it was opened for — so that a client
+can tell the SP which tables it has (:meth:`VerificationCache.held`)
+and the SP can send a reference in their place (DESIGN.md §6.3).  At
+most :data:`HELD_TABLES` are held, most recently used first; a held
+table leaves with its verdict, and :meth:`~VerificationCache.clear`
+drops them all.  Holding a table adds nothing to what is trusted: a
+referenced table is recalled under the *current* key, exactly as if its
+bytes had been sent again.
+
 Hits and misses are exported through :mod:`repro.obs` under
 ``<prefix>.cache_hit`` / ``<prefix>.cache_miss`` (e.g.
 ``vc.verify.cache_hit``) and mirrored on the instance for callers
@@ -46,6 +56,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
+from itertools import islice
 from typing import Hashable
 
 from repro import obs
@@ -53,6 +64,12 @@ from repro.crypto.bloom import MaskMemo, optimal_hash_count
 
 #: Default number of proven tuples a cache retains.
 DEFAULT_CACHE_SIZE = 4096
+
+#: Verified tables a cache holds for reference by the SP.
+HELD_TABLES = 64
+
+#: Held tables a request names per keyword, most recently used first.
+HELD_PER_KEYWORD = 2
 
 
 class CacheKey:
@@ -89,6 +106,67 @@ class CacheKey:
         return (CacheKey, (self.parts,))
 
 
+class HeldTables:
+    """The verified tables a session holds: at most :data:`HELD_TABLES`,
+    least recently used out first, filed under the keyword each was
+    opened for and keyed by its ``cache_token()`` (a ``bytes`` hash).
+
+    Not thread-safe: its :class:`VerificationCache` calls it under the
+    cache's lock.
+    """
+
+    def __init__(self) -> None:
+        #: Per token: the keyword its table is filed under, LRU first ...
+        self._keywords: OrderedDict[bytes, str] = OrderedDict()
+        #: ... and per keyword, the tables in the same order.
+        self._filed: dict[str, OrderedDict[bytes, object]] = {}
+
+    def hold(self, keyword: str, table) -> bytes:
+        """Hold ``table`` as the most recently used; returns its token."""
+        token = table.cache_token()
+        keywords = self._keywords
+        filed = keywords.get(token)
+        if filed == keyword:
+            keywords.move_to_end(token)
+            self._filed[keyword].move_to_end(token)
+            return token
+        if filed is not None:
+            self.drop(token)
+        keywords[token] = keyword
+        tables = self._filed.get(keyword)
+        if tables is None:
+            tables = self._filed[keyword] = OrderedDict()
+        tables[token] = table
+        if len(keywords) > HELD_TABLES:
+            self.drop(next(iter(keywords)))
+        return token
+
+    def drop(self, token: bytes) -> None:
+        """Let the table of ``token`` go, if it is held."""
+        keyword = self._keywords.pop(token, None)
+        if keyword is None:
+            return
+        tables = self._filed[keyword]
+        del tables[token]
+        if not tables:
+            del self._filed[keyword]
+
+    def of(self, keywords: list[str]) -> list:
+        """Per keyword, in the order given, its :data:`HELD_PER_KEYWORD`
+        most recently used tables."""
+        out: list = []
+        for keyword in keywords:
+            tables = self._filed.get(keyword)
+            if tables:
+                out += islice(reversed(tables.values()), HELD_PER_KEYWORD)
+        return out
+
+    def clear(self) -> None:
+        """Hold nothing."""
+        self._keywords.clear()
+        self._filed.clear()
+
+
 class VerificationCache:
     """A bounded, thread-safe LRU of successful verifications and their results.
 
@@ -108,9 +186,14 @@ class VerificationCache:
         self._miss_metric = f"{metric_prefix}.cache_miss"
         self.hits = 0
         self.misses = 0
-        #: Per key: what its check returned, and whether it is a summary.
-        self._entries: OrderedDict[Hashable, tuple[object, bool]] = OrderedDict()
+        #: Per key: what its check returned, whether it is a summary, and
+        #: the token of the table it holds (``None`` for a statement).
+        self._entries: OrderedDict[Hashable, tuple[object, bool, bytes | None]] = (
+            OrderedDict()
+        )
         self._summaries = 0
+        #: The tables the verdicts were given for, filed by keyword.
+        self._tables = HeldTables()
         #: The session's Bloom masks, one memo per (filter_bits, hash_count).
         self._masks: dict[tuple[int, int], MaskMemo] = {}
         self._lock = threading.Lock()
@@ -123,16 +206,26 @@ class VerificationCache:
         """Build a hash-consed key; pass the same key to recall and add."""
         return CacheKey(parts)
 
-    def recall(self, key: Hashable, *, summary: bool = False) -> object | None:
+    def recall(
+        self,
+        key: Hashable,
+        *,
+        summary: bool = False,
+        hold: tuple[str, object] | None = None,
+    ) -> object | None:
         """What the check of ``key`` returned when it passed, else ``None``.
 
         Records the hit or miss — except for a ``summary`` lookup, whose
         caller counts the statements it stands for (:meth:`count_hit`).
+        On a hit, ``hold`` — ``(keyword, table)`` — is held as the most
+        recently used table (see :meth:`add`).
         """
         with self._lock:
             entry = self._entries.get(key)
             if entry is not None:
                 self._entries.move_to_end(key)
+                if hold is not None:
+                    self._tables.hold(*hold)
             if not summary:
                 if entry is None:
                     self.misses += 1
@@ -159,12 +252,19 @@ class VerificationCache:
         obs.inc(self._hit_metric, count)
 
     def add(
-        self, key: Hashable, result: object = True, *, summary: bool = False
+        self,
+        key: Hashable,
+        result: object = True,
+        *,
+        summary: bool = False,
+        hold: tuple[str, object] | None = None,
     ) -> None:
         """Record a check that passed and what it returned (never ``None``).
 
         A ``summary`` stands for statements stored beside it (a whole
         Chameleon table over its nodes) and is not counted by ``len()``.
+        ``hold`` — ``(keyword, table)`` for a table's verdict — keeps the
+        table beside the verdict until either is evicted.
         """
         if self.maxsize <= 0:
             return
@@ -173,11 +273,23 @@ class VerificationCache:
             old = entries.get(key)
             if old is not None:
                 self._summaries -= old[1]
-            entries[key] = (result, summary)
+            token = None
+            if hold is not None:
+                token = self._tables.hold(*hold)
+            entries[key] = (result, summary, token)
             entries.move_to_end(key)
             self._summaries += summary
             while len(entries) > self.maxsize:
-                self._summaries -= entries.popitem(last=False)[1][1]
+                _, was_summary, token = entries.popitem(last=False)[1]
+                self._summaries -= was_summary
+                if token is not None:
+                    self._tables.drop(token)
+
+    def held(self, keywords: list[str]) -> list:
+        """The held tables of ``keywords``: per keyword, in the order
+        given, its :data:`HELD_PER_KEYWORD` most recently used."""
+        with self._lock:
+            return self._tables.of(keywords)
 
     def bloom_masks(self, filter_bits: int, capacity: int) -> MaskMemo | None:
         """The session's Bloom masks for chains of these parameters (one
@@ -192,9 +304,10 @@ class VerificationCache:
             )
 
     def clear(self) -> None:
-        """Drop every cached tuple and mask and reset the counters."""
+        """Drop every cached tuple, held table and mask and reset the counters."""
         with self._lock:
             self._entries.clear()
+            self._tables.clear()
             for masks in self._masks.values():
                 masks.clear()
             self._summaries = 0

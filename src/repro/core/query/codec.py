@@ -28,6 +28,10 @@ component the tables the client replays the join over::
                    commitment is shipped, in child order, because the
                    child is not a row.  Lambda opens the node's whole
                    vector.  Kind 1 is refused.)
+    table kind 3   a held table: varint index into the tables the
+                   client's request listed (protocol v3).  It stands for
+                   that table's bytes; the client verifies it exactly as
+                   if they had been sent (DESIGN.md §6.3).
 
     conjunct   u8 k || keyword * k || kind
                kind 0 (a keyword is empty)   || keyword
@@ -79,6 +83,7 @@ none of them an ``assert``.
 from __future__ import annotations
 
 import struct
+from collections.abc import Sequence
 
 from repro.core.chameleon import ChameleonMultiproof
 from repro.core.multiproof import TreeMultiproof
@@ -89,6 +94,10 @@ from repro.errors import ReproError
 _TABLE_MERKLE = 0
 #: Kind 1 was the node table of per-slot openings; no reader is left.
 _TABLE_CHAMELEON = 2
+#: A reference to a table the client's request listed as held.
+_TABLE_HELD = 3
+
+Table = TreeMultiproof | ChameleonMultiproof
 
 #: Kind byte of a conjunct: an empty keyword, or the plan to replay.
 _KIND_EMPTY = 0
@@ -200,8 +209,16 @@ class VOCodec:
 
     # -- public API ----------------------------------------------------------------
 
-    def encode(self, vo: QueryVO) -> bytes:
+    def encode(
+        self, vo: QueryVO, held: Sequence[tuple[int, bytes]] = ()
+    ) -> bytes:
         """Serialise a full ``VO_sp`` to its wire form.
+
+        ``held`` is the client's list of ``(byte_size, cache_token)``,
+        one per table it holds: a table that matches an entry is written
+        as a kind-3 reference to the first such entry.  Only a table
+        whose size is listed has its token computed.  With nothing held
+        the frame is the cold one, ``vo.byte_size()`` bytes.
 
         A conjunct may name a table the VO does not hold — e.g. a
         per-conjunct slice of a finished VO: such bytes compare
@@ -209,7 +226,19 @@ class VOCodec:
         """
         out = bytearray((_MARKER,))
         put_varint(out, len(vo.multiproofs))
+        listed: dict[tuple[int, bytes], int] = {}
+        for at, entry in enumerate(held):
+            listed.setdefault(entry, at)
+        sizes = {size for size, _ in listed}
         for table in vo.multiproofs:
+            if sizes:
+                size = table.byte_size()
+                if size in sizes:
+                    at = listed.get((size, table.cache_token()))
+                    if at is not None:
+                        out.append(_TABLE_HELD)
+                        put_varint(out, at)
+                        continue
             if isinstance(table, ChameleonMultiproof):
                 out.append(_TABLE_CHAMELEON)
                 self._write_node_table(out, table)
@@ -225,18 +254,29 @@ class VOCodec:
             self._write_conjunct(out, conjunct)
         return bytes(out)
 
-    def _read_table(self, r: Reader) -> TreeMultiproof | ChameleonMultiproof:
+    def _read_table(
+        self, r: Reader, held: Sequence[Table]
+    ) -> Table:
         kind = r.u8()
         if kind == _TABLE_MERKLE:
             table, r.pos = TreeMultiproof.from_wire(r.buf, r.pos)
             return table
         if kind == _TABLE_CHAMELEON:
             return self._read_node_table(r)
+        if kind == _TABLE_HELD:
+            at = r.varint()
+            if at >= len(held):
+                raise ReproError(
+                    f"reference to held table {at} of {len(held)} listed"
+                )
+            return held[at]
         raise ReproError(f"unknown table kind {kind}")
 
-    def decode(self, payload: bytes) -> QueryVO:
+    def decode(self, payload: bytes, held: Sequence[Table] = ()) -> QueryVO:
         """Parse a wire-form ``VO_sp``; raises on malformed input.
 
+        ``held`` are the tables the request listed, in its order: a
+        kind-3 reference resolves to one of them, the very object.
         Only :class:`~repro.errors.ReproError` escapes, whatever the
         bytes.
         """
@@ -245,7 +285,9 @@ class VOCodec:
             marker = r.u8()
             if marker != _MARKER:
                 raise ReproError(f"unsupported VO frame marker {marker:#x}")
-            tables = tuple([self._read_table(r) for _ in range(r.varint())])
+            tables = tuple(
+                [self._read_table(r, held) for _ in range(r.varint())]
+            )
             conjuncts = tuple(
                 [self._read_conjunct(r, len(tables)) for _ in range(r.u8())]
             )

@@ -127,14 +127,21 @@ def guarded_dumps(obj: object) -> bytes:
 # -- worker side -----------------------------------------------------------------
 
 
-def _worker_main(conn: Connection, spec: EngineSpec) -> None:
+def _worker_main(
+    conn: Connection, spec: EngineSpec, parent_ends: list[Connection]
+) -> None:
     """Resident worker loop: build the engine once, serve until close.
 
     Runs in the child process.  The fork start method copies the
     parent's installed telemetry collector, which must not absorb the
     worker's spans — uninstall first; a traced message runs under a
-    fresh local collector whose snapshot rides back on the reply.
+    fresh local collector whose snapshot rides back on the reply.  It
+    also copies the parent's ends of this pool's pipes, ``parent_ends``:
+    they are closed first, so that the parent closing its end is an
+    end-of-file here.
     """
+    for end in parent_ends:
+        end.close()
     obs_trace.uninstall()
     try:
         engine = spec.build()
@@ -223,7 +230,11 @@ class AffineWorkerPool:
             parent_conn, child_conn = ctx.Pipe()
             process = ctx.Process(
                 target=_worker_main,
-                args=(child_conn, spec),
+                args=(
+                    child_conn,
+                    spec,
+                    [worker.conn for worker in self._workers] + [parent_conn],
+                ),
                 daemon=True,
                 name=f"affine-shard-{spec.shard_id}",
             )
@@ -355,7 +366,12 @@ class AffineWorkerPool:
         return self.dispatch([(shard, op, payload)])[0]
 
     def close(self, timeout_s: float = 5.0) -> None:
-        """Shut every worker down (idempotent): close op, join, reap."""
+        """Shut every worker down (idempotent): close op, join, reap.
+
+        A pool latched broken sends no close op — a pipe may hold an
+        unread reply — so its pipe ends are closed instead, before any
+        join: each live worker reads end-of-file and exits at once.
+        """
         if self._closed:
             return
         self._closed = True
@@ -376,8 +392,9 @@ class AffineWorkerPool:
                     except (BrokenPipeError, EOFError, OSError):
                         pass
         for worker in self._workers:
+            worker.conn.close()
+        for worker in self._workers:
             worker.process.join(timeout_s)
             if worker.process.is_alive():  # pragma: no cover - wedged worker
                 worker.process.terminate()
                 worker.process.join(timeout_s)
-            worker.conn.close()

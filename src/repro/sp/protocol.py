@@ -8,12 +8,22 @@ and a :class:`RemoteClient` drives any ``bytes -> bytes`` callable (an
 in-process handle, an HTTP POST, a socket) and verifies the results
 *locally* against the chain — the SP stays untrusted end to end.
 
-Protocol v2, big-endian::
+Protocol v3, big-endian::
 
     request   version(1) || len(2) || query text
+                         || n(1) || (varint table size || token(32))*n
     response  version(1) || 0 || n(4) || id(8)*n
                          || m(4) || (len(4) || object)*m || len(4) || VO
               version(1) || 1 || error code(1) || len(2) || error text
+
+A request lists, per keyword of the query, the tables the client's
+session holds verified (:meth:`~repro.core.proofcache.VerificationCache.held`):
+each table's encoded size and its ``cache_token()``, at most
+:data:`~repro.core.proofcache.HELD_TABLES` of them.  The SP writes a
+table of its answer that matches an entry as a one-byte kind-3
+reference to it (:meth:`VOCodec.encode
+<repro.core.query.codec.VOCodec.encode>`) and keeps no state of its
+own; an empty list is answered with the cold VO.
 
 An object travels as its canonical encoding
 (:meth:`~repro.core.objects.DataObject.encoded`), which the SP built
@@ -37,11 +47,12 @@ from typing import TYPE_CHECKING, Callable
 
 from repro import obs
 from repro.core.objects import DataObject
+from repro.core.proofcache import HELD_TABLES
 from repro.core.query.codec import VOCodec
 from repro.core.query.parser import KeywordQuery
 from repro.core.query.verify import ProofSystem, verify_query
 from repro.core.query.vo import QueryAnswer, QueryVO
-from repro.core.wire import U16, U32, Reader
+from repro.core.wire import U16, U32, Reader, put_varint, read_varint
 
 if TYPE_CHECKING:
     from repro.core.system import HybridStorageSystem
@@ -55,10 +66,14 @@ from repro.errors import (
 
 #: Protocol version byte, bumped on breaking format changes.
 #: v2: error responses carry a machine-readable error-code byte.
-PROTOCOL_VERSION = 2
+#: v3: a request lists the tables the client holds.
+PROTOCOL_VERSION = 3
 
 _STATUS_OK = 0
 _STATUS_ERROR = 1
+
+#: Width of a table's ``cache_token()``.
+TOKEN_BYTES = 32
 
 # -- machine-readable error codes (one byte on the wire) ---------------------
 
@@ -100,21 +115,55 @@ def _short_text(text: str) -> bytes:
 
 @dataclass(frozen=True)
 class QueryRequest:
-    """A keyword-search request."""
+    """A keyword-search request and the tables its sender holds.
+
+    ``held`` is ``(byte_size, cache_token)`` per held table, at most
+    :data:`~repro.core.proofcache.HELD_TABLES`.
+    """
 
     query_text: str
+    held: tuple[tuple[int, bytes], ...] = ()
 
     def encode(self) -> bytes:
         """Serialise to the canonical wire form."""
-        return bytes((PROTOCOL_VERSION,)) + _short_text(self.query_text)
+        if len(self.held) > HELD_TABLES:
+            raise ReproError(f"a request lists at most {HELD_TABLES} tables")
+        out = bytearray((PROTOCOL_VERSION,))
+        out += _short_text(self.query_text)
+        out.append(len(self.held))
+        for size, token in self.held:
+            if len(token) != TOKEN_BYTES:
+                raise ReproError("a table token is 32 bytes")
+            put_varint(out, size)
+            out += token
+        return bytes(out)
 
     @classmethod
     def decode(cls, payload: bytes) -> "QueryRequest":
         """Parse from the canonical wire form."""
         reader = _message(payload)
         text = reader.text(U16)
+        count = reader.u8()
+        if count > HELD_TABLES:
+            raise ReproError(
+                f"request lists {count} held tables, at most {HELD_TABLES}"
+            )
+        buf = reader.buf
+        pos = reader.pos
+        held = []
+        try:
+            for _ in range(count):
+                size, pos = read_varint(buf, pos)
+                end = pos + TOKEN_BYTES
+                if end > len(buf):
+                    raise IndexError
+                held.append((size, buf[pos:end]))
+                pos = end
+        except IndexError:
+            raise ReproError(f"truncated {reader.what}") from None
+        reader.pos = pos
         reader.finish()
-        return cls(query_text=text)
+        return cls(query_text=text, held=tuple(held))
 
 
 @dataclass
@@ -228,7 +277,7 @@ class StorageProviderServer:
             return QueryResponse(
                 result_ids=answer.result_ids,
                 objects=[answer.objects[oid] for oid in answer.result_ids],
-                vo_bytes=self._codec.encode(answer.vo),
+                vo_bytes=self._codec.encode(answer.vo, request.held),
             )
         except QueryError as exc:
             return error(ERR_QUERY, exc)
@@ -243,7 +292,8 @@ class QueryResult:
     query: KeywordQuery
     result_ids: list[int]
     objects: dict[int, DataObject]
-    #: Length of the ``VO_sp`` bytes received.
+    #: Length of the ``VO_sp`` bytes received: a held table costs its
+    #: reference (see :attr:`vo_cold_bytes`).
     vo_sp_bytes: int
     vo_chain_bytes: int
     #: The transport round trip.
@@ -260,6 +310,13 @@ class QueryResult:
         return self._vo.proof_byte_size()
 
     @property
+    def vo_cold_bytes(self) -> int:
+        """``VO_sp`` as a client holding nothing receives it — every
+        table in full — counted from the resolved VO.  The paper's VO
+        size (Figs. 11–13) is this plus ``vo_chain_bytes``."""
+        return self._vo.byte_size()
+
+    @property
     def vo_total_bytes(self) -> int:
         """Total VO size: ``VO_sp`` plus ``VO_chain`` bytes."""
         return self.vo_sp_bytes + self.vo_chain_bytes
@@ -273,6 +330,9 @@ class Fetched:
     response: QueryResponse
     proof_system: ProofSystem
     sp_seconds: float
+    #: The tables the request listed, in its order: what a reference
+    #: in the VO resolves to.
+    held: tuple = ()
 
 
 class RemoteClient:
@@ -323,10 +383,16 @@ class RemoteClient:
             query = KeywordQuery.parse(text)
         obs.observe("query.parse_seconds", time.perf_counter() - tp,
                     buckets=obs.TIME_BUCKETS_S)
+        cache = self._system.verify_cache
+        held = () if cache is None else tuple(cache.held(sorted(query.all_keywords())))
+        request = QueryRequest(
+            query_text=text,
+            held=tuple((table.byte_size(), table.cache_token()) for table in held),
+        )
         with self._system.reading():
             t0 = time.perf_counter()
             with obs.span("query.request"):
-                raw = self._transport(QueryRequest(query_text=text).encode())
+                raw = self._transport(request.encode())
             sp_seconds = time.perf_counter() - t0
             response = QueryResponse.decode(raw)
             if response.error is not None:
@@ -351,13 +417,13 @@ class RemoteClient:
                 )
             obs.observe("query.chain_seconds", time.perf_counter() - tc,
                         buckets=obs.TIME_BUCKETS_S)
-        return Fetched(query, response, proof_system, sp_seconds)
+        return Fetched(query, response, proof_system, sp_seconds, held)
 
     def verify(self, fetched: Fetched) -> QueryResult:
         """Decode ``VO_sp`` and check the answer against the chain read."""
         response = fetched.response
         with obs.span("query.vo_decode", bytes=len(response.vo_bytes)):
-            vo = self._codec.decode(response.vo_bytes)
+            vo = self._codec.decode(response.vo_bytes, fetched.held)
         answer = QueryAnswer(
             result_ids=response.result_ids,
             objects={obj.object_id: obj for obj in response.objects},

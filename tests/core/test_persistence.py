@@ -165,9 +165,12 @@ class TestLegacyManifests:
         restored = load_system(path)
         assert not hasattr(restored, key)
         for text in ("a AND b", "c"):
+            # One query each: a second one in a session is sent the
+            # tables it holds as references.
             result = restored.query(text)
-            assert result.result_ids == system.query(text).result_ids
-            assert result.vo_sp_bytes == system.query(text).vo_sp_bytes
+            original = system.query(text)
+            assert result.result_ids == original.result_ids
+            assert result.vo_sp_bytes == original.vo_sp_bytes
         system.close()
         restored.close()
 

@@ -1,8 +1,9 @@
 """What ``system.query`` returns, pinned per scheme and seed.
 
 For seeds 7–9 and all four schemes, a fixed corpus answers a fixed
-query list; each answer's result IDs and its ``VO_sp``, proof-only and
-``VO_chain`` byte counts must equal the values recorded below.  They
+query list; each answer's result IDs and its cold ``VO_sp`` (every
+table in full), proof-only and ``VO_chain`` byte counts must equal the
+values recorded below.  They
 were recorded while ``system.query`` still verified the SP's in-memory
 answer, before it became the wire client over the in-process server: a
 change that moves them changes what the client is sent or charged.
@@ -27,7 +28,7 @@ QUERIES = (
     KeywordQuery.conjunctive(["Two Words", "and"]),
 )
 
-#: ``(result_ids, vo_sp_bytes, vo_proof_bytes, vo_chain_bytes)`` per query.
+#: ``(result_ids, vo_cold_bytes, vo_proof_bytes, vo_chain_bytes)`` per query.
 PINNED = {
     ('mi', 7): [([2, 3, 4, 5, 6, 7, 9, 19, 24], 386, 12, 32), ([4, 24], 718, 216, 64), ([1, 5, 7, 9, 17, 20, 21, 24], 797, 124, 96), ([2, 3, 4, 7, 9, 19], 857, 190, 64), ([2, 8, 17, 19, 22], 568, 88, 128), ([], 25, 0, 64), ([2, 19], 709, 124, 64)],
     ('mi', 8): [([3, 6, 8, 9, 11, 12, 19], 304, 10, 32), ([3, 8, 9], 570, 148, 64), ([5, 6, 7, 8, 10, 11, 13, 17, 24], 881, 128, 96), ([6, 12, 19], 689, 182, 64), ([2, 3, 7, 14, 16, 18, 19, 20, 22], 1147, 266, 128), ([], 25, 0, 64), ([18, 19, 22], 793, 88, 64)],
@@ -62,10 +63,13 @@ def answers(scheme: str, seed: int) -> list:
     out = []
     for query in QUERIES:
         result = system.query(query)
+        # A table the session verified earlier is sent as a reference;
+        # what is pinned is the VO a client holding nothing receives.
+        assert result.vo_sp_bytes <= result.vo_cold_bytes
         out.append(
             (
                 result.result_ids,
-                result.vo_sp_bytes,
+                result.vo_cold_bytes,
                 result.vo_proof_bytes,
                 result.vo_chain_bytes,
             )

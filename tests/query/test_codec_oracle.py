@@ -209,15 +209,31 @@ def test_mutated_responses_decode_alike(answers, which, edits):
     )
 
 
+#: A held-table list: ``(byte_size, cache_token)`` entries.
+held_lists = st.lists(
+    st.tuples(st.integers(0, 2**20), st.binary(min_size=32, max_size=32)),
+    max_size=5,
+)
+
+
+def request_fields(raw: bytes) -> tuple:
+    request = QueryRequest.decode(raw)
+    return request.query_text, request.held
+
+
 @settings(max_examples=100, deadline=None)
-@given(text=st.text(max_size=40), edits=st.one_of(st.just([]), mutations))
-def test_requests_and_error_responses_decode_alike(text, edits):
-    request = QueryRequest(query_text=text).encode()
-    assert request == reference.encode_request(text)
+@given(
+    text=st.text(max_size=40),
+    held=held_lists,
+    edits=st.one_of(st.just([]), mutations),
+)
+def test_requests_and_error_responses_decode_alike(text, held, edits):
+    request = QueryRequest(query_text=text, held=tuple(held)).encode()
+    assert request == reference.encode_request(text, held)
     mutant = mutate(request, edits)
-    assert outcome(
-        lambda raw: QueryRequest.decode(raw).query_text, mutant
-    ) == outcome(reference.decode_request, mutant)
+    assert outcome(request_fields, mutant) == outcome(
+        reference.decode_request, mutant
+    )
 
     error = QueryResponse(
         result_ids=[], objects=[], vo_bytes=b"", error=text, error_code=2
@@ -251,3 +267,44 @@ def test_object_encodings_decode_alike(object_id, keywords, content, edits):
         return parsed.object_id, parsed.keywords, parsed.content
 
     assert outcome(fields, mutant) == outcome(reference.decode_object, mutant)
+
+
+@pytest.mark.parametrize("scheme", sorted(SCHEMES))
+def test_held_references_encode_and_decode_alike(scheme):
+    """Protocol v3: tables the session holds go as kind-3 references.
+
+    After a session has verified every query once, each query's frame is
+    encoded against the list its client would send: both encoders write
+    the same references, both decoders resolve them to the held tables,
+    and every single-byte mutant and prefix of one frame decodes alike.
+    """
+    system = HybridStorageSystem(scheme=scheme, seed=8, **SCHEMES[scheme])
+    system.add_objects(corpus()[:12])
+    codec = VOCodec(value_bytes=system.value_bytes)
+    oracle = reference.ReferenceVOCodec(value_bytes=system.value_bytes)
+    for text in QUERIES:
+        system.query(text)
+    referenced = 0
+    for text in QUERIES:
+        query = KeywordQuery.parse(text)
+        held = system.verify_cache.held(sorted(query.all_keywords()))
+        listed = [(table.byte_size(), table.cache_token()) for table in held]
+        vo = system.process_query(query).vo
+        vo_bytes = codec.encode(vo, listed)
+        assert vo_bytes == oracle.encode(vo, listed)
+        assert codec.decode(vo_bytes, held) == oracle.decode(vo_bytes, held) == vo
+        assert codec.encode(codec.decode(vo_bytes, held)) == codec.encode(vo)
+        referenced += len(vo_bytes) < vo.byte_size()
+        request = QueryRequest(query_text=text, held=tuple(listed)).encode()
+        assert request == reference.encode_request(text, listed)
+        assert request_fields(request) == reference.decode_request(request)
+    assert referenced
+    vo = system.process_query(KeywordQuery.parse(SWEPT[0])).vo
+    held = system.verify_cache.held(sorted(KeywordQuery.parse(SWEPT[0]).all_keywords()))
+    vo_bytes = codec.encode(vo, [(t.byte_size(), t.cache_token()) for t in held])
+    assert len(vo_bytes) < vo.byte_size()  # the scan's table is held
+    for mutant in single_byte_mutants(vo_bytes):
+        assert outcome(lambda raw: codec.decode(raw, held), mutant) == outcome(
+            lambda raw: oracle.decode(raw, held), mutant
+        )
+    system.close()

@@ -3,7 +3,8 @@
 Two fixtures pin the one frame the codec writes (v6) for a Merkle and a
 Chameleon answer — byte-exact files under ``tests/fixtures/``, which the
 SP must still produce and the client must still verify — and one
-protocol-v2 response pins the message around the VO (result IDs,
+protocol response (v3, to a request that lists no held table; the file
+keeps its v2 name) pins the message around the VO (result IDs,
 canonical object encodings, length prefixes).
 
 Regenerate the fixtures (only after an intentional, versioned format
@@ -47,7 +48,7 @@ LIVE_CASES = {
     "vo_v6_ci_dnf": ("ci", "(covid-19 AND vaccine) OR sars-cov-2", {1, 4, 5, 7}),
 }
 
-#: A whole protocol-v2 response: (name, scheme, query text, expected ids).
+#: A whole protocol response: (name, scheme, query text, expected ids).
 RESPONSE_CASE = ("response_v2_smi_scan", "smi", "symptom", [4, 6])
 
 

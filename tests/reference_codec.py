@@ -13,7 +13,8 @@ string both decoders must return equal values or both raise
 with a kind tag each, conjuncts that name them) in that per-field style,
 from its layout in the codec's docstring — a Merkle table through its
 :class:`MerkleParts`, a Chameleon node table field by field, with the
-decoder's structural rules restated over the parsed rows.  The parts ↔
+decoder's structural rules restated over the parsed rows, and a kind-3
+reference as an index into the held tables it is given.  The parts ↔
 body pair (:func:`merkle_parts`, :func:`merkle_table`,
 :func:`forge_merkle`) is also how tests read and forge Merkle tables,
 which hold nothing but their wire body.  The protocol half is the old reader *plus* the fail-closed rules
@@ -21,7 +22,9 @@ the protocol gained with the new one —
 status byte in ``{0, 1}``, UTF-8 text, no trailing bytes after the
 message or inside an object's field — written in the old per-field
 style; without them the two sides would disagree on exactly the inputs
-those rules exist for.  Objects come back as plain ``(id, keywords,
+those rules exist for.  A request is protocol v3's: the query text, then
+the ``(size, token)`` list of the tables the client holds, at most 64,
+each size a varint in its shortest encoding.  Objects come back as plain ``(id, keywords,
 content)`` triples: the reference does not normalise what it reads, and
 neither does ``DataObject.from_wire``.
 """
@@ -39,6 +42,7 @@ from repro.errors import ReproError
 
 _TABLE_MERKLE = 0
 _TABLE_CHAMELEON = 2
+_TABLE_HELD = 3
 
 #: The frame marker.
 _MARKER = 0xF6
@@ -185,13 +189,19 @@ class ReferenceVOCodec:
 
     # -- public API ----------------------------------------------------------------
 
-    def encode(self, vo: QueryVO) -> bytes:
-        """Serialise a full ``VO_sp``."""
+    def encode(self, vo: QueryVO, held=()) -> bytes:
+        """Serialise a full ``VO_sp``; a table listed in ``held`` — as
+        ``(byte_size, cache_token)`` — goes as a reference to its first
+        listing."""
         out = io.BytesIO()
         out.write(bytes([_MARKER]))
         self._write_varint(out, len(vo.multiproofs))
         for table in vo.multiproofs:
-            if isinstance(table, ChameleonMultiproof):
+            entry = (table.byte_size(), table.cache_token())
+            if entry in held:
+                self._write_uint(out, _TABLE_HELD, 1)
+                self._write_varint(out, list(held).index(entry))
+            elif isinstance(table, ChameleonMultiproof):
                 self._write_uint(out, _TABLE_CHAMELEON, 1)
                 self._write_entry_table(out, table)
             else:
@@ -245,16 +255,21 @@ class ReferenceVOCodec:
             base=ReplayVO(plan=plans[kind], trees=tuple(trees), runs=tuple(runs)),
         )
 
-    def _read_table(self, data: io.BytesIO):
+    def _read_table(self, data: io.BytesIO, held):
         kind = self._read_uint(data, 1)
         if kind == _TABLE_MERKLE:
             return self._read_multiproof(data)
         if kind == _TABLE_CHAMELEON:
             return self._read_entry_table(data)
+        if kind == _TABLE_HELD:
+            index = _read_count(data)
+            if index >= len(held):
+                raise ReproError("reference beyond the held tables")
+            return held[index]
         raise ReproError(f"unknown table kind {kind}")
 
-    def decode(self, payload: bytes) -> QueryVO:
-        """Parse a wire-form ``VO_sp``.
+    def decode(self, payload: bytes, held=()) -> QueryVO:
+        """Parse a wire-form ``VO_sp``; a reference resolves into ``held``.
 
         Only :class:`~repro.errors.ReproError` escapes, whatever the
         bytes.
@@ -264,7 +279,7 @@ class ReferenceVOCodec:
         if marker != _MARKER:
             raise ReproError(f"unsupported VO frame marker {marker:#x}")
         mps = tuple(
-            self._read_table(data) for _ in range(self._read_varint(data))
+            self._read_table(data, held) for _ in range(self._read_varint(data))
         )
         conjuncts = tuple(
             self._read_replayed(data, mps)
@@ -378,9 +393,11 @@ def forge_merkle(table: TreeMultiproof, **changes) -> TreeMultiproof:
     return merkle_table(dataclasses.replace(merkle_parts(table), **changes))
 
 
-# -- SP protocol v2 ---------------------------------------------------------------
+# -- SP protocol v3 ---------------------------------------------------------------
 
-PROTOCOL_VERSION = 2
+PROTOCOL_VERSION = 3
+#: Most held tables a request may list.
+MAX_HELD = 64
 _STATUS_OK = 0
 _STATUS_ERROR = 1
 ERR_INTERNAL = 3
@@ -437,21 +454,34 @@ def decode_object(raw: bytes) -> tuple[int, tuple[str, ...], bytes]:
     return object_id, keywords, content
 
 
-def encode_request(query_text: str) -> bytes:
+def encode_request(query_text: str, held=()) -> bytes:
+    """``version || len(2) text || n(1) || (varint size || token(32))*n``."""
     out = io.BytesIO()
     out.write(bytes([PROTOCOL_VERSION]))
     _write_bytes(out, query_text.encode("utf-8"), width=2)
+    out.write(bytes([len(held)]))
+    for size, token in held:
+        ReferenceVOCodec._write_varint(out, size)
+        out.write(token)
     return out.getvalue()
 
 
-def decode_request(payload: bytes) -> str:
+def decode_request(payload: bytes) -> tuple[str, tuple[tuple[int, bytes], ...]]:
+    """The query text and the held tables' ``(size, token)`` list."""
     data = io.BytesIO(payload)
     version = _read_exact(data, 1)[0]
     if version != PROTOCOL_VERSION:
         raise ReproError(f"unsupported protocol version {version}")
     text = _read_text(data, 2)
+    count = _read_exact(data, 1)[0]
+    if count > MAX_HELD:
+        raise ReproError("too many held tables")
+    held = []
+    for _ in range(count):
+        size = _read_count(data)
+        held.append((size, _read_exact(data, 32)))
     _expect_end(data)
-    return text
+    return text, tuple(held)
 
 
 def encode_response(result_ids, objects, vo_bytes: bytes) -> bytes:

@@ -14,6 +14,7 @@ never a hang.
 import multiprocessing
 import os
 import threading
+import time
 from multiprocessing.connection import Connection
 
 import pytest
@@ -166,6 +167,12 @@ class TestDeadPipe:
             assert pool._broken
             with pytest.raises(ReproError, match="broken"):
                 pool.dispatch([(1, "ping", 2)])
+            # No close op goes to the healthy worker: its pipe is closed
+            # under it, and it exits on the end-of-file.
+            started = time.perf_counter()
+            pool.close()
+            assert time.perf_counter() - started < 1.0
+            assert not pool._workers[1].process.is_alive()
         finally:
             pool.close()
             pool.close()  # idempotent, even when broken
