@@ -199,6 +199,125 @@ def scan_rows(
     return rows, pos
 
 
+def expand_rows(
+    buf: bytes,
+    pos: int,
+    count: int,
+    arity: int,
+    value_bytes: int,
+    held: dict[int, bytes],
+    rebuilt: dict[int, bytes],
+) -> tuple[bytes, int]:
+    """The cold body of the held-node table at ``buf[pos:]``, and its end.
+
+    The table is a node table's body in which a node may be *short*: the
+    root's flag bit 0 set (the read bit, never set on the root), or a
+    row's position varint carrying ``position << 1 | 1``; a short node is
+    its flag byte alone.  Its fields — ``Lambda_0`` for the root, ``id ||
+    h(o) || c || Lambda`` for a row, then the shipped children's
+    commitments — are rebuilt from ``held[position]``, the statement the
+    client's cache holds for it (``shape || node || children``, see
+    :mod:`repro.core.proofcache`): a shipped child ``j`` is the node's
+    ``j``-th filled child slot.  A full node is copied as it stands.
+    Nothing is checked here beyond what rebuilding needs — the body goes
+    through :func:`scan_rows` and the verifier like any other — and a
+    short node the client holds no statement for, or whose flags ship a
+    child its statement lacks, is a :class:`~repro.errors.VerificationError`.
+    ``rebuilt`` memoises each short row's cold bytes by ``(position << 1
+    | 1) << 8 | flags`` and belongs to ``held`` alone: a session meets
+    the same nodes query after query.  Runs off the end with an
+    ``IndexError``, which the caller maps to its truncation error.
+    """
+    if not 1 <= arity <= MAX_ARITY:
+        raise VerificationError(f"node table arity {arity} out of range")
+    if 1 + 2 * count > len(buf) - pos:
+        raise VerificationError("node table longer than its payload")
+    width = value_bytes
+    fixed = _ENTRY + 2 * width
+    get = held.get
+    out = bytearray()
+    flags = buf[pos]
+    pos += 1
+    if flags & 1:
+        flags ^= 1
+        out.append(flags)
+        out += _held_fields(get(0), 0, flags, width)
+    else:
+        out.append(flags)
+        end = pos + width * (1 + _SHIPPED[flags])
+        out += buf[pos:end]
+        pos = end
+    memo = rebuilt.get
+    for _ in range(count):
+        marked = buf[pos]
+        if marked > 0x7F:
+            marked, pos = read_varint(buf, pos)
+        else:
+            pos += 1
+        flags = buf[pos]
+        pos += 1
+        if marked & 1:
+            key = marked << 8 | flags
+            row = memo(key)
+            if row is None:
+                position = marked >> 1
+                row = bytearray()
+                put_varint(row, position)
+                row.append(flags)
+                row += _held_fields(get(position), position, flags, width)
+                row = rebuilt[key] = bytes(row)
+            out += row
+            continue
+        position = marked >> 1
+        if position < 0x80:
+            out.append(position)
+        else:
+            put_varint(out, position)
+        out.append(flags)
+        end = pos + fixed + width * _SHIPPED[flags]
+        out += buf[pos:end]
+        pos = end
+    if pos > len(buf):
+        raise VerificationError("truncated node table")
+    return bytes(out), pos
+
+
+def _held_fields(
+    statement: bytes | None, position: int, flags: int, width: int
+) -> bytes:
+    """A short node's fields — ``Lambda_0`` for the root, ``id || h(o) ||
+    c || Lambda`` for a row — and the child slots its ``flags`` ship, cut
+    from the statement the session holds for it: ``shape || c_0 ||
+    Lambda_0 || children`` or ``shape || id || h(o) || c || Lambda ||
+    children``, the shape byte being bit 7 for the root and the count of
+    filled child slots."""
+    if statement is None:
+        raise VerificationError(
+            f"short row for node {position}, which the session does not hold"
+        )
+    shape = statement[0]
+    filled = shape & 0x7F
+    node = 1 + (_ENTRY + 2 * width if position else 2 * width)
+    if (
+        shape >> 7 != (not position)
+        or flags >> (filled + 1)
+        or len(statement) != node + filled * width
+    ):
+        raise VerificationError(
+            f"short row for node {position} does not match the node held"
+        )
+    return b"".join(
+        [
+            statement[1 if position else 1 + width : node],
+            *[
+                statement[node + j * width : node + (j + 1) * width]
+                for j in range(filled)
+                if flags >> j + 1 & 1
+            ],
+        ]
+    )
+
+
 @dataclass(frozen=True, eq=True)
 class ChameleonMultiproof:
     """One keyword tree's share of a query: its node table.
@@ -321,6 +440,53 @@ class ChameleonMultiproof:
         """Serialised size in bytes: arity, row count, root and rows."""
         return 1 + varint_size(self.count) + len(self.body)
 
+    def write_held(self, out: bytearray, held: bytes) -> int:
+        """Append the body with every node in ``held`` short; returns how
+        many are.
+
+        ``held`` is a bitmap of positions (bit ``p % 8`` of byte ``p //
+        8`` for position ``p``).  One pass over the body: a held node is
+        its flag byte (the root's with bit 0 set) and, for a row,
+        ``position << 1 | 1``; any other node is the bytes the body
+        holds for it, a row behind ``position << 1`` (see
+        :func:`expand_rows`).  The body is the SP's own, so it is walked,
+        not checked.
+        """
+        body = self.body
+        width = self.value_bytes
+        fixed = _ENTRY + 2 * width
+        size = len(held)
+        short = 0
+        flags = body[0]
+        end = 1 + width * (1 + _SHIPPED[flags])
+        if held and held[0] & 1:
+            out.append(flags | 1)
+            short += 1
+        else:
+            out += body[:end]
+        pos = end
+        for _ in range(self.count):
+            position = body[pos]
+            start = pos + 1
+            if position > 0x7F:
+                position, start = read_varint(body, pos)
+            flags = body[start]
+            end = start + 1 + fixed + width * _SHIPPED[flags]
+            at = position >> 3
+            if at < size and held[at] >> (position & 7) & 1:
+                marked = position << 1 | 1
+                if marked < 0x80:
+                    out.append(marked)
+                else:
+                    put_varint(out, marked)
+                out.append(flags)
+                short += 1
+            else:
+                put_varint(out, position << 1)
+                out += body[start:end]
+            pos = end
+        return short
+
     def statement(self, node: bytes, children: list[bytes]) -> vc.Statement:
         """One node's ``(c, messages, Lambda)`` from the bytes it arrived as.
 
@@ -408,6 +574,31 @@ class ChameleonMultiproof:
                     "is out of range"
                 )
         return self.entries()
+
+
+@dataclass(frozen=True)
+class HeldNodeTable:
+    """A node table as the SP sends it to a client that holds some of its
+    nodes: ``rows`` is the body of table kind 4 — each held node short,
+    as :meth:`ChameleonMultiproof.write_held` writes it — and ``size``
+    the cold table's :meth:`~ChameleonMultiproof.byte_size`.  Only the
+    SP makes one (:meth:`ChameleonTreeSP.multiproof`), and only the
+    codec reads it."""
+
+    arity: int
+    value_bytes: int
+    count: int
+    rows: bytes
+    size: int
+
+    def byte_size(self) -> int:
+        """The cold table's serialised size."""
+        return self.size
+
+    def cache_token(self) -> bytes:
+        """Never needed: a held-node table is made only when no whole
+        table the client holds has its size."""
+        raise ReproError("a held-node table has no cold bytes to name")
 
 
 class ChameleonTreeDO:
@@ -631,13 +822,26 @@ class ChameleonTreeSP:
         """
         return self.store.root_bytes + _U64.pack(self.count)
 
-    def multiproof(self, positions: tuple[int, ...]) -> ChameleonMultiproof:
+    def multiproof(
+        self,
+        positions: tuple[int, ...],
+        held: bytes = b"",
+        sizes: frozenset[int] = frozenset(),
+    ) -> ChameleonMultiproof | HeldNodeTable:
         """The node table over ``positions`` (ascending, unique, non-empty).
 
         One read row per position, one row per further ancestor below
         the root, and the commitment of every child that is not a row
         shipped in its parent's; the fields are sliced out of the store's
         records, never parsed.
+
+        ``held`` is a client's bitmap of the positions it holds under
+        this ``cnt`` (see :meth:`ChameleonMultiproof.write_held`): the
+        table is then written in the same pass with each held node short
+        — its fields are never sliced — as a :class:`HeldNodeTable`,
+        unless the cold table's size is one of ``sizes`` (the client
+        holds a whole table of that size, which only the cold bytes can
+        match) or no node it needs is held.
         """
         if not positions:
             raise ReproError("a node table needs at least one position")
@@ -658,6 +862,10 @@ class ChameleonTreeSP:
         # A table of every node (a scan) has no child to ship, and nor
         # has a node whose children all lie beyond ``cnt``.
         complete = len(needed) == count
+        if held:
+            table = self._held_table(needed, entries, complete, held, sizes)
+            if table is not None:
+                return table
         body = bytearray()
         for position in (0, *sorted(needed)):
             if position:
@@ -677,3 +885,76 @@ class ChameleonTreeSP:
                     body[flags_at] |= 1 << (child - first)
                     body += store.commitment_bytes(child)
         return ChameleonMultiproof(arity, store.value_bytes, len(needed), bytes(body))
+
+    def _held_table(
+        self,
+        needed: set[int],
+        entries: set[int],
+        complete: bool,
+        held: bytes,
+        sizes: frozenset[int],
+    ) -> HeldNodeTable | None:
+        """:meth:`multiproof`'s table with every ``held`` node short, or
+        ``None`` for the cold one (see there)."""
+        count = self.count
+        arity = self.arity
+        store = self.store
+        width = store.value_bytes
+        rows = len(needed)
+        # The cold size: every node's fields, and one commitment per filled
+        # child slot of a node in the table whose child is not a row of it.
+        shipped = 0
+        if not complete:
+            shipped = sum(
+                max(0, min(arity, count - node * arity)) for node in (0, *needed)
+            ) - rows
+        size = (
+            1
+            + varint_size(rows)
+            + 1
+            + width * (1 + shipped)
+            + rows * (1 + _ENTRY + 2 * width)
+            + sum(varint_size(position) for position in needed)
+        )
+        if size in sizes:
+            return None
+        out = bytearray()
+        short = 0
+        bitmap_size = len(held)
+        for position in (0, *sorted(needed)):
+            flags = position in entries
+            first = position * arity
+            children = ()
+            if not complete and first < count:
+                children = [
+                    child
+                    for child in range(first + 1, min(first + arity, count) + 1)
+                    if child not in needed
+                ]
+                for child in children:
+                    flags |= 1 << (child - first)
+            at = position >> 3
+            if at < bitmap_size and held[at] >> (position & 7) & 1:
+                if position:
+                    marked = position << 1 | 1
+                    if marked < 0x80:
+                        out.append(marked)
+                    else:
+                        put_varint(out, marked)
+                    out.append(flags)
+                else:
+                    out.append(flags | 1)
+                short += 1
+                continue
+            if position:
+                put_varint(out, position << 1)
+                out.append(flags)
+                store.append_fields(out, position)
+            else:
+                out.append(flags)
+                out += store.opening_bytes(0)
+            for child in children:
+                out += store.commitment_bytes(child)
+        if not short:
+            return None
+        return HeldNodeTable(arity, width, rows, bytes(out), size)

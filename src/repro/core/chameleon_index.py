@@ -34,10 +34,12 @@ from repro.errors import ReproError, VerificationError
 from repro.ethereum.contract import SmartContract
 
 #: One debt of a settling scope: a node statement and the ``(keyword,
-#: position)`` it belongs to, or ``None`` and the ``(keyword, table)``
-#: authenticated over such statements.
+#: position)`` it belongs to, or ``None`` and the ``(keyword, table,
+#: nodes)`` authenticated over such statements, ``nodes`` mapping each
+#: of its positions to its node statement's key.
 _Owed = tuple[
-    vc.Statement | None, tuple[str, int] | tuple[str, ChameleonMultiproof]
+    vc.Statement | None,
+    tuple[str, int] | tuple[str, ChameleonMultiproof, dict[int, CacheKey]],
 ]
 
 
@@ -295,7 +297,7 @@ class ChameleonSP:
             self.masks = MaskMemo(self.bloom[0], optimal_hash_count(*self.bloom))
 
     @property
-    def _value_bytes(self) -> int:
+    def value_bytes(self) -> int:
         """Group-element width for this modulus."""
         return (self.pp.modulus.bit_length() + 7) // 8
 
@@ -305,7 +307,7 @@ class ChameleonSP:
             self.trees[keyword] = ChameleonTreeSP(
                 root_commitment,
                 arity=self.arity,
-                value_bytes=self._value_bytes,
+                value_bytes=self.value_bytes,
             )
 
     def apply_insertion(self, keyword: str, proof) -> None:
@@ -344,7 +346,7 @@ class ChameleonSP:
             tree = ChameleonTreeSP(
                 root_commitment=0,
                 arity=self.arity,
-                value_bytes=self._value_bytes,
+                value_bytes=self.value_bytes,
             )
         return ChameleonView(
             keyword=keyword, tree=tree, bloom=self.blooms.get(keyword)
@@ -458,6 +460,7 @@ class ChameleonProofSystem:
         self,
         keyword: str,
         table: ChameleonMultiproof,
+        nodes: dict[int, CacheKey],
         position: int,
         node: bytes,
         children: list[bytes],
@@ -465,15 +468,18 @@ class ChameleonProofSystem:
         """Recall one node statement that held, or record it as owed.
 
         ``(keyword, position)`` names the node: should its opening fail
-        at settle time, the error says whose it was.
+        at settle time, the error says whose it was.  ``nodes`` collects
+        each position's key for the cache's node index.
         """
         pending = self._pending
         # One byte says root or row and how many child slots are filled:
-        # the rest of the key is fixed-width fields, so it reads one way.
+        # the rest of the key is fixed-width fields, so it reads one way
+        # (and :func:`~repro.core.chameleon.expand_rows` reads it back).
         shape = len(children) | (0 if position else 0x80)
         key = CacheKey(
             (self.pp.modulus, bytes((shape,)) + node + b"".join(children))
         )
+        nodes[position] = key
         if key in pending:
             # Owed already: like a cached statement, it costs nothing more.
             if self.cache is not None:
@@ -504,12 +510,16 @@ class ChameleonProofSystem:
                         f"opening of node {position} of keyword {keyword!r} "
                         "failed commitment verification"
                     )
-        if self.cache is not None:
+        cache = self.cache
+        if cache is not None:
             for key, (statement, owner) in pending.items():
-                if statement is None:
-                    self.cache.add(key, summary=True, hold=owner)
-                else:
-                    self.cache.add(key)
+                if statement is not None:
+                    cache.add(key)
+                    continue
+                keyword, table, nodes = owner
+                cache.add(key, summary=True, hold=(keyword, table))
+                # The table key is (modulus, c_0, cnt, token).
+                cache.index(keyword, key.parts[1], key.parts[2], nodes)
 
     def _authenticate(
         self,
@@ -537,11 +547,12 @@ class ChameleonProofSystem:
             if cache.recall(key, summary=True, hold=(keyword, table)):
                 cache.count_hit(len(table.rows()))
                 return table.entries()
+        nodes: dict[int, CacheKey] = {}
         proven = table.authenticate(
-            partial(self._holds, keyword, table), commitment, count
+            partial(self._holds, keyword, table, nodes), commitment, count
         )
         if key is not None:
-            pending[key] = (None, (keyword, table))
+            pending[key] = (None, (keyword, table, nodes))
         return proven
 
     def proven_run(self, keyword: str, table: int | None) -> ProvenRun:

@@ -414,12 +414,18 @@ class LocatedRun:
 class ProveRequest:
     """One tree's share of a query's prove step (plain data).
 
-    ``keys`` are the located keys, ascending and unique.
+    ``keys`` are the located keys, ascending and unique.  For a
+    Chameleon tree whose keyword a client listed under this very
+    ``cnt``, ``held`` is the bitmap of the nodes it holds and ``sizes``
+    the sizes of the whole tables it holds
+    (:meth:`~repro.core.chameleon.ChameleonTreeSP.multiproof`).
     """
 
     keyword: str
     root: bytes
     keys: tuple[int, ...]
+    held: bytes = b""
+    sizes: frozenset[int] = frozenset()
 
 
 def prove_keys(tree: MBTree | ChameleonTreeSP | None, request: ProveRequest):
@@ -442,6 +448,8 @@ def prove_keys(tree: MBTree | ChameleonTreeSP | None, request: ProveRequest):
             "and prove"
         )
     try:
+        if request.held:
+            return tree.multiproof(request.keys, request.held, request.sizes)
         return tree.multiproof(request.keys)
     except ReproError as exc:
         raise StaleProofError(
@@ -455,33 +463,49 @@ def prove_keys(tree: MBTree | ChameleonTreeSP | None, request: ProveRequest):
 Prover = Callable[[list[ProveRequest]], list]
 
 
-def _prove_runs(vo: QueryVO, prove: Prover | None) -> dict[bytes, object]:
-    """Prove what a VO's located runs read: one table per root.
+def _prove_runs(
+    vo: QueryVO,
+    prove: Prover | None,
+    held: Sequence[tuple[int, bytes]],
+    nodes: Sequence[tuple[str, int, bytes]],
+) -> dict[bytes, tuple[str, object]]:
+    """Prove what a VO's located runs read: one ``(keyword, table)`` per root.
 
     Runs are grouped by the root recorded at locate time, in first-seen
     (conjunct, then tree) order — twin trees (equal roots, hence equal
     content) share a group — and their key lists merged.  Each group is
     one :class:`ProveRequest`: answered here when some run still holds
-    its live tree, through ``prove`` otherwise.
+    its live tree, through ``prove`` otherwise.  A group whose keyword
+    ``nodes`` lists — first listing — under the ``cnt`` of its root
+    (``c_0 || cnt``) carries that summary's bitmap.
     """
+    summaries: dict[str, tuple[int, bytes]] = {}
+    for keyword, count, bitmap in nodes:
+        summaries.setdefault(keyword, (count, bitmap))
+    sizes = frozenset(size for size, _ in held)
     groups: dict[bytes, list[LocatedRun]] = {}
     for conj in vo.conjuncts:
         if conj.base is not None:
             for run in conj.base.runs:
                 if isinstance(run, LocatedRun) and run.keys:
                     groups.setdefault(run.root, []).append(run)
-    answers: dict[bytes, object] = {}
+    answers: dict[bytes, tuple[str, object]] = {}
     remote: list[ProveRequest] = []
     for root, runs in groups.items():
         keys = runs[0].keys
         if len(runs) > 1:
             keys = tuple(sorted(set().union(*(run.keys for run in runs))))
-        request = ProveRequest(runs[0].keyword, root, keys)
+        keyword = runs[0].keyword
+        summary = summaries.get(keyword)
+        if summary is not None and summary[0] == int.from_bytes(root[-8:], "big"):
+            request = ProveRequest(keyword, root, keys, summary[1], sizes)
+        else:
+            request = ProveRequest(keyword, root, keys)
         tree = next((run.tree for run in runs if run.tree is not None), None)
         if tree is not None:
-            answers[root] = prove_keys(tree, request)
+            answers[root] = (keyword, prove_keys(tree, request))
         else:
-            answers[root] = None  # keeps first-seen order
+            answers[root] = (keyword, None)  # keeps first-seen order
             remote.append(request)
     if remote:
         if prove is None:
@@ -490,11 +514,16 @@ def _prove_runs(vo: QueryVO, prove: Prover | None) -> dict[bytes, object]:
                 "was given"
             )
         for request, reply in zip(remote, prove(remote)):
-            answers[request.root] = reply
+            answers[request.root] = (request.keyword, reply)
     return answers
 
 
-def compress_query_vo(vo: QueryVO, prove: Prover | None = None) -> QueryVO:
+def compress_query_vo(
+    vo: QueryVO,
+    prove: Prover | None = None,
+    held: Sequence[tuple[int, bytes]] = (),
+    nodes: Sequence[tuple[str, int, bytes]] = (),
+) -> QueryVO:
     """Finish a VO: one proof table per tree the query read.
 
     The join left, per conjunct and tree, the keys it read
@@ -504,11 +533,16 @@ def compress_query_vo(vo: QueryVO, prove: Prover | None = None) -> QueryVO:
     — on a run's live tree, or through ``prove`` for runs that lost it
     to pickling), and every run becomes the index of its tree's table.
     Nothing else is shipped: the client re-runs the join over the
-    tables.  Runs after call-order gathering, so the output is identical
-    for any shard count and pool mode.  A VO without located
+    tables.  The finished VO notes each table's keyword and root
+    (:attr:`QueryVO.origins`) for the codec.  ``held`` and ``nodes`` are
+    a client's lists of whole tables and node summaries (protocol v4):
+    a node table the client holds nodes of comes back with those nodes
+    short (:class:`~repro.core.chameleon.HeldNodeTable`), which only the
+    codec writes.  Runs after call-order gathering, so the output is
+    identical for any shard count and pool mode.  A VO without located
     runs is returned as it is.
     """
-    tables = _prove_runs(vo, prove)
+    tables = _prove_runs(vo, prove, held, nodes)
     if not tables:
         return vo
     table_of = {root: index for index, root in enumerate(tables)}
@@ -526,7 +560,11 @@ def compress_query_vo(vo: QueryVO, prove: Prover | None = None) -> QueryVO:
                 keywords=conj.keywords, base=ReplayVO(base.plan, base.trees, runs)
             )
         conjuncts.append(conj)
-    return QueryVO(conjuncts=tuple(conjuncts), multiproofs=tuple(tables.values()))
+    return QueryVO(
+        conjuncts=tuple(conjuncts),
+        multiproofs=tuple(table for _, table in tables.values()),
+        origins=tuple((keyword, root) for root, (keyword, _) in tables.items()),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 from repro.core.wire import U32
 from repro.crypto.hashing import tagged_hasher
-from repro.errors import DatasetError, ReproError
+from repro.errors import DatasetError, IntegrityError, ReproError
 
 
 #: Maximum keyword size in UTF-8 bytes.  The canonical encoding stores
@@ -216,13 +216,52 @@ def object_to_record(obj: DataObject) -> dict:
     }
 
 
+def record_uint(record: dict, name: str, bits: int = 64) -> int:
+    """Field ``name`` of a journal record: an ``int`` — not a ``bool``
+    or a ``float`` — in ``[0, 2^bits)``, else :class:`IntegrityError`."""
+    value = record.get(name)
+    if type(value) is not int or value < 0 or value >> bits:
+        raise IntegrityError(
+            f"record field {name!r} is {value!r}, not a {bits}-bit unsigned integer"
+        )
+    return value
+
+
 def record_to_object(record: dict) -> DataObject:
-    """Inverse of :func:`object_to_record`."""
-    return DataObject(
-        object_id=record["id"],
-        keywords=tuple(record["keywords"]),
-        content=base64.b64decode(record["content"]),
-    )
+    """Inverse of :func:`object_to_record`, failing closed.
+
+    The ID is a 64-bit ``int``, the keywords a list of strings in their
+    normal form, the content canonical base64: a record that is not a
+    JSON object, lacks a field or holds anything else is an
+    :class:`IntegrityError`, so no other value is taken for the one
+    written.
+    """
+    if not isinstance(record, dict):
+        raise IntegrityError("object record is not a JSON object")
+    object_id = record_uint(record, "id")
+    keywords = record.get("keywords")
+    content = record.get("content")
+    try:
+        "".join(keywords)  # refuses anything but strings
+    except TypeError:
+        keywords = None
+    if type(keywords) is not list:
+        raise IntegrityError(f"object {object_id}'s keywords are not strings")
+    if not isinstance(content, str):
+        raise IntegrityError(f"object {object_id}'s content is not base64 text")
+    try:
+        raw = base64.b64decode(content, validate=True)
+    except ValueError:
+        raise IntegrityError(f"object {object_id}'s content is not base64") from None
+    if base64.b64encode(raw).decode("ascii") != content:
+        raise IntegrityError(f"object {object_id}'s content is not canonical base64")
+    try:
+        obj = DataObject(object_id=object_id, keywords=tuple(keywords), content=raw)
+    except ReproError as exc:
+        raise IntegrityError(f"object {object_id}: {exc}") from exc
+    if list(obj.keywords) != keywords:
+        raise IntegrityError(f"object {object_id}'s keywords are not normalised")
+    return obj
 
 
 @dataclass(frozen=True)

@@ -46,6 +46,15 @@ drops them all.  Holding a table adds nothing to what is trusted: a
 referenced table is recalled under the *current* key, exactly as if its
 bytes had been sent again.
 
+Each table that settles also *indexes* its nodes: per keyword, the
+positions it proved under one ``<c_0, cnt>``, each pointing at the node
+statement's cache key (:class:`HeldNodes`).  A client lists those
+positions (:meth:`VerificationCache.held_nodes`) and the SP writes each
+listed node as a short row; the client rebuilds the row's cold bytes
+from the key, which holds them all, and verifies the rebuilt table as
+if it had been sent (DESIGN.md §6.3).  A position leaves the index when
+its statement is evicted, and on :meth:`~VerificationCache.clear`.
+
 Hits and misses are exported through :mod:`repro.obs` under
 ``<prefix>.cache_hit`` / ``<prefix>.cache_miss`` (e.g.
 ``vc.verify.cache_hit``) and mirrored on the instance for callers
@@ -70,6 +79,12 @@ HELD_TABLES = 64
 
 #: Held tables a request names per keyword, most recently used first.
 HELD_PER_KEYWORD = 2
+
+#: Keywords a request lists held nodes for.
+HELD_NODE_KEYWORDS = 64
+
+#: Bytes of a keyword's held-node bitmap: positions below 8 times this.
+HELD_NODE_BYTES = 512
 
 
 class CacheKey:
@@ -108,8 +123,10 @@ class CacheKey:
 
 class HeldTables:
     """The verified tables a session holds: at most :data:`HELD_TABLES`,
-    least recently used out first, filed under the keyword each was
-    opened for and keyed by its ``cache_token()`` (a ``bytes`` hash).
+    and at most :data:`HELD_PER_KEYWORD` — as many as a request lists —
+    under each keyword, least recently used out first; filed under the
+    keyword each was opened for and keyed by its ``cache_token()`` (a
+    ``bytes`` hash).
 
     Not thread-safe: its :class:`VerificationCache` calls it under the
     cache's lock.
@@ -137,7 +154,9 @@ class HeldTables:
         if tables is None:
             tables = self._filed[keyword] = OrderedDict()
         tables[token] = table
-        if len(keywords) > HELD_TABLES:
+        if len(tables) > HELD_PER_KEYWORD:
+            self.drop(next(iter(tables)))
+        elif len(keywords) > HELD_TABLES:
             self.drop(next(iter(keywords)))
         return token
 
@@ -167,6 +186,115 @@ class HeldTables:
         self._filed.clear()
 
 
+class _NodeGroup:
+    """One keyword's indexed nodes, all proven under one ``<c_0, cnt>``."""
+
+    __slots__ = ("root", "count", "keys", "listing")
+
+    def __init__(self, root: int, count: int) -> None:
+        self.root = root
+        self.count = count
+        #: Per position, the key of the node's cached statement.
+        self.keys: dict[int, CacheKey] = {}
+        #: :meth:`HeldNodes.of`'s answer for this group until it changes.
+        self.listing: tuple | None = None
+
+
+class HeldNodes:
+    """The node statements a session holds, by keyword and position.
+
+    One group per keyword: the positions the keyword's settled tables
+    proved under the ``<c_0, cnt>`` of the latest, each mapped to its
+    statement's :class:`CacheKey` — ``shape || node || children``, the
+    node's bytes and its filled children's commitments, so the index
+    copies nothing.  A table settling under another ``<c_0, cnt>`` starts
+    the keyword's group afresh.
+
+    Not thread-safe: its :class:`VerificationCache` calls it under the
+    cache's lock.
+    """
+
+    def __init__(self) -> None:
+        self._groups: dict[str, _NodeGroup] = {}
+
+    def index(
+        self,
+        keyword: str,
+        root: int,
+        count: int,
+        nodes: dict[int, CacheKey],
+        entries: OrderedDict,
+    ) -> None:
+        """File ``nodes`` — position to statement key, one settled
+        table's — whose statements are in ``entries``; each such entry
+        learns its ``(keyword, position)`` so that its eviction can drop
+        it."""
+        group = self._groups.get(keyword)
+        if group is None or group.root != root or group.count != count:
+            group = self._groups[keyword] = _NodeGroup(root, count)
+        keys = group.keys
+        for position, key in nodes.items():
+            # Every statement filed is one the session proved: whichever
+            # of them a position keeps, a node rebuilt from it is sound.
+            if position in keys:
+                continue
+            entry = entries.get(key)
+            if entry is None:
+                continue
+            keys[position] = key
+            entries[key] = (entry[0], False, (keyword, position))
+            group.listing = None
+
+    def drop(self, keyword: str, position: int, key: CacheKey) -> None:
+        """Forget ``position`` of ``keyword`` if it still maps to ``key``."""
+        group = self._groups.get(keyword)
+        if group is None or group.keys.get(position) != key:
+            return
+        del group.keys[position]
+        group.listing = None
+        if not group.keys:
+            del self._groups[keyword]
+
+    def of(self, keywords: list[str]) -> list[tuple]:
+        """Per keyword held, in the order given: ``(keyword, cnt, bitmap,
+        statements, rebuilt)``.  ``bitmap`` has bit ``p % 8`` of byte ``p
+        // 8`` set for each position ``p`` held below ``8 *``
+        :data:`HELD_NODE_BYTES`, and no trailing zero byte; ``statements``
+        maps exactly those positions to their statements' bytes (a key's
+        second part); ``rebuilt`` is the decoder's memo of the rows it
+        rebuilt from them (:func:`~repro.core.chameleon.expand_rows`).
+        Each is kept until the group changes."""
+        out = []
+        limit = 8 * HELD_NODE_BYTES
+        for keyword in keywords:
+            group = self._groups.get(keyword)
+            if group is None:
+                continue
+            if group.listing is None:
+                statements = {
+                    position: key.parts[1]
+                    for position, key in group.keys.items()
+                    if position < limit
+                }
+                mask = 0
+                for position in statements:
+                    mask |= 1 << position
+                group.listing = (
+                    keyword,
+                    group.count,
+                    mask.to_bytes((mask.bit_length() + 7) // 8, "little"),
+                    statements,
+                    {},  # the rows rebuilt from them, filled by the decoder
+                )
+            if group.listing[2]:
+                out.append(group.listing)
+        return out
+
+    def clear(self) -> None:
+        """Hold nothing."""
+        self._groups.clear()
+
+
 class VerificationCache:
     """A bounded, thread-safe LRU of successful verifications and their results.
 
@@ -187,13 +315,16 @@ class VerificationCache:
         self.hits = 0
         self.misses = 0
         #: Per key: what its check returned, whether it is a summary, and
-        #: the token of the table it holds (``None`` for a statement).
-        self._entries: OrderedDict[Hashable, tuple[object, bool, bytes | None]] = (
+        #: what it holds — a summary its table's token, an indexed node
+        #: statement its ``(keyword, position)``, else ``None``.
+        self._entries: OrderedDict[Hashable, tuple[object, bool, object]] = (
             OrderedDict()
         )
         self._summaries = 0
         #: The tables the verdicts were given for, filed by keyword.
         self._tables = HeldTables()
+        #: The node statements, filed by keyword and position.
+        self._nodes = HeldNodes()
         #: The session's Bloom masks, one memo per (filter_bits, hash_count).
         self._masks: dict[tuple[int, int], MaskMemo] = {}
         self._lock = threading.Lock()
@@ -271,25 +402,52 @@ class VerificationCache:
         entries = self._entries
         with self._lock:
             old = entries.get(key)
+            held = None
             if old is not None:
                 self._summaries -= old[1]
-            token = None
+                if not old[1]:
+                    held = old[2]  # an indexed statement stays indexed
             if hold is not None:
-                token = self._tables.hold(*hold)
-            entries[key] = (result, summary, token)
+                held = self._tables.hold(*hold)
+            entries[key] = (result, summary, held)
             entries.move_to_end(key)
             self._summaries += summary
             while len(entries) > self.maxsize:
-                _, was_summary, token = entries.popitem(last=False)[1]
+                key, (_, was_summary, held) = entries.popitem(last=False)
                 self._summaries -= was_summary
-                if token is not None:
-                    self._tables.drop(token)
+                if held is None:
+                    continue
+                if was_summary:
+                    self._tables.drop(held)
+                else:
+                    self._nodes.drop(*held, key)
+
+    def index(
+        self,
+        keyword: str,
+        root: int,
+        count: int,
+        nodes: dict[int, CacheKey],
+    ) -> None:
+        """File the nodes of a table that settled under ``<root, count>``:
+        position to key, each statement one this cache holds."""
+        if self.maxsize <= 0:
+            return
+        with self._lock:
+            self._nodes.index(keyword, root, count, nodes, self._entries)
 
     def held(self, keywords: list[str]) -> list:
         """The held tables of ``keywords``: per keyword, in the order
         given, its :data:`HELD_PER_KEYWORD` most recently used."""
         with self._lock:
             return self._tables.of(keywords)
+
+    def held_nodes(self, keywords: list[str]) -> list[tuple]:
+        """The indexed nodes of ``keywords``, per keyword held, in the
+        order given: ``(keyword, cnt, bitmap, statements, rebuilt)`` (see
+        :meth:`HeldNodes.of`)."""
+        with self._lock:
+            return self._nodes.of(keywords)
 
     def bloom_masks(self, filter_bits: int, capacity: int) -> MaskMemo | None:
         """The session's Bloom masks for chains of these parameters (one
@@ -304,10 +462,12 @@ class VerificationCache:
             )
 
     def clear(self) -> None:
-        """Drop every cached tuple, held table and mask and reset the counters."""
+        """Drop every cached tuple, held table and node and every mask,
+        and reset the counters."""
         with self._lock:
             self._entries.clear()
             self._tables.clear()
+            self._nodes.clear()
             for masks in self._masks.values():
                 masks.clear()
             self._summaries = 0

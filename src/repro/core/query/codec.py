@@ -32,6 +32,19 @@ component the tables the client replays the join over::
                    client's request listed (protocol v3).  It stands for
                    that table's bytes; the client verifies it exactly as
                    if they had been sent (DESIGN.md §6.3).
+    table kind 4   a node table with held nodes (protocol v4):
+                   varint index into the request's node summaries
+                   || u8 arity || varint #rows || root || row *
+                   root  u8 flags || (Lambda_0 || shipped *)
+                   row   varint (position << 1 | short) || u8 flags
+                         || (id(8) || h(o)(32) || c_pos || Lambda_pos
+                         || shipped *)
+                   (root flag bit 0 — never a read root — or a row's
+                   short bit: the node is its flags alone, a node the
+                   summary listed.  The client rebuilds its fields from
+                   the statement its session holds for it, so the table
+                   it frames is the kind-2 body byte for byte, verified
+                   as if it had been sent: DESIGN.md §6.3.)
 
     conjunct   u8 k || keyword * k || kind
                kind 0 (a keyword is empty)   || keyword
@@ -85,7 +98,7 @@ from __future__ import annotations
 import struct
 from collections.abc import Sequence
 
-from repro.core.chameleon import ChameleonMultiproof
+from repro.core.chameleon import ChameleonMultiproof, HeldNodeTable, expand_rows
 from repro.core.multiproof import TreeMultiproof
 from repro.core.query.vo import ConjunctiveVO, QueryVO, ReplayVO
 from repro.core.wire import U8, Reader, put_varint
@@ -96,6 +109,8 @@ _TABLE_MERKLE = 0
 _TABLE_CHAMELEON = 2
 #: A reference to a table the client's request listed as held.
 _TABLE_HELD = 3
+#: A node table whose held nodes are short rows.
+_TABLE_NODES = 4
 
 Table = TreeMultiproof | ChameleonMultiproof
 
@@ -147,6 +162,26 @@ class VOCodec:
         table, r.pos = ChameleonMultiproof.from_wire(
             r.buf, r.pos, count, arity, self.value_bytes
         )
+        return table
+
+    def _read_held_nodes(
+        self, r: Reader, nodes: Sequence[tuple[dict[int, bytes], dict[int, bytes]]]
+    ) -> ChameleonMultiproof:
+        at = r.varint()
+        if at >= len(nodes):
+            raise ReproError(
+                f"short rows under node summary {at} of {len(nodes)} listed"
+            )
+        arity = r.u8()
+        count = r.varint()
+        body, r.pos = expand_rows(
+            r.buf, r.pos, count, arity, self.value_bytes, *nodes[at]
+        )
+        table, end = ChameleonMultiproof.from_wire(
+            body, 0, count, arity, self.value_bytes
+        )
+        if end != len(body):
+            raise ReproError("node table body outruns its rows")
         return table
 
     # -- conjuncts -----------------------------------------------------------------
@@ -210,14 +245,25 @@ class VOCodec:
     # -- public API ----------------------------------------------------------------
 
     def encode(
-        self, vo: QueryVO, held: Sequence[tuple[int, bytes]] = ()
+        self,
+        vo: QueryVO,
+        held: Sequence[tuple[int, bytes]] = (),
+        nodes: Sequence[tuple[str, int, bytes]] = (),
     ) -> bytes:
         """Serialise a full ``VO_sp`` to its wire form.
 
         ``held`` is the client's list of ``(byte_size, cache_token)``,
         one per table it holds: a table that matches an entry is written
         as a kind-3 reference to the first such entry.  Only a table
-        whose size is listed has its token computed.  With nothing held
+        whose size is listed has its token computed.  ``nodes`` is the
+        client's node summaries, ``(keyword, cnt, bitmap)`` each: a node
+        table not referenced whose keyword is listed — first listing —
+        under the ``cnt`` it was proven at (:attr:`QueryVO.origins`) is
+        written as kind 4, each listed node a short row, if any is.  The
+        SP proves such a table short in the first place (a
+        :class:`~repro.core.chameleon.HeldNodeTable`, see
+        :func:`~repro.core.multiproof.compress_query_vo`), and a cold
+        one is cut short here, to the same bytes.  With nothing held
         the frame is the cold one, ``vo.byte_size()`` bytes.
 
         A conjunct may name a table the VO does not hold — e.g. a
@@ -230,7 +276,11 @@ class VOCodec:
         for at, entry in enumerate(held):
             listed.setdefault(entry, at)
         sizes = {size for size, _ in listed}
-        for table in vo.multiproofs:
+        summaries: dict[str, tuple] = {}
+        if vo.origins:
+            for at, (keyword, count, bitmap) in enumerate(nodes):
+                summaries.setdefault(keyword, (at, count, bitmap))
+        for index, table in enumerate(vo.multiproofs):
             if sizes:
                 size = table.byte_size()
                 if size in sizes:
@@ -239,7 +289,13 @@ class VOCodec:
                         out.append(_TABLE_HELD)
                         put_varint(out, at)
                         continue
-            if isinstance(table, ChameleonMultiproof):
+            if isinstance(table, (ChameleonMultiproof, HeldNodeTable)):
+                if summaries and self._write_held_nodes(
+                    out, table, vo.origins[index], summaries
+                ):
+                    continue
+                if isinstance(table, HeldNodeTable):
+                    raise ReproError("short rows under no listed node summary")
                 out.append(_TABLE_CHAMELEON)
                 self._write_node_table(out, table)
             elif isinstance(table, TreeMultiproof):
@@ -254,8 +310,42 @@ class VOCodec:
             self._write_conjunct(out, conjunct)
         return bytes(out)
 
+    def _write_held_nodes(
+        self,
+        out: bytearray,
+        table: ChameleonMultiproof | HeldNodeTable,
+        origin: tuple[str, bytes],
+        summaries: dict[str, tuple],
+    ) -> bool:
+        """Write ``table`` as kind 4 if its keyword's summary was listed
+        under the ``cnt`` it was proven at and names one of its nodes."""
+        keyword, root = origin
+        summary = summaries.get(keyword)
+        if summary is None:
+            return False
+        at, count, bitmap = summary
+        if count != int.from_bytes(root[-8:], "big"):
+            return False
+        if table.value_bytes != self.value_bytes:
+            return False  # kind 2, which refuses another element width
+        if isinstance(table, HeldNodeTable):
+            rows = table.rows
+        else:
+            rows = bytearray()
+            if not table.write_held(rows, bitmap):
+                return False
+        out.append(_TABLE_NODES)
+        put_varint(out, at)
+        out.append(table.arity)
+        put_varint(out, table.count)
+        out += rows
+        return True
+
     def _read_table(
-        self, r: Reader, held: Sequence[Table]
+        self,
+        r: Reader,
+        held: Sequence[Table],
+        nodes: Sequence[tuple[dict[int, bytes], dict[int, bytes]]],
     ) -> Table:
         kind = r.u8()
         if kind == _TABLE_MERKLE:
@@ -270,15 +360,27 @@ class VOCodec:
                     f"reference to held table {at} of {len(held)} listed"
                 )
             return held[at]
+        if kind == _TABLE_NODES:
+            return self._read_held_nodes(r, nodes)
         raise ReproError(f"unknown table kind {kind}")
 
-    def decode(self, payload: bytes, held: Sequence[Table] = ()) -> QueryVO:
+    def decode(
+        self,
+        payload: bytes,
+        held: Sequence[Table] = (),
+        nodes: Sequence[tuple[dict[int, bytes], dict[int, bytes]]] = (),
+    ) -> QueryVO:
         """Parse a wire-form ``VO_sp``; raises on malformed input.
 
         ``held`` are the tables the request listed, in its order: a
         kind-3 reference resolves to one of them, the very object.
-        Only :class:`~repro.errors.ReproError` escapes, whatever the
-        bytes.
+        ``nodes`` are the request's node summaries, in its order, each
+        as the statement bytes of the positions it listed and a memo of
+        the rows rebuilt from them: a kind-4 table's short rows are
+        rebuilt from the summary it names
+        (:func:`~repro.core.chameleon.expand_rows`), and a position the
+        summary lacks is refused.  Only :class:`~repro.errors.ReproError`
+        escapes, whatever the bytes.
         """
         r = Reader(payload, _WHAT)
         try:
@@ -286,7 +388,7 @@ class VOCodec:
             if marker != _MARKER:
                 raise ReproError(f"unsupported VO frame marker {marker:#x}")
             tables = tuple(
-                [self._read_table(r, held) for _ in range(r.varint())]
+                [self._read_table(r, held, nodes) for _ in range(r.varint())]
             )
             conjuncts = tuple(
                 [self._read_conjunct(r, len(tables)) for _ in range(r.u8())]

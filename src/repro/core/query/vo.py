@@ -18,7 +18,7 @@ encoding (tables know their own element width).
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Literal
 
 from repro.errors import ReproError, UnresolvedProofError
@@ -129,11 +129,17 @@ class QueryVO:
 
     ``multiproofs`` holds the proof tables, one per ``(tree,
     commitment)`` the query read, each named whole by the conjuncts
-    that read it.
+    that read it.  ``origins`` is the SP's note, per table, of the
+    keyword and the root it was proven at (a node table's is ``c_0 ||
+    cnt``): the codec matches a client's held nodes against it.  It is
+    never on the wire and never compared.
     """
 
     conjuncts: tuple[ConjunctiveVO, ...]
     multiproofs: tuple = ()
+    origins: tuple[tuple[str, bytes], ...] = field(
+        default=(), compare=False, repr=False
+    )
 
     def byte_size(self) -> int:
         """Exact wire size: ``len(VOCodec.encode(self))``.

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import dataclasses
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 from repro import obs
 from repro.core.chameleon import InsertionProof
@@ -330,11 +330,18 @@ class ShardedStorageProvider:
                 )
         return outcomes
 
-    def process_query(self, query: KeywordQuery) -> QueryAnswer:
+    def process_query(
+        self,
+        query: KeywordQuery,
+        held: Sequence[tuple[int, bytes]] = (),
+        nodes: Sequence[tuple[str, int, bytes]] = (),
+    ) -> QueryAnswer:
         """Evaluate the query and build ``VO_sp``.
 
         Per-conjunct VOs are gathered in conjunct order, so the encoded
-        VO never depends on shard layout or pool mode.
+        VO never depends on shard layout or pool mode.  ``held`` and
+        ``nodes`` are what the asking client holds (see
+        :func:`~repro.core.multiproof.compress_query_vo`).
         """
         with obs.span(
             "query.sp",
@@ -348,10 +355,15 @@ class ShardedStorageProvider:
         return QueryAnswer(
             result_ids=result_ids,
             objects=objects,
-            vo=self._finish_vo([vo for _, vo in outcomes]),
+            vo=self._finish_vo([vo for _, vo in outcomes], held, nodes),
         )
 
-    def _finish_vo(self, conjunct_vos: list[ConjunctiveVO]) -> QueryVO:
+    def _finish_vo(
+        self,
+        conjunct_vos: list[ConjunctiveVO],
+        held: Sequence[tuple[int, bytes]] = (),
+        nodes: Sequence[tuple[str, int, bytes]] = (),
+    ) -> QueryVO:
         """Assemble ``VO_sp`` and run the prove step over it.
 
         The joins only located what they read; here each touched tree
@@ -362,7 +374,7 @@ class ShardedStorageProvider:
         """
         vo = QueryVO(conjuncts=tuple(conjunct_vos))
         with obs.span("query.sp.prove"):
-            return compress_query_vo(vo, self._prove)
+            return compress_query_vo(vo, self._prove, held, nodes)
 
     def _prove(self, requests: list[ProveRequest]) -> list:
         """Prove step for runs whose join ran in another process.

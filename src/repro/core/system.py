@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import time
 import weakref
+from collections.abc import Sequence
 from contextlib import AbstractContextManager
 from dataclasses import dataclass
 from pathlib import Path
@@ -344,10 +345,17 @@ class HybridStorageSystem:
         with self._rwlock.read():
             return self._sp.view(keyword)
 
-    def process_query(self, query: KeywordQuery) -> QueryAnswer:
-        """SP side: evaluate the query and build ``VO_sp``."""
+    def process_query(
+        self,
+        query: KeywordQuery,
+        held: Sequence[tuple[int, bytes]] = (),
+        nodes: Sequence[tuple[str, int, bytes]] = (),
+    ) -> QueryAnswer:
+        """SP side: evaluate the query and build ``VO_sp``; ``held`` and
+        ``nodes`` are the asking client's lists (protocol v4), empty for
+        the cold VO."""
         with self._rwlock.read():
-            return self._sp.process_query(query)
+            return self._sp.process_query(query, held, nodes)
 
     def chain_proof_system(self, keywords: frozenset[str]):
         """Client side: read ``VO_chain`` and build the proof system."""

@@ -54,7 +54,13 @@ from repro.core.chameleon import ChameleonTreeSP, InsertionProof
 from repro.core.mbtree import MBTree
 from repro.core.multiproof import prove_keys
 from repro.core.nodestore import KIND_CHAMELEON, KIND_MBTREE, NODESTORE_VERSION
-from repro.core.objects import DataObject, ObjectStore, object_to_record, record_to_object
+from repro.core.objects import (
+    DataObject,
+    ObjectStore,
+    object_to_record,
+    record_to_object,
+    record_uint,
+)
 from repro.core.query.join import conjunctive_join
 from repro.core.suppressed import gen_spines
 from repro.crypto.hashing import digests_equal, sha3, tagged_hash
@@ -132,7 +138,46 @@ def tree_from_blob(blob: bytes | bytearray | memoryview) -> Any:
     raise IntegrityError(f"unknown node-store kind {kind}")
 
 
-def _record_to_proof(record: dict) -> InsertionProof:
+def _record_digest(record: dict, name: str) -> bytes:
+    """Field ``name``: a 32-byte digest, as ``bytes.hex()`` writes it."""
+    text = record.get(name)
+    try:
+        raw = bytes.fromhex(text)
+    except (TypeError, ValueError):
+        raw = None
+    if raw is None or len(raw) != 32 or raw.hex() != text:
+        raise IntegrityError(f"record field {name!r} is not a 32-byte hex digest")
+    return raw
+
+
+def _record_element(record: dict, name: str, value_bytes: int) -> int:
+    """Field ``name``: a group element, as ``format(x, "x")`` writes it,
+    below ``2^(8 * value_bytes)``."""
+    text = record.get(name)
+    try:
+        value = int(text, 16)
+    except (TypeError, ValueError):
+        value = -1
+    if value < 0 or value >> (8 * value_bytes) or format(value, "x") != text:
+        raise IntegrityError(
+            f"record field {name!r} is not a {value_bytes}-byte hex element"
+        )
+    return value
+
+
+def _record_keyword(record: dict) -> str:
+    keyword = record.get("kw")
+    if not isinstance(keyword, str):
+        raise IntegrityError("journal record names no keyword")
+    return keyword
+
+
+def _record_to_proof(record: dict, value_bytes: int) -> InsertionProof:
+    """The insertion proof a journal record holds, failing closed: every
+    field of its wire width and form (see :func:`proof_to_record`), else
+    :class:`IntegrityError`."""
+    if not isinstance(record, dict):
+        raise IntegrityError("insertion proof record is not a JSON object")
     if "opening" not in record:
         # Per-slot openings cannot be turned into whole-vector ones
         # without the trapdoor: the shard must be rebuilt by the DO.
@@ -140,14 +185,14 @@ def _record_to_proof(record: dict) -> InsertionProof:
             "journal record carries per-slot openings from an older build"
         )
     return InsertionProof(
-        position=record["position"],
-        object_id=record["object_id"],
-        object_hash=bytes.fromhex(record["object_hash"]),
-        commitment=int(record["commitment"], 16),
-        opening=int(record["opening"], 16),
-        parent_opening=int(record["parent_opening"], 16),
-        parent_position=record["parent_position"],
-        child_index=record["child_index"],
+        position=record_uint(record, "position"),
+        object_id=record_uint(record, "object_id"),
+        object_hash=_record_digest(record, "object_hash"),
+        commitment=_record_element(record, "commitment", value_bytes),
+        opening=_record_element(record, "opening", value_bytes),
+        parent_opening=_record_element(record, "parent_opening", value_bytes),
+        parent_position=record_uint(record, "parent_position"),
+        child_index=record_uint(record, "child_index", 8),
     )
 
 
@@ -202,16 +247,22 @@ class IndexShardEngine:
         """Apply one journal-format record to in-memory state (no
         journaling) — the single dispatch shared by batch ingest and
         crash replay."""
+        if not isinstance(record, dict):
+            raise IntegrityError("journal record is not a JSON object")
         op = record.get("op")
         if op == "entry":
-            self.index.tree_for(record["kw"]).insert(
-                record["id"], bytes.fromhex(record["hash"])
+            self.index.tree_for(_record_keyword(record)).insert(
+                record_uint(record, "id"), _record_digest(record, "hash")
             )
         elif op == "register":
-            self.index.register_keyword(record["kw"], int(record["c"], 16))
+            self.index.register_keyword(
+                _record_keyword(record),
+                _record_element(record, "c", self.index.value_bytes),
+            )
         elif op == "apply":
             self.index.apply_insertion(
-                record["kw"], _record_to_proof(record["proof"])
+                _record_keyword(record),
+                _record_to_proof(record.get("proof"), self.index.value_bytes),
             )
         elif op == "object":
             self.store.put(record_to_object(record))
@@ -427,7 +478,7 @@ class DiskShardEngine(IndexShardEngine):
         except ValueError:
             return 0
         if isinstance(record, dict) and record.get("op") == "epoch":
-            return int(record["n"])
+            return record_uint(record, "n")
         return 0
 
     def _replay(self) -> None:
@@ -465,7 +516,7 @@ class DiskShardEngine(IndexShardEngine):
                             f"corrupt journal record at {self.path.name}:"
                             f"{lineno}"
                         ) from exc
-                    if record.get("op") != "epoch":
+                    if not isinstance(record, dict) or record.get("op") != "epoch":
                         self._apply(record)
                 good_end += len(raw)
         if good_end < self.path.stat().st_size:

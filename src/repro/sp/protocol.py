@@ -8,10 +8,12 @@ and a :class:`RemoteClient` drives any ``bytes -> bytes`` callable (an
 in-process handle, an HTTP POST, a socket) and verifies the results
 *locally* against the chain — the SP stays untrusted end to end.
 
-Protocol v3, big-endian::
+Protocol v4, big-endian::
 
     request   version(1) || len(2) || query text
                          || n(1) || (varint table size || token(32))*n
+                         || m(1) || summary*m
+    summary   len(1) || keyword || varint cnt || varint b || bitmap(b)
     response  version(1) || 0 || n(4) || id(8)*n
                          || m(4) || (len(4) || object)*m || len(4) || VO
               version(1) || 1 || error code(1) || len(2) || error text
@@ -22,8 +24,20 @@ each table's encoded size and its ``cache_token()``, at most
 :data:`~repro.core.proofcache.HELD_TABLES` of them.  The SP writes a
 table of its answer that matches an entry as a one-byte kind-3
 reference to it (:meth:`VOCodec.encode
-<repro.core.query.codec.VOCodec.encode>`) and keeps no state of its
-own; an empty list is answered with the cold VO.
+<repro.core.query.codec.VOCodec.encode>`).
+
+It then lists, per keyword of the query that the session holds nodes
+of (:meth:`~repro.core.proofcache.VerificationCache.held_nodes`), a
+node summary: the keyword, the ``cnt`` they were proven under and their
+positions as a bitmap — bit ``p % 8`` of byte ``p // 8`` for position
+``p``.  The bounds: at most
+:data:`~repro.core.proofcache.HELD_NODE_KEYWORDS` summaries, in strictly
+ascending keyword order; ``cnt < 2^64``; a bitmap of 1 to
+:data:`~repro.core.proofcache.HELD_NODE_BYTES` bytes whose last byte is
+not zero and whose highest position is at most ``cnt``.  The SP writes
+a node table whose keyword is listed under the ``cnt`` it was proven at
+as table kind 4, each listed node a short row.  The SP keeps no state of
+its own; a request that lists nothing is answered with the cold VO.
 
 An object travels as its canonical encoding
 (:meth:`~repro.core.objects.DataObject.encoded`), which the SP built
@@ -33,7 +47,8 @@ slices it received.  The VO is the codec's frame, untouched.
 
 Both decoders go through :class:`~repro.core.wire.Reader` and fail
 closed: a status byte other than 0 or 1, text that is not UTF-8, a
-length that overruns the message, bytes left over after the message or
+length that overruns the message, a varint longer than its shortest
+encoding, a list over its bound, bytes left over after the message or
 inside an object's field all raise :class:`~repro.errors.ReproError` —
 which the server answers with ``ERR_BAD_REQUEST``.
 """
@@ -47,12 +62,16 @@ from typing import TYPE_CHECKING, Callable
 
 from repro import obs
 from repro.core.objects import DataObject
-from repro.core.proofcache import HELD_TABLES
+from repro.core.proofcache import (
+    HELD_NODE_BYTES,
+    HELD_NODE_KEYWORDS,
+    HELD_TABLES,
+)
 from repro.core.query.codec import VOCodec
 from repro.core.query.parser import KeywordQuery
 from repro.core.query.verify import ProofSystem, verify_query
 from repro.core.query.vo import QueryAnswer, QueryVO
-from repro.core.wire import U16, U32, Reader, put_varint, read_varint
+from repro.core.wire import U8, U16, U32, Reader, put_varint, read_varint
 
 if TYPE_CHECKING:
     from repro.core.system import HybridStorageSystem
@@ -67,7 +86,8 @@ from repro.errors import (
 #: Protocol version byte, bumped on breaking format changes.
 #: v2: error responses carry a machine-readable error-code byte.
 #: v3: a request lists the tables the client holds.
-PROTOCOL_VERSION = 3
+#: v4: ... and the nodes it holds, per keyword.
+PROTOCOL_VERSION = 4
 
 _STATUS_OK = 0
 _STATUS_ERROR = 1
@@ -113,21 +133,55 @@ def _short_text(text: str) -> bytes:
     return U16.pack(len(blob)) + blob
 
 
+#: One node summary: ``(keyword, cnt, bitmap)``.
+NodeSummary = tuple[str, int, bytes]
+
+
+def _check_summaries(nodes: tuple[NodeSummary, ...]) -> None:
+    """Refuse summaries beyond the bounds or out of their one form."""
+    if len(nodes) > HELD_NODE_KEYWORDS:
+        raise ReproError(
+            f"request lists {len(nodes)} node summaries, at most "
+            f"{HELD_NODE_KEYWORDS}"
+        )
+    previous = ""
+    for keyword, count, bitmap in nodes:
+        if keyword <= previous:
+            raise ReproError(
+                "node summaries are not in ascending keyword order, or one "
+                "names no keyword"
+            )
+        previous = keyword
+        if not 0 <= count < 1 << 64:
+            raise ReproError(f"node summary count {count} out of range")
+        if not 0 < len(bitmap) <= HELD_NODE_BYTES or not bitmap[-1]:
+            raise ReproError(
+                f"node summary of {keyword!r} is not a bitmap of 1 to "
+                f"{HELD_NODE_BYTES} bytes ending in a position"
+            )
+        if 8 * len(bitmap) - 8 + bitmap[-1].bit_length() - 1 > count:
+            raise ReproError("node summary lists a position beyond its count")
+
+
 @dataclass(frozen=True)
 class QueryRequest:
-    """A keyword-search request and the tables its sender holds.
+    """A keyword-search request and what its sender holds.
 
     ``held`` is ``(byte_size, cache_token)`` per held table, at most
-    :data:`~repro.core.proofcache.HELD_TABLES`.
+    :data:`~repro.core.proofcache.HELD_TABLES`; ``nodes`` one
+    ``(keyword, cnt, bitmap)`` summary per keyword the sender holds
+    nodes of (see the module docstring for their bounds).
     """
 
     query_text: str
     held: tuple[tuple[int, bytes], ...] = ()
+    nodes: tuple[NodeSummary, ...] = ()
 
     def encode(self) -> bytes:
         """Serialise to the canonical wire form."""
         if len(self.held) > HELD_TABLES:
             raise ReproError(f"a request lists at most {HELD_TABLES} tables")
+        _check_summaries(self.nodes)
         out = bytearray((PROTOCOL_VERSION,))
         out += _short_text(self.query_text)
         out.append(len(self.held))
@@ -136,6 +190,16 @@ class QueryRequest:
                 raise ReproError("a table token is 32 bytes")
             put_varint(out, size)
             out += token
+        out.append(len(self.nodes))
+        for keyword, count, bitmap in self.nodes:
+            name = keyword.encode("utf-8")
+            if len(name) > 0xFF:
+                raise ReproError("a summary's keyword is at most 255 bytes")
+            out.append(len(name))
+            out += name
+            put_varint(out, count)
+            put_varint(out, len(bitmap))
+            out += bitmap
         return bytes(out)
 
     @classmethod
@@ -162,8 +226,27 @@ class QueryRequest:
         except IndexError:
             raise ReproError(f"truncated {reader.what}") from None
         reader.pos = pos
+        nodes = []
+        summaries = reader.u8()
+        if summaries > HELD_NODE_KEYWORDS:
+            raise ReproError(
+                f"request lists {summaries} node summaries, at most "
+                f"{HELD_NODE_KEYWORDS}"
+            )
+        for _ in range(summaries):
+            keyword = reader.text(U8)
+            held_count = reader.varint()
+            size = reader.varint()
+            if size > HELD_NODE_BYTES:
+                raise ReproError(
+                    f"node summary bitmap of {size} bytes, at most "
+                    f"{HELD_NODE_BYTES}"
+                )
+            nodes.append((keyword, held_count, reader.take(size)))
+        nodes = tuple(nodes)
+        _check_summaries(nodes)
         reader.finish()
-        return cls(query_text=text, held=tuple(held))
+        return cls(query_text=text, held=tuple(held), nodes=nodes)
 
 
 @dataclass
@@ -273,11 +356,13 @@ class StorageProviderServer:
         except QueryError as exc:
             return error(ERR_QUERY, exc)
         try:
-            answer = self._system.process_query(query)
+            answer = self._system.process_query(query, request.held, request.nodes)
             return QueryResponse(
                 result_ids=answer.result_ids,
                 objects=[answer.objects[oid] for oid in answer.result_ids],
-                vo_bytes=self._codec.encode(answer.vo, request.held),
+                vo_bytes=self._codec.encode(
+                    answer.vo, request.held, request.nodes
+                ),
             )
         except QueryError as exc:
             return error(ERR_QUERY, exc)
@@ -333,6 +418,10 @@ class Fetched:
     #: The tables the request listed, in its order: what a reference
     #: in the VO resolves to.
     held: tuple = ()
+    #: Per node summary the request listed, in its order, the statement
+    #: bytes of its positions — what a short row is rebuilt from — and
+    #: the memo of rows rebuilt from them.
+    nodes: tuple = ()
 
 
 class RemoteClient:
@@ -384,10 +473,15 @@ class RemoteClient:
         obs.observe("query.parse_seconds", time.perf_counter() - tp,
                     buckets=obs.TIME_BUCKETS_S)
         cache = self._system.verify_cache
-        held = () if cache is None else tuple(cache.held(sorted(query.all_keywords())))
+        held = nodes = ()
+        if cache is not None:
+            keywords = sorted(query.all_keywords())
+            held = tuple(cache.held(keywords))
+            nodes = tuple(cache.held_nodes(keywords))
         request = QueryRequest(
             query_text=text,
             held=tuple((table.byte_size(), table.cache_token()) for table in held),
+            nodes=tuple(summary[:3] for summary in nodes),
         )
         with self._system.reading():
             t0 = time.perf_counter()
@@ -417,13 +511,20 @@ class RemoteClient:
                 )
             obs.observe("query.chain_seconds", time.perf_counter() - tc,
                         buckets=obs.TIME_BUCKETS_S)
-        return Fetched(query, response, proof_system, sp_seconds, held)
+        return Fetched(
+            query,
+            response,
+            proof_system,
+            sp_seconds,
+            held,
+            tuple(summary[3:] for summary in nodes),
+        )
 
     def verify(self, fetched: Fetched) -> QueryResult:
         """Decode ``VO_sp`` and check the answer against the chain read."""
         response = fetched.response
         with obs.span("query.vo_decode", bytes=len(response.vo_bytes)):
-            vo = self._codec.decode(response.vo_bytes, fetched.held)
+            vo = self._codec.decode(response.vo_bytes, fetched.held, fetched.nodes)
         answer = QueryAnswer(
             result_ids=response.result_ids,
             objects={obj.object_id: obj for obj in response.objects},

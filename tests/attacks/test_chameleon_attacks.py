@@ -673,7 +673,8 @@ def flipping_system():
     _fill(system)
     honest = system._sp.process_query
 
-    def flipping(query):
+    def flipping(query, *held):
+        # Answers cold whatever the client holds; the server cuts it short.
         answer = honest(query)
         if answer.vo.multiproofs:
             with_table(

@@ -229,7 +229,7 @@ def test_rejected_answer_primes_nothing_unproven(honest, primed):
     try:
         for offset in offsets:
 
-            def tampering(query, offset=offset):
+            def tampering(query, *held, offset=offset):
                 answer = honest_sp(query)
                 answer.vo = codec.decode(flipped(codec.encode(answer.vo), offset))
                 return answer

@@ -172,17 +172,21 @@ def test_malformed_held_lists_are_bad_requests(system):
     honest = QueryRequest(query_text=SCAN, held=((10, token),)).encode()
     require(QueryRequest.decode(honest).held == ((10, token),), "round trip")
     require(not refused(server, honest), "an honest list is answered")
-    head = honest[:-33]  # up to the entry: its size byte is 10
+    # The list, then the node summaries' count (none listed).
+    listed, nodes = honest[:-1], honest[-1:]
+    require(nodes == b"\x00", "no node summary")
+    head = listed[:-33]  # up to the entry: its size byte is 10
     mutants = {
-        "truncated token": honest[:-1],
+        "truncated token": listed[:-1] + nodes,
         "truncated list": head,
-        "padded varint": head + b"\x8a\x00" + token,
+        "padded varint": head + b"\x8a\x00" + token + nodes,
         "trailing bytes": honest + b"\x00",
-        "count beyond the entries": honest[:-34] + b"\x02" + honest[-33:],
+        "count beyond the entries": listed[:-34] + b"\x02" + listed[-33:] + nodes,
         "more entries than the bound": (
-            honest[:-34]
+            listed[:-34]
             + bytes((HELD_TABLES + 1,))
             + (b"\x0a" + token) * (HELD_TABLES + 1)
+            + nodes
         ),
     }
     for name, payload in mutants.items():

@@ -177,7 +177,7 @@ def test_system_query_returns_only_verified_objects(deployment):
     system, _ = deployment
     honest = system._sp.process_query
 
-    def padding(query):
+    def padding(query, *held):
         answer = honest(query)
         answer.objects[999999] = DataObject(999999, ("covid",), b"never ingested")
         return answer

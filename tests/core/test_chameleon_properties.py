@@ -6,7 +6,8 @@ position adjacency must mirror rank adjacency; and for any arity in
 {2, 3, 4}, any ``cnt`` and any set of read positions, the table over
 them round-trips through the codec, authenticates to exactly the read
 entries, the client's view of it answers exactly the probes the set can
-answer, removing or reordering any row is rejected, and the batched
+answer, removing or reordering any row is rejected, the SP's one-pass
+short table is the cold table cut short, and the batched
 check of its whole-vector openings agrees with checking them one by one
 — on the honest statements and with any one of them made wrong.
 """
@@ -18,7 +19,7 @@ from contextlib import nullcontext
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.core.chameleon import ChameleonTreeDO, ChameleonTreeSP
+from repro.core.chameleon import ChameleonTreeDO, ChameleonTreeSP, HeldNodeTable
 from repro.core.chameleon_index import ChameleonProofSystem, ChameleonView
 from repro.core.query.codec import VOCodec
 from repro.core.query.vo import QueryVO
@@ -212,6 +213,37 @@ def _spoil(statement, how, pp):
     messages = list(messages)
     messages[-1] = None if messages[-1] is not None else commitment
     return commitment, messages, opening
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    arity=st.sampled_from(ARITIES),
+    size=st.integers(1, len(_IDS)),
+    data=st.data(),
+)
+def test_a_table_proven_short_is_the_cold_table_cut_short(arity, size, data):
+    """The SP's one-pass short table equals the cold table with the same
+    nodes cut short (kind 4's rows), and has the cold table's size; it
+    is cold when that size is held whole or no node of it is held."""
+    shown = tuple(
+        sorted(data.draw(st.sets(st.integers(1, size), min_size=1, max_size=12)))
+    )
+    held = data.draw(st.sets(st.integers(0, size + 3), max_size=size + 4))
+    mask = sum(1 << position for position in held)
+    bitmap = mask.to_bytes((mask.bit_length() + 7) // 8, "little")
+    sp = ChameleonTreeSP.from_blob(grown(arity)[2][size])
+    cold = sp.multiproof(shown)
+    rows = bytearray()
+    short = cold.write_held(rows, bitmap)
+    table = sp.multiproof(shown, bitmap)
+    if short:
+        assert isinstance(table, HeldNodeTable)
+        assert (table.rows, table.count, table.byte_size()) == (
+            bytes(rows), cold.count, cold.byte_size()
+        )
+        assert sp.multiproof(shown, bitmap, frozenset({cold.byte_size()})) == cold
+    else:
+        assert table == cold
 
 
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])

@@ -94,6 +94,28 @@ class TestVerificationCacheStress:
         assert len(cache) <= 64
 
 
+    def test_node_index_never_outlives_its_statements(self):
+        cache = VerificationCache(maxsize=64, metric_prefix="stress.nodes")
+        per_thread = 500
+
+        def worker(index):
+            for i in range(per_thread):
+                position = (7 * index + i) % 100
+                key = cache.key(7, bytes((position,)) * 3)
+                cache.add(key)
+                cache.index("kw", 1, 1, {position: key})
+                if i % 50 == 0:
+                    cache.held_nodes(["kw"])
+
+        hammer(worker)
+        # Every indexed position's statement is cached and points back.
+        group = cache._nodes._groups["kw"]
+        assert group.keys
+        for position, key in group.keys.items():
+            assert cache._entries[key][2] == ("kw", position)
+        assert len(group.keys) <= 64
+
+
 class TestMetricsStress:
     def test_counter_no_lost_increments(self):
         registry = MetricsRegistry()

@@ -54,6 +54,26 @@ class TestVerificationCacheUnit:
         assert len(cache) == 0
         assert cache.hits == 0 and cache.misses == 0
 
+    def test_node_index_follows_the_statements(self):
+        """A node is indexed only while its statement is cached."""
+        cache = VerificationCache(maxsize=3)
+        keys = [cache.key(7, bytes((0x80 if p == 0 else 0, p)) * 3) for p in range(3)]
+        for key in keys:
+            cache.add(key)
+        cache.index("kw", 11, 2, dict(enumerate(keys)))
+        ((keyword, count, bitmap, statements, _),) = cache.held_nodes(["kw", "other"])
+        assert (keyword, count, bitmap) == ("kw", 2, b"\x07")
+        assert statements == {p: key.parts[1] for p, key in enumerate(keys)}
+        cache.seen(keys[0])  # refreshed: position 1's statement is oldest
+        cache.add(cache.key("table"), summary=True)
+        ((_, _, bitmap, statements, _),) = cache.held_nodes(["kw"])
+        assert bitmap == b"\x05" and sorted(statements) == [0, 2]
+        # A table proven under another cnt starts the keyword's group over.
+        cache.index("kw", 11, 3, {0: keys[0]})
+        assert cache.held_nodes(["kw"])[0][1:3] == (3, b"\x01")
+        cache.clear()
+        assert cache.held_nodes(["kw"]) == []
+
     def test_pickle_roundtrip_for_process_pools(self):
         cache = VerificationCache(maxsize=4)
         cache.add("k")

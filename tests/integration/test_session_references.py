@@ -1,18 +1,27 @@
-"""One client session: a table it has verified is not sent again.
+"""One client session: a table or node it has verified is not sent again.
 
 A session runs a query list twice, with ``verify_cache.clear()`` — a new
 session — in between.  Both runs must ship the same ``VO_sp`` sizes,
 query by query: what a session is sent depends on what it asked before
 and nothing else.  Within a run, a scan asked a second time gets its
-table as a kind-3 reference.  And every answer's result IDs and cold
-size are those of a client that holds nothing (no verification cache,
-so its requests list no table).
+table as a kind-3 reference, and under CI and CI* a table whose nodes
+the session has proven comes as kind 4, those nodes as short rows, which
+the client rebuilds into exactly the cold table's bytes.  And every
+answer's result IDs and cold size are those of a client that holds
+nothing (no verification cache, so its requests list nothing).
 """
 
 import pytest
 
-from repro import DataObject, HybridStorageSystem
-from repro.sp.protocol import QueryResponse, RemoteClient, StorageProviderServer
+from repro import DataObject, HybridStorageSystem, KeywordQuery
+from repro.core.chameleon import expand_rows
+from repro.core.query import codec
+from repro.sp.protocol import (
+    QueryRequest,
+    QueryResponse,
+    RemoteClient,
+    StorageProviderServer,
+)
 
 VOCABULARY = ("alpha", "beta", "gamma", "delta")
 
@@ -88,3 +97,37 @@ def test_a_session_is_sent_each_verified_table_once(scheme):
     assert sum(runs[0]) < sum(cold.query(text).vo_sp_bytes for text in QUERIES)
     system.close()
     cold.close()
+
+
+@pytest.mark.parametrize("scheme", ["ci", "ci*"])
+def test_a_rebuilt_table_is_the_cold_table(scheme, monkeypatch):
+    system = build(scheme)
+    rebuilt: list[int] = []
+
+    def expand(*args):
+        rebuilt.append(args[2])  # the table's row count
+        return expand_rows(*args)
+
+    monkeypatch.setattr(codec, "expand_rows", expand)
+    server = StorageProviderServer(system)
+    sent: list[tuple[QueryRequest, bytes]] = []
+
+    def transport(raw: bytes) -> bytes:
+        response = server.handle(raw)
+        sent.append((QueryRequest.decode(raw), QueryResponse.decode(response).vo_bytes))
+        return response
+
+    client = RemoteClient(transport, system)
+    vo_codec = codec.VOCodec(value_bytes=system.value_bytes)
+    for text in QUERIES:
+        result = client.query(text)
+        cold = system.process_query(KeywordQuery.parse(text)).vo
+        assert [table.body for table in result._vo.multiproofs] == [
+            table.body for table in cold.multiproofs
+        ]
+        assert result.vo_cold_bytes == cold.byte_size()
+        # Proven short or cut short from the cold table: the same bytes.
+        request, vo_bytes = sent[-1]
+        assert vo_bytes == vo_codec.encode(cold, request.held, request.nodes)
+    assert rebuilt  # some tables came with short rows
+    system.close()

@@ -216,20 +216,39 @@ held_lists = st.lists(
 )
 
 
+#: Node summaries: ``(keyword, cnt, bitmap)``, keywords ascending, each
+#: bitmap's positions inside ``[0, cnt]`` and its last byte not zero.
+@st.composite
+def node_summaries(draw):
+    keywords = sorted(
+        set(draw(st.lists(st.text(min_size=1, max_size=8), max_size=3)))
+    )
+    summaries = []
+    for keyword in keywords:
+        positions = draw(st.sets(st.integers(0, 300), min_size=1, max_size=12))
+        mask = sum(1 << p for p in positions)
+        bitmap = mask.to_bytes((mask.bit_length() + 7) // 8, "little")
+        count = draw(st.integers(max(positions), 2**64 - 1))
+        summaries.append((keyword, count, bitmap))
+    return tuple(summaries)
+
+
 def request_fields(raw: bytes) -> tuple:
     request = QueryRequest.decode(raw)
-    return request.query_text, request.held
+    return request.query_text, request.held, request.nodes
 
 
 @settings(max_examples=100, deadline=None)
 @given(
     text=st.text(max_size=40),
     held=held_lists,
+    nodes=node_summaries(),
     edits=st.one_of(st.just([]), mutations),
 )
-def test_requests_and_error_responses_decode_alike(text, held, edits):
-    request = QueryRequest(query_text=text, held=tuple(held)).encode()
-    assert request == reference.encode_request(text, held)
+def test_requests_and_error_responses_decode_alike(text, held, nodes, edits):
+    request = QueryRequest(query_text=text, held=tuple(held), nodes=nodes).encode()
+    assert request == reference.encode_request(text, held, nodes)
+    assert request_fields(request) == (text, tuple(held), nodes)
     mutant = mutate(request, edits)
     assert outcome(request_fields, mutant) == outcome(
         reference.decode_request, mutant
@@ -307,4 +326,60 @@ def test_held_references_encode_and_decode_alike(scheme):
         assert outcome(lambda raw: codec.decode(raw, held), mutant) == outcome(
             lambda raw: oracle.decode(raw, held), mutant
         )
+    system.close()
+
+
+@pytest.mark.parametrize("scheme", ["ci", "ci*"])
+def test_short_rows_encode_and_decode_alike(scheme):
+    """Protocol v4: nodes the session holds go as short rows (kind 4).
+
+    After a session has verified every query once, each query's frame is
+    encoded against the tables and the node summaries its client would
+    send: both encoders write the same bytes, both decoders rebuild the
+    cold tables from the held statements, and every single-byte mutant
+    and prefix of a frame with short rows decodes alike.
+    """
+    system = HybridStorageSystem(scheme=scheme, seed=8, **SCHEMES[scheme])
+    system.add_objects(corpus()[:12])
+    codec = VOCodec(value_bytes=system.value_bytes)
+    oracle = reference.ReferenceVOCodec(value_bytes=system.value_bytes)
+    for text in QUERIES:
+        system.query(text)
+    for text in QUERIES:
+        keywords = sorted(KeywordQuery.parse(text).all_keywords())
+        held = system.verify_cache.held(keywords)
+        listed = [(table.byte_size(), table.cache_token()) for table in held]
+        summaries = system.verify_cache.held_nodes(keywords)
+        nodes = [summary[:3] for summary in summaries]
+        statements = [summary[3:] for summary in summaries]
+        vo = system.process_query(KeywordQuery.parse(text)).vo
+        vo_bytes = codec.encode(vo, listed, nodes)
+        assert vo_bytes == oracle.encode(vo, listed, nodes)
+        assert (
+            codec.decode(vo_bytes, held, statements)
+            == oracle.decode(vo_bytes, held, statements)
+            == vo
+        )
+        request = QueryRequest(text, tuple(listed), tuple(nodes)).encode()
+        assert request == reference.encode_request(text, listed, nodes)
+        assert request_fields(request) == reference.decode_request(request)
+    # A three-way join's tables, none held whole: every one is kind 4,
+    # the first keyword's with only its first three nodes short.
+    query = KeywordQuery.parse(SWEPT[1])
+    summaries = system.verify_cache.held_nodes(sorted(query.all_keywords()))
+    keyword, count, _, held_first, _ = summaries[0]
+    summaries[0] = (
+        keyword, count, b"\x07", {p: held_first[p] for p in range(3)}, {}
+    )
+    statements = [summary[3:] for summary in summaries]
+    vo = system.process_query(query).vo
+    vo_bytes = codec.encode(vo, (), [summary[:3] for summary in summaries])
+    assert vo_bytes == oracle.encode(vo, (), [summary[:3] for summary in summaries])
+    assert len(vo.multiproofs) == 3
+    assert len(vo_bytes) < vo.byte_size() // 2
+    assert codec.decode(vo_bytes, (), statements) == vo
+    for mutant in single_byte_mutants(vo_bytes):
+        assert outcome(
+            lambda raw: codec.decode(raw, (), statements), mutant
+        ) == outcome(lambda raw: oracle.decode(raw, (), statements), mutant)
     system.close()

@@ -14,7 +14,9 @@ with a kind tag each, conjuncts that name them) in that per-field style,
 from its layout in the codec's docstring — a Merkle table through its
 :class:`MerkleParts`, a Chameleon node table field by field, with the
 decoder's structural rules restated over the parsed rows, and a kind-3
-reference as an index into the held tables it is given.  The parts ↔
+reference as an index into the held tables it is given, and a kind-4
+node table with short rows as the kind-2 table it stands for, each short
+node's fields taken from the held statement bytes it is given.  The parts ↔
 body pair (:func:`merkle_parts`, :func:`merkle_table`,
 :func:`forge_merkle`) is also how tests read and forge Merkle tables,
 which hold nothing but their wire body.  The protocol half is the old reader *plus* the fail-closed rules
@@ -22,9 +24,10 @@ the protocol gained with the new one —
 status byte in ``{0, 1}``, UTF-8 text, no trailing bytes after the
 message or inside an object's field — written in the old per-field
 style; without them the two sides would disagree on exactly the inputs
-those rules exist for.  A request is protocol v3's: the query text, then
-the ``(size, token)`` list of the tables the client holds, at most 64,
-each size a varint in its shortest encoding.  Objects come back as plain ``(id, keywords,
+those rules exist for.  A request is protocol v4's: the query text, the
+``(size, token)`` list of the tables the client holds, at most 64, each
+size a varint in its shortest encoding, then at most 64 node summaries
+``(keyword, cnt, runs)``.  Objects come back as plain ``(id, keywords,
 content)`` triples: the reference does not normalise what it reads, and
 neither does ``DataObject.from_wire``.
 """
@@ -43,6 +46,7 @@ from repro.errors import ReproError
 _TABLE_MERKLE = 0
 _TABLE_CHAMELEON = 2
 _TABLE_HELD = 3
+_TABLE_NODES = 4
 
 #: The frame marker.
 _MARKER = 0xF6
@@ -187,20 +191,139 @@ class ReferenceVOCodec:
         body = data.getvalue()[start : data.tell()]
         return ChameleonMultiproof(arity, self.value_bytes, count, body)
 
+    # -- node tables with short rows (kind 4) -----------------------------------
+
+    def _node_rows(self, table: ChameleonMultiproof) -> list[tuple[int, int, bytes]]:
+        """``(position, flags, fields)`` per node of a kind-2 body, the
+        root first; ``fields`` is everything after the flag byte."""
+        width = self.value_bytes
+        data = io.BytesIO(table.body)
+        nodes = []
+        for index in range(table.count + 1):
+            position = self._read_varint(data) if index else 0
+            flags = self._read_uint(data, 1)
+            shipped = bin(flags >> 1).count("1")
+            size = (40 + 2 * width if index else width) + shipped * width
+            nodes.append((position, flags, self._read_bytes(data, size)))
+        return nodes
+
+    def _write_short_table(
+        self, out: io.BytesIO, table: ChameleonMultiproof, at: int, listed: set
+    ) -> bool:
+        nodes = self._node_rows(table)
+        if not any(position in listed for position, _, _ in nodes):
+            return False
+        self._write_uint(out, _TABLE_NODES, 1)
+        self._write_varint(out, at)
+        self._write_uint(out, table.arity, 1)
+        self._write_varint(out, table.count)
+        for position, flags, fields in nodes:
+            short = position in listed
+            if position:
+                self._write_varint(out, position * 2 + short)
+            elif short:
+                flags |= 1
+            self._write_uint(out, flags, 1)
+            if not short:
+                out.write(fields)
+        return True
+
+    def _resolve(self, statements, position: int, flags: int) -> bytes:
+        """A short node's fields, from the statement held for it."""
+        width = self.value_bytes
+        statement = statements.get(position)
+        if statement is None:
+            raise ReproError("short row for a node the session does not hold")
+        shape = statement[0]
+        filled = shape & 0x7F
+        root = position == 0
+        node = 2 * width if root else 40 + 2 * width
+        if bool(shape & 0x80) != root or len(statement) != 1 + node + filled * width:
+            raise ReproError("short row does not match the node held")
+        children = [
+            statement[1 + node + j * width : 1 + node + (j + 1) * width]
+            for j in range(filled)
+        ]
+        fields = statement[1 + width if root else 1 : 1 + node]
+        for j in range(1, 8):
+            if flags >> j & 1:
+                if j > filled:
+                    raise ReproError("short row ships a child the node lacks")
+                fields += children[j - 1]
+        return fields
+
+    def _read_short_table(self, data: io.BytesIO, nodes) -> ChameleonMultiproof:
+        at = _read_count(data)
+        if at >= len(nodes):
+            raise ReproError("short rows under a summary never listed")
+        statements = nodes[at][0]  # the memo beside them is the codec's
+        arity = self._read_uint(data, 1)
+        count = self._read_varint(data)
+        if not 1 <= arity <= 7:
+            raise ReproError("node table arity out of range")
+        if 1 + 2 * count > len(data.getbuffer()) - data.tell():
+            raise ReproError("node table longer than the VO payload")
+        width = self.value_bytes
+        cold = io.BytesIO()
+        self._write_uint(cold, arity, 1)
+        self._write_varint(cold, count)
+        for index in range(count + 1):
+            if index:
+                marked = _read_count(data)
+                position, short = marked >> 1, marked & 1
+            else:
+                position = 0
+            flags = self._read_uint(data, 1)
+            if not index:
+                short = flags & 1
+                flags &= ~1
+            if index:
+                self._write_varint(cold, position)
+            self._write_uint(cold, flags, 1)
+            if short:
+                cold.write(self._resolve(statements, position, flags))
+                continue
+            cold.write(self._read_bytes(data, 40 + 2 * width if index else width))
+            for j in range(1, 8):
+                if flags >> j & 1:
+                    cold.write(self._read_bytes(data, width))
+        cold.seek(0)
+        table = self._read_entry_table(cold)
+        if cold.read(1):
+            raise ReproError("node table body outruns its rows")
+        return table
+
     # -- public API ----------------------------------------------------------------
 
-    def encode(self, vo: QueryVO, held=()) -> bytes:
+    def encode(self, vo: QueryVO, held=(), nodes=()) -> bytes:
         """Serialise a full ``VO_sp``; a table listed in ``held`` — as
         ``(byte_size, cache_token)`` — goes as a reference to its first
-        listing."""
+        listing, and a node table whose keyword a summary in ``nodes``
+        lists under the count it was proven at goes with the summary's
+        positions as short rows."""
         out = io.BytesIO()
         out.write(bytes([_MARKER]))
         self._write_varint(out, len(vo.multiproofs))
-        for table in vo.multiproofs:
+        for index, table in enumerate(vo.multiproofs):
             entry = (table.byte_size(), table.cache_token())
+            summary = None
+            if isinstance(table, ChameleonMultiproof) and vo.origins:
+                keyword, root = vo.origins[index]
+                for at, (listed_keyword, count, bitmap) in enumerate(nodes):
+                    if listed_keyword == keyword:
+                        if count == int.from_bytes(root[-8:], "big"):
+                            listed = {
+                                p
+                                for p in range(8 * len(bitmap))
+                                if bitmap[p // 8] >> (p % 8) & 1
+                            }
+                            summary = (at, listed)
+                        break
             if entry in held:
                 self._write_uint(out, _TABLE_HELD, 1)
                 self._write_varint(out, list(held).index(entry))
+            elif summary is not None and self._write_short_table(out, table, *summary):
+                pass
             elif isinstance(table, ChameleonMultiproof):
                 self._write_uint(out, _TABLE_CHAMELEON, 1)
                 self._write_entry_table(out, table)
@@ -255,7 +378,7 @@ class ReferenceVOCodec:
             base=ReplayVO(plan=plans[kind], trees=tuple(trees), runs=tuple(runs)),
         )
 
-    def _read_table(self, data: io.BytesIO, held):
+    def _read_table(self, data: io.BytesIO, held, nodes):
         kind = self._read_uint(data, 1)
         if kind == _TABLE_MERKLE:
             return self._read_multiproof(data)
@@ -266,10 +389,14 @@ class ReferenceVOCodec:
             if index >= len(held):
                 raise ReproError("reference beyond the held tables")
             return held[index]
+        if kind == _TABLE_NODES:
+            return self._read_short_table(data, nodes)
         raise ReproError(f"unknown table kind {kind}")
 
-    def decode(self, payload: bytes, held=()) -> QueryVO:
-        """Parse a wire-form ``VO_sp``; a reference resolves into ``held``.
+    def decode(self, payload: bytes, held=(), nodes=()) -> QueryVO:
+        """Parse a wire-form ``VO_sp``; a reference resolves into ``held``,
+        a short row into the statement bytes ``nodes`` holds for it (each
+        summary's statements first, then a memo the reference ignores).
 
         Only :class:`~repro.errors.ReproError` escapes, whatever the
         bytes.
@@ -279,7 +406,8 @@ class ReferenceVOCodec:
         if marker != _MARKER:
             raise ReproError(f"unsupported VO frame marker {marker:#x}")
         mps = tuple(
-            self._read_table(data, held) for _ in range(self._read_varint(data))
+            self._read_table(data, held, nodes)
+            for _ in range(self._read_varint(data))
         )
         conjuncts = tuple(
             self._read_replayed(data, mps)
@@ -393,11 +521,14 @@ def forge_merkle(table: TreeMultiproof, **changes) -> TreeMultiproof:
     return merkle_table(dataclasses.replace(merkle_parts(table), **changes))
 
 
-# -- SP protocol v3 ---------------------------------------------------------------
+# -- SP protocol v4 ---------------------------------------------------------------
 
-PROTOCOL_VERSION = 3
+PROTOCOL_VERSION = 4
 #: Most held tables a request may list.
 MAX_HELD = 64
+#: Most node summaries a request may list, and bytes per bitmap.
+MAX_SUMMARIES = 64
+MAX_BITMAP = 512
 _STATUS_OK = 0
 _STATUS_ERROR = 1
 ERR_INTERNAL = 3
@@ -454,8 +585,9 @@ def decode_object(raw: bytes) -> tuple[int, tuple[str, ...], bytes]:
     return object_id, keywords, content
 
 
-def encode_request(query_text: str, held=()) -> bytes:
-    """``version || len(2) text || n(1) || (varint size || token(32))*n``."""
+def encode_request(query_text: str, held=(), nodes=()) -> bytes:
+    """``version || len(2) text || n(1) || (varint size || token(32))*n
+    || m(1) || (len(1) keyword || varint cnt || varint b || bitmap(b))*m``."""
     out = io.BytesIO()
     out.write(bytes([PROTOCOL_VERSION]))
     _write_bytes(out, query_text.encode("utf-8"), width=2)
@@ -463,11 +595,18 @@ def encode_request(query_text: str, held=()) -> bytes:
     for size, token in held:
         ReferenceVOCodec._write_varint(out, size)
         out.write(token)
+    out.write(bytes([len(nodes)]))
+    for keyword, count, bitmap in nodes:
+        _write_bytes(out, keyword.encode("utf-8"), width=1)
+        ReferenceVOCodec._write_varint(out, count)
+        ReferenceVOCodec._write_varint(out, len(bitmap))
+        out.write(bitmap)
     return out.getvalue()
 
 
-def decode_request(payload: bytes) -> tuple[str, tuple[tuple[int, bytes], ...]]:
-    """The query text and the held tables' ``(size, token)`` list."""
+def decode_request(payload: bytes) -> tuple:
+    """The query text, the held tables' ``(size, token)`` list and the
+    node summaries ``(keyword, cnt, bitmap)``."""
     data = io.BytesIO(payload)
     version = _read_exact(data, 1)[0]
     if version != PROTOCOL_VERSION:
@@ -480,8 +619,31 @@ def decode_request(payload: bytes) -> tuple[str, tuple[tuple[int, bytes], ...]]:
     for _ in range(count):
         size = _read_count(data)
         held.append((size, _read_exact(data, 32)))
+    summaries = _read_exact(data, 1)[0]
+    if summaries > MAX_SUMMARIES:
+        raise ReproError("too many node summaries")
+    nodes = []
+    for _ in range(summaries):
+        keyword = _read_text(data, 1)
+        if not keyword:
+            raise ReproError("empty keyword in a node summary")
+        if nodes and keyword <= nodes[-1][0]:
+            raise ReproError("node summaries out of keyword order")
+        held_count = _read_count(data)
+        if held_count >= 2**64:
+            raise ReproError("node summary count beyond 64 bits")
+        size = _read_count(data)
+        if not 1 <= size <= MAX_BITMAP:
+            raise ReproError("node summary bitmap size out of range")
+        bitmap = _read_exact(data, size)
+        if bitmap[-1] == 0:
+            raise ReproError("node summary bitmap ends in a zero byte")
+        positions = [p for p in range(8 * size) if bitmap[p // 8] >> (p % 8) & 1]
+        if positions[-1] > held_count:
+            raise ReproError("node summary position beyond its count")
+        nodes.append((keyword, held_count, bitmap))
     _expect_end(data)
-    return text, tuple(held)
+    return text, tuple(held), tuple(nodes)
 
 
 def encode_response(result_ids, objects, vo_bytes: bytes) -> bytes:
