@@ -440,53 +440,6 @@ class ChameleonMultiproof:
         """Serialised size in bytes: arity, row count, root and rows."""
         return 1 + varint_size(self.count) + len(self.body)
 
-    def write_held(self, out: bytearray, held: bytes) -> int:
-        """Append the body with every node in ``held`` short; returns how
-        many are.
-
-        ``held`` is a bitmap of positions (bit ``p % 8`` of byte ``p //
-        8`` for position ``p``).  One pass over the body: a held node is
-        its flag byte (the root's with bit 0 set) and, for a row,
-        ``position << 1 | 1``; any other node is the bytes the body
-        holds for it, a row behind ``position << 1`` (see
-        :func:`expand_rows`).  The body is the SP's own, so it is walked,
-        not checked.
-        """
-        body = self.body
-        width = self.value_bytes
-        fixed = _ENTRY + 2 * width
-        size = len(held)
-        short = 0
-        flags = body[0]
-        end = 1 + width * (1 + _SHIPPED[flags])
-        if held and held[0] & 1:
-            out.append(flags | 1)
-            short += 1
-        else:
-            out += body[:end]
-        pos = end
-        for _ in range(self.count):
-            position = body[pos]
-            start = pos + 1
-            if position > 0x7F:
-                position, start = read_varint(body, pos)
-            flags = body[start]
-            end = start + 1 + fixed + width * _SHIPPED[flags]
-            at = position >> 3
-            if at < size and held[at] >> (position & 7) & 1:
-                marked = position << 1 | 1
-                if marked < 0x80:
-                    out.append(marked)
-                else:
-                    put_varint(out, marked)
-                out.append(flags)
-                short += 1
-            else:
-                put_varint(out, position << 1)
-                out += body[start:end]
-            pos = end
-        return short
-
     def statement(self, node: bytes, children: list[bytes]) -> vc.Statement:
         """One node's ``(c, messages, Lambda)`` from the bytes it arrived as.
 
@@ -579,26 +532,31 @@ class ChameleonMultiproof:
 @dataclass(frozen=True)
 class HeldNodeTable:
     """A node table as the SP sends it to a client that holds some of its
-    nodes: ``rows`` is the body of table kind 4 — each held node short,
-    as :meth:`ChameleonMultiproof.write_held` writes it — and ``size``
-    the cold table's :meth:`~ChameleonMultiproof.byte_size`.  Only the
-    SP makes one (:meth:`ChameleonTreeSP.multiproof`), and only the
-    codec reads it."""
+    nodes (table kind 4).
+
+    ``body`` is the table's root and rows with each held node short —
+    its flag byte (the root's with bit 0 set) and, for a row, the
+    position varint ``position << 1 | 1`` — and every other row behind
+    ``position << 1`` (see :func:`expand_rows`); ``summary`` is the index
+    of the request's node summary that lists the held nodes.  ``cold``
+    is the same table cold, kept only while a whole table the client
+    holds may be it (:func:`~repro.core.multiproof.compress_query_vo`
+    tries that and drops it).  Only the SP makes one
+    (:meth:`ChameleonTreeSP.multiproof`), and only the codec writes it.
+    """
 
     arity: int
     value_bytes: int
     count: int
-    rows: bytes
-    size: int
+    body: bytes
+    summary: int = 0
+    cold: ChameleonMultiproof | None = None
 
     def byte_size(self) -> int:
-        """The cold table's serialised size."""
-        return self.size
-
-    def cache_token(self) -> bytes:
-        """Never needed: a held-node table is made only when no whole
-        table the client holds has its size."""
-        raise ReproError("a held-node table has no cold bytes to name")
+        """Serialised size: summary index, arity, row count, root and rows."""
+        return (
+            varint_size(self.summary) + 1 + varint_size(self.count) + len(self.body)
+        )
 
 
 class ChameleonTreeDO:
@@ -836,12 +794,15 @@ class ChameleonTreeSP:
         records, never parsed.
 
         ``held`` is a client's bitmap of the positions it holds under
-        this ``cnt`` (see :meth:`ChameleonMultiproof.write_held`): the
-        table is then written in the same pass with each held node short
-        — its fields are never sliced — as a :class:`HeldNodeTable`,
-        unless the cold table's size is one of ``sizes`` (the client
-        holds a whole table of that size, which only the cold bytes can
-        match) or no node it needs is held.
+        this ``cnt`` (bit ``p % 8`` of byte ``p // 8`` for position
+        ``p``).  The one pass (:meth:`_rows`) then writes each held node
+        short — its fields are never sliced — and every other row behind
+        its marked position, and counts the cold table's size as it
+        goes: the result is a :class:`HeldNodeTable`.  The cold table,
+        the same pass with nothing held, is returned instead when no node
+        of the table is held, and is kept beside the short one when its
+        size is one of ``sizes`` (the client holds a whole table of that
+        size, which only the cold bytes can match).
         """
         if not positions:
             raise ReproError("a node table needs at least one position")
@@ -851,7 +812,7 @@ class ChameleonTreeSP:
         if any(a >= b for a, b in zip(positions, positions[1:])):
             raise ReproError("positions must be strictly ascending")
         arity = self.arity
-        store = self.store
+        width = self.store.value_bytes
         entries = set(positions)
         needed = set(entries)
         for position in positions:
@@ -859,68 +820,42 @@ class ChameleonTreeSP:
             while position and position not in needed:
                 needed.add(position)
                 position = (position - 1) // arity
-        # A table of every node (a scan) has no child to ship, and nor
-        # has a node whose children all lie beyond ``cnt``.
-        complete = len(needed) == count
-        if held:
-            table = self._held_table(needed, entries, complete, held, sizes)
-            if table is not None:
-                return table
-        body = bytearray()
-        for position in (0, *sorted(needed)):
-            if position:
-                put_varint(body, position)
-                flags_at = len(body)
-                body.append(position in entries)
-                store.append_fields(body, position)
-            else:
-                flags_at = 0
-                body.append(0)
-                body += store.opening_bytes(0)
-            first = position * arity
-            if complete or first >= count:
-                continue
-            for child in range(first + 1, min(first + arity, count) + 1):
-                if child not in needed:
-                    body[flags_at] |= 1 << (child - first)
-                    body += store.commitment_bytes(child)
-        return ChameleonMultiproof(arity, store.value_bytes, len(needed), bytes(body))
+        body, short, size = self._rows(needed, entries, held)
+        if not held:
+            return ChameleonMultiproof(arity, width, len(needed), bytes(body))
+        cold = None
+        if not short or size in sizes:
+            cold = ChameleonMultiproof(
+                arity, width, len(needed), bytes(self._rows(needed, entries, b"")[0])
+            )
+            if not short:
+                return cold
+        return HeldNodeTable(arity, width, len(needed), bytes(body), cold=cold)
 
-    def _held_table(
-        self,
-        needed: set[int],
-        entries: set[int],
-        complete: bool,
-        held: bytes,
-        sizes: frozenset[int],
-    ) -> HeldNodeTable | None:
-        """:meth:`multiproof`'s table with every ``held`` node short, or
-        ``None`` for the cold one (see there)."""
+    def _rows(
+        self, needed: set[int], entries: set[int], held: bytes
+    ) -> tuple[bytearray, int, int]:
+        """:meth:`multiproof`'s one pass: the body of the table whose rows
+        are ``needed`` (``entries`` the read ones), how many of its nodes
+        went short and the cold table's size.
+
+        With ``held`` empty the body is the cold one (and the size is not
+        counted); else each node ``held`` lists is short and every other
+        row stands behind ``position << 1``.
+        """
         count = self.count
         arity = self.arity
         store = self.store
         width = store.value_bytes
-        rows = len(needed)
-        # The cold size: every node's fields, and one commitment per filled
-        # child slot of a node in the table whose child is not a row of it.
-        shipped = 0
-        if not complete:
-            shipped = sum(
-                max(0, min(arity, count - node * arity)) for node in (0, *needed)
-            ) - rows
-        size = (
-            1
-            + varint_size(rows)
-            + 1
-            + width * (1 + shipped)
-            + rows * (1 + _ENTRY + 2 * width)
-            + sum(varint_size(position) for position in needed)
-        )
-        if size in sizes:
-            return None
-        out = bytearray()
+        # A table of every node (a scan) has no child to ship, and nor
+        # has a node whose children all lie beyond ``cnt``.
+        complete = len(needed) == count
+        shift = 1 if held else 0  # a kind-4 row marks its position
+        bits = len(held)
+        row = 2 + _ENTRY + 2 * width  # a cold row behind a one-byte position
+        size = 1 + varint_size(len(needed))
         short = 0
-        bitmap_size = len(held)
+        body = bytearray()
         for position in (0, *sorted(needed)):
             flags = position in entries
             first = position * arity
@@ -933,28 +868,28 @@ class ChameleonTreeSP:
                 ]
                 for child in children:
                     flags |= 1 << (child - first)
-            at = position >> 3
-            if at < bitmap_size and held[at] >> (position & 7) & 1:
-                if position:
-                    marked = position << 1 | 1
-                    if marked < 0x80:
-                        out.append(marked)
-                    else:
-                        put_varint(out, marked)
-                    out.append(flags)
-                else:
-                    out.append(flags | 1)
-                short += 1
-                continue
+            if held:
+                # The node's cold bytes: its position varint, flags and
+                # fields (the root: flags and Lambda_0), shipped children.
+                size += width * len(children) + (
+                    row + (position.bit_length() - 1) // 7 if position else 1 + width
+                )
+                at = position >> 3
+                if at < bits and held[at] >> (position & 7) & 1:
+                    short += 1
+                    if not position:
+                        body.append(flags | 1)
+                        continue
+                    put_varint(body, position << 1 | 1)
+                    body.append(flags)
+                    continue
             if position:
-                put_varint(out, position << 1)
-                out.append(flags)
-                store.append_fields(out, position)
+                put_varint(body, position << shift)
+                body.append(flags)
+                store.append_fields(body, position)
             else:
-                out.append(flags)
-                out += store.opening_bytes(0)
+                body.append(flags)
+                body += store.opening_bytes(0)
             for child in children:
-                out += store.commitment_bytes(child)
-        if not short:
-            return None
-        return HeldNodeTable(arity, width, rows, bytes(out), size)
+                body += store.commitment_bytes(child)
+        return body, short, size

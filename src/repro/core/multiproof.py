@@ -68,10 +68,10 @@ from __future__ import annotations
 import struct
 from bisect import bisect_left, bisect_right
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from operator import lt
 
-from repro.core.chameleon import ChameleonTreeSP
+from repro.core.chameleon import ChameleonTreeSP, HeldNodeTable
 from repro.core.mbtree import (
     ENTRY_PREFIX,
     LEAF_PREFIX,
@@ -80,7 +80,7 @@ from repro.core.mbtree import (
     MBTree,
 )
 from repro.core.proofcache import VerificationCache
-from repro.core.query.vo import ConjunctiveVO, QueryVO, ReplayVO
+from repro.core.query.vo import ConjunctiveVO, QueryVO, ReplayVO, TableReference
 from repro.core.wire import read_varint
 from repro.crypto.bloom import BloomFilterChain
 from repro.crypto.hashing import digests_equal, sha3, token_hasher
@@ -414,11 +414,12 @@ class LocatedRun:
 class ProveRequest:
     """One tree's share of a query's prove step (plain data).
 
-    ``keys`` are the located keys, ascending and unique.  For a
-    Chameleon tree whose keyword a client listed under this very
-    ``cnt``, ``held`` is the bitmap of the nodes it holds and ``sizes``
-    the sizes of the whole tables it holds
-    (:meth:`~repro.core.chameleon.ChameleonTreeSP.multiproof`).
+    ``keys`` are the located keys, ascending and unique.  For a tree
+    whose keyword a client listed under the ``cnt`` its root ends in,
+    ``held`` is the bitmap of the nodes it holds and ``sizes`` the sizes
+    of the whole tables it holds
+    (:meth:`~repro.core.chameleon.ChameleonTreeSP.multiproof`); a Merkle
+    tree has no nodes to hold, and ignores them.
     """
 
     keyword: str
@@ -448,7 +449,7 @@ def prove_keys(tree: MBTree | ChameleonTreeSP | None, request: ProveRequest):
             "and prove"
         )
     try:
-        if request.held:
+        if request.held and isinstance(tree, ChameleonTreeSP):
             return tree.multiproof(request.keys, request.held, request.sizes)
         return tree.multiproof(request.keys)
     except ReproError as exc:
@@ -466,55 +467,58 @@ Prover = Callable[[list[ProveRequest]], list]
 def _prove_runs(
     vo: QueryVO,
     prove: Prover | None,
-    held: Sequence[tuple[int, bytes]],
+    sizes: frozenset[int],
     nodes: Sequence[tuple[str, int, bytes]],
-) -> dict[bytes, tuple[str, object]]:
-    """Prove what a VO's located runs read: one ``(keyword, table)`` per root.
+) -> dict[bytes, tuple[object, int]]:
+    """Prove what a VO's located runs read: per root, its table and the
+    index of the node summary proven against (``-1`` for none).
 
     Runs are grouped by the root recorded at locate time, in first-seen
     (conjunct, then tree) order — twin trees (equal roots, hence equal
     content) share a group — and their key lists merged.  Each group is
     one :class:`ProveRequest`: answered here when some run still holds
     its live tree, through ``prove`` otherwise.  A group whose keyword
-    ``nodes`` lists — first listing — under the ``cnt`` of its root
-    (``c_0 || cnt``) carries that summary's bitmap.
+    ``nodes`` lists — first listing — under the ``cnt`` its root ends in
+    (a node table's root is ``c_0 || cnt``) carries that summary's
+    bitmap and ``sizes``.
     """
-    summaries: dict[str, tuple[int, bytes]] = {}
-    for keyword, count, bitmap in nodes:
-        summaries.setdefault(keyword, (count, bitmap))
-    sizes = frozenset(size for size, _ in held)
+    summaries: dict[str, tuple[int, int, bytes]] = {}
+    for at, (keyword, count, bitmap) in enumerate(nodes):
+        summaries.setdefault(keyword, (at, count, bitmap))
     groups: dict[bytes, list[LocatedRun]] = {}
     for conj in vo.conjuncts:
         if conj.base is not None:
             for run in conj.base.runs:
                 if isinstance(run, LocatedRun) and run.keys:
                     groups.setdefault(run.root, []).append(run)
-    answers: dict[bytes, tuple[str, object]] = {}
-    remote: list[ProveRequest] = []
+    answers: dict[bytes, tuple[object, int]] = {}
+    remote: list[tuple[ProveRequest, int]] = []
     for root, runs in groups.items():
         keys = runs[0].keys
         if len(runs) > 1:
             keys = tuple(sorted(set().union(*(run.keys for run in runs))))
         keyword = runs[0].keyword
-        summary = summaries.get(keyword)
-        if summary is not None and summary[0] == int.from_bytes(root[-8:], "big"):
-            request = ProveRequest(keyword, root, keys, summary[1], sizes)
+        at, count, bitmap = summaries.get(keyword, (-1, -1, b""))
+        if count == int.from_bytes(root[-8:], "big"):
+            request = ProveRequest(keyword, root, keys, bitmap, sizes)
         else:
+            at = -1
             request = ProveRequest(keyword, root, keys)
         tree = next((run.tree for run in runs if run.tree is not None), None)
         if tree is not None:
-            answers[root] = (keyword, prove_keys(tree, request))
+            answers[root] = (prove_keys(tree, request), at)
         else:
-            answers[root] = (keyword, None)  # keeps first-seen order
-            remote.append(request)
+            answers[root] = (None, at)  # keeps first-seen order
+            remote.append((request, at))
     if remote:
         if prove is None:
             raise UnresolvedProofError(
                 "located runs lost their tree to pickling and no resolver "
                 "was given"
             )
-        for request, reply in zip(remote, prove(remote)):
-            answers[request.root] = (request.keyword, reply)
+        requests = [request for request, _ in remote]
+        for (request, at), reply in zip(remote, prove(requests)):
+            answers[request.root] = (reply, at)
     return answers
 
 
@@ -533,18 +537,40 @@ def compress_query_vo(
     — on a run's live tree, or through ``prove`` for runs that lost it
     to pickling), and every run becomes the index of its tree's table.
     Nothing else is shipped: the client re-runs the join over the
-    tables.  The finished VO notes each table's keyword and root
-    (:attr:`QueryVO.origins`) for the codec.  ``held`` and ``nodes`` are
-    a client's lists of whole tables and node summaries (protocol v4):
-    a node table the client holds nodes of comes back with those nodes
-    short (:class:`~repro.core.chameleon.HeldNodeTable`), which only the
-    codec writes.  Runs after call-order gathering, so the output is
-    identical for any shard count and pool mode.  A VO without located
-    runs is returned as it is.
+    tables.  Runs after call-order gathering, so the output is identical
+    for any shard count and pool mode.  A VO without located runs is
+    returned as it is.
+
+    ``held`` and ``nodes`` are what the asking client holds (protocol
+    v4): ``(byte_size, cache_token)`` per whole table and ``(keyword,
+    cnt, bitmap)`` per node summary.  Each table is decided here, once:
+    a table equal to a listed one — same size, then same token — is a
+    :class:`~repro.core.query.vo.TableReference` to its first listing; a
+    node table proven with held nodes short is a
+    :class:`~repro.core.chameleon.HeldNodeTable` naming its summary;
+    anything else goes cold.  With both lists empty the VO is the cold
+    one.
     """
-    tables = _prove_runs(vo, prove, held, nodes)
+    listed: dict[tuple[int, bytes], int] = {}
+    for at, entry in enumerate(held):
+        listed.setdefault(entry, at)
+    sizes = frozenset(size for size, _ in listed)
+    tables = _prove_runs(vo, prove, sizes, nodes)
     if not tables:
         return vo
+    finished = []
+    for table, at in tables.values():
+        whole = table.cold if isinstance(table, HeldNodeTable) else table
+        if whole is not None and sizes:
+            size = whole.byte_size()
+            if size in sizes:
+                reference = listed.get((size, whole.cache_token()))
+                if reference is not None:
+                    finished.append(TableReference(reference))
+                    continue
+        if isinstance(table, HeldNodeTable):
+            table = replace(table, summary=at, cold=None)
+        finished.append(table)
     table_of = {root: index for index, root in enumerate(tables)}
     conjuncts = []
     for conj in vo.conjuncts:
@@ -560,11 +586,7 @@ def compress_query_vo(
                 keywords=conj.keywords, base=ReplayVO(base.plan, base.trees, runs)
             )
         conjuncts.append(conj)
-    return QueryVO(
-        conjuncts=tuple(conjuncts),
-        multiproofs=tuple(table for _, table in tables.values()),
-        origins=tuple((keyword, root) for root, (keyword, _) in tables.items()),
-    )
+    return QueryVO(conjuncts=tuple(conjuncts), multiproofs=tuple(finished))
 
 
 # ---------------------------------------------------------------------------

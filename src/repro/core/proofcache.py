@@ -256,14 +256,16 @@ class HeldNodes:
             del self._groups[keyword]
 
     def of(self, keywords: list[str]) -> list[tuple]:
-        """Per keyword held, in the order given: ``(keyword, cnt, bitmap,
-        statements, rebuilt)``.  ``bitmap`` has bit ``p % 8`` of byte ``p
-        // 8`` set for each position ``p`` held below ``8 *``
-        :data:`HELD_NODE_BYTES`, and no trailing zero byte; ``statements``
-        maps exactly those positions to their statements' bytes (a key's
-        second part); ``rebuilt`` is the decoder's memo of the rows it
-        rebuilt from them (:func:`~repro.core.chameleon.expand_rows`).
-        Each is kept until the group changes."""
+        """Per keyword held, in the order given and at most
+        :data:`HELD_NODE_KEYWORDS` of them (as many as a request lists):
+        ``(keyword, cnt, bitmap, statements, rebuilt)``.  ``bitmap`` has
+        bit ``p % 8`` of byte ``p // 8`` set for each position ``p`` held
+        below ``8 *`` :data:`HELD_NODE_BYTES`, and no trailing zero byte;
+        ``statements`` maps exactly those positions to their statements'
+        bytes (a key's second part); ``rebuilt`` is the decoder's memo of
+        the rows it rebuilt from them
+        (:func:`~repro.core.chameleon.expand_rows`).  Each is kept until
+        the group changes."""
         out = []
         limit = 8 * HELD_NODE_BYTES
         for keyword in keywords:
@@ -288,6 +290,8 @@ class HeldNodes:
                 )
             if group.listing[2]:
                 out.append(group.listing)
+                if len(out) == HELD_NODE_KEYWORDS:
+                    break
         return out
 
     def clear(self) -> None:

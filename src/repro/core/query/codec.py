@@ -100,7 +100,7 @@ from collections.abc import Sequence
 
 from repro.core.chameleon import ChameleonMultiproof, HeldNodeTable, expand_rows
 from repro.core.multiproof import TreeMultiproof
-from repro.core.query.vo import ConjunctiveVO, QueryVO, ReplayVO
+from repro.core.query.vo import ConjunctiveVO, QueryVO, ReplayVO, TableReference
 from repro.core.wire import U8, Reader, put_varint
 from repro.errors import ReproError
 
@@ -145,7 +145,7 @@ class VOCodec:
     # -- tables --------------------------------------------------------------------
 
     def _write_node_table(
-        self, out: bytearray, table: ChameleonMultiproof
+        self, out: bytearray, table: ChameleonMultiproof | HeldNodeTable
     ) -> None:
         if table.value_bytes != self.value_bytes:
             raise ReproError(
@@ -244,27 +244,17 @@ class VOCodec:
 
     # -- public API ----------------------------------------------------------------
 
-    def encode(
-        self,
-        vo: QueryVO,
-        held: Sequence[tuple[int, bytes]] = (),
-        nodes: Sequence[tuple[str, int, bytes]] = (),
-    ) -> bytes:
+    def encode(self, vo: QueryVO) -> bytes:
         """Serialise a full ``VO_sp`` to its wire form.
 
-        ``held`` is the client's list of ``(byte_size, cache_token)``,
-        one per table it holds: a table that matches an entry is written
-        as a kind-3 reference to the first such entry.  Only a table
-        whose size is listed has its token computed.  ``nodes`` is the
-        client's node summaries, ``(keyword, cnt, bitmap)`` each: a node
-        table not referenced whose keyword is listed — first listing —
-        under the ``cnt`` it was proven at (:attr:`QueryVO.origins`) is
-        written as kind 4, each listed node a short row, if any is.  The
-        SP proves such a table short in the first place (a
-        :class:`~repro.core.chameleon.HeldNodeTable`, see
-        :func:`~repro.core.multiproof.compress_query_vo`), and a cold
-        one is cut short here, to the same bytes.  With nothing held
-        the frame is the cold one, ``vo.byte_size()`` bytes.
+        Each table goes as the kind it is: a Merkle or a node table cold
+        (kinds 0 and 2), a :class:`~repro.core.query.vo.TableReference`
+        as kind 3, a :class:`~repro.core.chameleon.HeldNodeTable` as
+        kind 4.  Which a table is was decided when the SP finished the
+        VO for the asking client
+        (:func:`~repro.core.multiproof.compress_query_vo`); a VO
+        finished for a client that holds nothing is the cold frame,
+        ``vo.byte_size()`` bytes, as is every VO ``decode`` returns.
 
         A conjunct may name a table the VO does not hold — e.g. a
         per-conjunct slice of a finished VO: such bytes compare
@@ -272,35 +262,20 @@ class VOCodec:
         """
         out = bytearray((_MARKER,))
         put_varint(out, len(vo.multiproofs))
-        listed: dict[tuple[int, bytes], int] = {}
-        for at, entry in enumerate(held):
-            listed.setdefault(entry, at)
-        sizes = {size for size, _ in listed}
-        summaries: dict[str, tuple] = {}
-        if vo.origins:
-            for at, (keyword, count, bitmap) in enumerate(nodes):
-                summaries.setdefault(keyword, (at, count, bitmap))
-        for index, table in enumerate(vo.multiproofs):
-            if sizes:
-                size = table.byte_size()
-                if size in sizes:
-                    at = listed.get((size, table.cache_token()))
-                    if at is not None:
-                        out.append(_TABLE_HELD)
-                        put_varint(out, at)
-                        continue
-            if isinstance(table, (ChameleonMultiproof, HeldNodeTable)):
-                if summaries and self._write_held_nodes(
-                    out, table, vo.origins[index], summaries
-                ):
-                    continue
-                if isinstance(table, HeldNodeTable):
-                    raise ReproError("short rows under no listed node summary")
+        for table in vo.multiproofs:
+            if isinstance(table, ChameleonMultiproof):
                 out.append(_TABLE_CHAMELEON)
                 self._write_node_table(out, table)
             elif isinstance(table, TreeMultiproof):
                 out.append(_TABLE_MERKLE)
                 out += table.body
+            elif isinstance(table, TableReference):
+                out.append(_TABLE_HELD)
+                put_varint(out, table.at)
+            elif isinstance(table, HeldNodeTable):
+                out.append(_TABLE_NODES)
+                put_varint(out, table.summary)
+                self._write_node_table(out, table)
             else:
                 raise ReproError(f"cannot encode table {type(table)!r}")
         if len(vo.conjuncts) > 0xFF:
@@ -309,37 +284,6 @@ class VOCodec:
         for conjunct in vo.conjuncts:
             self._write_conjunct(out, conjunct)
         return bytes(out)
-
-    def _write_held_nodes(
-        self,
-        out: bytearray,
-        table: ChameleonMultiproof | HeldNodeTable,
-        origin: tuple[str, bytes],
-        summaries: dict[str, tuple],
-    ) -> bool:
-        """Write ``table`` as kind 4 if its keyword's summary was listed
-        under the ``cnt`` it was proven at and names one of its nodes."""
-        keyword, root = origin
-        summary = summaries.get(keyword)
-        if summary is None:
-            return False
-        at, count, bitmap = summary
-        if count != int.from_bytes(root[-8:], "big"):
-            return False
-        if table.value_bytes != self.value_bytes:
-            return False  # kind 2, which refuses another element width
-        if isinstance(table, HeldNodeTable):
-            rows = table.rows
-        else:
-            rows = bytearray()
-            if not table.write_held(rows, bitmap):
-                return False
-        out.append(_TABLE_NODES)
-        put_varint(out, at)
-        out.append(table.arity)
-        put_varint(out, table.count)
-        out += rows
-        return True
 
     def _read_table(
         self,

@@ -18,7 +18,7 @@ encoding (tables know their own element width).
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Literal
 
 from repro.errors import ReproError, UnresolvedProofError
@@ -124,22 +124,32 @@ def iter_proven_entries(vo: "QueryVO") -> Iterator[ProvenEntry]:
 
 
 @dataclass(frozen=True)
+class TableReference:
+    """A table the client's request listed as held, sent as its index in
+    that list (table kind 3): it stands for the table's bytes."""
+
+    at: int
+
+    def byte_size(self) -> int:
+        """Serialised size: the index."""
+        return varint_size(self.at)
+
+
+@dataclass(frozen=True)
 class QueryVO:
     """``VO_sp``: the full verification object for a DNF query.
 
     ``multiproofs`` holds the proof tables, one per ``(tree,
     commitment)`` the query read, each named whole by the conjuncts
-    that read it.  ``origins`` is the SP's note, per table, of the
-    keyword and the root it was proven at (a node table's is ``c_0 ||
-    cnt``): the codec matches a client's held nodes against it.  It is
-    never on the wire and never compared.
+    that read it.  A VO the SP finished for a client that holds tables
+    or nodes (:func:`~repro.core.multiproof.compress_query_vo`) may hold
+    a :class:`TableReference` or a
+    :class:`~repro.core.chameleon.HeldNodeTable` in a table's place:
+    such a VO is only ever encoded.
     """
 
     conjuncts: tuple[ConjunctiveVO, ...]
     multiproofs: tuple = ()
-    origins: tuple[tuple[str, bytes], ...] = field(
-        default=(), compare=False, repr=False
-    )
 
     def byte_size(self) -> int:
         """Exact wire size: ``len(VOCodec.encode(self))``.

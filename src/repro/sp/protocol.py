@@ -23,8 +23,7 @@ session holds verified (:meth:`~repro.core.proofcache.VerificationCache.held`):
 each table's encoded size and its ``cache_token()``, at most
 :data:`~repro.core.proofcache.HELD_TABLES` of them.  The SP writes a
 table of its answer that matches an entry as a one-byte kind-3
-reference to it (:meth:`VOCodec.encode
-<repro.core.query.codec.VOCodec.encode>`).
+reference to it.
 
 It then lists, per keyword of the query that the session holds nodes
 of (:meth:`~repro.core.proofcache.VerificationCache.held_nodes`), a
@@ -36,8 +35,11 @@ ascending keyword order; ``cnt < 2^64``; a bitmap of 1 to
 :data:`~repro.core.proofcache.HELD_NODE_BYTES` bytes whose last byte is
 not zero and whose highest position is at most ``cnt``.  The SP writes
 a node table whose keyword is listed under the ``cnt`` it was proven at
-as table kind 4, each listed node a short row.  The SP keeps no state of
-its own; a request that lists nothing is answered with the cold VO.
+as table kind 4, each listed node a short row.  Both lists are matched
+once, as the SP finishes the VO
+(:func:`~repro.core.multiproof.compress_query_vo`); the SP keeps no
+state of its own, and a request that lists nothing is answered with the
+cold VO.
 
 An object travels as its canonical encoding
 (:meth:`~repro.core.objects.DataObject.encoded`), which the SP built
@@ -360,9 +362,7 @@ class StorageProviderServer:
             return QueryResponse(
                 result_ids=answer.result_ids,
                 objects=[answer.objects[oid] for oid in answer.result_ids],
-                vo_bytes=self._codec.encode(
-                    answer.vo, request.held, request.nodes
-                ),
+                vo_bytes=self._codec.encode(answer.vo),
             )
         except QueryError as exc:
             return error(ERR_QUERY, exc)

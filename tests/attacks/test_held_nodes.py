@@ -57,10 +57,10 @@ def system(request):
 
 
 class LyingSP:
-    """A transport that answers honestly, then writes the VO against
-    summaries of its own: ``forge(request)`` returns the ``(keyword,
-    cnt, bitmap)`` list to encode with, in place of the request's.  No
-    table goes as a whole-table reference.  ``frames`` keeps what was
+    """A transport that answers honestly, but against summaries of its
+    own: ``forge(request)`` returns the ``(keyword, cnt, bitmap)`` list
+    to finish the VO against, in place of the request's.  No table goes
+    as a whole-table reference.  ``frames`` keeps what was
     sent; a frame's third byte is its first table's kind.
     """
 
@@ -72,8 +72,10 @@ class LyingSP:
 
     def __call__(self, raw: bytes) -> bytes:
         request = QueryRequest.decode(raw)
-        answer = self.system.process_query(KeywordQuery.parse(request.query_text))
-        vo_bytes = self.codec.encode(answer.vo, (), self.forge(request))
+        answer = self.system.process_query(
+            KeywordQuery.parse(request.query_text), (), self.forge(request)
+        )
+        vo_bytes = self.codec.encode(answer.vo)
         self.frames.append(vo_bytes)
         return QueryResponse(
             result_ids=answer.result_ids,
@@ -197,6 +199,29 @@ def test_short_rows_without_a_summary_are_refused(system):
     with pytest.raises(ReproError, match="node summary 0 of 0"):
         RemoteClient(sp, system).query(SCAN)
     require(sp.frames[0][2] == 4, "the frame holds short rows")
+
+
+def test_a_summary_under_a_merkle_root_gets_the_cold_vo():
+    """An SMI tree's root digest is public, so a client can list a node
+    summary whose ``cnt`` is the digest's last eight bytes — the part a
+    node table's root ``c_0 || cnt`` ends in.  A Merkle tree has no nodes
+    to hold: the request is answered, with the cold VO."""
+    system = HybridStorageSystem(scheme="smi", seed=5)
+    _fill(system)
+    server = StorageProviderServer(system)
+
+    def ask(text, nodes=()):
+        return QueryResponse.decode(server.handle(QueryRequest(text, nodes=nodes).encode()))
+
+    for text, keywords in ((SCAN, (SCAN,)), (BOTH, (SCAN, OTHER))):
+        nodes = tuple(
+            (kw, int.from_bytes(system._sp_view(kw).tree.root_hash[-8:], "big"), b"\x01")
+            for kw in keywords
+        )
+        response = ask(text, nodes)
+        require(response.error is None, f"{text!r} is answered: {response.error}")
+        require(response.vo_bytes == ask(text).vo_bytes, "with the cold VO")
+    system.close()
 
 
 def refused(server, payload: bytes) -> bool:

@@ -19,7 +19,7 @@ import pytest
 from repro import DataObject, HybridStorageSystem, KeywordQuery
 from repro.core.proofcache import HELD_TABLES
 from repro.core.query.codec import VOCodec
-from repro.core.query.vo import QueryVO
+from repro.core.query.vo import QueryVO, TableReference
 from repro.errors import ReproError, VerificationError
 from repro.sp.protocol import (
     ERR_BAD_REQUEST,
@@ -50,14 +50,28 @@ def system(request):
     system.close()
 
 
+def as_sent(tables, held):
+    """``tables`` as an SP sends them to a client that lists ``held``:
+    each table listed goes as a reference to its first listing."""
+    listed = {}
+    for at, entry in enumerate(held):
+        listed.setdefault(entry, at)
+    return tuple(
+        TableReference(listed[entry])
+        if (entry := (table.byte_size(), table.cache_token())) in listed
+        else table
+        for table in tables
+    )
+
+
 class LyingSP:
     """A transport that answers honestly, then rewrites the VO.
 
     ``rewrite(vo)`` returns the tables to send in place of the honest
-    ones; they are encoded against the request's list, so a table the
-    client holds goes as a reference.  ``frame(vo, request)`` writes the
-    VO bytes itself.  ``frames`` keeps what was sent; a frame's third
-    byte is its first table's kind.
+    ones; a table the request lists goes as a reference
+    (:func:`as_sent`).  ``frame(vo, request)`` writes the VO bytes
+    itself from the cold VO.  ``frames`` keeps what was sent; a frame's
+    third byte is its first table's kind.
     """
 
     def __init__(self, system, rewrite=None, frame=None):
@@ -73,7 +87,9 @@ class LyingSP:
         vo = answer.vo
         if self.rewrite is not None:
             vo = QueryVO(conjuncts=vo.conjuncts, multiproofs=self.rewrite(vo))
-        vo_bytes = self.codec.encode(vo, request.held)
+        vo_bytes = self.codec.encode(
+            QueryVO(vo.conjuncts, as_sent(vo.multiproofs, request.held))
+        )
         if self.frame is not None:
             vo_bytes = self.frame(vo, request)
         self.frames.append(vo_bytes)
@@ -153,7 +169,8 @@ def test_reference_to_a_client_that_listed_nothing_is_refused(system):
 
     def frame(vo, request):
         # What the SP would send to a session that held the scan's table.
-        return VOCodec(value_bytes=system.value_bytes).encode(vo, listed)
+        sent = QueryVO(vo.conjuncts, as_sent(vo.multiproofs, listed))
+        return VOCodec(value_bytes=system.value_bytes).encode(sent)
 
     sp = LyingSP(system, frame=frame)
     with pytest.raises(ReproError, match="held table 0 of 0"):

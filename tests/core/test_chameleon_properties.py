@@ -28,6 +28,7 @@ from repro.crypto.hashing import sha3
 from repro.crypto.prf import generate_key
 from repro.errors import VerificationError
 from tests.node_tables import plain_check, rows_of, table_of
+from tests.reference_codec import ReferenceVOCodec
 
 _KEY = generate_key(seed=77)
 
@@ -222,9 +223,10 @@ def _spoil(statement, how, pp):
     data=st.data(),
 )
 def test_a_table_proven_short_is_the_cold_table_cut_short(arity, size, data):
-    """The SP's one-pass short table equals the cold table with the same
-    nodes cut short (kind 4's rows), and has the cold table's size; it
-    is cold when that size is held whole or no node of it is held."""
+    """The SP's one-pass short table has the rows the reference writer
+    cuts out of the cold table for the same held nodes; it is the cold
+    table when no node of it is held, and carries the cold table beside
+    it exactly when the cold table's size is one held whole."""
     shown = tuple(
         sorted(data.draw(st.sets(st.integers(1, size), min_size=1, max_size=12)))
     )
@@ -233,17 +235,18 @@ def test_a_table_proven_short_is_the_cold_table_cut_short(arity, size, data):
     bitmap = mask.to_bytes((mask.bit_length() + 7) // 8, "little")
     sp = ChameleonTreeSP.from_blob(grown(arity)[2][size])
     cold = sp.multiproof(shown)
-    rows = bytearray()
-    short = cold.write_held(rows, bitmap)
+    rows = ReferenceVOCodec(cold.value_bytes).short_rows(cold, held)
     table = sp.multiproof(shown, bitmap)
-    if short:
-        assert isinstance(table, HeldNodeTable)
-        assert (table.rows, table.count, table.byte_size()) == (
-            bytes(rows), cold.count, cold.byte_size()
-        )
-        assert sp.multiproof(shown, bitmap, frozenset({cold.byte_size()})) == cold
-    else:
+    if rows is None:
         assert table == cold
+        return
+    assert isinstance(table, HeldNodeTable)
+    assert (table.body, table.count, table.cold) == (rows, cold.count, None)
+    size = cold.byte_size()
+    assert sp.multiproof(shown, bitmap, frozenset({size})) == HeldNodeTable(
+        cold.arity, cold.value_bytes, cold.count, rows, cold=cold
+    )
+    assert sp.multiproof(shown, bitmap, frozenset({size - 1, size + 1})) == table
 
 
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])

@@ -15,6 +15,7 @@ import pytest
 
 from repro import DataObject, HybridStorageSystem, KeywordQuery
 from repro.core.chameleon import expand_rows
+from repro.core.proofcache import HELD_NODE_KEYWORDS
 from repro.core.query import codec
 from repro.sp.protocol import (
     QueryRequest,
@@ -22,6 +23,7 @@ from repro.sp.protocol import (
     RemoteClient,
     StorageProviderServer,
 )
+from tests.reference_codec import ReferenceVOCodec
 
 VOCABULARY = ("alpha", "beta", "gamma", "delta")
 
@@ -118,7 +120,8 @@ def test_a_rebuilt_table_is_the_cold_table(scheme, monkeypatch):
         return response
 
     client = RemoteClient(transport, system)
-    vo_codec = codec.VOCodec(value_bytes=system.value_bytes)
+    oracle = ReferenceVOCodec(value_bytes=system.value_bytes)
+    counts = {kw: system._sp_view(kw).tree.count for kw in VOCABULARY}
     for text in QUERIES:
         result = client.query(text)
         cold = system.process_query(KeywordQuery.parse(text)).vo
@@ -126,8 +129,36 @@ def test_a_rebuilt_table_is_the_cold_table(scheme, monkeypatch):
             table.body for table in cold.multiproofs
         ]
         assert result.vo_cold_bytes == cold.byte_size()
-        # Proven short or cut short from the cold table: the same bytes.
+        # Proven short in one pass: the reference writer's cut of the
+        # cold table.
         request, vo_bytes = sent[-1]
-        assert vo_bytes == vo_codec.encode(cold, request.held, request.nodes)
+        assert vo_bytes == oracle.encode(cold, request.held, request.nodes, counts)
     assert rebuilt  # some tables came with short rows
+    system.close()
+
+
+def test_a_query_over_more_keywords_than_a_request_lists():
+    """A query may name more keywords than a request lists node
+    summaries (``HELD_NODE_KEYWORDS``): a session asked the same wide
+    query again lists the first of them, and is answered every time."""
+    pairs = HELD_NODE_KEYWORDS // 2 + 3
+    keywords = [f"k{index:03d}" for index in range(2 * pairs)]
+    system = HybridStorageSystem(scheme="ci*", seed=7, cvc_modulus_bits=512)
+    objects = range(1, 2 * pairs + 1)
+    system.add_objects(
+        [DataObject(oid, tuple(keywords[oid % pairs * 2 :][:2]), b"o") for oid in objects]
+    )
+    server = StorageProviderServer(system)
+    listed: list[int] = []
+
+    def transport(raw: bytes) -> bytes:
+        listed.append(len(QueryRequest.decode(raw).nodes))
+        return server.handle(raw)
+
+    client = RemoteClient(transport, system)
+    text = " OR ".join(f"({a} AND {b})" for a, b in zip(keywords[::2], keywords[1::2]))
+    results = [client.query(text) for _ in range(3)]
+    assert [result.result_ids for result in results] == [list(objects)] * 3
+    assert listed == [0, HELD_NODE_KEYWORDS, HELD_NODE_KEYWORDS]
+    assert results[1].vo_sp_bytes < results[0].vo_sp_bytes
     system.close()

@@ -292,10 +292,11 @@ def test_object_encodings_decode_alike(object_id, keywords, content, edits):
 def test_held_references_encode_and_decode_alike(scheme):
     """Protocol v3: tables the session holds go as kind-3 references.
 
-    After a session has verified every query once, each query's frame is
-    encoded against the list its client would send: both encoders write
-    the same references, both decoders resolve them to the held tables,
-    and every single-byte mutant and prefix of one frame decodes alike.
+    After a session has verified every query once, each query's VO is
+    finished against the list its client would send: the SP's frame is
+    the reference encoder's frame of the cold VO against that list, both
+    decoders resolve its references to the held tables, and every
+    single-byte mutant and prefix of one frame decodes alike.
     """
     system = HybridStorageSystem(scheme=scheme, seed=8, **SCHEMES[scheme])
     system.add_objects(corpus()[:12])
@@ -309,7 +310,9 @@ def test_held_references_encode_and_decode_alike(scheme):
         held = system.verify_cache.held(sorted(query.all_keywords()))
         listed = [(table.byte_size(), table.cache_token()) for table in held]
         vo = system.process_query(query).vo
-        vo_bytes = codec.encode(vo, listed)
+        sent = system.process_query(query, listed).vo
+        vo_bytes = codec.encode(sent)
+        assert len(vo_bytes) == sent.byte_size()
         assert vo_bytes == oracle.encode(vo, listed)
         assert codec.decode(vo_bytes, held) == oracle.decode(vo_bytes, held) == vo
         assert codec.encode(codec.decode(vo_bytes, held)) == codec.encode(vo)
@@ -318,9 +321,11 @@ def test_held_references_encode_and_decode_alike(scheme):
         assert request == reference.encode_request(text, listed)
         assert request_fields(request) == reference.decode_request(request)
     assert referenced
-    vo = system.process_query(KeywordQuery.parse(SWEPT[0])).vo
-    held = system.verify_cache.held(sorted(KeywordQuery.parse(SWEPT[0]).all_keywords()))
-    vo_bytes = codec.encode(vo, [(t.byte_size(), t.cache_token()) for t in held])
+    query = KeywordQuery.parse(SWEPT[0])
+    vo = system.process_query(query).vo
+    held = system.verify_cache.held(sorted(query.all_keywords()))
+    listed = [(t.byte_size(), t.cache_token()) for t in held]
+    vo_bytes = codec.encode(system.process_query(query, listed).vo)
     assert len(vo_bytes) < vo.byte_size()  # the scan's table is held
     for mutant in single_byte_mutants(vo_bytes):
         assert outcome(lambda raw: codec.decode(raw, held), mutant) == outcome(
@@ -333,9 +338,10 @@ def test_held_references_encode_and_decode_alike(scheme):
 def test_short_rows_encode_and_decode_alike(scheme):
     """Protocol v4: nodes the session holds go as short rows (kind 4).
 
-    After a session has verified every query once, each query's frame is
-    encoded against the tables and the node summaries its client would
-    send: both encoders write the same bytes, both decoders rebuild the
+    After a session has verified every query once, each query's VO is
+    finished against the tables and the node summaries its client would
+    send: the SP's frame is the reference encoder's frame of the cold VO
+    against those lists and the trees' counts, both decoders rebuild the
     cold tables from the held statements, and every single-byte mutant
     and prefix of a frame with short rows decodes alike.
     """
@@ -352,9 +358,13 @@ def test_short_rows_encode_and_decode_alike(scheme):
         summaries = system.verify_cache.held_nodes(keywords)
         nodes = [summary[:3] for summary in summaries]
         statements = [summary[3:] for summary in summaries]
-        vo = system.process_query(KeywordQuery.parse(text)).vo
-        vo_bytes = codec.encode(vo, listed, nodes)
-        assert vo_bytes == oracle.encode(vo, listed, nodes)
+        counts = {kw: system._sp_view(kw).tree.count for kw in keywords}
+        query = KeywordQuery.parse(text)
+        vo = system.process_query(query).vo
+        sent = system.process_query(query, listed, nodes).vo
+        vo_bytes = codec.encode(sent)
+        assert len(vo_bytes) == sent.byte_size()
+        assert vo_bytes == oracle.encode(vo, listed, nodes, counts)
         assert (
             codec.decode(vo_bytes, held, statements)
             == oracle.decode(vo_bytes, held, statements)
@@ -372,9 +382,11 @@ def test_short_rows_encode_and_decode_alike(scheme):
         keyword, count, b"\x07", {p: held_first[p] for p in range(3)}, {}
     )
     statements = [summary[3:] for summary in summaries]
+    nodes = [summary[:3] for summary in summaries]
+    counts = {kw: system._sp_view(kw).tree.count for kw in query.all_keywords()}
     vo = system.process_query(query).vo
-    vo_bytes = codec.encode(vo, (), [summary[:3] for summary in summaries])
-    assert vo_bytes == oracle.encode(vo, (), [summary[:3] for summary in summaries])
+    vo_bytes = codec.encode(system.process_query(query, (), nodes).vo)
+    assert vo_bytes == oracle.encode(vo, (), nodes, counts)
     assert len(vo.multiproofs) == 3
     assert len(vo_bytes) < vo.byte_size() // 2
     assert codec.decode(vo_bytes, (), statements) == vo

@@ -207,16 +207,13 @@ class ReferenceVOCodec:
             nodes.append((position, flags, self._read_bytes(data, size)))
         return nodes
 
-    def _write_short_table(
-        self, out: io.BytesIO, table: ChameleonMultiproof, at: int, listed: set
-    ) -> bool:
+    def short_rows(self, table: ChameleonMultiproof, listed: set) -> bytes | None:
+        """The kind-4 root and rows of a cold node table with each node
+        at a position in ``listed`` short; ``None`` when none is."""
         nodes = self._node_rows(table)
         if not any(position in listed for position, _, _ in nodes):
-            return False
-        self._write_uint(out, _TABLE_NODES, 1)
-        self._write_varint(out, at)
-        self._write_uint(out, table.arity, 1)
-        self._write_varint(out, table.count)
+            return None
+        out = io.BytesIO()
         for position, flags, fields in nodes:
             short = position in listed
             if position:
@@ -226,7 +223,7 @@ class ReferenceVOCodec:
             self._write_uint(out, flags, 1)
             if not short:
                 out.write(fields)
-        return True
+        return out.getvalue()
 
     def _resolve(self, statements, position: int, flags: int) -> bytes:
         """A short node's fields, from the statement held for it."""
@@ -295,35 +292,48 @@ class ReferenceVOCodec:
 
     # -- public API ----------------------------------------------------------------
 
-    def encode(self, vo: QueryVO, held=(), nodes=()) -> bytes:
-        """Serialise a full ``VO_sp``; a table listed in ``held`` — as
-        ``(byte_size, cache_token)`` — goes as a reference to its first
-        listing, and a node table whose keyword a summary in ``nodes``
-        lists under the count it was proven at goes with the summary's
-        positions as short rows."""
+    def encode(self, vo: QueryVO, held=(), nodes=(), counts=None) -> bytes:
+        """Serialise a cold ``VO_sp`` as it goes to a client that lists
+        ``held`` — ``(byte_size, cache_token)`` per table — and the node
+        summaries ``nodes``: a table listed in ``held`` goes as a
+        reference to its first listing, and a node table whose keyword
+        (the first the conjuncts name it under) a summary lists — first
+        listing — under ``counts[keyword]``, the ``cnt`` its tree holds,
+        goes with the summary's positions as short rows, if it shows
+        any of them."""
+        keyword_of = {}
+        for conjunct in vo.conjuncts:
+            if conjunct.base is not None:
+                for tree, run in zip(conjunct.base.trees, conjunct.base.runs):
+                    if run is not None:
+                        keyword_of.setdefault(run, tree)
         out = io.BytesIO()
         out.write(bytes([_MARKER]))
         self._write_varint(out, len(vo.multiproofs))
         for index, table in enumerate(vo.multiproofs):
             entry = (table.byte_size(), table.cache_token())
-            summary = None
-            if isinstance(table, ChameleonMultiproof) and vo.origins:
-                keyword, root = vo.origins[index]
+            rows = None
+            if isinstance(table, ChameleonMultiproof) and counts:
+                keyword = keyword_of[index]
                 for at, (listed_keyword, count, bitmap) in enumerate(nodes):
                     if listed_keyword == keyword:
-                        if count == int.from_bytes(root[-8:], "big"):
+                        if count == counts[keyword]:
                             listed = {
                                 p
                                 for p in range(8 * len(bitmap))
                                 if bitmap[p // 8] >> (p % 8) & 1
                             }
-                            summary = (at, listed)
+                            rows = self.short_rows(table, listed)
                         break
             if entry in held:
                 self._write_uint(out, _TABLE_HELD, 1)
                 self._write_varint(out, list(held).index(entry))
-            elif summary is not None and self._write_short_table(out, table, *summary):
-                pass
+            elif rows is not None:
+                self._write_uint(out, _TABLE_NODES, 1)
+                self._write_varint(out, at)
+                self._write_uint(out, table.arity, 1)
+                self._write_varint(out, table.count)
+                out.write(rows)
             elif isinstance(table, ChameleonMultiproof):
                 self._write_uint(out, _TABLE_CHAMELEON, 1)
                 self._write_entry_table(out, table)
