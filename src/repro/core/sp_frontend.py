@@ -6,9 +6,9 @@ instances — each holding the ADS mirrors and object payloads of one
 keyword partition — and routes every operation through a deterministic
 seeded :class:`~repro.sp.engine.ShardRouter`:
 
-* **ingestion** — confirmed index mutations are buffered, as
-  journal-format records, for the owning shard of their keyword; raw
-  objects are homed on the shard of their first keyword and located
+* **ingestion** — confirmed index mutations are buffered, as shard ops
+  holding the values themselves, for the owning shard of their keyword;
+  raw objects are homed on the shard of their first keyword and located
   through an ID -> shard map;
 * **query serving** — each conjunct is joined over the views of its
   owning shards and the per-conjunct VOs are *gathered* in conjunct
@@ -21,8 +21,9 @@ transport: :class:`~repro.sp.engine.InProcessShards` calls the table
 inline (``pool="stateless"``), :class:`~repro.sp.affine.AffineWorkerPool`
 calls it in the resident worker that owns the shard (``pool="affine"``).
 Both get the same buffering, ordering and read-your-writes rules: a
-shard's buffered records ship before any read and at the end of every
-ingest section.
+shard's buffered ops ship before any read and at the end of every
+ingest section.  Nothing here knows the journal's JSON: only a disk
+engine turns an op into a journal line, and only its replay decodes one.
 
 Sharding is invisible above this layer: a keyword's tree receives
 exactly the insert sequence it would receive in a single-shard system,
@@ -42,7 +43,7 @@ from typing import Callable, Iterable, Sequence
 from repro import obs
 from repro.core.chameleon import InsertionProof
 from repro.core.multiproof import ProveRequest, compress_query_vo
-from repro.core.objects import DataObject, ObjectMetadata, object_to_record
+from repro.core.objects import DataObject, ObjectMetadata
 from repro.core.query.join import conjunctive_join
 from repro.core.query.parser import KeywordQuery
 from repro.core.query.vo import ConjunctiveVO, QueryAnswer, QueryVO
@@ -53,11 +54,11 @@ from repro.sp.engine import (
     EngineSpec,
     IndexShardEngine,
     InProcessShards,
+    ShardOp,
     ShardRouter,
-    proof_to_record,
 )
 
-#: Records buffered per shard before they ship on their own: bounds any
+#: Ops buffered per shard before they ship on their own: bounds any
 #: single ``apply`` call, so a huge batch streams as several per shard.
 CHUNK_RECORDS = 4096
 
@@ -109,8 +110,8 @@ class ShardedStorageProvider:
             self.pool = AffineWorkerPool(specs)
         else:
             self.pool = InProcessShards(specs)
-        # Journal-format records per shard, not yet applied.
-        self._pending: list[list[dict]] = [[] for _ in range(shards)]
+        # Shard ops per shard, not yet applied.
+        self._pending: list[list[ShardOp]] = [[] for _ in range(shards)]
         # The engines replayed any disk journals on construction and
         # reported the IDs they hold: rebuild the object location map.
         self._locations: dict[int, int] = {
@@ -131,14 +132,14 @@ class ShardedStorageProvider:
 
     # -- ingestion (called only after on-chain receipts confirm) ----------------
 
-    def _queue(self, shard: int, record: dict) -> None:
+    def _queue(self, shard: int, op: ShardOp) -> None:
         pending = self._pending[shard]
-        pending.append(record)
+        pending.append(op)
         if len(pending) >= CHUNK_RECORDS:
             self._ship([shard])
 
     def _ship(self, shards: Iterable[int]) -> int:
-        """One ``apply`` call per listed shard with buffered records.
+        """One ``apply`` call per listed shard with buffered ops.
 
         A buffer is emptied before its call goes out: a failed call is
         not requeued, since replaying it could double-apply a prefix
@@ -153,21 +154,21 @@ class ShardedStorageProvider:
             self._pending[shard] = []
         if calls:
             self.pool.dispatch(calls, ingest=True)
-        return sum(len(records) for _, _, records in calls)
+        return sum(len(ops) for _, _, ops in calls)
 
     def flush_mutations(self) -> int:
-        """Ship every shard's buffered records; returns the count.
+        """Ship every shard's buffered ops; returns the count.
 
         Runs before every read and at the end of every ingest section
         (the facade calls it), so queries issued outside the write lock
-        never race a buffered record.
+        never race a buffered op.
         """
         return self._ship(range(self.shards))
 
     def _read(
         self, calls: list[tuple[int, str, object]], ingest: bool = False
     ) -> list:
-        """Dispatch read calls once the buffered records have shipped."""
+        """Dispatch read calls once the buffered ops have shipped."""
         self.flush_mutations()
         return self.pool.dispatch(calls, ingest=ingest)
 
@@ -178,7 +179,7 @@ class ShardedStorageProvider:
     def put_object(self, obj: DataObject) -> None:
         """Home one confirmed raw object on its shard."""
         shard = self.home_shard(obj.keywords)
-        self._queue(shard, {"op": "object", **object_to_record(obj)})
+        self._queue(shard, ("object", obj))
         self._locations[obj.object_id] = shard
 
     def insert_entries(self, metadata: ObjectMetadata) -> None:
@@ -186,27 +187,16 @@ class ShardedStorageProvider:
         for keyword in metadata.keywords:
             self._queue(
                 self.router.route(keyword),
-                {
-                    "op": "entry",
-                    "kw": keyword,
-                    "id": metadata.object_id,
-                    "hash": metadata.object_hash.hex(),
-                },
+                ("entry", keyword, metadata.object_id, metadata.object_hash),
             )
 
     def register_keyword(self, keyword: str, commitment: int) -> None:
         """Register a first-seen keyword on its owning shard."""
-        self._queue(
-            self.router.route(keyword),
-            {"op": "register", "kw": keyword, "c": format(commitment, "x")},
-        )
+        self._queue(self.router.route(keyword), ("register", keyword, commitment))
 
     def apply_insertion(self, keyword: str, proof: InsertionProof) -> None:
         """Apply one DO insertion proof on the owning shard."""
-        self._queue(
-            self.router.route(keyword),
-            {"op": "apply", "kw": keyword, "proof": proof_to_record(proof)},
-        )
+        self._queue(self.router.route(keyword), ("apply", keyword, proof))
 
     def spines(self, object_id: int, keywords: tuple[str, ...]) -> list:
         """Pre-insertion SMI ``UpdVO`` spines, one per keyword, in order.
@@ -454,7 +444,7 @@ class ShardedStorageProvider:
         return totals
 
     def close(self) -> None:
-        """Ship any buffered records, then release the shards (idempotent)."""
+        """Ship any buffered ops, then release the shards (idempotent)."""
         try:
             self.flush_mutations()
         finally:

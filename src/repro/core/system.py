@@ -112,7 +112,7 @@ class HybridStorageSystem:
     ``pool`` says
     where the engines live (``stateless``, the default: in this process;
     ``affine``: each shard's engine resident in a long-lived worker
-    process that is sent only delta records per batch).  Shard layout and pool mode never change
+    process that is sent only delta ops per batch).  Shard layout and pool mode never change
     answers, VO bytes or gas — only capacity and throughput.
 
     ``verify_cache_size`` bounds the client's LRU of successfully

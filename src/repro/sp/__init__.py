@@ -27,7 +27,6 @@ from repro.sp.engine import (
     EngineSpec,
     IndexShardEngine,
     InProcessShards,
-    MemoryShardEngine,
     ShardRouter,
     make_engine,
 )
@@ -50,7 +49,6 @@ __all__ = [
     "IndexShardEngine",
     "InProcessShards",
     "MBTreeView",
-    "MemoryShardEngine",
     "MerkleInvertedSP",
     "ObjectStore",
     "ShardRouter",

@@ -11,10 +11,11 @@ table (:meth:`~repro.sp.engine.IndexShardEngine.handle`) — the same
 table the in-process transport calls inline — and is sent only what
 changed:
 
-* **ingest** ships only the batch's delta records to the owning worker,
-  in the exact journal-record format the engines already replay — the
-  wire format *is* the recovery format, so a delta batch applies through
-  the same code path as a crash replay and journals as one append;
+* **ingest** ships only the batch's delta ops to the owning worker,
+  pickled as the values they are (an object as its canonical bytes,
+  arriving deferred): nothing is decoded on the way in, and a delta
+  batch applies through the same dispatch a disk engine's crash replay
+  feeds after decoding its journal, journaling as one append;
 * **queries** route each conjunct's join to the worker already holding
   the shard's views.  A Merkle-family join only *locates* its entries,
   so its reply is small; the ``prove`` op then builds each tree's
@@ -212,8 +213,6 @@ class AffineWorkerPool:
     worker); every later interaction is :meth:`dispatch`.  Traffic is
     counted in the ``sp.affine.*`` telemetry counters.
     """
-
-    kind = "affine"
 
     def __init__(self, specs: list[EngineSpec]) -> None:
         if not specs:

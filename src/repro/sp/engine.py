@@ -9,22 +9,23 @@ on it.  A CI* keyword's Bloom filter chain is not separate state: the
 index derives it from the IDs applied to the keyword's tree.  Every
 call reaches an engine through one op table,
 :meth:`IndexShardEngine.handle`, and every mutation as a batch of
-journal-format records (:meth:`IndexShardEngine.apply_records`).  Two
-transports run the table: :class:`InProcessShards` calls it inline in
+ops holding the values themselves (:meth:`IndexShardEngine.apply_ops`).
+Two transports run the table: :class:`InProcessShards` calls it inline in
 the SP front-end's process, and :class:`~repro.sp.affine.AffineWorkerPool`
 calls it in the worker that owns the shard.  Opening commitments stays
 with the data owner — it needs the trapdoor and the aux state, which
 never leave the DO — so shards receive ready-made insertion proofs like
 any SP does.
 
-Two implementations:
+Two kinds (:func:`make_engine`):
 
-* :class:`MemoryShardEngine` — plain in-process state (the default);
-* :class:`DiskShardEngine` — the same state fronted by an append-only
-  JSONL segment log (``shard-NNN.jsonl``).  Every confirmed batch of
-  records is journaled as one append after it is applied; reopening the
-  engine replays the log through the identical code path, reusing the
-  event-sourced recovery model of :mod:`repro.core.persistence`.  A
+* ``"memory"`` — :class:`IndexShardEngine`: plain in-process state;
+* ``"disk"`` — :class:`DiskShardEngine`: the same state fronted by an
+  append-only JSONL segment log (``shard-NNN.jsonl``), the only code
+  that reads or writes journal JSON.  Every confirmed batch of ops is
+  journaled as one append after it is applied; reopening the engine
+  decodes the log strictly back into ops and applies them through the
+  same code path (the recovery model of :mod:`repro.core.persistence`).  A
   checkpoint (``shard-NNN.ckpt``, version 2) holds a header, one JSON
   block (shard, epoch, node-store version, tree lengths, object
   records), the tree blobs and a SHA-3 digest; restoring it hands the
@@ -68,6 +69,11 @@ from repro.errors import IntegrityError, ParameterError, ReproError
 
 #: Engine kinds accepted by :func:`make_engine`.
 ENGINE_KINDS = ("memory", "disk")
+
+#: A shard mutation: ``("object", DataObject)``, ``("entry", keyword,
+#: object_id, object_hash)``, ``("register", keyword, commitment)`` or
+#: ``("apply", keyword, InsertionProof)``.
+ShardOp = tuple
 
 #: Where the SP front-end's shard engines live: in its own process
 #: (:class:`InProcessShards`) or in resident workers
@@ -122,6 +128,19 @@ def proof_to_record(proof: InsertionProof) -> dict:
     }
 
 
+def _op_to_record(op: ShardOp) -> dict:
+    """The journal record of a shard op; read back by ``_record_to_op``."""
+    kind = op[0]
+    if kind == "entry":
+        _, keyword, object_id, object_hash = op
+        return {"op": kind, "kw": keyword, "id": object_id, "hash": object_hash.hex()}
+    if kind == "register":
+        return {"op": kind, "kw": op[1], "c": format(op[2], "x")}
+    if kind == "apply":
+        return {"op": kind, "kw": op[1], "proof": proof_to_record(op[2])}
+    return {"op": kind, **object_to_record(op[1])}
+
+
 def tree_from_blob(blob: bytes | bytearray | memoryview) -> Any:
     """Restore an ADS tree from a node-store buffer, dispatching on kind.
 
@@ -165,13 +184,6 @@ def _record_element(record: dict, name: str, value_bytes: int) -> int:
     return value
 
 
-def _record_keyword(record: dict) -> str:
-    keyword = record.get("kw")
-    if not isinstance(keyword, str):
-        raise IntegrityError("journal record names no keyword")
-    return keyword
-
-
 def _record_to_proof(record: dict, value_bytes: int) -> InsertionProof:
     """The insertion proof a journal record holds, failing closed: every
     field of its wire width and form (see :func:`proof_to_record`), else
@@ -197,7 +209,7 @@ def _record_to_proof(record: dict, value_bytes: int) -> InsertionProof:
 
 
 class IndexShardEngine:
-    """One keyword partition's slice of the SP (in-memory base).
+    """One keyword partition's slice of the SP (the memory engine).
 
     ``index_factory`` builds the scheme's empty per-partition index
     mirror (:class:`~repro.core.merkle_family.MerkleInvertedSP` or
@@ -206,13 +218,11 @@ class IndexShardEngine:
     Bloom filter chain from the IDs applied to its tree, so the engine
     holds, journals and checkpoints no chain of its own.
 
-    Records are only applied for *confirmed* insertions — the system
-    applies SP-side state after the on-chain receipt succeeds — so an
-    engine never needs rollback, and the disk subclass can journal each
-    batch unconditionally.
+    Ops are only applied for *confirmed* insertions — the system applies
+    SP-side state after the on-chain receipt succeeds — so an engine
+    never needs rollback, and the disk subclass can journal each batch
+    unconditionally.
     """
-
-    kind = "memory"
 
     def __init__(
         self, shard_id: int, index_factory: Callable[[], object]
@@ -224,53 +234,41 @@ class IndexShardEngine:
 
     # -- mutators (confirmed insertions only) -----------------------------------
 
-    def apply_records(self, records: list[dict]) -> int:
-        """Apply a batch of journal-format records, then journal them as
-        one append; returns the number applied.
+    def apply_ops(self, ops: list[ShardOp]) -> int:
+        """Apply a batch of shard ops, then journal them as one append;
+        returns the number applied.
 
         The one way state changes: the SP front-end ships each shard's
-        buffered records here, in this process or over the affine pipe,
-        and crash recovery replays the same records through
-        :meth:`_apply`.  If a record fails, the prefix already applied
-        is still journaled, so the log never falls behind memory.
+        buffered ops here, in this process or over the affine pipe, and
+        crash recovery replays the journaled ops through :meth:`_apply`.
+        If an op fails, the prefix already applied is still journaled,
+        so the log never falls behind memory.
         """
         applied = 0
         try:
-            for record in records:
-                self._apply(record)
+            for op in ops:
+                self._apply(op)
                 applied += 1
         finally:
-            self._journal_many(records[:applied])
+            self._journal_many(ops[:applied])
         return applied
 
-    def _apply(self, record: dict) -> None:
-        """Apply one journal-format record to in-memory state (no
-        journaling) — the single dispatch shared by batch ingest and
-        crash replay."""
-        if not isinstance(record, dict):
-            raise IntegrityError("journal record is not a JSON object")
-        op = record.get("op")
-        if op == "entry":
-            self.index.tree_for(_record_keyword(record)).insert(
-                record_uint(record, "id"), _record_digest(record, "hash")
-            )
-        elif op == "register":
-            self.index.register_keyword(
-                _record_keyword(record),
-                _record_element(record, "c", self.index.value_bytes),
-            )
-        elif op == "apply":
-            self.index.apply_insertion(
-                _record_keyword(record),
-                _record_to_proof(record.get("proof"), self.index.value_bytes),
-            )
-        elif op == "object":
-            self.store.put(record_to_object(record))
+    def _apply(self, op: ShardOp) -> None:
+        """Apply one shard op to in-memory state (no journaling) — the
+        single dispatch shared by batch ingest and crash replay."""
+        kind = op[0]
+        if kind == "entry":
+            _, keyword, object_id, object_hash = op
+            self.index.tree_for(keyword).insert(object_id, object_hash)
+        elif kind == "register":
+            self.index.register_keyword(op[1], op[2])
+        elif kind == "apply":
+            self.index.apply_insertion(op[1], op[2])
+        elif kind == "object":
+            self.store.put(op[1])
             obs.inc(self._objects_metric)
         else:
-            # Never skipped: a record this build cannot apply (an older
-            # build's ``bloom``, say) leaves the shard unrecoverable here.
-            raise IntegrityError(f"unknown journal op {op!r}")
+            raise ParameterError(f"unknown shard mutation {kind!r}")
 
     # -- reads ------------------------------------------------------------------
 
@@ -306,7 +304,7 @@ class IndexShardEngine:
         tree's table here, next to the tree.
         """
         if op == "apply":
-            return self.apply_records(payload)
+            return self.apply_ops(payload)
         if op == "join":
             conjuncts, order, plan = payload
             outcomes = []
@@ -343,7 +341,7 @@ class IndexShardEngine:
 
     # -- durability hooks --------------------------------------------------------
 
-    def _journal_many(self, records: list[dict]) -> None:
+    def _journal_many(self, ops: list[ShardOp]) -> None:
         """Batched durability hook; one append for the whole batch."""
 
     def close(self) -> None:
@@ -356,12 +354,6 @@ class IndexShardEngine:
         a stats dict (``reclaimed`` journal bytes, checkpoint size).
         """
         return None
-
-
-class MemoryShardEngine(IndexShardEngine):
-    """The default engine: plain in-process state, no durability."""
-
-    kind = "memory"
 
 
 #: Checkpoint file magic (``shard-NNN.ckpt``).
@@ -378,12 +370,14 @@ _CKPT_HEAD = struct.Struct(">4sHII")  # magic, version, epoch, meta_len
 class DiskShardEngine(IndexShardEngine):
     """An engine fronted by an append-only JSONL segment log.
 
-    Every confirmed batch appends its self-describing records to
-    ``<directory>/shard-NNN.jsonl`` after they are applied in memory.
-    Opening an engine over an existing log replays it through the same
-    record dispatch (:meth:`_apply`, which never journals), rebuilding
-    byte-identical tree state — the recovery model of
-    :mod:`repro.core.persistence`, scoped to one shard.
+    Every confirmed batch of ops is appended to
+    ``<directory>/shard-NNN.jsonl`` as self-describing JSON records
+    after it is applied in memory.  Opening an engine over an existing
+    log decodes each record strictly back into its op
+    (:meth:`_record_to_op`) and applies it through the same dispatch
+    (:meth:`_apply`, which never journals), rebuilding byte-identical
+    tree state — the recovery model of :mod:`repro.core.persistence`,
+    scoped to one shard.
 
     Checkpoints and compaction
     --------------------------
@@ -408,8 +402,6 @@ class DiskShardEngine(IndexShardEngine):
     resurrect the superseded file, and the torn-tail tolerance of the
     journal replay is unchanged.
     """
-
-    kind = "disk"
 
     def __init__(
         self,
@@ -517,18 +509,40 @@ class DiskShardEngine(IndexShardEngine):
                             f"{lineno}"
                         ) from exc
                     if not isinstance(record, dict) or record.get("op") != "epoch":
-                        self._apply(record)
+                        self._apply(self._record_to_op(record))
                 good_end += len(raw)
         if good_end < self.path.stat().st_size:
             os.truncate(self.path, good_end)
 
+    def _record_to_op(self, record: object) -> ShardOp:
+        """The op a journal record holds, failing closed: a record that is
+        not a JSON object, names an unknown op or holds a field not of the
+        form :func:`_op_to_record` writes is an :class:`IntegrityError`.
+        Only replay runs these checks: live ops are never decoded."""
+        if not isinstance(record, dict):
+            raise IntegrityError("journal record is not a JSON object")
+        op, keyword = record.get("op"), record.get("kw")
+        if op == "object":
+            return (op, record_to_object(record))
+        if op not in ("entry", "register", "apply"):
+            # Never skipped: a record this build cannot apply (an older
+            # build's ``bloom``, say) leaves the shard unrecoverable here.
+            raise IntegrityError(f"unknown journal op {op!r}")
+        if not isinstance(keyword, str):
+            raise IntegrityError("journal record names no keyword")
+        if op == "entry":
+            return (op, keyword, record_uint(record, "id"), _record_digest(record, "hash"))
+        if op == "register":
+            return (op, keyword, _record_element(record, "c", self.index.value_bytes))
+        return (op, keyword, _record_to_proof(record.get("proof"), self.index.value_bytes))
+
     # -- journaling --------------------------------------------------------------
 
-    def _journal_many(self, records: list[dict]) -> None:
+    def _journal_many(self, ops: list[ShardOp]) -> None:
         # One write call + flush for the whole batch, not O(k) syscalls.
-        if self._log is not None and records:
+        if self._log is not None and ops:
             self._log.write(
-                "".join(json.dumps(record) + "\n" for record in records)
+                "".join(json.dumps(_op_to_record(op)) + "\n" for op in ops)
             )
             self._log.flush()
 
@@ -640,17 +654,16 @@ class DiskShardEngine(IndexShardEngine):
                     f"unsupported checkpoint version {version}"
                 )
             offset = _CKPT_HEAD.size
-            meta = json.loads(mapped[offset : offset + meta_len])
-            if meta.get("shard") != self.shard_id:
-                raise IntegrityError(
-                    f"checkpoint belongs to shard {meta.get('shard')}, "
-                    f"not {self.shard_id}"
-                )
+            if offset + meta_len > len(mapped) - 32:
+                raise IntegrityError("checkpoint metadata runs past the file")
+            tree_lengths, object_records = self._checkpoint_meta(
+                mapped[offset : offset + meta_len]
+            )
             offset += meta_len
             view = memoryview(mapped)
             trees: dict[str, Any] = {}
             try:
-                for keyword, blob_len in meta["trees"]:
+                for keyword, blob_len in tree_lengths:
                     blob = view[offset : offset + blob_len]
                     try:
                         if len(blob) != blob_len:
@@ -665,7 +678,7 @@ class DiskShardEngine(IndexShardEngine):
                 view.release()
             if offset != len(mapped) - 32:
                 raise IntegrityError("checkpoint has trailing bytes")
-            objects = [record_to_object(rec) for rec in meta["objects"]]
+            objects = [record_to_object(rec) for rec in object_records]
         finally:
             mapped.close()
         self.index.adopt(trees)
@@ -674,6 +687,32 @@ class DiskShardEngine(IndexShardEngine):
             self.store.put(obj)
             obs.inc(self._objects_metric)
         return epoch
+
+    def _checkpoint_meta(self, raw: bytes) -> tuple[list, list]:
+        """The ``(trees, objects)`` lists of a checkpoint's metadata
+        block, failing closed: the digest proves the file whole, not
+        well formed, so anything but the JSON object
+        :meth:`_serialise_state` writes for this shard is an
+        :class:`IntegrityError`."""
+        try:
+            meta = json.loads(raw)
+        except (ValueError, RecursionError):
+            raise IntegrityError("checkpoint metadata is not JSON") from None
+        if not isinstance(meta, dict):
+            raise IntegrityError("checkpoint metadata is not a JSON object")
+        if meta.get("shard") != self.shard_id:
+            raise IntegrityError(
+                f"checkpoint belongs to shard {meta.get('shard')}, "
+                f"not {self.shard_id}"
+            )
+        trees, objects = meta.get("trees"), meta.get("objects")
+        if type(trees) is not list or type(objects) is not list:
+            raise IntegrityError("checkpoint metadata lacks its tree or object list")
+        for entry in trees:
+            keyword, length = entry if type(entry) is list and len(entry) == 2 else (0, -1)
+            if not isinstance(keyword, str) or type(length) is not int or length < 0:
+                raise IntegrityError(f"checkpoint tree entry {entry!r} is not [keyword, length]")
+        return trees, objects
 
     def compact(self) -> dict:
         """Checkpoint + truncate the journal; returns reclaim stats."""
@@ -712,7 +751,7 @@ def make_engine(
 ) -> IndexShardEngine:
     """Build one shard engine of the given kind."""
     if kind == "memory":
-        return MemoryShardEngine(shard_id, index_factory)
+        return IndexShardEngine(shard_id, index_factory)
     if kind == "disk":
         if directory is None:
             raise ParameterError(
@@ -780,8 +819,6 @@ class InProcessShards:
     ``close`` — without pickling: a call's payload and reply are the
     objects themselves.
     """
-
-    kind = "stateless"
 
     def __init__(self, specs: list[EngineSpec]) -> None:
         self.engines = [spec.build() for spec in specs]

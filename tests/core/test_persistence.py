@@ -7,6 +7,7 @@ import pytest
 from repro import DataObject, HybridStorageSystem
 from repro.core.persistence import load_system, save_system
 from repro.errors import ReproError
+from repro.sp.engine import DiskShardEngine, IndexShardEngine
 
 
 def make_docs():
@@ -188,7 +189,7 @@ class TestLegacyManifests:
         # replaying them on top of the object-log replay would
         # double-apply every record.
         restored = load_system(tmp_path / "snap")
-        assert all(e.kind == "memory" for e in restored._sp.engines)
+        assert all(type(e) is IndexShardEngine for e in restored._sp.engines)
         # The runtime substitution must not leak into the recorded
         # configuration: a re-save keeps the declared disk engine.
         assert restored.engine == "disk"
@@ -200,7 +201,7 @@ class TestLegacyManifests:
             tmp_path / "snap", engine_dir=tmp_path / "fresh-journals"
         )
         assert fresh.engine == "disk"
-        assert all(e.kind == "disk" for e in fresh._sp.engines)
+        assert all(type(e) is DiskShardEngine for e in fresh._sp.engines)
         assert fresh.query("a AND b").result_ids == [1]
         original.close()
         restored.close()

@@ -28,9 +28,9 @@ from repro.sp.affine import (
     EngineSpec,
     guarded_dumps,
 )
-from repro.sp.engine import POOL_KINDS, MemoryShardEngine
+from repro.sp.engine import POOL_KINDS, IndexShardEngine
 
-from tests.sp.test_engine import entry_record
+from tests.sp.test_engine import entry_op
 from tests.sp.test_sharding import QUERIES, SCHEMES, build, make_docs, vo_frame
 
 MERKLE_SPEC = ("merkle", {"fanout": 4})
@@ -212,8 +212,8 @@ class TestRequestGuard:
     """Resident shard state must never be pickled into a request."""
 
     def test_trees_and_mirrors_rejected(self):
-        engine = MemoryShardEngine(0, lambda: MerkleInvertedSP(fanout=4))
-        engine.apply_records([entry_record("alpha", 1, bytes(32))])
+        engine = IndexShardEngine(0, lambda: MerkleInvertedSP(fanout=4))
+        engine.apply_ops([entry_op("alpha", 1, bytes(32))])
         for forbidden in (
             engine.tree("alpha"),
             MerkleInvertedSP(fanout=4),
@@ -226,7 +226,11 @@ class TestRequestGuard:
                 guarded_dumps(("apply", [forbidden], False))
 
     def test_plain_delta_payloads_pass(self):
-        payload = ("apply", [{"op": "entry", "kw": "a", "id": 1}], False)
+        payload = (
+            "apply",
+            [("entry", "a", 1, bytes(32)), ("object", DataObject(1, ("a",), b"x"))],
+            False,
+        )
         assert pickle.loads(guarded_dumps(payload)) == payload
 
     def test_dispatch_refuses_state_and_pool_survives(self):
@@ -385,8 +389,8 @@ class TestPoolMechanics:
                         sp.insert_entries(
                             ObjectMetadata(i, ("alpha",), bytes([i]) * 32)
                         )
-                    # Two full chunks shipped; one record still buffered.
-                    assert sp._pending == [[entry_record("alpha", 4, bytes([4]) * 32)]]
+                    # Two full chunks shipped; one op still buffered.
+                    assert sp._pending == [[entry_op("alpha", 4, bytes([4]) * 32)]]
                     tree = sp.tree("alpha")  # reads flush first
                     assert sp._pending == [[]]
                 if pool == "affine":
@@ -404,7 +408,7 @@ class TestPoolMechanics:
         try:
             with obs.collect() as collector:
                 pool.dispatch(
-                    [(0, "apply", [entry_record("alpha", 1, bytes(32))])],
+                    [(0, "apply", [entry_op("alpha", 1, bytes(32))])],
                     ingest=True,
                 )
                 after_ingest = collector.metrics.snapshot()

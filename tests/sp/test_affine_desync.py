@@ -26,7 +26,7 @@ from repro.core.sp_frontend import ShardedStorageProvider
 from repro.errors import ParameterError, ReproError, WorkerBootError
 from repro.sp.affine import AffineWorkerPool, EngineSpec
 
-from tests.sp.test_engine import entry_record
+from tests.sp.test_engine import entry_op
 
 MERKLE_SPEC = ("merkle", {"fanout": 4})
 
@@ -215,7 +215,7 @@ class TestWorkerErrorInMessage:
                 pool.dispatch(
                     [
                         (0, "explode", None),
-                        (0, "apply", [entry_record("alpha", 7, bytes(32))]),
+                        (0, "apply", [entry_op("alpha", 7, bytes(32))]),
                         (0, "ping", 3),
                     ]
                 )

@@ -2,11 +2,15 @@
 
 import pytest
 
+import repro.core.objects as objects_module
+import repro.sp.engine as engine_module
 from repro.core.merkle_family import MerkleInvertedSP
+from repro.core.objects import DataObject
+from repro.core.system import HybridStorageSystem
 from repro.errors import ParameterError, ReproError
 from repro.sp.engine import (
     DiskShardEngine,
-    MemoryShardEngine,
+    IndexShardEngine,
     ShardRouter,
     make_engine,
 )
@@ -16,9 +20,9 @@ def merkle_factory():
     return MerkleInvertedSP(fanout=4)
 
 
-def entry_record(keyword, object_id, object_hash):
-    """The journal record of one posting, as the SP front-end ships it."""
-    return {"op": "entry", "kw": keyword, "id": object_id, "hash": object_hash.hex()}
+def entry_op(keyword, object_id, object_hash):
+    """The shard op of one posting, as the SP front-end ships it."""
+    return ("entry", keyword, object_id, object_hash)
 
 
 class TestShardRouter:
@@ -70,9 +74,7 @@ class TestMakeEngine:
             make_engine("disk", 0, merkle_factory)
 
     def test_kinds(self, tmp_path):
-        assert isinstance(
-            make_engine("memory", 0, merkle_factory), MemoryShardEngine
-        )
+        assert type(make_engine("memory", 0, merkle_factory)) is IndexShardEngine
         disk = make_engine("disk", 0, merkle_factory, directory=tmp_path)
         assert isinstance(disk, DiskShardEngine)
         disk.close()
@@ -87,9 +89,9 @@ class TestDiskEngineReplay:
             ("gamma", 4, b"h4"),
             ("alpha", 5, b"h5"),
         ]
-        engine.apply_records(
+        engine.apply_ops(
             [
-                entry_record(keyword, object_id, payload.ljust(32, b"\0"))
+                entry_op(keyword, object_id, payload.ljust(32, b"\0"))
                 for keyword, object_id, payload in entries
             ]
         )
@@ -127,7 +129,7 @@ class TestDiskEngineReplay:
         engine.close()
 
         reopened = DiskShardEngine(0, merkle_factory, tmp_path)
-        reopened.apply_records([entry_record("alpha", 9, b"h9".ljust(32, b"\0"))])
+        reopened.apply_ops([entry_op("alpha", 9, b"h9".ljust(32, b"\0"))])
         root = reopened.tree("alpha").root_hash
         reopened.close()
 
@@ -136,11 +138,9 @@ class TestDiskEngineReplay:
         third.close()
 
     def test_object_round_trip(self, tmp_path):
-        from repro.core.objects import DataObject, object_to_record
-
         engine = DiskShardEngine(1, merkle_factory, tmp_path)
         obj = DataObject(7, ("alpha",), b"payload")
-        engine.apply_records([{"op": "object", **object_to_record(obj)}])
+        engine.apply_ops([("object", obj)])
         engine.close()
 
         reopened = DiskShardEngine(1, merkle_factory, tmp_path)
@@ -161,9 +161,9 @@ class TestTornTailRecovery:
 
     def fill_and_close(self, tmp_path):
         engine = DiskShardEngine(0, merkle_factory, tmp_path)
-        engine.apply_records(
+        engine.apply_ops(
             [
-                entry_record("alpha", object_id, bytes([object_id]) * 32)
+                entry_op("alpha", object_id, bytes([object_id]) * 32)
                 for object_id in range(4)
             ]
         )
@@ -196,7 +196,7 @@ class TestTornTailRecovery:
         path.write_bytes(path.read_bytes() + b"garbage-tail")
 
         engine = DiskShardEngine(0, merkle_factory, tmp_path)
-        engine.apply_records([entry_record("alpha", 9, b"h9".ljust(32, b"\0"))])
+        engine.apply_ops([entry_op("alpha", 9, b"h9".ljust(32, b"\0"))])
         root = engine.tree("alpha").root_hash
         engine.close()
 
@@ -216,7 +216,7 @@ class TestTornTailRecovery:
 class TestBatchedJournal:
     def entries(self, count=6):
         return [
-            entry_record("alpha", object_id, bytes([object_id]) * 32)
+            entry_op("alpha", object_id, bytes([object_id]) * 32)
             for object_id in range(count)
         ]
 
@@ -226,7 +226,7 @@ class TestBatchedJournal:
         writes = []
         original = engine._log.write
         engine._log.write = lambda text: writes.append(text) or original(text)
-        assert engine.apply_records(self.entries()) == 6
+        assert engine.apply_ops(self.entries()) == 6
         assert len(writes) == 1
         root = engine.tree("alpha").root_hash
         engine.close()
@@ -237,11 +237,8 @@ class TestBatchedJournal:
 
     def test_apply_records_round_trips_through_replay_path(self, tmp_path):
         engine = DiskShardEngine(0, merkle_factory, tmp_path)
-        records = [
-            {"op": "entry", "kw": "alpha", "id": i, "hash": ("%02x" % i) * 32}
-            for i in range(4)
-        ]
-        assert engine.apply_records(records) == 4
+        ops = [("entry", "alpha", i, bytes([i]) * 32) for i in range(4)]
+        assert engine.apply_ops(ops) == 4
         root = engine.tree("alpha").root_hash
         engine.close()
 
@@ -251,7 +248,47 @@ class TestBatchedJournal:
 
     def test_close_is_idempotent(self, tmp_path):
         engine = DiskShardEngine(0, merkle_factory, tmp_path)
-        engine.apply_records([entry_record("alpha", 1, bytes(32))])
+        engine.apply_ops([entry_op("alpha", 1, bytes(32))])
         engine.close()
         engine.close()
         assert engine._log is None
+
+
+#: The journal decoders, in the modules that define or call them.
+DECODERS = (
+    "record_to_object",
+    "record_uint",
+    "_record_digest",
+    "_record_element",
+    "_record_keyword",
+    "_record_to_proof",
+)
+
+
+@pytest.mark.parametrize("pool", ["stateless", "affine"])
+@pytest.mark.parametrize("scheme", ["mi", "smi", "ci", "ci*"])
+def test_live_ingest_decodes_nothing(scheme, pool, monkeypatch):
+    """Mutations reach memory shards as values: no journal decoder runs
+    while a batch is ingested and queried, in either pool."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a journal decoder ran on the live ingest path")
+
+    for module in (engine_module, objects_module):
+        for name in DECODERS:
+            monkeypatch.setattr(module, name, refuse, raising=False)
+    # Patched before the system exists, so forked affine workers inherit it.
+    system = HybridStorageSystem(
+        scheme=scheme, seed=3, cvc_modulus_bits=512, shards=2, pool=pool
+    )
+    try:
+        system.add_objects_batched(
+            [
+                DataObject(oid, ("a", "b") if oid % 2 else ("a", "c"), b"x%d" % oid)
+                for oid in range(1, 7)
+            ]
+        )
+        system.add_objects_batched([DataObject(9, ("b", "c"), b"y")])
+        assert system.query("a AND b").result_ids == [1, 3, 5]
+        assert system.get_object(9).content == b"y"
+    finally:
+        system.close()

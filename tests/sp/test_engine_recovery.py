@@ -21,7 +21,7 @@ from repro.crypto.hashing import sha3
 from repro.errors import IntegrityError, ReproError
 from repro.sp.engine import _CKPT_HEAD, DiskShardEngine, make_engine
 
-from tests.sp.test_engine import entry_record
+from tests.sp.test_engine import entry_op
 
 
 def merkle_factory():
@@ -29,9 +29,9 @@ def merkle_factory():
 
 
 def fill(engine, count=6, start=0):
-    engine.apply_records(
+    engine.apply_ops(
         [
-            entry_record(
+            entry_op(
                 f"kw{object_id % 3}", object_id, bytes([object_id % 251]) * 32
             )
             for object_id in range(start, start + count)

@@ -21,8 +21,9 @@ import pytest
 from repro import DataObject, HybridStorageSystem
 from repro.core.chameleon_index import ChameleonSP
 from repro.core.merkle_family import MerkleInvertedSP
-from repro.errors import ReproError
-from repro.sp.engine import DiskShardEngine
+from repro.crypto.hashing import sha3
+from repro.errors import IntegrityError, ReproError
+from repro.sp.engine import _CKPT_HEAD, DiskShardEngine
 
 #: Marks a field to delete instead of replacing.
 MISSING = object()
@@ -188,3 +189,118 @@ def test_every_mutated_field_is_refused_with_a_typed_error(journal, tmp_path):
             continue
         raise AssertionError(f"{label} was accepted")
     require(refused > 35, f"only {refused} mutants ran")
+
+
+def reseal(path, meta_bytes: bytes, meta_len: int | None = None) -> None:
+    """Replace a checkpoint's metadata block with ``meta_bytes`` (its
+    header claiming ``meta_len`` bytes, if given) and re-seal the digest."""
+    blob = path.read_bytes()
+    magic, version, epoch, old_len = _CKPT_HEAD.unpack_from(blob, 0)
+    body = (
+        _CKPT_HEAD.pack(
+            magic, version, epoch, len(meta_bytes) if meta_len is None else meta_len
+        )
+        + meta_bytes
+        + blob[_CKPT_HEAD.size + old_len : -32]
+    )
+    path.write_bytes(body + sha3(body))
+
+
+def edited(meta: dict, edit) -> bytes:
+    """``meta`` after ``edit`` changed a deep copy of it, as JSON bytes:
+    ``edit`` returns a replacement, or ``None`` after editing in place."""
+    meta = json.loads(json.dumps(meta))
+    meta = edit(meta) or meta
+    return json.dumps(meta).encode()
+
+
+def without(name: str):
+    """An edit dropping field ``name`` of the metadata."""
+    return lambda meta: {key: value for key, value in meta.items() if key != name}
+
+
+def first_tree(make):
+    """An edit replacing the first ``[keyword, length]`` tree entry with
+    ``make(keyword, length)``."""
+
+    def edit(meta):
+        meta["trees"][0] = make(*meta["trees"][0])
+
+    return edit
+
+
+class TestCheckpointMetadataFailsClosed:
+    """A checkpoint's digest proves it is whole, not that its metadata is
+    well formed: a re-sealed checkpoint whose metadata block is not the
+    JSON object a checkpoint writes — or whose header claims more
+    metadata than the file holds — is refused with an
+    :class:`IntegrityError` on reopen, never an untyped error."""
+
+    #: label -> edit of the metadata (see :func:`edited`).
+    EDITS = {
+        "metadata a list": lambda meta: [meta],
+        "metadata a string": lambda meta: "meta",
+        "no trees": without("trees"),
+        "no objects": without("objects"),
+        "trees not a list": lambda meta: meta.update(trees={"kw0": 1}),
+        "objects not a list": lambda meta: meta.update(objects="none"),
+        "blob length a string": first_tree(lambda keyword, length: [keyword, str(length)]),
+        "blob length a bool": first_tree(lambda keyword, length: [keyword, True]),
+        "blob length negative": first_tree(lambda keyword, length: [keyword, -1]),
+        "tree entry a string": first_tree(lambda keyword, length: keyword),
+        "tree entry a number": first_tree(lambda keyword, length: 5),
+        "tree entry of one": first_tree(lambda keyword, length: [keyword]),
+        "tree entry of three": first_tree(lambda keyword, length: [keyword, length, 0]),
+        "tree keyword a number": first_tree(lambda keyword, length: [5, length]),
+        "object record a list": lambda meta: meta["objects"].append([1]),
+    }
+
+    @pytest.fixture
+    def checkpointed(self, tmp_path):
+        """A compacted one-shard Merkle store: its checkpoint path and
+        metadata."""
+        system = HybridStorageSystem(
+            scheme="smi", seed=3, engine="disk", engine_dir=tmp_path
+        )
+        system.add_objects(
+            [DataObject(oid, ("kw0", "kw1"), b"x%d" % oid) for oid in range(1, 4)]
+        )
+        system.compact()
+        system.close()
+        path = tmp_path / "shard-000.ckpt"
+        blob = path.read_bytes()
+        meta_len = _CKPT_HEAD.unpack_from(blob, 0)[3]
+        meta = json.loads(blob[_CKPT_HEAD.size : _CKPT_HEAD.size + meta_len])
+        return path, meta
+
+    def reopen(self, path) -> None:
+        engine = DiskShardEngine(0, lambda: MerkleInvertedSP(fanout=4), path.parent)
+        engine.close()
+
+    def test_the_honest_checkpoint_opens(self, checkpointed):
+        path, meta = checkpointed
+        reseal(path, edited(meta, lambda meta: None))
+        self.reopen(path)
+
+    @pytest.mark.parametrize("label", sorted(EDITS))
+    def test_malformed_metadata_is_refused(self, checkpointed, label):
+        path, meta = checkpointed
+        reseal(path, edited(meta, self.EDITS[label]))
+        with pytest.raises(IntegrityError):
+            self.reopen(path)
+
+    @pytest.mark.parametrize(
+        "raw", [b"\xff\xfe\x00{", b"{\"shard\": 0", b""], ids=["utf8", "json", "empty"]
+    )
+    def test_metadata_that_is_not_json_is_refused(self, checkpointed, raw):
+        path, _ = checkpointed
+        reseal(path, raw)
+        with pytest.raises(IntegrityError):
+            self.reopen(path)
+
+    def test_metadata_length_past_the_file_is_refused(self, checkpointed):
+        path, meta = checkpointed
+        meta_bytes = edited(meta, lambda meta: None)
+        reseal(path, meta_bytes, meta_len=len(path.read_bytes()))
+        with pytest.raises(IntegrityError):
+            self.reopen(path)
