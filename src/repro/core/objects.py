@@ -207,8 +207,9 @@ def _fields(wire: bytes) -> tuple[int, tuple[str, ...], bytes]:
 
 
 def object_to_record(obj: DataObject) -> dict:
-    """The JSON record of an object, as shard journals and
-    ``objects.jsonl`` store it."""
+    """The JSON record of an object, as the data owner's
+    ``objects.jsonl`` stores it (shard journals and checkpoints hold
+    :meth:`DataObject.encoded` instead)."""
     return {
         "id": obj.object_id,
         "keywords": list(obj.keywords),
@@ -216,29 +217,20 @@ def object_to_record(obj: DataObject) -> dict:
     }
 
 
-def record_uint(record: dict, name: str, bits: int = 64) -> int:
-    """Field ``name`` of a journal record: an ``int`` — not a ``bool``
-    or a ``float`` — in ``[0, 2^bits)``, else :class:`IntegrityError`."""
-    value = record.get(name)
-    if type(value) is not int or value < 0 or value >> bits:
-        raise IntegrityError(
-            f"record field {name!r} is {value!r}, not a {bits}-bit unsigned integer"
-        )
-    return value
-
-
 def record_to_object(record: dict) -> DataObject:
     """Inverse of :func:`object_to_record`, failing closed.
 
-    The ID is a 64-bit ``int``, the keywords a list of strings in their
-    normal form, the content canonical base64: a record that is not a
-    JSON object, lacks a field or holds anything else is an
-    :class:`IntegrityError`, so no other value is taken for the one
-    written.
+    The ID is a 64-bit ``int`` (not a ``bool`` or a ``float``), the
+    keywords a list of strings in their normal form, the content
+    canonical base64: a record that is not a JSON object, lacks a field
+    or holds anything else is an :class:`IntegrityError`, so no other
+    value is taken for the one written.
     """
     if not isinstance(record, dict):
         raise IntegrityError("object record is not a JSON object")
-    object_id = record_uint(record, "id")
+    object_id = record.get("id")
+    if type(object_id) is not int or object_id < 0 or object_id >> 64:
+        raise IntegrityError(f"object record's ID {object_id!r} is not a 64-bit uint")
     keywords = record.get("keywords")
     content = record.get("content")
     try:

@@ -22,8 +22,8 @@ inline (``pool="stateless"``), :class:`~repro.sp.affine.AffineWorkerPool`
 calls it in the resident worker that owns the shard (``pool="affine"``).
 Both get the same buffering, ordering and read-your-writes rules: a
 shard's buffered ops ship before any read and at the end of every
-ingest section.  Nothing here knows the journal's JSON: only a disk
-engine turns an op into a journal line, and only its replay decodes one.
+ingest section.  Nothing here knows the journal's bytes: only a disk
+engine encodes an op as a journal record, and only its replay decodes one.
 
 Sharding is invisible above this layer: a keyword's tree receives
 exactly the insert sequence it would receive in a single-shard system,

@@ -21,15 +21,10 @@ Two kinds (:func:`make_engine`):
 
 * ``"memory"`` — :class:`IndexShardEngine`: plain in-process state;
 * ``"disk"`` — :class:`DiskShardEngine`: the same state fronted by an
-  append-only JSONL segment log (``shard-NNN.jsonl``), the only code
-  that reads or writes journal JSON.  Every confirmed batch of ops is
-  journaled as one append after it is applied; reopening the engine
-  decodes the log strictly back into ops and applies them through the
-  same code path (the recovery model of :mod:`repro.core.persistence`).  A
-  checkpoint (``shard-NNN.ckpt``, version 2) holds a header, one JSON
-  block (shard, epoch, node-store version, tree lengths, object
-  records), the tree blobs and a SHA-3 digest; restoring it hands the
-  trees to the index, which rebuilds whatever it derives from them.
+  append-only binary journal (``shard-NNN.journal``) and a checkpoint
+  (``shard-NNN.ckpt``), each value at its wire width and each object in
+  its canonical encoding; the disk engine is the only code that encodes
+  an op, and its replay the only code that decodes one.
 
 Routing is a pure function: :class:`ShardRouter` hashes each keyword
 with a seeded, domain-separated tag, so the keyword -> shard map is
@@ -42,10 +37,10 @@ on the routing cache and one ``sp.shard.<i>.objects`` counter per shard.
 
 from __future__ import annotations
 
-import json
 import mmap
 import os
 import struct
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable
@@ -54,16 +49,11 @@ from repro import obs
 from repro.core.chameleon import ChameleonTreeSP, InsertionProof
 from repro.core.mbtree import MBTree
 from repro.core.multiproof import prove_keys
-from repro.core.nodestore import KIND_CHAMELEON, KIND_MBTREE, NODESTORE_VERSION
-from repro.core.objects import (
-    DataObject,
-    ObjectStore,
-    object_to_record,
-    record_to_object,
-    record_uint,
-)
+from repro.core.nodestore import NODESTORE_VERSION
+from repro.core.objects import DataObject, ObjectStore, normalise_keyword
 from repro.core.query.join import conjunctive_join
 from repro.core.suppressed import gen_spines
+from repro.core.wire import U8, U32, Reader
 from repro.crypto.hashing import digests_equal, sha3, tagged_hash
 from repro.errors import IntegrityError, ParameterError, ReproError
 
@@ -111,101 +101,6 @@ class ShardRouter:
         shard = int.from_bytes(digest[:8], "big") % self.shards
         self._cache[keyword] = shard
         return shard
-
-
-def proof_to_record(proof: InsertionProof) -> dict:
-    # Group elements are arbitrary-precision ints; hex keeps the journal
-    # line compact and round-trips exactly.
-    return {
-        "position": proof.position,
-        "object_id": proof.object_id,
-        "object_hash": proof.object_hash.hex(),
-        "commitment": format(proof.commitment, "x"),
-        "opening": format(proof.opening, "x"),
-        "parent_opening": format(proof.parent_opening, "x"),
-        "parent_position": proof.parent_position,
-        "child_index": proof.child_index,
-    }
-
-
-def _op_to_record(op: ShardOp) -> dict:
-    """The journal record of a shard op; read back by ``_record_to_op``."""
-    kind = op[0]
-    if kind == "entry":
-        _, keyword, object_id, object_hash = op
-        return {"op": kind, "kw": keyword, "id": object_id, "hash": object_hash.hex()}
-    if kind == "register":
-        return {"op": kind, "kw": op[1], "c": format(op[2], "x")}
-    if kind == "apply":
-        return {"op": kind, "kw": op[1], "proof": proof_to_record(op[2])}
-    return {"op": kind, **object_to_record(op[1])}
-
-
-def tree_from_blob(blob: bytes | bytearray | memoryview) -> Any:
-    """Restore an ADS tree from a node-store buffer, dispatching on kind.
-
-    The blob is self-describing (header kind byte), so checkpoint
-    loading needs no out-of-band type tag.
-    """
-    if len(blob) < 7:
-        raise IntegrityError("node-store blob shorter than its header")
-    kind = blob[6]
-    if kind == KIND_MBTREE:
-        return MBTree.from_blob(blob)
-    if kind == KIND_CHAMELEON:
-        return ChameleonTreeSP.from_blob(blob)
-    raise IntegrityError(f"unknown node-store kind {kind}")
-
-
-def _record_digest(record: dict, name: str) -> bytes:
-    """Field ``name``: a 32-byte digest, as ``bytes.hex()`` writes it."""
-    text = record.get(name)
-    try:
-        raw = bytes.fromhex(text)
-    except (TypeError, ValueError):
-        raw = None
-    if raw is None or len(raw) != 32 or raw.hex() != text:
-        raise IntegrityError(f"record field {name!r} is not a 32-byte hex digest")
-    return raw
-
-
-def _record_element(record: dict, name: str, value_bytes: int) -> int:
-    """Field ``name``: a group element, as ``format(x, "x")`` writes it,
-    below ``2^(8 * value_bytes)``."""
-    text = record.get(name)
-    try:
-        value = int(text, 16)
-    except (TypeError, ValueError):
-        value = -1
-    if value < 0 or value >> (8 * value_bytes) or format(value, "x") != text:
-        raise IntegrityError(
-            f"record field {name!r} is not a {value_bytes}-byte hex element"
-        )
-    return value
-
-
-def _record_to_proof(record: dict, value_bytes: int) -> InsertionProof:
-    """The insertion proof a journal record holds, failing closed: every
-    field of its wire width and form (see :func:`proof_to_record`), else
-    :class:`IntegrityError`."""
-    if not isinstance(record, dict):
-        raise IntegrityError("insertion proof record is not a JSON object")
-    if "opening" not in record:
-        # Per-slot openings cannot be turned into whole-vector ones
-        # without the trapdoor: the shard must be rebuilt by the DO.
-        raise IntegrityError(
-            "journal record carries per-slot openings from an older build"
-        )
-    return InsertionProof(
-        position=record_uint(record, "position"),
-        object_id=record_uint(record, "object_id"),
-        object_hash=_record_digest(record, "object_hash"),
-        commitment=_record_element(record, "commitment", value_bytes),
-        opening=_record_element(record, "opening", value_bytes),
-        parent_opening=_record_element(record, "parent_opening", value_bytes),
-        parent_position=record_uint(record, "parent_position"),
-        child_index=record_uint(record, "child_index", 8),
-    )
 
 
 class IndexShardEngine:
@@ -356,37 +251,184 @@ class IndexShardEngine:
         return None
 
 
+#: Journal file magic and format version (``shard-NNN.journal``).  Every
+#: journal that holds bytes starts with its header; the JSONL journals
+#: of older builds (``shard-NNN.jsonl``) are refused, never replayed.
+JOURNAL_MAGIC = b"RPJL"
+JOURNAL_VERSION = 1
+
+_JOURNAL_START = struct.Struct(">4sHI")  # magic, version, epoch
+_JOURNAL_HEAD_SIZE = _JOURNAL_START.size + U32.size  # + CRC-32 of the start
+_FRAME = struct.Struct(">II")  # body length, CRC-32 of the body
+
+#: The ``u8`` tag of each op kind in a journal record.
+_TAGS = {"object": 1, "entry": 2, "register": 3, "apply": 4}
+_KINDS = {tag: kind for kind, tag in _TAGS.items()}
+_U64 = struct.Struct(">Q")
+_PROOF_TAIL = struct.Struct(">QB")  # parent position, child index
+
 #: Checkpoint file magic (``shard-NNN.ckpt``).
 CKPT_MAGIC = b"RPCK"
 
 #: Checkpoint container version.  Version 1 also stored each keyword's
-#: Bloom filters; version 2 stores trees and objects only, and a
-#: version-1 checkpoint is refused like any other foreign one.
-CKPT_VERSION = 2
+#: Bloom filters and version 2 a JSON metadata block; version 3 holds
+#: the metadata as fixed-width fields and object encodings, and an
+#: older checkpoint is refused like any other foreign one.
+CKPT_VERSION = 3
 
 _CKPT_HEAD = struct.Struct(">4sHII")  # magic, version, epoch, meta_len
+_CKPT_META = struct.Struct(">IHI")  # shard, node-store version, tree count
+
+
+def _journal_head(epoch: int) -> bytes:
+    """A journal's header record at ``epoch``."""
+    start = _JOURNAL_START.pack(JOURNAL_MAGIC, JOURNAL_VERSION, epoch)
+    return start + U32.pack(zlib.crc32(start))
+
+
+def _put_keyword(out: bytearray, keyword: str) -> None:
+    blob = keyword.encode("utf-8")
+    out.append(len(blob))  # normalised keywords are at most 255 bytes
+    out += blob
+
+
+def _encode_ops(ops: list[ShardOp], value_bytes: int | None) -> bytes:
+    """One journal record's body: each op's tag, then its values at their
+    wire widths; read back by :func:`_read_ops`."""
+    out = bytearray()
+    for op in ops:
+        kind = op[0]
+        out.append(_TAGS[kind])
+        if kind == "object":
+            wire = op[1].encoded()
+            out += U32.pack(len(wire))
+            out += wire
+            continue
+        _put_keyword(out, op[1])
+        if kind == "entry":
+            out += _U64.pack(op[2])
+            out += op[3]
+        elif kind == "register":
+            out += op[2].to_bytes(value_bytes, "big")
+        else:
+            proof = op[2]
+            out += _U64.pack(proof.position)
+            out += _U64.pack(proof.object_id)
+            out += proof.object_hash
+            for element in (proof.commitment, proof.opening, proof.parent_opening):
+                out += element.to_bytes(value_bytes, "big")
+            out += _PROOF_TAIL.pack(proof.parent_position, proof.child_index)
+    return bytes(out)
+
+
+def _read_object(wire: bytes) -> DataObject:
+    """An object stored by its wire encoding, which must re-encode to
+    itself.  The encoding is injective, so it does exactly when its
+    keywords are already in normal form, each listed once."""
+    obj = DataObject.from_wire(wire)
+    try:
+        canonical = tuple(dict.fromkeys(map(normalise_keyword, obj.keywords)))
+    except ReproError as exc:
+        raise IntegrityError(f"object {obj.object_id}: {exc}") from None
+    if canonical != obj.keywords:
+        raise IntegrityError(f"object {obj.object_id} is not in canonical form")
+    return obj
+
+
+def _read_ops(body: bytes, value_bytes: int | None) -> list[ShardOp]:
+    """The ops of one journal record, failing closed.
+
+    ``value_bytes`` is the shard's group-element width, or ``None`` for
+    a Merkle index: an ``entry`` belongs to a Merkle shard's journal,
+    a ``register`` or ``apply`` to a Chameleon one's, and an op of the
+    other family, an unknown tag or a field that does not fit is a
+    :class:`ReproError`.  Only replay runs this: live ops are never
+    decoded.
+    """
+    reader = Reader(body, "journal record")
+    ops: list[ShardOp] = []
+    while reader.pos < len(body):
+        tag = reader.u8()
+        kind = _KINDS.get(tag)
+        if kind is None:
+            # Never skipped: a record this build cannot apply leaves the
+            # shard unrecoverable here.
+            raise IntegrityError(f"unknown journal op tag {tag}")
+        if kind == "object":
+            ops.append((kind, _read_object(reader.blob(U32))))
+            continue
+        if (kind == "entry") != (value_bytes is None):
+            family = "Merkle" if value_bytes is None else "Chameleon"
+            raise IntegrityError(f"a {family} shard's journal holds an {kind!r} op")
+        keyword = reader.text(U8)
+        if value_bytes is None:  # an entry, by the check above
+            ops.append((kind, keyword, reader.uint(8), reader.take(32)))
+        elif kind == "register":
+            ops.append((kind, keyword, reader.uint(value_bytes)))
+        else:
+            proof = InsertionProof(
+                position=reader.uint(8),
+                object_id=reader.uint(8),
+                object_hash=reader.take(32),
+                commitment=reader.uint(value_bytes),
+                opening=reader.uint(value_bytes),
+                parent_opening=reader.uint(value_bytes),
+                parent_position=reader.uint(8),
+                child_index=reader.u8(),
+            )
+            ops.append((kind, keyword, proof))
+    return ops
+
+
+def _read_ckpt_meta(
+    meta: bytes, shard_id: int
+) -> tuple[list[tuple[str, int]], list[DataObject]]:
+    """The ``(keyword, blob length)`` pairs and the objects of a
+    checkpoint's metadata block, failing closed: the digest proves the
+    file whole, not well formed, so anything but the block
+    :meth:`DiskShardEngine._serialise_state` writes for this shard —
+    keywords and object IDs strictly ascending — is a
+    :class:`ReproError`."""
+    reader = Reader(meta, "checkpoint metadata")
+    shard, node_store, count = _CKPT_META.unpack(reader.take(_CKPT_META.size))
+    if shard != shard_id:
+        raise IntegrityError(f"checkpoint belongs to shard {shard}, not {shard_id}")
+    if node_store != NODESTORE_VERSION:
+        raise IntegrityError(f"checkpoint holds node-store version {node_store}")
+    trees = [(reader.text(U8), reader.uint(4)) for _ in range(count)]
+    objects = [_read_object(wire) for wire in reader.blobs(U32, reader.uint(4))]
+    reader.finish()
+    keywords = [keyword for keyword, _ in trees]
+    ids = [obj.object_id for obj in objects]
+    if keywords != sorted(set(keywords)) or ids != sorted(set(ids)):
+        raise IntegrityError("checkpoint trees or objects are not in ascending order")
+    return trees, objects
 
 
 class DiskShardEngine(IndexShardEngine):
-    """An engine fronted by an append-only JSONL segment log.
+    """An engine fronted by an append-only binary segment log.
 
     Every confirmed batch of ops is appended to
-    ``<directory>/shard-NNN.jsonl`` as self-describing JSON records
-    after it is applied in memory.  Opening an engine over an existing
-    log decodes each record strictly back into its op
-    (:meth:`_record_to_op`) and applies it through the same dispatch
-    (:meth:`_apply`, which never journals), rebuilding byte-identical
-    tree state — the recovery model of :mod:`repro.core.persistence`,
-    scoped to one shard.
+    ``<directory>/shard-NNN.journal`` after it is applied, as one record:
+    ``u32`` body length, CRC-32 of the body, then each op's ``u8`` tag
+    and values at their wire widths (:func:`_encode_ops`).  The journal
+    opens with a header record (magic, version, epoch, CRC-32), written
+    with its first append or when compaction swaps in a fresh journal.
+    Reopening decodes each record strictly back into ops
+    (:func:`_read_ops`, through :class:`~repro.core.wire.Reader`) and
+    applies them through the same dispatch (:meth:`_apply`, which never
+    journals), rebuilding byte-identical tree state — the recovery model
+    of :mod:`repro.core.persistence`, scoped to one shard.  A JSONL
+    journal of an older build (``shard-NNN.jsonl``) is refused.
 
     Checkpoints and compaction
     --------------------------
-    :meth:`snapshot` writes the engine's complete state to
-    ``shard-NNN.ckpt`` — the flat-buffer tree blobs verbatim, no
-    per-node serialisation — then swaps in a fresh journal, so restart
-    cost is one mmap'd read plus a (normally empty) journal suffix
-    instead of a full-history replay.  Checkpoints and journals carry an
-    *epoch* number tying them together:
+    :meth:`snapshot` writes ``shard-NNN.ckpt``: a header, a metadata
+    block (shard, node-store version, each tree's keyword and blob
+    length, each object's encoding), the tree blobs verbatim and a SHA-3
+    digest.  It then swaps in a fresh journal, so restart is one mmap'd
+    read plus a (normally empty) journal suffix.  Checkpoints and
+    journals carry an *epoch* number tying them together:
 
     * journal epoch == checkpoint epoch: normal restart — load the
       checkpoint, replay the suffix;
@@ -395,12 +437,12 @@ class DiskShardEngine(IndexShardEngine):
       journaled record, so the stale journal is discarded and the swap
       finished;
     * a ``*.tmp`` file is always a torn write and is removed;
-    * a checkpoint that fails its integrity digest is recoverable only
-      when the journal still holds full history (epoch 0).
+    * a checkpoint that fails its digest or does not decode is
+      recoverable only when the journal still holds full history
+      (epoch 0).
 
     Every rename is followed by a directory fsync so a crash cannot
-    resurrect the superseded file, and the torn-tail tolerance of the
-    journal replay is unchanged.
+    resurrect the superseded file.
     """
 
     def __init__(
@@ -410,19 +452,30 @@ class DiskShardEngine(IndexShardEngine):
         directory: str | Path,
     ) -> None:
         super().__init__(shard_id, index_factory)
+        # ``None``: a Merkle index, whose journal holds entries and never
+        # a group element.
+        self._value_bytes = getattr(self.index, "value_bytes", None)
         self.directory = Path(directory)
-        self.path = self.directory / f"shard-{shard_id:03d}.jsonl"
+        self.path = self.directory / f"shard-{shard_id:03d}.journal"
         self.checkpoint_path = self.directory / f"shard-{shard_id:03d}.ckpt"
         self.directory.mkdir(parents=True, exist_ok=True)
         self._log = None
         self.epoch = 0
         self._recover()
-        self._log = self.path.open("a")
+        self._log = self.path.open("ab")
+        # A journal gets its header with its first append.
+        self._head = b"" if self._log.tell() else _journal_head(self.epoch)
 
     # -- recovery ----------------------------------------------------------------
 
     def _recover(self) -> None:
         """Reassemble state from checkpoint + journal (see class docs)."""
+        legacy = self.path.with_suffix(".jsonl")
+        if legacy.exists():
+            raise IntegrityError(
+                f"{legacy.name} is a JSON journal of an older build; "
+                "rebuild the shard from the data owner's objects"
+            )
         for stem in (self.checkpoint_path, self.path):
             torn = stem.with_name(stem.name + ".tmp")
             if torn.exists():
@@ -460,90 +513,78 @@ class DiskShardEngine(IndexShardEngine):
             self._replay()
 
     def _journal_epoch(self) -> int:
-        """The journal's epoch header (0 = pre-epoch / full history)."""
+        """The journal's epoch, from its header record: 0 for an empty
+        journal or one whose first append was torn inside the header;
+        anything else but a whole header of this version is refused."""
         with self.path.open("rb") as fh:
-            first = fh.readline()
-        if not first.endswith(b"\n"):
+            head = fh.read(_JOURNAL_HEAD_SIZE)
+        if len(head) < _JOURNAL_HEAD_SIZE and _journal_head(0).startswith(head):
             return 0
-        try:
-            record = json.loads(first)
-        except ValueError:
-            return 0
-        if isinstance(record, dict) and record.get("op") == "epoch":
-            return record_uint(record, "n")
-        return 0
+        magic, version, epoch = _JOURNAL_START.unpack_from(
+            head.ljust(_JOURNAL_HEAD_SIZE)
+        )
+        if magic != JOURNAL_MAGIC:
+            raise IntegrityError(f"{self.path.name} is not a shard journal")
+        start, checksum = head[: _JOURNAL_START.size], head[_JOURNAL_START.size :]
+        if checksum != U32.pack(zlib.crc32(start)):
+            raise IntegrityError(f"{self.path.name} has a corrupt header")
+        if version != JOURNAL_VERSION:
+            raise IntegrityError(f"unsupported journal version {version}")
+        return epoch
 
     def _replay(self) -> None:
         """Stream-replay the segment log, truncating a torn tail record.
 
-        The journal is read line-by-line — never materialised whole, so
-        replay memory is O(record), not O(journal).  A crash mid-append
-        leaves either bytes after the last newline or a final
-        newline-terminated line that no longer decodes (the page holding
-        its prefix may not have hit disk).  Both are the torn tail of an
-        *unconfirmed* append: drop it, truncate the file to the last
-        good record and recover everything before it.  A non-final line
-        that fails to decode is real corruption and raises — silently
-        skipping interior records would desynchronise the shard from the
-        on-chain digests.
+        Read record by record, so replay memory is O(record).  A crash
+        mid-append leaves a final record cut short, or one whose checksum
+        fails (the page holding its prefix may not have hit disk): the
+        torn tail of an *unconfirmed* append, dropped by truncating the
+        file to the last good record.  A failing checksum with bytes
+        after it is real corruption and raises, and so does a record that
+        passes its checksum but does not decode: skipping records would
+        desynchronise the shard from the on-chain digests.
         """
+        size = self.path.stat().st_size
         good_end = 0
-        lineno = 0
         with self.path.open("rb") as fh:
-            while True:
-                raw = fh.readline()
-                if not raw:
-                    break
-                lineno += 1
-                if not raw.endswith(b"\n"):
-                    break  # bytes past the last newline: torn append
-                line = raw.strip()
-                if line:
-                    try:
-                        record = json.loads(line)
-                    except ValueError as exc:
-                        if not fh.read(1):
-                            break  # torn final line: truncate before it
-                        raise ReproError(
-                            f"corrupt journal record at {self.path.name}:"
-                            f"{lineno}"
-                        ) from exc
-                    if not isinstance(record, dict) or record.get("op") != "epoch":
-                        self._apply(self._record_to_op(record))
-                good_end += len(raw)
-        if good_end < self.path.stat().st_size:
+            if size >= _JOURNAL_HEAD_SIZE:  # else a header torn at creation
+                good_end = fh.seek(_JOURNAL_HEAD_SIZE)
+            while good_end:
+                frame = fh.read(_FRAME.size)
+                if len(frame) < _FRAME.size:
+                    break  # the end, or a torn record head
+                length, checksum = _FRAME.unpack(frame)
+                body = fh.read(length)
+                if len(body) < length:
+                    break  # torn append
+                if zlib.crc32(body) != checksum:
+                    if fh.tell() == size:
+                        break  # torn final record: truncate before it
+                    raise ReproError(
+                        f"corrupt journal record at {self.path.name}+{good_end}"
+                    )
+                try:
+                    ops = _read_ops(body, self._value_bytes)
+                except ReproError as exc:
+                    raise IntegrityError(
+                        f"journal record at {self.path.name}+{good_end}: {exc}"
+                    ) from None
+                for op in ops:
+                    self._apply(op)
+                good_end = fh.tell()
+        if good_end < size:
             os.truncate(self.path, good_end)
-
-    def _record_to_op(self, record: object) -> ShardOp:
-        """The op a journal record holds, failing closed: a record that is
-        not a JSON object, names an unknown op or holds a field not of the
-        form :func:`_op_to_record` writes is an :class:`IntegrityError`.
-        Only replay runs these checks: live ops are never decoded."""
-        if not isinstance(record, dict):
-            raise IntegrityError("journal record is not a JSON object")
-        op, keyword = record.get("op"), record.get("kw")
-        if op == "object":
-            return (op, record_to_object(record))
-        if op not in ("entry", "register", "apply"):
-            # Never skipped: a record this build cannot apply (an older
-            # build's ``bloom``, say) leaves the shard unrecoverable here.
-            raise IntegrityError(f"unknown journal op {op!r}")
-        if not isinstance(keyword, str):
-            raise IntegrityError("journal record names no keyword")
-        if op == "entry":
-            return (op, keyword, record_uint(record, "id"), _record_digest(record, "hash"))
-        if op == "register":
-            return (op, keyword, _record_element(record, "c", self.index.value_bytes))
-        return (op, keyword, _record_to_proof(record.get("proof"), self.index.value_bytes))
 
     # -- journaling --------------------------------------------------------------
 
     def _journal_many(self, ops: list[ShardOp]) -> None:
-        # One write call + flush for the whole batch, not O(k) syscalls.
+        # One record, one write call + flush for the whole batch.
         if self._log is not None and ops:
+            body = _encode_ops(ops, self._value_bytes)
             self._log.write(
-                "".join(json.dumps(_op_to_record(op)) + "\n" for op in ops)
+                self._head + _FRAME.pack(len(body), zlib.crc32(body)) + body
             )
+            self._head = b""
             self._log.flush()
 
     def _fsync_dir(self) -> None:
@@ -557,9 +598,8 @@ class DiskShardEngine(IndexShardEngine):
     def _reset_journal(self) -> None:
         """Atomically replace the journal with a fresh epoch-tagged one."""
         tmp = self.path.with_name(self.path.name + ".tmp")
-        with tmp.open("w") as fh:
-            if self.epoch:
-                fh.write(json.dumps({"op": "epoch", "n": self.epoch}) + "\n")
+        with tmp.open("wb") as fh:
+            fh.write(_journal_head(self.epoch))
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, self.path)
@@ -571,32 +611,26 @@ class DiskShardEngine(IndexShardEngine):
         """One self-validating buffer holding the whole engine state.
 
         Tree state is the flat-buffer blobs verbatim — writing a
-        checkpoint is a header, one JSON metadata block, and a
-        concatenation of buffers already sitting in memory.  The
-        trailing SHA-3 digest makes torn or bit-rotted checkpoints
-        detectable before any of their state is adopted.
+        checkpoint is a header, one metadata block, and a concatenation
+        of buffers already sitting in memory.  The trailing SHA-3 digest
+        makes torn or bit-rotted checkpoints detectable before any of
+        their state is adopted.
         """
-        trees_meta: list[list] = []
-        blobs: list[bytes] = []
-        for keyword in sorted(self.index.trees):
-            blob = self.index.trees[keyword].to_blob()
-            trees_meta.append([keyword, len(blob)])
-            blobs.append(blob)
-        objects = [
-            object_to_record(self.store.get(object_id))
-            for object_id in self.store.all_ids()
-        ]
-        meta = {
-            "shard": self.shard_id,
-            "epoch": epoch,
-            "node_store": NODESTORE_VERSION,
-            "trees": trees_meta,
-            "objects": objects,
-        }
-        meta_bytes = json.dumps(meta, separators=(",", ":")).encode("utf-8")
+        keywords = sorted(self.index.trees)
+        blobs = [self.index.trees[keyword].to_blob() for keyword in keywords]
+        meta = bytearray(_CKPT_META.pack(self.shard_id, NODESTORE_VERSION, len(blobs)))
+        for keyword, blob in zip(keywords, blobs):
+            _put_keyword(meta, keyword)
+            meta += U32.pack(len(blob))
+        object_ids = self.store.all_ids()
+        meta += U32.pack(len(object_ids))
+        for object_id in object_ids:
+            wire = self.store.get(object_id).encoded()
+            meta += U32.pack(len(wire))
+            meta += wire
         body = (
-            _CKPT_HEAD.pack(CKPT_MAGIC, CKPT_VERSION, epoch, len(meta_bytes))
-            + meta_bytes
+            _CKPT_HEAD.pack(CKPT_MAGIC, CKPT_VERSION, epoch, len(meta))
+            + meta
             + b"".join(blobs)
         )
         return body + sha3(body)
@@ -628,7 +662,8 @@ class DiskShardEngine(IndexShardEngine):
             self._log.close()
             self._log = None
         self._reset_journal()
-        self._log = self.path.open("a")
+        self._log = self.path.open("ab")
+        self._head = b""
         return self.checkpoint_path
 
     def load_snapshot(self) -> int:
@@ -656,29 +691,26 @@ class DiskShardEngine(IndexShardEngine):
             offset = _CKPT_HEAD.size
             if offset + meta_len > len(mapped) - 32:
                 raise IntegrityError("checkpoint metadata runs past the file")
-            tree_lengths, object_records = self._checkpoint_meta(
-                mapped[offset : offset + meta_len]
-            )
-            offset += meta_len
-            view = memoryview(mapped)
-            trees: dict[str, Any] = {}
             try:
+                tree_lengths, objects = _read_ckpt_meta(
+                    mapped[offset : offset + meta_len], self.shard_id
+                )
+            except ReproError as exc:
+                raise IntegrityError(f"checkpoint metadata: {exc}") from None
+            offset += meta_len
+            if offset + sum(length for _, length in tree_lengths) != len(mapped) - 32:
+                raise IntegrityError("checkpoint tree blobs do not fill the file")
+            # The index's family decides the tree type; a blob of the
+            # other one fails its kind check.
+            from_blob = (
+                MBTree.from_blob if self._value_bytes is None else ChameleonTreeSP.from_blob
+            )
+            trees: dict[str, Any] = {}
+            with memoryview(mapped) as view:
                 for keyword, blob_len in tree_lengths:
-                    blob = view[offset : offset + blob_len]
-                    try:
-                        if len(blob) != blob_len:
-                            raise IntegrityError(
-                                "checkpoint tree blob truncated"
-                            )
-                        trees[keyword] = tree_from_blob(blob)
-                    finally:
-                        blob.release()
+                    with view[offset : offset + blob_len] as blob:
+                        trees[keyword] = from_blob(blob)
                     offset += blob_len
-            finally:
-                view.release()
-            if offset != len(mapped) - 32:
-                raise IntegrityError("checkpoint has trailing bytes")
-            objects = [record_to_object(rec) for rec in object_records]
         finally:
             mapped.close()
         self.index.adopt(trees)
@@ -688,37 +720,9 @@ class DiskShardEngine(IndexShardEngine):
             obs.inc(self._objects_metric)
         return epoch
 
-    def _checkpoint_meta(self, raw: bytes) -> tuple[list, list]:
-        """The ``(trees, objects)`` lists of a checkpoint's metadata
-        block, failing closed: the digest proves the file whole, not
-        well formed, so anything but the JSON object
-        :meth:`_serialise_state` writes for this shard is an
-        :class:`IntegrityError`."""
-        try:
-            meta = json.loads(raw)
-        except (ValueError, RecursionError):
-            raise IntegrityError("checkpoint metadata is not JSON") from None
-        if not isinstance(meta, dict):
-            raise IntegrityError("checkpoint metadata is not a JSON object")
-        if meta.get("shard") != self.shard_id:
-            raise IntegrityError(
-                f"checkpoint belongs to shard {meta.get('shard')}, "
-                f"not {self.shard_id}"
-            )
-        trees, objects = meta.get("trees"), meta.get("objects")
-        if type(trees) is not list or type(objects) is not list:
-            raise IntegrityError("checkpoint metadata lacks its tree or object list")
-        for entry in trees:
-            keyword, length = entry if type(entry) is list and len(entry) == 2 else (0, -1)
-            if not isinstance(keyword, str) or type(length) is not int or length < 0:
-                raise IntegrityError(f"checkpoint tree entry {entry!r} is not [keyword, length]")
-        return trees, objects
-
     def compact(self) -> dict:
         """Checkpoint + truncate the journal; returns reclaim stats."""
-        journal_before = (
-            self.path.stat().st_size if self.path.exists() else 0
-        )
+        journal_before = self.path.stat().st_size
         self.snapshot()
         journal_after = self.path.stat().st_size
         return {

@@ -5,8 +5,9 @@ import json
 import pytest
 
 from repro import DataObject, HybridStorageSystem
+from repro.core.objects import object_to_record, record_to_object
 from repro.core.persistence import load_system, save_system
-from repro.errors import ReproError
+from repro.errors import IntegrityError, ReproError
 from repro.sp.engine import DiskShardEngine, IndexShardEngine
 
 
@@ -236,3 +237,43 @@ class TestManifestValidation:
         path = save_system(system, tmp_path / "snap", seed=1)
         restored = load_system(path)
         assert len(restored) == 0
+
+
+class TestObjectRecordsFailClosed:
+    """``objects.jsonl`` keeps its JSON records, read back strictly: each
+    field of a record replaced by a value of the wrong type or form is
+    refused with an :class:`IntegrityError`, never taken for the one
+    written."""
+
+    RECORD = object_to_record(DataObject(7, ("a", "b"), b"x7"))
+
+    MUTANTS = [
+        ("id", value) for value in (7.0, True, "7", -1, 1 << 64, None, [7])
+    ] + [
+        ("content", value)
+        for value in ("eDE", "eD!=", "eDF=", " eDc=", "eDc=\n", 5, None)
+    ] + [
+        ("keywords", value)
+        for value in ("a", ["A", "b"], ["a", "a", "b"], [" a", "b"], ["a", 1], [""], None)
+    ]
+
+    def test_the_honest_record_reads_back(self):
+        assert record_to_object(json.loads(json.dumps(self.RECORD))) == DataObject(
+            7, ("a", "b"), b"x7"
+        )
+
+    @pytest.mark.parametrize("field,value", MUTANTS, ids=repr)
+    def test_a_mutated_field_is_refused(self, field, value):
+        with pytest.raises(IntegrityError):
+            record_to_object({**self.RECORD, field: value})
+
+    @pytest.mark.parametrize("field", ["id", "content", "keywords"])
+    def test_a_missing_field_is_refused(self, field):
+        record = {key: value for key, value in self.RECORD.items() if key != field}
+        with pytest.raises(IntegrityError):
+            record_to_object(record)
+
+    @pytest.mark.parametrize("record", [[1], None, "object", 7], ids=repr)
+    def test_a_record_that_is_not_an_object_is_refused(self, record):
+        with pytest.raises(IntegrityError):
+            record_to_object(record)

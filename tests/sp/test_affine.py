@@ -30,6 +30,7 @@ from repro.sp.affine import (
 )
 from repro.sp.engine import POOL_KINDS, IndexShardEngine
 
+from tests import journal_records
 from tests.sp.test_engine import entry_op
 from tests.sp.test_sharding import QUERIES, SCHEMES, build, make_docs, vo_frame
 
@@ -542,10 +543,11 @@ class TestDiskRecovery:
         self.fill(sp)
         roots = {kw: sp.tree(kw).root_hash for kw in ("alpha", "beta")}
         sp.close()
-        # Simulate a crash mid-append: a torn, newline-less tail.
-        journal = sorted(tmp_path.glob("shard-*.jsonl"))[0]
+        # Simulate a crash mid-append: a record cut short.
+        journal = sorted(tmp_path.glob("shard-*.journal"))[0]
+        intact = journal.read_bytes()
         with journal.open("ab") as log:
-            log.write(b'{"op": "entry", "kw": "al')
+            log.write(journal_records.seal(b"\x02\x02al")[:-1])
 
         reopened = self.build_sp(tmp_path)
         try:
@@ -553,7 +555,7 @@ class TestDiskRecovery:
                 assert reopened.tree(keyword).root_hash == root
         finally:
             reopened.close()
-        assert not journal.read_bytes().endswith(b'"al')
+        assert journal.read_bytes() == intact
 
 
 class TestAffineTelemetry:

@@ -15,6 +15,8 @@ from repro.sp.engine import (
     make_engine,
 )
 
+from tests import journal_records
+
 
 def merkle_factory():
     return MerkleInvertedSP(fanout=4)
@@ -104,7 +106,7 @@ class TestDiskEngineReplay:
             for kw in ("alpha", "beta", "gamma")
         }
         engine.close()
-        assert (tmp_path / "shard-003.jsonl").exists()
+        assert (tmp_path / "shard-003.journal").exists()
 
         reopened = DiskShardEngine(3, merkle_factory, tmp_path)
         for keyword, root in roots.items():
@@ -115,13 +117,11 @@ class TestDiskEngineReplay:
         engine = DiskShardEngine(0, merkle_factory, tmp_path)
         self.fill(engine)
         engine.close()
-        lines = (tmp_path / "shard-000.jsonl").read_text().splitlines()
+        records = journal_records.records(tmp_path / "shard-000.journal")
 
         reopened = DiskShardEngine(0, merkle_factory, tmp_path)
         reopened.close()
-        assert (
-            tmp_path / "shard-000.jsonl"
-        ).read_text().splitlines() == lines
+        assert journal_records.records(tmp_path / "shard-000.journal") == records
 
     def test_mutations_after_reopen_append(self, tmp_path):
         engine = DiskShardEngine(0, merkle_factory, tmp_path)
@@ -149,8 +149,8 @@ class TestDiskEngineReplay:
         reopened.close()
 
     def test_unknown_journal_op_rejected(self, tmp_path):
-        path = tmp_path / "shard-000.jsonl"
-        path.write_text('{"op": "explode"}\n')
+        path = tmp_path / "shard-000.journal"
+        path.write_bytes(journal_records.header(0) + journal_records.seal(b"\x7f"))
         with pytest.raises(ReproError):
             DiskShardEngine(0, merkle_factory, tmp_path)
 
@@ -169,12 +169,14 @@ class TestTornTailRecovery:
         )
         root = engine.tree("alpha").root_hash
         engine.close()
-        return tmp_path / "shard-000.jsonl", root
+        return tmp_path / "shard-000.journal", root
 
     def test_bytes_after_last_newline_are_truncated(self, tmp_path):
+        # A record cut short: the crash hit mid-append.
         path, root = self.fill_and_close(tmp_path)
         intact = path.read_bytes()
-        path.write_bytes(intact + b'{"op": "entry", "kw": "al')
+        record = journal_records.seal(journal_records.entry_op("alpha", 9, bytes(32)))
+        path.write_bytes(intact + record[:-5])
 
         engine = DiskShardEngine(0, merkle_factory, tmp_path)
         assert engine.tree("alpha").root_hash == root
@@ -182,9 +184,13 @@ class TestTornTailRecovery:
         assert path.read_bytes() == intact
 
     def test_undecodable_final_line_is_truncated(self, tmp_path):
+        # A whole final record whose checksum fails: its page never
+        # reached the disk.
         path, root = self.fill_and_close(tmp_path)
         intact = path.read_bytes()
-        path.write_bytes(intact + b'{"op": "entry", "kw\x00\x01\n')
+        record = bytearray(journal_records.seal(journal_records.entry_op("alpha", 9, bytes(32))))
+        record[-1] ^= 0x01
+        path.write_bytes(intact + bytes(record))
 
         engine = DiskShardEngine(0, merkle_factory, tmp_path)
         assert engine.tree("alpha").root_hash == root
@@ -206,9 +212,13 @@ class TestTornTailRecovery:
 
     def test_undecodable_interior_line_raises(self, tmp_path):
         path, _ = self.fill_and_close(tmp_path)
-        lines = path.read_bytes().splitlines(keepends=True)
-        lines.insert(1, b"not json at all\n")
-        path.write_bytes(b"".join(lines))
+        record = bytearray(journal_records.seal(journal_records.entry_op("alpha", 9, bytes(32))))
+        record[-1] ^= 0x01
+        path.write_bytes(
+            path.read_bytes()
+            + bytes(record)
+            + journal_records.seal(journal_records.entry_op("alpha", 10, bytes(32)))
+        )
         with pytest.raises(ReproError, match="corrupt journal record"):
             DiskShardEngine(0, merkle_factory, tmp_path)
 
@@ -254,14 +264,13 @@ class TestBatchedJournal:
         assert engine._log is None
 
 
-#: The journal decoders, in the modules that define or call them.
+#: The shard journal and checkpoint decoders, and the JSON object
+#: decoders ``objects.jsonl`` keeps.
 DECODERS = (
+    "_read_ops",
+    "_read_object",
+    "_read_ckpt_meta",
     "record_to_object",
-    "record_uint",
-    "_record_digest",
-    "_record_element",
-    "_record_keyword",
-    "_record_to_proof",
 )
 
 

@@ -7,8 +7,6 @@ lands in exactly the documented state — no double-applied records, no
 silently adopted garbage.
 """
 
-import json
-
 import pytest
 
 from repro.core.chameleon_index import ChameleonSP
@@ -21,6 +19,8 @@ from repro.crypto.hashing import sha3
 from repro.errors import IntegrityError, ReproError
 from repro.sp.engine import _CKPT_HEAD, DiskShardEngine, make_engine
 
+from tests import journal_records
+from tests.sp.test_journal_fixture import FIXTURE_DIR
 from tests.sp.test_engine import entry_op
 
 
@@ -48,7 +48,7 @@ class TestCompactRestart:
         engine = DiskShardEngine(0, merkle_factory, tmp_path)
         fill(engine)
         expected = roots_of(engine)
-        before = (tmp_path / "shard-000.jsonl").stat().st_size
+        before = (tmp_path / "shard-000.journal").stat().st_size
         report = engine.compact()
         engine.close()
 
@@ -56,8 +56,8 @@ class TestCompactRestart:
         assert report["journal_bytes_after"] < before
         assert report["reclaimed"] == before - report["journal_bytes_after"]
         # The truncated journal holds only the epoch header.
-        lines = (tmp_path / "shard-000.jsonl").read_text().splitlines()
-        assert [json.loads(line)["op"] for line in lines] == ["epoch"]
+        records = journal_records.records(tmp_path / "shard-000.journal")
+        assert [record[0] for record in records] == ["epoch"]
 
         reopened = DiskShardEngine(0, merkle_factory, tmp_path)
         assert roots_of(reopened) == expected
@@ -75,8 +75,8 @@ class TestCompactRestart:
         reopened = DiskShardEngine(0, merkle_factory, tmp_path)
         assert roots_of(reopened) == expected
         # Replay must not re-append the suffix it just consumed.
-        lines = (tmp_path / "shard-000.jsonl").read_text().splitlines()
-        assert len(lines) == 1 + 3  # epoch header + three entries
+        records = journal_records.records(tmp_path / "shard-000.journal")
+        assert len(records) == 1 + 3  # epoch header + three entries
         reopened.close()
 
     def test_repeated_compaction_advances_epoch(self, tmp_path):
@@ -99,7 +99,7 @@ class TestCrashMidCompaction:
         """An engine that compacted once, with the old journal saved."""
         engine = DiskShardEngine(0, merkle_factory, tmp_path)
         fill(engine)
-        stale = (tmp_path / "shard-000.jsonl").read_bytes()
+        stale = (tmp_path / "shard-000.journal").read_bytes()
         expected = roots_of(engine)
         engine.compact()
         engine.close()
@@ -109,7 +109,7 @@ class TestCrashMidCompaction:
         # Crash window: checkpoint renamed into place, journal swap never
         # happened — the full-history (epoch 0) journal is still on disk.
         stale, expected = self.checkpointed(tmp_path)
-        (tmp_path / "shard-000.jsonl").write_bytes(stale)
+        (tmp_path / "shard-000.journal").write_bytes(stale)
 
         engine = DiskShardEngine(0, merkle_factory, tmp_path)
         assert engine.epoch == 1
@@ -117,13 +117,13 @@ class TestCrashMidCompaction:
         engine.close()
         # The interrupted swap was finished: the journal now carries the
         # checkpoint's epoch instead of the replayed history.
-        lines = (tmp_path / "shard-000.jsonl").read_text().splitlines()
-        assert json.loads(lines[0]) == {"op": "epoch", "n": 1}
-        assert len(lines) == 1
+        records = journal_records.records(tmp_path / "shard-000.journal")
+        assert records[0] == ("epoch", 1)
+        assert len(records) == 1
 
     def test_missing_journal_recovers_from_checkpoint_alone(self, tmp_path):
         _, expected = self.checkpointed(tmp_path)
-        (tmp_path / "shard-000.jsonl").unlink()
+        (tmp_path / "shard-000.journal").unlink()
 
         engine = DiskShardEngine(0, merkle_factory, tmp_path)
         assert roots_of(engine) == expected
@@ -132,19 +132,19 @@ class TestCrashMidCompaction:
     def test_torn_tmp_files_are_swept(self, tmp_path):
         _, expected = self.checkpointed(tmp_path)
         (tmp_path / "shard-000.ckpt.tmp").write_bytes(b"half a checkpoint")
-        (tmp_path / "shard-000.jsonl.tmp").write_bytes(b'{"op":')
+        (tmp_path / "shard-000.journal.tmp").write_bytes(journal_records.header(1)[:5])
 
         engine = DiskShardEngine(0, merkle_factory, tmp_path)
         assert roots_of(engine) == expected
         engine.close()
         assert not (tmp_path / "shard-000.ckpt.tmp").exists()
-        assert not (tmp_path / "shard-000.jsonl.tmp").exists()
+        assert not (tmp_path / "shard-000.journal.tmp").exists()
 
     def test_corrupt_checkpoint_falls_back_to_full_history(self, tmp_path):
         # The checkpoint fails its digest but the journal was never
         # swapped (epoch 0): drop the checkpoint, replay everything.
         stale, expected = self.checkpointed(tmp_path)
-        (tmp_path / "shard-000.jsonl").write_bytes(stale)
+        (tmp_path / "shard-000.journal").write_bytes(stale)
         ckpt = tmp_path / "shard-000.ckpt"
         blob = bytearray(ckpt.read_bytes())
         blob[len(blob) // 2] ^= 0xFF
@@ -170,8 +170,8 @@ class TestCrashMidCompaction:
 
     def test_journal_ahead_of_checkpoint_raises(self, tmp_path):
         self.checkpointed(tmp_path)
-        journal = tmp_path / "shard-000.jsonl"
-        journal.write_text(json.dumps({"op": "epoch", "n": 7}) + "\n")
+        journal = tmp_path / "shard-000.journal"
+        journal.write_bytes(journal_records.header(7))
 
         with pytest.raises(ReproError):
             DiskShardEngine(0, merkle_factory, tmp_path)
@@ -185,13 +185,11 @@ class TestCrashMidCompaction:
 
 
 def rewrite_checkpoint(path, edit, version=None):
-    """Re-seal ``shard-000.ckpt`` after ``edit(meta)`` changed its metadata
-    (and, if given, its header's container version)."""
+    """Re-seal ``shard-000.ckpt`` after ``edit(meta)`` returned new
+    metadata bytes (and, if given, its header's container version)."""
     blob = path.read_bytes()
     magic, old_version, epoch, meta_len = _CKPT_HEAD.unpack_from(blob, 0)
-    meta = json.loads(blob[_CKPT_HEAD.size : _CKPT_HEAD.size + meta_len])
-    edit(meta)
-    meta_bytes = json.dumps(meta).encode()
+    meta_bytes = edit(blob[_CKPT_HEAD.size : _CKPT_HEAD.size + meta_len])
     body = (
         _CKPT_HEAD.pack(
             magic, old_version if version is None else version, epoch,
@@ -204,42 +202,38 @@ def rewrite_checkpoint(path, edit, version=None):
 
 
 class TestOldFormatsFailClosed:
-    """Stores written by builds that kept Bloom filters as separate shard
-    state are refused, never half-read: a version-1 checkpoint is a
-    foreign one, and a ``bloom`` journal record is an unknown op."""
+    """Stores written by older builds are refused, never half-read: a
+    version-1 checkpoint (which also kept Bloom filters) is a foreign
+    one, a record of an op this build does not know (a ``bloom`` record,
+    say) is refused, and so is a JSONL journal of the builds before the
+    binary one — as ``shard-NNN.jsonl`` or in the journal's place, and
+    however deeply it nests."""
 
-    PARENT_BLOOMS = {
-        "kw0": [
-            {
-                "bits": "1f",
-                "count": 2,
-                "min": 0,
-                "max": 3,
-                "hash_count": 6,
-                "members": [0, 3],
-            }
-        ]
-    }
+    #: A version-1 checkpoint's Bloom section, as bytes past the metadata.
+    PARENT_BLOOMS = b'{"kw0": [{"bits": "1f", "count": 2, "members": [0, 3]}]}'
+
+    #: The ``u8`` tag an older build's ``bloom`` op would carry here.
+    BLOOM_TAG = 5
 
     def version_1(self, tmp_path):
         """A compacted engine whose checkpoint has the version-1 layout;
         returns its full-history journal and its roots."""
         engine = DiskShardEngine(0, merkle_factory, tmp_path)
         fill(engine)
-        stale = (tmp_path / "shard-000.jsonl").read_bytes()
+        stale = (tmp_path / "shard-000.journal").read_bytes()
         expected = roots_of(engine)
         engine.compact()
         engine.close()
         rewrite_checkpoint(
             tmp_path / "shard-000.ckpt",
-            lambda meta: meta.update(blooms=self.PARENT_BLOOMS),
+            lambda meta: meta + self.PARENT_BLOOMS,
             version=1,
         )
         return stale, expected
 
     def test_version_1_checkpoint_falls_back_to_full_history(self, tmp_path):
         stale, expected = self.version_1(tmp_path)
-        (tmp_path / "shard-000.jsonl").write_bytes(stale)
+        (tmp_path / "shard-000.journal").write_bytes(stale)
 
         engine = DiskShardEngine(0, merkle_factory, tmp_path)
         assert engine.epoch == 0
@@ -256,17 +250,43 @@ class TestOldFormatsFailClosed:
     def test_bloom_journal_record_is_refused(self, tmp_path, final):
         engine = DiskShardEngine(0, merkle_factory, tmp_path)
         fill(engine)
+        fill(engine, count=2, start=10)
         engine.close()
-        journal = tmp_path / "shard-000.jsonl"
-        lines = journal.read_text().splitlines()
-        bloom = json.dumps({"op": "bloom", "kw": "kw0", "id": 3})
-        lines.insert(len(lines) if final else 1, bloom)
-        journal.write_text("\n".join(lines) + "\n")
+        journal = tmp_path / "shard-000.journal"
+        epoch, bodies = journal_records.split(journal.read_bytes())
+        bloom = bytes([self.BLOOM_TAG]) + journal_records.keyword("kw0") + bytes(8)
+        bodies.insert(len(bodies) if final else 1, bloom)
+        data = journal_records.header(epoch) + b"".join(map(journal_records.seal, bodies))
+        journal.write_bytes(data)
 
-        with pytest.raises(IntegrityError, match="unknown journal op 'bloom'"):
+        with pytest.raises(IntegrityError, match="unknown journal op"):
             DiskShardEngine(0, merkle_factory, tmp_path)
         # Refused, not skipped as a torn tail: the record is still there.
-        assert journal.read_text().splitlines() == lines
+        assert journal.read_bytes() == data
+
+    @pytest.mark.parametrize("fixture", ["journal_smi.jsonl", "journal_cistar.jsonl"])
+    @pytest.mark.parametrize("name", ["shard-000.jsonl", "shard-000.journal"])
+    def test_jsonl_journal_is_refused(self, tmp_path, fixture, name):
+        # The fixtures are journals the JSONL builds wrote (seed 8).
+        (tmp_path / name).write_bytes((FIXTURE_DIR / fixture).read_bytes())
+        with pytest.raises(IntegrityError):
+            DiskShardEngine(0, merkle_factory, tmp_path)
+
+    def test_a_leftover_jsonl_journal_is_refused_beside_a_binary_one(self, tmp_path):
+        engine = DiskShardEngine(0, merkle_factory, tmp_path)
+        fill(engine)
+        engine.close()
+        (tmp_path / "shard-000.jsonl").write_bytes(b"")
+        with pytest.raises(IntegrityError, match="shard-000.jsonl"):
+            DiskShardEngine(0, merkle_factory, tmp_path)
+
+    @pytest.mark.parametrize("name", ["shard-000.jsonl", "shard-000.journal"])
+    def test_deeply_nested_journal_is_refused(self, tmp_path, name):
+        # Nested deeper than the interpreter's recursion limit: a JSON
+        # decoder would raise RecursionError, not a library error.
+        (tmp_path / name).write_bytes(b"[" * 100_000 + b"\n")
+        with pytest.raises(IntegrityError):
+            DiskShardEngine(0, merkle_factory, tmp_path)
 
 
 STAR_KEYWORDS = [
@@ -380,7 +400,8 @@ class TestChameleonStarRecovery:
         host.close()
         engine = self.reopen(host, tmp_path, 30)
         assert engine.epoch == 1
-        assert len((tmp_path / "shard-000.jsonl").read_text().splitlines()) > 1
+        journal = tmp_path / "shard-000.journal"
+        assert len(journal_records.records(journal, host.value_bytes)) > 1
         self.check(host, engine, fresh[30])
 
     def test_checkpoint_of_another_capacity(self, fresh, tmp_path):

@@ -1,70 +1,55 @@
-"""A shard journal decodes strictly: a mutated record is refused, typed.
+"""A shard journal or checkpoint that was not written whole is refused,
+typed, or reopens to a state the shard really had.
 
-A disk shard replays its journal on open, so every record is read back
-through :func:`repro.core.objects.record_to_object` (an ``object`` op),
-the insertion-proof decoder (a Chameleon ``apply`` op) or the entry
-decoder (a Merkle ``entry`` op).  Each field of one record of each op —
-and the record itself — is replaced by a value of
-the wrong type, width or form, the journal rewritten and the shard
-reopened: every reopen must fail with a :class:`ReproError` (any other
-exception propagates and fails the test), so no mutated value is ever
-taken for the one written.  The checks raise on their own, so they hold
-under ``python -O`` too.
+A disk shard replays its journal on open, so every byte of it is read
+back through the journal decoder.  A two-batch journal of each index
+family is mutated three ways and the shard reopened over each mutant:
+
+* every byte flipped, and the journal cut at every offset: the reopen
+  either raises a :class:`ReproError` or holds exactly the state after
+  the first ``k`` batches (a torn tail dropped) — never another state;
+* re-sealed structural mutations — a record whose checksum holds but
+  whose body is not one the engine writes (an unknown tag, a keyword
+  length past the record or not UTF-8, an object that does not
+  re-encode to itself, trailing bytes): always a :class:`ReproError`;
+* an op of the other index family (a ``register`` or ``apply`` in a
+  Merkle shard's journal, an ``entry`` in a Chameleon one's), written by
+  the engine's own encoder: an :class:`IntegrityError`.
+
+A checkpoint's digest proves it whole, not well formed, so its metadata
+block is re-sealed after each edit and must be refused with an
+:class:`IntegrityError`.  Every check raises on its own, so they hold
+under ``python -O`` too.  Tier-1 runs the flips and cuts at a seeded
+sample of offsets; ``REPRO_FULL_SWEEPS=1`` (the CI step with asserts
+compiled out) runs every offset.
 """
 
 from __future__ import annotations
 
-import json
+import copy
+import os
+import random
+import struct
 
 import pytest
 
 from repro import DataObject, HybridStorageSystem
+from repro.core.chameleon import InsertionProof
 from repro.core.chameleon_index import ChameleonSP
 from repro.core.merkle_family import MerkleInvertedSP
 from repro.crypto.hashing import sha3
 from repro.errors import IntegrityError, ReproError
 from repro.sp.engine import _CKPT_HEAD, DiskShardEngine
 
-#: Marks a field to delete instead of replacing.
-MISSING = object()
+from tests import journal_records
 
+#: Offsets of each sweep run in tier-1; every offset under the env flag.
+SAMPLE = None if os.environ.get("REPRO_FULL_SWEEPS") == "1" else 96
 
-def uint_mutants(value: int, bits: int = 64) -> list:
-    """Wrong values for a ``bits``-bit unsigned field holding ``value``."""
-    return [float(value), True, str(value), -1, 1 << bits, None, [value], MISSING]
-
-
-def hex_mutants(text: str) -> list:
-    """Wrong values for a field holding a digest's hex ``text``."""
-    return [
-        text.upper(),
-        "0x" + text,
-        text[:-2],
-        text + "00",
-        text[:4] + " " + text[5:],
-        text[:-1] + "g",
-        "",
-        int(text, 16),
-        None,
-        MISSING,
-    ]
-
-
-def element_mutants(text: str, value_bytes: int) -> list:
-    """Wrong values for a field holding a group element's hex ``text``."""
-    return [
-        text.upper(),
-        "0x" + text,
-        "0" + text,
-        "1" + "0" * (2 * value_bytes),
-        "-" + text,
-        " " + text,
-        text[:3] + "_" + text[3:],
-        "",
-        int(text, 16),
-        None,
-        MISSING,
-    ]
+BATCHES = (
+    [DataObject(oid, ("a", "b") if oid % 2 else ("a",), b"x%d" % oid) for oid in (1, 2, 3)],
+    [DataObject(4, ("a", "c"), b"x4"), DataObject(5, ("b",), b"")],
+)
 
 
 def require(condition: bool, what: str) -> None:
@@ -72,123 +57,195 @@ def require(condition: bool, what: str) -> None:
         raise AssertionError(what)
 
 
+def state_of(engine) -> tuple:
+    """Everything a shard holds: each tree's node-store bytes and each
+    object's encoding."""
+    return (
+        {keyword: bytes(tree.to_blob()) for keyword, tree in engine.index.trees.items()},
+        {oid: engine.get_object(oid).encoded() for oid in engine.all_object_ids()},
+    )
+
+
+def factory_of(index):
+    """A factory for empty indexes of ``index``'s kind and parameters."""
+    if isinstance(index, ChameleonSP):
+        pp = index.pp
+        return lambda: ChameleonSP(pp=pp)
+    fanout = index.fanout
+    return lambda: MerkleInvertedSP(fanout=fanout)
+
+
 @pytest.fixture(scope="module", params=["ci", "smi"])
 def journal(request, tmp_path_factory):
-    """A one-shard journal of the scheme: its records, the index factory
-    and the group-element width."""
+    """A one-shard journal of ``BATCHES``: its bytes, the index factory,
+    the element width (``None`` for Merkle) and the state after each
+    prefix of the journaled batches (an SMI object's spine read ships
+    the ops before it, so one ingest batch may journal several)."""
     directory = tmp_path_factory.mktemp(request.param)
     system = HybridStorageSystem(
         scheme=request.param, seed=3, cvc_modulus_bits=512, engine="disk",
         engine_dir=directory,
     )
-    system.add_objects(
-        [DataObject(oid, ("a", "b") if oid % 2 else ("a",), b"x%d" % oid)
-         for oid in range(1, 5)]
-    )
-    index = system.sp_index
-    if isinstance(index, ChameleonSP):
-        pp = index.pp
-        factory = lambda: ChameleonSP(pp=pp)  # noqa: E731
-    else:
-        fanout = index.fanout
-        factory = lambda: MerkleInvertedSP(fanout=fanout)  # noqa: E731
-    value_bytes = system.value_bytes
+    engine = system._sp.pool.engines[0]
+    states = [state_of(engine)]
+    apply_ops = engine.apply_ops
+
+    def recording(ops):
+        # A batch is what one call journals as one record.
+        applied = apply_ops(ops)
+        if ops:
+            states.append(state_of(engine))
+        return applied
+
+    engine.apply_ops = recording
+    for batch in BATCHES:
+        system.add_objects_batched(batch)
+    factory = factory_of(system.sp_index)
+    value_bytes = system.value_bytes if request.param == "ci" else None
     system.close()
-    lines = (directory / "shard-000.jsonl").read_text().splitlines()
-    return [json.loads(line) for line in lines], factory, value_bytes
+    data = (directory / "shard-000.journal").read_bytes()
+    return data, factory, value_bytes, states
 
 
-def reopen(tmp_path, records, factory) -> None:
-    """Write ``records`` as a shard journal and open the shard over it."""
-    (tmp_path / "shard-000.jsonl").write_text(
-        "".join(json.dumps(record) + "\n" for record in records)
+def reopen(directory, data: bytes, factory):
+    """The state of a shard opened over journal ``data``, or ``None``
+    when the open is refused with a :class:`ReproError`."""
+    (directory / "shard-000.journal").write_bytes(data)
+    try:
+        engine = DiskShardEngine(0, factory, directory)
+    except ReproError:
+        return None
+    try:
+        return state_of(engine)
+    finally:
+        engine.close()
+
+
+def offsets(length: int, salt: int) -> list[int]:
+    """Every offset below ``length``, or a seeded sample of them."""
+    every = list(range(length))
+    if SAMPLE is None or SAMPLE >= length:
+        return every
+    return sorted(random.Random(length * 31 + salt).sample(every, SAMPLE))
+
+
+def test_the_honest_journal_reopens_to_the_last_batch(journal, tmp_path):
+    data, factory, _, states = journal
+    require(reopen(tmp_path, data, factory) == states[-1], "honest journal")
+    require(len(journal_records.split(data)[1]) == len(states) - 1, "one record per batch")
+    require(len(set(map(repr, states))) == len(states), "batches change the state")
+
+
+def test_every_flipped_byte_is_refused_or_a_batch_prefix(journal, tmp_path):
+    data, factory, _, states = journal
+    refused = 0
+    for at in offsets(len(data), 1):
+        mutant = bytearray(data)
+        mutant[at] ^= 0xFF
+        state = reopen(tmp_path, bytes(mutant), factory)
+        refused += state is None
+        require(state is None or state in states[:-1], f"flip at {at} gave another state")
+    require(refused, "no flip was refused")
+
+
+def test_every_cut_is_refused_or_a_batch_prefix(journal, tmp_path):
+    data, factory, _, states = journal
+    seen = set()
+    for at in offsets(len(data), 2):
+        state = reopen(tmp_path, data[:at], factory)
+        require(state is None or state in states[:-1], f"cut at {at} gave another state")
+        seen.add(None if state is None else states.index(state))
+    require(0 in seen, "no cut gave the empty shard")
+
+
+def object_wire(object_id: int, keywords: list[bytes], content: bytes) -> bytes:
+    """An object encoding written field by field, canonical or not."""
+    return (
+        struct.pack(">QH", object_id, len(keywords))
+        + b"".join(bytes([len(keyword)]) + keyword for keyword in keywords)
+        + struct.pack(">I", len(content))
+        + content
     )
-    engine = DiskShardEngine(0, factory, tmp_path)
-    engine.close()
 
 
-def mutated(record: dict, path: tuple[str, ...], value) -> dict:
-    """A deep copy of ``record`` with the field at ``path`` replaced."""
-    record = json.loads(json.dumps(record))
-    parent = record
-    for name in path[:-1]:
-        parent = parent[name]
-    if value is MISSING:
-        del parent[path[-1]]
-    else:
-        parent[path[-1]] = value
-    return record
-
-
-def cases(records, value_bytes):
-    """``(label, index, mutated record)`` for each field of the first
-    ``object`` record and the first ``apply`` or ``entry`` record, and
-    for those records."""
-    first = {}
-    for index, record in enumerate(records):
-        first.setdefault(record["op"], index)
-    if "entry" in first:
-        at = first["entry"]
-        entry = records[at]
-        for value in uint_mutants(entry["id"]):
-            yield f"entry id {value!r}", at, mutated(entry, ("id",), value)
-        for value in hex_mutants(entry["hash"]):
-            yield f"entry hash {value!r}", at, mutated(entry, ("hash",), value)
-        for value in (5, None, MISSING):
-            yield f"entry kw {value!r}", at, mutated(entry, ("kw",), value)
-        for value in ([entry], None, "entry", 7):
-            yield f"record {value!r}", at, value
-    at = first["object"]
-    obj = records[at]
-    for value in uint_mutants(obj["id"]):
-        yield f"object id {value!r}", at, mutated(obj, ("id",), value)
-    for value in ("eDE", "eD!=", "eDF=", " eDE=", "eDE=\n", 5, None, MISSING):
-        yield f"object content {value!r}", at, mutated(obj, ("content",), value)
-    for value in ("a", ["A", "b"], ["a", "a", "b"], [" a", "b"], ["a", 1], [""], None, MISSING):
-        yield f"object keywords {value!r}", at, mutated(obj, ("keywords",), value)
-    if "apply" not in first:
-        return
-    at = first["apply"]
-    apply = records[at]
-    proof = apply["proof"]
-    for name in ("position", "object_id", "parent_position"):
-        for value in uint_mutants(proof[name]):
-            yield f"proof {name} {value!r}", at, mutated(apply, ("proof", name), value)
-    for value in uint_mutants(proof["child_index"], 8):
-        yield f"proof child_index {value!r}", at, mutated(
-            apply, ("proof", "child_index"), value
-        )
-    for value in hex_mutants(proof["object_hash"]):
-        yield f"proof object_hash {value!r}", at, mutated(
-            apply, ("proof", "object_hash"), value
-        )
-    for name in ("commitment", "opening", "parent_opening"):
-        for value in element_mutants(proof[name], value_bytes):
-            yield f"proof {name} {value!r}", at, mutated(
-                apply, ("proof", name), value
-            )
-    for value in (5, None, "zzz", MISSING):
-        yield f"apply kw {value!r}", at, mutated(apply, ("kw",), value)
-    for value in ([1], None, "proof", MISSING):
-        yield f"apply proof {value!r}", at, mutated(apply, ("proof",), value)
-    for value in ([apply], None, "apply", 7):
-        yield f"record {value!r}", at, value
+def structural_mutants(bodies: list[bytes], value_bytes):
+    """``(label, record body)`` for bodies the engine never writes."""
+    kind = "entry" if value_bytes is None else "register"
+    tag = bytes([journal_records.TAGS[kind]])
+    fields = bytes(40) if value_bytes is None else (7).to_bytes(value_bytes, "big")
+    object_op = journal_records.object_op
+    for unknown in (0, 5, 0x7F, 0xFF):
+        yield f"unknown tag {unknown}", bytes([unknown]) + bodies[0]
+    yield "keyword length past the record", tag + bytes([200]) + b"a" + fields[:2]
+    yield "keyword length past the body", tag + b"\xff" + b"a" * 20
+    yield "keyword not UTF-8", tag + b"\x02\xff\xfe" + fields
+    yield "keyword cut", tag + b"\x01"
+    yield "fields cut", tag + b"\x01a" + fields[:-1]
+    yield "tag only", tag
+    yield "object length past the record", object_op(object_wire(9, [b"a"], b"z"))[:-1]
+    yield "object keyword upper case", object_op(object_wire(9, [b"A"], b"z"))
+    yield "object keyword repeated", object_op(object_wire(9, [b"a", b"a"], b"z"))
+    yield "object keyword padded", object_op(object_wire(9, [b" a"], b"z"))
+    yield "object keyword empty", object_op(object_wire(9, [b""], b"z"))
+    yield "object keyword not UTF-8", object_op(object_wire(9, [b"\xff"], b"z"))
+    yield "object content length short", object_op(object_wire(9, [b"a"], b"z")[:-1] + b"zz")
+    yield "object with trailing bytes", object_op(object_wire(9, [b"a"], b"z") + b"\x00")
+    yield "object cut", object_op(object_wire(9, [b"a"], b"z"))[:6]
+    for trailing in (b"\x00", b"\x01", tag, b"\x00" * 7):
+        yield f"trailing bytes {trailing!r}", bodies[-1] + trailing
+    yield "empty object op", object_op(b"")
 
 
 def test_every_mutated_field_is_refused_with_a_typed_error(journal, tmp_path):
-    records, factory, value_bytes = journal
-    reopen(tmp_path, records, factory)  # the honest journal opens
+    data, factory, value_bytes, _ = journal
+    epoch, bodies = journal_records.split(data)
     refused = 0
-    for label, index, record in cases(records, value_bytes):
-        mutant = list(records)
-        mutant[index] = record
-        try:
-            reopen(tmp_path, mutant, factory)
-        except ReproError:
+    for label, body in structural_mutants(bodies, value_bytes):
+        for at in (1, len(bodies)):  # interior and final
+            mutant = bodies[:at] + [body] + bodies[at:]
+            journal_bytes = journal_records.header(epoch) + b"".join(
+                map(journal_records.seal, mutant)
+            )
+            require(reopen(tmp_path, journal_bytes, factory) is None, f"{label} was accepted")
             refused += 1
-            continue
-        raise AssertionError(f"{label} was accepted")
-    require(refused > 35, f"only {refused} mutants ran")
+    require(refused > 40, f"only {refused} mutants ran")
+
+
+class TestCrossFamilyOps:
+    """An op of the other index family is refused on replay with an
+    :class:`IntegrityError`, never an untyped error: the journal is
+    written by the engine's own encoder, then reopened under the other
+    family's index."""
+
+    @pytest.fixture(scope="class")
+    def pp(self):
+        system = HybridStorageSystem(scheme="ci", seed=3, cvc_modulus_bits=512)
+        system.close()
+        return system.sp_index.pp
+
+    def one_record(self, directory, factory, op) -> None:
+        engine = DiskShardEngine(0, factory, directory)
+        engine._journal_many([op])
+        engine.close()
+
+    def proof(self):
+        return InsertionProof(
+            position=1, object_id=1, object_hash=bytes(32), commitment=5,
+            opening=7, parent_opening=9, parent_position=0, child_index=1,
+        )
+
+    @pytest.mark.parametrize("kind", ["register", "apply"])
+    def test_a_chameleon_op_in_a_merkle_journal(self, pp, tmp_path, kind):
+        op = ("register", "a", 5) if kind == "register" else ("apply", "a", self.proof())
+        self.one_record(tmp_path, lambda: ChameleonSP(pp=pp), op)
+        with pytest.raises(IntegrityError):
+            DiskShardEngine(0, lambda: MerkleInvertedSP(fanout=4), tmp_path)
+
+    def test_an_entry_in_a_chameleon_journal(self, pp, tmp_path):
+        op = ("entry", "a", 1, bytes(32))
+        self.one_record(tmp_path, lambda: MerkleInvertedSP(fanout=4), op)
+        with pytest.raises(IntegrityError):
+            DiskShardEngine(0, lambda: ChameleonSP(pp=pp), tmp_path)
 
 
 def reseal(path, meta_bytes: bytes, meta_len: int | None = None) -> None:
@@ -206,17 +263,52 @@ def reseal(path, meta_bytes: bytes, meta_len: int | None = None) -> None:
     path.write_bytes(body + sha3(body))
 
 
-def edited(meta: dict, edit) -> bytes:
-    """``meta`` after ``edit`` changed a deep copy of it, as JSON bytes:
-    ``edit`` returns a replacement, or ``None`` after editing in place."""
-    meta = json.loads(json.dumps(meta))
-    meta = edit(meta) or meta
-    return json.dumps(meta).encode()
+def parse_meta(raw: bytes) -> dict:
+    """A version-3 metadata block's fields: ``u32`` shard, ``u16``
+    node-store version, ``u32`` tree count, per tree a ``u8``-prefixed
+    keyword and ``u32`` blob length, ``u32`` object count, per object a
+    ``u32``-prefixed encoding."""
+    shard, node_store, count = struct.unpack_from(">IHI", raw)
+    pos, trees = 10, []
+    for _ in range(count):
+        end = pos + 1 + raw[pos]
+        trees.append([raw[pos + 1 : end], struct.unpack_from(">I", raw, end)[0]])
+        pos = end + 4
+    (count,) = struct.unpack_from(">I", raw, pos)
+    pos, objects = pos + 4, []
+    for _ in range(count):
+        (length,) = struct.unpack_from(">I", raw, pos)
+        objects.append(raw[pos + 4 : pos + 4 + length])
+        pos += 4 + length
+    if pos != len(raw):
+        raise AssertionError("metadata has trailing bytes")
+    return {"shard": shard, "node_store": node_store, "trees": trees, "objects": objects}
 
 
-def without(name: str):
-    """An edit dropping field ``name`` of the metadata."""
-    return lambda meta: {key: value for key, value in meta.items() if key != name}
+def meta_bytes(meta: dict, tree_count=None, object_count=None, cut=None) -> bytes:
+    """The block :func:`parse_meta` reads, with optional wrong counts,
+    cut after the named section (``"head"``, ``"trees"``)."""
+    trees, objects = meta["trees"], meta["objects"]
+    head = struct.pack(">IH", meta["shard"], meta["node_store"])
+    if cut == "head":
+        return head
+    out = head + struct.pack(">I", len(trees) if tree_count is None else tree_count)
+    out += b"".join(bytes([len(kw)]) + kw + struct.pack(">I", length) for kw, length in trees)
+    if cut == "trees":
+        return out
+    out += struct.pack(">I", len(objects) if object_count is None else object_count)
+    return out + b"".join(struct.pack(">I", len(wire)) + wire for wire in objects)
+
+
+def edit_meta(edit):
+    """``edit(meta)`` on a copy of the parsed metadata, returning bytes:
+    ``edit`` returns replacement bytes, or ``None`` after editing in place."""
+
+    def apply(meta: dict) -> bytes:
+        meta = copy.deepcopy(meta)
+        return edit(meta) or meta_bytes(meta)
+
+    return apply
 
 
 def first_tree(make):
@@ -232,33 +324,45 @@ def first_tree(make):
 class TestCheckpointMetadataFailsClosed:
     """A checkpoint's digest proves it is whole, not that its metadata is
     well formed: a re-sealed checkpoint whose metadata block is not the
-    JSON object a checkpoint writes — or whose header claims more
+    one a checkpoint of this shard writes — or whose header claims more
     metadata than the file holds — is refused with an
     :class:`IntegrityError` on reopen, never an untyped error."""
 
-    #: label -> edit of the metadata (see :func:`edited`).
+    #: label -> edit of the metadata (see :func:`edit_meta`).
     EDITS = {
-        "metadata a list": lambda meta: [meta],
-        "metadata a string": lambda meta: "meta",
-        "no trees": without("trees"),
-        "no objects": without("objects"),
-        "trees not a list": lambda meta: meta.update(trees={"kw0": 1}),
-        "objects not a list": lambda meta: meta.update(objects="none"),
-        "blob length a string": first_tree(lambda keyword, length: [keyword, str(length)]),
-        "blob length a bool": first_tree(lambda keyword, length: [keyword, True]),
-        "blob length negative": first_tree(lambda keyword, length: [keyword, -1]),
-        "tree entry a string": first_tree(lambda keyword, length: keyword),
-        "tree entry a number": first_tree(lambda keyword, length: 5),
-        "tree entry of one": first_tree(lambda keyword, length: [keyword]),
-        "tree entry of three": first_tree(lambda keyword, length: [keyword, length, 0]),
-        "tree keyword a number": first_tree(lambda keyword, length: [5, length]),
-        "object record a list": lambda meta: meta["objects"].append([1]),
+        "metadata of another shard": edit_meta(lambda meta: meta.update(shard=1)),
+        "metadata of another node-store version": edit_meta(
+            lambda meta: meta.update(node_store=meta["node_store"] + 1)
+        ),
+        "metadata cut inside its head": edit_meta(lambda meta: meta_bytes(meta)[:7]),
+        "no tree count": edit_meta(lambda meta: meta_bytes(meta, cut="head")),
+        "no objects": edit_meta(lambda meta: meta_bytes(meta, cut="trees")),
+        "tree count past the entries": edit_meta(
+            lambda meta: meta_bytes(meta, tree_count=len(meta["trees"]) + 1)
+        ),
+        "object count past the objects": edit_meta(
+            lambda meta: meta_bytes(meta, object_count=len(meta["objects"]) + 1)
+        ),
+        "blob length cut short": edit_meta(
+            lambda meta: meta_bytes(meta)[: 10 + 1 + len(meta["trees"][0][0]) + 2]
+        ),
+        "blob length one more": edit_meta(first_tree(lambda kw, length: [kw, length + 1])),
+        "blob length past the file": edit_meta(first_tree(lambda kw, length: [kw, 2**32 - 1])),
+        "tree keyword not UTF-8": edit_meta(first_tree(lambda kw, length: [b"\xff", length])),
+        "trees out of order": edit_meta(lambda meta: meta["trees"].reverse()),
+        "objects out of order": edit_meta(lambda meta: meta["objects"].reverse()),
+        "object repeated": edit_meta(lambda meta: meta["objects"].append(meta["objects"][0])),
+        "object record not an object": edit_meta(lambda meta: meta["objects"].append(b"\x01")),
+        "object not in canonical form": edit_meta(
+            lambda meta: meta["objects"].append(object_wire(99, [b"KW0"], b"z"))
+        ),
+        "trailing bytes": edit_meta(lambda meta: meta_bytes(meta) + b"\x00"),
     }
 
     @pytest.fixture
     def checkpointed(self, tmp_path):
         """A compacted one-shard Merkle store: its checkpoint path and
-        metadata."""
+        parsed metadata."""
         system = HybridStorageSystem(
             scheme="smi", seed=3, engine="disk", engine_dir=tmp_path
         )
@@ -270,7 +374,7 @@ class TestCheckpointMetadataFailsClosed:
         path = tmp_path / "shard-000.ckpt"
         blob = path.read_bytes()
         meta_len = _CKPT_HEAD.unpack_from(blob, 0)[3]
-        meta = json.loads(blob[_CKPT_HEAD.size : _CKPT_HEAD.size + meta_len])
+        meta = parse_meta(blob[_CKPT_HEAD.size : _CKPT_HEAD.size + meta_len])
         return path, meta
 
     def reopen(self, path) -> None:
@@ -279,13 +383,13 @@ class TestCheckpointMetadataFailsClosed:
 
     def test_the_honest_checkpoint_opens(self, checkpointed):
         path, meta = checkpointed
-        reseal(path, edited(meta, lambda meta: None))
+        reseal(path, meta_bytes(meta))
         self.reopen(path)
 
     @pytest.mark.parametrize("label", sorted(EDITS))
     def test_malformed_metadata_is_refused(self, checkpointed, label):
         path, meta = checkpointed
-        reseal(path, edited(meta, self.EDITS[label]))
+        reseal(path, self.EDITS[label](meta))
         with pytest.raises(IntegrityError):
             self.reopen(path)
 
@@ -293,6 +397,8 @@ class TestCheckpointMetadataFailsClosed:
         "raw", [b"\xff\xfe\x00{", b"{\"shard\": 0", b""], ids=["utf8", "json", "empty"]
     )
     def test_metadata_that_is_not_json_is_refused(self, checkpointed, raw):
+        # Neither the binary block nor JSON: bytes that are not UTF-8,
+        # a cut version-2 JSON block, nothing.
         path, _ = checkpointed
         reseal(path, raw)
         with pytest.raises(IntegrityError):
@@ -300,7 +406,6 @@ class TestCheckpointMetadataFailsClosed:
 
     def test_metadata_length_past_the_file_is_refused(self, checkpointed):
         path, meta = checkpointed
-        meta_bytes = edited(meta, lambda meta: None)
-        reseal(path, meta_bytes, meta_len=len(path.read_bytes()))
+        reseal(path, meta_bytes(meta), meta_len=len(path.read_bytes()))
         with pytest.raises(IntegrityError):
             self.reopen(path)

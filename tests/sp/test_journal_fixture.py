@@ -1,13 +1,15 @@
-"""A disk shard writes the journal bytes an earlier build wrote.
+"""A disk shard writes the journal bytes the fixtures pin.
 
-``tests/fixtures/journal_smi.jsonl`` and ``journal_cistar.jsonl`` are
-the ``shard-000.jsonl`` journals of a one-shard SMI and CI* system
-(seed 8, 512-bit CVC modulus) after :func:`write_journal` ingested
+``tests/fixtures/journal_smi.bin`` and ``journal_cistar.bin`` are the
+``shard-000.journal`` journals of a one-shard SMI and CI* system (seed
+8, 512-bit CVC modulus) after :func:`write_journal` ingested
 ``JOURNAL_DOCS`` in ``JOURNAL_BATCHES``; see ``tests/fixtures/README.md``
 for the build that wrote them.  A disk engine must write exactly those
 bytes, and reopening one must rebuild the trees the live system holds.
 The fixtures are never regenerated: a change that moves them changes
-what every existing shard journal means.
+what every existing shard journal means.  (``journal_smi.jsonl`` and
+``journal_cistar.jsonl`` are the same journals as the JSONL builds
+wrote them; ``test_engine_recovery.py`` checks they are refused.)
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ JOURNAL_DOCS = (
 JOURNAL_BATCHES = (2, 3, 1)
 
 #: Fixture file -> scheme.
-FIXTURES = {"journal_smi.jsonl": "smi", "journal_cistar.jsonl": "ci*"}
+FIXTURES = {"journal_smi.bin": "smi", "journal_cistar.bin": "ci*"}
 
 
 def write_journal(
@@ -81,7 +83,7 @@ def test_a_disk_shard_writes_the_fixture_bytes(name, pool, tmp_path):
     # In an affine worker each object arrives deferred, as its bytes.
     system = write_journal(FIXTURES[name], tmp_path / "live", pool)
     system.close()
-    written = (tmp_path / "live" / "shard-000.jsonl").read_bytes()
+    written = (tmp_path / "live" / "shard-000.journal").read_bytes()
     assert written == (FIXTURE_DIR / name).read_bytes()
 
 
@@ -92,7 +94,7 @@ def test_reopening_the_fixture_gives_the_live_roots(name, tmp_path):
     expected = roots_of(index)
     system.close()
     (tmp_path / "copy").mkdir()
-    shutil.copyfile(FIXTURE_DIR / name, tmp_path / "copy" / "shard-000.jsonl")
+    shutil.copyfile(FIXTURE_DIR / name, tmp_path / "copy" / "shard-000.journal")
     engine = make_engine("disk", 0, index_factory(index), directory=tmp_path / "copy")
     try:
         assert roots_of(engine.index) == expected
