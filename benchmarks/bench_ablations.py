@@ -69,6 +69,8 @@ def test_ablation_join_plan(benchmark, size_small):
     small, large = vo[size_small], vo[5 * size_small]
     assert small["cyclic"] < small["semijoin"]
     assert abs(large["semijoin"] / large["cyclic"] - 1) < 0.01
+    # Merkle trees carry no filters: the join rule walks them cyclically.
+    assert small["rule"] == small["cyclic"] and large["rule"] == large["cyclic"]
 
 
 def test_ablation_join_plan_cistar(benchmark):
@@ -83,8 +85,10 @@ def test_ablation_join_plan_cistar(benchmark):
     )[128]
     # CI* at the cistar_selective shape: the semi-join plan probes only
     # the two smallest trees' common IDs in the third tree, where a
-    # Bloom filter can dismiss a probe unread, and ships 21.6 % less.
+    # Bloom filter can dismiss a probe unread, and ships 21.6 % less;
+    # the join rule picks it.
     assert vo["semijoin"] < 0.9 * vo["cyclic"]
+    assert vo["rule"] == vo["semijoin"]
 
 
 def test_ablation_batch_size(benchmark, size_small):

@@ -1,7 +1,7 @@
 """Ablation studies for the design choices DESIGN.md calls out.
 
 Beyond the paper's own experiments, these sweeps isolate the impact of
-four design parameters:
+five design parameters:
 
 * ``fanout`` — the MB-tree fan-out F trades UpdVO width (txdata per
   level) against tree depth (number of levels) in the SMI index;
@@ -9,6 +9,8 @@ four design parameters:
   against per-node CVC width in the CI index;
 * ``join order`` — smallest-trees-first (footnote 3) vs the naive
   caller order;
+* ``join plan`` — the cyclic walk, the semi-join and the rule that picks
+  between them, per scheme and conjunction size;
 * ``batch size`` — amortising the 21,000-gas transaction base cost
   across batched Chameleon insertions.
 """
@@ -16,9 +18,13 @@ four design parameters:
 from __future__ import annotations
 
 import statistics
+import time
 from dataclasses import dataclass
 
 from repro.bench.runner import BENCH_CVC_BITS, _dataset, measure_queries
+from repro.core.multiproof import compress_query_vo
+from repro.core.query.join import conjunctive_join
+from repro.core.query.vo import QueryVO
 from repro.core.system import HybridStorageSystem
 from repro.datasets.workloads import ConjunctiveWorkload
 from repro.ethereum.gas import GAS_TXDATA_PER_BYTE, gas_to_usd
@@ -31,11 +37,6 @@ class AblationRow:
     parameter: str
     value: object
     metrics: dict[str, float]
-
-
-def _ingest(system: HybridStorageSystem, dataset) -> None:
-    for obj in dataset.objects():
-        system.add_object(obj)
 
 
 def ablation_fanout(
@@ -51,7 +52,7 @@ def ablation_fanout(
     rows = []
     for fanout in fanouts:
         system = HybridStorageSystem(scheme="smi", fanout=fanout, seed=seed)
-        _ingest(system, _dataset("twitter", size, seed=seed))
+        system.add_objects(_dataset("twitter", size, seed=seed).objects())
         meter = system.maintenance_meter()
         txdata_bytes = meter.by_operation.get("txdata", 0) / GAS_TXDATA_PER_BYTE
         rows.append(
@@ -93,7 +94,7 @@ def ablation_arity(
         system = HybridStorageSystem(
             scheme="ci", arity=arity, cvc_modulus_bits=BENCH_CVC_BITS, seed=seed
         )
-        _ingest(system, _dataset("twitter", size, seed=seed))
+        system.add_objects(_dataset("twitter", size, seed=seed).objects())
         query_row = measure_queries(system, dataset, 2, num_queries, seed=seed)
         rows.append(
             AblationRow(
@@ -116,6 +117,60 @@ def ablation_arity(
     return rows
 
 
+def _compare(
+    parameter: str,
+    settings: dict[str, tuple[str, str | None]],
+    title: str,
+    scheme: str,
+    dataset: str,
+    size: int,
+    num_keywords: int,
+    num_queries: int,
+    seed: int,
+) -> list[AblationRow]:
+    """A row per ``(order, plan)`` setting: the SP's join over its own
+    views (a plan the client refuses is measured, never sent), the
+    paper's VO (every table in full, plus ``VO_chain``) and the join and
+    prove time; every setting must find the same results."""
+    data = _dataset(dataset, size, seed=seed)
+    system = HybridStorageSystem(scheme=scheme, seed=seed, cvc_modulus_bits=BENCH_CVC_BITS)
+    system.add_objects(data.objects())
+    workload = ConjunctiveWorkload(dataset=data, num_keywords=num_keywords, seed=seed)
+    queries = list(workload.queries(num_queries))
+    rows: list[AblationRow] = []
+    reference = None
+    for value, (order, plan) in settings.items():
+        results, vo_sizes, sp_times = [], [], []
+        for query in queries:
+            t0 = time.perf_counter()
+            outcomes = [
+                conjunctive_join(
+                    [system.sp_index.view(kw) for kw in sorted(conj)], order=order, plan=plan
+                )
+                for conj in query.conjunctions
+            ]
+            vo = compress_query_vo(QueryVO(conjuncts=tuple(vo for _, vo in outcomes)))
+            sp_times.append(time.perf_counter() - t0)
+            chain = system.chain_proof_system(query.all_keywords())
+            vo_sizes.append(vo.byte_size() + chain.chain_digest_bytes())
+            results.append(sorted({oid for ids, _ in outcomes for oid in ids}))
+        if reference is None:
+            reference = results
+        elif results != reference:
+            raise AssertionError(f"{parameter} settings must agree on results")
+        metrics = {
+            "vo_kb": statistics.mean(vo_sizes) / 1024,
+            "sp_ms": 1e3 * statistics.mean(sp_times),
+        }
+        rows.append(AblationRow(parameter=parameter, value=value, metrics=metrics))
+    system.close()
+    print(f"\nAblation — {title} ({dataset}, n={size}, {num_keywords}-keyword conjunctions)")
+    print(f"{parameter:>10}{'VO (KB)':>10}{'SP (ms)':>10}")
+    for row in rows:
+        print(f"{row.value:>10}{row.metrics['vo_kb']:>10.2f}{row.metrics['sp_ms']:>10.2f}")
+    return rows
+
+
 def ablation_join_order(
     size: int = 300,
     num_queries: int = 10,
@@ -123,32 +178,11 @@ def ablation_join_order(
     seed: int = 7,
 ) -> list[AblationRow]:
     """Smallest-trees-first vs naive join order (VO size, SP time)."""
-    dataset = _dataset("twitter", size, seed=seed)
-    rows = []
-    for order in ("size", "given"):
-        system = HybridStorageSystem(scheme="smi", seed=seed, join_order=order)
-        _ingest(system, _dataset("twitter", size, seed=seed))
-        query_row = measure_queries(
-            system, dataset, num_keywords, num_queries, seed=seed
-        )
-        rows.append(
-            AblationRow(
-                parameter="join_order",
-                value=order,
-                metrics={"vo_kb": query_row.vo_kb, "sp_ms": query_row.sp_ms},
-            )
-        )
-    print(
-        f"\nAblation — join order (Twitter, n={size}, "
-        f"{num_keywords}-keyword conjunctions)"
+    settings = {"size": ("size", None), "given": ("given", None)}
+    return _compare(
+        "join_order", settings, "SMI join order",
+        "smi", "twitter", size, num_keywords, num_queries, seed,
     )
-    print(f"{'order':>8}{'VO (KB)':>10}{'SP (ms)':>10}")
-    for row in rows:
-        print(
-            f"{row.value:>8}{row.metrics['vo_kb']:>10.2f}"
-            f"{row.metrics['sp_ms']:>10.2f}"
-        )
-    return rows
 
 
 def ablation_batch_size(
@@ -194,59 +228,22 @@ def ablation_join_plan(
     scheme: str = "smi",
     dataset: str = "twitter",
 ) -> list[AblationRow]:
-    """Cyclic k-way walk vs semi-join plan (VO size, SP time, results).
+    """Cyclic k-way walk vs semi-join plan vs the rule that picks one
+    (:func:`~repro.core.query.join.rule_plan`): VO size and SP time.
 
-    Both plans are *sound and complete*; this sweep measures, for one
-    scheme and dataset, what each ships and costs the SP.  The semi-join
-    plan walks the two smallest trees, then probes only their common IDs
-    in each further tree; under CI* a Bloom filter can dismiss such a
-    probe before any row is read.
+    The semi-join walks the two smallest trees, then probes only their
+    common IDs in each further tree; under CI* a Bloom filter can
+    dismiss such a probe before any row is read.
     """
-    data = _dataset(dataset, size, seed=seed)
-    rows = []
-    reference_results: list[list[int]] | None = None
-    for plan in ("cyclic", "semijoin"):
-        system = HybridStorageSystem(
-            scheme=scheme, seed=seed, join_plan=plan, cvc_modulus_bits=BENCH_CVC_BITS
-        )
-        _ingest(system, _dataset(dataset, size, seed=seed))
-        workload = ConjunctiveWorkload(
-            dataset=data, num_keywords=num_keywords, seed=seed
-        )
-        vo_sizes = []
-        sp_times = []
-        results = []
-        for query in workload.queries(num_queries):
-            result = system.query(query)
-            # The paper's VO: every table in full, as a new client gets it.
-            vo_sizes.append(result.vo_cold_bytes + result.vo_chain_bytes)
-            sp_times.append(result.sp_seconds)
-            results.append(result.result_ids)
-        if reference_results is None:
-            reference_results = results
-        elif results != reference_results:
-            raise AssertionError("plans must agree on results")
-        rows.append(
-            AblationRow(
-                parameter="join_plan",
-                value=plan,
-                metrics={
-                    "vo_kb": statistics.mean(vo_sizes) / 1024,
-                    "sp_ms": 1e3 * statistics.mean(sp_times),
-                },
-            )
-        )
-    print(
-        f"\nAblation — multiway join plan ({scheme.upper()}, {dataset}, "
-        f"n={size}, {num_keywords}-keyword conjunctions)"
+    settings = {
+        "cyclic": ("size", "cyclic"),
+        "semijoin": ("size", "semijoin"),
+        "rule": ("size", None),
+    }
+    return _compare(
+        "join_plan", settings, f"{scheme.upper()} multiway join plan",
+        scheme, dataset, size, num_keywords, num_queries, seed,
     )
-    print(f"{'plan':>10}{'VO (KB)':>10}{'SP (ms)':>10}")
-    for row in rows:
-        print(
-            f"{row.value:>10}{row.metrics['vo_kb']:>10.2f}"
-            f"{row.metrics['sp_ms']:>10.2f}"
-        )
-    return rows
 
 
 ABLATIONS = {

@@ -28,7 +28,7 @@ from repro.core.objects import ObjectMetadata
 from repro.core.proofcache import CacheKey, VerificationCache
 from repro.core.query.join import remember_key
 from repro.crypto import vc
-from repro.crypto.bloom import BloomFilterChain, MaskMemo, optimal_hash_count
+from repro.crypto.bloom import DEFAULT_FILTER_BITS, BloomFilterChain, MaskMemo, optimal_hash_count
 from repro.crypto.hashing import DIGEST_SIZE
 from repro.errors import ReproError, VerificationError
 from repro.ethereum.contract import SmartContract
@@ -278,7 +278,8 @@ class ChameleonView:
 class ChameleonSP:
     """The SP's complete Chameleon^inv index.
 
-    ``bloom`` is ``(filter_bits, capacity)`` under CI*.  A keyword's
+    ``bloom`` is the filter capacity ``b`` under CI* (every filter is
+    :data:`~repro.crypto.bloom.DEFAULT_FILTER_BITS` wide).  A keyword's
     Bloom filter chain is then a function of the IDs applied to its
     tree, so the index derives it, never stores it: each ID the tree
     accepts is added, :meth:`adopt` rebuilds every chain from its tree,
@@ -287,14 +288,15 @@ class ChameleonSP:
 
     pp: vc.CVCPublicParams
     arity: int = DEFAULT_ARITY
-    bloom: tuple[int, int] | None = None
+    bloom: int | None = None
     trees: dict[str, ChameleonTreeSP] = field(default_factory=dict)
     blooms: dict[str, BloomFilterChain] = field(default_factory=dict, init=False)
     masks: MaskMemo | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.bloom is not None:
-            self.masks = MaskMemo(self.bloom[0], optimal_hash_count(*self.bloom))
+            hash_count = optimal_hash_count(DEFAULT_FILTER_BITS, self.bloom)
+            self.masks = MaskMemo(DEFAULT_FILTER_BITS, hash_count)
 
     @property
     def value_bytes(self) -> int:
@@ -323,7 +325,7 @@ class ChameleonSP:
             chain = self.blooms.get(keyword)
             if chain is None:
                 chain = self.blooms[keyword] = BloomFilterChain(
-                    *self.bloom, masks=self.masks
+                    capacity=self.bloom, masks=self.masks
                 )
             chain.add(object_id)
 
@@ -382,7 +384,8 @@ class ChameleonProofSystem:
     caches and counts only afterwards.  The exit also settles the
     account of the tables: none unused, no entry row unread.
 
-    ``cache``, when set, memoises *successful* checks at two
+    ``cache`` (the client's session cache; a fresh one by default)
+    memoises *successful* checks at two
     granularities, both stored only once the batch they were checked in
     has passed.  A *node* key is built from the bytes the table holds —
     the modulus, ``c``, ``Lambda``, the ``id || h(o)`` slot 1 commits to
@@ -405,7 +408,7 @@ class ChameleonProofSystem:
     arity: int = DEFAULT_ARITY
     blooms: dict[str, BloomFilterChain] | None = None
     value_bytes: int = 128
-    cache: VerificationCache | None = None
+    cache: VerificationCache = field(default_factory=VerificationCache)
     #: The current query's tables (see :meth:`attach_multiproofs`).
     multiproofs: tuple = field(
         default=(), init=False, repr=False, compare=False
@@ -482,10 +485,9 @@ class ChameleonProofSystem:
         nodes[position] = key
         if key in pending:
             # Owed already: like a cached statement, it costs nothing more.
-            if self.cache is not None:
-                self.cache.count_hit()
+            self.cache.count_hit()
             return True
-        if self.cache is not None and self.cache.recall(key):
+        if self.cache.recall(key):
             return True
         statement = table.statement(node, children)
         modulus = self.pp.modulus
@@ -511,15 +513,14 @@ class ChameleonProofSystem:
                         "failed commitment verification"
                     )
         cache = self.cache
-        if cache is not None:
-            for key, (statement, owner) in pending.items():
-                if statement is not None:
-                    cache.add(key)
-                    continue
-                keyword, table, nodes = owner
-                cache.add(key, summary=True, hold=(keyword, table))
-                # The table key is (modulus, c_0, cnt, token).
-                cache.index(keyword, key.parts[1], key.parts[2], nodes)
+        for key, (statement, owner) in pending.items():
+            if statement is not None:
+                cache.add(key)
+                continue
+            keyword, table, nodes = owner
+            cache.add(key, summary=True, hold=(keyword, table))
+            # The table key is (modulus, c_0, cnt, token).
+            cache.index(keyword, key.parts[1], key.parts[2], nodes)
 
     def _authenticate(
         self,
@@ -541,18 +542,15 @@ class ChameleonProofSystem:
                 "settling(), whose exit checks their openings"
             )
         cache = self.cache
-        key = None
-        if cache is not None:
-            key = CacheKey((self.pp.modulus, commitment, count, table.cache_token()))
-            if cache.recall(key, summary=True, hold=(keyword, table)):
-                cache.count_hit(len(table.rows()))
-                return table.entries()
+        key = CacheKey((self.pp.modulus, commitment, count, table.cache_token()))
+        if cache.recall(key, summary=True, hold=(keyword, table)):
+            cache.count_hit(len(table.rows()))
+            return table.entries()
         nodes: dict[int, CacheKey] = {}
         proven = table.authenticate(
             partial(self._holds, keyword, table, nodes), commitment, count
         )
-        if key is not None:
-            pending[key] = (None, (keyword, table, nodes))
+        pending[key] = (None, (keyword, table, nodes))
         return proven
 
     def proven_run(self, keyword: str, table: int | None) -> ProvenRun:

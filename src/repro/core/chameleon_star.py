@@ -32,12 +32,10 @@ class ChameleonStarContract(ChameleonContract):
         self,
         value_bytes: int = 128,
         bloom_capacity: int = DEFAULT_CAPACITY,
-        filter_bits: int = DEFAULT_FILTER_BITS,
     ) -> None:
         super().__init__(value_bytes=value_bytes)
         self.bloom_capacity = bloom_capacity
-        self.filter_bits = filter_bits
-        self.hash_count = optimal_hash_count(filter_bits, bloom_capacity)
+        self.hash_count = optimal_hash_count(DEFAULT_FILTER_BITS, bloom_capacity)
 
     def insert_object(
         self,
@@ -63,7 +61,7 @@ class ChameleonStarContract(ChameleonContract):
         self.env.meter.hash(1)
         self.env.meter.hash(1)
         self.env.touch_memory(2)
-        word = id_mask(object_id, self.filter_bits, self.hash_count)
+        word = id_mask(object_id, DEFAULT_FILTER_BITS, self.hash_count)
         if slot == 0:
             # New filter: record its range minimum once.
             self.storage.store(("bloommin", keyword, index), object_id)
@@ -71,7 +69,7 @@ class ChameleonStarContract(ChameleonContract):
         else:
             # Read-modify-write of the live filter word.
             word |= int.from_bytes(self.storage.load(("bloom", keyword, index)), "big")
-        self.storage.store(("bloom", keyword, index), word.to_bytes(self.filter_bits // 8, "big"))
+        self.storage.store(("bloom", keyword, index), word.to_bytes(DEFAULT_FILTER_BITS // 8, "big"))
 
     # -- free views --------------------------------------------------------------
 
@@ -89,4 +87,4 @@ class ChameleonStarContract(ChameleonContract):
 
     def view_bloom_params(self) -> tuple[int, int]:
         """Free view: filter length and capacity."""
-        return self.filter_bits, self.bloom_capacity
+        return DEFAULT_FILTER_BITS, self.bloom_capacity

@@ -52,6 +52,8 @@ class MBTreeView:
     keyword: str
     tree: MBTree
     keys: list[int] = field(default_factory=list, init=False, compare=False)
+    #: No on-chain filters in the Merkle family.
+    bloom = None
 
     def __len__(self) -> int:
         return len(self.tree)
@@ -86,8 +88,7 @@ class MBTreeView:
         )
 
     def definitely_absent(self, object_id: int) -> bool:
-        # No on-chain filters in the Merkle family.
-        """Whether on-chain filters prove the ID absent."""
+        """Whether on-chain filters prove the ID absent: never here."""
         return False
 
 

@@ -11,13 +11,9 @@ durable ground truth; SP state is always reconstructible), and it can
 never deserialise inconsistent cryptographic state.
 
 Manifest v2 captures the *complete* constructor configuration.  The v1
-schema recorded only a subset (omitting ``cvc_modulus_bits`` from the
-config map plus ``gas_limit``, ``track_state`` and
-``verify_cache_size`` entirely), so a system saved with non-default
-values silently restored with defaults — a non-default modulus even
-changes key derivation, making every restored digest mismatch.  v1
-manifests remain readable; their missing fields load as the defaults
-they were (incorrectly but unavoidably) restored with before.
+schema recorded a subset (a non-default modulus, which changes key
+derivation, restored as the default); v1 manifests remain readable, and
+their missing fields load as those defaults.
 
 Layout::
 
@@ -33,7 +29,8 @@ from pathlib import Path
 from repro.core.nodestore import NODESTORE_VERSION
 from repro.core.objects import object_to_record, record_to_object
 from repro.core.system import HybridStorageSystem
-from repro.errors import ReproError
+from repro.crypto.bloom import DEFAULT_FILTER_BITS
+from repro.errors import ParameterError, ReproError
 
 #: Manifest schema version.  v3 adds the node-store format version (the
 #: flat-buffer record layout trees persist/snapshot in); v1 and v2
@@ -47,13 +44,9 @@ _CONFIG_FIELDS = (
     "fanout",
     "arity",
     "bloom_capacity",
-    "filter_bits",
     "cvc_modulus_bits",
     "gas_limit",
-    "join_order",
-    "join_plan",
     "track_state",
-    "verify_cache_size",
     "shards",
     "engine",
     "pool",
@@ -65,22 +58,26 @@ _V1_CONFIG_FIELDS = (
     "fanout",
     "arity",
     "bloom_capacity",
-    "filter_bits",
-    "join_order",
-    "join_plan",
 )
 
 #: Keys older builds wrote into ``config`` for arguments that no longer
 #: exist.  None of them changed a root, a VO or gas: ``witness_batching``
 #: chose between two ingest opening paths with equal bytes,
 #: ``mine_every`` set how many inserts shared a block (callers only ever
-#: used one), and the two ``warm*`` keys configured a cache warmer that
-#: left the cache a scan query leaves.  They are ignored on load.
+#: used one), the two ``warm*`` keys configured a cache warmer that
+#: left the cache a scan query leaves, and ``join_order``, ``join_plan``
+#: and ``verify_cache_size`` chose what is now fixed, at equal results.
+#: They are ignored on load, and so is ``filter_bits`` at the paper's
+#: 256; any other width is refused: its CI* filters cannot be rebuilt.
 _RETIRED_CONFIG_FIELDS = (
     "witness_batching",
     "mine_every",
     "witness_warmer",
     "warm_hot_threshold",
+    "join_order",
+    "join_plan",
+    "verify_cache_size",
+    "filter_bits",
 )
 
 
@@ -160,6 +157,9 @@ def load_system(
     if not manifest_path.exists():
         raise ReproError(f"no manifest at {manifest_path}")
     manifest = json.loads(manifest_path.read_text())
+    bits = manifest.get("config", {}).get("filter_bits", DEFAULT_FILTER_BITS)
+    if bits != DEFAULT_FILTER_BITS:
+        raise ParameterError(f"manifest holds {bits}-bit Bloom filters; only 256 rebuild")
     kwargs = _kwargs_from_manifest(manifest)
     for retired in _RETIRED_CONFIG_FIELDS:
         kwargs.pop(retired, None)

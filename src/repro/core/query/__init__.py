@@ -3,7 +3,6 @@
 from repro.core.query.join import (
     KeyView,
     conjunctive_join,
-    join_two,
     multiway_join,
     semi_join,
 )
@@ -33,7 +32,6 @@ __all__ = [
     "ReplayVO",
     "VerifiedResults",
     "conjunctive_join",
-    "join_two",
     "multiway_join",
     "semi_join",
     "verify_conjunct",

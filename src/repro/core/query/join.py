@@ -23,17 +23,24 @@ never shipped.
 
 Two multiway plans are provided:
 
-* **cyclic** (default) — the k-way generalisation of the paper's
-  two-tree role-switching walk (Fig. 4): the target visits the other
-  trees collecting boundary proofs; a target confirmed in all ``k-1`` of
-  them is a result; a failed probe advances the target to the probed
-  tree's upper boundary.  For ``k = 2`` this is *exactly* the paper's
-  walk; its cost grows with the number of query keywords, which is the
-  behaviour the paper's Figs. 11–12 measure.
+* **cyclic** — the k-way generalisation of the paper's two-tree
+  role-switching walk (Fig. 4): the target visits the other trees
+  collecting boundary proofs; a target confirmed in all ``k-1`` of them
+  is a result; a failed probe advances the target to the probed tree's
+  upper boundary.  For ``k = 2`` this is *exactly* the paper's walk; its
+  cost grows with the number of query keywords, which is the behaviour
+  the paper's Figs. 11–12 measure.
 * **semijoin** — footnote 3 taken literally: join the two smallest
   trees, then probe each surviving candidate in every remaining tree.
-  Asymptotically cheaper when intersections are small; compared against
-  the cyclic plan in the join-plan ablation.
+
+A conjunct's plan is a rule both parties apply to its trees
+(:func:`rule_plan`), not a setting: the semi-join for 3 to
+:data:`SEMIJOIN_MAX_TREES` trees that all carry a Bloom filter chain
+(Chameleon*), where a filter can dismiss a candidate's probe unread, and
+the cyclic walk otherwise.  Measured (``abl-plan``, DESIGN.md §5), the
+semi-join ships 7–22 % fewer VO bytes than the walk on CI* at k = 3–4,
+up to 23 % more at k = 5–6, and within 0.8 % on trees without filters.
+The client refuses a VO naming the other plan.
 
 Protocol invariants (cyclic walk):
 
@@ -63,6 +70,9 @@ from typing import Literal, Protocol
 from repro.core.query.vo import ConjunctiveVO, ReplayVO
 from repro.errors import QueryError
 
+#: The most trees :func:`rule_plan` joins by the semi-join plan.
+SEMIJOIN_MAX_TREES = 4
+
 
 class KeyView(Protocol):
     """One keyword's index tree as the walk reads it: keys only.
@@ -71,6 +81,8 @@ class KeyView(Protocol):
     """
 
     keyword: str
+    #: The keyword's on-chain Bloom filter chain (Chameleon*), else ``None``.
+    bloom: object | None
 
     def __len__(self) -> int:
         """Zero iff the keyword has no entry; otherwise only a sort key."""
@@ -146,7 +158,8 @@ def _cyclic_walk(views: list[KeyView], target: int) -> list[int]:
 
 
 def multiway_join(views: list[KeyView]) -> tuple[list[int], ReplayVO]:
-    """The k-way cyclic join walk; trees must all be non-empty.
+    """The k-way cyclic join walk (for k = 2 the paper's Fig. 4 walk);
+    trees must all be non-empty.
 
     Returns the matched IDs and the runs the walk read.
     """
@@ -159,11 +172,6 @@ def multiway_join(views: list[KeyView]) -> tuple[list[int], ReplayVO]:
     return matches, _replay_vo("cyclic", views)
 
 
-def join_two(left: KeyView, right: KeyView) -> tuple[list[int], ReplayVO]:
-    """Authenticated join of two trees (the paper's Fig. 4 walk)."""
-    return multiway_join([left, right])
-
-
 def semi_join(candidates: list[int], view: KeyView) -> list[int]:
     """Filter ``candidates`` through one more tree with per-ID probes."""
     survivors: list[int] = []
@@ -174,6 +182,17 @@ def semi_join(candidates: list[int], view: KeyView) -> list[int]:
         if lower == candidate:
             survivors.append(candidate)
     return survivors
+
+
+def rule_plan(views: list[KeyView]) -> Literal["cyclic", "semijoin"]:
+    """The plan for a conjunction over these non-empty trees: both
+    parties see the same filters and tree count, so the client computes
+    the SP's choice rather than reading it."""
+    if 3 <= len(views) <= SEMIJOIN_MAX_TREES and all(
+        view.bloom is not None for view in views
+    ):
+        return "semijoin"
+    return "cyclic"
 
 
 def _replay_vo(
@@ -189,20 +208,21 @@ def _replay_vo(
 def conjunctive_join(
     views: list[KeyView],
     order: str = "size",
-    plan: str = "cyclic",
+    plan: str | None = None,
 ) -> tuple[list[int], ConjunctiveVO]:
     """Evaluate one conjunctive component over its keyword trees.
 
     ``order="size"`` (default) sorts trees smallest-first per the
-    paper's footnote 3; ``order="given"`` keeps the caller's order.
-    ``plan`` selects the multiway strategy: the default ``"cyclic"``
-    walk, or ``"semijoin"`` (base pair + per-candidate stages).
+    paper's footnote 3; ``order="given"`` keeps the caller's order (the
+    client's replay, and the join-order ablation).  ``plan`` is
+    ``None`` for :func:`rule_plan`'s choice, or ``"cyclic"`` /
+    ``"semijoin"`` to force one (the join-plan ablation).
     """
     if not views:
         raise QueryError("a conjunctive component needs at least one keyword")
     if order not in ("size", "given"):
         raise QueryError(f"unknown join order {order!r}")
-    if plan not in ("cyclic", "semijoin"):
+    if plan not in (None, "cyclic", "semijoin"):
         raise QueryError(f"unknown join plan {plan!r}")
     keywords = tuple(v.keyword for v in views)
     for view in views:
@@ -211,6 +231,8 @@ def conjunctive_join(
                 keywords=keywords, empty_keyword=view.keyword
             )
     ordered = sorted(views, key=len) if order == "size" else list(views)
+    if plan is None:
+        plan = rule_plan(ordered)
     if len(ordered) == 1:
         matches = ordered[0].scan()
         base = _replay_vo("cyclic", ordered)

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Protocol
 
 from repro.core.objects import DataObject
-from repro.core.query.join import conjunctive_join
+from repro.core.query.join import conjunctive_join, rule_plan
 from repro.core.query.parser import KeywordQuery
 from repro.core.query.vo import ConjunctiveVO, QueryAnswer, ReplayVO
 from repro.crypto.hashing import digests_equal
@@ -108,8 +108,9 @@ def verify_replayed(
     keyword's on-chain digest and hands back a
     :class:`~repro.core.multiproof.ProvenRun` of its entries; the join
     routine does the rest, and a probe the entries cannot answer raises
-    from inside it.  Only the order of the trees and the plan are the
-    SP's to choose.
+    from inside it.  Only the order of the trees is the SP's to choose:
+    the plan must be :func:`~repro.core.query.join.rule_plan`'s for the
+    opened trees.
     """
     _check(
         len(vo.trees) == len(conj)
@@ -117,13 +118,13 @@ def verify_replayed(
         and len(vo.runs) == len(vo.trees),
         "replayed join is not over exactly the conjunction's keywords",
     )
-    _check(
-        vo.plan == "cyclic" or (vo.plan == "semijoin" and len(vo.trees) > 2),
-        "replayed join names a plan that is not the walk's for its size",
-    )
     list(vo.tables())  # a run the SP never proved is refused, not opened
     views = [ps.proven_run(tree, run) for tree, run in zip(vo.trees, vo.runs)]
-    ids, _ = conjunctive_join(views, order="given", plan=vo.plan)
+    _check(
+        vo.plan == rule_plan(views),
+        "replayed join names a plan that is not the rule's for its trees",
+    )
+    ids, _ = conjunctive_join(views, order="given")
     return VerifiedResults(ids=set(ids), hashes=views[0].object_hashes(ids))
 
 

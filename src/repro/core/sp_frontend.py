@@ -79,8 +79,6 @@ class ShardedStorageProvider:
         *,
         index_spec: tuple,
         scheme_value: str,
-        join_order: str,
-        join_plan: str,
         shards: int = 1,
         engine: str = "memory",
         engine_dir: str | Path | None = None,
@@ -89,8 +87,6 @@ class ShardedStorageProvider:
     ) -> None:
         self.router = ShardRouter(shards, seed=seed)
         self.scheme_value = scheme_value
-        self.join_order = join_order
-        self.join_plan = join_plan
         if pool not in POOL_KINDS:
             raise ParameterError(
                 f"unknown pool {pool!r}; expected one of: "
@@ -136,9 +132,9 @@ class ShardedStorageProvider:
         pending = self._pending[shard]
         pending.append(op)
         if len(pending) >= CHUNK_RECORDS:
-            self._ship([shard])
+            self.pool.dispatch(self._take([shard]), ingest=True)
 
-    def _ship(self, shards: Iterable[int]) -> int:
+    def _take(self, shards: Iterable[int]) -> list[tuple[int, str, object]]:
         """One ``apply`` call per listed shard with buffered ops.
 
         A buffer is emptied before its call goes out: a failed call is
@@ -152,25 +148,28 @@ class ShardedStorageProvider:
         ]
         for shard, _, _ in calls:
             self._pending[shard] = []
-        if calls:
-            self.pool.dispatch(calls, ingest=True)
-        return sum(len(ops) for _, _, ops in calls)
+        return calls
 
     def flush_mutations(self) -> int:
         """Ship every shard's buffered ops; returns the count.
 
-        Runs before every read and at the end of every ingest section
-        (the facade calls it), so queries issued outside the write lock
-        never race a buffered op.
+        Runs at the end of every ingest section (the facade calls it),
+        so queries issued outside the write lock never race a buffered
+        op.
         """
-        return self._ship(range(self.shards))
+        calls = self._take(range(self.shards))
+        if calls:
+            self.pool.dispatch(calls, ingest=True)
+        return sum(len(ops) for _, _, ops in calls)
 
     def _read(
         self, calls: list[tuple[int, str, object]], ingest: bool = False
     ) -> list:
-        """Dispatch read calls once the buffered ops have shipped."""
-        self.flush_mutations()
-        return self.pool.dispatch(calls, ingest=ingest)
+        """Dispatch read calls behind every shard's buffered ops, in one
+        message per shard: both pools run a shard's calls in order."""
+        ops = self._take(range(self.shards))
+        replies = self.pool.dispatch(ops + calls, ingest=ingest or bool(ops))
+        return replies[len(ops):]
 
     def home_shard(self, keywords: tuple[str, ...]) -> int:
         """The shard an object's payload is homed on."""
@@ -278,17 +277,7 @@ class ShardedStorageProvider:
         call_meta: list[tuple[str, object]] = []
         for shard in sorted(local):
             indices = local[shard]
-            calls.append(
-                (
-                    shard,
-                    "join",
-                    (
-                        [conjuncts[i] for i in indices],
-                        self.join_order,
-                        self.join_plan,
-                    ),
-                )
-            )
+            calls.append((shard, "join", [conjuncts[i] for i in indices]))
             call_meta.append(("join", indices))
         needed: dict[int, set[str]] = {}  # shard -> keywords to export
         for index in cross:
@@ -315,9 +304,7 @@ class ShardedStorageProvider:
                 for keyword in conjuncts[index]
             ]
             with obs.span("query.sp.join", keywords=len(views)):
-                outcomes[index] = conjunctive_join(
-                    views, order=self.join_order, plan=self.join_plan
-                )
+                outcomes[index] = conjunctive_join(views)
         return outcomes
 
     def process_query(

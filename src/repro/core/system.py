@@ -56,7 +56,7 @@ from repro.core.mbtree import DEFAULT_FANOUT
 from repro.core.merkle_family import MerkleProofSystem
 from repro.core.objects import DataObject, ObjectMetadata
 from repro.core.owner import ADS_CONTRACT, DataOwnerPipeline
-from repro.core.proofcache import DEFAULT_CACHE_SIZE, VerificationCache
+from repro.core.proofcache import VerificationCache
 from repro.core.query.parser import KeywordQuery
 from repro.core.query.vo import QueryAnswer
 from repro.core.scheme import Scheme
@@ -101,12 +101,16 @@ class HybridStorageSystem:
     capacity ``bloom_capacity`` (b, default 30) and the CVC modulus size.
     ``seed`` makes all key material deterministic for reproducible runs.
 
+    Fixed, not knobs: 256-bit Bloom filters, smallest-tree-first join
+    order, the join plan :func:`~repro.core.query.join.rule_plan` gives,
+    and a client cache that ``verify_cache.clear()`` makes cold again.
+
     Sharding knobs: ``shards`` splits the SP into that many keyword
     partitions behind deterministic seeded routing; ``engine`` picks the
     per-shard storage engine (``memory`` default, or ``disk`` for an
-    append-only JSONL segment log under ``engine_dir``, which must hold
-    no shard state yet: the chain and the DO start empty, so a directory
-    from an earlier run is refused with
+    append-only binary journal and a checkpoint per shard under
+    ``engine_dir``, which must hold no shard state yet: the chain and
+    the DO start empty, so a directory from an earlier run is refused with
     :class:`~repro.errors.IntegrityError` — a system is restored by
     replaying its object log, :func:`~repro.core.persistence.load_system`);
     ``pool`` says
@@ -114,15 +118,15 @@ class HybridStorageSystem:
     ``affine``: each shard's engine resident in a long-lived worker
     process that is sent only delta ops per batch).  Shard layout and pool mode never change
     answers, VO bytes or gas — only capacity and throughput.
-
-    ``verify_cache_size`` bounds the client's LRU of successfully
-    verified proof tuples reused across conjuncts and queries (0
-    disables it); verification always runs in the caller.
     """
 
     #: There is one VO shape; ``benchmarks/e2e`` still reads this, and it
     #: goes when a benchmark-only PR stops doing so.
     vo_version = 3
+    #: The SP's join order and plan (``None``: the rule's); ``benchmarks/e2e``
+    #: still reads these, and they go when a benchmark-only PR stops doing so.
+    join_order = "size"
+    join_plan = None
 
     def __init__(
         self,
@@ -130,14 +134,10 @@ class HybridStorageSystem:
         fanout: int = DEFAULT_FANOUT,
         arity: int = 2,
         bloom_capacity: int = DEFAULT_CAPACITY,
-        filter_bits: int = DEFAULT_FILTER_BITS,
         cvc_modulus_bits: int = 1024,
         seed: int | None = 7,
         gas_limit: int = BLOCK_GAS_LIMIT,
-        join_order: str = "size",
-        join_plan: str = "cyclic",
         track_state: bool = False,
-        verify_cache_size: int = DEFAULT_CACHE_SIZE,
         shards: int = 1,
         engine: str = "memory",
         engine_dir: str | Path | None = None,
@@ -152,15 +152,11 @@ class HybridStorageSystem:
                 "starts from an empty chain and cannot adopt it"
             )
         self.fanout = fanout
-        self.join_order = join_order
-        self.join_plan = join_plan
         self.arity = arity
         self.bloom_capacity = bloom_capacity
-        self.filter_bits = filter_bits
         self.cvc_modulus_bits = cvc_modulus_bits
         self.gas_limit = gas_limit
         self.track_state = track_state
-        self.verify_cache_size = verify_cache_size
         self.shards = shards
         self.engine = engine
         self.pool = pool
@@ -168,17 +164,9 @@ class HybridStorageSystem:
         self._maintenance = GasMeter()
         self._object_count = 0
         self._rwlock = ReadWriteLock()
-        if verify_cache_size > 0:
-            prefix = (
-                "vc.verify"
-                if self.scheme in (Scheme.CHAMELEON, Scheme.CHAMELEON_STAR)
-                else "merkle.verify"
-            )
-            self.verify_cache: VerificationCache | None = VerificationCache(
-                maxsize=verify_cache_size, metric_prefix=prefix
-            )
-        else:
-            self.verify_cache = None
+        self.verify_cache = VerificationCache(
+            metric_prefix="vc.verify" if self.uses_cvc else "merkle.verify"
+        )
 
         do: ChameleonDataOwner | None = None
         if self.scheme in (Scheme.CHAMELEON, Scheme.CHAMELEON_STAR):
@@ -192,11 +180,10 @@ class HybridStorageSystem:
             )
             index_params = {"pp": pp, "arity": arity}
             if self.scheme is Scheme.CHAMELEON_STAR:
-                index_params["bloom"] = (filter_bits, bloom_capacity)
+                index_params["bloom"] = bloom_capacity
                 contract = ChameleonStarContract(
                     value_bytes=self.value_bytes,
                     bloom_capacity=bloom_capacity,
-                    filter_bits=filter_bits,
                 )
             else:
                 contract = ChameleonContract(value_bytes=self.value_bytes)
@@ -213,8 +200,6 @@ class HybridStorageSystem:
         self._sp = ShardedStorageProvider(
             index_spec=index_spec,
             scheme_value=self.scheme.value,
-            join_order=join_order,
-            join_plan=join_plan,
             shards=shards,
             engine=engine,
             engine_dir=engine_dir,
@@ -371,20 +356,17 @@ class HybridStorageSystem:
         }
         blooms = None
         if self.scheme is Scheme.CHAMELEON_STAR:
-            # The session's masks: a fresh session derives its own.
-            masks = None
-            if self.verify_cache is not None:
-                masks = self.verify_cache.bloom_masks(self.filter_bits, self.bloom_capacity)
+            # The session's masks: a cleared cache derives them afresh.
+            masks = self.verify_cache.bloom_masks(
+                DEFAULT_FILTER_BITS, self.bloom_capacity
+            )
             blooms = {}
             for kw in keywords:
                 snapshot = self.chain.call_view(
                     ADS_CONTRACT, "view_bloom_snapshot", kw
                 )
                 blooms[kw] = BloomFilterChain.from_snapshot(
-                    snapshot,
-                    filter_bits=self.filter_bits,
-                    capacity=self.bloom_capacity,
-                    masks=masks,
+                    snapshot, capacity=self.bloom_capacity, masks=masks
                 )
         return ChameleonProofSystem(
             pp=self._cvc.pp,

@@ -210,7 +210,6 @@ class Blockchain:
             "chain.tx", contract=contract_name, method=method
         ) as tx_span:
             contract.bind(env)
-            state_snapshot = contract.storage.snapshot()
             try:
                 meter.tx_base()
                 meter.txdata(len(payload))
@@ -223,11 +222,11 @@ class Blockchain:
                 receipt.status = True
             except (IntegrityError, OutOfGasError) as exc:
                 receipt.error = f"{type(exc).__name__}: {exc}"
-                contract.storage.restore(state_snapshot)
+                contract.storage.revert()
             except BaseException:
                 # Any other error leaves the call: no receipt, so no
                 # storage write and no nonce either.
-                contract.storage.restore(state_snapshot)
+                contract.storage.revert()
                 self._nonces[sender] = nonce
                 raise
             finally:

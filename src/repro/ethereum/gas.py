@@ -119,7 +119,7 @@ class GasMeter:
         self.charge(GAS_MEM * words, "mem")
 
     def hash(self, input_words: int) -> None:
-        """The header's digest (chains blocks together)."""
+        """Charge hashing an ``input_words``-word message (``C_hash``)."""
         self.charge(hash_gas(input_words), "hash")
 
     def tx_base(self) -> None:

@@ -58,15 +58,19 @@ class ContractStorage:
     The active meter is injected per transaction via :meth:`bind_meter`;
     accesses outside a transaction (e.g. test assertions) use the
     unmetered ``peek``/``poke`` escape hatches, which never charge gas
-    and never appear in measured costs.
+    and never appear in measured costs.  A transaction's writes are
+    logged as they happen, so :meth:`revert` undoes only those.
     """
 
     _words: dict[StorageKey, bytes] = field(default_factory=dict)
     _meter: GasMeter | None = None
+    #: Each word the bound transaction wrote, as it was before.
+    _undo: dict[StorageKey, bytes] = field(default_factory=dict)
 
     def bind_meter(self, meter: GasMeter | None) -> None:
-        """Attach (or detach) the gas meter charged for accesses."""
+        """Attach (or detach) the gas meter; a new undo log starts."""
         self._meter = meter
+        self._undo = {}
 
     def _require_meter(self) -> GasMeter:
         if self._meter is None:
@@ -100,6 +104,7 @@ class ContractStorage:
             meter.sstore()
         else:
             meter.supdate()
+        self._undo.setdefault(key, existing)
         if word == ZERO_WORD:
             self._words.pop(key, None)
         else:
@@ -107,13 +112,14 @@ class ContractStorage:
 
     # -- transaction revert support -------------------------------------------
 
-    def snapshot(self) -> dict[StorageKey, bytes]:
-        """Copy of the occupied words (words themselves are immutable)."""
-        return dict(self._words)
-
-    def restore(self, words: dict[StorageKey, bytes]) -> None:
-        """Reset to a :meth:`snapshot` — the EVM revert on a failed tx."""
-        self._words = dict(words)
+    def revert(self) -> None:
+        """Undo the bound transaction's writes — the EVM revert on a failed tx."""
+        for key, word in self._undo.items():
+            if word == ZERO_WORD:
+                self._words.pop(key, None)
+            else:
+                self._words[key] = word
+        self._undo = {}
 
     # -- unmetered inspection (tests, reporting; not part of the cost model) --
 

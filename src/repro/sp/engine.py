@@ -201,14 +201,11 @@ class IndexShardEngine:
         if op == "apply":
             return self.apply_ops(payload)
         if op == "join":
-            conjuncts, order, plan = payload
             outcomes = []
-            for keywords in conjuncts:
+            for keywords in payload:
                 views = [self.view(keyword) for keyword in keywords]
                 with obs.span("query.sp.join", keywords=len(views)):
-                    outcomes.append(
-                        conjunctive_join(views, order=order, plan=plan)
-                    )
+                    outcomes.append(conjunctive_join(views))
             return outcomes
         if op == "prove":
             return [
@@ -335,6 +332,18 @@ def _read_object(wire: bytes) -> DataObject:
     return obj
 
 
+def _read_keyword(reader: Reader) -> str:
+    """A keyword in normal form: a tree under any other text is one no
+    object's keywords can reach."""
+    keyword = reader.text(U8)
+    try:
+        if normalise_keyword(keyword) == keyword:
+            return keyword
+    except ReproError:
+        pass
+    raise IntegrityError(f"keyword {keyword!r} is not in normal form")
+
+
 def _read_ops(body: bytes, value_bytes: int | None) -> list[ShardOp]:
     """The ops of one journal record, failing closed.
 
@@ -360,7 +369,7 @@ def _read_ops(body: bytes, value_bytes: int | None) -> list[ShardOp]:
         if (kind == "entry") != (value_bytes is None):
             family = "Merkle" if value_bytes is None else "Chameleon"
             raise IntegrityError(f"a {family} shard's journal holds an {kind!r} op")
-        keyword = reader.text(U8)
+        keyword = _read_keyword(reader)
         if value_bytes is None:  # an entry, by the check above
             ops.append((kind, keyword, reader.uint(8), reader.take(32)))
         elif kind == "register":
@@ -395,7 +404,7 @@ def _read_ckpt_meta(
         raise IntegrityError(f"checkpoint belongs to shard {shard}, not {shard_id}")
     if node_store != NODESTORE_VERSION:
         raise IntegrityError(f"checkpoint holds node-store version {node_store}")
-    trees = [(reader.text(U8), reader.uint(4)) for _ in range(count)]
+    trees = [(_read_keyword(reader), reader.uint(4)) for _ in range(count)]
     objects = [_read_object(wire) for wire in reader.blobs(U32, reader.uint(4))]
     reader.finish()
     keywords = [keyword for keyword, _ in trees]

@@ -473,11 +473,9 @@ class RemoteClient:
         obs.observe("query.parse_seconds", time.perf_counter() - tp,
                     buckets=obs.TIME_BUCKETS_S)
         cache = self._system.verify_cache
-        held = nodes = ()
-        if cache is not None:
-            keywords = sorted(query.all_keywords())
-            held = tuple(cache.held(keywords))
-            nodes = tuple(cache.held_nodes(keywords))
+        keywords = sorted(query.all_keywords())
+        held = tuple(cache.held(keywords))
+        nodes = tuple(cache.held_nodes(keywords))
         request = QueryRequest(
             query_text=text,
             held=tuple((table.byte_size(), table.cache_token()) for table in held),

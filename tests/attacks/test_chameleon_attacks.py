@@ -33,6 +33,7 @@ from repro.core.query.codec import VOCodec
 from repro.core.query.verify import verify_query
 from repro.core.query.vo import ConjunctiveVO, QueryVO, ReplayVO
 from repro.crypto import vc
+from repro.crypto.bloom import DEFAULT_FILTER_BITS
 from repro.errors import ReproError, VerificationError
 from repro.sp.protocol import RemoteClient, StorageProviderServer
 from tests.node_tables import (
@@ -850,12 +851,38 @@ class TestBloomSkipAttacks:
         covid-19 for 4 and refuses the forged skip."""
         cis_system.query(JOIN)
         masks = cis_system.verify_cache.bloom_masks(
-            cis_system.filter_bits, cis_system.bloom_capacity
+            DEFAULT_FILTER_BITS, cis_system.bloom_capacity
         )
         if 4 not in masks:
             raise AssertionError("the honest query did not memoise target 4")
         if false_bloom_skip(cis_system) is not None:
             raise AssertionError("a forged skip verified under warm masks")
+
+    def test_semi_join_probe_omitted(self, cis_system):
+        """Three CI* trees are joined by the semi-join: the base pair
+        (vaccine, symptom) leaves one candidate, 4, which covid-19's
+        filters cannot exclude, so the stage reads covid-19.  A VO that
+        lists covid-19 unread and drops its table is refused."""
+        query, answer, ps = honest_answer(
+            cis_system, "covid-19 AND symptom AND vaccine"
+        )
+        base = answer.vo.conjuncts[0].base
+        if base.plan != "semijoin" or base.trees[2] != "covid-19":
+            raise AssertionError(f"not the semi-join this test forges: {base}")
+        dropped = base.runs[2]
+        with_base(
+            answer,
+            runs=tuple(
+                None if run == dropped else run - (run > dropped)
+                for run in base.runs
+            ),
+        )
+        tables = answer.vo.multiproofs
+        answer.vo = dataclasses.replace(
+            answer.vo, multiproofs=tables[:dropped] + tables[dropped + 1 :]
+        )
+        with pytest.raises(VerificationError):
+            verify_query(query, answer, ps)
 
     def test_queries_verify_with_blooms(self, cis_system):
         """Sanity: honest CI* answers whose walks skip probes pass end to

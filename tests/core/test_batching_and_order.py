@@ -1,10 +1,13 @@
-"""Tests for batched DO insertions and the join-order knob."""
+"""Tests for batched DO insertions and the join order."""
 
 import pytest
 
-from repro import DataObject, HybridStorageSystem
+from repro import DataObject, HybridStorageSystem, KeywordQuery
 from repro.core.query.join import conjunctive_join
+from repro.core.query.verify import verify_query
+from repro.core.query.vo import QueryAnswer
 from repro.errors import QueryError, ReproError
+from tests.finishing import finish
 
 
 def make_docs(n):
@@ -83,17 +86,29 @@ class TestBatchedInsertion:
 
 class TestJoinOrder:
     def test_given_order_still_correct(self):
+        """The SP's join under either order verifies: the client replays
+        the trees in the order the VO lists them."""
         docs = make_docs(30)
+        system = HybridStorageSystem(scheme="smi", seed=6)
+        system.add_objects(docs)
+        query = KeywordQuery.parse("alpha AND beta AND gamma")
+        expected = sorted(
+            d.object_id for d in docs if {"alpha", "beta", "gamma"} <= d.keyword_set()
+        )
         for order in ("size", "given"):
-            system = HybridStorageSystem(scheme="smi", seed=6, join_order=order)
-            system.add_objects(docs)
-            result = system.query("alpha AND beta AND gamma")
-            expected = sorted(
-                d.object_id
-                for d in docs
-                if {"alpha", "beta", "gamma"} <= d.keyword_set()
+            views = [system._sp_view(kw) for kw in ("gamma", "alpha", "beta")]
+            ids, conjunct = conjunctive_join(views, order=order)
+            assert sorted(ids) == expected
+            vo = finish(conjunct)
+            answer = QueryAnswer(
+                result_ids=expected,
+                objects={oid: system.get_object(oid) for oid in expected},
+                vo=vo,
             )
-            assert result.result_ids == expected
+            ps = system.chain_proof_system(query.all_keywords())
+            assert verify_query(query, answer, ps).ids == set(expected)
+            trees = vo.conjuncts[0].base.trees
+            assert (trees == ("gamma", "alpha", "beta")) == (order == "given")
 
     def test_unknown_order_rejected(self):
         system = HybridStorageSystem(scheme="smi", seed=6)

@@ -6,7 +6,16 @@ from pathlib import Path
 
 import pytest
 
+from repro import HybridStorageSystem
 from repro.cli import main
+from repro.core.persistence import load_system
+from repro.core.system import ADS_CONTRACT
+
+#: Keys the fixture registry's manifest holds for arguments since retired.
+RETIRED = {
+    "mine_every", "witness_warmer", "warm_hot_threshold",
+    "join_order", "join_plan", "verify_cache_size", "filter_bits",
+}
 
 
 @pytest.fixture()
@@ -50,14 +59,24 @@ class TestAddAndQuery:
 
     def test_parent_commit_registry_still_answers(self, tmp_path, capsys):
         """``tests/fixtures/registry_pr22`` is what ``repro init --shards 2
-        --pool affine --engine disk`` plus two ``add``s left at PR 22: its
-        manifest carries ``mine_every``, ``witness_warmer`` and
-        ``warm_hot_threshold``, which no constructor takes any more."""
+        --pool affine --engine disk`` plus two ``add``s left at 78f1db4: its
+        manifest carries ``mine_every``, ``witness_warmer``,
+        ``warm_hot_threshold``, ``join_order``, ``join_plan``,
+        ``verify_cache_size`` and ``filter_bits``, which no constructor
+        takes any more.  It reopens to the on-chain digests a system built
+        now from its objects has."""
         fixture = Path(__file__).resolve().parents[1] / "fixtures" / "registry_pr22"
         manifest = json.loads((fixture / "manifest.json").read_text())
-        assert {"mine_every", "witness_warmer", "warm_hot_threshold"} <= set(
-            manifest["config"]
-        )
+        assert RETIRED <= set(manifest["config"])
+        reopened = load_system(fixture)
+        rebuilt = HybridStorageSystem(scheme="ci*", seed=7)
+        rebuilt.add_objects(reopened.get_object(oid) for oid in reopened.all_object_ids())
+        for keyword in ("covid-19", "vaccine", "mask", "absent"):
+            assert reopened.chain.call_view(
+                ADS_CONTRACT, "view_digest", keyword
+            ) == rebuilt.chain.call_view(ADS_CONTRACT, "view_digest", keyword)
+        reopened.close()
+        rebuilt.close()
         directory = tmp_path / "registry"
         shutil.copytree(fixture, directory)
         assert main(["query", str(directory), "covid-19 AND vaccine"]) == 0
@@ -75,9 +94,7 @@ class TestAddAndQuery:
             == 0
         )
         resaved = json.loads((directory / "manifest.json").read_text())
-        assert not {"mine_every", "witness_warmer", "warm_hot_threshold"} & set(
-            resaved["config"]
-        )
+        assert not RETIRED & set(resaved["config"])
         assert resaved["config"]["pool"] == "affine"
         capsys.readouterr()
         assert main(["query", str(directory), "covid-19 AND vaccine"]) == 0

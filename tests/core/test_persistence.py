@@ -7,7 +7,7 @@ import pytest
 from repro import DataObject, HybridStorageSystem
 from repro.core.objects import object_to_record, record_to_object
 from repro.core.persistence import load_system, save_system
-from repro.errors import IntegrityError, ReproError
+from repro.errors import IntegrityError, ParameterError, ReproError
 from repro.sp.engine import DiskShardEngine, IndexShardEngine
 
 
@@ -57,8 +57,8 @@ class TestSaveLoadRoundTrip:
 class TestFullConfigGrid:
     """The v1 manifest dropped most knobs; v2 must round-trip them all.
 
-    Every scheme is saved with non-default modulus / gas / cache
-    knobs at several shard counts; the restored system must
+    Every scheme is saved with non-default modulus / gas knobs at
+    several shard counts; the restored system must
     carry the exact configuration and produce byte-identical digests
     and VOs (a wrong restored modulus changes key derivation, so the
     query comparison below would fail loudly).
@@ -67,7 +67,6 @@ class TestFullConfigGrid:
     KNOBS = dict(
         cvc_modulus_bits=768,
         gas_limit=9_000_000,
-        verify_cache_size=64,
     )
 
     def test_round_trip_preserves_config_and_vo(
@@ -118,15 +117,13 @@ class TestLegacyManifests:
         manifest["version"] = 1
         manifest["cvc_modulus_bits"] = 511
         manifest["config"] = {
-            field: manifest["config"][field]
-            for field in (
-                "fanout",
-                "arity",
-                "bloom_capacity",
-                "filter_bits",
-                "join_order",
-                "join_plan",
-            )
+            **{
+                field: manifest["config"][field]
+                for field in ("fanout", "arity", "bloom_capacity")
+            },
+            "filter_bits": 256,
+            "join_order": "size",
+            "join_plan": "cyclic",
         }
         manifest["config"]["mine_every"] = 1  # retired; v1 builds wrote it
         (path / "manifest.json").write_text(json.dumps(manifest))
@@ -148,10 +145,15 @@ class TestLegacyManifests:
             pytest.param("mine_every", 4, id="mine_every"),
             pytest.param("witness_warmer", True, id="witness_warmer"),
             pytest.param("warm_hot_threshold", 5, id="warm_hot_threshold"),
+            pytest.param("join_order", "given", id="join_order"),
+            pytest.param("join_plan", "semijoin", id="join_plan"),
+            pytest.param("verify_cache_size", 0, id="verify_cache_size"),
+            pytest.param("filter_bits", 256, id="filter_bits"),
         ],
     )
     def test_retired_key_is_ignored(self, key, value, version, tmp_path):
-        """Older builds wrote these keys; each selects nothing now."""
+        """Older builds wrote these keys; each selects nothing now (the
+        join order and plan are the system's fixed ones)."""
         system = HybridStorageSystem(
             scheme="ci", cvc_modulus_bits=512, seed=11
         )
@@ -165,7 +167,7 @@ class TestLegacyManifests:
             del manifest["node_store"]
         (path / "manifest.json").write_text(json.dumps(manifest))
         restored = load_system(path)
-        assert not hasattr(restored, key)
+        assert getattr(restored, key, None) == getattr(HybridStorageSystem, key, None)
         for text in ("a AND b", "c"):
             # One query each: a second one in a session is sent the
             # tables it holds as references.
@@ -210,6 +212,20 @@ class TestLegacyManifests:
 
 
 class TestManifestValidation:
+    @pytest.mark.parametrize("version", [1, 3])
+    def test_filters_of_another_width_are_refused(self, version, tmp_path):
+        """A CI* system saved with other than 256-bit filters cannot be
+        rebuilt: its chain's filter words would differ."""
+        system = HybridStorageSystem(scheme="ci*", cvc_modulus_bits=512, seed=11)
+        path = save_system(system, tmp_path / "snap", seed=11)
+        manifest = json.loads((path / "manifest.json").read_text())
+        manifest["version"] = version
+        manifest["config"]["filter_bits"] = 128
+        (path / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(ParameterError, match="128-bit"):
+            load_system(path)
+        system.close()
+
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(ReproError):
             load_system(tmp_path / "nowhere")

@@ -213,13 +213,15 @@ class TestProofSystemCaching:
 
     def test_disabled_cache_end_to_end(self):
         docs = [DataObject(1, ("alpha",), b"a"), DataObject(2, ("alpha",), b"b")]
-        system = HybridStorageSystem(
-            scheme="ci", cvc_modulus_bits=512, seed=11, verify_cache_size=0
-        )
+        system = HybridStorageSystem(scheme="ci", cvc_modulus_bits=512, seed=11)
         system.add_objects(docs)
-        assert system.verify_cache is None
-        result = system.query("alpha")
-        assert result.result_ids == [1, 2]
+        for _ in range(2):
+            # A cleared cache is a cold client: every node is checked.
+            system.verify_cache.clear()
+            result = system.query("alpha")
+            assert result.result_ids == [1, 2]
+            assert system.verify_cache.hits == 0
+            assert system.verify_cache.misses > 0
 
     def test_query_counters_exported(self, warm_deployment):
         system = warm_deployment

@@ -29,6 +29,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro import DataObject, HybridStorageSystem
 from repro.core.proofcache import VerificationCache
 from repro.crypto.bloom import (
+    DEFAULT_FILTER_BITS,
     BloomFilterChain,
     MaskMemo,
     id_mask,
@@ -183,9 +184,9 @@ class TestSessionScope:
     each query's chains the one memo of ``system.verify_cache``."""
 
     @staticmethod
-    def build(**kwargs):
+    def build():
         system = HybridStorageSystem(
-            scheme="ci*", cvc_modulus_bits=512, seed=5, bloom_capacity=4, **kwargs
+            scheme="ci*", cvc_modulus_bits=512, seed=5, bloom_capacity=4
         )
         for object_id in range(1, 13):
             keywords = ("alpha",) if object_id % 3 else ("alpha", "beta")
@@ -196,7 +197,7 @@ class TestSessionScope:
         system = self.build()
         result = system.query("alpha AND beta")
         check(result.result_ids == [3, 6, 9, 12], "wrong answer")
-        masks = system.verify_cache.bloom_masks(system.filter_bits, system.bloom_capacity)
+        masks = system.verify_cache.bloom_masks(DEFAULT_FILTER_BITS, system.bloom_capacity)
         check(bool(masks), "the session memoised nothing")
         blooms = system.chain_proof_system(frozenset({"alpha", "beta"})).blooms
         check(
@@ -208,10 +209,14 @@ class TestSessionScope:
         check(system.query("alpha AND beta").result_ids == [3, 6, 9, 12], "after clear")
 
     def test_a_disabled_cache_memoises_nothing(self):
-        system = self.build(verify_cache_size=0)
+        """A cold client is a cleared cache: its chains start from an
+        empty memo, and the answer is the warm client's."""
+        system = self.build()
         check(system.query("alpha AND beta").result_ids == [3, 6, 9, 12], "answer")
+        system.verify_cache.clear()
         blooms = system.chain_proof_system(frozenset({"alpha", "beta"})).blooms
         check(
-            all(chain.masks is None for chain in blooms.values()),
-            "a disabled session memoised",
+            all(not chain.masks for chain in blooms.values()),
+            "a cleared session kept masks",
         )
+        check(system.query("alpha AND beta").result_ids == [3, 6, 9, 12], "cold answer")

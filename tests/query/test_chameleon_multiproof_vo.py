@@ -21,6 +21,7 @@ import pytest
 from repro import DataObject, HybridStorageSystem, KeywordQuery, obs
 from repro.core.chameleon import ChameleonMultiproof
 from repro.core.multiproof import compress_query_vo
+from repro.core.proofcache import VerificationCache
 from repro.core.query.codec import VOCodec
 from repro.core.query.verify import verify_query
 from repro.core.query.vo import iter_proven_entries
@@ -325,12 +326,12 @@ class TestOpeningCount:
     def test_join_shares_ancestors_within_one_query(self, v3_system, spy):
         """Every node of every table owes its statement once — however
         many probes read it, and although one table is named by two
-        conjuncts — with or without the LRU; the whole DNF query settles
-        as one batch."""
+        conjuncts — under a cold cache; the whole DNF query settles as one
+        batch."""
         answer = answer_for(v3_system, DNF)
         query = KeywordQuery.parse(DNF)
         ps = v3_system.chain_proof_system(query.all_keywords())
-        ps.cache = None
+        ps.cache = VerificationCache()
         verify_query(query, answer, ps)
         nodes = sum(table.count + 1 for table in answer.vo.multiproofs)
         read = sum(len(table.leaves) for table in answer.vo.multiproofs)

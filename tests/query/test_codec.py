@@ -46,12 +46,16 @@ class TestRoundTrip:
         assert verified.ids == {4}
 
     def test_semijoin_plan_roundtrip(self, small_docs):
-        system = loaded("smi", small_docs, join_plan="semijoin")
-        codec = VOCodec(value_bytes=system.value_bytes)
-        answer = system.process_query(
-            KeywordQuery.parse("covid-19 AND symptom AND vaccine")
-        )
-        assert codec.decode(codec.encode(answer.vo)) == answer.vo
+        """The rule joins three CI* trees by the semi-join and three SMI
+        trees by the cyclic walk; the plan byte round-trips either way."""
+        for scheme, plan in (("ci*", "semijoin"), ("smi", "cyclic")):
+            system = loaded(scheme, small_docs)
+            codec = VOCodec(value_bytes=system.value_bytes)
+            answer = system.process_query(
+                KeywordQuery.parse("covid-19 AND symptom AND vaccine")
+            )
+            assert answer.vo.conjuncts[0].base.plan == plan
+            assert codec.decode(codec.encode(answer.vo)) == answer.vo
 
 
 @pytest.fixture(scope="module")

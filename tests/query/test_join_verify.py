@@ -11,7 +11,7 @@ import pytest
 
 from repro.core.merkle_family import MerkleInvertedSP, MerkleProofSystem
 from repro.core.objects import DataObject, ObjectMetadata
-from repro.core.query.join import conjunctive_join, join_two, semi_join
+from repro.core.query.join import conjunctive_join, multiway_join, semi_join
 from repro.core.query.parser import KeywordQuery
 from repro.core.query.verify import verify_query
 from repro.core.query.vo import QueryAnswer, QueryVO
@@ -61,7 +61,7 @@ def corpus():
 class TestJoinTwo:
     def test_paper_example(self, corpus):
         sp = build_sp(corpus)
-        matches, vo = join_two(sp.view("symptom"), sp.view("covid-19"))
+        matches, vo = multiway_join([sp.view("symptom"), sp.view("covid-19")])
         assert matches == [4]
         # The SP's walk leaves no rounds, only what it read per tree.
         assert [run.keys for run in vo.runs] == [
@@ -74,11 +74,11 @@ class TestJoinTwo:
     def test_empty_tree_rejected(self, corpus):
         sp = build_sp(corpus)
         with pytest.raises(QueryError):
-            join_two(sp.view("symptom"), sp.view("missing"))
+            multiway_join([sp.view("symptom"), sp.view("missing")])
 
     def test_identical_trees_full_overlap(self, corpus):
         sp = build_sp(corpus)
-        matches, _ = join_two(sp.view("vaccine"), sp.view("vaccine"))
+        matches, _ = multiway_join([sp.view("vaccine"), sp.view("vaccine")])
         assert matches == [4, 5, 8]
 
 

@@ -1,6 +1,7 @@
 """Differential test of the replayed join against two oracles.
 
-For random corpora, all four schemes, both join plans, one in-process
+For random corpora, all four schemes, the join plan the rule picks
+(cyclic, or the semi-join for three or four CI* trees), one in-process
 shard and two affine shards, and a spread of DNF shapes, the answer the
 client derives by replaying the join over the SP's tables (through the
 wire codec) must equal
@@ -22,6 +23,7 @@ import pytest
 
 from repro import DataObject, HybridStorageSystem, KeywordQuery
 from repro.core.query.codec import VOCodec
+from repro.core.query.join import SEMIJOIN_MAX_TREES
 from repro.core.query.verify import verify_query
 from repro.core.query.vo import ReplayVO
 
@@ -108,17 +110,16 @@ def old_schedule_result(system, query):
     return found
 
 
-@pytest.mark.parametrize("plan", ["cyclic", "semijoin"])
 @pytest.mark.parametrize("scheme", ["mi", "smi", "ci", "ci*"])
-def test_replayed_answers_equal_the_oracle_and_the_legacy_verification(scheme, plan):
-    rng = random.Random(f"{scheme}/{plan}")
+def test_replayed_answers_equal_the_oracle_and_the_legacy_verification(scheme):
+    rng = random.Random(f"{scheme}/rule")
     cvc = scheme.startswith("ci")
     replayed = shared = three_way = 0
+    plans = {"cyclic": 0, "semijoin": 0}
     for _ in range(3 if cvc else 5):
         docs = random_corpus(rng, 40 if cvc else 70)
         config = dict(
-            scheme=scheme, seed=11, join_plan=plan, cvc_modulus_bits=512,
-            bloom_capacity=4,
+            scheme=scheme, seed=11, cvc_modulus_bits=512, bloom_capacity=4,
         )
         single = HybridStorageSystem(**config)
         sharded = HybridStorageSystem(shards=2, pool="affine", **config)
@@ -148,7 +149,7 @@ def test_replayed_answers_equal_the_oracle_and_the_legacy_verification(scheme, p
                     verified = verify_query(query, answer, ps)
                     expect(
                         verified.ids == oracle,
-                        scheme, plan, str(query), verified.ids, oracle,
+                        scheme, str(query), verified.ids, oracle,
                     )
                     expect(answer.result_ids == sorted(oracle))
                 expect(frames[0] == frames[1], "shard layout shows in the bytes")
@@ -156,6 +157,15 @@ def test_replayed_answers_equal_the_oracle_and_the_legacy_verification(scheme, p
                 named = [t for base in bases if base for t in base.tables()]
                 shared += len(named) != len(set(named))
                 three_way += any(base and len(base.trees) > 2 for base in bases)
+                for base in bases:
+                    if base is not None:
+                        rule = (
+                            "semijoin"
+                            if scheme == "ci*" and 3 <= len(base.trees) <= SEMIJOIN_MAX_TREES
+                            else "cyclic"
+                        )
+                        expect(base.plan == rule, "not the rule's plan", str(query))
+                        plans[base.plan] += 1
                 expect(
                     old_schedule_result(single, query) == oracle,
                     "the old schedule finds something else", str(query),
@@ -164,3 +174,4 @@ def test_replayed_answers_equal_the_oracle_and_the_legacy_verification(scheme, p
             single.close()
             sharded.close()
     expect(replayed > 30 and shared > 2 and three_way > 5, replayed, shared, three_way)
+    expect(plans["semijoin"] > 2 or scheme != "ci*", "the rule never chose the semi-join")

@@ -179,8 +179,6 @@ def test_batched_ingest_keeps_per_object_roots_in_every_layout(layout, tmp_path)
             bulk = ShardedStorageProvider(
                 index_spec=MERKLE_SPEC,
                 scheme_value="mi",
-                join_order="size",
-                join_plan="cyclic",
                 shards=shards,
                 engine=engine,
                 engine_dir=tmp_path,
@@ -380,8 +378,6 @@ class TestPoolMechanics:
             sp = frontend.ShardedStorageProvider(
                 index_spec=MERKLE_SPEC,
                 scheme_value="mi",
-                join_order="size",
-                join_plan="cyclic",
                 pool=pool,
             )
             try:
@@ -495,8 +491,6 @@ class TestDiskRecovery:
         return ShardedStorageProvider(
             index_spec=MERKLE_SPEC,
             scheme_value="mi",
-            join_order="size",
-            join_plan="sorted",
             shards=3,
             engine="disk",
             engine_dir=tmp_path,

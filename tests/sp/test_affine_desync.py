@@ -252,8 +252,6 @@ class TestProxyFlushFailure:
         sp = ShardedStorageProvider(
             index_spec=MERKLE_SPEC,
             scheme_value="mi",
-            join_order="size",
-            join_plan="cyclic",
             pool="affine",
         )
         pool = sp.pool

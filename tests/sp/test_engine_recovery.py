@@ -362,7 +362,7 @@ class TestChameleonStarRecovery:
         engine = make_engine(
             "disk",
             0,
-            lambda: ChameleonSP(pp=pp, arity=2, bloom=(256, capacity)),
+            lambda: ChameleonSP(pp=pp, arity=2, bloom=capacity),
             directory=directory,
         )
         host._sp.pool.engines[0] = engine

@@ -248,6 +248,77 @@ class TestCrossFamilyOps:
             DiskShardEngine(0, lambda: ChameleonSP(pp=pp), tmp_path)
 
 
+class TestKeywordsInNormalForm:
+    """A journaled keyword that :func:`normalise_keyword` would change
+    is refused with an :class:`IntegrityError`: replayed, it would build
+    a tree no object's keywords can reach.  Each record is written by
+    hand and is otherwise one the engine accepts."""
+
+    #: Keywords an object can never carry, each a ``u8``-prefixed string.
+    KEYWORDS = ("A b", " a", "a ", "kw\x00")
+
+    @pytest.fixture(scope="class")
+    def pp(self):
+        system = HybridStorageSystem(scheme="ci", seed=3, cvc_modulus_bits=512)
+        system.close()
+        return system.sp_index.pp
+
+    def width(self, pp) -> int:
+        return (pp.modulus.bit_length() + 7) // 8
+
+    def reopened(self, directory, factory, body: bytes):
+        directory.mkdir(exist_ok=True)
+        (directory / "shard-000.journal").write_bytes(
+            journal_records.header(0) + journal_records.seal(body)
+        )
+        DiskShardEngine(0, factory, directory).close()
+
+    def test_the_normal_form_reopens(self, pp, tmp_path):
+        self.reopened(
+            tmp_path,
+            lambda: MerkleInvertedSP(fanout=4),
+            journal_records.entry_op("a b", 1, bytes(32)),
+        )
+        register = bytes([journal_records.TAGS["register"]]) + journal_records.keyword("a b")
+        self.reopened(
+            tmp_path / "ci",
+            lambda: ChameleonSP(pp=pp),
+            register + (7).to_bytes(self.width(pp), "big"),
+        )
+
+    @pytest.mark.parametrize("text", KEYWORDS)
+    def test_an_entry_keyword(self, tmp_path, text):
+        with pytest.raises(IntegrityError, match="normal form"):
+            self.reopened(
+                tmp_path,
+                lambda: MerkleInvertedSP(fanout=4),
+                journal_records.entry_op(text, 1, bytes(32)),
+            )
+
+    @pytest.mark.parametrize("kind", ["register", "apply"])
+    @pytest.mark.parametrize("text", KEYWORDS)
+    def test_a_chameleon_keyword(self, pp, tmp_path, text, kind):
+        width = self.width(pp)
+        ops = [("register", (7).to_bytes(width, "big"))]
+        if kind == "apply":
+            ops.append(
+                (
+                    "apply",
+                    struct.pack(">QQ", 1, 1) + bytes(32)
+                    + b"".join(v.to_bytes(width, "big") for v in (5, 7, 9))
+                    + struct.pack(">QB", 0, 1),
+                )
+            )
+        body = b"".join(
+            bytes([journal_records.TAGS[op]])
+            + journal_records.keyword(text if op == kind else "a")
+            + fields
+            for op, fields in ops
+        )
+        with pytest.raises(IntegrityError, match="normal form"):
+            self.reopened(tmp_path, lambda: ChameleonSP(pp=pp), body)
+
+
 def reseal(path, meta_bytes: bytes, meta_len: int | None = None) -> None:
     """Replace a checkpoint's metadata block with ``meta_bytes`` (its
     header claiming ``meta_len`` bytes, if given) and re-seal the digest."""
@@ -349,6 +420,9 @@ class TestCheckpointMetadataFailsClosed:
         "blob length one more": edit_meta(first_tree(lambda kw, length: [kw, length + 1])),
         "blob length past the file": edit_meta(first_tree(lambda kw, length: [kw, 2**32 - 1])),
         "tree keyword not UTF-8": edit_meta(first_tree(lambda kw, length: [b"\xff", length])),
+        "tree keyword not in normal form": edit_meta(
+            first_tree(lambda kw, length: [kw.upper(), length])
+        ),
         "trees out of order": edit_meta(lambda meta: meta["trees"].reverse()),
         "objects out of order": edit_meta(lambda meta: meta["objects"].reverse()),
         "object repeated": edit_meta(lambda meta: meta["objects"].append(meta["objects"][0])),
