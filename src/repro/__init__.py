@@ -26,11 +26,9 @@ if _os.environ.get("REPRO_SANITIZE") == "1":
 
     _install_sanitizer()
 
-from repro.core.checkpoints import CheckpointIssuer, CheckpointVerifier
 from repro.core.objects import DataObject, ObjectMetadata, ObjectStore
 from repro.core.persistence import load_system, save_system
 from repro.core.query.parser import KeywordQuery
-from repro.core.range_queries import AuthenticatedRangeIndex
 from repro.core.system import (
     HybridStorageSystem,
     InsertReport,
@@ -50,10 +48,7 @@ from repro.errors import (
 __version__ = "1.0.0"
 
 __all__ = [
-    "AuthenticatedRangeIndex",
     "ChainError",
-    "CheckpointIssuer",
-    "CheckpointVerifier",
     "CryptoError",
     "DataObject",
     "HybridStorageSystem",

@@ -54,7 +54,6 @@ class CryptoHygieneChecker(Checker):
         "core/merkle_family.py",
         "core/merkle_inv.py",
         "core/suppressed",
-        "core/checkpoints.py",
         "core/objects.py",
         "core/query/codec.py",
         "core/query/vo.py",

@@ -95,7 +95,6 @@ class DeterminismChecker(Checker):
         "core/merkle_family.py",
         "core/merkle_inv.py",
         "core/suppressed",
-        "core/checkpoints.py",
         "core/objects.py",
         "core/query/codec.py",
         "core/query/vo.py",

@@ -15,7 +15,7 @@ Two shapes are flagged in ``core/mbtree.py``:
   ``InternalNode``, ``_Node``) anywhere in the module;
 * constructing :class:`Entry` objects inside the insert hot path
   (descend / rehash / split), which must operate on buffer slots
-  directly.  Read-side APIs (``iter_entries``, ``update_path``)
+  directly.  Read-side APIs (``iter_entries``, ``update_spine``)
   legitimately materialise entries for callers and are not hot-path.
 """
 

@@ -66,7 +66,6 @@ class TimingSafeCompareChecker(Checker):
         "digests_equal (hmac.compare_digest), not == / !="
     )
     paths = (
-        "crypto/signatures.py",
         "crypto/hashing.py",
         "core/query/verify.py",
         "core/merkle_family.py",
@@ -74,8 +73,6 @@ class TimingSafeCompareChecker(Checker):
         "core/mbtree.py",
         "core/chameleon",
         "core/suppressed",
-        "core/range_queries.py",
-        "core/checkpoints.py",
         "ethereum/state.py",
         "ethereum/chain.py",
     )

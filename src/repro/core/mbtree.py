@@ -33,19 +33,17 @@ III-B need (first entry, last entry, two entries adjacent): see
 the tree's key column without hashing: :meth:`MBTree.boundaries` is one
 ``bisect_right`` over it.
 
-Suppressed maintenance (Sections IV and IX)
--------------------------------------------
-One path and one fold serve both suppressed updates.
-:meth:`MBTree.update_path` reads the route an insertion takes — per
-internal level the siblings left and right of the followed child, then
-the target leaf's entries and the insert index.  The general update of
-Section IX ships it whole; Algorithm 1's right-most branch
-(:class:`UpdateSpine`) is its append view, with no right siblings.
-:func:`fold_update` is the contracts' side of Algorithm 2 for both: it
-folds the path to the old root, inserts the new entry digest and
-re-folds with the split cascade, as a pure function over an injectable
-hash callable, so the on-chain code meters every hash while running the
-logic the tests check against the real tree.
+Suppressed maintenance (Section IV)
+-----------------------------------
+:meth:`MBTree.update_spine` reads Algorithm 1's ``UpdVO`` before an
+append: the tree's right-most branch (:class:`UpdateSpine`), per
+internal level the siblings left of the last child, then the right-most
+leaf's entry digests.  Only an append has one.  :func:`fold_update` is
+the contract's side of Algorithm 2: it folds the spine to the old root,
+appends the new entry digest and re-folds with the split cascade, as a
+pure function over an injectable hash callable, so the on-chain code
+meters every hash while running the logic the tests check against the
+real tree.
 """
 
 from __future__ import annotations
@@ -68,6 +66,9 @@ if TYPE_CHECKING:
 #: Default fan-out, per Section VII-A: the largest F with
 #: ``(F-1)*l_d + F*l_p + l_p < 32`` bytes.
 DEFAULT_FANOUT = 4
+#: The widest fan-out a node record holds: a node keeps ``F + 1``
+#: entries until it splits, and its record counts them in one byte.
+MAX_FANOUT = 254
 
 _ENTRY_TAG = sha3(b"mb-entry")
 _LEAF_TAG = sha3(b"mb-leaf")
@@ -112,19 +113,28 @@ def _leaf_keys(width: int) -> struct.Struct:
     return struct.Struct(">" + "Q32x" * width)
 
 
-def entry_digest(key: int, value_hash: bytes, hash_fn: HashFn = sha3) -> bytes:
+def check_fanout(fanout: int) -> None:
+    """Refuse a fan-out no MB-tree can have: below 3 or above
+    :data:`MAX_FANOUT`."""
+    if not 3 <= fanout <= MAX_FANOUT:
+        raise ReproError(
+            f"MB-tree fan-out must be between 3 and {MAX_FANOUT}, not {fanout}"
+        )
+
+
+def entry_digest(key: int, value_hash: bytes) -> bytes:
     """Digest of one leaf entry."""
-    return hash_fn(entry_payload(key, value_hash))
+    return sha3(entry_payload(key, value_hash))
 
 
-def leaf_digest(entry_digests, hash_fn: HashFn = sha3) -> bytes:
+def leaf_digest(entry_digests) -> bytes:
     """Digest of a leaf node from its entry digests."""
-    return hash_fn(leaf_payload(entry_digests))
+    return sha3(leaf_payload(entry_digests))
 
 
-def node_digest(child_digests, hash_fn: HashFn = sha3) -> bytes:
+def node_digest(child_digests) -> bytes:
     """Digest of an internal node from its child digests."""
-    return hash_fn(node_payload(child_digests))
+    return sha3(node_payload(child_digests))
 
 
 @dataclass(frozen=True)
@@ -193,8 +203,7 @@ class MBTree:
     """
 
     def __init__(self, fanout: int = DEFAULT_FANOUT) -> None:
-        if fanout < 3:
-            raise ReproError("MB-tree fan-out must be at least 3")
+        check_fanout(fanout)
         self.fanout = fanout
         self.store = MBTreeStore.create(fanout)
         self._root_idx = NIL
@@ -413,9 +422,8 @@ class MBTree:
         """The keys bracketing ``target``: ``(largest <=, smallest >)``.
 
         One ``bisect_right`` over the key column, no record or digest
-        read.  It is the tree's one boundary lookup: the join views,
-        range queries, storage absence proofs and the general update's
-        neighbour all read it.
+        read.  It is the tree's one boundary lookup: the join views and
+        the storage absence proofs read it.
         """
         keys = self._keys
         rank = bisect_right(keys, target)
@@ -512,71 +520,34 @@ class MBTree:
         body += leaves
         return TreeMultiproof(bytes(body))
 
-    # -- suppressed maintenance (Algorithms 1 & 2, Section IX) -----------------
+    # -- suppressed maintenance (Algorithms 1 & 2) ------------------------------
 
-    def update_path(self, key: int) -> "UpdatePath":
-        """The route an insertion of ``key`` takes, read before it happens.
-
-        Descends by the route :meth:`insert` takes (the same
-        :meth:`_slot` per level, no hashing): per internal node the
-        followed child's slot and every child digest, then the target
-        leaf's entries and the new key's index among them.  Both update
-        proofs are built from it — the general ``UpdVO`` carries it
-        whole, Algorithm 1's right-most branch is its append view
-        (:meth:`UpdatePath.spine`).
-        """
-        if not self._keys:
-            return UpdatePath(levels=(), leaf=(), index=0)
-        view = self.store
-        levels = []
-        leaf = self._root_idx
-        while not view.is_leaf(leaf):
-            children = view.children(leaf)
-            slot = self._slot(children, key)
-            levels.append((slot, tuple(map(view.digest, children))))
-            leaf = children[slot]
-        index, found = view.leaf_find(leaf, key)
-        if found:
-            raise ReproError(f"duplicate key {key} in MB-tree")
-        return UpdatePath(
-            levels=tuple(levels), leaf=tuple(view.leaf_entries(leaf)), index=index
-        )
-
-
-@dataclass(frozen=True)
-class UpdatePath:
-    """An insertion's route through the tree (:meth:`MBTree.update_path`).
-
-    ``levels`` lists, top-down, each internal node on the route as
-    ``(slot, child_digests)``: the followed child's siblings are
-    ``child_digests[:slot]`` on its left and ``child_digests[slot + 1:]``
-    on its right.  ``leaf`` holds the target leaf's entries as
-    ``(key, value_hash)`` pairs and ``index`` is where the new key goes
-    among them.
-    """
-
-    levels: tuple[tuple[int, tuple[bytes, ...]], ...]
-    leaf: tuple[tuple[int, bytes], ...]
-    index: int
-
-    def spine(self) -> "UpdateSpine":
-        """Algorithm 1's ``UpdVO``: this path's append view.
+    def update_spine(self, key: int) -> "UpdateSpine":
+        """Algorithm 1's ``UpdVO`` for appending ``key``, read before it.
 
         An append follows the last child at every level and lands after
-        the leaf's last entry, so the path has no right siblings and the
-        spine carries the left ones and the leaf's entry digests.
+        the right-most leaf's last entry, so its route has no right
+        siblings: per internal node on the right-most branch, top-down,
+        every child digest but the last's, then the leaf's entry digests.
+        A key not above every key in the tree is no append and has no
+        spine.  The empty tree's spine is empty.
         """
-        if self.index != len(self.leaf) or any(
-            slot != len(digests) - 1 for slot, digests in self.levels
-        ):
+        if not self._keys:
+            return UpdateSpine(internal_levels=(), leaf_entries=())
+        if key <= self._keys[-1]:
             raise ReproError(
                 "UpdVO generation requires monotonically increasing keys"
             )
+        view = self.store
+        levels = []
+        node = self._root_idx
+        while not view.is_leaf(node):
+            children = view.children(node)
+            levels.append(tuple(map(view.digest, children[:-1])))
+            node = children[-1]
         return UpdateSpine(
-            internal_levels=tuple(digests[:-1] for _, digests in self.levels),
-            leaf_entries=tuple(
-                entry_digest(key, value_hash) for key, value_hash in self.leaf
-            ),
+            internal_levels=tuple(levels),
+            leaf_entries=tuple(_leaf_digests(view, node)),
         )
 
 
@@ -587,8 +558,8 @@ class UpdateSpine:
     ``internal_levels`` lists, top-down, the digests of each right-most
     internal node's children *except the last* (the branch continues
     there); ``leaf_entries`` holds every entry digest of the right-most
-    leaf.  The contract folds it with :func:`fold_update`, inserting at
-    the leaf's end with no right siblings.
+    leaf (:meth:`MBTree.update_spine`).  The contract folds it with
+    :func:`fold_update`.
     """
 
     internal_levels: tuple[tuple[bytes, ...], ...]
@@ -641,29 +612,27 @@ def split_point(fanout: int) -> int:
 
 
 def fold_update(
-    leaf: Sequence[bytes],
-    sides: Sequence[tuple[Sequence[bytes], Sequence[bytes]]],
-    index: int,
+    spine: UpdateSpine,
     new_entry: bytes,
     fanout: int,
     hash_fn: HashFn = sha3,
 ) -> tuple[bytes, bytes]:
-    """Algorithm 2 over any update path: ``(old_root, new_root)``.
+    """Algorithm 2 over an append's spine: ``(old_root, new_root)``.
 
-    ``leaf`` holds the target leaf's entry digests and ``sides`` lists,
-    top-down, the sibling digests left and right of the path at each
-    internal level.  The path folds to the pre-insertion root; then
-    ``new_entry`` goes in at ``index`` and the path re-folds, splitting
+    The spine folds to the pre-insertion root; then ``new_entry`` goes
+    in after the leaf's last entry and the spine re-folds, splitting
     every node that overflows at :func:`split_point`, so the new root
-    is the real tree's after the same insertion.  The empty path (an
+    is the real tree's after the same append.  The empty spine (an
     empty tree) folds to ``EMPTY_DIGEST``.  A pure function over an
     injectable hash, so a contract meters every digest it computes.
     """
-    if not leaf and not sides:
+    leaf = spine.leaf_entries
+    levels = spine.internal_levels
+    if not leaf and not levels:
         return EMPTY_DIGEST, hash_fn(leaf_payload((new_entry,)))
     old_root = hash_fn(leaf_payload(leaf))
-    for left, right in reversed(sides):
-        old_root = hash_fn(node_payload((*left, old_root, *right)))
+    for left in reversed(levels):
+        old_root = hash_fn(node_payload((*left, old_root)))
     half = split_point(fanout)
 
     def settle(digests: list[bytes], payload: Callable) -> list[bytes]:
@@ -672,8 +641,8 @@ def fold_update(
             return [hash_fn(payload(digests[:half])), hash_fn(payload(digests[half:]))]
         return [hash_fn(payload(digests))]
 
-    carry = settle([*leaf[:index], new_entry, *leaf[index:]], leaf_payload)
-    for left, right in reversed(sides):
-        carry = settle([*left, *carry, *right], node_payload)
+    carry = settle([*leaf, new_entry], leaf_payload)
+    for left in reversed(levels):
+        carry = settle([*left, *carry], node_payload)
     new_root = carry[0] if len(carry) == 1 else hash_fn(node_payload(carry))
     return old_root, new_root

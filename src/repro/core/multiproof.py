@@ -8,9 +8,8 @@ once: the shared siblings are deduplicated, every proven entry is
 recovered from one upward fold, and what the boundary checks need to
 know about the entries' *positions* comes out of the same fold as one
 integer per leaf.  It is the only Merkle proof there is: a single entry
-is the 1-leaf table, and the light-client storage proofs, the range
-proofs and the general update's neighbour evidence are tables too, all
-opened through :func:`open_table`.
+is the 1-leaf table, and the light-client storage proofs are tables
+too, all opened through :func:`open_table`.
 
 Wire shape
 ----------
@@ -66,7 +65,7 @@ once.  The table and its authentication live in
 from __future__ import annotations
 
 import struct
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field, replace
 from operator import lt
@@ -76,7 +75,6 @@ from repro.core.mbtree import (
     ENTRY_PREFIX,
     LEAF_PREFIX,
     NODE_PREFIX,
-    HashFn,
     MBTree,
 )
 from repro.core.proofcache import VerificationCache
@@ -289,7 +287,7 @@ class TreeMultiproof:
 
     # -- verification ----------------------------------------------------------
 
-    def fold(self, hash_fn: HashFn | None = None) -> tuple[bytes, tuple[int, ...]]:
+    def fold(self) -> tuple[bytes, tuple[int, ...]]:
         """The DFS fold: the recomputed root plus the leaf counts.
 
         Returns ``(root_digest, before)`` where ``before[i]`` is the
@@ -302,19 +300,12 @@ class TreeMultiproof:
         The walk reads the body in place: the helper digests are sliced
         once, the leaf rows hashed in one pass (a row is the tail of its
         entry's hash preimage) and the nodes' codes taken as framing
-        looked them up.  Without ``hash_fn`` the fold hashes with sha3 once
-        per object and memoises the result.  A contract passes its
-        metered hash: then every digest goes through it — the same
-        preimages, so the same gas — and the memo is neither read nor
-        written, so gas never depends on what was folded before.
+        looked them up.  The fold runs once per object: its result is
+        memoised.
         """
-        if hash_fn is None:
-            cached = self.__dict__.get("_walked")
-            if cached is not None:
-                return cached
-            digest_of = sha3
-        else:
-            digest_of = hash_fn
+        cached = self.__dict__.get("_walked")
+        if cached is not None:
+            return cached
         height, nodes, helpers_at, helper_count, leaves_at, leaf_count = self._framed()
         if height < 1:
             raise _malformed("height must be at least 1")
@@ -328,7 +319,7 @@ class TreeMultiproof:
         ]
         helpers.reverse()
         leaves = [
-            digest_of(ENTRY_PREFIX + body[at : at + 40])
+            sha3(ENTRY_PREFIX + body[at : at + 40])
             for at in range(leaves_at, leaves_at + 40 * leaf_count, 40)
         ]
         leaves.reverse()
@@ -359,7 +350,7 @@ class TreeMultiproof:
                 else:
                     raise _malformed(f"unknown slot code {code}")
             prefix = LEAF_PREFIX if depth == leaf_level else NODE_PREFIX
-            return digest_of(prefix + b"".join(digests))
+            return sha3(prefix + b"".join(digests))
 
         try:
             digest = fold_node(0)
@@ -374,8 +365,7 @@ class TreeMultiproof:
         if not before:
             raise _malformed("no proven leaves")
         walked = (digest, tuple(before))
-        if hash_fn is None:
-            object.__setattr__(self, "_walked", walked)
+        object.__setattr__(self, "_walked", walked)
         return walked
 
 
@@ -706,23 +696,6 @@ class ProvenRun:
         self._read[:] = b"\x01" * len(self._read)
         return self.keys
 
-    def span(self, lo: int, hi: int) -> list[int]:
-        """Every key of the tree in ``[lo, hi]``, if the table holds them all.
-
-        The keys inside, the one on each side of them (or the tree's
-        edge) and everything between must be neighbours: one comparison
-        of the padded counts, since they never decrease.  With nothing
-        inside this is :meth:`boundaries` of ``lo - 1``.
-        """
-        start = bisect_left(self.keys, lo)
-        stop = bisect_right(self.keys, hi)
-        if self._gaps[start] != self._gaps[stop + 1]:
-            raise VerificationError(
-                f"VO lacks entries of {self.keyword!r} in [{lo}, {hi}]"
-            )
-        self._read[start : stop + 2] = b"\x01" * (stop + 2 - start)
-        return self.keys[start:stop]
-
     def settle(self) -> None:
         """Refuse a table that proves a row no read has returned."""
         if 0 in self._read[1:-1]:
@@ -758,17 +731,14 @@ def open_table(
     *,
     index: int | None = 0,
     read: bytearray | None = None,
-    hash_fn: HashFn | None = None,
     cache: VerificationCache | None = None,
 ) -> ProvenRun:
     """Fold a Merkle table to ``root`` and open its leaves as a run.
 
     The one way a :class:`TreeMultiproof` is read, by the query client
-    (:meth:`~repro.core.merkle_family.MerkleProofSystem.proven_run`), a
-    light client, a range client and the general update's contract.  A
-    contract passes its metered ``hash_fn`` (see
-    :meth:`TreeMultiproof.fold`); ``index`` and ``read`` are the query
-    client's table number and its shared read marks.  The query client
+    (:meth:`~repro.core.merkle_family.MerkleProofSystem.proven_run`) and
+    a light client.  ``index`` and ``read`` are the query client's table
+    number and its shared read marks.  The query client
     passes its ``cache``: a table that folded to ``root`` before —
     keyed on ``(root, cache_token())`` — is not folded again, its leaf
     counts are recalled, and a fold that matches is remembered; either
@@ -780,7 +750,7 @@ def open_table(
         key = cache.key(root, table.cache_token())
         before = cache.recall(key, hold=(keyword, table))
     if before is None:
-        digest, before = table.fold(hash_fn)
+        digest, before = table.fold()
         if not digests_equal(digest, root):
             raise VerificationError(
                 f"table {index} does not match the on-chain root of {keyword!r}"

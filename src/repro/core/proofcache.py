@@ -70,6 +70,7 @@ from typing import Hashable
 
 from repro import obs
 from repro.crypto.bloom import MaskMemo, optimal_hash_count
+from repro.errors import ParameterError
 
 #: Default number of proven tuples a cache retains.
 DEFAULT_CACHE_SIZE = 4096
@@ -302,9 +303,8 @@ class HeldNodes:
 class VerificationCache:
     """A bounded, thread-safe LRU of successful verifications and their results.
 
-    ``maxsize`` bounds the entries, summaries included; ``maxsize <= 0``
-    disables the cache entirely (every lookup misses and nothing is
-    stored), which keeps call sites branch-free.
+    ``maxsize`` bounds the entries, summaries included; it is at least
+    one.
     """
 
     def __init__(
@@ -312,6 +312,10 @@ class VerificationCache:
         maxsize: int = DEFAULT_CACHE_SIZE,
         metric_prefix: str = "vc.verify",
     ) -> None:
+        if maxsize < 1:
+            raise ParameterError(
+                f"a verification cache holds at least one entry, not {maxsize}"
+            )
         self.maxsize = maxsize
         self.metric_prefix = metric_prefix
         self._hit_metric = f"{metric_prefix}.cache_hit"
@@ -401,8 +405,6 @@ class VerificationCache:
         ``hold`` — ``(keyword, table)`` for a table's verdict — keeps the
         table beside the verdict until either is evicted.
         """
-        if self.maxsize <= 0:
-            return
         entries = self._entries
         with self._lock:
             old = entries.get(key)
@@ -435,8 +437,6 @@ class VerificationCache:
     ) -> None:
         """File the nodes of a table that settled under ``<root, count>``:
         position to key, each statement one this cache holds."""
-        if self.maxsize <= 0:
-            return
         with self._lock:
             self._nodes.index(keyword, root, count, nodes, self._entries)
 
@@ -453,11 +453,9 @@ class VerificationCache:
         with self._lock:
             return self._nodes.of(keywords)
 
-    def bloom_masks(self, filter_bits: int, capacity: int) -> MaskMemo | None:
+    def bloom_masks(self, filter_bits: int, capacity: int) -> MaskMemo:
         """The session's Bloom masks for chains of these parameters (one
-        memo per ``(filter_bits, hash_count)``); ``None`` when disabled."""
-        if self.maxsize <= 0:
-            return None
+        memo per ``(filter_bits, hash_count)``)."""
         hash_count = optimal_hash_count(filter_bits, capacity)
         with self._lock:
             return self._masks.setdefault(

@@ -2,16 +2,15 @@
 
 Only each keyword MB-tree's *root hash* lives on-chain.  When the DO
 appends an object, the SP constructs an update proof (``UpdVO``,
-Algorithm 1) — the tree's right-most branch, the append view of
-:meth:`~repro.core.mbtree.MBTree.update_path` — and sends it to the
+Algorithm 1) — the tree's right-most branch,
+:meth:`~repro.core.mbtree.MBTree.update_spine` — and sends it to the
 smart contract, which (Algorithm 2):
 
 1. checks the inserted object's hash against the one the DO registered;
 2. folds the ``UpdVO`` to the pre-insertion root and compares it with
    the stored root (integrity of the SP's proof);
 3. takes the post-insertion root from the same fold
-   (:func:`~repro.core.mbtree.fold_update`, the one the general update
-   of :mod:`repro.core.suppressed_general` uses), leaf and internal node
+   (:func:`~repro.core.mbtree.fold_update`), leaf and internal node
    splits included, and stores it with a single ``C_supdate``.
 
 The logarithmic work is all cheap (``C_txdata``/``C_hash``/``C_mem``);
@@ -56,7 +55,7 @@ def gen_spines(
     for keyword in keywords:
         tree = trees.get(keyword)
         spines.append(
-            tree.update_path(object_id).spine()
+            tree.update_spine(object_id)
             if tree is not None
             else UpdateSpine(internal_levels=(), leaf_entries=())
         )
@@ -129,16 +128,10 @@ class SuppressedMerkleContract(SmartContract):
                 self.env.read_calldata(update.spine_bytes)
             )
             stored_root = self.storage.load(("root", update.keyword))
-            # An append has no right siblings and lands after the leaf's
-            # last entry.  An absent keyword reads as the zero word, which
-            # equals the EMPTY_DIGEST an empty spine folds to.
+            # An absent keyword reads as the zero word, which equals the
+            # EMPTY_DIGEST an empty spine folds to.
             old_root, new_root = fold_update(
-                spine.leaf_entries,
-                [(level, ()) for level in spine.internal_levels],
-                len(spine.leaf_entries),
-                new_entry,
-                self.fanout,
-                hash_fn=self._hash,
+                spine, new_entry, self.fanout, hash_fn=self._hash
             )
             if not digests_equal(old_root, stored_root):
                 self.emit(

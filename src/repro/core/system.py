@@ -52,7 +52,7 @@ from repro.core.chameleon_index import (
     ChameleonProofSystem,
 )
 from repro.core.chameleon_star import ChameleonStarContract
-from repro.core.mbtree import DEFAULT_FANOUT
+from repro.core.mbtree import DEFAULT_FANOUT, check_fanout
 from repro.core.merkle_family import MerkleProofSystem
 from repro.core.objects import DataObject, ObjectMetadata
 from repro.core.owner import ADS_CONTRACT, DataOwnerPipeline
@@ -151,6 +151,10 @@ class HybridStorageSystem:
                 f"{engine_dir} already holds shard state; a new system "
                 "starts from an empty chain and cannot adopt it"
             )
+        if not self.uses_cvc:
+            # The SP's trees take it at a keyword's first insertion, after
+            # the chain has confirmed it: refuse it before any transaction.
+            check_fanout(fanout)
         self.fanout = fanout
         self.arity = arity
         self.bloom_capacity = bloom_capacity

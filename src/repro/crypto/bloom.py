@@ -16,7 +16,7 @@ into its own :class:`MaskMemo` of those parameters (a chain accepts no
 other): the SP's shard engine holds one shared by all its chains,
 however built; the client's belongs to its session's
 :class:`~repro.core.proofcache.VerificationCache`, which bounds it,
-empties it on ``clear()`` and keeps none when disabled.  There is no
+empties it on ``clear()``.  There is no
 process-global memo, so a client's skips rest on its own derivations.
 """
 

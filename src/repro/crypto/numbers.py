@@ -5,8 +5,7 @@ generation, modular inverses, safe parameter sizes and :func:`modpow`, the
 one modular exponentiation every other module calls (OpenSSL's Montgomery
 kernel, reached through the libcrypto CPython already loads for
 ``hashlib``).  These back the vector-commitment scheme in
-:mod:`repro.crypto.vc` and the RSA-FDH signatures in
-:mod:`repro.crypto.signatures`.
+:mod:`repro.crypto.vc`.
 
 Determinism matters here: benchmarks and tests regenerate the same public
 parameters from a seed so that measured numbers are reproducible run to

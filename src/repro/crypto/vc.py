@@ -136,9 +136,7 @@ class CVCPublicParams:
     pair_bases: tuple[tuple[int, ...], ...]  # T[i][j] = a^{P/(e_i e_j)}
     #: The group element ``a`` the bases are powers of.  Publishing it is
     #: safe (every published base already is a deterministic power of it).
-    #: ``0`` marks legacy parameters generated before the base was
-    #: retained; the trapdoor recovers it (:class:`TrapdoorKernel`).
-    base: int = 0
+    base: int
 
     @property
     def randomiser_exponent(self) -> int:
@@ -454,10 +452,7 @@ class TrapdoorKernel:
         #: How far one unit less of slot ``i``'s message moves the
         #: randomiser: ``(P/e_i) (P/e_0)^{-1} mod phi``.
         self._shift = [product // e % phi * inverse % phi for e in pp.exponents]
-        # Legacy parameters did not retain ``a``; the trapdoor recovers it
-        # from ``S_0 = a^{P/e_0}``.
-        base = pp.base or modpow(pp.slot_bases[0], inverse, pp.modulus, secret=True)
-        self._crt = CRTFixedBase(base, td.p, td.q)
+        self._crt = CRTFixedBase(pp.base, td.p, td.q)
 
     def __reduce_ex__(self, protocol: object) -> NoReturn:
         raise TrapdoorRequiredError(
@@ -541,36 +536,6 @@ def _recommit(pp: CVCPublicParams, aux: CVCAux) -> tuple[int, CVCAux]:
 def commitment_byte_size(pp: CVCPublicParams) -> int:
     """Serialised size of one commitment or proof value, in bytes."""
     return (pp.modulus.bit_length() + 7) // 8
-
-
-class VectorCommitment:
-    """Plain (non-chameleon) vector commitment facade.
-
-    Implements the ``Gen/Com/Open/Ver`` interface of Section III-A by
-    delegating to the CVC construction and simply withholding the
-    trapdoor.  Provided for completeness and for tests that exercise the
-    commitment layer without chameleon updates.
-    """
-
-    def __init__(
-        self,
-        arity: int,
-        modulus_bits: int = DEFAULT_MODULUS_BITS,
-        seed: int | None = None,
-    ) -> None:
-        self.pp, _ = keygen(arity, modulus_bits=modulus_bits, seed=seed)
-
-    def commit(self, messages: list[Message], randomiser: int) -> tuple[int, CVCAux]:
-        """Commit to a message vector."""
-        return commit(self.pp, messages, randomiser)
-
-    def open(self, slot: int, message: Message, aux: CVCAux) -> int:
-        """Open the commitment at a slot (produce a proof)."""
-        return open_slot(self.pp, slot, message, aux)
-
-    def verify(self, commitment: int, slot: int, message: Message, proof: int) -> bool:
-        """Check a proof; returns whether it is valid."""
-        return verify(self.pp, commitment, slot, message, proof)
 
 
 class ChameleonVectorCommitment:

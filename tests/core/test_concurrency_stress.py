@@ -62,19 +62,6 @@ class TestVerificationCacheStress:
         assert cache.hits + cache.misses == N_THREADS * per_thread
         assert len(cache) <= 128
 
-    def test_disabled_cache_still_counts_exactly(self):
-        cache = VerificationCache(maxsize=0, metric_prefix="stress.off")
-        per_thread = 2000
-
-        def worker(index):
-            for i in range(per_thread):
-                cache.seen(("proof", i))
-
-        hammer(worker)
-        assert cache.misses == N_THREADS * per_thread
-        assert cache.hits == 0
-        assert len(cache) == 0
-
     def test_clear_during_contention_keeps_totals_consistent(self):
         cache = VerificationCache(maxsize=64, metric_prefix="stress.clear")
         per_thread = 1000

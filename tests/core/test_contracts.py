@@ -21,10 +21,6 @@ from repro.core.suppressed import (
     build_updates,
     updates_payload,
 )
-from repro.core.suppressed_general import (
-    GeneralSuppressedContract,
-    generate_general_update,
-)
 from repro.crypto.bloom import BloomFilterChain
 from repro.crypto.hashing import sha3
 from repro.ethereum.chain import Blockchain
@@ -264,7 +260,7 @@ class TestChameleonStarContract:
 
 
 class TestEveryDigestIsMetered:
-    """Inside a call of the SMI or the general contract every digest goes
+    """Inside a call of the SMI contract every digest goes
     through ``env.keccak``: hashing in plain Python there is work the gas
     meter never sees."""
 
@@ -316,26 +312,5 @@ class TestEveryDigestIsMetered:
             assert receipt.status
             for keyword in md.keywords:
                 trees.setdefault(keyword, MBTree(fanout=4)).insert(oid, md.object_hash)
-        assert counts["metered"] > 0
-        assert counts["digests"] == counts["metered"]
-
-    def test_general_contract_with_neighbour_evidence(self, counts):
-        chain = make_chain("gsmi", GeneralSuppressedContract(fanout=4))
-        tree = MBTree(fanout=4)
-        neighbours = 0
-        for oid, key in enumerate(random.Random(5).sample(range(500), 40), start=1):
-            md = metadata_for(oid, ("kw",))
-            chain.send_transaction(
-                "do", "gsmi", "register_object", oid, md.object_hash, payload=b"",
-            )
-            proof = generate_general_update(tree, key)
-            neighbours += proof.neighbour is not None
-            receipt = chain.send_transaction(
-                "sp", "gsmi", "insert", "idx", key, oid, md.object_hash, proof,
-                payload=b"\x00" * proof.byte_size(),
-            )
-            assert receipt.status, receipt.error
-            tree.insert(key, md.object_hash)
-        assert neighbours > 0
         assert counts["metered"] > 0
         assert counts["digests"] == counts["metered"]

@@ -1,12 +1,13 @@
-"""Exact gas of the two suppressed MB-tree contracts, the spine bytes
-the SP sends, and the Chameleon data owner's insertions, pinned.
+"""Exact gas of the suppressed MB-tree contract, the spine bytes the SP
+sends, and the Chameleon data owner's insertions, pinned.
 
-Both contracts meter every hash they compute, and gas is a sum per hash,
-so any change to the update path that keeps each hashed payload keeps
-these totals to the unit.  The numbers were recorded before the SMI
-append update (Algorithms 1/2) and the general update were folded into
-one path; a change that moves them changes what the contracts charge or
-what the SP's update transaction carries.  The Chameleon totals were
+The contract meters every hash it computes, and gas is a sum per hash,
+so any change to the update fold that keeps each hashed payload keeps
+these totals to the unit.  The SMI numbers were recorded before the SMI
+append update (Algorithms 1/2) and a general update were folded into
+one path, and held when that general update was removed; a change that
+moves them changes what the contract charges or what the SP's update
+transaction carries.  The Chameleon totals were
 recorded before the one-object and batched transactions were built by
 one routine.
 """
@@ -24,19 +25,12 @@ from repro.core.suppressed import (
     build_updates,
     updates_payload,
 )
-from repro.core.suppressed_general import (
-    GeneralSuppressedContract,
-    generate_general_update,
-)
 from repro.core.system import HybridStorageSystem
 from repro.crypto.hashing import sha3
 from repro.ethereum.chain import Blockchain
 
 #: Total gas of appends 1..150 through the SMI contract, per fanout.
 SMI_GAS = {3: 16_067_456, 4: 15_699_720, 5: 16_979_623}
-
-#: Total gas of the shuffled insertions through the general contract.
-GENERAL_GAS = 15_791_991
 
 #: sha3 over the serialised spines of appends 1..150, per fanout.
 SPINE_BYTES = {
@@ -76,34 +70,12 @@ def test_smi_append_gas(fanout):
     assert chain.total_gas_used() == SMI_GAS[fanout]
 
 
-def test_general_update_gas():
-    chain = Blockchain()
-    chain.deploy("gsmi", GeneralSuppressedContract(fanout=4))
-    tree = MBTree(fanout=4)
-    keys = random.Random(28).sample(range(2_000), 150)
-    for oid, key in enumerate(keys, start=1):
-        md = metadata_for(oid, ("kw",))
-        chain.send_transaction(
-            "do", "gsmi", "register_object", oid, md.object_hash,
-            payload=md.payload_bytes(),
-        )
-        proof = generate_general_update(tree, key)
-        receipt = chain.send_transaction(
-            "sp", "gsmi", "insert", "idx", key, oid, md.object_hash, proof,
-            payload=b"\x00" * proof.byte_size(),
-        )
-        assert receipt.status, receipt.error
-        tree.insert(key, md.object_hash)
-    assert chain.call_view("gsmi", "view_root", "idx") == tree.root_hash
-    assert chain.total_gas_used() == GENERAL_GAS
-
-
 @pytest.mark.parametrize("fanout", sorted(SPINE_BYTES))
 def test_spine_bytes(fanout):
     tree = MBTree(fanout)
     spines = []
     for key in range(1, 151):
-        spines.append(tree.update_path(key).spine().serialise())
+        spines.append(tree.update_spine(key).serialise())
         tree.insert(key, sha3(b"v%d" % key))
     assert sha3(b"".join(spines)).hex() == SPINE_BYTES[fanout]
 

@@ -160,36 +160,36 @@ class TestAdjacency:
 
 
 class TestUpdateSpine:
-    """Algorithm 1's spine as the append view of the update path (that
-    the path folds to the tree's roots: ``test_update_path.py``)."""
+    """Algorithm 1's spine (that it folds to the tree's roots:
+    ``test_update_path.py``)."""
 
     def test_spine_rejects_non_monotonic(self):
         tree = build([5, 9])
-        for key in (3, 7):
+        for key in (3, 7, 9):
             with pytest.raises(ReproError):
-                tree.update_path(key).spine()
+                tree.update_spine(key)
 
     def test_serialise_roundtrip(self):
         tree = build(range(1, 40))
-        spine = tree.update_path(100).spine()
+        spine = tree.update_spine(100)
         rebuilt = mbtree.UpdateSpine.deserialise(spine.serialise())
         assert rebuilt == spine
 
     def test_deserialise_rejects_truncation(self):
         tree = build(range(1, 40))
-        raw = tree.update_path(100).spine().serialise()
+        raw = tree.update_spine(100).serialise()
         with pytest.raises(IntegrityError):
             mbtree.UpdateSpine.deserialise(raw[:-1])
 
     def test_deserialise_rejects_trailing_bytes(self):
         tree = build(range(1, 40))
-        raw = tree.update_path(100).spine().serialise()
+        raw = tree.update_spine(100).serialise()
         with pytest.raises(IntegrityError):
             mbtree.UpdateSpine.deserialise(raw + b"x")
 
     def test_byte_size_grows_with_depth(self):
-        small = build(range(1, 5)).update_path(100).spine()
-        large = build(range(1, 200)).update_path(500).spine()
+        small = build(range(1, 5)).update_spine(100)
+        large = build(range(1, 200)).update_spine(500)
         assert len(large.serialise()) > len(small.serialise())
 
 

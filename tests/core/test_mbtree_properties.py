@@ -2,8 +2,8 @@
 
 Model-based checking against a sorted list: for any key set and fan-out,
 the tree must iterate in sorted order, prove every member and find the
-boundaries ``bisect`` finds in the model.  (The update path against real
-insertions: ``test_update_path.py``.)
+boundaries ``bisect`` finds in the model.  (Algorithm 1's spine against real
+appends: ``test_update_path.py``.)
 """
 
 from bisect import bisect_right

@@ -226,6 +226,18 @@ class TestManifestValidation:
             load_system(path)
         system.close()
 
+    def test_a_fanout_no_tree_can_have_is_refused(self, tmp_path):
+        """The manifest's fan-out reaches the constructor, which refuses
+        it before the replay sends a transaction."""
+        system = HybridStorageSystem(scheme="smi", seed=1)
+        system.add_objects(make_docs())
+        path = save_system(system, tmp_path / "snap", seed=1)
+        manifest = json.loads((path / "manifest.json").read_text())
+        manifest["config"]["fanout"] = 255
+        (path / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(ReproError, match="fan-out"):
+            load_system(path)
+
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(ReproError):
             load_system(tmp_path / "nowhere")

@@ -15,7 +15,7 @@ import pytest
 
 from repro import DataObject, HybridStorageSystem, obs
 from repro.core.proofcache import VerificationCache
-from repro.errors import VerificationError
+from repro.errors import ParameterError, VerificationError
 
 from tests.node_tables import change, forge
 from tests.reference_codec import forge_merkle
@@ -39,12 +39,10 @@ class TestVerificationCacheUnit:
         assert cache.seen("a")
         assert not cache.seen("b")
 
-    def test_disabled_cache_never_stores(self):
-        cache = VerificationCache(maxsize=0)
-        cache.add("k")
-        assert not cache.seen("k")
-        assert len(cache) == 0
-        assert cache.hits == 0
+    @pytest.mark.parametrize("maxsize", (0, -1))
+    def test_a_cache_holds_at_least_one_entry(self, maxsize):
+        with pytest.raises(ParameterError):
+            VerificationCache(maxsize=maxsize)
 
     def test_clear_resets(self):
         cache = VerificationCache(maxsize=4)

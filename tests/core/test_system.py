@@ -118,3 +118,25 @@ class TestGasOrdering:
             for w, obj in zip(writes, small_docs)
         ]
         assert max(per_kw[-3:]) <= max(per_kw[:3])
+
+
+class TestFanoutBound:
+    """An MB-tree record counts its entries in one byte and holds
+    ``fanout + 1`` of them before it splits, so 254 is the widest
+    fan-out.  A wider one is refused when the system is built: the SP
+    would first meet it after the chain had confirmed a root its trees
+    cannot reach."""
+
+    @pytest.mark.parametrize("scheme", ("mi", "smi"))
+    @pytest.mark.parametrize("fanout", (2, 255, 256))
+    def test_refused_before_any_transaction(self, scheme, fanout):
+        with pytest.raises(ReproError, match="fan-out"):
+            HybridStorageSystem(scheme=scheme, fanout=fanout)
+
+    def test_widest_fanout_fills_a_leaf_and_verifies(self):
+        system = HybridStorageSystem(scheme="smi", fanout=254)
+        system.add_objects(
+            DataObject(oid, ("kw",), b"o%d" % oid) for oid in range(1, 300)
+        )
+        assert system.sp_index.trees["kw"].height == 2
+        assert system.query("kw").result_ids == list(range(1, 300))

@@ -13,7 +13,6 @@ randomisers; the class keeps the name it had while the data owner still
 opened slot by slot.
 """
 
-import dataclasses
 
 import pytest
 
@@ -141,17 +140,6 @@ class TestOpenManyParity:
             assert derived_openings(pp, opening, aux) == slot_openings(
                 pp, aux
             )
-
-    def test_legacy_params_without_base_fall_back(self, committed):
-        """Parameters predating ``base`` retention: the trapdoor recovers it."""
-        pp, td, c, aux = committed
-        legacy = dataclasses.replace(pp, base=0)
-        opening = vc.TrapdoorKernel(legacy, td).open(aux)
-        assert opening == vc.TrapdoorKernel(pp, td).open(aux)
-        assert vc.verify_vector(legacy, c, messages_for(pp.arity), opening)
-        assert derived_openings(legacy, opening, aux) == slot_openings(
-            legacy, aux
-        )
 
     def test_out_of_range_slot_rejected(self, committed):
         pp, td, c, aux = committed

@@ -11,8 +11,8 @@ filter width) and every probe in ``[0, max + 2 * capacity]``:
   filter words equal the reference's bit-by-bit words;
 * the SP mirror and ``from_snapshot`` of its snapshot, each with its own
   memo, agree on every probe;
-* ``VerificationCache.clear()`` empties the session's memo, ``maxsize``
-  bounds it and a disabled cache keeps none;
+* ``VerificationCache.clear()`` empties the session's memo, which the
+  session keeps, and ``maxsize`` bounds it;
 * a memo of one ``(filter_bits, hash_count)`` is never read under
   another.
 
@@ -110,7 +110,7 @@ def test_memoised_chain_equals_the_reference(spec):
 
 @SETTINGS
 @given(chains())
-def test_session_memo_is_cleared_and_off_when_disabled(spec):
+def test_session_memo_is_cleared_and_kept(spec):
     filter_bits, capacity, ids = spec
     hash_count = optimal_hash_count(filter_bits, capacity)
     words = reference.filter_words(ids, filter_bits, capacity, hash_count)
@@ -124,19 +124,6 @@ def test_session_memo_is_cleared_and_off_when_disabled(spec):
     session.clear()
     check(not masks, "clear() left masks behind")
     check(session.bloom_masks(filter_bits, capacity) is masks, "a second memo")
-
-    disabled = VerificationCache(maxsize=0)
-    check(disabled.bloom_masks(filter_bits, capacity) is None, "disabled memo")
-    off = BloomFilterChain.from_snapshot(
-        words, filter_bits, capacity, masks=disabled.bloom_masks(filter_bits, capacity)
-    )
-    for probe in probes(capacity, ids):
-        check(
-            off.definitely_absent(probe)
-            == reference.definitely_absent(words, probe, filter_bits, hash_count),
-            f"memo-less chain on {probe}",
-        )
-    check(off.masks is None and not disabled._masks, "a disabled cache memoised")
 
 
 @SETTINGS

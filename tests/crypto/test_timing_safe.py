@@ -13,9 +13,7 @@ import pytest
 
 from repro.core.mbtree import MBTree
 from repro.core.multiproof import open_table
-from repro.core.range_queries import range_query, verify_range
 from repro.crypto.hashing import digests_equal, sha3
-from repro.crypto.signatures import generate_keypair
 
 
 @pytest.fixture()
@@ -50,20 +48,3 @@ def test_merkle_verify_path_uses_compare_digest(compare_digest_spy):
     # The one fold of the table is compared with the actual root.
     assert len(compare_digest_spy) == 1
     assert tree.root_hash in compare_digest_spy[0]
-
-
-def test_range_verification_uses_compare_digest(compare_digest_spy):
-    tree = make_tree()
-    _, vo = range_query(tree, 6, 18)
-    verify_range(tree.root_hash, vo)
-    # One table, one fold, one root comparison.
-    assert len(compare_digest_spy) == 1
-    assert tree.root_hash in compare_digest_spy[0]
-
-
-def test_rsa_fdh_verify_uses_compare_digest(compare_digest_spy):
-    key = generate_keypair(bits=512, seed=7)
-    signature = key.sign(b"authenticated digest")
-    assert key.public_key.verify(b"authenticated digest", signature)
-    assert not key.public_key.verify(b"tampered digest", signature)
-    assert len(compare_digest_spy) == 2

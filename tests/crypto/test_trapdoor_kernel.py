@@ -14,7 +14,6 @@ rewritten it, so the file holds under ``python -O`` too.
 """
 
 import copy
-import dataclasses
 import math
 import pickle
 from functools import lru_cache
@@ -161,15 +160,6 @@ class TestKernelSurface:
             public.collide(0, 1, b"a", b"b", aux)
         restored = pickle.loads(pickle.dumps(public))
         assert restored.pp == cvc.pp and not restored.has_trapdoor
-
-    def test_recovers_a_base_the_parameters_did_not_retain(self, cvc_params):
-        pp, td = cvc_params
-        legacy = vc.ChameleonVectorCommitment(
-            pp.arity, _pp=dataclasses.replace(pp, base=0), _td=td
-        )
-        commitment, aux = legacy.commit([b"a", b"b", None], 77)
-        assert legacy.open_vector(aux) == pow(pp.base, 77, pp.modulus)
-        assert vc.verify_vector(pp, commitment, [b"a", b"b", None], legacy.open_vector(aux))
 
     def test_slot_out_of_range(self, cvc):
         """The per-slot reference still names only real slots."""

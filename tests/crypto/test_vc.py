@@ -177,10 +177,12 @@ class TestCollision:
 
 class TestFacades:
     def test_plain_vector_commitment(self):
-        facade = vc.VectorCommitment(2, modulus_bits=512, seed=8)
-        c, aux = facade.commit([b"x", b"y"], randomiser=4)
-        proof = facade.open(2, b"y", aux)
-        assert facade.verify(c, 2, b"y", proof)
+        """The plain ``Com/Open/Ver`` of Section III-A: the public
+        functions over parameters whose trapdoor is withheld."""
+        pp, _ = vc.keygen(2, modulus_bits=512, seed=8)
+        c, aux = vc.commit(pp, [b"x", b"y"], randomiser=4)
+        proof = vc.open_slot(pp, 2, b"y", aux)
+        assert vc.verify(pp, c, 2, b"y", proof)
 
     def test_chameleon_public_view_lacks_trapdoor(self, cvc):
         public = cvc.public_view()

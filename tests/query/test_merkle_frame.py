@@ -2,7 +2,7 @@
 
 The tables are the ones the SMI and MI systems of
 ``tests/integration/test_query_bytes_pin.py`` ship for seeds 7–9 (its
-corpus and query list), one range table and the light-client tables of
+corpus and query list) and the light-client tables of
 a stored and of a missing slot.  Two properties:
 
 * an honest body decodes to the reference codec's parts
@@ -13,7 +13,7 @@ a stored and of a missing slot.  Two properties:
   else may escape, and nothing may verify.
 
 A query table is mutated inside its ``VO_sp`` frame and read back by
-``VOCodec.decode``; a range or light-client table, which travels on its
+``VOCodec.decode``; a light-client table, which travels on its
 own, is read by ``TreeMultiproof.from_wire`` and must end where its
 bytes do.  The checks raise on their own, so they hold under
 ``python -O`` too.
@@ -33,7 +33,6 @@ from repro.core.multiproof import TreeMultiproof
 from repro.core.query.codec import VOCodec
 from repro.core.query.verify import verify_query
 from repro.core.query.vo import varint_size
-from repro.core.range_queries import range_query, verify_range
 from repro.crypto.hashing import sha3
 from repro.errors import ReproError, VerificationError
 from repro.ethereum.chain import Blockchain
@@ -116,18 +115,6 @@ def _table_case(label: str, table: TreeMultiproof, verify) -> Case:
     )
 
 
-def _range_case() -> Case:
-    tree = MBTree(fanout=4)
-    for key in range(0, 120, 3):
-        tree.insert(key, sha3(b"%d" % key))
-    _, vo = range_query(tree, 20, 50)
-    return _table_case(
-        "range [20, 50]",
-        vo.table,
-        lambda table: verify_range(tree.root_hash, dataclasses.replace(vo, table=table)),
-    )
-
-
 class _KV(SmartContract):
     def put(self, key: str, value: int) -> None:
         self.storage.store(("kv", key), value)
@@ -162,7 +149,7 @@ def all_cases() -> tuple[Case, ...]:
         for seed in (7, 8, 9)
         for case in _query_cases(scheme, seed)
     ]
-    return (*cases, _range_case(), *_light_client_cases())
+    return (*cases, *_light_client_cases())
 
 
 def test_honest_bodies_are_the_reference_parts():
