@@ -4,7 +4,7 @@ Examples::
 
     repro-bench --exp fig6
     repro-bench --exp fig10 --size 2000
-    repro-bench --exp fig11 --profile --trace-out fig11_trace.jsonl
+    repro-bench --exp fig11 --trace-out fig11_trace.jsonl
     repro-bench --exp all
 """
 
@@ -17,7 +17,6 @@ import json
 from repro import obs
 from repro.bench import runner
 from repro.bench.ablations import ABLATIONS
-from repro.obs.profiler import SamplingProfiler
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -58,31 +57,12 @@ def build_parser() -> argparse.ArgumentParser:
         "observability columns) to PATH as JSON",
     )
     parser.add_argument(
-        "--profile",
-        action="store_true",
-        help="run under the sampling profiler and print the span-"
-        "attributed profile (see also --profile-interval/--profile-out)",
-    )
-    parser.add_argument(
-        "--profile-interval",
-        type=float,
-        default=25.0,
-        metavar="MS",
-        help="sampling interval in milliseconds (default %(default)s)",
-    )
-    parser.add_argument(
-        "--profile-out",
-        metavar="PATH",
-        default=None,
-        help="with --profile, also write the full profile report as JSON",
-    )
-    parser.add_argument(
         "--trace-out",
         metavar="PATH",
         default=None,
         help="collect the run's span trace and dump it as JSON lines "
-        "(analyse with `repro obs critpath`); experiments that scope "
-        "their own collector keep those sections out of this trace",
+        "for external tools; experiments that scope their own "
+        "collector keep those sections out of this trace",
     )
     return parser
 
@@ -90,16 +70,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     args = build_parser().parse_args(argv)
-    collector = profiler = None
+    collector = None
     with contextlib.ExitStack() as stack:
-        # Order matters: the collector must be live before the profiler
-        # starts so samples attribute to the spans being recorded.
         if args.trace_out is not None:
             collector = stack.enter_context(obs.collect())
-        if args.profile:
-            profiler = stack.enter_context(
-                SamplingProfiler(interval_s=args.profile_interval / 1e3)
-            )
         if args.exp == "all":
             runner.run_all()
             result = None
@@ -134,13 +108,6 @@ def main(argv: list[str] | None = None) -> int:
         with open(args.json, "w") as handle:
             json.dump(payload, handle, indent=2, default=str)
         print(f"wrote rows to {args.json}")
-    if profiler is not None:
-        print()
-        print(profiler.render())
-        if args.profile_out is not None:
-            with open(args.profile_out, "w") as handle:
-                json.dump(profiler.to_dict(), handle, indent=2)
-            print(f"wrote profile to {args.profile_out}")
     if collector is not None:
         obs.write_jsonl(collector.spans, args.trace_out)
         print(f"wrote {len(collector.spans)} spans to {args.trace_out}")

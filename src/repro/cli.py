@@ -12,8 +12,7 @@ Examples::
     repro add ./registry --id 1 --keywords covid-19,vaccine --content "trial"
     repro add ./registry --from-jsonl corpus.jsonl
     repro query ./registry "covid-19 AND vaccine"
-    repro obs trace ./registry "covid-19 AND vaccine" --trace-out t.jsonl
-    repro obs critpath t.jsonl --workers 4
+    repro obs ./registry "covid-19 AND vaccine" --trace-out t.jsonl
     repro bench compare --baseline old.json --current fresh.json
     repro info ./registry
 """
@@ -94,43 +93,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     obs_cmd = sub.add_parser(
         "obs",
-        help="observability: traced queries and trace analysis",
-    )
-    obs_sub = obs_cmd.add_subparsers(dest="obs_command", required=True)
-    obs_trace = obs_sub.add_parser(
-        "trace",
         help="run a query under the observability layer and show the trace",
     )
-    obs_trace.add_argument("directory")
-    obs_trace.add_argument("expression", help='e.g. "covid-19 AND vaccine"')
-    obs_trace.add_argument(
+    obs_cmd.add_argument("directory")
+    obs_cmd.add_argument("expression", help='e.g. "covid-19 AND vaccine"')
+    obs_cmd.add_argument(
         "--trace-out",
         metavar="PATH",
         help="also dump the span trace as JSON lines to PATH",
     )
-    obs_trace.add_argument(
-        "--json", action="store_true", help="machine-readable output"
-    )
-    obs_crit = obs_sub.add_parser(
-        "critpath",
-        help="attribute a JSONL trace: critical path, per-phase "
-        "self-time, parallelism efficiency",
-    )
-    obs_crit.add_argument(
-        "trace", help="JSONL trace file (written by --trace-out)"
-    )
-    obs_crit.add_argument(
-        "--root",
-        help="analyse the critical path under root spans of this name "
-        "(default: the longest root)",
-    )
-    obs_crit.add_argument(
-        "--workers",
-        type=int,
-        help="efficiency denominator: configured worker count "
-        "(default: observed lanes)",
-    )
-    obs_crit.add_argument(
+    obs_cmd.add_argument(
         "--json", action="store_true", help="machine-readable output"
     )
 
@@ -300,25 +272,7 @@ def cmd_query(args) -> int:
 
 
 def cmd_obs(args) -> int:
-    """Dispatch ``repro obs`` to its subcommand."""
-    if args.obs_command == "critpath":
-        return cmd_obs_critpath(args)
-    return cmd_obs_trace(args)
-
-
-def cmd_obs_critpath(args) -> int:
-    """Handle ``repro obs critpath``: attribute a dumped trace."""
-    spans = obs.read_jsonl(args.trace)
-    report = obs.analyze(spans, root=args.root, workers=args.workers)
-    if args.json:
-        print(json.dumps(report.to_dict(), default=str))
-    else:
-        print(report.render())
-    return 0
-
-
-def cmd_obs_trace(args) -> int:
-    """Handle ``repro obs trace``: a traced, metered query round trip."""
+    """Handle ``repro obs``: a traced, metered query round trip."""
     system = load_system(args.directory)
     with obs.collect() as col:
         result = system.query(args.expression)
@@ -416,25 +370,9 @@ _COMMANDS = {
     "info": cmd_info,
 }
 
-#: ``repro obs`` grew subcommands; bare ``repro obs <dir> <expr>``
-#: (the pre-subcommand form) still works by routing to ``trace``.
-_OBS_SUBCOMMANDS = ("trace", "critpath")
-
-
-def _normalise_argv(argv: list[str]) -> list[str]:
-    if (
-        len(argv) >= 2
-        and argv[0] == "obs"
-        and argv[1] not in _OBS_SUBCOMMANDS
-        and not argv[1].startswith("-")
-    ):
-        return [argv[0], "trace", *argv[1:]]
-    return argv
-
 
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
-    argv = _normalise_argv(sys.argv[1:] if argv is None else list(argv))
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)

@@ -172,11 +172,6 @@ class DataObject:
         """The object's keywords as a frozen set."""
         return frozenset(self.keywords)
 
-    def matches_conjunction(self, required: frozenset[str]) -> bool:
-        """True when the object carries every keyword in ``required``."""
-        return required <= self.keyword_set()
-
-
 _DEFERRED = DataObject.deferred
 
 

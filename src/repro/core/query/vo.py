@@ -185,7 +185,3 @@ class QueryAnswer:
     objects: dict[int, object]  # id -> DataObject
     vo: QueryVO
 
-    def vo_byte_size(self) -> int:
-        """Serialised VO size in bytes."""
-        return self.vo.byte_size()
-

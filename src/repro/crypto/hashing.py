@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import hashlib
 import hmac
-from typing import Iterable
 
 #: Size of a digest and of an Ethereum storage/memory word, in bytes.
 DIGEST_SIZE = 32
@@ -100,11 +99,6 @@ def hash_int(value: int) -> bytes:
     return sha3(value.to_bytes(DIGEST_SIZE, "big"))
 
 
-def digest_to_int(digest: bytes) -> int:
-    """Interpret a digest as a big-endian integer (used by the RSA CVC)."""
-    return int.from_bytes(digest, "big")
-
-
 def word_count(data: bytes | int) -> int:
     """Number of 32-byte words needed to hold ``data``.
 
@@ -116,8 +110,3 @@ def word_count(data: bytes | int) -> int:
     if length < 0:
         raise ValueError("byte length must be non-negative")
     return (length + DIGEST_SIZE - 1) // DIGEST_SIZE
-
-
-def combine_digests(digests: Iterable[bytes]) -> bytes:
-    """Hash an ordered sequence of digests into one (Merkle node rule)."""
-    return hash_concat(*digests)

@@ -17,8 +17,9 @@ class CryptoError(ReproError):
     """Base class for cryptographic failures."""
 
 
-class ParameterError(CryptoError):
-    """Invalid or inconsistent cryptographic parameters."""
+class ParameterError(ReproError):
+    """An invalid or inconsistent parameter: a setting, a manifest field,
+    an op name or a call outside its domain (cryptographic or not)."""
 
 
 class CommitmentError(CryptoError):

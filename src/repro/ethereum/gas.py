@@ -152,15 +152,6 @@ class GasMeter:
         """Total cost in US$."""
         return gas_to_usd(self.total)
 
-    def usd_breakdown(self) -> dict[str, float]:
-        """Table III row: write / read / others / total, in US$."""
-        return {
-            "write": gas_to_usd(self.write_gas),
-            "read": gas_to_usd(self.read_gas),
-            "others": gas_to_usd(self.other_gas),
-            "total": gas_to_usd(self.total),
-        }
-
     def merge(self, other: "GasMeter") -> None:
         """Fold another meter's charges into this one (for aggregation)."""
         self.total += other.total

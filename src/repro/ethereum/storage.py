@@ -87,10 +87,6 @@ class ContractStorage:
         self._require_meter().sload()
         return self._words.get(key, ZERO_WORD)
 
-    def load_int(self, key: StorageKey) -> int:
-        """Metered read decoded as an unsigned integer."""
-        return word_to_int(self.load(key))
-
     def store(self, key: StorageKey, value: bytes | int) -> None:
         """Metered write of one word.
 
@@ -138,10 +134,6 @@ class ContractStorage:
             self._words.pop(key, None)
         else:
             self._words[key] = word
-
-    def occupied_slots(self) -> int:
-        """Number of non-zero storage words currently held."""
-        return len(self._words)
 
     def keys(self) -> Iterator[StorageKey]:
         """Iterate over the occupied storage keys."""

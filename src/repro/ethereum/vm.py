@@ -19,7 +19,7 @@ import hashlib
 from dataclasses import dataclass, field
 
 from repro import obs
-from repro.crypto.hashing import DIGEST_SIZE, word_count
+from repro.crypto.hashing import word_count
 from repro.ethereum.gas import GasMeter
 
 
@@ -62,16 +62,6 @@ class ExecutionContext:
         obs.inc("vm.hashes")
         return hashlib.sha3_256(data).digest()
 
-    def keccak_concat(self, *parts: bytes) -> bytes:
-        """Hash the concatenation of ``parts`` with one ``C_hash`` charge."""
-        total_len = sum(len(p) for p in parts)
-        self.meter.hash(word_count(total_len))
-        obs.inc("vm.hashes")
-        hasher = hashlib.sha3_256()
-        for part in parts:
-            hasher.update(part)
-        return hasher.digest()
-
     def emit(self, name: str, **fields) -> None:
         """Emit an event into the transaction log.
 
@@ -81,13 +71,3 @@ class ExecutionContext:
         """
         obs.inc("vm.events")
         self.events.append(LogEvent(name=name, fields=fields))
-
-
-def estimate_calldata_bytes(*chunks: bytes) -> int:
-    """Total calldata byte length for a sequence of payload chunks."""
-    return sum(len(c) for c in chunks)
-
-
-def int_to_word(value: int) -> bytes:
-    """Encode an integer as a 32-byte calldata word."""
-    return value.to_bytes(DIGEST_SIZE, "big")

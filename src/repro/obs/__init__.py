@@ -1,4 +1,5 @@
-"""repro.obs — end-to-end observability: tracing, metrics, exporters.
+"""repro.obs — end-to-end observability: tracing, metrics, exporters
+and the cross-process snapshot that brings worker telemetry home.
 
 The library's owner → chain → SP → client pipeline is instrumented
 with hierarchical spans and a metrics registry, all funnelled through
@@ -21,17 +22,11 @@ Typical use::
     snap = col.metrics.snapshot()
     assert snap["gas.total"] == snap["gas.write"] + snap["gas.read"] + snap["gas.others"]
 
-See ``repro obs`` for the CLI equivalent.
+See ``repro obs`` for the CLI equivalent; ``--trace-out`` there and in
+``repro-bench`` dumps the spans as JSON lines for external tools.
 """
 
-from repro.obs.critpath import (
-    CritPathReport,
-    analyze,
-    build_forest,
-    critical_path,
-)
 from repro.obs.exporters import (
-    read_jsonl,
     render_summary,
     render_tree,
     span_to_dict,
@@ -48,7 +43,6 @@ from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
 )
-from repro.obs.profiler import SamplingProfiler
 from repro.obs.trace import (
     NULL_SPAN,
     Collector,
@@ -70,7 +64,6 @@ from repro.obs.xproc import capture as capture_snapshot
 __all__ = [
     "Collector",
     "Counter",
-    "CritPathReport",
     "DEFAULT_BUCKETS",
     "GAS_BUCKETS",
     "Gauge",
@@ -78,21 +71,16 @@ __all__ = [
     "MetricsRegistry",
     "NULL_SPAN",
     "SIZE_BUCKETS_BYTES",
-    "SamplingProfiler",
     "Span",
     "TIME_BUCKETS_S",
     "adopt_snapshot",
-    "analyze",
-    "build_forest",
     "capture_snapshot",
     "collect",
-    "critical_path",
     "current",
     "inc",
     "install",
     "metrics",
     "observe",
-    "read_jsonl",
     "record_gas",
     "render_summary",
     "render_tree",

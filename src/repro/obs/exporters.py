@@ -45,21 +45,6 @@ def write_jsonl(spans: Iterable[Span], path: str) -> None:
             handle.write(dump + "\n")
 
 
-def read_jsonl(path: str) -> list[dict]:
-    """Load a JSONL trace dump back into span dicts.
-
-    The inverse of :func:`write_jsonl`, for offline analysis
-    (``repro obs critpath``); blank lines are skipped.
-    """
-    spans: list[dict] = []
-    with open(path) as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                spans.append(json.loads(line))
-    return spans
-
-
 def _format_attrs(attributes: dict) -> str:
     if not attributes:
         return ""

@@ -131,33 +131,12 @@ class Collector:
         self._ids = itertools.count(1)
         self._lock = threading.Lock()
         self._local = threading.local()
-        #: thread ident -> that thread's live span stack.  The same list
-        #: objects as the thread-local stacks; kept so *other* threads
-        #: (the sampling profiler) can see which span is active where.
-        self._active: dict[int, list] = {}
 
     def _stack(self) -> list:
         stack = getattr(self._local, "stack", None)
         if stack is None:
             stack = self._local.stack = []
-            with self._lock:
-                self._active[threading.get_ident()] = stack
         return stack
-
-    def active_span(self, thread_ident: int) -> Span | None:
-        """The innermost open span on a thread, or ``None``.
-
-        Safe to call from any thread: stack mutations are appends/pops
-        of a per-thread list, so a racing read sees either the old or
-        the new top (never a torn structure).
-        """
-        stack = self._active.get(thread_ident)
-        if not stack:
-            return None
-        try:
-            return stack[-1]
-        except IndexError:  # popped between the check and the read
-            return None
 
     def _record(self, span: Span) -> None:
         with self._lock:

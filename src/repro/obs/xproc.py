@@ -29,8 +29,7 @@ from ``perf_counter`` differences taken within one process.)
 The result: a sharded ingest or query through the affine pool produces
 one connected trace — the dispatching span (``query.sp``, ``insert``)
 with an ``sp.affine.rpc`` child per call, each containing the spans
-the worker actually recorded — which is what :mod:`repro.obs.critpath`
-attributes time over.
+the worker actually recorded.
 """
 
 from __future__ import annotations

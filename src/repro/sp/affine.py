@@ -26,8 +26,7 @@ changed:
   runs Algorithm 1 next to the trees and returns the ``UpdVO`` spines;
 * **telemetry** recorded inside a worker travels back as an
   :mod:`repro.obs.xproc` snapshot on the same reply and is adopted under
-  the dispatching span, so ``repro obs critpath`` still sees one
-  connected trace.
+  the dispatching span, so a traced run is still one connected trace.
 
 A guarded pickler enforces the contract mechanically: any attempt to
 serialise resident shard state (trees, index mirrors, engines) into a

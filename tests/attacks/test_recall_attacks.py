@@ -205,7 +205,7 @@ class TestMerkleRecall:
 
 
 @pytest.mark.parametrize("scheme", ["ci", "ci*", "smi"])
-def test_disabled_cache_gives_identical_results(scheme):
+def test_a_cleared_cache_gives_identical_results(scheme):
     """A cold client — its cache cleared before every query — gets
     everything a warm one gets."""
     systems = [

@@ -48,35 +48,7 @@ class TestMain:
 class TestProfileAndTraceFlags:
     def test_parser_defaults(self):
         args = build_parser().parse_args([])
-        assert args.profile is False
-        assert args.profile_interval == 25.0
-        assert args.profile_out is None
         assert args.trace_out is None
-
-    def test_profile_prints_span_attributed_report(self, tmp_path, capsys):
-        out = tmp_path / "profile.json"
-        code = main(
-            [
-                "--exp",
-                "fig6",
-                "--size",
-                "40",
-                "--profile",
-                "--profile-interval",
-                "1",
-                "--profile-out",
-                str(out),
-            ]
-        )
-        assert code == 0
-        printed = capsys.readouterr().out
-        assert "profile:" in printed
-        import json
-
-        report = json.loads(out.read_text())
-        assert report["interval_s"] == 0.001
-        assert report["total_samples"] >= 0
-        assert isinstance(report["spans"], list)
 
     def test_trace_out_writes_jsonl(self, tmp_path, capsys):
         path = tmp_path / "trace.jsonl"

@@ -247,40 +247,28 @@ class TestObsSubcommands:
         assert "trace:" in out
         assert "metrics:" in out
 
-    def test_explicit_trace_subcommand(self, registry, capsys, tmp_path):
+    def test_trace_out_writes_span_records(self, registry, capsys, tmp_path):
+        """Every line of the ``--trace-out`` dump is one span record."""
         self._add_one(registry)
         capsys.readouterr()
         trace = tmp_path / "t.jsonl"
-        assert (
-            main(["obs", "trace", registry, "alpha", "--trace-out", str(trace)])
-            == 0
-        )
-        assert trace.exists()
+        assert main(["obs", registry, "alpha", "--trace-out", str(trace)]) == 0
         assert "spans to" in capsys.readouterr().out
-
-    def test_critpath_over_dumped_trace(self, registry, capsys, tmp_path):
-        self._add_one(registry)
-        trace = tmp_path / "t.jsonl"
-        assert (
-            main(["obs", "trace", registry, "alpha", "--trace-out", str(trace)])
-            == 0
-        )
-        capsys.readouterr()
-        assert main(["obs", "critpath", str(trace)]) == 0
-        out = capsys.readouterr().out
-        assert "critical path" in out
-        assert "per-phase self-time" in out
-        assert "efficiency" in out
-
-    def test_critpath_json_output(self, registry, capsys, tmp_path):
-        self._add_one(registry)
-        trace = tmp_path / "t.jsonl"
-        assert (
-            main(["obs", "trace", registry, "alpha", "--trace-out", str(trace)])
-            == 0
-        )
-        capsys.readouterr()
-        assert main(["obs", "critpath", str(trace), "--json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["critical_path"]
-        assert payload["phases"]
+        records = [json.loads(line) for line in trace.read_text().splitlines()]
+        assert records
+        fields = {
+            "name",
+            "span_id",
+            "parent_id",
+            "thread",
+            "start_s",
+            "end_s",
+            "duration_ms",
+            "attributes",
+        }
+        ids = {record["span_id"] for record in records}
+        for record in records:
+            assert set(record) == fields
+            assert record["end_s"] >= record["start_s"]
+            assert record["parent_id"] is None or record["parent_id"] in ids
+        assert any(record["name"].startswith("query") for record in records)

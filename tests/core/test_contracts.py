@@ -1,7 +1,6 @@
 """Unit tests for the four ADS smart contracts."""
 
 import hashlib
-import random
 
 import pytest
 
@@ -289,9 +288,6 @@ class TestEveryDigestIsMetered:
 
         monkeypatch.setattr(hashlib, "sha3_256", sha3_256)
         monkeypatch.setattr(ExecutionContext, "keccak", metered(ExecutionContext.keccak))
-        monkeypatch.setattr(
-            ExecutionContext, "keccak_concat", metered(ExecutionContext.keccak_concat)
-        )
         monkeypatch.setattr(SmartContract, "bind", binding)
         return counts
 

@@ -40,11 +40,6 @@ class TestDataObject:
         b = DataObject(1, ("a",), b"x")
         assert a.digest() == b.digest()
 
-    def test_matches_conjunction(self):
-        obj = DataObject(1, ("a", "b", "c"), b"x")
-        assert obj.matches_conjunction(frozenset({"a", "c"}))
-        assert not obj.matches_conjunction(frozenset({"a", "z"}))
-
 
 class TestMetadata:
     def test_of_object(self):

@@ -209,7 +209,7 @@ class TestProofSystemCaching:
         assert system.verify_cache.misses == 2 * first_entry_lookups(system)
         assert len(system.verify_cache) == 0
 
-    def test_disabled_cache_end_to_end(self):
+    def test_a_cleared_cache_end_to_end(self):
         docs = [DataObject(1, ("alpha",), b"a"), DataObject(2, ("alpha",), b"b")]
         system = HybridStorageSystem(scheme="ci", cvc_modulus_bits=512, seed=11)
         system.add_objects(docs)

@@ -195,7 +195,7 @@ class TestSessionScope:
         check(not masks, "clear() left masks behind")
         check(system.query("alpha AND beta").result_ids == [3, 6, 9, 12], "after clear")
 
-    def test_a_disabled_cache_memoises_nothing(self):
+    def test_a_cleared_cache_memoises_nothing(self):
         """A cold client is a cleared cache: its chains start from an
         empty memo, and the answer is the warm client's."""
         system = self.build()

@@ -48,11 +48,6 @@ class TestHashInt:
     def test_zero_and_one_differ(self):
         assert hashing.hash_int(0) != hashing.hash_int(1)
 
-    def test_digest_roundtrip_to_int(self):
-        digest = hashing.sha3(b"z")
-        value = hashing.digest_to_int(digest)
-        assert value.to_bytes(32, "big") == digest
-
 
 class TestWordCount:
     @pytest.mark.parametrize(
@@ -73,7 +68,3 @@ class TestWordCount:
 class TestEmptyDigest:
     def test_is_all_zero(self):
         assert hashing.EMPTY_DIGEST == b"\x00" * 32
-
-    def test_combine_digests_matches_concat(self):
-        a, b = hashing.sha3(b"a"), hashing.sha3(b"b")
-        assert hashing.combine_digests([a, b]) == hashing.hash_concat(a, b)

@@ -8,13 +8,14 @@ from repro.errors import ChainError, IntegrityError, ReproError
 from repro.ethereum.chain import Blockchain
 from repro.ethereum.contract import SmartContract
 from repro.ethereum.gas import GAS_TX, GAS_TXDATA_PER_BYTE
+from repro.ethereum.storage import word_to_int
 
 
 class Counter(SmartContract):
     """Minimal test contract: a stored counter plus a failing method."""
 
     def bump(self, by: int = 1) -> int:
-        current = self.storage.load_int(("count",))
+        current = word_to_int(self.storage.load(("count",)))
         self.storage.store(("count",), current + by)
         self.emit("Bumped", by=by)
         return current + by

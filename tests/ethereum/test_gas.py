@@ -60,13 +60,6 @@ class TestGasMeter:
         assert meter.read_gas == 200
         assert meter.other_gas == 68
 
-    def test_usd_breakdown_keys(self):
-        meter = gas.GasMeter()
-        meter.sstore()
-        split = meter.usd_breakdown()
-        assert set(split) == {"write", "read", "others", "total"}
-        assert split["total"] == pytest.approx(split["write"], rel=1e-9)
-
     def test_limit_enforced(self):
         meter = gas.GasMeter(limit=100)
         meter.charge(90, "x")

@@ -49,16 +49,16 @@ class TestMeteredAccess:
 
     def test_load_charges_sload(self, storage):
         storage.store(("k",), 7)
-        assert storage.load_int(("k",)) == 7
+        assert word_to_int(storage.load(("k",))) == 7
         assert storage._meter.read_gas == 200
 
     def test_absent_key_reads_zero(self, storage):
-        assert storage.load_int(("missing",)) == 0
+        assert word_to_int(storage.load(("missing",))) == 0
 
     def test_write_zero_clears_slot(self, storage):
         storage.store(("k",), 5)
         storage.store(("k",), 0)
-        assert storage.occupied_slots() == 0
+        assert list(storage.keys()) == []
         # Writing zero again into an empty slot is an sstore by the
         # zero->nonzero rule only when the value is nonzero; zero->zero
         # still charges (the EVM charges for the attempt).
@@ -83,7 +83,7 @@ class TestUnmeteredAccess:
     def test_poke_zero_clears(self, storage):
         storage.poke(("k",), 9)
         storage.poke(("k",), 0)
-        assert storage.occupied_slots() == 0
+        assert list(storage.keys()) == []
 
     def test_keys_iteration(self, storage):
         storage.poke(("a",), 1)

@@ -3,7 +3,7 @@
 import hashlib
 
 from repro.ethereum.gas import GasMeter
-from repro.ethereum.vm import ExecutionContext, estimate_calldata_bytes, int_to_word
+from repro.ethereum.vm import ExecutionContext
 
 
 def make_env(limit=None):
@@ -18,12 +18,6 @@ class TestKeccak:
     def test_charges_per_word(self):
         env = make_env()
         env.keccak(b"x" * 64)  # 2 words
-        assert env.meter.by_operation["hash"] == 30 + 6 * 2
-
-    def test_concat_single_charge(self):
-        env = make_env()
-        digest = env.keccak_concat(b"a" * 32, b"b" * 32)
-        assert digest == hashlib.sha3_256(b"a" * 32 + b"b" * 32).digest()
         assert env.meter.by_operation["hash"] == 30 + 6 * 2
 
 
@@ -48,12 +42,3 @@ class TestEvents:
         assert env.events[0].name == "Stored"
         assert env.events[0].fields == {"key": 1, "value": "x"}
         assert "Stored" in str(env.events[0])
-
-
-class TestHelpers:
-    def test_estimate_calldata_bytes(self):
-        assert estimate_calldata_bytes(b"ab", b"c") == 3
-
-    def test_int_to_word(self):
-        assert len(int_to_word(7)) == 32
-        assert int_to_word(7)[-1] == 7

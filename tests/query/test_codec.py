@@ -101,7 +101,6 @@ class TestByteSizeExactness:
             codec = VOCodec(value_bytes=system.value_bytes)
             answer = system.process_query(KeywordQuery.parse(text))
             assert answer.vo.byte_size() == len(codec.encode(answer.vo))
-            assert answer.vo_byte_size() == answer.vo.byte_size()
 
     def test_merkle_path_byte_size_matches_wire_delta(self, small_docs):
         """Dropping one table shrinks the frame by exactly its claimed

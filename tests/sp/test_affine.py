@@ -582,26 +582,6 @@ class TestAffineTelemetry:
             assert span.parent_id in span_ids
             assert "worker" in span.attributes
 
-    def test_critpath_report_includes_affine_rpcs(self):
-        system = HybridStorageSystem(
-            scheme="mi", seed=13, shards=4, pool="affine"
-        )
-        try:
-            docs = [
-                DataObject(i, (f"kw-{i % 16}", "common"), b"p-%d" % i)
-                for i in range(16)
-            ]
-            with obs.collect() as col:
-                system.add_objects_batched(docs)
-        finally:
-            system.close()
-
-        report = obs.analyze(col.spans)
-        phases = {p.name: p for p in report.phases}
-        assert RPC_SPAN in phases
-        assert report.wall_s > 0
-        assert RPC_SPAN in report.render()
-
     def test_one_rpc_span_per_call_in_a_message(self):
         pool = make_pool()
         try:
