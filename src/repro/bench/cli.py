@@ -61,8 +61,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         default=None,
         help="collect the run's span trace and dump it as JSON lines "
-        "for external tools; experiments that scope their own "
-        "collector keep those sections out of this trace",
+        "for external tools",
     )
     return parser
 

@@ -26,6 +26,8 @@ from __future__ import annotations
 import dataclasses
 import statistics
 import time
+from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from repro import obs
@@ -102,14 +104,27 @@ class MaintenanceRow:
         }
 
 
-def _counter_delta(snap: dict, base: dict | None, name: str) -> int:
-    value = snap.get(name, 0)
-    if base is not None:
-        value -= base.get(name, 0)
-    return value
+@contextmanager
+def _counters() -> Iterator[obs.Collector]:
+    """The installed collector, else a private one for the scope.
+
+    Measurements read counter deltas against a snapshot taken in the
+    scope, so an outer collector — ``repro-bench --trace-out`` — serves
+    them as it is and keeps receiving the spans.
+    """
+    collector = obs.current()
+    if collector is not None:
+        yield collector
+        return
+    with obs.collect() as collector:
+        yield collector
 
 
-def _meter_from_counters(snap: dict, base: dict | None) -> GasMeter:
+def _counter_delta(snap: dict, base: dict, name: str) -> int:
+    return snap.get(name, 0) - base.get(name, 0)
+
+
+def _meter_from_counters(snap: dict, base: dict) -> GasMeter:
     """Rebuild a :class:`GasMeter` from live ``gas.*`` counter deltas.
 
     This is the registry-driven replacement for walking receipts: the
@@ -142,19 +157,19 @@ def measure_maintenance(
     ~``size`` objects", the quantity Fig. 10 plots against dataset size.
     Pass ``warmup_fraction=0`` for a cold-start cumulative average.
 
-    Gas is read from the live ``repro.obs`` counters (a private
-    collector is installed for the run), so the breakdown is exactly
-    the Table III accounting with no receipt walking.
+    Gas is read from the live ``repro.obs`` counters (:func:`_counters`),
+    so the breakdown is exactly the Table III accounting with no receipt
+    walking.
     """
     dataset = _dataset(dataset_name, size, seed=seed)
     warmup = int(size * warmup_fraction)
     if scheme == "gem2":
         return _measure_gem2(dataset_name, dataset, size, warmup)
-    with obs.collect() as col:
+    with _counters() as col:
+        base = col.metrics.snapshot()
         system = HybridStorageSystem(
             scheme=scheme, seed=seed, cvc_modulus_bits=BENCH_CVC_BITS
         )
-        base = None
         for index, obj in enumerate(dataset.objects()):
             if index == warmup:
                 base = col.metrics.snapshot()
@@ -176,10 +191,10 @@ def _measure_gem2(
     dataset_name: str, dataset: SyntheticDataset, size: int, warmup: int
 ) -> MaintenanceRow:
     """GEM^2 is maintenance-only: drive its contract directly."""
-    with obs.collect() as col:
+    with _counters() as col:
+        base = col.metrics.snapshot()
         chain = Blockchain()
         chain.deploy("gem2", Gem2Contract())
-        base = None
         for index, obj in enumerate(dataset.objects()):
             if index == warmup:
                 base = col.metrics.snapshot()
@@ -236,12 +251,14 @@ class QueryRow:
     vo_proof_bytes: float = 0.0
 
 
-def _phase_mean_ms(snap: dict, name: str) -> float:
-    """Average of one ``*_seconds`` phase histogram, in milliseconds."""
+def _phase_mean_ms(snap: dict, base: dict, name: str) -> float:
+    """Average of one ``*_seconds`` phase histogram since ``base``, in
+    milliseconds."""
     hist = snap.get(name)
-    if not hist or not hist["count"]:
+    before = base.get(name, {"count": 0, "sum": 0.0})
+    if not hist or hist["count"] == before["count"]:
         return 0.0
-    return 1e3 * hist["sum"] / hist["count"]
+    return 1e3 * (hist["sum"] - before["sum"]) / (hist["count"] - before["count"])
 
 
 def measure_queries(
@@ -267,7 +284,8 @@ def _query_row(
     vo_sizes: list[int] = []
     proof_sizes: list[int] = []
     result_counts: list[int] = []
-    with obs.collect() as col:
+    with _counters() as col:
+        base = col.metrics.snapshot()
         for query in queries:
             result = system.query(query)
             # The paper's VO: every table in full, as a new client gets it.
@@ -279,13 +297,13 @@ def _query_row(
         scheme=system.scheme.value,
         dataset=dataset,
         num_keywords=num_keywords,
-        sp_ms=_phase_mean_ms(snap, "query.sp_seconds"),
+        sp_ms=_phase_mean_ms(snap, base, "query.sp_seconds"),
         vo_kb=statistics.mean(vo_sizes) / 1024,
-        verify_ms=_phase_mean_ms(snap, "query.verify_seconds"),
+        verify_ms=_phase_mean_ms(snap, base, "query.verify_seconds"),
         num_queries=len(queries),
         avg_results=statistics.mean(result_counts),
-        chain_ms=_phase_mean_ms(snap, "query.chain_seconds"),
-        parse_ms=_phase_mean_ms(snap, "query.parse_seconds"),
+        chain_ms=_phase_mean_ms(snap, base, "query.chain_seconds"),
+        parse_ms=_phase_mean_ms(snap, base, "query.parse_seconds"),
         vo_bytes=statistics.mean(vo_sizes),
         vo_proof_bytes=statistics.mean(proof_sizes),
     )

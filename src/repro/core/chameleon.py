@@ -42,7 +42,7 @@ id)`` pairs of the rows marked read.
 from __future__ import annotations
 
 import struct
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -795,14 +795,13 @@ class ChameleonTreeSP:
 
         ``held`` is a client's bitmap of the positions it holds under
         this ``cnt`` (bit ``p % 8`` of byte ``p // 8`` for position
-        ``p``).  The one pass (:meth:`_rows`) then writes each held node
-        short — its fields are never sliced — and every other row behind
-        its marked position, and counts the cold table's size as it
-        goes: the result is a :class:`HeldNodeTable`.  The cold table,
-        the same pass with nothing held, is returned instead when no node
-        of the table is held, and is kept beside the short one when its
-        size is one of ``sizes`` (the client holds a whole table of that
-        size, which only the cold bytes can match).
+        ``p``).  The one walk of the table's nodes (:meth:`_rows`) then
+        writes each held node short and every other row behind its
+        marked position: the result is a :class:`HeldNodeTable`.  The
+        cold table is returned instead when no node of the table is
+        held, and is written beside the short one, in the same walk,
+        when its size is one of ``sizes`` (the client holds a whole
+        table of that size, which only the cold bytes can match).
         """
         if not positions:
             raise ReproError("a node table needs at least one position")
@@ -820,43 +819,83 @@ class ChameleonTreeSP:
             while position and position not in needed:
                 needed.add(position)
                 position = (position - 1) // arity
-        body, short, size = self._rows(needed, entries, held)
-        if not held:
-            return ChameleonMultiproof(arity, width, len(needed), bytes(body))
-        cold = None
-        if not short or size in sizes:
-            cold = ChameleonMultiproof(
-                arity, width, len(needed), bytes(self._rows(needed, entries, b"")[0])
-            )
-            if not short:
-                return cold
-        return HeldNodeTable(arity, width, len(needed), bytes(body), cold=cold)
+        order = sorted(needed)
+        cold = not held or self._cold_size(needed, order) in sizes
+        body, short_body, short = self._rows(needed, order, entries, held, cold)
+        if not short:
+            return ChameleonMultiproof(arity, width, len(order), bytes(body))
+        return HeldNodeTable(
+            arity,
+            width,
+            len(order),
+            bytes(short_body),
+            cold=ChameleonMultiproof(arity, width, len(order), bytes(body)) if cold else None,
+        )
+
+    def _cold_size(self, needed: set[int], order: list[int]) -> int:
+        """The byte size of the cold node table whose rows are ``needed``
+        (ancestor-closed; ``order`` the same, ascending), from the
+        positions alone.
+
+        Every row is ``position || flags || id || h(o) || c || Lambda``
+        plus the commitments of its children that are not rows.  Each
+        row is the child of the root or of another row, so those
+        children number all children of the root and the rows, less the
+        rows: ``arity`` each for a node whose slots all lie within
+        ``cnt``, ``cnt % arity`` for the one node whose last slots lie
+        beyond, none after it.  A position's varint takes a byte per
+        started 7 bits.  Both counts are bisections of ``order``.
+        """
+        count = self.count
+        arity = self.arity
+        width = self.store.value_bytes
+        rows = len(order)
+        varints = rows
+        bound = 0x80
+        while order and order[-1] >= bound:
+            varints += rows - bisect_left(order, bound)
+            bound <<= 7
+        full = count // arity - 1  # the last node whose slots all fill
+        children = arity * (bisect_right(order, full) + (full >= 0))
+        partial = count // arity
+        if count % arity and (not partial or partial in needed):
+            children += count % arity
+        return (
+            1 + varint_size(rows)  # arity and row count, as ``byte_size`` counts
+            + 1 + width  # the root's flags and ``Lambda_0``
+            + rows * (1 + _ENTRY + 2 * width)
+            + varints
+            + width * (children - rows)
+        )
 
     def _rows(
-        self, needed: set[int], entries: set[int], held: bytes
-    ) -> tuple[bytearray, int, int]:
-        """:meth:`multiproof`'s one pass: the body of the table whose rows
-        are ``needed`` (``entries`` the read ones), how many of its nodes
-        went short and the cold table's size.
+        self,
+        needed: set[int],
+        order: list[int],
+        entries: set[int],
+        held: bytes,
+        cold: bool,
+    ) -> tuple[bytearray, bytearray, int]:
+        """:meth:`multiproof`'s one walk over the table whose rows are
+        ``needed`` (``order`` ascending, ``entries`` the read ones): the
+        cold body, the body with each node ``held`` lists short and every
+        other row behind ``position << 1``, and how many nodes went
+        short.
 
-        With ``held`` empty the body is the cold one (and the size is not
-        counted); else each node ``held`` lists is short and every other
-        row stands behind ``position << 1``.
+        A held node's cold row is written only when ``cold`` is set;
+        else the cold body is whole only if no node was held.
         """
         count = self.count
         arity = self.arity
         store = self.store
-        width = store.value_bytes
         # A table of every node (a scan) has no child to ship, and nor
         # has a node whose children all lie beyond ``cnt``.
-        complete = len(needed) == count
-        shift = 1 if held else 0  # a kind-4 row marks its position
+        complete = len(order) == count
         bits = len(held)
-        row = 2 + _ENTRY + 2 * width  # a cold row behind a one-byte position
-        size = 1 + varint_size(len(needed))
         short = 0
         body = bytearray()
-        for position in (0, *sorted(needed)):
+        marked = bytearray()
+        for position in (0, *order):
             flags = position in entries
             first = position * arity
             children = ()
@@ -868,28 +907,34 @@ class ChameleonTreeSP:
                 ]
                 for child in children:
                     flags |= 1 << (child - first)
+            kept = True
             if held:
-                # The node's cold bytes: its position varint, flags and
-                # fields (the root: flags and Lambda_0), shipped children.
-                size += width * len(children) + (
-                    row + (position.bit_length() - 1) // 7 if position else 1 + width
-                )
                 at = position >> 3
                 if at < bits and held[at] >> (position & 7) & 1:
+                    # A kind-4 row marks its position; a short one is
+                    # its flags alone (the root's with bit 0 set).
                     short += 1
-                    if not position:
-                        body.append(flags | 1)
+                    kept = False
+                    if position:
+                        put_varint(marked, position << 1 | 1)
+                        marked.append(flags)
+                    else:
+                        marked.append(flags | 1)
+                    if not cold:
                         continue
-                    put_varint(body, position << 1 | 1)
-                    body.append(flags)
-                    continue
             if position:
-                put_varint(body, position << shift)
+                put_varint(body, position)
+                fields = len(body)
                 body.append(flags)
                 store.append_fields(body, position)
             else:
+                fields = 0
                 body.append(flags)
                 body += store.opening_bytes(0)
             for child in children:
                 body += store.commitment_bytes(child)
-        return body, short, size
+            if held and kept:
+                if position:
+                    put_varint(marked, position << 1)
+                marked += body[fields:]
+        return body, marked, short

@@ -115,17 +115,25 @@ class DataObject:
 
     @classmethod
     def deferred(cls, wire: bytes) -> "DataObject":
-        """An object over bytes this program encoded itself.
+        """An object over an encoding whose fields are read on demand.
 
-        For the SP's own plumbing (a shard worker's reply): only the ID
-        is read; keywords and content are parsed — by the routine
-        :meth:`from_wire` uses — the first time one is asked for, which
-        on the serving path is never.
+        Only the ID is read; keywords and content are parsed — by the
+        routine :meth:`from_wire` uses, failing closed the same way —
+        the first time one is asked for.  It wraps two kinds of bytes:
+        the SP's own plumbing (a shard worker's reply), where that is
+        never, and the objects of an answer the client received, whose
+        fields are read only by the caller after ``verify_query`` has
+        matched their ``h(o)`` to the proven digest and tested the query
+        on the encoding itself (:func:`encoding_satisfies`).
         """
-        if len(wire) < _HEAD.size:
-            raise ReproError("truncated object encoding")
+        try:
+            object_id, _ = _HEAD.unpack_from(wire)
+        except struct.error:
+            raise ReproError("truncated object encoding") from None
         obj = object.__new__(cls)
-        vars(obj).update(object_id=int.from_bytes(wire[:8], "big"), _wire=wire)
+        fields = obj.__dict__
+        fields["object_id"] = object_id
+        fields["_wire"] = wire
         return obj
 
     @classmethod
@@ -135,10 +143,10 @@ class DataObject:
         The fields are read strictly (every length honoured, nothing
         left over, keywords UTF-8) but *not* re-normalised: a keyword
         that is not in canonical form, or is listed twice, is kept as
-        sent.  Such an object is not one the data owner hashed — its
-        bytes differ from every canonical encoding — so the client's
-        ``h(o)`` check against the proven digest, which precedes any
-        use of the keywords, refuses it.
+        sent.  Such an object is not one the data owner encoded, so a
+        caller that needs canonical objects checks for it — the shard
+        journal's decoder re-normalises, and the client never parses
+        before ``h(o)`` has matched (:meth:`deferred`).
         """
         obj = object.__new__(cls)
         fields = vars(obj)
@@ -164,9 +172,7 @@ class DataObject:
 
     def digest(self) -> bytes:
         """``h(o_i)``: the tagged hash of the canonical encoding."""
-        hasher = _HASHER.copy()
-        hasher.update(self.encoded())
-        return hasher.digest()
+        return encoding_digest(self.encoded())
 
     def keyword_set(self) -> frozenset[str]:
         """The object's keywords as a frozen set."""
@@ -199,6 +205,41 @@ def _fields(wire: bytes) -> tuple[int, tuple[str, ...], bytes]:
     if pos + length != len(wire):
         raise ReproError("object encoding does not end with its content")
     return object_id, tuple(keywords), wire[pos:]
+
+
+def encoding_digest(wire: bytes) -> bytes:
+    """``h(o)`` of an object's encoding: its tagged SHA3 hash."""
+    hasher = _HASHER.copy()
+    hasher.update(wire)
+    return hasher.digest()
+
+
+def encoding_satisfies(
+    wire: bytes, conjunctions: tuple[frozenset[bytes], ...], wanted: frozenset[bytes]
+) -> bool:
+    """Whether a canonical encoding carries every keyword of one of
+    ``conjunctions`` — a DNF query's keywords as UTF-8, ``wanted`` their
+    union — without decoding a keyword or building the keyword set.
+
+    The walk follows the length prefixes, so a query keyword matches a
+    whole keyword only: never one inside another, across a prefix or in
+    the content; it stops at the first keyword that completes a
+    conjunction.  It trusts the prefixes, so ``wire`` must be known to
+    be canonical — the client calls it only once the bytes have hashed
+    to their proven ``h(o)``.
+    """
+    pos = _HEAD.size
+    found: set[bytes] = set()
+    for _ in range(wire[8] << 8 | wire[9]):
+        end = pos + 1 + wire[pos]
+        keyword = wire[pos + 1 : end]
+        if keyword in wanted:
+            found.add(keyword)
+            for conj in conjunctions:
+                if conj <= found:
+                    return True
+        pos = end
+    return False
 
 
 def object_to_record(obj: DataObject) -> dict:

@@ -36,7 +36,7 @@ from contextlib import AbstractContextManager
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Protocol
 
-from repro.core.objects import DataObject
+from repro.core.objects import DataObject, encoding_digest, encoding_satisfies
 from repro.core.query.join import conjunctive_join, rule_plan
 from repro.core.query.parser import KeywordQuery
 from repro.core.query.vo import ConjunctiveVO, QueryAnswer, ReplayVO
@@ -191,26 +191,32 @@ def verify_query(
         len(answer.objects) == len(union.ids),
         "response does not carry exactly one object per result",
     )
-    # Each returned object is hashed over the bytes it arrived as (an
-    # object built by ``DataObject.from_wire`` keeps them as its
-    # encoding), and its keywords were read from those same bytes
-    # without re-normalising them.  The order below is what makes that
-    # sound: ``h(o)`` is injective in the encoding, so bytes that hash to
-    # the proven digest are the data owner's canonical encoding — whose
-    # keywords are normalised and distinct — before the keywords are
-    # consulted.  The messages are built only on failure: this loop runs
-    # once per result.
+    # Each returned object is checked as the bytes it arrived as
+    # (``encoded()``: a decoded object is a deferred one, which keeps
+    # them): both checks read the one byte string, and nothing is
+    # parsed.  The order is what makes that sound: ``h(o)`` is injective
+    # in the encoding, so bytes that hash to the proven digest are the
+    # data owner's canonical encoding — whose length prefixes frame its
+    # normalised, distinct keywords — before the query is tested on
+    # them.  The query's keywords are encoded once here, not per object;
+    # the messages are built only on failure: this loop runs once per
+    # result.
+    conjunctions = tuple(
+        frozenset(kw.encode() for kw in conj) for conj in query.conjunctions
+    )
+    wanted: frozenset[bytes] = frozenset().union(*conjunctions)
     for object_id in union.ids:
         obj = answer.objects.get(object_id)
         if not isinstance(obj, DataObject):
             raise VerificationError(f"result object {object_id} not returned")
         if obj.object_id != object_id:
             raise VerificationError("returned object carries a different ID")
-        if not digests_equal(obj.digest(), union.hashes[object_id]):
+        wire = obj.encoded()
+        if not digests_equal(encoding_digest(wire), union.hashes[object_id]):
             raise VerificationError(
                 f"object {object_id} does not hash to its proven digest"
             )
-        if not query.matches(obj.keyword_set()):
+        if not encoding_satisfies(wire, conjunctions, wanted):
             raise VerificationError(
                 f"object {object_id} does not satisfy the query condition"
             )

@@ -44,15 +44,21 @@ cold VO.
 An object travels as its canonical encoding
 (:meth:`~repro.core.objects.DataObject.encoded`), which the SP built
 once when it stored the object: a response is a ``join`` of length
-prefixes and those byte strings, and the client hashes and parses the
-slices it received.  The VO is the codec's frame, untouched.
+prefixes and those byte strings.  The client frames the slices it
+received and parses none: each is a
+:meth:`~repro.core.objects.DataObject.deferred` object, hashed and
+tested against the query as bytes by ``verify_query``, whose fields are
+read only if the caller asks for them.  The VO is the codec's frame,
+untouched.
 
 Both decoders go through :class:`~repro.core.wire.Reader` and fail
 closed: a status byte other than 0 or 1, text that is not UTF-8, a
 length that overruns the message, a varint longer than its shortest
-encoding, a list over its bound, bytes left over after the message or
-inside an object's field all raise :class:`~repro.errors.ReproError` —
-which the server answers with ``ERR_BAD_REQUEST``.
+encoding, a list over its bound, an object shorter than its fixed head
+or bytes left over after the message all raise
+:class:`~repro.errors.ReproError` — which the server answers with
+``ERR_BAD_REQUEST``.  A malformed object's fields raise the same when
+read.
 """
 
 from __future__ import annotations
@@ -283,7 +289,8 @@ class QueryResponse:
 
     @classmethod
     def decode(cls, payload: bytes) -> "QueryResponse":
-        """Parse from the canonical wire form."""
+        """Parse from the canonical wire form; each object is framed,
+        not parsed (:meth:`~repro.core.objects.DataObject.deferred`)."""
         reader = _message(payload)
         if reader.flag():
             code = reader.u8()
@@ -298,8 +305,8 @@ class QueryResponse:
             )
         n_ids = reader.uint(4)
         result_ids = list(struct.unpack(f">{n_ids}Q", reader.take(8 * n_ids)))
-        from_wire = DataObject.from_wire
-        objects = [from_wire(wire) for wire in reader.blobs(U32, reader.uint(4))]
+        deferred = DataObject.deferred
+        objects = [deferred(wire) for wire in reader.blobs(U32, reader.uint(4))]
         vo_bytes = reader.blob(U32)
         reader.finish()
         return cls(result_ids=result_ids, objects=objects, vo_bytes=vo_bytes)

@@ -45,7 +45,7 @@ class TestMain:
         assert "Fig. 13" in capsys.readouterr().out
 
 
-class TestProfileAndTraceFlags:
+class TestTraceOutFlag:
     def test_parser_defaults(self):
         args = build_parser().parse_args([])
         assert args.trace_out is None
@@ -58,3 +58,17 @@ class TestProfileAndTraceFlags:
         assert code == 0
         assert "spans to" in capsys.readouterr().out
         assert path.exists()
+
+    def test_trace_out_receives_the_measured_sections(self, tmp_path, capsys):
+        """The figures read their gas and phase times as counter deltas
+        under the installed collector, so the dump holds their spans and
+        the table is the one a run without the flag prints."""
+        assert main(["--exp", "fig6", "--size", "40"]) == 0
+        plain = capsys.readouterr().out
+        path = tmp_path / "trace.jsonl"
+        assert main(["--exp", "fig6", "--size", "40", "--trace-out", str(path)]) == 0
+        table, wrote = capsys.readouterr().out.rsplit("wrote ", 1)
+        assert table == plain
+        spans = int(wrote.split()[0])
+        assert spans > 0
+        assert len(path.read_text().splitlines()) == spans

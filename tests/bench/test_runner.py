@@ -7,6 +7,7 @@ orderings even at smoke-test sizes.
 
 import pytest
 
+from repro import obs
 from repro.bench import runner
 from repro.bench.ablations import ABLATIONS
 
@@ -67,6 +68,21 @@ class TestExperimentSmoke:
         row = runner.measure_queries(system, dataset, 2, 3)
         assert row.num_queries == 3
         assert row.vo_kb > 0
+
+    def test_measurements_read_deltas_under_an_outer_collector(self):
+        dataset = runner._dataset("twitter", 50)
+        system = runner.build_system("smi", dataset)
+        alone = runner.measure_maintenance("smi", "twitter", 40)
+        with obs.collect() as outer:
+            inside = runner.measure_maintenance("smi", "twitter", 40)
+            rows = [runner.measure_queries(system, dataset, 2, 3) for _ in range(2)]
+        assert inside.meter.total == alone.meter.total
+        assert inside.meter.by_operation == alone.meter.by_operation
+        # Each row averages its own three queries, not the collector's six.
+        hist = outer.metrics.snapshot()["query.sp_seconds"]
+        assert hist["count"] == 6
+        assert 3 * sum(row.sp_ms for row in rows) == pytest.approx(1e3 * hist["sum"])
+        assert any(span.name == "query" for span in outer.spans)
 
     def test_experiment_registry_complete(self):
         assert set(runner.EXPERIMENTS) == {

@@ -221,7 +221,7 @@ class TestCompact:
         assert not (Path(registry) / "shard-journals").exists()
 
 
-class TestObsSubcommands:
+class TestObsCommand:
     def _add_one(self, registry):
         assert (
             main(

@@ -14,7 +14,7 @@ nothing (no verification cache, so its requests list nothing).
 import pytest
 
 from repro import DataObject, HybridStorageSystem, KeywordQuery
-from repro.core.chameleon import expand_rows
+from repro.core.chameleon import ChameleonTreeSP, expand_rows
 from repro.core.proofcache import HELD_NODE_KEYWORDS
 from repro.core.query import codec
 from repro.sp.protocol import (
@@ -138,6 +138,41 @@ def test_a_rebuilt_table_is_the_cold_table(scheme, monkeypatch):
         request, vo_bytes = sent[-1]
         assert vo_bytes == oracle.encode(cold, request.held, request.nodes, counts)
     assert rebuilt  # some tables came with short rows
+    system.close()
+
+
+@pytest.mark.parametrize("scheme", ["ci", "ci*"])
+def test_a_node_table_is_written_in_one_walk(scheme, monkeypatch):
+    """The SP writes each node table in one walk of its nodes, also one
+    that goes as a kind-3 reference: the short body, and beside it the
+    cold one that a held whole table is matched against."""
+    system = build(scheme)
+    walks: list[int] = []
+    rows, multiproof = ChameleonTreeSP._rows, ChameleonTreeSP.multiproof
+
+    def table(self, *args):
+        walks.append(0)
+        return multiproof(self, *args)
+
+    def walk(self, *args):
+        walks[-1] += 1
+        return rows(self, *args)
+
+    monkeypatch.setattr(ChameleonTreeSP, "multiproof", table)
+    monkeypatch.setattr(ChameleonTreeSP, "_rows", walk)
+    server = StorageProviderServer(system)
+    frames: list[bytes] = []
+
+    def transport(raw: bytes) -> bytes:
+        response = server.handle(raw)
+        frames.append(QueryResponse.decode(response).vo_bytes)
+        return response
+
+    client = RemoteClient(transport, system)
+    for text in QUERIES:
+        client.query(text)
+    assert [frames[index][2] for index in REPEATED_SCANS] == [3] * len(REPEATED_SCANS)
+    assert walks and set(walks) == {1}
     system.close()
 
 

@@ -4,14 +4,18 @@ total, and the argument count of ``HybridStorageSystem.__init__``.
 Lines are counted as ``wc -l`` counts them (newline characters), so the
 total equals ``find src/repro -name '*.py' | xargs cat | wc -l``.  The
 modules directly under ``src/repro`` are reported together as
-``(top level)``.  Standard library only::
+``(top level)``.  ``--json`` prints the same as one JSON object,
+``{"src_lines", "packages", "constructor_args"}`` — the size columns of a
+``BENCH_TREND.jsonl`` row.  Standard library only::
 
-    python tools/src_size.py
+    python tools/src_size.py [--json]
 """
 
 from __future__ import annotations
 
+import argparse
 import ast
+import json
 from collections import Counter
 from pathlib import Path
 
@@ -43,13 +47,24 @@ def constructor_arguments(root: Path) -> int:
     raise SystemExit("HybridStorageSystem.__init__ not found")
 
 
-def main() -> int:
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description="Report the size of src/repro.")
+    parser.add_argument("--json", action="store_true", help="print one JSON object")
+    args = parser.parse_args(argv)
     counts = lines_per_package(SRC)
+    arguments = constructor_arguments(SRC)
+    if args.json:
+        print(json.dumps({
+            "src_lines": sum(counts.values()),
+            "packages": dict(sorted(counts.items())),
+            "constructor_args": arguments,
+        }))
+        return 0
     width = max(len(name) for name in counts)
     for name in sorted(counts):
         print(f"{name:<{width}}  {counts[name]:>6}")
     print(f"{'total':<{width}}  {sum(counts.values()):>6}")
-    print(f"HybridStorageSystem.__init__ arguments: {constructor_arguments(SRC)}")
+    print(f"HybridStorageSystem.__init__ arguments: {arguments}")
     return 0
 
 
