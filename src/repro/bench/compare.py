@@ -20,6 +20,11 @@ changes.  A metric present in the baseline but absent from the fresh
 run counts as a regression — silently dropping a measurement must not
 turn a red comparison green.
 
+Gas and VO bytes are deterministic per seed, so the verdict also lists
+each workload whose ``*gas*`` or ``vo_bytes*`` values moved at all, and
+the change of ``tools/src_size.py``'s columns when both documents carry
+them.
+
 ``repro bench compare`` is the CLI front end; ``--trend-out`` appends
 one summary record per comparison to a JSONL trend log
 (``BENCH_TREND.jsonl``), giving cheap longitudinal history without a
@@ -152,6 +157,21 @@ class CompareReport:
     current_path: str
     tolerance: float
     deltas: list[MetricDelta] = field(default_factory=list)
+    #: Per size column both documents carry: ``(baseline, current)``.
+    size: dict[str, tuple] = field(default_factory=dict)
+
+    @property
+    def moved(self) -> dict[str, list[MetricDelta]]:
+        """Per workload (the name before a metric's), its ``*gas*`` and
+        ``vo_bytes*`` metrics whose value changed at all."""
+        out: dict[str, list[MetricDelta]] = {}
+        for delta in self.deltas:
+            *path, leaf = delta.metric.removesuffix(".value").split(".")
+            pair = delta.baseline, delta.current
+            moved = None not in pair and pair[0] != pair[1]
+            if moved and ("gas" in leaf or leaf.startswith("vo_bytes")):
+                out.setdefault(path[-1] if path else leaf, []).append(delta)
+        return out
 
     @property
     def regressions(self) -> list[MetricDelta]:
@@ -170,6 +190,8 @@ class CompareReport:
             "tolerance": self.tolerance,
             "passed": self.passed,
             "regressions": [d.metric for d in self.regressions],
+            "moved": sorted(self.moved),
+            "size": self.size,
             "deltas": [d.to_dict() for d in self.deltas],
         }
 
@@ -214,6 +236,15 @@ class CompareReport:
                     f"{_fmt(delta.baseline)} -> {_fmt(delta.current)}  "
                     f"({delta.change_pct:+.1f}%, {delta.direction} is better)"
                 )
+        for workload, deltas in self.moved.items():
+            moves = ", ".join(
+                f"{d.metric.removesuffix('.value').rsplit('.', 1)[-1]} "
+                f"{_fmt(d.baseline)} -> {_fmt(d.current)}" for d in deltas
+            )
+            lines.append(f"  MOVED      {workload}: {moves}")
+        if self.size:
+            sizes = ", ".join(f"{k} {a} -> {b} ({b - a:+d})" for k, (a, b) in self.size.items())
+            lines.append(f"  SIZE       {sizes}")
         ok = sum(1 for d in checked if d.status == "ok")
         new = sum(1 for d in self.deltas if d.status == "new")
         info = sum(1 for d in self.deltas if d.status == "info")
@@ -297,6 +328,11 @@ def compare(
         current_path=current_path,
         tolerance=tolerance,
     )
+    if isinstance(baseline_doc, dict) and isinstance(current_doc, dict):
+        for name in ("src_lines", "constructor_args"):  # tools/src_size.py --json
+            pair = baseline_doc.get(name), current_doc.get(name)
+            if all(isinstance(value, int) for value in pair):
+                report.size[name] = pair
     for metric in sorted(base):
         if metric not in cur:
             report.deltas.append(

@@ -48,7 +48,7 @@ from dataclasses import dataclass
 
 from repro.core.mbtree import Entry, entry_digest
 from repro.core.nodestore import ChameleonStore
-from repro.core.query.vo import varint_size
+from repro.core.query.vo import HeldNodeTable, varint_size
 from repro.core.wire import put_varint, read_varint
 from repro.crypto import vc
 from repro.crypto.hashing import token_hasher
@@ -527,36 +527,6 @@ class ChameleonMultiproof:
                     "is out of range"
                 )
         return self.entries()
-
-
-@dataclass(frozen=True)
-class HeldNodeTable:
-    """A node table as the SP sends it to a client that holds some of its
-    nodes (table kind 4).
-
-    ``body`` is the table's root and rows with each held node short —
-    its flag byte (the root's with bit 0 set) and, for a row, the
-    position varint ``position << 1 | 1`` — and every other row behind
-    ``position << 1`` (see :func:`expand_rows`); ``summary`` is the index
-    of the request's node summary that lists the held nodes.  ``cold``
-    is the same table cold, kept only while a whole table the client
-    holds may be it (:func:`~repro.core.multiproof.compress_query_vo`
-    tries that and drops it).  Only the SP makes one
-    (:meth:`ChameleonTreeSP.multiproof`), and only the codec writes it.
-    """
-
-    arity: int
-    value_bytes: int
-    count: int
-    body: bytes
-    summary: int = 0
-    cold: ChameleonMultiproof | None = None
-
-    def byte_size(self) -> int:
-        """Serialised size: summary index, arity, row count, root and rows."""
-        return (
-            varint_size(self.summary) + 1 + varint_size(self.count) + len(self.body)
-        )
 
 
 class ChameleonTreeDO:

@@ -62,6 +62,7 @@ from repro.errors import IntegrityError, ReproError
 
 if TYPE_CHECKING:
     from repro.core.multiproof import TreeMultiproof
+    from repro.core.query.vo import HeldNodeTable
 
 #: Default fan-out, per Section VII-A: the largest F with
 #: ``(F-1)*l_d + F*l_p + l_p < 32`` bytes.
@@ -432,7 +433,9 @@ class MBTree:
             keys[rank] if rank < len(keys) else None,
         )
 
-    def multiproof(self, keys: Sequence[int]) -> TreeMultiproof:
+    def multiproof(
+        self, keys: Sequence[int], held: bytes = b"", base: int = 0, tables: frozenset = frozenset()
+    ) -> TreeMultiproof | HeldNodeTable:
         """One deduplicated proof for ``keys``, built in one pass.
 
         ``keys`` must be strictly ascending and all present.  A single
@@ -445,9 +448,21 @@ class MBTree:
         of that slot behind :data:`ENTRY_PREFIX`, a subtree helper the
         child's inline digest.  ``keys[i]`` is the proof's leaf ordinal
         ``i`` (DFS order is key order).
+
+        ``held`` lists rows a client holds, bit ``i`` for the ID ``base -
+        i``: the same DFS marks each listed proven row and entry helper
+        (:func:`~repro.core.multiproof.expand_table`).  The marked table
+        goes unless the cold one is a whole table the client holds
+        (``tables``: ``(byte_size, cache_token)`` each), for a reference.
         """
         from repro.core.multiproof import SLOT_DESCEND, SLOT_LEAF, TreeMultiproof
+        from repro.core.query.vo import HeldNodeTable, varint_size
 
+        if held and tables and len(keys) == len(self._keys):
+            # A scan of the whole tree: the table a client most likely holds.
+            table = self.multiproof(keys)
+            if (len(table.body), table.cache_token()) in tables:
+                return table
         if not keys:
             raise ReproError("a multiproof needs at least one key")
         if any(a >= b for a, b in zip(keys, keys[1:])):
@@ -459,6 +474,12 @@ class MBTree:
         helpers = bytearray()
         leaves = bytearray()
         node_count = 0
+        bits = 8 * len(held)
+        flags = format(int.from_bytes(held, "little"), f"0{bits}b")[::-1].encode().translate(_FLAGS)
+        # Per list, a byte per item (1: listed, kept out of ``helpers`` or
+        # ``leaves``), and each listed item's bit.
+        helper_kinds, helper_bits = bytearray(), []
+        leaf_kinds, leaf_bits = bytearray(), []
 
         def cover(node: int, lo: int, hi: int) -> int:
             """Write the cover under ``node`` for ``keys[lo:hi]``.
@@ -482,13 +503,24 @@ class MBTree:
             below = 0
             if rows:
                 for slot, key in enumerate(_leaf_keys(width).unpack_from(rows)):
-                    row = rows[40 * slot : 40 * slot + 40]
+                    bit = base - key
+                    listed = bits and 0 <= bit < bits and flags[bit]
                     if lo < hi and keys[lo] == key:
                         packed |= SLOT_LEAF << 2 * slot
-                        leaves += row
                         lo += 1
+                        if bits:
+                            leaf_kinds.append(listed)
+                        if listed:
+                            leaf_bits.append(bit)
+                        else:
+                            leaves += rows[40 * slot : 40 * slot + 40]
                     else:
-                        helpers += sha3(ENTRY_PREFIX + row)
+                        if bits:
+                            helper_kinds.append(listed)
+                        if listed:
+                            helper_bits.append(bit)
+                        else:
+                            helpers += sha3(ENTRY_PREFIX + rows[40 * slot : 40 * slot + 40])
                 if lo < hi:
                     raise ReproError(f"key {keys[lo]} not present in MB-tree")
             else:
@@ -503,6 +535,8 @@ class MBTree:
                         packed |= SLOT_DESCEND << 2 * slot
                         below = cover(child, lo, cut)
                     else:
+                        if bits:
+                            helper_kinds.append(0)
                         helpers += fields[slot][1]
                     lo = cut
             if size == 1:
@@ -514,6 +548,16 @@ class MBTree:
         body = bytearray((cover(self._root_idx, 0, len(keys)),))
         put_varint(body, node_count)
         body += nodes
+        if helper_bits or leaf_bits:
+            counts = len(helper_kinds), len(leaf_kinds)
+            cold_size = len(body) + sum(map(varint_size, counts)) + 32 * counts[0] + 40 * counts[1]
+            if any(size == cold_size for size, _ in tables):
+                table = self.multiproof(keys)  # a whole table the client holds?
+                if (cold_size, table.cache_token()) in tables:
+                    return table
+            _put_marked(body, helpers, helper_kinds, helper_bits, bits)
+            _put_marked(body, leaves, leaf_kinds, leaf_bits, bits)
+            return HeldNodeTable(0, 0, 0, bytes(body))
         put_varint(body, len(helpers) // 32)
         body += helpers
         put_varint(body, len(leaves) // 40)
@@ -549,6 +593,30 @@ class MBTree:
             internal_levels=tuple(levels),
             leaf_entries=tuple(_leaf_digests(view, node)),
         )
+
+
+#: A list's per-item bytes (1: listed) as ``0`` / ``1`` digits, and back.
+_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _put_marked(out: bytearray, cold: bytearray, kinds: bytearray, bits: list, limit: int) -> None:
+    """Append a held-row list: its count, a bit per item (``kinds``), the
+    ``cold`` items, then per listed item the varint of the summary bits
+    it skips below the one before (the first, below ``limit``)."""
+    put_varint(out, len(kinds))
+    mask = int(kinds[::-1].translate(_DIGITS) or b"0", 2)
+    out += mask.to_bytes((len(kinds) + 7) // 8, "little")
+    out += cold
+    skips = [above - bit - 1 for above, bit in zip((limit, *bits), bits)]
+    if max(skips, default=0) < 0x80:
+        out += bytes(skips)
+        return
+    for skip in skips:
+        if skip < 0x80:
+            out.append(skip)
+        else:
+            put_varint(out, skip)
 
 
 @dataclass(frozen=True)

@@ -68,9 +68,10 @@ import struct
 from bisect import bisect_right
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field, replace
+from itertools import accumulate
 from operator import lt
 
-from repro.core.chameleon import ChameleonTreeSP, HeldNodeTable
+from repro.core.chameleon import ChameleonTreeSP
 from repro.core.mbtree import (
     ENTRY_PREFIX,
     LEAF_PREFIX,
@@ -78,8 +79,8 @@ from repro.core.mbtree import (
     MBTree,
 )
 from repro.core.proofcache import VerificationCache
-from repro.core.query.vo import ConjunctiveVO, QueryVO, ReplayVO, TableReference
-from repro.core.wire import read_varint
+from repro.core.query.vo import ConjunctiveVO, HeldNodeTable, QueryVO, ReplayVO, TableReference
+from repro.core.wire import put_varint, read_varint
 from repro.crypto.bloom import BloomFilterChain
 from repro.crypto.hashing import digests_equal, sha3, token_hasher
 from repro.errors import (
@@ -133,6 +134,36 @@ _PACKED = tuple(
 )
 
 
+def _frame_nodes(buf: bytes, pos: int) -> tuple[int, list, int]:
+    """The height and the nodes' slot codes of the body at ``buf[pos]``,
+    and the offset behind them (see :func:`_frame`)."""
+    size = len(buf)
+    packed = _PACKED
+    nodes: list[tuple[int, ...]] = []
+    height = buf[pos]
+    count, pos = read_varint(buf, pos + 1)
+    for _ in range(count):
+        width = buf[pos]
+        pos += 1
+        if width > 0x7F:
+            width, pos = read_varint(buf, pos - 1)
+            if width > 0xFFFF:
+                raise _malformed("oversized node width")
+        if 0 < width <= 4:
+            codes = packed[width - 1][buf[pos]]
+            if codes is None:  # refused: the long way says why
+                codes = _node_codes(buf[pos : pos + 1], width)
+            pos += 1
+        else:
+            end = pos + (width + 3) // 4
+            if end > size:
+                raise _malformed("truncated slot codes")
+            codes = _node_codes(buf[pos:end], width)
+            pos = end
+        nodes.append(codes)
+    return height, nodes, pos
+
+
 def _frame(buf: bytes, pos: int) -> tuple[tuple, int]:
     """Frame the table whose body starts at ``buf[pos]``.
 
@@ -144,31 +175,8 @@ def _frame(buf: bytes, pos: int) -> tuple[tuple, int]:
     codes *mean* is the fold's to check.
     """
     start = pos
-    size = len(buf)
-    packed = _PACKED
-    nodes: list[tuple[int, ...]] = []
     try:
-        height = buf[pos]
-        count, pos = read_varint(buf, pos + 1)
-        for _ in range(count):
-            width = buf[pos]
-            pos += 1
-            if width > 0x7F:
-                width, pos = read_varint(buf, pos - 1)
-                if width > 0xFFFF:
-                    raise _malformed("oversized node width")
-            if 0 < width <= 4:
-                codes = packed[width - 1][buf[pos]]
-                if codes is None:  # refused: the long way says why
-                    codes = _node_codes(buf[pos : pos + 1], width)
-                pos += 1
-            else:
-                end = pos + (width + 3) // 4
-                if end > size:
-                    raise _malformed("truncated slot codes")
-                codes = _node_codes(buf[pos:end], width)
-                pos = end
-            nodes.append(codes)
+        height, nodes, pos = _frame_nodes(buf, pos)
         helper_count, pos = read_varint(buf, pos)
         helpers_at = pos
         leaf_count, pos = read_varint(buf, pos + 32 * helper_count)
@@ -176,7 +184,7 @@ def _frame(buf: bytes, pos: int) -> tuple[tuple, int]:
         raise _malformed("truncated table") from None
     leaves_at = pos
     pos += 40 * leaf_count
-    if pos > size:
+    if pos > len(buf):
         raise _malformed("truncated leaf rows")
     return (
         height,
@@ -256,6 +264,15 @@ class TreeMultiproof:
             object.__setattr__(self, "_frame", frame)
         return frame
 
+    def arrived_rows(self) -> tuple[list[int], list[tuple[bytes, bytes]]]:
+        """After :meth:`fold`, the IDs and ``(id || h(o), entry digest)``
+        of the rows that came on the wire, not held (:func:`expand_table`)."""
+        at, count = self._framed()[4:]
+        body, leaves, digests = self.body, self.leaves, self.__dict__["_entry_digests"]
+        arrived = self.__dict__.get("_arrived", range(count))
+        rows = [(body[at + 40 * i : at + 40 * i + 40], digests[i]) for i in arrived]
+        return [leaves[i][0] for i in arrived], rows
+
     @property
     def leaves(self) -> tuple[tuple[int, bytes], ...]:
         """The proven ``(object_id, object_hash)`` rows, in DFS (key) order."""
@@ -318,11 +335,14 @@ class TreeMultiproof:
             for at in range(helpers_at, helpers_at + 32 * helper_count, 32)
         ]
         helpers.reverse()
-        leaves = [
-            sha3(ENTRY_PREFIX + body[at : at + 40])
-            for at in range(leaves_at, leaves_at + 40 * leaf_count, 40)
-        ]
-        leaves.reverse()
+        digests = self.__dict__.get("_entry_digests")  # seeded from held rows
+        if digests is None:
+            digests = [
+                sha3(ENTRY_PREFIX + body[at : at + 40])
+                for at in range(leaves_at, leaves_at + 40 * leaf_count, 40)
+            ]
+            object.__setattr__(self, "_entry_digests", digests)
+        leaves = digests[::-1]
         take_helper = helpers.pop
         take_leaf = leaves.pop
         remaining = iter(nodes)
@@ -369,6 +389,79 @@ class TreeMultiproof:
         return walked
 
 
+def _held_list(buf: bytes, pos: int, size: int, rows: dict, floor: int) -> tuple:
+    """One list of a held-row body at ``buf[pos:]``: the rows its bits
+    name, the indices of its cold items, where those start, its end."""
+    count, pos = read_varint(buf, pos)
+    at = pos + (count + 7) // 8
+    mask = int.from_bytes(buf[pos:at], "little")
+    if mask >> count:
+        raise _malformed("non-zero padding in held bits")
+    marked = mask.bit_count()
+    end = at + size * (count - marked)
+    if end > len(buf):
+        raise IndexError(end)
+    skips = buf[end : end + marked]
+    if len(skips) == marked and max(skips, default=0) < 0x80:
+        end += marked
+    else:
+        skips = []
+        for _ in range(marked):
+            skip, end = read_varint(buf, end) if buf[end] > 0x7F else (buf[end], end + 1)
+            skips.append(skip)
+    ids = accumulate(map((1).__add__, skips), initial=floor)
+    next(ids)  # the IDs ascend from ``floor``, each ``skip + 1`` above the last
+    try:
+        held = list(map(rows.__getitem__, ids))
+    except KeyError:
+        raise VerificationError("short row for an ID the summary did not list") from None
+    cold = []
+    unmarked = mask ^ ((1 << count) - 1)
+    while unmarked:
+        low = unmarked & -unmarked
+        cold.append(low.bit_length() - 1)
+        unmarked ^= low
+    return held, cold, at, end
+
+
+def expand_table(buf: bytes, pos: int, rows: dict, floor: int) -> tuple[TreeMultiproof, int]:
+    """The cold table of the held-row body at ``buf[pos:]``, and its end.
+
+    The body is kind 0's but for its helper and leaf lists, each ``varint
+    count || held bits || cold items || varint skip *``: per set bit, an
+    ID ``skip + 1`` above the one before (the first, above ``floor``)
+    whose entry digest (a helper) or row (a leaf) ``rows`` holds —
+    ``(row, entry digest)`` by ID, the IDs the summary lists — else a
+    :class:`~repro.errors.VerificationError`.  Nothing else is checked:
+    the table folds like any other, its rows' digests seeded.  Running
+    off the end is an ``IndexError``.
+    """
+    height, nodes, end = _frame_nodes(buf, pos)
+    out = bytearray(buf[pos:end])
+    held, cold, at, end = _held_list(buf, end, 32, rows, floor)
+    helpers = [row[1] for row in held]
+    for index in cold:
+        helpers.insert(index, buf[at : at + 32])
+        at += 32
+    held, cold, at, end = _held_list(buf, end, 40, rows, floor)
+    leaves = [row[0] for row in held]
+    digests = [row[1] for row in held]
+    for index in cold:
+        leaves.insert(index, buf[at : at + 40])
+        digests.insert(index, sha3(ENTRY_PREFIX + leaves[index]))
+        at += 40
+    frame = [height, nodes]
+    for items in (helpers, leaves):
+        put_varint(out, len(items))
+        frame += (len(out), len(items))
+        out += b"".join(items)
+    table = TreeMultiproof(bytes(out))
+    object.__setattr__(table, "_frame", tuple(frame))
+    object.__setattr__(table, "_entry_digests", digests)
+    object.__setattr__(table, "_arrived", cold)
+    return table, end
+
+
 # ---------------------------------------------------------------------------
 # Construction (SP side): locate, then prove once
 # ---------------------------------------------------------------------------
@@ -405,18 +498,20 @@ class ProveRequest:
     """One tree's share of a query's prove step (plain data).
 
     ``keys`` are the located keys, ascending and unique.  For a tree
-    whose keyword a client listed under the ``cnt`` its root ends in,
-    ``held`` is the bitmap of the nodes it holds and ``sizes`` the sizes
-    of the whole tables it holds
-    (:meth:`~repro.core.chameleon.ChameleonTreeSP.multiproof`); a Merkle
-    tree has no nodes to hold, and ignores them.
+    whose keyword a client listed a summary of, ``held`` is its bitmap,
+    ``count`` its integer and ``tables`` the ``(byte_size, cache_token)``
+    of the whole tables the client holds: a node table uses them if
+    ``count`` is its ``cnt``
+    (:meth:`~repro.core.chameleon.ChameleonTreeSP.multiproof`), an
+    MB-tree always (:meth:`~repro.core.mbtree.MBTree.multiproof`).
     """
 
     keyword: str
     root: bytes
     keys: tuple[int, ...]
     held: bytes = b""
-    sizes: frozenset[int] = frozenset()
+    count: int = 0
+    tables: frozenset[tuple[int, bytes]] = frozenset()
 
 
 def prove_keys(tree: MBTree | ChameleonTreeSP | None, request: ProveRequest):
@@ -439,9 +534,11 @@ def prove_keys(tree: MBTree | ChameleonTreeSP | None, request: ProveRequest):
             "and prove"
         )
     try:
-        if request.held and isinstance(tree, ChameleonTreeSP):
-            return tree.multiproof(request.keys, request.held, request.sizes)
-        return tree.multiproof(request.keys)
+        if isinstance(tree, ChameleonTreeSP):
+            held = request.held if request.count == tree.count else b""
+            sizes = frozenset(size for size, _ in request.tables)
+            return tree.multiproof(request.keys, held, sizes)
+        return tree.multiproof(request.keys, request.held, request.count, request.tables)
     except ReproError as exc:
         raise StaleProofError(
             f"keyword {request.keyword!r}: {exc}"
@@ -457,7 +554,7 @@ Prover = Callable[[list[ProveRequest]], list]
 def _prove_runs(
     vo: QueryVO,
     prove: Prover | None,
-    sizes: frozenset[int],
+    tables: frozenset[tuple[int, bytes]],
     nodes: Sequence[tuple[str, int, bytes]],
 ) -> dict[bytes, tuple[object, int]]:
     """Prove what a VO's located runs read: per root, its table and the
@@ -468,9 +565,9 @@ def _prove_runs(
     content) share a group — and their key lists merged.  Each group is
     one :class:`ProveRequest`: answered here when some run still holds
     its live tree, through ``prove`` otherwise.  A group whose keyword
-    ``nodes`` lists — first listing — under the ``cnt`` its root ends in
-    (a node table's root is ``c_0 || cnt``) carries that summary's
-    bitmap and ``sizes``.
+    ``nodes`` lists — first listing — carries that summary and
+    ``tables``; the tree decides whether the summary applies
+    (:func:`prove_keys`).
     """
     summaries: dict[str, tuple[int, int, bytes]] = {}
     for at, (keyword, count, bitmap) in enumerate(nodes):
@@ -488,12 +585,9 @@ def _prove_runs(
         if len(runs) > 1:
             keys = tuple(sorted(set().union(*(run.keys for run in runs))))
         keyword = runs[0].keyword
-        at, count, bitmap = summaries.get(keyword, (-1, -1, b""))
-        if count == int.from_bytes(root[-8:], "big"):
-            request = ProveRequest(keyword, root, keys, bitmap, sizes)
-        else:
-            at = -1
-            request = ProveRequest(keyword, root, keys)
+        at, count, bitmap = summaries.get(keyword, (-1, 0, b""))
+        listed = tables if bitmap else frozenset()
+        request = ProveRequest(keyword, root, keys, bitmap, count, listed)
         tree = next((run.tree for run in runs if run.tree is not None), None)
         if tree is not None:
             answers[root] = (prove_keys(tree, request), at)
@@ -533,19 +627,19 @@ def compress_query_vo(
 
     ``held`` and ``nodes`` are what the asking client holds (protocol
     v4): ``(byte_size, cache_token)`` per whole table and ``(keyword,
-    cnt, bitmap)`` per node summary.  Each table is decided here, once:
+    cnt or ID, bitmap)`` per summary.  Each table is decided here, once:
     a table equal to a listed one — same size, then same token — is a
     :class:`~repro.core.query.vo.TableReference` to its first listing; a
-    node table proven with held nodes short is a
-    :class:`~repro.core.chameleon.HeldNodeTable` naming its summary;
-    anything else goes cold.  With both lists empty the VO is the cold
-    one.
+    node table proven with held nodes short, or a Merkle table with held
+    rows short, is a :class:`~repro.core.query.vo.HeldNodeTable` naming
+    its summary; anything else goes cold.  With both lists empty the VO
+    is the cold one.
     """
     listed: dict[tuple[int, bytes], int] = {}
     for at, entry in enumerate(held):
         listed.setdefault(entry, at)
     sizes = frozenset(size for size, _ in listed)
-    tables = _prove_runs(vo, prove, sizes, nodes)
+    tables = _prove_runs(vo, prove, frozenset(listed), nodes)
     if not tables:
         return vo
     finished = []
@@ -743,7 +837,8 @@ def open_table(
     keyed on ``(root, cache_token())`` — is not folded again, its leaf
     counts are recalled, and a fold that matches is remembered; either
     way the cache holds the table under ``keyword`` for the SP to
-    reference.
+    reference, and a fold indexes its rows by object ID for the SP to
+    send short (:meth:`~repro.core.proofcache.VerificationCache.index_rows`).
     """
     key = before = None
     if cache is not None:
@@ -757,6 +852,7 @@ def open_table(
             )
         if key is not None:
             cache.add(key, before, hold=(keyword, table))
+            cache.index_rows(keyword, table)
     else:
         # This table's fold, as far as a later read of it is concerned.
         object.__setattr__(table, "_walked", (root, before))

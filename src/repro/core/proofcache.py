@@ -55,6 +55,10 @@ from the key, which holds them all, and verifies the rebuilt table as
 if it had been sent (DESIGN.md §6.3).  A position leaves the index when
 its statement is evicted, and on :meth:`~VerificationCache.clear`.
 
+A Merkle table that folds indexes its leaf rows by object ID: a row
+``id || h(o)`` is the same bytes under every later root of its keyword,
+so the index outlives appends (:meth:`VerificationCache.index_rows`).
+
 Hits and misses are exported through :mod:`repro.obs` under
 ``<prefix>.cache_hit`` / ``<prefix>.cache_miss`` (e.g.
 ``vc.verify.cache_hit``) and mirrored on the instance for callers
@@ -64,6 +68,7 @@ without a collector installed.
 from __future__ import annotations
 
 import threading
+from bisect import bisect_right
 from collections import OrderedDict
 from itertools import islice
 from typing import Hashable
@@ -200,16 +205,48 @@ class _NodeGroup:
         #: :meth:`HeldNodes.of`'s answer for this group until it changes.
         self.listing: tuple | None = None
 
+    def summary(self, keyword: str) -> tuple:
+        limit = 8 * HELD_NODE_BYTES
+        statements = {p: key.parts[1] for p, key in self.keys.items() if p < limit}
+        mask = sum(map((1).__lshift__, statements))
+        bitmap = mask.to_bytes((mask.bit_length() + 7) // 8, "little")
+        # The rows rebuilt from the statements, filled by the decoder.
+        return (keyword, self.count, bitmap, statements, {})
+
+
+class _RowGroup:
+    """One Merkle keyword's held rows, ``(id || h(o), entry digest)`` by
+    ID; ``mask`` has bit ``i`` set for each, the ID ``base - i``.  A dict
+    a listing holds is copied before it is written: it keeps what it
+    lists."""
+
+    __slots__ = ("base", "mask", "rows", "listing")
+
+    def __init__(self, base: int) -> None:
+        self.base = base
+        self.mask = 0
+        self.rows: dict[int, tuple[bytes, bytes]] = {}
+        self.listing: tuple | None = None
+
+    def summary(self, keyword: str) -> tuple:
+        bitmap = self.mask.to_bytes((self.mask.bit_length() + 7) // 8, "little")
+        return (keyword, self.base, bitmap, self.rows, self.base - 8 * len(bitmap))
+
 
 class HeldNodes:
-    """The node statements a session holds, by keyword and position.
+    """The node statements and Merkle rows a session holds, by keyword.
 
-    One group per keyword: the positions the keyword's settled tables
-    proved under the ``<c_0, cnt>`` of the latest, each mapped to its
-    statement's :class:`CacheKey` — ``shape || node || children``, the
-    node's bytes and its filled children's commitments, so the index
+    One group per Chameleon keyword: the positions the keyword's settled
+    tables proved under the ``<c_0, cnt>`` of the latest, each mapped to
+    its statement's :class:`CacheKey` — ``shape || node || children``,
+    the node's bytes and its filled children's commitments, so the index
     copies nothing.  A table settling under another ``<c_0, cnt>`` starts
     the keyword's group afresh.
+
+    One :class:`_RowGroup` per Merkle keyword, at most
+    :data:`HELD_NODE_KEYWORDS`, least recently indexed out first: the
+    rows its folded tables proved, within ``8 *`` :data:`HELD_NODE_BYTES`
+    IDs of the highest.
 
     Not thread-safe: its :class:`VerificationCache` calls it under the
     cache's lock.
@@ -217,6 +254,7 @@ class HeldNodes:
 
     def __init__(self) -> None:
         self._groups: dict[str, _NodeGroup] = {}
+        self._rows: OrderedDict[str, _RowGroup] = OrderedDict()
 
     def index(
         self,
@@ -246,6 +284,28 @@ class HeldNodes:
             entries[key] = (entry[0], False, (keyword, position))
             group.listing = None
 
+    def index_rows(self, keyword: str, ids: list[int], rows: list[tuple[bytes, bytes]]) -> None:
+        """File the ``(id || h(o), entry digest)`` rows of a Merkle table
+        that folded, by ID (ascending); a higher ID slides the window up."""
+        limit = 8 * HELD_NODE_BYTES
+        group = self._rows.pop(keyword, None) or _RowGroup(ids[-1])
+        self._rows[keyword] = group
+        if len(self._rows) > HELD_NODE_KEYWORDS:
+            self._rows.popitem(last=False)
+        held = group.rows
+        if ids[-1] > group.base:
+            group.mask = group.mask << ids[-1] - group.base & (1 << limit) - 1
+            group.base = ids[-1]
+            held = {i: row for i, row in held.items() if i > group.base - limit}
+        first = bisect_right(ids, group.base - limit)
+        new = dict(zip(ids[first:], rows[first:]))
+        fresh = new.keys() - held.keys()
+        if fresh or held is not group.rows:
+            group.rows = held = dict(held) if held is group.rows and group.listing else held
+            held.update(new)
+            group.mask |= sum(map((1).__lshift__, map(group.base.__sub__, fresh)))
+            group.listing = None
+
     def drop(self, keyword: str, position: int, key: CacheKey) -> None:
         """Forget ``position`` of ``keyword`` if it still maps to ``key``."""
         group = self._groups.get(keyword)
@@ -265,30 +325,17 @@ class HeldNodes:
         ``statements`` maps exactly those positions to their statements'
         bytes (a key's second part); ``rebuilt`` is the decoder's memo of
         the rows it rebuilt from them
-        (:func:`~repro.core.chameleon.expand_rows`).  Each is kept until
-        the group changes."""
+        (:func:`~repro.core.chameleon.expand_rows`).  A Merkle keyword's
+        is ``(keyword, base, bitmap, rows, floor)``: :class:`_RowGroup`'s
+        fields as they stood, ``floor`` the ID below the bitmap's last
+        bit.  Each is kept until the group changes."""
         out = []
-        limit = 8 * HELD_NODE_BYTES
         for keyword in keywords:
-            group = self._groups.get(keyword)
+            group = self._groups.get(keyword) or self._rows.get(keyword)
             if group is None:
                 continue
             if group.listing is None:
-                statements = {
-                    position: key.parts[1]
-                    for position, key in group.keys.items()
-                    if position < limit
-                }
-                mask = 0
-                for position in statements:
-                    mask |= 1 << position
-                group.listing = (
-                    keyword,
-                    group.count,
-                    mask.to_bytes((mask.bit_length() + 7) // 8, "little"),
-                    statements,
-                    {},  # the rows rebuilt from them, filled by the decoder
-                )
+                group.listing = group.summary(keyword)
             if group.listing[2]:
                 out.append(group.listing)
                 if len(out) == HELD_NODE_KEYWORDS:
@@ -298,6 +345,7 @@ class HeldNodes:
     def clear(self) -> None:
         """Hold nothing."""
         self._groups.clear()
+        self._rows.clear()
 
 
 class VerificationCache:
@@ -439,6 +487,14 @@ class VerificationCache:
         position to key, each statement one this cache holds."""
         with self._lock:
             self._nodes.index(keyword, root, count, nodes, self._entries)
+
+    def index_rows(self, keyword: str, table) -> None:
+        """File the leaf rows of a Merkle table that folded under
+        ``keyword``'s root, by object ID (:meth:`HeldNodes.index_rows`)."""
+        ids, rows = table.arrived_rows()
+        if ids:
+            with self._lock:
+                self._nodes.index_rows(keyword, ids, rows)
 
     def held(self, keywords: list[str]) -> list:
         """The held tables of ``keywords``: per keyword, in the order

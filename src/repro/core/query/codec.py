@@ -32,9 +32,9 @@ component the tables the client replays the join over::
                    client's request listed (protocol v3).  It stands for
                    that table's bytes; the client verifies it exactly as
                    if they had been sent (DESIGN.md §6.3).
-    table kind 4   a node table with held nodes (protocol v4):
-                   varint index into the request's node summaries
-                   || u8 arity || varint #rows || root || row *
+    table kind 4   a table with held nodes or rows (protocol v4): varint
+                   summary index || u8 arity, then for a node table
+                   (arity 1-7) || varint #rows || root || row *
                    root  u8 flags || (Lambda_0 || shipped *)
                    row   varint (position << 1 | short) || u8 flags
                          || (id(8) || h(o)(32) || c_pos || Lambda_pos
@@ -42,9 +42,19 @@ component the tables the client replays the join over::
                    (root flag bit 0 — never a read root — or a row's
                    short bit: the node is its flags alone, a node the
                    summary listed.  The client rebuilds its fields from
-                   the statement its session holds for it, so the table
-                   it frames is the kind-2 body byte for byte, verified
-                   as if it had been sent: DESIGN.md §6.3.)
+                   the statement its session holds for it.)
+                   or for a Merkle table (arity 0):
+                   || u8 height || varint #nodes || nodes as in kind 0
+                   || list(digest(32)) || list(id(8) || h(o)(32))
+                   list(item)  varint n || held bits(ceil(n / 8))
+                               || item * (n - k) || varint skip * k
+                   (the k items whose held bit is set go as IDs the
+                   summary lists, each skip + 1 above the one before,
+                   the first above its integer less 8 per bitmap byte:
+                   a leaf is its row, a helper its entry digest.)
+                   Either way the client's table is the kind-2 or kind-0
+                   body byte for byte, verified as if it had been sent:
+                   DESIGN.md §6.3.
 
     conjunct   u8 k || keyword * k || kind
                kind 0 (a keyword is empty)   || keyword
@@ -98,9 +108,9 @@ from __future__ import annotations
 import struct
 from collections.abc import Sequence
 
-from repro.core.chameleon import ChameleonMultiproof, HeldNodeTable, expand_rows
-from repro.core.multiproof import TreeMultiproof
-from repro.core.query.vo import ConjunctiveVO, QueryVO, ReplayVO, TableReference
+from repro.core.chameleon import ChameleonMultiproof, expand_rows
+from repro.core.multiproof import TreeMultiproof, expand_table
+from repro.core.query.vo import ConjunctiveVO, HeldNodeTable, QueryVO, ReplayVO, TableReference
 from repro.core.wire import U8, Reader, put_varint
 from repro.errors import ReproError
 
@@ -165,14 +175,21 @@ class VOCodec:
         return table
 
     def _read_held_nodes(
-        self, r: Reader, nodes: Sequence[tuple[dict[int, bytes], dict[int, bytes]]]
-    ) -> ChameleonMultiproof:
+        self, r: Reader, nodes: Sequence[tuple[dict, dict | int]]
+    ) -> ChameleonMultiproof | TreeMultiproof:
         at = r.varint()
         if at >= len(nodes):
             raise ReproError(
                 f"short rows under node summary {at} of {len(nodes)} listed"
             )
+        held, memo = nodes[at]
         arity = r.u8()
+        # A row summary comes with its floor, a node summary with a memo.
+        if isinstance(memo, dict) == (not arity):
+            raise ReproError(f"table of arity {arity} under summary {at} of the other family")
+        if not arity:
+            table, r.pos = expand_table(r.buf, r.pos, held, memo)
+            return table
         count = r.varint()
         body, r.pos = expand_rows(
             r.buf, r.pos, count, arity, self.value_bytes, *nodes[at]
@@ -249,7 +266,7 @@ class VOCodec:
 
         Each table goes as the kind it is: a Merkle or a node table cold
         (kinds 0 and 2), a :class:`~repro.core.query.vo.TableReference`
-        as kind 3, a :class:`~repro.core.chameleon.HeldNodeTable` as
+        as kind 3, a :class:`~repro.core.query.vo.HeldNodeTable` as
         kind 4.  Which a table is was decided when the SP finished the
         VO for the asking client
         (:func:`~repro.core.multiproof.compress_query_vo`); a VO
@@ -275,7 +292,11 @@ class VOCodec:
             elif isinstance(table, HeldNodeTable):
                 out.append(_TABLE_NODES)
                 put_varint(out, table.summary)
-                self._write_node_table(out, table)
+                if table.arity:
+                    self._write_node_table(out, table)
+                else:
+                    out.append(0)
+                    out += table.body
             else:
                 raise ReproError(f"cannot encode table {type(table)!r}")
         if len(vo.conjuncts) > 0xFF:
@@ -318,12 +339,13 @@ class VOCodec:
 
         ``held`` are the tables the request listed, in its order: a
         kind-3 reference resolves to one of them, the very object.
-        ``nodes`` are the request's node summaries, in its order, each
-        as the statement bytes of the positions it listed and a memo of
-        the rows rebuilt from them: a kind-4 table's short rows are
-        rebuilt from the summary it names
-        (:func:`~repro.core.chameleon.expand_rows`), and a position the
-        summary lacks is refused.  Only :class:`~repro.errors.ReproError`
+        ``nodes`` are the request's summaries, in its order, each as the
+        statement bytes of the positions it listed and a memo of the rows
+        rebuilt from them (a Merkle one: its rows by ID and its floor):
+        a kind-4 table is rebuilt from the summary it names
+        (:func:`~repro.core.chameleon.expand_rows`,
+        :func:`~repro.core.multiproof.expand_table`), and a position or
+        ID the summary lacks is refused.  Only :class:`~repro.errors.ReproError`
         escapes, whatever the bytes.
         """
         r = Reader(payload, _WHAT)

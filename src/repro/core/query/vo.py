@@ -136,6 +136,33 @@ class TableReference:
 
 
 @dataclass(frozen=True)
+class HeldNodeTable:
+    """A table as the SP sends it to a client that holds some of its
+    nodes or rows (table kind 4), naming the request's ``summary``.
+
+    ``body`` is a node table's (``arity`` 1-7) root and rows, held ones
+    short (:func:`~repro.core.chameleon.expand_rows`), or a Merkle
+    table's (all three 0) held-row body
+    (:func:`~repro.core.multiproof.expand_table`).  ``cold``, the same
+    table cold, lives only until the SP finishes the VO
+    (:func:`~repro.core.multiproof.compress_query_vo`).
+    """
+
+    arity: int
+    value_bytes: int
+    count: int
+    body: bytes
+    summary: int = 0
+    cold: object | None = None
+
+    def byte_size(self) -> int:
+        """Serialised size: summary index, arity, a node table's row
+        count, then the body."""
+        count = varint_size(self.count) if self.arity else 0
+        return varint_size(self.summary) + 1 + count + len(self.body)
+
+
+@dataclass(frozen=True)
 class QueryVO:
     """``VO_sp``: the full verification object for a DNF query.
 
@@ -143,9 +170,8 @@ class QueryVO:
     commitment)`` the query read, each named whole by the conjuncts
     that read it.  A VO the SP finished for a client that holds tables
     or nodes (:func:`~repro.core.multiproof.compress_query_vo`) may hold
-    a :class:`TableReference` or a
-    :class:`~repro.core.chameleon.HeldNodeTable` in a table's place:
-    such a VO is only ever encoded.
+    a :class:`TableReference` or a :class:`HeldNodeTable` in a table's
+    place: such a VO is only ever encoded.
     """
 
     conjuncts: tuple[ConjunctiveVO, ...]

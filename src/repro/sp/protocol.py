@@ -26,20 +26,22 @@ table of its answer that matches an entry as a one-byte kind-3
 reference to it.
 
 It then lists, per keyword of the query that the session holds nodes
-of (:meth:`~repro.core.proofcache.VerificationCache.held_nodes`), a
-node summary: the keyword, the ``cnt`` they were proven under and their
-positions as a bitmap — bit ``p % 8`` of byte ``p // 8`` for position
-``p``.  The bounds: at most
+or rows of (:meth:`~repro.core.proofcache.VerificationCache.held_nodes`),
+a summary: the keyword, an integer and a bitmap — bit ``p % 8`` of byte
+``p // 8`` for bit ``p``, position ``p`` under the integer ``cnt`` (a
+Chameleon keyword) or the row of ID ``integer - p`` (Merkle).  The
+bounds: at most
 :data:`~repro.core.proofcache.HELD_NODE_KEYWORDS` summaries, in strictly
-ascending keyword order; ``cnt < 2^64``; a bitmap of 1 to
+ascending keyword order; an integer below ``2^64``; a bitmap of 1 to
 :data:`~repro.core.proofcache.HELD_NODE_BYTES` bytes whose last byte is
-not zero and whose highest position is at most ``cnt``.  The SP writes
-a node table whose keyword is listed under the ``cnt`` it was proven at
-as table kind 4, each listed node a short row.  Both lists are matched
-once, as the SP finishes the VO
+not zero and whose highest bit is at most the integer.  The SP writes a
+node table proven at the listed ``cnt``, and a Merkle table that shows a
+listed row, as table kind 4, each listed node or row short.
+Both lists are matched once, as the SP finishes the VO
 (:func:`~repro.core.multiproof.compress_query_vo`); the SP keeps no
 state of its own, and a request that lists nothing is answered with the
-cold VO.
+cold VO.  Row summaries changed no byte of the format, and an SP that
+predates them answers them cold, so the version stays 4.
 
 An object travels as its canonical encoding
 (:meth:`~repro.core.objects.DataObject.encoded`), which the SP built
@@ -168,7 +170,7 @@ def _check_summaries(nodes: tuple[NodeSummary, ...]) -> None:
                 f"{HELD_NODE_BYTES} bytes ending in a position"
             )
         if 8 * len(bitmap) - 8 + bitmap[-1].bit_length() - 1 > count:
-            raise ReproError("node summary lists a position beyond its count")
+            raise ReproError("node summary lists a bit beyond its count")
 
 
 @dataclass(frozen=True)
@@ -388,6 +390,8 @@ class QueryResult:
     #: reference (see :attr:`vo_cold_bytes`).
     vo_sp_bytes: int
     vo_chain_bytes: int
+    #: Length of the request sent: the query and what the session listed.
+    request_bytes: int
     #: The transport round trip.
     sp_seconds: float
     #: ``verify_query`` alone.
@@ -429,6 +433,8 @@ class Fetched:
     #: bytes of its positions — what a short row is rebuilt from — and
     #: the memo of rows rebuilt from them.
     nodes: tuple = ()
+    #: Length of the request sent.
+    request_bytes: int = 0
 
 
 class RemoteClient:
@@ -488,10 +494,13 @@ class RemoteClient:
             held=tuple((table.byte_size(), table.cache_token()) for table in held),
             nodes=tuple(summary[:3] for summary in nodes),
         )
+        payload = request.encode()
+        obs.observe("query.request_bytes", len(payload),
+                    buckets=obs.SIZE_BUCKETS_BYTES)
         with self._system.reading():
             t0 = time.perf_counter()
             with obs.span("query.request"):
-                raw = self._transport(request.encode())
+                raw = self._transport(payload)
             sp_seconds = time.perf_counter() - t0
             response = QueryResponse.decode(raw)
             if response.error is not None:
@@ -523,6 +532,7 @@ class RemoteClient:
             sp_seconds,
             held,
             tuple(summary[3:] for summary in nodes),
+            len(payload),
         )
 
     def verify(self, fetched: Fetched) -> QueryResult:
@@ -545,6 +555,7 @@ class RemoteClient:
             objects=answer.objects,
             vo_sp_bytes=len(response.vo_bytes),
             vo_chain_bytes=fetched.proof_system.chain_digest_bytes(),
+            request_bytes=fetched.request_bytes,
             sp_seconds=fetched.sp_seconds,
             verify_seconds=verify_seconds,
             _vo=vo,

@@ -16,6 +16,12 @@ leaves behind: an answer the client rejects adds no key to its
 verification cache, cold or warm — whether the SP forges the answer and
 the in-process server encodes it (``system.query``) or the response
 bytes are forged (``RemoteClient.query``).
+
+A warm SMI frame joins the first sweep: the answer an SP finishes for a
+session that holds rows, so its tables are kind 4 with held rows, and
+its mutants are decoded against that session's listing.  Tier-1 sweeps
+a seeded sample of the offsets, ``REPRO_FULL_SWEEPS=1`` every offset
+(:mod:`tests.sweeps`).
 """
 
 import pytest
@@ -31,6 +37,7 @@ from repro.sp.protocol import (
     RemoteClient,
     StorageProviderServer,
 )
+from tests.sweeps import offsets
 
 DOCS = (
     DataObject(1, ("covid-19", "sars-cov-2"), b"a"),
@@ -86,56 +93,95 @@ def honest(request):
     return codec, payload, query, answer, ps, system, text, expected, priming
 
 
-def client_accepts(honest, payload: bytes) -> bool:
+@pytest.fixture(scope="module", params=[*sorted(CASES), "smi-warm"])
+def frame(request, honest_frames):
+    """``(codec, payload, query, answer, ps, held, rows)``: a frame and
+    what its client decodes it against."""
+    return honest_frames(request.param)
+
+
+@pytest.fixture(scope="module")
+def honest_frames():
+    def build(name):
+        arguments, docs, text, expected, priming = CASES[name.removesuffix("-warm")]
+        system = HybridStorageSystem(seed=8, **arguments)
+        system.add_objects(docs)
+        query = KeywordQuery.parse(text)
+        held, rows, listed, nodes = (), (), (), ()
+        if name.endswith("-warm"):
+            # A session that proved the priming join and the whole query:
+            # the SP sends the rows it holds short, none of the tables whole.
+            system.query(priming)
+            system.query(text)
+            keywords = sorted(query.all_keywords())
+            summaries = system.verify_cache.held_nodes(keywords)
+            nodes = tuple(summary[:3] for summary in summaries)
+            rows = tuple(summary[3:] for summary in summaries)
+        answer = system.process_query(query, listed, nodes)
+        codec = VOCodec(value_bytes=system.value_bytes)
+        payload = codec.encode(answer.vo)
+        assert payload[0] == 0xF6
+        if nodes:
+            assert payload[2] == 4, "the first table carries held rows"
+            answer.vo = codec.decode(payload, held, rows)
+        ps = system.chain_proof_system(query.all_keywords())
+        assert verify_query(query, answer, ps).ids == set(expected)
+        return codec, payload, query, answer, ps, held, rows
+
+    return build
+
+
+def client_accepts(frame, payload: bytes) -> bool:
     """Decode + verify as the client would; ``False`` on a typed reject.
 
     Anything but a ``ReproError`` propagates and fails the test.
     """
-    codec, _, query, answer, ps = honest[:5]
+    codec, _, query, answer, ps, held, rows = frame
     try:
-        answer.vo = codec.decode(payload)
+        answer.vo = codec.decode(payload, held, rows)
         verify_query(query, answer, ps)
     except ReproError:
         return False
     return True
 
 
-def test_every_flipped_byte_is_rejected_with_a_typed_error(honest):
-    payload = honest[1]
-    assert client_accepts(honest, payload)
+def test_every_flipped_byte_is_rejected_with_a_typed_error(frame):
+    payload = frame[1]
+    assert client_accepts(frame, payload)
     accepted = []
-    for offset in range(len(payload)):
+    for offset in offsets(len(payload)):
         for mask in (0x01, 0x80, 0xFF):
             mutant = bytearray(payload)
             mutant[offset] ^= mask
-            if client_accepts(honest, bytes(mutant)):
+            if client_accepts(frame, bytes(mutant)):
                 accepted.append((offset, mask))
     assert not accepted, f"mutants verified: {accepted[:10]}"
 
 
-def test_every_truncation_is_rejected_with_a_typed_error(honest):
-    payload = honest[1]
+def test_every_truncation_is_rejected_with_a_typed_error(frame):
+    payload = frame[1]
     accepted = [
-        cut for cut in range(len(payload)) if client_accepts(honest, payload[:cut])
+        cut for cut in offsets(len(payload), 1) if client_accepts(frame, payload[:cut])
     ]
     assert not accepted, f"prefixes verified: {accepted[:10]}"
 
 
-def test_appended_bytes_are_rejected(honest):
-    assert not client_accepts(honest, honest[1] + b"\x00")
+def test_appended_bytes_are_rejected(frame):
+    assert not client_accepts(frame, frame[1] + b"\x00")
 
 
 # -- one layer out: the protocol's own bytes --------------------------------------
 
 
 def mutants(payload: bytes):
-    """Every byte under the three masks, every proper prefix, one suffix."""
-    for offset in range(len(payload)):
+    """Every byte under the three masks, every proper prefix, one suffix
+    (a seeded sample of the offsets in tier-1)."""
+    for offset in offsets(len(payload)):
         for mask in (0x01, 0x80, 0xFF):
             mutant = bytearray(payload)
             mutant[offset] ^= mask
             yield bytes(mutant)
-    for cut in range(len(payload)):
+    for cut in offsets(len(payload), 1):
         yield payload[:cut]
     yield payload + b"\x00"
 

@@ -202,10 +202,11 @@ def test_short_rows_without_a_summary_are_refused(system):
 
 
 def test_a_summary_under_a_merkle_root_gets_the_cold_vo():
-    """An SMI tree's root digest is public, so a client can list a node
-    summary whose ``cnt`` is the digest's last eight bytes — the part a
-    node table's root ``c_0 || cnt`` ends in.  A Merkle tree has no nodes
-    to hold: the request is answered, with the cold VO."""
+    """An SMI tree's root digest is public, so a client can list a
+    summary whose integer is the digest's last eight bytes — the part a
+    node table's root ``c_0 || cnt`` ends in.  For a Merkle keyword the
+    integer is the ID of bit 0, and no row of the tree has that ID: the
+    request is answered, with the cold VO (held rows: test_held_rows.py)."""
     system = HybridStorageSystem(scheme="smi", seed=5)
     _fill(system)
     server = StorageProviderServer(system)

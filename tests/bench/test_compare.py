@@ -162,6 +162,62 @@ class TestCompare:
         assert "FAIL" in bad and "REGRESSED" in bad
 
 
+class TestDeterministicMoves:
+    """Gas and VO bytes are deterministic per seed: any move is listed."""
+
+    ROW = {
+        "src_lines": 19807,
+        "constructor_args": 12,
+        "metrics": {
+            "smi_selective": {"vo_bytes_per_query": 15553.08, "ingest_gas_per_object": 262388.9,
+                              "query_p50_ms": 1.5},
+            "ci_broad": {"vo_bytes_per_query": 889.09, "ingest_gas_per_object": 104000.0},
+        },
+    }
+
+    def _moved(self, **metrics):
+        doc = json.loads(json.dumps(self.ROW))
+        for path, value in metrics.items():
+            workload, metric = path.split("__")
+            doc["metrics"][workload][metric] = value
+        return doc
+
+    def test_workloads_whose_gas_or_vo_bytes_moved_are_listed(self):
+        current = self._moved(
+            smi_selective__vo_bytes_per_query=5977.2,  # an improvement: still listed
+            smi_selective__query_p50_ms=1.51,  # a timing: not deterministic
+        )
+        report = compare(self.ROW, current)
+        assert report.passed
+        assert {
+            workload: [d.metric for d in deltas]
+            for workload, deltas in report.moved.items()
+        } == {"smi_selective": ["metrics.smi_selective.vo_bytes_per_query"]}
+        text = report.render()
+        assert "MOVED      smi_selective: vo_bytes_per_query 1.555e+04 -> 5977" in text
+        assert "query_p50_ms" not in text
+        assert report.to_dict()["moved"] == ["smi_selective"]
+        assert not compare(self.ROW, self.ROW).moved
+        gas = compare(self.ROW, self._moved(ci_broad__ingest_gas_per_object=104001.0))
+        assert list(gas.moved) == ["ci_broad"]
+
+    def test_a_run_documents_values_are_named_by_their_metric(self):
+        run = {"metrics": {"vo_bytes_per_query": {"value": 15553.08, "unit": "bytes"}}}
+        moved = json.loads(json.dumps(run))
+        moved["metrics"]["vo_bytes_per_query"]["value"] = 5977.2
+        assert list(compare(run, moved).moved) == ["metrics"]
+        assert "vo_bytes_per_query 1.555e+04 -> 5977" in compare(run, moved).render()
+
+    def test_size_change_is_printed_when_both_rows_carry_it(self):
+        current = dict(self.ROW, src_lines=19990)
+        report = compare(self.ROW, current)
+        assert report.size == {"src_lines": (19807, 19990), "constructor_args": (12, 12)}
+        assert "SIZE       src_lines 19807 -> 19990 (+183), constructor_args 12 -> 12 (+0)" in report.render()
+        older = {key: value for key, value in self.ROW.items() if key != "src_lines"}
+        assert "src_lines" not in compare(older, current).size
+        assert "SIZE" not in compare(DOC, DOC).render()
+
+
 class TestTrend:
     def test_append_trend_accumulates_jsonl_records(self, tmp_path):
         path = tmp_path / "trend.jsonl"

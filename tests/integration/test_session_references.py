@@ -6,7 +6,8 @@ query by query: what a session is sent depends on what it asked before
 and nothing else.  Within a run, a scan asked a second time gets its
 table as a kind-3 reference, and under CI and CI* a table whose nodes
 the session has proven comes as kind 4, those nodes as short rows, which
-the client rebuilds into exactly the cold table's bytes.  And every
+the client rebuilds into exactly the cold table's bytes; under SMI, in
+either pool, a table whose rows it has proven comes as kind 4 too.  And every
 answer's result IDs and cold size are those of a client that holds
 nothing (no verification cache, so its requests list nothing).
 """
@@ -201,3 +202,20 @@ def test_a_query_over_more_keywords_than_a_request_lists():
     assert listed == [0, HELD_NODE_KEYWORDS, HELD_NODE_KEYWORDS]
     assert results[1].vo_sp_bytes < results[0].vo_sp_bytes
     system.close()
+
+
+def test_held_rows_are_proven_alike_in_both_pools():
+    """The resident shard workers get the row summary with the keys: an
+    affine session is sent the frames a stateless one is, before and
+    after an insert, and fewer bytes than a client that holds nothing."""
+    sessions = {}
+    for pool in ("stateless", "affine"):
+        system = build("smi", shards=2, pool=pool)
+        sent = [system.query(text) for text in QUERIES + QUERIES]
+        system.add_objects([DataObject(41, VOCABULARY, b"object 41")])
+        sent += [system.query(text) for text in QUERIES]
+        sessions[pool] = [(r.result_ids, r.vo_sp_bytes, r.vo_cold_bytes) for r in sent]
+        system.close()
+    assert sessions["affine"] == sessions["stateless"]
+    ids, sent, cold = sessions["affine"][2 * len(QUERIES)]  # alpha, grown by 41
+    assert 41 in ids and sent < cold  # no held table matches: held rows

@@ -6,7 +6,9 @@ shards, which must not show in the bytes — the encoders must emit the
 reference's bytes; on those bytes, and on random mutations of them, both
 decoders must return equal values or both raise
 :class:`~repro.errors.ReproError`.  A decoder that got laxer, stricter
-or different in any field while it got faster fails here.
+or different in any field while it got faster fails here.  The
+single-byte sweeps run a seeded sample of the offsets in tier-1 and
+every offset under ``REPRO_FULL_SWEEPS=1`` (:mod:`tests.sweeps`).
 """
 
 import pytest
@@ -15,9 +17,11 @@ from hypothesis import strategies as st
 
 from repro import DataObject, HybridStorageSystem, KeywordQuery
 from repro.core.query.codec import VOCodec
+from repro.core.query.vo import HeldNodeTable
 from repro.errors import ReproError
 from repro.sp.protocol import QueryRequest, QueryResponse
 from tests import reference_codec as reference
+from tests.sweeps import offsets
 
 KEYWORDS = ("covid-19", "sars-cov-2", "symptom", "vaccine", "würze")
 
@@ -150,17 +154,18 @@ SWEPT = ("(covid-19 AND symptom) OR sars-cov-2", "covid-19 AND sars-cov-2 AND sy
 
 
 def single_byte_mutants(payload: bytes):
-    """Every byte under three masks, then every proper prefix.
+    """Every byte under three masks, then every proper prefix (a seeded
+    sample of the offsets in tier-1: :mod:`tests.sweeps`).
 
     0x01 and 0x02 turn each flag, tag and 2-bit slot code into its
     neighbours (and a 1 into a 3); 0x80 sets varint continuation bits.
     """
-    for offset in range(len(payload)):
+    for offset in offsets(len(payload)):
         for mask in (0x01, 0x02, 0x80):
             mutant = bytearray(payload)
             mutant[offset] ^= mask
             yield bytes(mutant)
-    for cut in range(len(payload)):
+    for cut in offsets(len(payload), 1):
         yield payload[:cut]
 
 
@@ -394,4 +399,58 @@ def test_short_rows_encode_and_decode_alike(scheme):
         assert outcome(
             lambda raw: codec.decode(raw, (), statements), mutant
         ) == outcome(lambda raw: oracle.decode(raw, (), statements), mutant)
+    system.close()
+
+
+@pytest.mark.parametrize("scheme", ["mi", "smi"])
+def test_held_rows_encode_and_decode_alike(scheme):
+    """Merkle rows the session holds go short (kind 4, arity 0).
+
+    After a session has verified every query once, each query's VO is
+    finished against the tables and the row summaries its client would
+    send: the SP's frame is the reference encoder's frame of the cold VO
+    against those lists and the held rows, both decoders rebuild the cold
+    tables from the rows, and every single-byte mutant and prefix of a
+    frame with held rows decodes alike.
+    """
+    system = HybridStorageSystem(scheme=scheme, seed=8, **SCHEMES[scheme])
+    system.add_objects(corpus()[:12])
+    codec = VOCodec(value_bytes=system.value_bytes)
+    oracle = reference.ReferenceVOCodec(value_bytes=system.value_bytes)
+    for text in QUERIES:
+        system.query(text)
+    shortened = 0
+    for text in QUERIES:
+        keywords = sorted(KeywordQuery.parse(text).all_keywords())
+        held = system.verify_cache.held(keywords)
+        listed = [(table.byte_size(), table.cache_token()) for table in held]
+        summaries = system.verify_cache.held_nodes(keywords)
+        nodes = [summary[:3] for summary in summaries]
+        rows = [summary[3:] for summary in summaries]
+        query = KeywordQuery.parse(text)
+        vo = system.process_query(query).vo
+        sent = system.process_query(query, listed, nodes).vo
+        vo_bytes = codec.encode(sent)
+        assert len(vo_bytes) == sent.byte_size()
+        assert vo_bytes == oracle.encode(vo, listed, nodes, None, [r[0] for r in rows])
+        assert codec.decode(vo_bytes, held, rows) == oracle.decode(vo_bytes, held, rows) == vo
+        shortened += any(
+            isinstance(table, HeldNodeTable) and not table.arity
+            for table in sent.multiproofs
+        )
+    assert shortened
+    # A three-way join, no table held whole: its tables carry held rows.
+    query = KeywordQuery.parse(SWEPT[1])
+    summaries = system.verify_cache.held_nodes(sorted(query.all_keywords()))
+    nodes = [summary[:3] for summary in summaries]
+    rows = [summary[3:] for summary in summaries]
+    vo = system.process_query(query).vo
+    vo_bytes = codec.encode(system.process_query(query, (), nodes).vo)
+    assert vo_bytes == oracle.encode(vo, (), nodes, None, [r[0] for r in rows])
+    assert len(vo_bytes) < vo.byte_size() // 2
+    assert codec.decode(vo_bytes, (), rows) == vo
+    for mutant in single_byte_mutants(vo_bytes):
+        assert outcome(lambda raw: codec.decode(raw, (), rows), mutant) == outcome(
+            lambda raw: oracle.decode(raw, (), rows), mutant
+        )
     system.close()

@@ -16,7 +16,9 @@ from its layout in the codec's docstring — a Merkle table through its
 decoder's structural rules restated over the parsed rows, and a kind-3
 reference as an index into the held tables it is given, and a kind-4
 node table with short rows as the kind-2 table it stands for, each short
-node's fields taken from the held statement bytes it is given.  The parts ↔
+node's fields taken from the held statement bytes it is given — or, for
+a Merkle table (arity 0), the kind-0 table it stands for, each short
+row or entry helper taken from the held rows it is given.  The parts ↔
 body pair (:func:`merkle_parts`, :func:`merkle_table`,
 :func:`forge_merkle`) is also how tests read and forge Merkle tables,
 which hold nothing but their wire body.  The protocol half is the old reader *plus* the fail-closed rules
@@ -253,8 +255,12 @@ class ReferenceVOCodec:
         at = _read_count(data)
         if at >= len(nodes):
             raise ReproError("short rows under a summary never listed")
-        statements = nodes[at][0]  # the memo beside them is the codec's
+        statements, beside = nodes[at]  # a node summary's memo is the codec's
         arity = self._read_uint(data, 1)
+        if isinstance(beside, dict) == (arity == 0):
+            raise ReproError("table under a summary of the other family")
+        if arity == 0:
+            return read_held_merkle(data, statements, beside)
         count = self._read_varint(data)
         if not 1 <= arity <= 7:
             raise ReproError("node table arity out of range")
@@ -292,7 +298,7 @@ class ReferenceVOCodec:
 
     # -- public API ----------------------------------------------------------------
 
-    def encode(self, vo: QueryVO, held=(), nodes=(), counts=None) -> bytes:
+    def encode(self, vo: QueryVO, held=(), nodes=(), counts=None, rows=()) -> bytes:
         """Serialise a cold ``VO_sp`` as it goes to a client that lists
         ``held`` — ``(byte_size, cache_token)`` per table — and the node
         summaries ``nodes``: a table listed in ``held`` goes as a
@@ -300,7 +306,9 @@ class ReferenceVOCodec:
         (the first the conjuncts name it under) a summary lists — first
         listing — under ``counts[keyword]``, the ``cnt`` its tree holds,
         goes with the summary's positions as short rows, if it shows
-        any of them."""
+        any of them.  A Merkle table whose keyword a summary lists goes
+        with the listed rows short, ``rows`` being each summary's held
+        rows (:func:`held_merkle_body`)."""
         keyword_of = {}
         for conjunct in vo.conjuncts:
             if conjunct.base is not None:
@@ -312,7 +320,13 @@ class ReferenceVOCodec:
         self._write_varint(out, len(vo.multiproofs))
         for index, table in enumerate(vo.multiproofs):
             entry = (table.byte_size(), table.cache_token())
-            rows = None
+            short = None
+            if isinstance(table, TreeMultiproof) and rows:
+                keyword = keyword_of[index]
+                for at, (listed_keyword, base, bitmap) in enumerate(nodes):
+                    if listed_keyword == keyword:
+                        short = held_merkle_body(table, base, bitmap, rows[at])
+                        break
             if isinstance(table, ChameleonMultiproof) and counts:
                 keyword = keyword_of[index]
                 for at, (listed_keyword, count, bitmap) in enumerate(nodes):
@@ -323,17 +337,22 @@ class ReferenceVOCodec:
                                 for p in range(8 * len(bitmap))
                                 if bitmap[p // 8] >> (p % 8) & 1
                             }
-                            rows = self.short_rows(table, listed)
+                            short = self.short_rows(table, listed)
                         break
             if entry in held:
                 self._write_uint(out, _TABLE_HELD, 1)
                 self._write_varint(out, list(held).index(entry))
-            elif rows is not None:
+            elif short is not None and isinstance(table, TreeMultiproof):
+                self._write_uint(out, _TABLE_NODES, 1)
+                self._write_varint(out, at)
+                self._write_uint(out, 0, 1)
+                out.write(short)
+            elif short is not None:
                 self._write_uint(out, _TABLE_NODES, 1)
                 self._write_varint(out, at)
                 self._write_uint(out, table.arity, 1)
                 self._write_varint(out, table.count)
-                out.write(rows)
+                out.write(short)
             elif isinstance(table, ChameleonMultiproof):
                 self._write_uint(out, _TABLE_CHAMELEON, 1)
                 self._write_entry_table(out, table)
@@ -452,16 +471,7 @@ class MerkleParts:
 
 def write_merkle_parts(out: io.BytesIO, parts: MerkleParts) -> None:
     """The kind-0 table body, field by field."""
-    ReferenceVOCodec._write_uint(out, parts.height, 1)
-    ReferenceVOCodec._write_varint(out, len(parts.nodes))
-    for codes in parts.nodes:
-        ReferenceVOCodec._write_varint(out, len(codes))
-        packed = bytearray((len(codes) + 3) // 4)
-        for slot, code in enumerate(codes):
-            if not 0 <= code <= 3:
-                raise ReproError(f"cannot encode slot code {code}")
-            packed[slot // 4] |= code << ((slot % 4) * 2)
-        out.write(bytes(packed))
+    _write_merkle_nodes(out, parts)
     ReferenceVOCodec._write_varint(out, len(parts.helpers))
     for digest in parts.helpers:
         if len(digest) != 32:
@@ -475,6 +485,20 @@ def write_merkle_parts(out: io.BytesIO, parts: MerkleParts) -> None:
         out.write(object_hash)
 
 
+def _write_merkle_nodes(out: io.BytesIO, parts: MerkleParts) -> None:
+    """A Merkle table body's height and cover nodes."""
+    ReferenceVOCodec._write_uint(out, parts.height, 1)
+    ReferenceVOCodec._write_varint(out, len(parts.nodes))
+    for codes in parts.nodes:
+        ReferenceVOCodec._write_varint(out, len(codes))
+        packed = bytearray((len(codes) + 3) // 4)
+        for slot, code in enumerate(codes):
+            if not 0 <= code <= 3:
+                raise ReproError(f"cannot encode slot code {code}")
+            packed[slot // 4] |= code << ((slot % 4) * 2)
+        out.write(bytes(packed))
+
+
 def _read_count(data: io.BytesIO) -> int:
     """A table count: a varint in its shortest encoding."""
     start = data.tell()
@@ -486,6 +510,18 @@ def _read_count(data: io.BytesIO) -> int:
 
 def read_merkle_parts(data: io.BytesIO) -> MerkleParts:
     """One kind-0 table body, field by field; raises ``ReproError``."""
+    codec = ReferenceVOCodec
+    height, nodes = _read_merkle_nodes(data)
+    helpers = tuple(codec._read_bytes(data, 32) for _ in range(_read_count(data)))
+    leaves = tuple(
+        (codec._read_uint(data, 8), codec._read_bytes(data, 32))
+        for _ in range(_read_count(data))
+    )
+    return MerkleParts(height, tuple(nodes), helpers, leaves)
+
+
+def _read_merkle_nodes(data: io.BytesIO) -> tuple[int, list]:
+    """A Merkle table body's height and cover nodes' slot codes."""
     codec = ReferenceVOCodec
     height = codec._read_uint(data, 1)
     nodes = []
@@ -502,12 +538,117 @@ def read_merkle_parts(data: io.BytesIO) -> MerkleParts:
         if any(code > 2 for code in codes):
             raise ReproError("invalid multiproof slot code")
         nodes.append(codes)
-    helpers = tuple(codec._read_bytes(data, 32) for _ in range(_read_count(data)))
-    leaves = tuple(
-        (codec._read_uint(data, 8), codec._read_bytes(data, 32))
-        for _ in range(_read_count(data))
+    return height, nodes
+
+
+# -- Merkle tables with held rows (kind 4, arity 0) -------------------------------
+
+
+def held_merkle_body(
+    table: TreeMultiproof, base: int, bitmap: bytes, rows
+) -> bytes | None:
+    """The held-row body of a cold Merkle table for a client that lists
+    the IDs ``base - bit`` for each bit set in ``bitmap`` and holds
+    ``rows`` (``(row, entry digest)`` by ID): a leaf of a listed ID, and
+    a helper that is the entry digest of a listed row, go as their bit;
+    ``None`` when nothing is listed."""
+    listed = {p for p in range(8 * len(bitmap)) if bitmap[p // 8] >> (p % 8) & 1}
+    parts = merkle_parts(table)
+    by_digest = {rows[base - bit][1]: bit for bit in listed if base - bit in rows}
+    helpers = [by_digest.get(digest, digest) for digest in parts.helpers]
+    leaves = [
+        base - object_id if base - object_id in listed else object_id.to_bytes(8, "big") + h
+        for object_id, h in parts.leaves
+    ]
+    if all(isinstance(item, bytes) for item in helpers + leaves):
+        return None
+    out = io.BytesIO()
+    _write_merkle_nodes(out, parts)
+    return write_held_parts(out.getvalue(), helpers, leaves, 8 * len(bitmap))
+
+
+def write_held_parts(head: bytes, helpers, leaves, limit: int) -> bytes:
+    """A held-row body: ``head`` (height and nodes) and the two lists,
+    each item its bytes or, held, its bit (an ``int``, below ``limit``,
+    descending within a list)."""
+    out = io.BytesIO()
+    out.write(head)
+    for items in (helpers, leaves):
+        ReferenceVOCodec._write_varint(out, len(items))
+        flags = bytearray((len(items) + 7) // 8)
+        for at, item in enumerate(items):
+            if isinstance(item, int):
+                flags[at // 8] |= 1 << (at % 8)
+        out.write(bytes(flags))
+        for item in items:
+            if isinstance(item, bytes):
+                out.write(item)
+        previous = limit
+        for item in items:
+            if isinstance(item, int):
+                ReferenceVOCodec._write_varint(out, previous - 1 - item)
+                previous = item
+    return out.getvalue()
+
+
+def read_held_parts(body: bytes, limit: int) -> tuple[bytes, list, list]:
+    """A held-row body split as :func:`write_held_parts` writes it."""
+    data = io.BytesIO(body)
+    _read_merkle_nodes(data)
+    head = body[: data.tell()]
+    lists = []
+    for size in (32, 40):
+        count = _read_count(data)
+        flags = ReferenceVOCodec._read_bytes(data, (count + 7) // 8)
+        marked = [at for at in range(count) if flags[at // 8] >> (at % 8) & 1]
+        items = [None] * count
+        for at in range(count):
+            if at not in marked:
+                items[at] = ReferenceVOCodec._read_bytes(data, size)
+        bit = limit
+        for at in marked:
+            bit -= 1 + _read_count(data)
+            items[at] = bit
+        lists.append(items)
+    if data.read(1):
+        raise ReproError("bytes after a held-row body")
+    return head, lists[0], lists[1]
+
+
+def read_held_merkle(data: io.BytesIO, rows, floor: int) -> TreeMultiproof:
+    """One held-row body, field by field, each bit resolved into
+    ``rows``, the listed rows by ID: the bits' IDs ascend from
+    ``floor``, each ``skip + 1`` above the one before."""
+    codec = ReferenceVOCodec
+    height, nodes = _read_merkle_nodes(data)
+    lists = []
+    for size in (32, 40):
+        count = _read_count(data)
+        flags = codec._read_bytes(data, (count + 7) // 8)
+        if count % 8 and flags[-1] >> (count % 8):
+            raise ReproError("non-zero padding in held bits")
+        marked = [at for at in range(count) if flags[at // 8] >> (at % 8) & 1]
+        items = [None] * count
+        for at in range(count):
+            if at not in marked:
+                items[at] = codec._read_bytes(data, size)
+        object_id = floor
+        for at in marked:
+            object_id += 1 + _read_count(data)
+            row = rows.get(object_id)
+            if row is None:
+                raise ReproError("short row for an ID the summary did not list")
+            items[at] = row[1] if size == 32 else row[0]
+        lists.append(items)
+    helpers, leaves = lists
+    return merkle_table(
+        MerkleParts(
+            height,
+            tuple(nodes),
+            tuple(helpers),
+            tuple((int.from_bytes(row[:8], "big"), row[8:]) for row in leaves),
+        )
     )
-    return MerkleParts(height, tuple(nodes), helpers, leaves)
 
 
 def merkle_parts(table: TreeMultiproof) -> MerkleParts:

@@ -27,8 +27,6 @@ compiled out) runs every offset.
 from __future__ import annotations
 
 import copy
-import os
-import random
 import struct
 
 import pytest
@@ -42,9 +40,8 @@ from repro.errors import IntegrityError, ReproError
 from repro.sp.engine import _CKPT_HEAD, DiskShardEngine
 
 from tests import journal_records
+from tests.sweeps import offsets
 
-#: Offsets of each sweep run in tier-1; every offset under the env flag.
-SAMPLE = None if os.environ.get("REPRO_FULL_SWEEPS") == "1" else 96
 
 BATCHES = (
     [DataObject(oid, ("a", "b") if oid % 2 else ("a",), b"x%d" % oid) for oid in (1, 2, 3)],
@@ -119,14 +116,6 @@ def reopen(directory, data: bytes, factory):
         return state_of(engine)
     finally:
         engine.close()
-
-
-def offsets(length: int, salt: int) -> list[int]:
-    """Every offset below ``length``, or a seeded sample of them."""
-    every = list(range(length))
-    if SAMPLE is None or SAMPLE >= length:
-        return every
-    return sorted(random.Random(length * 31 + salt).sample(every, SAMPLE))
 
 
 def test_the_honest_journal_reopens_to_the_last_batch(journal, tmp_path):
